@@ -208,14 +208,24 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
 
 /// The full round-two server tick as the router actually runs it — not
 /// just the inner kernel. A warm quorum server at n = 1024 holds its
-/// own ground-truth row plus all `~2√n` rendezvous clients' rows (each
-/// fully live, so every pair merge-joins 1024-entry working sets) and
+/// own row plus all `~2√n` rendezvous clients' rows, and
 /// `on_routing_tick` performs failover management, round-one link-state
 /// fan-out and the full recommendation computation for every fresh
-/// client pair.
+/// client pair. Two row shapes, because they take different kernel
+/// paths:
+///
+/// * `server_tick` — ground-truth rows, every entry live: all rows
+///   share one destination lane, so every pair runs the elementwise
+///   reduction over 1024-entry lanes (full-mesh probing);
+/// * `server_tick_entitled` — rows as entitled probing leaves them: a
+///   node measures only its `~2√n` rendezvous servers plus a 16-peer
+///   sample, so each row holds `~2√n + 16` live entries and no two
+///   rows list the same destinations — every pair runs the
+///   scatter-gather. This is the shape the scale studies run.
 fn bench_round_two_tick(c: &mut Criterion) {
     use apor_linkstate::LinkStateMsg;
     use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -225,26 +235,43 @@ fn bench_round_two_tick(c: &mut Criterion) {
         let topo = bench_topology(n);
         let grid = Grid::new(n);
         let me = 0usize;
-        let own = ground_truth_row(&topo, me);
-        let mut router: QuorumRouter = QuorumRouter::new(me, n, 1, ProtocolConfig::quorum());
-        let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
-        let _ = router.on_routing_tick(0.0, &own, &mut rng);
-        for c_idx in grid.rendezvous_clients(me) {
-            let msg = Message::LinkState(LinkStateMsg {
-                from: NodeId::from_index(c_idx),
-                to: NodeId::from_index(me),
-                view: 1,
-                round: 1,
-                basis_ms: 250,
-                entries: ground_truth_row(&topo, c_idx),
-                seqno: 0,
-                retractions: vec![],
+        let mut sample_rng = ChaCha8Rng::seed_from_u64(0xE171);
+        for (name, entitled) in [("server_tick", false), ("server_tick_entitled", true)] {
+            let mut row_of = |i: usize| -> Vec<LinkEntry> {
+                let truth = ground_truth_row(&topo, i);
+                if !entitled {
+                    return truth;
+                }
+                let mut probed = grid.rendezvous_servers(i);
+                let others: Vec<usize> = (0..n).filter(|&d| d != i).collect();
+                probed.extend(others.choose_multiple(&mut sample_rng, 16));
+                let mut row = vec![LinkEntry::dead(); n];
+                for d in probed {
+                    row[d] = truth[d];
+                }
+                row
+            };
+            let own = row_of(me);
+            let mut router: QuorumRouter = QuorumRouter::new(me, n, 1, ProtocolConfig::quorum());
+            let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
+            let _ = router.on_routing_tick(0.0, &own, &mut rng);
+            for c_idx in grid.rendezvous_clients(me) {
+                let msg = Message::LinkState(LinkStateMsg {
+                    from: NodeId::from_index(c_idx),
+                    to: NodeId::from_index(me),
+                    view: 1,
+                    round: 1,
+                    basis_ms: 250,
+                    entries: row_of(c_idx),
+                    seqno: 0,
+                    retractions: vec![],
+                });
+                let _ = router.on_message(0.25, &msg);
+            }
+            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| black_box(router.on_routing_tick(0.5, &own, &mut rng).len()));
             });
-            let _ = router.on_message(0.25, &msg);
         }
-        g.bench_with_input(BenchmarkId::new("server_tick", n), &n, |b, _| {
-            b.iter(|| black_box(router.on_routing_tick(0.5, &own, &mut rng).len()));
-        });
     }
     g.finish();
 }

@@ -11,15 +11,20 @@
 //!   struct-of-arrays ([`LaneRow`]): parallel `dst`/`latency_ms`/
 //!   liveness lanes holding the exact wire bytes, ~5 B per live entry,
 //!   and the round-two kernel runs integer-only over the latency lanes
-//!   (`u32` adds, `u32::MAX` infinite sentinel). This is exact, not an
-//!   approximation: the wire format is already fixed-point — latencies
-//!   are integer milliseconds in a `u16`, loss is quantized to
-//!   half-percent units — so integer cost arithmetic reproduces the
-//!   `f64` kernel bit-for-bit (two `u16` legs cannot overflow or round
-//!   in either domain). Rows carry receipt timestamps for the
-//!   3-routing-interval freshness rule of section 6.2.2; an optional
-//!   row entitlement is debug-asserted so a protocol regression back
-//!   to `O(n)` rows fails loudly.
+//!   (`u32` adds of `u16` legs). This is exact, not an approximation:
+//!   the wire format is already fixed-point — latencies are integer
+//!   milliseconds in a `u16`, loss is quantized to half-percent units —
+//!   so integer cost arithmetic reproduces the `f64` kernel bit-for-bit
+//!   (two `u16` legs cannot overflow or round in either domain). A
+//!   server's whole tick is one [`RoundTwo`] pass: each unordered
+//!   client pair once (link costs are symmetric, so the two directions
+//!   are one computation), one row scattered into a dense lane and the
+//!   other's live entries gathered against it; the single-pair
+//!   merge-join [`best_one_hop_rows`] computes the same answer and is
+//!   what the tests compare it with. Rows carry receipt timestamps for
+//!   the 3-routing-interval freshness rule of section 6.2.2; an
+//!   optional row entitlement is debug-asserted so a protocol
+//!   regression back to `O(n)` rows fails loudly.
 //! * [`table`] / [`entry`] — the dense `n × n` table, kept for the
 //!   full-mesh baseline (which holds every row by design) and as the
 //!   reference store in tests; it implements the same trait, so both
@@ -50,8 +55,8 @@ pub mod wire;
 pub use entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
 pub use estimator::{LinkEstimator, ProbeOutcome};
 pub use store::{
-    best_one_hop_rows, seqno_newer, LaneRow, LinkStateStore, LiveEntries, RowCursor, RowRef,
-    RowStore,
+    best_one_hop_rows, seqno_newer, LaneRow, LinkStateStore, LiveEntries, RoundTwo, RowCursor,
+    RowRef, RowStore,
 };
 pub use table::LinkStateTable;
 pub use wire::{

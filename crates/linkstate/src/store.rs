@@ -9,6 +9,7 @@
 //! * [`LinkStateStore`] — the trait both stores implement. The required
 //!   methods are pure storage (put/get/drop rows); the **round-two
 //!   kernel** ([`best_one_hop`](LinkStateStore::best_one_hop),
+//!   [`round_two`](LinkStateStore::round_two),
 //!   [`one_hop_options`](LinkStateStore::one_hop_options),
 //!   [`anyone_reaches`](LinkStateStore::anyone_reaches)) is written once
 //!   as provided methods, so the dense baseline and the sparse store
@@ -26,19 +27,34 @@
 //!   so a protocol bug that re-grows `O(n)` rows fails loudly in tests
 //!   instead of silently reintroducing the quadratic table.
 //! * [`RowRef`] — a borrowed view of one row: dense, sparse pairs, or
-//!   lanes. The round-two kernel is written once over it (see
-//!   [`best_one_hop_rows`]) and is **integer-only**: the latency lanes
-//!   are already integer milliseconds (the wire carries nothing finer),
-//!   so a path cost is a `u32` add of two `u16` legs with `u32::MAX` as
-//!   the infinite sentinel — bit-identical to the historical `f64`
-//!   computation, because every `u16` sum is exactly representable in
-//!   both domains. The kernel walks the *live* entries of both rows in
-//!   an ascending merge-join, which reproduces the dense `h = 0..n`
-//!   scan's lowest-index tie-break exactly (dead entries have infinite
-//!   cost and can never win, so skipping them is observationally
-//!   neutral); when both rows list the same destinations — the steady
-//!   state for a warm quorum server — it collapses to an elementwise
-//!   lane reduction the compiler vectorizes.
+//!   lanes. The round-two kernel is written once over it and is
+//!   **integer-only**: the latency lanes are already integer
+//!   milliseconds (the wire carries nothing finer), so a path cost is a
+//!   `u32` add of two `u16` legs — bit-identical to the historical
+//!   `f64` computation, because every `u16` sum is exactly
+//!   representable in both domains. It comes in two forms that agree
+//!   entry for entry:
+//!   * [`best_one_hop_rows`], one pair: an ascending merge-join over
+//!     the *live* entries of both rows, which reproduces the dense
+//!     `h = 0..n` scan's lowest-index tie-break exactly (dead entries
+//!     have infinite cost and can never win, so skipping them is
+//!     observationally neutral). It is the single-pair API and the
+//!     oracle the tests hold the other form to.
+//!   * [`RoundTwo`], a whole tick
+//!     ([`round_two`](LinkStateStore::round_two)): every row resolved
+//!     and freshness-checked once, each *unordered* pair computed once —
+//!     link costs are symmetric, so `a → b` and `b → a` are one
+//!     computation — by scattering one row into a dense lane and
+//!     gathering over the other's live entries with a branch-free `min`
+//!     of `(cost << 16) | hop`, which is the merge-join's tie-break
+//!     whatever the visiting order. Under entitled probing every client
+//!     probes a different `~2√n` peers, so no two rows list the same
+//!     destinations and this is the path production runs.
+//!
+//!   When both rows of a pair do list the same destinations — every
+//!   pair, under full-mesh probing — either form collapses to an
+//!   elementwise reduction over the two latency lanes, which the
+//!   compiler vectorizes.
 //!
 //! The dense [`LinkStateTable`](crate::table::LinkStateTable) stays for
 //! the full-mesh baseline (which genuinely holds all `n` rows, each
@@ -323,6 +339,10 @@ enum LiveCosts<'a> {
 impl Iterator for LiveCosts<'_> {
     type Item = (usize, u32);
 
+    // The merge-join's inner loop. With the round-two kernel as further
+    // call sites the compiler stops inlining it unprompted, and the
+    // dense-row `best_one_hop` benches run ~40 % slower.
+    #[inline]
     fn next(&mut self) -> Option<(usize, u32)> {
         match self {
             LiveCosts::Dense { row, next } => {
@@ -605,6 +625,168 @@ pub fn best_one_hop_rows(
         }
     }
     (best_cost != INFINITE_COST_U32).then_some((best_hop, best_cost))
+}
+
+/// A dead slot of the scatter lane: above any sum of two `u16` legs
+/// (≤ 131 070), and small enough that adding a `u16` leg to it cannot
+/// wrap a `u32`. A candidate sum is a real path exactly when it is
+/// below this.
+const LANE_DEAD: u32 = 1 << 17;
+
+/// "No finite path" in a packed `(cost << 16) | hop` cell.
+const NO_PATH: u64 = u64::MAX;
+
+/// Pack a candidate so that `min` orders by cost, then by hop index.
+#[inline]
+fn pack(cost: u32, hop: usize) -> u64 {
+    (u64::from(cost) << 16) | hop as u64
+}
+
+/// The cheapest relay towards the origin of `row_b`, given the other
+/// endpoint's costs scattered into `lane`: a branch-free `min` over
+/// `row_b`'s live entries of the packed `(lane[h] + row_b[h], h)`. A
+/// dead first leg yields a sum of at least [`LANE_DEAD`], which loses
+/// to every real path and which the caller rejects.
+fn gather_best_relay(row_b: &RowRef, lane: &[u32]) -> u64 {
+    row_b
+        .iter_costs()
+        .fold(NO_PATH, |m, (h, c)| m.min(pack(lane[h] + c, h)))
+}
+
+/// Every recommendation of one round-two tick: for each ordered pair of
+/// the server's nodes (`clients ++ [me]`), the best one-hop path as
+/// [`best_one_hop_rows`] would compute it, held as one flat matrix of
+/// packed `(cost << 16) | hop` cells.
+///
+/// Built by [`LinkStateStore::round_two`] with a scatter-gather kernel.
+/// For each node `a` in turn, the live costs of row `a` are scattered
+/// into a dense width-`n` `u32` lane (every other slot holds a dead
+/// sentinel above any sum of two `u16` legs); then for each *later*
+/// node `b` the kernel walks row `b`'s live entries only, adding
+/// `lane[h]` to each and keeping the `min` of the packed `(sum, h)` —
+/// no merge-join, no branch in the loop.
+///
+/// * **Endpoints need no masking.** The merge-join skips `h == a` and
+///   `h == b`; here a live self-entry lets them through as candidates,
+///   harmlessly. Relaying "via `a`" costs `row_a[a] + row_b[a]` and
+///   "via `b`" costs `row_a[b] + row_b[b]`: each contains one direction
+///   of the direct link, so neither is below `min(row_a[b], row_b[a])`,
+///   and only a relay *strictly* cheaper than the direct link is
+///   taken. If one ties with a real relay, that relay is no cheaper
+///   than the direct link either.
+/// * **Pair symmetry.** The relay cost `row_a[h] + row_b[h]` and the
+///   direct cost `min(row_a[b], row_b[a])` are both symmetric in
+///   `(a, b)`, so `best_one_hop_rows(a, b)` and `(b, a)` are one
+///   computation: each unordered pair is computed once and mirrored, the
+///   only difference being that the direct link is spelled `hop == b`
+///   one way and `hop == a` the other.
+/// * **Tie-break.** The merge-join visits relays in ascending index
+///   order and replaces the incumbent only on a strict improvement, so
+///   it returns the lowest-index relay of the lowest cost; the `min` of
+///   `(cost << 16) | hop` is that same relay whatever order the entries
+///   are visited in. The direct link still wins ties against it.
+/// * **Shared lanes.** Two lane rows listing the same destinations —
+///   every pair of a fully probing overlay — keep the elementwise
+///   reduction over the two latency lanes, which vectorizes where a
+///   gather cannot. The choice is made per pair from the rows alone.
+/// * **Buffers are per call.** The lane and the matrix live for one
+///   tick. One process may host thousands of routers; buffers kept per
+///   router would sit idle between ticks and add `O(n)` bytes to each.
+#[derive(Debug, Clone)]
+pub struct RoundTwo {
+    nodes: Vec<usize>,
+    /// `packed[i * nodes.len() + j]`: the path `nodes[i] → nodes[j]`.
+    packed: Vec<u64>,
+}
+
+impl RoundTwo {
+    /// Run the kernel over `rows[i]`, the resolved fresh row of
+    /// `nodes[i]` (`None` = missing or stale), at row width `n`.
+    fn compute(n: usize, nodes: Vec<usize>, rows: &[Option<RowRef>]) -> Self {
+        assert!(n <= 1 << 16, "hop indices are packed into 16 bits");
+        let k = nodes.len();
+        let mut packed = vec![NO_PATH; k * k];
+        let mut lane = vec![LANE_DEAD; n];
+        for i in 0..k {
+            let Some(row_a) = rows[i] else { continue };
+            let a = nodes[i];
+            for (h, c) in row_a.iter_costs() {
+                lane[h] = c;
+            }
+            for j in i + 1..k {
+                let Some(row_b) = rows[j] else { continue };
+                let b = nodes[j];
+                if a == b {
+                    continue;
+                }
+                let direct = lane[b].min(row_b.cost_u32(a));
+                let relay = match (&row_a, &row_b) {
+                    (
+                        RowRef::Lanes {
+                            dst: da,
+                            latency_ms: la,
+                            ..
+                        },
+                        RowRef::Lanes {
+                            dst: db,
+                            latency_ms: lb,
+                            ..
+                        },
+                    ) if da == db => {
+                        lanes_shared_best(da, la, lb, a, b).map_or(NO_PATH, |(h, c)| pack(c, h))
+                    }
+                    _ => gather_best_relay(&row_b, &lane),
+                };
+                // `direct ≤ LANE_DEAD`, so a relay that beats it is real.
+                let (ab, ba) = if relay >> 16 < u64::from(direct) {
+                    (relay, relay)
+                } else if direct < LANE_DEAD {
+                    (pack(direct, b), pack(direct, a))
+                } else {
+                    (NO_PATH, NO_PATH)
+                };
+                packed[i * k + j] = ab;
+                packed[j * k + i] = ba;
+            }
+            for (h, _) in row_a.iter_costs() {
+                lane[h] = LANE_DEAD;
+            }
+        }
+        RoundTwo { nodes, packed }
+    }
+
+    /// The nodes the tick covers: the clients in the order given, then
+    /// the server itself.
+    #[must_use]
+    pub fn nodes(&self) -> &[usize] {
+        &self.nodes
+    }
+
+    /// The best one-hop path `nodes()[i] → nodes()[j]` as `(hop, cost)`
+    /// in integer milliseconds (`hop == nodes()[j]` is the direct link),
+    /// or `None` when either row was missing or stale, `i == j`, or no
+    /// finite path exists.
+    ///
+    /// # Panics
+    /// Panics if `i` or `j` is not an index into [`nodes`](Self::nodes).
+    #[must_use]
+    pub fn get(&self, i: usize, j: usize) -> Option<(usize, u32)> {
+        let k = self.nodes.len();
+        assert!(i < k && j < k, "pair ({i},{j}) outside the {k} nodes");
+        let p = self.packed[i * k + j];
+        #[allow(clippy::cast_possible_truncation)]
+        (p != NO_PATH).then_some(((p & 0xFFFF) as usize, (p >> 16) as u32))
+    }
+
+    /// What the server recommends to `nodes()[i]`: `(dst, hop, cost)`
+    /// for every destination with a finite path, in [`nodes`](Self::nodes)
+    /// order.
+    pub fn recommendations(&self, i: usize) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(move |(j, &d)| self.get(i, j).map(|(hop, cost)| (d, hop, cost)))
+    }
 }
 
 /// One owned link-state row in struct-of-arrays form: three parallel
@@ -961,36 +1143,27 @@ pub trait LinkStateStore {
         best_one_hop_rows(&row_a, &row_b, a, b).map(|(h, c)| (h, f64::from(c)))
     }
 
-    /// [`best_one_hop`](LinkStateStore::best_one_hop) for every
-    /// destination of one diamond in a single pass: all recommendations
-    /// a rendezvous server owes client `a` share the first-leg row `a`,
-    /// so the batch resolves that row (and its freshness) once and runs
-    /// the kernel per destination, instead of repeating the row lookup
-    /// `|dests|` times. The result is index-aligned with `dests`;
-    /// `dests[i] == a`, a stale/missing destination row, or no finite
-    /// path all yield `None` — exactly what the per-pair calls would
-    /// return.
-    fn best_hops_batch(
-        &self,
-        a: usize,
-        dests: &[usize],
-        now: f64,
-        max_age: f64,
-    ) -> Vec<Option<(usize, Cost)>> {
-        if !self.row_fresh(a, now, max_age) {
-            return vec![None; dests.len()];
-        }
-        let row_a = self.row_ref(a).expect("fresh row present");
-        dests
+    /// **Round two for a whole tick.** Every recommendation a rendezvous
+    /// server owes its `clients` about each other and about the server
+    /// itself (`me`), in one pass: each row is resolved and
+    /// freshness-checked once, and each unordered pair is computed once
+    /// and mirrored (see [`RoundTwo`]). Entry for entry this equals
+    /// calling [`best_one_hop`](LinkStateStore::best_one_hop) on every
+    /// ordered pair of `clients ++ [me]`: a missing or stale row yields
+    /// no recommendation as source or as destination.
+    fn round_two(&self, clients: &[usize], me: usize, now: f64, max_age: f64) -> RoundTwo {
+        let mut nodes = Vec::with_capacity(clients.len() + 1);
+        nodes.extend_from_slice(clients);
+        nodes.push(me);
+        let rows: Vec<Option<RowRef<'_>>> = nodes
             .iter()
-            .map(|&d| {
-                if d == a || !self.row_fresh(d, now, max_age) {
-                    return None;
-                }
-                let row_d = self.row_ref(d).expect("fresh row present");
-                best_one_hop_rows(&row_a, &row_d, a, d).map(|(h, c)| (h, f64::from(c)))
+            .map(|&o| {
+                self.row_fresh(o, now, max_age)
+                    .then(|| self.row_ref(o))
+                    .flatten()
             })
-            .collect()
+            .collect();
+        RoundTwo::compute(self.len(), nodes, &rows)
     }
 
     /// All one-hop options from `a` to `b` with finite cost, sorted by
@@ -1159,9 +1332,9 @@ struct StoredRow {
 /// lanes at ~5 B/entry — which under entitled + sampled probing is
 /// `O(√n)` per row, so per-node state is `O(n)` where the dense table
 /// needs `O(n²)`. Lookups are `O(log √n)` map + `O(log k)` row binary
-/// search; the round-two kernel merge-joins the two rows of the pair in
-/// `O(k)`, or streams their latency lanes elementwise when the rows
-/// share a destination lane. The `row_bytes_lanes` / `row_bytes_aos`
+/// search; the round-two kernel costs `O(k)` per pair — a merge-join
+/// for one pair, a scatter-gather for a whole tick — or streams the two
+/// latency lanes elementwise when the rows share a destination lane. The `row_bytes_lanes` / `row_bytes_aos`
 /// gauge pair reports the stored bytes against what the replaced
 /// array-of-structs layout would have held.
 #[derive(Debug, Clone)]
@@ -1179,6 +1352,11 @@ pub struct RowStore {
     stale_after: Option<f64>,
     /// High-water mark of `row_count` over the store's lifetime.
     peak_rows: usize,
+    /// Live entries held across all rows — what
+    /// [`entry_count`](LinkStateStore::entry_count) recounts — kept
+    /// current by every path that adds, replaces or drops a row, so the
+    /// size gauges cost `O(1)` per merged row.
+    live_entries: usize,
     telemetry: Telemetry,
     rows_merged: Counter,
     rows_evicted: Counter,
@@ -1203,6 +1381,7 @@ impl RowStore {
             entitlement: None,
             stale_after: None,
             peak_rows: 0,
+            live_entries: 0,
             telemetry,
             rows_merged,
             rows_evicted,
@@ -1233,7 +1412,7 @@ impl RowStore {
     /// memory win the scale study exports.
     fn update_size_gauges(&self) {
         self.rows_held.set(self.rows.len() as u64);
-        let entries: usize = self.rows.values().map(|r| r.lanes.len()).sum();
+        let entries = self.live_entries;
         self.row_bytes_lanes
             .set((entries * LaneRow::ENTRY_BYTES) as u64);
         self.row_bytes_aos
@@ -1293,7 +1472,9 @@ impl RowStore {
                     .map(|(&origin, _)| origin)
                     .collect();
                 for origin in stale {
-                    self.rows.remove(&origin);
+                    if let Some(row) = self.rows.remove(&origin) {
+                        self.live_entries -= row.lanes.len();
+                    }
                     self.rows_evicted.inc();
                     self.telemetry.event(
                         now,
@@ -1337,11 +1518,13 @@ impl RowStore {
     fn put_row(&mut self, origin: usize, lanes: LaneRow, now: f64) {
         match self.rows.get_mut(&origin) {
             Some(slot) => {
+                self.live_entries = self.live_entries - slot.lanes.len() + lanes.len();
                 slot.lanes = lanes;
                 slot.received_at = now;
             }
             None => {
                 self.evict_stale(now);
+                self.live_entries += lanes.len();
                 self.rows.insert(
                     origin,
                     StoredRow {
@@ -1434,7 +1617,9 @@ impl LinkStateStore for RowStore {
     fn update_entry(&mut self, origin: usize, dst: usize, entry: LinkEntry, now: f64) {
         assert!(origin < self.n && dst < self.n);
         if let Some(slot) = self.rows.get_mut(&origin) {
+            let before = slot.lanes.len();
             slot.lanes.set(dst as u16, entry);
+            self.live_entries = self.live_entries - before + slot.lanes.len();
             slot.received_at = now;
             self.note_merge(origin, now);
         } else {
@@ -1448,7 +1633,9 @@ impl LinkStateStore for RowStore {
     }
 
     fn clear_row(&mut self, origin: usize) {
-        self.rows.remove(&origin);
+        if let Some(row) = self.rows.remove(&origin) {
+            self.live_entries -= row.lanes.len();
+        }
         self.update_size_gauges();
     }
 
@@ -1713,6 +1900,48 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e.kind, EventKind::RowEvicted { origin: 0 })));
+    }
+
+    /// The running live-entry total behind the size gauges equals a
+    /// recount of the held rows after every kind of mutation: insert,
+    /// whole-row replace (growing and shrinking), single-entry set and
+    /// kill, row creation by `update_entry`, eviction under capacity
+    /// pressure, and `clear_row`.
+    #[test]
+    fn live_entry_total_tracks_recount() {
+        let telemetry = Telemetry::new(1);
+        let mut s = RowStore::with_entitlement(10, 3, 45.0).with_telemetry(telemetry.clone());
+        let check = |s: &RowStore, step: &str| {
+            assert_eq!(s.live_entries, s.entry_count(), "{step}");
+            let snap = telemetry.snapshot();
+            assert_eq!(
+                snap.gauge(1, "linkstate", "row_bytes_lanes"),
+                Some((s.entry_count() * LaneRow::ENTRY_BYTES) as u64),
+                "{step}"
+            );
+        };
+        s.update_row(0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 0.0);
+        check(&s, "insert");
+        s.update_row_sparse(0, &[(3, LinkEntry::live(7, 0.0))], 1.0);
+        check(&s, "replace, shrinking");
+        s.update_row(0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 2.0);
+        check(&s, "replace, growing");
+        s.update_entry(0, 4, LinkEntry::dead(), 3.0);
+        s.update_entry(0, 5, LinkEntry::live(50, 0.0), 3.0);
+        check(&s, "entry killed, entry overwritten");
+        s.update_entry(1, 2, LinkEntry::live(9, 0.0), 4.0);
+        s.update_entry(2, 3, LinkEntry::dead(), 4.0);
+        check(&s, "rows created by update_entry");
+        assert_eq!(s.entry_count(), 10);
+        // Rows 0–2 are stale at t = 100: a fourth origin arriving at the
+        // entitlement boundary sheds all three.
+        s.update_row_sparse(7, &[(1, LinkEntry::live(5, 0.0))], 100.0);
+        assert_eq!(s.present_rows(), vec![7]);
+        check(&s, "evict");
+        s.clear_row(7);
+        s.clear_row(7);
+        check(&s, "clear, twice");
+        assert_eq!(s.live_entries, 0);
     }
 
     /// The cursor agrees with fresh `get`/`cost_u32` lookups under any

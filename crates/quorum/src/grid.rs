@@ -85,6 +85,35 @@ impl fmt::Display for GridShape {
     }
 }
 
+/// The default rendezvous nodes of one pair, ascending and distinct:
+/// what [`Grid::default_rendezvous_pair`] returns. Reads as a
+/// `[usize]` slice.
+#[derive(Clone)]
+pub enum RendezvousPair {
+    /// The grid crossings that exist: the first `.1` (one or two)
+    /// elements of `.0`, held inline.
+    Crossings([usize; 2], usize),
+    /// Both crossing cells are blank: the pair's common rendezvous.
+    Common(Vec<usize>),
+}
+
+impl std::ops::Deref for RendezvousPair {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match self {
+            RendezvousPair::Crossings(nodes, len) => &nodes[..*len],
+            RendezvousPair::Common(nodes) => nodes,
+        }
+    }
+}
+
+impl fmt::Debug for RendezvousPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// A grid quorum over nodes `0..n`, placed row-major.
 ///
 /// The grid operates on *grid indices*, not overlay [`NodeId`]s: the
@@ -305,23 +334,20 @@ impl Grid {
     ///
     /// These are the two servers a node expects recommendations for `j`
     /// from under failure-free operation; the failover machinery (section
-    /// 4.1) watches exactly these.
+    /// 4.1) watches exactly these — once per destination per routing
+    /// tick, so the crossings come back inline, without a heap
+    /// allocation (see [`RendezvousPair`]).
     #[must_use]
-    pub fn default_rendezvous_pair(&self, i: usize, j: usize) -> Vec<usize> {
+    pub fn default_rendezvous_pair(&self, i: usize, j: usize) -> RendezvousPair {
         let (ri, ci) = self.position(i);
         let (rj, cj) = self.position(j);
-        let mut out: Vec<usize> = [self.at(ri, cj), self.at(rj, ci)]
-            .into_iter()
-            .flatten()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        // Blank crossing cells (incomplete grid): fall back to any common
-        // rendezvous, which the extras guarantee to exist.
-        if out.is_empty() {
-            out = self.common_rendezvous(i, j);
+        match (self.at(ri, cj), self.at(rj, ci)) {
+            (Some(x), Some(y)) if x != y => RendezvousPair::Crossings([x.min(y), x.max(y)], 2),
+            (Some(x), _) | (None, Some(x)) => RendezvousPair::Crossings([x, x], 1),
+            // Blank crossing cells (incomplete grid): fall back to any
+            // common rendezvous, which the extras guarantee to exist.
+            (None, None) => RendezvousPair::Common(self.common_rendezvous(i, j)),
         }
-        out
     }
 
     /// Failover candidates for reaching destination `dst` (section 4.1):
@@ -442,7 +468,7 @@ mod tests {
         assert_eq!(g.rendezvous_set(8), vec![2, 5, 6, 7, 8]);
         // Paper nodes 9 and 1 (indices 8 and 0) share rendezvous at the
         // crossings (row 0, col 2) = index 2 and (row 2, col 0) = index 6.
-        assert_eq!(g.default_rendezvous_pair(0, 8), vec![2, 6]);
+        assert_eq!(*g.default_rendezvous_pair(0, 8), [2, 6]);
         assert_eq!(g.common_rendezvous(0, 8), vec![2, 6]);
     }
 
@@ -507,9 +533,61 @@ mod tests {
                     }
                     let pair = g.default_rendezvous_pair(i, j);
                     assert!(!pair.is_empty());
-                    for &k in &pair {
+                    for &k in pair.iter() {
                         assert!(g.serves(k, i), "n={n}: {k} !serves {i}");
                         assert!(g.serves(k, j), "n={n}: {k} !serves {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The pair is the crossings that exist, ascending and distinct,
+    /// else the common rendezvous — spot cases, then the definition
+    /// spelled out with a `Vec` over every valid shape of small grids.
+    #[test]
+    fn default_pair_crossings_and_blank_cells() {
+        // Complete grid: both crossings exist.
+        let g = Grid::new(9);
+        assert_eq!(*g.default_rendezvous_pair(8, 0), [2, 6]);
+        assert!(matches!(
+            g.default_rendezvous_pair(8, 0),
+            RendezvousPair::Crossings([2, 6], 2)
+        ));
+        // Same row: the crossings are the endpoints themselves.
+        assert_eq!(*g.default_rendezvous_pair(3, 5), [3, 5]);
+        // One node is its own only crossing.
+        assert_eq!(*g.default_rendezvous_pair(4, 4), [4]);
+        // Incomplete grid (18 nodes on 5×4, last row holds 2): node 16
+        // sits at (4,0), node 3 at (0,3); the crossing (4,3) is blank,
+        // so (0,0) = node 0 is the whole default pair.
+        let g = Grid::new(18);
+        assert_eq!(g.at(4, 3), None);
+        assert_eq!(*g.default_rendezvous_pair(16, 3), [0]);
+        assert_eq!(*g.default_rendezvous_pair(3, 16), [0]);
+
+        for n in 1..=40usize {
+            for rows in 1..=n {
+                for cols in 1..=n {
+                    let Some(shape) = GridShape::custom(n, rows, cols) else {
+                        continue;
+                    };
+                    let g = Grid::with_shape(n, shape);
+                    for i in 0..n {
+                        for j in 0..n {
+                            let (ri, ci) = g.position(i);
+                            let (rj, cj) = g.position(j);
+                            let mut want: Vec<usize> =
+                                [g.at(ri, cj), g.at(rj, ci)].into_iter().flatten().collect();
+                            want.sort_unstable();
+                            want.dedup();
+                            if want.is_empty() {
+                                want = g.common_rendezvous(i, j);
+                            }
+                            let got = g.default_rendezvous_pair(i, j);
+                            assert_eq!(*got, *want, "n={n} {shape} pair ({i},{j})");
+                            assert!(!got.is_empty());
+                        }
                     }
                 }
             }

@@ -58,5 +58,5 @@ mod grid;
 mod id;
 
 pub use diamonds::{count_diamonds, diamonds_upper_bound, unique_diamonds_in_complete_graph};
-pub use grid::{Grid, GridShape};
+pub use grid::{Grid, GridShape, RendezvousPair};
 pub use id::NodeId;

@@ -83,8 +83,8 @@ proptest! {
             let pick: Vec<usize> = nodes.choose_multiple(&mut rng, 2).copied().collect();
             let (i, j) = (pick[0], pick[1]);
             let common = g.common_rendezvous(i, j);
-            for k in g.default_rendezvous_pair(i, j) {
-                prop_assert!(common.contains(&k));
+            for k in g.default_rendezvous_pair(i, j).iter() {
+                prop_assert!(common.contains(k));
             }
         }
     }

@@ -170,6 +170,12 @@ pub struct QuorumRouter<S: LinkStateStore = RowStore> {
     /// destinations it has vouched for — `O(√n · √n)` entries total
     /// versus the `n` slots per server a dense row would burn.
     rec_seen: Vec<BTreeMap<usize, f64>>,
+    /// Running totals over `rec_seen` — entries held, and servers with
+    /// at least one — kept where entries are inserted (none is ever
+    /// removed), so the byte gauges cost `O(1)` per message instead of
+    /// a walk over all `n` maps.
+    rec_seen_entries: usize,
+    rec_seen_servers: usize,
     /// When I first sent link state to each server (grace-period
     /// anchor); grid-indexed, [`NEVER`] = never served.
     serving_since: Vec<f64>,
@@ -258,6 +264,8 @@ impl<S: LinkStateStore> QuorumRouter<S> {
             my_servers,
             routes: vec![None; n],
             rec_seen: vec![BTreeMap::new(); n],
+            rec_seen_entries: 0,
+            rec_seen_servers: 0,
             serving_since: vec![NEVER; n],
             failover: vec![FailoverState::default(); n],
             own_seqno: 0,
@@ -331,10 +339,8 @@ impl<S: LinkStateStore> QuorumRouter<S> {
     /// dense pre-compaction layout would cost for the same coverage.
     #[must_use]
     pub fn rec_seen_bytes(&self) -> (u64, u64) {
-        let entries: usize = self.rec_seen.iter().map(BTreeMap::len).sum();
-        let active = self.rec_seen.iter().filter(|m| !m.is_empty()).count();
-        let sparse = (entries * 16) as u64;
-        let dense = (active * self.n * 8) as u64;
+        let sparse = (self.rec_seen_entries * 16) as u64;
+        let dense = (self.rec_seen_servers * self.n * 8) as u64;
         (sparse, dense)
     }
 
@@ -699,35 +705,27 @@ impl<S: LinkStateStore> QuorumRouter<S> {
     fn compute_recommendations(&mut self, now: f64) -> Vec<Message> {
         let started = std::time::Instant::now();
         let max_age = self.config.staleness_s();
-        let mut clients: Vec<usize> = self
+        // Every held row but mine, ascending (as `present_rows` is), so
+        // each frame lists its destinations as `clients ascending ++
+        // [me]`: I count as a destination for my clients. The kernel
+        // applies the freshness rule, once per row — a stale client gets
+        // no frame and appears in nobody else's.
+        let clients: Vec<usize> = self
             .table
             .present_rows()
             .into_iter()
             .filter(|&c| c != self.me)
-            .filter(|&c| self.table.row_fresh(c, now, max_age))
             .collect();
-        // I count as a destination for my clients (my row is always fresh).
+        let round_two = self.table.round_two(&clients, self.me, now, max_age);
         let mut msgs = Vec::new();
-        let dests_base = {
-            let mut d = clients.clone();
-            d.push(self.me);
-            d
-        };
-        clients.sort_unstable();
-        for &c in &clients {
-            // One batch call per client: the client's first-leg row is
-            // resolved once and swept once per destination, instead of
-            // re-fetched per (client, destination) pair.
-            let hops = self.table.best_hops_batch(c, &dests_base, now, max_age);
-            let mut recs = Vec::with_capacity(dests_base.len());
-            for (&d, hop) in dests_base.iter().zip(hops) {
-                if let Some((hop, cost)) = hop {
-                    recs.push(RecEntry {
-                        dst: NodeId::from_index(d),
-                        hop: NodeId::from_index(hop),
-                        cost_ms: LinkEntry::quantize_latency(cost),
-                    });
-                }
+        for (i, &c) in clients.iter().enumerate() {
+            let mut recs = Vec::with_capacity(clients.len() + 1);
+            for (d, hop, cost) in round_two.recommendations(i) {
+                recs.push(RecEntry {
+                    dst: NodeId::from_index(d),
+                    hop: NodeId::from_index(hop),
+                    cost_ms: LinkEntry::quantize_latency(f64::from(cost)),
+                });
             }
             if recs.is_empty() {
                 continue;
@@ -866,7 +864,12 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                     if dst >= self.n || hop >= self.n || dst == self.me {
                         continue;
                     }
-                    self.rec_seen[server].insert(dst, now);
+                    let seen = &mut self.rec_seen[server];
+                    let first_from_server = seen.is_empty();
+                    if seen.insert(dst, now).is_none() {
+                        self.rec_seen_entries += 1;
+                        self.rec_seen_servers += usize::from(first_from_server);
+                    }
                     self.counters.rec_entries_received.inc();
                     let newer = self.routes[dst].is_none_or(|r| now >= r.received_at);
                     if newer {
@@ -1123,6 +1126,9 @@ mod tests {
         }
 
         let (sparse, dense) = r.rec_seen_bytes();
+        // The running totals equal a recount of the maps.
+        assert_eq!(sparse, (total_entries * 16) as u64);
+        assert_eq!(dense, (servers_with_entries * n * 8) as u64);
         assert!(
             sparse > 0 && sparse < dense,
             "sparse {sparse} vs dense {dense}"

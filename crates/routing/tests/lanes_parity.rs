@@ -6,15 +6,22 @@
 //! lane-backed `RowStore`, and a borrowed `RowRef::Sparse` view), and
 //! the lanes themselves must hold the exact wire bytes so a row that
 //! travelled through `wire.rs` encode/decode is bit-identical to one
-//! stored directly.
+//! stored directly. The whole-tick scatter-gather kernel
+//! (`LinkStateStore::round_two`) is held to the single-pair merge-join
+//! (`best_one_hop`), pair by pair in both orientations, and a router
+//! tick's recommendation frames to frames assembled from that oracle,
+//! byte for byte.
 
 use apor_linkstate::wire::{LinkStateMsg, SparseLinkStateMsg};
 use apor_linkstate::{
-    best_one_hop_rows, LaneRow, LinkEntry, LinkStateStore, LinkStateTable, Message, RowRef,
-    RowStore,
+    best_one_hop_rows, LaneRow, LinkEntry, LinkStateStore, LinkStateTable, Message, RecEntry,
+    RecFormat, RecommendationMsg, RowRef, RowStore,
 };
 use apor_quorum::NodeId;
+use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// A random row of `n` entries: latency over the full wire range, an
 /// alive flag, and an arbitrary (off-grid) loss rate.
@@ -34,46 +41,94 @@ fn arb_row(n: usize) -> impl Strategy<Value = Vec<LinkEntry>> {
     )
 }
 
-/// Random `(origin, row)` specs at width `n` with variable live
-/// density per row — including all-dead and ~single-entry rows, the
-/// batch kernel's edge cases. Density tier 0 yields an empty row, tier
-/// 1 about one live entry, tiers 2–3 half/nearly full rows.
-fn arb_sparse_rows(n: usize) -> impl Strategy<Value = Vec<(usize, Vec<LinkEntry>)>> {
+/// One client row for the round-two suites: its origin, whether it
+/// arrived long ago (stale by the time of the tick), and its entries.
+#[derive(Debug, Clone)]
+struct RowSpec {
+    origin: usize,
+    stale: bool,
+    row: Vec<LinkEntry>,
+}
+
+/// Random partial rows at width `n`. Each row draws its own density
+/// tier — 0 an all-dead row, 1 about one live entry, 2–3 half/nearly
+/// full, 4 fully live (two such rows share one destination lane, the
+/// elementwise path) — so destination lanes differ from row to row;
+/// latencies span the whole `u16` range and are drawn per row, so the
+/// two directions of a link disagree; the self-entry is live in about
+/// half the rows; and about one row in six is stale.
+fn arb_row_specs(n: usize) -> impl Strategy<Value = Vec<RowSpec>> {
     prop::collection::vec(
         (
-            0..n,
-            0usize..4,
-            prop::collection::vec((1u16..2000, 0u8..100), n),
+            (0..n, 0usize..5, any::<bool>(), 0u8..6),
+            prop::collection::vec((any::<u16>(), 0u8..100), n),
         ),
-        1..8,
+        1..10,
     )
     .prop_map(move |specs| {
         specs
             .into_iter()
-            .map(|(o, tier, raw)| {
+            .map(|((origin, tier, self_live, stale_roll), raw)| {
                 let threshold = match tier {
                     0 => 0,
                     1 => 100 / n as u8,
                     2 => 50,
-                    _ => 90,
+                    3 => 90,
+                    _ => 100,
                 };
-                let row: Vec<LinkEntry> = raw
+                let row = raw
                     .into_iter()
                     .enumerate()
                     .map(|(j, (lat, roll))| {
-                        if j == o {
-                            LinkEntry::live(0, 0.0)
-                        } else if roll < threshold {
+                        let live = if j == origin {
+                            self_live || tier == 4
+                        } else {
+                            roll < threshold
+                        };
+                        if live {
                             LinkEntry::live(lat, 0.0)
                         } else {
                             LinkEntry::dead()
                         }
                     })
                     .collect();
-                (o, row)
+                RowSpec {
+                    origin,
+                    stale: stale_roll == 0,
+                    row,
+                }
             })
             .collect()
     })
+}
+
+/// Times used by the round-two suites: stale rows arrive at
+/// `STALE_AT`, fresh ones at `FRESH_AT`, the tick runs at `TICK_AT`
+/// under the quorum config's 45 s staleness window.
+const STALE_AT: f64 = 0.0;
+const FRESH_AT: f64 = 100.0;
+const TICK_AT: f64 = 101.0;
+const MAX_AGE: f64 = 45.0;
+
+/// `round_two` over `clients ++ [me]` equals `best_one_hop` on every
+/// ordered pair — so on both orientations of every unordered pair.
+fn assert_round_two_matches_pairs<S: LinkStateStore>(store: &S, clients: &[usize], me: usize) {
+    let all = store.round_two(clients, me, TICK_AT, MAX_AGE);
+    let mut nodes = clients.to_vec();
+    nodes.push(me);
+    assert_eq!(all.nodes(), &nodes[..]);
+    for (i, &a) in nodes.iter().enumerate() {
+        let mut want_recs = Vec::new();
+        for (j, &b) in nodes.iter().enumerate() {
+            let want = store.best_one_hop(a, b, TICK_AT, MAX_AGE);
+            let got = all.get(i, j).map(|(h, c)| (h, f64::from(c)));
+            assert_eq!(got, want, "a={a} b={b}");
+            if let Some((h, c)) = all.get(i, j) {
+                want_recs.push((b, h, c));
+            }
+        }
+        assert_eq!(all.recommendations(i).collect::<Vec<_>>(), want_recs);
+    }
 }
 
 /// Live `(dst, entry)` pairs of a dense row, ascending — the
@@ -135,30 +190,6 @@ proptest! {
         }
     }
 
-    /// `best_hops_batch` is exactly n independent `best_one_hop` calls,
-    /// including over all-dead and single-entry rows.
-    #[test]
-    fn batch_matches_singles(spec in arb_sparse_rows(16)) {
-        let n = 16;
-        let mut store = RowStore::new(n);
-        for (o, row) in &spec {
-            store.update_row(*o, row, 0.0);
-        }
-        let dests: Vec<usize> = (0..n).collect();
-        for (a, _) in &spec {
-            let batch = store.best_hops_batch(*a, &dests, 1.0, 45.0);
-            prop_assert_eq!(batch.len(), dests.len());
-            for (&d, got) in dests.iter().zip(batch) {
-                let want = if d == *a {
-                    None
-                } else {
-                    store.best_one_hop(*a, d, 1.0, 45.0)
-                };
-                prop_assert_eq!(got, want, "a={} d={}", a, d);
-            }
-        }
-    }
-
     /// Lane rows hold the exact wire bytes: a row stored after a
     /// `wire.rs` encode/decode round trip is bit-identical to the same
     /// row stored directly, for arbitrary latency/liveness/loss —
@@ -208,23 +239,113 @@ proptest! {
     }
 }
 
-/// A stale first-leg row makes the whole batch `None` — matching what
-/// n freshness-checked `best_one_hop` calls would return.
-#[test]
-fn batch_all_none_when_row_stale() {
-    let n = 8;
-    let mut store = RowStore::new(n);
-    let row: Vec<LinkEntry> = (0..n as u16).map(|d| LinkEntry::live(d + 1, 0.0)).collect();
-    store.update_row(0, &row, 0.0);
-    store.update_row(1, &row, 0.0);
-    let dests: Vec<usize> = (0..n).collect();
-    // Fresh at t=1, stale at t=100 (max_age 45).
-    assert!(store
-        .best_hops_batch(0, &dests, 1.0, 45.0)
-        .iter()
-        .any(Option::is_some));
-    assert!(store
-        .best_hops_batch(0, &dests, 100.0, 45.0)
-        .iter()
-        .all(Option::is_none));
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The whole-tick kernel equals per-pair `best_one_hop` in both
+    /// orientations, over both stores, with a stale row and a row that
+    /// never arrived in the client set.
+    #[test]
+    fn round_two_matches_pairs_in_both_orientations(specs in arb_row_specs(16)) {
+        let n = 16;
+        let mut lanes = RowStore::new(n);
+        let mut dense = LinkStateTable::new(n);
+        for spec in &specs {
+            let at = if spec.stale { STALE_AT } else { FRESH_AT };
+            lanes.update_row(spec.origin, &spec.row, at);
+            dense.update_row(spec.origin, &spec.row, at);
+        }
+        // The last spec's origin plays the server; everyone else who
+        // sent a row is a client, plus node 0 whether it sent one or not.
+        let me = specs[specs.len() - 1].origin;
+        let mut clients: Vec<usize> = specs.iter().map(|s| s.origin).chain([0]).collect();
+        clients.sort_unstable();
+        clients.dedup();
+        clients.retain(|&c| c != me);
+        assert_round_two_matches_pairs(&lanes, &clients, me);
+        assert_round_two_matches_pairs(&dense, &clients, me);
+    }
+
+    /// A router tick's `Recommendations` frames are, byte for byte,
+    /// the frames assembled from per-pair oracle calls: one per fresh
+    /// client in ascending order, destinations `clients ascending ++
+    /// [me]` inside each.
+    #[test]
+    fn tick_frames_match_oracle_bytes(
+        specs in arb_row_specs(16),
+        with_cost in any::<bool>(),
+    ) {
+        let (n, me, view) = (16usize, 5usize, 3u32);
+        let config = ProtocolConfig {
+            rec_format: if with_cost { RecFormat::WithCost } else { RecFormat::Compact },
+            ..ProtocolConfig::quorum()
+        };
+        prop_assert_eq!(config.staleness_s(), MAX_AGE);
+        let mut router = QuorumRouter::new(me, n, view, config.clone());
+        for spec in specs.iter().filter(|s| s.origin != me) {
+            let at = if spec.stale { STALE_AT } else { FRESH_AT };
+            let msg = Message::LinkStateSparse(SparseLinkStateMsg {
+                from: NodeId::from_index(spec.origin),
+                to: NodeId::from_index(me),
+                view,
+                round: 1,
+                basis_ms: 0,
+                width: n as u16,
+                entries: live_pairs(&spec.row),
+                seqno: 0,
+                retractions: vec![],
+            });
+            let _ = router.on_message(at, &msg);
+        }
+        let own = specs
+            .iter()
+            .find(|s| s.origin == me)
+            .map_or_else(|| vec![LinkEntry::dead(); n], |s| s.row.clone());
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let got: Vec<Vec<u8>> = router
+            .on_routing_tick(TICK_AT, &own, &mut rng)
+            .iter()
+            .filter(|m| matches!(m, Message::Recommendations(_)))
+            .map(|m| m.encode().to_vec())
+            .collect();
+
+        let table = router.table();
+        let clients: Vec<usize> = table
+            .present_rows()
+            .into_iter()
+            .filter(|&c| c != me && table.row_fresh(c, TICK_AT, MAX_AGE))
+            .collect();
+        let dests: Vec<usize> = clients.iter().copied().chain([me]).collect();
+        let mut want = Vec::new();
+        for &c in &clients {
+            let recs: Vec<RecEntry> = dests
+                .iter()
+                .filter_map(|&d| {
+                    let (hop, cost) = table.best_one_hop(c, d, TICK_AT, MAX_AGE)?;
+                    Some(RecEntry {
+                        dst: NodeId::from_index(d),
+                        hop: NodeId::from_index(hop),
+                        cost_ms: LinkEntry::quantize_latency(cost),
+                    })
+                })
+                .collect();
+            if recs.is_empty() {
+                continue;
+            }
+            want.push(
+                Message::Recommendations(RecommendationMsg {
+                    from: NodeId::from_index(me),
+                    to: NodeId::from_index(c),
+                    view,
+                    round: 1,
+                    basis_ms: (TICK_AT * 1000.0) as u32,
+                    format: config.rec_format,
+                    recs,
+                })
+                .encode()
+                .to_vec(),
+            );
+        }
+        prop_assert_eq!(got, want);
+    }
 }
