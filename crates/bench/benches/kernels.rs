@@ -2,11 +2,31 @@
 //! every routing interval.
 
 use apor_bench::{bench_topology, full_table, ground_truth_row};
-use apor_linkstate::{LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
 use apor_quorum::{Grid, NodeId};
 use apor_routing::multihop::multihop_routes;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
+
+/// A link-state frame body for `entries` (unversioned): the dense form
+/// when `dense`, otherwise the live entries only.
+fn linkstate_msg(from: usize, to: usize, entries: &[LinkEntry], dense: bool) -> Message {
+    let ls = LinkStateMsg {
+        from: NodeId::from_index(from),
+        to: NodeId::from_index(to),
+        view: 1,
+        round: 1,
+        basis_ms: 250,
+        width: entries.len() as u16,
+        row: Arc::new(LaneRow::from_dense(entries)),
+    };
+    if dense {
+        Message::LinkState(ls)
+    } else {
+        Message::LinkStateSparse(ls)
+    }
+}
 
 /// The perf-trajectory calibration workload: a fixed pure-integer spin
 /// whose speed tracks the machine, never the code under test. The
@@ -91,18 +111,10 @@ fn bench_round_two(c: &mut Criterion) {
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
     for n in [140usize, 400, 1000] {
-        let msg = Message::LinkState(LinkStateMsg {
-            from: NodeId(1),
-            to: NodeId(2),
-            view: 1,
-            round: 9,
-            basis_ms: 12345,
-            entries: (0..n)
-                .map(|i| LinkEntry::live((i % 500) as u16, 0.01))
-                .collect(),
-            seqno: 0,
-            retractions: vec![],
-        });
+        let entries: Vec<LinkEntry> = (0..n)
+            .map(|i| LinkEntry::live((i % 500) as u16, 0.01))
+            .collect();
+        let msg = linkstate_msg(1, 2, &entries, true);
         g.throughput(Throughput::Bytes(msg.wire_size() as u64));
         g.bench_with_input(BenchmarkId::new("encode", n), &msg, |b, msg| {
             b.iter(|| black_box(msg.encode()));
@@ -223,9 +235,7 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
 ///   rows list the same destinations — every pair runs the
 ///   scatter-gather. This is the shape the scale studies run.
 fn bench_round_two_tick(c: &mut Criterion) {
-    use apor_linkstate::LinkStateMsg;
     use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
-    use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -238,34 +248,18 @@ fn bench_round_two_tick(c: &mut Criterion) {
         let mut sample_rng = ChaCha8Rng::seed_from_u64(0xE171);
         for (name, entitled) in [("server_tick", false), ("server_tick_entitled", true)] {
             let mut row_of = |i: usize| -> Vec<LinkEntry> {
-                let truth = ground_truth_row(&topo, i);
-                if !entitled {
-                    return truth;
+                if entitled {
+                    entitled_row(&topo, &grid, i, &mut sample_rng)
+                } else {
+                    ground_truth_row(&topo, i)
                 }
-                let mut probed = grid.rendezvous_servers(i);
-                let others: Vec<usize> = (0..n).filter(|&d| d != i).collect();
-                probed.extend(others.choose_multiple(&mut sample_rng, 16));
-                let mut row = vec![LinkEntry::dead(); n];
-                for d in probed {
-                    row[d] = truth[d];
-                }
-                row
             };
             let own = row_of(me);
             let mut router: QuorumRouter = QuorumRouter::new(me, n, 1, ProtocolConfig::quorum());
             let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
             let _ = router.on_routing_tick(0.0, &own, &mut rng);
             for c_idx in grid.rendezvous_clients(me) {
-                let msg = Message::LinkState(LinkStateMsg {
-                    from: NodeId::from_index(c_idx),
-                    to: NodeId::from_index(me),
-                    view: 1,
-                    round: 1,
-                    basis_ms: 250,
-                    entries: row_of(c_idx),
-                    seqno: 0,
-                    retractions: vec![],
-                });
+                let msg = linkstate_msg(c_idx, me, &row_of(c_idx), true);
                 let _ = router.on_message(0.25, &msg);
             }
             g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
@@ -273,6 +267,122 @@ fn bench_round_two_tick(c: &mut Criterion) {
             });
         }
     }
+    g.finish();
+}
+
+/// A row as entitled probing leaves it: live entries to the node's
+/// `~2√n` rendezvous servers and a 16-peer sample.
+fn entitled_row(
+    topo: &apor_topology::Topology,
+    grid: &Grid,
+    i: usize,
+    rng: &mut rand_chacha::ChaCha8Rng,
+) -> Vec<LinkEntry> {
+    use rand::seq::SliceRandom;
+    let n = topo.len();
+    let truth = ground_truth_row(topo, i);
+    let mut probed = grid.rendezvous_servers(i);
+    let others: Vec<usize> = (0..n).filter(|&d| d != i).collect();
+    probed.extend(others.choose_multiple(rng, 16));
+    let mut row = vec![LinkEntry::dead(); n];
+    for d in probed {
+        row[d] = truth[d];
+    }
+    row
+}
+
+/// What a control frame costs from the socket to the router and back,
+/// at the `scale-512` shape — the path the end-to-end ledger puts above
+/// the round-two kernel. Ingest goes through `OverlayNode::on_packet`,
+/// so decode, id translation, `on_message` and the store are all inside:
+///
+/// * `ls_sparse_ingest` — one sparse link-state frame (~60 live
+///   entries) from a rendezvous client into a node already holding all
+///   its `~2√n` client rows (a row replace, the steady state);
+/// * `rec_ingest` — one compact recommendation frame (`~2√n` entries)
+///   from a rendezvous server that has recommended before;
+/// * `round_one_fanout` — one routing tick of a node with no clients
+///   (so the tick is failover sweep + round one) and its `~2√n`
+///   link-state frames encoded to bytes.
+fn bench_frame_path(c: &mut Criterion) {
+    use apor_overlay::{Algorithm, NodeConfig, Outbox, OverlayNode};
+    use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    let n = 512usize;
+    let me = 0usize;
+    let topo = bench_topology(n);
+    let grid = Grid::new(n);
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF4A3);
+    let clients = grid.rendezvous_clients(me);
+    let mut g = c.benchmark_group("frame_path");
+
+    // Static members 0..n: identity = index, as in every netsim study.
+    let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+    let cfg = NodeConfig::new(NodeId::from_index(me), NodeId(0), Algorithm::Quorum)
+        .with_static_members(members);
+    let mut node = OverlayNode::new(cfg);
+    let mut out = Outbox::default();
+    node.on_start(0.0, &mut out);
+    let frames: Vec<_> = clients
+        .iter()
+        .map(|&c_idx| {
+            linkstate_msg(
+                c_idx,
+                me,
+                &entitled_row(&topo, &grid, c_idx, &mut rng),
+                false,
+            )
+            .encode()
+        })
+        .collect();
+    for frame in &frames {
+        node.on_packet(0.25, frame, &mut out);
+    }
+    assert_eq!(
+        node.quorum_router().expect("quorum").table().row_count(),
+        clients.len(),
+        "every client row ingested"
+    );
+    let frame = &frames[frames.len() / 2];
+    g.throughput(Throughput::Bytes(frame.len() as u64));
+    g.bench_with_input(BenchmarkId::new("ls_sparse_ingest", n), &n, |b, _| {
+        b.iter(|| node.on_packet(0.5, black_box(frame), &mut out));
+    });
+
+    // The recommendation frame a server's tick produces for `me`: the
+    // server holds its own row and its clients' rows (mine among them).
+    let server = clients[clients.len() / 2];
+    let mut server_router: QuorumRouter = QuorumRouter::new(server, n, 1, ProtocolConfig::quorum());
+    for c_idx in grid.rendezvous_clients(server) {
+        let row = entitled_row(&topo, &grid, c_idx, &mut rng);
+        let _ = server_router.on_message(0.25, &linkstate_msg(c_idx, server, &row, false));
+    }
+    let own = entitled_row(&topo, &grid, server, &mut rng);
+    let rec_frame = server_router
+        .on_routing_tick(0.5, &own, &mut rng)
+        .into_iter()
+        .find(|m| matches!(m, Message::Recommendations(_)) && m.to().index() == me)
+        .expect("the server recommends to its client")
+        .encode();
+    g.throughput(Throughput::Bytes(rec_frame.len() as u64));
+    g.bench_with_input(BenchmarkId::new("rec_ingest", n), &n, |b, _| {
+        b.iter(|| node.on_packet(0.75, black_box(&rec_frame), &mut out));
+    });
+    assert!(out.sends.is_empty(), "ingest answers nothing");
+
+    let own = entitled_row(&topo, &grid, me, &mut rng);
+    let mut router: QuorumRouter = QuorumRouter::new(me, n, 1, ProtocolConfig::quorum());
+    g.bench_with_input(BenchmarkId::new("round_one_fanout", n), &n, |b, _| {
+        b.iter(|| {
+            let frames = router.on_routing_tick(0.5, &own, &mut rng);
+            frames
+                .iter()
+                .map(|m| black_box(m.encode()).len())
+                .sum::<usize>()
+        });
+    });
     g.finish();
 }
 
@@ -345,6 +455,7 @@ criterion_group!(
     bench_best_one_hop,
     bench_round_two,
     bench_round_two_tick,
+    bench_frame_path,
     bench_dense_vs_sparse,
     bench_wire,
     bench_multihop,

@@ -39,6 +39,42 @@
 //!   `23 + 4·k`-byte recommendation messages, all riding on 28 bytes of
 //!   IP+UDP framing. The codec here reproduces those sizes byte-for-byte
 //!   and the tests assert them.
+//!
+//! ## The message path of a link-state row
+//!
+//! A row is one thing from the sender's tick to the receiver's kernel:
+//! a [`LaneRow`] behind an `Arc`, and it is never converted on the way.
+//!
+//! 1. **Sender.** The routing tick reduces the freshly measured row to
+//!    lanes once ([`LaneRow::from_dense`], the only place entries are
+//!    quantized), hands one `Arc` to its own store and clones the same
+//!    `Arc` into each of the `~2√n` [`LinkStateMsg`]s of the tick. The
+//!    frames own nothing but their envelope.
+//! 2. **Encode.** [`Message::encode`] writes the lanes as they are —
+//!    `dst`, latency, liveness byte per live entry (sparse), or every
+//!    slot with dead filler between them (dense) — then the seqno
+//!    trailer if the row has a version. The message is dropped; the
+//!    bytes belong to the driver.
+//! 3. **Decode.** [`Message::decode_traced`] validates the frame
+//!    (lengths, strictly ascending in-range destinations, trailer
+//!    rules) and fills three exact-capacity lanes straight from the
+//!    bytes. Lanes are the message body *because* they are the wire's
+//!    own layout and the kernel's input at once: no `LinkEntry`, no
+//!    `f32`, nothing to re-quantize. The new `Arc<LaneRow>` is owned by
+//!    the decoded message.
+//! 4. **Ingest.** The router borrows the message and calls
+//!    [`LinkStateStore::put_row`] with a clone of the `Arc` — a count
+//!    bump. [`RowStore`] does the stale-replay check and the replace in
+//!    one map walk and keeps that `Arc`; the previous row is freed. When
+//!    the message is dropped the store is the row's only owner.
+//!
+//! Ids are not this crate's business: frames carry [`NodeId`]s on the
+//! wire and grid indices inside the routers, and the overlay rewrites
+//! the envelope between the two (see `apor-overlay`). Entry
+//! destinations are view-positional on both sides, guarded by the
+//! view/width check at ingest.
+//!
+//! [`NodeId`]: apor_quorum::NodeId
 
 #![forbid(unsafe_code)]
 // The numeric kernels index several arrays with one loop counter;
@@ -61,7 +97,7 @@ pub use store::{
 pub use table::LinkStateTable;
 pub use wire::{
     ls_trailer_size, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg,
-    RecEntry, RecFormat, RecommendationMsg, SparseLinkStateMsg, LINKSTATE_HEADER_SIZE,
-    LS_FLAG_SEQNO, LS_SEQNO_TRAILER_BASE, PROBE_BATCH_HEADER_SIZE, PROBE_FLAG_TRACE,
-    PROBE_WIRE_SIZE, REC_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE, UDP_IP_OVERHEAD,
+    RecEntry, RecFormat, RecommendationMsg, LINKSTATE_HEADER_SIZE, LS_FLAG_SEQNO,
+    LS_SEQNO_TRAILER_BASE, PROBE_BATCH_HEADER_SIZE, PROBE_FLAG_TRACE, PROBE_WIRE_SIZE,
+    REC_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE, UDP_IP_OVERHEAD,
 };

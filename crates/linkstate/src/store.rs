@@ -62,7 +62,9 @@
 
 use crate::entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
 use apor_telemetry::{Counter, EventKind, Gauge, Severity, Telemetry};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A borrowed view of one link-state row: dense, sparse pairs, or lanes.
 ///
@@ -802,7 +804,7 @@ impl RoundTwo {
 /// array-of-structs `(u16, LinkEntry)` layout this replaces, and the
 /// latency lane is directly consumable by the integer kernel with no
 /// decode step.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneRow {
     dst: Box<[u16]>,
     latency_ms: Box<[u16]>,
@@ -836,6 +838,7 @@ impl LaneRow {
     #[must_use]
     pub fn from_dense(entries: &[LinkEntry]) -> Self {
         Self::collect(
+            entries.iter().filter(|e| e.alive).count(),
             entries
                 .iter()
                 .enumerate()
@@ -849,24 +852,55 @@ impl LaneRow {
     #[must_use]
     pub fn from_pairs(pairs: &[(u16, LinkEntry)]) -> Self {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
-        Self::collect(pairs.iter().filter(|(_, e)| e.alive).copied())
+        Self::collect(
+            pairs.iter().filter(|(_, e)| e.alive).count(),
+            pairs.iter().filter(|(_, e)| e.alive).copied(),
+        )
     }
 
-    fn collect(live: impl Iterator<Item = (u16, LinkEntry)>) -> Self {
-        let (mut dst, mut latency_ms, mut liveness_loss) = (Vec::new(), Vec::new(), Vec::new());
+    /// Quantize the `count` entries of `live` into exact-capacity lanes.
+    fn collect(count: usize, live: impl Iterator<Item = (u16, LinkEntry)>) -> Self {
+        let mut dst = Vec::with_capacity(count);
+        let mut latency_ms = Vec::with_capacity(count);
+        let mut liveness_loss = Vec::with_capacity(count);
         for (d, e) in live {
             let wire = e.encode();
             dst.push(d);
             latency_ms.push(u16::from_be_bytes([wire[0], wire[1]]));
             liveness_loss.push(wire[2]);
         }
+        Self::from_wire_lanes(dst, latency_ms, liveness_loss, 0, Vec::new())
+    }
+
+    /// Assemble a row from lanes that already hold wire-exact values —
+    /// what the frame decoder fills straight from the bytes. The caller
+    /// guarantees what every other constructor does: index-aligned
+    /// lanes, live entries only, destinations (and retractions)
+    /// strictly ascending, live latencies below the dead sentinel.
+    pub(crate) fn from_wire_lanes(
+        dst: Vec<u16>,
+        latency_ms: Vec<u16>,
+        liveness_loss: Vec<u8>,
+        seqno: u16,
+        retracted: Vec<u16>,
+    ) -> Self {
+        debug_assert!(dst.len() == latency_ms.len() && dst.len() == liveness_loss.len());
+        debug_assert!(dst.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(retracted.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(liveness_loss.iter().all(|l| l & 0x80 != 0));
         LaneRow {
             dst: dst.into_boxed_slice(),
             latency_ms: latency_ms.into_boxed_slice(),
             liveness_loss: liveness_loss.into_boxed_slice(),
-            seqno: 0,
-            retracted: Box::default(),
+            seqno,
+            retracted: retracted.into_boxed_slice(),
         }
+    }
+
+    /// The three index-aligned lanes — destination, latency, liveness —
+    /// exactly as a frame carries them.
+    pub(crate) fn lanes(&self) -> (&[u16], &[u16], &[u8]) {
+        (&self.dst, &self.latency_ms, &self.liveness_loss)
     }
 
     /// Stamp the row with the origin's seqno and retraction lane
@@ -975,58 +1009,43 @@ pub trait LinkStateStore {
         self.len() == 0
     }
 
-    /// Replace row `origin` with `entries`, stamped at `now` seconds.
+    /// Replace row `origin` with the full-width `entries`, stamped at
+    /// `now` seconds: [`put_row`](LinkStateStore::put_row) of the
+    /// entries reduced to lanes, unversioned.
     ///
     /// # Panics
     /// Panics if `entries.len() != len()` or `origin ≥ len()`.
-    fn update_row(&mut self, origin: usize, entries: &[LinkEntry], now: f64);
+    fn update_row(&mut self, origin: usize, entries: &[LinkEntry], now: f64) {
+        assert_eq!(entries.len(), self.len(), "row must have n entries");
+        self.put_row(origin, Arc::new(LaneRow::from_dense(entries)), now);
+    }
 
-    /// Replace row `origin` with sparse `(dst, entry)` pairs (strictly
-    /// ascending by `dst` — the wire decoder guarantees this for
-    /// [`SparseLinkStateMsg`](crate::wire::SparseLinkStateMsg) rows);
-    /// destinations not listed become dead. Stamped at `now`.
+    /// Replace row `origin` with sparse `(dst, entry)` pairs, strictly
+    /// ascending by `dst`; destinations not listed become dead. Stamped
+    /// at `now`, unversioned.
     ///
     /// # Panics
     /// Panics if `origin ≥ len()` or any `dst ≥ len()`; ordering is
     /// debug-asserted.
-    fn update_row_sparse(&mut self, origin: usize, entries: &[(u16, LinkEntry)], now: f64);
+    fn update_row_sparse(&mut self, origin: usize, entries: &[(u16, LinkEntry)], now: f64) {
+        self.put_row(origin, Arc::new(LaneRow::from_pairs(entries)), now);
+    }
 
-    /// Replace row `origin` like
-    /// [`update_row`](LinkStateStore::update_row), carrying the route
-    /// discipline: the origin's `seqno` and explicit `retractions`.
+    /// **The row ingest.** Replace row `origin` with `row` — live-entry
+    /// lanes plus the origin's seqno and retraction lane, as a
+    /// link-state frame carries them — stamped at `now` seconds.
     /// Returns `false` (row unchanged) when the held row is versioned
     /// and strictly newer than the incoming one — the stale-replay
-    /// guard. A zero `seqno` on either side is unversioned and always
-    /// accepted. The default ignores versioning (dense baseline stores
-    /// keep their legacy behavior).
-    fn update_row_versioned(
-        &mut self,
-        origin: usize,
-        entries: &[LinkEntry],
-        seqno: u16,
-        retractions: &[u16],
-        now: f64,
-    ) -> bool {
-        let _ = (seqno, retractions);
-        self.update_row(origin, entries, now);
-        true
-    }
-
-    /// [`update_row_sparse`](LinkStateStore::update_row_sparse) with the
-    /// route discipline; same acceptance rule as
-    /// [`update_row_versioned`](LinkStateStore::update_row_versioned).
-    fn update_row_sparse_versioned(
-        &mut self,
-        origin: usize,
-        entries: &[(u16, LinkEntry)],
-        seqno: u16,
-        retractions: &[u16],
-        now: f64,
-    ) -> bool {
-        let _ = (seqno, retractions);
-        self.update_row_sparse(origin, entries, now);
-        true
-    }
+    /// guard. A zero seqno on either side is unversioned and always
+    /// accepted. Stores that keep rows as lanes hold on to the `Arc`
+    /// itself, so a decoded frame's row is stored without copying;
+    /// stores that do not track versions (the dense baseline) accept
+    /// every row and drop seqno and retractions.
+    ///
+    /// # Panics
+    /// Panics if `origin ≥ len()` or the row lists a destination
+    /// `≥ len()`.
+    fn put_row(&mut self, origin: usize, row: Arc<LaneRow>, now: f64) -> bool;
 
     /// The held seqno of row `origin` (0 = absent or unversioned).
     fn row_seqno(&self, _origin: usize) -> u16 {
@@ -1058,8 +1077,14 @@ pub trait LinkStateStore {
     /// Receipt time of row `origin`; `None` = never received.
     fn row_time(&self, origin: usize) -> Option<f64>;
 
+    /// Every held row as `(origin, receipt time, row)`, ascending by
+    /// origin — one walk over the store instead of a lookup per origin.
+    fn held_rows(&self) -> impl Iterator<Item = (usize, f64, RowRef<'_>)>;
+
     /// The origins that currently have a row, ascending.
-    fn present_rows(&self) -> Vec<usize>;
+    fn present_rows(&self) -> Vec<usize> {
+        self.held_rows().map(|(origin, _, _)| origin).collect()
+    }
 
     /// Number of rows currently held — the state-accounting counter the
     /// scale experiments assert against (`O(√n)` for a quorum node).
@@ -1295,8 +1320,8 @@ pub trait LinkStateStore {
     /// if any of its rendezvous clients' link-state tables show that
     /// Dst is reachable".)
     fn anyone_reaches(&self, dst: usize, now: f64, max_age: f64) -> bool {
-        self.present_rows().into_iter().any(|origin| {
-            origin != dst && self.row_fresh(origin, now, max_age) && self.entry(origin, dst).alive
+        self.held_rows().any(|(origin, received_at, row)| {
+            origin != dst && now - received_at <= max_age && row.cost_u32(dst) != INFINITE_COST_U32
         })
     }
 
@@ -1321,7 +1346,7 @@ pub trait LinkStateStore {
 #[derive(Debug, Clone)]
 struct StoredRow {
     received_at: f64,
-    lanes: LaneRow,
+    lanes: Arc<LaneRow>,
 }
 
 /// The sparse row store: `origin → (receipt time, live-entry lanes)`
@@ -1502,99 +1527,42 @@ impl RowStore {
     }
 }
 
-impl RowStore {
-    /// The stale-replay guard: an incoming *versioned* row is rejected
-    /// when the held row is versioned and strictly newer. Zero seqnos
-    /// (legacy unversioned rows) always pass — no flag day.
-    fn replay_rejected(&self, origin: usize, incoming: u16) -> bool {
-        if incoming == 0 {
-            return false;
-        }
-        let held = self.rows.get(&origin).map_or(0, |s| s.lanes.seqno());
-        held != 0 && seqno_newer(incoming, held)
+impl LinkStateStore for RowStore {
+    fn len(&self) -> usize {
+        self.n
     }
 
-    /// Insert or replace a row already reduced to its live-entry lanes.
-    fn put_row(&mut self, origin: usize, lanes: LaneRow, now: f64) {
+    fn put_row(&mut self, origin: usize, row: Arc<LaneRow>, now: f64) -> bool {
+        assert!(origin < self.n, "row {origin} out of range");
+        assert!(
+            row.dst.last().is_none_or(|&d| usize::from(d) < self.n),
+            "row destination out of range"
+        );
+        // One map walk serves the replay check and the replace.
         match self.rows.get_mut(&origin) {
             Some(slot) => {
-                self.live_entries = self.live_entries - slot.lanes.len() + lanes.len();
-                slot.lanes = lanes;
+                let held = slot.lanes.seqno();
+                if row.seqno() != 0 && held != 0 && seqno_newer(row.seqno(), held) {
+                    return false;
+                }
+                self.live_entries = self.live_entries - slot.lanes.len() + row.len();
+                slot.lanes = row;
                 slot.received_at = now;
             }
             None => {
                 self.evict_stale(now);
-                self.live_entries += lanes.len();
+                self.live_entries += row.len();
                 self.rows.insert(
                     origin,
                     StoredRow {
                         received_at: now,
-                        lanes,
+                        lanes: row,
                     },
                 );
                 self.note_insert();
             }
         }
         self.note_merge(origin, now);
-    }
-}
-
-impl LinkStateStore for RowStore {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn update_row(&mut self, origin: usize, entries: &[LinkEntry], now: f64) {
-        assert!(origin < self.n, "row {origin} out of range");
-        assert_eq!(entries.len(), self.n, "row must have n entries");
-        self.put_row(origin, LaneRow::from_dense(entries), now);
-    }
-
-    fn update_row_sparse(&mut self, origin: usize, entries: &[(u16, LinkEntry)], now: f64) {
-        assert!(origin < self.n, "row {origin} out of range");
-        assert!(
-            entries.last().is_none_or(|&(d, _)| (d as usize) < self.n),
-            "sparse row destination out of range"
-        );
-        self.put_row(origin, LaneRow::from_pairs(entries), now);
-    }
-
-    fn update_row_versioned(
-        &mut self,
-        origin: usize,
-        entries: &[LinkEntry],
-        seqno: u16,
-        retractions: &[u16],
-        now: f64,
-    ) -> bool {
-        assert!(origin < self.n, "row {origin} out of range");
-        assert_eq!(entries.len(), self.n, "row must have n entries");
-        if self.replay_rejected(origin, seqno) {
-            return false;
-        }
-        let lanes = LaneRow::from_dense(entries).with_version(seqno, retractions);
-        self.put_row(origin, lanes, now);
-        true
-    }
-
-    fn update_row_sparse_versioned(
-        &mut self,
-        origin: usize,
-        entries: &[(u16, LinkEntry)],
-        seqno: u16,
-        retractions: &[u16],
-        now: f64,
-    ) -> bool {
-        assert!(origin < self.n, "row {origin} out of range");
-        assert!(
-            entries.last().is_none_or(|&(d, _)| (d as usize) < self.n),
-            "sparse row destination out of range"
-        );
-        if self.replay_rejected(origin, seqno) {
-            return false;
-        }
-        let lanes = LaneRow::from_pairs(entries).with_version(seqno, retractions);
-        self.put_row(origin, lanes, now);
         true
     }
 
@@ -1618,7 +1586,8 @@ impl LinkStateStore for RowStore {
         assert!(origin < self.n && dst < self.n);
         if let Some(slot) = self.rows.get_mut(&origin) {
             let before = slot.lanes.len();
-            slot.lanes.set(dst as u16, entry);
+            // Copies the lanes only while a frame still shares them.
+            Arc::make_mut(&mut slot.lanes).set(dst as u16, entry);
             self.live_entries = self.live_entries - before + slot.lanes.len();
             slot.received_at = now;
             self.note_merge(origin, now);
@@ -1628,7 +1597,7 @@ impl LinkStateStore for RowStore {
             } else {
                 LaneRow::default()
             };
-            self.put_row(origin, lanes, now);
+            self.put_row(origin, Arc::new(lanes), now);
         }
     }
 
@@ -1647,8 +1616,10 @@ impl LinkStateStore for RowStore {
         self.rows.get(&origin).map(|s| s.received_at)
     }
 
-    fn present_rows(&self) -> Vec<usize> {
-        self.rows.keys().copied().collect()
+    fn held_rows(&self) -> impl Iterator<Item = (usize, f64, RowRef<'_>)> {
+        self.rows
+            .iter()
+            .map(|(&origin, s)| (origin, s.received_at, s.lanes.as_row_ref(self.n)))
     }
 
     fn row_count(&self) -> usize {
@@ -2019,24 +1990,52 @@ mod tests {
     fn versioned_updates_reject_stale_replays() {
         let n = 4;
         let mut s = RowStore::new(n);
-        assert!(s.update_row_versioned(0, &live_row(&[0, 10, 20, 30]), 5, &[], 1.0));
+        let full = |costs: &[u16], seqno: u16| {
+            Arc::new(LaneRow::from_dense(&live_row(costs)).with_version(seqno, &[]))
+        };
+        assert!(s.put_row(0, full(&[0, 10, 20, 30], 5), 1.0));
         assert_eq!(s.row_seqno(0), 5);
         // Same seqno refreshes (periodic re-announcement), newer advances.
-        assert!(s.update_row_versioned(0, &live_row(&[0, 11, 20, 30]), 5, &[], 2.0));
+        assert!(s.put_row(0, full(&[0, 11, 20, 30], 5), 2.0));
         assert_eq!(s.row_time(0), Some(2.0));
-        assert!(s.update_row_sparse_versioned(0, &[(1, LinkEntry::live(9, 0.0))], 6, &[2], 3.0));
+        let retracting = LaneRow::from_pairs(&[(1, LinkEntry::live(9, 0.0))]).with_version(6, &[2]);
+        assert!(s.put_row(0, Arc::new(retracting), 3.0));
         assert_eq!(s.row_seqno(0), 6);
         assert!(s.row_retracts(0, 2));
         assert!(!s.row_retracts(0, 1));
         // A delayed replay of the older row must not resurrect dst 2.
-        assert!(!s.update_row_versioned(0, &live_row(&[0, 10, 20, 30]), 5, &[], 4.0));
+        assert!(!s.put_row(0, full(&[0, 10, 20, 30], 5), 4.0));
         assert_eq!(s.row_seqno(0), 6);
         assert_eq!(s.row_time(0), Some(3.0), "rejected replay leaves the row");
         assert!(!s.entry(0, 2).alive);
+        assert_eq!(s.live_entries, s.entry_count(), "and the running total");
         // Unversioned rows (seqno 0) always pass — no flag day.
-        assert!(s.update_row_versioned(0, &live_row(&[0, 10, 20, 30]), 0, &[], 5.0));
+        assert!(s.put_row(0, full(&[0, 10, 20, 30], 0), 5.0));
         assert_eq!(s.row_seqno(0), 0);
         assert!(!s.row_retracts(0, 2));
+    }
+
+    /// The store keeps the row it is handed, not a copy — the frame
+    /// path's zero-copy ingest — and a single-entry update on a row
+    /// something else still holds copies it first, leaving the other
+    /// holder's row alone.
+    #[test]
+    fn put_row_shares_the_row_until_an_entry_update() {
+        let mut s = RowStore::new(4);
+        let row = Arc::new(LaneRow::from_dense(&live_row(&[0, 10, 20, 30])));
+        assert!(s.put_row(2, Arc::clone(&row), 1.0));
+        assert_eq!(Arc::strong_count(&row), 2, "stored, not copied");
+        s.update_entry(2, 3, LinkEntry::dead(), 2.0);
+        assert_eq!(Arc::strong_count(&row), 1, "the store copied on write");
+        assert_eq!(row.len(), 4, "the frame's row is untouched");
+        assert_eq!(s.entry_count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination out of range")]
+    fn put_row_destination_bounds_checked() {
+        let wide = LaneRow::from_pairs(&[(7, LinkEntry::live(1, 0.0))]);
+        RowStore::new(4).put_row(0, Arc::new(wide), 0.0);
     }
 
     /// `k_hop_options` with one hop is `one_hop_options`, option for

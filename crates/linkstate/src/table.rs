@@ -6,8 +6,9 @@
 //! lives in the [`LinkStateStore`] trait, written once over both.
 
 use crate::entry::LinkEntry;
-use crate::store::{LinkStateStore, RowRef};
+use crate::store::{LaneRow, LinkStateStore, RowRef};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A node's dense view of the full `n × n` link-state matrix.
 ///
@@ -65,6 +66,19 @@ impl LinkStateStore for LinkStateTable {
         self.row_time[origin] = Some(now);
     }
 
+    fn put_row(&mut self, origin: usize, row: Arc<LaneRow>, now: f64) -> bool {
+        assert!(origin < self.n, "row {origin} out of range");
+        let slots = &mut self.entries[origin * self.n..(origin + 1) * self.n];
+        let (dst, latency_ms, liveness_loss) = row.lanes();
+        slots.fill(LinkEntry::dead());
+        for i in 0..dst.len() {
+            slots[usize::from(dst[i])] =
+                LinkEntry::from_wire_parts(latency_ms[i], liveness_loss[i]);
+        }
+        self.row_time[origin] = Some(now);
+        true
+    }
+
     fn update_entry(&mut self, origin: usize, dst: usize, entry: LinkEntry, now: f64) {
         assert!(origin < self.n && dst < self.n);
         self.entries[origin * self.n + dst] = entry;
@@ -89,10 +103,11 @@ impl LinkStateStore for LinkStateTable {
         self.row_time[origin]
     }
 
-    fn present_rows(&self) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&i| self.row_time[i].is_some())
-            .collect()
+    fn held_rows(&self) -> impl Iterator<Item = (usize, f64, RowRef<'_>)> {
+        self.row_time.iter().enumerate().filter_map(|(origin, t)| {
+            let row = &self.entries[origin * self.n..(origin + 1) * self.n];
+            Some((origin, (*t)?, RowRef::Dense(row)))
+        })
     }
 
     fn row_count(&self) -> usize {

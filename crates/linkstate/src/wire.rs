@@ -20,11 +20,13 @@
 //! envelope but are rare, so their size is not calibrated.
 
 use crate::entry::LinkEntry;
+use crate::store::LaneRow;
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{TraceCtx, TRACE_CTX_SIZE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Bytes of IP + UDP framing accounted per packet in bandwidth figures.
 pub const UDP_IP_OVERHEAD: usize = 28;
@@ -89,14 +91,148 @@ pub fn ls_trailer_size(seqno: u16, retractions: &[u16]) -> usize {
     }
 }
 
-/// Encode the route-discipline trailer (callers gate on
-/// [`ls_trailer_size`] being nonzero).
-fn put_ls_trailer(b: &mut BytesMut, seqno: u16, retractions: &[u16]) {
-    b.put_u16(seqno);
-    b.put_u16(retractions.len() as u16);
-    for &dst in retractions {
-        b.put_u16(dst);
+/// The wire bytes of a dead dense entry, as [`LinkEntry::dead`] encodes:
+/// the dead-latency sentinel and a clear liveness bit over a saturated
+/// loss field.
+const DEAD_ENTRY_WIRE: [u8; LinkEntry::WIRE_SIZE] = [0xFF, 0xFF, 0x7F];
+
+/// Write a link-state frame after its type tag: header, entry list
+/// straight from the row's lanes, and the route-discipline trailer when
+/// the row is versioned. `sparse` lists the live entries as `(dst,
+/// entry)`; dense writes all `width` slots, dead where the lanes skip a
+/// destination.
+fn put_linkstate(b: &mut BytesMut, m: &LinkStateMsg, sparse: bool) {
+    let (dst, latency_ms, liveness_loss) = m.row.lanes();
+    let retracted = m.row.retracted();
+    debug_assert!(
+        dst.last().is_none_or(|&d| d < m.width),
+        "row wider than width"
+    );
+    b.put_u16(m.from.0);
+    b.put_u16(m.to.0);
+    b.put_u32(m.view);
+    b.put_u32(m.round);
+    b.put_u16(if sparse { dst.len() as u16 } else { m.width });
+    b.put_u32(m.basis_ms);
+    if sparse {
+        b.put_u16(m.width);
     }
+    let versioned = ls_trailer_size(m.row.seqno(), retracted) != 0;
+    b.put_u16(if versioned { LS_FLAG_SEQNO } else { 0 });
+    if sparse {
+        for i in 0..dst.len() {
+            b.put_u16(dst[i]);
+            b.put_u16(latency_ms[i]);
+            b.put_u8(liveness_loss[i]);
+        }
+    } else {
+        let mut next = 0;
+        for slot in 0..m.width {
+            if dst.get(next) == Some(&slot) {
+                b.put_u16(latency_ms[next]);
+                b.put_u8(liveness_loss[next]);
+                next += 1;
+            } else {
+                b.put_slice(&DEAD_ENTRY_WIRE);
+            }
+        }
+    }
+    if versioned {
+        b.put_u16(m.row.seqno());
+        b.put_u16(retracted.len() as u16);
+        for &d in retracted {
+            b.put_u16(d);
+        }
+    }
+}
+
+/// Read a link-state frame after the common `(type, from, to)` prefix,
+/// filling exact-capacity lanes straight from the entry bytes — no
+/// [`LinkEntry`] and no `f32` is materialised. An entry whose liveness
+/// bit is clear is dropped (absence *is* death in a lane row); a live
+/// entry's latency is clamped below the dead sentinel, as
+/// [`LinkEntry::encode`] would emit it.
+fn get_linkstate(
+    b: &mut &[u8],
+    from: NodeId,
+    to: NodeId,
+    sparse: bool,
+) -> Result<LinkStateMsg, WireError> {
+    let header = if sparse {
+        SPARSE_LINKSTATE_HEADER_SIZE
+    } else {
+        LINKSTATE_HEADER_SIZE
+    };
+    if b.remaining() < header - 5 {
+        return Err(WireError::Truncated);
+    }
+    let view = b.get_u32();
+    let round = b.get_u32();
+    let count = b.get_u16();
+    let basis_ms = b.get_u32();
+    let width = if sparse { b.get_u16() } else { count };
+    let versioned = b.get_u16() & LS_FLAG_SEQNO != 0;
+    // A sparse slot is a 2-byte destination ahead of the 3-byte entry.
+    let entry_at = if sparse { 2 } else { 0 };
+    let stride = entry_at + LinkEntry::WIRE_SIZE;
+    let body_len = usize::from(count) * stride;
+    if versioned {
+        if b.remaining() < body_len {
+            return Err(WireError::Truncated);
+        }
+    } else if b.remaining() != body_len {
+        return Err(WireError::BadLength);
+    }
+    let body = b.take_bytes(body_len);
+    let live = body
+        .chunks_exact(stride)
+        .filter(|e| e[entry_at + 2] & 0x80 != 0)
+        .count();
+    let mut dst = Vec::with_capacity(live);
+    let mut latency_ms = Vec::with_capacity(live);
+    let mut liveness_loss = Vec::with_capacity(live);
+    let mut prev: Option<u16> = None;
+    for (slot, e) in body.chunks_exact(stride).enumerate() {
+        let d = if sparse {
+            let d = u16::from_be_bytes([e[0], e[1]]);
+            // Entries must be strictly ascending and in range — the
+            // row kernels rely on it.
+            if d >= width || prev.is_some_and(|p| d <= p) {
+                return Err(WireError::BadLength);
+            }
+            prev = Some(d);
+            d
+        } else {
+            slot as u16
+        };
+        let [latency_hi, latency_lo, liveness] = [e[entry_at], e[entry_at + 1], e[entry_at + 2]];
+        if liveness & 0x80 != 0 {
+            let latency = u16::from_be_bytes([latency_hi, latency_lo]);
+            dst.push(d);
+            latency_ms.push(latency.min(LinkEntry::DEAD_LATENCY - 1));
+            liveness_loss.push(liveness);
+        }
+    }
+    let (seqno, retracted) = if versioned {
+        get_ls_trailer(b, width)?
+    } else {
+        (0, Vec::new())
+    };
+    Ok(LinkStateMsg {
+        from,
+        to,
+        view,
+        round,
+        basis_ms,
+        width,
+        row: Arc::new(LaneRow::from_wire_lanes(
+            dst,
+            latency_ms,
+            liveness_loss,
+            seqno,
+            retracted,
+        )),
+    })
 }
 
 /// Decode the route-discipline trailer: consumes the rest of `b`, which
@@ -239,8 +375,29 @@ pub struct ProbeBatchMsg {
     pub items: Vec<ProbeItem>,
 }
 
-/// A round-one link-state message: the origin's full measured row.
-/// `21 + 3·n` bytes.
+/// A round-one link-state message: the origin's measured row.
+///
+/// The body *is* the row as the stores hold it — a [`LaneRow`]: the live
+/// entries as wire-exact parallel lanes, plus the origin's sequence
+/// number and retraction lane ([`LS_FLAG_SEQNO`] trailer). Decoding
+/// fills the lanes straight from the frame bytes and encoding writes
+/// them back, so a row crosses the codec without ever becoming a
+/// `LinkEntry` array; the `Arc` lets a tick's `~2√n` frames and the
+/// sender's own store share one row, and lets the receiver's store keep
+/// the decoded row by bumping a count instead of copying lanes.
+///
+/// One struct serves both encodings; the [`Message`] variant picks one:
+///
+/// * [`Message::LinkState`] — dense, `21 + 3·width` bytes: every slot
+///   `0..width` on the wire, dead where the row lists nothing;
+/// * [`Message::LinkStateSparse`] — `23 + 5·k` bytes for the `k` live
+///   entries as `(dst, entry)` pairs. Under sub-quadratic probing a
+///   node measures only its `O(√n)` entitled peers plus a constant
+///   sample, so `k ≪ n` and the sparse form wins whenever
+///   `k < (3·n − 2) / 5`. Semantically identical to the dense form.
+///
+/// A versioned row (nonzero seqno or any retraction) adds the trailer;
+/// an unversioned one is bit-identical to the legacy flagless format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkStateMsg {
     /// Origin (the measuring node).
@@ -254,48 +411,13 @@ pub struct LinkStateMsg {
     pub round: u32,
     /// Origin clock (ms) when the row was snapshotted.
     pub basis_ms: u32,
-    /// One entry per grid index (length = view size).
-    pub entries: Vec<LinkEntry>,
-    /// Origin's row sequence number ([`LS_FLAG_SEQNO`] trailer). Zero
-    /// means unversioned (the legacy flagless form); a versioned origin
-    /// bumps it on retraction events so stale row replays can never
-    /// resurrect a withdrawn link.
-    pub seqno: u16,
-    /// Destinations the origin explicitly withdraws, strictly ascending
-    /// and `< entries.len()`. Unlike mere entry death, a retraction is a
-    /// deliberate signal receivers may propagate (feasibility reset).
-    pub retractions: Vec<u16>,
-}
-
-/// A round-one link-state message carrying only the *live* entries of
-/// the origin's row as `(dst, entry)` pairs: `23 + 5·k` bytes for `k`
-/// live links. Under sub-quadratic probing a node measures only its
-/// `O(√n)` entitled peers plus a constant sample, so `k ≪ n` and the
-/// sparse form beats the dense `21 + 3·n` encoding whenever
-/// `k < (3·n − 2) / 5`. Semantically identical to a dense row whose
-/// unlisted entries are dead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SparseLinkStateMsg {
-    /// Origin (the measuring node).
-    pub from: NodeId,
-    /// Addressed rendezvous server.
-    pub to: NodeId,
-    /// Origin's membership view version.
-    pub view: u32,
-    /// Routing round counter at the origin.
-    pub round: u32,
-    /// Origin clock (ms) when the row was snapshotted.
-    pub basis_ms: u32,
-    /// Row width (the view size `n`); every `dst` below is `< width`.
+    /// Row width (the view size `n`): the number of slots a dense frame
+    /// carries, and the bound on every destination in `row`. Encoding a
+    /// row that lists a destination `≥ width` is a caller bug; decoding
+    /// never produces one.
     pub width: u16,
-    /// The live entries, ascending by destination index.
-    pub entries: Vec<(u16, LinkEntry)>,
-    /// Origin's row sequence number ([`LS_FLAG_SEQNO`] trailer); zero
-    /// means unversioned (legacy flagless form).
-    pub seqno: u16,
-    /// Destinations the origin explicitly withdraws, strictly ascending
-    /// and `< width`.
-    pub retractions: Vec<u16>,
+    /// The row: live entries, seqno and retraction lane.
+    pub row: Arc<LaneRow>,
 }
 
 /// One best-hop recommendation: "to reach `dst`, forward via `hop`"
@@ -379,7 +501,7 @@ pub enum Message {
     /// Round-one link-state row.
     LinkState(LinkStateMsg),
     /// Round-one link-state row, live entries only.
-    LinkStateSparse(SparseLinkStateMsg),
+    LinkStateSparse(LinkStateMsg),
     /// Round-two recommendations.
     Recommendations(RecommendationMsg),
     /// Membership: join request to the coordinator.
@@ -434,7 +556,22 @@ impl Message {
     /// Serialize to bytes.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.wire_size());
+        self.encode_traced(None)
+    }
+
+    /// Serialize, appending `ctx` as a trace trailer when present.
+    ///
+    /// Only [`Message::ProbeBatch`] carries a trace context (the only
+    /// routing-plane frame sent during convergence episodes); for every
+    /// other variant — and for `None` — the output is byte-for-byte
+    /// [`Message::encode`]. The buffer is sized for the trailer up
+    /// front and the header's flags byte is written with the trace bit
+    /// already set, so a traced frame is built in one pass.
+    #[must_use]
+    pub fn encode_traced(&self, ctx: Option<&TraceCtx>) -> Bytes {
+        let ctx = ctx.filter(|_| matches!(self, Message::ProbeBatch(_)));
+        let trailer = if ctx.is_some() { TRACE_CTX_SIZE } else { 0 };
+        let mut b = BytesMut::with_capacity(self.wire_size() + trailer);
         match self {
             Message::Probe(m) => {
                 b.put_u8(T_PROBE);
@@ -460,7 +597,7 @@ impl Message {
                 b.put_u16(m.to.0);
                 b.put_u32(m.view);
                 b.put_u16(m.items.len() as u16);
-                b.put_u8(0); // flags
+                b.put_u8(if ctx.is_some() { PROBE_FLAG_TRACE } else { 0 });
                 for item in &m.items {
                     match *item {
                         ProbeItem::Ping { seq, sent_ms } => {
@@ -483,39 +620,11 @@ impl Message {
             }
             Message::LinkStateSparse(m) => {
                 b.put_u8(T_LINKSTATE_SPARSE);
-                b.put_u16(m.from.0);
-                b.put_u16(m.to.0);
-                b.put_u32(m.view);
-                b.put_u32(m.round);
-                b.put_u16(m.entries.len() as u16);
-                b.put_u32(m.basis_ms);
-                b.put_u16(m.width);
-                let versioned = ls_trailer_size(m.seqno, &m.retractions) != 0;
-                b.put_u16(if versioned { LS_FLAG_SEQNO } else { 0 });
-                for &(dst, e) in &m.entries {
-                    b.put_u16(dst);
-                    b.put_slice(&e.encode());
-                }
-                if versioned {
-                    put_ls_trailer(&mut b, m.seqno, &m.retractions);
-                }
+                put_linkstate(&mut b, m, true);
             }
             Message::LinkState(m) => {
                 b.put_u8(T_LINKSTATE);
-                b.put_u16(m.from.0);
-                b.put_u16(m.to.0);
-                b.put_u32(m.view);
-                b.put_u32(m.round);
-                b.put_u16(m.entries.len() as u16);
-                b.put_u32(m.basis_ms);
-                let versioned = ls_trailer_size(m.seqno, &m.retractions) != 0;
-                b.put_u16(if versioned { LS_FLAG_SEQNO } else { 0 });
-                for e in &m.entries {
-                    b.put_slice(&e.encode());
-                }
-                if versioned {
-                    put_ls_trailer(&mut b, m.seqno, &m.retractions);
-                }
+                put_linkstate(&mut b, m, false);
             }
             Message::Recommendations(m) => {
                 b.put_u8(T_RECOMMENDATIONS);
@@ -559,27 +668,10 @@ impl Message {
                 }
             }
         }
-        b.freeze()
-    }
-
-    /// Serialize, appending `ctx` as a trace trailer when present.
-    ///
-    /// Only [`Message::ProbeBatch`] carries a trace context (the only
-    /// routing-plane frame sent during convergence episodes); for every
-    /// other variant — and for `None` — the output is byte-for-byte
-    /// [`Message::encode`].
-    #[must_use]
-    pub fn encode_traced(&self, ctx: Option<&TraceCtx>) -> Bytes {
-        match (self, ctx) {
-            (Message::ProbeBatch(_), Some(ctx)) => {
-                let mut raw = self.encode().to_vec();
-                // The flags byte is the last header byte (offset 11).
-                raw[PROBE_BATCH_HEADER_SIZE - 1] |= PROBE_FLAG_TRACE;
-                raw.extend_from_slice(&ctx.encode());
-                Bytes::from(raw)
-            }
-            _ => self.encode(),
+        if let Some(ctx) = ctx {
+            b.put_slice(&ctx.encode());
         }
+        b.freeze()
     }
 
     /// Deserialize from bytes.
@@ -689,93 +781,9 @@ impl Message {
                 }))
             }
             T_LINKSTATE_SPARSE => {
-                if b.remaining() < SPARSE_LINKSTATE_HEADER_SIZE - 5 {
-                    return Err(WireError::Truncated);
-                }
-                let view = b.get_u32();
-                let round = b.get_u32();
-                let count = b.get_u16() as usize;
-                let basis_ms = b.get_u32();
-                let width = b.get_u16();
-                let flags = b.get_u16();
-                let versioned = flags & LS_FLAG_SEQNO != 0;
-                let body = count * (2 + LinkEntry::WIRE_SIZE);
-                if versioned {
-                    if b.remaining() < body {
-                        return Err(WireError::Truncated);
-                    }
-                } else if b.remaining() != body {
-                    return Err(WireError::BadLength);
-                }
-                let mut entries = Vec::with_capacity(count);
-                let mut prev: Option<u16> = None;
-                for _ in 0..count {
-                    let dst = b.get_u16();
-                    // Entries must be strictly ascending and in range —
-                    // the sparse-row merge kernel relies on it.
-                    if dst >= width || prev.is_some_and(|p| dst <= p) {
-                        return Err(WireError::BadLength);
-                    }
-                    prev = Some(dst);
-                    let raw = [b.get_u8(), b.get_u8(), b.get_u8()];
-                    entries.push((dst, LinkEntry::decode(raw)));
-                }
-                let (seqno, retractions) = if versioned {
-                    get_ls_trailer(&mut b, width)?
-                } else {
-                    (0, Vec::new())
-                };
-                Ok(Message::LinkStateSparse(SparseLinkStateMsg {
-                    from,
-                    to,
-                    view,
-                    round,
-                    basis_ms,
-                    width,
-                    entries,
-                    seqno,
-                    retractions,
-                }))
+                get_linkstate(&mut b, from, to, true).map(Message::LinkStateSparse)
             }
-            T_LINKSTATE => {
-                if b.remaining() < LINKSTATE_HEADER_SIZE - 5 {
-                    return Err(WireError::Truncated);
-                }
-                let view = b.get_u32();
-                let round = b.get_u32();
-                let count = b.get_u16() as usize;
-                let basis_ms = b.get_u32();
-                let flags = b.get_u16();
-                let versioned = flags & LS_FLAG_SEQNO != 0;
-                let body = count * LinkEntry::WIRE_SIZE;
-                if versioned {
-                    if b.remaining() < body {
-                        return Err(WireError::Truncated);
-                    }
-                } else if b.remaining() != body {
-                    return Err(WireError::BadLength);
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let raw = [b.get_u8(), b.get_u8(), b.get_u8()];
-                    entries.push(LinkEntry::decode(raw));
-                }
-                let (seqno, retractions) = if versioned {
-                    get_ls_trailer(&mut b, count as u16)?
-                } else {
-                    (0, Vec::new())
-                };
-                Ok(Message::LinkState(LinkStateMsg {
-                    from,
-                    to,
-                    view,
-                    round,
-                    basis_ms,
-                    entries,
-                    seqno,
-                    retractions,
-                }))
-            }
+            T_LINKSTATE => get_linkstate(&mut b, from, to, false).map(Message::LinkState),
             T_RECOMMENDATIONS => {
                 if b.remaining() < REC_HEADER_SIZE - 5 {
                     return Err(WireError::Truncated);
@@ -851,13 +859,13 @@ impl Message {
             }
             Message::LinkState(m) => {
                 LINKSTATE_HEADER_SIZE
-                    + m.entries.len() * LinkEntry::WIRE_SIZE
-                    + ls_trailer_size(m.seqno, &m.retractions)
+                    + usize::from(m.width) * LinkEntry::WIRE_SIZE
+                    + ls_trailer_size(m.row.seqno(), m.row.retracted())
             }
             Message::LinkStateSparse(m) => {
                 SPARSE_LINKSTATE_HEADER_SIZE
-                    + m.entries.len() * (2 + LinkEntry::WIRE_SIZE)
-                    + ls_trailer_size(m.seqno, &m.retractions)
+                    + m.row.len() * (2 + LinkEntry::WIRE_SIZE)
+                    + ls_trailer_size(m.row.seqno(), m.row.retracted())
             }
             Message::Recommendations(m) => REC_HEADER_SIZE + m.recs.len() * m.format.entry_size(),
             Message::Join { .. } | Message::Leave { .. } => 5,
@@ -875,6 +883,17 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A dense frame's body for `entries`.
+    fn dense(entries: &[LinkEntry], seqno: u16, retractions: &[u16]) -> (u16, Arc<LaneRow>) {
+        let row = LaneRow::from_dense(entries).with_version(seqno, retractions);
+        (entries.len() as u16, Arc::new(row))
+    }
+
+    /// A sparse frame's body for ascending `(dst, entry)` pairs.
+    fn sparse(entries: &[(u16, LinkEntry)], seqno: u16, retractions: &[u16]) -> Arc<LaneRow> {
+        Arc::new(LaneRow::from_pairs(entries).with_version(seqno, retractions))
+    }
 
     fn roundtrip(m: &Message) -> Message {
         let bytes = m.encode();
@@ -921,15 +940,15 @@ mod tests {
                 }
             })
             .collect();
+        let (width, row) = dense(&entries, 0, &[]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(5),
             to: NodeId(17),
             view: 2,
             round: 99,
             basis_ms: 1_000_000,
-            entries,
-            seqno: 0,
-            retractions: vec![],
+            width,
+            row,
         });
         // 21 + 3·140 = 441 bytes: the paper's "at most 3·n bytes" payload.
         assert_eq!(m.wire_size(), 21 + 3 * n);
@@ -1144,20 +1163,22 @@ mod tests {
 
     #[test]
     fn sparse_linkstate_roundtrip_and_size() {
-        let m = Message::LinkStateSparse(SparseLinkStateMsg {
+        let m = Message::LinkStateSparse(LinkStateMsg {
             from: NodeId(5),
             to: NodeId(17),
             view: 2,
             round: 99,
             basis_ms: 1_000_000,
             width: 4096,
-            entries: vec![
-                (3, LinkEntry::live(40, 0.01)),
-                (64, LinkEntry::live(120, 0.0)),
-                (4095, LinkEntry::live(7, 0.0)),
-            ],
-            seqno: 0,
-            retractions: vec![],
+            row: sparse(
+                &[
+                    (3, LinkEntry::live(40, 0.01)),
+                    (64, LinkEntry::live(120, 0.0)),
+                    (4095, LinkEntry::live(7, 0.0)),
+                ],
+                0,
+                &[],
+            ),
         });
         // 23 + 5·k: at n = 4096 a 130-live-entry row costs 673 B sparse
         // vs 12 309 B dense.
@@ -1167,35 +1188,119 @@ mod tests {
 
     #[test]
     fn sparse_linkstate_rejects_disorder_and_out_of_range() {
-        let mk = |entries: Vec<(u16, LinkEntry)>| {
-            Message::LinkStateSparse(SparseLinkStateMsg {
-                from: NodeId(0),
-                to: NodeId(1),
-                view: 0,
-                round: 0,
-                basis_ms: 0,
-                width: 100,
-                entries,
-                seqno: 0,
-                retractions: vec![],
-            })
-            .encode()
+        // A valid two-entry frame with its destination fields patched:
+        // no constructor produces a disordered row, the wire can.
+        let valid = Message::LinkStateSparse(LinkStateMsg {
+            from: NodeId(0),
+            to: NodeId(1),
+            view: 0,
+            round: 0,
+            basis_ms: 0,
+            width: 100,
+            row: sparse(
+                &[(3, LinkEntry::live(1, 0.0)), (9, LinkEntry::live(2, 0.0))],
+                0,
+                &[],
+            ),
+        })
+        .encode();
+        let mk = |dsts: [u16; 2]| {
+            let mut bytes = valid.to_vec();
+            for (i, d) in dsts.iter().enumerate() {
+                let at = SPARSE_LINKSTATE_HEADER_SIZE + 5 * i;
+                bytes[at..at + 2].copy_from_slice(&d.to_be_bytes());
+            }
+            bytes
         };
+        assert!(Message::decode(&mk([3, 9])).is_ok());
         // Descending destinations.
-        let bad = mk(vec![
-            (9, LinkEntry::live(1, 0.0)),
-            (3, LinkEntry::live(2, 0.0)),
-        ]);
-        assert_eq!(Message::decode(&bad), Err(WireError::BadLength));
+        assert_eq!(Message::decode(&mk([9, 3])), Err(WireError::BadLength));
         // Duplicate destination.
-        let dup = mk(vec![
-            (9, LinkEntry::live(1, 0.0)),
-            (9, LinkEntry::live(2, 0.0)),
-        ]);
-        assert_eq!(Message::decode(&dup), Err(WireError::BadLength));
+        assert_eq!(Message::decode(&mk([9, 9])), Err(WireError::BadLength));
         // Destination ≥ width.
-        let oob = mk(vec![(100, LinkEntry::live(1, 0.0))]);
-        assert_eq!(Message::decode(&oob), Err(WireError::BadLength));
+        assert_eq!(Message::decode(&mk([3, 100])), Err(WireError::BadLength));
+        // The checks cover dead entries too, though decode drops them.
+        let mut dead_disordered = mk([9, 3]);
+        dead_disordered[SPARSE_LINKSTATE_HEADER_SIZE + 4] = 0x7F;
+        assert_eq!(Message::decode(&dead_disordered), Err(WireError::BadLength));
+    }
+
+    /// A dead entry on the wire — dense or sparse — never reaches the
+    /// row: lanes hold live entries only, and absence reads as dead.
+    #[test]
+    fn dead_wire_entries_are_dropped() {
+        let entries = [
+            LinkEntry::live(10, 0.0),
+            LinkEntry::dead(),
+            LinkEntry::live(30, 0.05),
+        ];
+        let (width, row) = dense(&entries, 0, &[]);
+        let m = Message::LinkState(LinkStateMsg {
+            from: NodeId(1),
+            to: NodeId(2),
+            view: 0,
+            round: 0,
+            basis_ms: 0,
+            width,
+            row,
+        });
+        let bytes = m.encode();
+        assert_eq!(&bytes[LINKSTATE_HEADER_SIZE + 3..][..3], &DEAD_ENTRY_WIRE);
+        assert_eq!(DEAD_ENTRY_WIRE, LinkEntry::dead().encode());
+        let Message::LinkState(back) = roundtrip(&m) else {
+            panic!("dense frame");
+        };
+        assert_eq!(back.row.len(), 2);
+        // The same three entries as a sparse frame, the middle one
+        // marked dead on the wire: decode keeps the two live ones.
+        let mut sparse_bytes = Message::LinkStateSparse(LinkStateMsg {
+            from: NodeId(1),
+            to: NodeId(2),
+            view: 0,
+            round: 0,
+            basis_ms: 0,
+            width,
+            row: sparse(
+                &[
+                    (0, entries[0]),
+                    (1, LinkEntry::live(20, 0.0)),
+                    (2, entries[2]),
+                ],
+                0,
+                &[],
+            ),
+        })
+        .encode()
+        .to_vec();
+        sparse_bytes[SPARSE_LINKSTATE_HEADER_SIZE + 5 + 2..][..3].copy_from_slice(&DEAD_ENTRY_WIRE);
+        let Ok(Message::LinkStateSparse(kept)) = Message::decode(&sparse_bytes) else {
+            panic!("sparse frame with a dead entry decodes");
+        };
+        assert_eq!(kept.row, back.row);
+    }
+
+    /// A live entry carrying the dead-latency sentinel (no encoder of
+    /// ours writes one) is stored as the old ingest stored it: clamped
+    /// to the largest live latency, so re-encoding is stable.
+    #[test]
+    fn live_entry_with_sentinel_latency_is_clamped_on_decode() {
+        let m = Message::LinkStateSparse(LinkStateMsg {
+            from: NodeId(1),
+            to: NodeId(2),
+            view: 0,
+            round: 0,
+            basis_ms: 0,
+            width: 8,
+            row: sparse(&[(5, LinkEntry::live(20, 0.0))], 0, &[]),
+        });
+        let mut bytes = m.encode().to_vec();
+        bytes[SPARSE_LINKSTATE_HEADER_SIZE + 2..][..3].copy_from_slice(&[0xFF, 0xFF, 0x80]);
+        let Ok(Message::LinkStateSparse(got)) = Message::decode(&bytes) else {
+            panic!("frame decodes");
+        };
+        let as_entry = LinkEntry::decode([0xFF, 0xFF, 0x80]);
+        assert_eq!(*got.row, LaneRow::from_pairs(&[(5, as_entry)]));
+        assert_eq!(got.row.lanes().1, &[LinkEntry::DEAD_LATENCY - 1]);
     }
 
     #[test]
@@ -1210,15 +1315,15 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated_bodies() {
+        let (width, row) = dense(&[LinkEntry::live(5, 0.0); 10], 0, &[]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(1),
             to: NodeId(2),
             view: 0,
             round: 0,
             basis_ms: 0,
-            entries: vec![LinkEntry::live(5, 0.0); 10],
-            seqno: 0,
-            retractions: vec![],
+            width,
+            row,
         });
         let bytes = m.encode();
         for cut in 1..bytes.len() {
@@ -1249,15 +1354,15 @@ mod tests {
 
     #[test]
     fn versioned_linkstate_roundtrips_and_rejects_truncation() {
+        let (width, row) = dense(&[LinkEntry::live(40, 0.0); 12], 7, &[2, 5, 11]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(5),
             to: NodeId(17),
             view: 2,
             round: 99,
             basis_ms: 1_000_000,
-            entries: vec![LinkEntry::live(40, 0.0); 12],
-            seqno: 7,
-            retractions: vec![2, 5, 11],
+            width,
+            row,
         });
         // Legacy body plus the 4-byte trailer base and 2 bytes/retraction.
         assert_eq!(m.wire_size(), 21 + 3 * 12 + 4 + 2 * 3);
@@ -1280,35 +1385,40 @@ mod tests {
 
     #[test]
     fn versioned_sparse_linkstate_roundtrips_and_validates_retractions() {
-        let mk = |seqno: u16, retractions: Vec<u16>| {
-            Message::LinkStateSparse(SparseLinkStateMsg {
+        let mk = |seqno: u16, retractions: &[u16]| {
+            Message::LinkStateSparse(LinkStateMsg {
                 from: NodeId(0),
                 to: NodeId(1),
                 view: 0,
                 round: 3,
                 basis_ms: 0,
                 width: 100,
-                entries: vec![(4, LinkEntry::live(9, 0.0)), (40, LinkEntry::live(2, 0.0))],
-                seqno,
-                retractions,
+                row: sparse(
+                    &[(4, LinkEntry::live(9, 0.0)), (40, LinkEntry::live(2, 0.0))],
+                    seqno,
+                    retractions,
+                ),
             })
         };
-        let m = mk(1, vec![7, 90]);
+        let m = mk(1, &[7, 90]);
         assert_eq!(m.wire_size(), 23 + 5 * 2 + 4 + 2 * 2);
         assert_eq!(roundtrip(&m), m);
         // A seqno with no retractions is still a valid trailer.
-        let bumped = mk(9, vec![]);
+        let bumped = mk(9, &[]);
         assert_eq!(bumped.wire_size(), 23 + 5 * 2 + 4);
         assert_eq!(roundtrip(&bumped), bumped);
-        // Retractions must be ascending, unique, and < width.
-        for bad in [vec![90u16, 7], vec![7, 7], vec![100]] {
-            assert_eq!(
-                Message::decode(&mk(1, bad).encode()),
-                Err(WireError::BadLength)
-            );
+        // Retractions must be ascending, unique, and < width: patch the
+        // two trailer slots of the valid frame.
+        let bytes = m.encode();
+        for bad in [[90u16, 7], [7, 7], [7, 100]] {
+            let mut forged = bytes.to_vec();
+            let at = forged.len() - 4;
+            forged[at..at + 2].copy_from_slice(&bad[0].to_be_bytes());
+            forged[at + 2..].copy_from_slice(&bad[1].to_be_bytes());
+            assert_eq!(Message::decode(&forged), Err(WireError::BadLength));
         }
-        for cut in 1..m.encode().len() {
-            assert!(Message::decode(&m.encode()[..cut]).is_err());
+        for cut in 1..bytes.len() {
+            assert!(Message::decode(&bytes[..cut]).is_err());
         }
     }
 
@@ -1316,15 +1426,15 @@ mod tests {
     fn unversioned_linkstate_is_bit_identical_to_legacy() {
         // seqno 0 + no retractions must encode the pre-seqno format
         // byte for byte: flags word zero, no trailer, old sizes.
+        let (width, row) = dense(&[LinkEntry::live(10, 0.0), LinkEntry::dead()], 0, &[]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(1),
             to: NodeId(2),
             view: 4,
             round: 9,
             basis_ms: 77,
-            entries: vec![LinkEntry::live(10, 0.0), LinkEntry::dead()],
-            seqno: 0,
-            retractions: vec![],
+            width,
+            row,
         });
         assert_eq!(m.wire_size(), LINKSTATE_HEADER_SIZE + 2 * 3);
         let bytes = m.encode();

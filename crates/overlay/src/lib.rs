@@ -42,6 +42,32 @@
 //! state). Prober estimator history is carried the same way, so a churn
 //! event relabels state instead of discarding measurements.
 
+//!
+//! ## The message path of a routing frame
+//!
+//! Within one view the same translation runs on every link-state and
+//! recommendation frame, once per direction, and it is the only thing
+//! this crate does to a frame ([`node::OverlayNode`]):
+//!
+//! * **In.** `on_packet` decodes the datagram; the decoded `Message`
+//!   owns its body (a link-state row behind an `Arc`, or a `Vec` of
+//!   recommendation entries). The node takes it by value and rewrites
+//!   it in place into index space: `from` through
+//!   [`MembershipView::index_of`] (an unknown sender drops the frame),
+//!   `to` forced to this node, and for recommendations each entry's
+//!   `dst` and `hop` — one lookup per id, an entry naming an unknown id
+//!   removed by the same pass. Link-state *entries* are not touched:
+//!   their destinations are positions in the sender's view, and the
+//!   router's view/width check guards them. `index_of` tries slot `id`
+//!   before it searches, which answers every id of a `0..n` view. The
+//!   router then borrows the message; a row it keeps, it keeps by
+//!   cloning the `Arc`, so nothing of the frame is copied between the
+//!   socket and the store.
+//! * **Out.** The router returns index-space messages by value; the
+//!   node rewrites each in place to identities (`id_of`, a slice
+//!   index), encodes it and drops it. A tick's link-state frames all
+//!   point at the one row the router built for that tick.
+
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -46,8 +46,16 @@ impl MembershipView {
     }
 
     /// The grid index of `id` in this view.
+    ///
+    /// While no member below `id` has ever departed, `id` sits at
+    /// position `id` — every id of a `0..n` view, and the prefix under
+    /// the first gap afterwards — so that slot is tried before the
+    /// binary search.
     #[must_use]
     pub fn index_of(&self, id: NodeId) -> Option<usize> {
+        if self.members.get(id.index()) == Some(&id) {
+            return Some(id.index());
+        }
         self.members.binary_search(&id).ok()
     }
 

@@ -18,7 +18,7 @@
 
 use crate::config::{Algorithm, MembershipMode, NodeConfig, Scheduling};
 use crate::membership::{Coordinator, MembershipView};
-use apor_linkstate::{Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg};
+use apor_linkstate::{Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg, RecEntry};
 use apor_membership::{wire as swim_wire, Swim, SwimMsg};
 use apor_netsim::TrafficClass;
 use apor_quorum::NodeId;
@@ -433,7 +433,7 @@ impl OverlayNode {
                 prober.note_episode(ctx);
             }
         }
-        match &msg {
+        match msg {
             Message::Probe(p) => {
                 // Liveness works at identity level, independent of views.
                 out.send(
@@ -459,8 +459,8 @@ impl OverlayNode {
                 // pongs and gauges feed the prober in index space.
                 let mut reply_items = Vec::new();
                 let peer = self.view.as_ref().and_then(|view| view.index_of(b.from));
-                for item in &b.items {
-                    match *item {
+                for item in b.items {
+                    match item {
                         ProbeItem::Ping { seq, sent_ms } => {
                             reply_items.push(ProbeItem::Pong {
                                 seq,
@@ -491,20 +491,22 @@ impl OverlayNode {
                     );
                 }
             }
-            Message::LinkState(_) | Message::LinkStateSparse(_) | Message::Recommendations(_) => {
-                if let Some(inner) = self.wire_to_index(&msg) {
+            msg @ (Message::LinkState(_)
+            | Message::LinkStateSparse(_)
+            | Message::Recommendations(_)) => {
+                if let Some(inner) = self.wire_to_index(msg) {
                     let replies = match &mut self.router {
                         Some(router) => router.as_dyn_mut().on_message(now, &inner),
                         None => Vec::new(),
                     };
                     for reply in replies {
-                        self.send_index_msg(&reply, out);
+                        self.send_index_msg(reply, out);
                     }
                 }
             }
             Message::Join { from, .. } => {
                 if let Some(c) = &mut self.coordinator {
-                    let changed = c.on_join(*from, now);
+                    let changed = c.on_join(from, now);
                     let view = c.view();
                     if changed {
                         self.broadcast_view(&view, out);
@@ -512,10 +514,10 @@ impl OverlayNode {
                     } else {
                         // Keepalive: refresh the sender's copy of the view.
                         out.send(
-                            *from,
+                            from,
                             &Message::View(apor_linkstate::wire::ViewMsg {
                                 from: self.cfg.id,
-                                to: *from,
+                                to: from,
                                 view: view.version,
                                 members: view.members,
                             }),
@@ -525,7 +527,7 @@ impl OverlayNode {
             }
             Message::Leave { from, .. } => {
                 if let Some(c) = &mut self.coordinator {
-                    if c.on_leave(*from) {
+                    if c.on_leave(from) {
                         let view = c.view();
                         self.broadcast_view(&view, out);
                         self.install_view(view, now, out);
@@ -533,7 +535,7 @@ impl OverlayNode {
                 }
             }
             Message::View(v) => {
-                let view = MembershipView::new(v.view, v.members.clone());
+                let view = MembershipView::new(v.view, v.members);
                 self.install_view(view, now, out);
             }
         }
@@ -952,98 +954,80 @@ impl OverlayNode {
             .as_dyn_mut()
             .on_routing_tick(now, &row, &mut self.rng);
         for m in msgs {
-            self.send_index_msg(&m, out);
+            self.send_index_msg(m, out);
         }
     }
 
-    /// Translate a router-produced (index-space) message to identity space
-    /// and queue it.
-    fn send_index_msg(&self, msg: &Message, out: &mut Outbox) {
+    /// Translate a router-produced (index-space) message to identity
+    /// space and queue it. The router's message is rewritten in place —
+    /// one `id_of` per index — and encoded; a message naming an index
+    /// outside the view is dropped, a recommendation entry naming one is
+    /// left out.
+    fn send_index_msg(&self, mut msg: Message, out: &mut Outbox) {
         let Some(view) = &self.view else { return };
-        let map = |idx_id: NodeId| view.id_of(idx_id.index());
-        match msg {
-            Message::LinkState(ls) => {
-                let (Some(from), Some(to)) = (map(ls.from), map(ls.to)) else {
-                    return;
-                };
-                let mut wire = ls.clone();
-                wire.from = from;
-                wire.to = to;
-                out.send(to, &Message::LinkState(wire));
-            }
-            Message::LinkStateSparse(ls) => {
-                let (Some(from), Some(to)) = (map(ls.from), map(ls.to)) else {
-                    return;
-                };
-                // Entry indices are view-positional (like the dense
-                // row), guarded by the receiver's view/width check.
-                let mut wire = ls.clone();
-                wire.from = from;
-                wire.to = to;
-                out.send(to, &Message::LinkStateSparse(wire));
-            }
+        let id = |idx: NodeId| view.id_of(idx.index());
+        let (from, to) = match &mut msg {
+            // Entry indices are view-positional, guarded by the
+            // receiver's view/width check: only the envelope translates.
+            Message::LinkState(ls) | Message::LinkStateSparse(ls) => (&mut ls.from, &mut ls.to),
             Message::Recommendations(rm) => {
-                let (Some(from), Some(to)) = (map(rm.from), map(rm.to)) else {
-                    return;
-                };
-                let mut wire = rm.clone();
-                wire.from = from;
-                wire.to = to;
-                wire.recs
-                    .retain(|r| map(r.dst).is_some() && map(r.hop).is_some());
-                for r in &mut wire.recs {
-                    r.dst = map(r.dst).expect("retained");
-                    r.hop = map(r.hop).expect("retained");
-                }
-                out.send(to, &Message::Recommendations(wire));
+                translate_recs(&mut rm.recs, id);
+                (&mut rm.from, &mut rm.to)
             }
             other => {
                 out.send(other.to(), other);
+                return;
             }
-        }
+        };
+        let (Some(from_id), Some(to_id)) = (id(*from), id(*to)) else {
+            return;
+        };
+        (*from, *to) = (from_id, to_id);
+        out.send(to_id, &msg);
     }
 
     /// Translate an incoming identity-space routing message into index
-    /// space; `None` when the sender (or any referenced id) is not in the
-    /// current view.
-    fn wire_to_index(&self, msg: &Message) -> Option<Message> {
+    /// space, in place — one `index_of` per id; `None` when the sender
+    /// is not in the current view. Recommendation entries naming an
+    /// unknown `dst` or `hop` are dropped; `to` becomes this node.
+    fn wire_to_index(&self, mut msg: Message) -> Option<Message> {
         let view = self.view.as_ref()?;
-        let me = self.my_index?;
+        let me = NodeId::from_index(self.my_index?);
         let map = |id: NodeId| view.index_of(id).map(NodeId::from_index);
-        match msg {
-            Message::LinkState(ls) => {
-                let mut inner = ls.clone();
-                inner.from = map(ls.from)?;
-                inner.to = NodeId::from_index(me);
-                Some(Message::LinkState(inner))
-            }
-            Message::LinkStateSparse(ls) => {
-                let mut inner = ls.clone();
-                inner.from = map(ls.from)?;
-                inner.to = NodeId::from_index(me);
-                Some(Message::LinkStateSparse(inner))
+        match &mut msg {
+            Message::LinkState(ls) | Message::LinkStateSparse(ls) => {
+                ls.from = map(ls.from)?;
+                ls.to = me;
             }
             Message::Recommendations(rm) => {
-                let mut inner = rm.clone();
-                inner.from = map(rm.from)?;
-                inner.to = NodeId::from_index(me);
-                inner
-                    .recs
-                    .retain(|r| map(r.dst).is_some() && map(r.hop).is_some());
-                for r in &mut inner.recs {
-                    r.dst = map(r.dst).expect("retained");
-                    r.hop = map(r.hop).expect("retained");
-                }
-                Some(Message::Recommendations(inner))
+                rm.from = map(rm.from)?;
+                rm.to = me;
+                translate_recs(&mut rm.recs, map);
             }
-            _ => None,
+            _ => return None,
         }
+        Some(msg)
     }
+}
+
+/// Rewrite each recommendation's `dst` and `hop` through `map` in one
+/// pass, dropping the entries that name an id `map` does not know.
+fn translate_recs(recs: &mut Vec<RecEntry>, map: impl Fn(NodeId) -> Option<NodeId>) {
+    recs.retain_mut(|r| match (map(r.dst), map(r.hop)) {
+        (Some(dst), Some(hop)) => {
+            (r.dst, r.hop) = (dst, hop);
+            true
+        }
+        _ => false,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, RecFormat, RecommendationMsg};
+    use proptest::prelude::{any, prop, prop_assert_eq, proptest};
+    use std::sync::Arc;
 
     fn static_node(id: u16, n: u16, algo: Algorithm) -> OverlayNode {
         let members: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -1164,6 +1148,138 @@ mod tests {
         }
     }
 
+    /// The clone-and-`retain` translation this module used before ids
+    /// were rewritten in place, kept as the definition the in-place
+    /// versions are held to. `to_index` maps identity → index and forces
+    /// `to` to `me`; `!to_index` maps index → identity.
+    fn translate_by_definition(
+        view: &MembershipView,
+        me: usize,
+        msg: &Message,
+        to_index: bool,
+    ) -> Option<Message> {
+        let map = |id: NodeId| {
+            if to_index {
+                view.members.binary_search(&id).ok().map(NodeId::from_index)
+            } else {
+                view.members.get(id.index()).copied()
+            }
+        };
+        let to = |to: NodeId| {
+            if to_index {
+                Some(NodeId::from_index(me))
+            } else {
+                map(to)
+            }
+        };
+        match msg {
+            Message::LinkState(ls) | Message::LinkStateSparse(ls) => {
+                let mut inner = ls.clone();
+                inner.from = map(ls.from)?;
+                inner.to = to(ls.to)?;
+                Some(match msg {
+                    Message::LinkState(_) => Message::LinkState(inner),
+                    _ => Message::LinkStateSparse(inner),
+                })
+            }
+            Message::Recommendations(rm) => {
+                let mut inner = rm.clone();
+                inner.from = map(rm.from)?;
+                inner.to = to(rm.to)?;
+                inner
+                    .recs
+                    .retain(|r| map(r.dst).is_some() && map(r.hop).is_some());
+                for r in &mut inner.recs {
+                    r.dst = map(r.dst).expect("retained");
+                    r.hop = map(r.hop).expect("retained");
+                }
+                Some(Message::Recommendations(inner))
+            }
+            _ => None,
+        }
+    }
+
+    proptest! {
+        /// In-place translation equals the clone-and-`retain`
+        /// definition in both directions, for all three routing
+        /// variants, on views where identity ≠ index: a `0..k` prefix
+        /// (where the identity slot answers), then gaps. Ids are drawn
+        /// from a range wider than the view, so `from` is sometimes
+        /// unknown (the frame is dropped) and `dst`/`hop` sometimes are
+        /// (the entry is dropped); `to` always ends up this node.
+        #[test]
+        fn in_place_translation_equals_the_definition(
+            prefix in 0u16..6,
+            gaps in prop::collection::vec(1u16..5, 1..10),
+            me_pick in any::<u16>(),
+            variant in 0u8..3,
+            from in 0u16..40,
+            to in 0u16..40,
+            recs in prop::collection::vec((0u16..40, 0u16..40, any::<u16>()), 0..12),
+        ) {
+            let mut members: Vec<NodeId> = (0..prefix).map(NodeId).collect();
+            let mut next = prefix;
+            for g in gaps {
+                next += g;
+                members.push(NodeId(next));
+                next += 1;
+            }
+            let me = usize::from(me_pick) % members.len();
+            let mut node = OverlayNode::new(
+                NodeConfig::new(members[me], members[0], Algorithm::Quorum)
+                    .with_static_members(members.clone()),
+            );
+            node.on_start(0.0, &mut Outbox::default());
+            let view = node.view().expect("static view installed").clone();
+            prop_assert_eq!(node.my_index(), Some(me));
+
+            let ls = LinkStateMsg {
+                from: NodeId(from),
+                to: NodeId(to),
+                view: view.version,
+                round: 2,
+                basis_ms: 9,
+                width: view.len() as u16,
+                row: Arc::new(LaneRow::from_dense(&vec![LinkEntry::live(7, 0.0); view.len()])),
+            };
+            let msg = match variant {
+                0 => Message::LinkState(ls),
+                1 => Message::LinkStateSparse(ls),
+                _ => Message::Recommendations(RecommendationMsg {
+                    from: NodeId(from),
+                    to: NodeId(to),
+                    view: view.version,
+                    round: 2,
+                    basis_ms: 9,
+                    format: RecFormat::WithCost,
+                    recs: recs
+                        .iter()
+                        .map(|&(dst, hop, cost_ms)| RecEntry {
+                            dst: NodeId(dst),
+                            hop: NodeId(hop),
+                            cost_ms,
+                        })
+                        .collect(),
+                }),
+            };
+
+            // Wire → index.
+            prop_assert_eq!(
+                node.wire_to_index(msg.clone()),
+                translate_by_definition(&view, me, &msg, true)
+            );
+            // Index → wire: what lands in the outbox is the definition's
+            // message, encoded, addressed to its `to`.
+            let mut out = Outbox::default();
+            node.send_index_msg(msg.clone(), &mut out);
+            let want: Vec<_> = translate_by_definition(&view, me, &msg, false)
+                .map(|m| (m.to(), class_of(&m), m.encode()))
+                .into_iter()
+                .collect();
+            prop_assert_eq!(out.sends, want);
+        }
+    }
+
     #[test]
     fn malformed_packets_ignored() {
         let mut node = static_node(0, 4, Algorithm::Quorum);
@@ -1182,15 +1298,14 @@ mod tests {
         let mut out = Outbox::default();
         node.on_start(0.0, &mut out);
         // A link-state message from an unknown identity 99.
-        let bogus = Message::LinkState(apor_linkstate::LinkStateMsg {
+        let bogus = Message::LinkState(LinkStateMsg {
             from: NodeId(99),
             to: NodeId(0),
             view: 1,
             round: 1,
             basis_ms: 0,
-            entries: vec![apor_linkstate::LinkEntry::dead(); 4],
-            seqno: 0,
-            retractions: vec![],
+            width: 4,
+            row: Arc::default(),
         });
         let mut out = Outbox::default();
         node.on_packet(1.0, &bogus.encode(), &mut out);

@@ -243,10 +243,11 @@ proptest! {
 /// probe/exchange cycle.
 #[test]
 fn view_change_preserves_routes_end_to_end() {
-    use apor_linkstate::{LinkStateMsg, Message};
+    use apor_linkstate::{LaneRow, LinkStateMsg, Message};
     use apor_overlay::config::{Algorithm, NodeConfig};
     use apor_overlay::node::Outbox;
     use apor_overlay::OverlayNode;
+    use std::sync::Arc;
 
     // Members {0, 1, 2, 9}; node 0 is us. Node 1 (a rendezvous client
     // of 0 in the 2×2 grid) sends its link-state row; then node 9
@@ -272,9 +273,8 @@ fn view_change_preserves_routes_end_to_end() {
         view: 1,
         round: 1,
         basis_ms: 0,
-        entries: row1,
-        seqno: 0,
-        retractions: vec![],
+        width: 4,
+        row: Arc::new(LaneRow::from_dense(&row1)),
     });
     let mut out = Outbox::default();
     node.on_packet(5.0, &ls.encode(), &mut out);
@@ -325,10 +325,11 @@ fn view_change_preserves_routes_end_to_end() {
 /// exactly as it applies to the kernel.
 #[test]
 fn view_change_drops_stale_rows() {
-    use apor_linkstate::{LinkStateMsg, Message};
+    use apor_linkstate::{LaneRow, LinkStateMsg, Message};
     use apor_overlay::config::{Algorithm, NodeConfig};
     use apor_overlay::node::Outbox;
     use apor_overlay::OverlayNode;
+    use std::sync::Arc;
 
     let members: Vec<NodeId> = [0u16, 1, 2, 9].iter().map(|&i| NodeId(i)).collect();
     let mut node = OverlayNode::new(
@@ -342,9 +343,8 @@ fn view_change_drops_stale_rows() {
         view: 1,
         round: 1,
         basis_ms: 0,
-        entries: vec![LinkEntry::live(40, 0.0); 4],
-        seqno: 0,
-        retractions: vec![],
+        width: 4,
+        row: Arc::new(LaneRow::from_dense(&[LinkEntry::live(40, 0.0); 4])),
     });
     let mut out = Outbox::default();
     node.on_packet(5.0, &ls.encode(), &mut out);

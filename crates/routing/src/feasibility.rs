@@ -295,7 +295,8 @@ pub fn select_detour<S: LinkStateStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apor_linkstate::{LinkEntry, RowStore};
+    use apor_linkstate::{LaneRow, LinkEntry, RowStore};
+    use std::sync::Arc;
 
     #[test]
     fn feasibility_is_strict_at_one_seqno() {
@@ -386,17 +387,13 @@ mod tests {
         assert_eq!(f.loops_detected(), 1);
         // An explicit retraction by the relay also kills the splice.
         let f = FeasibilityTable::new();
-        assert!(s.update_row_versioned(
-            1,
-            &[
-                LinkEntry::live(10, 0.0),
-                LinkEntry::live(0, 0.0),
-                LinkEntry::live(10, 0.0),
-            ],
-            2,
-            &[2],
-            2.0,
-        ));
+        let retracting = LaneRow::from_dense(&[
+            LinkEntry::live(10, 0.0),
+            LinkEntry::live(0, 0.0),
+            LinkEntry::live(10, 0.0),
+        ])
+        .with_version(2, &[2]);
+        assert!(s.put_row(1, Arc::new(retracting), 2.0));
         assert!(select_detour(&s, &f, 0, 2, 4, 2.5, 45.0).is_none());
         assert_eq!(f.loops_detected(), 1);
     }

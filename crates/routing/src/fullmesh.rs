@@ -7,8 +7,9 @@
 
 use crate::config::ProtocolConfig;
 use crate::RoutingAlgorithm;
-use apor_linkstate::{LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
 use apor_quorum::NodeId;
+use std::sync::Arc;
 
 /// The baseline router, generic over its store (default: the dense
 /// table — every node legitimately holds all `n` rows here, so dense
@@ -66,18 +67,20 @@ impl<S: LinkStateStore> RoutingAlgorithm for FullMeshRouter<S> {
     ) -> Vec<Message> {
         self.table.update_row(self.me, own_row, now);
         self.round += 1;
+        // One row for the whole broadcast: every frame shares it.
+        let row = Arc::new(LaneRow::from_dense(own_row));
         (0..self.n)
             .filter(|&j| j != self.me)
             .map(|j| {
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 Message::LinkState(LinkStateMsg {
                     from: NodeId::from_index(self.me),
                     to: NodeId::from_index(j),
                     view: self.view,
                     round: self.round,
                     basis_ms: (now * 1000.0) as u32,
-                    entries: own_row.to_vec(),
-                    seqno: 0,
-                    retractions: vec![],
+                    width: self.n as u16,
+                    row: Arc::clone(&row),
                 })
             })
             .collect()
@@ -86,11 +89,12 @@ impl<S: LinkStateStore> RoutingAlgorithm for FullMeshRouter<S> {
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
         if let Message::LinkState(ls) = msg {
             if ls.view == self.view
-                && ls.entries.len() == self.n
+                && usize::from(ls.width) == self.n
                 && ls.from.index() < self.n
                 && ls.from.index() != self.me
             {
-                self.table.update_row(ls.from.index(), &ls.entries, now);
+                self.table
+                    .put_row(ls.from.index(), Arc::clone(&ls.row), now);
             }
         }
         Vec::new()

@@ -36,14 +36,15 @@ use crate::config::ProtocolConfig;
 use crate::feasibility::{select_detour, Detour, FeasibilityTable};
 use crate::{RoutingAlgorithm, VersionedRow};
 use apor_linkstate::{
-    LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg, RowStore,
-    SparseLinkStateMsg,
+    LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
+    RowStore,
 };
 use apor_quorum::{Grid, NodeId};
 use apor_telemetry::{Counter, Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
 use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A received best-hop recommendation for one destination.
 #[derive(Debug, Clone, Copy)]
@@ -124,8 +125,7 @@ struct RouterCounters {
     ls_sent: Counter,
     recs_sent: Counter,
     rec_entries_received: Counter,
-    /// Estimated heap bytes of the sparse `rec_seen` maps (16 bytes per
-    /// `(dst, timestamp)` entry).
+    /// Bytes of `rec_seen` entries held: 16 per `(dst, timestamp)`.
     rec_seen_bytes: Gauge,
     /// What the pre-compaction dense layout would cost for the same
     /// state: one `n × 8`-byte row per server that has ever recommended.
@@ -164,16 +164,20 @@ pub struct QuorumRouter<S: LinkStateStore = RowStore> {
     /// Latest accepted recommendation per destination.
     routes: Vec<Option<RouteEntry>>,
     /// `rec_seen[s]` — last time server `s` recommended any route for a
-    /// destination, as a sparse map keyed by destination (absent key =
-    /// no recommendation yet). Only the `~2√n` servers that actually
-    /// send recommendations hold entries, and each holds only the
-    /// destinations it has vouched for — `O(√n · √n)` entries total
-    /// versus the `n` slots per server a dense row would burn.
-    rec_seen: Vec<BTreeMap<usize, f64>>,
+    /// destination: `(dst, time)` entries sorted by `dst`, one flat
+    /// allocation per server that has ever recommended (absent entry =
+    /// no recommendation yet). A frame lists its destinations
+    /// ascending, so ingest walks a cursor and `last_rec` is a binary
+    /// search over `≤ 2√n` contiguous entries. Only the `~2√n` servers
+    /// that actually send recommendations hold entries, and each holds
+    /// only the destinations it has vouched for — `O(√n · √n)` entries
+    /// total versus the `n` slots per server a dense row would burn.
+    /// An entry is never removed.
+    rec_seen: Vec<Vec<(usize, f64)>>,
     /// Running totals over `rec_seen` — entries held, and servers with
-    /// at least one — kept where entries are inserted (none is ever
-    /// removed), so the byte gauges cost `O(1)` per message instead of
-    /// a walk over all `n` maps.
+    /// at least one — kept where entries are inserted, so the byte
+    /// gauges cost `O(1)` per message instead of a walk over all `n`
+    /// servers.
     rec_seen_entries: usize,
     rec_seen_servers: usize,
     /// When I first sent link state to each server (grace-period
@@ -263,7 +267,7 @@ impl<S: LinkStateStore> QuorumRouter<S> {
             own_row: vec![LinkEntry::dead(); n],
             my_servers,
             routes: vec![None; n],
-            rec_seen: vec![BTreeMap::new(); n],
+            rec_seen: vec![Vec::new(); n],
             rec_seen_entries: 0,
             rec_seen_servers: 0,
             serving_since: vec![NEVER; n],
@@ -335,8 +339,9 @@ impl<S: LinkStateStore> QuorumRouter<S> {
         }
     }
 
-    /// Estimated heap bytes of the sparse `rec_seen` state, and what the
-    /// dense pre-compaction layout would cost for the same coverage.
+    /// Bytes of `rec_seen` entries held (16 per `(dst, timestamp)`, the
+    /// entry's size in memory), and what a dense layout — `n` 8-byte
+    /// slots per recommending server — would cost for the same coverage.
     #[must_use]
     pub fn rec_seen_bytes(&self) -> (u64, u64) {
         let sparse = (self.rec_seen_entries * 16) as u64;
@@ -528,7 +533,39 @@ impl<S: LinkStateStore> QuorumRouter<S> {
 
     /// Last time server `s` recommended any route to `dst`.
     fn last_rec(&self, s: usize, dst: usize) -> Option<f64> {
-        self.rec_seen[s].get(&dst).copied()
+        let seen = &self.rec_seen[s];
+        seen.binary_search_by_key(&dst, |e| e.0)
+            .ok()
+            .map(|i| seen[i].1)
+    }
+
+    /// Record that `server` recommended a route to `dst` at `now`.
+    /// `cursor` is where the frame's previous destination landed plus
+    /// one: frames list destinations ascending, so the next one is
+    /// usually right there; anything else (a destination out of order,
+    /// new, or skipped by this frame) falls back to a binary search.
+    fn note_rec(&mut self, server: usize, dst: usize, now: f64, cursor: &mut usize) {
+        let seen = &mut self.rec_seen[server];
+        let at = if seen.get(*cursor).is_some_and(|e| e.0 == dst) {
+            *cursor
+        } else {
+            match seen.binary_search_by_key(&dst, |e| e.0) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.rec_seen_entries += 1;
+                    self.rec_seen_servers += usize::from(seen.is_empty());
+                    // Grow by exactly one: a server's destination set
+                    // settles within a few ticks and entries never
+                    // leave, so doubling would strand up to half of
+                    // every list, on every node, for good.
+                    seen.reserve_exact(1);
+                    seen.insert(i, (dst, now));
+                    i
+                }
+            }
+        };
+        seen[at].1 = now;
+        *cursor = at + 1;
     }
 
     /// Has rendezvous server `s` failed *for destination `dst`*, judged at
@@ -617,14 +654,13 @@ impl<S: LinkStateStore> QuorumRouter<S> {
             // are derived from the grid on demand — caching them per
             // destination would be O(n√n) aux state per node for a path
             // that only runs under double failures.
-            let pool: Vec<usize> = self
-                .grid
-                .failover_candidates(dst)
-                .into_iter()
-                .filter(|&c| c != self.me && c != dst)
-                .filter(|&c| self.own_row[c].alive)
-                .filter(|c| !self.failover[dst].tried.contains(c))
-                .collect();
+            let mut pool = self.grid.failover_candidates(dst);
+            pool.retain(|&c| {
+                c != self.me
+                    && c != dst
+                    && self.own_row[c].alive
+                    && !self.failover[dst].tried.contains(&c)
+            });
             if pool.is_empty() {
                 // Exhausted: restart the episode so candidates that have
                 // recovered become eligible again.
@@ -642,44 +678,28 @@ impl<S: LinkStateStore> QuorumRouter<S> {
         newly_selected
     }
 
-    fn linkstate_msg(&self, to: usize, now: f64) -> Message {
+    /// The round-one frame carrying `row` (my own, built once per tick
+    /// and shared by every frame of the tick) to server `to`.
+    fn linkstate_msg(&self, to: usize, now: f64, row: &Arc<LaneRow>) -> Message {
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let ls = LinkStateMsg {
+            from: NodeId::from_index(self.me),
+            to: NodeId::from_index(to),
+            view: self.view,
+            round: self.round,
+            basis_ms: (now * 1000.0) as u32,
+            width: self.n as u16,
+            row: Arc::clone(row),
+        };
         // Sparse encoding pays off once the live-entry count k satisfies
         // 23 + 5k < 21 + 3n, i.e. k < (3n − 2)/5. Under entitled probing
         // a row holds O(√n) live entries and this always wins; fully-live
         // rows (the full-mesh probing baseline) keep the dense format, so
         // the section 6 bandwidth formulas stay byte-exact.
-        let live = self.own_row.iter().filter(|e| e.alive).count();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        if 5 * live < 3 * self.n - 2 {
-            let entries: Vec<(u16, LinkEntry)> = self
-                .own_row
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.alive)
-                .map(|(dst, e)| (dst as u16, *e))
-                .collect();
-            Message::LinkStateSparse(SparseLinkStateMsg {
-                from: NodeId::from_index(self.me),
-                to: NodeId::from_index(to),
-                view: self.view,
-                round: self.round,
-                basis_ms: (now * 1000.0) as u32,
-                width: self.n as u16,
-                entries,
-                seqno: self.own_seqno,
-                retractions: self.retraction_lane(),
-            })
+        if 5 * row.len() < 3 * self.n - 2 {
+            Message::LinkStateSparse(ls)
         } else {
-            Message::LinkState(LinkStateMsg {
-                from: NodeId::from_index(self.me),
-                to: NodeId::from_index(to),
-                view: self.view,
-                round: self.round,
-                basis_ms: (now * 1000.0) as u32,
-                entries: self.own_row.clone(),
-                seqno: self.own_seqno,
-                retractions: self.retraction_lane(),
-            })
+            Message::LinkState(ls)
         }
     }
 
@@ -784,9 +804,12 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
         let round = self.round;
         self.retractions.retain(|_, r| round - *r < 3);
         self.own_row.copy_from_slice(own_row);
-        let lane = self.retraction_lane();
-        self.table
-            .update_row_versioned(self.me, own_row, self.own_seqno, &lane, now);
+        // My row as lanes, built once: the store keeps it and every
+        // round-one frame of this tick shares it.
+        let own_lanes = Arc::new(
+            LaneRow::from_dense(own_row).with_version(self.own_seqno, &self.retraction_lane()),
+        );
+        self.table.put_row(self.me, Arc::clone(&own_lanes), now);
         // Acting on a live direct link ratchets that destination's
         // feasibility distance: a detour must strictly beat what this
         // node can already do on its own.
@@ -808,7 +831,7 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                 self.serving_since[s] = now;
             }
             self.counters.ls_sent.inc();
-            msgs.push(self.linkstate_msg(s, now));
+            msgs.push(self.linkstate_msg(s, now, &own_lanes));
         }
         // Round two: recommendations to all fresh clients.
         msgs.extend(self.compute_recommendations(now));
@@ -817,39 +840,15 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
 
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
         match msg {
-            Message::LinkState(ls) => {
-                let from = ls.from.index();
-                if ls.view == self.view
-                    && ls.entries.len() == self.n
-                    && from < self.n
-                    && from != self.me
-                    && self.table.update_row_versioned(
-                        from,
-                        &ls.entries,
-                        ls.seqno,
-                        &ls.retractions,
-                        now,
-                    )
-                {
-                    self.note_row_version(from, ls.seqno, &ls.retractions);
-                }
-                Vec::new()
-            }
-            Message::LinkStateSparse(ls) => {
+            Message::LinkState(ls) | Message::LinkStateSparse(ls) => {
                 let from = ls.from.index();
                 if ls.view == self.view
                     && usize::from(ls.width) == self.n
                     && from < self.n
                     && from != self.me
-                    && self.table.update_row_sparse_versioned(
-                        from,
-                        &ls.entries,
-                        ls.seqno,
-                        &ls.retractions,
-                        now,
-                    )
+                    && self.table.put_row(from, Arc::clone(&ls.row), now)
                 {
-                    self.note_row_version(from, ls.seqno, &ls.retractions);
+                    self.note_row_version(from, ls.row.seqno(), ls.row.retracted());
                 }
                 Vec::new()
             }
@@ -858,19 +857,19 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                 if rm.view != self.view || server >= self.n {
                     return Vec::new();
                 }
+                // Room for the whole frame in one step (a first frame
+                // would otherwise grow entry by entry).
+                let seen = &mut self.rec_seen[server];
+                seen.reserve_exact(rm.recs.len().saturating_sub(seen.len()));
+                let (mut cursor, mut accepted) = (0, 0);
                 for rec in &rm.recs {
                     let dst = rec.dst.index();
                     let hop = rec.hop.index();
                     if dst >= self.n || hop >= self.n || dst == self.me {
                         continue;
                     }
-                    let seen = &mut self.rec_seen[server];
-                    let first_from_server = seen.is_empty();
-                    if seen.insert(dst, now).is_none() {
-                        self.rec_seen_entries += 1;
-                        self.rec_seen_servers += usize::from(first_from_server);
-                    }
-                    self.counters.rec_entries_received.inc();
+                    self.note_rec(server, dst, now, &mut cursor);
+                    accepted += 1;
                     let newer = self.routes[dst].is_none_or(|r| now >= r.received_at);
                     if newer {
                         self.routes[dst] = Some(RouteEntry {
@@ -891,6 +890,7 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                         }
                     }
                 }
+                self.counters.rec_entries_received.add(accepted);
                 self.update_rec_seen_gauges();
                 Vec::new()
             }
@@ -964,13 +964,9 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
         if row.origin != self.me && !self.grid.serves(row.origin, self.me) {
             return;
         }
-        self.table.update_row_versioned(
-            row.origin,
-            &row.entries,
-            row.seqno,
-            &row.retractions,
-            row.received_at,
-        );
+        let lanes = LaneRow::from_dense(&row.entries).with_version(row.seqno, &row.retractions);
+        self.table
+            .put_row(row.origin, Arc::new(lanes), row.received_at);
         self.trace_row_import(row.origin, row.received_at);
     }
 }
@@ -979,6 +975,7 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
 mod tests {
     use super::*;
     use apor_linkstate::LinkStateTable;
+    use proptest::prelude::{any, prop, prop_assert_eq, proptest};
     use rand::SeedableRng;
 
     fn rng() -> ChaCha8Rng {
@@ -1112,21 +1109,22 @@ mod tests {
 
         let r = &fabric.routers[3];
         let servers_with_entries = r.rec_seen.iter().filter(|m| !m.is_empty()).count();
-        let total_entries: usize = r.rec_seen.iter().map(BTreeMap::len).sum();
+        let total_entries: usize = r.rec_seen.iter().map(Vec::len).sum();
         // Only my ~2√n rendezvous servers recommend to me, about n-1
         // destinations each — nowhere near the n² dense worst case.
         assert!(servers_with_entries > 0);
         assert!(servers_with_entries <= r.grid().max_rendezvous_degree() * 2 + 1);
         assert!(total_entries <= servers_with_entries * (n - 1));
         for (s, m) in r.rec_seen.iter().enumerate() {
-            for &dst in m.keys() {
+            assert!(m.windows(2).all(|w| w[0].0 < w[1].0), "sorted by dst");
+            for &(dst, _) in m {
                 assert!(r.last_rec(s, dst).is_some());
                 assert_ne!(dst, 3, "never records recs about myself");
             }
         }
 
         let (sparse, dense) = r.rec_seen_bytes();
-        // The running totals equal a recount of the maps.
+        // The running totals equal a recount of the entries.
         assert_eq!(sparse, (total_entries * 16) as u64);
         assert_eq!(dense, (servers_with_entries * n * 8) as u64);
         assert!(
@@ -1144,6 +1142,81 @@ mod tests {
             Some(r.metrics().rec_entries_received)
         );
         assert!(snap.counter(3, "routing", "ls_sent").unwrap_or(0) > 0);
+    }
+
+    proptest! {
+        /// `rec_seen` against a `BTreeMap` model, frame by frame:
+        /// several servers, destinations in any order (ascending frames
+        /// ride the cursor, the rest the binary search), duplicates
+        /// within a frame, destinations a server has never vouched for,
+        /// and entries the router refuses (out of range, about itself).
+        /// `last_rec`, the two running totals, the byte gauges and the
+        /// per-frame `rec_entries_received` count all agree.
+        #[test]
+        fn rec_seen_matches_a_map_model(
+            frames in prop::collection::vec(
+                (
+                    0usize..9,
+                    any::<bool>(),
+                    prop::collection::vec((0u16..12, 0u16..12), 0..14),
+                ),
+                1..24,
+            ),
+        ) {
+            let n = 9;
+            let telemetry = Telemetry::new(1);
+            let mut me =
+                QuorumRouter::new_with_telemetry(0, n, 0, ProtocolConfig::quorum(), &telemetry);
+            let mut model: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); n];
+            let mut accepted = 0u64;
+            for (k, (server, ascending, picks)) in frames.into_iter().enumerate() {
+                let now = k as f64;
+                let mut picks = picks;
+                if ascending {
+                    picks.sort_unstable();
+                }
+                let _ = me.on_message(
+                    now,
+                    &Message::Recommendations(RecommendationMsg {
+                        from: NodeId::from_index(server),
+                        to: NodeId(0),
+                        view: 0,
+                        round: 1,
+                        basis_ms: 0,
+                        format: apor_linkstate::RecFormat::Compact,
+                        recs: picks
+                            .iter()
+                            .map(|&(dst, hop)| RecEntry {
+                                dst: NodeId(dst),
+                                hop: NodeId(hop),
+                                cost_ms: u16::MAX,
+                            })
+                            .collect(),
+                    }),
+                );
+                for (dst, hop) in picks {
+                    let (dst, hop) = (usize::from(dst), usize::from(hop));
+                    if dst < n && hop < n && dst != 0 {
+                        model[server].insert(dst, now);
+                        accepted += 1;
+                    }
+                }
+                for (s, seen) in model.iter().enumerate() {
+                    for dst in 0..n {
+                        prop_assert_eq!(me.last_rec(s, dst), seen.get(&dst).copied());
+                    }
+                }
+                let entries: usize = model.iter().map(BTreeMap::len).sum();
+                let servers = model.iter().filter(|m| !m.is_empty()).count();
+                prop_assert_eq!((me.rec_seen_entries, me.rec_seen_servers), (entries, servers));
+                let bytes = ((entries * 16) as u64, (servers * n * 8) as u64);
+                prop_assert_eq!(me.rec_seen_bytes(), bytes);
+                let snap = telemetry.snapshot();
+                prop_assert_eq!(snap.gauge(1, "routing", "rec_seen_bytes"), Some(bytes.0));
+                prop_assert_eq!(snap.gauge(1, "routing", "rec_seen_bytes_dense"), Some(bytes.1));
+                prop_assert_eq!(me.metrics().rec_entries_received, accepted);
+            }
+        }
     }
 
     /// The sparse store and the dense baseline run the identical
@@ -1208,7 +1281,7 @@ mod tests {
                 Message::LinkStateSparse(sm) => {
                     saw_sparse = true;
                     assert_eq!(usize::from(sm.width), n);
-                    assert!(sm.entries.iter().all(|(_, e)| e.alive));
+                    assert_eq!(sm.row.len(), 6, "the live entries and nothing else");
                     if sm.to.index() == 13 {
                         let _ = receiver.on_message(0.5, m);
                     }
@@ -1446,9 +1519,8 @@ mod tests {
                 view: 0,
                 round: 1,
                 basis_ms: 0,
-                entries: row1,
-                seqno: 0,
-                retractions: vec![],
+                width: 9,
+                row: Arc::new(LaneRow::from_dense(&row1)),
             }),
         );
         assert_eq!(me.best_hop(8, 2.0), Some(1), "scavenged route via 1");
@@ -1483,9 +1555,8 @@ mod tests {
                     view: 0,
                     round: 1,
                     basis_ms: 0,
-                    entries: row,
-                    seqno: 0,
-                    retractions: vec![],
+                    width: 9,
+                    row: Arc::new(LaneRow::from_dense(&row)),
                 }),
             );
         }
@@ -1572,9 +1643,8 @@ mod tests {
                 view: 0,
                 round: 2,
                 basis_ms: 0,
-                entries: row4.clone(),
-                seqno: 2,
-                retractions: vec![8],
+                width: 9,
+                row: Arc::new(LaneRow::from_dense(&row4).with_version(2, &[8])),
             }),
         );
         assert!(
@@ -1595,9 +1665,8 @@ mod tests {
                 view: 0,
                 round: 1,
                 basis_ms: 0,
-                entries: stale,
-                seqno: 1,
-                retractions: vec![],
+                width: 9,
+                row: Arc::new(LaneRow::from_dense(&stale).with_version(1, &[])),
             }),
         );
         assert_eq!(me.table().row_seqno(4), 2, "stale replay rejected");
@@ -1618,7 +1687,7 @@ mod tests {
         else {
             panic!("expected dense link state");
         };
-        assert_eq!((ls.seqno, ls.retractions.as_slice()), (0, &[][..]));
+        assert_eq!((ls.row.seqno(), ls.row.retracted()), (0, &[][..]));
         // Link to 3 dies: seqno bumps once, the lane advertises dst 3.
         own[3] = LinkEntry::dead();
         let msgs = me.on_routing_tick(15.0, &own, &mut g);
@@ -1627,7 +1696,7 @@ mod tests {
         else {
             panic!("expected dense link state");
         };
-        assert_eq!((ls.seqno, ls.retractions.as_slice()), (1, &[3u16][..]));
+        assert_eq!((ls.row.seqno(), ls.row.retracted()), (1, &[3u16][..]));
         // The lane ages out after three rounds of advertisement…
         let _ = me.on_routing_tick(30.0, &own, &mut g);
         let _ = me.on_routing_tick(45.0, &own, &mut g);
@@ -1636,7 +1705,7 @@ mod tests {
         else {
             panic!("expected dense link state");
         };
-        assert_eq!(ls.retractions, Vec::<u16>::new(), "lane aged out");
+        assert!(ls.row.retracted().is_empty(), "lane aged out");
         assert_eq!(me.own_seqno(), 1, "seqno sticks");
         // …and a recovery drops a fresh lane entry immediately.
         own[5] = LinkEntry::dead();
@@ -1648,7 +1717,7 @@ mod tests {
         else {
             panic!("expected dense link state");
         };
-        assert_eq!(ls.retractions, Vec::<u16>::new(), "recovered link leaves");
+        assert!(ls.row.retracted().is_empty(), "recovered link leaves");
     }
 
     #[test]
@@ -1714,9 +1783,8 @@ mod tests {
                 view: 0,
                 round: 1,
                 basis_ms: 0,
-                entries: row1,
-                seqno: 9,
-                retractions: vec![6],
+                width: 9,
+                row: Arc::new(LaneRow::from_dense(&row1).with_version(9, &[6])),
             }),
         );
         let rows = a.export_rows_versioned();
@@ -1741,9 +1809,8 @@ mod tests {
                 view: 1,
                 round: 1,
                 basis_ms: 0,
-                entries: stale,
-                seqno: 8,
-                retractions: vec![],
+                width: 9,
+                row: Arc::new(LaneRow::from_dense(&stale).with_version(8, &[])),
             }),
         );
         assert_eq!(b.table().row_seqno(1), 9, "older frame rejected");
@@ -1877,9 +1944,8 @@ mod tests {
                     view: 0,
                     round: 1,
                     basis_ms: 0,
-                    entries: row(from as u16 * 10),
-                    seqno: 0,
-                    retractions: vec![],
+                    width: 9,
+                    row: Arc::new(LaneRow::from_dense(&row(from as u16 * 10))),
                 }),
             );
         }

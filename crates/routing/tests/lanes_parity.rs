@@ -10,18 +10,21 @@
 //! (`LinkStateStore::round_two`) is held to the single-pair merge-join
 //! (`best_one_hop`), pair by pair in both orientations, and a router
 //! tick's recommendation frames to frames assembled from that oracle,
-//! byte for byte.
+//! byte for byte. Link-state frames are held to a reference encoder
+//! written the way the codec was before rows became the message body
+//! (an array of entries, each quantized as it is written): frames a
+//! tick emits, and rows a receiver stores, must not have moved a byte.
 
-use apor_linkstate::wire::{LinkStateMsg, SparseLinkStateMsg};
 use apor_linkstate::{
-    best_one_hop_rows, LaneRow, LinkEntry, LinkStateStore, LinkStateTable, Message, RecEntry,
-    RecFormat, RecommendationMsg, RowRef, RowStore,
+    best_one_hop_rows, LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message,
+    RecEntry, RecFormat, RecommendationMsg, RowRef, RowStore, LS_FLAG_SEQNO,
 };
 use apor_quorum::NodeId;
 use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// A random row of `n` entries: latency over the full wire range, an
 /// alive flag, and an arbitrary (off-grid) loss rate.
@@ -141,6 +144,76 @@ fn live_pairs(row: &[LinkEntry]) -> Vec<(u16, LinkEntry)> {
         .collect()
 }
 
+/// The link-state frame encoder as it was when the message body was an
+/// array of `LinkEntry`: header, entries quantized one by one with
+/// `LinkEntry::encode`, and the seqno trailer when versioned. `sparse`
+/// entries are `(dst, entry)` pairs and may include dead ones.
+struct OldFrame<'a> {
+    from: u16,
+    to: u16,
+    view: u32,
+    round: u32,
+    basis_ms: u32,
+    width: u16,
+    seqno: u16,
+    retractions: &'a [u16],
+}
+
+impl OldFrame<'_> {
+    fn header(&self, tag: u8, count: usize, sparse: bool) -> Vec<u8> {
+        let mut b = vec![tag];
+        b.extend_from_slice(&self.from.to_be_bytes());
+        b.extend_from_slice(&self.to.to_be_bytes());
+        b.extend_from_slice(&self.view.to_be_bytes());
+        b.extend_from_slice(&self.round.to_be_bytes());
+        b.extend_from_slice(&(count as u16).to_be_bytes());
+        b.extend_from_slice(&self.basis_ms.to_be_bytes());
+        if sparse {
+            b.extend_from_slice(&self.width.to_be_bytes());
+        }
+        let versioned = self.seqno != 0 || !self.retractions.is_empty();
+        b.extend_from_slice(&(if versioned { LS_FLAG_SEQNO } else { 0 }).to_be_bytes());
+        b
+    }
+
+    fn trailer(&self, b: &mut Vec<u8>) {
+        if self.seqno != 0 || !self.retractions.is_empty() {
+            b.extend_from_slice(&self.seqno.to_be_bytes());
+            b.extend_from_slice(&(self.retractions.len() as u16).to_be_bytes());
+            for r in self.retractions {
+                b.extend_from_slice(&r.to_be_bytes());
+            }
+        }
+    }
+
+    fn dense(&self, entries: &[LinkEntry]) -> Vec<u8> {
+        let mut b = self.header(3, entries.len(), false);
+        for e in entries {
+            b.extend_from_slice(&e.encode());
+        }
+        self.trailer(&mut b);
+        b
+    }
+
+    fn sparse(&self, entries: &[(u16, LinkEntry)]) -> Vec<u8> {
+        let mut b = self.header(9, entries.len(), true);
+        for (dst, e) in entries {
+            b.extend_from_slice(&dst.to_be_bytes());
+            b.extend_from_slice(&e.encode());
+        }
+        self.trailer(&mut b);
+        b
+    }
+}
+
+/// Strictly ascending picks below `width`.
+fn ascending_below(raw: &[u16], width: u16) -> Vec<u16> {
+    let mut v: Vec<u16> = raw.iter().map(|r| r % width).collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -190,52 +263,30 @@ proptest! {
         }
     }
 
-    /// Lane rows hold the exact wire bytes: a row stored after a
-    /// `wire.rs` encode/decode round trip is bit-identical to the same
-    /// row stored directly, for arbitrary latency/liveness/loss —
+    /// Lane rows hold the exact wire bytes: the row a receiver decodes
+    /// from either frame form is bit-identical to the same row reduced
+    /// to lanes directly, for arbitrary latency/liveness/loss —
     /// including off-grid loss rates and the latency-65535 clamp.
     #[test]
     fn lanes_wire_roundtrip_bit_identical(row in arb_row(64)) {
-        let msg = Message::LinkState(LinkStateMsg {
-            from: NodeId::from_index(1),
-            to: NodeId::from_index(2),
-            view: 7,
-            round: 3,
-            basis_ms: 250,
-            entries: row.clone(),
-            seqno: 0,
-            retractions: vec![],
-        });
-        let Ok(Message::LinkState(decoded)) = Message::decode(&msg.encode()) else {
-            panic!("dense wire round trip failed");
-        };
-        prop_assert_eq!(
-            LaneRow::from_dense(&row),
-            LaneRow::from_dense(&decoded.entries),
-            "dense wire path not bit-identical"
-        );
-
-        // Same property through the sparse (live-pairs) wire frame.
-        let pairs = live_pairs(&row);
-        let smsg = Message::LinkStateSparse(SparseLinkStateMsg {
+        let lanes = Arc::new(LaneRow::from_dense(&row));
+        let ls = LinkStateMsg {
             from: NodeId::from_index(1),
             to: NodeId::from_index(2),
             view: 7,
             round: 3,
             basis_ms: 250,
             width: 64,
-            entries: pairs.clone(),
-            seqno: 0,
-            retractions: vec![],
-        });
-        let Ok(Message::LinkStateSparse(sdec)) = Message::decode(&smsg.encode()) else {
-            panic!("sparse wire round trip failed");
+            row: Arc::clone(&lanes),
         };
-        prop_assert_eq!(
-            LaneRow::from_pairs(&pairs),
-            LaneRow::from_pairs(&sdec.entries),
-            "sparse wire path not bit-identical"
-        );
+        for msg in [Message::LinkState(ls.clone()), Message::LinkStateSparse(ls)] {
+            let Ok(Message::LinkState(decoded) | Message::LinkStateSparse(decoded)) =
+                Message::decode(&msg.encode())
+            else {
+                panic!("wire round trip failed");
+            };
+            prop_assert_eq!(&decoded.row, &lanes, "wire path not bit-identical");
+        }
     }
 }
 
@@ -284,16 +335,14 @@ proptest! {
         let mut router = QuorumRouter::new(me, n, view, config.clone());
         for spec in specs.iter().filter(|s| s.origin != me) {
             let at = if spec.stale { STALE_AT } else { FRESH_AT };
-            let msg = Message::LinkStateSparse(SparseLinkStateMsg {
+            let msg = Message::LinkStateSparse(LinkStateMsg {
                 from: NodeId::from_index(spec.origin),
                 to: NodeId::from_index(me),
                 view,
                 round: 1,
                 basis_ms: 0,
                 width: n as u16,
-                entries: live_pairs(&spec.row),
-                seqno: 0,
-                retractions: vec![],
+                row: Arc::new(LaneRow::from_dense(&spec.row)),
             });
             let _ = router.on_message(at, &msg);
         }
@@ -347,5 +396,128 @@ proptest! {
             );
         }
         prop_assert_eq!(got, want);
+    }
+
+    /// Any link-state frame the old encoder could write — dense or
+    /// sparse, flagless or versioned, dead entries among the live ones,
+    /// a retraction lane or none — decodes to exactly the row the old
+    /// ingest stored (`from_dense` / `from_pairs` of the decoded
+    /// entries, stamped with the version), a store fed that row holds
+    /// it, and re-encoding gives the frame back byte for byte whenever
+    /// the frame is one `encode` writes (a sparse frame listing a dead
+    /// entry is not: the row drops it).
+    #[test]
+    fn linkstate_frames_decode_to_the_old_rows_and_reencode_to_the_old_bytes(
+        row in arb_row(48),
+        listed in prop::collection::vec(any::<u16>(), 0..48),
+        seqno in prop_oneof![0u16..1, any::<u16>()],
+        raw_retractions in prop::collection::vec(any::<u16>(), 0..6),
+        envelope in (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>(), any::<u32>()),
+    ) {
+        let width = row.len() as u16;
+        let retractions = ascending_below(&raw_retractions, width);
+        let old = OldFrame {
+            from: envelope.0,
+            to: envelope.1,
+            view: envelope.2,
+            round: envelope.3,
+            basis_ms: envelope.4,
+            width,
+            seqno,
+            retractions: &retractions,
+        };
+        // The sparse frame lists a random subset of slots, dead ones
+        // included, each entry as it would come back off the wire.
+        let pairs: Vec<(u16, LinkEntry)> = ascending_below(&listed, width)
+            .into_iter()
+            .map(|d| (d, LinkEntry::decode(row[usize::from(d)].encode())))
+            .collect();
+        let wired: Vec<LinkEntry> = row.iter().map(|e| LinkEntry::decode(e.encode())).collect();
+        let cases = [
+            (old.dense(&row), LaneRow::from_dense(&wired), true),
+            (
+                old.sparse(&pairs),
+                LaneRow::from_pairs(&pairs),
+                pairs.iter().all(|(_, e)| e.alive),
+            ),
+        ];
+        for (bytes, want, canonical) in cases {
+            let want = want.with_version(seqno, &retractions);
+            let msg = Message::decode(&bytes).expect("an old frame decodes");
+            let (Message::LinkState(ls) | Message::LinkStateSparse(ls)) = &msg else {
+                panic!("a link-state frame");
+            };
+            prop_assert_eq!(&*ls.row, &want);
+            prop_assert_eq!(ls.width, width);
+            let mut store = RowStore::new(usize::from(width));
+            prop_assert!(store.put_row(7, Arc::clone(&ls.row), 1.0));
+            prop_assert_eq!(store.row_dense(7).unwrap(), want.as_row_ref(row.len()).to_dense());
+            prop_assert_eq!(store.row_seqno(7), seqno);
+            prop_assert_eq!(store.row_retractions(7), retractions.clone());
+            if canonical {
+                prop_assert_eq!(msg.encode().to_vec(), bytes.clone());
+            }
+            // Truncation anywhere still fails, trailer or not.
+            for cut in [bytes.len() - 1, bytes.len() / 2, 5] {
+                prop_assert!(Message::decode(&bytes[..cut]).is_err());
+            }
+        }
+    }
+
+    /// A tick's round-one frames are, byte for byte, what the old
+    /// per-server constructor wrote from the own row: sparse while
+    /// `5·live < 3n − 2`, dense otherwise, the seqno and retraction
+    /// lane after links die — one frame per rendezvous server.
+    #[test]
+    fn round_one_frames_match_the_old_constructor_bytes(
+        first in arb_row(16),
+        second in arb_row(16),
+        fully_live in any::<bool>(),
+    ) {
+        let (n, me, view) = (16usize, 5usize, 3u32);
+        let mut router = QuorumRouter::new(me, n, view, ProtocolConfig::quorum());
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut previous = vec![LinkEntry::dead(); n];
+        for (round, mut own) in [first, second].into_iter().enumerate() {
+            if fully_live {
+                // Every link up: the dense form (nothing dies either).
+                own = own.iter().map(|e| LinkEntry::live(e.latency_ms, e.loss)).collect();
+            }
+            let now = 15.0 * round as f64;
+            let frames: Vec<Message> = router
+                .on_routing_tick(now, &own, &mut rng)
+                .into_iter()
+                .filter(|m| matches!(m, Message::LinkState(_) | Message::LinkStateSparse(_)))
+                .collect();
+            // Links alive last tick and dead now are this tick's
+            // retractions; the seqno counts the ticks that had any.
+            let retractions: Vec<u16> = (0..n)
+                .filter(|&d| d != me && previous[d].alive && !own[d].alive)
+                .map(|d| d as u16)
+                .collect();
+            prop_assert_eq!(router.own_seqno(), u16::from(!retractions.is_empty()));
+            let live = live_pairs(&own);
+            // At least the default servers (failovers may add to them).
+            prop_assert!(frames.len() >= router.grid().rendezvous_servers(me).len());
+            for frame in &frames {
+                let old = OldFrame {
+                    from: me as u16,
+                    to: frame.to().0,
+                    view,
+                    round: round as u32 + 1,
+                    basis_ms: (now * 1000.0) as u32,
+                    width: n as u16,
+                    seqno: router.own_seqno(),
+                    retractions: &retractions,
+                };
+                let want = if 5 * live.len() < 3 * n - 2 {
+                    old.sparse(&live)
+                } else {
+                    old.dense(&own)
+                };
+                prop_assert_eq!(frame.encode().to_vec(), want);
+            }
+            previous = own;
+        }
     }
 }

@@ -18,9 +18,10 @@
 //! direct links every epoch and retract on link loss, exactly as the
 //! router does.
 
-use apor_linkstate::{LinkEntry, LinkStateStore, RowStore};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateStore, RowStore};
 use apor_routing::feasibility::{select_detour, FeasibilityTable};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const MAX_AGE: f64 = 45.0;
 const EPOCH_S: f64 = 15.0;
@@ -136,7 +137,8 @@ fn replay(n: usize, raw_epochs: &[RawEpoch], partition_epoch: usize) -> Replay {
             let mut lane = died[o].clone();
             lane.sort_unstable();
             lane.dedup();
-            store.update_row_versioned(o, &truth_row(&truth, o), seqno[o], &lane, now);
+            let row = LaneRow::from_dense(&truth_row(&truth, o)).with_version(seqno[o], &lane);
+            store.put_row(o, Arc::new(row), now);
         }
         // Receiver-side discipline, per node: note seqnos, retract lost
         // direct links, advance fd over the live ones.
@@ -241,7 +243,7 @@ proptest! {
                     }
                 })
                 .collect();
-            store.update_row_versioned(o, &row, 1, &[], 1.0);
+            store.put_row(o, Arc::new(LaneRow::from_dense(&row).with_version(1, &[])), 1.0);
         }
         for (path, total, advertised) in store.k_hop_options(src, dst, max_hops, 2.0, MAX_AGE) {
             prop_assert_eq!(path[0], src);

@@ -27,7 +27,8 @@ pub const CALIBRATION_ID: &str = "calibration/spin";
 
 /// Id prefixes gated by default: the round-two / best-hop / merge
 /// kernels, in both the dense-vs-sparse sweep and the stand-alone
-/// suites.
+/// suites, and the control-frame path (socket → router ingest, tick →
+/// bytes) the end-to-end ledger ranks above them.
 pub const DEFAULT_KERNEL_PREFIXES: &[&str] = &[
     "dense_vs_sparse/merge",
     "dense_vs_sparse/best_hop",
@@ -35,6 +36,7 @@ pub const DEFAULT_KERNEL_PREFIXES: &[&str] = &[
     "best_one_hop",
     "round_two_full",
     "round_two_tick",
+    "frame_path",
 ];
 
 /// Default regression threshold: fail above +25 % median.

@@ -4,12 +4,12 @@
 //! bit-identical to the pre-versioning format).
 
 use allpairs_overlay::linkstate::{
-    ls_trailer_size, LinkEntry, LinkStateMsg, Message, ProbeMsg, ProbeReplyMsg, RecEntry,
-    RecFormat, RecommendationMsg, SparseLinkStateMsg, LINKSTATE_HEADER_SIZE,
-    SPARSE_LINKSTATE_HEADER_SIZE,
+    ls_trailer_size, LaneRow, LinkEntry, LinkStateMsg, Message, ProbeMsg, ProbeReplyMsg, RecEntry,
+    RecFormat, RecommendationMsg, LINKSTATE_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE,
 };
 use allpairs_overlay::quorum::NodeId;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_entry() -> impl Strategy<Value = LinkEntry> {
     (any::<u16>(), any::<bool>(), 0u8..=127).prop_map(|(lat, alive, loss_q)| {
@@ -90,9 +90,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 view: v,
                 round: r,
                 basis_ms: b,
-                entries,
-                seqno,
-                retractions,
+                width: entries.len() as u16,
+                row: Arc::new(LaneRow::from_dense(&entries).with_version(seqno, &retractions)),
             })
         });
     let sparse = (
@@ -114,16 +113,14 @@ fn arb_message() -> impl Strategy<Value = Message> {
             entries.sort_unstable_by_key(|&(d, _)| d);
             entries.dedup_by_key(|&mut (d, _)| d);
             let retractions = canonical_retractions(&raw, usize::from(width));
-            Message::LinkStateSparse(SparseLinkStateMsg {
+            Message::LinkStateSparse(LinkStateMsg {
                 from: NodeId(f),
                 to: NodeId(t),
                 view: v,
                 round: r,
                 basis_ms: b,
                 width,
-                entries,
-                seqno,
-                retractions,
+                row: Arc::new(LaneRow::from_pairs(&entries).with_version(seqno, &retractions)),
             })
         });
     let recs = (
@@ -186,19 +183,16 @@ fn arb_message() -> impl Strategy<Value = Message> {
 /// Strip a versioned link-state frame down to its flagless twin: same
 /// message, seqno 0, nothing retracted.
 fn flagless_twin(msg: &Message) -> Option<(Message, usize)> {
+    let strip = |m: &LinkStateMsg| LinkStateMsg {
+        row: Arc::new(LaneRow::clone(&m.row).with_version(0, &[])),
+        ..m.clone()
+    };
     match msg {
-        Message::LinkState(m) => {
-            let mut twin = m.clone();
-            twin.seqno = 0;
-            twin.retractions.clear();
-            Some((Message::LinkState(twin), LINKSTATE_HEADER_SIZE))
-        }
-        Message::LinkStateSparse(m) => {
-            let mut twin = m.clone();
-            twin.seqno = 0;
-            twin.retractions.clear();
-            Some((Message::LinkStateSparse(twin), SPARSE_LINKSTATE_HEADER_SIZE))
-        }
+        Message::LinkState(m) => Some((Message::LinkState(strip(m)), LINKSTATE_HEADER_SIZE)),
+        Message::LinkStateSparse(m) => Some((
+            Message::LinkStateSparse(strip(m)),
+            SPARSE_LINKSTATE_HEADER_SIZE,
+        )),
         _ => None,
     }
 }
@@ -247,12 +241,10 @@ proptest! {
         if let Some((twin, header)) = flagless_twin(&msg) {
             let versioned = msg.encode();
             let flagless = twin.encode();
-            let (seqno, retractions) = match &msg {
-                Message::LinkState(m) => (m.seqno, m.retractions.as_slice()),
-                Message::LinkStateSparse(m) => (m.seqno, m.retractions.as_slice()),
-                _ => unreachable!(),
+            let (Message::LinkState(m) | Message::LinkStateSparse(m)) = &msg else {
+                unreachable!()
             };
-            let trailer = ls_trailer_size(seqno, retractions);
+            let trailer = ls_trailer_size(m.row.seqno(), m.row.retracted());
             prop_assert_eq!(versioned.len(), flagless.len() + trailer);
             // Bytes agree everywhere but the 2-byte flags word that
             // closes the header.
