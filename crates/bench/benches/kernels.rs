@@ -2,7 +2,7 @@
 //! every routing interval.
 
 use apor_bench::{bench_topology, full_table, ground_truth_row};
-use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RowStore};
 use apor_quorum::{Grid, NodeId};
 use apor_routing::multihop::multihop_routes;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
@@ -155,17 +155,13 @@ fn bench_floyd_warshall(c: &mut Criterion) {
     g.finish();
 }
 
-/// Dense table vs sparse row store on a quorum node's actual working
-/// set: its own row plus its `2√n` rendezvous clients' rows. Three
-/// kernels: the row merge (one client's link-state message lands), the
-/// pair best-hop, and the full round-two server tick. The sparse store
-/// pays an `O(log √n)` map walk per row access but allocates `O(n√n)`
-/// instead of `O(n²)` — at n = 1024 the dense arm is the only one that
-/// still touches a 24 MB table.
-fn bench_dense_vs_sparse(c: &mut Criterion) {
-    use apor_linkstate::RowStore;
-
-    let mut g = c.benchmark_group("dense_vs_sparse");
+/// The row store on a quorum node's actual working set: its own row
+/// plus its `2√n` rendezvous clients' rows. Three kernels: the row
+/// merge (one client's full-width row reduced to lanes and put), the
+/// pair best-hop, and the full round-two server tick pair by pair. Every
+/// row access pays an `O(log √n)` map walk.
+fn bench_row_store(c: &mut Criterion) {
+    let mut g = c.benchmark_group("row_store");
     for n in [100usize, 400, 1024] {
         let topo = bench_topology(n);
         let grid = Grid::new(n);
@@ -177,42 +173,33 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
             .iter()
             .map(|&i| (i, ground_truth_row(&topo, i)))
             .collect();
-        let mut dense = LinkStateTable::new(n);
-        let mut sparse = RowStore::new(n);
+        let mut store = RowStore::new(n);
         for (i, row) in &rows {
-            dense.update_row(*i, row, 0.0);
-            sparse.update_row(*i, row, 0.0);
+            store.put_row(*i, Arc::new(LaneRow::from_dense(row)), 0.0);
         }
         let (merge_origin, merge_row) = rows[rows.len() / 2].clone();
-        g.bench_with_input(BenchmarkId::new("merge_dense", n), &n, |b, _| {
-            b.iter(|| dense.update_row(black_box(merge_origin), black_box(&merge_row), 1.0));
-        });
-        g.bench_with_input(BenchmarkId::new("merge_sparse", n), &n, |b, _| {
-            b.iter(|| sparse.update_row(black_box(merge_origin), black_box(&merge_row), 1.0));
+        g.bench_with_input(BenchmarkId::new("merge", n), &n, |b, _| {
+            b.iter(|| {
+                let row = Arc::new(LaneRow::from_dense(black_box(&merge_row)));
+                store.put_row(black_box(merge_origin), row, 1.0)
+            });
         });
         let (a, bb) = (held[0], held[held.len() - 1]);
-        g.bench_with_input(BenchmarkId::new("best_hop_dense", n), &n, |b, _| {
-            b.iter(|| dense.best_one_hop(black_box(a), black_box(bb), 1.0, 45.0));
+        g.bench_with_input(BenchmarkId::new("best_hop", n), &n, |b, _| {
+            b.iter(|| store.best_one_hop(black_box(a), black_box(bb), 1.0, 45.0));
         });
-        g.bench_with_input(BenchmarkId::new("best_hop_sparse", n), &n, |b, _| {
-            b.iter(|| sparse.best_one_hop(black_box(a), black_box(bb), 1.0, 45.0));
-        });
-        let round_two = |store: &dyn Fn(usize, usize) -> Option<(usize, f64)>| {
-            let mut count = 0usize;
-            for &x in &held {
-                for &y in &held {
-                    if x != y && store(x, y).is_some() {
-                        count += 1;
+        g.bench_with_input(BenchmarkId::new("round_two", n), &n, |b, _| {
+            b.iter(|| {
+                let mut count = 0usize;
+                for &x in &held {
+                    for &y in &held {
+                        if x != y && store.best_one_hop(x, y, 1.0, 45.0).is_some() {
+                            count += 1;
+                        }
                     }
                 }
-            }
-            count
-        };
-        g.bench_with_input(BenchmarkId::new("round_two_dense", n), &n, |b, _| {
-            b.iter(|| black_box(round_two(&|x, y| dense.best_one_hop(x, y, 1.0, 45.0))));
-        });
-        g.bench_with_input(BenchmarkId::new("round_two_sparse", n), &n, |b, _| {
-            b.iter(|| black_box(round_two(&|x, y| sparse.best_one_hop(x, y, 1.0, 45.0))));
+                black_box(count)
+            });
         });
     }
     g.finish();
@@ -303,7 +290,10 @@ fn entitled_row(
 ///   from a rendezvous server that has recommended before;
 /// * `round_one_fanout` — one routing tick of a node with no clients
 ///   (so the tick is failover sweep + round one) and its `~2√n`
-///   link-state frames encoded to bytes.
+///   link-state frames encoded to bytes;
+/// * `fullmesh_ingest` — at the `ron-196` shape instead: one dense
+///   link-state frame (196 entries) into a full-mesh node, the busiest
+///   control path of the baseline.
 fn bench_frame_path(c: &mut Criterion) {
     use apor_overlay::{Algorithm, NodeConfig, Outbox, OverlayNode};
     use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
@@ -383,6 +373,26 @@ fn bench_frame_path(c: &mut Criterion) {
                 .sum::<usize>()
         });
     });
+
+    let n = 196usize;
+    let topo = bench_topology(n);
+    let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+    let cfg = NodeConfig::new(NodeId::from_index(me), NodeId(0), Algorithm::FullMesh)
+        .with_static_members(members);
+    let mut node = OverlayNode::new(cfg);
+    node.on_start(0.0, &mut out);
+    let from = n / 2;
+    let frame = linkstate_msg(from, me, &ground_truth_row(&topo, from), true).encode();
+    node.on_packet(0.25, &frame, &mut out);
+    assert_eq!(
+        node.route_age(NodeId::from_index(from), 0.5),
+        Some(0.25),
+        "the row was ingested"
+    );
+    g.throughput(Throughput::Bytes(frame.len() as u64));
+    g.bench_with_input(BenchmarkId::new("fullmesh_ingest", n), &n, |b, _| {
+        b.iter(|| node.on_packet(0.5, black_box(&frame), &mut out));
+    });
     g.finish();
 }
 
@@ -456,7 +466,7 @@ criterion_group!(
     bench_round_two,
     bench_round_two_tick,
     bench_frame_path,
-    bench_dense_vs_sparse,
+    bench_row_store,
     bench_wire,
     bench_multihop,
     bench_floyd_warshall,

@@ -11,9 +11,10 @@
 
 #![forbid(unsafe_code)]
 
-use apor_linkstate::{LinkEntry, LinkStateStore, LinkStateTable};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateStore, RowStore};
 use apor_routing::onehop;
 use apor_topology::{PlanetLabParams, Topology};
+use std::sync::Arc;
 
 /// A deterministic synthetic topology of `n` nodes.
 #[must_use]
@@ -32,14 +33,15 @@ pub fn ground_truth_row(topo: &Topology, i: usize) -> Vec<LinkEntry> {
     onehop::ground_truth_row(&topo.latency, i)
 }
 
-/// A fully populated link-state table derived from the topology's ground
-/// truth (all rows fresh at t = 0).
+/// A row store holding every node's row, derived from the topology's
+/// ground truth (all rows fresh at t = 0).
 #[must_use]
-pub fn full_table(topo: &Topology) -> LinkStateTable {
+pub fn full_table(topo: &Topology) -> RowStore {
     let n = topo.len();
-    let mut table = LinkStateTable::new(n);
+    let mut table = RowStore::new(n);
     for i in 0..n {
-        table.update_row(i, &ground_truth_row(topo, i), 0.0);
+        let row = LaneRow::from_dense(&ground_truth_row(topo, i));
+        table.put_row(i, Arc::new(row), 0.0);
     }
     table
 }

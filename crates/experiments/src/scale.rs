@@ -1,9 +1,9 @@
 //! Scale study: the full stack at n up to 4096 (beyond the paper).
 //!
 //! The paper's evaluation stops at n ≈ 200, and so did this repository
-//! until two bottlenecks fell: the dense `n × n` link-state table
-//! (replaced by the sparse `RowStore`, dropping per-node state to the
-//! paper's own `O(n√n)` bound) and the simulator's fixed per-interval
+//! until two bottlenecks fell: a dense `n × n` link-state table on
+//! every node (quorum nodes now hold a sparse `RowStore`, dropping
+//! per-node state to the paper's own `O(n√n)` bound) and the simulator's fixed per-interval
 //! polling ticks (replaced by the idle-aware coalesced scheduler plus
 //! the sub-quadratic prober, so idle nodes cost no events and per-node
 //! probe traffic grows `O(√n)`). Two arms exercise the two layers:
@@ -11,11 +11,8 @@
 //! * **fabric** — a synchronous two-round fabric (`QuorumRouter`s over
 //!   ground-truth rows, messages delivered instantly) at n ∈ {256,
 //!   1024}: the maximum rows any node holds is asserted at runtime
-//!   against the `4√n` acceptance bound, per-node entries against
-//!   `c·n√n` vs the dense table's `n²`, and fig1-style routing quality
-//!   must match the dense-store arm exactly at the parity size (the
-//!   kernel is written once over the store trait, so any divergence is
-//!   a storage bug);
+//!   against the `4√n` acceptance bound, and per-node entries are
+//!   reported beside the `n²` a full matrix would hold;
 //! * **netsim** — the real event-driven simulator at n ∈ {1024, 4096}
 //!   with sub-quadratic probing, a churn batch and a minority
 //!   partition: steady coverage ≥ 0.99, probe bytes per node sub-linear
@@ -26,7 +23,7 @@
 //! regenerated by the CI scale-gate job under a hard wall-clock budget.
 
 use apor_analysis::{write_csv, Table};
-use apor_linkstate::{LinkEntry, LinkStateStore, LinkStateTable, Message};
+use apor_linkstate::{LinkEntry, LinkStateStore, Message};
 use apor_netsim::{Direction, Simulator, TrafficClass};
 use apor_overlay::config::{Algorithm, NodeConfig};
 use apor_overlay::simnode::{overlay_at, overlay_sim_config, populate};
@@ -43,12 +40,8 @@ use serde::Serialize;
 /// Parameters of the scale study.
 #[derive(Debug, Clone)]
 pub struct ScaleParams {
-    /// Sizes for the sparse-store arm (the point of the study).
+    /// Sizes of the fabric arm.
     pub sizes: Vec<usize>,
-    /// Size at which the dense arm also runs, for the parity check
-    /// (dense at 1024 would allocate ~25 GB across the fleet — exactly
-    /// the infeasibility this PR removes).
-    pub parity_n: usize,
     /// Routing ticks driven (two suffice for all-pairs optimality;
     /// a third exercises steady state).
     pub ticks: usize,
@@ -66,7 +59,6 @@ impl Default for ScaleParams {
     fn default() -> Self {
         ScaleParams {
             sizes: vec![256, 1024],
-            parity_n: 100,
             ticks: 3,
             max_pairs: 20_000,
             threshold_ms: 400.0,
@@ -154,12 +146,12 @@ impl NetsimScaleParams {
     }
 }
 
-/// One `(n, store)` measurement.
+/// One fabric measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScalePoint {
     /// Overlay size.
     pub n: usize,
-    /// `"sparse"` or `"dense"`.
+    /// The store column of `scale.csv`: always `"sparse"`.
     pub store: String,
     /// Maximum link-state rows held by any node after convergence.
     pub max_rows: usize,
@@ -167,7 +159,7 @@ pub struct ScalePoint {
     pub row_bound: f64,
     /// Maximum link entries allocated by any node's store.
     pub max_entries: usize,
-    /// What a dense table would allocate per node (`n²` entries).
+    /// What a full matrix would hold per node (`n²` entries).
     pub dense_entries: usize,
     /// Fraction of sampled pairs with a usable route.
     pub coverage: f64,
@@ -211,14 +203,9 @@ fn sample_pairs(n: usize, max_pairs: usize, seed: u64) -> Vec<(usize, usize)> {
     out
 }
 
-/// Drive `ticks` routing intervals over a synchronous fabric and
-/// evaluate state + quality. Generic over the store — the dense and
-/// sparse arms run the identical code.
-fn run_store<S, F>(label: &str, n: usize, params: &ScaleParams, make: F) -> ScalePoint
-where
-    S: LinkStateStore,
-    F: Fn(usize) -> QuorumRouter<S>,
-{
+/// Drive `ticks` routing intervals over a synchronous fabric of `n`
+/// quorum routers and evaluate state + quality.
+fn run_fabric(n: usize, params: &ScaleParams) -> ScalePoint {
     let started = std::time::Instant::now();
     let topo = Topology::generate(&PlanetLabParams {
         n,
@@ -227,10 +214,13 @@ where
     });
     let m = &topo.latency;
     let rows: Vec<Vec<LinkEntry>> = (0..n).map(|i| onehop::ground_truth_row(m, i)).collect();
-    let mut routers: Vec<QuorumRouter<S>> = (0..n).map(make).collect();
+    let cfg = ProtocolConfig::quorum();
+    let mut routers: Vec<QuorumRouter> = (0..n)
+        .map(|i| QuorumRouter::new(i, n, 0, cfg.clone()))
+        .collect();
     let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
 
-    let interval = ProtocolConfig::quorum().routing_interval_s;
+    let interval = cfg.routing_interval_s;
     let mut now = 0.0;
     for _ in 0..params.ticks {
         // Per-node tick with immediate delivery: messages (and cascaded
@@ -293,7 +283,7 @@ where
 
     ScalePoint {
         n,
-        store: label.to_string(),
+        store: "sparse".to_string(),
         max_rows,
         row_bound,
         max_entries,
@@ -314,57 +304,27 @@ where
     }
 }
 
-/// Run the full study: the sparse arm at every size, plus the
-/// dense/sparse parity pair at `parity_n`.
+/// Run the fabric arm at every size.
 ///
 /// # Panics
 /// Panics when a quorum node's row count exceeds the `4√n` acceptance
-/// bound (the state-accounting assertion the ISSUE requires), or when
-/// the parity arms disagree on routing quality.
+/// bound (the state-accounting assertion the ISSUE requires).
 #[must_use]
 pub fn run(params: &ScaleParams) -> Vec<ScalePoint> {
-    let cfg = ProtocolConfig::quorum();
-    let mut points = Vec::new();
-
-    // Parity pair at a size the dense table can still afford.
-    let pn = params.parity_n;
-    let dense = run_store("dense", pn, params, |i| {
-        QuorumRouter::with_store(i, pn, 0, cfg.clone(), LinkStateTable::new(pn))
-    });
-    let sparse_parity = run_store("sparse", pn, params, |i| {
-        QuorumRouter::new(i, pn, 0, cfg.clone())
-    });
-    // The kernel is written once over the store trait: identical
-    // messages ⇒ identical routes ⇒ identical quality, exactly.
-    assert_eq!(
-        dense.coverage, sparse_parity.coverage,
-        "parity: coverage diverged between stores"
-    );
-    assert!(
-        (dense.mean_stretch - sparse_parity.mean_stretch).abs() < 1e-9
-            && (dense.rescued - sparse_parity.rescued).abs() < 1e-9,
-        "parity: routing quality diverged between stores \
-         (dense stretch {}, sparse {})",
-        dense.mean_stretch,
-        sparse_parity.mean_stretch
-    );
-    points.push(dense);
-    points.push(sparse_parity);
-
-    // The scale arm: sparse only — the sizes the dense table priced out.
-    for &n in &params.sizes {
-        let p = run_store("sparse", n, params, |i| {
-            QuorumRouter::new(i, n, 0, cfg.clone())
-        });
-        assert!(
-            (p.max_rows as f64) <= p.row_bound,
-            "n={n}: a quorum node holds {} rows > 4√n = {:.0}",
-            p.max_rows,
-            p.row_bound
-        );
-        points.push(p);
-    }
-    points
+    params
+        .sizes
+        .iter()
+        .map(|&n| {
+            let p = run_fabric(n, params);
+            assert!(
+                (p.max_rows as f64) <= p.row_bound,
+                "n={n}: a quorum node holds {} rows > 4√n = {:.0}",
+                p.max_rows,
+                p.row_bound
+            );
+            p
+        })
+        .collect()
 }
 
 /// One size of the netsim arm.
@@ -694,7 +654,7 @@ pub fn run_and_report(params: &ScaleParams) -> std::io::Result<Vec<ScalePoint>> 
         ]);
     }
     println!(
-        "Scale study — sparse row store vs dense table, fig1-style workload \
+        "Scale study — sparse row store, fig1-style workload \
          (two-round fabric, {} sampled pairs)",
         params.max_pairs
     );
@@ -800,27 +760,25 @@ mod tests {
 
     fn tiny() -> ScaleParams {
         ScaleParams {
-            sizes: vec![64],
-            parity_n: 49,
+            sizes: vec![49, 64],
             max_pairs: 1_500,
             ..ScaleParams::default()
         }
     }
 
-    /// The study in miniature: state bound holds, parity arms agree
-    /// (asserted inside `run`), and the two-round fabric reaches full
-    /// coverage at optimal stretch.
+    /// The study in miniature: the state bound holds (asserted inside
+    /// `run`) and the two-round fabric reaches full coverage at optimal
+    /// stretch.
     #[test]
     fn miniature_study_meets_all_bounds() {
         let points = run(&tiny());
-        assert_eq!(points.len(), 3);
-        let dense = &points[0];
+        assert_eq!(points.len(), 2);
         let sparse64 = points.iter().find(|p| p.n == 64).unwrap();
-        // Dense allocates n² entries regardless; sparse ~ (2√n + 1)·n.
-        assert_eq!(dense.max_entries, 49 * 49);
+        // A full matrix is n² entries; the store holds ~ (2√n + 1)·n.
+        assert_eq!(sparse64.dense_entries, 64 * 64);
         assert!(
             sparse64.max_entries < 64 * 64 / 2,
-            "sparse must allocate far less than dense: {}",
+            "the store must hold far less than a full matrix: {}",
             sparse64.max_entries
         );
         assert!((sparse64.max_rows as f64) <= sparse64.row_bound);
@@ -887,23 +845,13 @@ mod tests {
                     p.n
                 );
             }
-            // The lanes-vs-AoS byte gauges must be live in the fleet
-            // aggregate and show the struct-of-arrays layout strictly
-            // smaller than the padded array-of-structs it replaced.
+            // The stored-bytes gauge must be live in the fleet
+            // aggregate.
             let lanes = p
                 .telemetry
                 .gauge(0, "linkstate", "row_bytes_lanes")
                 .unwrap_or_else(|| panic!("row_bytes_lanes missing at n={}", p.n));
-            let aos = p
-                .telemetry
-                .gauge(0, "linkstate", "row_bytes_aos")
-                .unwrap_or_else(|| panic!("row_bytes_aos missing at n={}", p.n));
             assert!(lanes > 0, "row_bytes_lanes zero at n={}", p.n);
-            assert!(
-                lanes < aos,
-                "lanes {lanes} not smaller than AoS {aos} at n={}",
-                p.n
-            );
             assert!(p.events > 0 && p.postchurn_coverage > 0.9);
         }
     }

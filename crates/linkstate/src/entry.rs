@@ -2,21 +2,13 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A path cost in the routing metric (milliseconds of RTT).
-///
-/// `Cost::INFINITE` marks unusable links (dead or unknown). Costs compare
-/// as plain floats; ties broken by the routing layer deterministically.
-pub type Cost = f64;
-
-/// Sentinel for an unusable link.
-pub const INFINITE_COST: Cost = f64::INFINITY;
-
-/// Integer-kernel sentinel for an unusable link (see
-/// [`LinkEntry::cost_u32`]). Any real path cost is at most two live
-/// `u16` legs (< 2¹⁷), so `u32::MAX` can never be produced by addition
-/// and compares strictly greater than every finite cost — mirroring
-/// `f64::INFINITY` in the floating-point domain exactly.
-pub const INFINITE_COST_U32: u32 = u32::MAX;
+/// Sentinel cost of an unusable link (dead or unknown). A path cost is
+/// integer milliseconds in a `u32`: the wire carries latencies as
+/// `u16`, so any real path of two legs is below 2¹⁷ and the all-ones
+/// value can never be produced by addition — it compares strictly
+/// greater than every finite cost. Code that sums costs checks the legs
+/// against the sentinel first.
+pub const INFINITE_COST: u32 = u32::MAX;
 
 /// One entry of a link-state row: what the origin node currently believes
 /// about its direct link to one destination.
@@ -62,27 +54,14 @@ impl LinkEntry {
         }
     }
 
-    /// The routing cost of this link: its latency when alive, infinite
-    /// otherwise.
+    /// The routing cost of this link: its latency in whole milliseconds
+    /// when alive, [`INFINITE_COST`] otherwise.
     #[must_use]
-    pub fn cost(&self) -> Cost {
-        if self.alive {
-            f64::from(self.latency_ms)
-        } else {
-            INFINITE_COST
-        }
-    }
-
-    /// The routing cost in the integer kernel's domain: the latency in
-    /// whole milliseconds when alive, [`INFINITE_COST_U32`] otherwise.
-    /// Exactly [`LinkEntry::cost`] — wire latencies are integers, so
-    /// nothing is lost leaving `f64`.
-    #[must_use]
-    pub fn cost_u32(&self) -> u32 {
+    pub fn cost(&self) -> u32 {
         if self.alive {
             u32::from(self.latency_ms)
         } else {
-            INFINITE_COST_U32
+            INFINITE_COST
         }
     }
 
@@ -169,16 +148,16 @@ mod tests {
         let d = LinkEntry::decode(LinkEntry::dead().encode());
         assert!(!d.alive);
         assert_eq!(d.latency_ms, LinkEntry::DEAD_LATENCY);
-        assert!(d.cost().is_infinite());
+        assert_eq!(d.cost(), INFINITE_COST);
     }
 
     #[test]
     fn cost_semantics() {
-        assert_eq!(LinkEntry::live(250, 0.0).cost(), 250.0);
-        assert!(LinkEntry::dead().cost().is_infinite());
+        assert_eq!(LinkEntry::live(250, 0.0).cost(), 250);
+        assert_eq!(LinkEntry::dead().cost(), INFINITE_COST);
         let mut e = LinkEntry::live(10, 0.0);
         e.alive = false;
-        assert!(e.cost().is_infinite());
+        assert_eq!(e.cost(), INFINITE_COST);
     }
 
     #[test]

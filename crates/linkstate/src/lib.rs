@@ -2,33 +2,34 @@
 //!
 //! Four concerns live here, all I/O-free:
 //!
-//! * [`store`] — the [`LinkStateStore`] trait (storage + the round-two
-//!   best-hop kernel, written once) and the sparse [`RowStore`]: an
-//!   indexed map `origin row → (receipt time, lanes)` holding exactly
-//!   the rows a node's role entitles it to — its own row plus its
-//!   `~2√n` rendezvous clients' rows — so per-node state is the
-//!   paper's `O(n√n)` bound instead of `O(n²)`. Rows are stored
-//!   struct-of-arrays ([`LaneRow`]): parallel `dst`/`latency_ms`/
-//!   liveness lanes holding the exact wire bytes, ~5 B per live entry,
-//!   and the round-two kernel runs integer-only over the latency lanes
-//!   (`u32` adds of `u16` legs). This is exact, not an approximation:
-//!   the wire format is already fixed-point — latencies are integer
-//!   milliseconds in a `u16`, loss is quantized to half-percent units —
-//!   so integer cost arithmetic reproduces the `f64` kernel bit-for-bit
-//!   (two `u16` legs cannot overflow or round in either domain). A
-//!   server's whole tick is one [`RoundTwo`] pass: each unordered
-//!   client pair once (link costs are symmetric, so the two directions
-//!   are one computation), one row scattered into a dense lane and the
-//!   other's live entries gathered against it; the single-pair
-//!   merge-join [`best_one_hop_rows`] computes the same answer and is
-//!   what the tests compare it with. Rows carry receipt timestamps for
-//!   the 3-routing-interval freshness rule of section 6.2.2; an
-//!   optional row entitlement is debug-asserted so a protocol
-//!   regression back to `O(n)` rows fails loudly.
-//! * [`table`] / [`entry`] — the dense `n × n` table, kept for the
-//!   full-mesh baseline (which holds every row by design) and as the
-//!   reference store in tests; it implements the same trait, so both
-//!   stores run the identical kernel.
+//! * [`store`] — the sparse [`RowStore`]: an indexed map `origin row →
+//!   (receipt time, lanes)` holding exactly the rows a node's role
+//!   entitles it to — its own row plus its `~2√n` rendezvous clients'
+//!   rows — so per-node state is the paper's `O(n√n)` bound instead of
+//!   `O(n²)`. There is one row layout: a row is stored struct-of-arrays
+//!   ([`LaneRow`]), parallel `dst`/`latency_ms`/liveness lanes holding
+//!   the exact wire bytes, ~5 B per live entry, and borrowed as a
+//!   [`RowRef`]. There is one cost domain: the wire format is already
+//!   fixed-point — latencies are integer milliseconds in a `u16`, loss
+//!   is quantized to half-percent units — so every cost in the routing
+//!   path, from the round-two kernel to the feasibility distances, is
+//!   `u32` milliseconds (a sum of `u16` legs) with the all-ones
+//!   [`INFINITE_COST`] for "no path". A server's whole tick is one
+//!   [`RoundTwo`] pass: each unordered client pair once (link costs are
+//!   symmetric, so the two directions are one computation), one row
+//!   scattered into a dense lane and the other's live entries gathered
+//!   against it; the single-pair merge-join [`best_one_hop_rows`]
+//!   computes the same answer and is what the tests compare it with.
+//!   Rows carry receipt timestamps for the 3-routing-interval freshness
+//!   rule of section 6.2.2; an optional row entitlement is
+//!   debug-asserted so a protocol regression back to `O(n)` rows fails
+//!   loudly. The kernel is written as provided methods of the
+//!   [`LinkStateStore`] trait, whose only implementor is [`RowStore`]:
+//!   the trait remains because the end-to-end benchmark package names
+//!   it, not because a second store exists (the full-mesh baseline
+//!   keeps a private matrix in `apor-routing` and shares nothing with
+//!   this module).
+//! * [`entry`] — the 3-byte link-state entry and the cost sentinel.
 //! * [`estimator`] — per-neighbour latency EWMA, loss window and the
 //!   5-consecutive-failed-probes liveness rule of RON.
 //! * [`wire`] — the compact binary message formats. The paper's section 6
@@ -85,16 +86,14 @@
 pub mod entry;
 pub mod estimator;
 pub mod store;
-pub mod table;
 pub mod wire;
 
-pub use entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
+pub use entry::{LinkEntry, INFINITE_COST};
 pub use estimator::{LinkEstimator, ProbeOutcome};
 pub use store::{
-    best_one_hop_rows, seqno_newer, LaneRow, LinkStateStore, LiveEntries, RoundTwo, RowCursor,
-    RowRef, RowStore,
+    best_one_hop_rows, seqno_newer, Detour, LaneRow, LinkStateStore, LiveEntries, RoundTwo,
+    RowCursor, RowRef, RowStore,
 };
-pub use table::LinkStateTable;
 pub use wire::{
     ls_trailer_size, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg,
     RecEntry, RecFormat, RecommendationMsg, LINKSTATE_HEADER_SIZE, LS_FLAG_SEQNO,

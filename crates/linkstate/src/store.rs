@@ -1,4 +1,4 @@
-//! The link-state storage abstraction and the sparse row store.
+//! The link-state row store and the round-two kernel.
 //!
 //! The paper's headline result is that quorum-grid rendezvous cuts
 //! per-node state and traffic from `O(n²)` to `O(n√n)`: a quorum node
@@ -6,40 +6,43 @@
 //! there is no reason for it to *allocate* an `n × n` matrix. This
 //! module makes storage honour that bound:
 //!
-//! * [`LinkStateStore`] — the trait both stores implement. The required
-//!   methods are pure storage (put/get/drop rows); the **round-two
-//!   kernel** ([`best_one_hop`](LinkStateStore::best_one_hop),
-//!   [`round_two`](LinkStateStore::round_two),
-//!   [`one_hop_options`](LinkStateStore::one_hop_options),
-//!   [`anyone_reaches`](LinkStateStore::anyone_reaches)) is written once
-//!   as provided methods, so the dense baseline and the sparse store
-//!   run the identical routing computation.
 //! * [`RowStore`] — a sparse indexed map `origin → (receipt time, row)`
 //!   holding exactly the rows a node's role entitles it to: its own
 //!   row plus its rendezvous clients' rows. Each held row is a
 //!   [`LaneRow`]: three parallel contiguous lanes (`dst`, `latency_ms`,
 //!   liveness/loss) holding only the *live* entries, ascending by
 //!   destination, in the wire's own fixed-point quantization — ~5 bytes
-//!   per entry where an array of `LinkEntry` structs needs 12. A node
-//!   probing `O(√n)` targets therefore stores `O(√n)` entries per row
-//!   and `O(n)` overall, far below even the paper's `O(n√n)` wire
-//!   bound. An optional row *entitlement* is debug-asserted on insert,
-//!   so a protocol bug that re-grows `O(n)` rows fails loudly in tests
-//!   instead of silently reintroducing the quadratic table.
-//! * [`RowRef`] — a borrowed view of one row: dense, sparse pairs, or
-//!   lanes. The round-two kernel is written once over it and is
-//!   **integer-only**: the latency lanes are already integer
-//!   milliseconds (the wire carries nothing finer), so a path cost is a
-//!   `u32` add of two `u16` legs — bit-identical to the historical
-//!   `f64` computation, because every `u16` sum is exactly
-//!   representable in both domains. It comes in two forms that agree
-//!   entry for entry:
+//!   per entry. A node probing `O(√n)` targets therefore stores `O(√n)`
+//!   entries per row and `O(n)` overall, far below even the paper's
+//!   `O(n√n)` wire bound. An optional row *entitlement* is
+//!   debug-asserted on insert, so a protocol bug that re-grows `O(n)`
+//!   rows fails loudly in tests instead of silently reintroducing the
+//!   quadratic table.
+//! * [`LinkStateStore`] — the trait [`RowStore`] implements, and its
+//!   only implementor. The required methods are pure storage
+//!   (put/get/drop rows); the **round-two kernel**
+//!   ([`best_one_hop`](LinkStateStore::best_one_hop),
+//!   [`round_two`](LinkStateStore::round_two),
+//!   [`one_hop_options`](LinkStateStore::one_hop_options),
+//!   [`anyone_reaches`](LinkStateStore::anyone_reaches)) is written as
+//!   provided methods over them. It is a trait, with one implementor,
+//!   because the end-to-end benchmark package imports it by name (the
+//!   full-mesh baseline keeps a private matrix in `apor-routing` and
+//!   does not use it); folding it into [`RowStore`] waits for a
+//!   benchmark change.
+//! * [`RowRef`] — a borrowed view of one row's lanes. There is one row
+//!   layout, so it is a plain `Copy` struct. The round-two kernel is
+//!   written over it and is **integer-only**, as is every cost in the
+//!   routing path: the latency lanes are already integer milliseconds
+//!   (the wire carries nothing finer), so a path cost is a `u32` add of
+//!   two `u16` legs with [`INFINITE_COST`] (all ones) as the sentinel.
+//!   The kernel comes in two forms that agree entry for entry:
 //!   * [`best_one_hop_rows`], one pair: an ascending merge-join over
-//!     the *live* entries of both rows, which reproduces the dense
-//!     `h = 0..n` scan's lowest-index tie-break exactly (dead entries
-//!     have infinite cost and can never win, so skipping them is
-//!     observationally neutral). It is the single-pair API and the
-//!     oracle the tests hold the other form to.
+//!     the live entries of both rows, which visits relays in index
+//!     order and so breaks cost ties towards the lowest index (dead
+//!     entries have infinite cost and can never win, so not storing
+//!     them is observationally neutral). It is the single-pair API and
+//!     the form the tests hold the other one to.
 //!   * [`RoundTwo`], a whole tick
 //!     ([`round_two`](LinkStateStore::round_two)): every row resolved
 //!     and freshness-checked once, each *unordered* pair computed once —
@@ -55,65 +58,45 @@
 //!   pair, under full-mesh probing — either form collapses to an
 //!   elementwise reduction over the two latency lanes, which the
 //!   compiler vectorizes.
-//!
-//! The dense [`LinkStateTable`](crate::table::LinkStateTable) stays for
-//! the full-mesh baseline (which genuinely holds all `n` rows, each
-//! dense lookups `O(1)`) and as the reference implementation in tests.
 
-use crate::entry::{Cost, LinkEntry, INFINITE_COST, INFINITE_COST_U32};
+use crate::entry::{LinkEntry, INFINITE_COST};
 use apor_telemetry::{Counter, EventKind, Gauge, Severity, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A borrowed view of one link-state row: dense, sparse pairs, or lanes.
+/// A borrowed view of one link-state row: the three index-aligned lanes
+/// of a [`LaneRow`] over a row of `width` destinations.
 ///
-/// Sparse rows hold `(dst, entry)` pairs strictly ascending by `dst`;
-/// destinations not listed read as [`LinkEntry::dead`]. Lane rows are
-/// the struct-of-arrays equivalent (see [`LaneRow`]): three parallel
-/// slices in wire quantization, holding **live entries only**. All
-/// variants expose `O(1)`/`O(log k)` random access and an ascending
-/// iterator over *live* entries, which is all the round-two kernel
-/// needs; repeated ascending probes should go through [`RowRef::cursor`]
-/// instead of [`RowRef::get`].
+/// The lanes hold **live entries only**, strictly ascending by
+/// destination, in the exact wire quantization ([`LinkEntry::encode`]):
+/// `liveness_loss[i]` is the wire liveness byte (bit 7 always set),
+/// `latency_ms[i]` the wire latency. Destinations not listed read as
+/// [`LinkEntry::dead`]. Random access is `O(log k)`; repeated ascending
+/// probes should go through [`RowRef::cursor`] instead of
+/// [`RowRef::get`].
 #[derive(Debug, Clone, Copy)]
-pub enum RowRef<'a> {
-    /// A full-width row — every destination has an explicit entry.
-    Dense(&'a [LinkEntry]),
-    /// Live-entries-only row over a row of `width` destinations.
-    Sparse {
-        /// Full row width (`n`); destinations ≥ `width` are out of range.
-        width: usize,
-        /// `(dst, entry)` pairs, strictly ascending by `dst`.
-        entries: &'a [(u16, LinkEntry)],
-    },
-    /// Struct-of-arrays live entries over a row of `width` destinations.
-    ///
-    /// The three lanes are index-aligned and hold live entries only,
-    /// strictly ascending by destination, in the exact wire
-    /// quantization ([`LinkEntry::encode`]): `liveness_loss[i]` is the
-    /// wire liveness byte (bit 7 always set here), `latency_ms[i]` the
-    /// wire latency.
-    Lanes {
-        /// Full row width (`n`); destinations ≥ `width` are out of range.
-        width: usize,
-        /// Destination lane, strictly ascending.
-        dst: &'a [u16],
-        /// Latency lane (integer milliseconds, wire-clamped).
-        latency_ms: &'a [u16],
-        /// Liveness/loss lane (the exact wire byte).
-        liveness_loss: &'a [u8],
-    },
+pub struct RowRef<'a> {
+    /// Full row width (`n`); destinations ≥ `width` are out of range.
+    width: usize,
+    /// Destination lane, strictly ascending.
+    dst: &'a [u16],
+    /// Latency lane (integer milliseconds, wire-clamped).
+    latency_ms: &'a [u16],
+    /// Liveness/loss lane (the exact wire byte).
+    liveness_loss: &'a [u8],
 }
 
 impl<'a> RowRef<'a> {
     /// Full width of the row (`n`).
     #[must_use]
     pub fn width(&self) -> usize {
-        match self {
-            RowRef::Dense(r) => r.len(),
-            RowRef::Sparse { width, .. } | RowRef::Lanes { width, .. } => *width,
-        }
+        self.width
+    }
+
+    /// The stored entry at lane position `i`.
+    fn entry_at(&self, i: usize) -> LinkEntry {
+        LinkEntry::from_wire_parts(self.latency_ms[i], self.liveness_loss[i])
     }
 
     /// The entry for `dst` (dead when not stored).
@@ -122,59 +105,23 @@ impl<'a> RowRef<'a> {
     /// Panics if `dst ≥ width()`.
     #[must_use]
     pub fn get(&self, dst: usize) -> LinkEntry {
-        match self {
-            RowRef::Dense(r) => r[dst],
-            RowRef::Sparse { width, entries } => {
-                assert!(dst < *width, "dst {dst} out of range");
-                match entries.binary_search_by_key(&(dst as u16), |e| e.0) {
-                    Ok(i) => entries[i].1,
-                    Err(_) => LinkEntry::dead(),
-                }
-            }
-            RowRef::Lanes {
-                width,
-                dst: dsts,
-                latency_ms,
-                liveness_loss,
-            } => {
-                assert!(dst < *width, "dst {dst} out of range");
-                match dsts.binary_search(&(dst as u16)) {
-                    Ok(i) => LinkEntry::from_wire_parts(latency_ms[i], liveness_loss[i]),
-                    Err(_) => LinkEntry::dead(),
-                }
-            }
-        }
+        assert!(dst < self.width, "dst {dst} out of range");
+        self.dst
+            .binary_search(&(dst as u16))
+            .map_or_else(|_| LinkEntry::dead(), |i| self.entry_at(i))
     }
 
-    /// Routing cost of the `dst` entry as the integer kernel sees it:
-    /// the latency lane when alive, [`INFINITE_COST_U32`] otherwise.
+    /// Routing cost of the `dst` entry: the latency lane when alive,
+    /// [`INFINITE_COST`] otherwise.
     ///
     /// # Panics
     /// Panics if `dst ≥ width()`.
     #[must_use]
-    pub fn cost_u32(&self, dst: usize) -> u32 {
-        match self {
-            RowRef::Dense(r) => r[dst].cost_u32(),
-            RowRef::Sparse { width, entries } => {
-                assert!(dst < *width, "dst {dst} out of range");
-                match entries.binary_search_by_key(&(dst as u16), |e| e.0) {
-                    Ok(i) => entries[i].1.cost_u32(),
-                    Err(_) => INFINITE_COST_U32,
-                }
-            }
-            RowRef::Lanes {
-                width,
-                dst: dsts,
-                latency_ms,
-                ..
-            } => {
-                assert!(dst < *width, "dst {dst} out of range");
-                match dsts.binary_search(&(dst as u16)) {
-                    Ok(i) => u32::from(latency_ms[i]),
-                    Err(_) => INFINITE_COST_U32,
-                }
-            }
-        }
+    pub fn cost(&self, dst: usize) -> u32 {
+        assert!(dst < self.width, "dst {dst} out of range");
+        self.dst
+            .binary_search(&(dst as u16))
+            .map_or(INFINITE_COST, |i| u32::from(self.latency_ms[i]))
     }
 
     /// A resumable lookup cursor over this row. Probing destinations in
@@ -190,191 +137,49 @@ impl<'a> RowRef<'a> {
     /// Iterate the live entries as `(dst, entry)`, ascending by `dst`.
     #[must_use]
     pub fn iter_live(&self) -> LiveEntries<'a> {
-        match self {
-            RowRef::Dense(r) => LiveEntries::Dense { row: r, next: 0 },
-            RowRef::Sparse { entries, .. } => LiveEntries::Sparse {
-                iter: entries.iter(),
-            },
-            RowRef::Lanes {
-                dst,
-                latency_ms,
-                liveness_loss,
-                ..
-            } => LiveEntries::Lanes {
-                dst,
-                latency_ms,
-                liveness_loss,
-                next: 0,
-            },
+        LiveEntries {
+            row: *self,
+            next: 0,
         }
     }
 
-    /// Iterate the live entries as `(dst, integer cost)`, ascending by
-    /// `dst` — the kernel-facing view: no `LinkEntry` (and no `f32`
-    /// loss reconstruction) is materialised.
-    fn iter_costs(&self) -> LiveCosts<'a> {
-        match self {
-            RowRef::Dense(r) => LiveCosts::Dense { row: r, next: 0 },
-            RowRef::Sparse { entries, .. } => LiveCosts::Sparse {
-                iter: entries.iter(),
-            },
-            RowRef::Lanes {
-                dst, latency_ms, ..
-            } => LiveCosts::Lanes {
-                dst,
-                latency_ms,
-                next: 0,
-            },
-        }
+    /// Iterate the live entries as `(dst, cost)`, ascending by `dst` —
+    /// the kernel-facing view: no `LinkEntry` (and no `f32` loss
+    /// reconstruction) is materialised.
+    fn iter_costs(&self) -> impl Iterator<Item = (usize, u32)> + 'a {
+        let (dst, latency_ms) = (self.dst, self.latency_ms);
+        dst.iter()
+            .zip(latency_ms)
+            .map(|(&d, &l)| (usize::from(d), u32::from(l)))
     }
 
     /// Materialise a full-width row (absent entries dead).
     #[must_use]
     pub fn to_dense(&self) -> Vec<LinkEntry> {
-        match self {
-            RowRef::Dense(r) => r.to_vec(),
-            RowRef::Sparse { width, entries } => {
-                let mut out = vec![LinkEntry::dead(); *width];
-                for &(dst, e) in *entries {
-                    out[dst as usize] = e;
-                }
-                out
-            }
-            RowRef::Lanes { width, .. } => {
-                let mut out = vec![LinkEntry::dead(); *width];
-                for (dst, e) in self.iter_live() {
-                    out[dst] = e;
-                }
-                out
-            }
+        let mut out = vec![LinkEntry::dead(); self.width];
+        for (dst, e) in self.iter_live() {
+            out[dst] = e;
         }
+        out
     }
 }
 
 /// Ascending iterator over the live entries of a [`RowRef`].
 #[derive(Debug)]
-pub enum LiveEntries<'a> {
-    /// Scanning a dense row, skipping dead entries.
-    Dense {
-        /// The row being scanned.
-        row: &'a [LinkEntry],
-        /// Next index to examine.
-        next: usize,
-    },
-    /// Walking a sparse row's stored pairs.
-    Sparse {
-        /// Remaining pairs.
-        iter: std::slice::Iter<'a, (u16, LinkEntry)>,
-    },
-    /// Walking a lane row's parallel slices (live by construction).
-    Lanes {
-        /// Destination lane.
-        dst: &'a [u16],
-        /// Latency lane.
-        latency_ms: &'a [u16],
-        /// Liveness/loss lane (wire byte).
-        liveness_loss: &'a [u8],
-        /// Next lane index to yield.
-        next: usize,
-    },
+pub struct LiveEntries<'a> {
+    row: RowRef<'a>,
+    /// Next lane index to yield.
+    next: usize,
 }
 
 impl Iterator for LiveEntries<'_> {
     type Item = (usize, LinkEntry);
 
     fn next(&mut self) -> Option<(usize, LinkEntry)> {
-        match self {
-            LiveEntries::Dense { row, next } => {
-                while *next < row.len() {
-                    let i = *next;
-                    *next += 1;
-                    if row[i].alive {
-                        return Some((i, row[i]));
-                    }
-                }
-                None
-            }
-            LiveEntries::Sparse { iter } => iter
-                .by_ref()
-                .find(|(_, e)| e.alive)
-                .map(|&(d, e)| (d as usize, e)),
-            LiveEntries::Lanes {
-                dst,
-                latency_ms,
-                liveness_loss,
-                next,
-            } => {
-                let i = *next;
-                if i < dst.len() {
-                    *next += 1;
-                    Some((
-                        dst[i] as usize,
-                        LinkEntry::from_wire_parts(latency_ms[i], liveness_loss[i]),
-                    ))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-}
-
-/// Ascending iterator over `(dst, integer cost)` of a row's live
-/// entries — what the integer kernel consumes. Unlike [`LiveEntries`]
-/// it never reconstructs a `LinkEntry` (no `f32` loss division on the
-/// hot path).
-enum LiveCosts<'a> {
-    Dense {
-        row: &'a [LinkEntry],
-        next: usize,
-    },
-    Sparse {
-        iter: std::slice::Iter<'a, (u16, LinkEntry)>,
-    },
-    Lanes {
-        dst: &'a [u16],
-        latency_ms: &'a [u16],
-        next: usize,
-    },
-}
-
-impl Iterator for LiveCosts<'_> {
-    type Item = (usize, u32);
-
-    // The merge-join's inner loop. With the round-two kernel as further
-    // call sites the compiler stops inlining it unprompted, and the
-    // dense-row `best_one_hop` benches run ~40 % slower.
-    #[inline]
-    fn next(&mut self) -> Option<(usize, u32)> {
-        match self {
-            LiveCosts::Dense { row, next } => {
-                while *next < row.len() {
-                    let i = *next;
-                    *next += 1;
-                    if row[i].alive {
-                        return Some((i, u32::from(row[i].latency_ms)));
-                    }
-                }
-                None
-            }
-            LiveCosts::Sparse { iter } => iter
-                .by_ref()
-                .find(|(_, e)| e.alive)
-                .map(|&(d, e)| (d as usize, u32::from(e.latency_ms))),
-            LiveCosts::Lanes {
-                dst,
-                latency_ms,
-                next,
-            } => {
-                let i = *next;
-                if i < dst.len() {
-                    *next += 1;
-                    Some((dst[i] as usize, u32::from(latency_ms[i])))
-                } else {
-                    None
-                }
-            }
-        }
+        let i = self.next;
+        let &d = self.row.dst.get(i)?;
+        self.next += 1;
+        Some((usize::from(d), self.row.entry_at(i)))
     }
 }
 
@@ -394,30 +199,23 @@ pub struct RowCursor<'a> {
 }
 
 impl RowCursor<'_> {
-    /// Position the cursor on `target` within a keyed lane/pair row of
-    /// `len` entries whose `i`-th key is `key(i)`; returns the entry
-    /// index on a hit.
-    fn seek(&mut self, len: usize, key: impl Fn(usize) -> u16, target: u16) -> Option<usize> {
-        if self.pos < len && key(self.pos) <= target {
+    /// Position the cursor on `dst`; returns the lane index on a hit.
+    ///
+    /// # Panics
+    /// Panics if `dst ≥ width()`.
+    fn seek(&mut self, dst: usize) -> Option<usize> {
+        assert!(dst < self.row.width, "dst {dst} out of range");
+        let (keys, target) = (self.row.dst, dst as u16);
+        if keys.get(self.pos).is_some_and(|&k| k <= target) {
             // Ascending (or repeated) probe: walk forward.
-            while self.pos < len && key(self.pos) < target {
+            while keys.get(self.pos).is_some_and(|&k| k < target) {
                 self.pos += 1;
             }
-            return (self.pos < len && key(self.pos) == target).then_some(self.pos);
+        } else {
+            // Backwards probe or exhausted cursor: one binary search.
+            self.pos = keys.partition_point(|&k| k < target);
         }
-        // Backwards probe or exhausted cursor: one binary search.
-        let mut lo = 0usize;
-        let mut hi = len;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if key(mid) < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        self.pos = lo;
-        (lo < len && key(lo) == target).then_some(lo)
+        (keys.get(self.pos) == Some(&target)).then_some(self.pos)
     }
 
     /// The entry for `dst` (dead when not stored), like [`RowRef::get`]
@@ -426,53 +224,19 @@ impl RowCursor<'_> {
     /// # Panics
     /// Panics if `dst ≥ width()`.
     pub fn get(&mut self, dst: usize) -> LinkEntry {
-        match self.row {
-            RowRef::Dense(r) => r[dst],
-            RowRef::Sparse { width, entries } => {
-                assert!(dst < width, "dst {dst} out of range");
-                self.seek(entries.len(), |i| entries[i].0, dst as u16)
-                    .map_or_else(LinkEntry::dead, |i| entries[i].1)
-            }
-            RowRef::Lanes {
-                width,
-                dst: dsts,
-                latency_ms,
-                liveness_loss,
-            } => {
-                assert!(dst < width, "dst {dst} out of range");
-                self.seek(dsts.len(), |i| dsts[i], dst as u16)
-                    .map_or_else(LinkEntry::dead, |i| {
-                        LinkEntry::from_wire_parts(latency_ms[i], liveness_loss[i])
-                    })
-            }
-        }
+        self.seek(dst)
+            .map_or_else(LinkEntry::dead, |i| self.row.entry_at(i))
     }
 
-    /// Integer routing cost of the `dst` entry ([`INFINITE_COST_U32`]
-    /// when dead or not stored), like [`RowRef::cost_u32`] but
-    /// amortized `O(1)` across ascending probes.
+    /// Routing cost of the `dst` entry ([`INFINITE_COST`] when dead or
+    /// not stored), like [`RowRef::cost`] but amortized `O(1)` across
+    /// ascending probes.
     ///
     /// # Panics
     /// Panics if `dst ≥ width()`.
-    pub fn cost_u32(&mut self, dst: usize) -> u32 {
-        match self.row {
-            RowRef::Dense(r) => r[dst].cost_u32(),
-            RowRef::Sparse { width, entries } => {
-                assert!(dst < width, "dst {dst} out of range");
-                self.seek(entries.len(), |i| entries[i].0, dst as u16)
-                    .map_or(INFINITE_COST_U32, |i| entries[i].1.cost_u32())
-            }
-            RowRef::Lanes {
-                width,
-                dst: dsts,
-                latency_ms,
-                ..
-            } => {
-                assert!(dst < width, "dst {dst} out of range");
-                self.seek(dsts.len(), |i| dsts[i], dst as u16)
-                    .map_or(INFINITE_COST_U32, |i| u32::from(latency_ms[i]))
-            }
-        }
+    pub fn cost(&mut self, dst: usize) -> u32 {
+        self.seek(dst)
+            .map_or(INFINITE_COST, |i| u32::from(self.row.latency_ms[i]))
     }
 }
 
@@ -549,23 +313,20 @@ fn lanes_shared_best(
     None
 }
 
-/// **The round-two kernel**, integer-only, written once over borrowed
-/// rows: the best one-hop path `a → h → b` computable from row `a` and
-/// row `b` (`h == b` means the direct link), as a `(hop, cost)` pair in
-/// integer milliseconds, or `None` when no finite path exists.
+/// **The round-two kernel**, integer-only, over borrowed rows: the
+/// best one-hop path `a → h → b` computable from row `a` and row `b`
+/// (`h == b` means the direct link), as a `(hop, cost)` pair in integer
+/// milliseconds, or `None` when no finite path exists.
 ///
 /// Costs are exact: the wire carries integer-millisecond latencies, so
-/// a path cost is a `u32` add of two `u16` legs with
-/// [`INFINITE_COST_U32`] as the infinite sentinel — every value is also
-/// exactly representable in `f64`, which is why this is bit-identical
-/// to the historical floating-point kernel. The direct cost is the
-/// minimum of the two directions' estimates; ties prefer the direct
-/// link, then the lowest hop index (the ascending merge-join yields
-/// candidates in index order and only a strict improvement replaces the
-/// incumbent).
+/// a path cost is a `u32` add of two `u16` legs with [`INFINITE_COST`]
+/// as the infinite sentinel. The direct cost is the minimum of the two
+/// directions' estimates; ties prefer the direct link, then the lowest
+/// hop index (the ascending merge-join yields candidates in index order
+/// and only a strict improvement replaces the incumbent).
 ///
-/// Two lane rows listing the same destinations — the steady state for
-/// a warm quorum server whose clients probe the same target set — take
+/// Two rows listing the same destinations — the steady state for a
+/// warm quorum server whose clients probe the same target set — take
 /// an elementwise fast path over the latency lanes instead of the
 /// merge-join; the result is identical.
 ///
@@ -578,47 +339,35 @@ pub fn best_one_hop_rows(
     a: usize,
     b: usize,
 ) -> Option<(usize, u32)> {
-    let direct = row_a.cost_u32(b).min(row_b.cost_u32(a));
+    let direct = row_a.cost(b).min(row_b.cost(a));
     let mut best_hop = b;
     let mut best_cost = direct;
-    let relay = match (row_a, row_b) {
-        (
-            RowRef::Lanes {
-                dst: da,
-                latency_ms: la,
-                ..
-            },
-            RowRef::Lanes {
-                dst: db,
-                latency_ms: lb,
-                ..
-            },
-        ) if da == db => lanes_shared_best(da, la, lb, a, b),
-        _ => {
-            let mut it_a = row_a.iter_costs();
-            let mut it_b = row_b.iter_costs();
-            let (mut cur_a, mut cur_b) = (it_a.next(), it_b.next());
-            let mut best: Option<(usize, u32)> = None;
-            while let (Some((ha, ca)), Some((hb, cb))) = (cur_a, cur_b) {
-                match ha.cmp(&hb) {
-                    std::cmp::Ordering::Less => cur_a = it_a.next(),
-                    std::cmp::Ordering::Greater => cur_b = it_b.next(),
-                    std::cmp::Ordering::Equal => {
-                        if ha != a && ha != b {
-                            // Both legs live: the sum of two u16s cannot
-                            // reach the u32 sentinel.
-                            let c = ca + cb;
-                            if best.is_none_or(|(_, bc)| c < bc) {
-                                best = Some((ha, c));
-                            }
+    let relay = if row_a.dst == row_b.dst {
+        lanes_shared_best(row_a.dst, row_a.latency_ms, row_b.latency_ms, a, b)
+    } else {
+        let mut it_a = row_a.iter_costs();
+        let mut it_b = row_b.iter_costs();
+        let (mut cur_a, mut cur_b) = (it_a.next(), it_b.next());
+        let mut best: Option<(usize, u32)> = None;
+        while let (Some((ha, ca)), Some((hb, cb))) = (cur_a, cur_b) {
+            match ha.cmp(&hb) {
+                std::cmp::Ordering::Less => cur_a = it_a.next(),
+                std::cmp::Ordering::Greater => cur_b = it_b.next(),
+                std::cmp::Ordering::Equal => {
+                    if ha != a && ha != b {
+                        // Both legs live: the sum of two u16s cannot
+                        // reach the u32 sentinel.
+                        let c = ca + cb;
+                        if best.is_none_or(|(_, bc)| c < bc) {
+                            best = Some((ha, c));
                         }
-                        cur_a = it_a.next();
-                        cur_b = it_b.next();
                     }
+                    cur_a = it_a.next();
+                    cur_b = it_b.next();
                 }
             }
-            best
         }
+        best
     };
     if let Some((h, c)) = relay {
         if c < best_cost {
@@ -626,7 +375,7 @@ pub fn best_one_hop_rows(
             best_hop = h;
         }
     }
-    (best_cost != INFINITE_COST_U32).then_some((best_hop, best_cost))
+    (best_cost != INFINITE_COST).then_some((best_hop, best_cost))
 }
 
 /// A dead slot of the scatter lane: above any sum of two `u16` legs
@@ -721,23 +470,12 @@ impl RoundTwo {
                 if a == b {
                     continue;
                 }
-                let direct = lane[b].min(row_b.cost_u32(a));
-                let relay = match (&row_a, &row_b) {
-                    (
-                        RowRef::Lanes {
-                            dst: da,
-                            latency_ms: la,
-                            ..
-                        },
-                        RowRef::Lanes {
-                            dst: db,
-                            latency_ms: lb,
-                            ..
-                        },
-                    ) if da == db => {
-                        lanes_shared_best(da, la, lb, a, b).map_or(NO_PATH, |(h, c)| pack(c, h))
-                    }
-                    _ => gather_best_relay(&row_b, &lane),
+                let direct = lane[b].min(row_b.cost(a));
+                let relay = if row_a.dst == row_b.dst {
+                    lanes_shared_best(row_a.dst, row_a.latency_ms, row_b.latency_ms, a, b)
+                        .map_or(NO_PATH, |(h, c)| pack(c, h))
+                } else {
+                    gather_best_relay(&row_b, &lane)
                 };
                 // `direct ≤ LANE_DEAD`, so a relay that beats it is real.
                 let (ab, ba) = if relay >> 16 < u64::from(direct) {
@@ -800,10 +538,8 @@ impl RoundTwo {
 /// the wire therefore round-trips bit-identically: re-encoding the
 /// lanes reproduces the frame bytes.
 ///
-/// ~5 bytes per entry ([`LaneRow::ENTRY_BYTES`]) versus 12 for the
-/// array-of-structs `(u16, LinkEntry)` layout this replaces, and the
-/// latency lane is directly consumable by the integer kernel with no
-/// decode step.
+/// ~5 bytes per entry ([`LaneRow::ENTRY_BYTES`]), and the latency lane
+/// is directly consumable by the integer kernel with no decode step.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneRow {
     dst: Box<[u16]>,
@@ -899,7 +635,8 @@ impl LaneRow {
 
     /// The three index-aligned lanes — destination, latency, liveness —
     /// exactly as a frame carries them.
-    pub(crate) fn lanes(&self) -> (&[u16], &[u16], &[u8]) {
+    #[must_use]
+    pub fn lanes(&self) -> (&[u16], &[u16], &[u8]) {
         (&self.dst, &self.latency_ms, &self.liveness_loss)
     }
 
@@ -938,10 +675,10 @@ impl LaneRow {
         self.dst.is_empty()
     }
 
-    /// Borrow as a [`RowRef::Lanes`] over a row of `width` destinations.
+    /// Borrow as a [`RowRef`] over a row of `width` destinations.
     #[must_use]
     pub fn as_row_ref(&self, width: usize) -> RowRef<'_> {
-        RowRef::Lanes {
+        RowRef {
             width,
             dst: &self.dst,
             latency_ms: &self.latency_ms,
@@ -991,15 +728,30 @@ impl LaneRow {
     }
 }
 
+/// A candidate detour `a → r₁ → … → b` spliced from held rows by
+/// [`LinkStateStore::k_hop_options`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Detour {
+    /// The full path: `path[0]` is the source, `path[1]` the first
+    /// relay, the last element the destination.
+    pub path: Vec<usize>,
+    /// Total path cost, ms.
+    pub cost: u32,
+    /// The *remaining* cost after the first leg — what the first relay
+    /// effectively advertises for the rest of the path, and what the
+    /// feasibility discipline compares against its feasibility
+    /// distance.
+    pub advertised: u32,
+}
+
 /// Storage of link-state rows plus the round-two route computation.
 ///
-/// A row logically covers all `n` destinations; what varies between
-/// implementations is *which* origins have a row at all and whether a
-/// held row is materialised densely or as its live entries only (see
-/// [`RowRef`]). "Present" means a row was received (it has a receipt
-/// time); a present row may still be stale for routing — the kernel
-/// methods apply the paper's 3-routing-interval freshness rule
-/// (section 6.2.2) on top.
+/// A row logically covers all `n` destinations; a store decides *which*
+/// origins have a row at all, and a held row materialises its live
+/// entries only (see [`RowRef`]). "Present" means a row was received
+/// (it has a receipt time); a present row may still be stale for
+/// routing — the kernel methods apply the paper's 3-routing-interval
+/// freshness rule (section 6.2.2) on top.
 pub trait LinkStateStore {
     /// Number of nodes covered (row width).
     fn len(&self) -> usize;
@@ -1009,38 +761,16 @@ pub trait LinkStateStore {
         self.len() == 0
     }
 
-    /// Replace row `origin` with the full-width `entries`, stamped at
-    /// `now` seconds: [`put_row`](LinkStateStore::put_row) of the
-    /// entries reduced to lanes, unversioned.
-    ///
-    /// # Panics
-    /// Panics if `entries.len() != len()` or `origin ≥ len()`.
-    fn update_row(&mut self, origin: usize, entries: &[LinkEntry], now: f64) {
-        assert_eq!(entries.len(), self.len(), "row must have n entries");
-        self.put_row(origin, Arc::new(LaneRow::from_dense(entries)), now);
-    }
-
-    /// Replace row `origin` with sparse `(dst, entry)` pairs, strictly
-    /// ascending by `dst`; destinations not listed become dead. Stamped
-    /// at `now`, unversioned.
-    ///
-    /// # Panics
-    /// Panics if `origin ≥ len()` or any `dst ≥ len()`; ordering is
-    /// debug-asserted.
-    fn update_row_sparse(&mut self, origin: usize, entries: &[(u16, LinkEntry)], now: f64) {
-        self.put_row(origin, Arc::new(LaneRow::from_pairs(entries)), now);
-    }
-
     /// **The row ingest.** Replace row `origin` with `row` — live-entry
     /// lanes plus the origin's seqno and retraction lane, as a
     /// link-state frame carries them — stamped at `now` seconds.
     /// Returns `false` (row unchanged) when the held row is versioned
     /// and strictly newer than the incoming one — the stale-replay
     /// guard. A zero seqno on either side is unversioned and always
-    /// accepted. Stores that keep rows as lanes hold on to the `Arc`
-    /// itself, so a decoded frame's row is stored without copying;
-    /// stores that do not track versions (the dense baseline) accept
-    /// every row and drop seqno and retractions.
+    /// accepted. The store holds on to the `Arc` itself, so a decoded
+    /// frame's row is stored without copying; a caller with a
+    /// full-width `&[LinkEntry]` reduces it first
+    /// ([`LaneRow::from_dense`]).
     ///
     /// # Panics
     /// Panics if `origin ≥ len()` or the row lists a destination
@@ -1048,20 +778,14 @@ pub trait LinkStateStore {
     fn put_row(&mut self, origin: usize, row: Arc<LaneRow>, now: f64) -> bool;
 
     /// The held seqno of row `origin` (0 = absent or unversioned).
-    fn row_seqno(&self, _origin: usize) -> u16 {
-        0
-    }
+    fn row_seqno(&self, origin: usize) -> u16;
 
     /// Did row `origin` explicitly retract `dst` at its current seqno?
-    fn row_retracts(&self, _origin: usize, _dst: usize) -> bool {
-        false
-    }
+    fn row_retracts(&self, origin: usize, dst: usize) -> bool;
 
     /// The full retraction lane of row `origin`, ascending (empty when
-    /// the row is absent or the store does not track versions).
-    fn row_retractions(&self, _origin: usize) -> Vec<u16> {
-        Vec::new()
-    }
+    /// the row is absent).
+    fn row_retractions(&self, origin: usize) -> Vec<u16>;
 
     /// Update a single entry of a row (used for the node's own row,
     /// which its probers refresh incrementally). Creates the row (all
@@ -1090,12 +814,9 @@ pub trait LinkStateStore {
     /// scale experiments assert against (`O(√n)` for a quorum node).
     fn row_count(&self) -> usize;
 
-    /// Number of link entries currently allocated — the per-node memory
-    /// figure the scale experiments report. Dense stores count the full
-    /// matrix; sparse stores count only what they hold.
-    fn entry_count(&self) -> usize {
-        self.row_count() * self.len()
-    }
+    /// Number of link entries currently held — the per-node memory
+    /// figure the scale experiments report.
+    fn entry_count(&self) -> usize;
 
     // ------------------------------------------------------------------
     // Provided accessors
@@ -1123,16 +844,17 @@ pub trait LinkStateStore {
             .map_or_else(LinkEntry::dead, |r| r.get(dst))
     }
 
-    /// Routing cost of `origin → dst` (infinite when dead/unknown).
-    fn cost(&self, origin: usize, dst: usize) -> Cost {
+    /// Routing cost of `origin → dst` in integer milliseconds
+    /// ([`INFINITE_COST`] when dead/unknown).
+    fn cost(&self, origin: usize, dst: usize) -> u32 {
         if origin == dst {
-            return 0.0;
+            return 0;
         }
-        self.entry(origin, dst).cost()
+        self.row_ref(origin).map_or(INFINITE_COST, |r| r.cost(dst))
     }
 
     // ------------------------------------------------------------------
-    // The round-two kernel — written once, over the trait
+    // The round-two kernel
     // ------------------------------------------------------------------
 
     /// **The round-two kernel.** Best one-hop path `a → h → b` (or the
@@ -1150,22 +872,20 @@ pub trait LinkStateStore {
     /// [`best_one_hop_rows`]: an ascending merge-join over the *live*
     /// entries of both rows (a finite path cost needs both legs alive,
     /// so only the intersection of the live sets can win, and ascending
-    /// order reproduces the dense `h = 0..n` scan's lowest-index
-    /// tie-break exactly), collapsing to a vectorized elementwise lane
-    /// reduction when both rows share one destination lane. Cost is
-    /// `O(k_a + k_b)` live entries instead of `O(n)`, with no `f64`
-    /// and no `LinkEntry` materialisation — the integer result converts
-    /// exactly.
+    /// order gives the `h = 0..n` scan's lowest-index tie-break),
+    /// collapsing to a vectorized elementwise lane reduction when both
+    /// rows share one destination lane. Cost is `O(k_a + k_b)` live
+    /// entries instead of `O(n)`, with no `LinkEntry` materialisation.
     ///
     /// Returns `None` when either row is missing/stale or no finite
     /// path exists.
-    fn best_one_hop(&self, a: usize, b: usize, now: f64, max_age: f64) -> Option<(usize, Cost)> {
+    fn best_one_hop(&self, a: usize, b: usize, now: f64, max_age: f64) -> Option<(usize, u32)> {
         if a == b || !self.row_fresh(a, now, max_age) || !self.row_fresh(b, now, max_age) {
             return None;
         }
         let row_a = self.row_ref(a).expect("fresh row present");
         let row_b = self.row_ref(b).expect("fresh row present");
-        best_one_hop_rows(&row_a, &row_b, a, b).map(|(h, c)| (h, f64::from(c)))
+        best_one_hop_rows(&row_a, &row_b, a, b)
     }
 
     /// **Round two for a whole tick.** Every recommendation a rendezvous
@@ -1199,7 +919,7 @@ pub trait LinkStateStore {
     /// row `a` ascend with `present_rows`, so they ride a [`RowCursor`]
     /// (amortized `O(1)` per candidate) rather than a fresh binary
     /// search each.
-    fn one_hop_options(&self, a: usize, b: usize, now: f64, max_age: f64) -> Vec<(usize, Cost)> {
+    fn one_hop_options(&self, a: usize, b: usize, now: f64, max_age: f64) -> Vec<(usize, u32)> {
         if a == b || !self.row_fresh(a, now, max_age) {
             return Vec::new();
         }
@@ -1213,17 +933,17 @@ pub trait LinkStateStore {
             if !self.row_fresh(h, now, max_age) {
                 continue;
             }
-            let leg1 = cur_a.cost_u32(h);
-            if leg1 == INFINITE_COST_U32 {
+            let leg1 = cur_a.cost(h);
+            if leg1 == INFINITE_COST {
                 continue;
             }
-            let leg2 = self.entry(h, b).cost_u32();
-            if leg2 == INFINITE_COST_U32 {
+            let leg2 = self.cost(h, b);
+            if leg2 == INFINITE_COST {
                 continue;
             }
-            out.push((h, f64::from(leg1 + leg2)));
+            out.push((h, leg1 + leg2));
         }
-        out.sort_by(|x, y| x.1.partial_cmp(&y.1).unwrap().then(x.0.cmp(&y.0)));
+        out.sort_by_key(|&(h, c)| (c, h));
         out
     }
 
@@ -1234,13 +954,8 @@ pub trait LinkStateStore {
     /// participate — `O(√n)` relays for a quorum node — and paths are
     /// simple by construction, so a candidate can never revisit a node.
     ///
-    /// Returns one option per viable first relay: the full path
-    /// (`path[0] == a`, `path.last() == b`), its total cost, and the
-    /// *remaining* cost after the first leg — the cost the first relay
-    /// effectively advertises for the rest of the path, which is what
-    /// the feasibility discipline compares against its feasibility
-    /// distance. Sorted by total cost, lowest first-relay index on
-    /// ties. The hop-layered relaxation runs `O(k·√n·√n)` integer
+    /// Returns one [`Detour`] per viable first relay, sorted by total
+    /// cost, lowest first-relay index on ties. The hop-layered relaxation runs `O(k·√n·√n)` integer
     /// additions off the per-tick hot path (failover only); the
     /// per-tick round-two kernel is untouched.
     fn k_hop_options(
@@ -1250,7 +965,7 @@ pub trait LinkStateStore {
         max_hops: usize,
         now: f64,
         max_age: f64,
-    ) -> Vec<(Vec<usize>, Cost, Cost)> {
+    ) -> Vec<Detour> {
         if a == b || max_hops == 0 || !self.row_fresh(a, now, max_age) {
             return Vec::new();
         }
@@ -1264,8 +979,8 @@ pub trait LinkStateStore {
         let mut best: Vec<Option<(u32, Vec<usize>)>> = relays
             .iter()
             .map(|&r| {
-                let c = self.entry(r, b).cost_u32();
-                (c != INFINITE_COST_U32).then(|| (c, vec![r, b]))
+                let c = self.cost(r, b);
+                (c != INFINITE_COST).then(|| (c, vec![r, b]))
             })
             .collect();
         for _ in 1..max_hops {
@@ -1280,8 +995,8 @@ pub trait LinkStateStore {
                     let Some((tail_cost, tail)) = &prev[j] else {
                         continue;
                     };
-                    let leg = cur.cost_u32(s);
-                    if leg == INFINITE_COST_U32 || tail.contains(&r) {
+                    let leg = cur.cost(s);
+                    if leg == INFINITE_COST || tail.contains(&r) {
                         continue;
                     }
                     let total = leg + tail_cost;
@@ -1302,16 +1017,20 @@ pub trait LinkStateStore {
             let Some((tail_cost, tail)) = &best[i] else {
                 continue;
             };
-            let leg1 = cur_a.cost_u32(r);
-            if leg1 == INFINITE_COST_U32 {
+            let leg1 = cur_a.cost(r);
+            if leg1 == INFINITE_COST {
                 continue;
             }
             let mut path = Vec::with_capacity(tail.len() + 1);
             path.push(a);
             path.extend_from_slice(tail);
-            out.push((path, f64::from(leg1 + tail_cost), f64::from(*tail_cost)));
+            out.push(Detour {
+                path,
+                cost: leg1 + tail_cost,
+                advertised: *tail_cost,
+            });
         }
-        out.sort_by(|x, y| x.1.partial_cmp(&y.1).unwrap().then(x.0[1].cmp(&y.0[1])));
+        out.sort_by_key(|d| (d.cost, d.path[1]));
         out
     }
 
@@ -1321,21 +1040,20 @@ pub trait LinkStateStore {
     /// Dst is reachable".)
     fn anyone_reaches(&self, dst: usize, now: f64, max_age: f64) -> bool {
         self.held_rows().any(|(origin, received_at, row)| {
-            origin != dst && now - received_at <= max_age && row.cost_u32(dst) != INFINITE_COST_U32
+            origin != dst && now - received_at <= max_age && row.cost(dst) != INFINITE_COST
         })
     }
 
-    /// The cost of the path `a → h → b` using current rows; infinite
-    /// when anything is missing. `h == b` means the direct link.
-    fn path_cost(&self, a: usize, h: usize, b: usize) -> Cost {
+    /// The cost of the path `a → h → b` using current rows;
+    /// [`INFINITE_COST`] when anything is missing. `h == b` means the
+    /// direct link.
+    fn path_cost(&self, a: usize, h: usize, b: usize) -> u32 {
         if h == b {
             return self.cost(a, b);
         }
-        let c = self.cost(a, h) + self.cost(h, b);
-        if c.is_finite() {
-            c
-        } else {
-            INFINITE_COST
+        match (self.cost(a, h), self.cost(h, b)) {
+            (INFINITE_COST, _) | (_, INFINITE_COST) => INFINITE_COST,
+            (leg1, leg2) => leg1 + leg2,
         }
     }
 }
@@ -1355,19 +1073,18 @@ struct StoredRow {
 /// A quorum node holds its own row plus its `~2√n` rendezvous clients'
 /// rows, and each row stores only its live entries, in struct-of-arrays
 /// lanes at ~5 B/entry — which under entitled + sampled probing is
-/// `O(√n)` per row, so per-node state is `O(n)` where the dense table
+/// `O(√n)` per row, so per-node state is `O(n)` where a full matrix
 /// needs `O(n²)`. Lookups are `O(log √n)` map + `O(log k)` row binary
 /// search; the round-two kernel costs `O(k)` per pair — a merge-join
 /// for one pair, a scatter-gather for a whole tick — or streams the two
-/// latency lanes elementwise when the rows share a destination lane. The `row_bytes_lanes` / `row_bytes_aos`
-/// gauge pair reports the stored bytes against what the replaced
-/// array-of-structs layout would have held.
+/// latency lanes elementwise when the rows share a destination lane.
+/// The `row_bytes_lanes` gauge reports the stored lane bytes.
 #[derive(Debug, Clone)]
 pub struct RowStore {
     n: usize,
     rows: BTreeMap<usize, StoredRow>,
     /// Maximum rows this node's role entitles it to, debug-asserted on
-    /// insert; `None` = unbounded (the full-mesh baseline).
+    /// insert; `None` = unbounded.
     entitlement: Option<usize>,
     /// Rows older than this are evicted when a new row arrives at the
     /// entitlement boundary. One-time senders (e.g. nodes that briefly
@@ -1378,16 +1095,15 @@ pub struct RowStore {
     /// High-water mark of `row_count` over the store's lifetime.
     peak_rows: usize,
     /// Live entries held across all rows — what
-    /// [`entry_count`](LinkStateStore::entry_count) recounts — kept
+    /// [`entry_count`](LinkStateStore::entry_count) returns — kept
     /// current by every path that adds, replaces or drops a row, so the
-    /// size gauges cost `O(1)` per merged row.
+    /// size gauge costs `O(1)` per merged row.
     live_entries: usize,
     telemetry: Telemetry,
     rows_merged: Counter,
     rows_evicted: Counter,
     rows_held: Gauge,
     row_bytes_lanes: Gauge,
-    row_bytes_aos: Gauge,
 }
 
 impl RowStore {
@@ -1399,7 +1115,6 @@ impl RowStore {
         let rows_evicted = telemetry.counter("linkstate", "rows_evicted");
         let rows_held = telemetry.gauge("linkstate", "rows_held");
         let row_bytes_lanes = telemetry.gauge("linkstate", "row_bytes_lanes");
-        let row_bytes_aos = telemetry.gauge("linkstate", "row_bytes_aos");
         RowStore {
             n,
             rows: BTreeMap::new(),
@@ -1412,7 +1127,6 @@ impl RowStore {
             rows_evicted,
             rows_held,
             row_bytes_lanes,
-            row_bytes_aos,
         }
     }
 
@@ -1426,22 +1140,16 @@ impl RowStore {
         self.rows_evicted = telemetry.counter("linkstate", "rows_evicted");
         self.rows_held = telemetry.gauge("linkstate", "rows_held");
         self.row_bytes_lanes = telemetry.gauge("linkstate", "row_bytes_lanes");
-        self.row_bytes_aos = telemetry.gauge("linkstate", "row_bytes_aos");
         self.telemetry = telemetry;
         self
     }
 
-    /// Refresh the held-rows gauge and the stored-bytes gauge pair:
-    /// actual lane bytes versus what the replaced array-of-structs
-    /// `(u16, LinkEntry)` layout would hold for the same entries — the
-    /// memory win the scale study exports.
+    /// Refresh the held-rows gauge and the stored lane bytes — the
+    /// memory figure the scale study exports.
     fn update_size_gauges(&self) {
         self.rows_held.set(self.rows.len() as u64);
-        let entries = self.live_entries;
         self.row_bytes_lanes
-            .set((entries * LaneRow::ENTRY_BYTES) as u64);
-        self.row_bytes_aos
-            .set((entries * std::mem::size_of::<(u16, LinkEntry)>()) as u64);
+            .set((self.live_entries * LaneRow::ENTRY_BYTES) as u64);
     }
 
     /// Count one merged row (counter + journal + size gauges).
@@ -1627,64 +1335,149 @@ impl LinkStateStore for RowStore {
     }
 
     fn entry_count(&self) -> usize {
-        self.rows.values().map(|r| r.lanes.len()).sum()
+        self.live_entries
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::LinkStateTable;
 
     fn live_row(costs: &[u16]) -> Vec<LinkEntry> {
         costs.iter().map(|&c| LinkEntry::live(c, 0.0)).collect()
     }
 
-    /// The 4-node detour world used by the table tests, loaded into both
-    /// stores.
-    fn detour_rows() -> Vec<Vec<LinkEntry>> {
-        vec![
-            live_row(&[0, 50, 200, 500]),
-            live_row(&[50, 0, 80, 100]),
-            live_row(&[200, 80, 0, 90]),
-            live_row(&[500, 100, 90, 0]),
-        ]
+    /// Ingest a full-width row the way every caller does: reduce to
+    /// lanes, then `put_row`.
+    fn put(s: &mut RowStore, origin: usize, entries: &[LinkEntry], now: f64) {
+        s.put_row(origin, Arc::new(LaneRow::from_dense(entries)), now);
     }
 
-    fn both_stores() -> (LinkStateTable, RowStore) {
-        let mut dense = LinkStateTable::new(4);
-        let mut sparse = RowStore::new(4);
-        for (i, row) in detour_rows().iter().enumerate() {
-            dense.update_row(i, row, 10.0);
-            sparse.update_row(i, row, 10.0);
+    fn store_of(rows: &[&[u16]], now: f64) -> RowStore {
+        let mut s = RowStore::new(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            put(&mut s, i, &live_row(row), now);
         }
-        (dense, sparse)
+        s
     }
 
-    /// The kernel is written once, so given identical rows the two
-    /// stores must agree on every pair.
+    /// A 4-node world where 0→3 direct is 500 ms but 0→1→3 is 150 ms,
+    /// every row received at t = 10.
+    fn detour_store() -> RowStore {
+        store_of(
+            &[
+                &[0, 50, 200, 500],
+                &[50, 0, 80, 100],
+                &[200, 80, 0, 90],
+                &[500, 100, 90, 0],
+            ],
+            10.0,
+        )
+    }
+
     #[test]
-    fn stores_agree_on_the_kernel() {
-        let (dense, sparse) = both_stores();
-        for a in 0..4 {
-            for b in 0..4 {
-                assert_eq!(
-                    dense.best_one_hop(a, b, 11.0, 45.0),
-                    sparse.best_one_hop(a, b, 11.0, 45.0),
-                    "pair ({a},{b})"
-                );
-                assert_eq!(
-                    dense.one_hop_options(a, b, 11.0, 45.0),
-                    sparse.one_hop_options(a, b, 11.0, 45.0)
-                );
-            }
-        }
-        for dst in 0..4 {
-            assert_eq!(
-                dense.anyone_reaches(dst, 11.0, 45.0),
-                sparse.anyone_reaches(dst, 11.0, 45.0)
-            );
-        }
+    fn best_one_hop_finds_detour() {
+        let s = detour_store();
+        assert_eq!(s.best_one_hop(0, 3, 11.0, 45.0), Some((1, 150)));
+    }
+
+    #[test]
+    fn best_one_hop_prefers_direct_on_tie() {
+        let s = store_of(&[&[0, 50, 100], &[50, 0, 50], &[100, 50, 0]], 0.0);
+        // 0→2 direct = 100 = 0→1→2; prefer direct (hop == dst).
+        assert_eq!(s.best_one_hop(0, 2, 1.0, 45.0), Some((2, 100)));
+    }
+
+    #[test]
+    fn best_one_hop_requires_fresh_rows() {
+        let s = detour_store();
+        // Rows stamped at t=10; at now=100 with max_age=45 they're stale.
+        assert!(s.best_one_hop(0, 3, 100.0, 45.0).is_none());
+        assert!(s.best_one_hop(0, 3, 55.0, 45.0).is_some());
+    }
+
+    #[test]
+    fn best_one_hop_missing_row_is_none() {
+        let mut s = RowStore::new(3);
+        put(&mut s, 0, &live_row(&[0, 10, 10]), 0.0);
+        assert!(s.best_one_hop(0, 2, 0.0, 45.0).is_none());
+    }
+
+    #[test]
+    fn best_one_hop_skips_dead_links() {
+        let mut s = detour_store();
+        // Kill 0→1 (in 0's row): detour must shift to hop 2 (200+90=290).
+        s.update_entry(0, 1, LinkEntry::dead(), 10.0);
+        assert_eq!(s.best_one_hop(0, 3, 11.0, 45.0), Some((2, 290)));
+    }
+
+    #[test]
+    fn best_one_hop_uses_min_direction_for_direct() {
+        let s = store_of(&[&[0, 300], &[200, 0]], 0.0);
+        assert_eq!(s.best_one_hop(0, 1, 0.0, 45.0), Some((1, 200)));
+    }
+
+    #[test]
+    fn all_dead_returns_none() {
+        let mut s = RowStore::new(3);
+        put(&mut s, 0, &[LinkEntry::dead(); 3], 0.0);
+        put(&mut s, 2, &[LinkEntry::dead(); 3], 0.0);
+        assert!(s.best_one_hop(0, 2, 0.0, 45.0).is_none());
+    }
+
+    #[test]
+    fn one_hop_options_sorted() {
+        let s = detour_store();
+        assert_eq!(
+            s.one_hop_options(0, 3, 11.0, 45.0),
+            vec![(1, 150), (2, 290)]
+        );
+    }
+
+    #[test]
+    fn anyone_reaches_sees_live_entries() {
+        let mut s = RowStore::new(3);
+        assert!(!s.anyone_reaches(2, 0.0, 45.0));
+        put(&mut s, 1, &live_row(&[10, 0, 10]), 0.0);
+        assert!(s.anyone_reaches(2, 1.0, 45.0));
+        // Staleness disqualifies.
+        assert!(!s.anyone_reaches(2, 100.0, 45.0));
+        // A dead entry doesn't count.
+        let mut dead_row = live_row(&[10, 0, 10]);
+        dead_row[2] = LinkEntry::dead();
+        put(&mut s, 1, &dead_row, 200.0);
+        assert!(!s.anyone_reaches(2, 201.0, 45.0));
+    }
+
+    #[test]
+    fn clear_row_resets() {
+        let mut s = detour_store();
+        s.clear_row(0);
+        assert!(s.row_time(0).is_none());
+        assert_eq!(s.cost(0, 1), INFINITE_COST);
+        assert_eq!(s.cost(0, 0), 0);
+    }
+
+    #[test]
+    fn path_cost_direct_and_relayed() {
+        let mut s = detour_store();
+        assert_eq!(s.path_cost(0, 3, 3), 500);
+        assert_eq!(s.path_cost(0, 1, 3), 150);
+        // A missing leg on either side is infinite, not a wrapped sum.
+        s.update_entry(1, 3, LinkEntry::dead(), 10.0);
+        assert_eq!(s.path_cost(0, 1, 3), INFINITE_COST);
+        s.clear_row(0);
+        assert_eq!(s.path_cost(0, 1, 3), INFINITE_COST);
+    }
+
+    #[test]
+    fn row_age_tracking() {
+        let mut s = RowStore::new(2);
+        assert_eq!(s.row_age(0, 5.0), None);
+        put(&mut s, 0, &live_row(&[0, 5]), 3.0);
+        assert_eq!(s.row_age(0, 5.0), Some(2.0));
+        assert!(s.row_fresh(0, 5.0, 2.0));
+        assert!(!s.row_fresh(0, 5.1, 2.0));
     }
 
     #[test]
@@ -1692,8 +1485,8 @@ mod tests {
         let mut s = RowStore::new(100);
         assert_eq!(s.row_count(), 0);
         assert_eq!(s.entry_count(), 0);
-        s.update_row(7, &vec![LinkEntry::dead(); 100], 1.0);
-        s.update_row(42, &vec![LinkEntry::dead(); 100], 2.0);
+        put(&mut s, 7, &vec![LinkEntry::dead(); 100], 1.0);
+        put(&mut s, 42, &vec![LinkEntry::dead(); 100], 2.0);
         assert_eq!(s.row_count(), 2);
         // All-dead rows are present (they have a receipt time) but
         // materialise zero entries — absent reads as dead.
@@ -1702,11 +1495,11 @@ mod tests {
         assert_eq!(s.row_time(7), Some(1.0));
         assert_eq!(s.row_time(8), None);
         assert!(s.row_ref(8).is_none());
-        // Absent rows read as dead, like the dense table's initial state.
-        assert!(s.cost(8, 9).is_infinite());
-        assert_eq!(s.cost(8, 8), 0.0);
+        // Absent rows read as dead.
+        assert_eq!(s.cost(8, 9), INFINITE_COST);
+        assert_eq!(s.cost(8, 8), 0);
         // Refreshing a row does not grow the store.
-        s.update_row(7, &vec![LinkEntry::dead(); 100], 3.0);
+        put(&mut s, 7, &vec![LinkEntry::dead(); 100], 3.0);
         assert_eq!(s.row_count(), 2);
         assert_eq!(s.row_time(7), Some(3.0));
         // Clearing removes the allocation entirely.
@@ -1721,21 +1514,18 @@ mod tests {
         let mut row = vec![LinkEntry::dead(); 100];
         row[3] = LinkEntry::live(10, 0.0);
         row[64] = LinkEntry::live(20, 0.01);
-        s.update_row(7, &row, 1.0);
+        put(&mut s, 7, &row, 1.0);
         assert_eq!(s.entry_count(), 2, "dense input reduced to live entries");
         assert_eq!(s.entry(7, 64).latency_ms, 20);
         assert!(!s.entry(7, 4).alive);
         assert_eq!(s.row_dense(7).unwrap(), row);
-        // The sparse ingest path stores the same thing.
+        // A row built from its live pairs stores the same thing.
         let mut t = RowStore::new(100);
-        t.update_row_sparse(
-            7,
-            &[
-                (3, LinkEntry::live(10, 0.0)),
-                (64, LinkEntry::live(20, 0.01)),
-            ],
-            1.0,
-        );
+        let pairs = [
+            (3, LinkEntry::live(10, 0.0)),
+            (64, LinkEntry::live(20, 0.01)),
+        ];
+        t.put_row(7, Arc::new(LaneRow::from_pairs(&pairs)), 1.0);
         assert_eq!(t.row_dense(7).unwrap(), row);
         assert_eq!(t.entry_count(), 2);
     }
@@ -1764,57 +1554,38 @@ mod tests {
         );
     }
 
-    /// Partial (sparse) rows run the same merge-join kernel as dense
-    /// rows holding the identical information.
+    /// Partial rows: only the intersection of the two live sets can
+    /// relay, and with no row from a relay nothing can be scavenged.
     #[test]
-    fn kernel_parity_on_partial_rows() {
-        let n = 12;
-        let mut dense = LinkStateTable::new(n);
-        let mut sparse = RowStore::new(n);
-        // Row a: live to {1, 3, 5, 7}; row b: live to {3, 4, 7, 11}.
-        let rows: Vec<(usize, Vec<(u16, LinkEntry)>)> = vec![
-            (
-                0,
-                vec![
-                    (1, LinkEntry::live(10, 0.0)),
-                    (3, LinkEntry::live(40, 0.0)),
-                    (5, LinkEntry::live(25, 0.0)),
-                    (7, LinkEntry::live(60, 0.0)),
-                ],
-            ),
-            (
-                9,
-                vec![
-                    (3, LinkEntry::live(15, 0.0)),
-                    (4, LinkEntry::live(5, 0.0)),
-                    (7, LinkEntry::live(30, 0.0)),
-                    (11, LinkEntry::live(80, 0.0)),
-                ],
-            ),
-        ];
-        for (origin, entries) in &rows {
-            dense.update_row_sparse(*origin, entries, 1.0);
-            sparse.update_row_sparse(*origin, entries, 1.0);
-        }
-        let d = dense.best_one_hop(0, 9, 2.0, 45.0);
-        assert_eq!(d, sparse.best_one_hop(0, 9, 2.0, 45.0));
+    fn kernel_on_partial_rows() {
+        let mut s = RowStore::new(12);
+        // Row 0: live to {1, 3, 5, 7}; row 9: live to {3, 4, 7, 11}.
+        let row = |pairs: &[(u16, u16)]| -> Arc<LaneRow> {
+            let pairs: Vec<(u16, LinkEntry)> = pairs
+                .iter()
+                .map(|&(d, c)| (d, LinkEntry::live(c, 0.0)))
+                .collect();
+            Arc::new(LaneRow::from_pairs(&pairs))
+        };
+        s.put_row(0, row(&[(1, 10), (3, 40), (5, 25), (7, 60)]), 1.0);
+        s.put_row(9, row(&[(3, 15), (4, 5), (7, 30), (11, 80)]), 1.0);
         // Best hop is the live-intersection minimum: h=3 (40+15=55)
         // beats h=7 (60+30=90); no direct link exists.
-        assert_eq!(d, Some((3, 55.0)));
-        assert_eq!(
-            dense.one_hop_options(0, 9, 2.0, 45.0),
-            sparse.one_hop_options(0, 9, 2.0, 45.0)
-        );
+        assert_eq!(s.best_one_hop(0, 9, 2.0, 45.0), Some((3, 55)));
+        assert!(s.one_hop_options(0, 9, 2.0, 45.0).is_empty());
+        // Once relay 3's own row arrives, scavenging sees it.
+        s.put_row(3, row(&[(0, 40), (9, 20)]), 1.0);
+        assert_eq!(s.one_hop_options(0, 9, 2.0, 45.0), vec![(3, 60)]);
     }
 
     #[test]
     fn one_hop_options_skip_stale_and_absent_relays() {
-        let (_, mut s) = both_stores();
+        let mut s = detour_store();
         s.clear_row(1);
         let opts = s.one_hop_options(0, 3, 11.0, 45.0);
-        assert_eq!(opts, vec![(2, 290.0)]);
+        assert_eq!(opts, vec![(2, 290)]);
         // A stale relay row disqualifies too.
-        s.update_row(2, &detour_rows()[2], -100.0);
+        put(&mut s, 2, &live_row(&[200, 80, 0, 90]), -100.0);
         assert!(s.one_hop_options(0, 3, 11.0, 45.0).is_empty());
     }
 
@@ -1823,7 +1594,7 @@ mod tests {
         let mut s = RowStore::with_entitlement(10, 4, 45.0);
         assert_eq!(s.entitlement(), Some(4));
         for i in 0..4 {
-            s.update_row(i, &[LinkEntry::dead(); 10], 0.0);
+            put(&mut s, i, &[LinkEntry::dead(); 10], 0.0);
         }
         assert_eq!(s.peak_rows(), 4);
     }
@@ -1831,15 +1602,15 @@ mod tests {
     #[test]
     fn capacity_pressure_evicts_stale_rows_first() {
         let mut s = RowStore::with_entitlement(10, 2, 45.0);
-        s.update_row(0, &[LinkEntry::dead(); 10], 0.0);
-        s.update_row(1, &[LinkEntry::dead(); 10], 50.0);
+        put(&mut s, 0, &[LinkEntry::dead(); 10], 0.0);
+        put(&mut s, 1, &[LinkEntry::dead(); 10], 50.0);
         // At t=100, row 0 (age 100) and row 1 (age 50) are both stale:
         // a new arrival at the boundary sheds them instead of tripping
         // the entitlement assertion.
-        s.update_row(2, &[LinkEntry::dead(); 10], 100.0);
+        put(&mut s, 2, &[LinkEntry::dead(); 10], 100.0);
         assert_eq!(s.present_rows(), vec![2]);
         // A fresh row is never evicted by pressure.
-        s.update_row(3, &[LinkEntry::dead(); 10], 101.0);
+        put(&mut s, 3, &[LinkEntry::dead(); 10], 101.0);
         assert_eq!(s.present_rows(), vec![2, 3]);
     }
 
@@ -1850,7 +1621,7 @@ mod tests {
         // All rows fresh: eviction frees nothing, the guard must fire.
         let mut s = RowStore::with_entitlement(10, 2, 45.0);
         for i in 0..3 {
-            s.update_row(i, &[LinkEntry::dead(); 10], 1.0);
+            put(&mut s, i, &[LinkEntry::dead(); 10], 1.0);
         }
     }
 
@@ -1858,11 +1629,11 @@ mod tests {
     fn telemetry_counts_merges_and_evictions() {
         let telemetry = Telemetry::new(7);
         let mut s = RowStore::with_entitlement(10, 2, 45.0).with_telemetry(telemetry.clone());
-        s.update_row(0, &[LinkEntry::dead(); 10], 0.0);
-        s.update_row(1, &[LinkEntry::dead(); 10], 50.0);
+        put(&mut s, 0, &[LinkEntry::dead(); 10], 0.0);
+        put(&mut s, 1, &[LinkEntry::dead(); 10], 50.0);
         // Both prior rows are stale at t=100: the boundary insert
         // sheds them, and every arrival counted as a merge.
-        s.update_row(2, &[LinkEntry::dead(); 10], 100.0);
+        put(&mut s, 2, &[LinkEntry::dead(); 10], 100.0);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter(7, "linkstate", "rows_merged"), Some(3));
         assert_eq!(snap.counter(7, "linkstate", "rows_evicted"), Some(2));
@@ -1873,8 +1644,9 @@ mod tests {
             .any(|e| matches!(e.kind, EventKind::RowEvicted { origin: 0 })));
     }
 
-    /// The running live-entry total behind the size gauges equals a
-    /// recount of the held rows after every kind of mutation: insert,
+    /// The running live-entry total behind `entry_count` and the size
+    /// gauge equals a recount of the held rows after every kind of
+    /// mutation: insert,
     /// whole-row replace (growing and shrinking), single-entry set and
     /// kill, row creation by `update_entry`, eviction under capacity
     /// pressure, and `clear_row`.
@@ -1883,7 +1655,11 @@ mod tests {
         let telemetry = Telemetry::new(1);
         let mut s = RowStore::with_entitlement(10, 3, 45.0).with_telemetry(telemetry.clone());
         let check = |s: &RowStore, step: &str| {
-            assert_eq!(s.live_entries, s.entry_count(), "{step}");
+            let recount: usize = s
+                .held_rows()
+                .map(|(_, _, row)| row.iter_live().count())
+                .sum();
+            assert_eq!(s.entry_count(), recount, "{step}");
             let snap = telemetry.snapshot();
             assert_eq!(
                 snap.gauge(1, "linkstate", "row_bytes_lanes"),
@@ -1891,11 +1667,14 @@ mod tests {
                 "{step}"
             );
         };
-        s.update_row(0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 0.0);
+        put(&mut s, 0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 0.0);
         check(&s, "insert");
-        s.update_row_sparse(0, &[(3, LinkEntry::live(7, 0.0))], 1.0);
+        let one = |dst: u16, cost: u16| {
+            Arc::new(LaneRow::from_pairs(&[(dst, LinkEntry::live(cost, 0.0))]))
+        };
+        s.put_row(0, one(3, 7), 1.0);
         check(&s, "replace, shrinking");
-        s.update_row(0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 2.0);
+        put(&mut s, 0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 2.0);
         check(&s, "replace, growing");
         s.update_entry(0, 4, LinkEntry::dead(), 3.0);
         s.update_entry(0, 5, LinkEntry::live(50, 0.0), 3.0);
@@ -1906,18 +1685,18 @@ mod tests {
         assert_eq!(s.entry_count(), 10);
         // Rows 0–2 are stale at t = 100: a fourth origin arriving at the
         // entitlement boundary sheds all three.
-        s.update_row_sparse(7, &[(1, LinkEntry::live(5, 0.0))], 100.0);
+        s.put_row(7, one(1, 5), 100.0);
         assert_eq!(s.present_rows(), vec![7]);
         check(&s, "evict");
         s.clear_row(7);
         s.clear_row(7);
         check(&s, "clear, twice");
-        assert_eq!(s.live_entries, 0);
+        assert_eq!(s.entry_count(), 0);
     }
 
-    /// The cursor agrees with fresh `get`/`cost_u32` lookups under any
+    /// The cursor agrees with fresh `get`/`cost` lookups under any
     /// probe order — ascending (the fast path), backwards (the binary
-    /// search fallback), repeats, and misses — on every row variant.
+    /// search fallback), repeats, and misses.
     #[test]
     fn cursor_matches_fresh_lookups_in_any_order() {
         let n = 12;
@@ -1925,35 +1704,18 @@ mod tests {
         for d in [1usize, 4, 5, 9, 11] {
             row[d] = LinkEntry::live(10 * d as u16, 0.01);
         }
-        let pairs: Vec<(u16, LinkEntry)> = row
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.alive)
-            .map(|(d, e)| (d as u16, *e))
-            .collect();
         let lanes = LaneRow::from_dense(&row);
-        let views = [
-            RowRef::Dense(&row),
-            RowRef::Sparse {
-                width: n,
-                entries: &pairs,
-            },
-            lanes.as_row_ref(n),
-        ];
+        let view = lanes.as_row_ref(n);
         let probes = [0usize, 1, 4, 4, 9, 11, 2, 5, 10, 0, 11, 3];
-        for view in views {
-            let mut cur = view.cursor();
-            for &d in &probes {
-                assert_eq!(cur.get(d), view.get(d), "get({d}) via cursor");
-            }
-            let mut cur = view.cursor();
-            for &d in &probes {
-                assert_eq!(
-                    cur.cost_u32(d),
-                    view.cost_u32(d),
-                    "cost_u32({d}) via cursor"
-                );
-            }
+        let mut cur = view.cursor();
+        for &d in &probes {
+            assert_eq!(cur.get(d), view.get(d), "get({d}) via cursor");
+            assert_eq!(view.get(d), row[d], "get({d}) against the dense row");
+        }
+        let mut cur = view.cursor();
+        for &d in &probes {
+            assert_eq!(cur.cost(d), view.cost(d), "cost({d}) via cursor");
+            assert_eq!(view.cost(d), row[d].cost());
         }
     }
 
@@ -2008,7 +1770,7 @@ mod tests {
         assert_eq!(s.row_seqno(0), 6);
         assert_eq!(s.row_time(0), Some(3.0), "rejected replay leaves the row");
         assert!(!s.entry(0, 2).alive);
-        assert_eq!(s.live_entries, s.entry_count(), "and the running total");
+        assert_eq!(s.entry_count(), 1, "and the running total");
         // Unversioned rows (seqno 0) always pass — no flag day.
         assert!(s.put_row(0, full(&[0, 10, 20, 30], 0), 5.0));
         assert_eq!(s.row_seqno(0), 0);
@@ -2064,18 +1826,18 @@ mod tests {
                     }
                 })
                 .collect();
-            s.update_row(origin, &entries, 10.0);
+            put(&mut s, origin, &entries, 10.0);
         }
         // k = 1 parity with the scavenging kernel.
         for (a, b) in [(0, 2), (0, 4), (1, 3), (2, 0)] {
-            let one: Vec<(usize, Cost)> = s.one_hop_options(a, b, 10.5, 45.0);
-            let k: Vec<(usize, Cost)> = s
+            let one = s.one_hop_options(a, b, 10.5, 45.0);
+            let k: Vec<(usize, u32)> = s
                 .k_hop_options(a, b, 1, 10.5, 45.0)
                 .into_iter()
-                .map(|(path, cost, _)| {
-                    assert_eq!(path.len(), 3);
-                    assert_eq!((path[0], path[2]), (a, b));
-                    (path[1], cost)
+                .map(|d| {
+                    assert_eq!(d.path.len(), 3);
+                    assert_eq!((d.path[0], d.path[2]), (a, b));
+                    (d.path[1], d.cost)
                 })
                 .collect();
             assert_eq!(one, k, "pair ({a},{b})");
@@ -2085,20 +1847,18 @@ mod tests {
         // routes around it.
         assert!(s.k_hop_options(0, 4, 1, 10.5, 45.0).is_empty());
         let two = s.k_hop_options(0, 4, 2, 10.5, 45.0);
-        assert_eq!(two[0].0, vec![0, 2, 3, 4]);
-        assert_eq!(two[0].1, 70.0);
+        assert_eq!((&two[0].path[..], two[0].cost), (&[0, 2, 3, 4][..], 70));
         let opts = s.k_hop_options(0, 4, 3, 10.5, 45.0);
-        let (path, cost, remaining) = &opts[0];
-        assert_eq!(path, &[0, 1, 2, 3, 4]);
-        assert_eq!(*cost, 40.0);
-        assert_eq!(*remaining, 30.0, "cost the first relay advertises");
+        assert_eq!(opts[0].path, [0, 1, 2, 3, 4]);
+        assert_eq!(opts[0].cost, 40);
+        assert_eq!(opts[0].advertised, 30, "cost the first relay advertises");
         // Wider budgets don't invent longer paths when shorter ones win.
         assert_eq!(
-            s.k_hop_options(0, 4, 8, 10.5, 45.0)[0].0,
-            vec![0, 1, 2, 3, 4]
+            s.k_hop_options(0, 4, 8, 10.5, 45.0)[0].path,
+            [0, 1, 2, 3, 4]
         );
         // Paths are simple: no candidate revisits a node.
-        for (path, _, _) in s.k_hop_options(0, 4, 8, 10.5, 45.0) {
+        for Detour { path, .. } in s.k_hop_options(0, 4, 8, 10.5, 45.0) {
             let mut seen = path.clone();
             seen.sort_unstable();
             seen.dedup();
@@ -2107,14 +1867,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn update_row_bounds_checked() {
-        RowStore::new(2).update_row(2, &live_row(&[0, 1]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "n entries")]
-    fn update_row_length_checked() {
-        RowStore::new(3).update_row(0, &live_row(&[0, 1]), 0.0);
+    #[should_panic(expected = "row 2 out of range")]
+    fn put_row_origin_bounds_checked() {
+        put(&mut RowStore::new(2), 2, &live_row(&[0, 1]), 0.0);
     }
 }

@@ -765,8 +765,8 @@ impl OverlayNode {
                         |idx: usize| old_view.id_of(idx).is_some_and(|id| view.contains(id));
                     q.retract_departed_routes(&survives);
                 }
-                let exported = old_router.as_dyn().export_rows_versioned();
-                let carried = crate::remap::remap_rows_versioned(
+                let exported = old_router.as_dyn().export_rows();
+                let carried = crate::remap::remap_rows(
                     &exported,
                     old_view,
                     &view,
@@ -775,7 +775,7 @@ impl OverlayNode {
                 );
                 let carried_rows = carried.len();
                 for row in &carried {
-                    router.as_dyn_mut().import_row_versioned(row);
+                    router.as_dyn_mut().import_row(row);
                 }
                 if let Some(ctx) = episode_ctx {
                     #[allow(clippy::cast_possible_truncation)]

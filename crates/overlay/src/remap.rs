@@ -20,7 +20,9 @@
 //! carried. Receipt times are preserved, *not* refreshed: a remap is a
 //! relabeling, not new information.
 //!
-//! The router's [`import_row`](apor_routing::RoutingAlgorithm::import_row)
+//! Each row is carried as a [`VersionedRow`], so the origin's seqno and
+//! retraction lane cross the view change with the measurements. The
+//! router's [`import_row`](apor_routing::RoutingAlgorithm::import_row)
 //! applies its own entitlement filter on top — a quorum router keeps
 //! only rows owned by itself or its rendezvous clients *in the new
 //! grid*, so the remap cannot re-grow `O(n)` rows.
@@ -29,45 +31,18 @@ use crate::membership::MembershipView;
 use apor_linkstate::LinkEntry;
 use apor_routing::VersionedRow;
 
-/// One surviving row, translated into the new view's index space:
-/// `(new origin index, original receipt time, full-width entries)`.
-pub type RemappedRow = (usize, f64, Vec<LinkEntry>);
-
 /// Translate exported rows from `old_view`'s index space into
 /// `new_view`'s, dropping rows that are stale at `now` (older than
 /// `max_age`) or whose origin left the overlay.
+///
+/// The route discipline rides along: each row's origin seqno survives
+/// the relabeling verbatim (a carried row must keep shadowing delayed
+/// replays of older frames), and the retraction lane is translated
+/// destination by destination — a retraction aimed at a departed member
+/// leaves with it, everything else moves to the destination's new
+/// index.
 #[must_use]
 pub fn remap_rows(
-    exported: &[(usize, f64, Vec<LinkEntry>)],
-    old_view: &MembershipView,
-    new_view: &MembershipView,
-    now: f64,
-    max_age: f64,
-) -> Vec<RemappedRow> {
-    let rows: Vec<VersionedRow> = exported
-        .iter()
-        .map(|(origin, received_at, entries)| VersionedRow {
-            origin: *origin,
-            received_at: *received_at,
-            seqno: 0,
-            retractions: Vec::new(),
-            entries: entries.clone(),
-        })
-        .collect();
-    remap_rows_versioned(&rows, old_view, new_view, now, max_age)
-        .into_iter()
-        .map(|r| (r.origin, r.received_at, r.entries))
-        .collect()
-}
-
-/// [`remap_rows`] carrying the route discipline: each row's origin
-/// seqno survives the relabeling verbatim (a carried row must keep
-/// shadowing delayed replays of older frames), and the retraction lane
-/// is translated destination by destination — a retraction aimed at a
-/// departed member leaves with it, everything else moves to the
-/// destination's new index and is re-sorted.
-#[must_use]
-pub fn remap_rows_versioned(
     exported: &[VersionedRow],
     old_view: &MembershipView,
     new_view: &MembershipView,
@@ -106,14 +81,16 @@ pub fn remap_rows_versioned(
                 new_to_old[new_dst].map_or_else(LinkEntry::dead, |old_dst| row.entries[old_dst])
             })
             .collect();
+        // Both views list their members sorted by id, so surviving
+        // indices keep their relative order: the translated lane is
+        // still strictly ascending and needs no re-sort.
         #[allow(clippy::cast_possible_truncation)]
-        let mut retractions: Vec<u16> = row
+        let retractions: Vec<u16> = row
             .retractions
             .iter()
             .filter_map(|&d| old_to_new.get(usize::from(d)).copied().flatten())
             .map(|new_dst| new_dst as u16)
             .collect();
-        retractions.sort_unstable();
         out.push(VersionedRow {
             origin: new_origin,
             received_at: row.received_at,
@@ -134,17 +111,15 @@ mod tests {
         MembershipView::new(version, ids.iter().map(|&i| NodeId(i)).collect())
     }
 
-    fn row(costs: &[u16]) -> Vec<LinkEntry> {
-        costs
-            .iter()
-            .map(|&c| {
-                if c == u16::MAX {
-                    LinkEntry::dead()
-                } else {
-                    LinkEntry::live(c, 0.0)
-                }
-            })
-            .collect()
+    /// An unversioned exported row: origin index, receipt time, costs.
+    fn row(origin: usize, received_at: f64, costs: &[u16]) -> VersionedRow {
+        VersionedRow {
+            origin,
+            received_at,
+            seqno: 0,
+            retractions: Vec::new(),
+            entries: costs.iter().map(|&c| LinkEntry::live(c, 0.0)).collect(),
+        }
     }
 
     #[test]
@@ -154,12 +129,17 @@ mod tests {
         // node 1 stays at 0, the new index 1 is node 3 (unmeasured).
         let old = view(1, &[1, 5, 9]);
         let new = view(2, &[1, 3, 9]);
-        let exported = vec![(0usize, 10.0, row(&[0, 50, 70]))];
+        let exported = vec![row(0, 10.0, &[0, 50, 70])];
         let remapped = remap_rows(&exported, &old, &new, 12.0, 45.0);
         assert_eq!(remapped.len(), 1);
-        let (origin, t, entries) = &remapped[0];
+        let VersionedRow {
+            origin,
+            received_at,
+            entries,
+            ..
+        } = &remapped[0];
         assert_eq!(*origin, 0, "node 1 keeps index 0");
-        assert_eq!(*t, 10.0, "receipt time preserved, not refreshed");
+        assert_eq!(*received_at, 10.0, "receipt time preserved, not refreshed");
         assert_eq!(entries[0].latency_ms, 0, "1→1 self entry");
         assert!(!entries[1].alive, "joiner 3 starts dead");
         assert_eq!(entries[2].latency_ms, 70, "1→9 carried by identity");
@@ -170,43 +150,38 @@ mod tests {
         let old = view(1, &[1, 5, 9]);
         let new = view(2, &[1, 9]);
         // Node 5's row (old index 1) has no home in the new view.
-        let exported = vec![
-            (1usize, 10.0, row(&[40, 0, 60])),
-            (2usize, 10.0, row(&[70, 60, 0])),
-        ];
+        let exported = vec![row(1, 10.0, &[40, 0, 60]), row(2, 10.0, &[70, 60, 0])];
         let remapped = remap_rows(&exported, &old, &new, 11.0, 45.0);
         assert_eq!(remapped.len(), 1);
-        assert_eq!(remapped[0].0, 1, "node 9 is index 1 in the new view");
-        assert_eq!(remapped[0].2.len(), 2);
-        assert_eq!(remapped[0].2[0].latency_ms, 70, "9→1 survives");
+        assert_eq!(remapped[0].origin, 1, "node 9 is index 1 in the new view");
+        assert_eq!(remapped[0].entries.len(), 2);
+        assert_eq!(remapped[0].entries[0].latency_ms, 70, "9→1 survives");
     }
 
     #[test]
     fn stale_rows_dropped_per_freshness_rule() {
         let old = view(1, &[1, 9]);
         let new = view(2, &[1, 9]);
-        let exported = vec![(0usize, 10.0, row(&[0, 50])), (1usize, 60.0, row(&[50, 0]))];
+        let exported = vec![row(0, 10.0, &[0, 50]), row(1, 60.0, &[50, 0])];
         // At now = 70 with max_age = 45: row stamped 10 is stale, row
         // stamped 60 survives.
         let remapped = remap_rows(&exported, &old, &new, 70.0, 45.0);
         assert_eq!(remapped.len(), 1);
-        assert_eq!(remapped[0].0, 1);
+        assert_eq!(remapped[0].origin, 1);
     }
 
     #[test]
-    fn versioned_remap_translates_the_retraction_lane() {
+    fn remap_translates_the_retraction_lane() {
         // Old view {1, 5, 9}: node 1's row retracts 5 (index 1) and 9
         // (index 2) at seqno 7. Node 5 leaves, node 3 joins.
         let old = view(1, &[1, 5, 9]);
         let new = view(2, &[1, 3, 9]);
         let exported = vec![VersionedRow {
-            origin: 0,
-            received_at: 10.0,
             seqno: 7,
             retractions: vec![1, 2],
-            entries: row(&[0, 50, 70]),
+            ..row(0, 10.0, &[0, 50, 70])
         }];
-        let remapped = remap_rows_versioned(&exported, &old, &new, 12.0, 45.0);
+        let remapped = remap_rows(&exported, &old, &new, 12.0, 45.0);
         assert_eq!(remapped.len(), 1);
         let r = &remapped[0];
         assert_eq!(r.origin, 0, "node 1 keeps index 0");

@@ -14,13 +14,14 @@
 //!    grants it (own row + rendezvous clients), so a remap can never
 //!    re-grow `O(n)` rows.
 
-use apor_linkstate::{LinkEntry, LinkStateStore, RowStore};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateStore, RowStore};
 use apor_overlay::membership::MembershipView;
 use apor_overlay::remap::remap_rows;
 use apor_quorum::NodeId;
-use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
+use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm, VersionedRow};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const MAX_AGE: f64 = 45.0;
 
@@ -64,16 +65,25 @@ fn load_store(view: &MembershipView, rows: &BTreeMap<u16, (f64, Vec<u16>)>) -> R
             .iter()
             .map(|d| LinkEntry::live(lats[d.0 as usize], 0.0))
             .collect();
-        store.update_row(origin, &entries, *t);
+        store.put_row(origin, Arc::new(LaneRow::from_dense(&entries)), *t);
     }
     store
 }
 
-fn export(store: &RowStore) -> Vec<(usize, f64, Vec<LinkEntry>)> {
+/// Every held row as a router would export it, each retracting *every*
+/// destination of its view at seqno 1 — so the remapped lane shows
+/// exactly which destinations survived, and in what order.
+fn export(store: &RowStore) -> Vec<VersionedRow> {
     store
         .present_rows()
         .into_iter()
-        .map(|o| (o, store.row_time(o).unwrap(), store.row_dense(o).unwrap()))
+        .map(|o| VersionedRow {
+            origin: o,
+            received_at: store.row_time(o).unwrap(),
+            seqno: 1,
+            retractions: (0..store.len() as u16).collect(),
+            entries: store.row_dense(o).unwrap(),
+        })
         .collect()
 }
 
@@ -98,9 +108,17 @@ proptest! {
 
         // No fabricated origins, no duplicates.
         let mut seen = std::collections::BTreeSet::new();
-        for (origin, _, entries) in &remapped {
-            prop_assert!(seen.insert(*origin), "duplicate remapped origin");
-            prop_assert_eq!(entries.len(), new_view.len());
+        let surviving: Vec<u16> = (0..new_view.len())
+            .filter(|&d| old_view.contains(new_view.members[d]))
+            .map(|d| d as u16)
+            .collect();
+        for row in &remapped {
+            prop_assert!(seen.insert(row.origin), "duplicate remapped origin");
+            prop_assert_eq!(row.entries.len(), new_view.len());
+            // The lane keeps the seqno, drops departed destinations and
+            // comes out strictly ascending without a sort.
+            prop_assert_eq!(row.seqno, 1);
+            prop_assert_eq!(&row.retractions, &surviving);
         }
 
         for (&origin_id, (t, lats)) in &rows {
@@ -108,7 +126,7 @@ proptest! {
             let new_origin = new_view.index_of(NodeId(origin_id));
             let fresh = now - t <= MAX_AGE;
             let expected_carried = in_old && new_origin.is_some() && fresh;
-            let carried = remapped.iter().find(|(o, _, _)| Some(*o) == new_origin && new_origin.is_some());
+            let carried = remapped.iter().find(|r| Some(r.origin) == new_origin);
             if !expected_carried {
                 if in_old {
                     prop_assert!(
@@ -118,8 +136,9 @@ proptest! {
                 }
                 continue;
             }
-            let (_, carried_t, entries) = carried.expect("fresh surviving row must be carried");
-            prop_assert_eq!(*carried_t, *t, "receipt time must be preserved");
+            let carried = carried.expect("fresh surviving row must be carried");
+            let entries = &carried.entries;
+            prop_assert_eq!(carried.received_at, *t, "receipt time must be preserved");
             for (new_dst, d) in new_view.members.iter().enumerate() {
                 if old_view.contains(*d) {
                     prop_assert_eq!(
@@ -156,8 +175,8 @@ proptest! {
         for w in views.windows(2) {
             let remapped = remap_rows(&export(&store), &w[0], &w[1], 1.0, MAX_AGE);
             let mut next = RowStore::new(w[1].len());
-            for (origin, t, entries) in remapped {
-                next.update_row(origin, &entries, t);
+            for row in remapped {
+                next.put_row(row.origin, Arc::new(LaneRow::from_dense(&row.entries)), row.received_at);
             }
             store = next;
         }
@@ -218,11 +237,11 @@ proptest! {
         let me = new_view.index_of(me_id).unwrap();
         let n = new_view.len();
         let mut router = QuorumRouter::new(me, n, 2, ProtocolConfig::quorum());
-        for (origin, t, entries) in &remapped {
-            router.import_row(*origin, entries, *t);
+        for row in &remapped {
+            router.import_row(row);
         }
         let grid = router.grid().clone();
-        for (origin, _, _) in &remapped {
+        for VersionedRow { origin, .. } in &remapped {
             let entitled = *origin == me || grid.serves(*origin, me);
             prop_assert_eq!(
                 router.table().row_time(*origin).is_some(),

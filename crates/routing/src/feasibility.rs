@@ -6,7 +6,9 @@
 //! Every destination `d` originates its own row; the row carries `d`'s
 //! sequence number. A node tracks, per destination, the smallest cost
 //! it has ever acted on at the destination's current seqno — the
-//! *feasibility distance* (fd). Loop freedom is layered:
+//! *feasibility distance* (fd), integer milliseconds like every cost in
+//! the routing path, with the all-ones [`INFINITE_COST`] for
+//! "unconstrained". Loop freedom is layered:
 //!
 //! 1. **Commit-or-drop** ([`select_detour`]): a node forwards along
 //!    its single cheapest spliced candidate or drops — never a pricier
@@ -38,18 +40,18 @@
 //! as `routing/routes_retracted`, and accepted detours feed the
 //! `routing/detour_hops` histogram.
 
-use apor_linkstate::{seqno_newer, Cost, LinkStateStore, INFINITE_COST};
+use apor_linkstate::{seqno_newer, Detour, LinkStateStore, RowStore, INFINITE_COST};
 use apor_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::BTreeMap;
 
 /// Per-destination feasibility state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeasEntry {
     /// The destination-origin seqno this state is relative to.
     pub seqno: u16,
     /// Feasibility distance: the smallest cost acted on at `seqno`
     /// ([`INFINITE_COST`] = unconstrained).
-    pub fd: Cost,
+    pub fd: u32,
     /// Set when the route was explicitly withdrawn: only a strictly
     /// newer seqno restores feasibility.
     pub retracted: bool,
@@ -104,7 +106,7 @@ impl FeasibilityTable {
     /// must be **strictly** below the feasibility distance (and the
     /// entry not retracted); an older seqno never is.
     #[must_use]
-    pub fn is_feasible(&self, dst: usize, seqno: u16, cost: Cost) -> bool {
+    pub fn is_feasible(&self, dst: usize, seqno: u16, cost: u32) -> bool {
         match self.entries.get(&dst) {
             None => true,
             Some(e) => {
@@ -123,7 +125,7 @@ impl FeasibilityTable {
     /// at the destination's `seqno`: the fd ratchets down at one seqno
     /// and resets when the origin moves to a newer one. Older seqnos
     /// are ignored.
-    pub fn advance(&mut self, dst: usize, seqno: u16, cost: Cost) {
+    pub fn advance(&mut self, dst: usize, seqno: u16, cost: u32) {
         let e = self.entries.entry(dst).or_insert(FeasEntry {
             seqno,
             fd: INFINITE_COST,
@@ -229,19 +231,6 @@ impl FeasibilityTable {
     }
 }
 
-/// A feasibility-accepted k-hop detour.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Detour {
-    /// The full spliced path; `path[0]` is the selecting node,
-    /// `path[1]` the first relay, the last element the destination.
-    pub path: Vec<usize>,
-    /// Total path cost, ms.
-    pub cost: Cost,
-    /// The cost the first relay effectively advertises for the rest of
-    /// the path — what the feasibility check ran against.
-    pub advertised: Cost,
-}
-
 /// Pick the *cheapest* detour `me → … → dst` through at most
 /// `max_hops` intermediate relays, or nothing: candidates come from
 /// [`LinkStateStore::k_hop_options`] (cost-sorted, simple paths over
@@ -266,8 +255,8 @@ pub struct Detour {
 /// counts as a detected loop; the accepted one feeds the detour-hops
 /// histogram. Recovery from a drop is the origin's next seqno bump —
 /// one routing tick — not a worse route now.
-pub fn select_detour<S: LinkStateStore + ?Sized>(
-    store: &S,
+pub fn select_detour(
+    store: &RowStore,
     feas: &FeasibilityTable,
     me: usize,
     dst: usize,
@@ -276,59 +265,57 @@ pub fn select_detour<S: LinkStateStore + ?Sized>(
     max_age: f64,
 ) -> Option<Detour> {
     let seqno = store.row_seqno(dst);
-    let (path, cost, advertised) = store
+    let detour = store
         .k_hop_options(me, dst, max_hops, now, max_age)
         .into_iter()
         .next()?;
-    if store.row_retracts(path[1], path[2]) || !feas.is_feasible(dst, seqno, advertised) {
+    if store.row_retracts(detour.path[1], detour.path[2])
+        || !feas.is_feasible(dst, seqno, detour.advertised)
+    {
         feas.count_loop();
         return None;
     }
-    feas.observe_detour(path.len() - 1);
-    Some(Detour {
-        path,
-        cost,
-        advertised,
-    })
+    feas.observe_detour(detour.path.len() - 1);
+    Some(detour)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apor_linkstate::{LaneRow, LinkEntry, RowStore};
+    use apor_linkstate::{LaneRow, LinkEntry};
     use std::sync::Arc;
 
     #[test]
     fn feasibility_is_strict_at_one_seqno() {
         let mut f = FeasibilityTable::new();
-        assert!(f.is_feasible(3, 1, 500.0), "no state, no constraint");
-        f.advance(3, 1, 100.0);
-        assert!(f.is_feasible(3, 1, 99.0));
-        assert!(!f.is_feasible(3, 1, 100.0), "equality is not feasible");
-        assert!(!f.is_feasible(3, 1, 101.0));
+        assert!(f.is_feasible(3, 1, 500), "no state, no constraint");
+        f.advance(3, 1, 100);
+        assert!(f.is_feasible(3, 1, 99));
+        assert!(!f.is_feasible(3, 1, 100), "equality is not feasible");
+        assert!(!f.is_feasible(3, 1, 101));
         // A strictly newer seqno is always feasible; an older one never.
-        assert!(f.is_feasible(3, 2, 500.0));
-        assert!(!f.is_feasible(3, 0, 1.0));
+        assert!(f.is_feasible(3, 2, 500));
+        assert!(!f.is_feasible(3, 0, 1));
         // fd ratchets down, never up.
-        f.advance(3, 1, 40.0);
-        f.advance(3, 1, 80.0);
-        assert_eq!(f.entry(3).unwrap().fd, 40.0);
+        f.advance(3, 1, 40);
+        f.advance(3, 1, 80);
+        assert_eq!(f.entry(3).unwrap().fd, 40);
         // The origin bumping its seqno resets the constraint.
         f.note_seqno(3, 2);
-        assert!(f.is_feasible(3, 2, 500.0));
+        assert!(f.is_feasible(3, 2, 500));
         assert_eq!(f.entry(3).unwrap().fd, INFINITE_COST);
     }
 
     #[test]
     fn retraction_requires_a_newer_seqno_to_recover() {
         let mut f = FeasibilityTable::new();
-        f.advance(7, 5, 100.0);
+        f.advance(7, 5, 100);
         assert!(f.retract(7, 5));
         assert!(!f.retract(7, 5), "re-retracting is a no-op");
         assert_eq!(f.routes_retracted(), 1);
-        assert!(!f.is_feasible(7, 5, 1.0), "retracted at this seqno");
+        assert!(!f.is_feasible(7, 5, 1), "retracted at this seqno");
         assert_eq!(f.request_seqno(7), 6);
-        assert!(f.is_feasible(7, 6, 1.0), "the requested seqno recovers");
+        assert!(f.is_feasible(7, 6, 1), "the requested seqno recovers");
         f.note_seqno(7, 6);
         assert!(!f.entry(7).unwrap().retracted);
     }
@@ -339,18 +326,18 @@ mod tests {
         // 0 forever — no bump can arrive, so the retraction must yield
         // to fresh evidence (a new recommendation being acted on).
         let mut f = FeasibilityTable::new();
-        f.advance(4, 0, 80.0);
+        f.advance(4, 0, 80);
         assert!(f.retract(4, 0));
-        assert!(!f.is_feasible(4, 0, 1.0));
-        f.advance(4, 0, 120.0);
-        assert!(f.is_feasible(4, 0, 119.0), "soft retraction cleared");
-        assert_eq!(f.entry(4).unwrap().fd, 120.0, "fd restarts at the evidence");
+        assert!(!f.is_feasible(4, 0, 1));
+        f.advance(4, 0, 120);
+        assert!(f.is_feasible(4, 0, 119), "soft retraction cleared");
+        assert_eq!(f.entry(4).unwrap().fd, 120, "fd restarts at the evidence");
         // Versioned retractions stay hard: only a newer seqno recovers.
         f.note_seqno(4, 3);
-        f.advance(4, 3, 50.0);
+        f.advance(4, 3, 50);
         assert!(f.retract(4, 3));
-        f.advance(4, 3, 60.0);
-        assert!(!f.is_feasible(4, 3, 1.0), "versioned retraction holds");
+        f.advance(4, 3, 60);
+        assert!(!f.is_feasible(4, 3, 1), "versioned retraction holds");
     }
 
     #[test]
@@ -358,41 +345,30 @@ mod tests {
         // 0 → 1 → 2 with row 1 advertising 2 at cost 10.
         let n = 3;
         let mut s = RowStore::new(n);
-        s.update_row(
-            0,
-            &[
-                LinkEntry::live(0, 0.0),
-                LinkEntry::live(10, 0.0),
-                LinkEntry::dead(),
-            ],
-            1.0,
-        );
-        s.update_row(
-            1,
-            &[
-                LinkEntry::live(10, 0.0),
-                LinkEntry::live(0, 0.0),
-                LinkEntry::live(10, 0.0),
-            ],
-            1.0,
-        );
+        let relay_row = [
+            LinkEntry::live(10, 0.0),
+            LinkEntry::live(0, 0.0),
+            LinkEntry::live(10, 0.0),
+        ];
+        let own_row = [
+            LinkEntry::live(0, 0.0),
+            LinkEntry::live(10, 0.0),
+            LinkEntry::dead(),
+        ];
+        s.put_row(0, Arc::new(LaneRow::from_dense(&own_row)), 1.0);
+        s.put_row(1, Arc::new(LaneRow::from_dense(&relay_row)), 1.0);
         let mut f = FeasibilityTable::new();
         let d = select_detour(&s, &f, 0, 2, 4, 1.5, 45.0).expect("unconstrained detour");
         assert_eq!(d.path, vec![0, 1, 2]);
-        assert_eq!((d.cost, d.advertised), (20.0, 10.0));
+        assert_eq!((d.cost, d.advertised), (20, 10));
         // Once our own fd to 2 is at or below the advertised cost, the
         // same candidate is a potential loop and must be refused.
-        f.advance(2, 0, 10.0);
+        f.advance(2, 0, 10);
         assert!(select_detour(&s, &f, 0, 2, 4, 1.5, 45.0).is_none());
         assert_eq!(f.loops_detected(), 1);
         // An explicit retraction by the relay also kills the splice.
         let f = FeasibilityTable::new();
-        let retracting = LaneRow::from_dense(&[
-            LinkEntry::live(10, 0.0),
-            LinkEntry::live(0, 0.0),
-            LinkEntry::live(10, 0.0),
-        ])
-        .with_version(2, &[2]);
+        let retracting = LaneRow::from_dense(&relay_row).with_version(2, &[2]);
         assert!(s.put_row(1, Arc::new(retracting), 2.0));
         assert!(select_detour(&s, &f, 0, 2, 4, 2.5, 45.0).is_none());
         assert_eq!(f.loops_detected(), 1);

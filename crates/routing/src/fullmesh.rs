@@ -4,71 +4,103 @@
 //! to *all* other nodes, so everyone holds the whole matrix and computes
 //! optimal one-hop routes locally. Correct and simple, but `Θ(n²)`
 //! per-node communication — the cost the paper's quorum scheme removes.
+//!
+//! The router *is* the matrix: two flat `n × n` arrays holding the wire
+//! bytes of every entry, one receipt time per row, and a route lookup
+//! that is one integer loop over them. It takes no store parameter and
+//! shares no logic with the quorum node's
+//! [`RowStore`](apor_linkstate::RowStore) — a node that legitimately
+//! holds all `n` rows wants `O(1)` entry access and rows overwritten in
+//! place, not a map of shared row buffers that every broadcast swaps
+//! through the allocator.
 
 use crate::config::ProtocolConfig;
-use crate::RoutingAlgorithm;
-use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, LinkStateTable, Message};
+use crate::{RoutingAlgorithm, VersionedRow};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, Message, INFINITE_COST};
 use apor_quorum::NodeId;
 use std::sync::Arc;
 
-/// The baseline router, generic over its store (default: the dense
-/// table — every node legitimately holds all `n` rows here, so dense
-/// `O(1)` row lookups are the right trade).
+/// Latency slot of a dead or never-measured link. A live entry never
+/// holds it: the wire clamps live latencies below this sentinel.
+const DEAD: u16 = LinkEntry::DEAD_LATENCY;
+
+/// The baseline router.
 #[derive(Debug)]
-pub struct FullMeshRouter<S: LinkStateStore = LinkStateTable> {
+pub struct FullMeshRouter {
     me: usize,
     n: usize,
     view: u32,
     round: u32,
     config: ProtocolConfig,
-    table: S,
+    /// `latency[origin · n + dst]`: wire latency, ms; [`DEAD`] = dead.
+    latency: Vec<u16>,
+    /// `liveness[origin · n + dst]`: wire liveness/loss byte; 0 = dead.
+    liveness: Vec<u8>,
+    /// Receipt time (seconds) of each row; `None` = never received.
+    row_time: Vec<Option<f64>>,
 }
 
-impl FullMeshRouter<LinkStateTable> {
+impl FullMeshRouter {
     /// A baseline router for node `me` of `n` under membership `view`.
-    #[must_use]
-    pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
-        Self::with_store(me, n, view, config, LinkStateTable::new(n))
-    }
-}
-
-impl<S: LinkStateStore> FullMeshRouter<S> {
-    /// A baseline router over an explicit store.
     ///
     /// # Panics
-    /// Panics if `me ≥ n` or the store covers a different `n`.
+    /// Panics if `me ≥ n`.
     #[must_use]
-    pub fn with_store(me: usize, n: usize, view: u32, config: ProtocolConfig, table: S) -> Self {
+    pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
         assert!(me < n);
-        assert_eq!(table.len(), n, "store must cover n nodes");
         FullMeshRouter {
             me,
             n,
             view,
             round: 0,
             config,
-            table,
+            latency: vec![DEAD; n * n],
+            liveness: vec![0; n * n],
+            row_time: vec![None; n],
         }
     }
 
-    /// The link-state store (for inspection).
-    #[must_use]
-    pub fn table(&self) -> &S {
-        &self.table
+    /// Overwrite row `origin` with `row`'s live entries (every other
+    /// slot dead), stamped at `now`. Returns `false`, leaving the
+    /// matrix alone, when `origin` or a listed destination is out of
+    /// range.
+    fn store_row(&mut self, origin: usize, row: &LaneRow, now: f64) -> bool {
+        let (dst, latency_ms, liveness_loss) = row.lanes();
+        if origin >= self.n || dst.last().is_some_and(|&d| usize::from(d) >= self.n) {
+            return false;
+        }
+        let slots = origin * self.n..(origin + 1) * self.n;
+        let latency = &mut self.latency[slots.clone()];
+        let liveness = &mut self.liveness[slots];
+        latency.fill(DEAD);
+        liveness.fill(0);
+        for i in 0..dst.len() {
+            latency[usize::from(dst[i])] = latency_ms[i];
+            liveness[usize::from(dst[i])] = liveness_loss[i];
+        }
+        self.row_time[origin] = Some(now);
+        true
+    }
+
+    /// Is row `origin` present and within the staleness window at `now`?
+    fn row_fresh(&self, origin: usize, now: f64) -> bool {
+        self.row_time[origin].is_some_and(|t| now - t <= self.config.staleness_s())
     }
 }
 
-impl<S: LinkStateStore> RoutingAlgorithm for FullMeshRouter<S> {
+impl RoutingAlgorithm for FullMeshRouter {
     fn on_routing_tick(
         &mut self,
         now: f64,
         own_row: &[LinkEntry],
         _rng: &mut rand_chacha::ChaCha8Rng,
     ) -> Vec<Message> {
-        self.table.update_row(self.me, own_row, now);
+        assert_eq!(own_row.len(), self.n, "row must have n entries");
         self.round += 1;
-        // One row for the whole broadcast: every frame shares it.
+        // One row for the whole broadcast: every frame shares it, and my
+        // own matrix row holds what the others will decode.
         let row = Arc::new(LaneRow::from_dense(own_row));
+        self.store_row(self.me, &row, now);
         (0..self.n)
             .filter(|&j| j != self.me)
             .map(|j| {
@@ -88,64 +120,79 @@ impl<S: LinkStateStore> RoutingAlgorithm for FullMeshRouter<S> {
 
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
         if let Message::LinkState(ls) = msg {
-            if ls.view == self.view
-                && usize::from(ls.width) == self.n
-                && ls.from.index() < self.n
-                && ls.from.index() != self.me
+            if ls.view == self.view && usize::from(ls.width) == self.n && ls.from.index() != self.me
             {
-                self.table
-                    .put_row(ls.from.index(), Arc::clone(&ls.row), now);
+                self.store_row(ls.from.index(), &ls.row, now);
             }
         }
         Vec::new()
     }
 
+    /// The direct link, then the cheapest fresh relay `h` by
+    /// `mine[h] + latency[h][dst]` — taken only when strictly cheaper,
+    /// lowest `h` on ties. Nothing routes while my own row is stale.
     fn best_hop(&self, dst: usize, now: f64) -> Option<usize> {
-        if dst == self.me || dst >= self.n {
+        if dst == self.me || dst >= self.n || !self.row_fresh(self.me, now) {
             return None;
         }
-        let max_age = self.config.staleness_s();
-        let direct = if self.table.row_fresh(self.me, now, max_age) {
-            self.table.entry(self.me, dst).cost()
+        let mine = &self.latency[self.me * self.n..(self.me + 1) * self.n];
+        let direct = if mine[dst] == DEAD {
+            INFINITE_COST
         } else {
-            f64::INFINITY
+            u32::from(mine[dst])
         };
         let mut best = (dst, direct);
-        for (h, c) in self.table.one_hop_options(self.me, dst, now, max_age) {
-            if c < best.1 {
-                best = (h, c);
+        for h in 0..self.n {
+            let (leg1, leg2) = (mine[h], self.latency[h * self.n + dst]);
+            if h == self.me || h == dst || leg1 == DEAD || leg2 == DEAD || !self.row_fresh(h, now) {
+                continue;
+            }
+            let cost = u32::from(leg1) + u32::from(leg2);
+            if cost < best.1 {
+                best = (h, cost);
             }
         }
-        best.1.is_finite().then_some(best.0)
+        (best.1 != INFINITE_COST).then_some(best.0)
     }
 
     fn route_age(&self, dst: usize, now: f64) -> Option<f64> {
         // The full-mesh analogue of "time since last recommendation" is
         // the age of the destination's link-state broadcast.
-        self.table.row_age(dst, now)
+        self.row_time[dst].map(|t| now - t)
     }
 
     fn double_rendezvous_failures(&self, _now: f64) -> usize {
         0
     }
 
-    fn export_rows(&self) -> Vec<(usize, f64, Vec<LinkEntry>)> {
-        self.table
-            .present_rows()
-            .into_iter()
+    fn export_rows(&self) -> Vec<VersionedRow> {
+        (0..self.n)
             .filter_map(|origin| {
-                let time = self.table.row_time(origin)?;
-                Some((origin, time, self.table.row_dense(origin)?))
+                let slots = origin * self.n..(origin + 1) * self.n;
+                Some(VersionedRow {
+                    origin,
+                    received_at: self.row_time[origin]?,
+                    seqno: 0,
+                    retractions: Vec::new(),
+                    entries: self.latency[slots.clone()]
+                        .iter()
+                        .zip(&self.liveness[slots])
+                        .map(|(&l, &b)| LinkEntry::from_wire_parts(l, b))
+                        .collect(),
+                })
             })
             .collect()
     }
 
-    fn import_row(&mut self, origin: usize, entries: &[LinkEntry], received_at: f64) {
-        if origin >= self.n || entries.len() != self.n {
-            return;
-        }
+    fn import_row(&mut self, row: &VersionedRow) {
         // Full mesh: every row is entitled.
-        self.table.update_row(origin, entries, received_at);
+        if row.entries.len() == self.n {
+            self.store_row(
+                row.origin,
+                &LaneRow::from_dense(&row.entries),
+                row.received_at,
+            );
+        }
     }
 }
 
@@ -218,7 +265,7 @@ mod tests {
         for msg in a.on_routing_tick(0.0, &live_row(&[0, 10]), &mut r) {
             b.on_message(0.1, &msg);
         }
-        assert!(b.table().row_time(0).is_none(), "cross-view row accepted");
+        assert!(b.row_time[0].is_none(), "cross-view row accepted");
     }
 
     #[test]
@@ -245,5 +292,73 @@ mod tests {
         let mut r = rng();
         let msgs = router.on_routing_tick(0.0, &row, &mut r);
         assert_eq!(msgs.len(), n - 1);
+    }
+
+    /// A dense frame lands in the matrix as the wire reads: dead filler
+    /// (`FF FF 7F`) as a dead entry, a live entry with the all-ones
+    /// latency as `LinkEntry::decode` reads it once clamped below the
+    /// dead sentinel (what `encode` would have sent), loss at its wire
+    /// quantum — and the row re-exports unchanged. An out-of-range
+    /// origin or destination leaves the matrix alone.
+    #[test]
+    fn dense_frame_lands_as_decoded_and_reexports_unchanged() {
+        let wire: [[u8; 3]; 4] = [
+            [0x00, 0x28, 0x80 | 7], // 40 ms, 3.5 % loss
+            [0xFF, 0xFF, 0x7F],     // dead filler
+            [0xFF, 0xFF, 0x80],     // live at the sentinel latency
+            [0x00, 0x00, 0x80],     // the origin itself
+        ];
+        let mut frame = vec![3u8]; // dense link state
+        for field in [3u16, 0] {
+            frame.extend_from_slice(&field.to_be_bytes()); // from, to
+        }
+        for field in [7u32, 1] {
+            frame.extend_from_slice(&field.to_be_bytes()); // view, round
+        }
+        frame.extend_from_slice(&4u16.to_be_bytes()); // entries
+        frame.extend_from_slice(&0u32.to_be_bytes()); // basis
+        frame.extend_from_slice(&0u16.to_be_bytes()); // flags
+        frame.extend(wire.iter().flatten());
+        let msg = Message::decode(&frame).expect("a well-formed dense frame");
+
+        let mut router = FullMeshRouter::new(0, 4, 7, ProtocolConfig::ron());
+        router.on_message(2.5, &msg);
+        let want: Vec<LinkEntry> = wire
+            .iter()
+            .map(|&bytes| LinkEntry::decode(LinkEntry::decode(bytes).encode()))
+            .collect();
+        assert_eq!(want[1], LinkEntry::dead());
+        assert_eq!((want[2].alive, want[2].latency_ms), (true, u16::MAX - 1));
+        let exported = router.export_rows();
+        assert_eq!(exported.len(), 1);
+        assert_eq!(
+            exported[0],
+            VersionedRow {
+                origin: 3,
+                received_at: 2.5,
+                seqno: 0,
+                retractions: Vec::new(),
+                entries: want,
+            }
+        );
+
+        // A carried row crosses a remap as it was received.
+        let mut rebuilt = FullMeshRouter::new(0, 4, 8, ProtocolConfig::ron());
+        rebuilt.import_row(&exported[0]);
+        assert_eq!(rebuilt.export_rows(), exported);
+        assert_eq!(rebuilt.route_age(3, 4.0), Some(1.5));
+
+        // Out of range: origin 4 of 4, and a destination beyond the width.
+        let Message::LinkState(ls) = &msg else {
+            panic!("a dense link-state frame");
+        };
+        let stray = Message::LinkState(LinkStateMsg {
+            from: NodeId(4),
+            ..ls.clone()
+        });
+        router.on_message(3.0, &stray);
+        let wide = LaneRow::from_dense(&live_row(&[1, 2, 3, 4, 5]));
+        assert!(!router.store_row(2, &wide, 3.0));
+        assert_eq!(router.export_rows(), exported);
     }
 }

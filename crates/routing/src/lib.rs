@@ -14,7 +14,7 @@
 //! * [`adaptive`] — the per-link adaptive probe-rate state machine
 //!   (exponential backoff on stable links, snap-back on change).
 //! * [`fullmesh`] — the baseline: broadcast link state to everyone,
-//!   `Θ(n²)` per-node communication.
+//!   `Θ(n²)` per-node communication, the whole matrix held privately.
 //! * [`quorum_router`] — the paper's contribution: the two-round grid
 //!   quorum protocol (section 3) with rapid rendezvous failover, remote
 //!   failure detection, dead-destination suppression and §4.2 local route
@@ -49,8 +49,9 @@ pub mod prober;
 pub mod quorum_router;
 
 pub use adaptive::{AdaptiveProbeRate, RateSample};
+pub use apor_linkstate::Detour;
 pub use config::{ProbePolicy, ProtocolConfig};
-pub use feasibility::{select_detour, Detour, FeasEntry, FeasibilityTable};
+pub use feasibility::{select_detour, FeasEntry, FeasibilityTable};
 pub use fullmesh::FullMeshRouter;
 pub use multihop::{multihop_routes, MultiHopResult};
 pub use prober::{ProbeAction, Prober};
@@ -106,46 +107,17 @@ pub trait RoutingAlgorithm {
     /// full-mesh baseline, which has no rendezvous.
     fn double_rendezvous_failures(&self, now: f64) -> usize;
 
-    /// Snapshot every held link-state row as `(origin index, receipt
-    /// time, entries)` — the overlay layer uses this on a membership
-    /// change to carry surviving measurements into the freshly built
-    /// router (the *incremental view remap*) instead of rebuilding from
-    /// empty.
-    fn export_rows(&self) -> Vec<(usize, f64, Vec<apor_linkstate::LinkEntry>)>;
+    /// Snapshot every held link-state row, with its origin's seqno and
+    /// retraction lane (the baseline exports seqno 0, nothing
+    /// retracted) — the overlay layer uses this on a membership change
+    /// to carry surviving measurements into the freshly built router
+    /// (the *incremental view remap*) instead of rebuilding from empty.
+    fn export_rows(&self) -> Vec<VersionedRow>;
 
     /// Install a row carried over from a previous view, already
     /// translated into this router's index space and stamped with its
     /// *original* receipt time (so the 3-interval freshness rule keeps
     /// applying). Implementations drop rows their role does not entitle
     /// them to; out-of-range rows are ignored.
-    fn import_row(
-        &mut self,
-        origin: usize,
-        entries: &[apor_linkstate::LinkEntry],
-        received_at: f64,
-    );
-
-    /// [`export_rows`](RoutingAlgorithm::export_rows) carrying the
-    /// route discipline: each row's origin seqno and retraction lane
-    /// ride along. The default wraps the unversioned export (seqno 0,
-    /// nothing retracted) so baseline algorithms need no changes.
-    fn export_rows_versioned(&self) -> Vec<VersionedRow> {
-        self.export_rows()
-            .into_iter()
-            .map(|(origin, received_at, entries)| VersionedRow {
-                origin,
-                received_at,
-                seqno: 0,
-                retractions: Vec::new(),
-                entries,
-            })
-            .collect()
-    }
-
-    /// [`import_row`](RoutingAlgorithm::import_row) carrying the route
-    /// discipline. The default drops the version (baseline algorithms
-    /// store rows unversioned).
-    fn import_row_versioned(&mut self, row: &VersionedRow) {
-        self.import_row(row.origin, &row.entries, row.received_at);
-    }
+    fn import_row(&mut self, row: &VersionedRow);
 }

@@ -8,12 +8,12 @@
 //! two rendezvous servers, so every node keeps learning its optimal
 //! one-hop route to every destination with `Θ(n√n)` per-node traffic.
 //!
-//! The router is generic over its [`LinkStateStore`]: the default
-//! [`RowStore`] holds only the `O(√n)` rows the node actually receives
-//! (so per-node state matches the paper's `O(n√n)` bound — the grid
-//! removes not just the traffic but the memory of the full mesh), while
-//! the dense [`LinkStateTable`](apor_linkstate::LinkStateTable) remains
-//! pluggable for baseline comparisons in the scale experiments.
+//! The router owns a [`RowStore`], which holds only the `O(√n)` rows the
+//! node actually receives, so per-node state matches the paper's
+//! `O(n√n)` bound — the grid removes not just the traffic but the memory
+//! of the full mesh. There is no store parameter: the full-mesh
+//! baseline is a different router with its own matrix. Costs are
+//! integer milliseconds from the wire to the route decision.
 //!
 //! Section 4's failure machinery is implemented in full:
 //!
@@ -33,11 +33,11 @@
 //!   the best of the `2√n` neighbour tables the node already holds.
 
 use crate::config::ProtocolConfig;
-use crate::feasibility::{select_detour, Detour, FeasibilityTable};
+use crate::feasibility::{select_detour, FeasibilityTable};
 use crate::{RoutingAlgorithm, VersionedRow};
 use apor_linkstate::{
-    LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
-    RowStore,
+    Detour, LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
+    RowStore, INFINITE_COST,
 };
 use apor_quorum::{Grid, NodeId};
 use apor_telemetry::{Counter, Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
@@ -148,16 +148,15 @@ impl RouterCounters {
     }
 }
 
-/// The per-node quorum routing state machine, generic over its link-state
-/// store (default: the sparse [`RowStore`]).
-pub struct QuorumRouter<S: LinkStateStore = RowStore> {
+/// The per-node quorum routing state machine.
+pub struct QuorumRouter {
     me: usize,
     n: usize,
     grid: Grid,
     view: u32,
     round: u32,
     config: ProtocolConfig,
-    table: S,
+    table: RowStore,
     own_row: Vec<LinkEntry>,
     /// Cached: my default rendezvous servers (grid row + column).
     my_servers: Vec<usize>,
@@ -207,15 +206,18 @@ pub struct QuorumRouter<S: LinkStateStore = RowStore> {
     trace_ctx: Option<(TraceCtx, u32)>,
 }
 
-impl QuorumRouter<RowStore> {
+impl QuorumRouter {
     /// A quorum router for node `me` under membership `view` of size `n`,
-    /// backed by the sparse row store with the `O(√n)` entitlement guard
-    /// (stale rows are shed under capacity pressure — see
+    /// its row store under the `O(√n)` entitlement guard (stale rows are
+    /// shed under capacity pressure — see
     /// [`RowStore::with_entitlement`]).
+    ///
+    /// # Panics
+    /// Panics if `me ≥ n`.
     #[must_use]
     pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
         let store = RowStore::with_entitlement(n, Self::row_entitlement(n), config.staleness_s());
-        Self::with_store(me, n, view, config, store)
+        Self::over(me, n, view, config, store)
     }
 
     /// [`QuorumRouter::new`] with both the router counters and the
@@ -230,7 +232,7 @@ impl QuorumRouter<RowStore> {
     ) -> Self {
         let store = RowStore::with_entitlement(n, Self::row_entitlement(n), config.staleness_s())
             .with_telemetry(telemetry.clone());
-        Self::with_store(me, n, view, config, store).with_telemetry(telemetry)
+        Self::over(me, n, view, config, store).with_telemetry(telemetry)
     }
 
     /// The debug-asserted bound on *fresh* rows a quorum node may hold:
@@ -242,18 +244,10 @@ impl QuorumRouter<RowStore> {
         let grid = Grid::new(n.max(1));
         2 * grid.max_rendezvous_degree() + 16
     }
-}
 
-impl<S: LinkStateStore> QuorumRouter<S> {
-    /// A quorum router over an explicit store (the scale experiments use
-    /// this to run the identical protocol over the dense baseline).
-    ///
-    /// # Panics
-    /// Panics if `me ≥ n` or the store covers a different `n`.
-    #[must_use]
-    pub fn with_store(me: usize, n: usize, view: u32, config: ProtocolConfig, table: S) -> Self {
+    /// A fresh router over `table`, an empty store of width `n`.
+    fn over(me: usize, n: usize, view: u32, config: ProtocolConfig, table: RowStore) -> Self {
         assert!(me < n);
-        assert_eq!(table.len(), n, "store must cover n nodes");
         let grid = Grid::new(n);
         let my_servers = grid.rendezvous_servers(me);
         QuorumRouter {
@@ -286,9 +280,8 @@ impl<S: LinkStateStore> QuorumRouter<S> {
     /// the previous (default: disabled) registry are left behind, but
     /// re-attaching the same registry — e.g. when a view change rebuilds
     /// the router — resumes its cumulative cells. The link-state store
-    /// keeps its own registration — build it via
-    /// [`RowStore::with_telemetry`] and [`QuorumRouter::with_store`]
-    /// (or [`QuorumRouter::new_with_telemetry`]) to instrument both.
+    /// keeps its own registration:
+    /// [`QuorumRouter::new_with_telemetry`] instruments both.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.counters = RouterCounters::new(telemetry);
@@ -324,7 +317,7 @@ impl<S: LinkStateStore> QuorumRouter<S> {
 
     /// The link-state store (for inspection).
     #[must_use]
-    pub fn table(&self) -> &S {
+    pub fn table(&self) -> &RowStore {
         &self.table
     }
 
@@ -390,18 +383,13 @@ impl<S: LinkStateStore> QuorumRouter<S> {
         }
         // §4.2: scavenge from the neighbour tables we already hold.
         let max_age = self.config.staleness_s();
-        let direct = if self.own_row[dst].alive {
-            self.own_row[dst].cost()
-        } else {
-            f64::INFINITY
-        };
-        let mut best = (dst, direct);
+        let mut best = (dst, self.own_row[dst].cost());
         for (h, c) in self.table.one_hop_options(self.me, dst, now, max_age) {
             if c < best.1 {
                 best = (h, c);
             }
         }
-        if best.1.is_finite() {
+        if best.1 != INFINITE_COST {
             return Some(RouteDecision::Hop(best.0));
         }
         // The generalized scavenge: splice a feasibility-checked k-hop
@@ -744,7 +732,10 @@ impl<S: LinkStateStore> QuorumRouter<S> {
                 recs.push(RecEntry {
                     dst: NodeId::from_index(d),
                     hop: NodeId::from_index(hop),
-                    cost_ms: LinkEntry::quantize_latency(f64::from(cost)),
+                    // Saturates below the dead sentinel, as the wire does.
+                    cost_ms: u16::try_from(cost)
+                        .unwrap_or(u16::MAX)
+                        .min(LinkEntry::DEAD_LATENCY - 1),
                 });
             }
             if recs.is_empty() {
@@ -771,7 +762,7 @@ impl<S: LinkStateStore> QuorumRouter<S> {
     }
 }
 
-impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
+impl RoutingAlgorithm for QuorumRouter {
     fn on_routing_tick(
         &mut self,
         now: f64,
@@ -885,7 +876,7 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
                             self.feasibility.advance(
                                 dst,
                                 self.table.row_seqno(dst),
-                                f64::from(rec.cost_ms),
+                                u32::from(rec.cost_ms),
                             );
                         }
                     }
@@ -913,33 +904,7 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
             .count()
     }
 
-    fn export_rows(&self) -> Vec<(usize, f64, Vec<LinkEntry>)> {
-        self.table
-            .present_rows()
-            .into_iter()
-            .filter_map(|origin| {
-                let time = self.table.row_time(origin)?;
-                Some((origin, time, self.table.row_dense(origin)?))
-            })
-            .collect()
-    }
-
-    fn import_row(&mut self, origin: usize, entries: &[LinkEntry], received_at: f64) {
-        if origin >= self.n || entries.len() != self.n {
-            return;
-        }
-        // Entitlement: only keep rows this node's grid role grants it —
-        // its own row and its rendezvous clients'. Rows from origins
-        // that are no longer clients after the view change are dropped
-        // rather than remapped, keeping state O(n√n).
-        if origin != self.me && !self.grid.serves(origin, self.me) {
-            return;
-        }
-        self.table.update_row(origin, entries, received_at);
-        self.trace_row_import(origin, received_at);
-    }
-
-    fn export_rows_versioned(&self) -> Vec<VersionedRow> {
+    fn export_rows(&self) -> Vec<VersionedRow> {
         self.table
             .present_rows()
             .into_iter()
@@ -956,11 +921,14 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
             .collect()
     }
 
-    fn import_row_versioned(&mut self, row: &VersionedRow) {
+    fn import_row(&mut self, row: &VersionedRow) {
         if row.origin >= self.n || row.entries.len() != self.n {
             return;
         }
-        // Same entitlement rule as the unversioned import.
+        // Entitlement: only keep rows this node's grid role grants it —
+        // its own row and its rendezvous clients'. Rows from origins
+        // that are no longer clients after the view change are dropped
+        // rather than remapped, keeping state O(n√n).
         if row.origin != self.me && !self.grid.serves(row.origin, self.me) {
             return;
         }
@@ -974,7 +942,6 @@ impl<S: LinkStateStore> RoutingAlgorithm for QuorumRouter<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apor_linkstate::LinkStateTable;
     use proptest::prelude::{any, prop, prop_assert_eq, proptest};
     use rand::SeedableRng;
 
@@ -1215,43 +1182,6 @@ mod tests {
                 prop_assert_eq!(snap.gauge(1, "routing", "rec_seen_bytes"), Some(bytes.0));
                 prop_assert_eq!(snap.gauge(1, "routing", "rec_seen_bytes_dense"), Some(bytes.1));
                 prop_assert_eq!(me.metrics().rec_entries_received, accepted);
-            }
-        }
-    }
-
-    /// The sparse store and the dense baseline run the identical
-    /// protocol: swapping stores changes no routing decision.
-    #[test]
-    fn dense_store_reaches_identical_routes() {
-        let cfg = ProtocolConfig::quorum();
-        let n = 9;
-        let rows = nine_node_rows();
-        let mut dense: Vec<QuorumRouter<LinkStateTable>> = (0..n)
-            .map(|i| QuorumRouter::with_store(i, n, 0, cfg.clone(), LinkStateTable::new(n)))
-            .collect();
-        let mut g = rng();
-        for t in [0.0, 15.0] {
-            let mut queue: Vec<Message> = Vec::new();
-            for (i, r) in dense.iter_mut().enumerate() {
-                queue.extend(r.on_routing_tick(t, &rows[i], &mut g));
-            }
-            while let Some(m) = queue.pop() {
-                let to = m.to().index();
-                queue.extend(dense[to].on_message(t + 0.01, &m));
-            }
-        }
-        let mut sparse = Fabric::new(n, &cfg);
-        sparse.tick(0.0, &rows);
-        sparse.tick(15.0, &rows);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    assert_eq!(
-                        dense[i].best_hop(j, 16.0),
-                        sparse.routers[i].best_hop(j, 16.0),
-                        "{i}→{j}"
-                    );
-                }
             }
         }
     }
@@ -1787,7 +1717,7 @@ mod tests {
                 row: Arc::new(LaneRow::from_dense(&row1).with_version(9, &[6])),
             }),
         );
-        let rows = a.export_rows_versioned();
+        let rows = a.export_rows();
         let carried = rows.iter().find(|r| r.origin == 1).expect("row exported");
         assert_eq!(
             (carried.seqno, carried.retractions.as_slice()),
@@ -1796,7 +1726,7 @@ mod tests {
         // A rebuilt router importing the carried row keeps the guard: a
         // delayed older frame from 1 is still rejected after the carry.
         let mut b = QuorumRouter::new(0, n, 1, ProtocolConfig::quorum());
-        b.import_row_versioned(carried);
+        b.import_row(carried);
         assert_eq!(b.table().row_seqno(1), 9);
         assert!(b.table().row_retracts(1, 6));
         let mut stale = carried.entries.clone();
@@ -1950,11 +1880,13 @@ mod tests {
             );
         }
         let exported = a.export_rows();
-        assert!(exported.iter().any(|(o, t, _)| *o == 1 && *t == 2.0));
+        assert!(exported
+            .iter()
+            .any(|r| r.origin == 1 && r.received_at == 2.0));
         // A fresh router (same position) re-imports only entitled rows.
         let mut b = QuorumRouter::new(0, n, 1, cfg);
-        for (origin, t, entries) in exported {
-            b.import_row(origin, &entries, t);
+        for row in &exported {
+            b.import_row(row);
         }
         assert!(b.table().row_time(1).is_some(), "client row carried");
         assert!(

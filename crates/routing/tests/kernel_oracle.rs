@@ -1,0 +1,696 @@
+//! One differential oracle for the routing kernels, and the wire-format
+//! references.
+//!
+//! **The oracle** is the definition of a one-hop route computed the slow
+//! way: a plain `Vec` of rows (`World`), a freshness check per row, and a
+//! brute-force `min` over every relay index in ascending order, replaced
+//! only by a strictly cheaper candidate. Everything that computes routes
+//! is held to it, hop for hop and cost for cost — ties included:
+//!
+//! * `RowStore::best_one_hop` (the single-pair merge-join and its
+//!   shared-lane fast path), at n = 16 and n = 100;
+//! * `LinkStateStore::round_two` (the whole-tick scatter-gather), every
+//!   ordered pair, so both orientations of every unordered pair, with
+//!   stale rows and rows that never arrived among the clients;
+//! * `RowStore::one_hop_options` (§4.2 scavenging), the full sorted list;
+//! * a `QuorumRouter` tick's recommendation frames, byte for byte;
+//! * `FullMeshRouter::best_hop` — against the oracle, and against the
+//!   definition it had when it sat on a store (`one_hop_options` plus
+//!   the direct link).
+//!
+//! **The wire references**: lanes hold the exact wire bytes, so a row
+//! that travelled through encode/decode is bit-identical to one stored
+//! directly; and link-state frames are held to a reference encoder
+//! written the way the codec was before rows became the message body
+//! (an array of entries, each quantized as it is written): frames a tick
+//! emits, and rows a receiver stores, must not have moved a byte.
+
+use apor_linkstate::{
+    LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecFormat,
+    RecommendationMsg, RowStore, INFINITE_COST, LS_FLAG_SEQNO,
+};
+use apor_quorum::NodeId;
+use apor_routing::{FullMeshRouter, ProtocolConfig, QuorumRouter, RoutingAlgorithm};
+use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
+
+/// A random row of `n` entries: latency over the full wire range, an
+/// alive flag, and an arbitrary (off-grid) loss rate.
+fn arb_row(n: usize) -> impl Strategy<Value = Vec<LinkEntry>> {
+    prop::collection::vec((any::<u16>(), prop::bool::weighted(0.7), 0.0f64..1.0), n).prop_map(
+        |raw| {
+            raw.into_iter()
+                .map(|(lat, alive, loss)| {
+                    if alive {
+                        LinkEntry::live(lat, loss as f32)
+                    } else {
+                        LinkEntry::dead()
+                    }
+                })
+                .collect()
+        },
+    )
+}
+
+/// One received row: its origin, whether it arrived long ago (stale
+/// by the time of the tick), and its entries.
+#[derive(Debug, Clone)]
+struct RowSpec {
+    origin: usize,
+    stale: bool,
+    row: Vec<LinkEntry>,
+}
+
+/// Random partial rows at width `n`. Each row draws its own density
+/// tier — 0 an all-dead row, 1 about one live entry, 2–3 half/nearly
+/// full, 4 fully live (two such rows share one destination lane, the
+/// elementwise path) — so destination lanes differ from row to row;
+/// latencies are drawn per row, so the two directions of a link
+/// disagree, and either span the whole `u16` range or (half the cases)
+/// only 1–3 ms, so that equal-cost paths are the norm; the self-entry
+/// is live in about half the rows; and about one row in six is stale.
+fn arb_row_specs(n: usize) -> impl Strategy<Value = Vec<RowSpec>> {
+    (
+        any::<bool>(),
+        prop::collection::vec(
+            (
+                (0..n, 0usize..5, any::<bool>(), 0u8..6),
+                prop::collection::vec((any::<u16>(), 0u8..100), n),
+            ),
+            1..10,
+        ),
+    )
+        .prop_map(move |(ties, specs)| {
+            specs
+                .into_iter()
+                .map(|((origin, tier, self_live, stale_roll), raw)| {
+                    let threshold = match tier {
+                        0 => 0,
+                        1 => 100 / n as u8,
+                        2 => 50,
+                        3 => 90,
+                        _ => 100,
+                    };
+                    let row = raw
+                        .into_iter()
+                        .enumerate()
+                        .map(|(j, (lat, roll))| {
+                            let live = if j == origin {
+                                self_live || tier == 4
+                            } else {
+                                roll < threshold
+                            };
+                            if live {
+                                LinkEntry::live(if ties { 1 + lat % 3 } else { lat }, 0.0)
+                            } else {
+                                LinkEntry::dead()
+                            }
+                        })
+                        .collect();
+                    RowSpec {
+                        origin,
+                        stale: stale_roll == 0,
+                        row,
+                    }
+                })
+                .collect()
+        })
+}
+
+/// Times used by the suites: stale rows arrive at `STALE_AT`, fresh
+/// ones at `FRESH_AT`, routes are computed at `TICK_AT` under the
+/// quorum config's 45 s staleness window.
+const STALE_AT: f64 = 0.0;
+const FRESH_AT: f64 = 100.0;
+const TICK_AT: f64 = 101.0;
+const MAX_AGE: f64 = 45.0;
+
+/// **The oracle.** What one node has been told, as plain data: for each
+/// origin, the receipt time and full-width row of the last frame it
+/// sent, if any — and the route definitions, by exhaustive search.
+struct World {
+    rows: Vec<Option<(f64, Vec<LinkEntry>)>>,
+}
+
+impl World {
+    /// Rows land in the order given; a later row from one origin
+    /// replaces the earlier one, receipt time included.
+    fn new(n: usize, specs: &[RowSpec]) -> Self {
+        let mut world = World {
+            rows: vec![None; n],
+        };
+        for spec in specs {
+            let at = if spec.stale { STALE_AT } else { FRESH_AT };
+            world.put(spec.origin, at, &spec.row);
+        }
+        world
+    }
+
+    /// Row `origin` arrives at `at`, its entries as the wire delivers
+    /// them (a live latency of 65535 clamps below the dead sentinel).
+    fn put(&mut self, origin: usize, at: f64, row: &[LinkEntry]) {
+        let wired = row.iter().map(|e| LinkEntry::decode(e.encode())).collect();
+        self.rows[origin] = Some((at, wired));
+    }
+
+    /// The same rows in a `RowStore`.
+    fn store(&self) -> RowStore {
+        let mut store = RowStore::new(self.rows.len());
+        for (origin, held) in self.rows.iter().enumerate() {
+            if let Some((at, row)) = held {
+                store.put_row(origin, Arc::new(LaneRow::from_dense(row)), *at);
+            }
+        }
+        store
+    }
+
+    /// Origins that ever sent a row, ascending.
+    fn present(&self) -> Vec<usize> {
+        (0..self.rows.len())
+            .filter(|&o| self.rows[o].is_some())
+            .collect()
+    }
+
+    /// Row `origin`, when it is present and fresh at `TICK_AT`.
+    fn fresh(&self, origin: usize) -> Option<&[LinkEntry]> {
+        let (at, row) = self.rows[origin].as_ref()?;
+        (TICK_AT - at <= MAX_AGE).then_some(row)
+    }
+
+    /// **Round two, by definition**: the best path `a → h → b` from
+    /// rows `a` and `b`, both fresh. The direct link costs the cheaper
+    /// of the two directions' estimates and is spelled `hop == b`; a
+    /// relay `h ∉ {a, b}` costs `row_a[h] + row_b[h]`, needs both legs
+    /// alive, and replaces the incumbent only when strictly cheaper —
+    /// so ties go to the direct link, then to the lowest index.
+    fn best_one_hop(&self, a: usize, b: usize) -> Option<(usize, u32)> {
+        if a == b {
+            return None;
+        }
+        let (row_a, row_b) = (self.fresh(a)?, self.fresh(b)?);
+        let mut best = (b, row_a[b].cost().min(row_b[a].cost()));
+        for h in 0..self.rows.len() {
+            if h == a || h == b || !row_a[h].alive || !row_b[h].alive {
+                continue;
+            }
+            let cost = row_a[h].cost() + row_b[h].cost();
+            if cost < best.1 {
+                best = (h, cost);
+            }
+        }
+        (best.1 != INFINITE_COST).then_some(best)
+    }
+
+    /// **§4.2 scavenging, by definition**: every relay `h ∉ {a, b}`
+    /// whose own row is fresh, at `row_a[h] + row_h[b]` with both legs
+    /// alive, cheapest first and lowest index on ties. Nothing when row
+    /// `a` is not fresh.
+    fn scavenge_options(&self, a: usize, b: usize) -> Vec<(usize, u32)> {
+        let Some(row_a) = self.fresh(a).filter(|_| a != b) else {
+            return Vec::new();
+        };
+        let mut options: Vec<(usize, u32)> = (0..self.rows.len())
+            .filter(|&h| h != a && h != b)
+            .filter_map(|h| {
+                let row_h = self.fresh(h)?;
+                (row_a[h].alive && row_h[b].alive).then(|| (h, row_a[h].cost() + row_h[b].cost()))
+            })
+            .collect();
+        options.sort_by_key(|&(h, cost)| (cost, h));
+        options
+    }
+
+    /// **The route a node holding every row takes, by definition**: the
+    /// direct link from its own fresh row, or the relay `h ∉ {me, dst}`
+    /// with a fresh row of its own that minimises `own[h] + row_h[dst]`
+    /// when that is strictly cheaper — lowest index on ties.
+    fn full_mesh_hop(&self, me: usize, dst: usize) -> Option<usize> {
+        let own = self.fresh(me).filter(|_| me != dst)?;
+        let mut best = (dst, own[dst].cost());
+        for (h, leg1) in own.iter().enumerate() {
+            let Some(row_h) = self.fresh(h).filter(|_| h != me && h != dst) else {
+                continue;
+            };
+            if leg1.alive && row_h[dst].alive {
+                let cost = leg1.cost() + row_h[dst].cost();
+                if cost < best.1 {
+                    best = (h, cost);
+                }
+            }
+        }
+        (best.1 != INFINITE_COST).then_some(best.0)
+    }
+}
+
+/// `best_one_hop` on each of `pairs` equals the oracle.
+fn assert_pairs_match_oracle(world: &World, pairs: impl Iterator<Item = (usize, usize)>) {
+    let store = world.store();
+    for (a, b) in pairs {
+        assert_eq!(
+            store.best_one_hop(a, b, TICK_AT, MAX_AGE),
+            world.best_one_hop(a, b),
+            "a={a} b={b}"
+        );
+    }
+}
+
+/// Live `(dst, entry)` pairs of a dense row, ascending — what a sparse
+/// frame lists.
+fn live_pairs(row: &[LinkEntry]) -> Vec<(u16, LinkEntry)> {
+    row.iter()
+        .enumerate()
+        .filter(|(_, e)| e.alive)
+        .map(|(d, e)| (d as u16, *e))
+        .collect()
+}
+
+/// The link-state frame encoder as it was when the message body was an
+/// array of `LinkEntry`: header, entries quantized one by one with
+/// `LinkEntry::encode`, and the seqno trailer when versioned. `sparse`
+/// entries are `(dst, entry)` pairs and may include dead ones.
+struct OldFrame<'a> {
+    from: u16,
+    to: u16,
+    view: u32,
+    round: u32,
+    basis_ms: u32,
+    width: u16,
+    seqno: u16,
+    retractions: &'a [u16],
+}
+
+impl OldFrame<'_> {
+    fn header(&self, tag: u8, count: usize, sparse: bool) -> Vec<u8> {
+        let mut b = vec![tag];
+        b.extend_from_slice(&self.from.to_be_bytes());
+        b.extend_from_slice(&self.to.to_be_bytes());
+        b.extend_from_slice(&self.view.to_be_bytes());
+        b.extend_from_slice(&self.round.to_be_bytes());
+        b.extend_from_slice(&(count as u16).to_be_bytes());
+        b.extend_from_slice(&self.basis_ms.to_be_bytes());
+        if sparse {
+            b.extend_from_slice(&self.width.to_be_bytes());
+        }
+        let versioned = self.seqno != 0 || !self.retractions.is_empty();
+        b.extend_from_slice(&(if versioned { LS_FLAG_SEQNO } else { 0 }).to_be_bytes());
+        b
+    }
+
+    fn trailer(&self, b: &mut Vec<u8>) {
+        if self.seqno != 0 || !self.retractions.is_empty() {
+            b.extend_from_slice(&self.seqno.to_be_bytes());
+            b.extend_from_slice(&(self.retractions.len() as u16).to_be_bytes());
+            for r in self.retractions {
+                b.extend_from_slice(&r.to_be_bytes());
+            }
+        }
+    }
+
+    fn dense(&self, entries: &[LinkEntry]) -> Vec<u8> {
+        let mut b = self.header(3, entries.len(), false);
+        for e in entries {
+            b.extend_from_slice(&e.encode());
+        }
+        self.trailer(&mut b);
+        b
+    }
+
+    fn sparse(&self, entries: &[(u16, LinkEntry)]) -> Vec<u8> {
+        let mut b = self.header(9, entries.len(), true);
+        for (dst, e) in entries {
+            b.extend_from_slice(&dst.to_be_bytes());
+            b.extend_from_slice(&e.encode());
+        }
+        self.trailer(&mut b);
+        b
+    }
+}
+
+/// Strictly ascending picks below `width`.
+fn ascending_below(raw: &[u16], width: u16) -> Vec<u16> {
+    let mut v: Vec<u16> = raw.iter().map(|r| r % width).collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The single-pair kernel at n = 100: wide rows, where the
+    /// elementwise path runs whole vector strides plus a remainder.
+    #[test]
+    fn best_one_hop_matches_oracle_n100(
+        specs in arb_row_specs(100),
+        pairs in prop::collection::vec((0usize..100, 0usize..100), 32..33),
+    ) {
+        let world = World::new(100, &specs);
+        // Every pair of origins that sent a row, plus random pairs (most
+        // of which touch a row that never arrived).
+        let held = world.present();
+        let held_pairs: Vec<(usize, usize)> = held
+            .iter()
+            .flat_map(|&a| held.iter().map(move |&b| (a, b)))
+            .collect();
+        assert_pairs_match_oracle(&world, held_pairs.into_iter().chain(pairs));
+    }
+
+    /// Lane rows hold the exact wire bytes: the row a receiver decodes
+    /// from either frame form is bit-identical to the same row reduced
+    /// to lanes directly, for arbitrary latency/liveness/loss —
+    /// including off-grid loss rates and the latency-65535 clamp.
+    #[test]
+    fn lanes_wire_roundtrip_bit_identical(row in arb_row(64)) {
+        let lanes = Arc::new(LaneRow::from_dense(&row));
+        let ls = LinkStateMsg {
+            from: NodeId::from_index(1),
+            to: NodeId::from_index(2),
+            view: 7,
+            round: 3,
+            basis_ms: 250,
+            width: 64,
+            row: Arc::clone(&lanes),
+        };
+        for msg in [Message::LinkState(ls.clone()), Message::LinkStateSparse(ls)] {
+            let Ok(Message::LinkState(decoded) | Message::LinkStateSparse(decoded)) =
+                Message::decode(&msg.encode())
+            else {
+                panic!("wire round trip failed");
+            };
+            prop_assert_eq!(&decoded.row, &lanes, "wire path not bit-identical");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The single-pair kernel equals the oracle on every ordered pair:
+    /// partial rows, stale rows, rows that never arrived, equal costs.
+    #[test]
+    fn best_one_hop_matches_oracle(specs in arb_row_specs(16)) {
+        let world = World::new(16, &specs);
+        assert_pairs_match_oracle(&world, (0..16).flat_map(|a| (0..16).map(move |b| (a, b))));
+    }
+
+    /// Scavenging returns exactly the oracle's list, in its order.
+    #[test]
+    fn one_hop_options_match_oracle(specs in arb_row_specs(16)) {
+        let world = World::new(16, &specs);
+        let store = world.store();
+        for a in 0..16 {
+            for b in 0..16 {
+                prop_assert_eq!(
+                    store.one_hop_options(a, b, TICK_AT, MAX_AGE),
+                    world.scavenge_options(a, b),
+                    "a={} b={}", a, b
+                );
+            }
+        }
+    }
+
+    /// The whole-tick kernel equals the oracle on every ordered pair of
+    /// `clients ++ [me]` — so on both orientations of every unordered
+    /// pair — with a stale row and a row that never arrived in the
+    /// client set.
+    #[test]
+    fn round_two_matches_oracle_in_both_orientations(specs in arb_row_specs(16)) {
+        let world = World::new(16, &specs);
+        // The last spec's origin plays the server; everyone else who
+        // sent a row is a client, plus node 0 whether it sent one or not.
+        let me = specs[specs.len() - 1].origin;
+        let mut clients = world.present();
+        clients.insert(0, 0);
+        clients.dedup();
+        clients.retain(|&c| c != me);
+        let all = world.store().round_two(&clients, me, TICK_AT, MAX_AGE);
+        let nodes: Vec<usize> = clients.iter().copied().chain([me]).collect();
+        prop_assert_eq!(all.nodes(), &nodes[..]);
+        for (i, &a) in nodes.iter().enumerate() {
+            let mut want_recs = Vec::new();
+            for (j, &b) in nodes.iter().enumerate() {
+                let want = world.best_one_hop(a, b);
+                prop_assert_eq!(all.get(i, j), want, "a={} b={}", a, b);
+                want_recs.extend(want.map(|(h, c)| (b, h, c)));
+            }
+            prop_assert_eq!(all.recommendations(i).collect::<Vec<_>>(), want_recs);
+        }
+    }
+
+    /// A router tick's `Recommendations` frames are, byte for byte,
+    /// the frames assembled from the oracle: one per fresh client in
+    /// ascending order, destinations `clients ascending ++ [me]` inside
+    /// each.
+    #[test]
+    fn tick_frames_match_oracle_bytes(
+        specs in arb_row_specs(16),
+        with_cost in any::<bool>(),
+    ) {
+        let (n, me, view) = (16usize, 5usize, 3u32);
+        let config = ProtocolConfig {
+            rec_format: if with_cost { RecFormat::WithCost } else { RecFormat::Compact },
+            ..ProtocolConfig::quorum()
+        };
+        prop_assert_eq!(config.staleness_s(), MAX_AGE);
+        let mut router = QuorumRouter::new(me, n, view, config.clone());
+        let client_specs: Vec<RowSpec> =
+            specs.iter().filter(|s| s.origin != me).cloned().collect();
+        for spec in &client_specs {
+            let at = if spec.stale { STALE_AT } else { FRESH_AT };
+            let msg = Message::LinkStateSparse(LinkStateMsg {
+                from: NodeId::from_index(spec.origin),
+                to: NodeId::from_index(me),
+                view,
+                round: 1,
+                basis_ms: 0,
+                width: n as u16,
+                row: Arc::new(LaneRow::from_dense(&spec.row)),
+            });
+            let _ = router.on_message(at, &msg);
+        }
+        let own = specs
+            .iter()
+            .find(|s| s.origin == me)
+            .map_or_else(|| vec![LinkEntry::dead(); n], |s| s.row.clone());
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let got: Vec<Vec<u8>> = router
+            .on_routing_tick(TICK_AT, &own, &mut rng)
+            .iter()
+            .filter(|m| matches!(m, Message::Recommendations(_)))
+            .map(|m| m.encode().to_vec())
+            .collect();
+
+        // What the server knows: its clients' rows, and its own as of
+        // this tick.
+        let mut world = World::new(n, &client_specs);
+        world.put(me, TICK_AT, &own);
+        let clients: Vec<usize> = world
+            .present()
+            .into_iter()
+            .filter(|&c| c != me && world.fresh(c).is_some())
+            .collect();
+        let dests: Vec<usize> = clients.iter().copied().chain([me]).collect();
+        let mut want = Vec::new();
+        for &c in &clients {
+            let recs: Vec<RecEntry> = dests
+                .iter()
+                .filter_map(|&d| {
+                    let (hop, cost) = world.best_one_hop(c, d)?;
+                    Some(RecEntry {
+                        dst: NodeId::from_index(d),
+                        hop: NodeId::from_index(hop),
+                        cost_ms: LinkEntry::quantize_latency(f64::from(cost)),
+                    })
+                })
+                .collect();
+            if recs.is_empty() {
+                continue;
+            }
+            want.push(
+                Message::Recommendations(RecommendationMsg {
+                    from: NodeId::from_index(me),
+                    to: NodeId::from_index(c),
+                    view,
+                    round: 1,
+                    basis_ms: (TICK_AT * 1000.0) as u32,
+                    format: config.rec_format,
+                    recs,
+                })
+                .encode()
+                .to_vec(),
+            );
+        }
+        prop_assert_eq!(got, want);
+    }
+
+    /// The full-mesh baseline's private matrix routes as the oracle
+    /// defines, and as the baseline did when it scavenged over a store
+    /// (`one_hop_options` plus the direct link, strictly cheaper only):
+    /// partial rows with dead legs, stale relay rows, a stale or absent
+    /// own row, equal costs.
+    #[test]
+    fn full_mesh_best_hop_matches_oracle_and_the_store_definition(specs in arb_row_specs(16)) {
+        let (n, me, view) = (16usize, 5usize, 3u32);
+        prop_assert_eq!(ProtocolConfig::quorum().staleness_s(), MAX_AGE);
+        let mut router = FullMeshRouter::new(me, n, view, ProtocolConfig::quorum());
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for spec in &specs {
+            let at = if spec.stale { STALE_AT } else { FRESH_AT };
+            if spec.origin == me {
+                let _ = router.on_routing_tick(at, &spec.row, &mut rng);
+            } else {
+                let msg = Message::LinkState(LinkStateMsg {
+                    from: NodeId::from_index(spec.origin),
+                    to: NodeId::from_index(me),
+                    view,
+                    round: 1,
+                    basis_ms: 0,
+                    width: n as u16,
+                    row: Arc::new(LaneRow::from_dense(&spec.row)),
+                });
+                let _ = router.on_message(at, &msg);
+            }
+        }
+        let world = World::new(n, &specs);
+        let store = world.store();
+        for dst in 0..n {
+            let got = router.best_hop(dst, TICK_AT);
+            prop_assert_eq!(got, world.full_mesh_hop(me, dst), "dst={}", dst);
+            let mut best = (dst, INFINITE_COST);
+            if dst != me && store.row_fresh(me, TICK_AT, MAX_AGE) {
+                best.1 = store.entry(me, dst).cost();
+            }
+            for (h, c) in store.one_hop_options(me, dst, TICK_AT, MAX_AGE) {
+                if c < best.1 {
+                    best = (h, c);
+                }
+            }
+            prop_assert_eq!(got, (best.1 != INFINITE_COST).then_some(best.0), "dst={}", dst);
+        }
+    }
+
+    /// Any link-state frame the old encoder could write — dense or
+    /// sparse, flagless or versioned, dead entries among the live ones,
+    /// a retraction lane or none — decodes to exactly the row the old
+    /// ingest stored (`from_dense` / `from_pairs` of the decoded
+    /// entries, stamped with the version), a store fed that row holds
+    /// it, and re-encoding gives the frame back byte for byte whenever
+    /// the frame is one `encode` writes (a sparse frame listing a dead
+    /// entry is not: the row drops it).
+    #[test]
+    fn linkstate_frames_decode_to_the_old_rows_and_reencode_to_the_old_bytes(
+        row in arb_row(48),
+        listed in prop::collection::vec(any::<u16>(), 0..48),
+        seqno in prop_oneof![0u16..1, any::<u16>()],
+        raw_retractions in prop::collection::vec(any::<u16>(), 0..6),
+        envelope in (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>(), any::<u32>()),
+    ) {
+        let width = row.len() as u16;
+        let retractions = ascending_below(&raw_retractions, width);
+        let old = OldFrame {
+            from: envelope.0,
+            to: envelope.1,
+            view: envelope.2,
+            round: envelope.3,
+            basis_ms: envelope.4,
+            width,
+            seqno,
+            retractions: &retractions,
+        };
+        // The sparse frame lists a random subset of slots, dead ones
+        // included, each entry as it would come back off the wire.
+        let pairs: Vec<(u16, LinkEntry)> = ascending_below(&listed, width)
+            .into_iter()
+            .map(|d| (d, LinkEntry::decode(row[usize::from(d)].encode())))
+            .collect();
+        let wired: Vec<LinkEntry> = row.iter().map(|e| LinkEntry::decode(e.encode())).collect();
+        let cases = [
+            (old.dense(&row), LaneRow::from_dense(&wired), true),
+            (
+                old.sparse(&pairs),
+                LaneRow::from_pairs(&pairs),
+                pairs.iter().all(|(_, e)| e.alive),
+            ),
+        ];
+        for (bytes, want, canonical) in cases {
+            let want = want.with_version(seqno, &retractions);
+            let msg = Message::decode(&bytes).expect("an old frame decodes");
+            let (Message::LinkState(ls) | Message::LinkStateSparse(ls)) = &msg else {
+                panic!("a link-state frame");
+            };
+            prop_assert_eq!(&*ls.row, &want);
+            prop_assert_eq!(ls.width, width);
+            let mut store = RowStore::new(usize::from(width));
+            prop_assert!(store.put_row(7, Arc::clone(&ls.row), 1.0));
+            prop_assert_eq!(store.row_dense(7).unwrap(), want.as_row_ref(row.len()).to_dense());
+            prop_assert_eq!(store.row_seqno(7), seqno);
+            prop_assert_eq!(store.row_retractions(7), retractions.clone());
+            if canonical {
+                prop_assert_eq!(msg.encode().to_vec(), bytes.clone());
+            }
+            // Truncation anywhere still fails, trailer or not.
+            for cut in [bytes.len() - 1, bytes.len() / 2, 5] {
+                prop_assert!(Message::decode(&bytes[..cut]).is_err());
+            }
+        }
+    }
+
+    /// A tick's round-one frames are, byte for byte, what the old
+    /// per-server constructor wrote from the own row: sparse while
+    /// `5·live < 3n − 2`, dense otherwise, the seqno and retraction
+    /// lane after links die — one frame per rendezvous server.
+    #[test]
+    fn round_one_frames_match_the_old_constructor_bytes(
+        first in arb_row(16),
+        second in arb_row(16),
+        fully_live in any::<bool>(),
+    ) {
+        let (n, me, view) = (16usize, 5usize, 3u32);
+        let mut router = QuorumRouter::new(me, n, view, ProtocolConfig::quorum());
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut previous = vec![LinkEntry::dead(); n];
+        for (round, mut own) in [first, second].into_iter().enumerate() {
+            if fully_live {
+                // Every link up: the dense form (nothing dies either).
+                own = own.iter().map(|e| LinkEntry::live(e.latency_ms, e.loss)).collect();
+            }
+            let now = 15.0 * round as f64;
+            let frames: Vec<Message> = router
+                .on_routing_tick(now, &own, &mut rng)
+                .into_iter()
+                .filter(|m| matches!(m, Message::LinkState(_) | Message::LinkStateSparse(_)))
+                .collect();
+            // Links alive last tick and dead now are this tick's
+            // retractions; the seqno counts the ticks that had any.
+            let retractions: Vec<u16> = (0..n)
+                .filter(|&d| d != me && previous[d].alive && !own[d].alive)
+                .map(|d| d as u16)
+                .collect();
+            prop_assert_eq!(router.own_seqno(), u16::from(!retractions.is_empty()));
+            let live = live_pairs(&own);
+            // At least the default servers (failovers may add to them).
+            prop_assert!(frames.len() >= router.grid().rendezvous_servers(me).len());
+            for frame in &frames {
+                let old = OldFrame {
+                    from: me as u16,
+                    to: frame.to().0,
+                    view,
+                    round: round as u32 + 1,
+                    basis_ms: (now * 1000.0) as u32,
+                    width: n as u16,
+                    seqno: router.own_seqno(),
+                    retractions: &retractions,
+                };
+                let want = if 5 * live.len() < 3 * n - 2 {
+                    old.sparse(&live)
+                } else {
+                    old.dense(&own)
+                };
+                prop_assert_eq!(frame.encode().to_vec(), want);
+            }
+            previous = own;
+        }
+    }
+}

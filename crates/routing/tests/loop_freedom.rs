@@ -18,7 +18,7 @@
 //! direct links every epoch and retract on link loss, exactly as the
 //! router does.
 
-use apor_linkstate::{LaneRow, LinkEntry, LinkStateStore, RowStore};
+use apor_linkstate::{Detour, LaneRow, LinkEntry, LinkStateStore, RowStore};
 use apor_routing::feasibility::{select_detour, FeasibilityTable};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -245,7 +245,9 @@ proptest! {
                 .collect();
             store.put_row(o, Arc::new(LaneRow::from_dense(&row).with_version(1, &[])), 1.0);
         }
-        for (path, total, advertised) in store.k_hop_options(src, dst, max_hops, 2.0, MAX_AGE) {
+        for Detour { path, cost: total, advertised } in
+            store.k_hop_options(src, dst, max_hops, 2.0, MAX_AGE)
+        {
             prop_assert_eq!(path[0], src);
             prop_assert_eq!(*path.last().unwrap(), dst);
             prop_assert!(path.len() <= max_hops + 2, "path {path:?} too long");

@@ -26,13 +26,11 @@ use crate::json::{self, Value};
 pub const CALIBRATION_ID: &str = "calibration/spin";
 
 /// Id prefixes gated by default: the round-two / best-hop / merge
-/// kernels, in both the dense-vs-sparse sweep and the stand-alone
+/// kernels, in both the row-store working-set sweep and the stand-alone
 /// suites, and the control-frame path (socket → router ingest, tick →
 /// bytes) the end-to-end ledger ranks above them.
 pub const DEFAULT_KERNEL_PREFIXES: &[&str] = &[
-    "dense_vs_sparse/merge",
-    "dense_vs_sparse/best_hop",
-    "dense_vs_sparse/round_two",
+    "row_store",
     "best_one_hop",
     "round_two_full",
     "round_two_tick",
@@ -285,9 +283,9 @@ mod tests {
     fn kernel_entries(scale: f64) -> Vec<(&'static str, f64)> {
         vec![
             ("calibration/spin", 1000.0),
-            ("dense_vs_sparse/merge_sparse/400", 5_000.0 * scale),
-            ("dense_vs_sparse/best_hop_sparse/400", 700.0 * scale),
-            ("dense_vs_sparse/round_two_sparse/400", 90_000.0 * scale),
+            ("row_store/merge/400", 5_000.0 * scale),
+            ("row_store/best_hop/400", 700.0 * scale),
+            ("row_store/round_two/400", 90_000.0 * scale),
             ("wire/encode/400", 10_000.0 * scale), // not gated
         ]
     }
@@ -369,14 +367,9 @@ mod tests {
         let verdict = compare(&base, &current, &RegressConfig::default());
         let md = summary_markdown(&verdict);
         assert!(md.contains("REGRESSED"));
-        assert!(md
-            .contains("| `dense_vs_sparse/merge_sparse/400` | 5000 | 10000 | 2.00× | regressed |"));
-        assert!(
-            md.contains("| `dense_vs_sparse/best_hop_sparse/400` | 700 | 350 | 0.50× | improved |")
-        );
-        assert!(
-            md.contains("| `dense_vs_sparse/round_two_sparse/400` | 90000 | 90000 | 1.00× | ok |")
-        );
+        assert!(md.contains("| `row_store/merge/400` | 5000 | 10000 | 2.00× | regressed |"));
+        assert!(md.contains("| `row_store/best_hop/400` | 700 | 350 | 0.50× | improved |"));
+        assert!(md.contains("| `row_store/round_two/400` | 90000 | 90000 | 1.00× | ok |"));
         assert!(!md.contains("wire/encode"), "ungated ids stay out");
         assert!(
             !md.contains("scaled by"),
@@ -392,7 +385,7 @@ mod tests {
         let text = r#"{
   "suite": "kernels",
   "benches": [
-    {"id": "dense_vs_sparse/merge_sparse/400", "median_ns": 5000.0, "mad_ns": 12.5, "samples": 16, "iters": 9000},
+    {"id": "row_store/merge/400", "median_ns": 5000.0, "mad_ns": 12.5, "samples": 16, "iters": 9000},
     {"id": "calibration/spin", "median_ns": 1000, "mad_ns": 1, "samples": 16, "iters": 90000}
   ]
 }"#;

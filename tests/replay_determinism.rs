@@ -62,14 +62,15 @@ fn coalesced_replays_fixed_tick_bit_identically() {
         let fr = f.quorum_router().expect("quorum node").export_rows();
         let cr = c.quorum_router().expect("quorum node").export_rows();
         assert_eq!(fr.len(), cr.len(), "node {i}: row count");
-        for ((fo, ft, fe), (co, ct, ce)) in fr.iter().zip(cr.iter()) {
-            assert_eq!(fo, co, "node {i}: row origin");
+        for (f_row, c_row) in fr.iter().zip(cr.iter()) {
+            let (fo, ft, ct) = (f_row.origin, f_row.received_at, c_row.received_at);
+            assert_eq!(fo, c_row.origin, "node {i}: row origin");
             assert_eq!(
                 ft.to_bits(),
                 ct.to_bits(),
                 "node {i}: row {fo} timestamp ({ft} vs {ct})"
             );
-            assert_eq!(fe, ce, "node {i}: row {fo} entries");
+            assert_eq!(f_row, c_row, "node {i}: row {fo} entries and version");
         }
 
         // Identical routing decisions for every destination.
