@@ -4,8 +4,7 @@
 use apor_bench::{bench_topology, full_table, ground_truth_row};
 use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RowStore};
 use apor_quorum::{Grid, NodeId};
-use apor_routing::multihop::multihop_routes;
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -47,130 +46,37 @@ fn bench_calibration(c: &mut Criterion) {
     });
 }
 
-/// Grid construction + full rendezvous-set derivation, as performed on
-/// every membership change.
-fn bench_grid(c: &mut Criterion) {
-    let mut g = c.benchmark_group("grid");
-    for n in [100usize, 400, 1600, 10_000] {
-        g.bench_with_input(BenchmarkId::new("build_and_derive", n), &n, |b, &n| {
-            b.iter(|| {
-                let grid = Grid::new(black_box(n));
-                let mut total = 0usize;
-                for i in 0..n {
-                    total += grid.rendezvous_servers(i).len();
-                }
-                total
-            });
-        });
-    }
-    g.finish();
-}
-
-/// The round-two kernel: best one-hop for one client pair over n
-/// candidate relays — executed ~4n times per node per routing interval.
-fn bench_best_one_hop(c: &mut Criterion) {
-    let mut g = c.benchmark_group("best_one_hop");
-    for n in [100usize, 200, 400] {
-        let topo = bench_topology(n);
-        let table = full_table(&topo);
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::new("pair", n), &n, |b, &n| {
-            b.iter(|| table.best_one_hop(black_box(1), black_box(n - 1), 0.0, 45.0));
-        });
-    }
-    g.finish();
-}
-
-/// A rendezvous node's full round-two duty: recommendations for every
-/// pair among 2√n clients.
+/// A rendezvous node's full round-two duty — recommendations for every
+/// pair among its 2√n clients and itself — as one kernel call over a
+/// store holding every row.
 fn bench_round_two(c: &mut Criterion) {
     let mut g = c.benchmark_group("round_two_full");
     for n in [100usize, 196, 400] {
         let topo = bench_topology(n);
         let table = full_table(&topo);
-        let grid = Grid::new(n);
-        let clients = grid.rendezvous_clients(0);
+        let me = 0usize;
+        let clients = Grid::new(n).rendezvous_clients(me);
         g.bench_with_input(BenchmarkId::new("server_tick", n), &n, |b, _| {
-            b.iter(|| {
-                let mut count = 0usize;
-                for &a in &clients {
-                    for &d in &clients {
-                        if a != d && table.best_one_hop(a, d, 0.0, 45.0).is_some() {
-                            count += 1;
-                        }
-                    }
-                }
-                black_box(count)
-            });
-        });
-    }
-    g.finish();
-}
-
-/// Wire codec throughput for the dominant message type (link state).
-fn bench_wire(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wire");
-    for n in [140usize, 400, 1000] {
-        let entries: Vec<LinkEntry> = (0..n)
-            .map(|i| LinkEntry::live((i % 500) as u16, 0.01))
-            .collect();
-        let msg = linkstate_msg(1, 2, &entries, true);
-        g.throughput(Throughput::Bytes(msg.wire_size() as u64));
-        g.bench_with_input(BenchmarkId::new("encode", n), &msg, |b, msg| {
-            b.iter(|| black_box(msg.encode()));
-        });
-        let bytes = msg.encode();
-        g.bench_with_input(BenchmarkId::new("decode", n), &bytes, |b, bytes| {
-            b.iter(|| Message::decode(black_box(bytes)).unwrap());
-        });
-    }
-    g.finish();
-}
-
-/// One multi-hop iteration (the all-pairs splice) — the cost of the
-/// section 3 extension per doubling of path length.
-fn bench_multihop(c: &mut Criterion) {
-    let mut g = c.benchmark_group("multihop");
-    g.sample_size(10);
-    for n in [50usize, 100, 200] {
-        let topo = bench_topology(n);
-        g.bench_with_input(BenchmarkId::new("two_hop_iteration", n), &n, |b, _| {
-            b.iter(|| multihop_routes(black_box(&topo.latency), 2));
-        });
-    }
-    g.finish();
-}
-
-/// Reference all-pairs shortest paths (Floyd–Warshall) for comparison
-/// with the protocol's distributed computation.
-fn bench_floyd_warshall(c: &mut Criterion) {
-    let mut g = c.benchmark_group("floyd_warshall");
-    g.sample_size(10);
-    for n in [100usize, 200] {
-        let topo = bench_topology(n);
-        g.bench_with_input(BenchmarkId::new("apsp", n), &n, |b, _| {
-            b.iter(|| black_box(topo.latency.all_pairs_shortest()));
+            b.iter(|| table.round_two(black_box(&clients), me, 0.0, 45.0));
         });
     }
     g.finish();
 }
 
 /// The row store on a quorum node's actual working set: its own row
-/// plus its `2√n` rendezvous clients' rows. Three kernels: the row
-/// merge (one client's full-width row reduced to lanes and put), the
-/// pair best-hop, and the full round-two server tick pair by pair. Every
-/// row access pays an `O(log √n)` map walk.
+/// plus its `2√n` rendezvous clients' rows. Two kernels: the row merge
+/// (one client's full-width row reduced to lanes and put) and the full
+/// round-two server tick.
 fn bench_row_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("row_store");
     for n in [100usize, 400, 1024] {
         let topo = bench_topology(n);
         let grid = Grid::new(n);
         let me = 0usize;
-        let mut held = grid.rendezvous_clients(me);
-        held.push(me);
-        held.sort_unstable();
-        let rows: Vec<(usize, Vec<LinkEntry>)> = held
+        let clients = grid.rendezvous_clients(me);
+        let rows: Vec<(usize, Vec<LinkEntry>)> = clients
             .iter()
+            .chain([&me])
             .map(|&i| (i, ground_truth_row(&topo, i)))
             .collect();
         let mut store = RowStore::new(n);
@@ -184,22 +90,8 @@ fn bench_row_store(c: &mut Criterion) {
                 store.put_row(black_box(merge_origin), row, 1.0)
             });
         });
-        let (a, bb) = (held[0], held[held.len() - 1]);
-        g.bench_with_input(BenchmarkId::new("best_hop", n), &n, |b, _| {
-            b.iter(|| store.best_one_hop(black_box(a), black_box(bb), 1.0, 45.0));
-        });
         g.bench_with_input(BenchmarkId::new("round_two", n), &n, |b, _| {
-            b.iter(|| {
-                let mut count = 0usize;
-                for &x in &held {
-                    for &y in &held {
-                        if x != y && store.best_one_hop(x, y, 1.0, 45.0).is_some() {
-                            count += 1;
-                        }
-                    }
-                }
-                black_box(count)
-            });
+            b.iter(|| store.round_two(black_box(&clients), me, 1.0, 45.0));
         });
     }
     g.finish();
@@ -396,80 +288,12 @@ fn bench_frame_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The anti-entropy hot path: one sync frame encode + decode + merge
-/// into a divergent ledger — what every node pays once per sync period.
-fn bench_anti_entropy(c: &mut Criterion) {
-    use apor_membership::{SwimMsg, SwimStatus, SwimUpdate, ViewLedger};
-
-    let entries = |n: usize, offset: u32| -> Vec<SwimUpdate> {
-        (0..n)
-            .map(|i| SwimUpdate {
-                id: NodeId(i as u16),
-                incarnation: (i as u32 + offset) % 4,
-                status: if i % 7 == 0 {
-                    SwimStatus::Faulty
-                } else {
-                    SwimStatus::Alive
-                },
-            })
-            .collect()
-    };
-    let mut g = c.benchmark_group("anti_entropy");
-    for n in [32usize, 140, 255] {
-        let frame = SwimMsg::SyncReq {
-            from: NodeId(0),
-            to: NodeId(1),
-            seq: 1,
-            chunk: 0,
-            chunks: 1,
-            updates: entries(n, 0),
-        };
-        g.throughput(Throughput::Bytes(frame.wire_size() as u64));
-        g.bench_with_input(BenchmarkId::new("frame_encode", n), &frame, |b, frame| {
-            b.iter(|| black_box(frame.encode()));
-        });
-        let bytes = frame.encode();
-        g.bench_with_input(BenchmarkId::new("frame_decode", n), &bytes, |b, bytes| {
-            b.iter(|| SwimMsg::decode(black_box(bytes)).unwrap());
-        });
-        // The responder-side merge: apply a full divergent chunk to a
-        // pre-built ledger (construction stays in the setup closure so
-        // only the merge is timed).
-        let incoming = entries(n, 1);
-        g.bench_with_input(BenchmarkId::new("ledger_merge", n), &n, |b, &n| {
-            b.iter_batched(
-                || {
-                    let mut ledger = ViewLedger::new();
-                    for u in entries(n, 0) {
-                        ledger.apply(u.id, u.incarnation, u.status == SwimStatus::Faulty);
-                    }
-                    ledger
-                },
-                |mut ledger| {
-                    for u in &incoming {
-                        ledger.apply(u.id, u.incarnation, u.status == SwimStatus::Faulty);
-                    }
-                    black_box(ledger.version())
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     kernels,
     bench_calibration,
-    bench_grid,
-    bench_best_one_hop,
     bench_round_two,
     bench_round_two_tick,
     bench_frame_path,
-    bench_row_store,
-    bench_wire,
-    bench_multihop,
-    bench_floyd_warshall,
-    bench_anti_entropy
+    bench_row_store
 );
 criterion_main!(kernels);

@@ -1,13 +1,16 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
-//! Three bench suites live in `benches/`:
+//! Two bench suites live in `benches/`:
 //!
-//! * `kernels` — the computational hot paths: grid construction, the
-//!   round-two best-hop kernel, the wire codec, the multi-hop iteration.
-//! * `figures` — one benchmark per paper table/figure regeneration, at
-//!   reduced scale (the full-scale runs live in `apor-experiments`).
-//! * `ablations` — the design choices DESIGN.md calls out: routing
-//!   interval, recommendation format, grid shape, staleness window.
+//! * `kernels` — what a deployment runs every routing interval and on
+//!   every control frame: the round-two kernel, the row merge, the full
+//!   server tick and the frame path from socket to store. Every id is
+//!   under a prefix the `regress` gate compares against the checked-in
+//!   baseline, and every one times a function some end-to-end workload
+//!   (`BENCHMARK.json`) executes.
+//! * `trace_overhead` — what causal tracing costs per span and per
+//!   frame, kept in its own binary so it cannot shift the gated one's
+//!   code layout.
 
 #![forbid(unsafe_code)]
 
@@ -55,6 +58,6 @@ mod tests {
         let t = bench_topology(49);
         let table = full_table(&t);
         assert_eq!(table.len(), 49);
-        assert!(table.best_one_hop(0, 48, 0.0, 45.0).is_some());
+        assert!(table.round_two(&[0], 48, 0.0, 45.0).get(0, 1).is_some());
     }
 }

@@ -569,7 +569,6 @@ mod tests {
         // means real observations, not a single stray zero sample.
         for (component, name) in [
             ("routing", "probe_rtt_us"),
-            ("routing", "round_two_us"),
             ("membership", "sync_frame_bytes"),
             ("netsim", "event_queue_depth"),
         ] {
@@ -650,7 +649,9 @@ mod tests {
     }
 
     /// Bit-determinism: the identical master seed reproduces the
-    /// identical outcome.
+    /// identical outcome — and the identical telemetry export, byte for
+    /// byte: every exported metric is a function of simulated time and
+    /// messages, none of the wall clock.
     #[test]
     fn study_is_deterministic_in_the_seed() {
         let params = quick();
@@ -658,5 +659,6 @@ mod tests {
         let b = run_arm(&params, true);
         assert_eq!(a.reconverge_s, b.reconverge_s);
         assert_eq!(a.membership_bps, b.membership_bps);
+        assert_eq!(a.telemetry.to_json(), b.telemetry.to_json());
     }
 }

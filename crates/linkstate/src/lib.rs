@@ -14,12 +14,17 @@
 //!   is quantized to half-percent units — so every cost in the routing
 //!   path, from the round-two kernel to the feasibility distances, is
 //!   `u32` milliseconds (a sum of `u16` legs) with the all-ones
-//!   [`INFINITE_COST`] for "no path". A server's whole tick is one
-//!   [`RoundTwo`] pass: each unordered client pair once (link costs are
-//!   symmetric, so the two directions are one computation), one row
-//!   scattered into a dense lane and the other's live entries gathered
-//!   against it; the single-pair merge-join [`best_one_hop_rows`]
-//!   computes the same answer and is what the tests compare it with.
+//!   [`INFINITE_COST`] for "no path". There is one round-two kernel: a
+//!   server's whole tick is one [`RoundTwo`] pass, each unordered client
+//!   pair once (link costs are symmetric, so the two directions are one
+//!   computation), one row scattered into a dense lane and the other's
+//!   live entries gathered against it — or, when the two rows list the
+//!   same destinations, their latency lanes reduced elementwise. Which
+//!   of the two a pair takes is read off the rows, not configured:
+//!   full-width rows (full-mesh probing) always share a lane, the
+//!   `~2√n`-entry rows of entitled probing never do, and both kinds of
+//!   overlay are run. A single pair is a tick with one client; the
+//!   tests hold the kernel to a brute-force oracle.
 //!   Rows carry receipt timestamps for the 3-routing-interval freshness
 //!   rule of section 6.2.2; an optional row entitlement is
 //!   debug-asserted so a protocol regression back to `O(n)` rows fails
@@ -91,8 +96,8 @@ pub mod wire;
 pub use entry::{LinkEntry, INFINITE_COST};
 pub use estimator::{LinkEstimator, ProbeOutcome};
 pub use store::{
-    best_one_hop_rows, seqno_newer, Detour, LaneRow, LinkStateStore, LiveEntries, RoundTwo,
-    RowCursor, RowRef, RowStore,
+    seqno_newer, Detour, LaneRow, LinkStateStore, LiveEntries, RoundTwo, RowCursor, RowRef,
+    RowStore,
 };
 pub use wire::{
     ls_trailer_size, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg,

@@ -20,11 +20,11 @@
 //!   quadratic table.
 //! * [`LinkStateStore`] — the trait [`RowStore`] implements, and its
 //!   only implementor. The required methods are pure storage
-//!   (put/get/drop rows); the **round-two kernel**
-//!   ([`best_one_hop`](LinkStateStore::best_one_hop),
-//!   [`round_two`](LinkStateStore::round_two),
-//!   [`one_hop_options`](LinkStateStore::one_hop_options),
-//!   [`anyone_reaches`](LinkStateStore::anyone_reaches)) is written as
+//!   (put/get rows); the **round-two kernel**
+//!   ([`round_two`](LinkStateStore::round_two)) and the scavenging
+//!   queries ([`one_hop_options`](LinkStateStore::one_hop_options),
+//!   [`k_hop_options`](LinkStateStore::k_hop_options),
+//!   [`anyone_reaches`](LinkStateStore::anyone_reaches)) are written as
 //!   provided methods over them. It is a trait, with one implementor,
 //!   because the end-to-end benchmark package imports it by name (the
 //!   full-mesh baseline keeps a private matrix in `apor-routing` and
@@ -36,28 +36,14 @@
 //!   routing path: the latency lanes are already integer milliseconds
 //!   (the wire carries nothing finer), so a path cost is a `u32` add of
 //!   two `u16` legs with [`INFINITE_COST`] (all ones) as the sentinel.
-//!   The kernel comes in two forms that agree entry for entry:
-//!   * [`best_one_hop_rows`], one pair: an ascending merge-join over
-//!     the live entries of both rows, which visits relays in index
-//!     order and so breaks cost ties towards the lowest index (dead
-//!     entries have infinite cost and can never win, so not storing
-//!     them is observationally neutral). It is the single-pair API and
-//!     the form the tests hold the other one to.
-//!   * [`RoundTwo`], a whole tick
-//!     ([`round_two`](LinkStateStore::round_two)): every row resolved
-//!     and freshness-checked once, each *unordered* pair computed once —
-//!     link costs are symmetric, so `a → b` and `b → a` are one
-//!     computation — by scattering one row into a dense lane and
-//!     gathering over the other's live entries with a branch-free `min`
-//!     of `(cost << 16) | hop`, which is the merge-join's tie-break
-//!     whatever the visiting order. Under entitled probing every client
-//!     probes a different `~2√n` peers, so no two rows list the same
-//!     destinations and this is the path production runs.
-//!
-//!   When both rows of a pair do list the same destinations — every
-//!   pair, under full-mesh probing — either form collapses to an
-//!   elementwise reduction over the two latency lanes, which the
-//!   compiler vectorizes.
+//! * [`RoundTwo`] — the one round-two kernel, a whole tick at a time
+//!   ([`round_two`](LinkStateStore::round_two)): every row resolved and
+//!   freshness-checked once, each *unordered* pair computed once by
+//!   scattering one row into a dense lane and gathering over the other's
+//!   live entries — or, when the two rows list the same destinations, by
+//!   an elementwise reduction over their latency lanes. Which of the two
+//!   a pair takes is read off the rows (see the struct docs). A single
+//!   pair is a tick with one client.
 
 use crate::entry::{LinkEntry, INFINITE_COST};
 use apor_telemetry::{Counter, EventKind, Gauge, Severity, Telemetry};
@@ -281,13 +267,13 @@ fn find_lane_sum(la: &[u16], lb: &[u16], target: u32) -> Option<usize> {
 }
 
 /// Best relay over two lane rows with **identical destination lanes**:
-/// the live intersection is the shared support itself, so the ascending
-/// merge-join collapses to an elementwise reduction over the two
-/// latency lanes (both lanes hold live entries only — a lane row never
-/// materialises dead entries). Two vectorizable passes: a min-reduction
-/// over the sums with the `a`/`b` positions carved out, then a
-/// first-index search for the winner, which reproduces the merge-join's
-/// lowest-index tie-break exactly.
+/// the live intersection is the shared support itself, so the search
+/// is an elementwise reduction over the two latency lanes (both lanes
+/// hold live entries only — a lane row never materialises dead
+/// entries). Two vectorizable passes: a min-reduction over the sums
+/// with the `a`/`b` positions carved out, then a first-index search for
+/// the winner — the lowest-index relay of the lowest cost, as the
+/// gather's packed `min` picks it.
 fn lanes_shared_best(
     dsts: &[u16],
     la: &[u16],
@@ -311,71 +297,6 @@ fn lanes_shared_best(
         }
     }
     None
-}
-
-/// **The round-two kernel**, integer-only, over borrowed rows: the
-/// best one-hop path `a → h → b` computable from row `a` and row `b`
-/// (`h == b` means the direct link), as a `(hop, cost)` pair in integer
-/// milliseconds, or `None` when no finite path exists.
-///
-/// Costs are exact: the wire carries integer-millisecond latencies, so
-/// a path cost is a `u32` add of two `u16` legs with [`INFINITE_COST`]
-/// as the infinite sentinel. The direct cost is the minimum of the two
-/// directions' estimates; ties prefer the direct link, then the lowest
-/// hop index (the ascending merge-join yields candidates in index order
-/// and only a strict improvement replaces the incumbent).
-///
-/// Two rows listing the same destinations — the steady state for a
-/// warm quorum server whose clients probe the same target set — take
-/// an elementwise fast path over the latency lanes instead of the
-/// merge-join; the result is identical.
-///
-/// Freshness is the caller's concern: [`LinkStateStore::best_one_hop`]
-/// applies the staleness rule and delegates here.
-#[must_use]
-pub fn best_one_hop_rows(
-    row_a: &RowRef,
-    row_b: &RowRef,
-    a: usize,
-    b: usize,
-) -> Option<(usize, u32)> {
-    let direct = row_a.cost(b).min(row_b.cost(a));
-    let mut best_hop = b;
-    let mut best_cost = direct;
-    let relay = if row_a.dst == row_b.dst {
-        lanes_shared_best(row_a.dst, row_a.latency_ms, row_b.latency_ms, a, b)
-    } else {
-        let mut it_a = row_a.iter_costs();
-        let mut it_b = row_b.iter_costs();
-        let (mut cur_a, mut cur_b) = (it_a.next(), it_b.next());
-        let mut best: Option<(usize, u32)> = None;
-        while let (Some((ha, ca)), Some((hb, cb))) = (cur_a, cur_b) {
-            match ha.cmp(&hb) {
-                std::cmp::Ordering::Less => cur_a = it_a.next(),
-                std::cmp::Ordering::Greater => cur_b = it_b.next(),
-                std::cmp::Ordering::Equal => {
-                    if ha != a && ha != b {
-                        // Both legs live: the sum of two u16s cannot
-                        // reach the u32 sentinel.
-                        let c = ca + cb;
-                        if best.is_none_or(|(_, bc)| c < bc) {
-                            best = Some((ha, c));
-                        }
-                    }
-                    cur_a = it_a.next();
-                    cur_b = it_b.next();
-                }
-            }
-        }
-        best
-    };
-    if let Some((h, c)) = relay {
-        if c < best_cost {
-            best_cost = c;
-            best_hop = h;
-        }
-    }
-    (best_cost != INFINITE_COST).then_some((best_hop, best_cost))
 }
 
 /// A dead slot of the scatter lane: above any sum of two `u16` legs
@@ -404,42 +325,52 @@ fn gather_best_relay(row_b: &RowRef, lane: &[u32]) -> u64 {
         .fold(NO_PATH, |m, (h, c)| m.min(pack(lane[h] + c, h)))
 }
 
-/// Every recommendation of one round-two tick: for each ordered pair of
-/// the server's nodes (`clients ++ [me]`), the best one-hop path as
-/// [`best_one_hop_rows`] would compute it, held as one flat matrix of
-/// packed `(cost << 16) | hop` cells.
+/// **The round-two kernel**: every recommendation of one tick. For each
+/// ordered pair `(a, b)` of the server's nodes (`clients ++ [me]`), the
+/// best one-hop path `a → h → b` computable from row `a` and row `b`
+/// (`h == b` means the direct link), held as one flat matrix of packed
+/// `(cost << 16) | hop` cells.
 ///
-/// Built by [`LinkStateStore::round_two`] with a scatter-gather kernel.
-/// For each node `a` in turn, the live costs of row `a` are scattered
-/// into a dense width-`n` `u32` lane (every other slot holds a dead
-/// sentinel above any sum of two `u16` legs); then for each *later*
-/// node `b` the kernel walks row `b`'s live entries only, adding
-/// `lane[h]` to each and keeping the `min` of the packed `(sum, h)` —
-/// no merge-join, no branch in the loop.
+/// Costs are exact: the wire carries integer-millisecond latencies, so
+/// a path cost is a `u32` add of two `u16` legs. Link costs are assumed
+/// symmetric (paper section 3), so a relayed path costs
+/// `row_a[h] + row_b[h]`; the direct cost is the *minimum* of the two
+/// directions' estimates (they may disagree transiently). Ties prefer
+/// the direct link, then the lowest hop index, which makes the
+/// recommendation deterministic across rendezvous servers with
+/// identical data.
 ///
-/// * **Endpoints need no masking.** The merge-join skips `h == a` and
-///   `h == b`; here a live self-entry lets them through as candidates,
-///   harmlessly. Relaying "via `a`" costs `row_a[a] + row_b[a]` and
-///   "via `b`" costs `row_a[b] + row_b[b]`: each contains one direction
-///   of the direct link, so neither is below `min(row_a[b], row_b[a])`,
-///   and only a relay *strictly* cheaper than the direct link is
-///   taken. If one ties with a real relay, that relay is no cheaper
-///   than the direct link either.
+/// Built by [`LinkStateStore::round_two`] with a scatter-gather. For
+/// each node `a` in turn, the live costs of row `a` are scattered into
+/// a dense width-`n` `u32` lane (every other slot holds a dead sentinel
+/// above any sum of two `u16` legs); then for each *later* node `b` the
+/// kernel walks row `b`'s live entries only, adding `lane[h]` to each
+/// and keeping the `min` of the packed `(sum, h)` — no branch in the
+/// loop. A finite path needs both legs alive, so only the intersection
+/// of the two live sets can win, at `O(k_b)` per pair.
+///
+/// * **Endpoints need no masking.** A live self-entry lets `h == a` and
+///   `h == b` through as candidates, harmlessly. Relaying "via `a`"
+///   costs `row_a[a] + row_b[a]` and "via `b`" costs
+///   `row_a[b] + row_b[b]`: each contains one direction of the direct
+///   link, so neither is below `min(row_a[b], row_b[a])`, and only a
+///   relay *strictly* cheaper than the direct link is taken. If one
+///   ties with a real relay, that relay is no cheaper than the direct
+///   link either.
 /// * **Pair symmetry.** The relay cost `row_a[h] + row_b[h]` and the
 ///   direct cost `min(row_a[b], row_b[a])` are both symmetric in
-///   `(a, b)`, so `best_one_hop_rows(a, b)` and `(b, a)` are one
-///   computation: each unordered pair is computed once and mirrored, the
-///   only difference being that the direct link is spelled `hop == b`
-///   one way and `hop == a` the other.
-/// * **Tie-break.** The merge-join visits relays in ascending index
-///   order and replaces the incumbent only on a strict improvement, so
-///   it returns the lowest-index relay of the lowest cost; the `min` of
-///   `(cost << 16) | hop` is that same relay whatever order the entries
+///   `(a, b)`, so each unordered pair is computed once and mirrored,
+///   the only difference being that the direct link is spelled
+///   `hop == b` one way and `hop == a` the other.
+/// * **Tie-break.** The `min` of `(cost << 16) | hop` is the
+///   lowest-index relay of the lowest cost whatever order the entries
 ///   are visited in. The direct link still wins ties against it.
-/// * **Shared lanes.** Two lane rows listing the same destinations —
-///   every pair of a fully probing overlay — keep the elementwise
-///   reduction over the two latency lanes, which vectorizes where a
-///   gather cannot. The choice is made per pair from the rows alone.
+/// * **Shared lanes.** Two lane rows listing the same destinations keep
+///   an elementwise reduction over the two latency lanes
+///   (`lanes_shared_best`), which vectorizes where a gather cannot. The
+///   choice is made per pair from the rows alone — under full-mesh
+///   probing every pair takes it, under entitled probing none does, and
+///   the end-to-end benchmark has a workload on each side.
 /// * **Buffers are per call.** The lane and the matrix live for one
 ///   tick. One process may host thousands of routers; buffers kept per
 ///   router would sit idle between ticks and add `O(n)` bytes to each.
@@ -792,9 +723,6 @@ pub trait LinkStateStore {
     /// other entries dead) when absent.
     fn update_entry(&mut self, origin: usize, dst: usize, entry: LinkEntry, now: f64);
 
-    /// Forget a row (e.g. on membership change or client loss).
-    fn clear_row(&mut self, origin: usize);
-
     /// A borrowed view of row `origin`, when present.
     fn row_ref(&self, origin: usize) -> Option<RowRef<'_>>;
 
@@ -857,45 +785,14 @@ pub trait LinkStateStore {
     // The round-two kernel
     // ------------------------------------------------------------------
 
-    /// **The round-two kernel.** Best one-hop path `a → h → b` (or the
-    /// direct link, represented as `h == b`) computable from rows `a`
-    /// and `b`, both of which must be fresh (≤ `max_age` at `now`).
-    ///
-    /// Link costs are assumed symmetric (paper section 3), so the path
-    /// cost is `row_a[h] + row_b[h]`; the direct cost is the *minimum*
-    /// of the two directions' estimates (they may disagree
-    /// transiently). Ties prefer the direct link, then the lowest hop
-    /// index, making the recommendation deterministic across rendezvous
-    /// servers with identical data.
-    ///
-    /// Implemented by delegating to the integer kernel
-    /// [`best_one_hop_rows`]: an ascending merge-join over the *live*
-    /// entries of both rows (a finite path cost needs both legs alive,
-    /// so only the intersection of the live sets can win, and ascending
-    /// order gives the `h = 0..n` scan's lowest-index tie-break),
-    /// collapsing to a vectorized elementwise lane reduction when both
-    /// rows share one destination lane. Cost is `O(k_a + k_b)` live
-    /// entries instead of `O(n)`, with no `LinkEntry` materialisation.
-    ///
-    /// Returns `None` when either row is missing/stale or no finite
-    /// path exists.
-    fn best_one_hop(&self, a: usize, b: usize, now: f64, max_age: f64) -> Option<(usize, u32)> {
-        if a == b || !self.row_fresh(a, now, max_age) || !self.row_fresh(b, now, max_age) {
-            return None;
-        }
-        let row_a = self.row_ref(a).expect("fresh row present");
-        let row_b = self.row_ref(b).expect("fresh row present");
-        best_one_hop_rows(&row_a, &row_b, a, b)
-    }
-
     /// **Round two for a whole tick.** Every recommendation a rendezvous
     /// server owes its `clients` about each other and about the server
     /// itself (`me`), in one pass: each row is resolved and
-    /// freshness-checked once, and each unordered pair is computed once
-    /// and mirrored (see [`RoundTwo`]). Entry for entry this equals
-    /// calling [`best_one_hop`](LinkStateStore::best_one_hop) on every
-    /// ordered pair of `clients ++ [me]`: a missing or stale row yields
-    /// no recommendation as source or as destination.
+    /// freshness-checked once (≤ `max_age` at `now`), and each unordered
+    /// pair is computed once and mirrored (see [`RoundTwo`]). A missing
+    /// or stale row yields no recommendation as source or as
+    /// destination. One pair is a tick with one client:
+    /// `round_two(&[a], b, now, max_age).get(0, 1)`.
     fn round_two(&self, clients: &[usize], me: usize, now: f64, max_age: f64) -> RoundTwo {
         let mut nodes = Vec::with_capacity(clients.len() + 1);
         nodes.extend_from_slice(clients);
@@ -1043,19 +940,6 @@ pub trait LinkStateStore {
             origin != dst && now - received_at <= max_age && row.cost(dst) != INFINITE_COST
         })
     }
-
-    /// The cost of the path `a → h → b` using current rows;
-    /// [`INFINITE_COST`] when anything is missing. `h == b` means the
-    /// direct link.
-    fn path_cost(&self, a: usize, h: usize, b: usize) -> u32 {
-        if h == b {
-            return self.cost(a, b);
-        }
-        match (self.cost(a, h), self.cost(h, b)) {
-            (INFINITE_COST, _) | (_, INFINITE_COST) => INFINITE_COST,
-            (leg1, leg2) => leg1 + leg2,
-        }
-    }
 }
 
 /// One stored row: receipt time plus the live entries as parallel
@@ -1075,9 +959,9 @@ struct StoredRow {
 /// lanes at ~5 B/entry — which under entitled + sampled probing is
 /// `O(√n)` per row, so per-node state is `O(n)` where a full matrix
 /// needs `O(n²)`. Lookups are `O(log √n)` map + `O(log k)` row binary
-/// search; the round-two kernel costs `O(k)` per pair — a merge-join
-/// for one pair, a scatter-gather for a whole tick — or streams the two
-/// latency lanes elementwise when the rows share a destination lane.
+/// search; the round-two kernel costs `O(k)` per pair — a
+/// scatter-gather — or streams the two latency lanes elementwise when
+/// the rows share a destination lane.
 /// The `row_bytes_lanes` gauge reports the stored lane bytes.
 #[derive(Debug, Clone)]
 pub struct RowStore {
@@ -1096,7 +980,7 @@ pub struct RowStore {
     peak_rows: usize,
     /// Live entries held across all rows — what
     /// [`entry_count`](LinkStateStore::entry_count) returns — kept
-    /// current by every path that adds, replaces or drops a row, so the
+    /// current by every path that adds, replaces or evicts a row, so the
     /// size gauge costs `O(1)` per merged row.
     live_entries: usize,
     telemetry: Telemetry,
@@ -1309,13 +1193,6 @@ impl LinkStateStore for RowStore {
         }
     }
 
-    fn clear_row(&mut self, origin: usize) {
-        if let Some(row) = self.rows.remove(&origin) {
-            self.live_entries -= row.lanes.len();
-        }
-        self.update_size_gauges();
-    }
-
     fn row_ref(&self, origin: usize) -> Option<RowRef<'_>> {
         self.rows.get(&origin).map(|s| s.lanes.as_row_ref(self.n))
     }
@@ -1353,6 +1230,12 @@ mod tests {
         s.put_row(origin, Arc::new(LaneRow::from_dense(entries)), now);
     }
 
+    /// One pair through the round-two kernel: a tick whose only client
+    /// is `a`, at server `b`.
+    fn one_pair(s: &RowStore, a: usize, b: usize, now: f64, max_age: f64) -> Option<(usize, u32)> {
+        s.round_two(&[a], b, now, max_age).get(0, 1)
+    }
+
     fn store_of(rows: &[&[u16]], now: f64) -> RowStore {
         let mut s = RowStore::new(rows.len());
         for (i, row) in rows.iter().enumerate() {
@@ -1378,29 +1261,29 @@ mod tests {
     #[test]
     fn best_one_hop_finds_detour() {
         let s = detour_store();
-        assert_eq!(s.best_one_hop(0, 3, 11.0, 45.0), Some((1, 150)));
+        assert_eq!(one_pair(&s, 0, 3, 11.0, 45.0), Some((1, 150)));
     }
 
     #[test]
     fn best_one_hop_prefers_direct_on_tie() {
         let s = store_of(&[&[0, 50, 100], &[50, 0, 50], &[100, 50, 0]], 0.0);
         // 0→2 direct = 100 = 0→1→2; prefer direct (hop == dst).
-        assert_eq!(s.best_one_hop(0, 2, 1.0, 45.0), Some((2, 100)));
+        assert_eq!(one_pair(&s, 0, 2, 1.0, 45.0), Some((2, 100)));
     }
 
     #[test]
     fn best_one_hop_requires_fresh_rows() {
         let s = detour_store();
         // Rows stamped at t=10; at now=100 with max_age=45 they're stale.
-        assert!(s.best_one_hop(0, 3, 100.0, 45.0).is_none());
-        assert!(s.best_one_hop(0, 3, 55.0, 45.0).is_some());
+        assert!(one_pair(&s, 0, 3, 100.0, 45.0).is_none());
+        assert!(one_pair(&s, 0, 3, 55.0, 45.0).is_some());
     }
 
     #[test]
     fn best_one_hop_missing_row_is_none() {
         let mut s = RowStore::new(3);
         put(&mut s, 0, &live_row(&[0, 10, 10]), 0.0);
-        assert!(s.best_one_hop(0, 2, 0.0, 45.0).is_none());
+        assert!(one_pair(&s, 0, 2, 0.0, 45.0).is_none());
     }
 
     #[test]
@@ -1408,13 +1291,13 @@ mod tests {
         let mut s = detour_store();
         // Kill 0→1 (in 0's row): detour must shift to hop 2 (200+90=290).
         s.update_entry(0, 1, LinkEntry::dead(), 10.0);
-        assert_eq!(s.best_one_hop(0, 3, 11.0, 45.0), Some((2, 290)));
+        assert_eq!(one_pair(&s, 0, 3, 11.0, 45.0), Some((2, 290)));
     }
 
     #[test]
     fn best_one_hop_uses_min_direction_for_direct() {
         let s = store_of(&[&[0, 300], &[200, 0]], 0.0);
-        assert_eq!(s.best_one_hop(0, 1, 0.0, 45.0), Some((1, 200)));
+        assert_eq!(one_pair(&s, 0, 1, 0.0, 45.0), Some((1, 200)));
     }
 
     #[test]
@@ -1422,7 +1305,7 @@ mod tests {
         let mut s = RowStore::new(3);
         put(&mut s, 0, &[LinkEntry::dead(); 3], 0.0);
         put(&mut s, 2, &[LinkEntry::dead(); 3], 0.0);
-        assert!(s.best_one_hop(0, 2, 0.0, 45.0).is_none());
+        assert!(one_pair(&s, 0, 2, 0.0, 45.0).is_none());
     }
 
     #[test]
@@ -1447,27 +1330,6 @@ mod tests {
         dead_row[2] = LinkEntry::dead();
         put(&mut s, 1, &dead_row, 200.0);
         assert!(!s.anyone_reaches(2, 201.0, 45.0));
-    }
-
-    #[test]
-    fn clear_row_resets() {
-        let mut s = detour_store();
-        s.clear_row(0);
-        assert!(s.row_time(0).is_none());
-        assert_eq!(s.cost(0, 1), INFINITE_COST);
-        assert_eq!(s.cost(0, 0), 0);
-    }
-
-    #[test]
-    fn path_cost_direct_and_relayed() {
-        let mut s = detour_store();
-        assert_eq!(s.path_cost(0, 3, 3), 500);
-        assert_eq!(s.path_cost(0, 1, 3), 150);
-        // A missing leg on either side is infinite, not a wrapped sum.
-        s.update_entry(1, 3, LinkEntry::dead(), 10.0);
-        assert_eq!(s.path_cost(0, 1, 3), INFINITE_COST);
-        s.clear_row(0);
-        assert_eq!(s.path_cost(0, 1, 3), INFINITE_COST);
     }
 
     #[test]
@@ -1502,10 +1364,7 @@ mod tests {
         put(&mut s, 7, &vec![LinkEntry::dead(); 100], 3.0);
         assert_eq!(s.row_count(), 2);
         assert_eq!(s.row_time(7), Some(3.0));
-        // Clearing removes the allocation entirely.
-        s.clear_row(7);
-        assert_eq!(s.row_count(), 1);
-        assert_eq!(s.peak_rows(), 2, "high-water mark is sticky");
+        assert_eq!(s.peak_rows(), 2);
     }
 
     #[test]
@@ -1571,7 +1430,7 @@ mod tests {
         s.put_row(9, row(&[(3, 15), (4, 5), (7, 30), (11, 80)]), 1.0);
         // Best hop is the live-intersection minimum: h=3 (40+15=55)
         // beats h=7 (60+30=90); no direct link exists.
-        assert_eq!(s.best_one_hop(0, 9, 2.0, 45.0), Some((3, 55)));
+        assert_eq!(one_pair(&s, 0, 9, 2.0, 45.0), Some((3, 55)));
         assert!(s.one_hop_options(0, 9, 2.0, 45.0).is_empty());
         // Once relay 3's own row arrives, scavenging sees it.
         s.put_row(3, row(&[(0, 40), (9, 20)]), 1.0);
@@ -1580,8 +1439,11 @@ mod tests {
 
     #[test]
     fn one_hop_options_skip_stale_and_absent_relays() {
-        let mut s = detour_store();
-        s.clear_row(1);
+        // The detour world without relay 1's row.
+        let mut s = RowStore::new(4);
+        put(&mut s, 0, &live_row(&[0, 50, 200, 500]), 10.0);
+        put(&mut s, 2, &live_row(&[200, 80, 0, 90]), 10.0);
+        put(&mut s, 3, &live_row(&[500, 100, 90, 0]), 10.0);
         let opts = s.one_hop_options(0, 3, 11.0, 45.0);
         assert_eq!(opts, vec![(2, 290)]);
         // A stale relay row disqualifies too.
@@ -1648,8 +1510,8 @@ mod tests {
     /// gauge equals a recount of the held rows after every kind of
     /// mutation: insert,
     /// whole-row replace (growing and shrinking), single-entry set and
-    /// kill, row creation by `update_entry`, eviction under capacity
-    /// pressure, and `clear_row`.
+    /// kill, row creation by `update_entry`, and eviction under capacity
+    /// pressure.
     #[test]
     fn live_entry_total_tracks_recount() {
         let telemetry = Telemetry::new(1);
@@ -1688,10 +1550,7 @@ mod tests {
         s.put_row(7, one(1, 5), 100.0);
         assert_eq!(s.present_rows(), vec![7]);
         check(&s, "evict");
-        s.clear_row(7);
-        s.clear_row(7);
-        check(&s, "clear, twice");
-        assert_eq!(s.entry_count(), 0);
+        assert_eq!(s.entry_count(), 1);
     }
 
     /// The cursor agrees with fresh `get`/`cost` lookups under any

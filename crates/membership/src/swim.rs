@@ -6,7 +6,7 @@
 //! seconds. Each period the node picks one live peer from a shuffled
 //! rotation and sends it a [`SwimMsg::Ping`]. If no ack arrives within
 //! [`SwimConfig::ping_timeout_s`], the node asks
-//! [`SwimConfig::ping_req_fanout`] other peers to probe the target
+//! [`PING_REQ_FANOUT`] other peers to probe the target
 //! indirectly ([`SwimMsg::PingReq`] → [`SwimMsg::ProxyAck`]), which
 //! distinguishes a dead target from a lossy direct path. A target that
 //! stays silent through the whole period becomes **suspected**; the
@@ -15,10 +15,10 @@
 //! suspicion that survives [`SwimConfig::suspicion_periods`] periods is
 //! **confirmed faulty** — only then does the membership view change.
 //!
-//! Every outgoing message piggybacks up to
-//! [`SwimConfig::max_piggyback`] pending membership events, each
-//! retransmitted at most [`SwimConfig::gossip_transmissions`] times —
-//! infection-style dissemination with per-node traffic constant in `n`.
+//! Every outgoing message piggybacks up to [`MAX_PIGGYBACK`] pending
+//! membership events, each retransmitted at most
+//! [`GOSSIP_TRANSMISSIONS`] times — infection-style dissemination with
+//! per-node traffic constant in `n`.
 //!
 //! ## Interface
 //!
@@ -51,12 +51,24 @@ use std::collections::{BTreeMap, VecDeque};
 /// a healed partition never saw) has no retransmission left to learn
 /// from. Anti-entropy closes that gap: each `sync_period_s` a node
 /// picks one partner uniformly from **every member it has ever heard
-/// of — dead or alive** — and pushes its full ledger
-/// ([`SwimMsg::SyncReq`]); the partner merges and pulls back the delta
-/// it knows better ([`SwimMsg::SyncRsp`]). Including confirmed-dead
-/// partners is what heals partitions: each side of a split considers
-/// the other dead, so a live-only choice would never cross the healed
-/// boundary.
+/// of — dead or alive** — and reconciles ledgers with it. Including
+/// confirmed-dead partners is what heals partitions: each side of a
+/// split considers the other dead, so a live-only choice would never
+/// cross the healed boundary.
+///
+/// A round has one shape. It opens with a 15-byte version digest
+/// ([`SwimMsg::SyncDigest`]), not the `O(n)` ledger: a partner whose
+/// ledger fingerprint matches answers with an empty delta and the
+/// transfer is skipped — in steady state almost every pair agrees, so
+/// the per-period sync cost is `O(1)` bytes. A partner that disagrees
+/// echoes its own digest with the first chunk of its ledger riding on
+/// the echo ([`SwimMsg::SyncDigestPush`]), so that direction of the
+/// transfer lands a round-trip before the pull would (counted by
+/// `sync_piggyback_rtt_saved` and [`SyncStats::piggyback_saved`]); the
+/// initiator then pushes its full ledger ([`SwimMsg::SyncReq`], chunked
+/// at [`SWIM_MTU_FRAME_ENTRIES`] records per frame) and the partner
+/// merges and pulls back the delta it knows better
+/// ([`SwimMsg::SyncRsp`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AntiEntropyConfig {
     /// Run the periodic push-pull sync at all.
@@ -65,30 +77,6 @@ pub struct AntiEntropyConfig {
     /// selection mixes any divergence through the cluster in `O(log n)`
     /// rounds.
     pub sync_period_s: f64,
-    /// Ledger records per sync frame; ledgers larger than this are
-    /// chunked across frames. Defaults to the MTU-safe
-    /// [`SWIM_MTU_FRAME_ENTRIES`]; hard wire cap
-    /// [`SWIM_MAX_FRAME_ENTRIES`].
-    pub max_entries_per_frame: usize,
-    /// Open each sync round with a 15-byte version digest
-    /// ([`SwimMsg::SyncDigest`]) instead of the `O(n)` full-ledger
-    /// push. A partner whose ledger fingerprint matches answers with an
-    /// empty delta and the transfer is skipped; on mismatch the partner
-    /// echoes its digest and the initiator proceeds with the full push
-    /// (one extra RTT). In steady state almost every pair agrees, so
-    /// this turns the per-period sync cost from `O(n)` bytes into
-    /// `O(1)` — worthwhile past a few hundred members.
-    pub digest_first: bool,
-    /// Piggyback the responder's first ledger chunk on the mismatch
-    /// echo ([`SwimMsg::SyncDigestPush`]). Without it, a diverged
-    /// initiator learns the responder's records only from the
-    /// [`SwimMsg::SyncRsp`] pull *after* its own full push — one RTT
-    /// later. With it, the responder→initiator half of the transfer
-    /// rides the echo itself, so a pair whose ledgers fit one frame
-    /// reconciles that direction a full round-trip earlier (counted by
-    /// the `sync_piggyback_rtt_saved` telemetry counter and
-    /// [`SyncStats::piggyback_saved`]).
-    pub digest_piggyback: bool,
     /// Dead-record GC: a member that has been confirmed dead for this
     /// many sync periods is *tombstone-expired* — it stops being chosen
     /// as a sync partner, so long-lived ledgers stop wasting sync
@@ -110,9 +98,6 @@ impl Default for AntiEntropyConfig {
         AntiEntropyConfig {
             enabled: true,
             sync_period_s: 4.0,
-            max_entries_per_frame: SWIM_MTU_FRAME_ENTRIES,
-            digest_first: true,
-            digest_piggyback: true,
             tombstone_gc_syncs: 50,
         }
     }
@@ -129,6 +114,19 @@ impl AntiEntropyConfig {
     }
 }
 
+/// Number of helpers asked to probe indirectly after a direct miss.
+pub const PING_REQ_FANOUT: usize = 3;
+/// Cap on the Lifeguard local-health counter. A node that misses acks
+/// or has to refute its own suspicion is probably the lossy one; its
+/// counter rises and *its own* suspicion verdicts slow by `1 + health`
+/// until evidence of good connectivity drains it.
+pub const MAX_LOCAL_HEALTH: u32 = 8;
+/// Maximum membership events piggybacked per message.
+pub const MAX_PIGGYBACK: usize = 10;
+/// Times each event is retransmitted before leaving the gossip queue
+/// (≈ λ·log n in the SWIM paper; a safe constant here).
+pub const GOSSIP_TRANSMISSIONS: u32 = 10;
+
 /// SWIM protocol knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SwimConfig {
@@ -137,8 +135,6 @@ pub struct SwimConfig {
     /// Deadline for the direct ack before indirect probing kicks in,
     /// seconds.
     pub ping_timeout_s: f64,
-    /// Number of helpers asked to probe indirectly after a direct miss.
-    pub ping_req_fanout: usize,
     /// Minimum suspicion lifetime before a silent member is confirmed
     /// faulty, in protocol periods. The *effective* lifetime scales
     /// with cluster size and local health — see
@@ -150,16 +146,6 @@ pub struct SwimConfig {
     /// SWIM/Lifeguard scaling that keeps the false-positive rate flat
     /// as gossip needs more hops to refute. `0` pins the constant.
     pub suspicion_log_scale: f64,
-    /// Cap on the Lifeguard local-health counter. A node that misses
-    /// acks or has to refute its own suspicion is probably the lossy
-    /// one; its counter rises and *its own* suspicion verdicts slow by
-    /// `1 + health` until evidence of good connectivity drains it.
-    pub max_local_health: u32,
-    /// Maximum membership events piggybacked per message.
-    pub max_piggyback: usize,
-    /// Times each event is retransmitted before leaving the gossip
-    /// queue (≈ λ·log n in the SWIM paper; a safe constant here).
-    pub gossip_transmissions: u32,
     /// Cadence at which ledger changes are batched into installed
     /// views, seconds.
     pub publish_period_s: f64,
@@ -174,12 +160,8 @@ impl Default for SwimConfig {
         SwimConfig {
             period_s: 2.0,
             ping_timeout_s: 0.5,
-            ping_req_fanout: 3,
             suspicion_periods: 3.0,
             suspicion_log_scale: 1.0,
-            max_local_health: 8,
-            max_piggyback: 10,
-            gossip_transmissions: 10,
             publish_period_s: 2.0,
             anti_entropy: AntiEntropyConfig::default(),
             seed: 0x5111_0000,
@@ -253,18 +235,9 @@ impl SwimConfig {
             self.suspicion_log_scale >= 0.0,
             "negative suspicion scaling"
         );
-        assert!(self.max_piggyback >= 1, "piggybacking disabled");
-        assert!(self.gossip_transmissions >= 1, "gossip disabled");
         assert!(
             self.publish_period_s > 0.0,
             "publish period must be positive"
-        );
-        // The frame bound holds even with anti-entropy disabled: this
-        // node still *answers* other nodes' syncs and chunks its
-        // responses with it.
-        assert!(
-            (1..=SWIM_MAX_FRAME_ENTRIES).contains(&self.anti_entropy.max_entries_per_frame),
-            "sync frame size out of range"
         );
         if self.anti_entropy.enabled {
             assert!(
@@ -847,7 +820,7 @@ impl Swim {
                     // partner reachable).
                     let delta = self.sync_delta(&claims);
                     let mut frames: Vec<Vec<SwimUpdate>> = delta
-                        .chunks(self.cfg.anti_entropy.max_entries_per_frame)
+                        .chunks(SWIM_MTU_FRAME_ENTRIES)
                         .map(<[SwimUpdate]>::to_vec)
                         .collect();
                     if frames.is_empty() {
@@ -917,7 +890,7 @@ impl Swim {
                                 updates: Vec::new(),
                             },
                         ));
-                    } else if self.cfg.anti_entropy.digest_piggyback {
+                    } else {
                         // Mismatch: echo our digest so the initiator
                         // pushes its full ledger — and piggyback the
                         // first chunk of ours on the echo, sparing the
@@ -933,19 +906,6 @@ impl Swim {
                                 fingerprint: my_fingerprint,
                                 known: my_known,
                                 updates,
-                            },
-                        ));
-                    } else {
-                        // Mismatch: echo our digest so the initiator
-                        // pushes its full ledger.
-                        out.push((
-                            *from,
-                            SwimMsg::SyncDigest {
-                                from: self.me,
-                                to: *from,
-                                seq: *seq,
-                                fingerprint: my_fingerprint,
-                                known: my_known,
                             },
                         ));
                     }
@@ -984,7 +944,7 @@ impl Swim {
     /// echo piggybacks.
     fn first_ledger_chunk(&self) -> Vec<SwimUpdate> {
         let mut entries = self.ledger_entries();
-        entries.truncate(self.cfg.anti_entropy.max_entries_per_frame);
+        entries.truncate(SWIM_MTU_FRAME_ENTRIES);
         entries
     }
 
@@ -1055,9 +1015,8 @@ impl Swim {
         self.departed = true;
         self.ledger.apply(self.me, self.incarnation, true);
         let peers: Vec<NodeId> = self.live_peers();
-        let fanout = self.cfg.ping_req_fanout.max(1);
         let chosen: Vec<NodeId> = peers
-            .choose_multiple(&mut self.rng, fanout)
+            .choose_multiple(&mut self.rng, PING_REQ_FANOUT)
             .copied()
             .collect();
         for peer in chosen {
@@ -1142,7 +1101,7 @@ impl Swim {
     }
 
     fn bump_local_health(&mut self) {
-        self.local_health = (self.local_health + 1).min(self.cfg.max_local_health);
+        self.local_health = (self.local_health + 1).min(MAX_LOCAL_HEALTH);
     }
 
     fn fire_indirect_probes(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
@@ -1157,7 +1116,7 @@ impl Swim {
                 .into_iter()
                 .filter(|&p| p != target)
                 .collect();
-            pool.choose_multiple(&mut self.rng, self.cfg.ping_req_fanout)
+            pool.choose_multiple(&mut self.rng, PING_REQ_FANOUT)
                 .copied()
                 .collect()
         };
@@ -1431,8 +1390,8 @@ impl Swim {
     /// pool) — except members whose tombstone has expired
     /// ([`AntiEntropyConfig::tombstone_gc_syncs`]): a ledger full of
     /// permanently dead members would otherwise waste a growing share
-    /// of rounds syncing into silence. With `digest_first` the round
-    /// opens with a 15-byte fingerprint; otherwise with the full push.
+    /// of rounds syncing into silence. The round opens with a 15-byte
+    /// fingerprint.
     fn start_sync(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
         let candidates: Vec<NodeId> = self
             .ledger
@@ -1455,25 +1414,20 @@ impl Swim {
                 now,
             );
         }
-        if self.cfg.anti_entropy.digest_first {
-            self.seq = self.seq.wrapping_add(1);
-            self.outstanding_digest = Some((target, self.seq));
-            self.metrics.digest_rounds.inc();
-            let (fingerprint, known) = self.digest_fingerprint();
-            out.push((
-                target,
-                SwimMsg::SyncDigest {
-                    from: self.me,
-                    to: target,
-                    seq: self.seq,
-                    fingerprint,
-                    known,
-                },
-            ));
-        } else {
-            self.count_full_push(now, target);
-            self.push_full_ledger(target, out);
-        }
+        self.seq = self.seq.wrapping_add(1);
+        self.outstanding_digest = Some((target, self.seq));
+        self.metrics.digest_rounds.inc();
+        let (fingerprint, known) = self.digest_fingerprint();
+        out.push((
+            target,
+            SwimMsg::SyncDigest {
+                from: self.me,
+                to: target,
+                seq: self.seq,
+                fingerprint,
+                known,
+            },
+        ));
     }
 
     /// The push half of a round: the full ledger, chunked, to `target`.
@@ -1485,11 +1439,7 @@ impl Swim {
         // byte would otherwise overflow; a ledger beyond the wire's
         // 255 × 255 ceiling (impossible to reach before exhausting the
         // u16 id space minus 511) is truncated for this round.
-        let mut per_frame = self
-            .cfg
-            .anti_entropy
-            .max_entries_per_frame
-            .max(entries.len().div_ceil(u8::MAX.into()));
+        let mut per_frame = SWIM_MTU_FRAME_ENTRIES.max(entries.len().div_ceil(u8::MAX.into()));
         if per_frame > SWIM_MAX_FRAME_ENTRIES {
             per_frame = SWIM_MAX_FRAME_ENTRIES;
             entries.truncate(SWIM_MAX_FRAME_ENTRIES * usize::from(u8::MAX));
@@ -1560,14 +1510,14 @@ impl Swim {
         self.gossip.retain(|g| g.update.id != update.id);
         self.gossip.push_back(Gossip {
             update,
-            remaining: self.cfg.gossip_transmissions,
+            remaining: GOSSIP_TRANSMISSIONS,
         });
     }
 
-    /// Up to `max_piggyback` queued events, round-robin, each drawn
+    /// Up to [`MAX_PIGGYBACK`] queued events, round-robin, each drawn
     /// from its retransmission budget.
     fn take_piggyback(&mut self) -> Vec<SwimUpdate> {
-        let take = self.cfg.max_piggyback.min(self.gossip.len());
+        let take = MAX_PIGGYBACK.min(self.gossip.len());
         let mut updates = Vec::with_capacity(take);
         for _ in 0..take {
             let Some(mut g) = self.gossip.pop_front() else {
@@ -1847,8 +1797,7 @@ mod tests {
             incarnation: 0,
             status: SwimStatus::Alive,
         });
-        let budget = s.cfg.gossip_transmissions;
-        for _ in 0..budget {
+        for _ in 0..GOSSIP_TRANSMISSIONS {
             assert_eq!(s.take_piggyback().len(), 1);
         }
         assert!(s.take_piggyback().is_empty(), "budget exhausted");
@@ -2041,7 +1990,7 @@ mod tests {
             ..cfg(1)
         };
         let mut a = Swim::bootstrap(NodeId(0), c, &members);
-        let cap = a.cfg.max_local_health;
+        let cap = MAX_LOCAL_HEALTH;
         let mut t = 0.0;
         for _ in 0..(cap + 5) {
             t += 2.0;
@@ -2241,7 +2190,7 @@ mod tests {
         assert!(!a.ledger().is_live(NodeId(1)));
         // Node 1 is the only possible partner; over a few sync periods
         // a sync round towards it must open even though it is "dead"
-        // (with digest_first on, the opener is the digest frame).
+        // (the opener is the digest frame).
         let mut out = Vec::new();
         let mut t = 0.0;
         while t < 10.0 {
@@ -2260,8 +2209,8 @@ mod tests {
         let members = ids(&[0, 1, 2]);
         let mut a = Swim::bootstrap(NodeId(0), sync_cfg(1, 1.0), &members);
         let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 1.0), &members);
-        // Drive a until it opens a sync round; with only digest_first
-        // rounds, the opener must be a digest, not a full push.
+        // Drive a until it opens a sync round: the opener must be a
+        // digest, not a full push.
         let mut out = Vec::new();
         let mut t = 0.0;
         while !out
@@ -2333,7 +2282,7 @@ mod tests {
             .unwrap()
             .1;
         // b mismatches: echoes its own digest with its first ledger
-        // chunk piggybacked (the default), no pull transfer yet.
+        // chunk piggybacked, no pull transfer yet.
         let mut echo = Vec::new();
         b.on_message(t, &digest, &mut echo);
         assert_eq!(echo.len(), 1);
@@ -2404,52 +2353,42 @@ mod tests {
         assert_eq!(a.sync_stats().piggyback_saved, 1);
     }
 
+    /// This node always answers a mismatch with `SyncDigestPush`, but a
+    /// peer may answer with the bare digest echo; the initiator must
+    /// still take that as "we disagree" and push its ledger.
     #[test]
-    fn digest_piggyback_disabled_falls_back_to_plain_echo() {
-        let c = |seed: u64| {
-            SwimConfig::default()
-                .with_seed(seed)
-                .with_anti_entropy(AntiEntropyConfig {
-                    enabled: true,
-                    sync_period_s: 1.0,
-                    digest_piggyback: false,
-                    ..AntiEntropyConfig::default()
-                })
-        };
+    fn plain_digest_echo_from_a_peer_opens_the_full_push() {
         let members = ids(&[0, 1]);
-        let mut a = Swim::bootstrap(NodeId(0), c(1), &members);
-        let mut b = Swim::bootstrap(NodeId(1), c(2), &members);
-        a.apply_updates(
-            0.0,
-            &[SwimUpdate {
-                id: NodeId(9),
-                incarnation: 0,
-                status: SwimStatus::Alive,
-            }],
-        );
+        let mut a = Swim::bootstrap(NodeId(0), sync_cfg(1, 1.0), &members);
         let mut out = Vec::new();
         let mut t = 0.0;
-        while !out
-            .iter()
-            .any(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }))
-        {
-            assert!(t < 20.0);
+        let seq = loop {
+            assert!(t < 20.0, "digest round must open");
             a.on_tick(t, &mut out);
             t += 0.25;
-        }
-        let digest = out
-            .iter()
-            .find(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }))
-            .cloned()
-            .unwrap()
-            .1;
-        let mut echo = Vec::new();
-        b.on_message(t, &digest, &mut echo);
-        assert_eq!(echo.len(), 1);
-        assert!(matches!(echo[0].1, SwimMsg::SyncDigest { .. }));
+            let opened = out.iter().find_map(|(_, m)| match m {
+                SwimMsg::SyncDigest { seq, .. } => Some(*seq),
+                _ => None,
+            });
+            if let Some(seq) = opened {
+                break seq;
+            }
+        };
+        let (mine, known) = a.digest_fingerprint();
+        let echo = SwimMsg::SyncDigest {
+            from: NodeId(1),
+            to: NodeId(0),
+            seq,
+            fingerprint: !mine,
+            known,
+        };
         let mut push = Vec::new();
-        a.on_message(t + 0.1, &echo[0].1, &mut push);
+        a.on_message(t, &echo, &mut push);
         assert!(!push.is_empty());
+        assert!(push
+            .iter()
+            .all(|(to, m)| *to == NodeId(1) && matches!(m, SwimMsg::SyncReq { .. })));
+        assert_eq!(a.sync_stats().full_pushes, 1);
         assert_eq!(a.sync_stats().piggyback_saved, 0);
     }
 
@@ -2484,7 +2423,6 @@ mod tests {
                 enabled: true,
                 sync_period_s: 1.0,
                 tombstone_gc_syncs: 3,
-                ..AntiEntropyConfig::default()
             });
         let members = ids(&[0, 1]);
         let mut a = Swim::bootstrap(NodeId(0), c, &members);

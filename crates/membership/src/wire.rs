@@ -17,10 +17,10 @@
 //! The anti-entropy frames carry full-ledger records instead of a
 //! bounded piggyback: a `SyncReq` is `12 + 7·k` bytes for `k` members
 //! (two extra header bytes index the chunk), a `SyncRsp` `10 + 7·k`.
-//! Ledgers are chunked at `AntiEntropyConfig::max_entries_per_frame`
-//! records per frame — default [`SWIM_MTU_FRAME_ENTRIES`] to stay
-//! under a 1500-byte MTU, hard wire cap [`SWIM_MAX_FRAME_ENTRIES`]
-//! (the count field is one byte) — and the responder answers a sync
+//! Ledgers are chunked at [`SWIM_MTU_FRAME_ENTRIES`] records per frame
+//! to stay under a 1500-byte MTU — hard wire cap
+//! [`SWIM_MAX_FRAME_ENTRIES`] (the count field is one byte) — and the
+//! responder answers a sync
 //! `seq` once, with one delta over the reassembled claim set, so one
 //! push-pull round per `AntiEntropyConfig::sync_period_s` costs `O(n)`
 //! bytes — amortized well below the probing budget at the paper's

@@ -231,7 +231,6 @@ proptest! {
                 enabled: true,
                 sync_period_s,
                 tombstone_gc_syncs: k,
-                ..apor_membership::AntiEntropyConfig::default()
             },
         );
         let members: Vec<NodeId> = vec![NodeId(0), NodeId(1)];

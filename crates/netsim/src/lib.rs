@@ -4,7 +4,7 @@
 //! nodes run on one physical machine … the emulation uses the same
 //! implementation as the one deployed on the Internet", section 6.1) and
 //! in a real PlanetLab deployment. This crate is the emulation half: the
-//! same sans-io overlay node that runs on tokio UDP sockets runs here
+//! same sans-io overlay node that runs on real UDP sockets runs here
 //! against a simulated network with
 //!
 //! * per-pair latency from a [`LatencyMatrix`](apor_topology::LatencyMatrix),
@@ -30,7 +30,8 @@
 //! * Timers are one-shot and **uncancellable** ([`Ctx::set_timer`]).
 //!   A behavior that wants fewer wakeups must *coalesce* — track its own
 //!   earliest-pending-work time and only arm a timer that undercuts the
-//!   one already armed (see `apor_overlay`'s `Scheduling::Coalesced`).
+//!   one already armed (as `apor_overlay`'s node does; see the
+//!   "Timers" section of its `node` module).
 //!   Stale timers will still fire; handlers must treat them as harmless
 //!   polls, not as authoritative deadlines.
 //! * Because wakeups are heap-driven, the queue depth *is* the

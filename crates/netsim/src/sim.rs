@@ -77,7 +77,7 @@ enum Command {
 ///
 /// Mirrors a sans-io driver: a node can learn the time, send packets, arm
 /// timers and draw randomness — nothing else. The identical behavior can
-/// therefore be driven by the tokio UDP transport instead.
+/// therefore be driven by a real socket and clock instead.
 pub struct Ctx<'a> {
     now: f64,
     node: usize,

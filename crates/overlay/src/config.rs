@@ -26,27 +26,6 @@ impl Algorithm {
     }
 }
 
-/// How a node's periodic work (probe polls, SWIM ticks) is scheduled.
-///
-/// Both modes run the identical protocol state machines; they differ
-/// only in *when* the driver is asked to call back, which is why the
-/// deterministic-replay test can demand bit-identical routing state
-/// from both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Scheduling {
-    /// Wake exactly when the prober/SWIM state machine next has work
-    /// (`next_wake`), coalescing to one outstanding timer per plane.
-    /// Idle nodes schedule no wakeups at all, so simulating a large
-    /// quiescent overlay costs nothing per tick — the contract the
-    /// `apor-netsim` event loop is built around.
-    #[default]
-    Coalesced,
-    /// Poll on a fixed short tick (0.5 s probe poll, 0.25 s SWIM tick)
-    /// regardless of pending work. The original driver loop; kept as
-    /// the replay baseline and for drivers without precise timers.
-    FixedTick,
-}
-
 /// How the overlay learns who its members are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum MembershipMode {
@@ -77,13 +56,10 @@ pub struct NodeConfig {
     pub algorithm: Algorithm,
     /// Protocol timing parameters. The sub-quadratic probing knobs live
     /// here: `probe_policy` / `probe_sample_budget` select entitled +
-    /// sampled probing, `probe_interval_max_s` / `probe_backoff` /
-    /// `probe_snap_frac` shape the per-link adaptive rate (see
+    /// sampled probing, `probe_interval_max_s` is the ceiling the
+    /// per-link adaptive rate backs off to (see
     /// [`ProtocolConfig::with_subquadratic_probing`]).
     pub protocol: ProtocolConfig,
-    /// Timer discipline for periodic work (default:
-    /// [`Scheduling::Coalesced`] — idle nodes arm no timers).
-    pub scheduling: Scheduling,
     /// Seed for this node's local randomness (failover picks, phases).
     pub seed: u64,
     /// Join retry period while not yet in the membership view, seconds.
@@ -114,7 +90,6 @@ impl NodeConfig {
             swim: SwimConfig::default(),
             algorithm,
             protocol: algorithm.default_protocol(),
-            scheduling: Scheduling::default(),
             seed: 0x5EED ^ u64::from(id.0),
             join_retry_s: 5.0,
             keepalive_s: 600.0,
@@ -136,13 +111,6 @@ impl NodeConfig {
     #[must_use]
     pub fn with_static_members(mut self, members: Vec<NodeId>) -> Self {
         self.static_members = Some(members);
-        self
-    }
-
-    /// Select the timer discipline (see [`Scheduling`]).
-    #[must_use]
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
         self
     }
 
@@ -232,14 +200,6 @@ mod tests {
         );
         assert!(on.swim.anti_entropy.enabled);
         assert_eq!(on.swim.anti_entropy.sync_period_s, 2.0);
-    }
-
-    #[test]
-    fn scheduling_builder_and_default() {
-        let c = NodeConfig::new(NodeId(1), NodeId(0), Algorithm::Quorum);
-        assert_eq!(c.scheduling, Scheduling::Coalesced);
-        let f = c.with_scheduling(Scheduling::FixedTick);
-        assert_eq!(f.scheduling, Scheduling::FixedTick);
     }
 
     #[test]

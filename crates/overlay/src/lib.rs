@@ -12,13 +12,20 @@
 //!
 //! The node itself ([`node::OverlayNode`]) is a sans-io state machine:
 //! `on_start` / `on_packet` / `on_timer` in, `(send, set_timer)` commands
-//! out. Two drivers run it unchanged:
+//! out. Two drivers run it unchanged, both always compiled and both
+//! exercised by the test suite:
 //!
 //! * [`simnode::SimNode`] adapts it to the deterministic
-//!   [`netsim`](apor_netsim) simulator (the paper's emulation);
-//! * `udp` (behind the `udp` feature; needs the non-vendored tokio)
-//!   runs it on real UDP sockets (the paper's deployment), with a clean
-//!   shutdown path per the structured-concurrency guidance.
+//!   [`netsim`](apor_netsim) simulator (the paper's emulation), which
+//!   delivers every timer at exactly the instant it was armed for;
+//! * [`udp::UdpOverlay`] runs it on a real UDP socket and the real
+//!   clock (the paper's deployment) — one `std` thread per node, timers
+//!   delivered whenever the thread wakes, a little after they are due —
+//!   with a shutdown path that announces the departure and joins the
+//!   thread.
+//!
+//! The node arms its periodic work the same way under both (see the
+//! "Timers" section of [`node`]).
 //!
 //! Membership comes in two modes ([`config::MembershipMode`]): the
 //! paper's centralized coordinator ([`membership`]) and the
@@ -76,13 +83,6 @@ pub mod membership;
 pub mod node;
 pub mod remap;
 pub mod simnode;
-#[cfg(feature = "udp")]
-compile_error!(
-    "the `udp` feature needs the non-vendored `tokio` (features [\"full\"]) and \
-     `parking_lot` crates: add them to crates/overlay/Cargo.toml on a machine with \
-     crates.io access (see vendor/README.md), then delete this guard"
-);
-#[cfg(feature = "udp")]
 pub mod udp;
 
 pub use config::{Algorithm, MembershipMode, NodeConfig};

@@ -4,9 +4,30 @@
 //! The node reacts to exactly three stimuli — `on_start`, `on_packet`,
 //! `on_timer` — and responds by filling an [`Outbox`] with packets to send
 //! and timers to arm. It never touches sockets or clocks, so the netsim
-//! driver ([`SimNode`](crate::simnode::SimNode)) and the tokio UDP driver
-//! ([`udp`](crate::udp)) run the identical protocol logic; this is how the
-//! paper can claim its emulation and deployment share one implementation.
+//! driver ([`SimNode`](crate::simnode::SimNode)) and the real-clock UDP
+//! driver ([`udp`](crate::udp)) run the identical protocol logic; this is
+//! how the paper can claim its emulation and deployment share one
+//! implementation.
+//!
+//! ## Timers
+//!
+//! Periodic work has one timer discipline. The prober and the SWIM
+//! machine each report when they next have work (`next_wake`), and the
+//! node keeps at most one useful timer outstanding per plane: it arms a
+//! [`TOKEN_PROBE`] / [`TOKEN_SWIM`] timer only when that wake is
+//! strictly earlier than the one already armed, so an idle node arms
+//! nothing. Drivers cannot cancel timers, so superseded ones still fire;
+//! polling then finds nothing due and re-arms through the same rule.
+//!
+//! A fired timer clears the armed wake when it arrives *at or after* the
+//! armed instant. The simulator delivers a timer exactly on time, but a
+//! real clock always delivers it a little late, and a timer cannot fire
+//! before the instant it was armed for — so any firing at or after that
+//! instant is the armed timer (or one armed for it earlier), and it has
+//! consumed the wake. A superseded timer fires *before* the armed
+//! instant and leaves it alone. Clearing only on an exact match would
+//! leave a real-clock node with a stale armed wake that deduplicates
+//! every later arm: one probe round, then silence.
 //!
 //! ## Index vs identity
 //!
@@ -16,7 +37,7 @@
 //! both directions, including the `dst`/`hop` fields inside
 //! recommendation messages.
 
-use crate::config::{Algorithm, MembershipMode, NodeConfig, Scheduling};
+use crate::config::{Algorithm, MembershipMode, NodeConfig};
 use crate::membership::{Coordinator, MembershipView};
 use apor_linkstate::{Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg, RecEntry};
 use apor_membership::{wire as swim_wire, Swim, SwimMsg};
@@ -68,14 +89,8 @@ pub const TOKEN_EXPIRE: u64 = 4;
 /// Timer token: SWIM gossip tick ([`MembershipMode::Swim`]).
 pub const TOKEN_SWIM: u64 = 5;
 
-/// How often the prober's poll loop runs under
-/// [`Scheduling::FixedTick`], seconds.
-const PROBE_POLL_S: f64 = 0.5;
 /// Coordinator expiry sweep period, seconds.
 const EXPIRE_SWEEP_S: f64 = 60.0;
-/// SWIM timer granularity under [`Scheduling::FixedTick`], seconds
-/// (must undercut the ping timeout).
-const SWIM_TICK_S: f64 = 0.25;
 /// Slack when comparing armed wake times: two wakes closer than this
 /// are the same instant (drivers only promise f64 time arithmetic).
 const TIMER_EPS: f64 = 1e-9;
@@ -126,12 +141,12 @@ pub struct OverlayNode {
     swim: Option<Swim>,
     routing_tick_armed: bool,
     shut_down: bool,
-    /// Earliest outstanding [`TOKEN_PROBE`] timer under
-    /// [`Scheduling::Coalesced`]; `∞` = none armed. Timers cannot be
-    /// cancelled, so stale ones fire, process harmlessly (polling only
-    /// emits *due* work) and re-arm through the same dedupe.
+    /// Earliest outstanding [`TOKEN_PROBE`] timer; `∞` = none armed.
+    /// Timers cannot be cancelled, so stale ones fire, process
+    /// harmlessly (polling only emits *due* work) and re-arm through
+    /// the same dedupe.
     armed_probe_wake: f64,
-    /// Earliest outstanding [`TOKEN_SWIM`] timer ([`Scheduling::Coalesced`]).
+    /// Earliest outstanding [`TOKEN_SWIM`] timer.
     armed_swim_wake: f64,
     /// Sizes of outgoing anti-entropy sync frames, bytes.
     sync_frame_bytes: Histogram,
@@ -232,13 +247,10 @@ impl OverlayNode {
             MembershipMode::Centralized => self.start_centralized(now, out),
             MembershipMode::Swim => self.start_swim(now, out),
         }
-        match self.cfg.scheduling {
-            Scheduling::FixedTick => out.timer(PROBE_POLL_S, TOKEN_PROBE),
-            // install_view (when a view is already known) armed the
-            // prober wake; a node without a view has nothing to probe
-            // and arms it on its first view install instead.
-            Scheduling::Coalesced => self.arm_probe(now, out),
-        }
+        // install_view (when a view is already known) armed the prober
+        // wake; a node without a view has nothing to probe and arms it
+        // on its first view install instead.
+        self.arm_probe(now, out);
     }
 
     /// The paper's join dance against the coordinator.
@@ -293,10 +305,7 @@ impl OverlayNode {
             self.install_view(MembershipView::new(version, members), now, out);
         }
         self.swim = Some(swim);
-        match self.cfg.scheduling {
-            Scheduling::FixedTick => out.timer(SWIM_TICK_S, TOKEN_SWIM),
-            Scheduling::Coalesced => self.arm_swim(now, out),
-        }
+        self.arm_swim(now, out);
     }
 
     /// Graceful shutdown: announce the departure on whichever
@@ -347,13 +356,8 @@ impl OverlayNode {
         }
         match token {
             TOKEN_PROBE => {
-                match self.cfg.scheduling {
-                    Scheduling::FixedTick => out.timer(PROBE_POLL_S, TOKEN_PROBE),
-                    Scheduling::Coalesced => {
-                        if (now - self.armed_probe_wake).abs() <= TIMER_EPS {
-                            self.armed_probe_wake = f64::INFINITY;
-                        }
-                    }
+                if now + TIMER_EPS >= self.armed_probe_wake {
+                    self.armed_probe_wake = f64::INFINITY;
                 }
                 self.run_prober(now, out);
                 self.arm_probe(now, out);
@@ -397,13 +401,8 @@ impl OverlayNode {
                 }
             }
             TOKEN_SWIM if self.swim.is_some() => {
-                match self.cfg.scheduling {
-                    Scheduling::FixedTick => out.timer(SWIM_TICK_S, TOKEN_SWIM),
-                    Scheduling::Coalesced => {
-                        if (now - self.armed_swim_wake).abs() <= TIMER_EPS {
-                            self.armed_swim_wake = f64::INFINITY;
-                        }
-                    }
+                if now + TIMER_EPS >= self.armed_swim_wake {
+                    self.armed_swim_wake = f64::INFINITY;
                 }
                 self.run_swim_tick(now, out);
                 self.arm_swim(now, out);
@@ -634,9 +633,6 @@ impl OverlayNode {
     /// No prober (not yet a member) ⇒ no timer — the idle-node
     /// contract the netsim event loop relies on.
     fn arm_probe(&mut self, now: f64, out: &mut Outbox) {
-        if self.cfg.scheduling != Scheduling::Coalesced {
-            return;
-        }
         let Some(prober) = &self.prober else { return };
         let wake = prober.next_wake(now);
         if wake.is_finite() && wake + TIMER_EPS < self.armed_probe_wake {
@@ -647,9 +643,6 @@ impl OverlayNode {
 
     /// Coalesced SWIM wake — same discipline as [`Self::arm_probe`].
     fn arm_swim(&mut self, now: f64, out: &mut Outbox) {
-        if self.cfg.scheduling != Scheduling::Coalesced {
-            return;
-        }
         let Some(swim) = &self.swim else { return };
         let wake = swim.next_wake(now);
         if wake.is_finite() && wake + TIMER_EPS < self.armed_swim_wake {
@@ -1045,6 +1038,36 @@ mod tests {
         let tokens: Vec<u64> = out.timers.iter().map(|&(_, t)| t).collect();
         assert!(tokens.contains(&TOKEN_PROBE));
         assert!(tokens.contains(&TOKEN_ROUTING));
+    }
+
+    /// A real clock delivers every timer a little late. The late firing
+    /// must still consume the armed wake, or every later arm is
+    /// deduplicated against it and the plane goes silent.
+    #[test]
+    fn a_late_timer_still_rearms() {
+        let members: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let mut node = OverlayNode::new(
+            NodeConfig::new(NodeId(1), NodeId(0), Algorithm::Quorum)
+                .with_static_members(members)
+                .with_swim(),
+        );
+        let mut out = Outbox::default();
+        node.on_start(0.0, &mut out);
+        for token in [TOKEN_SWIM, TOKEN_PROBE] {
+            let armed = out
+                .timers
+                .iter()
+                .filter(|&&(_, t)| t == token)
+                .map(|&(delay, _)| delay)
+                .fold(f64::INFINITY, f64::min);
+            assert!(armed.is_finite(), "token {token} armed at start");
+            let mut fired = Outbox::default();
+            node.on_timer(armed + 0.010, token, &mut fired);
+            assert!(
+                fired.timers.iter().any(|&(_, t)| t == token),
+                "token {token} delivered 10 ms late must arm its successor"
+            );
+        }
     }
 
     #[test]

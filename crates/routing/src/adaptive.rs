@@ -7,10 +7,10 @@
 //! machine, one instance per probed link:
 //!
 //! * every *stable* sample (a reply whose latency moved less than
-//!   `probe_snap_frac` relative to the previous one) multiplies the
-//!   interval by `probe_backoff`, saturating at `probe_interval_max_s`;
+//!   [`PROBE_SNAP_FRAC`] relative to the previous one) multiplies the
+//!   interval by [`PROBE_BACKOFF`], saturating at `probe_interval_max_s`;
 //! * a *loss* (probe timeout), or a latency swing of more than
-//!   `probe_snap_frac`, snaps the interval straight back to
+//!   [`PROBE_SNAP_FRAC`], snaps the interval straight back to
 //!   `rapid_probe_interval_s` so failure detection regains the RON
 //!   cadence exactly when it matters.
 //!
@@ -18,6 +18,13 @@
 //! probe_interval_max_s]` — property-tested below.
 
 use crate::config::ProtocolConfig;
+
+/// Multiplier applied to a link's probe interval after each stable
+/// sample (exponential backoff towards `probe_interval_max_s`).
+pub const PROBE_BACKOFF: f64 = 2.0;
+/// Relative latency change that snaps a backed-off link straight back
+/// to `rapid_probe_interval_s` (loss always snaps).
+pub const PROBE_SNAP_FRAC: f64 = 0.3;
 
 /// What one completed probe told us about the link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,8 +43,6 @@ pub enum RateSample {
 pub struct AdaptiveProbeRate {
     rapid_s: f64,
     max_s: f64,
-    backoff: f64,
-    snap_frac: f64,
     interval_s: f64,
     last_latency_ms: Option<f64>,
     /// Adaptation is enabled only when the ceiling actually exceeds the
@@ -51,7 +56,7 @@ pub struct AdaptiveProbeRate {
 
 impl AdaptiveProbeRate {
     /// A controller starting at `base_s` (normally `probe_interval_s`),
-    /// with the rate band and backoff taken from `cfg`.
+    /// with the rate band taken from `cfg`.
     #[must_use]
     pub fn new(cfg: &ProtocolConfig, base_s: f64) -> Self {
         let rapid_s = cfg.rapid_probe_interval_s;
@@ -60,8 +65,6 @@ impl AdaptiveProbeRate {
         AdaptiveProbeRate {
             rapid_s,
             max_s,
-            backoff: cfg.probe_backoff,
-            snap_frac: cfg.probe_snap_frac,
             interval_s: if adaptive {
                 base_s.clamp(rapid_s, max_s)
             } else {
@@ -90,13 +93,13 @@ impl AdaptiveProbeRate {
                 self.last_latency_ms = None;
             }
             RateSample::Reply { latency_ms } => {
-                let moved = self
-                    .last_latency_ms
-                    .is_some_and(|prev| (latency_ms - prev).abs() > self.snap_frac * prev.max(1.0));
+                let moved = self.last_latency_ms.is_some_and(|prev| {
+                    (latency_ms - prev).abs() > PROBE_SNAP_FRAC * prev.max(1.0)
+                });
                 if moved {
                     self.interval_s = self.rapid_s;
                 } else {
-                    self.interval_s = (self.interval_s * self.backoff).min(self.max_s);
+                    self.interval_s = (self.interval_s * PROBE_BACKOFF).min(self.max_s);
                 }
                 self.last_latency_ms = Some(latency_ms);
             }
@@ -145,7 +148,7 @@ mod tests {
         for _ in 0..10 {
             r.on_sample(RateSample::Reply { latency_ms: 50.0 });
         }
-        // +29% is within the default 0.3 snap fraction.
+        // +29% is within the 0.3 snap fraction.
         r.on_sample(RateSample::Reply { latency_ms: 64.0 });
         assert_eq!(r.interval_s(), 240.0);
         // +50% is a route change; back to rapid.

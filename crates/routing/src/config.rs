@@ -14,7 +14,26 @@
 use apor_linkstate::RecFormat;
 use serde::{Deserialize, Serialize};
 
-/// All protocol timing and format knobs.
+/// Age after which a *received* route recommendation is no longer
+/// trusted for forwarding (falls back to §4.2 scavenging), in routing
+/// intervals.
+pub const ROUTE_EXPIRY_INTERVALS: f64 = 4.0;
+/// Missing-recommendation time after which a remote rendezvous failure
+/// is declared for a destination, in routing intervals. The paper's
+/// analysis allows up to one interval of detection delay; 2.5 rides out
+/// one lost message.
+pub const REMOTE_FAILURE_INTERVALS: f64 = 2.5;
+/// Grace period after first sending link state to a server before
+/// remote-failure detection starts, in routing intervals.
+pub const SERVER_GRACE_INTERVALS: f64 = 2.0;
+
+/// The protocol timing and format knobs some study, the paper's
+/// parameter table or a planned sweep varies. What none of them has
+/// ever varied is a constant: the three interval multiples above, the
+/// estimator's EWMA weight
+/// ([`LinkEstimator::DEFAULT_ALPHA`](apor_linkstate::LinkEstimator::DEFAULT_ALPHA))
+/// and the adaptive probe rate's backoff and snap fraction
+/// ([`adaptive`](crate::adaptive)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProtocolConfig {
     /// Routing interval `r`, seconds: how often link state / recommendations
@@ -33,33 +52,14 @@ pub struct ProtocolConfig {
     /// Measurement age a rendezvous server will still base recommendations
     /// on: the paper uses 3 routing intervals (section 6.2.2).
     pub staleness_intervals: f64,
-    /// Age after which a *received* route recommendation is no longer
-    /// trusted for forwarding (falls back to §4.2 scavenging).
-    pub route_expiry_intervals: f64,
-    /// Missing-recommendation time after which a remote rendezvous failure
-    /// is declared for a destination, in routing intervals. The paper's
-    /// analysis allows up to one interval of detection delay; we use 2.5
-    /// to ride out one lost message.
-    pub remote_failure_intervals: f64,
-    /// Grace period after first sending link state to a server before
-    /// remote-failure detection starts, in routing intervals.
-    pub server_grace_intervals: f64,
     /// Recommendation entry wire format.
     pub rec_format: RecFormat,
-    /// EWMA weight of new latency samples.
-    pub ewma_alpha: f64,
     /// Ceiling the adaptive per-link probe rate backs off to on stable
     /// links, seconds. Equal to `probe_interval_s` by default, which
     /// disables backoff (the paper's fixed-rate behaviour); the
     /// deployment tuning sets it higher so long-stable links are probed
     /// rarely.
     pub probe_interval_max_s: f64,
-    /// Multiplier applied to a link's probe interval after each stable
-    /// sample (exponential backoff towards `probe_interval_max_s`).
-    pub probe_backoff: f64,
-    /// Relative latency change that snaps a backed-off link straight
-    /// back to `rapid_probe_interval_s` (loss always snaps).
-    pub probe_snap_frac: f64,
     /// Which peers the prober measures.
     pub probe_policy: ProbePolicy,
     /// Number of non-entitled peers sampled concurrently under
@@ -115,14 +115,8 @@ impl ProtocolConfig {
             probe_timeout_s: 3.0,
             rapid_probe_interval_s: 5.0,
             staleness_intervals: 3.0,
-            route_expiry_intervals: 4.0,
-            remote_failure_intervals: 2.5,
-            server_grace_intervals: 2.0,
             rec_format: RecFormat::Compact,
-            ewma_alpha: 0.3,
             probe_interval_max_s: 30.0,
-            probe_backoff: 2.0,
-            probe_snap_frac: 0.3,
             probe_policy: ProbePolicy::FullMesh,
             probe_sample_budget: 16,
             max_detour_hops: 1,
@@ -157,19 +151,19 @@ impl ProtocolConfig {
     /// The route-expiry window in seconds.
     #[must_use]
     pub fn route_expiry_s(&self) -> f64 {
-        self.route_expiry_intervals * self.routing_interval_s
+        ROUTE_EXPIRY_INTERVALS * self.routing_interval_s
     }
 
     /// Remote-failure timeout in seconds.
     #[must_use]
     pub fn remote_failure_s(&self) -> f64 {
-        self.remote_failure_intervals * self.routing_interval_s
+        REMOTE_FAILURE_INTERVALS * self.routing_interval_s
     }
 
     /// Server grace period in seconds.
     #[must_use]
     pub fn server_grace_s(&self) -> f64 {
-        self.server_grace_intervals * self.routing_interval_s
+        SERVER_GRACE_INTERVALS * self.routing_interval_s
     }
 
     /// Sanity-check the invariants the failure-detection analysis needs.
@@ -193,8 +187,6 @@ impl ProtocolConfig {
             self.probe_interval_max_s >= self.probe_interval_s,
             "probe backoff ceiling below the base probing interval"
         );
-        assert!(self.probe_backoff > 1.0, "backoff must grow the interval");
-        assert!(self.probe_snap_frac > 0.0);
         assert!(self.probe_sample_budget >= 1);
         assert!(
             (1..=8).contains(&self.max_detour_hops),

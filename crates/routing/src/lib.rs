@@ -2,7 +2,7 @@
 //!
 //! Everything here is a pure state machine: handlers take the current
 //! time and decoded messages, and return messages to transmit. No sockets,
-//! no clocks, no tasks — the `apor-netsim` driver and the tokio
+//! no clocks, no tasks — the `apor-netsim` driver and the real-clock
 //! UDP driver in `apor-overlay` both run the same code, which is the
 //! property the paper leans on when it claims its emulation "uses the same
 //! implementation as the one deployed on the Internet" (section 6.1).

@@ -197,7 +197,7 @@ impl Prober {
             peer,
             entitled,
             estimator: LinkEstimator::with_params(
-                self.config.ewma_alpha,
+                LinkEstimator::DEFAULT_ALPHA,
                 self.config.probes_for_failure,
                 LinkEstimator::DEFAULT_WINDOW,
             ),

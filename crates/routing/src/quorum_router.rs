@@ -40,7 +40,7 @@ use apor_linkstate::{
     RowStore, INFINITE_COST,
 };
 use apor_quorum::{Grid, NodeId};
-use apor_telemetry::{Counter, Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
+use apor_telemetry::{Counter, Gauge, SpanKind, Telemetry, TraceCtx, Tracer};
 use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -130,8 +130,6 @@ struct RouterCounters {
     /// What the pre-compaction dense layout would cost for the same
     /// state: one `n × 8`-byte row per server that has ever recommended.
     rec_seen_bytes_dense: Gauge,
-    /// Wall-clock cost of one round-two recommendation pass, µs.
-    round_two_us: Histogram,
 }
 
 impl RouterCounters {
@@ -143,7 +141,6 @@ impl RouterCounters {
             rec_entries_received: t.counter("routing", "rec_entries_received"),
             rec_seen_bytes: t.gauge("routing", "rec_seen_bytes"),
             rec_seen_bytes_dense: t.gauge("routing", "rec_seen_bytes_dense"),
-            round_two_us: t.histogram("routing", "round_two_us"),
         }
     }
 }
@@ -711,7 +708,6 @@ impl QuorumRouter {
     /// sparse store, enumerating clients scans the `O(√n)` held rows
     /// instead of all `n` indices.
     fn compute_recommendations(&mut self, now: f64) -> Vec<Message> {
-        let started = std::time::Instant::now();
         let max_age = self.config.staleness_s();
         // Every held row but mine, ascending (as `present_rows` is), so
         // each frame lists its destinations as `clients ascending ++
@@ -752,12 +748,6 @@ impl QuorumRouter {
                 recs,
             }));
         }
-        // Wall-clock only feeds the histogram — routing stays a pure
-        // function of (time, messages), so deterministic replay holds.
-        #[allow(clippy::cast_possible_truncation)]
-        self.counters
-            .round_two_us
-            .observe((started.elapsed().as_micros() as u64).max(1));
         msgs
     }
 }

@@ -7,11 +7,12 @@
 //! only by a strictly cheaper candidate. Everything that computes routes
 //! is held to it, hop for hop and cost for cost — ties included:
 //!
-//! * `RowStore::best_one_hop` (the single-pair merge-join and its
-//!   shared-lane fast path), at n = 16 and n = 100;
-//! * `LinkStateStore::round_two` (the whole-tick scatter-gather), every
-//!   ordered pair, so both orientations of every unordered pair, with
-//!   stale rows and rows that never arrived among the clients;
+//! * `LinkStateStore::round_two` on a single pair (a tick with one
+//!   client: the scatter-gather and its shared-lane path), at n = 16
+//!   and n = 100;
+//! * `LinkStateStore::round_two` on a whole tick, every ordered pair,
+//!   so both orientations of every unordered pair, with stale rows and
+//!   rows that never arrived among the clients;
 //! * `RowStore::one_hop_options` (§4.2 scavenging), the full sorted list;
 //! * a `QuorumRouter` tick's recommendation frames, byte for byte;
 //! * `FullMeshRouter::best_hop` — against the oracle, and against the
@@ -244,12 +245,13 @@ impl World {
     }
 }
 
-/// `best_one_hop` on each of `pairs` equals the oracle.
+/// Round two on each of `pairs` alone — a tick whose only client is
+/// `a`, at server `b` — equals the oracle.
 fn assert_pairs_match_oracle(world: &World, pairs: impl Iterator<Item = (usize, usize)>) {
     let store = world.store();
     for (a, b) in pairs {
         assert_eq!(
-            store.best_one_hop(a, b, TICK_AT, MAX_AGE),
+            store.round_two(&[a], b, TICK_AT, MAX_AGE).get(0, 1),
             world.best_one_hop(a, b),
             "a={a} b={b}"
         );
@@ -339,8 +341,8 @@ fn ascending_below(raw: &[u16], width: u16) -> Vec<u16> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The single-pair kernel at n = 100: wide rows, where the
-    /// elementwise path runs whole vector strides plus a remainder.
+    /// Single pairs at n = 100: wide rows, where the elementwise path
+    /// runs whole vector strides plus a remainder.
     #[test]
     fn best_one_hop_matches_oracle_n100(
         specs in arb_row_specs(100),
@@ -387,7 +389,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The single-pair kernel equals the oracle on every ordered pair:
+    /// Every ordered pair, one pair per tick, equals the oracle:
     /// partial rows, stale rows, rows that never arrived, equal costs.
     #[test]
     fn best_one_hop_matches_oracle(specs in arb_row_specs(16)) {

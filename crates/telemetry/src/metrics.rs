@@ -210,12 +210,6 @@ impl Telemetry {
         self.inner.node
     }
 
-    /// Is this an enabled (exporting) handle?
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
     /// Register (or retrieve) the counter `component/name`.
     ///
     /// # Panics

@@ -6,8 +6,9 @@
 //! checked-in baseline:
 //!
 //! * Only ids matching the configured prefixes are gated (default: the
-//!   paper's hot kernels — round-two, best-hop and row-merge — whose
-//!   regressions would invalidate the scaling claims).
+//!   paper's hot kernels — round-two and row-merge — and the control
+//!   frame path, whose regressions would invalidate the scaling
+//!   claims).
 //! * When both reports contain the [`CALIBRATION_ID`] benchmark (a
 //!   fixed pure-integer workload), current medians are scaled by
 //!   `baseline_calibration / current_calibration` first, so a slower
@@ -25,13 +26,12 @@ use crate::json::{self, Value};
 /// machines.
 pub const CALIBRATION_ID: &str = "calibration/spin";
 
-/// Id prefixes gated by default: the round-two / best-hop / merge
-/// kernels, in both the row-store working-set sweep and the stand-alone
-/// suites, and the control-frame path (socket → router ingest, tick →
-/// bytes) the end-to-end ledger ranks above them.
+/// Id prefixes gated by default: the round-two and merge kernels, in
+/// both the row-store working-set sweep and the stand-alone suites, and
+/// the control-frame path (socket → router ingest, tick → bytes) the
+/// end-to-end ledger ranks above them.
 pub const DEFAULT_KERNEL_PREFIXES: &[&str] = &[
     "row_store",
-    "best_one_hop",
     "round_two_full",
     "round_two_tick",
     "frame_path",

@@ -388,17 +388,6 @@ impl FailureSchedule {
             .sum();
         total as f64 / samples as f64
     }
-
-    /// Max (over `samples` instants) concurrent failures for node `i`.
-    #[must_use]
-    pub fn max_concurrent_failures(&self, i: usize, samples: usize) -> usize {
-        assert!(samples > 0);
-        let step = self.duration_s / samples as f64;
-        (0..samples)
-            .map(|s| self.concurrent_failures(i, (s as f64 + 0.5) * step))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Is `t` inside any of the sorted intervals?

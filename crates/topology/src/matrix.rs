@@ -52,20 +52,6 @@ impl LatencyMatrix {
         m
     }
 
-    /// Build from an explicit row-major RTT table (must be `n²` long).
-    ///
-    /// # Panics
-    /// Panics if the table length is not `n²`.
-    #[must_use]
-    pub fn from_rtt(n: usize, rtt_ms: Vec<f64>) -> Self {
-        assert_eq!(rtt_ms.len(), n * n, "rtt table must be n²");
-        LatencyMatrix {
-            n,
-            rtt_ms,
-            loss: vec![0.0; n * n],
-        }
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -1,11 +1,13 @@
 //! A real overlay on real UDP sockets — the "deployment" path.
 //!
 //! Spawns a 5-node quorum overlay on localhost, with every node running
-//! the exact same state machine the simulator drives: tokio sockets, a
-//! timer wheel, the full probing/link-state/recommendation protocol. The
-//! protocol clock is scaled ~60× so the run completes in seconds. Prints
-//! each node's measured latencies and chosen routes, then shuts the fleet
-//! down cleanly.
+//! the exact same state machine the simulator drives: one thread per
+//! node on a `std` socket, the full probing/link-state/recommendation
+//! protocol. The protocol clock is scaled ~60× so the run completes in
+//! seconds. Waits until every node knows a route to every peer (or gives
+//! up after 10 s), prints each node's measured latencies and chosen
+//! routes, shuts the fleet down cleanly, and exits non-zero if any route
+//! was missing.
 //!
 //! ```sh
 //! cargo run --release --example udp_cluster
@@ -16,8 +18,9 @@ use allpairs_overlay::overlay::node::OverlayNode;
 use allpairs_overlay::overlay::udp::{PeerMap, UdpOverlay};
 use allpairs_overlay::quorum::NodeId;
 use allpairs_overlay::routing::ProtocolConfig;
-use tokio::net::UdpSocket;
-use tokio::time::Duration;
+use std::net::UdpSocket;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 fn fast_protocol() -> ProtocolConfig {
     let mut p = ProtocolConfig::quorum();
@@ -28,8 +31,18 @@ fn fast_protocol() -> ProtocolConfig {
     p
 }
 
-#[tokio::main]
-async fn main() -> std::io::Result<()> {
+/// The peers `overlay`'s node has no route to right now.
+fn unrouted(overlay: &UdpOverlay, n: u16) -> Vec<NodeId> {
+    let now = overlay.now();
+    overlay.with_node(|node| {
+        (0..n)
+            .map(NodeId)
+            .filter(|&d| d != node.id() && node.best_hop(d, now).is_none())
+            .collect()
+    })
+}
+
+fn main() -> std::io::Result<ExitCode> {
     let n: u16 = 5;
     println!("== {n}-node overlay on real UDP sockets (localhost) ==\n");
 
@@ -38,63 +51,74 @@ async fn main() -> std::io::Result<()> {
     let mut sockets = Vec::new();
     let mut peers = PeerMap::new();
     for i in 0..n {
-        let s = UdpSocket::bind("127.0.0.1:0").await?;
+        let s = UdpSocket::bind("127.0.0.1:0")?;
+        println!("  {} @ {}", NodeId(i), s.local_addr()?);
         peers.insert(NodeId(i), s.local_addr()?);
         sockets.push(s);
-    }
-    for (id, addr) in &peers {
-        println!("  {id} @ {addr}");
     }
 
     let members: Vec<NodeId> = (0..n).map(NodeId).collect();
     let mut fleet = Vec::new();
-    for (i, socket) in sockets.into_iter().enumerate() {
-        let mut cfg = NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
+    for (i, socket) in (0..n).zip(sockets) {
+        let mut cfg = NodeConfig::new(NodeId(i), NodeId(0), Algorithm::Quorum)
             .with_static_members(members.clone());
         cfg.protocol = fast_protocol();
-        fleet.push(UdpOverlay::spawn(OverlayNode::new(cfg), socket, peers.clone()).await?);
+        fleet.push(UdpOverlay::spawn(
+            OverlayNode::new(cfg),
+            socket,
+            peers.clone(),
+        ));
     }
 
-    println!("\nletting the overlay probe and route for 4 seconds of real time…\n");
-    tokio::time::sleep(Duration::from_secs(4)).await;
+    println!("\nprobing and routing until every node reaches every peer…\n");
+    let started = Instant::now();
+    while started.elapsed() < Duration::from_secs(10)
+        && fleet.iter().any(|o| !unrouted(o, n).is_empty())
+    {
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
+    let mut missing = 0;
     for overlay in &fleet {
-        let handle = overlay.node();
-        let node = handle.lock();
-        let me = node.id();
-        let lat: Vec<String> = (0..n)
-            .filter(|&j| NodeId(j) != me)
-            .map(|j| {
-                format!(
-                    "{}:{:.1}ms",
-                    NodeId(j),
-                    node.measured_latency_ms(NodeId(j)).unwrap_or(f64::NAN)
-                )
-            })
-            .collect();
-        let routes: Vec<String> = (0..n)
-            .filter(|&j| NodeId(j) != me)
-            .map(|j| {
-                format!(
-                    "{}→{}",
-                    NodeId(j),
-                    node.best_hop(NodeId(j), 4.0)
-                        .map_or("?".into(), |h| h.to_string())
-                )
-            })
-            .collect();
-        println!(
-            "{me}: member={} latencies=[{}] routes=[{}]",
-            node.is_member(),
-            lat.join(" "),
-            routes.join(" ")
-        );
+        let now = overlay.now();
+        missing += unrouted(overlay, n).len();
+        overlay.with_node(|node| {
+            let me = node.id();
+            let peers = || (0..n).map(NodeId).filter(move |&j| j != me);
+            let lat: Vec<String> = peers()
+                .map(|j| {
+                    format!(
+                        "{j}:{:.1}ms",
+                        node.measured_latency_ms(j).unwrap_or(f64::NAN)
+                    )
+                })
+                .collect();
+            let routes: Vec<String> = peers()
+                .map(|j| {
+                    let hop = node.best_hop(j, now).map_or("?".into(), |h| h.to_string());
+                    format!("{j}→{hop}")
+                })
+                .collect();
+            println!(
+                "{me}: member={} latencies=[{}] routes=[{}]",
+                node.is_member(),
+                lat.join(" "),
+                routes.join(" ")
+            );
+        });
     }
 
     println!("\nshutting down…");
     for overlay in fleet {
-        overlay.shutdown().await?;
+        overlay.shutdown()?;
     }
-    println!("all nodes stopped cleanly.");
-    Ok(())
+    println!(
+        "all nodes stopped cleanly after {:.1} s.",
+        started.elapsed().as_secs_f64()
+    );
+    if missing > 0 {
+        eprintln!("{missing} routes missing");
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
 }

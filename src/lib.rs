@@ -10,7 +10,8 @@
 //!   paper: replaces the centralized coordinator)
 //! * [`netsim`] — deterministic discrete-event network simulator
 //! * [`routing`] — sans-io routing protocol cores (sections 3–4)
-//! * [`overlay`] — the RON-like overlay node, sim & tokio drivers (section 5)
+//! * [`overlay`] — the RON-like overlay node with its two drivers, the
+//!   simulator's and the real-clock UDP one (section 5)
 //! * [`analysis`] — metrics, CDFs, and the experiment toolkit (section 6)
 
 #![forbid(unsafe_code)]

@@ -159,7 +159,7 @@ fn scenario_3_remote_rendezvous_failure() {
     let mut sim = run_with_outages(outages, vec![], 2000.0);
     let recovered =
         recovery_time(&mut sim, src, dst, &dead, KILL, KILL + 300.0).expect("must recover");
-    // Remote detection adds up to remote_failure_intervals (2.5r) on top
+    // Remote detection adds up to REMOTE_FAILURE_INTERVALS (2.5r) on top
     // of scenario 2's bound.
     let bound = P + 3.0 * R + 2.5 * R + R;
     assert!(

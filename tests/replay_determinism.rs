@@ -1,12 +1,14 @@
-//! The idle-aware (coalesced) scheduler must be a pure *scheduling*
-//! change: with a deterministic network (no jitter, no loss) the overlay
-//! must end up with bit-identical routing state whether its periodic
-//! work runs off 0.5 s/0.25 s fixed polling ticks or off precise
-//! `next_wake` coalesced timers — while processing strictly fewer
-//! simulator events, which is the entire point of the redesign.
+//! Waking exactly when there is work must be a pure *scheduling* choice:
+//! with a deterministic network (no jitter, no loss) the overlay must end
+//! up with bit-identical routing state whether its prober is woken by
+//! the node's own coalesced `next_wake` timers or polled on a fixed
+//! 0.5 s tick regardless of pending work — while processing strictly
+//! fewer simulator events. The fixed-tick side is a driver this test
+//! owns ([`PollingNode`]): the node itself has one timer discipline.
 
-use allpairs_overlay::netsim::Simulator;
-use allpairs_overlay::overlay::config::{Algorithm, NodeConfig, Scheduling};
+use allpairs_overlay::netsim::{Ctx, NodeBehavior, Simulator};
+use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
+use allpairs_overlay::overlay::node::{Outbox, OverlayNode, TOKEN_PROBE};
 use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
 use allpairs_overlay::quorum::NodeId;
 use allpairs_overlay::routing::RoutingAlgorithm;
@@ -30,32 +32,100 @@ fn varied_matrix() -> LatencyMatrix {
     m
 }
 
-fn run(scheduling: Scheduling) -> (Simulator, u64) {
+/// How often [`PollingNode`] polls the prober, seconds. Dyadic, like
+/// the prober's phase slots, so every probe deadline falls exactly on a
+/// poll instant.
+const POLL_S: f64 = 0.5;
+
+/// The reference driver: throws away the node's own [`TOKEN_PROBE`]
+/// timers and instead delivers one every [`POLL_S`], due work or
+/// not. (The overlay under test runs no SWIM plane, so there is no
+/// second timer to poll.)
+struct PollingNode {
+    node: OverlayNode,
+}
+
+impl PollingNode {
+    fn flush(out: Outbox, ctx: &mut Ctx<'_>) {
+        for (to, class, bytes) in out.sends {
+            ctx.send(to.index(), class, bytes);
+        }
+        for (delay, token) in out.timers {
+            if token != TOKEN_PROBE {
+                ctx.set_timer(delay, token);
+            }
+        }
+    }
+}
+
+impl NodeBehavior for PollingNode {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        let mut out = Outbox::default();
+        self.node.on_start(ctx.now(), &mut out);
+        Self::flush(out, ctx);
+        ctx.set_timer(POLL_S, TOKEN_PROBE);
+    }
+
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: usize, payload: &[u8]) {
+        let mut out = Outbox::default();
+        self.node.on_packet(ctx.now(), payload, &mut out);
+        Self::flush(out, ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let mut out = Outbox::default();
+        self.node.on_timer(ctx.now(), token, &mut out);
+        Self::flush(out, ctx);
+        if token == TOKEN_PROBE {
+            ctx.set_timer(POLL_S, TOKEN_PROBE);
+        }
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+fn node_config(i: usize) -> NodeConfig {
+    let members: Vec<NodeId> = (0..N as u16).map(NodeId).collect();
+    NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum).with_static_members(members)
+}
+
+fn run(polling: bool) -> Simulator {
     let cfg = allpairs_overlay::netsim::SimulatorConfig {
         seed: 42,
         jitter_frac: 0.0,
         ..overlay_sim_config()
     };
     let mut sim = Simulator::new(varied_matrix(), FailureParams::none(N, 1e6), cfg);
-    let members: Vec<NodeId> = (0..N as u16).map(NodeId).collect();
-    populate(&mut sim, N, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-            .with_scheduling(scheduling)
-    });
+    if polling {
+        // Same staggered starts as `populate`.
+        for i in 0..N {
+            let node = OverlayNode::new(node_config(i));
+            sim.add_node(Box::new(PollingNode { node }), 5.0 * i as f64 / N as f64);
+        }
+    } else {
+        populate(&mut sim, N, 5.0, node_config);
+    }
     sim.run_until(HORIZON_S);
-    let events = sim.events_processed();
-    (sim, events)
+    sim
+}
+
+/// The overlay node at simulator slot `i`, whichever driver hosts it.
+fn node_at(sim: &Simulator, i: usize) -> &OverlayNode {
+    match sim.node(i).as_any().downcast_ref::<PollingNode>() {
+        Some(host) => &host.node,
+        None => overlay_at(sim, i),
+    }
 }
 
 #[test]
 fn coalesced_replays_fixed_tick_bit_identically() {
-    let (fixed, fixed_events) = run(Scheduling::FixedTick);
-    let (coalesced, coalesced_events) = run(Scheduling::Coalesced);
+    let (fixed, coalesced) = (run(true), run(false));
 
     for i in 0..N {
-        let f = overlay_at(&fixed, i);
-        let c = overlay_at(&coalesced, i);
+        let f = node_at(&fixed, i);
+        let c = node_at(&coalesced, i);
 
         // Identical link-state tables, down to the f64 bits of the row
         // timestamps and every wire-quantized entry.
@@ -102,11 +172,12 @@ fn coalesced_replays_fixed_tick_bit_identically() {
         }
     }
 
-    // The idle-aware scheduler must do the same work with strictly
+    // Waking only for due work must do the same work with strictly
     // fewer simulator events. Packet deliveries dominate at n=32 (full
     // mesh probing), so the saving shows up as a solid margin rather
-    // than an order of magnitude — the 0.5 s/0.25 s polling ticks are
-    // what disappears.
+    // than an order of magnitude — the 0.5 s polling ticks are what
+    // disappears.
+    let (fixed_events, coalesced_events) = (fixed.events_processed(), coalesced.events_processed());
     assert!(
         coalesced_events * 10 < fixed_events * 9,
         "coalesced {coalesced_events} vs fixed {fixed_events}: \
