@@ -146,6 +146,44 @@ fn bench_round_two_tick(c: &mut Criterion) {
             });
         }
     }
+
+    // `failover_sweep` — the tick of a node with no clients on an
+    // incomplete grid (250 nodes on 16×16, ten in the last row) that
+    // cannot reach its own grid row nor its column's nodes in five
+    // other rows: the 89 destinations of those six rows have lost both
+    // default rendezvous servers (the churn workload has 84 such per
+    // tick). Each tick is a minute after the last, so every failover
+    // chosen the tick before has gone unanswered and every one of the
+    // 89 goes through the candidate pool again — what that workload's
+    // routing tick spends its time on.
+    let n = 250usize;
+    let me = 2 * 16 + 12;
+    let grid = Grid::new(n);
+    let mut own = vec![LinkEntry::live(40, 0.0); n];
+    for col in 0..16 {
+        own[2 * 16 + col] = LinkEntry::dead();
+    }
+    own[me] = LinkEntry::live(0, 0.0);
+    for row in [0, 5, 9, 14, 15] {
+        if let Some(server) = grid.at(row, 12) {
+            own[server] = LinkEntry::dead();
+        }
+    }
+    let mut router: QuorumRouter = QuorumRouter::new(me, n, 1, ProtocolConfig::quorum());
+    let mut rng = ChaCha8Rng::seed_from_u64(0xFA11);
+    let mut now = 0.0;
+    let _ = router.on_routing_tick(now, &own, &mut rng);
+    assert_eq!(
+        router.double_rendezvous_failures(now),
+        89,
+        "the sweep's branch is taken for the destinations of six rows"
+    );
+    g.bench_with_input(BenchmarkId::new("failover_sweep", n), &n, |b, _| {
+        b.iter(|| {
+            now += 60.0;
+            black_box(router.on_routing_tick(now, &own, &mut rng).len())
+        });
+    });
     g.finish();
 }
 
@@ -288,12 +326,249 @@ fn bench_frame_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// What membership costs where views change (`swim-churn-256`), at that
+/// workload's shape — 256 members, entitled probing:
+///
+/// * `view_install` — one view install on a quorum node holding its
+///   `~2√n` clients' fresh rows and a prober that has measured every
+///   target: a member leaves (or, every other time, comes back), so
+///   the prober and the router are rebuilt for the new view and every
+///   held row crosses into it. The `View` frame is built outside the
+///   timed call; its decode is inside.
+/// * `swim_packet` — one gossip frame from the wire through the state
+///   machine: decode, `on_message` for a `Ping` piggybacking six
+///   updates that are no news, then the `next_wake` the node asks for
+///   after every packet.
+/// * `sync_round` — one anti-entropy round between two ledgers that
+///   differ in eight records: the digest mismatches, the partner echoes
+///   its digest with its first ledger chunk on it, the initiator pushes
+///   its whole ledger (two frames) and gets back the delta. Both state
+///   machines are cloned outside the timed call, so every round starts
+///   diverged.
+fn bench_membership(c: &mut Criterion) {
+    use apor_linkstate::{ProbeBatchMsg, ProbeItem};
+    use apor_membership::{Swim, SwimConfig, SwimMsg, SwimStatus, SwimUpdate};
+    use apor_overlay::node::TOKEN_PROBE;
+    use apor_overlay::{Algorithm, NodeConfig, Outbox, OverlayNode};
+    use criterion::BatchSize;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    let n = 256usize;
+    let me = 0usize;
+    let mut g = c.benchmark_group("membership");
+
+    // ---- view_install ------------------------------------------------
+    let topo = bench_topology(n);
+    let grid = Grid::new(n);
+    let mut rng = ChaCha8Rng::seed_from_u64(0x71E7);
+    let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+    let mut cfg = NodeConfig::new(NodeId::from_index(me), NodeId(1), Algorithm::Quorum)
+        .with_static_members(members.clone());
+    cfg.protocol = cfg.protocol.with_subquadratic_probing(240.0);
+    let mut node = OverlayNode::new(cfg);
+    let mut out = Outbox::default();
+    node.on_start(0.0, &mut out);
+    // Every probe of the first interval is answered 20 ms later.
+    let mut t = 0.0;
+    while t <= 40.0 {
+        out.sends.clear();
+        node.on_timer(t, TOKEN_PROBE, &mut out);
+        for (to, _, bytes) in std::mem::take(&mut out.sends) {
+            let Ok(Message::ProbeBatch(batch)) = Message::decode(&bytes) else {
+                continue;
+            };
+            let items = batch
+                .items
+                .iter()
+                .filter_map(|item| match *item {
+                    ProbeItem::Ping { seq, sent_ms } => Some(ProbeItem::Pong {
+                        seq,
+                        echo_sent_ms: sent_ms,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            let pong = Message::ProbeBatch(ProbeBatchMsg {
+                from: to,
+                to: batch.from,
+                view: batch.view,
+                items,
+            });
+            node.on_packet(t + 0.02, &pong.encode(), &mut out);
+        }
+        t += 0.5;
+    }
+    let clients = grid.rendezvous_clients(me);
+    for &client in &clients {
+        let row = entitled_row(&topo, &grid, client, &mut rng);
+        let frame = linkstate_msg(client, me, &row, false).encode();
+        node.on_packet(40.5, &frame, &mut out);
+    }
+    assert_eq!(
+        node.quorum_router().expect("quorum").table().row_count(),
+        clients.len(),
+        "every client row held"
+    );
+    let measured = (0..n)
+        .filter(|&j| node.measured_latency_ms(NodeId::from_index(j)).is_some())
+        .count();
+    assert!(measured >= clients.len(), "the prober is warm");
+    // The member that leaves and returns is nobody's business here: not
+    // a client, so no held row is lost with it.
+    let leaver = NodeId::from_index(
+        (1..n)
+            .rev()
+            .find(|j| !clients.contains(j))
+            .expect("a non-client"),
+    );
+    let without: Vec<NodeId> = members.iter().copied().filter(|&m| m != leaver).collect();
+    let mut version = 1u32;
+    g.bench_with_input(BenchmarkId::new("view_install", n), &n, |b, _| {
+        b.iter_batched(
+            || {
+                version += 1;
+                let members = if version % 2 == 0 { &without } else { &members };
+                Message::View(apor_linkstate::wire::ViewMsg {
+                    from: NodeId(1),
+                    to: NodeId::from_index(me),
+                    view: version,
+                    members: members.clone(),
+                })
+                .encode()
+            },
+            |frame| {
+                node.on_packet(41.0, &frame, &mut out);
+                out.sends.clear();
+                out.timers.clear();
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    assert_eq!(node.view().map(|v| v.version), Some(version));
+    assert_eq!(
+        node.quorum_router().expect("quorum").table().row_count(),
+        clients.len(),
+        "the rows crossed every install"
+    );
+
+    // ---- swim_packet -------------------------------------------------
+    let swim_cfg = SwimConfig::default();
+    let mut swim = Swim::bootstrap(NodeId::from_index(me), swim_cfg.clone(), &members);
+    let mut replies = Vec::new();
+    swim.on_tick(0.0, &mut replies);
+    let no_news = |id: usize| SwimUpdate {
+        id: NodeId::from_index(id),
+        incarnation: 0,
+        status: SwimStatus::Alive,
+    };
+    let ping = SwimMsg::Ping {
+        from: NodeId(7),
+        to: NodeId::from_index(me),
+        seq: 99,
+        updates: [3, 41, 77, 120, 199, 250].map(no_news).to_vec(),
+    }
+    .encode();
+    g.throughput(Throughput::Bytes(ping.len() as u64));
+    g.bench_with_input(BenchmarkId::new("swim_packet", n), &n, |b, _| {
+        b.iter(|| {
+            let (msg, _) = SwimMsg::decode_traced(black_box(&ping)).expect("own frame");
+            replies.clear();
+            swim.on_message(0.5, &msg, &mut replies);
+            black_box(swim.next_wake(0.5))
+        });
+    });
+    assert_eq!(replies.len(), 1, "a ping is acked");
+
+    // ---- sync_round --------------------------------------------------
+    // The initiator at the instant its sync timer is due, and whom it
+    // will pick (the clone draws what the original will draw).
+    let mut initiator = Swim::bootstrap(NodeId::from_index(me), swim_cfg.clone(), &members);
+    let mut sync_at = 0.0;
+    let partner = loop {
+        let mut probe = initiator.clone();
+        let mut sent = Vec::new();
+        probe.on_tick(sync_at, &mut sent);
+        let opened = sent
+            .iter()
+            .find(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }));
+        if let Some((partner, _)) = opened {
+            break *partner;
+        }
+        initiator = probe;
+        sync_at += 0.25;
+    };
+    let mut responder = Swim::bootstrap(partner, swim_cfg, &members);
+    // Eight records apart: four deaths only the initiator has confirmed,
+    // four refutations only the responder has heard.
+    let gossip =
+        |to: NodeId, status: SwimStatus, incarnation: u32, ids: [usize; 4]| SwimMsg::Ping {
+            from: NodeId(200),
+            to,
+            seq: 1,
+            updates: ids
+                .map(|id| SwimUpdate {
+                    id: NodeId::from_index(id),
+                    incarnation,
+                    status,
+                })
+                .to_vec(),
+        };
+    let mut sink = Vec::new();
+    initiator.on_message(
+        sync_at,
+        &gossip(
+            NodeId::from_index(me),
+            SwimStatus::Faulty,
+            0,
+            [30, 90, 150, 210],
+        ),
+        &mut sink,
+    );
+    responder.on_message(
+        sync_at,
+        &gossip(partner, SwimStatus::Alive, 2, [31, 91, 151, 211]),
+        &mut sink,
+    );
+    assert_ne!(initiator.ledger(), responder.ledger());
+    let mut converged = false;
+    g.bench_with_input(BenchmarkId::new("sync_round", n), &n, |b, _| {
+        b.iter_batched(
+            || (initiator.clone(), responder.clone()),
+            |(mut a, mut z)| {
+                // Frames ping-pong until neither side has an answer:
+                // digest, echo + chunk, two push frames, the delta.
+                let (mut to_z, mut to_a) = (Vec::new(), Vec::new());
+                a.on_tick(sync_at, &mut to_z);
+                to_z.retain(|(to, _)| *to == partner);
+                let mut frames = 0;
+                while !to_z.is_empty() || !to_a.is_empty() {
+                    for (_, msg) in std::mem::take(&mut to_z) {
+                        z.on_message(sync_at, &msg, &mut to_a);
+                        frames += 1;
+                    }
+                    for (_, msg) in std::mem::take(&mut to_a) {
+                        a.on_message(sync_at, &msg, &mut to_z);
+                        frames += 1;
+                    }
+                }
+                converged = a.ledger() == z.ledger();
+                frames
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    assert!(converged, "one round reconciles the pair");
+    g.finish();
+}
+
 criterion_group!(
     kernels,
     bench_calibration,
     bench_round_two,
     bench_round_two_tick,
     bench_frame_path,
-    bench_row_store
+    bench_row_store,
+    bench_membership
 );
 criterion_main!(kernels);

@@ -199,6 +199,35 @@ mod tests {
         assert_eq!(LinkEntry::live(1, 0.0).encode().len(), LinkEntry::WIRE_SIZE);
     }
 
+    /// What lets a stored row be relabelled by copying its latency and
+    /// liveness bytes instead of decoding and re-encoding them: every
+    /// wire entry a lane can hold — a live liveness byte over a latency
+    /// below the dead sentinel — reads back as the entry that encodes
+    /// to the same three bytes. Exhaustive over the liveness byte at
+    /// the latency edges. What a lane cannot hold is canonicalized, not
+    /// preserved: a live byte over the sentinel latency clamps one
+    /// below it, and every dead byte reads as the one dead entry.
+    #[test]
+    fn lane_bytes_survive_decode_then_encode() {
+        const DEAD: u16 = LinkEntry::DEAD_LATENCY;
+        for liveness in 0..=u8::MAX {
+            for latency in [0, 1, DEAD - 1, DEAD] {
+                let [hi, lo] = latency.to_be_bytes();
+                let wire = [hi, lo, liveness];
+                let back = LinkEntry::decode(wire).encode();
+                if liveness & 0x80 == 0 {
+                    assert_eq!(back, LinkEntry::dead().encode(), "{wire:?}");
+                    assert_eq!(back, [0xFF, 0xFF, 0x7F]);
+                } else if latency == DEAD {
+                    let [hi, lo] = (DEAD - 1).to_be_bytes();
+                    assert_eq!(back, [hi, lo, liveness], "{wire:?}");
+                } else {
+                    assert_eq!(back, wire);
+                }
+            }
+        }
+    }
+
     #[test]
     fn roundtrip_all_loss_quanta() {
         for q in 0u8..=127 {

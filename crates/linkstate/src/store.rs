@@ -581,6 +581,35 @@ impl LaneRow {
         self
     }
 
+    /// This row in another index space: every destination — of the live
+    /// entries and of the retraction lane alike — renamed through `map`
+    /// (`map[old] = Some(new)`), entries and retractions whose
+    /// destination has no new name (`None`, or beyond the table)
+    /// dropped. Latency and liveness bytes are copied as they are, and
+    /// the seqno with them: a wire byte reads back as the entry that
+    /// encodes to it, so there is nothing to re-quantize. `map` must
+    /// keep the order of the names it keeps (debug-asserted), as a
+    /// translation between two sorted member lists does, so the lanes
+    /// stay strictly ascending. Costs `O(entries held)`, whatever the
+    /// row width.
+    #[must_use]
+    pub fn relabelled(&self, map: &[Option<u16>]) -> Self {
+        let rename = |d: &u16| map.get(usize::from(*d)).copied().flatten();
+        let kept = self.dst.iter().filter(|d| rename(d).is_some()).count();
+        let mut dst = Vec::with_capacity(kept);
+        let mut latency_ms = Vec::with_capacity(kept);
+        let mut liveness_loss = Vec::with_capacity(kept);
+        for (i, new) in self.dst.iter().map(rename).enumerate() {
+            if let Some(new) = new {
+                dst.push(new);
+                latency_ms.push(self.latency_ms[i]);
+                liveness_loss.push(self.liveness_loss[i]);
+            }
+        }
+        let retracted = self.retracted.iter().filter_map(rename).collect();
+        Self::from_wire_lanes(dst, latency_ms, liveness_loss, self.seqno, retracted)
+    }
+
     /// The origin's row sequence number (0 = unversioned).
     #[must_use]
     pub fn seqno(&self) -> u16 {
@@ -761,7 +790,8 @@ pub trait LinkStateStore {
     }
 
     /// Row `origin` materialised full-width, when present (absent
-    /// entries dead). Export paths use this; the kernel never does.
+    /// entries dead). For tests to read a row by destination; neither
+    /// the kernel nor the carry across a view change widens a row.
     fn row_dense(&self, origin: usize) -> Option<Vec<LinkEntry>> {
         self.row_ref(origin).map(|r| r.to_dense())
     }
@@ -994,7 +1024,12 @@ impl RowStore {
     /// An empty, unbounded store over `n` nodes.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        let telemetry = Telemetry::disabled();
+        Self::on(n, Telemetry::disabled())
+    }
+
+    /// An empty, unbounded store over `n` nodes whose cells are
+    /// registered on `telemetry`.
+    fn on(n: usize, telemetry: Telemetry) -> Self {
         let rows_merged = telemetry.counter("linkstate", "rows_merged");
         let rows_evicted = telemetry.counter("linkstate", "rows_evicted");
         let rows_held = telemetry.gauge("linkstate", "rows_held");
@@ -1019,13 +1054,15 @@ impl RowStore {
     /// the store receives traffic — the attached registry starts with
     /// fresh (zeroed) cells.
     #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.rows_merged = telemetry.counter("linkstate", "rows_merged");
-        self.rows_evicted = telemetry.counter("linkstate", "rows_evicted");
-        self.rows_held = telemetry.gauge("linkstate", "rows_held");
-        self.row_bytes_lanes = telemetry.gauge("linkstate", "row_bytes_lanes");
-        self.telemetry = telemetry;
-        self
+    pub fn with_telemetry(self, telemetry: Telemetry) -> Self {
+        RowStore {
+            rows: self.rows,
+            entitlement: self.entitlement,
+            stale_after: self.stale_after,
+            peak_rows: self.peak_rows,
+            live_entries: self.live_entries,
+            ..Self::on(self.n, telemetry)
+        }
     }
 
     /// Refresh the held-rows gauge and the stored lane bytes — the
@@ -1049,19 +1086,46 @@ impl RowStore {
         );
     }
 
-    /// An empty store that debug-asserts `row_count ≤ max_rows` on
-    /// every insert — the `O(√n)` entitlement guard. When a new row
-    /// arrives at the boundary, rows older than `stale_after` (the
-    /// staleness window: stale rows are dead weight the kernel already
-    /// ignores) are evicted first, so only *fresh* rows beyond the
-    /// entitlement trip the assertion.
+    /// An empty store, reporting into `telemetry`, that debug-asserts
+    /// `row_count ≤ max_rows` on every insert — the `O(√n)` entitlement
+    /// guard. When a new row arrives at the boundary, rows older than
+    /// `stale_after` (the staleness window: stale rows are dead weight
+    /// the kernel already ignores) are evicted first, so only *fresh*
+    /// rows beyond the entitlement trip the assertion.
     #[must_use]
-    pub fn with_entitlement(n: usize, max_rows: usize, stale_after: f64) -> Self {
+    pub fn with_entitlement(
+        n: usize,
+        max_rows: usize,
+        stale_after: f64,
+        telemetry: Telemetry,
+    ) -> Self {
         RowStore {
             entitlement: Some(max_rows),
             stale_after: Some(stale_after),
-            ..RowStore::new(n)
+            ..RowStore::on(n, telemetry)
         }
+    }
+
+    /// Empty the store for a new index space of `n` nodes entitled to
+    /// `max_rows` rows, as a membership change calls for: no row, no
+    /// high-water mark. What it reports into and the staleness window
+    /// stay. Indistinguishable afterwards from
+    /// [`RowStore::with_entitlement`] on the same registry.
+    pub fn reset(&mut self, n: usize, max_rows: usize) {
+        self.n = n;
+        self.rows.clear();
+        self.entitlement = Some(max_rows);
+        self.peak_rows = 0;
+        self.live_entries = 0;
+    }
+
+    /// Every held row as `(origin, receipt time, the shared lanes)`,
+    /// ascending by origin: what a membership change carries into the
+    /// next index space.
+    pub fn held_lanes(&self) -> impl Iterator<Item = (usize, f64, &Arc<LaneRow>)> {
+        self.rows
+            .iter()
+            .map(|(&origin, s)| (origin, s.received_at, &s.lanes))
     }
 
     /// The configured entitlement, if any.
@@ -1389,6 +1453,34 @@ mod tests {
         assert_eq!(t.entry_count(), 2);
     }
 
+    /// Relabelling equals widening, moving by the table and reducing
+    /// again — entries and retractions alike; a destination the table
+    /// does not name (or does not reach) leaves.
+    #[test]
+    fn relabelled_row_equals_the_widened_and_reduced_one() {
+        let mut wide = vec![LinkEntry::dead(); 8];
+        wide[0] = LinkEntry::live(10, 0.0);
+        wide[3] = LinkEntry::live(33, 0.125);
+        wide[4] = LinkEntry::live(u16::MAX, 0.635);
+        wide[7] = LinkEntry::live(77, 0.01);
+        let row = LaneRow::from_dense(&wide).with_version(9, &[1, 3, 7]);
+        // Old 0→0, 1→1, 2 leaves, 3→2, 4→3, 5→4, 6 leaves; 7 is beyond
+        // the table.
+        let map = [Some(0), Some(1), None, Some(2), Some(3), Some(4), None];
+        let moved = row.relabelled(&map);
+        let mut want = vec![LinkEntry::dead(); 5];
+        for (old, new) in map.iter().enumerate() {
+            if let Some(new) = new {
+                want[usize::from(*new)] = row.as_row_ref(8).get(old);
+            }
+        }
+        assert_eq!(moved, LaneRow::from_dense(&want).with_version(9, &[1, 2]));
+        assert_eq!(moved.lanes().0, [0, 2, 3]);
+        // Nothing to rename: the same row.
+        let identity: Vec<Option<u16>> = (0..8).map(Some).collect();
+        assert_eq!(row.relabelled(&identity), row);
+    }
+
     #[test]
     fn update_entry_creates_sparse_row() {
         let mut s = RowStore::new(5);
@@ -1453,7 +1545,7 @@ mod tests {
 
     #[test]
     fn entitlement_tracks_peak() {
-        let mut s = RowStore::with_entitlement(10, 4, 45.0);
+        let mut s = RowStore::with_entitlement(10, 4, 45.0, Telemetry::disabled());
         assert_eq!(s.entitlement(), Some(4));
         for i in 0..4 {
             put(&mut s, i, &[LinkEntry::dead(); 10], 0.0);
@@ -1463,7 +1555,7 @@ mod tests {
 
     #[test]
     fn capacity_pressure_evicts_stale_rows_first() {
-        let mut s = RowStore::with_entitlement(10, 2, 45.0);
+        let mut s = RowStore::with_entitlement(10, 2, 45.0, Telemetry::disabled());
         put(&mut s, 0, &[LinkEntry::dead(); 10], 0.0);
         put(&mut s, 1, &[LinkEntry::dead(); 10], 50.0);
         // At t=100, row 0 (age 100) and row 1 (age 50) are both stale:
@@ -1481,7 +1573,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn fresh_overflow_is_debug_asserted() {
         // All rows fresh: eviction frees nothing, the guard must fire.
-        let mut s = RowStore::with_entitlement(10, 2, 45.0);
+        let mut s = RowStore::with_entitlement(10, 2, 45.0, Telemetry::disabled());
         for i in 0..3 {
             put(&mut s, i, &[LinkEntry::dead(); 10], 1.0);
         }
@@ -1490,7 +1582,7 @@ mod tests {
     #[test]
     fn telemetry_counts_merges_and_evictions() {
         let telemetry = Telemetry::new(7);
-        let mut s = RowStore::with_entitlement(10, 2, 45.0).with_telemetry(telemetry.clone());
+        let mut s = RowStore::with_entitlement(10, 2, 45.0, telemetry.clone());
         put(&mut s, 0, &[LinkEntry::dead(); 10], 0.0);
         put(&mut s, 1, &[LinkEntry::dead(); 10], 50.0);
         // Both prior rows are stale at t=100: the boundary insert
@@ -1515,7 +1607,7 @@ mod tests {
     #[test]
     fn live_entry_total_tracks_recount() {
         let telemetry = Telemetry::new(1);
-        let mut s = RowStore::with_entitlement(10, 3, 45.0).with_telemetry(telemetry.clone());
+        let mut s = RowStore::with_entitlement(10, 3, 45.0, telemetry.clone());
         let check = |s: &RowStore, step: &str| {
             let recount: usize = s
                 .held_rows()

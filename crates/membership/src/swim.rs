@@ -20,6 +20,22 @@
 //! [`GOSSIP_TRANSMISSIONS`] times — infection-style dissemination with
 //! per-node traffic constant in `n`.
 //!
+//! ## What an event costs
+//!
+//! The driver calls in on every datagram and every timer, and after
+//! each asks [`Swim::next_wake`] when to come back — so the steady
+//! state must not pay for the size of the cluster. `next_wake` is
+//! `O(suspicions + relays)`, both empty when nothing is wrong, and
+//! reads the view version from the ledger's running sum; the
+//! suspicion timeout reads the live count from its counter; a digest
+//! reads a remembered fingerprint (see [`crate::view`]). Applying an
+//! update is one slot probe into the sorted ledger. An anti-entropy
+//! round picks its partner by counting the eligible members and
+//! drawing one index — a single draw, and no scratch list — and
+//! answers a push by walking the (ascending) claims beside its own
+//! records. Helper choice for indirect probes draws as
+//! `choose_multiple` would, over the live members in place.
+//!
 //! ## Interface
 //!
 //! Strictly sans-io, like every protocol core in this workspace: the
@@ -31,7 +47,7 @@
 //! versioned `(version, sorted members)` snapshots (see
 //! [`crate::view`] for why concurrent publishers agree).
 
-use crate::view::ViewLedger;
+use crate::view::{MemberState, ViewLedger};
 use crate::wire::{
     SwimMsg, SwimStatus, SwimUpdate, SWIM_MAX_FRAME_ENTRIES, SWIM_MTU_FRAME_ENTRIES,
 };
@@ -285,13 +301,18 @@ struct Gossip {
     remaining: u32,
 }
 
-/// A partially reassembled multi-chunk sync push (one per sender at
-/// most; a newer `seq` from the same sender replaces it, so a lost
-/// chunk costs one round, not a leak).
+/// A partially reassembled multi-chunk sync push. One per sender at
+/// most — a newer `seq` from the same sender replaces it — and none
+/// older than one sync period: the key is the frame's unauthenticated
+/// `from`, so without the age bound every distinct sender id that ever
+/// lost a last chunk would pin its chunks here for good (see
+/// [`Swim::on_tick`]).
 #[derive(Debug, Clone)]
 struct PendingSync {
     seq: u32,
     total: u8,
+    /// When the first chunk of this `seq` arrived.
+    opened_at: f64,
     chunks: BTreeMap<u8, Vec<SwimUpdate>>,
 }
 
@@ -637,6 +658,7 @@ impl Swim {
     /// computed from `now`, so tick jitter only delays, never corrupts.
     pub fn on_tick(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
         self.relays.retain(|r| r.deadline > now);
+        self.drop_overdue_syncs(now);
         self.fire_indirect_probes(now, out);
         self.confirm_expired_suspicions(now);
         let period_start = match self.next_period_at {
@@ -661,6 +683,11 @@ impl Swim {
     /// instead of polling on a fixed sub-second tick; ticking earlier
     /// or later than the returned time is still correct (all deadlines
     /// are absolute), it just wastes or delays work.
+    ///
+    /// Called after every packet and every timer, so it costs
+    /// `O(suspicions + relays)` — both empty in steady state — and
+    /// never walks the ledger: the version is one of the summaries the
+    /// ledger maintains (see [`crate::view`]).
     #[must_use]
     pub fn next_wake(&self, now: f64) -> f64 {
         let mut wake = self.next_period_at.unwrap_or(now);
@@ -811,7 +838,7 @@ impl Swim {
                 let claims = if *chunks == 1 {
                     Some(updates.clone())
                 } else {
-                    self.absorb_sync_chunk(*from, *seq, *chunk, *chunks, updates)
+                    self.absorb_sync_chunk(now, *from, *seq, *chunk, *chunks, updates)
                 };
                 if let Some(claims) = claims {
                     self.answered_syncs.insert(*from, *seq);
@@ -943,9 +970,7 @@ impl Swim {
     /// The first frame's worth of the full ledger — what a mismatch
     /// echo piggybacks.
     fn first_ledger_chunk(&self) -> Vec<SwimUpdate> {
-        let mut entries = self.ledger_entries();
-        entries.truncate(SWIM_MTU_FRAME_ENTRIES);
-        entries
+        self.ledger_updates().take(SWIM_MTU_FRAME_ENTRIES).collect()
     }
 
     /// Stash one chunk of a multi-chunk sync; `Some(all claims)` once
@@ -954,35 +979,56 @@ impl Swim {
     /// one, so a lost chunk wastes one round and leaks nothing.
     fn absorb_sync_chunk(
         &mut self,
+        now: f64,
         from: NodeId,
         seq: u32,
         chunk: u8,
         total: u8,
         updates: &[SwimUpdate],
     ) -> Option<Vec<SwimUpdate>> {
+        let fresh = || PendingSync {
+            seq,
+            total,
+            opened_at: now,
+            chunks: BTreeMap::new(),
+        };
         let pending = self
             .pending_syncs
             .entry(from)
             .and_modify(|p| {
                 if p.seq != seq || p.total != total {
-                    *p = PendingSync {
-                        seq,
-                        total,
-                        chunks: BTreeMap::new(),
-                    };
+                    *p = fresh();
                 }
             })
-            .or_insert_with(|| PendingSync {
-                seq,
-                total,
-                chunks: BTreeMap::new(),
-            });
+            .or_insert_with(fresh);
         pending.chunks.insert(chunk, updates.to_vec());
         if pending.chunks.len() < usize::from(total) {
             return None;
         }
         let complete = self.pending_syncs.remove(&from).expect("just inserted");
         Some(complete.chunks.into_values().flatten().collect())
+    }
+
+    /// Forget reassemblies whose first chunk is a whole sync period
+    /// old. The chunks of one push leave back to back, so a set still
+    /// incomplete by then lost a chunk for good; its sender's next
+    /// round carries a new `seq` and starts over anyway. Each one
+    /// forgotten counts in `membership/sync_chunks_dropped` (registered
+    /// on the first drop, so a run that never drops exports no such
+    /// cell).
+    fn drop_overdue_syncs(&mut self, now: f64) {
+        if self.pending_syncs.is_empty() {
+            return;
+        }
+        let period = self.cfg.anti_entropy.sync_period_s;
+        let before = self.pending_syncs.len();
+        self.pending_syncs.retain(|_, p| now - p.opened_at < period);
+        let dropped = before - self.pending_syncs.len();
+        if dropped > 0 {
+            self.telemetry
+                .counter("membership", "sync_chunks_dropped")
+                .add(dropped as u64);
+        }
     }
 
     /// Batched view publication: `Some((version, members))` when the
@@ -1014,12 +1060,11 @@ impl Swim {
         };
         self.departed = true;
         self.ledger.apply(self.me, self.incarnation, true);
-        let peers: Vec<NodeId> = self.live_peers();
-        let chosen: Vec<NodeId> = peers
-            .choose_multiple(&mut self.rng, PING_REQ_FANOUT)
-            .copied()
-            .collect();
-        for peer in chosen {
+        let (me, ledger) = (self.me, &self.ledger);
+        let (chosen, picked) = pick_fanout(&mut self.rng, || {
+            ledger.live_ids().filter(move |&p| p != me)
+        });
+        for &peer in &chosen[..picked] {
             self.seq = self.seq.wrapping_add(1);
             out.push((
                 peer,
@@ -1037,12 +1082,10 @@ impl Swim {
     // Probe rounds
     // ------------------------------------------------------------------
 
-    fn live_peers(&self) -> Vec<NodeId> {
-        self.ledger
-            .members()
-            .into_iter()
-            .filter(|&m| m != self.me)
-            .collect()
+    /// The live members other than this node, ascending.
+    fn live_peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let me = self.me;
+        self.ledger.live_ids().filter(move |&m| m != me)
     }
 
     fn start_probe_round(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
@@ -1110,17 +1153,11 @@ impl Swim {
             return;
         }
         let (target, seq) = (o.target, o.seq);
-        let helpers: Vec<NodeId> = {
-            let pool: Vec<NodeId> = self
-                .live_peers()
-                .into_iter()
-                .filter(|&p| p != target)
-                .collect();
-            pool.choose_multiple(&mut self.rng, PING_REQ_FANOUT)
-                .copied()
-                .collect()
-        };
-        for helper in helpers {
+        let (me, ledger) = (self.me, &self.ledger);
+        let (helpers, picked) = pick_fanout(&mut self.rng, || {
+            ledger.live_ids().filter(move |&p| p != me && p != target)
+        });
+        for &helper in &helpers[..picked] {
             let updates = self.take_piggyback();
             out.push((
                 helper,
@@ -1150,7 +1187,10 @@ impl Swim {
                     return Some(candidate);
                 }
             }
-            let mut rotation = self.live_peers();
+            // The spent rotation's buffer holds the next one.
+            let mut rotation = std::mem::take(&mut self.probe_order);
+            rotation.clear();
+            rotation.extend(self.live_peers());
             rotation.shuffle(&mut self.rng);
             self.probe_order = rotation;
             self.probe_pos = 0;
@@ -1384,6 +1424,20 @@ impl Swim {
         (self.ledger.fingerprint(), known)
     }
 
+    /// The members a sync round may be opened towards at `now`, in
+    /// ledger order: everyone ever heard of but this node and the
+    /// tombstone-expired. Only a dead record can have a tombstone
+    /// (every event about another member goes through `ledger_apply`),
+    /// so live members skip that lookup.
+    fn sync_partners(&self, now: f64) -> impl Iterator<Item = NodeId> + '_ {
+        self.ledger
+            .iter()
+            .filter(move |&(id, state)| {
+                id != self.me && !(state.dead && self.is_tombstone_expired(id, now))
+            })
+            .map(|(id, _)| id)
+    }
+
     /// Open one sync round towards a partner chosen uniformly from
     /// every member ever heard of — dead or alive (see
     /// [`AntiEntropyConfig`] for why dead partners must stay in the
@@ -1392,17 +1446,21 @@ impl Swim {
     /// permanently dead members would otherwise waste a growing share
     /// of rounds syncing into silence. The round opens with a 15-byte
     /// fingerprint.
+    ///
+    /// The choice draws once: count the eligible partners, draw an
+    /// index below the count, take that one in ledger order — the draw
+    /// `choose` would make over the collected pool, without the pool.
+    /// An empty pool draws nothing.
     fn start_sync(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
-        let candidates: Vec<NodeId> = self
-            .ledger
-            .iter()
-            .map(|(id, _)| id)
-            .filter(|&id| id != self.me)
-            .filter(|&id| !self.is_tombstone_expired(id, now))
-            .collect();
-        let Some(&target) = candidates.choose(&mut self.rng) else {
+        let count = self.sync_partners(now).count();
+        if count == 0 {
             return;
-        };
+        }
+        let pick = self.rng.gen_range(0..count);
+        let target = self
+            .sync_partners(now)
+            .nth(pick)
+            .expect("pick is below the count");
         if let Some(ctx) = self.gossip_trace(now) {
             // Sync rounds inside an episode's hot window are part of
             // the heal story — record which partner this round chose.
@@ -1434,27 +1492,28 @@ impl Swim {
     fn push_full_ledger(&mut self, target: NodeId, out: &mut Vec<(NodeId, SwimMsg)>) {
         self.seq = self.seq.wrapping_add(1);
         let seq = self.seq;
-        let mut entries = self.ledger_entries();
+        let mut records = self.ledger.known();
         // Widen frames past the MTU-friendly default if the chunk index
         // byte would otherwise overflow; a ledger beyond the wire's
         // 255 × 255 ceiling (impossible to reach before exhausting the
         // u16 id space minus 511) is truncated for this round.
-        let mut per_frame = SWIM_MTU_FRAME_ENTRIES.max(entries.len().div_ceil(u8::MAX.into()));
+        let mut per_frame = SWIM_MTU_FRAME_ENTRIES.max(records.div_ceil(u8::MAX.into()));
         if per_frame > SWIM_MAX_FRAME_ENTRIES {
             per_frame = SWIM_MAX_FRAME_ENTRIES;
-            entries.truncate(SWIM_MAX_FRAME_ENTRIES * usize::from(u8::MAX));
+            records = records.min(SWIM_MAX_FRAME_ENTRIES * usize::from(u8::MAX));
         }
-        let total = entries.chunks(per_frame).count().max(1) as u8;
-        for (i, chunk) in entries.chunks(per_frame).enumerate() {
+        let total = records.div_ceil(per_frame) as u8;
+        let mut entries = self.ledger_updates().take(records);
+        for chunk in 0..total {
             out.push((
                 target,
                 SwimMsg::SyncReq {
                     from: self.me,
                     to: target,
                     seq,
-                    chunk: i as u8,
+                    chunk,
                     chunks: total,
-                    updates: chunk.to_vec(),
+                    updates: entries.by_ref().take(per_frame).collect(),
                 },
             ));
         }
@@ -1464,7 +1523,7 @@ impl Swim {
     /// encodes as `Alive` / `Faulty`, the exact event
     /// [`ViewLedger::apply`] replays on the receiving side. Suspicion
     /// is transient and never synced.
-    fn record_to_update(id: NodeId, state: crate::view::MemberState) -> SwimUpdate {
+    fn record_to_update(id: NodeId, state: MemberState) -> SwimUpdate {
         SwimUpdate {
             id,
             incarnation: state.incarnation,
@@ -1476,29 +1535,48 @@ impl Swim {
         }
     }
 
-    /// The full ledger as wire records.
-    fn ledger_entries(&self) -> Vec<SwimUpdate> {
+    /// The full ledger as wire records, ascending by id.
+    fn ledger_updates(&self) -> impl Iterator<Item = SwimUpdate> + '_ {
         self.ledger
             .iter()
             .map(|(id, state)| Self::record_to_update(id, state))
-            .collect()
     }
 
     /// The pull half of a sync: every record where our (post-merge)
     /// ledger strictly supersedes what the push claimed, plus every
     /// member the push did not mention. Computed once per sync round
     /// over the full (reassembled) claim set.
+    ///
+    /// An honest push is the sender's ledger in order, so its claims
+    /// ascend strictly by id and one cursor walks them beside our own
+    /// records. Anything else a peer may send — unsorted, an id listed
+    /// twice — is looked up through a map, where the last claim about
+    /// an id stands for it; the answer is the same function of the
+    /// claim set either way.
     fn sync_delta(&self, claimed: &[SwimUpdate]) -> Vec<SwimUpdate> {
-        let claims: BTreeMap<NodeId, (u32, bool)> = claimed
-            .iter()
-            .map(|u| (u.id, (u.incarnation, u.status.is_dead())))
-            .collect();
+        let ascending = claimed.windows(2).all(|w| w[0].id < w[1].id);
+        let mut cursor = claimed.iter().peekable();
+        let by_id: BTreeMap<NodeId, &SwimUpdate> = if ascending {
+            BTreeMap::new()
+        } else {
+            claimed.iter().map(|u| (u.id, u)).collect()
+        };
         self.ledger
             .iter()
-            .filter(|&(id, state)| match claims.get(&id) {
-                None => true,
-                Some(&(incarnation, dead)) => crate::view::MemberState { incarnation, dead }
-                    .superseded_by(state.incarnation, state.dead),
+            .filter(|&(id, state)| {
+                let claim = if ascending {
+                    while cursor.next_if(|c| c.id < id).is_some() {}
+                    cursor.peek().copied().filter(|c| c.id == id)
+                } else {
+                    by_id.get(&id).copied()
+                };
+                claim.is_none_or(|c| {
+                    MemberState {
+                        incarnation: c.incarnation,
+                        dead: c.status.is_dead(),
+                    }
+                    .superseded_by(state.incarnation, state.dead)
+                })
             })
             .map(|(id, state)| Self::record_to_update(id, state))
             .collect()
@@ -1533,12 +1611,53 @@ impl Swim {
     }
 }
 
+/// Up to [`PING_REQ_FANOUT`] distinct members of `pool()` in random
+/// order, as `(members, how many)` — the members and the draws
+/// `choose_multiple` gives over the collected pool, without collecting
+/// it. `pool` is walked more than once (to count, then per pick), so it
+/// must yield the same sequence every time.
+///
+/// `choose_multiple` runs a partial Fisher–Yates over the index vector
+/// `0..len`: step `i` swaps position `i` with a drawn `j ∈ i..len` and
+/// picks what lands at `i`. Only the drawn positions ever hold anything
+/// but their own index, so the writes to them — one per step, the
+/// latest standing — stand in for the vector.
+fn pick_fanout<I: Iterator<Item = NodeId>>(
+    rng: &mut ChaCha8Rng,
+    pool: impl Fn() -> I,
+) -> ([NodeId; PING_REQ_FANOUT], usize) {
+    let len = pool().count();
+    let amount = PING_REQ_FANOUT.min(len);
+    // `written[k]`: the `(position, index)` step `k` wrote at its `j`.
+    let mut written = [(0usize, 0usize); PING_REQ_FANOUT];
+    let mut members = [NodeId(0); PING_REQ_FANOUT];
+    for i in 0..amount {
+        let j = rng.gen_range(i..len);
+        let at = |p: usize| {
+            let latest = written[..i].iter().rev().find(|w| w.0 == p);
+            latest.map_or(p, |w| w.1)
+        };
+        let (picked, displaced) = (at(j), at(i));
+        written[i] = (j, displaced);
+        members[i] = pool().nth(picked).expect("an index below the count");
+    }
+    (members, amount)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ids(v: &[u16]) -> Vec<NodeId> {
         v.iter().map(|&i| NodeId(i)).collect()
+    }
+
+    impl Swim {
+        /// The full ledger as the records of one push.
+        fn ledger_entries(&self) -> Vec<SwimUpdate> {
+            self.ledger_updates().collect()
+        }
     }
 
     /// Probe-centric tests count exact per-tick messages, so the
@@ -2564,5 +2683,244 @@ mod tests {
                 .any(|u| u.id == NodeId(2) && u.status == SwimStatus::Left));
         }
         assert!(!s.ledger().is_live(NodeId(2)));
+    }
+
+    #[test]
+    fn abandoned_chunked_syncs_are_forgotten_after_one_period() {
+        let members = ids(&[0, 1, 2, 3]);
+        let telemetry = Telemetry::new(1);
+        let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 2.0), &members)
+            .with_telemetry(telemetry.clone());
+        let a = Swim::bootstrap(NodeId(0), sync_cfg(1, 2.0), &members);
+        let entries = a.ledger_entries();
+        let (first, rest) = entries.split_at(1);
+        let chunk = |from: u16, chunk: u8, updates: &[SwimUpdate]| SwimMsg::SyncReq {
+            from: NodeId(from),
+            to: NodeId(1),
+            seq: 5,
+            chunk,
+            chunks: 2,
+            updates: updates.to_vec(),
+        };
+        // 300 distinct senders (the `from` of a frame is whatever the
+        // frame says) each deliver the first of two chunks and never
+        // the second.
+        let mut rsp = Vec::new();
+        for sender in 0..300u16 {
+            b.on_message(10.0, &chunk(1000 + sender, 0, first), &mut rsp);
+        }
+        assert!(rsp.is_empty(), "a partial sync is not answered");
+        assert_eq!(b.pending_syncs.len(), 300);
+        // Inside the period they are kept — a complete push is still
+        // answered, once…
+        b.on_tick(11.9, &mut Vec::new());
+        assert_eq!(b.pending_syncs.len(), 300);
+        b.on_message(11.0, &chunk(0, 0, first), &mut rsp);
+        b.on_message(11.1, &chunk(0, 1, rest), &mut rsp);
+        let answers = rsp
+            .iter()
+            .filter(|(to, m)| *to == NodeId(0) && matches!(m, SwimMsg::SyncRsp { .. }))
+            .count();
+        assert_eq!((rsp.len(), answers), (1, 1));
+        assert!(telemetry
+            .snapshot()
+            .counter(1, "membership", "sync_chunks_dropped")
+            .is_none());
+        // …one period after their first chunk they are gone, counted.
+        b.on_tick(12.0, &mut Vec::new());
+        assert!(b.pending_syncs.is_empty());
+        assert_eq!(
+            telemetry
+                .snapshot()
+                .counter(1, "membership", "sync_chunks_dropped"),
+            Some(300)
+        );
+    }
+
+    /// `sync_delta` as it was before claims were walked with a cursor:
+    /// every claim into a map (a later claim about an id replaces an
+    /// earlier one), every ledger record looked up in it.
+    fn sync_delta_by_map(ledger: &ViewLedger, claimed: &[SwimUpdate]) -> Vec<SwimUpdate> {
+        let claims: BTreeMap<NodeId, (u32, bool)> = claimed
+            .iter()
+            .map(|u| (u.id, (u.incarnation, u.status.is_dead())))
+            .collect();
+        ledger
+            .iter()
+            .filter(|&(id, state)| match claims.get(&id) {
+                None => true,
+                Some(&(incarnation, dead)) => {
+                    MemberState { incarnation, dead }.superseded_by(state.incarnation, state.dead)
+                }
+            })
+            .map(|(id, state)| Swim::record_to_update(id, state))
+            .collect()
+    }
+
+    /// The delta `responder` returns for a single-frame push of `claims`.
+    fn pushed_delta(responder: &mut Swim, seq: u32, claims: &[SwimUpdate]) -> Vec<SwimUpdate> {
+        let req = SwimMsg::SyncReq {
+            from: NodeId(0),
+            to: responder.me(),
+            seq,
+            chunk: 0,
+            chunks: 1,
+            updates: claims.to_vec(),
+        };
+        let mut rsp = Vec::new();
+        responder.on_message(1.0, &req, &mut rsp);
+        assert!(rsp
+            .iter()
+            .all(|(to, m)| *to == NodeId(0) && matches!(m, SwimMsg::SyncRsp { .. })));
+        rsp.iter().flat_map(|(_, m)| m.updates().to_vec()).collect()
+    }
+
+    #[test]
+    fn a_hostile_claim_set_does_not_change_the_delta() {
+        let claim = |id: u16, incarnation: u32, status: SwimStatus| SwimUpdate {
+            id: NodeId(id),
+            incarnation,
+            status,
+        };
+        let members = ids(&[0, 1, 2, 3, 4, 5, 6]);
+        let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 2.0), &members);
+        b.apply_updates(
+            0.0,
+            &[
+                claim(4, 2, SwimStatus::Faulty),
+                claim(5, 3, SwimStatus::Alive),
+            ],
+        );
+        // Descending ids: not the order any ledger pushes in.
+        let descending = [
+            claim(6, 0, SwimStatus::Alive),
+            claim(5, 1, SwimStatus::Alive),
+            claim(4, 2, SwimStatus::Alive),
+            claim(2, 0, SwimStatus::Alive),
+        ];
+        let delta = pushed_delta(&mut b, 1, &descending);
+        assert_eq!(delta, sync_delta_by_map(b.ledger(), &descending));
+        assert!(delta.contains(&claim(5, 3, SwimStatus::Alive)));
+        assert!(delta.contains(&claim(4, 2, SwimStatus::Faulty)));
+        assert!(
+            delta.contains(&claim(3, 0, SwimStatus::Alive)),
+            "never claimed"
+        );
+        assert!(
+            !delta.contains(&claim(6, 0, SwimStatus::Alive)),
+            "claimed as held"
+        );
+        // One id twice, at different incarnations: the later claim is
+        // the one the answer is measured against, whichever is higher.
+        for twice in [
+            [
+                claim(5, 9, SwimStatus::Alive),
+                claim(5, 1, SwimStatus::Alive),
+            ],
+            [
+                claim(5, 1, SwimStatus::Alive),
+                claim(5, 9, SwimStatus::Alive),
+            ],
+        ] {
+            let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 2.0), &members);
+            let delta = pushed_delta(&mut b, 1, &twice);
+            assert_eq!(delta, sync_delta_by_map(b.ledger(), &twice));
+            // The merge took 9 either way; only a last claim of 1 is
+            // behind it.
+            assert_eq!(
+                delta.contains(&claim(5, 9, SwimStatus::Alive)),
+                twice[1].incarnation == 1
+            );
+        }
+    }
+
+    proptest! {
+        /// The answer to a push is the map model's for any claim set:
+        /// strictly ascending (the cursor), or in any order with any
+        /// duplication (the map), over a ledger that knows members the
+        /// claims do not and lacks members they name.
+        #[test]
+        fn sync_delta_equals_the_map_model(
+            known in prop::collection::vec((2u16..30, 0u32..4, any::<bool>()), 0..20),
+            claims in prop::collection::vec((0u16..30, 0u32..4, 0u8..4), 0..24),
+            ascending in any::<bool>(),
+        ) {
+            let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 2.0), &ids(&[0, 1]));
+            for (id, incarnation, dead) in known {
+                b.ledger_apply(0.0, NodeId(id), incarnation, dead);
+            }
+            let mut claims: Vec<SwimUpdate> = claims
+                .into_iter()
+                .map(|(id, incarnation, status)| SwimUpdate {
+                    id: NodeId(id),
+                    incarnation,
+                    status: match status {
+                        0 => SwimStatus::Alive,
+                        1 => SwimStatus::Suspect,
+                        2 => SwimStatus::Faulty,
+                        _ => SwimStatus::Left,
+                    },
+                })
+                .collect();
+            if ascending {
+                claims.sort_by_key(|c| c.id);
+                claims.dedup_by_key(|c| c.id);
+            }
+            let delta = pushed_delta(&mut b, 1, &claims);
+            prop_assert_eq!(&delta, &sync_delta_by_map(b.ledger(), &claims));
+            prop_assert_eq!(&b.sync_delta(&claims), &delta);
+        }
+
+        /// The partner a sync round picks is the one `choose` picks
+        /// from the pool collected the old way, on the same draw — and
+        /// an empty pool draws nothing — with live members, tombstones
+        /// inside the window and expired ones in the ledger.
+        #[test]
+        fn sync_partner_is_choose_over_the_collected_pool(
+            seed in any::<u64>(),
+            deaths in prop::collection::vec((1u16..12, 0.0f64..40.0), 0..12),
+            now in 0.0f64..60.0,
+        ) {
+            let c = SwimConfig::default().with_seed(seed).with_anti_entropy(AntiEntropyConfig {
+                enabled: true,
+                sync_period_s: 1.0,
+                tombstone_gc_syncs: 10,
+            });
+            let members: Vec<NodeId> = (0..12).map(NodeId).collect();
+            let mut s = Swim::bootstrap(NodeId(0), c, &members);
+            for (id, at) in deaths {
+                s.ledger_apply(at, NodeId(id), 0, true);
+            }
+            let candidates: Vec<NodeId> = s
+                .ledger
+                .iter()
+                .map(|(id, _)| id)
+                .filter(|&id| id != s.me)
+                .filter(|&id| !s.is_tombstone_expired(id, now))
+                .collect();
+            let mut model_rng = s.rng.clone();
+            let want = candidates.choose(&mut model_rng).copied();
+            let mut out = Vec::new();
+            s.start_sync(now, &mut out);
+            let got: Vec<NodeId> = out.iter().map(|(to, _)| *to).collect();
+            prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(s.rng.gen::<u64>(), model_rng.gen::<u64>(), "same draws");
+        }
+
+        /// `pick_fanout` is `choose_multiple` over the collected pool:
+        /// same members, same order, same draws.
+        #[test]
+        fn pick_fanout_is_choose_multiple(seed in any::<u64>(), len in 0u16..12) {
+            let pool: Vec<NodeId> = (0..len).map(|i| NodeId(i * 7)).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut model_rng = rng.clone();
+            let want: Vec<NodeId> = pool
+                .choose_multiple(&mut model_rng, PING_REQ_FANOUT)
+                .copied()
+                .collect();
+            let (picked, count) = pick_fanout(&mut rng, || pool.iter().copied());
+            prop_assert_eq!(&picked[..count], &want[..]);
+            prop_assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>(), "same draws");
+        }
     }
 }

@@ -23,10 +23,38 @@
 //! Transient *suspicion* never enters the ledger: only confirmed events
 //! (join, refutation, confirmed-faulty, leave) move views, which keeps
 //! the grid stable under probe noise.
+//!
+//! ## What is maintained incrementally
+//!
+//! The SWIM machine asks the ledger for its version on every packet and
+//! every timer (is a view publication pending?), for its live count on
+//! every suspicion, and for its content fingerprint on every
+//! anti-entropy digest — tens of thousands of reads per node against a
+//! few dozen records that ever move. So the ledger keeps those three
+//! *summaries* beside the records instead of walking the records on
+//! each read:
+//!
+//! * the version as a running `u64` sum of the per-member weights,
+//!   clamped to `u32::MAX` on read — bit-equal to a saturating `u32`
+//!   fold over the records, because every summand is non-negative;
+//! * the live count as a counter;
+//! * the fingerprint computed on the first read after a record moved
+//!   and remembered until the next move.
+//!
+//! All three change only inside [`ViewLedger::apply`], the one place a
+//! record can move. They are functions of the records, so equality
+//! ignores them (two ledgers are equal when they hold the same records,
+//! whether or not either has been asked for its fingerprint yet) and
+//! they never enter a serialized form.
+//!
+//! The records themselves are one vector sorted by id. A lookup tries
+//! slot `id` first — where the record of `id` sits while the ledger
+//! knows every id below it, as it does in every `0..n` deployment — and
+//! falls back to a binary search; there is no table indexed by raw id.
 
 use apor_quorum::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cell::Cell;
 
 /// Converged per-member state: the lattice point `(incarnation, dead)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,10 +102,28 @@ fn version_salt(id: NodeId) -> u32 {
 
 /// The grow-only membership ledger shared (by convergence, not by
 /// consensus) across all nodes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ViewLedger {
-    records: BTreeMap<NodeId, MemberState>,
+    /// One record per member ever heard of, strictly ascending by id.
+    records: Vec<(NodeId, MemberState)>,
+    /// Sum of [`MemberState::version_weight`] over the records. At most
+    /// 2¹⁶ members of weight below 2³² each, so a `u64` never wraps.
+    version_sum: u64,
+    /// Number of records with `dead == false`.
+    live: usize,
+    /// The content fingerprint of the records as they are now; `None`
+    /// since a record last moved.
+    fingerprint: Cell<Option<u32>>,
 }
+
+/// Equality is "same records": the summaries are functions of them.
+impl PartialEq for ViewLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records
+    }
+}
+
+impl Eq for ViewLedger {}
 
 impl ViewLedger {
     /// An empty ledger.
@@ -92,64 +138,81 @@ impl ViewLedger {
     #[must_use]
     pub fn bootstrap(members: &[NodeId]) -> Self {
         let mut ledger = ViewLedger::new();
+        ledger.records.reserve_exact(members.len());
         for &m in members {
-            ledger.records.insert(m, MemberState::joined());
+            ledger.apply(m, 0, false);
         }
         ledger
     }
 
-    /// Apply one confirmed event. Returns `true` when the ledger moved
-    /// (⇒ the event is news worth re-gossiping).
-    pub fn apply(&mut self, id: NodeId, incarnation: u32, dead: bool) -> bool {
-        match self.records.get_mut(&id) {
-            Some(state) => {
-                if state.superseded_by(incarnation, dead) {
-                    *state = MemberState { incarnation, dead };
-                    true
-                } else {
-                    false
-                }
-            }
-            None => {
-                self.records.insert(id, MemberState { incarnation, dead });
-                true
-            }
+    /// Where the record of `id` is (`Ok`) or would be inserted (`Err`):
+    /// slot `id` when that is where it sits, a binary search otherwise.
+    fn find(&self, id: NodeId) -> Result<usize, usize> {
+        if self.records.get(id.index()).is_some_and(|r| r.0 == id) {
+            return Ok(id.index());
         }
+        self.records.binary_search_by_key(&id, |r| r.0)
+    }
+
+    /// Apply one confirmed event. Returns `true` when the ledger moved
+    /// (⇒ the event is news worth re-gossiping). The only place a
+    /// record changes, and so the only place the summaries do.
+    pub fn apply(&mut self, id: NodeId, incarnation: u32, dead: bool) -> bool {
+        let new = MemberState { incarnation, dead };
+        match self.find(id) {
+            Ok(i) => {
+                let old = self.records[i].1;
+                if !old.superseded_by(incarnation, dead) {
+                    return false;
+                }
+                self.version_sum -= u64::from(old.version_weight(id));
+                self.live -= usize::from(!old.dead);
+                self.records[i].1 = new;
+            }
+            Err(i) => self.records.insert(i, (id, new)),
+        }
+        self.version_sum += u64::from(new.version_weight(id));
+        self.live += usize::from(!dead);
+        self.fingerprint.set(None);
+        true
     }
 
     /// The member's converged state, if ever heard of.
     #[must_use]
     pub fn state(&self, id: NodeId) -> Option<MemberState> {
-        self.records.get(&id).copied()
+        self.find(id).ok().map(|i| self.records[i].1)
     }
 
     /// The member's current incarnation (0 when unknown).
     #[must_use]
     pub fn incarnation(&self, id: NodeId) -> u32 {
-        self.records.get(&id).map_or(0, |s| s.incarnation)
+        self.state(id).map_or(0, |s| s.incarnation)
     }
 
     /// Is `id` currently a live member?
     #[must_use]
     pub fn is_live(&self, id: NodeId) -> bool {
-        self.records.get(&id).is_some_and(|s| !s.dead)
+        self.state(id).is_some_and(|s| !s.dead)
     }
 
-    /// Number of live members, without materializing the list.
+    /// Number of live members.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.records.values().filter(|s| !s.dead).count()
+        self.live
+    }
+
+    /// The live members, ascending — the quorum grid's order — without
+    /// materializing the list.
+    pub fn live_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.records.iter().filter(|r| !r.1.dead).map(|r| r.0)
     }
 
     /// The live members, sorted ascending — the quorum grid's order.
     #[must_use]
     pub fn members(&self) -> Vec<NodeId> {
-        // BTreeMap iteration is already sorted and deduplicated.
-        self.records
-            .iter()
-            .filter(|(_, s)| !s.dead)
-            .map(|(&id, _)| id)
-            .collect()
+        let mut members = Vec::with_capacity(self.live);
+        members.extend(self.live_ids());
+        members
     }
 
     /// The view version: monotone along any application order, equal
@@ -170,10 +233,7 @@ impl ViewLedger {
     /// content digest in the routing wire (ROADMAP follow-on).
     #[must_use]
     pub fn version(&self) -> u32 {
-        self.records
-            .iter()
-            .map(|(&id, s)| s.version_weight(id))
-            .fold(0u32, u32::saturating_add)
+        u32::try_from(self.version_sum).unwrap_or(u32::MAX)
     }
 
     /// Number of members ever heard of (live + dead).
@@ -191,6 +251,9 @@ impl ViewLedger {
     /// answers "same or different?".)
     #[must_use]
     pub fn fingerprint(&self) -> u32 {
+        if let Some(known) = self.fingerprint.get() {
+            return known;
+        }
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
@@ -198,7 +261,7 @@ impl ViewLedger {
             h ^= u64::from(byte);
             h = h.wrapping_mul(FNV_PRIME);
         };
-        for (&id, s) in &self.records {
+        for &(id, s) in &self.records {
             for b in id.0.to_be_bytes() {
                 eat(b);
             }
@@ -207,18 +270,148 @@ impl ViewLedger {
             }
             eat(u8::from(s.dead));
         }
-        (h ^ (h >> 32)) as u32
+        let folded = (h ^ (h >> 32)) as u32;
+        self.fingerprint.set(Some(folded));
+        folded
     }
 
-    /// Iterate over all records (diagnostics, anti-entropy follow-on).
+    /// Iterate over all records, ascending by id.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, MemberState)> + '_ {
-        self.records.iter().map(|(&id, &s)| (id, s))
+        self.records.iter().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The summaries of `ledger`, each recomputed from its records the
+    /// way the ledger did before it kept them: `(version, live count,
+    /// fingerprint, members, known)`.
+    fn recomputed(ledger: &ViewLedger) -> (u32, usize, u32, Vec<NodeId>, usize) {
+        let version = ledger
+            .iter()
+            .map(|(id, s)| s.version_weight(id))
+            .fold(0u32, u32::saturating_add);
+        let live = ledger.iter().filter(|(_, s)| !s.dead).count();
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for (id, s) in ledger.iter() {
+            let bytes =
+                id.0.to_be_bytes()
+                    .into_iter()
+                    .chain(s.incarnation.to_be_bytes())
+                    .chain([u8::from(s.dead)]);
+            for b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let members = ledger
+            .iter()
+            .filter(|(_, s)| !s.dead)
+            .map(|(id, _)| id)
+            .collect();
+        (
+            version,
+            live,
+            (h ^ (h >> 32)) as u32,
+            members,
+            ledger.iter().count(),
+        )
+    }
+
+    fn summaries(ledger: &ViewLedger) -> (u32, usize, u32, Vec<NodeId>, usize) {
+        (
+            ledger.version(),
+            ledger.live_count(),
+            ledger.fingerprint(),
+            ledger.members(),
+            ledger.known(),
+        )
+    }
+
+    /// Events over a small id space with gaps (so both the identity
+    /// slot and the binary search answer lookups): joins, deaths,
+    /// resurrections, duplicates and stale news fall out of the small
+    /// incarnation range; the large one puts single weights near and
+    /// past `u32::MAX`, so the version sum saturates.
+    fn arb_events() -> impl Strategy<Value = Vec<(NodeId, u32, bool)>> {
+        let incarnation = (any::<bool>(), 0u32..4).prop_map(|(huge, small)| {
+            if huge {
+                u32::MAX / 32 - 2 + small
+            } else {
+                small
+            }
+        });
+        prop::collection::vec(
+            (0u16..24, incarnation, any::<bool>())
+                .prop_map(|(id, incarnation, dead)| (NodeId(id * 3 % 40), incarnation, dead)),
+            0..60,
+        )
+    }
+
+    proptest! {
+        /// The summaries are the records: after every step of a random
+        /// event sequence — with the fingerprint read at some steps and
+        /// left stale at others — version, live count, fingerprint,
+        /// member list and record count equal their recomputation from
+        /// `iter()`, and `apply` reports a move exactly when a record
+        /// changed.
+        #[test]
+        fn summaries_equal_a_recomputation_after_every_step(
+            events in arb_events(),
+            read_fingerprint in prop::collection::vec(any::<bool>(), 60),
+        ) {
+            let mut ledger = ViewLedger::new();
+            prop_assert_eq!(summaries(&ledger), recomputed(&ledger));
+            for (step, &(id, incarnation, dead)) in events.iter().enumerate() {
+                let before: Vec<_> = ledger.iter().collect();
+                let moved = ledger.apply(id, incarnation, dead);
+                prop_assert_eq!(moved, before != ledger.iter().collect::<Vec<_>>());
+                prop_assert!(ledger.iter().map(|(id, _)| id).is_sorted());
+                if read_fingerprint[step] {
+                    prop_assert_eq!(summaries(&ledger), recomputed(&ledger));
+                } else {
+                    prop_assert_eq!(ledger.version(), recomputed(&ledger).0);
+                    prop_assert_eq!(ledger.live_count(), recomputed(&ledger).1);
+                }
+                prop_assert_eq!(ledger.state(id).map(|s| s.incarnation >= incarnation), Some(true));
+            }
+            prop_assert_eq!(summaries(&ledger), recomputed(&ledger));
+            // A clone carries the summaries with the records.
+            prop_assert_eq!(summaries(&ledger.clone()), recomputed(&ledger));
+        }
+
+        /// The same events in another order give an equal ledger with
+        /// equal summaries, whether or not either side has been asked
+        /// for its fingerprint; `bootstrap` is the same applies.
+        #[test]
+        fn order_and_bootstrap_do_not_show_in_the_summaries(
+            events in arb_events(),
+            members in prop::collection::vec(0u16..40, 0..20),
+        ) {
+            let mut forward = ViewLedger::new();
+            for &(id, incarnation, dead) in &events {
+                forward.apply(id, incarnation, dead);
+            }
+            let _ = forward.fingerprint();
+            let mut backward = ViewLedger::new();
+            for &(id, incarnation, dead) in events.iter().rev() {
+                backward.apply(id, incarnation, dead);
+            }
+            prop_assert_eq!(&forward, &backward);
+            prop_assert_eq!(summaries(&forward), summaries(&backward));
+
+            let members: Vec<NodeId> = members.into_iter().map(NodeId).collect();
+            let booted = ViewLedger::bootstrap(&members);
+            let mut applied = ViewLedger::new();
+            for &m in &members {
+                applied.apply(m, 0, false);
+            }
+            prop_assert_eq!(&booted, &applied);
+            prop_assert_eq!(summaries(&booted), recomputed(&applied));
+        }
+    }
 
     #[test]
     fn apply_is_order_insensitive_and_idempotent() {

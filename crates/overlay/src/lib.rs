@@ -41,13 +41,16 @@
 //! carries identities. On a membership change the node rebuilds its
 //! router for the new grid but does **not** start from empty: the
 //! [`remap`] module translates every surviving link-state row by
-//! [`NodeId`](apor_quorum::NodeId) into the new index space, dropping
-//! rows that are stale (the 3-routing-interval freshness rule) or whose
-//! origin departed, and the router's entitlement filter drops rows the
-//! node's *new* grid role no longer grants it (a quorum node keeps only
-//! its own row and its rendezvous clients' — `O(√n)` rows, `O(n√n)`
-//! state). Prober estimator history is carried the same way, so a churn
-//! event relabels state instead of discarding measurements.
+//! [`NodeId`](apor_quorum::NodeId) into the new index space — as lanes,
+//! at the cost of the entries a row holds — dropping rows that are
+//! stale (the 3-routing-interval freshness rule) or whose origin
+//! departed, and the router's entitlement filter drops rows the node's
+//! *new* grid role no longer grants it (a quorum node keeps only its
+//! own row and its rendezvous clients' — `O(√n)` rows, `O(n√n)`
+//! state). Prober estimator history stays with the targets that are
+//! probed again, so a churn event relabels state instead of discarding
+//! measurements. What is kept, what is rebuilt and what it costs is in
+//! [`node`]'s "View install" section.
 
 //!
 //! ## The message path of a routing frame

@@ -29,6 +29,39 @@
 //! leave a real-clock node with a stale armed wake that deduplicates
 //! every later arm: one probe round, then silence.
 //!
+//! ## View install
+//!
+//! A SWIM fleet under churn installs views by the thousand, so an
+//! install costs what changed, not what the view holds. The prober and
+//! the router are not dropped and built again: each is *reinstalled*
+//! ([`Prober::reinstall`], [`QuorumRouter::reinstall`]), which keeps
+//! its settings, the registry cells it reports into, its tracer and the
+//! storage of every vector sized by the view (emptied and resized in
+//! place), and starts everything else over. What a reinstalled router
+//! or prober has in common with one built from nothing for the same
+//! view is everything: both come out of one assembly routine, and the
+//! routing crate's tests compare them field for field.
+//!
+//! Three things cross the change, each moved rather than copied:
+//!
+//! * **rows** — the router's held rows are exported as the shared
+//!   `Arc<LaneRow>`s the store holds, renamed into the new index space
+//!   by [`remap`](crate::remap) (stale rows and rows of departed origins
+//!   left behind) and imported again under the router's entitlement
+//!   filter, receipt times, seqnos and retraction lanes intact;
+//! * **estimators** — a probe target that is a target again keeps its
+//!   slot and its estimator under its new index, with a fresh schedule;
+//!   only the old targets (`~2√n + 16` under entitled probing) are
+//!   walked, never the member list;
+//! * **retractions** — routes through a departed destination or hop
+//!   are withdrawn on the old router first, so they are counted.
+//!
+//! Everything else — routes, failovers, feasibility distances, the own
+//! seqno, adopted gauges — starts empty, as it always did. The first
+//! install of a node's life builds both from nothing; the full-mesh
+//! baseline, which changes view only under the centralized studies, is
+//! built anew each time and converts at its matrix boundary.
+//!
 //! ## Index vs identity
 //!
 //! Routers and probers operate in *grid-index space* (positions in the
@@ -683,11 +716,10 @@ impl OverlayNode {
         let my_index = view.index_of(self.cfg.id);
         let old = self.view.take();
         let old_prober = self.prober.take();
-        let old_router = self.router.take();
+        let mut old_router = self.router.take();
         self.my_index = my_index;
-        self.prober = None;
         // The convergence episode this install belongs to, if one is
-        // hot: parents the ViewInstall/Remap spans and primes the fresh
+        // hot: parents the ViewInstall/Remap spans and primes the
         // prober and router so their recovery work is attributed too.
         let episode_ctx = if self.tracer.enabled() {
             self.swim.as_ref().and_then(|s| s.gossip_trace(now))
@@ -697,37 +729,53 @@ impl OverlayNode {
 
         if let Some(me) = my_index {
             let n = view.len();
-            let mut prober = Prober::new(me, n, self.cfg.protocol.clone(), now)
-                .with_telemetry(&self.telemetry)
-                .with_tracer(self.tracer.clone());
+            // Estimator history crosses the view change with the prober
+            // itself, so a membership bump doesn't blind the overlay for
+            // a probing interval.
+            let mut prober = match (&old, old_prober) {
+                (Some(old_view), Some(old_prober)) => old_prober.reinstall(me, n, now, |idx| {
+                    old_view.id_of(idx).and_then(|id| view.index_of(id))
+                }),
+                _ => Prober::new(me, n, self.cfg.protocol.clone(), now)
+                    .with_telemetry(&self.telemetry)
+                    .with_tracer(self.tracer.clone()),
+            };
             if let Some(ctx) = episode_ctx {
                 prober.note_episode(ctx);
             }
-            // Carry estimator history across the view change so a
-            // membership bump doesn't blind the overlay for a probing
-            // interval.
-            if let (Some(old_view), Some(old_prober)) = (&old, &old_prober) {
-                for (new_idx, id) in view.members.iter().enumerate() {
-                    if new_idx == me {
-                        continue;
-                    }
-                    if let Some(est) = old_view
-                        .index_of(*id)
-                        .and_then(|old_idx| old_prober.estimator(old_idx))
-                    {
-                        prober.set_estimator(new_idx, est.clone());
-                    }
-                }
-            }
             self.prober = Some(prober);
-            let mut router = match self.cfg.algorithm {
-                Algorithm::FullMesh => RouterBox::FullMesh(FullMeshRouter::new(
-                    me,
-                    n,
-                    view.version,
-                    self.cfg.protocol.clone(),
-                )),
-                Algorithm::Quorum => RouterBox::Quorum(
+            // Incremental remap: the old router's surviving rows cross
+            // into the new index space by NodeId — a view bump relabels
+            // the grid, it doesn't invalidate fresh measurements. Stale
+            // rows (older than the 3-interval window) are dropped here;
+            // the router's own entitlement filter drops rows whose
+            // origin is no longer a rendezvous client in the new grid.
+            let carried = old
+                .as_ref()
+                .zip(old_router.as_mut())
+                .map(|(old_view, router)| {
+                    // Routes whose destination or recommended hop departed
+                    // are explicitly retracted (counted in
+                    // `routing/routes_retracted`) rather than silently
+                    // dropped with the old router's state.
+                    if let RouterBox::Quorum(q) = router {
+                        let survives =
+                            |idx: usize| old_view.id_of(idx).is_some_and(|id| view.contains(id));
+                        q.retract_departed_routes(&survives);
+                    }
+                    crate::remap::remap_rows(
+                        router.as_dyn().export_rows(),
+                        old_view,
+                        &view,
+                        now,
+                        self.cfg.protocol.staleness_s(),
+                    )
+                });
+            let mut router = match (old_router, self.cfg.algorithm) {
+                (Some(RouterBox::Quorum(q)), Algorithm::Quorum) => {
+                    RouterBox::Quorum(q.reinstall(me, n, view.version))
+                }
+                (_, Algorithm::Quorum) => RouterBox::Quorum(
                     QuorumRouter::new_with_telemetry(
                         me,
                         n,
@@ -737,37 +785,19 @@ impl OverlayNode {
                     )
                     .with_tracer(self.tracer.clone()),
                 ),
+                (_, Algorithm::FullMesh) => RouterBox::FullMesh(FullMeshRouter::new(
+                    me,
+                    n,
+                    view.version,
+                    self.cfg.protocol.clone(),
+                )),
             };
             if let (Some(ctx), RouterBox::Quorum(q)) = (episode_ctx, &mut router) {
                 q.note_episode(ctx);
             }
-            // Incremental remap: translate the old router's surviving
-            // rows into the new index space by NodeId instead of
-            // rebuilding from empty — a view bump relabels the grid, it
-            // doesn't invalidate fresh measurements. Stale rows (older
-            // than the 3-interval window) are dropped here; the
-            // router's own entitlement filter drops rows whose origin
-            // is no longer a rendezvous client in the new grid.
-            if let (Some(old_view), Some(mut old_router)) = (&old, old_router) {
-                // Routes whose destination or recommended hop departed
-                // are explicitly retracted (counted in
-                // `routing/routes_retracted`) rather than silently
-                // dropped with the old router.
-                if let RouterBox::Quorum(q) = &mut old_router {
-                    let survives =
-                        |idx: usize| old_view.id_of(idx).is_some_and(|id| view.contains(id));
-                    q.retract_departed_routes(&survives);
-                }
-                let exported = old_router.as_dyn().export_rows();
-                let carried = crate::remap::remap_rows(
-                    &exported,
-                    old_view,
-                    &view,
-                    now,
-                    self.cfg.protocol.staleness_s(),
-                );
+            if let Some(carried) = carried {
                 let carried_rows = carried.len();
-                for row in &carried {
+                for row in carried {
                     router.as_dyn_mut().import_row(row);
                 }
                 if let Some(ctx) = episode_ctx {
@@ -785,7 +815,7 @@ impl OverlayNode {
                 out.timer(phase, TOKEN_ROUTING);
                 self.routing_tick_armed = true;
             }
-            // The fresh prober's schedule replaces the old one's.
+            // The restarted prober's schedule replaces the old one's.
             self.armed_probe_wake = f64::INFINITY;
             self.arm_probe(now, out);
         }

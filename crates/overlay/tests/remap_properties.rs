@@ -13,11 +13,20 @@
 //!    `QuorumRouter` keeps only the rows the node's new grid role
 //!    grants it (own row + rendezvous clients), so a remap can never
 //!    re-grow `O(n)` rows.
+//! 4. **Carrying a row is relabelling, nothing else** — a view install
+//!    on a live node leaves its router's store holding exactly what
+//!    widening every held row to one `LinkEntry` per member, moving the
+//!    entries by identity and reducing the result to lanes again would
+//!    leave: the chain the carry ran through before rows crossed a view
+//!    change as lanes, kept here as the model.
 
-use apor_linkstate::{LaneRow, LinkEntry, LinkStateStore, RowStore};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RowStore};
+use apor_overlay::config::{Algorithm, NodeConfig};
 use apor_overlay::membership::MembershipView;
+use apor_overlay::node::{Outbox, TOKEN_ROUTING};
 use apor_overlay::remap::remap_rows;
-use apor_quorum::NodeId;
+use apor_overlay::OverlayNode;
+use apor_quorum::{Grid, NodeId};
 use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm, VersionedRow};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -74,15 +83,13 @@ fn load_store(view: &MembershipView, rows: &BTreeMap<u16, (f64, Vec<u16>)>) -> R
 /// destination of its view at seqno 1 — so the remapped lane shows
 /// exactly which destinations survived, and in what order.
 fn export(store: &RowStore) -> Vec<VersionedRow> {
+    let every_dst: Vec<u16> = (0..store.len() as u16).collect();
     store
-        .present_rows()
-        .into_iter()
-        .map(|o| VersionedRow {
-            origin: o,
-            received_at: store.row_time(o).unwrap(),
-            seqno: 1,
-            retractions: (0..store.len() as u16).collect(),
-            entries: store.row_dense(o).unwrap(),
+        .held_lanes()
+        .map(|(origin, received_at, row)| VersionedRow {
+            origin,
+            received_at,
+            row: Arc::new(LaneRow::clone(row).with_version(1, &every_dst)),
         })
         .collect()
 }
@@ -104,7 +111,7 @@ proptest! {
         let old_view = MembershipView::new(1, old_ids);
         let new_view = MembershipView::new(2, new_ids);
         let store = load_store(&old_view, &rows);
-        let remapped = remap_rows(&export(&store), &old_view, &new_view, now, MAX_AGE);
+        let remapped = remap_rows(export(&store), &old_view, &new_view, now, MAX_AGE);
 
         // No fabricated origins, no duplicates.
         let mut seen = std::collections::BTreeSet::new();
@@ -114,11 +121,10 @@ proptest! {
             .collect();
         for row in &remapped {
             prop_assert!(seen.insert(row.origin), "duplicate remapped origin");
-            prop_assert_eq!(row.entries.len(), new_view.len());
             // The lane keeps the seqno, drops departed destinations and
             // comes out strictly ascending without a sort.
-            prop_assert_eq!(row.seqno, 1);
-            prop_assert_eq!(&row.retractions, &surviving);
+            prop_assert_eq!(row.row.seqno(), 1);
+            prop_assert_eq!(row.row.retracted(), &surviving[..]);
         }
 
         for (&origin_id, (t, lats)) in &rows {
@@ -137,7 +143,7 @@ proptest! {
                 continue;
             }
             let carried = carried.expect("fresh surviving row must be carried");
-            let entries = &carried.entries;
+            let entries = carried.row.as_row_ref(new_view.len()).to_dense();
             prop_assert_eq!(carried.received_at, *t, "receipt time must be preserved");
             for (new_dst, d) in new_view.members.iter().enumerate() {
                 if old_view.contains(*d) {
@@ -147,7 +153,7 @@ proptest! {
                     );
                     prop_assert!(entries[new_dst].alive);
                 } else {
-                    prop_assert!(!entries[new_dst].alive, "joined dst must start dead");
+                    prop_assert!(!entries[new_dst].alive, "joined dst must read as dead");
                 }
             }
         }
@@ -173,10 +179,10 @@ proptest! {
             rows.into_iter().map(|(o, (_, l))| (o, (0.0, l))).collect();
         let mut store = load_store(&views[0], &rows);
         for w in views.windows(2) {
-            let remapped = remap_rows(&export(&store), &w[0], &w[1], 1.0, MAX_AGE);
+            let remapped = remap_rows(export(&store), &w[0], &w[1], 1.0, MAX_AGE);
             let mut next = RowStore::new(w[1].len());
             for row in remapped {
-                next.put_row(row.origin, Arc::new(LaneRow::from_dense(&row.entries)), row.received_at);
+                next.put_row(row.origin, row.row, row.received_at);
             }
             store = next;
         }
@@ -232,13 +238,13 @@ proptest! {
         }
         let old_view = MembershipView::new(1, old_ids);
         let store = load_store(&old_view, &rows);
-        let remapped = remap_rows(&export(&store), &old_view, &new_view, 10.0, 200.0);
+        let remapped = remap_rows(export(&store), &old_view, &new_view, 10.0, 200.0);
 
         let me = new_view.index_of(me_id).unwrap();
         let n = new_view.len();
         let mut router = QuorumRouter::new(me, n, 2, ProtocolConfig::quorum());
         for row in &remapped {
-            router.import_row(row);
+            router.import_row(row.clone());
         }
         let grid = router.grid().clone();
         for VersionedRow { origin, .. } in &remapped {
@@ -253,6 +259,126 @@ proptest! {
             router.table().row_count() <= QuorumRouter::row_entitlement(n),
             "remap must never exceed the O(√n) entitlement"
         );
+    }
+
+    /// A view install on a live node against the widen-move-reduce
+    /// model: random views (members leave, join, both; this node's
+    /// index moves), held rows sparse and full, unversioned and
+    /// versioned with a retraction lane, fresh and stale at the install,
+    /// from origins that depart, stay clients, or stop being clients in
+    /// the new grid. Every row the new router holds has the model's
+    /// lanes, seqno, retractions and receipt time, and it holds no other.
+    #[test]
+    fn view_install_carries_rows_as_the_dense_chain_did(
+        old_ids in arb_members(24),
+        new_ids in arb_members(24),
+        me_pick in 0usize..12,
+        frames in prop::collection::vec(
+            (
+                0usize..12,                                      // origin (index into the old view)
+                0.0f64..100.0,                                   // receipt time
+                prop::collection::vec((any::<bool>(), 1u16..500, 0u8..128), 24), // per-dst: live?, latency, loss quantum
+                any::<bool>(),                                   // full row?
+                0u16..4,                                         // seqno (0 = unversioned)
+                prop::collection::vec(any::<bool>(), 24),        // retraction lane membership
+            ),
+            0..10,
+        ),
+        install_at in 100.0f64..160.0,
+    ) {
+        // `me` is a member of both views, at whatever index each gives it.
+        let new_view = MembershipView::new(2, new_ids);
+        let me_id = new_view.members[me_pick % new_view.len()];
+        let mut old_ids = old_ids;
+        old_ids.push(me_id);
+        let old_view = MembershipView::new(1, old_ids);
+        let n_old = old_view.len();
+
+        let mut node = OverlayNode::new(
+            NodeConfig::new(me_id, old_view.members[0], Algorithm::Quorum)
+                .with_static_members(old_view.members.clone()),
+        );
+        let mut out = Outbox::default();
+        node.on_start(0.0, &mut out);
+        let mut frames = frames;
+        frames.sort_by(|a, b| a.1.total_cmp(&b.1));
+        for (origin, at, cells, full, seqno, retracts) in frames {
+            let origin = origin % n_old;
+            if old_view.members[origin] == me_id {
+                continue;
+            }
+            let pairs: Vec<(u16, LinkEntry)> = (0..n_old)
+                .filter(|&d| full || cells[d].0)
+                .map(|d| (d as u16, LinkEntry::live(cells[d].1, f32::from(cells[d].2) / 200.0)))
+                .collect();
+            let retracted: Vec<u16> = (0..n_old as u16)
+                .filter(|&d| seqno != 0 && retracts[usize::from(d)])
+                .collect();
+            let ls = LinkStateMsg {
+                from: old_view.members[origin],
+                to: me_id,
+                view: 1,
+                round: 1,
+                basis_ms: 0,
+                width: n_old as u16,
+                row: Arc::new(LaneRow::from_pairs(&pairs).with_version(seqno, &retracted)),
+            };
+            let frame = if full { Message::LinkState(ls) } else { Message::LinkStateSparse(ls) };
+            node.on_packet(at, &frame.encode(), &mut out);
+        }
+        // One routing tick, so the node holds its own row too.
+        node.on_timer(100.0, TOKEN_ROUTING, &mut out);
+
+        // The model: every held row widened, moved by identity, reduced.
+        let max_age = node.config().protocol.staleness_s();
+        let me_new = new_view.index_of(me_id).unwrap();
+        let grid = Grid::new(new_view.len());
+        let mut model = RowStore::new(new_view.len());
+        let held = node.quorum_router().expect("quorum node").table();
+        for (origin, received_at, lanes) in held.held_lanes() {
+            let new_origin = new_view.index_of(old_view.members[origin]);
+            let Some(new_origin) = new_origin.filter(|_| install_at - received_at <= max_age) else {
+                continue;
+            };
+            if new_origin != me_new && !grid.serves(new_origin, me_new) {
+                continue;
+            }
+            let dense = lanes.as_row_ref(n_old).to_dense();
+            let entries: Vec<LinkEntry> = new_view
+                .members
+                .iter()
+                .map(|&id| old_view.index_of(id).map_or_else(LinkEntry::dead, |d| dense[d]))
+                .collect();
+            let retracted: Vec<u16> = lanes
+                .retracted()
+                .iter()
+                .filter_map(|&d| new_view.index_of(old_view.members[usize::from(d)]))
+                .map(|d| d as u16)
+                .collect();
+            let row = LaneRow::from_dense(&entries).with_version(lanes.seqno(), &retracted);
+            model.put_row(new_origin, Arc::new(row), received_at);
+        }
+
+        let view2 = Message::View(apor_linkstate::wire::ViewMsg {
+            from: me_id,
+            to: me_id,
+            view: 2,
+            members: new_view.members.clone(),
+        });
+        node.on_packet(install_at, &view2.encode(), &mut out);
+        prop_assert_eq!(node.my_index(), Some(me_new));
+        let carried: Vec<(usize, u64, LaneRow)> = node
+            .quorum_router()
+            .expect("quorum node")
+            .table()
+            .held_lanes()
+            .map(|(origin, at, row)| (origin, at.to_bits(), LaneRow::clone(row)))
+            .collect();
+        let want: Vec<(usize, u64, LaneRow)> = model
+            .held_lanes()
+            .map(|(origin, at, row)| (origin, at.to_bits(), LaneRow::clone(row)))
+            .collect();
+        prop_assert_eq!(carried, want);
     }
 }
 

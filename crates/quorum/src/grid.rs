@@ -85,26 +85,21 @@ impl fmt::Display for GridShape {
     }
 }
 
-/// The default rendezvous nodes of one pair, ascending and distinct:
-/// what [`Grid::default_rendezvous_pair`] returns. Reads as a
+/// The default rendezvous nodes of one pair — the grid crossings that
+/// exist, one or two of them, ascending and distinct: what
+/// [`Grid::default_rendezvous_pair`] returns. Held inline; reads as a
 /// `[usize]` slice.
-#[derive(Clone)]
-pub enum RendezvousPair {
-    /// The grid crossings that exist: the first `.1` (one or two)
-    /// elements of `.0`, held inline.
-    Crossings([usize; 2], usize),
-    /// Both crossing cells are blank: the pair's common rendezvous.
-    Common(Vec<usize>),
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct RendezvousPair {
+    nodes: [usize; 2],
+    len: usize,
 }
 
 impl std::ops::Deref for RendezvousPair {
     type Target = [usize];
 
     fn deref(&self) -> &[usize] {
-        match self {
-            RendezvousPair::Crossings(nodes, len) => &nodes[..*len],
-            RendezvousPair::Common(nodes) => nodes,
-        }
+        &self.nodes[..self.len]
     }
 }
 
@@ -271,24 +266,41 @@ impl Grid {
     /// row and column, plus incomplete-row extras. Sorted, deduplicated.
     #[must_use]
     pub fn rendezvous_set(&self, i: usize) -> Vec<usize> {
+        let mut set = Vec::new();
+        self.rendezvous_set_into(i, &mut set);
+        set
+    }
+
+    /// [`rendezvous_set`](Self::rendezvous_set) written over `set`,
+    /// whose allocation is reused.
+    fn rendezvous_set_into(&self, i: usize, set: &mut Vec<usize>) {
         let (r, c) = self.position(i);
-        let mut set: Vec<usize> = self
-            .row_members(r)
-            .chain(self.col_members(c))
-            .chain(self.extra_partners(i))
-            .collect();
+        set.clear();
+        set.extend(
+            self.row_members(r)
+                .chain(self.col_members(c))
+                .chain(self.extra_partners(i)),
+        );
         set.sort_unstable();
         set.dedup();
-        set
     }
 
     /// The rendezvous servers of `i` — `Rᵢ` without `i` itself; the nodes
     /// that receive `i`'s link state in round one. Sorted.
     #[must_use]
     pub fn rendezvous_servers(&self, i: usize) -> Vec<usize> {
-        let mut set = self.rendezvous_set(i);
-        set.retain(|&x| x != i);
+        let mut set = Vec::new();
+        self.rendezvous_servers_into(i, &mut set);
         set
+    }
+
+    /// [`rendezvous_servers`](Self::rendezvous_servers) written over
+    /// `set`, whose allocation is reused: a caller that asks about one
+    /// node after another (the failover sweep asks about every
+    /// destination under a double failure, every tick) keeps one buffer.
+    pub fn rendezvous_servers_into(&self, i: usize, set: &mut Vec<usize>) {
+        self.rendezvous_set_into(i, set);
+        set.retain(|&x| x != i);
     }
 
     /// The rendezvous clients of `i` — the nodes whose link state `i`
@@ -337,17 +349,22 @@ impl Grid {
     /// 4.1) watches exactly these — once per destination per routing
     /// tick, so the crossings come back inline, without a heap
     /// allocation (see [`RendezvousPair`]).
+    ///
+    /// At least one crossing always exists. Placement is row-major, so
+    /// only the last row has blank cells: `(rowᵢ, colⱼ)` is blank only
+    /// if `i` is in the last row and `j`'s column is beyond its end,
+    /// and `(rowⱼ, colᵢ)` only the other way round — both at once would
+    /// put `i` and `j` in the last row *and* beyond its end.
     #[must_use]
     pub fn default_rendezvous_pair(&self, i: usize, j: usize) -> RendezvousPair {
         let (ri, ci) = self.position(i);
         let (rj, cj) = self.position(j);
-        match (self.at(ri, cj), self.at(rj, ci)) {
-            (Some(x), Some(y)) if x != y => RendezvousPair::Crossings([x.min(y), x.max(y)], 2),
-            (Some(x), _) | (None, Some(x)) => RendezvousPair::Crossings([x, x], 1),
-            // Blank crossing cells (incomplete grid): fall back to any
-            // common rendezvous, which the extras guarantee to exist.
-            (None, None) => RendezvousPair::Common(self.common_rendezvous(i, j)),
-        }
+        let (nodes, len) = match (self.at(ri, cj), self.at(rj, ci)) {
+            (Some(x), Some(y)) if x != y => ([x.min(y), x.max(y)], 2),
+            (Some(x), _) | (None, Some(x)) => ([x, x], 1),
+            (None, None) => unreachable!("two nodes of the last row cross inside it"),
+        };
+        RendezvousPair { nodes, len }
     }
 
     /// Failover candidates for reaching destination `dst` (section 4.1):
@@ -542,18 +559,15 @@ mod tests {
         }
     }
 
-    /// The pair is the crossings that exist, ascending and distinct,
-    /// else the common rendezvous — spot cases, then the definition
-    /// spelled out with a `Vec` over every valid shape of small grids.
+    /// The pair is the crossings that exist, ascending and distinct —
+    /// spot cases, then the definition spelled out with a `Vec` over
+    /// every valid shape of small grids, where at least one crossing
+    /// always does exist.
     #[test]
     fn default_pair_crossings_and_blank_cells() {
         // Complete grid: both crossings exist.
         let g = Grid::new(9);
         assert_eq!(*g.default_rendezvous_pair(8, 0), [2, 6]);
-        assert!(matches!(
-            g.default_rendezvous_pair(8, 0),
-            RendezvousPair::Crossings([2, 6], 2)
-        ));
         // Same row: the crossings are the endpoints themselves.
         assert_eq!(*g.default_rendezvous_pair(3, 5), [3, 5]);
         // One node is its own only crossing.
@@ -581,9 +595,7 @@ mod tests {
                                 [g.at(ri, cj), g.at(rj, ci)].into_iter().flatten().collect();
                             want.sort_unstable();
                             want.dedup();
-                            if want.is_empty() {
-                                want = g.common_rendezvous(i, j);
-                            }
+                            assert!(!want.is_empty(), "n={n} {shape} pair ({i},{j})");
                             let got = g.default_rendezvous_pair(i, j);
                             assert_eq!(*got, *want, "n={n} {shape} pair ({i},{j})");
                             assert!(!got.is_empty());

@@ -165,34 +165,31 @@ impl RoutingAlgorithm for FullMeshRouter {
         0
     }
 
+    /// The matrix rows, each reduced to lanes: this is where the
+    /// baseline's layout meets the carried-row type.
     fn export_rows(&self) -> Vec<VersionedRow> {
         (0..self.n)
             .filter_map(|origin| {
+                let received_at = self.row_time[origin]?;
                 let slots = origin * self.n..(origin + 1) * self.n;
+                let entries: Vec<LinkEntry> = self.latency[slots.clone()]
+                    .iter()
+                    .zip(&self.liveness[slots])
+                    .map(|(&l, &b)| LinkEntry::from_wire_parts(l, b))
+                    .collect();
                 Some(VersionedRow {
                     origin,
-                    received_at: self.row_time[origin]?,
-                    seqno: 0,
-                    retractions: Vec::new(),
-                    entries: self.latency[slots.clone()]
-                        .iter()
-                        .zip(&self.liveness[slots])
-                        .map(|(&l, &b)| LinkEntry::from_wire_parts(l, b))
-                        .collect(),
+                    received_at,
+                    row: Arc::new(LaneRow::from_dense(&entries)),
                 })
             })
             .collect()
     }
 
-    fn import_row(&mut self, row: &VersionedRow) {
-        // Full mesh: every row is entitled.
-        if row.entries.len() == self.n {
-            self.store_row(
-                row.origin,
-                &LaneRow::from_dense(&row.entries),
-                row.received_at,
-            );
-        }
+    fn import_row(&mut self, carried: VersionedRow) {
+        // Full mesh: every row is entitled; `store_row` refuses what is
+        // out of range.
+        self.store_row(carried.origin, &carried.row, carried.received_at);
     }
 }
 
@@ -336,15 +333,14 @@ mod tests {
             VersionedRow {
                 origin: 3,
                 received_at: 2.5,
-                seqno: 0,
-                retractions: Vec::new(),
-                entries: want,
+                row: Arc::new(LaneRow::from_dense(&want)),
             }
         );
+        assert_eq!(exported[0].row.as_row_ref(4).to_dense(), want);
 
         // A carried row crosses a remap as it was received.
         let mut rebuilt = FullMeshRouter::new(0, 4, 8, ProtocolConfig::ron());
-        rebuilt.import_row(&exported[0]);
+        rebuilt.import_row(exported[0].clone());
         assert_eq!(rebuilt.export_rows(), exported);
         assert_eq!(rebuilt.route_age(3, 4.0), Some(1.5));
 

@@ -59,22 +59,23 @@ pub use quorum_router::{QuorumRouter, RouteDecision};
 
 use apor_linkstate::Message;
 
-/// One exported link-state row together with its route-discipline
-/// version: what the overlay carries across a membership change so the
-/// rebuilt router keeps both the measurements *and* the seqno guard
-/// (a carried row must not be replayable over a newer one).
+/// One held link-state row on its way across a membership change: the
+/// row as the store holds it — live-entry lanes, the origin's seqno and
+/// its retraction lane, all inside the shared [`LaneRow`] — plus where
+/// it belongs and when it arrived. The rebuilt router so keeps both the
+/// measurements *and* the seqno guard (a carried row must not be
+/// replayable over a newer one), and nothing on the way widens the row
+/// to one slot per member.
+///
+/// [`LaneRow`]: apor_linkstate::LaneRow
 #[derive(Debug, Clone, PartialEq)]
 pub struct VersionedRow {
-    /// Row origin (grid index in the view the row was exported from).
+    /// Row origin (grid index in the view the row is expressed in).
     pub origin: usize,
     /// Original receipt time, seconds (freshness keeps applying).
     pub received_at: f64,
-    /// The origin's row seqno (0 = unversioned).
-    pub seqno: u16,
-    /// Destinations the origin explicitly retracted at this seqno.
-    pub retractions: Vec<u16>,
-    /// The row entries, full width.
-    pub entries: Vec<apor_linkstate::LinkEntry>,
+    /// The row: destinations are grid indices of the same view.
+    pub row: std::sync::Arc<apor_linkstate::LaneRow>,
 }
 
 /// The routing-side behaviour shared by the full-mesh baseline and the
@@ -107,11 +108,12 @@ pub trait RoutingAlgorithm {
     /// full-mesh baseline, which has no rendezvous.
     fn double_rendezvous_failures(&self, now: f64) -> usize;
 
-    /// Snapshot every held link-state row, with its origin's seqno and
-    /// retraction lane (the baseline exports seqno 0, nothing
-    /// retracted) — the overlay layer uses this on a membership change
-    /// to carry surviving measurements into the freshly built router
-    /// (the *incremental view remap*) instead of rebuilding from empty.
+    /// Snapshot every held link-state row (the baseline's carry seqno
+    /// 0, nothing retracted) — the overlay layer uses this on a
+    /// membership change to carry surviving measurements into the next
+    /// view's router (the *incremental view remap*) instead of starting
+    /// it from empty. The quorum router shares the lanes its store
+    /// holds; nothing is copied.
     fn export_rows(&self) -> Vec<VersionedRow>;
 
     /// Install a row carried over from a previous view, already
@@ -119,5 +121,5 @@ pub trait RoutingAlgorithm {
     /// *original* receipt time (so the 3-interval freshness rule keeps
     /// applying). Implementations drop rows their role does not entitle
     /// them to; out-of-range rows are ignored.
-    fn import_row(&mut self, row: &VersionedRow);
+    fn import_row(&mut self, row: VersionedRow);
 }

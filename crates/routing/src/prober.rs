@@ -110,44 +110,98 @@ impl Prober {
     #[must_use]
     pub fn new(me: usize, n: usize, config: ProtocolConfig, now: f64) -> Self {
         config.validate();
-        let mut prober = Prober {
+        let prober = Prober {
             me,
             n,
+            config,
             targets: Vec::new(),
             adopted: Vec::new(),
-            #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-            adopted_cap: 4 * (n as f64).sqrt() as usize + 64,
+            adopted_cap: 0,
             next_seq: 0,
             sample_epoch: 0,
-            sample_rotate_at: now + config.probe_interval_s,
+            sample_rotate_at: now,
             probe_rtt_us: None,
             probe_targets: None,
             probe_sampled: None,
             tracer: Tracer::disabled(),
             trace_ctx: None,
             link_losses: Vec::new(),
-            config,
         };
-        match prober.config.probe_policy {
-            ProbePolicy::FullMesh => {
-                prober.targets = (0..n)
-                    .filter(|&j| j != me)
-                    .map(|j| prober.make_target(j, true, now))
-                    .collect();
-            }
-            ProbePolicy::Entitled => {
-                let mut entitled = Grid::new(n).rendezvous_servers(me);
-                entitled.sort_unstable();
-                entitled.dedup();
-                prober.targets = entitled
-                    .into_iter()
-                    .map(|j| prober.make_target(j, true, now))
-                    .collect();
-                prober.rotate_sample(now);
-            }
+        prober.reinstall(me, n, now, |_| None)
+    }
+
+    /// This prober rebuilt for node `me` of `n` at `now`, as a
+    /// membership change calls for: the target set, the probe schedule
+    /// and the sequence numbers start over exactly as in
+    /// [`Prober::new`], adopted gauges and undrained link losses are
+    /// forgotten, and the settings, the telemetry cells and the tracer
+    /// stay. What crosses the change is measurement history: a target
+    /// of the old prober that `new_index` maps to a target of the new
+    /// one (`new_index(old peer) = Some(new peer)`, order-preserving, as
+    /// a translation between two sorted member lists is) stays where it
+    /// is, estimator and all, under its new index and a fresh schedule —
+    /// so a view bump does not blind the overlay for a probing
+    /// interval. Only the old targets are walked, `~2√n + 16` of them
+    /// under entitled probing, and their vector is the new one's.
+    #[must_use]
+    pub fn reinstall(
+        mut self,
+        me: usize,
+        n: usize,
+        now: f64,
+        new_index: impl Fn(usize) -> Option<usize>,
+    ) -> Self {
+        self.me = me;
+        self.n = n;
+        self.adopted.clear();
+        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        {
+            self.adopted_cap = 4 * (n as f64).sqrt() as usize + 64;
         }
-        prober.publish_target_gauges();
-        prober
+        self.next_seq = 0;
+        self.sample_epoch = 1;
+        self.sample_rotate_at = now + self.config.probe_interval_s;
+        self.trace_ctx = None;
+        self.link_losses.clear();
+
+        // Who is probed in this view, ascending: `(peer, entitled)`.
+        let mut wanted: Vec<(usize, bool)> = match self.config.probe_policy {
+            ProbePolicy::FullMesh => (0..n).filter(|&j| j != me).map(|j| (j, true)).collect(),
+            ProbePolicy::Entitled => {
+                let servers = Grid::new(n).rendezvous_servers(me);
+                let sample = self.draw_sample(servers.len(), |p| servers.binary_search(&p).is_ok());
+                let mut wanted: Vec<(usize, bool)> = servers.iter().map(|&j| (j, true)).collect();
+                wanted.extend(sample.into_iter().map(|j| (j, false)));
+                wanted.sort_unstable();
+                wanted
+            }
+        };
+        // Old targets probed again keep their slot and their estimator;
+        // the others leave. `wanted` keeps who is still missing.
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.retain_mut(|t| {
+            let again =
+                new_index(t.peer).and_then(|peer| wanted.binary_search_by_key(&peer, |w| w.0).ok());
+            let Some(at) = again else { return false };
+            let (peer, entitled) = wanted.remove(at);
+            (t.peer, t.entitled) = (peer, entitled);
+            t.rate = AdaptiveProbeRate::new(&self.config, self.config.probe_interval_s);
+            t.next_probe_at = self.first_probe_at(peer, entitled, now);
+            t.pending = None;
+            true
+        });
+        let carried = targets.len();
+        targets.extend(
+            wanted
+                .into_iter()
+                .map(|(peer, entitled)| self.make_target(peer, entitled, now)),
+        );
+        if carried > 0 && targets.len() > carried {
+            targets.sort_unstable_by_key(|t| t.peer);
+        }
+        self.targets = targets;
+        self.publish_target_gauges();
+        self
     }
 
     /// Attach a telemetry handle: probe RTTs enter the
@@ -180,19 +234,36 @@ impl Prober {
         }
     }
 
-    fn make_target(&self, peer: usize, entitled: bool, now: f64) -> TargetState {
-        // Deterministic per-pair phase in (0, p], quantized to 0.5 s
-        // slots. The quantum matters: 0.5 s is dyadic, so with the
-        // default half-second-multiple timings every probe deadline is
-        // an *exact* f64 multiple of 0.5 s past the node's start, and a
+    /// When a target created (or restarted) at `now` is first probed.
+    fn first_probe_at(&self, peer: usize, entitled: bool, now: f64) -> f64 {
+        // Deterministic per-pair phase, quantized to 0.5 s slots. The
+        // quantum matters: 0.5 s is dyadic, so with the default
+        // half-second-multiple timings every probe deadline is an
+        // *exact* f64 multiple of 0.5 s past the node's start, and a
         // driver polling on a fixed 0.5 s tick fires at bit-identical
         // instants to one waking on `next_wake` — the replay test's
-        // guarantee. Slot 0 is skipped: a deadline *at* creation time
-        // would fire immediately under a coalesced driver but only at
-        // the first tick under a polling one.
+        // guarantee.
+        let slot = self.me * 31 + peer * 17;
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let slots = ((self.config.probe_interval_s * 2.0) as usize).max(1);
-        let phase = ((self.me * 31 + peer * 17) % slots + 1) as f64 * 0.5;
+        let phase = if entitled {
+            // In (0, p]. Slot 0 is skipped: a deadline *at* creation
+            // time would fire immediately under a coalesced driver but
+            // only at the first tick under a polling one.
+            let slots = ((self.config.probe_interval_s * 2.0) as usize).max(1);
+            slot % slots + 1
+        } else {
+            // Sampled links are short-lived: probe within the epoch.
+            // Slot 0 is fine here: after the first epoch rotation
+            // happens *inside* a poll, which goes on to emit anything
+            // already due in the same call.
+            let slots = ((self.config.rapid_probe_interval_s * 2.0) as usize).max(1);
+            slot % slots
+        };
+        now + phase as f64 * 0.5
+    }
+
+    /// A never-measured target at the start of its schedule.
+    fn make_target(&self, peer: usize, entitled: bool, now: f64) -> TargetState {
         TargetState {
             peer,
             entitled,
@@ -202,7 +273,7 @@ impl Prober {
                 LinkEstimator::DEFAULT_WINDOW,
             ),
             rate: AdaptiveProbeRate::new(&self.config, self.config.probe_interval_s),
-            next_probe_at: now + phase,
+            next_probe_at: self.first_probe_at(peer, entitled, now),
             pending: None,
         }
     }
@@ -220,16 +291,14 @@ impl Prober {
         self.targets.binary_search_by_key(&peer, |t| t.peer).ok()
     }
 
-    /// Replace the sampled (non-entitled) targets with the next epoch's
-    /// deterministic draw of `probe_sample_budget` peers.
-    fn rotate_sample(&mut self, now: f64) {
-        self.sample_epoch += 1;
-        self.sample_rotate_at = now + self.config.probe_interval_s;
-        self.targets.retain(|t| t.entitled);
+    /// The current epoch's deterministic draw of up to
+    /// `probe_sample_budget` sampled peers, given how many entitled
+    /// targets there are and which peers they are.
+    fn draw_sample(&self, entitled: usize, is_entitled: impl Fn(usize) -> bool) -> Vec<usize> {
         let budget = self
             .config
             .probe_sample_budget
-            .min(self.n.saturating_sub(self.targets.len() + 1));
+            .min(self.n.saturating_sub(entitled + 1));
         let mut picked: Vec<usize> = Vec::with_capacity(budget);
         let mut attempt: u64 = 0;
         while picked.len() < budget && attempt < 64 * budget as u64 {
@@ -237,23 +306,23 @@ impl Prober {
                 splitmix64((self.me as u64) ^ self.sample_epoch.rotate_left(17) ^ (attempt << 40));
             attempt += 1;
             let peer = (h % self.n as u64) as usize;
-            if peer == self.me
-                || picked.contains(&peer)
-                || self.targets.binary_search_by_key(&peer, |t| t.peer).is_ok()
-            {
+            if peer == self.me || picked.contains(&peer) || is_entitled(peer) {
                 continue;
             }
             picked.push(peer);
         }
+        picked
+    }
+
+    /// Replace the sampled (non-entitled) targets with the next epoch's
+    /// draw, each starting from nothing.
+    fn rotate_sample(&mut self, now: f64) {
+        self.sample_epoch += 1;
+        self.sample_rotate_at = now + self.config.probe_interval_s;
+        self.targets.retain(|t| t.entitled);
+        let picked = self.draw_sample(self.targets.len(), |peer| self.target(peer).is_some());
         for peer in picked {
-            let mut t = self.make_target(peer, false, now);
-            // Sampled links are short-lived: probe within the epoch.
-            // Same 0.5 s phase quantum as `make_target`; slot 0 is fine
-            // here because rotation happens *inside* a poll, which goes
-            // on to emit anything already due in the same call.
-            #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-            let slots = ((self.config.rapid_probe_interval_s * 2.0) as usize).max(1);
-            t.next_probe_at = now + ((self.me * 31 + peer * 17) % slots) as f64 * 0.5;
+            let t = self.make_target(peer, false, now);
             self.targets.push(t);
         }
         self.targets.sort_unstable_by_key(|t| t.peer);
@@ -449,23 +518,6 @@ impl Prober {
     #[must_use]
     pub fn latency_ms(&self, j: usize) -> Option<f64> {
         self.targets[self.target(j)?].estimator.latency_ms()
-    }
-
-    /// Borrow the estimator for `j`, when `j` is a probe target.
-    #[must_use]
-    pub fn estimator(&self, j: usize) -> Option<&LinkEstimator> {
-        Some(&self.targets[self.target(j)?].estimator)
-    }
-
-    /// Inject an estimator for `j` — used on membership change to carry
-    /// latency/liveness history over to a freshly built prober, so a view
-    /// bump does not blind the overlay for a probing interval. Ignored
-    /// when `j` is not a probe target of this prober.
-    pub fn set_estimator(&mut self, j: usize, est: LinkEstimator) {
-        assert!(j < self.n);
-        if let Some(i) = self.target(j) {
-            self.targets[i].estimator = est;
-        }
     }
 
     /// Render the node's own link-state row at `now` (self entry:
@@ -840,5 +892,98 @@ mod tests {
         let target = p.targets[0].peer;
         p.adopt_gauge(target, 1, 0, 5.0);
         assert!(!p.own_row(6.0)[target].alive || p.latency_ms(target).is_some());
+    }
+
+    /// Drive `p` for a while against peers of which every third falls
+    /// silent after a minute: estimators fill, links die and queue as
+    /// losses, rates adapt, the sample rotates, gauges are adopted.
+    fn live_a_little(p: &mut Prober, until: f64) {
+        let mut t = 0.0;
+        while t < until {
+            for (to, seq) in send_probes(&p.poll(t)) {
+                if to % 3 != 0 || t < 60.0 {
+                    p.on_reply(to, seq, t + 0.01 * (1 + to % 7) as f64);
+                }
+            }
+            t += 0.5;
+        }
+        let outsider = (0..p.n).find(|&j| j != p.me && p.target(j).is_none());
+        if let Some(j) = outsider {
+            p.adopt_gauge(j, 25, 10, until);
+        }
+    }
+
+    /// A prober rebuilt from one that has lived is, field for field, the
+    /// prober built from nothing for the same `(me, n, now)` on the same
+    /// registry and tracer, when no target's history carries over:
+    /// `Debug` prints every field.
+    #[test]
+    fn a_reinstalled_prober_equals_a_fresh_one() {
+        for cfg in [quorum_cfg(), entitled_cfg()] {
+            let telemetry = Telemetry::new(4);
+            let tracer = Tracer::new(4, 16);
+            let mut lived = Prober::new(5, 40, cfg.clone(), 0.0)
+                .with_telemetry(&telemetry)
+                .with_tracer(tracer.clone());
+            live_a_little(&mut lived, 200.0);
+            lived.note_episode(TraceCtx {
+                episode: 3,
+                origin: 5,
+                hop: 1,
+            });
+            assert!(lived.next_seq > 0 && !lived.link_losses.is_empty());
+            assert!(lived.trace_ctx.is_some() && lived.concurrent_failures() > 0);
+            for (me, n, now) in [(2, 33, 210.0), (17, 64, 300.5), (0, 2, 400.0)] {
+                let reinstalled = lived.reinstall(me, n, now, |_| None);
+                let fresh = Prober::new(me, n, cfg.clone(), now)
+                    .with_telemetry(&telemetry)
+                    .with_tracer(tracer.clone());
+                assert_eq!(format!("{reinstalled:?}"), format!("{fresh:?}"));
+                lived = reinstalled;
+                live_a_little(&mut lived, 100.0);
+            }
+        }
+    }
+
+    /// History crosses a view change with the targets that are probed
+    /// again, and only with those: the rebuilt prober is the fresh one
+    /// with the old estimator injected wherever the same member is a
+    /// target on both sides — what the carry did when it cloned an
+    /// estimator per member.
+    #[test]
+    fn reinstall_carries_estimators_by_identity() {
+        for cfg in [quorum_cfg(), entitled_cfg()] {
+            let n_old = 64;
+            let mut old = Prober::new(9, n_old, cfg.clone(), 0.0);
+            live_a_little(&mut old, 150.0);
+            // Members 3, 9's neighbour 10, and 40..48 leave; everybody
+            // above a departed member moves down.
+            let stays = |j: usize| j != 3 && j != 10 && !(40..48).contains(&j);
+            let new_index = |j: usize| stays(j).then(|| (0..j).filter(|&k| stays(k)).count());
+            let (me, n) = (
+                new_index(9).unwrap(),
+                (0..n_old).filter(|&j| stays(j)).count(),
+            );
+            let history: Vec<(usize, LinkEstimator)> = old
+                .targets
+                .iter()
+                .filter_map(|t| Some((new_index(t.peer)?, t.estimator.clone())))
+                .collect();
+            let mut want = Prober::new(me, n, cfg.clone(), 150.0);
+            let mut carried = 0;
+            for t in &mut want.targets {
+                if let Some((_, est)) = history.iter().find(|(peer, _)| *peer == t.peer) {
+                    t.estimator = est.clone();
+                    carried += 1;
+                }
+            }
+            assert!(carried > 0);
+            if cfg.probe_policy == ProbePolicy::Entitled {
+                assert!(carried < want.targets.len(), "some targets are new");
+            }
+            let got = old.reinstall(me, n, 150.0, new_index);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert!(got.targets.windows(2).all(|w| w[0].peer < w[1].peer));
+        }
     }
 }

@@ -146,6 +146,7 @@ impl RouterCounters {
 }
 
 /// The per-node quorum routing state machine.
+#[derive(Debug)]
 pub struct QuorumRouter {
     me: usize,
     n: usize,
@@ -203,22 +204,45 @@ pub struct QuorumRouter {
     trace_ctx: Option<(TraceCtx, u32)>,
 }
 
+/// What of a router outlives the view it was built for: the settings,
+/// the handles it reports into, and the storage of everything sized by
+/// the view. [`QuorumRouter::assemble`] turns it into a router for a
+/// view, and is the only thing that does — so a router built from
+/// nothing and one built over a predecessor's parts go through the same
+/// code and cannot differ in anything but spare capacity.
+struct Parts {
+    config: ProtocolConfig,
+    table: RowStore,
+    own_row: Vec<LinkEntry>,
+    my_servers: Vec<usize>,
+    routes: Vec<Option<RouteEntry>>,
+    rec_seen: Vec<Vec<(usize, f64)>>,
+    serving_since: Vec<f64>,
+    failover: Vec<FailoverState>,
+    retractions: BTreeMap<u16, u32>,
+    feasibility: FeasibilityTable,
+    counters: RouterCounters,
+    tracer: Tracer,
+}
+
 impl QuorumRouter {
     /// A quorum router for node `me` under membership `view` of size `n`,
     /// its row store under the `O(√n)` entitlement guard (stale rows are
     /// shed under capacity pressure — see
-    /// [`RowStore::with_entitlement`]).
+    /// [`RowStore::with_entitlement`]). It counts, but reports into no
+    /// registry.
     ///
     /// # Panics
     /// Panics if `me ≥ n`.
     #[must_use]
     pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
-        let store = RowStore::with_entitlement(n, Self::row_entitlement(n), config.staleness_s());
-        Self::over(me, n, view, config, store)
+        Self::new_with_telemetry(me, n, view, config, &Telemetry::disabled())
     }
 
-    /// [`QuorumRouter::new`] with both the router counters and the
-    /// backing [`RowStore`] registered against a live `telemetry`.
+    /// [`QuorumRouter::new`] with the router counters, the feasibility
+    /// table and the backing [`RowStore`] registered on `telemetry` —
+    /// each cell once. Re-using a registry a previous router reported
+    /// into resumes its cumulative cells.
     #[must_use]
     pub fn new_with_telemetry(
         me: usize,
@@ -227,9 +251,55 @@ impl QuorumRouter {
         config: ProtocolConfig,
         telemetry: &Telemetry,
     ) -> Self {
-        let store = RowStore::with_entitlement(n, Self::row_entitlement(n), config.staleness_s())
-            .with_telemetry(telemetry.clone());
-        Self::over(me, n, view, config, store).with_telemetry(telemetry)
+        // `assemble` sizes the store and sets its real entitlement.
+        let table = RowStore::with_entitlement(n, 0, config.staleness_s(), telemetry.clone());
+        let parts = Parts {
+            config,
+            table,
+            own_row: Vec::new(),
+            my_servers: Vec::new(),
+            routes: Vec::new(),
+            rec_seen: Vec::new(),
+            serving_since: Vec::new(),
+            failover: Vec::new(),
+            retractions: BTreeMap::new(),
+            feasibility: FeasibilityTable::with_telemetry(telemetry),
+            counters: RouterCounters::new(telemetry),
+            tracer: Tracer::disabled(),
+        };
+        Self::assemble(me, n, view, parts)
+    }
+
+    /// This router rebuilt for node `me` under membership `view` of
+    /// size `n`: settings, registry cells and tracer are kept, every
+    /// vector sized by the view is emptied and resized in place, and
+    /// nothing it knew — rows, routes, failovers, retractions, seqno,
+    /// feasibility distances — survives. What should survive a view
+    /// change is [exported](RoutingAlgorithm::export_rows) first and
+    /// [imported](RoutingAlgorithm::import_row) afterwards. The result
+    /// is what [`QuorumRouter::new_with_telemetry`] (and
+    /// [`with_tracer`](Self::with_tracer)) would have built on the same
+    /// registry, without its allocations.
+    ///
+    /// # Panics
+    /// Panics if `me ≥ n`.
+    #[must_use]
+    pub fn reinstall(self, me: usize, n: usize, view: u32) -> Self {
+        let parts = Parts {
+            config: self.config,
+            table: self.table,
+            own_row: self.own_row,
+            my_servers: self.my_servers,
+            routes: self.routes,
+            rec_seen: self.rec_seen,
+            serving_since: self.serving_since,
+            failover: self.failover,
+            retractions: self.retractions,
+            feasibility: self.feasibility,
+            counters: self.counters,
+            tracer: self.tracer,
+        };
+        Self::assemble(me, n, view, parts)
     }
 
     /// The debug-asserted bound on *fresh* rows a quorum node may hold:
@@ -238,15 +308,51 @@ impl QuorumRouter {
     /// a failover rendezvous and sent us their link state).
     #[must_use]
     pub fn row_entitlement(n: usize) -> usize {
-        let grid = Grid::new(n.max(1));
+        Self::entitlement_in(&Grid::new(n.max(1)))
+    }
+
+    /// [`row_entitlement`](Self::row_entitlement) read off a grid
+    /// already built: the bound depends on its shape alone.
+    fn entitlement_in(grid: &Grid) -> usize {
         2 * grid.max_rendezvous_degree() + 16
     }
 
-    /// A fresh router over `table`, an empty store of width `n`.
-    fn over(me: usize, n: usize, view: u32, config: ProtocolConfig, table: RowStore) -> Self {
+    /// A router for `(me, n, view)` with no history, over `parts`.
+    /// Whatever `parts`' vectors and maps held is discarded; their
+    /// allocations are what is kept. (The per-server `rec_seen` lists
+    /// are freed, not kept: which indices are servers changes with the
+    /// view, and capacity left at the old ones would only pile up.)
+    fn assemble(me: usize, n: usize, view: u32, parts: Parts) -> Self {
         assert!(me < n);
+        let Parts {
+            config,
+            mut table,
+            mut own_row,
+            mut my_servers,
+            mut routes,
+            mut rec_seen,
+            mut serving_since,
+            mut failover,
+            mut retractions,
+            mut feasibility,
+            counters,
+            tracer,
+        } = parts;
         let grid = Grid::new(n);
-        let my_servers = grid.rendezvous_servers(me);
+        table.reset(n, Self::entitlement_in(&grid));
+        own_row.clear();
+        own_row.resize(n, LinkEntry::dead());
+        grid.rendezvous_servers_into(me, &mut my_servers);
+        routes.clear();
+        routes.resize(n, None);
+        rec_seen.clear();
+        rec_seen.resize_with(n, Vec::new);
+        serving_since.clear();
+        serving_since.resize(n, NEVER);
+        failover.clear();
+        failover.resize_with(n, FailoverState::default);
+        retractions.clear();
+        feasibility.clear();
         QuorumRouter {
             me,
             n,
@@ -255,35 +361,21 @@ impl QuorumRouter {
             round: 0,
             config,
             table,
-            own_row: vec![LinkEntry::dead(); n],
+            own_row,
             my_servers,
-            routes: vec![None; n],
-            rec_seen: vec![Vec::new(); n],
+            routes,
+            rec_seen,
             rec_seen_entries: 0,
             rec_seen_servers: 0,
-            serving_since: vec![NEVER; n],
-            failover: vec![FailoverState::default(); n],
+            serving_since,
+            failover,
             own_seqno: 0,
-            retractions: BTreeMap::new(),
-            feasibility: FeasibilityTable::new(),
-            counters: RouterCounters::new(&Telemetry::disabled()),
-            tracer: Tracer::disabled(),
+            retractions,
+            feasibility,
+            counters,
+            tracer,
             trace_ctx: None,
         }
-    }
-
-    /// Attach a live telemetry registry: the counters and the `rec_seen`
-    /// byte gauges re-register against `telemetry`. Counts recorded on
-    /// the previous (default: disabled) registry are left behind, but
-    /// re-attaching the same registry — e.g. when a view change rebuilds
-    /// the router — resumes its cumulative cells. The link-state store
-    /// keeps its own registration:
-    /// [`QuorumRouter::new_with_telemetry`] instruments both.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.counters = RouterCounters::new(telemetry);
-        self.feasibility = FeasibilityTable::with_telemetry(telemetry);
-        self
     }
 
     /// Attach a causal tracer (disabled by default; see
@@ -599,6 +691,10 @@ impl QuorumRouter {
     /// immediately).
     fn manage_failovers(&mut self, now: f64, rng: &mut ChaCha8Rng) -> Vec<usize> {
         let mut newly_selected = Vec::new();
+        // One candidate buffer for the whole sweep, refilled per
+        // destination; like the round-two lanes it lives for the tick,
+        // not in the router.
+        let mut pool = Vec::new();
         for dst in 0..self.n {
             if dst == self.me {
                 continue;
@@ -635,11 +731,12 @@ impl QuorumRouter {
             self.failover[dst].gave_up = false;
 
             // Pick a failover uniformly at random from dst's reachable
-            // row/column, excluding already-tried candidates. Candidates
-            // are derived from the grid on demand — caching them per
-            // destination would be O(n√n) aux state per node for a path
-            // that only runs under double failures.
-            let mut pool = self.grid.failover_candidates(dst);
+            // row/column ([`Grid::failover_candidates`]), excluding
+            // already-tried candidates. Candidates are derived from the
+            // grid on demand — caching them per destination would be
+            // O(n√n) aux state per node for a path that only runs under
+            // double failures.
+            self.grid.rendezvous_servers_into(dst, &mut pool);
             pool.retain(|&c| {
                 c != self.me
                     && c != dst
@@ -896,36 +993,34 @@ impl RoutingAlgorithm for QuorumRouter {
 
     fn export_rows(&self) -> Vec<VersionedRow> {
         self.table
-            .present_rows()
-            .into_iter()
-            .filter_map(|origin| {
-                let received_at = self.table.row_time(origin)?;
-                Some(VersionedRow {
-                    origin,
-                    received_at,
-                    seqno: self.table.row_seqno(origin),
-                    retractions: self.table.row_retractions(origin),
-                    entries: self.table.row_dense(origin)?,
-                })
+            .held_lanes()
+            .map(|(origin, received_at, row)| VersionedRow {
+                origin,
+                received_at,
+                row: Arc::clone(row),
             })
             .collect()
     }
 
-    fn import_row(&mut self, row: &VersionedRow) {
-        if row.origin >= self.n || row.entries.len() != self.n {
+    fn import_row(&mut self, carried: VersionedRow) {
+        let VersionedRow {
+            origin,
+            received_at,
+            row,
+        } = carried;
+        let widest = row.lanes().0.last().map_or(0, |&d| usize::from(d));
+        if origin >= self.n || widest >= self.n {
             return;
         }
         // Entitlement: only keep rows this node's grid role grants it —
         // its own row and its rendezvous clients'. Rows from origins
         // that are no longer clients after the view change are dropped
         // rather than remapped, keeping state O(n√n).
-        if row.origin != self.me && !self.grid.serves(row.origin, self.me) {
+        if origin != self.me && !self.grid.serves(origin, self.me) {
             return;
         }
-        let lanes = LaneRow::from_dense(&row.entries).with_version(row.seqno, &row.retractions);
-        self.table
-            .put_row(row.origin, Arc::new(lanes), row.received_at);
-        self.trace_row_import(row.origin, row.received_at);
+        self.table.put_row(origin, row, received_at);
+        self.trace_row_import(origin, received_at);
     }
 }
 
@@ -933,7 +1028,7 @@ impl RoutingAlgorithm for QuorumRouter {
 mod tests {
     use super::*;
     use proptest::prelude::{any, prop, prop_assert_eq, proptest};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(12345)
@@ -1710,16 +1805,16 @@ mod tests {
         let rows = a.export_rows();
         let carried = rows.iter().find(|r| r.origin == 1).expect("row exported");
         assert_eq!(
-            (carried.seqno, carried.retractions.as_slice()),
+            (carried.row.seqno(), carried.row.retracted()),
             (9, &[6u16][..])
         );
         // A rebuilt router importing the carried row keeps the guard: a
         // delayed older frame from 1 is still rejected after the carry.
         let mut b = QuorumRouter::new(0, n, 1, ProtocolConfig::quorum());
-        b.import_row(carried);
+        b.import_row(carried.clone());
         assert_eq!(b.table().row_seqno(1), 9);
         assert!(b.table().row_retracts(1, 6));
-        let mut stale = carried.entries.clone();
+        let mut stale = row1;
         stale[6] = LinkEntry::live(5, 0.0);
         let _ = b.on_message(
             2.0,
@@ -1875,7 +1970,7 @@ mod tests {
             .any(|r| r.origin == 1 && r.received_at == 2.0));
         // A fresh router (same position) re-imports only entitled rows.
         let mut b = QuorumRouter::new(0, n, 1, cfg);
-        for row in &exported {
+        for row in exported {
             b.import_row(row);
         }
         assert!(b.table().row_time(1).is_some(), "client row carried");
@@ -1883,5 +1978,169 @@ mod tests {
             b.table().row_time(4).is_none(),
             "non-client row must be dropped by the entitlement filter"
         );
+    }
+
+    /// The sweep before it filled one buffer per tick: candidates from
+    /// `failover_candidates(dst)`, a fresh `Vec` per destination.
+    /// Returns the failover state it would leave and the servers it
+    /// would newly select, drawing from `rng`.
+    fn sweep_by_definition(
+        r: &QuorumRouter,
+        now: f64,
+        rng: &mut ChaCha8Rng,
+    ) -> (Vec<FailoverState>, Vec<usize>) {
+        let mut failover = r.failover.clone();
+        let mut newly = Vec::new();
+        for dst in (0..r.n).filter(|&d| d != r.me) {
+            let st = &mut failover[dst];
+            if !r.both_defaults_failed(dst, now) {
+                *st = FailoverState::default();
+                continue;
+            }
+            if let Some(f) = st.current {
+                if !r.server_failed(f, dst, now) {
+                    continue;
+                }
+                st.tried.insert(f);
+                st.current = None;
+            }
+            if !st.tried.is_empty() {
+                let reachable = r.table.anyone_reaches(dst, now, r.config.staleness_s())
+                    || r.own_row[dst].alive;
+                if !reachable {
+                    st.gave_up = true;
+                    continue;
+                }
+            }
+            st.gave_up = false;
+            let mut pool = r.grid.failover_candidates(dst);
+            pool.retain(|&c| c != r.me && c != dst && r.own_row[c].alive && !st.tried.contains(&c));
+            let Some(&f) = pool.choose(rng) else {
+                st.tried.clear();
+                continue;
+            };
+            st.current = Some(f);
+            st.tried.insert(f);
+            newly.push(f);
+        }
+        newly.sort_unstable();
+        newly.dedup();
+        (failover, newly)
+    }
+
+    /// On an incomplete grid (250 nodes on 16×16, ten in the last row)
+    /// with this node beyond the last row's end — so destinations there
+    /// have one crossing, the other cell being blank — and 80-odd
+    /// destinations under a double failure: sweep after sweep, as
+    /// failovers are tried, die and run out, the kept-buffer sweep
+    /// leaves the state and makes the draws the per-destination one did.
+    #[test]
+    fn failover_sweep_matches_the_per_destination_definition() {
+        let n = 250;
+        let me = 2 * 16 + 12;
+        let mut r = QuorumRouter::new(me, n, 0, ProtocolConfig::quorum());
+        assert!(!r.grid.is_complete());
+        assert_eq!(r.grid.default_rendezvous_pair(me, 15 * 16 + 3).len(), 1);
+        // My whole row is unreachable, and so are my column's nodes in
+        // five other rows: every destination of those rows has lost
+        // both default servers. A few destinations are dead outright.
+        let mut own = vec![LinkEntry::live(40, 0.0); n];
+        for c in 0..16 {
+            own[2 * 16 + c] = LinkEntry::dead();
+        }
+        own[me] = LinkEntry::live(0, 0.0);
+        for row in [0, 5, 9, 14, 15] {
+            if let Some(s) = r.grid.at(row, 12) {
+                own[s] = LinkEntry::dead();
+            }
+            own[row * 16 + 3] = LinkEntry::dead();
+        }
+        r.own_row.copy_from_slice(&own);
+        let mut rng = rng();
+        let mut selected_total = 0;
+        for sweep in 0..12 {
+            let now = f64::from(sweep) * 15.0;
+            let in_branch = (0..n)
+                .filter(|&d| d != me && r.both_defaults_failed(d, now))
+                .count();
+            assert!(in_branch >= 60, "{in_branch} destinations");
+            let mut model_rng = rng.clone();
+            let (want_state, want_new) = sweep_by_definition(&r, now, &mut model_rng);
+            let new = r.manage_failovers(now, &mut rng);
+            assert_eq!(new, want_new, "sweep {sweep}");
+            assert_eq!(format!("{:?}", r.failover), format!("{want_state:?}"));
+            assert_eq!(
+                rng.clone().gen::<u64>(),
+                model_rng.gen::<u64>(),
+                "sweep {sweep}: same draws"
+            );
+            selected_total += new.len();
+            // Whoever was just selected dies too, so the next sweep has
+            // tried candidates to exclude and, in time, pools to exhaust.
+            for f in new {
+                r.own_row[f] = LinkEntry::dead();
+            }
+        }
+        assert!(selected_total > 100, "{selected_total} selections");
+        assert!(r.failover.iter().any(|st| st.gave_up));
+    }
+
+    /// A router rebuilt over the parts of one that has lived — ticks,
+    /// recommendations held, failovers in progress, retractions pending,
+    /// rows stored, an episode armed — is, field for field, the router
+    /// built from nothing for the same `(me, n, view)` on the same
+    /// registry and tracer: `Debug` prints every field.
+    #[test]
+    fn a_reinstalled_router_equals_a_fresh_one() {
+        let telemetry = Telemetry::new(0);
+        let tracer = Tracer::new(0, 64);
+        let cfg = ProtocolConfig::quorum().with_detour_hops(4);
+        let n = 9;
+        let dead = [(0usize, 2usize), (0, 6), (0, 8)];
+        let mut costs = vec![vec![100u16; n]; n];
+        for i in 0..n {
+            costs[i][i] = 0;
+        }
+        for &(a, b) in &dead {
+            costs[a][b] = u16::MAX;
+            costs[b][a] = u16::MAX;
+        }
+        let refs: Vec<&[u16]> = costs.iter().map(|r| r.as_slice()).collect();
+        let mut rows = rows_from(&refs);
+        let mut fabric = Fabric::new(n, &cfg);
+        fabric.routers[0] = QuorumRouter::new_with_telemetry(0, n, 0, cfg.clone(), &telemetry)
+            .with_tracer(tracer.clone());
+        fabric.link_up = Box::new(move |f, t| !dead.contains(&(f, t)) && !dead.contains(&(t, f)));
+        for k in 0..5 {
+            fabric.tick(f64::from(k) * 15.0, &rows);
+        }
+        // A link dies late: a retraction is still being advertised.
+        rows[0][4] = LinkEntry::dead();
+        fabric.tick(75.0, &rows);
+        let mut lived = fabric.routers.swap_remove(0);
+        lived.on_link_loss(5, 76.0);
+        lived.note_episode(TraceCtx {
+            episode: 7,
+            origin: 0,
+            hop: 0,
+        });
+        assert!(lived.active_failover(8).is_some(), "a failover in progress");
+        assert!(lived.own_seqno() > 0 && !lived.retractions.is_empty());
+        assert!(lived.routes.iter().flatten().count() > 0);
+        assert!(lived.table.row_count() > 1 && lived.rec_seen_entries > 0);
+        assert!(lived.feasibility.entry(1).is_some() && lived.trace_ctx.is_some());
+
+        for (me, n, view) in [(3, 7, 2), (11, 30, 3), (0, 1, 4)] {
+            let reinstalled = lived.reinstall(me, n, view);
+            let fresh = QuorumRouter::new_with_telemetry(me, n, view, cfg.clone(), &telemetry)
+                .with_tracer(tracer.clone());
+            assert_eq!(format!("{reinstalled:?}"), format!("{fresh:?}"));
+            assert_eq!(reinstalled.table.peak_rows(), 0);
+            lived = reinstalled;
+            // Live a little in this view before the next one.
+            let mut own = vec![LinkEntry::live(20, 0.0); n];
+            own[me] = LinkEntry::live(0, 0.0);
+            let _ = lived.on_routing_tick(100.0, &own, &mut rng());
+        }
     }
 }

@@ -27,14 +27,17 @@ use crate::json::{self, Value};
 pub const CALIBRATION_ID: &str = "calibration/spin";
 
 /// Id prefixes gated by default: the round-two and merge kernels, in
-/// both the row-store working-set sweep and the stand-alone suites, and
-/// the control-frame path (socket → router ingest, tick → bytes) the
-/// end-to-end ledger ranks above them.
+/// both the row-store working-set sweep and the stand-alone suites, the
+/// control-frame path (socket → router ingest, tick → bytes) the
+/// end-to-end ledger ranks above them, and the membership path (a SWIM
+/// packet, an anti-entropy round, a view install) it ranks above both
+/// wherever views change.
 pub const DEFAULT_KERNEL_PREFIXES: &[&str] = &[
     "row_store",
     "round_two_full",
     "round_two_tick",
     "frame_path",
+    "membership",
 ];
 
 /// Default regression threshold: fail above +25 % median.
