@@ -43,7 +43,7 @@ impl FreshnessTracker {
 
     /// Record that at some sampling instant, `src`'s routing information
     /// about `dst` was `age_s` old. Use `f64::INFINITY` when `src` has
-    /// never heard about `dst` (kept, reported via `never_fraction`).
+    /// never heard about `dst` (kept out of the pair's statistics).
     pub fn record(&mut self, src: usize, dst: usize, age_s: f64) {
         assert!(src < self.n && dst < self.n && src != dst);
         self.samples[src * self.n + dst].push(age_s);
@@ -97,17 +97,6 @@ impl FreshnessTracker {
             .filter_map(|d| self.pair_stats(src, d).map(|st| (d, st)))
             .collect()
     }
-
-    /// Fraction of samples (for one pair) where the source had *never*
-    /// heard about the destination.
-    #[must_use]
-    pub fn never_fraction(&self, src: usize, dst: usize) -> f64 {
-        let v = &self.samples[src * self.n + dst];
-        if v.is_empty() {
-            return 0.0;
-        }
-        v.iter().filter(|a| a.is_infinite()).count() as f64 / v.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +129,6 @@ mod tests {
         let mut t = FreshnessTracker::new(2);
         t.record(0, 1, f64::INFINITY);
         t.record(0, 1, 5.0);
-        assert_eq!(t.never_fraction(0, 1), 0.5);
         let s = t.pair_stats(0, 1).unwrap();
         assert_eq!(s.samples, 1, "infinite ages excluded from stats");
         assert_eq!(s.max, 5.0);

@@ -38,9 +38,6 @@ pub struct DeploymentParams {
     pub freshness_sample_s: f64,
     /// Failure-metric sampling period (paper: 1 minute).
     pub failure_sample_s: f64,
-    /// Override the protocol configuration (ablations); `None` uses the
-    /// algorithm's paper defaults.
-    pub protocol_override: Option<apor_routing::ProtocolConfig>,
 }
 
 impl Default for DeploymentParams {
@@ -53,7 +50,6 @@ impl Default for DeploymentParams {
             algorithm: Algorithm::Quorum,
             freshness_sample_s: 29.0,
             failure_sample_s: 60.0,
-            protocol_override: None,
         }
     }
 }
@@ -119,14 +115,8 @@ pub fn run(params: &DeploymentParams) -> DeploymentData {
     );
     let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
     let algorithm = params.algorithm;
-    let protocol_override = params.protocol_override.clone();
     populate(&mut sim, n, 10.0, move |i| {
-        let mut cfg = NodeConfig::new(NodeId(i as u16), NodeId(0), algorithm)
-            .with_static_members(members.clone());
-        if let Some(p) = &protocol_override {
-            cfg.protocol = p.clone();
-        }
-        cfg
+        NodeConfig::new(NodeId(i as u16), NodeId(0), algorithm).with_static_members(members.clone())
     });
 
     let mut freshness = FreshnessTracker::new(n);

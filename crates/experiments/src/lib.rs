@@ -12,7 +12,6 @@
 //! | [`deployment`] | the 140-node failure-laden deployment behind figures 8 and 10–14 |
 //! | [`multihop_exp`] | section 3's multi-hop extension: optimality + `Θ(n√n log n)` traffic |
 //! | [`lower_bound`] | Appendix A — diamond counting vs the quorum construction |
-//! | [`ablations`] | design-choice ablations: routing interval, rec format, staleness window |
 //! | [`theory_exp`] | section 6.1's closed-form capacity table |
 //! | [`churn`] | beyond the paper: crash-detection & view convergence, SWIM vs centralized |
 //! | [`partition`] | beyond the paper: partition healing with/without push-pull anti-entropy |
@@ -22,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablations;
 pub mod churn;
 pub mod deployment;
 pub mod detour;

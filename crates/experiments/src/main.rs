@@ -1,46 +1,74 @@
 //! `apor-experiments` — regenerate the paper's tables and figures.
-//!
-//! ```text
-//! apor-experiments <command> [--quick]
-//!
-//! commands:
-//!   fig1        one-hop detour study (figure 1)
-//!   fig8        concurrent link failures CDF (figure 8)
-//!   fig9        routing traffic vs n, RON vs quorum (figure 9)
-//!   fig10       per-node routing traffic CDF under failures (figure 10)
-//!   fig11       double rendezvous failure CDF (figure 11)
-//!   fig12       route freshness, all pairs (figure 12)
-//!   fig13       route freshness, well-connected node (figure 13)
-//!   fig14       route freshness, poorly-connected node (figure 14)
-//!   config      section 5 parameter table
-//!   theory      section 6.1 closed-form bandwidth & capacity table
-//!   multihop    section 3 multi-hop extension claims
-//!   lower-bound appendix A diamond-counting table
-//!   ablations   design-choice ablations (interval, rec format, staleness)
-//!   churn       membership churn: SWIM gossip vs centralized coordinator
-//!   partition   partition healing: push-pull anti-entropy on vs off
-//!   detour      recovery CDFs: 1-hop failover vs k-hop feasible detours
-//!   scale       sparse store + netsim at n up to 4096: state, probe bytes, coverage
-//!   all         everything above
-//!
-//! `--quick` shrinks the deployment/sweep sizes for a fast smoke run.
-//! CSV series land in ./results (override with APOR_RESULTS_DIR).
-//! ```
+//! [`USAGE`] is the command line; an unknown command or flag prints it
+//! on standard error and exits 2.
 
 use apor_analysis::{write_csv, Cdf, Table};
 use apor_experiments::deployment::{self, DeploymentData, DeploymentParams};
 use apor_experiments::{
-    ablations, churn, detour, fig1, fig9, lower_bound, multihop_exp, partition, results_path,
-    scale, theory_exp,
+    churn, detour, fig1, fig9, lower_bound, multihop_exp, partition, results_path, scale,
+    theory_exp,
 };
+
+/// The usage text. Its indented lines are the command table: the first
+/// word of each is a command, and [`parse`] admits no other.
+const USAGE: &str = "\
+usage: apor-experiments [command] [--quick]
+
+commands:
+  fig1        one-hop detour study (figure 1)
+  fig8        concurrent link failures CDF (figure 8)
+  fig9        routing traffic vs n, RON vs quorum (figure 9)
+  fig10       per-node routing traffic CDF under failures (figure 10)
+  fig11       double rendezvous failure CDF (figure 11)
+  fig12       route freshness, all pairs (figure 12)
+  fig13       route freshness, well-connected node (figure 13)
+  fig14       route freshness, poorly-connected node (figure 14)
+  config      section 5 parameter table
+  theory      section 6.1 closed-form bandwidth & capacity table
+  multihop    section 3 multi-hop extension claims
+  lower-bound appendix A diamond-counting table
+  churn       membership churn: SWIM gossip vs centralized coordinator
+  partition   partition healing: push-pull anti-entropy on vs off
+  detour      recovery CDFs: 1-hop failover vs k-hop feasible detours
+  scale       sparse store + netsim at n up to 4096: state, probe bytes, coverage
+  all         everything above (the default)
+
+--quick shrinks the deployment/sweep sizes for a fast smoke run.
+CSV series land in ./results (override with APOR_RESULTS_DIR).";
+
+fn commands() -> impl Iterator<Item = &'static str> {
+    let table = USAGE.lines().filter(|line| line.starts_with("  "));
+    table.filter_map(|line| line.split_whitespace().next())
+}
+
+/// The command (`all` when none is named) and whether `--quick` was
+/// given. Anything else — a command the table does not list, a second
+/// command, another flag — is an error naming the offender.
+fn parse(args: &[String]) -> Result<(&str, bool), String> {
+    let (mut cmd, mut quick) = (None, false);
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            name if !commands().any(|known| known == name) => {
+                return Err(format!("unknown command {name:?}"));
+            }
+            name => {
+                if let Some(first) = cmd.replace(name) {
+                    return Err(format!("two commands, {first:?} and {name:?}"));
+                }
+            }
+        }
+    }
+    Ok((cmd.unwrap_or("all"), quick))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map_or("all", String::as_str);
+    let (cmd, quick) = parse(&args).unwrap_or_else(|why| {
+        eprintln!("{why}\n\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let run = |name: &str| cmd == name || cmd == "all";
     let mut deployment_cache: Option<DeploymentData> = None;
@@ -84,18 +112,6 @@ fn main() {
             fig9::Fig9Params::default()
         };
         fig9::run_and_report(&params).expect("fig9 report");
-    }
-    if run("ablations") {
-        let params = if quick {
-            ablations::AblationParams {
-                n: 25,
-                minutes: 10.0,
-                ..Default::default()
-            }
-        } else {
-            ablations::AblationParams::default()
-        };
-        ablations::run_and_report(&params).expect("ablations report");
     }
     if run("churn") {
         let params = if quick {
@@ -324,4 +340,42 @@ fn report_freshness_single(data: &DeploymentData, src: usize, title: &str, csv_n
         &csv,
     )
     .expect("write csv");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{commands, parse};
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn every_listed_command_parses_and_nothing_else_does() {
+        assert_eq!(commands().count(), 17);
+        for name in commands() {
+            assert_eq!(parse(&args(name)), Ok((name, false)));
+        }
+        assert_eq!(parse(&args("")), Ok(("all", false)));
+        assert_eq!(parse(&args("--quick")), Ok(("all", true)));
+        assert_eq!(parse(&args("--quick churn")), Ok(("churn", true)));
+        // A deleted study must not "pass" in a script that still names it.
+        for bad in ["ablations", "churn partition", "--fast", "fig9 --quik"] {
+            assert!(parse(&args(bad)).is_err(), "{bad:?} accepted");
+        }
+    }
+
+    /// The table and `main` agree: every listed command is one `main`
+    /// asks `run(..)` about, and `main` asks about no other.
+    #[test]
+    fn the_table_is_what_main_dispatches() {
+        let asked = include_str!("main.rs").split("run(\"").skip(1);
+        let mut dispatched: Vec<&str> = asked.filter_map(|rest| rest.split('"').next()).collect();
+        dispatched.push("all");
+        dispatched.sort_unstable();
+        dispatched.dedup();
+        let mut listed: Vec<&str> = commands().collect();
+        listed.sort_unstable();
+        assert_eq!(dispatched, listed);
+    }
 }

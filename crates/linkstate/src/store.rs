@@ -1120,12 +1120,22 @@ impl RowStore {
     }
 
     /// Every held row as `(origin, receipt time, the shared lanes)`,
-    /// ascending by origin: what a membership change carries into the
-    /// next index space.
+    /// ascending by origin.
     pub fn held_lanes(&self) -> impl Iterator<Item = (usize, f64, &Arc<LaneRow>)> {
         self.rows
             .iter()
             .map(|(&origin, s)| (origin, s.received_at, &s.lanes))
+    }
+
+    /// [`held_lanes`](Self::held_lanes) by value: every row leaves the
+    /// store, which holds nothing afterwards. The owner of a store
+    /// calls this on a membership change, [`reset`](Self::reset)s it
+    /// for the new index space and puts back what it keeps.
+    pub fn drain(&mut self) -> impl Iterator<Item = (usize, f64, Arc<LaneRow>)> {
+        self.live_entries = 0;
+        std::mem::take(&mut self.rows)
+            .into_iter()
+            .map(|(origin, s)| (origin, s.received_at, s.lanes))
     }
 
     /// The configured entitlement, if any.

@@ -34,24 +34,32 @@
 //! single point of failure while preserving the identical-views ⇒
 //! identical-grids invariant.
 //!
-//! ## View changes and the incremental remap
+//! ## View changes: one table
 //!
 //! Routers, probers and their link-state stores operate in *grid-index
 //! space* (positions in the current sorted member list); the wire
-//! carries identities. On a membership change the node rebuilds its
-//! router for the new grid but does **not** start from empty: the
-//! [`remap`] module translates every surviving link-state row by
-//! [`NodeId`](apor_quorum::NodeId) into the new index space — as lanes,
-//! at the cost of the entries a row holds — dropping rows that are
-//! stale (the 3-routing-interval freshness rule) or whose origin
-//! departed, and the router's entitlement filter drops rows the node's
-//! *new* grid role no longer grants it (a quorum node keeps only its
-//! own row and its rendezvous clients' — `O(√n)` rows, `O(n√n)`
-//! state). Prober estimator history stays with the targets that are
-//! probed again, so a churn event relabels state instead of discarding
-//! measurements. What is kept, what is rebuilt and what it costs is in
-//! [`node`]'s "View install" section.
-
+//! carries identities. A membership change permutes that space, and the
+//! node does **not** start over in the new one. [`node::OverlayNode`]
+//! builds one table — `old index → new index`, `None` for a member
+//! that left, one entry per member of the *old* view, order-preserving
+//! because both member lists are sorted by id — and hands it to the two
+//! things that keep state across the change:
+//!
+//! * the prober ([`Prober::reinstall`](apor_routing::Prober::reinstall))
+//!   keeps the estimator of every target that is a target again, under
+//!   its new index;
+//! * the quorum router
+//!   ([`QuorumRouter::reinstall`](apor_routing::QuorumRouter::reinstall))
+//!   keeps the link-state rows that are fresh (the 3-routing-interval
+//!   rule), whose origin is still a member and that its *new* grid role
+//!   grants it (its own row and its rendezvous clients' — `O(√n)` rows,
+//!   `O(n√n)` state), renamed through the table as lanes, at the cost
+//!   of the entries a row holds.
+//!
+//! What is kept and what is dropped is decided there, in the routing
+//! crate; this crate only says who moved where. The full-mesh baseline
+//! carries nothing. What an install costs is in [`node`]'s "View
+//! install" section.
 //!
 //! ## The message path of a routing frame
 //!
@@ -84,7 +92,6 @@
 pub mod config;
 pub mod membership;
 pub mod node;
-pub mod remap;
 pub mod simnode;
 pub mod udp;
 

@@ -42,25 +42,29 @@
 //! view is everything: both come out of one assembly routine, and the
 //! routing crate's tests compare them field for field.
 //!
-//! Three things cross the change, each moved rather than copied:
+//! The node's part of an install is one table and two calls. The table
+//! says where each member of the old view sits in the new one
+//! (`Vec<Option<u16>>`, `None` = departed); it is built here, once, and
+//! nothing else builds one. Through it cross, each moved rather than
+//! copied:
 //!
-//! * **rows** — the router's held rows are exported as the shared
-//!   `Arc<LaneRow>`s the store holds, renamed into the new index space
-//!   by [`remap`](crate::remap) (stale rows and rows of departed origins
-//!   left behind) and imported again under the router's entitlement
-//!   filter, receipt times, seqnos and retraction lanes intact;
 //! * **estimators** — a probe target that is a target again keeps its
 //!   slot and its estimator under its new index, with a fresh schedule;
 //!   only the old targets (`~2√n + 16` under entitled probing) are
 //!   walked, never the member list;
+//! * **rows** — the router drains its own store and puts back, renamed
+//!   through the table, the rows that are fresh, whose origin is still
+//!   a member and that the new grid entitles it to — receipt times,
+//!   seqnos and retraction lanes intact, and no work spent on a row it
+//!   will not keep;
 //! * **retractions** — routes through a departed destination or hop
-//!   are withdrawn on the old router first, so they are counted.
+//!   are withdrawn first, so they are counted.
 //!
 //! Everything else — routes, failovers, feasibility distances, the own
 //! seqno, adopted gauges — starts empty, as it always did. The first
 //! install of a node's life builds both from nothing; the full-mesh
-//! baseline, which changes view only under the centralized studies, is
-//! built anew each time and converts at its matrix boundary.
+//! baseline is built anew each time and keeps nothing (every full-mesh
+//! run installs one static view).
 //!
 //! ## Index vs identity
 //!
@@ -716,7 +720,7 @@ impl OverlayNode {
         let my_index = view.index_of(self.cfg.id);
         let old = self.view.take();
         let old_prober = self.prober.take();
-        let mut old_router = self.router.take();
+        let old_router = self.router.take();
         self.my_index = my_index;
         // The convergence episode this install belongs to, if one is
         // hot: parents the ViewInstall/Remap spans and primes the
@@ -729,14 +733,17 @@ impl OverlayNode {
 
         if let Some(me) = my_index {
             let n = view.len();
-            // Estimator history crosses the view change with the prober
-            // itself, so a membership bump doesn't blind the overlay for
-            // a probing interval.
-            let mut prober = match (&old, old_prober) {
-                (Some(old_view), Some(old_prober)) => old_prober.reinstall(me, n, now, |idx| {
-                    old_view.id_of(idx).and_then(|id| view.index_of(id))
-                }),
-                _ => Prober::new(me, n, self.cfg.protocol.clone(), now)
+            // Where each member of the old view sits in the new one:
+            // the one translation the prober and the router both carry
+            // their state through. Indices fit the wire's 16 bits.
+            #[allow(clippy::cast_possible_truncation)]
+            let old_to_new: Vec<Option<u16>> = old.as_ref().map_or_else(Vec::new, |old_view| {
+                let moved = |&id| view.index_of(id).map(|i| i as u16);
+                old_view.members.iter().map(moved).collect()
+            });
+            let mut prober = match old_prober {
+                Some(old_prober) => old_prober.reinstall(me, n, now, &old_to_new),
+                None => Prober::new(me, n, self.cfg.protocol.clone(), now)
                     .with_telemetry(&self.telemetry)
                     .with_tracer(self.tracer.clone()),
             };
@@ -744,36 +751,23 @@ impl OverlayNode {
                 prober.note_episode(ctx);
             }
             self.prober = Some(prober);
-            // Incremental remap: the old router's surviving rows cross
-            // into the new index space by NodeId — a view bump relabels
-            // the grid, it doesn't invalidate fresh measurements. Stale
-            // rows (older than the 3-interval window) are dropped here;
-            // the router's own entitlement filter drops rows whose
-            // origin is no longer a rendezvous client in the new grid.
-            let carried = old
-                .as_ref()
-                .zip(old_router.as_mut())
-                .map(|(old_view, router)| {
-                    // Routes whose destination or recommended hop departed
-                    // are explicitly retracted (counted in
-                    // `routing/routes_retracted`) rather than silently
-                    // dropped with the old router's state.
-                    if let RouterBox::Quorum(q) = router {
-                        let survives =
-                            |idx: usize| old_view.id_of(idx).is_some_and(|id| view.contains(id));
-                        q.retract_departed_routes(&survives);
+            self.router = Some(match (old_router, self.cfg.algorithm) {
+                (Some(RouterBox::Quorum(mut q)), Algorithm::Quorum) => {
+                    if let Some(ctx) = episode_ctx {
+                        q.note_episode(ctx);
                     }
-                    crate::remap::remap_rows(
-                        router.as_dyn().export_rows(),
-                        old_view,
-                        &view,
-                        now,
-                        self.cfg.protocol.staleness_s(),
-                    )
-                });
-            let mut router = match (old_router, self.cfg.algorithm) {
-                (Some(RouterBox::Quorum(q)), Algorithm::Quorum) => {
-                    RouterBox::Quorum(q.reinstall(me, n, view.version))
+                    let (q, carried_rows) = q.reinstall(me, n, view.version, &old_to_new, now);
+                    if let Some(ctx) = episode_ctx {
+                        #[allow(clippy::cast_possible_truncation)]
+                        self.tracer.instant(
+                            SpanKind::Remap,
+                            ctx.episode,
+                            0,
+                            carried_rows as u32,
+                            now,
+                        );
+                    }
+                    RouterBox::Quorum(q)
                 }
                 (_, Algorithm::Quorum) => RouterBox::Quorum(
                     QuorumRouter::new_with_telemetry(
@@ -791,22 +785,7 @@ impl OverlayNode {
                     view.version,
                     self.cfg.protocol.clone(),
                 )),
-            };
-            if let (Some(ctx), RouterBox::Quorum(q)) = (episode_ctx, &mut router) {
-                q.note_episode(ctx);
-            }
-            if let Some(carried) = carried {
-                let carried_rows = carried.len();
-                for row in carried {
-                    router.as_dyn_mut().import_row(row);
-                }
-                if let Some(ctx) = episode_ctx {
-                    #[allow(clippy::cast_possible_truncation)]
-                    self.tracer
-                        .instant(SpanKind::Remap, ctx.episode, 0, carried_rows as u32, now);
-                }
-            }
-            self.router = Some(router);
+            });
             if !self.routing_tick_armed {
                 // Desynchronize routing ticks across the fleet.
                 let phase = self

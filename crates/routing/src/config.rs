@@ -26,10 +26,14 @@ pub const REMOTE_FAILURE_INTERVALS: f64 = 2.5;
 /// Grace period after first sending link state to a server before
 /// remote-failure detection starts, in routing intervals.
 pub const SERVER_GRACE_INTERVALS: f64 = 2.0;
+/// Measurement age a rendezvous server will still base recommendations
+/// on, in routing intervals: the paper uses 3 "to provide extra
+/// redundancy in case of dropped link-state messages" (section 6.2.2).
+pub const STALENESS_INTERVALS: f64 = 3.0;
 
 /// The protocol timing and format knobs some study, the paper's
 /// parameter table or a planned sweep varies. What none of them has
-/// ever varied is a constant: the three interval multiples above, the
+/// ever varied is a constant: the four interval multiples above, the
 /// estimator's EWMA weight
 /// ([`LinkEstimator::DEFAULT_ALPHA`](apor_linkstate::LinkEstimator::DEFAULT_ALPHA))
 /// and the adaptive probe rate's backoff and snap fraction
@@ -49,9 +53,6 @@ pub struct ProtocolConfig {
     /// failure detection), seconds. Must allow `probes_for_failure`
     /// losses within one probing interval.
     pub rapid_probe_interval_s: f64,
-    /// Measurement age a rendezvous server will still base recommendations
-    /// on: the paper uses 3 routing intervals (section 6.2.2).
-    pub staleness_intervals: f64,
     /// Recommendation entry wire format.
     pub rec_format: RecFormat,
     /// Ceiling the adaptive per-link probe rate backs off to on stable
@@ -114,7 +115,6 @@ impl ProtocolConfig {
             probes_for_failure: 5,
             probe_timeout_s: 3.0,
             rapid_probe_interval_s: 5.0,
-            staleness_intervals: 3.0,
             rec_format: RecFormat::Compact,
             probe_interval_max_s: 30.0,
             probe_policy: ProbePolicy::FullMesh,
@@ -142,10 +142,10 @@ impl ProtocolConfig {
         self
     }
 
-    /// The staleness window in seconds (3·r by default).
+    /// The staleness window in seconds (3·r).
     #[must_use]
     pub fn staleness_s(&self) -> f64 {
-        self.staleness_intervals * self.routing_interval_s
+        STALENESS_INTERVALS * self.routing_interval_s
     }
 
     /// The route-expiry window in seconds.
@@ -170,7 +170,9 @@ impl ProtocolConfig {
     ///
     /// # Panics
     /// Panics when rapid probing cannot detect a failure within one
-    /// probing interval, or intervals are non-positive.
+    /// probing interval — too few rapid probes fit it, or a probe's
+    /// timeout outlasts the rapid interval — or intervals are
+    /// non-positive.
     pub fn validate(&self) {
         assert!(self.routing_interval_s > 0.0);
         assert!(self.probe_interval_s > 0.0);
@@ -181,8 +183,13 @@ impl ProtocolConfig {
             "rapid probing must fit {} probes inside one probing interval",
             self.probes_for_failure
         );
-        assert!(self.probe_timeout_s < self.rapid_probe_interval_s + self.probe_timeout_s);
-        assert!(self.staleness_intervals > 0.0);
+        // After a timeout the prober re-probes at `sent + rapid
+        // interval` or now, whichever is later: a longer timeout would
+        // stretch every rapid round past the bound above.
+        assert!(
+            self.probe_timeout_s <= self.rapid_probe_interval_s,
+            "a probe must time out within one rapid probing interval"
+        );
         assert!(
             self.probe_interval_max_s >= self.probe_interval_s,
             "probe backoff ceiling below the base probing interval"
@@ -244,6 +251,14 @@ mod tests {
     fn validate_rejects_slow_rapid_probing() {
         let mut c = ProtocolConfig::quorum();
         c.rapid_probe_interval_s = 10.0; // 5 × 10 s > 30 s probing interval
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "time out within one rapid")]
+    fn validate_rejects_a_timeout_longer_than_the_rapid_interval() {
+        let mut c = ProtocolConfig::quorum();
+        c.probe_timeout_s = 6.0; // 5 × 5 s fits 30 s, but each round waits 6 s
         c.validate();
     }
 

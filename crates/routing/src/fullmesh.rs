@@ -13,9 +13,15 @@
 //! holds all `n` rows wants `O(1)` entry access and rows overwritten in
 //! place, not a map of shared row buffers that every broadcast swaps
 //! through the allocator.
+//!
+//! A router lives for one membership view. Nothing crosses a view
+//! change: a node that is handed a second view builds a new router,
+//! whose matrix is empty until the next routing interval's broadcasts
+//! refill it. Every full-mesh run in the repository installs one static
+//! view.
 
 use crate::config::ProtocolConfig;
-use crate::{RoutingAlgorithm, VersionedRow};
+use crate::RoutingAlgorithm;
 use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, Message, INFINITE_COST};
 use apor_quorum::NodeId;
 use std::sync::Arc;
@@ -164,33 +170,6 @@ impl RoutingAlgorithm for FullMeshRouter {
     fn double_rendezvous_failures(&self, _now: f64) -> usize {
         0
     }
-
-    /// The matrix rows, each reduced to lanes: this is where the
-    /// baseline's layout meets the carried-row type.
-    fn export_rows(&self) -> Vec<VersionedRow> {
-        (0..self.n)
-            .filter_map(|origin| {
-                let received_at = self.row_time[origin]?;
-                let slots = origin * self.n..(origin + 1) * self.n;
-                let entries: Vec<LinkEntry> = self.latency[slots.clone()]
-                    .iter()
-                    .zip(&self.liveness[slots])
-                    .map(|(&l, &b)| LinkEntry::from_wire_parts(l, b))
-                    .collect();
-                Some(VersionedRow {
-                    origin,
-                    received_at,
-                    row: Arc::new(LaneRow::from_dense(&entries)),
-                })
-            })
-            .collect()
-    }
-
-    fn import_row(&mut self, carried: VersionedRow) {
-        // Full mesh: every row is entitled; `store_row` refuses what is
-        // out of range.
-        self.store_row(carried.origin, &carried.row, carried.received_at);
-    }
 }
 
 #[cfg(test)]
@@ -295,10 +274,10 @@ mod tests {
     /// (`FF FF 7F`) as a dead entry, a live entry with the all-ones
     /// latency as `LinkEntry::decode` reads it once clamped below the
     /// dead sentinel (what `encode` would have sent), loss at its wire
-    /// quantum — and the row re-exports unchanged. An out-of-range
-    /// origin or destination leaves the matrix alone.
+    /// quantum. An out-of-range origin or destination leaves the matrix
+    /// alone.
     #[test]
-    fn dense_frame_lands_as_decoded_and_reexports_unchanged() {
+    fn dense_frame_lands_as_decoded() {
         let wire: [[u8; 3]; 4] = [
             [0x00, 0x28, 0x80 | 7], // 40 ms, 3.5 % loss
             [0xFF, 0xFF, 0x7F],     // dead filler
@@ -326,23 +305,15 @@ mod tests {
             .collect();
         assert_eq!(want[1], LinkEntry::dead());
         assert_eq!((want[2].alive, want[2].latency_ms), (true, u16::MAX - 1));
-        let exported = router.export_rows();
-        assert_eq!(exported.len(), 1);
-        assert_eq!(
-            exported[0],
-            VersionedRow {
-                origin: 3,
-                received_at: 2.5,
-                row: Arc::new(LaneRow::from_dense(&want)),
-            }
-        );
-        assert_eq!(exported[0].row.as_row_ref(4).to_dense(), want);
-
-        // A carried row crosses a remap as it was received.
-        let mut rebuilt = FullMeshRouter::new(0, 4, 8, ProtocolConfig::ron());
-        rebuilt.import_row(exported[0].clone());
-        assert_eq!(rebuilt.export_rows(), exported);
-        assert_eq!(rebuilt.route_age(3, 4.0), Some(1.5));
+        // Row 3 of the matrix, read back entry by entry; no other row.
+        let row = |r: &FullMeshRouter, origin: usize| -> Vec<LinkEntry> {
+            (origin * 4..(origin + 1) * 4)
+                .map(|i| LinkEntry::from_wire_parts(r.latency[i], r.liveness[i]))
+                .collect()
+        };
+        assert_eq!(row(&router, 3), want);
+        assert_eq!(router.row_time, [None, None, None, Some(2.5)]);
+        assert_eq!(router.route_age(3, 4.0), Some(1.5));
 
         // Out of range: origin 4 of 4, and a destination beyond the width.
         let Message::LinkState(ls) = &msg else {
@@ -355,6 +326,7 @@ mod tests {
         router.on_message(3.0, &stray);
         let wide = LaneRow::from_dense(&live_row(&[1, 2, 3, 4, 5]));
         assert!(!router.store_row(2, &wide, 3.0));
-        assert_eq!(router.export_rows(), exported);
+        assert_eq!(row(&router, 3), want);
+        assert_eq!(router.row_time, [None, None, None, Some(2.5)]);
     }
 }

@@ -14,11 +14,14 @@
 //! * [`adaptive`] — the per-link adaptive probe-rate state machine
 //!   (exponential backoff on stable links, snap-back on change).
 //! * [`fullmesh`] — the baseline: broadcast link state to everyone,
-//!   `Θ(n²)` per-node communication, the whole matrix held privately.
+//!   `Θ(n²)` per-node communication, the whole matrix held privately
+//!   and for one membership view.
 //! * [`quorum_router`] — the paper's contribution: the two-round grid
 //!   quorum protocol (section 3) with rapid rendezvous failover, remote
 //!   failure detection, dead-destination suppression and §4.2 local route
-//!   scavenging.
+//!   scavenging. It also decides what it keeps across a membership
+//!   change ([`QuorumRouter::reinstall`]): fresh rows of surviving
+//!   origins that the new grid entitles it to.
 //! * [`multihop`] — the `log l` iteration scheme for optimal routes of
 //!   length ≤ l (section 3, "Multi-hop routes"), with the `Sec` next-hop
 //!   recovery trick, plus its communication accounting.
@@ -59,27 +62,11 @@ pub use quorum_router::{QuorumRouter, RouteDecision};
 
 use apor_linkstate::Message;
 
-/// One held link-state row on its way across a membership change: the
-/// row as the store holds it — live-entry lanes, the origin's seqno and
-/// its retraction lane, all inside the shared [`LaneRow`] — plus where
-/// it belongs and when it arrived. The rebuilt router so keeps both the
-/// measurements *and* the seqno guard (a carried row must not be
-/// replayable over a newer one), and nothing on the way widens the row
-/// to one slot per member.
-///
-/// [`LaneRow`]: apor_linkstate::LaneRow
-#[derive(Debug, Clone, PartialEq)]
-pub struct VersionedRow {
-    /// Row origin (grid index in the view the row is expressed in).
-    pub origin: usize,
-    /// Original receipt time, seconds (freshness keeps applying).
-    pub received_at: f64,
-    /// The row: destinations are grid indices of the same view.
-    pub row: std::sync::Arc<apor_linkstate::LaneRow>,
-}
-
 /// The routing-side behaviour shared by the full-mesh baseline and the
-/// quorum router, so the overlay node runtime is algorithm-agnostic.
+/// quorum router, so the overlay node runtime is algorithm-agnostic
+/// within a membership view. What a router keeps *across* a view change
+/// is not part of it: the quorum router carries its own rows
+/// ([`QuorumRouter::reinstall`]), the baseline starts over.
 pub trait RoutingAlgorithm {
     /// Called every routing interval with the node's freshly measured own
     /// link-state row. Returns the messages to transmit.
@@ -107,19 +94,4 @@ pub trait RoutingAlgorithm {
     /// failure* from this node's perspective (figure 11). Zero for the
     /// full-mesh baseline, which has no rendezvous.
     fn double_rendezvous_failures(&self, now: f64) -> usize;
-
-    /// Snapshot every held link-state row (the baseline's carry seqno
-    /// 0, nothing retracted) — the overlay layer uses this on a
-    /// membership change to carry surviving measurements into the next
-    /// view's router (the *incremental view remap*) instead of starting
-    /// it from empty. The quorum router shares the lanes its store
-    /// holds; nothing is copied.
-    fn export_rows(&self) -> Vec<VersionedRow>;
-
-    /// Install a row carried over from a previous view, already
-    /// translated into this router's index space and stamped with its
-    /// *original* receipt time (so the 3-interval freshness rule keeps
-    /// applying). Implementations drop rows their role does not entitle
-    /// them to; out-of-range rows are ignored.
-    fn import_row(&mut self, row: VersionedRow);
 }

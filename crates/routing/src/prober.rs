@@ -127,7 +127,7 @@ impl Prober {
             trace_ctx: None,
             link_losses: Vec::new(),
         };
-        prober.reinstall(me, n, now, |_| None)
+        prober.reinstall(me, n, now, &[])
     }
 
     /// This prober rebuilt for node `me` of `n` at `now`, as a
@@ -136,21 +136,18 @@ impl Prober {
     /// [`Prober::new`], adopted gauges and undrained link losses are
     /// forgotten, and the settings, the telemetry cells and the tracer
     /// stay. What crosses the change is measurement history: a target
-    /// of the old prober that `new_index` maps to a target of the new
-    /// one (`new_index(old peer) = Some(new peer)`, order-preserving, as
-    /// a translation between two sorted member lists is) stays where it
-    /// is, estimator and all, under its new index and a fresh schedule —
-    /// so a view bump does not blind the overlay for a probing
-    /// interval. Only the old targets are walked, `~2√n + 16` of them
-    /// under entitled probing, and their vector is the new one's.
+    /// of the old prober that `old_to_new` maps to a target of the new
+    /// one (`old_to_new[old peer] = Some(new peer)`; `None` or beyond
+    /// the table: departed; order-preserving, as a translation between
+    /// two sorted member lists is — the table
+    /// [`QuorumRouter::reinstall`](crate::QuorumRouter::reinstall)
+    /// takes) stays where it is, estimator and all, under its new index
+    /// and a fresh schedule — so a view bump does not blind the overlay
+    /// for a probing interval. Only the old targets are walked,
+    /// `~2√n + 16` of them under entitled probing, and their vector is
+    /// the new one's.
     #[must_use]
-    pub fn reinstall(
-        mut self,
-        me: usize,
-        n: usize,
-        now: f64,
-        new_index: impl Fn(usize) -> Option<usize>,
-    ) -> Self {
+    pub fn reinstall(mut self, me: usize, n: usize, now: f64, old_to_new: &[Option<u16>]) -> Self {
         self.me = me;
         self.n = n;
         self.adopted.clear();
@@ -180,8 +177,8 @@ impl Prober {
         // the others leave. `wanted` keeps who is still missing.
         let mut targets = std::mem::take(&mut self.targets);
         targets.retain_mut(|t| {
-            let again =
-                new_index(t.peer).and_then(|peer| wanted.binary_search_by_key(&peer, |w| w.0).ok());
+            let moved = old_to_new.get(t.peer).copied().flatten().map(usize::from);
+            let again = moved.and_then(|peer| wanted.binary_search_by_key(&peer, |w| w.0).ok());
             let Some(at) = again else { return false };
             let (peer, entitled) = wanted.remove(at);
             (t.peer, t.entitled) = (peer, entitled);
@@ -934,7 +931,7 @@ mod tests {
             assert!(lived.next_seq > 0 && !lived.link_losses.is_empty());
             assert!(lived.trace_ctx.is_some() && lived.concurrent_failures() > 0);
             for (me, n, now) in [(2, 33, 210.0), (17, 64, 300.5), (0, 2, 400.0)] {
-                let reinstalled = lived.reinstall(me, n, now, |_| None);
+                let reinstalled = lived.reinstall(me, n, now, &[]);
                 let fresh = Prober::new(me, n, cfg.clone(), now)
                     .with_telemetry(&telemetry)
                     .with_tracer(tracer.clone());
@@ -981,7 +978,9 @@ mod tests {
             if cfg.probe_policy == ProbePolicy::Entitled {
                 assert!(carried < want.targets.len(), "some targets are new");
             }
-            let got = old.reinstall(me, n, 150.0, new_index);
+            let table: Vec<Option<u16>> =
+                (0..n_old).map(|j| new_index(j).map(|k| k as u16)).collect();
+            let got = old.reinstall(me, n, 150.0, &table);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
             assert!(got.targets.windows(2).all(|w| w[0].peer < w[1].peer));
         }

@@ -34,7 +34,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::feasibility::{select_detour, FeasibilityTable};
-use crate::{RoutingAlgorithm, VersionedRow};
+use crate::RoutingAlgorithm;
 use apor_linkstate::{
     Detour, LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
     RowStore, INFINITE_COST,
@@ -113,6 +113,11 @@ pub struct QuorumMetrics {
 
 /// Sentinel for "no timestamp yet" in the dense `serving_since` vector.
 const NEVER: f64 = f64::NEG_INFINITY;
+
+/// `RowImport` spans one view install may record: enough for the carry
+/// (`~2√n` client rows) at experiment scales without letting a large
+/// store fill the flight recorder.
+const ROW_IMPORT_SPANS: usize = 32;
 
 /// Registry-backed cells behind [`QuorumMetrics`]. The counters are the
 /// single source of truth — [`QuorumRouter::metrics`] reconstructs the
@@ -198,10 +203,11 @@ pub struct QuorumRouter {
     /// Registry-backed event counters (see [`QuorumMetrics`]).
     counters: RouterCounters,
     tracer: Tracer,
-    /// Episode context adopted at view install: the next few row
-    /// imports record `RowImport` spans under it (bounded so a noisy
-    /// store cannot spam the flight recorder), then it clears.
-    trace_ctx: Option<(TraceCtx, u32)>,
+    /// Episode context noted ahead of a [`reinstall`](Self::reinstall),
+    /// which records its first [`ROW_IMPORT_SPANS`] kept rows as
+    /// `RowImport` spans under it; no router comes out of `assemble`
+    /// with one.
+    trace_ctx: Option<TraceCtx>,
 }
 
 /// What of a router outlives the view it was built for: the settings,
@@ -270,21 +276,58 @@ impl QuorumRouter {
         Self::assemble(me, n, view, parts)
     }
 
-    /// This router rebuilt for node `me` under membership `view` of
-    /// size `n`: settings, registry cells and tracer are kept, every
-    /// vector sized by the view is emptied and resized in place, and
-    /// nothing it knew — rows, routes, failovers, retractions, seqno,
-    /// feasibility distances — survives. What should survive a view
-    /// change is [exported](RoutingAlgorithm::export_rows) first and
-    /// [imported](RoutingAlgorithm::import_row) afterwards. The result
-    /// is what [`QuorumRouter::new_with_telemetry`] (and
+    /// This router carried into membership `view` of size `n`, where it
+    /// is node `me`. `old_to_new[i]` is where the member at index `i` of
+    /// the view it was built for sits in the new one (`None`: departed;
+    /// an index the table does not cover counts as departed), and it is
+    /// order-preserving, as a translation between two sorted member
+    /// lists is.
+    ///
+    /// Settings, registry cells and tracer are kept, every vector sized
+    /// by the view is emptied and resized in place, and of what the
+    /// router knew — routes, failovers, retractions, seqno, feasibility
+    /// distances — only rows survive, and of those exactly the ones
+    /// that are all of
+    ///
+    /// * **fresh** at `now` (the staleness window, section 6.2.2 — the
+    ///   kernel would ignore a stale row anyway),
+    /// * from an origin that is **still a member**, and
+    /// * **entitled** in the new grid: the node's own row and its
+    ///   rendezvous clients', so a view change cannot re-grow `O(n)`
+    ///   rows.
+    ///
+    /// Such a row — and no other — is renamed through the table
+    /// ([`LaneRow::relabelled`]: destinations and the retraction lane
+    /// move by identity, a departed one leaves, a joined one is absent)
+    /// and put back, ascending by origin, under its original receipt
+    /// time and seqno: a carry is a relabelling, not new information,
+    /// and a carried row must keep shadowing delayed replays of older
+    /// frames. Before any of it, routes to or through a departed member
+    /// are withdrawn, so they are counted in `routing/routes_retracted`.
+    ///
+    /// Returns the router and how many rows were fresh and of a
+    /// surviving origin — entitled or not, what the `Remap` span
+    /// reports. With a table that maps nothing the router is what
+    /// [`QuorumRouter::new_with_telemetry`] (and
     /// [`with_tracer`](Self::with_tracer)) would have built on the same
     /// registry, without its allocations.
     ///
     /// # Panics
-    /// Panics if `me ≥ n`.
+    /// Panics if `me ≥ n`, or if the table maps a member a kept row
+    /// names to an index `≥ n`.
     #[must_use]
-    pub fn reinstall(self, me: usize, n: usize, view: u32) -> Self {
+    pub fn reinstall(
+        mut self,
+        me: usize,
+        n: usize,
+        view: u32,
+        old_to_new: &[Option<u16>],
+        now: f64,
+    ) -> (Self, usize) {
+        self.retract_departed_routes(old_to_new);
+        let max_age = self.config.staleness_s();
+        let episode = self.trace_ctx.take();
+        let held = self.table.drain();
         let parts = Parts {
             config: self.config,
             table: self.table,
@@ -299,7 +342,35 @@ impl QuorumRouter {
             counters: self.counters,
             tracer: self.tracer,
         };
-        Self::assemble(me, n, view, parts)
+        let mut router = Self::assemble(me, n, view, parts);
+        let (mut survived, mut kept) = (0, 0);
+        for (origin, received_at, row) in held {
+            let Some(origin) = old_to_new.get(origin).copied().flatten() else {
+                continue; // the origin departed
+            };
+            if now - received_at > max_age {
+                continue;
+            }
+            let origin = usize::from(origin);
+            survived += 1;
+            if origin != me && !router.grid.serves(origin, me) {
+                continue;
+            }
+            let row = Arc::new(row.relabelled(old_to_new));
+            router.table.put_row(origin, row, received_at);
+            if let Some(ctx) = episode.filter(|_| kept < ROW_IMPORT_SPANS) {
+                #[allow(clippy::cast_possible_truncation)]
+                router.tracer.instant(
+                    SpanKind::RowImport,
+                    ctx.episode,
+                    0,
+                    origin as u32,
+                    received_at,
+                );
+            }
+            kept += 1;
+        }
+        (router, survived)
     }
 
     /// The debug-asserted bound on *fresh* rows a quorum node may hold:
@@ -386,15 +457,12 @@ impl QuorumRouter {
         self
     }
 
-    /// Mark upcoming row imports as part of a convergence episode: the
-    /// next few accepted rows record `RowImport` spans under `ctx`
-    /// before the context clears itself.
+    /// Mark the view change about to happen as part of a convergence
+    /// episode: the [`reinstall`](Self::reinstall) that follows records
+    /// the rows it keeps as `RowImport` spans under `ctx`.
     pub fn note_episode(&mut self, ctx: TraceCtx) {
         if self.tracer.enabled() {
-            // Enough for the post-remap import wave (~2√n clients) at
-            // experiment scales without letting steady-state traffic
-            // spam the recorder.
-            self.trace_ctx = Some((ctx, 32));
+            self.trace_ctx = Some(ctx);
         }
     }
 
@@ -532,48 +600,24 @@ impl QuorumRouter {
     }
 
     /// Retract (rather than silently drop) every established route that
-    /// cannot carry into a new membership view: destinations or
-    /// recommended hops whose identity `survives` rejects. Called on
-    /// the *outgoing* router during view install; the counts land in
-    /// the shared `routing/routes_retracted` cell. Returns how many
-    /// routes were withdrawn.
-    pub fn retract_departed_routes(&mut self, survives: &dyn Fn(usize) -> bool) -> usize {
-        let mut count = 0;
+    /// cannot carry into a new membership view: those whose destination
+    /// or recommended hop `old_to_new` maps nowhere. The counts land in
+    /// the shared `routing/routes_retracted` cell.
+    fn retract_departed_routes(&mut self, old_to_new: &[Option<u16>]) {
+        let survives = |idx: usize| old_to_new.get(idx).is_some_and(Option::is_some);
         for dst in 0..self.n {
             if let Some(r) = self.routes[dst] {
                 if !survives(dst) || !survives(r.hop) {
                     self.feasibility.retract(dst, self.table.row_seqno(dst));
                     self.routes[dst] = None;
-                    count += 1;
                 }
             }
         }
-        count
     }
 
     /// The retraction lane advertised this round, ascending.
     fn retraction_lane(&self) -> Vec<u16> {
         self.retractions.keys().copied().collect()
-    }
-
-    /// Record a `RowImport` span when a view-install episode context is
-    /// armed (see [`QuorumRouter::note_episode`]); budget-bounded.
-    fn trace_row_import(&mut self, origin: usize, received_at: f64) {
-        if let Some((ctx, budget)) = self.trace_ctx {
-            #[allow(clippy::cast_possible_truncation)]
-            self.tracer.instant(
-                SpanKind::RowImport,
-                ctx.episode,
-                0,
-                origin as u32,
-                received_at,
-            );
-            self.trace_ctx = if budget > 1 {
-                Some((ctx, budget - 1))
-            } else {
-                None
-            };
-        }
     }
 
     /// React to an *accepted* versioned row from `from`: a nonzero seqno
@@ -990,38 +1034,6 @@ impl RoutingAlgorithm for QuorumRouter {
             .filter(|&dst| self.both_defaults_failed(dst, now))
             .count()
     }
-
-    fn export_rows(&self) -> Vec<VersionedRow> {
-        self.table
-            .held_lanes()
-            .map(|(origin, received_at, row)| VersionedRow {
-                origin,
-                received_at,
-                row: Arc::clone(row),
-            })
-            .collect()
-    }
-
-    fn import_row(&mut self, carried: VersionedRow) {
-        let VersionedRow {
-            origin,
-            received_at,
-            row,
-        } = carried;
-        let widest = row.lanes().0.last().map_or(0, |&d| usize::from(d));
-        if origin >= self.n || widest >= self.n {
-            return;
-        }
-        // Entitlement: only keep rows this node's grid role grants it —
-        // its own row and its rendezvous clients'. Rows from origins
-        // that are no longer clients after the view change are dropped
-        // rather than remapped, keeping state O(n√n).
-        if origin != self.me && !self.grid.serves(origin, self.me) {
-            return;
-        }
-        self.table.put_row(origin, row, received_at);
-        self.trace_row_import(origin, received_at);
-    }
 }
 
 #[cfg(test)]
@@ -1032,6 +1044,11 @@ mod tests {
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(12345)
+    }
+
+    /// The table of a view change in which nobody moves.
+    fn identity(n: usize) -> Vec<Option<u16>> {
+        (0..n as u16).map(Some).collect()
     }
 
     /// A tiny synchronous fabric: run all routers' ticks, deliver all
@@ -1768,8 +1785,8 @@ mod tests {
         assert!(!me.table().entry(0, 4).alive);
         assert_eq!(me.feasibility().routes_retracted(), 1);
         // View change: node 5 does not survive → its route is retracted.
-        let retracted = me.retract_departed_routes(&|id| id != 5);
-        assert_eq!(retracted, 1);
+        let table: Vec<Option<u16>> = (0..9).map(|i| (i != 5).then_some(i)).collect();
+        me.retract_departed_routes(&table);
         assert!(me.route_entry(8).is_none());
         assert!(me.route_entry(7).is_some(), "surviving route kept");
         assert_eq!(me.feasibility().routes_retracted(), 2);
@@ -1802,16 +1819,11 @@ mod tests {
                 row: Arc::new(LaneRow::from_dense(&row1).with_version(9, &[6])),
             }),
         );
-        let rows = a.export_rows();
-        let carried = rows.iter().find(|r| r.origin == 1).expect("row exported");
-        assert_eq!(
-            (carried.row.seqno(), carried.row.retracted()),
-            (9, &[6u16][..])
-        );
-        // A rebuilt router importing the carried row keeps the guard: a
-        // delayed older frame from 1 is still rejected after the carry.
-        let mut b = QuorumRouter::new(0, n, 1, ProtocolConfig::quorum());
-        b.import_row(carried.clone());
+        // The same nine members under a new view number: the carried
+        // row keeps the guard, so a delayed older frame from 1 is still
+        // rejected after the carry.
+        let (mut b, carried) = a.reinstall(0, n, 1, &identity(n), 1.5);
+        assert_eq!(carried, 1);
         assert_eq!(b.table().row_seqno(1), 9);
         assert!(b.table().row_retracts(1, 6));
         let mut stale = row1;
@@ -1939,11 +1951,15 @@ mod tests {
         assert!(!me.both_defaults_failed(1, 0.1));
     }
 
+    /// What leaves the old view comes back only if the new grid
+    /// entitles the node to it: a fresh row of a surviving origin that
+    /// is not a rendezvous client is counted as having survived, is not
+    /// relabelled into the store, and is not counted as merged.
     #[test]
     fn export_import_round_trips_entitled_rows() {
-        let cfg = ProtocolConfig::quorum();
+        let telemetry = Telemetry::new(0);
         let n = 9;
-        let mut a = QuorumRouter::new(0, n, 0, cfg.clone());
+        let mut a = QuorumRouter::new_with_telemetry(0, n, 0, ProtocolConfig::quorum(), &telemetry);
         // Node 1 is a client of node 0 (shares row 0); node 4 is not.
         let row = |base: u16| -> Vec<LinkEntry> {
             (0..n)
@@ -1964,20 +1980,110 @@ mod tests {
                 }),
             );
         }
-        let exported = a.export_rows();
-        assert!(exported
-            .iter()
-            .any(|r| r.origin == 1 && r.received_at == 2.0));
-        // A fresh router (same position) re-imports only entitled rows.
-        let mut b = QuorumRouter::new(0, n, 1, cfg);
-        for row in exported {
-            b.import_row(row);
-        }
-        assert!(b.table().row_time(1).is_some(), "client row carried");
+        let merged = telemetry.counter("linkstate", "rows_merged");
+        let before = merged.get();
+        let (b, survived) = a.reinstall(0, n, 1, &identity(n), 3.0);
+        assert_eq!(survived, 2, "both rows are fresh and of surviving origins");
+        assert_eq!(b.table().row_time(1), Some(2.0), "client row carried");
         assert!(
             b.table().row_time(4).is_none(),
             "non-client row must be dropped by the entitlement filter"
         );
+        assert_eq!(b.table().row_count(), 1);
+        assert_eq!(merged.get() - before, 1, "only the kept row is merged");
+    }
+
+    /// An unversioned row with every link alive at the given cost.
+    fn lanes(costs: &[u16]) -> LaneRow {
+        let entries: Vec<LinkEntry> = costs.iter().map(|&c| LinkEntry::live(c, 0.0)).collect();
+        LaneRow::from_dense(&entries)
+    }
+
+    /// Node 0 of `n`, holding `rows` (`(origin, receipt time, row)`),
+    /// carried through `table` into a view of `n_new` at `now`. In
+    /// grids this small every member is a rendezvous client of node 0.
+    fn carried(
+        n: usize,
+        rows: Vec<(usize, f64, LaneRow)>,
+        table: &[Option<u16>],
+        n_new: usize,
+        now: f64,
+    ) -> (QuorumRouter, usize) {
+        let mut r = QuorumRouter::new(0, n, 1, ProtocolConfig::quorum());
+        for (origin, at, row) in rows {
+            r.table.put_row(origin, Arc::new(row), at);
+        }
+        let (r, survived) = r.reinstall(0, n_new, 2, table, now);
+        assert!((1..n_new).all(|c| r.grid.serves(c, 0)));
+        (r, survived)
+    }
+
+    #[test]
+    fn entries_move_by_identity() {
+        // Old view {1, 5, 9} → indices {0, 1, 2}. Node 5 leaves, node 3
+        // joins: new view {1, 3, 9} → node 9 stays at index 2, node 1 at
+        // 0, the new index 1 is node 3 (unmeasured).
+        let table = [Some(0), None, Some(2)];
+        let rows = vec![(0, 10.0, lanes(&[0, 50, 70]))];
+        let (r, survived) = carried(3, rows, &table, 3, 12.0);
+        assert_eq!(survived, 1);
+        assert_eq!(r.table.row_count(), 1);
+        assert_eq!(
+            r.table.row_time(0),
+            Some(10.0),
+            "receipt time preserved, not refreshed"
+        );
+        let (_, _, row) = r.table.held_lanes().next().expect("node 1 keeps index 0");
+        assert_eq!(row.lanes().0, [0, 2], "joiner 3 is absent, not listed dead");
+        assert_eq!(r.table.entry(0, 0).latency_ms, 0, "1→1 self entry");
+        assert!(!r.table.entry(0, 1).alive, "joiner 3 reads as dead");
+        assert_eq!(
+            r.table.entry(0, 2).latency_ms,
+            70,
+            "1→9 carried by identity"
+        );
+    }
+
+    #[test]
+    fn departed_origin_rows_dropped() {
+        // {1, 5, 9} → {1, 9}: node 5's row (old index 1) has no home.
+        let table = [Some(0), None, Some(1)];
+        let rows = vec![
+            (1, 10.0, lanes(&[40, 0, 60])),
+            (2, 10.0, lanes(&[70, 60, 0])),
+        ];
+        let (r, survived) = carried(3, rows, &table, 2, 11.0);
+        assert_eq!(survived, 1);
+        assert_eq!(r.table.present_rows(), [1], "node 9 is index 1 now");
+        assert_eq!(r.table.row_ref(1).expect("held").width(), 2);
+        assert_eq!(r.table.entry(1, 0).latency_ms, 70, "9→1 survives");
+    }
+
+    #[test]
+    fn stale_rows_dropped_per_freshness_rule() {
+        // At now = 70 under the 45 s window: the row stamped 10 is
+        // stale, the row stamped 60 survives.
+        let rows = vec![(0, 10.0, lanes(&[0, 50])), (1, 60.0, lanes(&[50, 0]))];
+        let (r, survived) = carried(2, rows, &identity(2), 2, 70.0);
+        assert_eq!(survived, 1);
+        assert_eq!(r.table.present_rows(), [1]);
+    }
+
+    #[test]
+    fn the_retraction_lane_is_translated() {
+        // Old view {1, 5, 9}: node 1's row retracts 5 (index 1) and 9
+        // (index 2) at seqno 7. Node 5 leaves, node 3 joins.
+        let table = [Some(0), None, Some(2)];
+        let rows = vec![(0, 10.0, lanes(&[0, 50, 70]).with_version(7, &[1, 2]))];
+        let (r, survived) = carried(3, rows, &table, 3, 12.0);
+        assert_eq!(survived, 1);
+        assert_eq!(r.table.row_seqno(0), 7, "seqno survives verbatim");
+        assert_eq!(
+            r.table.row_retractions(0),
+            [2],
+            "retraction against departed 5 dropped; 9 stays at index 2"
+        );
+        assert_eq!(r.table.row_time(0), Some(10.0));
     }
 
     /// The sweep before it filled one buffer per tick: candidates from
@@ -2131,7 +2237,8 @@ mod tests {
         assert!(lived.feasibility.entry(1).is_some() && lived.trace_ctx.is_some());
 
         for (me, n, view) in [(3, 7, 2), (11, 30, 3), (0, 1, 4)] {
-            let reinstalled = lived.reinstall(me, n, view);
+            let (reinstalled, carried) = lived.reinstall(me, n, view, &[], 100.0);
+            assert_eq!(carried, 0);
             let fresh = QuorumRouter::new_with_telemetry(me, n, view, cfg.clone(), &telemetry)
                 .with_tracer(tracer.clone());
             assert_eq!(format!("{reinstalled:?}"), format!("{fresh:?}"));

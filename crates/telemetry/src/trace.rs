@@ -145,8 +145,8 @@ pub enum SpanKind {
     GossipHop = 4,
     /// A membership view install on one node (`aux` = view version).
     ViewInstall = 5,
-    /// The incremental row remap riding a view install (`aux` = rows
-    /// carried across).
+    /// The row carry riding a view install (`aux` = held rows that
+    /// were fresh and whose origin survived).
     Remap = 6,
     /// The first post-install probe burst re-measuring links
     /// (`aux` = probe actions emitted).
@@ -154,8 +154,8 @@ pub enum SpanKind {
     /// An anti-entropy sync round opened while the episode was hot
     /// (`aux` = partner).
     SyncRound = 8,
-    /// The first row import into the rebuilt router after an install
-    /// (`aux` = origin of the row).
+    /// A row the reinstalled router kept across an install
+    /// (`aux` = origin of the row, in the new view).
     RowImport = 9,
     /// Routing restored, as measured by the experiment (synthesized).
     RoutesRestored = 10,

@@ -11,7 +11,6 @@ use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
 use allpairs_overlay::overlay::node::{Outbox, OverlayNode, TOKEN_PROBE};
 use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
 use allpairs_overlay::quorum::NodeId;
-use allpairs_overlay::routing::RoutingAlgorithm;
 use allpairs_overlay::topology::{FailureParams, LatencyMatrix};
 
 const N: usize = 32;
@@ -129,12 +128,13 @@ fn coalesced_replays_fixed_tick_bit_identically() {
 
         // Identical link-state tables, down to the f64 bits of the row
         // timestamps and every wire-quantized entry.
-        let fr = f.quorum_router().expect("quorum node").export_rows();
-        let cr = c.quorum_router().expect("quorum node").export_rows();
+        let (fr, cr) = (f.quorum_router(), c.quorum_router());
+        let fr: Vec<_> = fr.expect("quorum node").table().held_lanes().collect();
+        let cr: Vec<_> = cr.expect("quorum node").table().held_lanes().collect();
         assert_eq!(fr.len(), cr.len(), "node {i}: row count");
         for (f_row, c_row) in fr.iter().zip(cr.iter()) {
-            let (fo, ft, ct) = (f_row.origin, f_row.received_at, c_row.received_at);
-            assert_eq!(fo, c_row.origin, "node {i}: row origin");
+            let (fo, ft, ct) = (f_row.0, f_row.1, c_row.1);
+            assert_eq!(fo, c_row.0, "node {i}: row origin");
             assert_eq!(
                 ft.to_bits(),
                 ct.to_bits(),
