@@ -223,7 +223,10 @@ fn entitled_row(
 ///   link-state frames encoded to bytes;
 /// * `fullmesh_ingest` — at the `ron-196` shape instead: one dense
 ///   link-state frame (196 entries) into a full-mesh node, the busiest
-///   control path of the baseline.
+///   control path of the baseline;
+/// * `ls_dense_roundtrip` — at the `fabric-1024` shape: one full-row
+///   dense frame (1024 live entries) encoded and decoded again, the
+///   codec alone.
 fn bench_frame_path(c: &mut Criterion) {
     use apor_overlay::{Algorithm, NodeConfig, Outbox, OverlayNode};
     use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
@@ -322,6 +325,13 @@ fn bench_frame_path(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(frame.len() as u64));
     g.bench_with_input(BenchmarkId::new("fullmesh_ingest", n), &n, |b, _| {
         b.iter(|| node.on_packet(0.5, black_box(&frame), &mut out));
+    });
+
+    let n = 1024usize;
+    let msg = linkstate_msg(1, me, &ground_truth_row(&bench_topology(n), 1), true);
+    g.throughput(Throughput::Bytes(msg.wire_size() as u64));
+    g.bench_with_input(BenchmarkId::new("ls_dense_roundtrip", n), &n, |b, _| {
+        b.iter(|| Message::decode(&black_box(&msg).encode()));
     });
     g.finish();
 }

@@ -845,7 +845,8 @@ mod tests {
                     p.n
                 );
             }
-            // The stored-bytes gauge must be live in the fleet
+            // The held-bytes gauge (what the rows own, summed over
+            // nodes: `LaneRow::held_bytes`) must be live in the fleet
             // aggregate.
             let lanes = p
                 .telemetry

@@ -8,8 +8,9 @@
 //!   rows — so per-node state is the paper's `O(n√n)` bound instead of
 //!   `O(n²)`. There is one row layout: a row is stored struct-of-arrays
 //!   ([`LaneRow`]), parallel `dst`/`latency_ms`/liveness lanes holding
-//!   the exact wire bytes, ~5 B per live entry, and borrowed as a
-//!   [`RowRef`]. There is one cost domain: the wire format is already
+//!   the exact wire bytes — 5 B per live entry, or 3 B when the row is
+//!   live to every destination and borrows the shared identity lane
+//!   instead of holding a `dst` lane — and borrowed as a [`RowRef`]. There is one cost domain: the wire format is already
 //!   fixed-point — latencies are integer milliseconds in a `u16`, loss
 //!   is quantized to half-percent units — so every cost in the routing
 //!   path, from the round-two kernel to the feasibility distances, is
@@ -26,9 +27,10 @@
 //!   overlay are run. A single pair is a tick with one client; the
 //!   tests hold the kernel to a brute-force oracle.
 //!   Rows carry receipt timestamps for the 3-routing-interval freshness
-//!   rule of section 6.2.2; an optional row entitlement is
-//!   debug-asserted so a protocol regression back to `O(n)` rows fails
-//!   loudly. The kernel is written as provided methods of the
+//!   rule of section 6.2.2; an optional row entitlement is enforced —
+//!   a fresh row beyond it is refused and counted
+//!   (`linkstate/rows_rejected`) — so neither a protocol regression nor
+//!   a peer can grow a node back to `O(n)` rows. The kernel is written as provided methods of the
 //!   [`LinkStateStore`] trait, whose only implementor is [`RowStore`]:
 //!   the trait remains because the end-to-end benchmark package names
 //!   it, not because a second store exists (the full-mesh baseline
@@ -59,12 +61,16 @@
 //! 2. **Encode.** [`Message::encode`] writes the lanes as they are —
 //!    `dst`, latency, liveness byte per live entry (sparse), or every
 //!    slot with dead filler between them (dense) — then the seqno
-//!    trailer if the row has a version. The message is dropped; the
-//!    bytes belong to the driver.
+//!    trailer if the row has a version. A sparse row and a full dense
+//!    one are written 64 records at a time, so a frame costs a copy
+//!    loop and each of a tick's frames is simply encoded. The message
+//!    is dropped; the bytes belong to the driver.
 //! 3. **Decode.** [`Message::decode_traced`] validates the frame
 //!    (lengths, strictly ascending in-range destinations, trailer
-//!    rules) and fills three exact-capacity lanes straight from the
-//!    bytes. Lanes are the message body *because* they are the wire's
+//!    rules) and fills exact-capacity lanes straight from the bytes,
+//!    one exact-size `extend` per lane — two lanes, not three, when a
+//!    dense frame has every entry live: a full row borrows its
+//!    destinations. Lanes are the message body *because* they are the wire's
 //!    own layout and the kernel's input at once: no `LinkEntry`, no
 //!    `f32`, nothing to re-quantize. The new `Arc<LaneRow>` is owned by
 //!    the decoded message.

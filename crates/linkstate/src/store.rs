@@ -11,13 +11,14 @@
 //!   row plus its rendezvous clients' rows. Each held row is a
 //!   [`LaneRow`]: three parallel contiguous lanes (`dst`, `latency_ms`,
 //!   liveness/loss) holding only the *live* entries, ascending by
-//!   destination, in the wire's own fixed-point quantization — ~5 bytes
-//!   per entry. A node probing `O(√n)` targets therefore stores `O(√n)`
-//!   entries per row and `O(n)` overall, far below even the paper's
-//!   `O(n√n)` wire bound. An optional row *entitlement* is
-//!   debug-asserted on insert, so a protocol bug that re-grows `O(n)`
-//!   rows fails loudly in tests instead of silently reintroducing the
-//!   quadratic table.
+//!   destination, in the wire's own fixed-point quantization — 5 bytes
+//!   per entry, or 3 when the row is live to every destination and its
+//!   `dst` lane is the shared identity lane. A node probing `O(√n)`
+//!   targets therefore stores `O(√n)` entries per row and `O(n)`
+//!   overall, far below even the paper's `O(n√n)` wire bound. An optional row *entitlement* is enforced
+//!   on insert: a fresh row beyond it is refused and counted, so
+//!   neither a protocol bug nor a peer can re-grow `O(n)` rows and
+//!   silently reintroduce the quadratic table.
 //! * [`LinkStateStore`] — the trait [`RowStore`] implements, and its
 //!   only implementor. The required methods are pure storage
 //!   (put/get rows); the **round-two kernel**
@@ -41,7 +42,8 @@
 //!   freshness-checked once, each *unordered* pair computed once by
 //!   scattering one row into a dense lane and gathering over the other's
 //!   live entries — or, when the two rows list the same destinations, by
-//!   an elementwise reduction over their latency lanes. Which of the two
+//!   an elementwise reduction over their latency lanes (in saturating
+//!   `u16`, redone in `u32` only when it saturates). Which of the two
 //!   a pair takes is read off the rows (see the struct docs). A single
 //!   pair is a tick with one client.
 
@@ -85,6 +87,19 @@ impl<'a> RowRef<'a> {
         LinkEntry::from_wire_parts(self.latency_ms[i], self.liveness_loss[i])
     }
 
+    /// Lane position of `dst`, when stored. Slot `dst` is tried first:
+    /// a strictly ascending lane holds `dst` there exactly when
+    /// everything before it is its own index, which is every slot of a
+    /// full row — so on one the position is the destination itself and
+    /// nothing is searched.
+    fn position(&self, dst: usize) -> Option<usize> {
+        let target = dst as u16;
+        if self.dst.get(dst) == Some(&target) {
+            return Some(dst);
+        }
+        self.dst.binary_search(&target).ok()
+    }
+
     /// The entry for `dst` (dead when not stored).
     ///
     /// # Panics
@@ -92,9 +107,8 @@ impl<'a> RowRef<'a> {
     #[must_use]
     pub fn get(&self, dst: usize) -> LinkEntry {
         assert!(dst < self.width, "dst {dst} out of range");
-        self.dst
-            .binary_search(&(dst as u16))
-            .map_or_else(|_| LinkEntry::dead(), |i| self.entry_at(i))
+        self.position(dst)
+            .map_or_else(LinkEntry::dead, |i| self.entry_at(i))
     }
 
     /// Routing cost of the `dst` entry: the latency lane when alive,
@@ -105,8 +119,7 @@ impl<'a> RowRef<'a> {
     #[must_use]
     pub fn cost(&self, dst: usize) -> u32 {
         assert!(dst < self.width, "dst {dst} out of range");
-        self.dst
-            .binary_search(&(dst as u16))
+        self.position(dst)
             .map_or(INFINITE_COST, |i| u32::from(self.latency_ms[i]))
     }
 
@@ -248,9 +261,9 @@ fn excluded_ranges(
     }
 }
 
-/// Minimum elementwise sum of two equal-length latency lanes
-/// (`u32::MAX` when empty). A pure integer reduction the compiler
-/// vectorizes — this is the kernel's innermost loop.
+/// Minimum elementwise sum of two equal-length latency lanes, exact
+/// (`u32::MAX` when empty) — the reduction the `u16` one falls back to
+/// when it cannot tell a sum of 65 535 from a larger one.
 #[inline]
 fn min_lane_sum(la: &[u16], lb: &[u16]) -> u32 {
     la.iter()
@@ -258,45 +271,78 @@ fn min_lane_sum(la: &[u16], lb: &[u16]) -> u32 {
         .fold(u32::MAX, |m, (&x, &y)| m.min(u32::from(x) + u32::from(y)))
 }
 
-/// First index whose elementwise sum equals `target`.
+/// Minimum elementwise *saturating* sum of two equal-length latency
+/// lanes (`u16::MAX` when empty): eight lanes per 128-bit operation
+/// where the exact `u32` sum fits four, and an unsigned 16-bit `min`
+/// that baseline x86-64 can express (its 32-bit one needs SSE4.1).
+/// Below `u16::MAX` the result is the exact minimum — every sum that
+/// saturated is above it; at `u16::MAX` it says only "65 535 or more".
+/// This is the kernel's innermost loop.
 #[inline]
-fn find_lane_sum(la: &[u16], lb: &[u16], target: u32) -> Option<usize> {
+fn min_lane_sum_saturating(la: &[u16], lb: &[u16]) -> u16 {
     la.iter()
         .zip(lb)
-        .position(|(&x, &y)| u32::from(x) + u32::from(y) == target)
+        .fold(u16::MAX, |m, (&x, &y)| m.min(x.saturating_add(y)))
 }
 
-/// Best relay over two lane rows with **identical destination lanes**:
-/// the live intersection is the shared support itself, so the search
-/// is an elementwise reduction over the two latency lanes (both lanes
-/// hold live entries only — a lane row never materialises dead
-/// entries). Two vectorizable passes: a min-reduction over the sums
-/// with the `a`/`b` positions carved out, then a first-index search for
-/// the winner — the lowest-index relay of the lowest cost, as the
-/// gather's packed `min` picks it.
-fn lanes_shared_best(
-    dsts: &[u16],
-    la: &[u16],
-    lb: &[u16],
-    a: usize,
-    b: usize,
-) -> Option<(usize, u32)> {
-    let skip_a = dsts.binary_search(&(a as u16)).ok();
-    let skip_b = dsts.binary_search(&(b as u16)).ok();
-    let ranges = excluded_ranges(dsts.len(), skip_a, skip_b);
-    let mut best = u32::MAX;
-    for r in &ranges {
-        best = best.min(min_lane_sum(&la[r.clone()], &lb[r.clone()]));
-    }
-    if best == u32::MAX {
-        return None;
-    }
-    for r in &ranges {
-        if let Some(p) = find_lane_sum(&la[r.clone()], &lb[r.clone()], best) {
-            return Some((dsts[r.start + p] as usize, best));
+/// First index at which `hit` holds for the paired lanes. Each chunk
+/// of `FIND_CHUNK` entries is first asked whether it holds a hit at all — an
+/// or-reduction with no exit inside the chunk, which vectorizes where
+/// an early-exit scan cannot — and only the chunk that does is scanned
+/// for the position.
+#[inline]
+fn find_lane_pair(la: &[u16], lb: &[u16], hit: impl Fn(u16, u16) -> bool) -> Option<usize> {
+    /// Entries per any-then-position step.
+    const FIND_CHUNK: usize = 64;
+    for (chunk, (ca, cb)) in la.chunks(FIND_CHUNK).zip(lb.chunks(FIND_CHUNK)).enumerate() {
+        let pairs = || ca.iter().zip(cb);
+        if pairs().fold(false, |any, (&x, &y)| any | hit(x, y)) {
+            return pairs()
+                .position(|(&x, &y)| hit(x, y))
+                .map(|p| chunk * FIND_CHUNK + p);
         }
     }
     None
+}
+
+/// Best relay over two rows with **identical destination lanes**: the
+/// live intersection is the shared support itself, so the search is an
+/// elementwise reduction over the two latency lanes (both lanes hold
+/// live entries only — a lane row never materialises dead entries).
+/// Two vectorizable passes with the `a`/`b` positions carved out: a
+/// min-reduction over the saturating `u16` sums, then a first-index
+/// search for the winner — the lowest-index relay of the lowest cost,
+/// as the gather's packed `min` picks it. Only when the reduction
+/// saturates (the best sum is 65 535 or more, or nothing is left to
+/// relay through) are both passes redone on exact `u32` sums.
+fn lanes_shared_best(row_a: &RowRef, row_b: &RowRef, a: usize, b: usize) -> Option<(usize, u32)> {
+    let (dsts, la, lb) = (row_a.dst, row_a.latency_ms, row_b.latency_ms);
+    let ranges = excluded_ranges(dsts.len(), row_a.position(a), row_a.position(b));
+    let lanes = |r: &std::ops::Range<usize>| (&la[r.clone()], &lb[r.clone()]);
+    let best16 = ranges.iter().fold(u16::MAX, |m, r| {
+        let (la, lb) = lanes(r);
+        m.min(min_lane_sum_saturating(la, lb))
+    });
+    let best = if best16 < u16::MAX {
+        u32::from(best16)
+    } else {
+        ranges.iter().fold(u32::MAX, |m, r| {
+            let (la, lb) = lanes(r);
+            m.min(min_lane_sum(la, lb))
+        })
+    };
+    if best == u32::MAX {
+        return None;
+    }
+    ranges.iter().find_map(|r| {
+        let (la, lb) = lanes(r);
+        let p = if best16 < u16::MAX {
+            find_lane_pair(la, lb, |x, y| x.saturating_add(y) == best16)
+        } else {
+            find_lane_pair(la, lb, |x, y| u32::from(x) + u32::from(y) == best)
+        };
+        p.map(|p| (usize::from(dsts[r.start + p]), best))
+    })
 }
 
 /// A dead slot of the scatter lane: above any sum of two `u16` legs
@@ -368,9 +414,15 @@ fn gather_best_relay(row_b: &RowRef, lane: &[u32]) -> u64 {
 /// * **Shared lanes.** Two lane rows listing the same destinations keep
 ///   an elementwise reduction over the two latency lanes
 ///   (`lanes_shared_best`), which vectorizes where a gather cannot. The
-///   choice is made per pair from the rows alone — under full-mesh
-///   probing every pair takes it, under entitled probing none does, and
-///   the end-to-end benchmark has a workload on each side.
+///   choice is made per pair from the rows alone: same address and
+///   length first — two full rows of one width borrow the very same
+///   identity lane, so nothing is compared — and same contents only
+///   after. Under full-mesh probing every pair takes it, under entitled
+///   probing none does, and the end-to-end benchmark has a workload on
+///   each side. The reduction runs on saturating `u16` sums, eight to a
+///   128-bit operation, and is exact below 65 535; a result at that
+///   ceiling (a best path of 65 535 ms or more, or nothing to relay
+///   through) is recomputed on `u32` sums, so costs stay exact.
 /// * **Buffers are per call.** The lane and the matrix live for one
 ///   tick. One process may host thousands of routers; buffers kept per
 ///   router would sit idle between ticks and add `O(n)` bytes to each.
@@ -402,9 +454,11 @@ impl RoundTwo {
                     continue;
                 }
                 let direct = lane[b].min(row_b.cost(a));
-                let relay = if row_a.dst == row_b.dst {
-                    lanes_shared_best(row_a.dst, row_a.latency_ms, row_b.latency_ms, a, b)
-                        .map_or(NO_PATH, |(h, c)| pack(c, h))
+                // Two full rows of one width borrow the very same lane:
+                // address and length settle it before any content is read.
+                let shared = std::ptr::eq(row_a.dst, row_b.dst) || row_a.dst == row_b.dst;
+                let relay = if shared {
+                    lanes_shared_best(&row_a, &row_b, a, b).map_or(NO_PATH, |(h, c)| pack(c, h))
                 } else {
                     gather_best_relay(&row_b, &lane)
                 };
@@ -460,6 +514,96 @@ impl RoundTwo {
     }
 }
 
+/// The identity lane `0, 1, …, 65 535`. The destination lane of every
+/// full row is a prefix of it, so no full row holds one of its own.
+/// `const`-initialised: it sits in read-only data — no allocation, no
+/// lock, no first-use check — and is the same slice for every row that
+/// borrows it, which is what lets the kernel tell two full rows apart
+/// from two listed ones by address.
+static IDENTITY: [u16; 1 << 16] = {
+    let mut lane = [0; 1 << 16];
+    let mut i = 0;
+    while i < lane.len() {
+        lane[i] = i as u16;
+        i += 1;
+    }
+    lane
+};
+
+/// A destination lane: strictly ascending `u16`s, read through `Deref`
+/// as the `[u16]` every consumer sees. A lane that reads `0..len` — a
+/// **full row**, which is every row under full-mesh probing — owns
+/// nothing and borrows a prefix of [`IDENTITY`]; any other lane owns
+/// its destinations. Which of the two a lane is never shows: equality,
+/// `Debug` and serde go by content, and `From<Vec<u16>>` — the one
+/// way in for destinations that were listed somewhere — picks the
+/// shared form itself.
+#[derive(Clone, Serialize, Deserialize)]
+#[serde(from = "Vec<u16>", into = "Vec<u16>")]
+pub(crate) enum DstLane {
+    /// `0..len`.
+    Full(usize),
+    /// Anything else, as listed.
+    Listed(Box<[u16]>),
+}
+
+impl std::ops::Deref for DstLane {
+    type Target = [u16];
+
+    fn deref(&self) -> &[u16] {
+        match self {
+            DstLane::Full(len) => &IDENTITY[..*len],
+            DstLane::Listed(dst) => dst,
+        }
+    }
+}
+
+impl From<Vec<u16>> for DstLane {
+    /// `dst` must be strictly ascending (debug-asserted). Such a lane
+    /// starts at 0 or above and climbs by at least one a step, so its
+    /// last entry is `len − 1` exactly when every entry is its own
+    /// index: an `O(1)` test for "is a full row".
+    fn from(dst: Vec<u16>) -> Self {
+        debug_assert!(dst.windows(2).all(|w| w[0] < w[1]));
+        if dst.last().is_none_or(|&d| usize::from(d) + 1 == dst.len()) {
+            DstLane::Full(dst.len())
+        } else {
+            DstLane::Listed(dst.into_boxed_slice())
+        }
+    }
+}
+
+impl From<DstLane> for Vec<u16> {
+    /// The destinations as an owned list: a listed lane gives up its
+    /// own, a full row's are written out.
+    fn from(lane: DstLane) -> Self {
+        match lane {
+            DstLane::Full(len) => IDENTITY[..len].to_vec(),
+            DstLane::Listed(dst) => dst.into_vec(),
+        }
+    }
+}
+
+impl Default for DstLane {
+    fn default() -> Self {
+        DstLane::Full(0)
+    }
+}
+
+impl PartialEq for DstLane {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for DstLane {}
+
+impl std::fmt::Debug for DstLane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One owned link-state row in struct-of-arrays form: three parallel
 /// lanes holding the **live** entries only, strictly ascending by
 /// destination, in the exact wire quantization — `latency_ms` is the
@@ -469,11 +613,19 @@ impl RoundTwo {
 /// the wire therefore round-trips bit-identically: re-encoding the
 /// lanes reproduces the frame bytes.
 ///
-/// ~5 bytes per entry ([`LaneRow::ENTRY_BYTES`]), and the latency lane
-/// is directly consumable by the integer kernel with no decode step.
+/// A row costs what its wire form costs. One that lists its
+/// destinations holds 5 bytes per entry ([`LaneRow::ENTRY_BYTES`]), as
+/// a sparse frame spends; a **full row** — live to every destination
+/// `0..k`, which is every row under full-mesh probing — holds the 3
+/// bytes per entry of a dense frame, because its destination lane is
+/// the shared identity lane ([`LaneRow::held_bytes`] counts either).
+/// There is still one row type and one set of lanes: [`LaneRow::lanes`]
+/// and [`RowRef`] hand out `&[u16]` destinations whichever they are,
+/// and the latency lane is directly consumable by the integer kernel
+/// with no decode step.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneRow {
-    dst: Box<[u16]>,
+    dst: DstLane,
     latency_ms: Box<[u16]>,
     liveness_loss: Box<[u8]>,
     /// The origin's row sequence number (0 = unversioned legacy row).
@@ -497,9 +649,22 @@ pub fn seqno_newer(a: u16, b: u16) -> bool {
 }
 
 impl LaneRow {
-    /// Stored bytes per live entry: 2 (dst) + 2 (latency) + 1
-    /// (liveness/loss).
+    /// Stored bytes per live entry of a row that lists its
+    /// destinations: 2 (dst) + 2 (latency) + 1 (liveness/loss). A full
+    /// row holds no destination lane and stores the entry's
+    /// [`LinkEntry::WIRE_SIZE`] alone.
     pub const ENTRY_BYTES: usize = 5;
+
+    /// Bytes this row holds: the lanes it owns — a full row's
+    /// destinations are borrowed, not owned — plus the retraction lane.
+    #[must_use]
+    pub fn held_bytes(&self) -> usize {
+        let per_entry = match self.dst {
+            DstLane::Full(_) => LinkEntry::WIRE_SIZE,
+            DstLane::Listed(_) => Self::ENTRY_BYTES,
+        };
+        self.len() * per_entry + 2 * self.retracted.len()
+    }
 
     /// Reduce a dense row to its live entries.
     #[must_use]
@@ -536,7 +701,7 @@ impl LaneRow {
             latency_ms.push(u16::from_be_bytes([wire[0], wire[1]]));
             liveness_loss.push(wire[2]);
         }
-        Self::from_wire_lanes(dst, latency_ms, liveness_loss, 0, Vec::new())
+        Self::from_wire_lanes(dst.into(), latency_ms, liveness_loss, 0, Vec::new())
     }
 
     /// Assemble a row from lanes that already hold wire-exact values —
@@ -545,18 +710,17 @@ impl LaneRow {
     /// lanes, live entries only, destinations (and retractions)
     /// strictly ascending, live latencies below the dead sentinel.
     pub(crate) fn from_wire_lanes(
-        dst: Vec<u16>,
+        dst: DstLane,
         latency_ms: Vec<u16>,
         liveness_loss: Vec<u8>,
         seqno: u16,
         retracted: Vec<u16>,
     ) -> Self {
         debug_assert!(dst.len() == latency_ms.len() && dst.len() == liveness_loss.len());
-        debug_assert!(dst.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(retracted.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(liveness_loss.iter().all(|l| l & 0x80 != 0));
         LaneRow {
-            dst: dst.into_boxed_slice(),
+            dst,
             latency_ms: latency_ms.into_boxed_slice(),
             liveness_loss: liveness_loss.into_boxed_slice(),
             seqno,
@@ -607,7 +771,7 @@ impl LaneRow {
             }
         }
         let retracted = self.retracted.iter().filter_map(rename).collect();
-        Self::from_wire_lanes(dst, latency_ms, liveness_loss, self.seqno, retracted)
+        Self::from_wire_lanes(dst.into(), latency_ms, liveness_loss, self.seqno, retracted)
     }
 
     /// The origin's row sequence number (0 = unversioned).
@@ -648,7 +812,8 @@ impl LaneRow {
 
     /// Insert, replace or remove the entry for `dst`: a live entry
     /// lands in lane order (wire-quantized), a dead one removes any
-    /// stored entry.
+    /// stored entry. A row that gains or loses an entry lists its
+    /// destinations from then on — a full row's are written out first.
     fn set(&mut self, dst: u16, entry: LinkEntry) {
         match (self.dst.binary_search(&dst), entry.alive) {
             (Ok(i), true) => {
@@ -661,13 +826,13 @@ impl LaneRow {
             }
             (Err(i), true) => {
                 let wire = entry.encode();
-                let mut dsts = std::mem::take(&mut self.dst).into_vec();
+                let mut dsts = Vec::from(std::mem::take(&mut self.dst));
                 let mut lats = std::mem::take(&mut self.latency_ms).into_vec();
                 let mut livs = std::mem::take(&mut self.liveness_loss).into_vec();
                 dsts.insert(i, dst);
                 lats.insert(i, u16::from_be_bytes([wire[0], wire[1]]));
                 livs.insert(i, wire[2]);
-                self.dst = dsts.into_boxed_slice();
+                self.dst = DstLane::Listed(dsts.into_boxed_slice());
                 self.latency_ms = lats.into_boxed_slice();
                 self.liveness_loss = livs.into_boxed_slice();
             }
@@ -676,13 +841,13 @@ impl LaneRow {
     }
 
     fn remove_at(&mut self, i: usize) {
-        let mut dsts = std::mem::take(&mut self.dst).into_vec();
+        let mut dsts = Vec::from(std::mem::take(&mut self.dst));
         let mut lats = std::mem::take(&mut self.latency_ms).into_vec();
         let mut livs = std::mem::take(&mut self.liveness_loss).into_vec();
         dsts.remove(i);
         lats.remove(i);
         livs.remove(i);
-        self.dst = dsts.into_boxed_slice();
+        self.dst = DstLane::Listed(dsts.into_boxed_slice());
         self.latency_ms = lats.into_boxed_slice();
         self.liveness_loss = livs.into_boxed_slice();
     }
@@ -724,12 +889,13 @@ pub trait LinkStateStore {
     /// **The row ingest.** Replace row `origin` with `row` — live-entry
     /// lanes plus the origin's seqno and retraction lane, as a
     /// link-state frame carries them — stamped at `now` seconds.
-    /// Returns `false` (row unchanged) when the held row is versioned
+    /// Returns `false` (store unchanged) when the held row is versioned
     /// and strictly newer than the incoming one — the stale-replay
-    /// guard. A zero seqno on either side is unversioned and always
-    /// accepted. The store holds on to the `Arc` itself, so a decoded
-    /// frame's row is stored without copying; a caller with a
-    /// full-width `&[LinkEntry]` reduces it first
+    /// guard; a zero seqno on either side is unversioned and always
+    /// accepted — or when the store is bounded, full of fresh rows and
+    /// `origin` is not among them. The store holds on to the `Arc`
+    /// itself, so a decoded frame's row is stored without copying; a
+    /// caller with a full-width `&[LinkEntry]` reduces it first
     /// ([`LaneRow::from_dense`]).
     ///
     /// # Panics
@@ -986,19 +1152,21 @@ struct StoredRow {
 ///
 /// A quorum node holds its own row plus its `~2√n` rendezvous clients'
 /// rows, and each row stores only its live entries, in struct-of-arrays
-/// lanes at ~5 B/entry — which under entitled + sampled probing is
-/// `O(√n)` per row, so per-node state is `O(n)` where a full matrix
-/// needs `O(n²)`. Lookups are `O(log √n)` map + `O(log k)` row binary
-/// search; the round-two kernel costs `O(k)` per pair — a
-/// scatter-gather — or streams the two latency lanes elementwise when
-/// the rows share a destination lane.
-/// The `row_bytes_lanes` gauge reports the stored lane bytes.
+/// lanes at 5 B/entry (3 B/entry for a full row, see [`LaneRow`]) —
+/// which under entitled + sampled probing is `O(√n)` per row, so
+/// per-node state is `O(n)` where a full matrix needs `O(n²)`. Lookups
+/// are `O(log √n)` map + `O(log k)` row binary search (none on a full
+/// row); the round-two kernel costs `O(k)` per pair — a scatter-gather
+/// — or streams the two latency lanes elementwise when the rows share
+/// a destination lane.
+/// The `row_bytes_lanes` gauge reports the bytes the held rows own
+/// ([`LaneRow::held_bytes`], summed).
 #[derive(Debug, Clone)]
 pub struct RowStore {
     n: usize,
     rows: BTreeMap<usize, StoredRow>,
-    /// Maximum rows this node's role entitles it to, debug-asserted on
-    /// insert; `None` = unbounded.
+    /// Maximum rows this node's role entitles it to: a row that would
+    /// be one more is refused. `None` = unbounded.
     entitlement: Option<usize>,
     /// Rows older than this are evicted when a new row arrives at the
     /// entitlement boundary. One-time senders (e.g. nodes that briefly
@@ -1013,6 +1181,9 @@ pub struct RowStore {
     /// current by every path that adds, replaces or evicts a row, so the
     /// size gauge costs `O(1)` per merged row.
     live_entries: usize,
+    /// [`LaneRow::held_bytes`] summed over all rows, kept current beside
+    /// `live_entries` — what the `row_bytes_lanes` gauge reads.
+    held_bytes: usize,
     telemetry: Telemetry,
     rows_merged: Counter,
     rows_evicted: Counter,
@@ -1041,6 +1212,7 @@ impl RowStore {
             stale_after: None,
             peak_rows: 0,
             live_entries: 0,
+            held_bytes: 0,
             telemetry,
             rows_merged,
             rows_evicted,
@@ -1061,6 +1233,7 @@ impl RowStore {
             stale_after: self.stale_after,
             peak_rows: self.peak_rows,
             live_entries: self.live_entries,
+            held_bytes: self.held_bytes,
             ..Self::on(self.n, telemetry)
         }
     }
@@ -1069,8 +1242,7 @@ impl RowStore {
     /// memory figure the scale study exports.
     fn update_size_gauges(&self) {
         self.rows_held.set(self.rows.len() as u64);
-        self.row_bytes_lanes
-            .set((self.live_entries * LaneRow::ENTRY_BYTES) as u64);
+        self.row_bytes_lanes.set(self.held_bytes as u64);
     }
 
     /// Count one merged row (counter + journal + size gauges).
@@ -1086,12 +1258,15 @@ impl RowStore {
         );
     }
 
-    /// An empty store, reporting into `telemetry`, that debug-asserts
-    /// `row_count ≤ max_rows` on every insert — the `O(√n)` entitlement
-    /// guard. When a new row arrives at the boundary, rows older than
+    /// An empty store, reporting into `telemetry`, that keeps
+    /// `row_count ≤ max_rows` — the `O(√n)` entitlement guard. When a
+    /// row from a new origin arrives at the boundary, rows older than
     /// `stale_after` (the staleness window: stale rows are dead weight
-    /// the kernel already ignores) are evicted first, so only *fresh*
-    /// rows beyond the entitlement trip the assertion.
+    /// the kernel already ignores) are evicted first; if every held row
+    /// is fresh the newcomer is refused ([`LinkStateStore::put_row`]
+    /// returns `false`) and counted in `linkstate/rows_rejected`, in
+    /// release builds as in debug ones: bytes from the network cannot
+    /// grow a node's state past its role.
     #[must_use]
     pub fn with_entitlement(
         n: usize,
@@ -1117,6 +1292,7 @@ impl RowStore {
         self.entitlement = Some(max_rows);
         self.peak_rows = 0;
         self.live_entries = 0;
+        self.held_bytes = 0;
     }
 
     /// Every held row as `(origin, receipt time, the shared lanes)`,
@@ -1133,6 +1309,7 @@ impl RowStore {
     /// for the new index space and puts back what it keeps.
     pub fn drain(&mut self) -> impl Iterator<Item = (usize, f64, Arc<LaneRow>)> {
         self.live_entries = 0;
+        self.held_bytes = 0;
         std::mem::take(&mut self.rows)
             .into_iter()
             .map(|(origin, s)| (origin, s.received_at, s.lanes))
@@ -1165,6 +1342,7 @@ impl RowStore {
                 for origin in stale {
                     if let Some(row) = self.rows.remove(&origin) {
                         self.live_entries -= row.lanes.len();
+                        self.held_bytes -= row.lanes.held_bytes();
                     }
                     self.rows_evicted.inc();
                     self.telemetry.event(
@@ -1177,18 +1355,6 @@ impl RowStore {
                 }
                 self.update_size_gauges();
             }
-        }
-    }
-
-    fn note_insert(&mut self) {
-        self.peak_rows = self.peak_rows.max(self.rows.len());
-        if let Some(limit) = self.entitlement {
-            debug_assert!(
-                self.rows.len() <= limit,
-                "row store holds {} fresh rows, entitlement is {limit} — \
-                 a quorum node's state must stay O(√n)",
-                self.rows.len()
-            );
         }
     }
 }
@@ -1212,12 +1378,26 @@ impl LinkStateStore for RowStore {
                     return false;
                 }
                 self.live_entries = self.live_entries - slot.lanes.len() + row.len();
+                self.held_bytes = self.held_bytes - slot.lanes.held_bytes() + row.held_bytes();
                 slot.lanes = row;
                 slot.received_at = now;
             }
             None => {
                 self.evict_stale(now);
+                if self
+                    .entitlement
+                    .is_some_and(|limit| self.rows.len() >= limit)
+                {
+                    // Every held row is fresh: a quorum node's state
+                    // stays O(√n) whatever the network sends. The cell
+                    // is registered by the first refusal: no run of
+                    // ours has one, and a store that never refuses
+                    // costs what it did without the counter.
+                    self.telemetry.counter("linkstate", "rows_rejected").inc();
+                    return false;
+                }
                 self.live_entries += row.len();
+                self.held_bytes += row.held_bytes();
                 self.rows.insert(
                     origin,
                     StoredRow {
@@ -1225,7 +1405,7 @@ impl LinkStateStore for RowStore {
                         lanes: row,
                     },
                 );
-                self.note_insert();
+                self.peak_rows = self.peak_rows.max(self.rows.len());
             }
         }
         self.note_merge(origin, now);
@@ -1251,10 +1431,11 @@ impl LinkStateStore for RowStore {
     fn update_entry(&mut self, origin: usize, dst: usize, entry: LinkEntry, now: f64) {
         assert!(origin < self.n && dst < self.n);
         if let Some(slot) = self.rows.get_mut(&origin) {
-            let before = slot.lanes.len();
+            let before = (slot.lanes.len(), slot.lanes.held_bytes());
             // Copies the lanes only while a frame still shares them.
             Arc::make_mut(&mut slot.lanes).set(dst as u16, entry);
-            self.live_entries = self.live_entries - before + slot.lanes.len();
+            self.live_entries = self.live_entries - before.0 + slot.lanes.len();
+            self.held_bytes = self.held_bytes - before.1 + slot.lanes.held_bytes();
             slot.received_at = now;
             self.note_merge(origin, now);
         } else {
@@ -1491,6 +1672,102 @@ mod tests {
         assert_eq!(row.relabelled(&identity), row);
     }
 
+    /// A full row — live to every destination `0..k` — is one row
+    /// however it was built: reduced from a dense row, collected from
+    /// pairs, decoded from either frame form, or relabelled through a
+    /// table that renames nothing. Each borrows the identity lane (the
+    /// very same slice), holds 3 bytes an entry, and equals the others.
+    #[test]
+    fn a_full_row_borrows_the_identity_lane_however_it_was_built() {
+        use crate::wire::{LinkStateMsg, Message};
+        use apor_quorum::NodeId;
+        let k = 70usize;
+        let entries: Vec<LinkEntry> = (0..k)
+            .map(|d| LinkEntry::live(d as u16 * 3, 0.01))
+            .collect();
+        let pairs: Vec<(u16, LinkEntry)> = (0..k as u16).zip(entries.iter().copied()).collect();
+        let dense = LaneRow::from_dense(&entries).with_version(4, &[2, 69]);
+        let mut built = vec![LaneRow::from_pairs(&pairs).with_version(4, &[2, 69])];
+        let frame = LinkStateMsg {
+            from: NodeId(1),
+            to: NodeId(2),
+            view: 0,
+            round: 0,
+            basis_ms: 0,
+            width: k as u16,
+            row: Arc::new(dense.clone()),
+        };
+        for msg in [
+            Message::LinkState(frame.clone()),
+            Message::LinkStateSparse(frame),
+        ] {
+            let (Message::LinkState(back) | Message::LinkStateSparse(back)) =
+                Message::decode(&msg.encode()).expect("decodes")
+            else {
+                panic!("a link-state frame");
+            };
+            built.push(LaneRow::clone(&back.row));
+        }
+        let identity: Vec<Option<u16>> = (0..k as u16).map(Some).collect();
+        built.push(dense.relabelled(&identity));
+        for row in &built {
+            assert_eq!(*row, dense);
+            assert!(matches!(row.dst, DstLane::Full(len) if len == k));
+            assert!(std::ptr::eq(row.lanes().0, dense.lanes().0));
+            assert_eq!(row.held_bytes(), 3 * k + 2 * 2);
+        }
+        assert_eq!(dense.lanes().0, (0..k as u16).collect::<Vec<_>>());
+        // What the serde attributes name: out as a list, back in as the
+        // shared form.
+        let listed = Vec::from(dense.dst.clone());
+        assert_eq!(listed.len(), k);
+        assert!(matches!(DstLane::from(listed), DstLane::Full(len) if len == k));
+        // Dropping the tail keeps a (shorter) full row; dropping from
+        // the middle does not.
+        let mut shorter = identity.clone();
+        shorter[k - 1] = None;
+        assert!(matches!(dense.relabelled(&shorter).dst, DstLane::Full(len) if len == k - 1));
+        let mut holed = identity;
+        holed[5] = None;
+        assert!(matches!(dense.relabelled(&holed).dst, DstLane::Listed(_)));
+        // Not every lane that starts at 0 is full, and an empty one is.
+        assert!(matches!(DstLane::from(vec![0, 1, 3]), DstLane::Listed(_)));
+        assert!(matches!(DstLane::from(vec![1]), DstLane::Listed(_)));
+        assert!(matches!(DstLane::from(vec![]), DstLane::Full(0)));
+        assert_eq!(
+            LaneRow::from_dense(&[LinkEntry::dead(); 3]),
+            LaneRow::default()
+        );
+    }
+
+    /// A full row that loses an entry is the listed row it always was —
+    /// the same as reducing the dense row with that entry dead — and
+    /// owns its destinations from then on: 5 bytes an entry. Getting the
+    /// entry back restores the contents, and rows compare by contents.
+    #[test]
+    fn a_full_row_that_loses_an_entry_lists_its_destinations() {
+        let entries = live_row(&[7, 8, 9, 10, 11, 12]);
+        let full = LaneRow::from_dense(&entries);
+        for dead_at in [0usize, 3, 5] {
+            let mut row = full.clone();
+            row.set(dead_at as u16, LinkEntry::dead());
+            let mut want = entries.clone();
+            want[dead_at] = LinkEntry::dead();
+            assert_eq!(row, LaneRow::from_dense(&want), "dead at {dead_at}");
+            assert!(matches!(row.dst, DstLane::Listed(_)));
+            assert_eq!(row.held_bytes(), 5 * 5);
+            assert_eq!(row.as_row_ref(6).to_dense(), want);
+            row.set(dead_at as u16, entries[dead_at]);
+            assert_eq!(row, full, "equal by content, dead at {dead_at}");
+            assert_eq!(row.held_bytes(), 5 * 6, "though it owns its lane");
+        }
+        // Growing a full row by its next destination is by content too.
+        let mut grown = LaneRow::from_dense(&entries[..5]);
+        grown.set(5, entries[5]);
+        assert_eq!(grown, full);
+        assert_eq!(full.held_bytes(), 3 * 6);
+    }
+
     #[test]
     fn update_entry_creates_sparse_row() {
         let mut s = RowStore::new(5);
@@ -1578,15 +1855,34 @@ mod tests {
         assert_eq!(s.present_rows(), vec![2, 3]);
     }
 
+    /// All rows fresh: eviction frees nothing, so a third origin is
+    /// turned away — in release builds too — and counted, while the
+    /// origins already held keep refreshing. Once a held row goes stale
+    /// the newcomer takes its place.
     #[test]
-    #[should_panic(expected = "entitlement")]
-    #[cfg(debug_assertions)]
-    fn fresh_overflow_is_debug_asserted() {
-        // All rows fresh: eviction frees nothing, the guard must fire.
-        let mut s = RowStore::with_entitlement(10, 2, 45.0, Telemetry::disabled());
-        for i in 0..3 {
-            put(&mut s, i, &[LinkEntry::dead(); 10], 1.0);
-        }
+    fn a_row_beyond_the_entitlement_is_refused_and_counted() {
+        let telemetry = Telemetry::new(3);
+        let mut s = RowStore::with_entitlement(10, 2, 45.0, telemetry.clone());
+        let row = |cost: u16| Arc::new(LaneRow::from_dense(&live_row(&[cost; 10])));
+        assert!(s.put_row(0, row(1), 1.0));
+        assert!(s.put_row(1, row(2), 1.0));
+        let before = (s.entry_count(), s.held_bytes);
+        assert!(
+            !s.put_row(2, row(3), 2.0),
+            "a third fresh origin is refused"
+        );
+        assert_eq!(s.present_rows(), vec![0, 1]);
+        assert_eq!((s.entry_count(), s.held_bytes), before);
+        assert_eq!(s.peak_rows(), 2);
+        assert!(s.put_row(1, row(4), 3.0), "a held origin still refreshes");
+        assert_eq!(s.entry(1, 5).latency_ms, 4);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter(3, "linkstate", "rows_rejected"), Some(1));
+        assert_eq!(snap.counter(3, "linkstate", "rows_merged"), Some(3));
+        assert_eq!(snap.gauge(3, "linkstate", "rows_held"), Some(2));
+        // Row 0 (t = 1) is stale at t = 47, row 1 (t = 3) is not.
+        assert!(s.put_row(2, row(3), 47.0));
+        assert_eq!(s.present_rows(), vec![1, 2]);
     }
 
     #[test]
@@ -1608,50 +1904,54 @@ mod tests {
             .any(|e| matches!(e.kind, EventKind::RowEvicted { origin: 0 })));
     }
 
-    /// The running live-entry total behind `entry_count` and the size
-    /// gauge equals a recount of the held rows after every kind of
-    /// mutation: insert,
-    /// whole-row replace (growing and shrinking), single-entry set and
-    /// kill, row creation by `update_entry`, and eviction under capacity
-    /// pressure.
+    /// The running totals behind `entry_count` and the size gauge —
+    /// live entries, and the bytes the rows own — equal a recount of the
+    /// held rows after every kind of mutation: insert, whole-row replace
+    /// (growing and shrinking), single-entry set and kill, row creation
+    /// by `update_entry`, and eviction under capacity pressure. A full
+    /// row counts 3 bytes an entry, a listed one 5, a retraction 2.
     #[test]
     fn live_entry_total_tracks_recount() {
         let telemetry = Telemetry::new(1);
         let mut s = RowStore::with_entitlement(10, 3, 45.0, telemetry.clone());
-        let check = |s: &RowStore, step: &str| {
+        let check = |s: &RowStore, step: &str, bytes: usize| {
             let recount: usize = s
                 .held_rows()
                 .map(|(_, _, row)| row.iter_live().count())
                 .sum();
             assert_eq!(s.entry_count(), recount, "{step}");
+            let held: usize = s.held_lanes().map(|(_, _, row)| row.held_bytes()).sum();
+            assert_eq!(held, bytes, "{step}");
             let snap = telemetry.snapshot();
             assert_eq!(
                 snap.gauge(1, "linkstate", "row_bytes_lanes"),
-                Some((s.entry_count() * LaneRow::ENTRY_BYTES) as u64),
+                Some(bytes as u64),
                 "{step}"
             );
         };
         put(&mut s, 0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 0.0);
-        check(&s, "insert");
+        check(&s, "insert, a full row", 10 * 3);
         let one = |dst: u16, cost: u16| {
             Arc::new(LaneRow::from_pairs(&[(dst, LinkEntry::live(cost, 0.0))]))
         };
         s.put_row(0, one(3, 7), 1.0);
-        check(&s, "replace, shrinking");
-        put(&mut s, 0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 2.0);
-        check(&s, "replace, growing");
+        check(&s, "replace, shrinking to a listed row", 5);
+        let versioned =
+            LaneRow::from_dense(&live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9])).with_version(1, &[2]);
+        s.put_row(0, Arc::new(versioned), 2.0);
+        check(&s, "replace, growing, one retraction", 10 * 3 + 2);
         s.update_entry(0, 4, LinkEntry::dead(), 3.0);
         s.update_entry(0, 5, LinkEntry::live(50, 0.0), 3.0);
-        check(&s, "entry killed, entry overwritten");
+        check(&s, "entry killed: the row lists its 9", 9 * 5 + 2);
         s.update_entry(1, 2, LinkEntry::live(9, 0.0), 4.0);
         s.update_entry(2, 3, LinkEntry::dead(), 4.0);
-        check(&s, "rows created by update_entry");
+        check(&s, "rows created by update_entry", 9 * 5 + 2 + 5);
         assert_eq!(s.entry_count(), 10);
         // Rows 0–2 are stale at t = 100: a fourth origin arriving at the
         // entitlement boundary sheds all three.
         s.put_row(7, one(1, 5), 100.0);
         assert_eq!(s.present_rows(), vec![7]);
-        check(&s, "evict");
+        check(&s, "evict", 5);
         assert_eq!(s.entry_count(), 1);
     }
 

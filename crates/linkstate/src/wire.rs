@@ -18,9 +18,19 @@
 //! Encoding is hand-rolled big-endian over [`bytes`]; no serde on the hot
 //! path. Membership-service messages (join/leave/view) share the same
 //! envelope but are rare, so their size is not calibrated.
+//!
+//! A link-state frame is most of the control plane's bytes, so its body
+//! moves at copy speed in both directions: the writer stages 64 records
+//! at a time in a stack buffer (`put_records`) instead of appending
+//! field by field, and the reader validates and counts in one pass and
+//! then fills each lane with one exact-size `extend` (`decode_lane`).
+//! A dense frame whose entries are all live — every frame under the
+//! paper's full-mesh probing — decodes to a full row, whose destination
+//! lane is never built (see [`LaneRow`]). Only a dense frame of a row
+//! that skips destinations is still written slot by slot.
 
 use crate::entry::LinkEntry;
-use crate::store::LaneRow;
+use crate::store::{DstLane, LaneRow};
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{TraceCtx, TRACE_CTX_SIZE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -96,6 +106,37 @@ pub fn ls_trailer_size(seqno: u16, retractions: &[u16]) -> usize {
 /// loss field.
 const DEAD_ENTRY_WIRE: [u8; LinkEntry::WIRE_SIZE] = [0xFF, 0xFF, 0x7F];
 
+/// Append one record per entry of the index-aligned lanes: the 3-byte
+/// link-state entry, preceded by its 2-byte destination when `STRIDE`
+/// is 5 (a sparse frame) and bare when it is 3 (a dense frame of a full
+/// row, whose destinations are the slots themselves). Records are
+/// staged `PUT_CHUNK` at a time in a stack buffer and appended with
+/// one `put_slice` each, so writing a row is a copy loop rather than
+/// two or three buffer appends per entry.
+fn put_records<const STRIDE: usize>(
+    b: &mut BytesMut,
+    dst: &[u16],
+    latency_ms: &[u16],
+    liveness_loss: &[u8],
+) {
+    /// Records staged per `put_slice`.
+    const PUT_CHUNK: usize = 64;
+    let entry_at = STRIDE - LinkEntry::WIRE_SIZE;
+    let mut buf = [[0u8; STRIDE]; PUT_CHUNK];
+    let lanes = dst
+        .chunks(PUT_CHUNK)
+        .zip(latency_ms.chunks(PUT_CHUNK))
+        .zip(liveness_loss.chunks(PUT_CHUNK));
+    for ((dst, latency_ms), liveness_loss) in lanes {
+        for (((record, d), l), v) in buf.iter_mut().zip(dst).zip(latency_ms).zip(liveness_loss) {
+            record[..entry_at].copy_from_slice(&d.to_be_bytes()[..entry_at]);
+            record[entry_at..entry_at + 2].copy_from_slice(&l.to_be_bytes());
+            record[entry_at + 2] = *v;
+        }
+        b.put_slice(buf[..dst.len()].as_flattened());
+    }
+}
+
 /// Write a link-state frame after its type tag: header, entry list
 /// straight from the row's lanes, and the route-discipline trailer when
 /// the row is versioned. `sparse` lists the live entries as `(dst,
@@ -120,11 +161,10 @@ fn put_linkstate(b: &mut BytesMut, m: &LinkStateMsg, sparse: bool) {
     let versioned = ls_trailer_size(m.row.seqno(), retracted) != 0;
     b.put_u16(if versioned { LS_FLAG_SEQNO } else { 0 });
     if sparse {
-        for i in 0..dst.len() {
-            b.put_u16(dst[i]);
-            b.put_u16(latency_ms[i]);
-            b.put_u8(liveness_loss[i]);
-        }
+        put_records::<5>(b, dst, latency_ms, liveness_loss);
+    } else if dst.len() == usize::from(m.width) {
+        // A full row: every slot is the next lane entry.
+        put_records::<3>(b, dst, latency_ms, liveness_loss);
     } else {
         let mut next = 0;
         for slot in 0..m.width {
@@ -146,12 +186,37 @@ fn put_linkstate(b: &mut BytesMut, m: &LinkStateMsg, sparse: bool) {
     }
 }
 
+/// Is the record's entry alive? The liveness byte closes the record in
+/// both frame forms.
+fn record_is_live(record: &&[u8]) -> bool {
+    record[record.len() - 1] & 0x80 != 0
+}
+
+/// One lane of a decoded row: `read` over the live records of `body`,
+/// in exactly the `live` slots it needs. When every record is live —
+/// every frame under full-mesh probing — the lane is filled by one
+/// exact-size `extend`; otherwise dead records are filtered out on the
+/// way.
+fn decode_lane<T>(body: &[u8], stride: usize, live: usize, read: impl Fn(&[u8]) -> T) -> Vec<T> {
+    let records = body.chunks_exact(stride);
+    let mut lane = Vec::with_capacity(live);
+    if live == records.len() {
+        lane.extend(records.map(read));
+    } else {
+        lane.extend(records.filter(record_is_live).map(read));
+    }
+    lane
+}
+
 /// Read a link-state frame after the common `(type, from, to)` prefix,
 /// filling exact-capacity lanes straight from the entry bytes — no
 /// [`LinkEntry`] and no `f32` is materialised. An entry whose liveness
 /// bit is clear is dropped (absence *is* death in a lane row); a live
 /// entry's latency is clamped below the dead sentinel, as
-/// [`LinkEntry::encode`] would emit it.
+/// [`LinkEntry::encode`] would emit it. One pass validates and counts,
+/// then each lane is filled on its own ([`decode_lane`]); a dense frame
+/// with every entry live builds no destination lane at all — its row is
+/// a full row.
 fn get_linkstate(
     b: &mut &[u8],
     from: NodeId,
@@ -184,35 +249,38 @@ fn get_linkstate(
         return Err(WireError::BadLength);
     }
     let body = b.take_bytes(body_len);
-    let live = body
-        .chunks_exact(stride)
-        .filter(|e| e[entry_at + 2] & 0x80 != 0)
-        .count();
-    let mut dst = Vec::with_capacity(live);
-    let mut latency_ms = Vec::with_capacity(live);
-    let mut liveness_loss = Vec::with_capacity(live);
+    let record_dst = |e: &[u8]| u16::from_be_bytes([e[0], e[1]]);
+    let mut live = 0;
     let mut prev: Option<u16> = None;
-    for (slot, e) in body.chunks_exact(stride).enumerate() {
-        let d = if sparse {
-            let d = u16::from_be_bytes([e[0], e[1]]);
-            // Entries must be strictly ascending and in range — the
-            // row kernels rely on it.
+    for e in body.chunks_exact(stride) {
+        if sparse {
+            // Entries must be strictly ascending and in range, dead
+            // ones included — the row kernels rely on it.
+            let d = record_dst(e);
             if d >= width || prev.is_some_and(|p| d <= p) {
                 return Err(WireError::BadLength);
             }
             prev = Some(d);
-            d
-        } else {
-            slot as u16
-        };
-        let [latency_hi, latency_lo, liveness] = [e[entry_at], e[entry_at + 1], e[entry_at + 2]];
-        if liveness & 0x80 != 0 {
-            let latency = u16::from_be_bytes([latency_hi, latency_lo]);
-            dst.push(d);
-            latency_ms.push(latency.min(LinkEntry::DEAD_LATENCY - 1));
-            liveness_loss.push(liveness);
         }
+        live += usize::from(record_is_live(&e));
     }
+    let dst = if sparse {
+        decode_lane(body, stride, live, record_dst).into()
+    } else if live == usize::from(count) {
+        DstLane::Full(live)
+    } else {
+        let live_slots = (0..count)
+            .zip(body.chunks_exact(stride))
+            .filter(|(_, e)| record_is_live(e))
+            .map(|(slot, _)| slot);
+        let mut dst = Vec::with_capacity(live);
+        dst.extend(live_slots);
+        dst.into()
+    };
+    let latency_ms = decode_lane(body, stride, live, |e| {
+        u16::from_be_bytes([e[entry_at], e[entry_at + 1]]).min(LinkEntry::DEAD_LATENCY - 1)
+    });
+    let liveness_loss = decode_lane(body, stride, live, |e| e[entry_at + 2]);
     let (seqno, retracted) = if versioned {
         get_ls_trailer(b, width)?
     } else {

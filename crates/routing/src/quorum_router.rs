@@ -373,7 +373,7 @@ impl QuorumRouter {
         (router, survived)
     }
 
-    /// The debug-asserted bound on *fresh* rows a quorum node may hold:
+    /// The enforced bound on *fresh* rows a quorum node may hold:
     /// its own row, its `≤ 2·max(rows, cols)` rendezvous clients, plus
     /// slack for transient failover clients (nodes that selected us as
     /// a failover rendezvous and sent us their link state).

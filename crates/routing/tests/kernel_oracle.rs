@@ -696,3 +696,254 @@ proptest! {
         }
     }
 }
+
+/// The frame writer's chunked copy loops against the per-slot reference
+/// ([`OldFrame`], every entry through `LinkEntry::encode`), at widths on
+/// either side of the writer's 64-record chunk and at the benchmark
+/// scales: a row live everywhere (a full row: no destination lane is
+/// held, none is built on decode), dead at its first, a middle or its
+/// last slot, or dead everywhere; flagless or with seqno and retraction
+/// lane; dense and sparse. The bytes are the reference's,
+/// `decode(encode(m)) == m`, and every truncation fails to decode.
+#[test]
+fn linkstate_codec_matches_the_per_slot_reference_at_every_width() {
+    for width in [1usize, 63, 64, 65, 196, 1024] {
+        let live: Vec<LinkEntry> = (0..width)
+            .map(|d| LinkEntry::live((d * 977 % 65_536) as u16, (d % 9) as f32 * 0.07))
+            .collect();
+        let mut rows = vec![live.clone(), vec![LinkEntry::dead(); width]];
+        for dead_at in [0, width / 2, width - 1] {
+            let mut row = live.clone();
+            row[dead_at] = LinkEntry::dead();
+            rows.push(row);
+        }
+        for row in &rows {
+            for (seqno, retractions) in [(0u16, vec![]), (7, vec![0, (width - 1) as u16])] {
+                let mut retractions: Vec<u16> = retractions;
+                retractions.dedup();
+                let old = OldFrame {
+                    from: 3,
+                    to: 9,
+                    view: 2,
+                    round: 5,
+                    basis_ms: 250,
+                    width: width as u16,
+                    seqno,
+                    retractions: &retractions,
+                };
+                let ls = LinkStateMsg {
+                    from: NodeId(3),
+                    to: NodeId(9),
+                    view: 2,
+                    round: 5,
+                    basis_ms: 250,
+                    width: width as u16,
+                    row: Arc::new(LaneRow::from_dense(row).with_version(seqno, &retractions)),
+                };
+                let cases = [
+                    (Message::LinkState(ls.clone()), old.dense(row)),
+                    (Message::LinkStateSparse(ls), old.sparse(&live_pairs(row))),
+                ];
+                for (msg, want) in cases {
+                    let bytes = msg.encode();
+                    assert_eq!(bytes.len(), msg.wire_size(), "width {width}");
+                    assert_eq!(bytes.to_vec(), want, "width {width} seqno {seqno}");
+                    assert_eq!(Message::decode(&bytes).as_ref(), Ok(&msg), "width {width}");
+                    for cut in 0..bytes.len() {
+                        assert!(
+                            Message::decode(&bytes[..cut]).is_err(),
+                            "width {width}: a {cut}-byte prefix of {} decoded",
+                            bytes.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A fresh row of `n` live entries, `fill` everywhere but where `set`
+/// says otherwise.
+fn full_row_spec(origin: usize, n: usize, fill: u16, set: &[(usize, u16)]) -> RowSpec {
+    let mut row = vec![LinkEntry::live(fill, 0.0); n];
+    for &(d, cost) in set {
+        row[d] = LinkEntry::live(cost, 0.0);
+    }
+    RowSpec {
+        origin,
+        stale: false,
+        row,
+    }
+}
+
+/// One pair of the world, through the kernel and by definition.
+fn kernel_and_oracle(world: &World, a: usize, b: usize) -> [Option<(usize, u32)>; 2] {
+    [
+        world.store().round_two(&[a], b, TICK_AT, MAX_AGE).get(0, 1),
+        world.best_one_hop(a, b),
+    ]
+}
+
+/// The shared-lane reduction runs on saturating `u16` sums and must
+/// fall back to exact `u32` ones exactly when it cannot tell: best sums
+/// below, at and above 65 535. The two rows list the same destinations
+/// — everything but the pair itself, so no direct link caps the answer
+/// and the relay's cost is what comes back. The width spans several of
+/// the winner search's chunks, with the winner in a late one.
+#[test]
+fn shared_lanes_are_exact_below_at_and_above_the_u16_ceiling() {
+    let (n, a, b, relay) = (200usize, 3usize, 150usize, 171usize);
+    let max = LinkEntry::DEAD_LATENCY - 1;
+    for (leg_a, leg_b, want) in [
+        (30_000u16, 35_534u16, 65_534u32),
+        (30_000, 35_535, 65_535),
+        (0x8000, 0x8001, 65_537),
+        (0xFFF0, 0xFFF1, 0x1_FFE1),
+        (max, max, 2 * u32::from(max)),
+    ] {
+        // Every other relay costs the most two live legs can: only in
+        // the last case does anything tie, and then index 0 wins.
+        let mut specs = [
+            full_row_spec(a, n, max, &[(relay, leg_a)]),
+            full_row_spec(b, n, max, &[(relay, leg_b)]),
+        ];
+        for spec in &mut specs {
+            spec.row[a] = LinkEntry::dead();
+            spec.row[b] = LinkEntry::dead();
+        }
+        let world = World::new(n, &specs);
+        let winner = if leg_a == max { 0 } else { relay };
+        let [got, by_definition] = kernel_and_oracle(&world, a, b);
+        assert_eq!(got, Some((winner, want)), "legs {leg_a} + {leg_b}");
+        assert_eq!(got, by_definition);
+        assert_eq!(kernel_and_oracle(&world, b, a)[0], Some((winner, want)));
+    }
+}
+
+/// Full rows — one shared identity lane, so the pair is recognised by
+/// address — at the same three levels: the direct link (at most 65 534)
+/// caps the answer, so a relay that saturates never wins, and one just
+/// below the ceiling does only while it is strictly cheaper.
+#[test]
+fn full_rows_keep_the_direct_link_against_saturating_relays() {
+    let (n, a, b, relay) = (130usize, 0usize, 129usize, 77usize);
+    let max = LinkEntry::DEAD_LATENCY - 1;
+    for (leg_a, leg_b, direct, want) in [
+        (30_000u16, 35_533u16, max, (relay, 65_533u32)),
+        (30_000, 35_534, max, (b, 65_534)),
+        (30_000, 35_535, max, (b, 65_534)),
+        (0x8000, 0x8000, max, (b, 65_534)),
+        (40, 60, 101, (relay, 100)),
+        (40, 60, 100, (b, 100)),
+    ] {
+        let world = World::new(
+            n,
+            &[
+                full_row_spec(a, n, max, &[(relay, leg_a), (b, direct)]),
+                full_row_spec(b, n, max, &[(relay, leg_b)]),
+            ],
+        );
+        let [got, by_definition] = kernel_and_oracle(&world, a, b);
+        assert_eq!(got, Some(want), "legs {leg_a} + {leg_b}, direct {direct}");
+        assert_eq!(got, by_definition);
+    }
+}
+
+/// Ties: among relays of equal cost the lowest index wins wherever it
+/// sits in the lane — first slot, either side of a chunk boundary of
+/// the winner search, last slot — and the pair's own slots never relay,
+/// however cheap their entries.
+#[test]
+fn shared_lane_ties_go_to_the_lowest_relay() {
+    let (n, a, b) = (200usize, 64usize, 128usize);
+    for tied in [
+        &[0usize, 199][..],
+        &[63, 65, 127],
+        &[65, 66, 129],
+        &[127, 129, 199],
+        &[199],
+    ] {
+        let cheap: Vec<(usize, u16)> = tied.iter().map(|&h| (h, 10)).collect();
+        // Self-entries and the direct link's slots read 0: cheaper
+        // than any relay, and not relays.
+        let mut row_a = cheap.clone();
+        row_a.extend([(a, 0), (b, 500)]);
+        let mut row_b = cheap;
+        row_b.extend([(b, 0), (a, 500)]);
+        let world = World::new(
+            n,
+            &[
+                full_row_spec(a, n, 300, &row_a),
+                full_row_spec(b, n, 300, &row_b),
+            ],
+        );
+        let [got, by_definition] = kernel_and_oracle(&world, a, b);
+        assert_eq!(got, Some((tied[0], 20)), "tied relays {tied:?}");
+        assert_eq!(got, by_definition);
+    }
+}
+
+/// A store that mixes rows borrowing the identity lane with rows that
+/// list the very same destinations (a link died and came back, so the
+/// row wrote its lane out) answers as a store of full rows does: such
+/// a pair is told apart by content, not by address, and either way the
+/// reduction and the scatter-gather agree with the definition.
+#[test]
+fn listed_and_identity_lanes_with_equal_contents_route_alike() {
+    let n = 100usize;
+    let specs: Vec<RowSpec> = [5usize, 40, 70, 99]
+        .iter()
+        .map(|&o| {
+            let set: Vec<(usize, u16)> = (0..n)
+                .map(|d| (d, ((o * 31 + d * 17) % 97 + 1) as u16))
+                .collect();
+            full_row_spec(o, n, 1, &set)
+        })
+        .collect();
+    let world = World::new(n, &specs);
+    let full = world.store();
+    let mut mixed = world.store();
+    for spec in &specs[..2] {
+        let (o, entry) = (spec.origin, spec.row[9]);
+        mixed.update_entry(o, 9, LinkEntry::dead(), FRESH_AT);
+        assert_eq!(mixed.entry_count(), full.entry_count() - 1);
+        mixed.update_entry(o, 9, entry, FRESH_AT);
+        assert_eq!(mixed.row_dense(o), full.row_dense(o));
+    }
+    let (clients, me) = ([5usize, 40, 70], 99usize);
+    let got = mixed.round_two(&clients, me, TICK_AT, MAX_AGE);
+    let want = full.round_two(&clients, me, TICK_AT, MAX_AGE);
+    let nodes = [5usize, 40, 70, 99];
+    for (i, &a) in nodes.iter().enumerate() {
+        for (j, &b) in nodes.iter().enumerate() {
+            assert_eq!(got.get(i, j), want.get(i, j), "a={a} b={b}");
+            assert_eq!(got.get(i, j), world.best_one_hop(a, b), "a={a} b={b}");
+        }
+    }
+}
+
+/// Two rows of equal length that list different destinations are not a
+/// shared lane: the reduction would pair up legs to different relays.
+#[test]
+fn equal_length_lanes_with_different_contents_are_not_shared() {
+    let n = 8usize;
+    let mut row_a = vec![LinkEntry::dead(); n];
+    let mut row_b = vec![LinkEntry::dead(); n];
+    // a lists {2, 3, 5}, b lists {2, 4, 5}: position for position the
+    // cheapest "sum" pairs 3 with 4; the only common relays are 2 and 5.
+    for (d, cost) in [(2, 50), (3, 1), (5, 40)] {
+        row_a[d] = LinkEntry::live(cost, 0.0);
+    }
+    for (d, cost) in [(2, 50), (4, 1), (5, 45)] {
+        row_b[d] = LinkEntry::live(cost, 0.0);
+    }
+    let spec = |origin, row| RowSpec {
+        origin,
+        stale: false,
+        row,
+    };
+    let world = World::new(n, &[spec(0, row_a), spec(7, row_b)]);
+    let [got, by_definition] = kernel_and_oracle(&world, 0, 7);
+    assert_eq!(got, Some((5, 85)));
+    assert_eq!(got, by_definition);
+}
