@@ -34,15 +34,14 @@
 //! simply because [`LinkStateStore::k_hop_options`] never emits a
 //! path that repeats a node.
 //!
-//! The table also owns the detour-layer telemetry: candidates rejected
-//! by the discipline count as `routing/loops_detected` (each rejection
-//! is a potential forwarding loop refused), explicit withdrawals count
-//! as `routing/routes_retracted`, and accepted detours feed the
+//! The rules here count nothing; they say what to count. The router
+//! that keeps the records counts candidates [`select_detour`] refuses
+//! as `routing/loops_detected` (each one a potential forwarding loop
+//! refused), transitions [`Feasibility::retract`] reports as
+//! `routing/routes_retracted`, and admitted detours into the
 //! `routing/detour_hops` histogram.
 
 use apor_linkstate::{seqno_newer, Detour, LinkStateStore, RowStore, INFINITE_COST};
-use apor_telemetry::{Counter, Histogram, Telemetry};
-use std::collections::BTreeMap;
 
 /// Per-destination feasibility state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,57 +56,35 @@ pub struct FeasEntry {
     pub retracted: bool,
 }
 
-/// Per-(source, destination) feasibility distances for one node, where
-/// the *source* of a destination's reachability is the destination's
-/// own row origin (it vouches for itself, like a Babel router
-/// originating its prefix).
-#[derive(Debug)]
-pub struct FeasibilityTable {
-    entries: BTreeMap<usize, FeasEntry>,
-    loops_detected: Counter,
-    routes_retracted: Counter,
-    detour_hops: Histogram,
-}
-
-impl Default for FeasibilityTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FeasibilityTable {
-    /// An empty table on the disabled telemetry registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_telemetry(&Telemetry::disabled())
-    }
-
-    /// An empty table counting under component `"routing"` on a live
-    /// registry.
-    #[must_use]
-    pub fn with_telemetry(t: &Telemetry) -> Self {
-        FeasibilityTable {
-            entries: BTreeMap::new(),
-            loops_detected: t.counter("routing", "loops_detected"),
-            routes_retracted: t.counter("routing", "routes_retracted"),
-            detour_hops: t.histogram("routing", "detour_hops"),
+impl FeasEntry {
+    /// No constraint yet at `seqno`.
+    fn unconstrained(seqno: u16) -> Self {
+        FeasEntry {
+            seqno,
+            fd: INFINITE_COST,
+            retracted: false,
         }
     }
+}
 
-    /// The feasibility state for `dst`, if any has been established.
-    #[must_use]
-    pub fn entry(&self, dst: usize) -> Option<FeasEntry> {
-        self.entries.get(&dst).copied()
-    }
+/// One destination's feasibility record, where the *source* of the
+/// destination's reachability is its own row origin (it vouches for
+/// itself, like a Babel router originating its prefix): nothing until
+/// this node first acts on or withdraws a route to it, then one
+/// [`FeasEntry`]. A router keeps one per destination, in the slot
+/// beside the route it constrains.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Feasibility(pub Option<FeasEntry>);
 
-    /// Is a route to `dst` advertised at (`seqno`, `cost`) feasible?
-    /// No established state means unconstrained; a strictly newer seqno
-    /// is always feasible; at the current seqno the advertised cost
-    /// must be **strictly** below the feasibility distance (and the
-    /// entry not retracted); an older seqno never is.
+impl Feasibility {
+    /// Is a route advertised at (`seqno`, `cost`) feasible? No
+    /// established state means unconstrained; a strictly newer seqno is
+    /// always feasible; at the current seqno the advertised cost must be
+    /// **strictly** below the feasibility distance (and the entry not
+    /// retracted); an older seqno never is.
     #[must_use]
-    pub fn is_feasible(&self, dst: usize, seqno: u16, cost: u32) -> bool {
-        match self.entries.get(&dst) {
+    pub fn is_feasible(&self, seqno: u16, cost: u32) -> bool {
+        match self.0 {
             None => true,
             Some(e) => {
                 if seqno_newer(e.seqno, seqno) {
@@ -121,16 +98,12 @@ impl FeasibilityTable {
         }
     }
 
-    /// Record that this node acted on a route to `dst` costing `cost`
-    /// at the destination's `seqno`: the fd ratchets down at one seqno
-    /// and resets when the origin moves to a newer one. Older seqnos
-    /// are ignored.
-    pub fn advance(&mut self, dst: usize, seqno: u16, cost: u32) {
-        let e = self.entries.entry(dst).or_insert(FeasEntry {
-            seqno,
-            fd: INFINITE_COST,
-            retracted: false,
-        });
+    /// Record that this node acted on a route costing `cost` at the
+    /// destination's `seqno`: the fd ratchets down at one seqno and
+    /// resets when the origin moves to a newer one. Older seqnos are
+    /// ignored.
+    pub fn advance(&mut self, seqno: u16, cost: u32) {
+        let e = self.0.get_or_insert(FeasEntry::unconstrained(seqno));
         if seqno_newer(e.seqno, seqno) {
             *e = FeasEntry {
                 seqno,
@@ -152,82 +125,29 @@ impl FeasibilityTable {
         }
     }
 
-    /// The origin of `dst`'s row announced `seqno`: a strictly newer
-    /// one clears the fd constraint (and any retraction) — the Babel
+    /// The destination's origin announced `seqno`: a strictly newer one
+    /// clears the fd constraint (and any retraction) — the Babel
     /// seqno-request escape hatch, closed by the origin's bump.
-    pub fn note_seqno(&mut self, dst: usize, seqno: u16) {
-        if let Some(e) = self.entries.get_mut(&dst) {
+    pub fn note_seqno(&mut self, seqno: u16) {
+        if let Some(e) = &mut self.0 {
             if seqno_newer(e.seqno, seqno) {
-                *e = FeasEntry {
-                    seqno,
-                    fd: INFINITE_COST,
-                    retracted: false,
-                };
+                *e = FeasEntry::unconstrained(seqno);
             }
         }
     }
 
-    /// Explicitly withdraw the route to `dst`, known to be at the
+    /// Explicitly withdraw the route, known to be at the
     /// destination-origin `seqno` (an established entry keeps its own,
-    /// possibly newer, seqno). Returns `true` (and counts
-    /// `routing/routes_retracted`) on the transition into the retracted
-    /// state; re-retracting is a no-op.
-    pub fn retract(&mut self, dst: usize, seqno: u16) -> bool {
-        let e = self.entries.entry(dst).or_insert(FeasEntry {
-            seqno,
-            fd: INFINITE_COST,
-            retracted: false,
-        });
+    /// possibly newer, seqno). Returns `true` on the transition into the
+    /// retracted state — what `routing/routes_retracted` counts;
+    /// re-retracting is a no-op.
+    pub fn retract(&mut self, seqno: u16) -> bool {
+        let e = self.0.get_or_insert(FeasEntry::unconstrained(seqno));
         if e.retracted {
             return false;
         }
         e.retracted = true;
-        self.routes_retracted.inc();
         true
-    }
-
-    /// The seqno that would make `dst` feasible again — what a Babel
-    /// seqno request would ask the origin for. In this overlay origins
-    /// bump unprompted on every retraction event, so the request is
-    /// implicit; the value is still useful to tests and diagnostics.
-    #[must_use]
-    pub fn request_seqno(&self, dst: usize) -> u16 {
-        let next = self
-            .entries
-            .get(&dst)
-            .map_or(1, |e| e.seqno.wrapping_add(1));
-        if next == 0 {
-            1
-        } else {
-            next
-        }
-    }
-
-    /// Drop all feasibility state (view change: indices are remapped,
-    /// so every fd is about a destination that may no longer exist).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Detour candidates rejected by the discipline so far — each one a
-    /// potential forwarding loop refused.
-    #[must_use]
-    pub fn loops_detected(&self) -> u64 {
-        self.loops_detected.get()
-    }
-
-    /// Explicit route withdrawals recorded so far.
-    #[must_use]
-    pub fn routes_retracted(&self) -> u64 {
-        self.routes_retracted.get()
-    }
-
-    fn count_loop(&self) {
-        self.loops_detected.inc();
-    }
-
-    fn observe_detour(&self, hops: usize) {
-        self.detour_hops.observe(hops as u64);
     }
 }
 
@@ -251,32 +171,31 @@ impl FeasibilityTable {
 /// diverged (stale rows, delayed frames), the seqno/fd discipline
 /// bounds the damage: a node never acts on a remainder at or above the
 /// best cost it has itself acted on at the destination's current
-/// seqno, so stale cheapness cannot re-enter. A rejected candidate
-/// counts as a detected loop; the accepted one feeds the detour-hops
-/// histogram. Recovery from a drop is the origin's next seqno bump —
-/// one routing tick — not a worse route now.
+/// seqno, so stale cheapness cannot re-enter. Recovery from a drop is
+/// the origin's next seqno bump — one routing tick — not a worse route
+/// now.
+///
+/// `None`: no candidate at all. `Some(Err(d))`: the cheapest candidate
+/// `d`, refused — a detected loop. `Some(Ok(d))`: `d`, admitted.
 pub fn select_detour(
     store: &RowStore,
-    feas: &FeasibilityTable,
+    feas: &Feasibility,
     me: usize,
     dst: usize,
     max_hops: usize,
     now: f64,
     max_age: f64,
-) -> Option<Detour> {
-    let seqno = store.row_seqno(dst);
+) -> Option<Result<Detour, Detour>> {
     let detour = store
         .k_hop_options(me, dst, max_hops, now, max_age)
         .into_iter()
         .next()?;
     if store.row_retracts(detour.path[1], detour.path[2])
-        || !feas.is_feasible(dst, seqno, detour.advertised)
+        || !feas.is_feasible(store.row_seqno(dst), detour.advertised)
     {
-        feas.count_loop();
-        return None;
+        return Some(Err(detour));
     }
-    feas.observe_detour(detour.path.len() - 1);
-    Some(detour)
+    Some(Ok(detour))
 }
 
 #[cfg(test)]
@@ -287,37 +206,35 @@ mod tests {
 
     #[test]
     fn feasibility_is_strict_at_one_seqno() {
-        let mut f = FeasibilityTable::new();
-        assert!(f.is_feasible(3, 1, 500), "no state, no constraint");
-        f.advance(3, 1, 100);
-        assert!(f.is_feasible(3, 1, 99));
-        assert!(!f.is_feasible(3, 1, 100), "equality is not feasible");
-        assert!(!f.is_feasible(3, 1, 101));
+        let mut f = Feasibility::default();
+        assert!(f.is_feasible(1, 500), "no state, no constraint");
+        f.advance(1, 100);
+        assert!(f.is_feasible(1, 99));
+        assert!(!f.is_feasible(1, 100), "equality is not feasible");
+        assert!(!f.is_feasible(1, 101));
         // A strictly newer seqno is always feasible; an older one never.
-        assert!(f.is_feasible(3, 2, 500));
-        assert!(!f.is_feasible(3, 0, 1));
+        assert!(f.is_feasible(2, 500));
+        assert!(!f.is_feasible(0, 1));
         // fd ratchets down, never up.
-        f.advance(3, 1, 40);
-        f.advance(3, 1, 80);
-        assert_eq!(f.entry(3).unwrap().fd, 40);
+        f.advance(1, 40);
+        f.advance(1, 80);
+        assert_eq!(f.0.unwrap().fd, 40);
         // The origin bumping its seqno resets the constraint.
-        f.note_seqno(3, 2);
-        assert!(f.is_feasible(3, 2, 500));
-        assert_eq!(f.entry(3).unwrap().fd, INFINITE_COST);
+        f.note_seqno(2);
+        assert!(f.is_feasible(2, 500));
+        assert_eq!(f.0.unwrap().fd, INFINITE_COST);
     }
 
     #[test]
     fn retraction_requires_a_newer_seqno_to_recover() {
-        let mut f = FeasibilityTable::new();
-        f.advance(7, 5, 100);
-        assert!(f.retract(7, 5));
-        assert!(!f.retract(7, 5), "re-retracting is a no-op");
-        assert_eq!(f.routes_retracted(), 1);
-        assert!(!f.is_feasible(7, 5, 1), "retracted at this seqno");
-        assert_eq!(f.request_seqno(7), 6);
-        assert!(f.is_feasible(7, 6, 1), "the requested seqno recovers");
-        f.note_seqno(7, 6);
-        assert!(!f.entry(7).unwrap().retracted);
+        let mut f = Feasibility::default();
+        f.advance(5, 100);
+        assert!(f.retract(5));
+        assert!(!f.retract(5), "re-retracting is a no-op");
+        assert!(!f.is_feasible(5, 1), "retracted at this seqno");
+        assert!(f.is_feasible(6, 1), "the next seqno recovers");
+        f.note_seqno(6);
+        assert!(!f.0.unwrap().retracted);
     }
 
     #[test]
@@ -325,19 +242,19 @@ mod tests {
         // A destination whose row this node never holds stays at seqno
         // 0 forever — no bump can arrive, so the retraction must yield
         // to fresh evidence (a new recommendation being acted on).
-        let mut f = FeasibilityTable::new();
-        f.advance(4, 0, 80);
-        assert!(f.retract(4, 0));
-        assert!(!f.is_feasible(4, 0, 1));
-        f.advance(4, 0, 120);
-        assert!(f.is_feasible(4, 0, 119), "soft retraction cleared");
-        assert_eq!(f.entry(4).unwrap().fd, 120, "fd restarts at the evidence");
+        let mut f = Feasibility::default();
+        f.advance(0, 80);
+        assert!(f.retract(0));
+        assert!(!f.is_feasible(0, 1));
+        f.advance(0, 120);
+        assert!(f.is_feasible(0, 119), "soft retraction cleared");
+        assert_eq!(f.0.unwrap().fd, 120, "fd restarts at the evidence");
         // Versioned retractions stay hard: only a newer seqno recovers.
-        f.note_seqno(4, 3);
-        f.advance(4, 3, 50);
-        assert!(f.retract(4, 3));
-        f.advance(4, 3, 60);
-        assert!(!f.is_feasible(4, 3, 1), "versioned retraction holds");
+        f.note_seqno(3);
+        f.advance(3, 50);
+        assert!(f.retract(3));
+        f.advance(3, 60);
+        assert!(!f.is_feasible(3, 1), "versioned retraction holds");
     }
 
     #[test]
@@ -357,20 +274,24 @@ mod tests {
         ];
         s.put_row(0, Arc::new(LaneRow::from_dense(&own_row)), 1.0);
         s.put_row(1, Arc::new(LaneRow::from_dense(&relay_row)), 1.0);
-        let mut f = FeasibilityTable::new();
-        let d = select_detour(&s, &f, 0, 2, 4, 1.5, 45.0).expect("unconstrained detour");
+        let mut f = Feasibility::default();
+        let d = select_detour(&s, &f, 0, 2, 4, 1.5, 45.0)
+            .expect("a candidate")
+            .expect("unconstrained detour");
         assert_eq!(d.path, vec![0, 1, 2]);
         assert_eq!((d.cost, d.advertised), (20, 10));
         // Once our own fd to 2 is at or below the advertised cost, the
         // same candidate is a potential loop and must be refused.
-        f.advance(2, 0, 10);
-        assert!(select_detour(&s, &f, 0, 2, 4, 1.5, 45.0).is_none());
-        assert_eq!(f.loops_detected(), 1);
+        f.advance(0, 10);
+        let refused = select_detour(&s, &f, 0, 2, 4, 1.5, 45.0).expect("a candidate");
+        assert_eq!(refused.expect_err("infeasible").path, d.path);
         // An explicit retraction by the relay also kills the splice.
-        let f = FeasibilityTable::new();
+        let f = Feasibility::default();
         let retracting = LaneRow::from_dense(&relay_row).with_version(2, &[2]);
         assert!(s.put_row(1, Arc::new(retracting), 2.0));
-        assert!(select_detour(&s, &f, 0, 2, 4, 2.5, 45.0).is_none());
-        assert_eq!(f.loops_detected(), 1);
+        assert!(matches!(
+            select_detour(&s, &f, 0, 2, 4, 2.5, 45.0),
+            Some(Err(_))
+        ));
     }
 }

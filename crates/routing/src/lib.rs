@@ -19,7 +19,9 @@
 //! * [`quorum_router`] — the paper's contribution: the two-round grid
 //!   quorum protocol (section 3) with rapid rendezvous failover, remote
 //!   failure detection, dead-destination suppression and §4.2 local route
-//!   scavenging. It also decides what it keeps across a membership
+//!   scavenging. Its route table holds one record per destination, as
+//!   Babel's does: the recommendation, the feasibility record and the
+//!   failover episode. It also decides what it keeps across a membership
 //!   change ([`QuorumRouter::reinstall`]): fresh rows of surviving
 //!   origins that the new grid entitles it to.
 //! * [`multihop`] — the `log l` iteration scheme for optimal routes of
@@ -28,8 +30,9 @@
 //! * [`onehop`] — offline reference computations for the figure 1 detour
 //!   study (best one-hop, best-after-excluding-top-n%).
 //! * [`feasibility`] — the Babel-style route discipline (RFC 8966) the
-//!   k-hop detour layer runs under: per-destination feasibility
-//!   distances, seqno-gated acceptance, explicit retraction, and the
+//!   k-hop detour layer runs under: the per-destination feasibility
+//!   record ([`Feasibility`]: seqno, feasibility distance, retraction)
+//!   and its rules, seqno-gated acceptance, explicit retraction, and the
 //!   loop-freedom argument that lets the overlay splice detours from
 //!   live rows without a consistent snapshot. The whole discipline —
 //!   wire trailer, feasibility rules, source-routed splices, measured
@@ -54,7 +57,7 @@ pub mod quorum_router;
 pub use adaptive::{AdaptiveProbeRate, RateSample};
 pub use apor_linkstate::Detour;
 pub use config::{ProbePolicy, ProtocolConfig};
-pub use feasibility::{select_detour, FeasEntry, FeasibilityTable};
+pub use feasibility::{select_detour, FeasEntry, Feasibility};
 pub use fullmesh::FullMeshRouter;
 pub use multihop::{multihop_routes, MultiHopResult};
 pub use prober::{ProbeAction, Prober};

@@ -2,7 +2,7 @@
 //!
 //! The property under test: when every node forwards with the same
 //! (converged quorum) row store but its **own** history-dependent
-//! feasibility table — the realistic danger zone, because feasibility
+//! feasibility records — the realistic danger zone, because feasibility
 //! distances remember costs from before the churn — walking the
 //! next-hop chain produced by [`select_detour`] never revisits a node.
 //! Packets may be *dropped* (no feasible detour is a legitimate
@@ -14,12 +14,12 @@
 //! heals, origins that skip re-publishing (stale rows, filtered by the
 //! freshness rule), per-origin seqno bumps and retraction lanes on
 //! link death — the same discipline `QuorumRouter::on_routing_tick`
-//! applies. Per-node feasibility tables advance from each node's live
-//! direct links every epoch and retract on link loss, exactly as the
-//! router does.
+//! applies. Each node's per-destination feasibility records advance
+//! from its live direct links every epoch and retract on link loss,
+//! exactly as the router does.
 
 use apor_linkstate::{Detour, LaneRow, LinkEntry, LinkStateStore, RowStore};
-use apor_routing::feasibility::{select_detour, FeasibilityTable};
+use apor_routing::feasibility::{select_detour, Feasibility};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -62,10 +62,11 @@ fn next_seqno(s: u16) -> u16 {
 }
 
 /// Replay one history over a shared store + per-node feasibility
-/// tables, returning everything the walk phase needs.
+/// records (`feas[node][dst]`), returning everything the walk phase
+/// needs.
 struct Replay {
     store: RowStore,
-    feas: Vec<FeasibilityTable>,
+    feas: Vec<Vec<Feasibility>>,
     now: f64,
 }
 
@@ -78,7 +79,7 @@ fn replay(n: usize, raw_epochs: &[RawEpoch], partition_epoch: usize) -> Replay {
         })
         .collect();
     let mut store = RowStore::new(n);
-    let mut feas: Vec<FeasibilityTable> = (0..n).map(|_| FeasibilityTable::new()).collect();
+    let mut feas = vec![vec![Feasibility::default(); n]; n];
     let mut seqno: Vec<u16> = vec![1; n];
     let mut now = 0.0;
     let partition_epoch = partition_epoch % raw_epochs.len().max(1);
@@ -142,18 +143,18 @@ fn replay(n: usize, raw_epochs: &[RawEpoch], partition_epoch: usize) -> Replay {
         }
         // Receiver-side discipline, per node: note seqnos, retract lost
         // direct links, advance fd over the live ones.
-        for i in 0..n {
-            for d in 0..n {
+        for (i, node) in feas.iter_mut().enumerate() {
+            for (d, f) in node.iter_mut().enumerate() {
                 if d == i {
                     continue;
                 }
-                feas[i].note_seqno(d, store.row_seqno(d));
+                f.note_seqno(store.row_seqno(d));
                 if died[i].contains(&(d as u16)) {
-                    feas[i].retract(d, store.row_seqno(d));
+                    f.retract(store.row_seqno(d));
                 }
                 let entry = store.entry(i, d);
                 if entry.alive {
-                    feas[i].advance(d, store.row_seqno(d), entry.cost());
+                    f.advance(store.row_seqno(d), entry.cost());
                 }
             }
         }
@@ -198,8 +199,8 @@ proptest! {
                         && r.store.entry(cur, dst).alive;
                     let next = if direct {
                         dst
-                    } else if let Some(d) = select_detour(
-                        &r.store, &r.feas[cur], cur, dst, max_hops, r.now, MAX_AGE,
+                    } else if let Some(Ok(d)) = select_detour(
+                        &r.store, &r.feas[cur][dst], cur, dst, max_hops, r.now, MAX_AGE,
                     ) {
                         d.path[1]
                     } else {
