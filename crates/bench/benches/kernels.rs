@@ -55,7 +55,7 @@ fn bench_round_two(c: &mut Criterion) {
         let topo = bench_topology(n);
         let table = full_table(&topo);
         let me = 0usize;
-        let clients = Grid::new(n).rendezvous_clients(me);
+        let clients = Grid::new(n).rendezvous_servers(me);
         g.bench_with_input(BenchmarkId::new("server_tick", n), &n, |b, _| {
             b.iter(|| table.round_two(black_box(&clients), me, 0.0, 45.0));
         });
@@ -73,7 +73,7 @@ fn bench_row_store(c: &mut Criterion) {
         let topo = bench_topology(n);
         let grid = Grid::new(n);
         let me = 0usize;
-        let clients = grid.rendezvous_clients(me);
+        let clients = grid.rendezvous_servers(me);
         let rows: Vec<(usize, Vec<LinkEntry>)> = clients
             .iter()
             .chain([&me])
@@ -137,7 +137,7 @@ fn bench_round_two_tick(c: &mut Criterion) {
             let mut router: QuorumRouter = QuorumRouter::new(me, n, 1, ProtocolConfig::quorum());
             let mut rng = ChaCha8Rng::seed_from_u64(0x5EED);
             let _ = router.on_routing_tick(0.0, &own, &mut rng);
-            for c_idx in grid.rendezvous_clients(me) {
+            for c_idx in grid.rendezvous_servers(me) {
                 let msg = linkstate_msg(c_idx, me, &row_of(c_idx), true);
                 let _ = router.on_message(0.25, &msg);
             }
@@ -238,7 +238,7 @@ fn bench_frame_path(c: &mut Criterion) {
     let topo = bench_topology(n);
     let grid = Grid::new(n);
     let mut rng = ChaCha8Rng::seed_from_u64(0xF4A3);
-    let clients = grid.rendezvous_clients(me);
+    let clients = grid.rendezvous_servers(me);
     let mut g = c.benchmark_group("frame_path");
 
     // Static members 0..n: identity = index, as in every netsim study.
@@ -278,7 +278,7 @@ fn bench_frame_path(c: &mut Criterion) {
     // server holds its own row and its clients' rows (mine among them).
     let server = clients[clients.len() / 2];
     let mut server_router: QuorumRouter = QuorumRouter::new(server, n, 1, ProtocolConfig::quorum());
-    for c_idx in grid.rendezvous_clients(server) {
+    for c_idx in grid.rendezvous_servers(server) {
         let row = entitled_row(&topo, &grid, c_idx, &mut rng);
         let _ = server_router.on_message(0.25, &linkstate_msg(c_idx, server, &row, false));
     }
@@ -409,7 +409,7 @@ fn bench_membership(c: &mut Criterion) {
         }
         t += 0.5;
     }
-    let clients = grid.rendezvous_clients(me);
+    let clients = grid.rendezvous_servers(me);
     for &client in &clients {
         let row = entitled_row(&topo, &grid, client, &mut rng);
         let frame = linkstate_msg(client, me, &row, false).encode();

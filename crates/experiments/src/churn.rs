@@ -21,14 +21,14 @@
 //!
 //! The centralized runs use the paper's join/keepalive dance with the
 //! timeout scaled to the experiment horizon ([`ChurnParams::member_timeout_s`]);
-//! the SWIM runs use [`ChurnParams::swim`] and are expected to converge
-//! within [`apor_membership::SwimConfig::detection_budget_s`].
+//! the SWIM runs use the protocol's constants and are expected to
+//! converge within [`apor_membership::detection_budget_s`].
 
 use crate::trace_support::{
     assemble_episode, first_span_at, fleet_spans, recovery_phases, richest_episode, Phase,
 };
 use apor_analysis::{write_csv, Table};
-use apor_membership::SwimConfig;
+use apor_membership::detection_budget_s;
 use apor_netsim::{Simulator, TrafficClass};
 use apor_overlay::config::{Algorithm, MembershipMode, NodeConfig};
 use apor_overlay::membership::MembershipView;
@@ -58,8 +58,6 @@ pub struct ChurnParams {
     pub member_timeout_s: f64,
     /// Keepalive period for the centralized runs, seconds.
     pub keepalive_s: f64,
-    /// SWIM parameters for the gossip runs.
-    pub swim: SwimConfig,
     /// Uniform mesh RTT, ms.
     pub rtt_ms: f64,
     /// Master seed: the whole study is a pure function of it.
@@ -75,7 +73,6 @@ impl Default for ChurnParams {
             horizon_s: 300.0,
             member_timeout_s: 60.0,
             keepalive_s: 15.0,
-            swim: SwimConfig::default(),
             rtt_ms: 40.0,
             seed: 0xC0C0,
         }
@@ -141,8 +138,7 @@ fn scenario_config(params: &ChurnParams, mode: MembershipMode, i: usize) -> Node
             // Static bootstrap: every node derives the same initial
             // view; SWIM maintains it from there.
             let members: Vec<NodeId> = (0..params.n as u16).map(NodeId).collect();
-            cfg.with_static_members(members)
-                .with_swim_config(params.swim.clone())
+            cfg.with_static_members(members).with_swim()
         }
     }
 }
@@ -318,7 +314,7 @@ pub fn run_and_report(params: &ChurnParams) -> std::io::Result<ChurnResult> {
     println!(
         "Membership churn — view convergence after a crash (n={}, SWIM budget {:.0} s)",
         params.n,
-        params.swim.detection_budget_s(params.n)
+        detection_budget_s(params.n)
     );
     println!("{}", table.render());
     write_csv(
@@ -428,7 +424,7 @@ mod tests {
         let a = run_scenario(&params, MembershipMode::Swim, params.kill);
         // Ship the causal evidence with any failure below.
         let _dump = apor_telemetry::DumpOnPanic::new("churn", a.spans.clone(), 20);
-        let budget = params.swim.detection_budget_s(params.n);
+        let budget = detection_budget_s(params.n);
         let latency = a.convergence_s.expect("swim must converge");
         assert!(
             latency <= budget,

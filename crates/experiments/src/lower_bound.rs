@@ -40,7 +40,7 @@ pub fn run(sizes: &[usize]) -> Vec<LowerBoundRow> {
             // Every link-state row a node receives carries n edges; it
             // receives one row per rendezvous client plus its own.
             let max_clients = (0..n)
-                .map(|i| grid.rendezvous_clients(i).len())
+                .map(|i| grid.rendezvous_servers(i).len())
                 .max()
                 .unwrap_or(0) as u64;
             let quorum_e = (max_clients + 1) * n as u64;

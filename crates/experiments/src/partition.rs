@@ -33,7 +33,7 @@ use crate::trace_support::{
     assemble_episode, first_span_at, fleet_spans, recovery_phases, richest_episode, Phase,
 };
 use apor_analysis::{write_csv, Table};
-use apor_membership::{AntiEntropyConfig, SwimConfig};
+use apor_membership::{AntiEntropyConfig, PERIOD_S};
 use apor_netsim::{Simulator, TrafficClass};
 use apor_overlay::config::{Algorithm, NodeConfig};
 use apor_overlay::membership::MembershipView;
@@ -63,8 +63,9 @@ pub struct PartitionParams {
     pub partition_s: f64,
     /// How long after the heal the run keeps sampling, seconds.
     pub horizon_s: f64,
-    /// SWIM parameters; each arm overrides `anti_entropy.enabled`.
-    pub swim: SwimConfig,
+    /// The SWIM plane's anti-entropy arm; each arm of the study
+    /// overrides `enabled`.
+    pub anti_entropy: AntiEntropyConfig,
     /// Uniform mesh RTT, ms.
     pub rtt_ms: f64,
     /// Master seed: the whole study is a pure function of it.
@@ -79,16 +80,12 @@ impl Default for PartitionParams {
             partition_at_s: 60.0,
             partition_s: 60.0,
             horizon_s: 180.0,
-            swim: SwimConfig {
-                // Sync once per protocol period: the experiment is
-                // about reconvergence speed, and O(n)-byte frames at
-                // n=32 are far below the probing budget.
-                anti_entropy: AntiEntropyConfig {
-                    enabled: true,
-                    sync_period_s: 2.0,
-                    ..AntiEntropyConfig::default()
-                },
-                ..SwimConfig::default()
+            // Sync once per protocol period: the experiment is about
+            // reconvergence speed, and O(n)-byte frames at n=32 are far
+            // below the probing budget.
+            anti_entropy: AntiEntropyConfig {
+                enabled: true,
+                sync_period_s: PERIOD_S,
             },
             rtt_ms: 40.0,
             seed: 0x9A27,
@@ -258,11 +255,12 @@ pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome
         let params = params.clone();
         move |i| {
             let members: Vec<NodeId> = (0..params.n as u16).map(NodeId).collect();
-            let mut swim = params.swim.clone();
-            swim.anti_entropy.enabled = anti_entropy;
             NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
                 .with_static_members(members)
-                .with_swim_config(swim)
+                .with_anti_entropy(AntiEntropyConfig {
+                    enabled: anti_entropy,
+                    ..params.anti_entropy.clone()
+                })
                 .with_tracing(TRACE_CAPACITY)
         }
     });
@@ -332,7 +330,7 @@ pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome
         anti_entropy,
         split_confirmed,
         reconverge_s,
-        reconverge_periods: reconverge_s.map(|s| s / params.swim.period_s),
+        reconverge_periods: reconverge_s.map(|s| s / PERIOD_S),
         routes_restored_s,
         final_views_agree: reconverged(&sim, n),
         membership_bps,
@@ -351,7 +349,7 @@ pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome
 pub fn run(params: &PartitionParams) -> PartitionResult {
     PartitionResult {
         outcomes: vec![run_arm(params, true), run_arm(params, false)],
-        period_s: params.swim.period_s,
+        period_s: PERIOD_S,
     }
 }
 
@@ -413,7 +411,7 @@ pub fn run_and_report(params: &PartitionParams) -> std::io::Result<PartitionResu
     }
     println!(
         "Partition healing — {}-node minority cut from n={} for {:.0} s (period {:.0} s)",
-        params.minority, params.n, params.partition_s, params.swim.period_s
+        params.minority, params.n, params.partition_s, PERIOD_S
     );
     println!("{}", table.render());
     write_csv(
@@ -584,7 +582,6 @@ mod tests {
             "drop_link_down",
             "drop_unreachable",
             "drop_loss",
-            "drop_queue_overflow",
             "drop_receiver_down",
         ]
         .iter()

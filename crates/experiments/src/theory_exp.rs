@@ -2,6 +2,7 @@
 //! configuration-parameter table.
 
 use apor_analysis::{theory, write_csv, Table};
+use apor_linkstate::LinkEstimator;
 use apor_routing::ProtocolConfig;
 
 /// Print the section 5 parameter table.
@@ -25,8 +26,8 @@ pub fn print_config_table() {
     ]);
     t.row(vec![
         "#probes for failure".into(),
-        ron.probes_for_failure.to_string(),
-        quorum.probes_for_failure.to_string(),
+        LinkEstimator::DEFAULT_DEATH_THRESHOLD.to_string(),
+        LinkEstimator::DEFAULT_DEATH_THRESHOLD.to_string(),
     ]);
     println!("Section 5 — configuration parameters");
     println!("{}", t.render());

@@ -26,10 +26,6 @@ pub enum ProbeOutcome {
 /// Estimator state for one directed link.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinkEstimator {
-    /// EWMA smoothing factor for latency (weight of the new sample).
-    alpha: f64,
-    /// Number of consecutive failed probes that marks the link dead.
-    death_threshold: u32,
     /// Smoothed RTT, ms. `None` until the first reply.
     ewma_ms: Option<f64>,
     /// Consecutive failed probes so far.
@@ -37,47 +33,27 @@ pub struct LinkEstimator {
     /// Sliding window of recent outcomes for the loss estimate
     /// (true = lost), most recent last.
     window: Vec<bool>,
-    /// Capacity of the loss window.
-    window_cap: usize,
     /// Total probes / losses (diagnostics).
     probes: u64,
     losses: u64,
 }
 
 impl LinkEstimator {
-    /// RON's liveness threshold: 5 consecutive failed probes.
+    /// RON's liveness threshold, the paper's "#probes for failure":
+    /// 5 consecutive failed probes mark a link dead.
     pub const DEFAULT_DEATH_THRESHOLD: u32 = 5;
-    /// Default EWMA weight for new samples.
+    /// EWMA weight of a new latency sample.
     pub const DEFAULT_ALPHA: f64 = 0.3;
-    /// Default loss-window length (probes).
+    /// Loss-window length (probes).
     pub const DEFAULT_WINDOW: usize = 20;
 
     /// A fresh estimator with the paper's parameters.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_params(
-            Self::DEFAULT_ALPHA,
-            Self::DEFAULT_DEATH_THRESHOLD,
-            Self::DEFAULT_WINDOW,
-        )
-    }
-
-    /// A fresh estimator with explicit parameters.
-    ///
-    /// # Panics
-    /// Panics unless `0 < alpha ≤ 1`, `death_threshold ≥ 1`, `window ≥ 1`.
-    #[must_use]
-    pub fn with_params(alpha: f64, death_threshold: u32, window: usize) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        assert!(death_threshold >= 1, "death threshold must be positive");
-        assert!(window >= 1, "window must be positive");
         LinkEstimator {
-            alpha,
-            death_threshold,
             ewma_ms: None,
             consecutive_failures: 0,
-            window: Vec::with_capacity(window),
-            window_cap: window,
+            window: Vec::with_capacity(Self::DEFAULT_WINDOW),
             probes: 0,
             losses: 0,
         }
@@ -91,7 +67,7 @@ impl LinkEstimator {
                 self.consecutive_failures = 0;
                 self.ewma_ms = Some(match self.ewma_ms {
                     None => rtt_ms,
-                    Some(prev) => prev + self.alpha * (rtt_ms - prev),
+                    Some(prev) => prev + Self::DEFAULT_ALPHA * (rtt_ms - prev),
                 });
                 self.push_window(false);
             }
@@ -104,7 +80,7 @@ impl LinkEstimator {
     }
 
     fn push_window(&mut self, lost: bool) {
-        if self.window.len() == self.window_cap {
+        if self.window.len() == Self::DEFAULT_WINDOW {
             self.window.remove(0);
         }
         self.window.push(lost);
@@ -114,7 +90,7 @@ impl LinkEstimator {
     /// and at least one reply ever seen)?
     #[must_use]
     pub fn alive(&self) -> bool {
-        self.ewma_ms.is_some() && self.consecutive_failures < self.death_threshold
+        self.ewma_ms.is_some() && self.consecutive_failures < Self::DEFAULT_DEATH_THRESHOLD
     }
 
     /// True the moment the most recent probe failed (used by the prober to
@@ -237,12 +213,12 @@ mod tests {
 
     #[test]
     fn loss_rate_windowed() {
-        let mut e = LinkEstimator::with_params(0.3, 5, 10);
-        for _ in 0..10 {
+        let mut e = LinkEstimator::new();
+        for _ in 0..LinkEstimator::DEFAULT_WINDOW {
             e.record(ProbeOutcome::Timeout);
         }
         assert_eq!(e.loss_rate(), 1.0);
-        for _ in 0..10 {
+        for _ in 0..LinkEstimator::DEFAULT_WINDOW {
             e.record(ProbeOutcome::Reply { rtt_ms: 10.0 });
         }
         assert_eq!(e.loss_rate(), 0.0, "old losses age out of the window");
@@ -283,8 +259,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
-    fn rejects_bad_alpha() {
-        let _ = LinkEstimator::with_params(0.0, 5, 10);
+    fn parameters_keep_their_invariants() {
+        const { assert!(LinkEstimator::DEFAULT_ALPHA > 0.0 && LinkEstimator::DEFAULT_ALPHA <= 1.0) };
+        const { assert!(LinkEstimator::DEFAULT_DEATH_THRESHOLD >= 1) };
+        const { assert!(LinkEstimator::DEFAULT_WINDOW >= 1) };
     }
 }

@@ -614,9 +614,9 @@ impl std::fmt::Debug for DstLane {
 /// lanes reproduces the frame bytes.
 ///
 /// A row costs what its wire form costs. One that lists its
-/// destinations holds 5 bytes per entry ([`LaneRow::ENTRY_BYTES`]), as
-/// a sparse frame spends; a **full row** — live to every destination
-/// `0..k`, which is every row under full-mesh probing — holds the 3
+/// destinations holds 5 bytes per entry, as a sparse frame spends; a
+/// **full row** — live to every destination `0..k`, which is every row
+/// under full-mesh probing — holds the 3
 /// bytes per entry of a dense frame, because its destination lane is
 /// the shared identity lane ([`LaneRow::held_bytes`] counts either).
 /// There is still one row type and one set of lanes: [`LaneRow::lanes`]
@@ -649,19 +649,15 @@ pub fn seqno_newer(a: u16, b: u16) -> bool {
 }
 
 impl LaneRow {
-    /// Stored bytes per live entry of a row that lists its
-    /// destinations: 2 (dst) + 2 (latency) + 1 (liveness/loss). A full
-    /// row holds no destination lane and stores the entry's
-    /// [`LinkEntry::WIRE_SIZE`] alone.
-    pub const ENTRY_BYTES: usize = 5;
-
     /// Bytes this row holds: the lanes it owns — a full row's
     /// destinations are borrowed, not owned — plus the retraction lane.
+    /// A listed entry is 2 (dst) + 2 (latency) + 1 (liveness/loss)
+    /// bytes; a full row's entry is its [`LinkEntry::WIRE_SIZE`] alone.
     #[must_use]
     pub fn held_bytes(&self) -> usize {
         let per_entry = match self.dst {
             DstLane::Full(_) => LinkEntry::WIRE_SIZE,
-            DstLane::Listed(_) => Self::ENTRY_BYTES,
+            DstLane::Listed(_) => 2 + LinkEntry::WIRE_SIZE,
         };
         self.len() * per_entry + 2 * self.retracted.len()
     }
@@ -1245,17 +1241,10 @@ impl RowStore {
         self.row_bytes_lanes.set(self.held_bytes as u64);
     }
 
-    /// Count one merged row (counter + journal + size gauges).
-    fn note_merge(&mut self, origin: usize, now: f64) {
+    /// Count one merged row (counter + size gauges).
+    fn note_merge(&mut self) {
         self.rows_merged.inc();
         self.update_size_gauges();
-        self.telemetry.event(
-            now,
-            Severity::Debug,
-            EventKind::RowMerged {
-                origin: origin as u32,
-            },
-        );
     }
 
     /// An empty store, reporting into `telemetry`, that keeps
@@ -1296,15 +1285,8 @@ impl RowStore {
     }
 
     /// Every held row as `(origin, receipt time, the shared lanes)`,
-    /// ascending by origin.
-    pub fn held_lanes(&self) -> impl Iterator<Item = (usize, f64, &Arc<LaneRow>)> {
-        self.rows
-            .iter()
-            .map(|(&origin, s)| (origin, s.received_at, &s.lanes))
-    }
-
-    /// [`held_lanes`](Self::held_lanes) by value: every row leaves the
-    /// store, which holds nothing afterwards. The owner of a store
+    /// ascending by origin: every row leaves the store, which holds
+    /// nothing afterwards. The owner of a store
     /// calls this on a membership change, [`reset`](Self::reset)s it
     /// for the new index space and puts back what it keeps.
     pub fn drain(&mut self) -> impl Iterator<Item = (usize, f64, Arc<LaneRow>)> {
@@ -1408,7 +1390,7 @@ impl LinkStateStore for RowStore {
                 self.peak_rows = self.peak_rows.max(self.rows.len());
             }
         }
-        self.note_merge(origin, now);
+        self.note_merge();
         true
     }
 
@@ -1437,7 +1419,7 @@ impl LinkStateStore for RowStore {
             self.live_entries = self.live_entries - before.0 + slot.lanes.len();
             self.held_bytes = self.held_bytes - before.1 + slot.lanes.held_bytes();
             slot.received_at = now;
-            self.note_merge(origin, now);
+            self.note_merge();
         } else {
             let lanes = if entry.alive {
                 LaneRow::from_pairs(&[(dst as u16, entry)])
@@ -1920,7 +1902,7 @@ mod tests {
                 .map(|(_, _, row)| row.iter_live().count())
                 .sum();
             assert_eq!(s.entry_count(), recount, "{step}");
-            let held: usize = s.held_lanes().map(|(_, _, row)| row.held_bytes()).sum();
+            let held: usize = s.rows.values().map(|r| r.lanes.held_bytes()).sum();
             assert_eq!(held, bytes, "{step}");
             let snap = telemetry.snapshot();
             assert_eq!(

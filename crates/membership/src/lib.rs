@@ -32,7 +32,7 @@
 //!   declared dead refutes with a bumped incarnation exactly as under
 //!   ordinary suspicion.
 //! * **Adaptive suspicion** — the suspicion lifetime is
-//!   `max(suspicion_periods, suspicion_log_scale · log₂ n)` protocol
+//!   `max(SUSPICION_PERIODS, SUSPICION_LOG_SCALE · log₂ n)` protocol
 //!   periods (`n` = live members), the SWIM scaling that keeps the
 //!   false-positive rate flat as refutations need more gossip hops in
 //!   bigger clusters; and each node multiplies *its own* verdicts by
@@ -49,6 +49,15 @@
 //!   exactly the invariant the overlay's quorum grid needs (identical
 //!   views ⇒ identical grids). Versions are monotone: every lattice
 //!   step strictly increases the version.
+//!
+//! The protocol's timings are constants, as the SWIM paper fixes its
+//! period and suspicion multiplier: [`PERIOD_S`] (2 s),
+//! [`PING_TIMEOUT_S`] (0.5 s), [`SUSPICION_PERIODS`] (3),
+//! [`SUSPICION_LOG_SCALE`] (1), [`PUBLISH_PERIOD_S`] (2 s) and
+//! [`TOMBSTONE_GC_SYNCS`] (50 sync periods), beside
+//! [`swim::PING_REQ_FANOUT`] and [`swim::MAX_PIGGYBACK`]. A node's
+//! [`SwimConfig`] holds only what differs between callers: its seed and
+//! the anti-entropy arm.
 //!
 //! The state machine is sans-io and deterministic: `on_tick` /
 //! `on_message` in, messages out, all randomness from a seeded ChaCha
@@ -67,6 +76,10 @@ pub mod swim;
 pub mod view;
 pub mod wire;
 
-pub use swim::{AntiEntropyConfig, Swim, SwimConfig, SyncStats};
+pub use swim::{
+    detection_budget_s, suspicion_periods_for, suspicion_timeout_s_for, AntiEntropyConfig, Swim,
+    SwimConfig, SyncStats, PERIOD_S, PING_TIMEOUT_S, PUBLISH_PERIOD_S, SUSPICION_LOG_SCALE,
+    SUSPICION_PERIODS, TOMBSTONE_GC_SYNCS,
+};
 pub use view::{MemberState, ViewLedger};
 pub use wire::{SwimMsg, SwimStatus, SwimUpdate};

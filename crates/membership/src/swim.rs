@@ -2,23 +2,35 @@
 //!
 //! ## Protocol sketch (Das et al., DSN 2002)
 //!
-//! Time is divided into *protocol periods* of [`SwimConfig::period_s`]
+//! Time is divided into *protocol periods* of [`PERIOD_S`]
 //! seconds. Each period the node picks one live peer from a shuffled
 //! rotation and sends it a [`SwimMsg::Ping`]. If no ack arrives within
-//! [`SwimConfig::ping_timeout_s`], the node asks
+//! [`PING_TIMEOUT_S`], the node asks
 //! [`PING_REQ_FANOUT`] other peers to probe the target
 //! indirectly ([`SwimMsg::PingReq`] → [`SwimMsg::ProxyAck`]), which
 //! distinguishes a dead target from a lossy direct path. A target that
 //! stays silent through the whole period becomes **suspected**; the
 //! suspicion gossips through the cluster, and the target can refute it
 //! by bumping its *incarnation* and gossiping a fresh `Alive`. A
-//! suspicion that survives [`SwimConfig::suspicion_periods`] periods is
+//! suspicion that survives [`SUSPICION_PERIODS`] periods is
 //! **confirmed faulty** — only then does the membership view change.
 //!
 //! Every outgoing message piggybacks up to [`MAX_PIGGYBACK`] pending
 //! membership events, each retransmitted at most
 //! [`GOSSIP_TRANSMISSIONS`] times — infection-style dissemination with
 //! per-node traffic constant in `n`.
+//!
+//! ## Constants
+//!
+//! The timings are fixed, as the SWIM paper fixes its period and
+//! suspicion multiplier: [`PERIOD_S`] 2 s, [`PING_TIMEOUT_S`] 0.5 s,
+//! [`SUSPICION_PERIODS`] 3 and [`SUSPICION_LOG_SCALE`] 1 (the effective
+//! suspicion lifetime is `max(3, log₂ n)` periods, times the Lifeguard
+//! local-health multiplier), [`PUBLISH_PERIOD_S`] 2 s and
+//! [`TOMBSTONE_GC_SYNCS`] 50 sync periods. What a node is given is its
+//! [`SwimConfig`]: a randomness seed and the anti-entropy arm
+//! ([`AntiEntropyConfig`]), which the partition study switches off and
+//! runs at a 2 s sync period.
 //!
 //! ## What an event costs
 //!
@@ -43,7 +55,7 @@
 //! [`Swim::on_message`] per datagram; both append `(destination,
 //! message)` pairs to an output vector. View installation goes through
 //! [`Swim::poll_view`], which batches ledger changes on the
-//! [`SwimConfig::publish_period_s`] cadence and returns monotonically
+//! [`PUBLISH_PERIOD_S`] cadence and returns monotonically
 //! versioned `(version, sorted members)` snapshots (see
 //! [`crate::view`] for why concurrent publishers agree).
 
@@ -60,7 +72,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Anti-entropy (push-pull full-ledger sync) knobs.
+/// Anti-entropy (push-pull full-ledger sync) settings.
 ///
 /// Piggybacked gossip disseminates *fresh* events; a node that missed
 /// an event while partitioned (or that holds verdicts the other side of
@@ -93,20 +105,6 @@ pub struct AntiEntropyConfig {
     /// selection mixes any divergence through the cluster in `O(log n)`
     /// rounds.
     pub sync_period_s: f64,
-    /// Dead-record GC: a member that has been confirmed dead for this
-    /// many sync periods is *tombstone-expired* — it stops being chosen
-    /// as a sync partner, so long-lived ledgers stop wasting sync
-    /// rounds on permanently dead members. `0` disables expiry.
-    ///
-    /// The window must comfortably exceed any partition you expect to
-    /// heal: partition healing works precisely because dead members
-    /// stay in the partner pool (see the struct docs), and it keeps
-    /// working as long as the split is shorter than
-    /// `tombstone_gc_syncs · sync_period_s`. The records themselves
-    /// are never deleted from the ledger — removal would break the
-    /// version lattice's monotonicity and resurrect tombstones through
-    /// peers that still hold them; only *partner selection* forgets.
-    pub tombstone_gc_syncs: u32,
 }
 
 impl Default for AntiEntropyConfig {
@@ -114,7 +112,6 @@ impl Default for AntiEntropyConfig {
         AntiEntropyConfig {
             enabled: true,
             sync_period_s: 4.0,
-            tombstone_gc_syncs: 50,
         }
     }
 }
@@ -130,6 +127,39 @@ impl AntiEntropyConfig {
     }
 }
 
+/// Protocol period: one probe round per period, seconds.
+pub const PERIOD_S: f64 = 2.0;
+/// Deadline for the direct ack before indirect probing kicks in,
+/// seconds.
+pub const PING_TIMEOUT_S: f64 = 0.5;
+/// Minimum suspicion lifetime before a silent member is confirmed
+/// faulty, in protocol periods. The *effective* lifetime scales with
+/// cluster size and local health — see [`suspicion_periods_for`].
+pub const SUSPICION_PERIODS: f64 = 3.0;
+/// Protocol periods of suspicion per `log₂ n` of cluster size: the
+/// effective base lifetime is
+/// `max(SUSPICION_PERIODS, SUSPICION_LOG_SCALE · log₂ n)`, the
+/// SWIM/Lifeguard scaling that keeps the false-positive rate flat as
+/// gossip needs more hops to refute.
+pub const SUSPICION_LOG_SCALE: f64 = 1.0;
+/// Cadence at which ledger changes are batched into installed views,
+/// seconds.
+pub const PUBLISH_PERIOD_S: f64 = 2.0;
+/// Dead-record GC: a member that has been confirmed dead for this many
+/// sync periods ([`AntiEntropyConfig::sync_period_s`]) is
+/// *tombstone-expired* — it stops being chosen as a sync partner, so
+/// long-lived ledgers stop wasting sync rounds on permanently dead
+/// members.
+///
+/// The window must comfortably exceed any partition expected to heal:
+/// partition healing works precisely because dead members stay in the
+/// partner pool (see [`AntiEntropyConfig`]), and it keeps working as
+/// long as the split is shorter than
+/// `TOMBSTONE_GC_SYNCS · sync_period_s`. The records themselves are
+/// never deleted from the ledger — removal would break the version
+/// lattice's monotonicity and resurrect tombstones through peers that
+/// still hold them; only *partner selection* forgets.
+pub const TOMBSTONE_GC_SYNCS: u32 = 50;
 /// Number of helpers asked to probe indirectly after a direct miss.
 pub const PING_REQ_FANOUT: usize = 3;
 /// Cap on the Lifeguard local-health counter. A node that misses acks
@@ -143,28 +173,36 @@ pub const MAX_PIGGYBACK: usize = 10;
 /// (≈ λ·log n in the SWIM paper; a safe constant here).
 pub const GOSSIP_TRANSMISSIONS: u32 = 10;
 
-/// SWIM protocol knobs.
+/// The effective base suspicion lifetime, in protocol periods, for a
+/// cluster of `n` live members:
+/// `max(SUSPICION_PERIODS, SUSPICION_LOG_SCALE · log₂ n)`.
+#[must_use]
+pub fn suspicion_periods_for(n: usize) -> f64 {
+    let log_n = (n.max(1) as f64).log2();
+    SUSPICION_PERIODS.max(SUSPICION_LOG_SCALE * log_n)
+}
+
+/// [`suspicion_periods_for`] in seconds.
+#[must_use]
+pub fn suspicion_timeout_s_for(n: usize) -> f64 {
+    suspicion_periods_for(n) * PERIOD_S
+}
+
+/// Worst-case seconds from a member's crash to every live ledger
+/// confirming it, assuming gossip reaches the cluster within one period
+/// per hop: one period until somebody's rotation probes it, one period
+/// of ping/ping-req silence, then the (size-scaled) suspicion timeout.
+/// Assumes healthy observers (local-health multiplier 1); a lossy
+/// observer's verdict is deliberately slower.
+#[must_use]
+pub fn detection_budget_s(n: usize) -> f64 {
+    let rotation = (n as f64).max(1.0) * PERIOD_S;
+    rotation + PERIOD_S + suspicion_timeout_s_for(n) + PUBLISH_PERIOD_S
+}
+
+/// What one SWIM node is given beyond the protocol constants above.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SwimConfig {
-    /// Protocol period: one probe round per period, seconds.
-    pub period_s: f64,
-    /// Deadline for the direct ack before indirect probing kicks in,
-    /// seconds.
-    pub ping_timeout_s: f64,
-    /// Minimum suspicion lifetime before a silent member is confirmed
-    /// faulty, in protocol periods. The *effective* lifetime scales
-    /// with cluster size and local health — see
-    /// [`SwimConfig::suspicion_periods_for`].
-    pub suspicion_periods: f64,
-    /// Protocol periods of suspicion per `log₂ n` of cluster size: the
-    /// effective base lifetime is
-    /// `max(suspicion_periods, suspicion_log_scale · log₂ n)`, the
-    /// SWIM/Lifeguard scaling that keeps the false-positive rate flat
-    /// as gossip needs more hops to refute. `0` pins the constant.
-    pub suspicion_log_scale: f64,
-    /// Cadence at which ledger changes are batched into installed
-    /// views, seconds.
-    pub publish_period_s: f64,
     /// Periodic push-pull full-ledger reconciliation.
     pub anti_entropy: AntiEntropyConfig,
     /// Seed for this node's probe-order and helper-choice randomness.
@@ -174,11 +212,6 @@ pub struct SwimConfig {
 impl Default for SwimConfig {
     fn default() -> Self {
         SwimConfig {
-            period_s: 2.0,
-            ping_timeout_s: 0.5,
-            suspicion_periods: 3.0,
-            suspicion_log_scale: 1.0,
-            publish_period_s: 2.0,
             anti_entropy: AntiEntropyConfig::default(),
             seed: 0x5111_0000,
         }
@@ -186,75 +219,11 @@ impl Default for SwimConfig {
 }
 
 impl SwimConfig {
-    /// Same configuration, different randomness seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Same configuration, different anti-entropy knobs.
-    #[must_use]
-    pub fn with_anti_entropy(mut self, anti_entropy: AntiEntropyConfig) -> Self {
-        self.anti_entropy = anti_entropy;
-        self
-    }
-
-    /// The minimum suspicion timeout in seconds (cluster of 1, healthy
-    /// node).
-    #[must_use]
-    pub fn suspicion_timeout_s(&self) -> f64 {
-        self.suspicion_periods * self.period_s
-    }
-
-    /// The effective base suspicion lifetime, in protocol periods, for
-    /// a cluster of `n` live members:
-    /// `max(suspicion_periods, suspicion_log_scale · log₂ n)`.
-    #[must_use]
-    pub fn suspicion_periods_for(&self, n: usize) -> f64 {
-        let log_n = (n.max(1) as f64).log2();
-        self.suspicion_periods.max(self.suspicion_log_scale * log_n)
-    }
-
-    /// [`SwimConfig::suspicion_periods_for`] in seconds.
-    #[must_use]
-    pub fn suspicion_timeout_s_for(&self, n: usize) -> f64 {
-        self.suspicion_periods_for(n) * self.period_s
-    }
-
-    /// Worst-case seconds from a member's crash to every live ledger
-    /// confirming it, assuming gossip reaches the cluster within one
-    /// period per hop: one period until somebody's rotation probes it,
-    /// one period of ping/ping-req silence, then the (size-scaled)
-    /// suspicion timeout. Assumes healthy observers (local-health
-    /// multiplier 1); a lossy observer's verdict is deliberately
-    /// slower.
-    #[must_use]
-    pub fn detection_budget_s(&self, n: usize) -> f64 {
-        let rotation = (n as f64).max(1.0) * self.period_s;
-        rotation + self.period_s + self.suspicion_timeout_s_for(n) + self.publish_period_s
-    }
-
-    /// Sanity-check the timing invariants.
+    /// Sanity-check the settable values.
     ///
     /// # Panics
-    /// Panics when the indirect probe cannot possibly finish within a
-    /// period, or any knob is non-positive.
+    /// Panics when anti-entropy is on with a non-positive sync period.
     pub fn validate(&self) {
-        assert!(self.period_s > 0.0, "period must be positive");
-        assert!(
-            self.ping_timeout_s > 0.0 && self.ping_timeout_s < self.period_s / 2.0,
-            "ping timeout must leave room for the indirect round"
-        );
-        assert!(self.suspicion_periods >= 1.0, "suspicion below one period");
-        assert!(
-            self.suspicion_log_scale >= 0.0,
-            "negative suspicion scaling"
-        );
-        assert!(
-            self.publish_period_s > 0.0,
-            "publish period must be positive"
-        );
         if self.anti_entropy.enabled {
             assert!(
                 self.anti_entropy.sync_period_s > 0.0,
@@ -388,7 +357,7 @@ pub struct Swim {
     pending_syncs: BTreeMap<NodeId, PendingSync>,
     answered_syncs: BTreeMap<NodeId, u32>,
     /// When each currently-dead member was (last) confirmed dead here —
-    /// the clock behind [`AntiEntropyConfig::tombstone_gc_syncs`].
+    /// the clock behind [`TOMBSTONE_GC_SYNCS`].
     /// Entries vanish on resurrection.
     tombstones: BTreeMap<NodeId, f64>,
     /// The digest round in flight: `(partner, seq)` — a matching echo
@@ -556,7 +525,7 @@ impl Swim {
     /// after the last episode activity: long enough for the suspicion
     /// to confirm and the confirmation wavefront to gossip out.
     fn trace_window_s(&self) -> f64 {
-        self.effective_suspicion_timeout_s() + 4.0 * self.cfg.period_s
+        self.effective_suspicion_timeout_s() + 4.0 * PERIOD_S
     }
 
     /// This node's identity.
@@ -598,7 +567,7 @@ impl Swim {
     #[must_use]
     pub fn effective_suspicion_timeout_s(&self) -> f64 {
         let n = self.ledger.live_count();
-        self.cfg.suspicion_timeout_s_for(n) * f64::from(1 + self.local_health)
+        suspicion_timeout_s_for(n) * f64::from(1 + self.local_health)
     }
 
     /// The current `(version, sorted members)` snapshot, regardless of
@@ -624,11 +593,7 @@ impl Swim {
     /// that anti-entropy partner selection has forgotten it?
     #[must_use]
     pub fn is_tombstone_expired(&self, id: NodeId, now: f64) -> bool {
-        let k = self.cfg.anti_entropy.tombstone_gc_syncs;
-        if k == 0 {
-            return false;
-        }
-        let window = f64::from(k) * self.cfg.anti_entropy.sync_period_s;
+        let window = f64::from(TOMBSTONE_GC_SYNCS) * self.cfg.anti_entropy.sync_period_s;
         self.tombstones
             .get(&id)
             .is_some_and(|&dead_at| now - dead_at >= window)
@@ -654,7 +619,7 @@ impl Swim {
     // ------------------------------------------------------------------
 
     /// Advance timers. The driver calls this on a coarse tick (a few
-    /// times per [`SwimConfig::ping_timeout_s`]); all deadlines are
+    /// times per [`PING_TIMEOUT_S`]); all deadlines are
     /// computed from `now`, so tick jitter only delays, never corrupts.
     pub fn on_tick(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
         self.relays.retain(|r| r.deadline > now);
@@ -666,7 +631,7 @@ impl Swim {
             Some(t) => now >= t,
         };
         if period_start {
-            self.next_period_at = Some(now + self.cfg.period_s);
+            self.next_period_at = Some(now + PERIOD_S);
             self.finish_probe_round(now);
             self.start_probe_round(now, out);
         }
@@ -749,13 +714,6 @@ impl Swim {
                     if o.seq == *seq && o.target == *from && !o.acked {
                         o.acked = true;
                         self.metrics.probe_acked.inc();
-                        self.telemetry.event(
-                            now,
-                            Severity::Debug,
-                            EventKind::ProbeAcked {
-                                from: u32::from(from.0),
-                            },
-                        );
                     }
                 }
                 // Serve any ping-req this ack answers.
@@ -788,7 +746,7 @@ impl Swim {
                     origin_seq: *seq,
                     target: *target,
                     seq: self.seq,
-                    deadline: now + 2.0 * self.cfg.ping_timeout_s + self.cfg.period_s,
+                    deadline: now + 2.0 * PING_TIMEOUT_S + PERIOD_S,
                 });
                 let updates = self.take_piggyback();
                 out.push((
@@ -806,13 +764,6 @@ impl Swim {
                     if o.seq == *seq && o.target == *target && !o.acked {
                         o.acked = true;
                         self.metrics.probe_acked.inc();
-                        self.telemetry.event(
-                            now,
-                            Severity::Debug,
-                            EventKind::ProbeAcked {
-                                from: u32::from(target.0),
-                            },
-                        );
                     }
                 }
             }
@@ -1039,7 +990,7 @@ impl Swim {
         if now < self.next_publish_at {
             return None;
         }
-        self.next_publish_at = now + self.cfg.publish_period_s;
+        self.next_publish_at = now + PUBLISH_PERIOD_S;
         let version = self.ledger.version();
         if version > self.published_version {
             self.published_version = version;
@@ -1096,18 +1047,11 @@ impl Swim {
         self.outstanding = Some(Outstanding {
             target,
             seq: self.seq,
-            direct_deadline: now + self.cfg.ping_timeout_s,
+            direct_deadline: now + PING_TIMEOUT_S,
             indirect_sent: false,
             acked: false,
         });
         self.metrics.probe_sent.inc();
-        self.telemetry.event(
-            now,
-            Severity::Debug,
-            EventKind::ProbeSent {
-                to: u32::from(target.0),
-            },
-        );
         let updates = self.take_piggyback();
         out.push((
             target,
@@ -1442,7 +1386,7 @@ impl Swim {
     /// every member ever heard of — dead or alive (see
     /// [`AntiEntropyConfig`] for why dead partners must stay in the
     /// pool) — except members whose tombstone has expired
-    /// ([`AntiEntropyConfig::tombstone_gc_syncs`]): a ledger full of
+    /// ([`TOMBSTONE_GC_SYNCS`]): a ledger full of
     /// permanently dead members would otherwise waste a growing share
     /// of rounds syncing into silence. The round opens with a 15-byte
     /// fingerprint.
@@ -1664,19 +1608,20 @@ mod tests {
     /// periodic sync traffic is disabled here; the anti-entropy tests
     /// below enable it explicitly.
     fn cfg(seed: u64) -> SwimConfig {
-        SwimConfig::default()
-            .with_seed(seed)
-            .with_anti_entropy(AntiEntropyConfig::disabled())
+        SwimConfig {
+            anti_entropy: AntiEntropyConfig::disabled(),
+            seed,
+        }
     }
 
     fn sync_cfg(seed: u64, sync_period_s: f64) -> SwimConfig {
-        SwimConfig::default()
-            .with_seed(seed)
-            .with_anti_entropy(AntiEntropyConfig {
+        SwimConfig {
+            anti_entropy: AntiEntropyConfig {
                 enabled: true,
                 sync_period_s,
-                ..AntiEntropyConfig::default()
-            })
+            },
+            seed,
+        }
     }
 
     #[test]
@@ -1728,9 +1673,8 @@ mod tests {
     #[test]
     fn silent_peer_is_suspected_then_confirmed() {
         let members = ids(&[0, 1]);
-        let c = cfg(1);
-        let timeout = c.suspicion_timeout_s();
-        let mut a = Swim::bootstrap(NodeId(0), c, &members);
+        let timeout = suspicion_timeout_s_for(2);
+        let mut a = Swim::bootstrap(NodeId(0), cfg(1), &members);
         let mut out = Vec::new();
         a.on_tick(0.0, &mut out); // ping sent, never answered
         a.on_tick(0.6, &mut out); // indirect probes (nobody to ask in n=2)
@@ -2037,31 +1981,31 @@ mod tests {
 
     #[test]
     fn suspicion_periods_scale_with_log_n() {
-        let c = SwimConfig::default();
         // Small clusters keep the floor…
-        assert_eq!(c.suspicion_periods_for(2), c.suspicion_periods);
-        assert_eq!(c.suspicion_periods_for(8), c.suspicion_periods);
+        assert_eq!(suspicion_periods_for(2), SUSPICION_PERIODS);
+        assert_eq!(suspicion_periods_for(8), SUSPICION_PERIODS);
         // …large clusters scale ~log₂ n.
-        assert_eq!(c.suspicion_periods_for(32), 5.0);
-        assert_eq!(c.suspicion_periods_for(1024), 10.0);
-        assert!(c.detection_budget_s(1024) > c.detection_budget_s(32));
-        // Scaling can be pinned off.
-        let pinned = SwimConfig {
-            suspicion_log_scale: 0.0,
-            ..SwimConfig::default()
-        };
-        assert_eq!(
-            pinned.suspicion_periods_for(1 << 20),
-            pinned.suspicion_periods
-        );
+        assert_eq!(suspicion_periods_for(32), 5.0);
+        assert_eq!(suspicion_periods_for(1024), 10.0);
+        assert!(detection_budget_s(1024) > detection_budget_s(32));
+    }
+
+    #[test]
+    fn timing_constants_keep_their_invariants() {
+        const { assert!(PERIOD_S > 0.0) };
+        // The indirect round must fit in what is left of the period.
+        const { assert!(PING_TIMEOUT_S > 0.0 && PING_TIMEOUT_S < PERIOD_S / 2.0) };
+        const { assert!(SUSPICION_PERIODS >= 1.0) };
+        const { assert!(SUSPICION_LOG_SCALE >= 0.0) };
+        const { assert!(PUBLISH_PERIOD_S > 0.0) };
+        const { assert!(TOMBSTONE_GC_SYNCS >= 1) };
     }
 
     #[test]
     fn local_health_slows_own_verdicts_and_drains() {
         let members = ids(&[0, 1]);
-        let c = cfg(1);
-        let base_timeout = c.suspicion_timeout_s();
-        let mut a = Swim::bootstrap(NodeId(0), c, &members);
+        let base_timeout = suspicion_timeout_s_for(2);
+        let mut a = Swim::bootstrap(NodeId(0), cfg(1), &members);
         assert_eq!(a.local_health(), 0);
         assert_eq!(a.effective_suspicion_timeout_s(), base_timeout);
         let ack = |a: &mut Swim, out: &mut Vec<(NodeId, SwimMsg)>, t: f64| {
@@ -2101,14 +2045,11 @@ mod tests {
 
     #[test]
     fn local_health_caps_at_config() {
-        let members = ids(&[0, 1]);
-        // Suspicion long enough that the silent peer is never confirmed
-        // dead, so every period keeps missing (and bumping health).
-        let c = SwimConfig {
-            suspicion_periods: 1_000.0,
-            ..cfg(1)
-        };
-        let mut a = Swim::bootstrap(NodeId(0), c, &members);
+        // Sixteen silent peers: the rotation reaches a fresh one every
+        // period, none of them confirmed dead yet, so every period
+        // keeps missing (and bumping health).
+        let members: Vec<NodeId> = (0..17).map(NodeId).collect();
+        let mut a = Swim::bootstrap(NodeId(0), cfg(1), &members);
         let cap = MAX_LOCAL_HEALTH;
         let mut t = 0.0;
         for _ in 0..(cap + 5) {
@@ -2534,15 +2475,10 @@ mod tests {
 
     #[test]
     fn expired_tombstones_leave_the_partner_pool() {
-        // k = 3 sync periods of 1 s: the dead member is a valid partner
-        // inside the window and excluded after it.
-        let c = SwimConfig::default()
-            .with_seed(5)
-            .with_anti_entropy(AntiEntropyConfig {
-                enabled: true,
-                sync_period_s: 1.0,
-                tombstone_gc_syncs: 3,
-            });
+        // TOMBSTONE_GC_SYNCS sync periods of 1 s: the dead member is a
+        // valid partner inside the window and excluded after it.
+        let c = sync_cfg(5, 1.0);
+        let window = f64::from(TOMBSTONE_GC_SYNCS);
         let members = ids(&[0, 1]);
         let mut a = Swim::bootstrap(NodeId(0), c, &members);
         a.apply_updates(
@@ -2553,12 +2489,12 @@ mod tests {
                 status: SwimStatus::Faulty,
             }],
         );
-        assert!(!a.is_tombstone_expired(NodeId(1), 2.9));
-        assert!(a.is_tombstone_expired(NodeId(1), 3.0));
+        assert!(!a.is_tombstone_expired(NodeId(1), window - 0.1));
+        assert!(a.is_tombstone_expired(NodeId(1), window));
         // Within the window sync rounds still target the dead member…
         let mut early = Vec::new();
         let mut t = 0.0;
-        while t < 2.5 {
+        while t < window - 0.5 {
             a.on_tick(t, &mut early);
             t += 0.25;
         }
@@ -2568,15 +2504,16 @@ mod tests {
             "dead member must stay a partner inside the tombstone window"
         );
         // …after it, the pool is empty (node 1 was the only partner) and
-        // rounds stop entirely. (Rounds firing in [2.5, 3.25) may still
-        // legitimately target the not-yet-expired tombstone; drain them.)
+        // rounds stop entirely. (Rounds firing in the last half second
+        // before the window closes may still legitimately target the
+        // not-yet-expired tombstone; drain them.)
         let mut boundary = Vec::new();
-        while t < 3.25 {
+        while t < window + 0.25 {
             a.on_tick(t, &mut boundary);
             t += 0.25;
         }
         let mut late = Vec::new();
-        while t < 20.0 {
+        while t < window + 20.0 {
             a.on_tick(t, &mut late);
             t += 0.25;
         }
@@ -2879,13 +2816,11 @@ mod tests {
         fn sync_partner_is_choose_over_the_collected_pool(
             seed in any::<u64>(),
             deaths in prop::collection::vec((1u16..12, 0.0f64..40.0), 0..12),
-            now in 0.0f64..60.0,
+            now in 0.0f64..100.0,
         ) {
-            let c = SwimConfig::default().with_seed(seed).with_anti_entropy(AntiEntropyConfig {
-                enabled: true,
-                sync_period_s: 1.0,
-                tombstone_gc_syncs: 10,
-            });
+            // Deaths at up to 40 s and a 50 s window: `now` lands
+            // before, inside and past the window.
+            let c = sync_cfg(seed, 1.0);
             let members: Vec<NodeId> = (0..12).map(NodeId).collect();
             let mut s = Swim::bootstrap(NodeId(0), c, &members);
             for (id, at) in deaths {

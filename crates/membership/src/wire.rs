@@ -7,9 +7,9 @@
 //! without trial decoding.
 //!
 //! Sizes: ping/ack are `10 + 7·u` bytes for `u` piggybacked updates;
-//! ping-req/proxy-ack add 2 bytes of target. With the default one ping
-//! round per 2 s and ≤ 10 piggybacked updates
-//! (`SwimConfig::default()`), a worst-case ping+ack exchange is
+//! ping-req/proxy-ack add 2 bytes of target. With one ping round per
+//! [`PERIOD_S`](crate::swim::PERIOD_S) = 2 s and ≤ 10 piggybacked
+//! updates, a worst-case ping+ack exchange is
 //! 2 · (80 + 28) bytes per 2 s ≈ 900 bps per node, independent of
 //! `n` — the property that removes the coordinator's `Θ(n)` broadcast
 //! hot spot.

@@ -111,7 +111,14 @@ fn sync_exchange(initiator: &mut Swim, responder: &mut Swim, t: f64, seq: u32) {
 /// bootstrap membership.
 fn diverged_node(id: u16, seed: u64, events: &[SwimUpdate]) -> Swim {
     let members: Vec<NodeId> = (0..6u16).map(NodeId).collect();
-    let mut s = Swim::bootstrap(NodeId(id), SwimConfig::default().with_seed(seed), &members);
+    let mut s = Swim::bootstrap(
+        NodeId(id),
+        SwimConfig {
+            seed,
+            ..SwimConfig::default()
+        },
+        &members,
+    );
     let mut out = Vec::new();
     // Deliver as gossip on a ping so the regular merge path runs.
     for (k, chunk) in events.chunks(10).enumerate() {
@@ -211,7 +218,8 @@ proptest! {
 
     /// Dead-record GC preserves partition healing inside the tombstone
     /// window: for an arbitrary death-confirmation time and an
-    /// arbitrary heal time strictly within `k · sync_period_s` of it,
+    /// arbitrary heal time strictly within
+    /// `TOMBSTONE_GC_SYNCS · sync_period_s` of it,
     /// the "dead" partner (the other side of the split) is still in the
     /// sync partner pool, the crossing round still happens, the victim
     /// still refutes with a bumped incarnation, and the pull half
@@ -219,24 +227,23 @@ proptest! {
     /// drops out of the pool — the GC doing its job.
     #[test]
     fn healing_works_anywhere_inside_the_tombstone_window(
-        k in 2u32..20,
         sync_period_ds in 2u32..40,            // 0.2 s .. 4.0 s
         death_frac in 0.0f64..1.0,             // when the death lands
         heal_frac in 0.05f64..0.95,            // where in the window the heal falls
         seed in 0u64..1000,
     ) {
         let sync_period_s = f64::from(sync_period_ds) / 10.0;
-        let cfg = |s: u64| SwimConfig::default().with_seed(s).with_anti_entropy(
-            apor_membership::AntiEntropyConfig {
+        let cfg = |seed: u64| SwimConfig {
+            anti_entropy: apor_membership::AntiEntropyConfig {
                 enabled: true,
                 sync_period_s,
-                tombstone_gc_syncs: k,
             },
-        );
+            seed,
+        };
         let members: Vec<NodeId> = vec![NodeId(0), NodeId(1)];
         let mut a = Swim::bootstrap(NodeId(0), cfg(seed), &members);
         let mut b = Swim::bootstrap(NodeId(1), cfg(seed ^ 0xFF), &members);
-        let window = f64::from(k) * sync_period_s;
+        let window = f64::from(apor_membership::TOMBSTONE_GC_SYNCS) * sync_period_s;
         let death_at = death_frac * 100.0;
         // The split: a confirms b dead at `death_at`. (Carried on a
         // SyncRsp so the carrier's identity is not itself enrolled —

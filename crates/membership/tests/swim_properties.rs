@@ -96,12 +96,12 @@ proptest! {
         let members: Vec<NodeId> = (0..5u16).map(NodeId).collect();
         let mut a = Swim::bootstrap(
             NodeId(0),
-            SwimConfig::default().with_seed(seed_a),
+            SwimConfig { seed: seed_a, ..SwimConfig::default() },
             &members,
         );
         let mut b = Swim::bootstrap(
             NodeId(0),
-            SwimConfig::default().with_seed(seed_b),
+            SwimConfig { seed: seed_b, ..SwimConfig::default() },
             &members,
         );
         let mut t = 0.0;
@@ -111,7 +111,7 @@ proptest! {
             b.on_message(t, msg, &mut Vec::new());
         }
         // One shared tick so pending suspicions confirm identically.
-        let settle = t + SwimConfig::default().suspicion_timeout_s() + 1.0;
+        let settle = t + apor_membership::suspicion_timeout_s_for(members.len()) + 1.0;
         a.on_tick(settle, &mut Vec::new());
         b.on_tick(settle, &mut Vec::new());
         prop_assert_eq!(a.current_view(), b.current_view());

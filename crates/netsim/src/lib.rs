@@ -43,6 +43,18 @@
 //!
 //! The simulator transports opaque byte buffers: nodes hand it *encoded*
 //! messages, so every simulated run also exercises the real wire codec.
+//!
+//! # What a driver sets
+//!
+//! [`SimulatorConfig`] holds four values: the master seed, the delay
+//! jitter (zero for a jitter-free reference network), the width of the
+//! traffic-accounting buckets, and the per-packet framing bytes the
+//! driver's wire format adds (zero here, so the simulator stays
+//! protocol-agnostic). Everything else is fixed: links have no ingress
+//! queue bound — a packet is lost only to the failure schedule, an
+//! unreachable pair, Bernoulli loss or a receiver that crashed while it
+//! was in flight, each with its own `netsim/drop_*` counter — and
+//! [`MAX_EVENTS`] is the runaway guard.
 
 #![forbid(unsafe_code)]
 // The numeric kernels index several arrays with one loop counter;
@@ -55,5 +67,5 @@ mod sim;
 mod stats;
 
 pub use apor_telemetry::DropCause;
-pub use sim::{Ctx, NodeBehavior, Simulator, SimulatorConfig, CORE_TELEMETRY_NODE};
+pub use sim::{Ctx, NodeBehavior, Simulator, SimulatorConfig, CORE_TELEMETRY_NODE, MAX_EVENTS};
 pub use stats::{Direction, TrafficClass, TrafficStats};

@@ -8,7 +8,11 @@ use bytes::Bytes;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Simulator tuning knobs.
+/// Safety valve: [`Simulator::run_until`] aborts after this many
+/// events (a runaway behavior, not a normal condition).
+pub const MAX_EVENTS: u64 = 200_000_000;
+
+/// What a driver sets on the simulator.
 #[derive(Debug, Clone)]
 pub struct SimulatorConfig {
     /// Master seed; the run is a pure function of it (plus inputs).
@@ -20,21 +24,12 @@ pub struct SimulatorConfig {
     /// Width of the traffic-accounting buckets (60 s = figure 10's
     /// 1-minute windows).
     pub bucket_secs: f64,
-    /// Safety valve: abort after this many events.
-    pub max_events: u64,
     /// Bytes of per-packet framing added to every transmission in the
     /// bandwidth accounting. Defaults to 0 (the simulator is
     /// protocol-agnostic); drivers set it from their real wire constant
     /// — the overlay uses `apor_overlay::simnode::overlay_sim_config()`,
     /// which injects `apor_linkstate::wire::UDP_IP_OVERHEAD`.
     pub per_packet_overhead: usize,
-    /// Per-node bound on packets in flight *towards* a node (its
-    /// ingress queue). A packet that would exceed it is dropped with
-    /// [`DropCause::QueueOverflow`] — distinguishable in the metrics
-    /// from partition/outage drops ([`DropCause::LinkDown`]). The
-    /// default is unbounded, which leaves the delivery schedule (and
-    /// the RNG stream) of existing experiments untouched.
-    pub rx_queue_cap: usize,
 }
 
 impl Default for SimulatorConfig {
@@ -43,9 +38,7 @@ impl Default for SimulatorConfig {
             seed: 1,
             jitter_frac: 0.03,
             bucket_secs: 60.0,
-            max_events: 200_000_000,
             per_packet_overhead: 0,
-            rx_queue_cap: usize::MAX,
         }
     }
 }
@@ -164,13 +157,13 @@ enum Event {
 
 /// Pre-registered per-node network metrics: the packet fate counters
 /// (one per [`DropCause`], so partition drops never collapse into the
-/// same cell as queue overflows) and the delivery latency histogram.
+/// same cell as crashes or loss) and the delivery latency histogram.
 struct NetMetrics {
     telemetry: Telemetry,
     sent: Counter,
     delivered: Counter,
     queued: Counter,
-    drops: [Counter; 5],
+    drops: [Counter; 4],
     deliver_latency_us: Histogram,
 }
 
@@ -179,8 +172,7 @@ fn drop_slot(cause: DropCause) -> usize {
         DropCause::LinkDown => 0,
         DropCause::Unreachable => 1,
         DropCause::Loss => 2,
-        DropCause::QueueOverflow => 3,
-        DropCause::ReceiverDown => 4,
+        DropCause::ReceiverDown => 3,
     }
 }
 
@@ -195,7 +187,6 @@ impl NetMetrics {
                 telemetry.counter("netsim", "drop_link_down"),
                 telemetry.counter("netsim", "drop_unreachable"),
                 telemetry.counter("netsim", "drop_loss"),
-                telemetry.counter("netsim", "drop_queue_overflow"),
                 telemetry.counter("netsim", "drop_receiver_down"),
             ],
             deliver_latency_us: telemetry.histogram("netsim", "deliver_latency_us"),
@@ -222,9 +213,6 @@ pub struct Simulator {
     events_processed: u64,
     cmd_buf: Vec<Command>,
     net: Vec<NetMetrics>,
-    /// Packets currently in flight towards each node (its ingress
-    /// queue, bounded by `SimulatorConfig::rx_queue_cap`).
-    inflight: Vec<usize>,
     /// The core's own metrics, keyed by [`CORE_TELEMETRY_NODE`].
     core: Telemetry,
     /// Queue depth observed on every event insertion: the working-set
@@ -259,7 +247,6 @@ impl Simulator {
             events_processed: 0,
             cmd_buf: Vec::new(),
             net: (0..n).map(|i| NetMetrics::new(i as u32)).collect(),
-            inflight: vec![0; n],
             core,
             event_queue_depth,
         }
@@ -369,7 +356,7 @@ impl Simulator {
     /// Run until the queue is empty or simulated time reaches `until_s`.
     ///
     /// # Panics
-    /// Panics when the `max_events` safety valve trips (a runaway
+    /// Panics when the [`MAX_EVENTS`] safety valve trips (a runaway
     /// behavior, not a normal condition).
     pub fn run_until(&mut self, until_s: f64) {
         while let Some(t) = self.queue.peek_time() {
@@ -380,7 +367,7 @@ impl Simulator {
             self.now = scheduled.time.max(self.now);
             self.events_processed += 1;
             assert!(
-                self.events_processed <= self.config.max_events,
+                self.events_processed <= MAX_EVENTS,
                 "event budget exceeded: runaway behavior?"
             );
             self.dispatch(scheduled.event);
@@ -411,7 +398,6 @@ impl Simulator {
                 sent_at,
             } => {
                 node_idx = to;
-                self.inflight[to] = self.inflight[to].saturating_sub(1);
                 // A crashed receiver takes no delivery.
                 if !self.schedule.is_node_up(to, self.now) {
                     self.drop_packet(from, to, DropCause::ReceiverDown);
@@ -466,14 +452,13 @@ impl Simulator {
 
     /// Account a dropped packet to the node that owns the failure:
     /// send-side causes (down link, unreachable pair, Bernoulli loss)
-    /// bill the sender, receive-side causes (ingress overflow, crashed
-    /// receiver) bill the receiver. Each cause has its own counter, so
-    /// a partition cut never collapses into the same cell as a queue
-    /// overflow.
+    /// bill the sender, a crashed receiver bills the receiver. Each
+    /// cause has its own counter, so a partition cut never collapses
+    /// into the same cell as a crash.
     fn drop_packet(&mut self, from: usize, to: usize, cause: DropCause) {
         let owner = match cause {
             DropCause::LinkDown | DropCause::Unreachable | DropCause::Loss => from,
-            DropCause::QueueOverflow | DropCause::ReceiverDown => to,
+            DropCause::ReceiverDown => to,
         };
         let m = &self.net[owner];
         m.drops[drop_slot(cause)].inc();
@@ -511,14 +496,6 @@ impl Simulator {
             self.drop_packet(from, to, DropCause::Loss);
             return;
         }
-        // The receiver's bounded ingress queue. Checked after the loss
-        // draw so an unbounded queue (the default) leaves the RNG
-        // stream — and therefore every existing experiment's schedule —
-        // bit-identical.
-        if self.inflight[to] >= self.config.rx_queue_cap {
-            self.drop_packet(from, to, DropCause::QueueOverflow);
-            return;
-        }
         let base = self.latency.one_way(from, to) / 1000.0; // ms → s
         let jitter = if self.config.jitter_frac > 0.0 {
             1.0 + self.config.jitter_frac * self.rng.gen_range(-1.0..1.0)
@@ -526,13 +503,7 @@ impl Simulator {
             1.0
         };
         let arrival = self.now + (base * jitter).max(0.0);
-        self.inflight[to] += 1;
         self.net[to].queued.inc();
-        self.net[to].telemetry.event(
-            self.now,
-            Severity::Debug,
-            EventKind::PacketQueued { to: to as u32 },
-        );
         self.enqueue(
             arrival,
             Event::Deliver {
@@ -702,8 +673,8 @@ mod tests {
             32
         );
         // And the loss was billed to node 1, the sender of the echo.
-        assert_eq!(drop_counts(&sim, 1), [0, 0, 1, 0, 0]);
-        assert_eq!(drop_counts(&sim, 0), [0, 0, 0, 0, 0]);
+        assert_eq!(drop_counts(&sim, 1), [0, 0, 1, 0]);
+        assert_eq!(drop_counts(&sim, 0), [0, 0, 0, 0]);
     }
 
     #[test]
@@ -904,14 +875,13 @@ mod tests {
     }
 
     /// Every drop cause must land in its own counter — a partition cut
-    /// and a queue overflow are different diagnoses.
-    fn drop_counts(sim: &Simulator, node: usize) -> [u64; 5] {
+    /// and a crash are different diagnoses.
+    fn drop_counts(sim: &Simulator, node: usize) -> [u64; 4] {
         let snap = sim.telemetry(node).snapshot();
         [
             "drop_link_down",
             "drop_unreachable",
             "drop_loss",
-            "drop_queue_overflow",
             "drop_receiver_down",
         ]
         .map(|name| snap.counter(node as u32, "netsim", name).unwrap_or(0))
@@ -933,8 +903,8 @@ mod tests {
         );
         sim.add_node(Box::new(Echoer), 0.0);
         sim.run_until(10.0);
-        assert_eq!(drop_counts(&sim, 0), [0, 0, 1, 0, 0], "loss bills sender");
-        assert_eq!(drop_counts(&sim, 1), [0, 0, 0, 0, 0]);
+        assert_eq!(drop_counts(&sim, 0), [0, 0, 1, 0], "loss bills sender");
+        assert_eq!(drop_counts(&sim, 1), [0, 0, 0, 0]);
     }
 
     #[test]
@@ -952,7 +922,7 @@ mod tests {
         );
         sim.add_node(Box::new(Echoer), 0.0);
         sim.run_until(10.0);
-        assert_eq!(drop_counts(&sim, 0), [0, 1, 0, 0, 0]);
+        assert_eq!(drop_counts(&sim, 0), [0, 1, 0, 0]);
     }
 
     #[test]
@@ -980,7 +950,7 @@ mod tests {
         );
         sim.add_node(Box::new(Echoer), 0.0);
         sim.run_until(50.0);
-        assert_eq!(drop_counts(&sim, 0), [1, 0, 0, 0, 0]);
+        assert_eq!(drop_counts(&sim, 0), [1, 0, 0, 0]);
         // The journal carries the structured drop event with its cause.
         let events = sim.telemetry(0).events();
         assert!(events.iter().any(|e| matches!(
@@ -990,43 +960,6 @@ mod tests {
                 cause: DropCause::LinkDown
             }
         )));
-    }
-
-    #[test]
-    fn rx_queue_overflow_drop_is_counted_and_bills_receiver() {
-        struct Burst {
-            peer: usize,
-        }
-        impl NodeBehavior for Burst {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                for _ in 0..3 {
-                    ctx.send(self.peer, TrafficClass::Probing, Bytes::from_static(b"x"));
-                }
-            }
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: usize, _payload: &[u8]) {}
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-        }
-        let m = LatencyMatrix::uniform(2, 10.0);
-        let cfg = SimulatorConfig {
-            rx_queue_cap: 2,
-            ..no_jitter_config(3)
-        };
-        let mut sim = Simulator::new(m, FailureParams::none(2, 1e6), cfg);
-        sim.add_node(Box::new(Burst { peer: 1 }), 0.0);
-        sim.add_node(Box::new(Echoer), 0.0);
-        sim.run_until(10.0);
-        // Three packets burst into a queue of two: one overflow, billed
-        // to the receiver, and the two queued ones still deliver.
-        assert_eq!(drop_counts(&sim, 0), [0, 0, 0, 0, 0]);
-        assert_eq!(drop_counts(&sim, 1), [0, 0, 0, 1, 0]);
-        let snap = sim.telemetry(1).snapshot();
-        assert_eq!(snap.counter(1, "netsim", "pkt_delivered"), Some(2));
-        assert_eq!(snap.counter(1, "netsim", "pkt_queued"), Some(2));
-        // After delivery the queue drains: a later burst fits again.
-        assert_eq!(sim.inflight[1], 0);
     }
 
     #[test]
@@ -1056,8 +989,8 @@ mod tests {
         sim.add_node(Box::new(Echoer), 0.0);
         sim.run_until(50.0);
         assert!(log.borrow().is_empty());
-        assert_eq!(drop_counts(&sim, 0), [0, 0, 0, 0, 0]);
-        assert_eq!(drop_counts(&sim, 1), [0, 0, 0, 0, 1]);
+        assert_eq!(drop_counts(&sim, 0), [0, 0, 0, 0]);
+        assert_eq!(drop_counts(&sim, 1), [0, 0, 0, 1]);
     }
 
     #[test]

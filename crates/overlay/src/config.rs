@@ -1,6 +1,6 @@
 //! Per-node overlay configuration.
 
-use apor_membership::{AntiEntropyConfig, SwimConfig};
+use apor_membership::AntiEntropyConfig;
 use apor_quorum::NodeId;
 use apor_routing::ProtocolConfig;
 use serde::{Deserialize, Serialize};
@@ -49,9 +49,11 @@ pub struct NodeConfig {
     pub coordinator: NodeId,
     /// Which membership plane the node runs.
     pub membership: MembershipMode,
-    /// SWIM protocol parameters (used in [`MembershipMode::Swim`]; the
-    /// per-node gossip seed is derived from [`NodeConfig::seed`]).
-    pub swim: SwimConfig,
+    /// The SWIM plane's anti-entropy arm (used in
+    /// [`MembershipMode::Swim`]). SWIM's timings are the
+    /// `apor_membership` constants, and its gossip seed is derived from
+    /// [`NodeConfig::seed`].
+    pub anti_entropy: AntiEntropyConfig,
     /// Routing algorithm to run.
     pub algorithm: Algorithm,
     /// Protocol timing parameters. The sub-quadratic probing knobs live
@@ -87,7 +89,7 @@ impl NodeConfig {
             id,
             coordinator,
             membership: MembershipMode::Centralized,
-            swim: SwimConfig::default(),
+            anti_entropy: AntiEntropyConfig::default(),
             algorithm,
             protocol: algorithm.default_protocol(),
             seed: 0x5EED ^ u64::from(id.0),
@@ -122,22 +124,14 @@ impl NodeConfig {
         self
     }
 
-    /// Same node, custom SWIM parameters (implies [`Self::with_swim`]).
-    #[must_use]
-    pub fn with_swim_config(mut self, swim: SwimConfig) -> Self {
-        self.membership = MembershipMode::Swim;
-        self.swim = swim;
-        self
-    }
-
-    /// Same node, custom anti-entropy knobs on the SWIM plane (implies
+    /// Same node, custom anti-entropy settings on the SWIM plane (implies
     /// [`Self::with_swim`]). `AntiEntropyConfig::disabled()` turns the
     /// periodic push-pull reconciliation off — the ablation arm of
     /// `experiments::partition`.
     #[must_use]
     pub fn with_anti_entropy(mut self, anti_entropy: AntiEntropyConfig) -> Self {
         self.membership = MembershipMode::Swim;
-        self.swim.anti_entropy = anti_entropy;
+        self.anti_entropy = anti_entropy;
         self
     }
 
@@ -175,15 +169,9 @@ mod tests {
     fn membership_mode_defaults_and_builders() {
         let c = NodeConfig::new(NodeId(1), NodeId(0), Algorithm::Quorum);
         assert_eq!(c.membership, MembershipMode::Centralized);
-        let s = c.clone().with_swim();
+        let s = c.with_swim();
         assert_eq!(s.membership, MembershipMode::Swim);
-        let custom = c.with_swim_config(SwimConfig {
-            period_s: 1.0,
-            ping_timeout_s: 0.25,
-            ..SwimConfig::default()
-        });
-        assert_eq!(custom.membership, MembershipMode::Swim);
-        assert_eq!(custom.swim.period_s, 1.0);
+        assert!(s.anti_entropy.enabled, "anti-entropy is on by default");
     }
 
     #[test]
@@ -191,15 +179,15 @@ mod tests {
         let c = NodeConfig::new(NodeId(1), NodeId(0), Algorithm::Quorum)
             .with_anti_entropy(AntiEntropyConfig::disabled());
         assert_eq!(c.membership, MembershipMode::Swim);
-        assert!(!c.swim.anti_entropy.enabled);
+        assert!(!c.anti_entropy.enabled);
         let on = NodeConfig::new(NodeId(1), NodeId(0), Algorithm::Quorum).with_anti_entropy(
             AntiEntropyConfig {
+                enabled: true,
                 sync_period_s: 2.0,
-                ..AntiEntropyConfig::default()
             },
         );
-        assert!(on.swim.anti_entropy.enabled);
-        assert_eq!(on.swim.anti_entropy.sync_period_s, 2.0);
+        assert!(on.anti_entropy.enabled);
+        assert_eq!(on.anti_entropy.sync_period_s, 2.0);
     }
 
     #[test]

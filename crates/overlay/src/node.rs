@@ -77,7 +77,7 @@
 use crate::config::{Algorithm, MembershipMode, NodeConfig};
 use crate::membership::{Coordinator, MembershipView};
 use apor_linkstate::{Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg, RecEntry};
-use apor_membership::{wire as swim_wire, Swim, SwimMsg};
+use apor_membership::{wire as swim_wire, Swim, SwimConfig, SwimMsg};
 use apor_netsim::TrafficClass;
 use apor_quorum::NodeId;
 use apor_routing::{
@@ -324,11 +324,10 @@ impl OverlayNode {
     /// otherwise the `coordinator` field names the introducer this node
     /// pings first, and the join disseminates by gossip.
     fn start_swim(&mut self, now: f64, out: &mut Outbox) {
-        let swim_cfg = self
-            .cfg
-            .swim
-            .clone()
-            .with_seed(self.cfg.seed ^ self.cfg.swim.seed);
+        let swim_cfg = SwimConfig {
+            anti_entropy: self.cfg.anti_entropy.clone(),
+            seed: self.cfg.seed ^ SwimConfig::default().seed,
+        };
         let mut swim = if let Some(members) = self.cfg.static_members.clone() {
             Swim::bootstrap(self.cfg.id, swim_cfg, &members)
         } else if self.cfg.id == self.cfg.coordinator {

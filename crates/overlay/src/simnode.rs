@@ -213,7 +213,7 @@ mod tests {
     /// faster than failure detection would.
     #[test]
     fn graceful_leave_reconfigures_survivors() {
-        use apor_membership::SwimConfig;
+        use apor_membership::{detection_budget_s, PUBLISH_PERIOD_S};
         let n = 8;
         let m = LatencyMatrix::uniform(n, 40.0);
         let mut sim = Simulator::new(m, FailureParams::none(n, 1e9), overlay_sim_config());
@@ -228,8 +228,8 @@ mod tests {
         assert!(overlay_at(&sim, 5).is_shut_down());
         // Far below the ~26 s failure-detection budget for n=8, every
         // survivor has installed a view that excludes the leaver.
-        let budget = SwimConfig::default().publish_period_s + 8.0;
-        assert!(budget < SwimConfig::default().detection_budget_s(n) / 2.0);
+        let budget = PUBLISH_PERIOD_S + 8.0;
+        assert!(budget < detection_budget_s(n) / 2.0);
         sim.run_until(30.0 + budget);
         for i in (0..n).filter(|&i| i != 5) {
             let view = overlay_at(&sim, i).view().expect("view installed");

@@ -167,7 +167,6 @@ impl Driver {
 mod tests {
     use super::*;
     use crate::config::{Algorithm, NodeConfig};
-    use apor_membership::SwimConfig;
     use apor_routing::ProtocolConfig;
 
     /// Every condition below is polled for until this deadline; none is
@@ -273,21 +272,11 @@ mod tests {
     }
 
     /// Graceful SWIM shutdown flushes `Left` gossip: survivors install a
-    /// view without the leaver. Suspicion is slowed to twice the
-    /// deadline, so failure detection cannot be what removed it.
+    /// view without the leaver. No survivor ever raised a suspicion, so
+    /// failure detection cannot be what removed it.
     #[test]
     fn graceful_leave_reconfigures_survivors() {
-        let period_s = 0.4;
-        let swim = SwimConfig {
-            period_s,
-            ping_timeout_s: 0.1,
-            publish_period_s: 0.2,
-            suspicion_periods: 2.0 * DEADLINE.as_secs_f64() / period_s,
-            ..SwimConfig::default()
-        };
-        let mut overlays = spawn_cluster(3, Algorithm::Quorum, |cfg| {
-            cfg.with_swim_config(swim.clone())
-        });
+        let mut overlays = spawn_cluster(3, Algorithm::Quorum, NodeConfig::with_swim);
         wait_until("every node to install the static view", || {
             overlays.iter().all(|o| o.with_node(OverlayNode::is_member))
         });
@@ -297,6 +286,17 @@ mod tests {
                 .iter()
                 .all(|o| o.with_node(|node| node.view().is_some_and(|v| !v.contains(NodeId(2)))))
         });
+        for o in &overlays {
+            let raised = o.with_node(|node| {
+                node.telemetry()
+                    .snapshot()
+                    .counter_total("membership", "suspicion_raised")
+            });
+            assert_eq!(
+                raised, 0,
+                "the leave, not failure detection, removed node 2"
+            );
+        }
         for o in overlays {
             o.shutdown().expect("clean shutdown");
         }

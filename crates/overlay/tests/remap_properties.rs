@@ -72,6 +72,22 @@ fn arb_rows(universe: u16) -> impl Strategy<Value = Rows> {
     })
 }
 
+/// Every held row as `(origin, receipt time bits, the row's lanes)`,
+/// rebuilt from what the store hands out: live entries, seqno and
+/// retraction lane.
+fn held_rows(table: &RowStore) -> Vec<(usize, u64, LaneRow)> {
+    table
+        .held_rows()
+        .map(|(origin, at, row)| {
+            let pairs: Vec<(u16, LinkEntry)> =
+                row.iter_live().map(|(d, e)| (d as u16, e)).collect();
+            let lanes = LaneRow::from_pairs(&pairs)
+                .with_version(table.row_seqno(origin), &table.row_retractions(origin));
+            (origin, at.to_bits(), lanes)
+        })
+        .collect()
+}
+
 /// `ids` with `me` among them, as a view.
 fn view_with(version: u32, mut ids: Vec<NodeId>, me: NodeId) -> MembershipView {
     ids.push(me);
@@ -377,7 +393,7 @@ proptest! {
         let grid = Grid::new(new_view.len());
         let mut model = RowStore::new(new_view.len());
         let held = node.quorum_router().expect("quorum node").table();
-        for (origin, received_at, lanes) in held.held_lanes() {
+        for (origin, received_at, row) in held.held_rows() {
             let new_origin = new_view.index_of(old_view.members[origin]);
             let Some(new_origin) = new_origin.filter(|_| install_at - received_at <= max_age) else {
                 continue;
@@ -385,19 +401,19 @@ proptest! {
             if new_origin != me_new && !grid.serves(new_origin, me_new) {
                 continue;
             }
-            let dense = lanes.as_row_ref(n_old).to_dense();
+            let dense = row.to_dense();
             let entries: Vec<LinkEntry> = new_view
                 .members
                 .iter()
                 .map(|&id| old_view.index_of(id).map_or_else(LinkEntry::dead, |d| dense[d]))
                 .collect();
-            let retracted: Vec<u16> = lanes
-                .retracted()
+            let retracted: Vec<u16> = held
+                .row_retractions(origin)
                 .iter()
                 .filter_map(|&d| new_view.index_of(old_view.members[usize::from(d)]))
                 .map(|d| d as u16)
                 .collect();
-            let row = LaneRow::from_dense(&entries).with_version(lanes.seqno(), &retracted);
+            let row = LaneRow::from_dense(&entries).with_version(held.row_seqno(origin), &retracted);
             model.put_row(new_origin, Arc::new(row), received_at);
         }
 
@@ -409,18 +425,8 @@ proptest! {
         });
         node.on_packet(install_at, &view2.encode(), &mut out);
         prop_assert_eq!(node.my_index(), Some(me_new));
-        let carried: Vec<(usize, u64, LaneRow)> = node
-            .quorum_router()
-            .expect("quorum node")
-            .table()
-            .held_lanes()
-            .map(|(origin, at, row)| (origin, at.to_bits(), LaneRow::clone(row)))
-            .collect();
-        let want: Vec<(usize, u64, LaneRow)> = model
-            .held_lanes()
-            .map(|(origin, at, row)| (origin, at.to_bits(), LaneRow::clone(row)))
-            .collect();
-        prop_assert_eq!(carried, want);
+        let carried = held_rows(node.quorum_router().expect("quorum node").table());
+        prop_assert_eq!(carried, held_rows(&model));
     }
 }
 

@@ -57,21 +57,6 @@ impl GridShape {
         }
     }
 
-    /// A custom shape (for ablation studies on quorum geometry).
-    ///
-    /// Returns `None` unless the shape can hold `n` nodes with a non-empty
-    /// last row, which the rendezvous construction requires.
-    #[must_use]
-    pub fn custom(n: usize, rows: usize, cols: usize) -> Option<Self> {
-        if n == 0 || rows == 0 || cols == 0 {
-            return None;
-        }
-        if rows * cols < n || (rows - 1) * cols >= n {
-            return None;
-        }
-        Some(GridShape { rows, cols })
-    }
-
     /// Total cell count (≥ the number of nodes placed).
     #[must_use]
     pub fn cells(&self) -> usize {
@@ -123,11 +108,11 @@ impl fmt::Debug for RendezvousPair {
 ///   `i` itself (a node trivially knows its own link state). Intersection
 ///   guarantees are stated on these sets.
 /// * [`rendezvous_servers`](Grid::rendezvous_servers) — `Rᵢ \ {i}`: the
-///   nodes `i` actually sends link state to in round one.
-/// * [`rendezvous_clients`](Grid::rendezvous_clients) — the nodes that send
-///   *their* link state to `i`; in the grid construction this equals the
-///   server set (the relation is symmetric, including the incomplete-row
-///   extras).
+///   nodes `i` actually sends link state to in round one. The relation is
+///   symmetric (including the incomplete-row extras), so the same set is
+///   `i`'s rendezvous *clients* — the nodes that send their link state to
+///   `i` and get its recommendations in round two — and the failover
+///   candidates for reaching `i` (section 4.1).
 ///
 /// [`NodeId`]: crate::NodeId
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -142,20 +127,7 @@ impl Grid {
     /// Build the paper's grid for `n ≥ 1` nodes.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self::with_shape(n, GridShape::for_nodes(n))
-    }
-
-    /// Build a grid with a custom (validated) shape.
-    ///
-    /// # Panics
-    /// Panics if the shape cannot hold `n` nodes with a non-empty last row.
-    #[must_use]
-    pub fn with_shape(n: usize, shape: GridShape) -> Self {
-        assert!(n > 0, "a quorum grid needs at least one node");
-        assert!(
-            shape.rows * shape.cols >= n && (shape.rows - 1) * shape.cols < n,
-            "shape {shape} cannot hold {n} nodes with a non-empty last row"
-        );
+        let shape = GridShape::for_nodes(n);
         let last_row_len = n - (shape.rows - 1) * shape.cols;
         Grid {
             n,
@@ -303,18 +275,6 @@ impl Grid {
         set.retain(|&x| x != i);
     }
 
-    /// The rendezvous clients of `i` — the nodes whose link state `i`
-    /// receives, and to whom `i` sends recommendations in round two.
-    ///
-    /// In the grid construction this relation is symmetric, so it equals
-    /// [`rendezvous_servers`](Self::rendezvous_servers); kept as a separate
-    /// method because the routing layer is written against the client/server
-    /// distinction and other quorum constructions need not be symmetric.
-    #[must_use]
-    pub fn rendezvous_clients(&self, i: usize) -> Vec<usize> {
-        self.rendezvous_servers(i)
-    }
-
     /// True when `server` is a rendezvous server of `i` (or `i` itself).
     #[must_use]
     pub fn serves(&self, server: usize, i: usize) -> bool {
@@ -365,14 +325,6 @@ impl Grid {
             (None, None) => unreachable!("two nodes of the last row cross inside it"),
         };
         RendezvousPair { nodes, len }
-    }
-
-    /// Failover candidates for reaching destination `dst` (section 4.1):
-    /// the nodes of `dst`'s row and column — all of which receive `dst`'s
-    /// link state — excluding `dst` itself.
-    #[must_use]
-    pub fn failover_candidates(&self, dst: usize) -> Vec<usize> {
-        self.rendezvous_servers(dst)
     }
 
     /// Upper bound on any node's rendezvous degree, `2·√n` in the paper.
@@ -463,18 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_shape_validation() {
-        assert!(GridShape::custom(10, 5, 2).is_some());
-        assert!(GridShape::custom(10, 2, 5).is_some());
-        // Too small.
-        assert!(GridShape::custom(10, 3, 3).is_none());
-        // Last row would be empty.
-        assert!(GridShape::custom(10, 6, 2).is_none());
-        assert!(GridShape::custom(0, 1, 1).is_none());
-        assert!(GridShape::custom(4, 0, 4).is_none());
-    }
-
-    #[test]
     fn figure_2_rendezvous_sets() {
         // The paper's 3×3 example, figure 2/3, translated to 0-based IDs:
         // paper node 9 = index 8 at position (2,2). Its rendezvous servers
@@ -496,7 +436,7 @@ mod tests {
         let g = Grid::new(9);
         assert!(g.rendezvous_servers(8).contains(&2));
         // Node 2's clients are its row {0,1} and column {5, 8}.
-        assert_eq!(g.rendezvous_clients(2), vec![0, 1, 5, 8]);
+        assert_eq!(g.rendezvous_servers(2), vec![0, 1, 5, 8]);
     }
 
     #[test]
@@ -561,8 +501,8 @@ mod tests {
 
     /// The pair is the crossings that exist, ascending and distinct —
     /// spot cases, then the definition spelled out with a `Vec` over
-    /// every valid shape of small grids, where at least one crossing
-    /// always does exist.
+    /// every grid of up to 200 nodes, where at least one crossing always
+    /// does exist.
     #[test]
     fn default_pair_crossings_and_blank_cells() {
         // Complete grid: both crossings exist.
@@ -580,27 +520,20 @@ mod tests {
         assert_eq!(*g.default_rendezvous_pair(16, 3), [0]);
         assert_eq!(*g.default_rendezvous_pair(3, 16), [0]);
 
-        for n in 1..=40usize {
-            for rows in 1..=n {
-                for cols in 1..=n {
-                    let Some(shape) = GridShape::custom(n, rows, cols) else {
-                        continue;
-                    };
-                    let g = Grid::with_shape(n, shape);
-                    for i in 0..n {
-                        for j in 0..n {
-                            let (ri, ci) = g.position(i);
-                            let (rj, cj) = g.position(j);
-                            let mut want: Vec<usize> =
-                                [g.at(ri, cj), g.at(rj, ci)].into_iter().flatten().collect();
-                            want.sort_unstable();
-                            want.dedup();
-                            assert!(!want.is_empty(), "n={n} {shape} pair ({i},{j})");
-                            let got = g.default_rendezvous_pair(i, j);
-                            assert_eq!(*got, *want, "n={n} {shape} pair ({i},{j})");
-                            assert!(!got.is_empty());
-                        }
-                    }
+        for n in 1..=200usize {
+            let g = Grid::new(n);
+            for i in 0..n {
+                for j in 0..n {
+                    let (ri, ci) = g.position(i);
+                    let (rj, cj) = g.position(j);
+                    let mut want: Vec<usize> =
+                        [g.at(ri, cj), g.at(rj, ci)].into_iter().flatten().collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    assert!(!want.is_empty(), "n={n} pair ({i},{j})");
+                    let got = g.default_rendezvous_pair(i, j);
+                    assert_eq!(*got, *want, "n={n} pair ({i},{j})");
+                    assert!(!got.is_empty());
                 }
             }
         }
@@ -702,7 +635,8 @@ mod tests {
             let g = Grid::new(n);
             let sqrt_n = (n as f64).sqrt();
             for i in 0..n {
-                let msgs = g.rendezvous_servers(i).len() + g.rendezvous_clients(i).len();
+                // Servers in round one, the same set as clients in round two.
+                let msgs = 2 * g.rendezvous_servers(i).len();
                 assert!(
                     msgs as f64 <= 4.0 * sqrt_n + 4.0,
                     "n={n}, node {i}: {msgs} messages > 4√n"

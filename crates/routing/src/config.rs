@@ -6,12 +6,14 @@
 //! | probing interval (p)    | 30 s | 30 s |
 //! | #probes for failure     | 5    | 5    |
 //!
+//! The probe count is the same for both, so it is a constant where the
+//! estimator counts losses: [`LinkEstimator::DEFAULT_DEATH_THRESHOLD`].
 //! The quorum system halves the routing interval because, absent
 //! rendezvous failures, it takes two routing intervals to propagate fresh
 //! probe data into optimal one-hop routes (section 4, "Comparison to n²
 //! link-state failover").
 
-use apor_linkstate::RecFormat;
+use apor_linkstate::{LinkEstimator, RecFormat};
 use serde::{Deserialize, Serialize};
 
 /// Age after which a *received* route recommendation is no longer
@@ -34,10 +36,10 @@ pub const STALENESS_INTERVALS: f64 = 3.0;
 /// The protocol timing and format knobs some study, the paper's
 /// parameter table or a planned sweep varies. What none of them has
 /// ever varied is a constant: the four interval multiples above, the
-/// estimator's EWMA weight
-/// ([`LinkEstimator::DEFAULT_ALPHA`](apor_linkstate::LinkEstimator::DEFAULT_ALPHA))
-/// and the adaptive probe rate's backoff and snap fraction
-/// ([`adaptive`](crate::adaptive)).
+/// estimator's probes for failure and EWMA weight
+/// ([`LinkEstimator::DEFAULT_DEATH_THRESHOLD`],
+/// [`LinkEstimator::DEFAULT_ALPHA`]) and the adaptive probe rate's
+/// backoff and snap fraction ([`adaptive`](crate::adaptive)).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProtocolConfig {
     /// Routing interval `r`, seconds: how often link state / recommendations
@@ -45,13 +47,12 @@ pub struct ProtocolConfig {
     pub routing_interval_s: f64,
     /// Probing interval `p`, seconds.
     pub probe_interval_s: f64,
-    /// Consecutive failed probes that mark a link dead (RON: 5).
-    pub probes_for_failure: u32,
     /// Per-probe reply timeout, seconds.
     pub probe_timeout_s: f64,
     /// Accelerated probing interval after a first loss (RON's rapid
-    /// failure detection), seconds. Must allow `probes_for_failure`
-    /// losses within one probing interval.
+    /// failure detection), seconds. Must allow
+    /// [`LinkEstimator::DEFAULT_DEATH_THRESHOLD`] losses within one
+    /// probing interval.
     pub rapid_probe_interval_s: f64,
     /// Recommendation entry wire format.
     pub rec_format: RecFormat,
@@ -112,7 +113,6 @@ impl ProtocolConfig {
         ProtocolConfig {
             routing_interval_s: 30.0,
             probe_interval_s: 30.0,
-            probes_for_failure: 5,
             probe_timeout_s: 3.0,
             rapid_probe_interval_s: 5.0,
             rec_format: RecFormat::Compact,
@@ -176,12 +176,11 @@ impl ProtocolConfig {
     pub fn validate(&self) {
         assert!(self.routing_interval_s > 0.0);
         assert!(self.probe_interval_s > 0.0);
-        assert!(self.probes_for_failure >= 1);
         assert!(
-            f64::from(self.probes_for_failure) * self.rapid_probe_interval_s
+            f64::from(LinkEstimator::DEFAULT_DEATH_THRESHOLD) * self.rapid_probe_interval_s
                 <= self.probe_interval_s,
             "rapid probing must fit {} probes inside one probing interval",
-            self.probes_for_failure
+            LinkEstimator::DEFAULT_DEATH_THRESHOLD
         );
         // After a timeout the prober re-probes at `sent + rapid
         // interval` or now, whichever is later: a longer timeout would
@@ -217,11 +216,10 @@ mod tests {
         let ron = ProtocolConfig::ron();
         assert_eq!(ron.routing_interval_s, 30.0);
         assert_eq!(ron.probe_interval_s, 30.0);
-        assert_eq!(ron.probes_for_failure, 5);
         let q = ProtocolConfig::quorum();
         assert_eq!(q.routing_interval_s, 15.0);
         assert_eq!(q.probe_interval_s, 30.0);
-        assert_eq!(q.probes_for_failure, 5);
+        assert_eq!(LinkEstimator::DEFAULT_DEATH_THRESHOLD, 5);
     }
 
     #[test]
@@ -267,7 +265,7 @@ mod tests {
         // The paper: "our implementation detects failures within 1 probing
         // period". With the defaults, 5 rapid probes take 25 s ≤ 30 s.
         let c = ProtocolConfig::quorum();
-        let detect = f64::from(c.probes_for_failure) * c.rapid_probe_interval_s;
+        let detect = f64::from(LinkEstimator::DEFAULT_DEATH_THRESHOLD) * c.rapid_probe_interval_s;
         assert!(detect <= c.probe_interval_s);
     }
 }

@@ -153,7 +153,8 @@ pub fn multihop_routes(matrix: &LatencyMatrix, max_hops: usize) -> MultiHopResul
         // Round-two accounting: recommendations (dst, sec, cost = 6 B) to
         // each client about each other client.
         for i in 0..n {
-            let clients = grid.rendezvous_clients(i).len() as u64;
+            // The grid's client set is its server set.
+            let clients = grid.rendezvous_servers(i).len() as u64;
             let per_msg = REC_HEADER_SIZE as u64 + 6 * clients + UDP_IP_OVERHEAD as u64;
             bytes_sent[i] += clients * per_msg;
         }

@@ -6,8 +6,8 @@
 //! *computation* traffic is reduced by the quorum scheme). Probes go
 //! out every `p = 30 s` per peer, spread evenly across the interval.
 //! After a first lost probe the prober switches to rapid re-probing so
-//! that `probes_for_failure` consecutive losses — and hence failure
-//! detection — complete "within 1 probing period".
+//! that [`LinkEstimator::DEFAULT_DEATH_THRESHOLD`] consecutive losses —
+//! and hence failure detection — complete "within 1 probing period".
 //!
 //! Under [`ProbePolicy::Entitled`] a node probes only its `~2√n`
 //! rendezvous servers plus a rotating constant-size sample of other
@@ -264,11 +264,7 @@ impl Prober {
         TargetState {
             peer,
             entitled,
-            estimator: LinkEstimator::with_params(
-                LinkEstimator::DEFAULT_ALPHA,
-                self.config.probes_for_failure,
-                LinkEstimator::DEFAULT_WINDOW,
-            ),
+            estimator: LinkEstimator::new(),
             rate: AdaptiveProbeRate::new(&self.config, self.config.probe_interval_s),
             next_probe_at: self.first_probe_at(peer, entitled, now),
             pending: None,

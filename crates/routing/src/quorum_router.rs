@@ -759,7 +759,7 @@ impl QuorumRouter {
             }
 
             // Pick a failover uniformly at random from dst's reachable
-            // row/column ([`Grid::failover_candidates`]), excluding
+            // row/column (its rendezvous servers), excluding
             // already-tried candidates. Candidates are derived from the
             // grid on demand — caching them per destination would be
             // O(n√n) aux state per node for a path that only runs under
@@ -1329,7 +1329,7 @@ mod tests {
             }
             for (i, r) in fabric.routers.iter().enumerate() {
                 let held = r.table().row_count();
-                let entitled = r.grid().rendezvous_clients(i).len() + 1;
+                let entitled = r.grid().rendezvous_servers(i).len() + 1;
                 assert_eq!(
                     held, entitled,
                     "n={n}, node {i}: holds {held} rows, entitled to {entitled}"
@@ -1379,7 +1379,7 @@ mod tests {
             .collect();
         for &t in &rec_targets {
             assert!(
-                fabric.routers[4].grid().rendezvous_clients(4).contains(&t),
+                fabric.routers[4].grid().rendezvous_servers(4).contains(&t),
                 "rec sent to non-client {t}"
             );
         }
@@ -1420,7 +1420,7 @@ mod tests {
         let f = fabric.routers[0]
             .active_failover(8)
             .expect("failover selected");
-        assert!(fabric.routers[0].grid().failover_candidates(8).contains(&f));
+        assert!(fabric.routers[0].grid().rendezvous_servers(8).contains(&f));
         // …and a route to 8 recovered through it.
         let hop = fabric.routers[0].best_hop(8, now).expect("route recovered");
         assert_ne!(hop, 8, "direct link is dead; must relay");
@@ -2011,8 +2011,9 @@ mod tests {
             Some(10.0),
             "receipt time preserved, not refreshed"
         );
-        let (_, _, row) = r.table.held_lanes().next().expect("node 1 keeps index 0");
-        assert_eq!(row.lanes().0, [0, 2], "joiner 3 is absent, not listed dead");
+        let (_, _, row) = r.table.held_rows().next().expect("node 1 keeps index 0");
+        let listed: Vec<usize> = row.iter_live().map(|(dst, _)| dst).collect();
+        assert_eq!(listed, [0, 2], "joiner 3 is absent, not listed dead");
         assert_eq!(r.table.entry(0, 0).latency_ms, 0, "1→1 self entry");
         assert!(!r.table.entry(0, 1).alive, "joiner 3 reads as dead");
         assert_eq!(
@@ -2065,7 +2066,7 @@ mod tests {
     }
 
     /// The sweep before it filled one buffer per tick: candidates from
-    /// `failover_candidates(dst)`, a fresh `Vec` per destination.
+    /// `rendezvous_servers(dst)`, a fresh `Vec` per destination.
     /// Returns the failover state it would leave — `(current, tried)`
     /// per destination — and the servers it would newly select, drawing
     /// from `rng`.
@@ -2096,7 +2097,7 @@ mod tests {
                     continue;
                 }
             }
-            let mut pool = r.grid.failover_candidates(dst);
+            let mut pool = r.grid.rendezvous_servers(dst);
             pool.retain(|&c| c != r.me && c != dst && r.own_row[c].alive && !tried.contains(&c));
             let Some(&f) = pool.choose(rng) else {
                 tried.clear();

@@ -9,11 +9,9 @@
 
 use std::collections::VecDeque;
 
-/// Event importance, ordered `Debug < Info < Warn`.
+/// Event importance, ordered `Info < Warn`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// High-rate detail (per-packet queueing).
-    Debug,
     /// Protocol-rate milestones (view installs, syncs).
     Info,
     /// Anomalies worth surfacing (drops, suspicions).
@@ -25,7 +23,6 @@ impl Severity {
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            Severity::Debug => "debug",
             Severity::Info => "info",
             Severity::Warn => "warn",
         }
@@ -33,8 +30,9 @@ impl Severity {
 }
 
 /// Why the simulated network dropped a packet. The distinction is the
-/// point: a queue-overflow drop indicts the receiver's capacity, a
-/// link-down drop indicts the failure schedule (partition or outage).
+/// point: a link-down drop indicts the failure schedule (partition or
+/// outage), a receiver-down drop a crash while the packet was in
+/// flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DropCause {
     /// The failure schedule had the link (or an endpoint) down —
@@ -44,8 +42,6 @@ pub enum DropCause {
     Unreachable,
     /// Bernoulli packet loss on an up link.
     Loss,
-    /// The receiver's bounded ingress queue was full.
-    QueueOverflow,
     /// The receiver was down at delivery time (crashed mid-flight).
     ReceiverDown,
 }
@@ -58,7 +54,6 @@ impl DropCause {
             DropCause::LinkDown => "link_down",
             DropCause::Unreachable => "unreachable",
             DropCause::Loss => "loss",
-            DropCause::QueueOverflow => "queue_overflow",
             DropCause::ReceiverDown => "receiver_down",
         }
     }
@@ -70,16 +65,6 @@ impl DropCause {
 /// deterministic regardless of merge order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
-    /// A liveness probe left for `to`.
-    ProbeSent {
-        /// Probed node.
-        to: u32,
-    },
-    /// A probe ack arrived from `from`.
-    ProbeAcked {
-        /// Acking node.
-        from: u32,
-    },
     /// Suspicion opened about `about`.
     SuspicionRaised {
         /// Suspected node.
@@ -96,11 +81,6 @@ pub enum EventKind {
         version: u64,
         /// Members in the view.
         members: u32,
-    },
-    /// A link-state row from `origin` was merged into a store.
-    RowMerged {
-        /// Row origin.
-        origin: u32,
     },
     /// A link-state row from `origin` was evicted (staleness pressure).
     RowEvicted {
@@ -123,11 +103,6 @@ pub enum EventKind {
         to: u32,
         /// Why it was dropped.
         cause: DropCause,
-    },
-    /// A packet bound for `to` entered the in-flight queue.
-    PacketQueued {
-        /// Receiver.
-        to: u32,
     },
 }
 
@@ -160,47 +135,29 @@ impl Event {
     }
 }
 
+/// Events an enabled [`Telemetry`](crate::Telemetry) handle's journal
+/// retains; a disabled handle's holds none.
+pub const JOURNAL_CAPACITY: usize = 256;
+
 /// The ring buffer behind a [`Telemetry`](crate::Telemetry) handle's
 /// journal.
 #[derive(Debug)]
 pub(crate) struct JournalInner {
     capacity: usize,
-    min_severity: Severity,
     ring: VecDeque<Event>,
     dropped: u64,
 }
 
 impl JournalInner {
-    pub(crate) fn new(capacity: usize, min_severity: Severity) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         JournalInner {
             capacity,
-            min_severity,
-            ring: VecDeque::with_capacity(capacity.min(1024)),
+            ring: VecDeque::with_capacity(capacity),
             dropped: 0,
         }
     }
 
-    pub(crate) fn min_severity(&self) -> Severity {
-        self.min_severity
-    }
-
-    pub(crate) fn set_min_severity(&mut self, min: Severity) {
-        self.min_severity = min;
-    }
-
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.ring.len() > capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-    }
-
     pub(crate) fn record(&mut self, event: Event) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -224,54 +181,32 @@ mod tests {
 
     #[test]
     fn severity_orders() {
-        assert!(Severity::Debug < Severity::Info);
         assert!(Severity::Info < Severity::Warn);
     }
 
     #[test]
     fn ring_wraps_and_counts_drops() {
-        let t = Telemetry::new(0)
-            .with_journal_capacity(3)
-            .with_journal_severity(Severity::Debug);
-        for i in 0..5u32 {
+        let t = Telemetry::new(0);
+        let total = JOURNAL_CAPACITY as u32 + 2;
+        for i in 0..total {
             t.event(
                 f64::from(i),
                 Severity::Info,
-                EventKind::PacketQueued { to: i },
+                EventKind::SyncSkip { peer: i },
             );
         }
         let events = t.events();
-        assert_eq!(events.len(), 3, "bounded at capacity");
-        // Oldest two were overwritten; the survivors are 2, 3, 4 in order.
-        let tos: Vec<u32> = events
+        assert_eq!(events.len(), JOURNAL_CAPACITY, "bounded at capacity");
+        // The oldest two were overwritten; the survivors are 2.. in order.
+        let peers: Vec<u32> = events
             .iter()
             .map(|e| match e.kind {
-                EventKind::PacketQueued { to } => to,
+                EventKind::SyncSkip { peer } => peer,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(tos, vec![2, 3, 4]);
+        assert_eq!(peers, (2..total).collect::<Vec<u32>>());
         assert_eq!(t.events_dropped(), 2);
-    }
-
-    #[test]
-    fn severity_filter_drops_below_threshold() {
-        let t = Telemetry::new(0).with_journal_severity(Severity::Warn);
-        t.event(0.0, Severity::Debug, EventKind::PacketQueued { to: 1 });
-        t.event(0.0, Severity::Info, EventKind::SyncSkip { peer: 1 });
-        t.event(
-            0.0,
-            Severity::Warn,
-            EventKind::PacketDropped {
-                to: 1,
-                cause: DropCause::LinkDown,
-            },
-        );
-        let events = t.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].severity, Severity::Warn);
-        // Filtered events are not "dropped" — they were never recorded.
-        assert_eq!(t.events_dropped(), 0);
     }
 
     #[test]
@@ -280,7 +215,6 @@ mod tests {
             DropCause::LinkDown,
             DropCause::Unreachable,
             DropCause::Loss,
-            DropCause::QueueOverflow,
             DropCause::ReceiverDown,
         ];
         let mut labels: Vec<&str> = all.iter().map(|c| c.label()).collect();

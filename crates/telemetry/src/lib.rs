@@ -37,30 +37,27 @@
 //!   no locks, no allocation, no branching beyond the add. Histograms
 //!   add a leading-zeros bucket index (one instruction) and four such
 //!   adds.
-//! * **Journal path**: a severity check (one relaxed atomic load)
-//!   before anything else; events below the journal's threshold cost
-//!   exactly that load. Recorded events take a short mutex on a bounded
-//!   ring — the journal is for protocol-rate events (suspicions, view
-//!   installs, syncs), not per-packet data.
+//! * **Journal path**: every event on an enabled handle takes a short
+//!   mutex and writes one slot of a ring of [`journal::JOURNAL_CAPACITY`]
+//!   events; there is no severity threshold, so nothing is cheaper to
+//!   emit than to keep. The journal is for protocol-rate events
+//!   (suspicions, view installs, syncs, row evictions) and for packets
+//!   the network drops; nothing emits per delivered packet.
 //! * **Disabled handles** ([`Telemetry::disabled`]) still count — so
 //!   protocol code can read its own counters for control decisions —
 //!   but export nothing: [`Telemetry::snapshot`] is empty and the
 //!   journal records zero events.
 //!
-//! # Export formats
+//! # Export format
 //!
 //! [`Snapshot`] is the export unit: a point-in-time copy of every
 //! registered metric, keyed `(node, component, name)`. Snapshots
 //! [`merge`](Snapshot::merge) across a fleet (counters/gauges/histogram
 //! buckets sum, maxima max — the operation is associative and
-//! commutative, so fold order is irrelevant) and export two ways:
-//!
-//! * [`Snapshot::to_json`] — one `{"node":…,"component":…,…}` object
-//!   per metric; histograms carry `count/sum/max` plus estimated
-//!   `p50/p90/p99` (log₂-bucket upper bounds) and the sparse bucket
-//!   list.
-//! * [`Snapshot::to_csv`] — the same table flattened to
-//!   `node,component,name,kind,value,count,sum,max,p50,p90,p99` rows.
+//! commutative, so fold order is irrelevant) and export as JSON:
+//! [`Snapshot::to_json`] writes one `{"node":…,"component":…,…}` object
+//! per metric; histograms carry `count/sum/max` plus estimated
+//! `p50/p90/p99` (log₂-bucket upper bounds) and the sparse bucket list.
 //!
 //! # The perf trajectory
 //!

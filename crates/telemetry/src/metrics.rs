@@ -1,6 +1,6 @@
 //! The per-node metrics registry and its lock-free instrument handles.
 
-use crate::journal::{Event, EventKind, JournalInner, Severity};
+use crate::journal::{Event, EventKind, JournalInner, Severity, JOURNAL_CAPACITY};
 use crate::snapshot::{HistogramSnapshot, MetricValue, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,8 +157,8 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled registry for node `node` with the default journal
-    /// (capacity 256, [`Severity::Info`] threshold).
+    /// An enabled registry for node `node` whose journal keeps the
+    /// newest [`JOURNAL_CAPACITY`] events.
     #[must_use]
     pub fn new(node: u32) -> Self {
         Telemetry {
@@ -166,7 +166,7 @@ impl Telemetry {
                 node,
                 enabled: true,
                 registry: Mutex::new(BTreeMap::new()),
-                journal: Mutex::new(JournalInner::new(256, Severity::Info)),
+                journal: Mutex::new(JournalInner::new(JOURNAL_CAPACITY)),
             }),
         }
     }
@@ -181,27 +181,9 @@ impl Telemetry {
                 node: u32::MAX,
                 enabled: false,
                 registry: Mutex::new(BTreeMap::new()),
-                journal: Mutex::new(JournalInner::new(0, Severity::Warn)),
+                journal: Mutex::new(JournalInner::new(0)),
             }),
         }
-    }
-
-    /// Same handle with the journal re-bounded to `capacity` events.
-    #[must_use]
-    pub fn with_journal_capacity(self, capacity: usize) -> Self {
-        if self.inner.enabled {
-            self.inner.journal.lock().unwrap().set_capacity(capacity);
-        }
-        self
-    }
-
-    /// Same handle recording journal events at `min` severity and up.
-    #[must_use]
-    pub fn with_journal_severity(self, min: Severity) -> Self {
-        if self.inner.enabled {
-            self.inner.journal.lock().unwrap().set_min_severity(min);
-        }
-        self
     }
 
     /// The node id this handle reports under.
@@ -258,18 +240,13 @@ impl Telemetry {
         }
     }
 
-    /// Record a structured event at simulation time `t`. Dropped when
-    /// the handle is disabled or `severity` is below the journal's
-    /// threshold.
+    /// Record a structured event at simulation time `t`: one mutex
+    /// lock and a ring write. Dropped when the handle is disabled.
     pub fn event(&self, t: f64, severity: Severity, kind: EventKind) {
         if !self.inner.enabled {
             return;
         }
-        let mut j = self.inner.journal.lock().unwrap();
-        if severity < j.min_severity() {
-            return;
-        }
-        j.record(Event {
+        self.inner.journal.lock().unwrap().record(Event {
             t,
             severity,
             node: self.inner.node,
@@ -397,7 +374,7 @@ mod tests {
         c.inc();
         assert_eq!(c.get(), 1, "handles still count for protocol logic");
         assert!(t.snapshot().is_empty());
-        t.event(1.0, Severity::Warn, EventKind::PacketQueued { to: 3 });
+        t.event(1.0, Severity::Warn, EventKind::SyncSkip { peer: 3 });
         assert!(t.events().is_empty(), "disabled registry adds zero events");
         assert_eq!(t.events_dropped(), 0);
     }

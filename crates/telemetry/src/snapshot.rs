@@ -329,35 +329,6 @@ impl Snapshot {
         out.push_str("\n}\n");
         out
     }
-
-    /// Export as CSV with header
-    /// `node,component,name,kind,value,count,sum,max,p50,p90,p99`
-    /// (histogram-only columns empty for counters/gauges and vice
-    /// versa).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("node,component,name,kind,value,count,sum,max,p50,p90,p99\n");
-        for (node, component, name, value) in self.iter() {
-            match value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "{node},{component},{name},{},{v},,,,,,", value.kind());
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = writeln!(
-                        out,
-                        "{node},{component},{name},histogram,,{},{},{},{},{},{}",
-                        h.count,
-                        h.sum,
-                        h.max,
-                        h.quantile(0.50),
-                        h.quantile(0.90),
-                        h.quantile(0.99)
-                    );
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -420,19 +391,6 @@ mod tests {
             .unwrap();
         assert_eq!(hist.get("count").and_then(Value::as_f64), Some(2.0));
         assert_eq!(hist.get("max").and_then(Value::as_f64), Some(100_000.0));
-    }
-
-    #[test]
-    fn csv_export_has_fixed_header_and_one_row_per_metric() {
-        let snap = sample();
-        let csv = snap.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "node,component,name,kind,value,count,sum,max,p50,p90,p99"
-        );
-        assert_eq!(lines.count(), 3);
-        assert!(csv.contains("2,membership,probe_sent,counter,11,,,,,,"));
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! The event journal under fleet merge (ISSUE 9 satellite): overflow
-//! keeps the newest events, severity filtering survives the snapshot
-//! merge, and merged ordering is deterministic by `(time, node)`
-//! regardless of fold order.
+//! The event journal under fleet merge: overflow keeps the newest
+//! events through the snapshot, and merged ordering is deterministic by
+//! `(time, node)` regardless of fold order.
 
+use apor_telemetry::journal::JOURNAL_CAPACITY;
 use apor_telemetry::snapshot::MERGED_EVENT_CAP;
 use apor_telemetry::{Event, EventKind, Severity, Snapshot, Telemetry};
 
-fn queued(t: f64, node: u32, to: u32) -> Event {
+fn skip(t: f64, node: u32, peer: u32) -> Event {
     Event {
         t,
         severity: Severity::Info,
         node,
-        kind: EventKind::PacketQueued { to },
+        kind: EventKind::SyncSkip { peer },
     }
 }
 
@@ -31,48 +31,30 @@ fn snapshot_carries_journal_events() {
 
 #[test]
 fn overflow_keeps_newest_events_through_snapshot() {
-    let t = Telemetry::new(0)
-        .with_journal_capacity(4)
-        .with_journal_severity(Severity::Debug);
-    for i in 0..10u32 {
+    let t = Telemetry::new(0);
+    let total = JOURNAL_CAPACITY as u32 + 6;
+    for i in 0..total {
         t.event(
             f64::from(i),
             Severity::Info,
-            EventKind::PacketQueued { to: i },
+            EventKind::SyncSkip { peer: i },
         );
     }
     let snap = t.snapshot();
-    let tos: Vec<u32> = snap
+    let peers: Vec<u32> = snap
         .events()
         .iter()
         .map(|e| match e.kind {
-            EventKind::PacketQueued { to } => to,
+            EventKind::SyncSkip { peer } => peer,
             _ => unreachable!(),
         })
         .collect();
-    assert_eq!(tos, vec![6, 7, 8, 9], "ring overflow keeps the newest");
+    assert_eq!(
+        peers,
+        (6..total).collect::<Vec<u32>>(),
+        "ring overflow keeps the newest"
+    );
     assert_eq!(t.events_dropped(), 6);
-}
-
-#[test]
-fn severity_filtering_survives_merge() {
-    // Node 0 journals everything; node 1 only warnings. The merged
-    // fleet snapshot must reflect each node's own filter — merge can
-    // neither resurrect filtered events nor drop recorded ones.
-    let verbose = Telemetry::new(0).with_journal_severity(Severity::Debug);
-    let quiet = Telemetry::new(1).with_journal_severity(Severity::Warn);
-    for t in [&verbose, &quiet] {
-        t.event(1.0, Severity::Debug, EventKind::PacketQueued { to: 7 });
-        t.event(2.0, Severity::Info, EventKind::SyncSkip { peer: 7 });
-        t.event(3.0, Severity::Warn, EventKind::SuspicionRaised { about: 7 });
-    }
-    let mut merged = verbose.snapshot();
-    merged.merge(&quiet.snapshot());
-    let from_quiet: Vec<&Event> = merged.events().iter().filter(|e| e.node == 1).collect();
-    assert_eq!(from_quiet.len(), 1);
-    assert_eq!(from_quiet[0].severity, Severity::Warn);
-    let from_verbose: Vec<&Event> = merged.events().iter().filter(|e| e.node == 0).collect();
-    assert_eq!(from_verbose.len(), 3);
 }
 
 #[test]
@@ -122,10 +104,10 @@ fn merge_bounds_events_at_cap_keeping_newest() {
     let mut a = Snapshot::default();
     let mut b = Snapshot::default();
     let old: Vec<Event> = (0..MERGED_EVENT_CAP)
-        .map(|i| queued(i as f64, 0, 0))
+        .map(|i| skip(i as f64, 0, 0))
         .collect();
     let new: Vec<Event> = (0..MERGED_EVENT_CAP)
-        .map(|i| queued((MERGED_EVENT_CAP + i) as f64, 1, 0))
+        .map(|i| skip((MERGED_EVENT_CAP + i) as f64, 1, 0))
         .collect();
     a.set_events(old);
     b.set_events(new.clone());

@@ -41,7 +41,7 @@ fn snapshot_from(metrics: &[(u32, usize, u64)]) -> Snapshot {
         staged.set_events(vec![Event {
             #[allow(clippy::cast_precision_loss)]
             t: v as f64 * 0.25,
-            severity: [Severity::Debug, Severity::Info, Severity::Warn][name_idx % 3],
+            severity: [Severity::Info, Severity::Warn][name_idx % 2],
             node,
             kind: EventKind::SyncSkip { peer: node },
         }]);

@@ -154,7 +154,6 @@ impl FailureParams {
             duration_s,
             link_down: vec![Vec::new(); n * (n.saturating_sub(1)) / 2],
             node_down: vec![Vec::new(); n],
-            proneness: vec![0.0; n],
         }
     }
 }
@@ -192,8 +191,6 @@ pub struct FailureSchedule {
     link_down: Vec<Vec<Outage>>,
     /// Outage lists per node.
     node_down: Vec<Vec<Outage>>,
-    /// Per-node failure proneness (target mean concurrent failures).
-    proneness: Vec<f64>,
 }
 
 /// Index of the unordered pair `(i, j)`, `i ≠ j`, in a flat triangular
@@ -288,7 +285,6 @@ impl FailureSchedule {
             duration_s: params.duration_s,
             link_down,
             node_down,
-            proneness,
         }
     }
 
@@ -335,12 +331,6 @@ impl FailureSchedule {
     #[must_use]
     pub fn duration_s(&self) -> f64 {
         self.duration_s
-    }
-
-    /// Per-node failure proneness used during generation (diagnostics).
-    #[must_use]
-    pub fn proneness(&self) -> &[f64] {
-        &self.proneness
     }
 
     /// Is node `i` up at time `t`?

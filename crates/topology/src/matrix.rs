@@ -256,20 +256,6 @@ impl LatencyMatrix {
         }
         Ok(m)
     }
-
-    /// Restrict to the submatrix over `keep` (re-indexed in order).
-    #[must_use]
-    pub fn submatrix(&self, keep: &[usize]) -> LatencyMatrix {
-        let m = keep.len();
-        let mut out = LatencyMatrix::unreachable(m);
-        for (a, &i) in keep.iter().enumerate() {
-            for (b, &j) in keep.iter().enumerate() {
-                out.rtt_ms[a * m + b] = self.rtt(i, j);
-                out.loss[a * m + b] = self.loss(i, j);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -394,14 +380,6 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn loss_rejects_out_of_range() {
         LatencyMatrix::uniform(2, 1.0).set_loss(0, 1, 1.5);
-    }
-
-    #[test]
-    fn submatrix_preserves_entries() {
-        let m = sample();
-        let s = m.submatrix(&[0, 3]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.rtt(0, 1), 500.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! cargo run --release --example gossip_membership
 //! ```
 
-use allpairs_overlay::membership::SwimConfig;
+use allpairs_overlay::membership::detection_budget_s;
 use allpairs_overlay::netsim::{Simulator, SimulatorConfig};
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
 use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
@@ -48,7 +48,7 @@ fn convergence_after_killing(victim: usize) -> Option<f64> {
             .with_swim()
     });
 
-    let budget = SwimConfig::default().detection_budget_s(N);
+    let budget = detection_budget_s(N);
     let mut t = KILL_AT;
     while t < KILL_AT + budget + 30.0 {
         t += 1.0;
@@ -82,7 +82,7 @@ fn convergence_after_killing(victim: usize) -> Option<f64> {
 }
 
 fn main() {
-    let budget = SwimConfig::default().detection_budget_s(N);
+    let budget = detection_budget_s(N);
     println!("== SWIM gossip membership: {N}-node overlay, no coordinator ==\n");
     println!("crashing each node in turn at t = {KILL_AT} s; detection budget {budget:.0} s\n");
     println!("victim   survivors agree after");

@@ -2,7 +2,7 @@
 //! overlay keeps routing — exercised against **both** membership planes
 //! ([`MembershipMode::Centralized`] and [`MembershipMode::Swim`]).
 
-use allpairs_overlay::membership::SwimConfig;
+use allpairs_overlay::membership::detection_budget_s;
 use allpairs_overlay::netsim::Simulator;
 use allpairs_overlay::overlay::config::{Algorithm, MembershipMode, NodeConfig};
 use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
@@ -74,8 +74,7 @@ fn swim_removes_crashed_node_within_budget() {
     let n = 10;
     let dead = 3usize;
     let kill_at = 60.0;
-    let swim = SwimConfig::default();
-    let budget = swim.detection_budget_s(n);
+    let budget = detection_budget_s(n);
     let mut params = FailureParams::with_n(n);
     params.median_concurrent = 1e-12; // no background link failures
     params.duration_s = 1e9;
@@ -90,11 +89,10 @@ fn swim_removes_crashed_node_within_budget() {
         overlay_sim_config(),
     );
     let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    let swim_cfg = swim.clone();
     populate(&mut sim, n, 2.0, move |i| {
         NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
             .with_static_members(members.clone())
-            .with_swim_config(swim_cfg.clone())
+            .with_swim()
     });
     // Sanity: before the crash everyone holds the full bootstrap view.
     sim.run_until(kill_at);
@@ -125,8 +123,7 @@ fn swim_removes_crashed_node_within_budget() {
 fn swim_survives_introducer_loss() {
     let n = 9;
     let kill_at = 50.0;
-    let swim = SwimConfig::default();
-    let budget = swim.detection_budget_s(n);
+    let budget = detection_budget_s(n);
     let mut params = FailureParams::with_n(n);
     params.median_concurrent = 1e-12;
     params.duration_s = 1e9;

@@ -6,6 +6,7 @@
 //! fewer simulator events. The fixed-tick side is a driver this test
 //! owns ([`PollingNode`]): the node itself has one timer discipline.
 
+use allpairs_overlay::linkstate::{LinkEntry, LinkStateStore, RowStore};
 use allpairs_overlay::netsim::{Ctx, NodeBehavior, Simulator};
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
 use allpairs_overlay::overlay::node::{Outbox, OverlayNode, TOKEN_PROBE};
@@ -110,6 +111,25 @@ fn run(polling: bool) -> Simulator {
     sim
 }
 
+/// Every held row as `(origin, receipt time bits, live entries, seqno,
+/// retractions)`: what two runs must agree on, down to the f64 bits.
+type HeldRow = (usize, u64, Vec<(usize, LinkEntry)>, u16, Vec<u16>);
+
+fn held(table: &RowStore) -> Vec<HeldRow> {
+    table
+        .held_rows()
+        .map(|(origin, at, row)| {
+            (
+                origin,
+                at.to_bits(),
+                row.iter_live().collect(),
+                table.row_seqno(origin),
+                table.row_retractions(origin),
+            )
+        })
+        .collect()
+}
+
 /// The overlay node at simulator slot `i`, whichever driver hosts it.
 fn node_at(sim: &Simulator, i: usize) -> &OverlayNode {
     match sim.node(i).as_any().downcast_ref::<PollingNode>() {
@@ -129,16 +149,18 @@ fn coalesced_replays_fixed_tick_bit_identically() {
         // Identical link-state tables, down to the f64 bits of the row
         // timestamps and every wire-quantized entry.
         let (fr, cr) = (f.quorum_router(), c.quorum_router());
-        let fr: Vec<_> = fr.expect("quorum node").table().held_lanes().collect();
-        let cr: Vec<_> = cr.expect("quorum node").table().held_lanes().collect();
+        let fr = held(fr.expect("quorum node").table());
+        let cr = held(cr.expect("quorum node").table());
         assert_eq!(fr.len(), cr.len(), "node {i}: row count");
         for (f_row, c_row) in fr.iter().zip(cr.iter()) {
-            let (fo, ft, ct) = (f_row.0, f_row.1, c_row.1);
+            let fo = f_row.0;
             assert_eq!(fo, c_row.0, "node {i}: row origin");
             assert_eq!(
-                ft.to_bits(),
-                ct.to_bits(),
-                "node {i}: row {fo} timestamp ({ft} vs {ct})"
+                f_row.1,
+                c_row.1,
+                "node {i}: row {fo} timestamp ({} vs {})",
+                f64::from_bits(f_row.1),
+                f64::from_bits(c_row.1)
             );
             assert_eq!(f_row, c_row, "node {i}: row {fo} entries and version");
         }
