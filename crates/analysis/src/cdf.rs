@@ -27,22 +27,6 @@ impl Cdf {
         self.sorted.is_empty()
     }
 
-    /// Fraction of samples ≤ `x`.
-    #[must_use]
-    pub fn fraction_at_most(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        self.count_at_most(x) as f64 / self.sorted.len() as f64
-    }
-
-    /// Count of samples ≤ `x` — the y-axis of the paper's
-    /// "number of nodes with ≤" plots.
-    #[must_use]
-    pub fn count_at_most(&self, x: f64) -> usize {
-        self.sorted.partition_point(|&v| v <= x)
-    }
-
     /// The `p`-quantile (`0 ≤ p ≤ 1`), by the nearest-rank method.
     ///
     /// # Panics
@@ -56,12 +40,6 @@ impl Cdf {
         }
         let rank = (p * self.sorted.len() as f64).ceil() as usize;
         self.sorted[rank.clamp(1, self.sorted.len()) - 1]
-    }
-
-    /// Minimum sample.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
     }
 
     /// Maximum sample.
@@ -89,8 +67,8 @@ impl Cdf {
         }
     }
 
-    /// The `(x, count_at_most)` steps of the CDF, one per distinct sample —
-    /// ready to plot or dump as CSV.
+    /// The `(x, samples ≤ x)` steps of the CDF, one per distinct sample —
+    /// the paper's "number of nodes with ≤" plots, ready to dump as CSV.
     #[must_use]
     pub fn steps(&self) -> Vec<(f64, usize)> {
         let mut out: Vec<(f64, usize)> = Vec::new();
@@ -102,19 +80,6 @@ impl Cdf {
         }
         out
     }
-
-    /// Evaluate the CDF on a fixed grid of `points` values spanning
-    /// `[lo, hi]`, returning `(x, fraction ≤ x)` rows.
-    #[must_use]
-    pub fn on_grid(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2 && hi > lo);
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.fraction_at_most(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -125,10 +90,7 @@ mod tests {
     fn basic_counts_and_fractions() {
         let c = Cdf::new(vec![3.0, 1.0, 2.0, 2.0]);
         assert_eq!(c.len(), 4);
-        assert_eq!(c.count_at_most(0.5), 0);
-        assert_eq!(c.count_at_most(2.0), 3);
-        assert_eq!(c.count_at_most(99.0), 4);
-        assert!((c.fraction_at_most(2.0) - 0.75).abs() < 1e-12);
+        assert_eq!(c.steps(), vec![(1.0, 1), (2.0, 3), (3.0, 4)]);
     }
 
     #[test]
@@ -144,7 +106,6 @@ mod tests {
     #[test]
     fn summary_stats() {
         let c = Cdf::new(vec![10.0, 20.0, 30.0]);
-        assert_eq!(c.min(), Some(10.0));
         assert_eq!(c.max(), Some(30.0));
         assert_eq!(c.mean(), Some(20.0));
     }
@@ -153,8 +114,8 @@ mod tests {
     fn empty_cdf_is_graceful() {
         let c = Cdf::new(vec![]);
         assert!(c.is_empty());
-        assert_eq!(c.fraction_at_most(5.0), 0.0);
-        assert_eq!(c.min(), None);
+        assert!(c.steps().is_empty());
+        assert_eq!(c.max(), None);
         assert_eq!(c.mean(), None);
         assert_eq!(c.median(), None);
     }
@@ -169,15 +130,6 @@ mod tests {
     fn steps_deduplicate() {
         let c = Cdf::new(vec![1.0, 1.0, 2.0]);
         assert_eq!(c.steps(), vec![(1.0, 2), (2.0, 3)]);
-    }
-
-    #[test]
-    fn grid_evaluation() {
-        let c = Cdf::new(vec![0.0, 10.0]);
-        let g = c.on_grid(0.0, 10.0, 3);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g[0], (0.0, 0.5));
-        assert_eq!(g[2], (10.0, 1.0));
     }
 
     #[test]

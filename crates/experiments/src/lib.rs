@@ -1,19 +1,18 @@
 //! Experiment harness for the paper's evaluation.
 //!
-//! Each module regenerates one table or figure (see DESIGN.md's
-//! experiment index). All experiments are deterministic in their seeds
-//! and write CSV series plus a human-readable summary; the binary
-//! `apor-experiments` dispatches on the figure name.
+//! Each module reproduces one row of `docs/REPRODUCTION.md`: a paper
+//! claim, the numbers that show it, and the bound the study's `check`
+//! asserts after its exports are written. All experiments are
+//! deterministic in their seeds and write CSV series plus a
+//! human-readable summary; the binary `apor-experiments` dispatches on
+//! the study name.
 //!
 //! | module | reproduces |
 //! |---|---|
-//! | [`fig1`] | Figure 1 — one-hop detour study on the synthetic PlanetLab |
-//! | [`fig9`] | Figure 9 — per-node routing traffic vs n, RON vs quorum, emulation + theory |
+//! | [`fig9`] | Figure 9 — per-node routing traffic vs n, RON vs quorum, emulation vs section 6.1's closed form |
 //! | [`deployment`] | the 140-node failure-laden deployment behind figures 8 and 10–14 |
 //! | [`multihop_exp`] | section 3's multi-hop extension: optimality + `Θ(n√n log n)` traffic |
-//! | [`lower_bound`] | Appendix A — diamond counting vs the quorum construction |
-//! | [`theory_exp`] | section 6.1's closed-form capacity table |
-//! | [`churn`] | beyond the paper: crash-detection & view convergence, SWIM vs centralized |
+//! | [`churn`] | section 5's membership service: crash detection & view convergence, SWIM vs centralized |
 //! | [`partition`] | beyond the paper: partition healing with/without push-pull anti-entropy |
 //! | [`detour`] | beyond the paper: recovery-time CDFs, 1-hop failover vs feasible k-hop detours |
 //! | [`scale`] | beyond the paper: sparse store + idle-aware netsim at n up to 4096 — state, probe bytes, coverage |
@@ -24,13 +23,12 @@
 pub mod churn;
 pub mod deployment;
 pub mod detour;
-pub mod fig1;
+#[cfg(test)]
+mod fig1;
 pub mod fig9;
-pub mod lower_bound;
 pub mod multihop_exp;
 pub mod partition;
 pub mod scale;
-pub mod theory_exp;
 pub mod trace_support;
 
 /// Where experiment outputs land, relative to the workspace root.

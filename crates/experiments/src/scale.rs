@@ -47,7 +47,7 @@ pub struct ScaleParams {
     pub ticks: usize,
     /// Ordered (src, dst) pairs sampled for the quality metrics.
     pub max_pairs: usize,
-    /// High-latency threshold for the fig1-style rescue metric, ms.
+    /// High-latency threshold for the figure 1-style rescue metric, ms.
     pub threshold_ms: f64,
     /// Topology / sampling seed.
     pub seed: u64,
@@ -245,7 +245,7 @@ fn run_fabric(n: usize, params: &ScaleParams) -> ScalePoint {
         .unwrap();
     let row_bound = 4.0 * (n as f64).sqrt();
 
-    // Quality vs the offline optimum, fig1-style.
+    // Quality vs the offline optimum, figure 1-style.
     let pairs = sample_pairs(n, params.max_pairs, params.seed ^ 0xA17);
     let mut covered = 0usize;
     let mut high = 0usize;
@@ -254,8 +254,7 @@ fn run_fabric(n: usize, params: &ScaleParams) -> ScalePoint {
     let mut stretch_n = 0usize;
     let mut max_stretch: f64 = 1.0;
     for &(i, j) in &pairs {
-        let optimal =
-            onehop::effective_latency(m, i, j, onehop::best_one_hop_excluding_top(m, i, j, 0.0));
+        let optimal = m.best_path_with_one_hop(i, j);
         let achieved = routers[i].best_hop(j, now).map(|hop| {
             if hop == j {
                 m.rtt(i, j)
@@ -394,8 +393,7 @@ fn sampled_quality(
         } else {
             m.rtt(i, hop) + m.rtt(hop, j)
         };
-        let optimal =
-            onehop::effective_latency(m, i, j, onehop::best_one_hop_excluding_top(m, i, j, 0.0));
+        let optimal = m.best_path_with_one_hop(i, j);
         if optimal.is_finite() && optimal > 0.0 {
             stretch_sum += achieved / optimal;
             stretch_n += 1;
@@ -654,7 +652,7 @@ pub fn run_and_report(params: &ScaleParams) -> std::io::Result<Vec<ScalePoint>> 
         ]);
     }
     println!(
-        "Scale study — sparse row store, fig1-style workload \
+        "Scale study — sparse row store, figure 1-style workload \
          (two-round fabric, {} sampled pairs)",
         params.max_pairs
     );

@@ -42,21 +42,12 @@
 //! the incomplete last row with the tail of the corresponding full row;
 //! [`Grid`] implements exactly that assignment and the tests verify the
 //! intersection property for every `n` up to several hundred.
-//!
-//! # Lower bound (Appendix A)
-//!
-//! The [`diamonds`](count_diamonds) helpers implement the counting argument
-//! of the paper's Appendix A: the complete graph contains `3·C(n,4)`
-//! diamonds, while any set of `e` edges contains at most `e²`, so any
-//! comparison-based algorithm needs `Ω(n√n)` per-node communication.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod diamonds;
 mod grid;
 mod id;
 
-pub use diamonds::{count_diamonds, diamonds_upper_bound, unique_diamonds_in_complete_graph};
 pub use grid::{Grid, GridShape, RendezvousPair};
 pub use id::NodeId;

@@ -2,7 +2,7 @@
 //! protocol's correctness rests on (Theorem 1 and the section 3
 //! non-perfect-square construction).
 
-use apor_quorum::{count_diamonds, diamonds_upper_bound, Grid};
+use apor_quorum::Grid;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -86,21 +86,5 @@ proptest! {
                 prop_assert!(common.contains(k));
             }
         }
-    }
-
-    /// Lemma 3 of Appendix A on random edge sets: e edges ⇒ at most e²
-    /// diamonds.
-    #[test]
-    fn lemma_3_random_graphs(
-        edges in prop::collection::vec((0usize..12, 0usize..12), 0..40)
-    ) {
-        let mut canon: Vec<(usize, usize)> = edges
-            .iter()
-            .filter(|&&(a, b)| a != b)
-            .map(|&(a, b)| if a < b { (a, b) } else { (b, a) })
-            .collect();
-        canon.sort_unstable();
-        canon.dedup();
-        prop_assert!(count_diamonds(&canon) <= diamonds_upper_bound(canon.len()));
     }
 }

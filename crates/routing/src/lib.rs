@@ -27,8 +27,9 @@
 //! * [`multihop`] — the `log l` iteration scheme for optimal routes of
 //!   length ≤ l (section 3, "Multi-hop routes"), with the `Sec` next-hop
 //!   recovery trick, plus its communication accounting.
-//! * [`onehop`] — offline reference computations for the figure 1 detour
-//!   study (best one-hop, best-after-excluding-top-n%).
+//! * [`onehop`] — offline reference computations over a ground-truth
+//!   matrix: the optimal one-hop cost routes are measured against, and
+//!   the high-latency pairs a detour helps.
 //! * [`feasibility`] — the Babel-style route discipline (RFC 8966) the
 //!   k-hop detour layer runs under: the per-destination feasibility
 //!   record ([`Feasibility`]: seqno, feasibility distance, retraction)

@@ -1,12 +1,15 @@
-//! Offline one-hop detour analysis — the reference computations behind
-//! figure 1 and the effectiveness experiments.
+//! Offline one-hop detour analysis over a ground-truth latency matrix:
+//! the ground-truth rows the scale study and the benchmarks feed their
+//! routers, the optimum the end-to-end benchmark measures achieved routes
+//! against, and the high-latency pair selection of the Skype-detour
+//! example.
 //!
-//! Figure 1 asks: for host pairs whose direct RTT exceeds 400 ms, how much
-//! does the *best* one-hop detour help, and how well would a *random*
-//! intermediary do? Its "Excluding Top n% of 1-Hops" curves remove the
-//! best n% of intermediaries per pair and take the best of the remainder —
-//! showing that the good detours are a small, specific set that random
-//! selection will miss.
+//! The paper's figure 1 asks: for host pairs whose direct RTT exceeds
+//! 400 ms, how much does the *best* one-hop detour help, and how much of
+//! that survives excluding the best intermediaries? Its shape is a
+//! property of the topology model, held by
+//! `apor_topology::planetlab`'s calibration test and by the
+//! experiments crate's `fig1` test.
 
 use apor_linkstate::LinkEntry;
 use apor_topology::LatencyMatrix;

@@ -32,7 +32,8 @@ use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic PlanetLab model. `Default` is calibrated to
 /// reproduce figure 1's distributions; the tests in this module check the
-/// calibration and EXPERIMENTS.md records the measured numbers.
+/// calibration (`figure_1_distributional_calibration` holds the figure's
+/// shape).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlanetLabParams {
     /// Number of overlay nodes.
