@@ -48,7 +48,7 @@ const CORE_KINDS: [SpanKind; 7] = [
 ];
 
 /// The episode with the widest phase coverage: most distinct
-/// [`CORE_KINDS`] present, ties broken by span count, then by the
+/// `CORE_KINDS` present, ties broken by span count, then by the
 /// smaller id (determinism). `None` when no span names an episode.
 #[must_use]
 pub fn richest_episode(spans: &[Span]) -> Option<u32> {

@@ -48,7 +48,7 @@
 //!   pair is a tick with one client.
 
 use crate::entry::{LinkEntry, INFINITE_COST};
-use apor_telemetry::{Counter, EventKind, Gauge, Severity, Telemetry};
+use apor_telemetry::{Counter, Gauge, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -1218,9 +1218,8 @@ impl RowStore {
     }
 
     /// Attach a telemetry handle: row merges/evictions count under
-    /// component `"linkstate"` and enter the event journal. Call before
-    /// the store receives traffic — the attached registry starts with
-    /// fresh (zeroed) cells.
+    /// component `"linkstate"`. Call before the store receives traffic —
+    /// the attached registry starts with fresh (zeroed) cells.
     #[must_use]
     pub fn with_telemetry(self, telemetry: Telemetry) -> Self {
         RowStore {
@@ -1327,13 +1326,6 @@ impl RowStore {
                         self.held_bytes -= row.lanes.held_bytes();
                     }
                     self.rows_evicted.inc();
-                    self.telemetry.event(
-                        now,
-                        Severity::Info,
-                        EventKind::RowEvicted {
-                            origin: origin as u32,
-                        },
-                    );
                 }
                 self.update_size_gauges();
             }
@@ -1880,10 +1872,6 @@ mod tests {
         assert_eq!(snap.counter(7, "linkstate", "rows_merged"), Some(3));
         assert_eq!(snap.counter(7, "linkstate", "rows_evicted"), Some(2));
         assert_eq!(snap.gauge(7, "linkstate", "rows_held"), Some(1));
-        assert!(telemetry
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::RowEvicted { origin: 0 })));
     }
 
     /// The running totals behind `entry_count` and the size gauge —

@@ -65,7 +65,7 @@ use crate::wire::{
 };
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{episode_id, episode_root_span};
-use apor_telemetry::{Counter, EventKind, Severity, SpanKind, Telemetry, TraceCtx, Tracer};
+use apor_telemetry::{Counter, SpanKind, Telemetry, TraceCtx, Tracer};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -456,9 +456,9 @@ impl Swim {
     }
 
     /// Attach a telemetry handle: probe, suspicion and sync counters
-    /// register under component `"membership"` and protocol milestones
-    /// enter the event journal. Call before driving the node — the
-    /// attached registry starts with fresh (zeroed) counter cells.
+    /// register under component `"membership"`. Call before driving the
+    /// node — the attached registry starts with fresh (zeroed) counter
+    /// cells.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.metrics = SwimMetrics::new(&telemetry);
@@ -837,7 +837,7 @@ impl Swim {
                     // fingerprints disagree, so the short-circuit
                     // failed — proceed with the full push-pull.
                     self.outstanding_digest = None;
-                    self.count_full_push(now, *from);
+                    self.metrics.full_pushes.inc();
                     self.push_full_ledger(*from, out);
                 } else if self.answered_digests.get(from) == Some(seq) {
                     // Duplicated or stale frame from an already-answered
@@ -852,13 +852,6 @@ impl Swim {
                         // response still tells the initiator the
                         // partner is reachable and the round is done.
                         self.metrics.digest_skips.inc();
-                        self.telemetry.event(
-                            now,
-                            Severity::Info,
-                            EventKind::SyncSkip {
-                                peer: u32::from(from.0),
-                            },
-                        );
                         out.push((
                             *from,
                             SwimMsg::SyncRsp {
@@ -899,23 +892,11 @@ impl Swim {
                 if self.outstanding_digest == Some((*from, *seq)) {
                     self.outstanding_digest = None;
                     self.metrics.piggyback_saved.inc();
-                    self.count_full_push(now, *from);
+                    self.metrics.full_pushes.inc();
                     self.push_full_ledger(*from, out);
                 }
             }
         }
-    }
-
-    /// Count one full-ledger push towards `peer` (counter + journal).
-    fn count_full_push(&mut self, now: f64, peer: NodeId) {
-        self.metrics.full_pushes.inc();
-        self.telemetry.event(
-            now,
-            Severity::Info,
-            EventKind::SyncPush {
-                peer: u32::from(peer.0),
-            },
-        );
     }
 
     /// The first frame's worth of the full ledger — what a mismatch
@@ -1167,13 +1148,6 @@ impl Swim {
                     },
                 );
                 self.metrics.suspicion_raised.inc();
-                self.telemetry.event(
-                    now,
-                    Severity::Warn,
-                    EventKind::SuspicionRaised {
-                        about: u32::from(id.0),
-                    },
-                );
                 if self.tracer.enabled() {
                     // A fresh suspicion opens (or re-activates) the
                     // convergence episode for the suspect — derived
@@ -1252,7 +1226,7 @@ impl Swim {
     fn apply_updates(&mut self, now: f64, updates: &[SwimUpdate]) {
         for u in updates {
             if u.id == self.me {
-                self.refute_if_needed(now, *u);
+                self.refute_if_needed(*u);
                 continue;
             }
             match u.status {
@@ -1266,13 +1240,6 @@ impl Swim {
                         {
                             self.suspicions.remove(&u.id);
                             self.metrics.suspicion_refuted.inc();
-                            self.telemetry.event(
-                                now,
-                                Severity::Info,
-                                EventKind::SuspicionRefuted {
-                                    about: u32::from(u.id.0),
-                                },
-                            );
                         }
                         self.enqueue_gossip(*u);
                     }
@@ -1308,20 +1275,13 @@ impl Swim {
     /// and gossip a fresh `Alive`, the SWIM refutation. A node that
     /// announced its own departure stops refuting — otherwise its
     /// `Left` gossip echoing back would resurrect it.
-    fn refute_if_needed(&mut self, now: f64, u: SwimUpdate) {
+    fn refute_if_needed(&mut self, u: SwimUpdate) {
         if self.departed || u.status == SwimStatus::Alive || u.incarnation < self.incarnation {
             return;
         }
         self.incarnation = u.incarnation.wrapping_add(1);
         self.ledger.apply(self.me, self.incarnation, false);
         self.metrics.suspicion_refuted.inc();
-        self.telemetry.event(
-            now,
-            Severity::Info,
-            EventKind::SuspicionRefuted {
-                about: u32::from(self.me.0),
-            },
-        );
         self.enqueue_gossip(SwimUpdate {
             id: self.me,
             incarnation: self.incarnation,
@@ -2466,11 +2426,6 @@ mod tests {
         assert_eq!(snap.counter(0, "membership", "probe_sent"), Some(2));
         assert_eq!(snap.counter(0, "membership", "probe_acked"), Some(0));
         assert_eq!(snap.counter(0, "membership", "suspicion_raised"), Some(1));
-        // The suspicion milestone is journaled at Warn.
-        assert!(telemetry.events().iter().any(|e| matches!(
-            e.kind,
-            apor_telemetry::EventKind::SuspicionRaised { about: 1 }
-        )));
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl ViewLedger {
     /// identical-views ⇒ identical-grids invariant, healed at the
     /// next gossip convergence (the union of the events is a strictly
     /// higher version, which rebuilds the grid). The per-member salt
-    /// in [`version_salt`] makes such collisions require
+    /// in `version_salt` makes such collisions require
     /// `salt(a)·Δa = salt(b)·Δb` rather than the common symmetric
     /// case `Δa = Δb`; eliminating the window entirely needs a
     /// content digest in the routing wire (ROADMAP follow-on).

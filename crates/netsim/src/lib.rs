@@ -66,6 +66,7 @@ mod queue;
 mod sim;
 mod stats;
 
-pub use apor_telemetry::DropCause;
-pub use sim::{Ctx, NodeBehavior, Simulator, SimulatorConfig, CORE_TELEMETRY_NODE, MAX_EVENTS};
+pub use sim::{
+    Ctx, DropCause, NodeBehavior, Simulator, SimulatorConfig, CORE_TELEMETRY_NODE, MAX_EVENTS,
+};
 pub use stats::{Direction, TrafficClass, TrafficStats};

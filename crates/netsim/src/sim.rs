@@ -2,7 +2,7 @@
 
 use crate::queue::EventQueue;
 use crate::stats::{Direction, TrafficClass, TrafficStats};
-use apor_telemetry::{Counter, DropCause, EventKind, Histogram, Severity, Snapshot, Telemetry};
+use apor_telemetry::{Counter, Histogram, Snapshot, Telemetry};
 use apor_topology::{FailureSchedule, LatencyMatrix};
 use bytes::Bytes;
 use rand::{Rng, SeedableRng};
@@ -155,6 +155,37 @@ enum Event {
     },
 }
 
+/// Why the simulated network dropped a packet. The distinction is the
+/// point: a link-down drop indicts the failure schedule (partition or
+/// outage), a receiver-down drop a crash while the packet was in
+/// flight. Declaration order is the order of a node's drop counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropCause {
+    /// The failure schedule had the link (or an endpoint) down —
+    /// partitions and outages land here.
+    LinkDown,
+    /// The latency matrix marks the pair unreachable (no path exists).
+    Unreachable,
+    /// Bernoulli packet loss on an up link.
+    Loss,
+    /// The receiver was down at delivery time (crashed mid-flight).
+    ReceiverDown,
+}
+
+impl DropCause {
+    /// Stable lowercase label (the suffix of its `netsim/drop_*`
+    /// counter).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            DropCause::LinkDown => "link_down",
+            DropCause::Unreachable => "unreachable",
+            DropCause::Loss => "loss",
+            DropCause::ReceiverDown => "receiver_down",
+        }
+    }
+}
+
 /// Pre-registered per-node network metrics: the packet fate counters
 /// (one per [`DropCause`], so partition drops never collapse into the
 /// same cell as crashes or loss) and the delivery latency histogram.
@@ -165,15 +196,6 @@ struct NetMetrics {
     queued: Counter,
     drops: [Counter; 4],
     deliver_latency_us: Histogram,
-}
-
-fn drop_slot(cause: DropCause) -> usize {
-    match cause {
-        DropCause::LinkDown => 0,
-        DropCause::Unreachable => 1,
-        DropCause::Loss => 2,
-        DropCause::ReceiverDown => 3,
-    }
 }
 
 impl NetMetrics {
@@ -460,16 +482,7 @@ impl Simulator {
             DropCause::LinkDown | DropCause::Unreachable | DropCause::Loss => from,
             DropCause::ReceiverDown => to,
         };
-        let m = &self.net[owner];
-        m.drops[drop_slot(cause)].inc();
-        m.telemetry.event(
-            self.now,
-            Severity::Warn,
-            EventKind::PacketDropped {
-                to: to as u32,
-                cause,
-            },
-        );
+        self.net[owner].drops[cause as usize].inc();
     }
 
     /// The network model: account the transmission, then decide loss and
@@ -926,6 +939,20 @@ mod tests {
     }
 
     #[test]
+    fn drop_cause_labels_are_distinct() {
+        let all = [
+            DropCause::LinkDown,
+            DropCause::Unreachable,
+            DropCause::Loss,
+            DropCause::ReceiverDown,
+        ];
+        let mut labels: Vec<&str> = all.iter().map(|c| c.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), all.len());
+    }
+
+    #[test]
     fn partition_drop_is_counted_as_link_down() {
         use apor_topology::failures::NodeOutage;
         let m = LatencyMatrix::uniform(2, 10.0);
@@ -951,15 +978,6 @@ mod tests {
         sim.add_node(Box::new(Echoer), 0.0);
         sim.run_until(50.0);
         assert_eq!(drop_counts(&sim, 0), [1, 0, 0, 0]);
-        // The journal carries the structured drop event with its cause.
-        let events = sim.telemetry(0).events();
-        assert!(events.iter().any(|e| matches!(
-            e.kind,
-            apor_telemetry::EventKind::PacketDropped {
-                to: 1,
-                cause: DropCause::LinkDown
-            }
-        )));
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //!
 //! Membership comes in two modes ([`config::MembershipMode`]): the
 //! paper's centralized coordinator ([`membership`]) and the
-//! decentralized SWIM gossip plane from
-//! [`apor_membership`](apor_membership), which removes the coordinator
-//! single point of failure while preserving the identical-views ⇒
-//! identical-grids invariant.
+//! decentralized SWIM gossip plane from [`apor_membership`], which
+//! removes the coordinator single point of failure while preserving
+//! the identical-views ⇒ identical-grids invariant.
 //!
 //! ## View changes: one table
 //!

@@ -83,7 +83,7 @@ use apor_quorum::NodeId;
 use apor_routing::{
     FullMeshRouter, ProbeAction, Prober, QuorumRouter, RouteDecision, RoutingAlgorithm,
 };
-use apor_telemetry::{EventKind, Histogram, Severity, SpanKind, Telemetry, TraceCtx, Tracer};
+use apor_telemetry::{Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
 
 /// The concrete router running inside a node.
 // The size gap between the two routers is fine: exactly one RouterBox
@@ -815,14 +815,6 @@ impl OverlayNode {
                 now,
             );
         }
-        self.telemetry.event(
-            now,
-            Severity::Info,
-            EventKind::ViewInstalled {
-                version: u64::from(view.version),
-                members: view.len() as u32,
-            },
-        );
         self.view = Some(view);
     }
 

@@ -11,9 +11,8 @@
 //!
 //! Under [`ProbePolicy::Entitled`] a node probes only its `~2√n`
 //! rendezvous servers plus a rotating constant-size sample of other
-//! peers, each at an adaptive per-link rate
-//! ([`AdaptiveProbeRate`](crate::adaptive::AdaptiveProbeRate)), and
-//! emits [`ProbeBatch`](apor_linkstate::Message::ProbeBatch) frames: a
+//! peers, each at an adaptive per-link rate ([`AdaptiveProbeRate`]),
+//! and emits [`ProbeBatch`](apor_linkstate::Message::ProbeBatch) frames: a
 //! ping plus, once the link is measured, a `Gauge` item carrying this
 //! side's RTT/loss estimate, which the receiver may *adopt* as its own
 //! reverse entry (link costs are symmetric, paper section 3) instead of

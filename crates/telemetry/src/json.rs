@@ -246,24 +246,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escape a string for embedding in JSON output.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,8 +269,8 @@ mod tests {
     #[test]
     fn escapes_roundtrip() {
         let original = "line\nwith \"quotes\" and \\slashes\\ and\ttabs";
-        let doc = format!("{{\"s\": \"{}\"}}", escape(original));
-        let v = parse(&doc).unwrap();
+        let doc = r#"{"s": "line\nwith \"quotes\" and \\slashes\\ and\ttabs"}"#;
+        let v = parse(doc).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(original));
     }
 

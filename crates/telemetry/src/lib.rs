@@ -1,5 +1,5 @@
 //! The fleet telemetry plane: a zero-external-dependency metrics
-//! registry, a bounded event journal, and the bench regression gate.
+//! registry, a causal span tracer, and the bench regression gate.
 //!
 //! The paper's claims are quantitative — `O(n√n)` state, `O(n√n)` probe
 //! traffic, near-optimal one-hop routing — so every layer of the repro
@@ -37,16 +37,12 @@
 //!   no locks, no allocation, no branching beyond the add. Histograms
 //!   add a leading-zeros bucket index (one instruction) and four such
 //!   adds.
-//! * **Journal path**: every event on an enabled handle takes a short
-//!   mutex and writes one slot of a ring of [`journal::JOURNAL_CAPACITY`]
-//!   events; there is no severity threshold, so nothing is cheaper to
-//!   emit than to keep. The journal is for protocol-rate events
-//!   (suspicions, view installs, syncs, row evictions) and for packets
-//!   the network drops; nothing emits per delivered packet.
+//! * **Handle cost**: a handle is its node id and an empty registry;
+//!   it preallocates no per-node buffer (`tests/handle_cost.rs` holds
+//!   [`Telemetry::new`] to 256 bytes).
 //! * **Disabled handles** ([`Telemetry::disabled`]) still count — so
 //!   protocol code can read its own counters for control decisions —
-//!   but export nothing: [`Telemetry::snapshot`] is empty and the
-//!   journal records zero events.
+//!   but export nothing: [`Telemetry::snapshot`] is empty.
 //!
 //! # Export format
 //!
@@ -71,25 +67,23 @@
 //!
 //! # Causal tracing
 //!
-//! The third observability layer (after metrics and the journal) is
-//! the [`trace`] module: per-node span flight recorders, the wire
+//! The second observability layer (after metrics) is the [`trace`]
+//! module: per-node span flight recorders, the wire
 //! [`trace::TraceCtx`] that carries episode identity across nodes, and
 //! the Chrome trace-event exporter/validator behind the
-//! `results/*_trace.json` files. The three layers, their export
-//! schemas and the Perfetto workflow are documented in
-//! `docs/OBSERVABILITY.md` at the repository root.
+//! `results/*_trace.json` files. The two layers, their export schemas
+//! and the Perfetto workflow are documented in `docs/OBSERVABILITY.md`
+//! at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod regress;
 pub mod snapshot;
 pub mod trace;
 
-pub use journal::{DropCause, Event, EventKind, Severity};
 pub use metrics::{Counter, Gauge, Histogram, Telemetry};
 pub use snapshot::{HistogramSnapshot, MetricValue, Snapshot};
 pub use trace::{

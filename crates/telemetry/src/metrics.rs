@@ -1,6 +1,5 @@
 //! The per-node metrics registry and its lock-free instrument handles.
 
-use crate::journal::{Event, EventKind, JournalInner, Severity, JOURNAL_CAPACITY};
 use crate::snapshot::{HistogramSnapshot, MetricValue, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,17 +132,15 @@ enum Instrument {
 #[derive(Debug)]
 struct Inner {
     node: u32,
-    /// `false` = handles still count, but snapshots are empty and the
-    /// journal drops everything.
+    /// `false` = handles still count, but snapshots are empty.
     enabled: bool,
     registry: Mutex<BTreeMap<(&'static str, &'static str), Instrument>>,
-    journal: Mutex<JournalInner>,
 }
 
-/// A per-node telemetry handle: the registry of this node's metrics
-/// plus its event journal. Cloning shares the underlying state, so a
-/// node hands clones to each of its components (SWIM plane, router,
-/// stores) and snapshots them all at once.
+/// A per-node telemetry handle: the registry of this node's metrics.
+/// Cloning shares the underlying state, so a node hands clones to each
+/// of its components (SWIM plane, router, stores) and snapshots them
+/// all at once.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,
@@ -157,8 +154,7 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled registry for node `node` whose journal keeps the
-    /// newest [`JOURNAL_CAPACITY`] events.
+    /// An enabled registry for node `node`.
     #[must_use]
     pub fn new(node: u32) -> Self {
         Telemetry {
@@ -166,14 +162,12 @@ impl Telemetry {
                 node,
                 enabled: true,
                 registry: Mutex::new(BTreeMap::new()),
-                journal: Mutex::new(JournalInner::new(JOURNAL_CAPACITY)),
             }),
         }
     }
 
     /// A disabled registry: instrument handles still count (components
-    /// may read their own cells), but [`Telemetry::snapshot`] is empty
-    /// and the journal records zero events.
+    /// may read their own cells), but [`Telemetry::snapshot`] is empty.
     #[must_use]
     pub fn disabled() -> Self {
         Telemetry {
@@ -181,7 +175,6 @@ impl Telemetry {
                 node: u32::MAX,
                 enabled: false,
                 registry: Mutex::new(BTreeMap::new()),
-                journal: Mutex::new(JournalInner::new(0)),
             }),
         }
     }
@@ -240,32 +233,6 @@ impl Telemetry {
         }
     }
 
-    /// Record a structured event at simulation time `t`: one mutex
-    /// lock and a ring write. Dropped when the handle is disabled.
-    pub fn event(&self, t: f64, severity: Severity, kind: EventKind) {
-        if !self.inner.enabled {
-            return;
-        }
-        self.inner.journal.lock().unwrap().record(Event {
-            t,
-            severity,
-            node: self.inner.node,
-            kind,
-        });
-    }
-
-    /// The journal's retained events, oldest first.
-    #[must_use]
-    pub fn events(&self) -> Vec<Event> {
-        self.inner.journal.lock().unwrap().events()
-    }
-
-    /// Number of events the bounded ring has overwritten.
-    #[must_use]
-    pub fn events_dropped(&self) -> u64 {
-        self.inner.journal.lock().unwrap().dropped()
-    }
-
     /// A point-in-time copy of every registered metric (empty for a
     /// disabled handle).
     #[must_use]
@@ -283,8 +250,6 @@ impl Telemetry {
             };
             snap.insert(self.inner.node, component, name, value);
         }
-        drop(reg);
-        snap.set_events(self.events());
         snap
     }
 }
@@ -374,8 +339,5 @@ mod tests {
         c.inc();
         assert_eq!(c.get(), 1, "handles still count for protocol logic");
         assert!(t.snapshot().is_empty());
-        t.event(1.0, Severity::Warn, EventKind::SyncSkip { peer: 3 });
-        assert!(t.events().is_empty(), "disabled registry adds zero events");
-        assert_eq!(t.events_dropped(), 0);
     }
 }

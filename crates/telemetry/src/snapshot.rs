@@ -1,16 +1,8 @@
 //! Point-in-time metric snapshots: fleet merge and JSON/CSV export.
 
-use crate::journal::Event;
 use crate::metrics::{bucket_upper_bound, HISTOGRAM_BUCKETS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Cap on the journal events a merged snapshot retains. Merging keeps
-/// the *newest* events in the canonical order
-/// ([`Event::canonical_cmp`]); keeping the greatest `k` of a totally
-/// ordered multiset is associative and commutative, so the merge
-/// monoid laws survive the bound.
-pub const MERGED_EVENT_CAP: usize = 4096;
 
 /// A frozen histogram: counts per log₂ bucket plus exact count/sum/max.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,12 +81,10 @@ impl MetricValue {
 }
 
 /// A point-in-time copy of a registry (or a whole fleet's, after
-/// merging), keyed `(node, component, name)`, plus the journal events
-/// the registry held at snapshot time (canonically ordered).
+/// merging), keyed `(node, component, name)`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     entries: BTreeMap<(u32, String, String), MetricValue>,
-    events: Vec<Event>,
 }
 
 impl Snapshot {
@@ -102,24 +92,6 @@ impl Snapshot {
     pub fn insert(&mut self, node: u32, component: &str, name: &str, value: MetricValue) {
         self.entries
             .insert((node, component.to_string(), name.to_string()), value);
-    }
-
-    /// Replace the snapshot's journal events. They are brought into the
-    /// canonical `(time, node, severity, kind)` order and bounded at
-    /// [`MERGED_EVENT_CAP`] (newest kept) so any snapshot — single-node
-    /// or fleet-merged — presents events identically.
-    pub fn set_events(&mut self, mut events: Vec<Event>) {
-        events.sort_by(Event::canonical_cmp);
-        if events.len() > MERGED_EVENT_CAP {
-            events.drain(..events.len() - MERGED_EVENT_CAP);
-        }
-        self.events = events;
-    }
-
-    /// The journal events, in canonical `(time, node, …)` order.
-    #[must_use]
-    pub fn events(&self) -> &[Event] {
-        &self.events
     }
 
     /// No metrics at all?
@@ -217,21 +189,13 @@ impl Snapshot {
     }
 
     /// Fold `other` into `self`. Counters, gauges and histogram buckets
-    /// sum (saturating); maxima take the max; journal events union in
-    /// canonical order, keeping the newest [`MERGED_EVENT_CAP`]. The
-    /// operation is associative and commutative, so fleets can merge in
-    /// any order.
+    /// sum (saturating); maxima take the max. The operation is
+    /// associative and commutative, so fleets can merge in any order.
     ///
     /// # Panics
     /// Panics when the same key holds different metric kinds — that is
     /// a registration bug, not a runtime condition.
     pub fn merge(&mut self, other: &Snapshot) {
-        if !other.events.is_empty() {
-            let mut merged = Vec::with_capacity(self.events.len() + other.events.len());
-            merged.extend_from_slice(&self.events);
-            merged.extend_from_slice(&other.events);
-            self.set_events(merged);
-        }
         for (key, value) in &other.entries {
             match self.entries.get_mut(key) {
                 None => {
@@ -254,13 +218,8 @@ impl Snapshot {
         }
     }
 
-    /// Export as JSON: `{"metrics":[…], "events":[…]}` with one object
-    /// per metric and one per journal event. Histogram buckets are
-    /// sparse `[index, count]` pairs; events carry
-    /// `{"t", "severity", "node", "kind"}` with the kind rendered as
-    /// its debug form (a stable, human-readable discriminant plus
-    /// fields). The `events` array is omitted when empty, which keeps
-    /// the PR-4 schema unchanged for event-less snapshots.
+    /// Export as JSON: `{"metrics":[…]}` with one object per metric.
+    /// Histogram buckets are sparse `[index, count]` pairs.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"metrics\": [");
@@ -306,27 +265,7 @@ impl Snapshot {
                 }
             }
         }
-        out.push_str("\n  ]");
-        if !self.events.is_empty() {
-            out.push_str(",\n  \"events\": [");
-            let mut first = true;
-            for e in &self.events {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "\n    {{\"t\": {}, \"severity\": \"{}\", \"node\": {}, \"kind\": \"{}\"}}",
-                    e.t,
-                    e.severity.label(),
-                    e.node,
-                    crate::json::escape(&format!("{:?}", e.kind))
-                );
-            }
-            out.push_str("\n  ]");
-        }
-        out.push_str("\n}\n");
+        out.push_str("\n  ]\n}\n");
         out
     }
 }

@@ -2,13 +2,12 @@
 //! recorder, wire trace contexts and the Chrome-trace exporter.
 //!
 //! The metrics registry ([`crate::metrics`]) answers *how often* and
-//! *how long on aggregate*; the journal answers *what happened*. This
-//! module answers *why was this slow*: every convergence episode — a
-//! crash, a partition, a heal — gets a stable **episode id**, and each
-//! component records [`Span`]s against it (suspicion windows, gossip
-//! hops, view installs, row remaps, re-probe bursts), so the time from
-//! failure to routes-restored decomposes into a causal tree instead of
-//! one opaque total.
+//! *how long on aggregate*. This module answers *why was this slow*:
+//! every convergence episode — a crash, a partition, a heal — gets a
+//! stable **episode id**, and each component records [`Span`]s against
+//! it (suspicion windows, gossip hops, view installs, row remaps,
+//! re-probe bursts), so the time from failure to routes-restored
+//! decomposes into a causal tree instead of one opaque total.
 //!
 //! Three pieces:
 //!
@@ -23,7 +22,7 @@
 //!   `chrome://tracing`) and the schema + span-nesting validator CI
 //!   runs over every exported file.
 //!
-//! See `docs/OBSERVABILITY.md` for the full three-layer story and the
+//! See `docs/OBSERVABILITY.md` for the full two-layer story and the
 //! export schemas.
 
 use crate::json::{self, Value};

@@ -7,7 +7,7 @@
 //! arbitrary snapshots never produce the kind-conflict panic (which is
 //! a registration bug, covered by a unit test).
 
-use apor_telemetry::{Event, EventKind, HistogramSnapshot, MetricValue, Severity, Snapshot};
+use apor_telemetry::{HistogramSnapshot, MetricValue, Snapshot};
 use proptest::prelude::*;
 
 /// One arbitrary metric: node, name index, and a value whose kind is a
@@ -36,15 +36,6 @@ fn snapshot_from(metrics: &[(u32, usize, u64)]) -> Snapshot {
         // Same-key repeats fold through merge (insert would overwrite,
         // which is not the additive semantics we are testing).
         staged.insert(node, "prop", name, value);
-        // Each metric also contributes one journal event, so the monoid
-        // laws below cover the event union (sort + newest-cap) too.
-        staged.set_events(vec![Event {
-            #[allow(clippy::cast_precision_loss)]
-            t: v as f64 * 0.25,
-            severity: [Severity::Info, Severity::Warn][name_idx % 2],
-            node,
-            kind: EventKind::SyncSkip { peer: node },
-        }]);
         snap.merge(&staged);
         staged = Snapshot::default();
     }
