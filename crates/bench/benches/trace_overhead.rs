@@ -6,9 +6,9 @@
 //! Three costs every node could pay per packet:
 //!
 //! * the disabled-tracer [`Tracer::record`] call — the default
-//!   configuration (one relaxed atomic load, then return), which is
-//!   what keeps tracing off the hot paths the gate protects;
-//! * the enabled seqlock ring write;
+//!   configuration (one field read, then return), which is what keeps
+//!   tracing off the hot paths the gate protects;
+//! * the enabled ring write under the tracer's uncontended lock;
 //! * the SWIM frame encode with and without the 8-byte trace-context
 //!   block piggybacked during an episode's hot window.
 //!

@@ -27,12 +27,13 @@
 use crate::trace_support::{
     assemble_episode, first_span_at, fleet_spans, recovery_phases, richest_episode, Phase,
 };
-use apor_analysis::{write_csv, Table};
+use crate::ResultTable;
+use apor_analysis::write_csv;
 use apor_membership::detection_budget_s;
 use apor_netsim::{Simulator, TrafficClass};
 use apor_overlay::config::{Algorithm, MembershipMode, NodeConfig};
 use apor_overlay::membership::MembershipView;
-use apor_overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{fleet_snapshot, overlay_at, overlay_sim_config, populate};
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{Span, SpanKind};
 use apor_telemetry::Snapshot;
@@ -112,6 +113,18 @@ pub struct ChurnOutcome {
     /// converged. Durations sum to `convergence_s` by construction.
     #[serde(skip)]
     pub phases: Vec<Phase>,
+}
+
+impl ChurnOutcome {
+    /// The victim column: `"coordinator"` or `"member"`.
+    #[must_use]
+    pub fn victim(&self) -> &'static str {
+        if self.victim_is_coordinator {
+            "coordinator"
+        } else {
+            "member"
+        }
+    }
 }
 
 /// The full study output.
@@ -208,10 +221,6 @@ fn run_scenario(params: &ChurnParams, mode: MembershipMode, victim: usize) -> Ch
         }
     }
     sim.run_until(end);
-    let mut fleet = sim.telemetry_snapshot();
-    for i in 0..n {
-        fleet.merge(&overlay_at(&sim, i).telemetry().snapshot());
-    }
 
     // The causal record of the crash (SWIM scenarios; the centralized
     // plane raises no suspicions and records no episodes).
@@ -248,7 +257,7 @@ fn run_scenario(params: &ChurnParams, mode: MembershipMode, victim: usize) -> Ch
         convergence_s,
         final_views_agree: converged(&sim, n, victim),
         membership_bps,
-        telemetry: crate::aggregate_fleet(&fleet),
+        telemetry: crate::aggregate_fleet(&fleet_snapshot(&sim, n)),
         spans,
         episode,
         phases,
@@ -273,6 +282,34 @@ pub fn run(params: &ChurnParams) -> ChurnResult {
     }
 }
 
+/// `churn.csv`: per scenario, the convergence latency (empty when it
+/// never converged — not a sentinel a consumer could mistake for a
+/// measured value), final agreement and steady membership traffic.
+#[must_use]
+pub fn table(r: &ChurnResult) -> ResultTable {
+    let header = &[
+        "membership",
+        "victim",
+        "convergence_s",
+        "views_agree",
+        "membership_bps",
+    ];
+    let rows = r
+        .outcomes
+        .iter()
+        .map(|o| {
+            vec![
+                o.mode.clone(),
+                o.victim().to_string(),
+                o.convergence_s.map_or_else(String::new, |s| s.to_string()),
+                o.final_views_agree.to_string(),
+                format!("{:.1}", o.membership_bps),
+            ]
+        })
+        .collect();
+    (header, rows)
+}
+
 /// Run, print and write `churn.csv` plus the per-scenario aggregated
 /// fleet telemetry (`churn_telemetry.json`).
 ///
@@ -280,57 +317,12 @@ pub fn run(params: &ChurnParams) -> ChurnResult {
 /// Propagates CSV I/O errors.
 pub fn run_and_report(params: &ChurnParams) -> std::io::Result<ChurnResult> {
     let r = run(params);
-    let mut table = Table::new(&[
-        "membership",
-        "victim",
-        "converged after",
-        "views agree at end",
-        "membership bps (steady)",
-    ]);
-    let mut rows = Vec::new();
-    for o in &r.outcomes {
-        let victim = if o.victim_is_coordinator {
-            "coordinator"
-        } else {
-            "member"
-        };
-        let latency = o
-            .convergence_s
-            .map_or("never".to_string(), |s| format!("{s:.0} s"));
-        table.row(vec![
-            o.mode.clone(),
-            victim.to_string(),
-            latency.clone(),
-            o.final_views_agree.to_string(),
-            format!("{:.0}", o.membership_bps),
-        ]);
-        // Absent measurements are empty CSV fields (not a -1.0
-        // sentinel a consumer could mistake for a measured value).
-        rows.push(vec![
-            o.mode.clone(),
-            victim.to_string(),
-            o.convergence_s.map_or_else(String::new, |s| s.to_string()),
-            o.final_views_agree.to_string(),
-            format!("{:.1}", o.membership_bps),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Membership churn — view convergence after a crash (n={}, SWIM budget {:.0} s)",
         params.n,
         detection_budget_s(params.n)
     );
-    println!("{}", table.render());
-    write_csv(
-        crate::results_path("churn.csv"),
-        &[
-            "membership",
-            "victim",
-            "convergence_s",
-            "views_agree",
-            "membership_bps",
-        ],
-        &rows,
-    )?;
+    crate::report_table(&title, "churn.csv", &table(&r))?;
 
     // Phase breakdown of the crash→convergence interval, one row per
     // (scenario, phase); scenarios that never converged contribute no
@@ -339,15 +331,10 @@ pub fn run_and_report(params: &ChurnParams) -> std::io::Result<ChurnResult> {
         .outcomes
         .iter()
         .flat_map(|o| {
-            let victim = if o.victim_is_coordinator {
-                "coordinator"
-            } else {
-                "member"
-            };
-            o.phases.iter().map(move |p| {
+            o.phases.iter().map(|p| {
                 vec![
                     o.mode.clone(),
-                    victim.to_string(),
+                    o.victim().to_string(),
                     p.name.to_string(),
                     format!("{:.3}", p.start_s),
                     format!("{:.3}", p.end_s),
@@ -381,26 +368,19 @@ pub fn run_and_report(params: &ChurnParams) -> std::io::Result<ChurnResult> {
     }
 
     // The aggregated fleet telemetry, one JSON object per scenario.
-    let mut json = String::from("{\n  \"arms\": [");
-    for (k, o) in r.outcomes.iter().enumerate() {
-        if k > 0 {
-            json.push(',');
-        }
-        let victim = if o.victim_is_coordinator {
-            "coordinator"
-        } else {
-            "member"
-        };
-        json.push_str(&format!(
-            "\n    {{\"membership\": \"{}\", \"victim\": \"{victim}\", \"telemetry\": {}}}",
-            o.mode,
-            o.telemetry.to_json().trim_end()
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    let json_path = crate::results_path("churn_telemetry.json");
-    std::fs::write(&json_path, json)?;
-    println!("fleet telemetry -> {}", json_path.display());
+    crate::write_arms_json(
+        "churn_telemetry.json",
+        r.outcomes.iter().map(|o| {
+            (
+                format!(
+                    "\"membership\": \"{}\", \"victim\": \"{}\"",
+                    o.mode,
+                    o.victim()
+                ),
+                &o.telemetry,
+            )
+        }),
+    )?;
     check(&r);
     Ok(r)
 }

@@ -45,7 +45,7 @@ use apor_analysis::{write_csv, Cdf, Table};
 use apor_linkstate::RecFormat;
 use apor_netsim::Simulator;
 use apor_overlay::config::{Algorithm, NodeConfig};
-use apor_overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{fleet_snapshot, overlay_at, overlay_sim_config, populate};
 use apor_quorum::{Grid, NodeId};
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, FailureSchedule, LatencyMatrix};
@@ -247,16 +247,6 @@ fn walk_route(
     }
 }
 
-/// The whole fleet's telemetry in one snapshot: each overlay node's
-/// registry merged with the netsim per-node packet accounting.
-fn fleet_telemetry(sim: &Simulator, n: usize) -> Snapshot {
-    let mut snap = sim.telemetry_snapshot();
-    for i in 0..n {
-        snap.merge(&overlay_at(sim, i).telemetry().snapshot());
-    }
-    snap
-}
-
 /// Per-pair recovery bookkeeping: first break, first recovery after it.
 struct PairState {
     src: usize,
@@ -401,7 +391,7 @@ pub fn run_arm(params: &DetourParams, max_detour_hops: usize) -> DetourOutcome {
     let broken_pairs = pairs.iter().filter(|p| p.broken_at.is_some()).count();
     let recoveries: Vec<f64> = pairs.iter().filter_map(|p| p.recovery_s).collect();
     let (median_recovery_s, p90_recovery_s) = recovery_stats(&recoveries, broken_pairs);
-    let telemetry = fleet_telemetry(&sim, n);
+    let telemetry = fleet_snapshot(&sim, n);
     DetourOutcome {
         max_detour_hops,
         baseline_pairs,

@@ -8,10 +8,11 @@
 //! ([`check`]): measured ≈ theory for both algorithms, and quorum
 //! clearly cheaper than RON past the crossover in the tens of nodes.
 
-use apor_analysis::{theory, write_csv, Table};
+use crate::ResultTable;
+use apor_analysis::theory;
 use apor_netsim::{Simulator, SimulatorConfig, TrafficClass};
 use apor_overlay::config::{Algorithm, NodeConfig};
-use apor_overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{fleet_snapshot, overlay_sim_config, populate};
 use apor_quorum::NodeId;
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, PlanetLabParams, Topology};
@@ -88,11 +89,7 @@ fn measure(n: usize, algorithm: Algorithm, params: &Fig9Params) -> (f64, Snapsho
     let bps =
         sim.stats()
             .fleet_mean_bps(&[TrafficClass::Routing], params.warmup_s, params.duration_s);
-    let mut fleet = sim.telemetry_snapshot();
-    for i in 0..n {
-        fleet.merge(&overlay_at(&sim, i).telemetry().snapshot());
-    }
-    (bps, crate::aggregate_fleet(&fleet))
+    (bps, crate::aggregate_fleet(&fleet_snapshot(&sim, n)))
 }
 
 /// Run the sweep.
@@ -119,6 +116,33 @@ pub fn run(params: &Fig9Params) -> Fig9Result {
     Fig9Result { ron, quorum }
 }
 
+/// `fig9.csv`: per n, each algorithm's measured and closed-form bps.
+#[must_use]
+pub fn table(r: &Fig9Result) -> ResultTable {
+    let header = &[
+        "n",
+        "ron_bps",
+        "ron_theory_bps",
+        "quorum_bps",
+        "quorum_theory_bps",
+    ];
+    let rows = r
+        .ron
+        .iter()
+        .zip(&r.quorum)
+        .map(|(a, b)| {
+            vec![
+                a.n.to_string(),
+                format!("{:.1}", a.measured_bps),
+                format!("{:.1}", a.theory_bps),
+                format!("{:.1}", b.measured_bps),
+                format!("{:.1}", b.theory_bps),
+            ]
+        })
+        .collect();
+    (header, rows)
+}
+
 /// Run, print and write `fig9.csv` plus the per-arm aggregated fleet
 /// telemetry (`fig9_telemetry.json`).
 ///
@@ -126,34 +150,11 @@ pub fn run(params: &Fig9Params) -> Fig9Result {
 /// Propagates CSV I/O errors.
 pub fn run_and_report(params: &Fig9Params) -> std::io::Result<Fig9Result> {
     let r = run(params);
-    let mut table = Table::new(&[
-        "n",
-        "RON measured (Kbps)",
-        "RON theory",
-        "quorum measured (Kbps)",
-        "quorum theory",
-        "ratio",
-    ]);
-    let mut rows = Vec::new();
-    for (a, b) in r.ron.iter().zip(&r.quorum) {
-        table.row(vec![
-            a.n.to_string(),
-            format!("{:.1}", a.measured_bps / 1000.0),
-            format!("{:.1}", a.theory_bps / 1000.0),
-            format!("{:.1}", b.measured_bps / 1000.0),
-            format!("{:.1}", b.theory_bps / 1000.0),
-            format!("{:.2}", a.measured_bps / b.measured_bps.max(1.0)),
-        ]);
-        rows.push(vec![
-            a.n.to_string(),
-            format!("{:.1}", a.measured_bps),
-            format!("{:.1}", a.theory_bps),
-            format!("{:.1}", b.measured_bps),
-            format!("{:.1}", b.theory_bps),
-        ]);
-    }
-    println!("Figure 9 — per-node routing traffic (in+out), no failures");
-    println!("{}", table.render());
+    crate::report_table(
+        "Figure 9 — per-node routing traffic (in+out), no failures",
+        "fig9.csv",
+        &table(&r),
+    )?;
     println!(
         "theoretical crossover: n = {} (quorum cheaper beyond)",
         theory::crossover_n()
@@ -168,39 +169,21 @@ pub fn run_and_report(params: &Fig9Params) -> std::io::Result<Fig9Result> {
         (theory::probing_bps(416.0) + theory::quorum_routing_bps(416.0)) / 1000.0,
         (theory::probing_bps(416.0) + theory::ron_routing_bps(416.0)) / 1000.0,
     );
-    write_csv(
-        crate::results_path("fig9.csv"),
-        &[
-            "n",
-            "ron_bps",
-            "ron_theory_bps",
-            "quorum_bps",
-            "quorum_theory_bps",
-        ],
-        &rows,
-    )?;
-
     // The aggregated fleet telemetry, one JSON object per (algorithm, n).
-    let mut json = String::from("{\n  \"arms\": [");
     let arms = r
         .ron
         .iter()
         .map(|p| ("ron", p))
         .chain(r.quorum.iter().map(|p| ("quorum", p)));
-    for (k, (algorithm, p)) in arms.enumerate() {
-        if k > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n    {{\"algorithm\": \"{algorithm}\", \"n\": {}, \"telemetry\": {}}}",
-            p.n,
-            p.telemetry.to_json().trim_end()
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    let json_path = crate::results_path("fig9_telemetry.json");
-    std::fs::write(&json_path, json)?;
-    println!("fleet telemetry -> {}", json_path.display());
+    crate::write_arms_json(
+        "fig9_telemetry.json",
+        arms.map(|(algorithm, p)| {
+            (
+                format!("\"algorithm\": \"{algorithm}\", \"n\": {}", p.n),
+                &p.telemetry,
+            )
+        }),
+    )?;
     check(&r);
     Ok(r)
 }

@@ -3,9 +3,18 @@
 //! Each module reproduces one row of `docs/REPRODUCTION.md`: a paper
 //! claim, the numbers that show it, and the bound the study's `check`
 //! asserts after its exports are written. All experiments are
-//! deterministic in their seeds and write CSV series plus a
-//! human-readable summary; the binary `apor-experiments` dispatches on
-//! the study name.
+//! deterministic in their seeds and write CSV series; the binary
+//! `apor-experiments` dispatches on the study name.
+//!
+//! A measured number has one path to its reader. A study that reports
+//! one result table (`fig9`, `multihop`, `churn`, `partition`,
+//! `scale`) builds it once, as a pure `table` function of its result,
+//! and [`report_table`] prints exactly that table and writes it as the
+//! CSV. Fleet telemetry is gathered by
+//! [`apor_overlay::simnode::fleet_snapshot`], counters are read from
+//! the snapshot (`counter_total`), and per-arm telemetry goes out
+//! through [`write_arms_json`]. `deployment` and `detour` print
+//! quantile summaries beside CSVs that hold whole CDFs.
 //!
 //! | module | reproduces |
 //! |---|---|
@@ -40,6 +49,53 @@ pub const RESULTS_DIR: &str = "results";
 pub fn results_path(file: &str) -> std::path::PathBuf {
     let base = std::env::var("APOR_RESULTS_DIR").unwrap_or_else(|_| RESULTS_DIR.to_string());
     std::path::Path::new(&base).join(file)
+}
+
+/// A study's result as one table: the CSV header and its rows. The
+/// terminal shows exactly these cells, so what a reader sees is what
+/// the CSV holds.
+pub type ResultTable = (&'static [&'static str], Vec<Vec<String>>);
+
+/// Print `table` aligned under `title`, then write it to `csv` under
+/// the results directory.
+///
+/// # Errors
+/// Propagates CSV I/O errors.
+pub fn report_table(title: &str, csv: &str, (header, rows): &ResultTable) -> std::io::Result<()> {
+    let mut aligned = apor_analysis::Table::new(header);
+    for row in rows {
+        aligned.row(row.clone());
+    }
+    println!("{title}");
+    println!("{}", aligned.render());
+    apor_analysis::write_csv(results_path(csv), header, rows)
+}
+
+/// Write `{"arms": [...]}` to `file` under the results directory: one
+/// object per arm, its label fields (a rendered JSON fragment such as
+/// `"n": 64`) followed by its fleet telemetry.
+///
+/// # Errors
+/// Propagates filesystem errors.
+pub fn write_arms_json<'a>(
+    file: &str,
+    arms: impl IntoIterator<Item = (String, &'a apor_telemetry::Snapshot)>,
+) -> std::io::Result<()> {
+    let mut json = String::from("{\n  \"arms\": [");
+    for (k, (label, telemetry)) in arms.into_iter().enumerate() {
+        if k > 0 {
+            json.push(',');
+        }
+        json.push_str(&format!(
+            "\n    {{{label}, \"telemetry\": {}}}",
+            telemetry.to_json().trim_end()
+        ));
+    }
+    json.push_str("\n  ]\n}\n");
+    let path = results_path(file);
+    std::fs::write(&path, json)?;
+    println!("fleet telemetry -> {}", path.display());
+    Ok(())
 }
 
 /// Fold a per-node fleet snapshot into a single-row aggregate (node 0):

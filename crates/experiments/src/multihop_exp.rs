@@ -7,7 +7,7 @@
 //! algorithm can find optimal 3-hop routes". This experiment verifies all
 //! three on synthetic topologies and reports the communication figures.
 
-use apor_analysis::{write_csv, Table};
+use crate::ResultTable;
 use apor_linkstate::{LINKSTATE_HEADER_SIZE, UDP_IP_OVERHEAD};
 use apor_routing::multihop::{bounded_shortest_paths, multihop_routes};
 use apor_topology::{PlanetLabParams, Topology};
@@ -118,56 +118,46 @@ pub fn run(params: &MultiHopParams) -> Vec<MultiHopRow> {
     rows
 }
 
+/// `multihop.csv`: per n, the iterations, both schemes' per-node
+/// kilobytes and how often two and four hops reach the optimum.
+#[must_use]
+pub fn table(rows: &[MultiHopRow]) -> ResultTable {
+    let header = &[
+        "n",
+        "iterations",
+        "quorum_kb_per_node",
+        "fullmesh_kb_per_node",
+        "two_hop_optimal_frac",
+        "two_hop_excess",
+        "four_hop_optimal_frac",
+    ];
+    let rows = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.n.to_string(),
+                r.iterations.to_string(),
+                format!("{:.2}", r.quorum_kb),
+                format!("{:.2}", r.fullmesh_kb),
+                format!("{:.4}", r.two_hops_optimal),
+                format!("{:.5}", r.two_hops_excess),
+                format!("{:.4}", r.four_hops_optimal),
+            ]
+        })
+        .collect();
+    (header, rows)
+}
+
 /// Run, print and write `multihop.csv`.
 ///
 /// # Errors
 /// Propagates CSV I/O errors.
 pub fn run_and_report(params: &MultiHopParams) -> std::io::Result<Vec<MultiHopRow>> {
     let rows = run(params);
-    let mut table = Table::new(&[
-        "n",
-        "iters",
-        "quorum KB/node",
-        "full-mesh KB/node",
-        "2-hop optimal",
-        "2-hop excess",
-        "4-hop optimal",
-    ]);
-    let mut csv = Vec::new();
-    for r in &rows {
-        table.row(vec![
-            r.n.to_string(),
-            r.iterations.to_string(),
-            format!("{:.1}", r.quorum_kb),
-            format!("{:.1}", r.fullmesh_kb),
-            format!("{:.3}", r.two_hops_optimal),
-            format!("{:.1}%", r.two_hops_excess * 100.0),
-            format!("{:.3}", r.four_hops_optimal),
-        ]);
-        csv.push(vec![
-            r.n.to_string(),
-            r.iterations.to_string(),
-            format!("{:.2}", r.quorum_kb),
-            format!("{:.2}", r.fullmesh_kb),
-            format!("{:.4}", r.two_hops_optimal),
-            format!("{:.5}", r.two_hops_excess),
-            format!("{:.4}", r.four_hops_optimal),
-        ]);
-    }
-    println!("Multi-hop extension — all-pairs shortest paths via log-iterated quorum rounds");
-    println!("{}", table.render());
-    write_csv(
-        crate::results_path("multihop.csv"),
-        &[
-            "n",
-            "iterations",
-            "quorum_kb_per_node",
-            "fullmesh_kb_per_node",
-            "two_hop_optimal_frac",
-            "two_hop_excess",
-            "four_hop_optimal_frac",
-        ],
-        &csv,
+    crate::report_table(
+        "Multi-hop extension — all-pairs shortest paths via log-iterated quorum rounds",
+        "multihop.csv",
+        &table(&rows),
     )?;
     check(&rows);
     Ok(rows)

@@ -33,12 +33,13 @@
 use crate::trace_support::{
     assemble_episode, first_span_at, fleet_spans, recovery_phases, richest_episode, Phase,
 };
-use apor_analysis::{write_csv, Table};
+use crate::ResultTable;
+use apor_analysis::write_csv;
 use apor_membership::{AntiEntropyConfig, PERIOD_S};
 use apor_netsim::{Simulator, TrafficClass};
 use apor_overlay::config::{Algorithm, NodeConfig};
 use apor_overlay::membership::MembershipView;
-use apor_overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{fleet_snapshot, overlay_at, overlay_sim_config, populate};
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{Span, SpanKind};
 use apor_telemetry::Snapshot;
@@ -204,33 +205,6 @@ fn cross_routes_restored(sim: &Simulator, n: usize, minority: usize, now: f64) -
     })
 }
 
-/// Fleet-total anti-entropy accounting: digest skips, full pushes,
-/// piggyback-saved round trips.
-fn fleet_sync_stats(sim: &Simulator, n: usize) -> (u64, u64, u64) {
-    (0..n).fold((0, 0, 0), |(skips, full, saved), i| {
-        let s = overlay_at(sim, i)
-            .swim()
-            .map(apor_membership::Swim::sync_stats)
-            .unwrap_or_default();
-        (
-            skips + s.digest_skips,
-            full + s.full_pushes,
-            saved + s.piggyback_saved,
-        )
-    })
-}
-
-/// The whole fleet's telemetry in one snapshot: each overlay node's
-/// registry (membership, routing, linkstate) merged with the netsim
-/// per-node packet accounting.
-fn fleet_telemetry(sim: &Simulator, n: usize) -> Snapshot {
-    let mut snap = sim.telemetry_snapshot();
-    for i in 0..n {
-        snap.merge(&overlay_at(sim, i).telemetry().snapshot());
-    }
-    snap
-}
-
 /// Run one arm of the study.
 #[must_use]
 pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome {
@@ -298,7 +272,7 @@ pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome
     let membership_bps = sim
         .stats()
         .fleet_mean_bps(&[TrafficClass::Membership], 30.0, end);
-    let (sync_skips, sync_full, sync_piggyback_saved) = fleet_sync_stats(&sim, n);
+    let telemetry = fleet_snapshot(&sim, n);
 
     // The causal record: drain every flight recorder, assemble the
     // richest episode of the incident (synthesizing the ground-truth
@@ -335,10 +309,10 @@ pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome
         routes_restored_s,
         final_views_agree: reconverged(&sim, n),
         membership_bps,
-        sync_skips,
-        sync_full,
-        sync_piggyback_saved,
-        telemetry: fleet_telemetry(&sim, n),
+        sync_skips: telemetry.counter_total("membership", "sync_digest_skips"),
+        sync_full: telemetry.counter_total("membership", "sync_full_pushes"),
+        sync_piggyback_saved: telemetry.counter_total("membership", "sync_piggyback_rtt_saved"),
+        telemetry,
         spans,
         episode,
         phases,
@@ -354,6 +328,44 @@ pub fn run(params: &PartitionParams) -> PartitionResult {
     }
 }
 
+/// `partition.csv`: per arm, the split, both recovery times (empty when
+/// never within the horizon — not a sentinel a consumer could mistake
+/// for a measured value), final agreement, traffic and sync counts.
+#[must_use]
+pub fn table(r: &PartitionResult) -> ResultTable {
+    let header = &[
+        "anti_entropy",
+        "split_confirmed",
+        "reconverge_s",
+        "reconverge_periods",
+        "routes_restored_s",
+        "views_agree",
+        "membership_bps",
+        "sync_skips",
+        "sync_full",
+    ];
+    let rows = r
+        .outcomes
+        .iter()
+        .map(|o| {
+            vec![
+                o.anti_entropy.to_string(),
+                o.split_confirmed.to_string(),
+                o.reconverge_s.map_or_else(String::new, |s| s.to_string()),
+                o.reconverge_periods
+                    .map_or_else(String::new, |p| p.to_string()),
+                o.routes_restored_s
+                    .map_or_else(String::new, |s| s.to_string()),
+                o.final_views_agree.to_string(),
+                format!("{:.1}", o.membership_bps),
+                o.sync_skips.to_string(),
+                o.sync_full.to_string(),
+            ]
+        })
+        .collect();
+    (header, rows)
+}
+
 /// Run, print and write `partition.csv` plus the merged fleet
 /// telemetry snapshot (`partition_telemetry.json`).
 ///
@@ -361,75 +373,11 @@ pub fn run(params: &PartitionParams) -> PartitionResult {
 /// Propagates CSV/JSON I/O errors.
 pub fn run_and_report(params: &PartitionParams) -> std::io::Result<PartitionResult> {
     let r = run(params);
-    let mut table = Table::new(&[
-        "anti-entropy",
-        "split confirmed",
-        "reconverged after",
-        "(periods)",
-        "routes restored",
-        "views agree at end",
-        "membership bps",
-        "sync skips",
-        "full pushes",
-    ]);
-    let mut rows = Vec::new();
-    for o in &r.outcomes {
-        let after = o
-            .reconverge_s
-            .map_or("never".to_string(), |s| format!("{s:.1} s"));
-        let periods = o
-            .reconverge_periods
-            .map_or("-".to_string(), |p| format!("{p:.1}"));
-        let routes = o
-            .routes_restored_s
-            .map_or("never".to_string(), |s| format!("{s:.1} s"));
-        table.row(vec![
-            o.anti_entropy.to_string(),
-            o.split_confirmed.to_string(),
-            after,
-            periods,
-            routes,
-            o.final_views_agree.to_string(),
-            format!("{:.0}", o.membership_bps),
-            o.sync_skips.to_string(),
-            o.sync_full.to_string(),
-        ]);
-        // Absent measurements are empty CSV fields (not a -1.0
-        // sentinel a consumer could mistake for a measured value).
-        rows.push(vec![
-            o.anti_entropy.to_string(),
-            o.split_confirmed.to_string(),
-            o.reconverge_s.map_or_else(String::new, |s| s.to_string()),
-            o.reconverge_periods
-                .map_or_else(String::new, |p| p.to_string()),
-            o.routes_restored_s
-                .map_or_else(String::new, |s| s.to_string()),
-            o.final_views_agree.to_string(),
-            format!("{:.1}", o.membership_bps),
-            o.sync_skips.to_string(),
-            o.sync_full.to_string(),
-        ]);
-    }
-    println!(
+    let title = format!(
         "Partition healing — {}-node minority cut from n={} for {:.0} s (period {:.0} s)",
         params.minority, params.n, params.partition_s, PERIOD_S
     );
-    println!("{}", table.render());
-    write_csv(
-        crate::results_path("partition.csv"),
-        &[
-            "anti_entropy",
-            "split_confirmed",
-            "reconverge_s",
-            "reconverge_periods",
-            "routes_restored_s",
-            "views_agree",
-            "membership_bps",
-            "sync_skips",
-            "sync_full",
-        ],
-        &rows,
-    )?;
+    crate::report_table(&title, "partition.csv", &table(&r))?;
     // Phase breakdown of the heal→routes-restored interval, one row
     // per (arm, phase); arms that never restored routes contribute no
     // rows. Durations sum to the arm's routes_restored_s exactly.

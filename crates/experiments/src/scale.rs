@@ -22,11 +22,11 @@
 //! Results land in `results/scale.csv` + `results/scale_telemetry.json`,
 //! regenerated by the CI scale-gate job under a hard wall-clock budget.
 
-use apor_analysis::{write_csv, Table};
+use crate::ResultTable;
 use apor_linkstate::{LinkEntry, LinkStateStore, Message};
 use apor_netsim::{Direction, Simulator, TrafficClass};
 use apor_overlay::config::{Algorithm, NodeConfig};
-use apor_overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{fleet_snapshot, overlay_at, overlay_sim_config, populate};
 use apor_quorum::NodeId;
 use apor_routing::onehop;
 use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
@@ -536,10 +536,6 @@ fn run_netsim_size(n: usize, params: &NetsimScaleParams) -> NetsimScalePoint {
         })
         .max()
         .unwrap();
-    let mut fleet = sim.telemetry_snapshot();
-    for i in 0..n {
-        fleet.merge(&overlay_at(&sim, i).telemetry().snapshot());
-    }
     NetsimScalePoint {
         n,
         coverage,
@@ -554,7 +550,7 @@ fn run_netsim_size(n: usize, params: &NetsimScaleParams) -> NetsimScalePoint {
         row_bound: 6.0 * (n as f64).sqrt() + 16.0,
         events: sim.events_processed(),
         elapsed_s: started.elapsed().as_secs_f64(),
-        telemetry: crate::aggregate_fleet(&fleet),
+        telemetry: crate::aggregate_fleet(&fleet_snapshot(&sim, n)),
     }
 }
 
@@ -602,40 +598,29 @@ pub fn run_netsim(params: &NetsimScaleParams) -> Vec<NetsimScalePoint> {
     points
 }
 
-/// Run, print and write `scale.csv` (both arms) plus the netsim arm's
-/// aggregated fleet telemetry (`scale_telemetry.json`).
-///
-/// # Errors
-/// Propagates CSV/JSON I/O errors.
-pub fn run_and_report(params: &ScaleParams) -> std::io::Result<Vec<ScalePoint>> {
-    let points = run(params);
-    let mut table = Table::new(&[
+/// `scale.csv`: one row per fabric size (`store` = `sparse`), then one
+/// per netsim size (`store` = `netsim`). `row_bound` is the bound the
+/// row's own arm asserts — `4√n` for the fabric, `6√n + 16` for the
+/// netsim arm — and a column an arm does not measure is empty.
+#[must_use]
+pub fn table(points: &[ScalePoint], netsim: &[NetsimScalePoint]) -> ResultTable {
+    let header = &[
         "n",
         "store",
-        "max rows",
-        "4√n",
-        "max entries",
-        "dense n²",
+        "max_rows",
+        "row_bound",
+        "max_entries",
+        "dense_entries",
         "coverage",
-        "rescued >400ms",
-        "mean stretch",
-        "elapsed",
-    ]);
-    let mut rows = Vec::new();
-    for p in &points {
-        table.row(vec![
-            p.n.to_string(),
-            p.store.clone(),
-            p.max_rows.to_string(),
-            format!("{:.0}", p.row_bound),
-            p.max_entries.to_string(),
-            p.dense_entries.to_string(),
-            format!("{:.3}", p.coverage),
-            format!("{:.3}", p.rescued),
-            format!("{:.4}", p.mean_stretch),
-            format!("{:.1}s", p.elapsed_s),
-        ]);
-        rows.push(vec![
+        "rescued",
+        "mean_stretch",
+        "max_stretch",
+        "elapsed_s",
+        "probe_bytes_per_node",
+        "routes_restored_s",
+    ];
+    let fabric = points.iter().map(|p| {
+        vec![
             p.n.to_string(),
             p.store.clone(),
             p.max_rows.to_string(),
@@ -649,43 +634,10 @@ pub fn run_and_report(params: &ScaleParams) -> std::io::Result<Vec<ScalePoint>> 
             format!("{:.2}", p.elapsed_s),
             String::new(), // probe_bytes_per_node: fabric has no prober
             String::new(), // routes_restored_s: fabric has no failures
-        ]);
-    }
-    println!(
-        "Scale study — sparse row store, figure 1-style workload \
-         (two-round fabric, {} sampled pairs)",
-        params.max_pairs
-    );
-    println!("{}", table.render());
-
-    let netsim_points = run_netsim(&params.netsim);
-    let mut nt = Table::new(&[
-        "n",
-        "coverage",
-        "stretch",
-        "post-churn",
-        "probe B/node",
-        "routes restored",
-        "max rows",
-        "events",
-        "elapsed",
-    ]);
-    for p in &netsim_points {
-        let restored = p
-            .routes_restored_s
-            .map_or("never".to_string(), |s| format!("{s:.0} s"));
-        nt.row(vec![
-            p.n.to_string(),
-            format!("{:.4}", p.coverage),
-            format!("{:.3}", p.mean_stretch),
-            format!("{:.4}", p.postchurn_coverage),
-            format!("{:.0}", p.probe_bytes_per_node),
-            restored.clone(),
-            p.max_rows.to_string(),
-            p.events.to_string(),
-            format!("{:.1}s", p.elapsed_s),
-        ]);
-        rows.push(vec![
+        ]
+    });
+    let netsim = netsim.iter().map(|p| {
+        vec![
             p.n.to_string(),
             "netsim".to_string(),
             p.max_rows.to_string(),
@@ -700,55 +652,41 @@ pub fn run_and_report(params: &ScaleParams) -> std::io::Result<Vec<ScalePoint>> 
             format!("{:.1}", p.probe_bytes_per_node),
             p.routes_restored_s
                 .map_or(String::new(), |s| format!("{s:.1}")),
-        ]);
-    }
-    println!(
-        "Netsim arm — full stack under churn ({} kills) + {}-node partition",
-        params.netsim.churn_kills, params.netsim.minority
+        ]
+    });
+    (header, fabric.chain(netsim).collect())
+}
+
+/// Run both arms, print and write `scale.csv` plus the netsim arm's
+/// aggregated fleet telemetry (`scale_telemetry.json`).
+///
+/// # Errors
+/// Propagates CSV/JSON I/O errors.
+pub fn run_and_report(params: &ScaleParams) -> std::io::Result<Vec<ScalePoint>> {
+    let points = run(params);
+    let netsim_points = run_netsim(&params.netsim);
+    let title = format!(
+        "Scale study — sparse row store over the two-round fabric ({} sampled pairs), \
+         and the full stack under churn ({} kills) + {}-node partition",
+        params.max_pairs, params.netsim.churn_kills, params.netsim.minority
     );
-    println!("{}", nt.render());
-
-    write_csv(
-        crate::results_path("scale.csv"),
-        &[
-            "n",
-            "store",
-            "max_rows",
-            "row_bound_4sqrt_n",
-            "max_entries",
-            "dense_entries",
-            "coverage",
-            "rescued",
-            "mean_stretch",
-            "max_stretch",
-            "elapsed_s",
-            "probe_bytes_per_node",
-            "routes_restored_s",
-        ],
-        &rows,
-    )?;
-
+    crate::report_table(&title, "scale.csv", &table(&points, &netsim_points))?;
     // The aggregated fleet telemetry, one JSON object per netsim size.
-    let mut json = String::from("{\n  \"arms\": [");
-    for (k, p) in netsim_points.iter().enumerate() {
-        if k > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n    {{\"n\": {}, \"probe_bytes_per_node\": {:.1}, \
-             \"routes_restored_s\": {}, \"events\": {}, \"telemetry\": {}}}",
-            p.n,
-            p.probe_bytes_per_node,
-            p.routes_restored_s
-                .map_or("null".to_string(), |s| format!("{s:.1}")),
-            p.events,
-            p.telemetry.to_json().trim_end()
-        ));
-    }
-    json.push_str("\n  ]\n}\n");
-    let json_path = crate::results_path("scale_telemetry.json");
-    std::fs::write(&json_path, json)?;
-    println!("netsim fleet telemetry -> {}", json_path.display());
+    crate::write_arms_json(
+        "scale_telemetry.json",
+        netsim_points.iter().map(|p| {
+            let label = format!(
+                "\"n\": {}, \"probe_bytes_per_node\": {:.1}, \"routes_restored_s\": {}, \
+                 \"events\": {}",
+                p.n,
+                p.probe_bytes_per_node,
+                p.routes_restored_s
+                    .map_or("null".to_string(), |s| format!("{s:.1}")),
+                p.events,
+            );
+            (label, &p.telemetry)
+        }),
+    )?;
     Ok(points)
 }
 
@@ -760,6 +698,16 @@ mod tests {
         ScaleParams {
             sizes: vec![49, 64],
             max_pairs: 1_500,
+            netsim: NetsimScaleParams {
+                sizes: vec![64, 256],
+                churn_kills: 2,
+                partition_s: 40.0,
+                minority: 6,
+                heal_sample_s: 2.0,
+                max_pairs: 1_500,
+                seed: 0xBEEF,
+                ..NetsimScaleParams::default()
+            },
             ..ScaleParams::default()
         }
     }
@@ -817,17 +765,7 @@ mod tests {
     /// distributions with nonzero medians and tails.
     #[test]
     fn miniature_netsim_arm_meets_bounds() {
-        let params = NetsimScaleParams {
-            sizes: vec![64, 256],
-            churn_kills: 2,
-            partition_s: 40.0,
-            minority: 6,
-            heal_sample_s: 2.0,
-            max_pairs: 1_500,
-            seed: 0xBEEF,
-            ..NetsimScaleParams::default()
-        };
-        let points = run_netsim(&params);
+        let points = run_netsim(&tiny().netsim);
         assert_eq!(points.len(), 2);
         for p in &points {
             for (component, name) in [("routing", "probe_rtt_us"), ("netsim", "event_queue_depth")]
@@ -852,6 +790,30 @@ mod tests {
                 .unwrap_or_else(|| panic!("row_bytes_lanes missing at n={}", p.n));
             assert!(lanes > 0, "row_bytes_lanes zero at n={}", p.n);
             assert!(p.events > 0 && p.postchurn_coverage > 0.9);
+        }
+    }
+
+    /// Each row of `scale.csv` carries the row bound its own arm
+    /// asserts: `4√n` on a fabric row, `6√n + 16` on a netsim row.
+    #[test]
+    fn each_row_carries_its_own_arms_row_bound() {
+        let params = tiny();
+        let netsim = NetsimScaleParams {
+            sizes: vec![64],
+            ..params.netsim.clone()
+        };
+        let (header, rows) = table(&run(&params), &run_netsim(&netsim));
+        let col = |name: &str| header.iter().position(|h| *h == name).unwrap();
+        assert_eq!(rows.len(), 3);
+        for row in &rows {
+            assert_eq!(row.len(), header.len());
+            let root_n = row[col("n")].parse::<f64>().unwrap().sqrt();
+            let bound = match row[col("store")].as_str() {
+                "sparse" => 4.0 * root_n,
+                "netsim" => 6.0 * root_n + 16.0,
+                other => panic!("unknown arm {other:?}"),
+            };
+            assert_eq!(row[col("row_bound")], format!("{bound:.1}"));
         }
     }
 

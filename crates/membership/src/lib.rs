@@ -78,8 +78,8 @@ pub mod wire;
 
 pub use swim::{
     detection_budget_s, suspicion_periods_for, suspicion_timeout_s_for, AntiEntropyConfig, Swim,
-    SwimConfig, SyncStats, PERIOD_S, PING_TIMEOUT_S, PUBLISH_PERIOD_S, SUSPICION_LOG_SCALE,
-    SUSPICION_PERIODS, TOMBSTONE_GC_SYNCS,
+    SwimConfig, PERIOD_S, PING_TIMEOUT_S, PUBLISH_PERIOD_S, SUSPICION_LOG_SCALE, SUSPICION_PERIODS,
+    TOMBSTONE_GC_SYNCS,
 };
 pub use view::{MemberState, ViewLedger};
 pub use wire::{SwimMsg, SwimStatus, SwimUpdate};

@@ -92,9 +92,9 @@ use std::collections::{BTreeMap, VecDeque};
 /// echoes its own digest with the first chunk of its ledger riding on
 /// the echo ([`SwimMsg::SyncDigestPush`]), so that direction of the
 /// transfer lands a round-trip before the pull would (counted by
-/// `sync_piggyback_rtt_saved` and [`SyncStats::piggyback_saved`]); the
-/// initiator then pushes its full ledger ([`SwimMsg::SyncReq`], chunked
-/// at [`SWIM_MTU_FRAME_ENTRIES`] records per frame) and the partner
+/// `membership/sync_piggyback_rtt_saved`); the initiator then pushes
+/// its full ledger ([`SwimMsg::SyncReq`], chunked at
+/// [`SWIM_MTU_FRAME_ENTRIES`] records per frame) and the partner
 /// merges and pulls back the delta it knows better
 /// ([`SwimMsg::SyncRsp`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -285,28 +285,10 @@ struct PendingSync {
     chunks: BTreeMap<u8, Vec<SwimUpdate>>,
 }
 
-/// Anti-entropy round accounting (per node; experiments sum these
-/// across the fleet).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct SyncStats {
-    /// Digest-only rounds this node opened as initiator.
-    pub digest_rounds: u64,
-    /// Rounds where this node, as *responder*, matched the initiator's
-    /// digest — each one is a full-ledger transfer that never happened.
-    pub digest_skips: u64,
-    /// Full-ledger pushes this node sent (digest mismatch, or digests
-    /// disabled).
-    pub full_pushes: u64,
-    /// Mismatch echoes this node received *with* a piggybacked ledger
-    /// chunk — each one a round-trip the slow path did not spend
-    /// waiting for the responder's pull delta.
-    pub piggyback_saved: u64,
-}
-
 /// The SWIM plane's registry-backed counters (component
 /// `"membership"`). Handles are plain atomic cells, so counting costs
 /// one relaxed add whether or not a real [`Telemetry`] registry is
-/// attached; [`Swim::sync_stats`] reads the sync counters back out.
+/// attached, and the counts are read through that registry's snapshot.
 #[derive(Debug, Clone)]
 struct SwimMetrics {
     probe_sent: Counter,
@@ -575,18 +557,6 @@ impl Swim {
     #[must_use]
     pub fn current_view(&self) -> (u32, Vec<NodeId>) {
         (self.ledger.version(), self.ledger.members())
-    }
-
-    /// Anti-entropy round accounting, read back from the registry
-    /// counters (the counters are the single source of truth).
-    #[must_use]
-    pub fn sync_stats(&self) -> SyncStats {
-        SyncStats {
-            digest_rounds: self.metrics.digest_rounds.get(),
-            digest_skips: self.metrics.digest_skips.get(),
-            full_pushes: self.metrics.full_pushes.get(),
-            piggyback_saved: self.metrics.piggyback_saved.get(),
-        }
     }
 
     /// Is `id` tombstone-expired at `now` — confirmed dead long enough
@@ -1584,6 +1554,19 @@ mod tests {
         }
     }
 
+    /// A syncing node reporting into a registry of its own, so its
+    /// anti-entropy counters can be read through the snapshot.
+    fn syncing(id: u16, seed: u64, members: &[NodeId]) -> Swim {
+        Swim::bootstrap(NodeId(id), sync_cfg(seed, 1.0), members)
+            .with_telemetry(Telemetry::new(u32::from(id)))
+    }
+
+    /// The counter `membership/<name>` of `swim`, read through its
+    /// registry's snapshot.
+    fn sync_count(swim: &Swim, name: &str) -> u64 {
+        swim.telemetry.snapshot().counter_total("membership", name)
+    }
+
     #[test]
     fn bootstrap_views_agree_without_traffic() {
         let members = ids(&[0, 1, 2, 3]);
@@ -2227,8 +2210,8 @@ mod tests {
     #[test]
     fn digest_round_skips_transfer_when_converged() {
         let members = ids(&[0, 1, 2]);
-        let mut a = Swim::bootstrap(NodeId(0), sync_cfg(1, 1.0), &members);
-        let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 1.0), &members);
+        let mut a = syncing(0, 1, &members);
+        let mut b = syncing(1, 2, &members);
         // Drive a until it opens a sync round: the opener must be a
         // digest, not a full push.
         let mut out = Vec::new();
@@ -2255,7 +2238,7 @@ mod tests {
         // digest whichever partner a picked: empty delta, skip counted.
         let mut rsp = Vec::new();
         b.on_message(t, &digest, &mut rsp);
-        assert_eq!(b.sync_stats().digest_skips, 1);
+        assert_eq!(sync_count(&b, "sync_digest_skips"), 1);
         assert_eq!(rsp.len(), 1);
         let SwimMsg::SyncRsp { updates, .. } = &rsp[0].1 else {
             panic!("converged digest must be answered with an empty SyncRsp");
@@ -2265,15 +2248,15 @@ mod tests {
         let mut follow = Vec::new();
         a.on_message(t + 0.1, &rsp[0].1, &mut follow);
         assert!(follow.is_empty());
-        assert_eq!(a.sync_stats().full_pushes, 0);
-        assert!(a.sync_stats().digest_rounds >= 1);
+        assert_eq!(sync_count(&a, "sync_full_pushes"), 0);
+        assert!(sync_count(&a, "sync_digest_rounds") >= 1);
     }
 
     #[test]
     fn digest_mismatch_falls_back_to_full_push_pull() {
         let members = ids(&[0, 1]);
-        let mut a = Swim::bootstrap(NodeId(0), sync_cfg(1, 1.0), &members);
-        let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 1.0), &members);
+        let mut a = syncing(0, 1, &members);
+        let mut b = syncing(1, 2, &members);
         // Diverge the pair.
         a.apply_updates(
             0.0,
@@ -2307,7 +2290,7 @@ mod tests {
         b.on_message(t, &digest, &mut echo);
         assert_eq!(echo.len(), 1);
         assert!(matches!(echo[0].1, SwimMsg::SyncDigestPush { .. }));
-        assert_eq!(b.sync_stats().digest_skips, 0);
+        assert_eq!(sync_count(&b, "sync_digest_skips"), 0);
         // The echo triggers a's full push; the normal push-pull then
         // converges the pair.
         let mut push = Vec::new();
@@ -2316,8 +2299,8 @@ mod tests {
         assert!(push
             .iter()
             .all(|(_, m)| matches!(m, SwimMsg::SyncReq { .. })));
-        assert_eq!(a.sync_stats().full_pushes, 1);
-        assert_eq!(a.sync_stats().piggyback_saved, 1);
+        assert_eq!(sync_count(&a, "sync_full_pushes"), 1);
+        assert_eq!(sync_count(&a, "sync_piggyback_rtt_saved"), 1);
         let mut delta = Vec::new();
         for (_, m) in &push {
             b.on_message(t + 0.2, m, &mut delta);
@@ -2331,8 +2314,8 @@ mod tests {
     #[test]
     fn piggybacked_echo_reconciles_the_initiator_without_the_pull_rtt() {
         let members = ids(&[0, 1]);
-        let mut a = Swim::bootstrap(NodeId(0), sync_cfg(1, 1.0), &members);
-        let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 1.0), &members);
+        let mut a = syncing(0, 1, &members);
+        let mut b = syncing(1, 2, &members);
         // The *responder* holds the newer record this time.
         b.apply_updates(
             0.0,
@@ -2365,12 +2348,12 @@ mod tests {
         // already hands a the record it was missing.
         a.on_message(t + 0.1, &echo[0].1, &mut Vec::new());
         assert!(a.ledger().is_live(NodeId(9)), "piggyback must merge");
-        assert_eq!(a.sync_stats().piggyback_saved, 1);
+        assert_eq!(sync_count(&a, "sync_piggyback_rtt_saved"), 1);
         // A replayed echo is dropped: the round is closed.
         let mut replay = Vec::new();
         a.on_message(t + 0.2, &echo[0].1, &mut replay);
         assert!(replay.is_empty());
-        assert_eq!(a.sync_stats().piggyback_saved, 1);
+        assert_eq!(sync_count(&a, "sync_piggyback_rtt_saved"), 1);
     }
 
     /// This node always answers a mismatch with `SyncDigestPush`, but a
@@ -2379,7 +2362,7 @@ mod tests {
     #[test]
     fn plain_digest_echo_from_a_peer_opens_the_full_push() {
         let members = ids(&[0, 1]);
-        let mut a = Swim::bootstrap(NodeId(0), sync_cfg(1, 1.0), &members);
+        let mut a = syncing(0, 1, &members);
         let mut out = Vec::new();
         let mut t = 0.0;
         let seq = loop {
@@ -2408,8 +2391,8 @@ mod tests {
         assert!(push
             .iter()
             .all(|(to, m)| *to == NodeId(1) && matches!(m, SwimMsg::SyncReq { .. })));
-        assert_eq!(a.sync_stats().full_pushes, 1);
-        assert_eq!(a.sync_stats().piggyback_saved, 0);
+        assert_eq!(sync_count(&a, "sync_full_pushes"), 1);
+        assert_eq!(sync_count(&a, "sync_piggyback_rtt_saved"), 0);
     }
 
     #[test]

@@ -189,7 +189,7 @@ pub struct OverlayNode {
     sync_frame_bytes: Histogram,
     /// Causal-trace flight recorder. Disabled (zero-capacity) unless
     /// [`NodeConfig::trace_capacity`] is set; every instrumentation
-    /// site below guards on [`Tracer::enabled`] — one relaxed load.
+    /// site below guards on [`Tracer::enabled`] — one field read.
     tracer: Tracer,
 }
 

@@ -115,6 +115,21 @@ pub fn overlay_at(sim: &apor_netsim::Simulator, i: usize) -> &OverlayNode {
         .overlay()
 }
 
+/// The whole fleet's telemetry in one snapshot: the registries of the
+/// overlay nodes at slots `0..n` merged with the simulator's per-node
+/// packet accounting.
+///
+/// # Panics
+/// Panics if a slot below `n` does not host a [`SimNode`].
+#[must_use]
+pub fn fleet_snapshot(sim: &apor_netsim::Simulator, n: usize) -> apor_telemetry::Snapshot {
+    let mut snap = sim.telemetry_snapshot();
+    for i in 0..n {
+        snap.merge(&overlay_at(sim, i).telemetry().snapshot());
+    }
+    snap
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -101,23 +101,6 @@ struct Route {
     tried: BTreeSet<usize>,
 }
 
-/// Counters for experiments and tests.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuorumMetrics {
-    /// Failover rendezvous selections performed.
-    pub failovers_selected: u64,
-    /// Link-state messages sent.
-    pub ls_sent: u64,
-    /// Recommendation messages sent.
-    pub recs_sent: u64,
-    /// Recommendation entries received.
-    pub rec_entries_received: u64,
-    /// Spliced detours refused by the feasibility gate.
-    pub loops_detected: u64,
-    /// Transitions of a destination into the retracted state.
-    pub routes_retracted: u64,
-}
-
 /// Sentinel for "no timestamp yet" in the dense `serving_since` vector.
 const NEVER: f64 = f64::NEG_INFINITY;
 
@@ -126,11 +109,9 @@ const NEVER: f64 = f64::NEG_INFINITY;
 /// store fill the flight recorder.
 const ROW_IMPORT_SPANS: usize = 32;
 
-/// Registry-backed cells behind [`QuorumMetrics`]. The counters are the
-/// single source of truth — [`QuorumRouter::metrics`] reconstructs the
-/// public struct from them — so a router attached to a live [`Telemetry`]
-/// feeds the fleet snapshot for free, and a detached one (the default
-/// disabled registry) still counts for tests and experiments.
+/// The router's registry cells (component `"routing"`). A router
+/// attached to a live [`Telemetry`] feeds the fleet snapshot for free;
+/// its counts are read through that snapshot.
 #[derive(Debug, Clone)]
 struct RouterCounters {
     failovers_selected: Counter,
@@ -203,7 +184,7 @@ pub struct QuorumRouter {
     /// Advertised in the link-state retraction lane for a few rounds,
     /// dropped as soon as the link recovers.
     retractions: BTreeMap<u16, u32>,
-    /// Registry-backed event counters (see [`QuorumMetrics`]).
+    /// Registry-backed event counters.
     counters: RouterCounters,
     tracer: Tracer,
     /// Episode context noted ahead of a [`reinstall`](Self::reinstall),
@@ -464,26 +445,6 @@ impl QuorumRouter {
     #[must_use]
     pub fn table(&self) -> &RowStore {
         &self.table
-    }
-
-    /// Event counters, reconstructed from the registry-backed cells.
-    #[must_use]
-    pub fn metrics(&self) -> QuorumMetrics {
-        QuorumMetrics {
-            failovers_selected: self.counters.failovers_selected.get(),
-            ls_sent: self.counters.ls_sent.get(),
-            recs_sent: self.counters.recs_sent.get(),
-            rec_entries_received: self.counters.rec_entries_received.get(),
-            loops_detected: self.counters.loops_detected.get(),
-            routes_retracted: self.counters.routes_retracted.get(),
-        }
-    }
-
-    /// Bytes of `rec_seen` entries held: 16 per `(dst, timestamp)`, the
-    /// entry's size in memory.
-    #[must_use]
-    pub fn rec_seen_bytes(&self) -> u64 {
-        (self.rec_seen_entries * 16) as u64
     }
 
     /// My row's current sequence number (0 = no retraction event yet).
@@ -1001,7 +962,9 @@ impl RoutingAlgorithm for QuorumRouter {
                     }
                 }
                 self.counters.rec_entries_received.add(accepted);
-                self.counters.rec_seen_bytes.set(self.rec_seen_bytes());
+                self.counters
+                    .rec_seen_bytes
+                    .set((self.rec_seen_entries * 16) as u64);
                 Vec::new()
             }
             _ => Vec::new(),
@@ -1033,6 +996,15 @@ mod tests {
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(12345)
+    }
+
+    /// The counter `routing/<name>` of node 0, read through the
+    /// registry snapshot.
+    fn routing_counter(telemetry: &Telemetry, name: &str) -> u64 {
+        telemetry
+            .snapshot()
+            .counter(0, "routing", name)
+            .unwrap_or(0)
     }
 
     /// The table of a view change in which nobody moves.
@@ -1180,16 +1152,16 @@ mod tests {
             }
         }
 
-        // The running total equals a recount of the entries.
-        let bytes = r.rec_seen_bytes();
-        assert_eq!(bytes, (total_entries * 16) as u64);
-        assert!(bytes > 0);
+        // The gauge's running total equals a recount of the entries,
+        // and every entry held was received at least once.
+        assert!(total_entries > 0);
         let snap = telemetry.snapshot();
-        assert_eq!(snap.gauge(3, "routing", "rec_seen_bytes"), Some(bytes));
         assert_eq!(
-            snap.counter(3, "routing", "rec_entries_received"),
-            Some(r.metrics().rec_entries_received)
+            snap.gauge(3, "routing", "rec_seen_bytes"),
+            Some((total_entries * 16) as u64)
         );
+        let received = snap.counter(3, "routing", "rec_entries_received");
+        assert!(received.unwrap_or(0) >= total_entries as u64);
         assert!(snap.counter(3, "routing", "ls_sent").unwrap_or(0) > 0);
     }
 
@@ -1257,11 +1229,12 @@ mod tests {
                 }
                 let entries: usize = model.iter().map(BTreeMap::len).sum();
                 prop_assert_eq!(me.rec_seen_entries, entries);
-                let bytes = (entries * 16) as u64;
-                prop_assert_eq!(me.rec_seen_bytes(), bytes);
                 let snap = telemetry.snapshot();
-                prop_assert_eq!(snap.gauge(1, "routing", "rec_seen_bytes"), Some(bytes));
-                prop_assert_eq!(me.metrics().rec_entries_received, accepted);
+                prop_assert_eq!(
+                    snap.gauge(1, "routing", "rec_seen_bytes"),
+                    Some((entries * 16) as u64)
+                );
+                prop_assert_eq!(snap.counter(1, "routing", "rec_entries_received"), Some(accepted));
             }
         }
     }
@@ -1483,17 +1456,18 @@ mod tests {
         }
         let refs: Vec<&[u16]> = costs.iter().map(|r| r.as_slice()).collect();
         let rows = rows_from(&refs);
+        let telemetry = Telemetry::new(0);
         let mut fabric = Fabric::new(n, &cfg);
+        fabric.routers[0] = QuorumRouter::new_with_telemetry(0, n, 0, cfg.clone(), &telemetry);
         fabric.link_up = Box::new(|f, t| f != 8 && t != 8);
         for k in 0..12 {
             fabric.tick(k as f64 * 15.0, &rows);
         }
-        let m = fabric.routers[0].metrics();
         // A couple of initial attempts are fine; unbounded retry is not.
+        let failovers = routing_counter(&telemetry, "failovers_selected");
         assert!(
-            m.failovers_selected <= 4,
-            "failover churn for dead destination: {}",
-            m.failovers_selected
+            failovers <= 4,
+            "failover churn for dead destination: {failovers}"
         );
         assert!(fabric.routers[0].best_hop(8, 12.0 * 15.0).is_none());
     }
@@ -1538,9 +1512,9 @@ mod tests {
 
     /// Two-relay splice helper: node 0 only reaches 1, 1 only reaches 2,
     /// 2 reaches 8 — invisible to 1-hop scavenging, found by k-hop.
-    fn chain_to_eight(cfg: ProtocolConfig) -> QuorumRouter {
+    fn chain_to_eight(cfg: ProtocolConfig, telemetry: &Telemetry) -> QuorumRouter {
         let n = 9;
-        let mut me = QuorumRouter::new(0, n, 0, cfg);
+        let mut me = QuorumRouter::new_with_telemetry(0, n, 0, cfg, telemetry);
         let mut own = vec![LinkEntry::dead(); n];
         own[0] = LinkEntry::live(0, 0.0);
         own[1] = LinkEntry::live(10, 0.0);
@@ -1576,17 +1550,21 @@ mod tests {
     #[test]
     fn k_hop_detours_recover_where_one_hop_scavenging_fails() {
         // Paper behaviour (1 hop): the chain is invisible.
-        let me = chain_to_eight(ProtocolConfig::quorum());
+        let me = chain_to_eight(ProtocolConfig::quorum(), &Telemetry::disabled());
         assert_eq!(me.best_hop(8, 2.0), None, "1-hop scavenge cannot splice");
         // k ≤ 4: the feasible detour 0→1→2→8 is spliced from live rows.
-        let me = chain_to_eight(ProtocolConfig::quorum().with_detour_hops(4));
+        let telemetry = Telemetry::new(0);
+        let me = chain_to_eight(ProtocolConfig::quorum().with_detour_hops(4), &telemetry);
         assert_eq!(me.best_hop(8, 2.0), Some(1), "k-hop detour via 1");
-        assert_eq!(me.metrics().loops_detected, 0);
+        assert_eq!(routing_counter(&telemetry, "loops_detected"), 0);
     }
 
     #[test]
     fn route_decision_distinguishes_hops_from_spliced_detours() {
-        let me = chain_to_eight(ProtocolConfig::quorum().with_detour_hops(4));
+        let me = chain_to_eight(
+            ProtocolConfig::quorum().with_detour_hops(4),
+            &Telemetry::disabled(),
+        );
         // A live direct link is a plain hop: relays re-decide.
         match me.route_decision(1, 2.0) {
             Some(RouteDecision::Hop(1)) => {}
@@ -1609,8 +1587,9 @@ mod tests {
     #[test]
     fn incoming_retractions_withdraw_acted_on_routes() {
         let n = 9;
-        let cfg = ProtocolConfig::quorum();
-        let mut me = QuorumRouter::new(0, n, 0, cfg);
+        let telemetry = Telemetry::new(0);
+        let mut me =
+            QuorumRouter::new_with_telemetry(0, n, 0, ProtocolConfig::quorum(), &telemetry);
         let mut own = vec![LinkEntry::dead(); n];
         own[0] = LinkEntry::live(0, 0.0);
         own[4] = LinkEntry::live(10, 0.0);
@@ -1661,7 +1640,7 @@ mod tests {
             me.route_entry(8).is_none(),
             "retraction withdraws the route"
         );
-        assert_eq!(me.metrics().routes_retracted, 1);
+        assert_eq!(routing_counter(&telemetry, "routes_retracted"), 1);
         assert_eq!(me.best_hop(8, 2.5), None);
         // A delayed replay of 4's older row (seqno 1, link to 8 alive)
         // must not resurrect the route.
@@ -1733,7 +1712,9 @@ mod tests {
     #[test]
     fn link_loss_hook_and_departure_retraction() {
         let n = 9;
-        let mut me = QuorumRouter::new(0, n, 0, ProtocolConfig::quorum());
+        let telemetry = Telemetry::new(0);
+        let mut me =
+            QuorumRouter::new_with_telemetry(0, n, 0, ProtocolConfig::quorum(), &telemetry);
         let mut own = vec![LinkEntry::dead(); n];
         own[0] = LinkEntry::live(0, 0.0);
         own[4] = LinkEntry::live(10, 0.0);
@@ -1761,13 +1742,13 @@ mod tests {
         me.on_link_loss(4, 2.0);
         assert_eq!(me.own_seqno(), 1);
         assert!(!me.table().entry(0, 4).alive);
-        assert_eq!(me.metrics().routes_retracted, 1);
+        assert_eq!(routing_counter(&telemetry, "routes_retracted"), 1);
         // View change: node 5 does not survive → its route is retracted.
         let table: Vec<Option<u16>> = (0..9).map(|i| (i != 5).then_some(i)).collect();
         me.retract_departed_routes(&table);
         assert!(me.route_entry(8).is_none());
         assert!(me.route_entry(7).is_some(), "surviving route kept");
-        assert_eq!(me.metrics().routes_retracted, 2);
+        assert_eq!(routing_counter(&telemetry, "routes_retracted"), 2);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! * [`TraceCtx`] — the 8-byte wire context (episode, origin, hop
 //!   count) piggybacked on SWIM and probe-batch frames so causality
 //!   crosses node boundaries without any clock agreement.
-//! * [`Tracer`] — a bounded, lock-free per-node span ring acting as a
-//!   flight recorder. Off by default ([`Tracer::disabled`]): the hot
-//!   paths pay one relaxed atomic load and nothing else.
+//! * [`Tracer`] — a bounded per-node span ring behind a lock, acting
+//!   as a flight recorder. Off by default ([`Tracer::disabled`]): the
+//!   hot paths read one plain field and nothing else.
 //! * [`chrome_trace_json`] / [`validate_chrome_trace`] — export of an
 //!   episode as Chrome trace-event JSON (open in Perfetto or
 //!   `chrome://tracing`) and the schema + span-nesting validator CI
@@ -26,8 +26,8 @@
 //! export schemas.
 
 use crate::json::{self, Value};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------
 // Wire trace context
@@ -125,68 +125,40 @@ pub fn episode_root_span(episode: u32) -> u64 {
 // ---------------------------------------------------------------------
 
 /// What a span measures. The kind implies the component
-/// ([`SpanKind::component`]); keeping the set closed is what lets a
-/// span pack into the flight recorder's fixed atomic words.
+/// ([`SpanKind::component`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
 pub enum SpanKind {
     /// Synthesized root covering one whole convergence episode.
-    Episode = 0,
+    Episode,
     /// The failure/partition instant (synthesized by the experiment,
     /// which is the only party that knows ground truth).
-    Failure = 1,
+    Failure,
     /// A suspicion window: raised → confirmed on one node.
-    Suspicion = 2,
+    Suspicion,
     /// The instant a suspicion expired into a confirmed failure.
-    Confirm = 3,
+    Confirm,
     /// One gossip-wavefront arrival: a frame carrying the episode's
     /// [`TraceCtx`] reached this node (`aux` = hop count).
-    GossipHop = 4,
+    GossipHop,
     /// A membership view install on one node (`aux` = view version).
-    ViewInstall = 5,
+    ViewInstall,
     /// The row carry riding a view install (`aux` = held rows that
     /// were fresh and whose origin survived).
-    Remap = 6,
+    Remap,
     /// The first post-install probe burst re-measuring links
     /// (`aux` = probe actions emitted).
-    Reprobe = 7,
+    Reprobe,
     /// An anti-entropy sync round opened while the episode was hot
     /// (`aux` = partner).
-    SyncRound = 8,
+    SyncRound,
     /// A row the reinstalled router kept across an install
     /// (`aux` = origin of the row, in the new view).
-    RowImport = 9,
+    RowImport,
     /// Routing restored, as measured by the experiment (synthesized).
-    RoutesRestored = 10,
+    RoutesRestored,
 }
 
 impl SpanKind {
-    const ALL: [SpanKind; 11] = [
-        SpanKind::Episode,
-        SpanKind::Failure,
-        SpanKind::Suspicion,
-        SpanKind::Confirm,
-        SpanKind::GossipHop,
-        SpanKind::ViewInstall,
-        SpanKind::Remap,
-        SpanKind::Reprobe,
-        SpanKind::SyncRound,
-        SpanKind::RowImport,
-        SpanKind::RoutesRestored,
-    ];
-
-    /// Stable numeric code (the flight-recorder packing).
-    #[must_use]
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Inverse of [`SpanKind::code`].
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<SpanKind> {
-        Self::ALL.get(usize::from(code)).copied()
-    }
-
     /// Human-readable name (the Chrome trace event name).
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -248,69 +220,30 @@ pub struct Span {
 // Flight recorder
 // ---------------------------------------------------------------------
 
-const SLOT_WORDS: usize = 6;
-
-/// One ring slot: a seqlock sequence word plus the packed span. Writers
-/// bump `seq` to odd, store the words, bump back to even; readers
-/// discard any slot whose sequence was odd or moved while reading.
-/// Everything is plain atomics — the crate forbids `unsafe`.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-fn pack(span: &Span) -> [u64; SLOT_WORDS] {
-    [
-        span.id,
-        span.parent,
-        (u64::from(span.episode) << 32) | u64::from(span.node),
-        (u64::from(span.kind.code()) << 32) | u64::from(span.aux),
-        span.start_s.to_bits(),
-        span.end_s.to_bits(),
-    ]
-}
-
-fn unpack(words: &[u64; SLOT_WORDS]) -> Option<Span> {
-    let kind = SpanKind::from_code((words[3] >> 32) as u8)?;
-    Some(Span {
-        id: words[0],
-        parent: words[1],
-        episode: (words[2] >> 32) as u32,
-        node: (words[2] & 0xFFFF_FFFF) as u32,
-        kind,
-        aux: (words[3] & 0xFFFF_FFFF) as u32,
-        start_s: f64::from_bits(words[4]),
-        end_s: f64::from_bits(words[5]),
-    })
+/// What the recorder's lock guards: the span slots and how many spans
+/// were ever recorded (the write cursor, and the last minted local id).
+struct Ring {
+    slots: Box<[Span]>,
+    recorded: u64,
 }
 
 struct TracerInner {
-    enabled: AtomicBool,
     node: u32,
-    /// Spans recorded over the tracer's lifetime (ring write cursor).
-    recorded: AtomicUsize,
-    /// Local span id counter (folded into the minted id's lower half).
-    next_id: AtomicU64,
-    slots: Box<[Slot]>,
+    enabled: bool,
+    ring: Mutex<Ring>,
 }
 
-/// A per-node flight recorder: the last `capacity` spans, recordable
-/// from any thread without locks, readable at any time. Cloning shares
-/// the ring (same pattern as [`crate::Telemetry`]).
+/// A per-node flight recorder: the last `capacity` spans, readable at
+/// any time. Cloning shares the ring (same pattern as
+/// [`crate::Telemetry`]). Every tracer belongs to one node, and a node
+/// is driven by one thread at a time — the simulator's event loop, or
+/// the UDP driver under the node's lock — so the ring's mutex is never
+/// contended.
 ///
 /// The disabled handle ([`Tracer::disabled`], capacity 0) is the
-/// default everywhere: `record` is a single relaxed load and an early
-/// return, which is what keeps tracing inside the perf-trajectory gate
-/// when nothing asked for it.
+/// default everywhere: `record` reads one plain field and returns,
+/// which is what keeps tracing inside the perf-trajectory gate when
+/// nothing asked for it.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -321,7 +254,7 @@ impl std::fmt::Debug for Tracer {
         f.debug_struct("Tracer")
             .field("node", &self.inner.node)
             .field("enabled", &self.enabled())
-            .field("capacity", &self.inner.slots.len())
+            .field("capacity", &self.ring().slots.len())
             .finish()
     }
 }
@@ -331,18 +264,30 @@ impl Tracer {
     /// Capacity 0 is the disabled tracer.
     #[must_use]
     pub fn new(node: u32, capacity: usize) -> Tracer {
+        // Fills the slots not yet written; `recent` reads none of them.
+        let blank = Span {
+            id: 0,
+            parent: 0,
+            episode: 0,
+            node,
+            kind: SpanKind::Episode,
+            aux: 0,
+            start_s: 0.0,
+            end_s: 0.0,
+        };
         Tracer {
             inner: Arc::new(TracerInner {
-                enabled: AtomicBool::new(capacity > 0),
                 node,
-                recorded: AtomicUsize::new(0),
-                next_id: AtomicU64::new(1),
-                slots: (0..capacity).map(|_| Slot::new()).collect(),
+                enabled: capacity > 0,
+                ring: Mutex::new(Ring {
+                    slots: vec![blank; capacity].into_boxed_slice(),
+                    recorded: 0,
+                }),
             }),
         }
     }
 
-    /// The no-op tracer: records nothing, costs one relaxed load.
+    /// The no-op tracer: records nothing, costs one field read.
     #[must_use]
     pub fn disabled() -> Tracer {
         Tracer::new(u32::MAX, 0)
@@ -352,13 +297,22 @@ impl Tracer {
     #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.enabled
     }
 
     /// The node this tracer records for.
     #[must_use]
     pub fn node(&self) -> u32 {
         self.inner.node
+    }
+
+    /// The ring, recovered from a poisoned lock: a panic elsewhere must
+    /// not hide the spans [`DumpOnPanic`] is about to report.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.inner
+            .ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record a complete span and return its minted id (0 when
@@ -376,9 +330,11 @@ impl Tracer {
         if !self.enabled() {
             return 0;
         }
-        let local = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let id = (u64::from(self.inner.node) << 32) | (local & 0xFFFF_FFFF);
-        let span = Span {
+        let mut ring = self.ring();
+        let at = ring.recorded;
+        let id = (u64::from(self.inner.node) << 32) | ((at + 1) & 0xFFFF_FFFF);
+        let cap = ring.slots.len() as u64;
+        ring.slots[(at % cap) as usize] = Span {
             id,
             parent,
             episode,
@@ -388,13 +344,7 @@ impl Tracer {
             start_s,
             end_s,
         };
-        let at = self.inner.recorded.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.inner.slots[at % self.inner.slots.len()];
-        slot.seq.fetch_add(1, Ordering::AcqRel); // odd: write in progress
-        for (w, v) in slot.words.iter().zip(pack(&span)) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.fetch_add(1, Ordering::Release); // even: published
+        ring.recorded += 1;
         id
     }
 
@@ -403,74 +353,16 @@ impl Tracer {
         self.record(kind, episode, parent, aux, t, t)
     }
 
-    /// Spans recorded over the tracer's lifetime (including any the
-    /// ring has since overwritten).
-    #[must_use]
-    pub fn recorded(&self) -> usize {
-        self.inner.recorded.load(Ordering::Acquire)
-    }
-
-    /// The ring contents, oldest first. Slots torn by a concurrent
-    /// writer are skipped rather than misread.
+    /// The ring contents, oldest first.
     #[must_use]
     pub fn recent(&self) -> Vec<Span> {
-        let cap = self.inner.slots.len();
-        if cap == 0 {
-            return Vec::new();
-        }
-        let total = self.recorded().min(usize::MAX - cap);
-        let held = total.min(cap);
-        let first = total - held;
-        let mut spans = Vec::with_capacity(held);
-        for i in first..total {
-            let slot = &self.inner.slots[i % cap];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 % 2 == 1 {
-                continue;
-            }
-            let mut words = [0u64; SLOT_WORDS];
-            for (dst, w) in words.iter_mut().zip(slot.words.iter()) {
-                *dst = w.load(Ordering::Relaxed);
-            }
-            if slot.seq.load(Ordering::Acquire) != s1 {
-                continue;
-            }
-            if let Some(span) = unpack(&words) {
-                if span.id != 0 {
-                    spans.push(span);
-                }
-            }
-        }
-        spans
+        let ring = self.ring();
+        let cap = ring.slots.len() as u64;
+        let first = ring.recorded.saturating_sub(cap);
+        (first..ring.recorded)
+            .map(|i| ring.slots[(i % cap) as usize])
+            .collect()
     }
-
-    /// The flight-recorder dump: the last `max` spans, formatted one
-    /// per line for a failure report.
-    #[must_use]
-    pub fn dump(&self, max: usize) -> String {
-        let spans = self.recent();
-        let skip = spans.len().saturating_sub(max);
-        let mut out = String::new();
-        for span in &spans[skip..] {
-            out.push_str(&format_span_line(span));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-fn format_span_line(s: &Span) -> String {
-    format!(
-        "  [node {:>4}] {:>9.3}s..{:<9.3}s {:<15} ep={:#010x} aux={} id={:#x} parent={:#x}",
-        s.node,
-        s.start_s,
-        s.end_s,
-        s.kind.label(),
-        s.episode,
-        s.aux,
-        s.id,
-        s.parent,
-    )
 }
 
 /// Flight-recorder dump hook: prints the last `per_node` spans of every
@@ -530,9 +422,19 @@ pub fn flight_recorder_report(label: &str, spans: &[Span], per_node: usize) -> S
         let mut mine: Vec<&Span> = spans.iter().filter(|s| s.node == node).collect();
         mine.sort_by(|a, b| a.end_s.total_cmp(&b.end_s).then(a.id.cmp(&b.id)));
         let skip = mine.len().saturating_sub(per_node);
-        for span in &mine[skip..] {
-            out.push_str(&format_span_line(span));
-            out.push('\n');
+        for s in &mine[skip..] {
+            let _ = writeln!(
+                out,
+                "  [node {:>4}] {:>9.3}s..{:<9.3}s {:<15} ep={:#010x} aux={} id={:#x} parent={:#x}",
+                s.node,
+                s.start_s,
+                s.end_s,
+                s.kind.label(),
+                s.episode,
+                s.aux,
+                s.id,
+                s.parent,
+            );
         }
     }
     out.push_str("=== end flight recorder ===");
@@ -778,7 +680,6 @@ mod tests {
         assert!(!t.enabled());
         assert_eq!(t.record(SpanKind::Suspicion, 1, 0, 0, 0.0, 1.0), 0);
         assert!(t.recent().is_empty());
-        assert_eq!(t.recorded(), 0);
     }
 
     #[test]
@@ -788,7 +689,6 @@ mod tests {
             t.record(SpanKind::GossipHop, 1, 0, i, f64::from(i), f64::from(i));
         }
         let spans = t.recent();
-        assert_eq!(t.recorded(), 6);
         assert_eq!(spans.len(), 4);
         assert_eq!(
             spans.iter().map(|s| s.aux).collect::<Vec<_>>(),
@@ -796,8 +696,10 @@ mod tests {
             "ring keeps the newest spans, oldest first"
         );
         assert!(spans.iter().all(|s| s.node == 7));
-        // Minted ids carry the node in the upper half.
+        // Minted ids carry the node in the upper half and count every
+        // span ever recorded in the lower, from 1.
         assert!(spans.iter().all(|s| s.id >> 32 == 7));
+        assert_eq!(spans[3].id & 0xFFFF_FFFF, 6);
     }
 
     #[test]
@@ -890,15 +792,5 @@ mod tests {
         assert!(report.contains("3 spans on 2 nodes"));
         assert!(report.contains("suspicion"));
         assert!(report.contains("node    9"));
-    }
-
-    #[test]
-    fn span_kind_codes_roundtrip() {
-        for kind in SpanKind::ALL {
-            assert_eq!(SpanKind::from_code(kind.code()), Some(kind));
-            assert!(!kind.label().is_empty());
-            assert!(!kind.component().is_empty());
-        }
-        assert_eq!(SpanKind::from_code(200), None);
     }
 }

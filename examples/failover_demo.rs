@@ -102,7 +102,8 @@ fn main() {
     println!(
         "\nfinal route age to dst {dst}: {:.0}s; failovers selected during the run: {}",
         final_age.unwrap_or(f64::NAN),
-        node.quorum_router()
-            .map_or(0, |r| r.metrics().failovers_selected)
+        node.telemetry()
+            .snapshot()
+            .counter_total("routing", "failovers_selected")
     );
 }

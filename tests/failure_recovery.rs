@@ -196,8 +196,9 @@ fn dead_destination_converges_to_no_route() {
     // than one pass over the 2(√n−1) grid candidates. Unbounded churn
     // would keep selecting forever (the count is flat from here on).
     let failovers = node
-        .quorum_router()
-        .map_or(0, |r| r.metrics().failovers_selected);
+        .telemetry()
+        .snapshot()
+        .counter_total("routing", "failovers_selected");
     assert!(
         failovers <= 12,
         "unbounded failover churn towards a dead node: {failovers}"
