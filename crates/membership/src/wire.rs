@@ -773,6 +773,147 @@ mod tests {
         }
     }
 
+    /// One update whose every byte differs: id `0x0102`, incarnation
+    /// `0x0A0B_0C0D`, status `Suspect` (code 1).
+    const PIN_UPDATE: SwimUpdate = SwimUpdate {
+        id: NodeId(0x0102),
+        incarnation: 0x0A0B_0C0D,
+        status: SwimStatus::Suspect,
+    };
+    const PIN_UPDATE_BYTES: [u8; 7] = [0x01, 0x02, 0x0A, 0x0B, 0x0C, 0x0D, 0x01];
+
+    /// Every kind beside its hand-written encoding: tag, from, to, seq,
+    /// the kind's own fields, then the count byte and the updates (the
+    /// digest has no count).
+    fn pinned_frames() -> Vec<(SwimMsg, Vec<u8>)> {
+        let left = SwimUpdate {
+            id: NodeId(0xFFFE),
+            incarnation: 7,
+            status: SwimStatus::Left,
+        };
+        let frame = |head: &[u8], tail: &[u8]| [head, tail].concat();
+        let one = [&[1u8][..], &PIN_UPDATE_BYTES].concat();
+        vec![
+            (
+                SwimMsg::Ping {
+                    from: NodeId(0x0011),
+                    to: NodeId(0x0022),
+                    seq: 0x0102_0304,
+                    updates: vec![PIN_UPDATE],
+                },
+                frame(&[16, 0x00, 0x11, 0x00, 0x22, 0x01, 0x02, 0x03, 0x04], &one),
+            ),
+            (
+                SwimMsg::Ack {
+                    from: NodeId(0x0022),
+                    to: NodeId(0x0011),
+                    seq: 0xFFFF_FFFE,
+                    updates: vec![],
+                },
+                vec![17, 0x00, 0x22, 0x00, 0x11, 0xFF, 0xFF, 0xFF, 0xFE, 0],
+            ),
+            (
+                SwimMsg::PingReq {
+                    from: NodeId(1),
+                    to: NodeId(5),
+                    target: NodeId(0x0203),
+                    seq: 78,
+                    updates: vec![PIN_UPDATE],
+                },
+                frame(&[18, 0, 1, 0, 5, 0, 0, 0, 78, 0x02, 0x03], &one),
+            ),
+            (
+                SwimMsg::ProxyAck {
+                    from: NodeId(5),
+                    to: NodeId(1),
+                    target: NodeId(0x0203),
+                    seq: 78,
+                    updates: vec![],
+                },
+                vec![19, 0, 5, 0, 1, 0, 0, 0, 78, 0x02, 0x03, 0],
+            ),
+            (
+                SwimMsg::SyncReq {
+                    from: NodeId(3),
+                    to: NodeId(9),
+                    seq: 80,
+                    chunk: 1,
+                    chunks: 3,
+                    updates: vec![PIN_UPDATE, left],
+                },
+                frame(
+                    &[20, 0, 3, 0, 9, 0, 0, 0, 80, 1, 3, 2],
+                    &[&PIN_UPDATE_BYTES[..], &[0xFF, 0xFE, 0, 0, 0, 7, 3]].concat(),
+                ),
+            ),
+            (
+                SwimMsg::SyncRsp {
+                    from: NodeId(9),
+                    to: NodeId(3),
+                    seq: 80,
+                    updates: vec![left],
+                },
+                vec![21, 0, 9, 0, 3, 0, 0, 0, 80, 1, 0xFF, 0xFE, 0, 0, 0, 7, 3],
+            ),
+            (
+                SwimMsg::SyncDigest {
+                    from: NodeId(3),
+                    to: NodeId(9),
+                    seq: 81,
+                    fingerprint: 0xDEAD_BEEF,
+                    known: 0x018C,
+                },
+                vec![
+                    22, 0, 3, 0, 9, 0, 0, 0, 81, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x8C,
+                ],
+            ),
+            (
+                SwimMsg::SyncDigestPush {
+                    from: NodeId(9),
+                    to: NodeId(3),
+                    seq: 81,
+                    fingerprint: 0xFEED_F00D,
+                    known: 141,
+                    updates: vec![PIN_UPDATE],
+                },
+                frame(
+                    &[23, 0, 9, 0, 3, 0, 0, 0, 81, 0xFE, 0xED, 0xF0, 0x0D, 0, 141],
+                    &one,
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn wire_layout_is_pinned_byte_for_byte() {
+        for (msg, bytes) in pinned_frames() {
+            assert_eq!(msg.encode().as_ref(), &bytes[..], "{msg:?}");
+            assert_eq!(msg.wire_size(), bytes.len(), "{msg:?}");
+            assert_eq!(SwimMsg::decode_traced(&bytes), Ok((msg, None)));
+        }
+        // A traced frame: the flagged tag, the same body, then the
+        // context's version, episode, origin and hop.
+        let msg = SwimMsg::Ping {
+            from: NodeId(0x0011),
+            to: NodeId(0x0022),
+            seq: 0x0102_0304,
+            updates: vec![PIN_UPDATE],
+        };
+        let ctx = TraceCtx {
+            episode: 0x0005_0003,
+            origin: 0x0506,
+            hop: 2,
+        };
+        let traced = [
+            &[0x50, 0x00, 0x11, 0x00, 0x22, 0x01, 0x02, 0x03, 0x04, 1][..],
+            &PIN_UPDATE_BYTES,
+            &[1, 0x00, 0x05, 0x00, 0x03, 0x05, 0x06, 2],
+        ]
+        .concat();
+        assert_eq!(msg.encode_traced(Some(&ctx)).as_ref(), &traced[..]);
+        assert_eq!(SwimMsg::decode_traced(&traced), Ok((msg, Some(ctx))));
+    }
+
     #[test]
     fn digest_frame_is_constant_size() {
         let d = SwimMsg::SyncDigest {
