@@ -357,7 +357,7 @@ fn bench_frame_path(c: &mut Criterion) {
 ///   diverged.
 fn bench_membership(c: &mut Criterion) {
     use apor_linkstate::{ProbeBatchMsg, ProbeItem};
-    use apor_membership::{Swim, SwimConfig, SwimMsg, SwimStatus, SwimUpdate};
+    use apor_membership::{Swim, SwimConfig, SwimKind, SwimMsg, SwimStatus, SwimUpdate};
     use apor_overlay::node::TOKEN_PROBE;
     use apor_overlay::{Algorithm, NodeConfig, Outbox, OverlayNode};
     use criterion::BatchSize;
@@ -472,10 +472,11 @@ fn bench_membership(c: &mut Criterion) {
         incarnation: 0,
         status: SwimStatus::Alive,
     };
-    let ping = SwimMsg::Ping {
+    let ping = SwimMsg {
         from: NodeId(7),
         to: NodeId::from_index(me),
         seq: 99,
+        kind: SwimKind::Ping,
         updates: [3, 41, 77, 120, 199, 250].map(no_news).to_vec(),
     }
     .encode();
@@ -501,9 +502,9 @@ fn bench_membership(c: &mut Criterion) {
         probe.on_tick(sync_at, &mut sent);
         let opened = sent
             .iter()
-            .find(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }));
-        if let Some((partner, _)) = opened {
-            break *partner;
+            .find(|m| matches!(m.kind, SwimKind::SyncDigest { .. }));
+        if let Some(digest) = opened {
+            break digest.to;
         }
         initiator = probe;
         sync_at += 0.25;
@@ -511,19 +512,19 @@ fn bench_membership(c: &mut Criterion) {
     let mut responder = Swim::bootstrap(partner, swim_cfg, &members);
     // Eight records apart: four deaths only the initiator has confirmed,
     // four refutations only the responder has heard.
-    let gossip =
-        |to: NodeId, status: SwimStatus, incarnation: u32, ids: [usize; 4]| SwimMsg::Ping {
-            from: NodeId(200),
-            to,
-            seq: 1,
-            updates: ids
-                .map(|id| SwimUpdate {
-                    id: NodeId::from_index(id),
-                    incarnation,
-                    status,
-                })
-                .to_vec(),
-        };
+    let gossip = |to: NodeId, status: SwimStatus, incarnation: u32, ids: [usize; 4]| SwimMsg {
+        from: NodeId(200),
+        to,
+        seq: 1,
+        kind: SwimKind::Ping,
+        updates: ids
+            .map(|id| SwimUpdate {
+                id: NodeId::from_index(id),
+                incarnation,
+                status,
+            })
+            .to_vec(),
+    };
     let mut sink = Vec::new();
     initiator.on_message(
         sync_at,
@@ -550,14 +551,14 @@ fn bench_membership(c: &mut Criterion) {
                 // digest, echo + chunk, two push frames, the delta.
                 let (mut to_z, mut to_a) = (Vec::new(), Vec::new());
                 a.on_tick(sync_at, &mut to_z);
-                to_z.retain(|(to, _)| *to == partner);
+                to_z.retain(|m| m.to == partner);
                 let mut frames = 0;
                 while !to_z.is_empty() || !to_a.is_empty() {
-                    for (_, msg) in std::mem::take(&mut to_z) {
+                    for msg in std::mem::take(&mut to_z) {
                         z.on_message(sync_at, &msg, &mut to_a);
                         frames += 1;
                     }
-                    for (_, msg) in std::mem::take(&mut to_a) {
+                    for msg in std::mem::take(&mut to_a) {
                         a.on_message(sync_at, &msg, &mut to_z);
                         frames += 1;
                     }

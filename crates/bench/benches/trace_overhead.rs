@@ -14,7 +14,7 @@
 //!
 //! The measured numbers are quoted in `docs/OBSERVABILITY.md`.
 
-use apor_membership::{SwimMsg, SwimStatus, SwimUpdate};
+use apor_membership::{SwimKind, SwimMsg, SwimStatus, SwimUpdate};
 use apor_quorum::NodeId;
 use apor_telemetry::{SpanKind, TraceCtx, Tracer};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -34,10 +34,11 @@ fn bench_trace(c: &mut Criterion) {
             black_box(enabled.record(black_box(SpanKind::GossipHop), black_box(7), 0, 3, 1.0, 1.0))
         });
     });
-    let frame = SwimMsg::Ping {
+    let frame = SwimMsg {
         from: NodeId(0),
         to: NodeId(1),
         seq: 42,
+        kind: SwimKind::Ping,
         updates: (0..6)
             .map(|i| SwimUpdate {
                 id: NodeId(i),

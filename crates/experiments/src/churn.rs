@@ -38,7 +38,6 @@ use apor_quorum::NodeId;
 use apor_telemetry::trace::{Span, SpanKind};
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, FailureSchedule, LatencyMatrix, NodeOutage};
-use serde::Serialize;
 
 /// Flight-recorder capacity per node (see `partition::TRACE_CAPACITY`).
 const TRACE_CAPACITY: usize = 1024;
@@ -81,7 +80,7 @@ impl Default for ChurnParams {
 }
 
 /// One scenario's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnOutcome {
     /// `"centralized"` or `"swim"`.
     pub mode: String,
@@ -97,21 +96,17 @@ pub struct ChurnOutcome {
     /// Fleet telemetry aggregated over all nodes at the end of the
     /// scenario (sync frame sizes, probe RTTs, queue depth, …).
     /// Exported as `churn_telemetry.json`, not part of the CSV.
-    #[serde(skip)]
     pub telemetry: Snapshot,
     /// Every span the fleet's flight recorders held at the end of the
     /// scenario (feeds the dump-on-failure hook).
-    #[serde(skip)]
     pub spans: Vec<Span>,
     /// The richest causal episode of the crash, assembled for the
     /// Chrome-trace export (`churn_trace.json`). Empty in the
     /// centralized scenarios (no suspicion plane, no episodes).
-    #[serde(skip)]
     pub episode: Vec<Span>,
     /// The crash→convergence interval decomposed into consecutive
     /// phases (`churn_phases.csv`); empty when the scenario never
     /// converged. Durations sum to `convergence_s` by construction.
-    #[serde(skip)]
     pub phases: Vec<Phase>,
 }
 
@@ -128,7 +123,7 @@ impl ChurnOutcome {
 }
 
 /// The full study output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnResult {
     /// Overlay size the scenarios ran at.
     pub n: usize,

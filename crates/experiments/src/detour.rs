@@ -49,7 +49,6 @@ use apor_overlay::simnode::{fleet_snapshot, overlay_at, overlay_sim_config, popu
 use apor_quorum::{Grid, NodeId};
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, FailureSchedule, LatencyMatrix};
-use serde::Serialize;
 
 /// Parameters of the detour-recovery study.
 #[derive(Debug, Clone)]
@@ -98,7 +97,7 @@ impl Default for DetourParams {
 }
 
 /// One arm's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DetourOutcome {
     /// The arm's detour budget (1 = the paper's failover behaviour).
     pub max_detour_hops: usize,
@@ -132,12 +131,11 @@ pub struct DetourOutcome {
     pub recoveries: Vec<f64>,
     /// Merged fleet telemetry at the end of the arm (exported as
     /// `detour_telemetry.json`, not part of the CSV).
-    #[serde(skip)]
     pub telemetry: Snapshot,
 }
 
 /// The full study output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DetourResult {
     /// One outcome per arm, 1-hop failover first.
     pub outcomes: Vec<DetourOutcome>,

@@ -16,7 +16,6 @@ use apor_overlay::simnode::{fleet_snapshot, overlay_sim_config, populate};
 use apor_quorum::NodeId;
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, PlanetLabParams, Topology};
-use serde::Serialize;
 
 /// Parameters for the figure 9 sweep.
 #[derive(Debug, Clone)]
@@ -43,7 +42,7 @@ impl Default for Fig9Params {
 }
 
 /// One measured point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Point {
     /// Overlay size.
     pub n: usize,
@@ -54,12 +53,11 @@ pub struct Fig9Point {
     /// Fleet telemetry aggregated over all nodes (probe RTTs, round-two
     /// latency, queue depth, …). Exported as `fig9_telemetry.json`, not
     /// part of the CSV.
-    #[serde(skip)]
     pub telemetry: Snapshot,
 }
 
 /// The sweep output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// Full-mesh (RON) series.
     pub ron: Vec<Fig9Point>,

@@ -11,7 +11,6 @@ use crate::ResultTable;
 use apor_linkstate::{LINKSTATE_HEADER_SIZE, UDP_IP_OVERHEAD};
 use apor_routing::multihop::{bounded_shortest_paths, multihop_routes};
 use apor_topology::{PlanetLabParams, Topology};
-use serde::Serialize;
 
 /// Parameters for the multi-hop experiment.
 #[derive(Debug, Clone)]
@@ -32,7 +31,7 @@ impl Default for MultiHopParams {
 }
 
 /// One row of the output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MultiHopRow {
     /// Overlay size.
     pub n: usize,

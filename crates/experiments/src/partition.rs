@@ -44,7 +44,6 @@ use apor_quorum::NodeId;
 use apor_telemetry::trace::{Span, SpanKind};
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, FailureSchedule, LatencyMatrix};
-use serde::Serialize;
 
 /// Flight-recorder capacity per node in the traced arms: deep enough
 /// to hold a whole partition incident at n=32 (suspicions, wavefront,
@@ -96,7 +95,7 @@ impl Default for PartitionParams {
 }
 
 /// One arm's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionOutcome {
     /// Was the push-pull anti-entropy sync enabled?
     pub anti_entropy: bool,
@@ -134,26 +133,22 @@ pub struct PartitionOutcome {
     /// The merged fleet telemetry at the end of the arm: every node's
     /// registry plus the netsim per-node packet accounting. Not part of
     /// the CSV — exported as `partition_telemetry.json`.
-    #[serde(skip)]
     pub telemetry: Snapshot,
     /// Every span the fleet's flight recorders held at the end of the
     /// arm (the raw causal record; feeds the dump-on-failure hook).
-    #[serde(skip)]
     pub spans: Vec<Span>,
     /// The richest causal episode of the incident, assembled for the
     /// Chrome-trace export (`partition_trace.json`): live spans plus
     /// the synthesized root / failure / routes-restored markers.
-    #[serde(skip)]
     pub episode: Vec<Span>,
     /// The heal→routes-restored interval decomposed into consecutive
     /// phases (`partition_phases.csv`); empty when routes were never
     /// restored. Durations sum to `routes_restored_s` by construction.
-    #[serde(skip)]
     pub phases: Vec<Phase>,
 }
 
 /// The full study output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionResult {
     /// One outcome per arm, anti-entropy on first.
     pub outcomes: Vec<PartitionOutcome>,

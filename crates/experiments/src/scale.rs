@@ -35,7 +35,6 @@ use apor_topology::{FailureParams, FailureSchedule, NodeOutage, PlanetLabParams,
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Parameters of the scale study.
 #[derive(Debug, Clone)]
@@ -147,7 +146,7 @@ impl NetsimScaleParams {
 }
 
 /// One fabric measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Overlay size.
     pub n: usize,
@@ -327,7 +326,7 @@ pub fn run(params: &ScaleParams) -> Vec<ScalePoint> {
 }
 
 /// One size of the netsim arm.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NetsimScalePoint {
     /// Overlay size.
     pub n: usize,
@@ -361,7 +360,6 @@ pub struct NetsimScalePoint {
     /// Fleet telemetry aggregated over all nodes (probe RTTs, round-two
     /// latency, sync frame sizes, event-queue depth, …). Exported as
     /// `scale_telemetry.json`, not part of the CSV.
-    #[serde(skip)]
     pub telemetry: Snapshot,
 }
 

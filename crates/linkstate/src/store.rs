@@ -1217,22 +1217,6 @@ impl RowStore {
         }
     }
 
-    /// Attach a telemetry handle: row merges/evictions count under
-    /// component `"linkstate"`. Call before the store receives traffic —
-    /// the attached registry starts with fresh (zeroed) cells.
-    #[must_use]
-    pub fn with_telemetry(self, telemetry: Telemetry) -> Self {
-        RowStore {
-            rows: self.rows,
-            entitlement: self.entitlement,
-            stale_after: self.stale_after,
-            peak_rows: self.peak_rows,
-            live_entries: self.live_entries,
-            held_bytes: self.held_bytes,
-            ..Self::on(self.n, telemetry)
-        }
-    }
-
     /// Refresh the held-rows gauge and the stored lane bytes — the
     /// memory figure the scale study exports.
     fn update_size_gauges(&self) {

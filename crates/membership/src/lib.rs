@@ -23,10 +23,10 @@
 //!   confirmed-dead ones, which is what lets a healed partition
 //!   re-merge**: each side of a split holds the other dead, and a
 //!   live-only choice would never cross the boundary. The initiator
-//!   pushes its full ledger ([`SwimMsg::SyncReq`], chunked into
+//!   pushes its full ledger ([`SwimKind::SyncReq`], chunked into
 //!   MTU-sized frames); the partner merges and, once all chunks of the
 //!   round arrived, pulls back one delta of everything it knows better
-//!   ([`SwimMsg::SyncRsp`]). Because the ledger is a
+//!   ([`SwimKind::SyncRsp`]). Because the ledger is a
 //!   join-semilattice, push-pull over random pairs converges any
 //!   divergence in `O(log n)` rounds, and a node that discovers it was
 //!   declared dead refutes with a bumped incarnation exactly as under
@@ -45,23 +45,18 @@
 //!   dead-beats-alive). Both the **member list** and the **view
 //!   version** are pure functions of the converged ledger, so any two
 //!   nodes whose ledgers agree install byte-identical
-//!   `(version, sorted members)` views *without any coordination* —
-//!   exactly the invariant the overlay's quorum grid needs (identical
+//!   [`MembershipView`]s (version, sorted members) *without any
+//!   coordination* — exactly the invariant the overlay's quorum grid needs (identical
 //!   views ⇒ identical grids). Versions are monotone: every lattice
 //!   step strictly increases the version.
 //!
-//! The protocol's timings are constants, as the SWIM paper fixes its
-//! period and suspicion multiplier: [`PERIOD_S`] (2 s),
-//! [`PING_TIMEOUT_S`] (0.5 s), [`SUSPICION_PERIODS`] (3),
-//! [`SUSPICION_LOG_SCALE`] (1), [`PUBLISH_PERIOD_S`] (2 s) and
-//! [`TOMBSTONE_GC_SYNCS`] (50 sync periods), beside
-//! [`swim::PING_REQ_FANOUT`] and [`swim::MAX_PIGGYBACK`]. A node's
+//! The protocol's timings are constants ([`swim`] lists them); a node's
 //! [`SwimConfig`] holds only what differs between callers: its seed and
 //! the anti-entropy arm.
 //!
 //! The state machine is sans-io and deterministic: `on_tick` /
-//! `on_message` in, messages out, all randomness from a seeded ChaCha
-//! stream. The netsim driver and any real transport run the identical
+//! `on_message` in, [`SwimMsg`] frames out, all randomness from a seeded
+//! ChaCha stream. The netsim driver and any real transport run the identical
 //! code, like every other protocol core in this workspace.
 //!
 //! Measured in `experiments::partition`: a 5-node minority cut off a
@@ -81,5 +76,5 @@ pub use swim::{
     SwimConfig, PERIOD_S, PING_TIMEOUT_S, PUBLISH_PERIOD_S, SUSPICION_LOG_SCALE, SUSPICION_PERIODS,
     TOMBSTONE_GC_SYNCS,
 };
-pub use view::{MemberState, ViewLedger};
-pub use wire::{SwimMsg, SwimStatus, SwimUpdate};
+pub use view::{MemberState, MembershipView, ViewLedger};
+pub use wire::{SwimKind, SwimMsg, SwimStatus, SwimUpdate};

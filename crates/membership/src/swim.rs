@@ -4,10 +4,10 @@
 //!
 //! Time is divided into *protocol periods* of [`PERIOD_S`]
 //! seconds. Each period the node picks one live peer from a shuffled
-//! rotation and sends it a [`SwimMsg::Ping`]. If no ack arrives within
+//! rotation and sends it a [`SwimKind::Ping`]. If no ack arrives within
 //! [`PING_TIMEOUT_S`], the node asks
 //! [`PING_REQ_FANOUT`] other peers to probe the target
-//! indirectly ([`SwimMsg::PingReq`] → [`SwimMsg::ProxyAck`]), which
+//! indirectly ([`SwimKind::PingReq`] → [`SwimKind::ProxyAck`]), which
 //! distinguishes a dead target from a lossy direct path. A target that
 //! stays silent through the whole period becomes **suspected**; the
 //! suspicion gossips through the cluster, and the target can refute it
@@ -52,16 +52,16 @@
 //!
 //! Strictly sans-io, like every protocol core in this workspace: the
 //! driver calls [`Swim::on_tick`] on a coarse timer and
-//! [`Swim::on_message`] per datagram; both append `(destination,
-//! message)` pairs to an output vector. View installation goes through
-//! [`Swim::poll_view`], which batches ledger changes on the
-//! [`PUBLISH_PERIOD_S`] cadence and returns monotonically
-//! versioned `(version, sorted members)` snapshots (see
-//! [`crate::view`] for why concurrent publishers agree).
+//! [`Swim::on_message`] per datagram; both append frames to an output
+//! vector, each addressed by its own `to`. View installation goes
+//! through [`Swim::poll_view`], which batches ledger changes on the
+//! [`PUBLISH_PERIOD_S`] cadence and returns monotonically versioned
+//! [`MembershipView`] snapshots (see [`crate::view`] for why concurrent
+//! publishers agree).
 
-use crate::view::{MemberState, ViewLedger};
+use crate::view::{MemberState, MembershipView, ViewLedger};
 use crate::wire::{
-    SwimMsg, SwimStatus, SwimUpdate, SWIM_MAX_FRAME_ENTRIES, SWIM_MTU_FRAME_ENTRIES,
+    SwimKind, SwimMsg, SwimStatus, SwimUpdate, SWIM_MAX_FRAME_ENTRIES, SWIM_MTU_FRAME_ENTRIES,
 };
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{episode_id, episode_root_span};
@@ -85,18 +85,18 @@ use std::collections::{BTreeMap, VecDeque};
 /// cross the healed boundary.
 ///
 /// A round has one shape. It opens with a 15-byte version digest
-/// ([`SwimMsg::SyncDigest`]), not the `O(n)` ledger: a partner whose
+/// ([`SwimKind::SyncDigest`]), not the `O(n)` ledger: a partner whose
 /// ledger fingerprint matches answers with an empty delta and the
 /// transfer is skipped — in steady state almost every pair agrees, so
 /// the per-period sync cost is `O(1)` bytes. A partner that disagrees
 /// echoes its own digest with the first chunk of its ledger riding on
-/// the echo ([`SwimMsg::SyncDigestPush`]), so that direction of the
+/// the echo ([`SwimKind::SyncDigestPush`]), so that direction of the
 /// transfer lands a round-trip before the pull would (counted by
 /// `membership/sync_piggyback_rtt_saved`); the initiator then pushes
-/// its full ledger ([`SwimMsg::SyncReq`], chunked at
+/// its full ledger ([`SwimKind::SyncReq`], chunked at
 /// [`SWIM_MTU_FRAME_ENTRIES`] records per frame) and the partner
 /// merges and pulls back the delta it knows better
-/// ([`SwimMsg::SyncRsp`]).
+/// ([`SwimKind::SyncRsp`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AntiEntropyConfig {
     /// Run the periodic push-pull sync at all.
@@ -459,12 +459,6 @@ impl Swim {
         self
     }
 
-    /// The attached causal tracer (disabled by default).
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// `(episode, confirm-span id)` of the most recent locally
     /// confirmed suspicion, if any — the causal parent for the view
     /// install it triggers.
@@ -552,11 +546,13 @@ impl Swim {
         suspicion_timeout_s_for(n) * f64::from(1 + self.local_health)
     }
 
-    /// The current `(version, sorted members)` snapshot, regardless of
-    /// the publish cadence.
+    /// The current view, regardless of the publish cadence.
     #[must_use]
-    pub fn current_view(&self) -> (u32, Vec<NodeId>) {
-        (self.ledger.version(), self.ledger.members())
+    pub fn current_view(&self) -> MembershipView {
+        MembershipView {
+            version: self.ledger.version(),
+            members: self.ledger.members(),
+        }
     }
 
     /// Is `id` tombstone-expired at `now` — confirmed dead long enough
@@ -591,7 +587,7 @@ impl Swim {
     /// Advance timers. The driver calls this on a coarse tick (a few
     /// times per [`PING_TIMEOUT_S`]); all deadlines are
     /// computed from `now`, so tick jitter only delays, never corrupts.
-    pub fn on_tick(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
+    pub fn on_tick(&mut self, now: f64, out: &mut Vec<SwimMsg>) {
         self.relays.retain(|r| r.deadline > now);
         self.drop_overdue_syncs(now);
         self.fire_indirect_probes(now, out);
@@ -647,41 +643,34 @@ impl Swim {
     }
 
     /// Handle one decoded SWIM datagram.
-    pub fn on_message(&mut self, now: f64, msg: &SwimMsg, out: &mut Vec<(NodeId, SwimMsg)>) {
-        self.apply_updates(now, msg.updates());
-        match msg {
-            SwimMsg::Ping { from, seq, .. } => {
+    pub fn on_message(&mut self, now: f64, msg: &SwimMsg, out: &mut Vec<SwimMsg>) {
+        self.apply_updates(now, &msg.updates);
+        let (from, seq) = (msg.from, msg.seq);
+        match msg.kind {
+            SwimKind::Ping => {
                 // A ping proves the sender exists; incarnation 0 is the
                 // weakest claim, so stale knowledge is never overwritten.
-                self.ledger_apply(now, *from, 0, false);
+                self.ledger_apply(now, from, 0, false);
                 let mut updates = self.take_piggyback();
                 // A pinger our ledger marks dead doesn't know it was
                 // confirmed faulty (the original gossip has long left
                 // the queue): echo the verdict so it can refute with a
                 // higher incarnation and rejoin instead of staying
                 // split-brained forever.
-                if let Some(state) = self.ledger.state(*from) {
-                    if state.dead && !updates.iter().any(|u| u.id == *from) {
+                if let Some(state) = self.ledger.state(from) {
+                    if state.dead && !updates.iter().any(|u| u.id == from) {
                         updates.push(SwimUpdate {
-                            id: *from,
+                            id: from,
                             incarnation: state.incarnation,
                             status: SwimStatus::Faulty,
                         });
                     }
                 }
-                out.push((
-                    *from,
-                    SwimMsg::Ack {
-                        from: self.me,
-                        to: *from,
-                        seq: *seq,
-                        updates,
-                    },
-                ));
+                out.push(self.frame(from, seq, SwimKind::Ack, updates));
             }
-            SwimMsg::Ack { from, seq, .. } => {
+            SwimKind::Ack => {
                 if let Some(o) = &mut self.outstanding {
-                    if o.seq == *seq && o.target == *from && !o.acked {
+                    if o.seq == seq && o.target == from && !o.acked {
                         o.acked = true;
                         self.metrics.probe_acked.inc();
                     }
@@ -690,61 +679,38 @@ impl Swim {
                 if let Some(pos) = self
                     .relays
                     .iter()
-                    .position(|r| r.seq == *seq && r.target == *from)
+                    .position(|r| r.seq == seq && r.target == from)
                 {
                     let relay = self.relays.swap_remove(pos);
                     let updates = self.take_piggyback();
-                    out.push((
-                        relay.origin,
-                        SwimMsg::ProxyAck {
-                            from: self.me,
-                            to: relay.origin,
-                            target: relay.target,
-                            seq: relay.origin_seq,
-                            updates,
-                        },
-                    ));
+                    let kind = SwimKind::ProxyAck {
+                        target: relay.target,
+                    };
+                    out.push(self.frame(relay.origin, relay.origin_seq, kind, updates));
                 }
             }
-            SwimMsg::PingReq {
-                from, target, seq, ..
-            } => {
-                self.ledger_apply(now, *from, 0, false);
+            SwimKind::PingReq { target } => {
+                self.ledger_apply(now, from, 0, false);
                 self.seq = self.seq.wrapping_add(1);
                 self.relays.push(Relay {
-                    origin: *from,
-                    origin_seq: *seq,
-                    target: *target,
+                    origin: from,
+                    origin_seq: seq,
+                    target,
                     seq: self.seq,
                     deadline: now + 2.0 * PING_TIMEOUT_S + PERIOD_S,
                 });
                 let updates = self.take_piggyback();
-                out.push((
-                    *target,
-                    SwimMsg::Ping {
-                        from: self.me,
-                        to: *target,
-                        seq: self.seq,
-                        updates,
-                    },
-                ));
+                out.push(self.frame(target, self.seq, SwimKind::Ping, updates));
             }
-            SwimMsg::ProxyAck { target, seq, .. } => {
+            SwimKind::ProxyAck { target } => {
                 if let Some(o) = &mut self.outstanding {
-                    if o.seq == *seq && o.target == *target && !o.acked {
+                    if o.seq == seq && o.target == target && !o.acked {
                         o.acked = true;
                         self.metrics.probe_acked.inc();
                     }
                 }
             }
-            SwimMsg::SyncReq {
-                from,
-                seq,
-                chunk,
-                chunks,
-                updates,
-                ..
-            } => {
+            SwimKind::SyncReq { chunk, chunks } => {
                 // The push half was already merged chunk-by-chunk by
                 // `apply_updates` above; the pull half — everything we
                 // know better than the push claimed — answers once per
@@ -753,16 +719,16 @@ impl Swim {
                 // memory also keeps a duplicated (or replayed) request
                 // from re-eliciting the delta — the merge above is an
                 // idempotent no-op, the response would be an amplifier.
-                if self.answered_syncs.get(from) == Some(seq) {
+                if self.answered_syncs.get(&from) == Some(&seq) {
                     return;
                 }
-                let claims = if *chunks == 1 {
-                    Some(updates.clone())
+                let claims = if chunks == 1 {
+                    Some(msg.updates.clone())
                 } else {
-                    self.absorb_sync_chunk(now, *from, *seq, *chunk, *chunks, updates)
+                    self.absorb_sync_chunk(now, from, seq, chunk, chunks, &msg.updates)
                 };
                 if let Some(claims) = claims {
-                    self.answered_syncs.insert(*from, *seq);
+                    self.answered_syncs.insert(from, seq);
                     // An explicitly empty response is still sent so the
                     // initiator learns the pair is converged (and the
                     // partner reachable).
@@ -775,104 +741,81 @@ impl Swim {
                         frames.push(Vec::new());
                     }
                     for frame in frames {
-                        out.push((
-                            *from,
-                            SwimMsg::SyncRsp {
-                                from: self.me,
-                                to: *from,
-                                seq: *seq,
-                                updates: frame,
-                            },
-                        ));
+                        out.push(self.frame(from, seq, SwimKind::SyncRsp, frame));
                     }
                 }
             }
             // The pull half: the generic merge above does the work;
             // an (empty or not) response also closes any digest round
             // in flight with this partner.
-            SwimMsg::SyncRsp { from, seq, .. } => {
-                if self.outstanding_digest == Some((*from, *seq)) {
+            SwimKind::SyncRsp => {
+                if self.outstanding_digest == Some((from, seq)) {
                     self.outstanding_digest = None;
                 }
             }
-            SwimMsg::SyncDigest {
-                from,
-                seq,
-                fingerprint,
-                known,
-                ..
-            } => {
-                if self.outstanding_digest == Some((*from, *seq)) {
+            SwimKind::SyncDigest { fingerprint, known } => {
+                if self.outstanding_digest == Some((from, seq)) {
                     // The partner echoed our round's digest back: the
                     // fingerprints disagree, so the short-circuit
                     // failed — proceed with the full push-pull.
                     self.outstanding_digest = None;
                     self.metrics.full_pushes.inc();
-                    self.push_full_ledger(*from, out);
-                } else if self.answered_digests.get(from) == Some(seq) {
+                    self.push_full_ledger(from, out);
+                } else if self.answered_digests.get(&from) == Some(&seq) {
                     // Duplicated or stale frame from an already-answered
                     // round: answering again would start a data-free
                     // digest ping-pong between diverged peers (and act
                     // as a replay amplifier).
                 } else {
-                    self.answered_digests.insert(*from, *seq);
+                    self.answered_digests.insert(from, seq);
                     let (my_fingerprint, my_known) = self.digest_fingerprint();
-                    if *fingerprint == my_fingerprint && *known == my_known {
+                    if fingerprint == my_fingerprint && known == my_known {
                         // Converged pair: skip the transfer. The empty
                         // response still tells the initiator the
                         // partner is reachable and the round is done.
                         self.metrics.digest_skips.inc();
-                        out.push((
-                            *from,
-                            SwimMsg::SyncRsp {
-                                from: self.me,
-                                to: *from,
-                                seq: *seq,
-                                updates: Vec::new(),
-                            },
-                        ));
+                        out.push(self.frame(from, seq, SwimKind::SyncRsp, Vec::new()));
                     } else {
                         // Mismatch: echo our digest so the initiator
                         // pushes its full ledger — and piggyback the
                         // first chunk of ours on the echo, sparing the
                         // initiator the round-trip it would otherwise
                         // spend waiting for our pull delta.
-                        let updates = self.first_ledger_chunk();
-                        out.push((
-                            *from,
-                            SwimMsg::SyncDigestPush {
-                                from: self.me,
-                                to: *from,
-                                seq: *seq,
-                                fingerprint: my_fingerprint,
-                                known: my_known,
-                                updates,
-                            },
-                        ));
+                        let kind = SwimKind::SyncDigestPush {
+                            fingerprint: my_fingerprint,
+                            known: my_known,
+                        };
+                        let updates = self.ledger_updates().take(SWIM_MTU_FRAME_ENTRIES).collect();
+                        out.push(self.frame(from, seq, kind, updates));
                     }
                 }
             }
-            SwimMsg::SyncDigestPush { from, seq, .. } => {
+            SwimKind::SyncDigestPush { .. } => {
                 // The piggybacked chunk was already merged by the
                 // generic `apply_updates` above; what remains is the
                 // mismatch echo closing our digest round. A frame that
                 // matches no round in flight (duplicate or replay) is
                 // dropped — the merge above was an idempotent no-op and
                 // answering would amplify.
-                if self.outstanding_digest == Some((*from, *seq)) {
+                if self.outstanding_digest == Some((from, seq)) {
                     self.outstanding_digest = None;
                     self.metrics.piggyback_saved.inc();
                     self.metrics.full_pushes.inc();
-                    self.push_full_ledger(*from, out);
+                    self.push_full_ledger(from, out);
                 }
             }
         }
     }
 
-    /// The first frame's worth of the full ledger — what a mismatch
-    /// echo piggybacks.
-    fn first_ledger_chunk(&self) -> Vec<SwimUpdate> {
-        self.ledger_updates().take(SWIM_MTU_FRAME_ENTRIES).collect()
+    /// A frame from this node to `to`.
+    fn frame(&self, to: NodeId, seq: u32, kind: SwimKind, updates: Vec<SwimUpdate>) -> SwimMsg {
+        SwimMsg {
+            from: self.me,
+            to,
+            seq,
+            kind,
+            updates,
+        }
     }
 
     /// Stash one chunk of a multi-chunk sync; `Some(all claims)` once
@@ -933,11 +876,11 @@ impl Swim {
         }
     }
 
-    /// Batched view publication: `Some((version, members))` when the
-    /// publish cadence has elapsed *and* the ledger moved past the last
+    /// Batched view publication: the current view when the publish
+    /// cadence has elapsed *and* the ledger moved past the last
     /// published version. All events confirmed since the previous
     /// publication collapse into one installed view.
-    pub fn poll_view(&mut self, now: f64) -> Option<(u32, Vec<NodeId>)> {
+    pub fn poll_view(&mut self, now: f64) -> Option<MembershipView> {
         if now < self.next_publish_at {
             return None;
         }
@@ -945,7 +888,7 @@ impl Swim {
         let version = self.ledger.version();
         if version > self.published_version {
             self.published_version = version;
-            Some((version, self.ledger.members()))
+            Some(self.current_view())
         } else {
             None
         }
@@ -954,7 +897,7 @@ impl Swim {
     /// Announce a voluntary departure: gossip `Left` directly to a few
     /// live peers (the node stops ticking afterwards, so the update
     /// must leave immediately rather than ride the queue).
-    pub fn leave(&mut self, out: &mut Vec<(NodeId, SwimMsg)>) {
+    pub fn leave(&mut self, out: &mut Vec<SwimMsg>) {
         let update = SwimUpdate {
             id: self.me,
             incarnation: self.incarnation,
@@ -968,15 +911,7 @@ impl Swim {
         });
         for &peer in &chosen[..picked] {
             self.seq = self.seq.wrapping_add(1);
-            out.push((
-                peer,
-                SwimMsg::Ping {
-                    from: self.me,
-                    to: peer,
-                    seq: self.seq,
-                    updates: vec![update],
-                },
-            ));
+            out.push(self.frame(peer, self.seq, SwimKind::Ping, vec![update]));
         }
     }
 
@@ -984,13 +919,7 @@ impl Swim {
     // Probe rounds
     // ------------------------------------------------------------------
 
-    /// The live members other than this node, ascending.
-    fn live_peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let me = self.me;
-        self.ledger.live_ids().filter(move |&m| m != me)
-    }
-
-    fn start_probe_round(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
+    fn start_probe_round(&mut self, now: f64, out: &mut Vec<SwimMsg>) {
         let Some(target) = self.next_target() else {
             return;
         };
@@ -1004,15 +933,7 @@ impl Swim {
         });
         self.metrics.probe_sent.inc();
         let updates = self.take_piggyback();
-        out.push((
-            target,
-            SwimMsg::Ping {
-                from: self.me,
-                to: target,
-                seq: self.seq,
-                updates,
-            },
-        ));
+        out.push(self.frame(target, self.seq, SwimKind::Ping, updates));
     }
 
     /// Judge the previous period's probe: a silent target becomes
@@ -1042,7 +963,7 @@ impl Swim {
         self.local_health = (self.local_health + 1).min(MAX_LOCAL_HEALTH);
     }
 
-    fn fire_indirect_probes(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
+    fn fire_indirect_probes(&mut self, now: f64, out: &mut Vec<SwimMsg>) {
         let Some(o) = &self.outstanding else { return };
         if o.acked || o.indirect_sent || now < o.direct_deadline {
             return;
@@ -1054,16 +975,7 @@ impl Swim {
         });
         for &helper in &helpers[..picked] {
             let updates = self.take_piggyback();
-            out.push((
-                helper,
-                SwimMsg::PingReq {
-                    from: self.me,
-                    to: helper,
-                    target,
-                    seq,
-                    updates,
-                },
-            ));
+            out.push(self.frame(helper, seq, SwimKind::PingReq { target }, updates));
         }
         if let Some(o) = &mut self.outstanding {
             o.indirect_sent = true;
@@ -1085,7 +997,7 @@ impl Swim {
             // The spent rotation's buffer holds the next one.
             let mut rotation = std::mem::take(&mut self.probe_order);
             rotation.clear();
-            rotation.extend(self.live_peers());
+            rotation.extend(self.ledger.live_ids().filter(|&m| m != self.me));
             rotation.shuffle(&mut self.rng);
             self.probe_order = rotation;
             self.probe_pos = 0;
@@ -1270,7 +1182,7 @@ impl Swim {
     /// The first round is staggered uniformly inside one sync period so
     /// a fleet bootstrapped at the same instant doesn't synchronize its
     /// sync traffic.
-    fn run_anti_entropy(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
+    fn run_anti_entropy(&mut self, now: f64, out: &mut Vec<SwimMsg>) {
         if !self.cfg.anti_entropy.enabled || self.departed {
             return;
         }
@@ -1325,7 +1237,7 @@ impl Swim {
     /// index below the count, take that one in ledger order — the draw
     /// `choose` would make over the collected pool, without the pool.
     /// An empty pool draws nothing.
-    fn start_sync(&mut self, now: f64, out: &mut Vec<(NodeId, SwimMsg)>) {
+    fn start_sync(&mut self, now: f64, out: &mut Vec<SwimMsg>) {
         let count = self.sync_partners(now).count();
         if count == 0 {
             return;
@@ -1350,20 +1262,12 @@ impl Swim {
         self.outstanding_digest = Some((target, self.seq));
         self.metrics.digest_rounds.inc();
         let (fingerprint, known) = self.digest_fingerprint();
-        out.push((
-            target,
-            SwimMsg::SyncDigest {
-                from: self.me,
-                to: target,
-                seq: self.seq,
-                fingerprint,
-                known,
-            },
-        ));
+        let kind = SwimKind::SyncDigest { fingerprint, known };
+        out.push(self.frame(target, self.seq, kind, Vec::new()));
     }
 
     /// The push half of a round: the full ledger, chunked, to `target`.
-    fn push_full_ledger(&mut self, target: NodeId, out: &mut Vec<(NodeId, SwimMsg)>) {
+    fn push_full_ledger(&mut self, target: NodeId, out: &mut Vec<SwimMsg>) {
         self.seq = self.seq.wrapping_add(1);
         let seq = self.seq;
         let mut records = self.ledger.known();
@@ -1379,16 +1283,15 @@ impl Swim {
         let total = records.div_ceil(per_frame) as u8;
         let mut entries = self.ledger_updates().take(records);
         for chunk in 0..total {
-            out.push((
+            let kind = SwimKind::SyncReq {
+                chunk,
+                chunks: total,
+            };
+            out.push(self.frame(
                 target,
-                SwimMsg::SyncReq {
-                    from: self.me,
-                    to: target,
-                    seq,
-                    chunk,
-                    chunks: total,
-                    updates: entries.by_ref().take(per_frame).collect(),
-                },
+                seq,
+                kind,
+                entries.by_ref().take(per_frame).collect(),
             ));
         }
     }
@@ -1573,7 +1476,7 @@ mod tests {
         let a = Swim::bootstrap(NodeId(0), cfg(1), &members);
         let b = Swim::bootstrap(NodeId(3), cfg(99), &members);
         assert_eq!(a.current_view(), b.current_view());
-        assert_eq!(a.current_view().1, members);
+        assert_eq!(a.current_view().members, members);
     }
 
     #[test]
@@ -1583,11 +1486,17 @@ mod tests {
         let mut out = Vec::new();
         s.on_tick(0.0, &mut out);
         assert_eq!(out.len(), 1, "one ping per period");
-        let SwimMsg::Ping { from, to, .. } = &out[0].1 else {
-            panic!("expected ping, got {:?}", out[0].1)
+        let SwimMsg {
+            from,
+            to,
+            kind: SwimKind::Ping,
+            ..
+        } = out[0]
+        else {
+            panic!("expected ping, got {:?}", out[0])
         };
-        assert_eq!(*from, NodeId(0));
-        assert_ne!(*to, NodeId(0));
+        assert_eq!(from, NodeId(0));
+        assert_ne!(to, NodeId(0));
         // Within the same period, no further pings.
         let mut out2 = Vec::new();
         s.on_tick(0.1, &mut out2);
@@ -1601,11 +1510,11 @@ mod tests {
         let mut b = Swim::bootstrap(NodeId(1), cfg(2), &members);
         let mut out = Vec::new();
         a.on_tick(0.0, &mut out);
-        let (_, ping) = out.pop().expect("ping");
+        let ping = out.pop().expect("ping");
         let mut reply = Vec::new();
         b.on_message(0.05, &ping, &mut reply);
-        let (back_to, ack) = reply.pop().expect("ack");
-        assert_eq!(back_to, NodeId(0));
+        let ack = reply.pop().expect("ack");
+        assert_eq!(ack.to, NodeId(0));
         a.on_message(0.1, &ack, &mut Vec::new());
         // Period rolls over: no suspicion of node 1.
         a.on_tick(2.0, &mut Vec::new());
@@ -1642,7 +1551,7 @@ mod tests {
 
         let mut out = Vec::new();
         a.on_tick(0.0, &mut out);
-        let (target, _lost_ping) = out.pop().expect("ping");
+        let target = out.pop().expect("ping").to;
         // Force the scenario where the probe target is node 1; with
         // seed 5 the first rotation may pick node 2 — then swap roles.
         let (target_node, helper_node) = if target == NodeId(1) {
@@ -1655,21 +1564,21 @@ mod tests {
         let mut out = Vec::new();
         a.on_tick(0.6, &mut out);
         assert_eq!(out.len(), 1, "one helper available");
-        let (helper_id, ping_req) = out.pop().expect("ping-req");
-        assert!(matches!(ping_req, SwimMsg::PingReq { .. }));
+        let ping_req = out.pop().expect("ping-req");
+        assert!(matches!(ping_req.kind, SwimKind::PingReq { .. }));
 
         let mut relayed = Vec::new();
         helper_node.on_message(0.7, &ping_req, &mut relayed);
-        let (relay_to, relay_ping) = relayed.pop().expect("relayed ping");
-        assert_eq!(relay_to, target);
+        let relay_ping = relayed.pop().expect("relayed ping");
+        assert_eq!(relay_ping.to, target);
         let mut acked = Vec::new();
         target_node.on_message(0.8, &relay_ping, &mut acked);
-        let (ack_to, ack) = acked.pop().expect("ack to helper");
-        assert_eq!(ack_to, helper_id);
+        let ack = acked.pop().expect("ack to helper");
+        assert_eq!(ack.to, ping_req.to);
         let mut proxied = Vec::new();
         helper_node.on_message(0.9, &ack, &mut proxied);
-        let (proxy_to, proxy_ack) = proxied.pop().expect("proxy-ack to origin");
-        assert_eq!(proxy_to, NodeId(0));
+        let proxy_ack = proxied.pop().expect("proxy-ack to origin");
+        assert_eq!(proxy_ack.to, NodeId(0));
         a.on_message(1.0, &proxy_ack, &mut Vec::new());
 
         // Judgment at the period boundary: no suspicion.
@@ -1682,10 +1591,11 @@ mod tests {
         let members = ids(&[0, 1, 2]);
         let mut a = Swim::bootstrap(NodeId(0), cfg(1), &members);
         // Gossip arrives: node 1 suspected at incarnation 0.
-        let suspect = SwimMsg::Ping {
+        let suspect = SwimMsg {
             from: NodeId(2),
             to: NodeId(0),
             seq: 1,
+            kind: SwimKind::Ping,
             updates: vec![SwimUpdate {
                 id: NodeId(1),
                 incarnation: 0,
@@ -1695,10 +1605,11 @@ mod tests {
         a.on_message(1.0, &suspect, &mut Vec::new());
         assert!(a.is_suspected(NodeId(1)));
         // Node 1 refutes with incarnation 1.
-        let refute = SwimMsg::Ping {
+        let refute = SwimMsg {
             from: NodeId(1),
             to: NodeId(0),
             seq: 2,
+            kind: SwimKind::Ping,
             updates: vec![SwimUpdate {
                 id: NodeId(1),
                 incarnation: 1,
@@ -1715,10 +1626,11 @@ mod tests {
     fn node_refutes_its_own_suspicion() {
         let members = ids(&[0, 1]);
         let mut a = Swim::bootstrap(NodeId(0), cfg(1), &members);
-        let gossip = SwimMsg::Ping {
+        let gossip = SwimMsg {
             from: NodeId(1),
             to: NodeId(0),
             seq: 3,
+            kind: SwimKind::Ping,
             updates: vec![SwimUpdate {
                 id: NodeId(0),
                 incarnation: 0,
@@ -1729,9 +1641,9 @@ mod tests {
         a.on_message(0.5, &gossip, &mut out);
         assert_eq!(a.incarnation(), 1, "incarnation bumped to refute");
         // The refutation rides the ack's piggyback.
-        let (_, ack) = out.pop().expect("ack");
+        let ack = out.pop().expect("ack");
         assert!(ack
-            .updates()
+            .updates
             .iter()
             .any(|u| { u.id == NodeId(0) && u.incarnation == 1 && u.status == SwimStatus::Alive }));
     }
@@ -1740,14 +1652,14 @@ mod tests {
     fn join_via_seed_discovers_both_ways() {
         let mut seed_node = Swim::bootstrap(NodeId(0), cfg(1), &ids(&[0, 1]));
         let mut joiner = Swim::new(NodeId(7), cfg(2), &[NodeId(0)]);
-        assert_eq!(joiner.current_view().1, ids(&[0, 7]));
+        assert_eq!(joiner.current_view().members, ids(&[0, 7]));
         // Joiner's first period pings the seed.
         let mut out = Vec::new();
         joiner.on_tick(0.0, &mut out);
-        let (to, ping) = out.pop().expect("join ping");
-        assert_eq!(to, NodeId(0));
+        let ping = out.pop().expect("join ping");
+        assert_eq!(ping.to, NodeId(0));
         assert!(
-            ping.updates()
+            ping.updates
                 .iter()
                 .any(|u| u.id == NodeId(7) && u.status == SwimStatus::Alive),
             "join must announce itself"
@@ -1759,9 +1671,9 @@ mod tests {
             "seed learned the joiner"
         );
         // And the seed's ack gossips the cluster to the joiner.
-        let (_, ack) = reply.pop().expect("ack");
+        let ack = reply.pop().expect("ack");
         joiner.on_message(0.2, &ack, &mut Vec::new());
-        assert!(joiner.ledger().is_live(NodeId(1)) || !ack.updates().is_empty());
+        assert!(joiner.ledger().is_live(NodeId(1)) || !ack.updates.is_empty());
     }
 
     #[test]
@@ -1769,7 +1681,7 @@ mod tests {
         let members = ids(&[0, 1, 2]);
         let mut s = Swim::bootstrap(NodeId(0), cfg(1), &members);
         let first = s.poll_view(0.0).expect("initial publish");
-        assert_eq!(first.1, members);
+        assert_eq!(first.members, members);
         assert!(s.poll_view(0.5).is_none(), "cadence not elapsed");
         // Two confirmed events between publishes…
         s.apply_updates(
@@ -1788,9 +1700,9 @@ mod tests {
             ],
         );
         // …collapse into a single new view.
-        let (v2, m2) = s.poll_view(3.0).expect("batched publish");
-        assert!(v2 > first.0);
-        assert_eq!(m2, ids(&[0, 2, 9]));
+        let second = s.poll_view(3.0).expect("batched publish");
+        assert!(second.version > first.version);
+        assert_eq!(second.members, ids(&[0, 2, 9]));
         assert!(s.poll_view(6.0).is_none(), "no further change");
     }
 
@@ -1830,23 +1742,21 @@ mod tests {
         zombie.on_tick(100.0, &mut pings);
         // If the zombie's rotation picked node 2 first, craft the
         // equivalent direct ping.
-        let (_, ping) = pings
+        let ping = pings
             .into_iter()
-            .find(|(to, _)| *to == NodeId(0))
-            .unwrap_or((
-                NodeId(0),
-                SwimMsg::Ping {
-                    from: NodeId(1),
-                    to: NodeId(0),
-                    seq: 9,
-                    updates: vec![],
-                },
-            ));
+            .find(|m| m.to == NodeId(0))
+            .unwrap_or(SwimMsg {
+                from: NodeId(1),
+                to: NodeId(0),
+                seq: 9,
+                kind: SwimKind::Ping,
+                updates: vec![],
+            });
         let mut acks = Vec::new();
         alive.on_message(100.1, &ping, &mut acks);
-        let (_, ack) = acks.pop().expect("ack");
+        let ack = acks.pop().expect("ack");
         assert!(
-            ack.updates()
+            ack.updates
                 .iter()
                 .any(|u| u.id == NodeId(1) && u.status == SwimStatus::Faulty),
             "ack must echo the faulty verdict to the zombie"
@@ -1855,10 +1765,11 @@ mod tests {
         zombie.on_message(100.2, &ack, &mut Vec::new());
         assert_eq!(zombie.incarnation(), 1);
         // …and its next ping's piggyback resurrects it in our ledger.
-        let refute = SwimMsg::Ping {
+        let refute = SwimMsg {
             from: NodeId(1),
             to: NodeId(0),
             seq: 10,
+            kind: SwimKind::Ping,
             updates: vec![SwimUpdate {
                 id: NodeId(1),
                 incarnation: 1,
@@ -1876,10 +1787,11 @@ mod tests {
         s.leave(&mut Vec::new());
         let inc_after_leave = s.incarnation();
         // The node's own Left gossip echoes back before shutdown.
-        let echo = SwimMsg::Ping {
+        let echo = SwimMsg {
             from: NodeId(0),
             to: NodeId(2),
             seq: 4,
+            kind: SwimKind::Ping,
             updates: vec![SwimUpdate {
                 id: NodeId(2),
                 incarnation: inc_after_leave,
@@ -1916,10 +1828,12 @@ mod tests {
                 status: SwimStatus::Faulty,
             }],
         );
-        let (va, ma) = a.current_view();
-        let (vb, mb) = b.current_view();
-        assert_ne!(ma, mb);
-        assert_ne!(va, vb, "diverged ledgers must not share a version");
+        let (va, vb) = (a.current_view(), b.current_view());
+        assert_ne!(va.members, vb.members);
+        assert_ne!(
+            va.version, vb.version,
+            "diverged ledgers must not share a version"
+        );
     }
 
     #[test]
@@ -1951,17 +1865,23 @@ mod tests {
         let mut a = Swim::bootstrap(NodeId(0), cfg(1), &members);
         assert_eq!(a.local_health(), 0);
         assert_eq!(a.effective_suspicion_timeout_s(), base_timeout);
-        let ack = |a: &mut Swim, out: &mut Vec<(NodeId, SwimMsg)>, t: f64| {
-            let (_, ping) = out.pop().expect("ping");
-            let SwimMsg::Ping { seq, .. } = ping else {
+        let ack = |a: &mut Swim, out: &mut Vec<SwimMsg>, t: f64| {
+            let ping = out.pop().expect("ping");
+            let SwimMsg {
+                seq,
+                kind: SwimKind::Ping,
+                ..
+            } = ping
+            else {
                 panic!("expected ping")
             };
             a.on_message(
                 t,
-                &SwimMsg::Ack {
+                &SwimMsg {
                     from: NodeId(1),
                     to: NodeId(0),
                     seq,
+                    kind: SwimKind::Ack,
                     updates: vec![],
                 },
                 &mut Vec::new(),
@@ -2006,10 +1926,11 @@ mod tests {
     fn refuting_own_suspicion_raises_local_health() {
         let members = ids(&[0, 1]);
         let mut a = Swim::bootstrap(NodeId(0), cfg(1), &members);
-        let gossip = SwimMsg::Ping {
+        let gossip = SwimMsg {
             from: NodeId(1),
             to: NodeId(0),
             seq: 3,
+            kind: SwimKind::Ping,
             updates: vec![SwimUpdate {
                 id: NodeId(0),
                 incarnation: 0,
@@ -2045,20 +1966,29 @@ mod tests {
         );
         assert_ne!(a.ledger(), b.ledger());
         // One full push-pull exchange a → b.
-        let req = SwimMsg::SyncReq {
+        let req = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 7,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: a.ledger_entries(),
         };
         let mut rsp = Vec::new();
         b.on_message(1.0, &req, &mut rsp);
         assert!(!rsp.is_empty(), "pull half must answer");
-        for (to, msg) in &rsp {
-            assert_eq!(*to, NodeId(0));
-            assert!(matches!(msg, SwimMsg::SyncRsp { seq: 7, .. }));
+        for msg in &rsp {
+            assert_eq!(msg.to, NodeId(0));
+            assert!(matches!(
+                msg,
+                SwimMsg {
+                    seq: 7,
+                    kind: SwimKind::SyncRsp,
+                    ..
+                }
+            ));
             a.on_message(1.1, msg, &mut Vec::new());
         }
         assert_eq!(a.ledger(), b.ledger(), "push-pull must converge the pair");
@@ -2070,18 +2000,20 @@ mod tests {
         let members = ids(&[0, 1, 2]);
         let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 2.0), &members);
         let a = Swim::bootstrap(NodeId(0), sync_cfg(1, 2.0), &members);
-        let req = SwimMsg::SyncReq {
+        let req = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 9,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: a.ledger_entries(),
         };
         let mut rsp = Vec::new();
         b.on_message(1.0, &req, &mut rsp);
         assert_eq!(rsp.len(), 1);
-        assert!(rsp[0].1.updates().is_empty(), "no delta when converged");
+        assert!(rsp[0].updates.is_empty(), "no delta when converged");
     }
 
     #[test]
@@ -2092,12 +2024,11 @@ mod tests {
         let entries = a.ledger_entries();
         assert!(entries.len() >= 2, "need at least two records to chunk");
         let (first, rest) = entries.split_at(1);
-        let frame = |chunk: u8, updates: &[SwimUpdate]| SwimMsg::SyncReq {
+        let frame = |chunk: u8, updates: &[SwimUpdate]| SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 5,
-            chunk,
-            chunks: 2,
+            kind: SwimKind::SyncReq { chunk, chunks: 2 },
             updates: updates.to_vec(),
         };
         // First chunk (delivered out of order): no response yet.
@@ -2108,7 +2039,7 @@ mod tests {
         // the converged pair costs O(n), not O(n) per chunk.
         b.on_message(1.1, &frame(0, first), &mut rsp);
         assert_eq!(rsp.len(), 1);
-        assert!(rsp[0].1.updates().is_empty());
+        assert!(rsp[0].updates.is_empty());
         // A replayed chunk from the answered round is suppressed.
         let mut replay = Vec::new();
         b.on_message(1.2, &frame(0, first), &mut replay);
@@ -2120,12 +2051,14 @@ mod tests {
         let members = ids(&[0, 1, 2]);
         let mut b = Swim::bootstrap(NodeId(1), sync_cfg(2, 2.0), &members);
         let a = Swim::bootstrap(NodeId(0), sync_cfg(1, 2.0), &members);
-        let req = SwimMsg::SyncReq {
+        let req = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 11,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: a.ledger_entries(),
         };
         let mut rsp = Vec::new();
@@ -2137,12 +2070,14 @@ mod tests {
         b.on_message(1.5, &req, &mut dup);
         assert!(dup.is_empty(), "duplicate seq must not be re-answered");
         // The next round (new seq) is served normally.
-        let next = SwimMsg::SyncReq {
+        let next = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 12,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: a.ledger_entries(),
         };
         let mut rsp2 = Vec::new();
@@ -2157,12 +2092,11 @@ mod tests {
         let a = Swim::bootstrap(NodeId(0), sync_cfg(1, 2.0), &members);
         let entries = a.ledger_entries();
         let (first, rest) = entries.split_at(1);
-        let frame = |seq: u32, chunk: u8, updates: &[SwimUpdate]| SwimMsg::SyncReq {
+        let frame = |seq: u32, chunk: u8, updates: &[SwimUpdate]| SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq,
-            chunk,
-            chunks: 2,
+            kind: SwimKind::SyncReq { chunk, chunks: 2 },
             updates: updates.to_vec(),
         };
         let mut rsp = Vec::new();
@@ -2201,8 +2135,11 @@ mod tests {
             t += 0.25;
         }
         assert!(
-            out.iter().any(|(to, m)| *to == NodeId(1)
-                && matches!(m, SwimMsg::SyncReq { .. } | SwimMsg::SyncDigest { .. })),
+            out.iter().any(|m| m.to == NodeId(1)
+                && matches!(
+                    m.kind,
+                    SwimKind::SyncReq { .. } | SwimKind::SyncDigest { .. }
+                )),
             "sync must reach across the dead boundary"
         );
     }
@@ -2214,11 +2151,11 @@ mod tests {
         let mut b = syncing(1, 2, &members);
         // Drive a until it opens a sync round: the opener must be a
         // digest, not a full push.
-        let mut out = Vec::new();
+        let mut out: Vec<SwimMsg> = Vec::new();
         let mut t = 0.0;
         while !out
             .iter()
-            .any(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }))
+            .any(|m| matches!(m.kind, SwimKind::SyncDigest { .. }))
         {
             assert!(t < 20.0, "digest round must open");
             a.on_tick(t, &mut out);
@@ -2226,12 +2163,12 @@ mod tests {
         }
         assert!(
             !out.iter()
-                .any(|(_, m)| matches!(m, SwimMsg::SyncReq { .. })),
+                .any(|m| matches!(m.kind, SwimKind::SyncReq { .. })),
             "converged steady state must not push full ledgers"
         );
-        let (_, digest) = out
+        let digest = out
             .iter()
-            .find(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }))
+            .find(|m| matches!(m.kind, SwimKind::SyncDigest { .. }))
             .cloned()
             .unwrap();
         // Every bootstrapped ledger is identical, so b can answer the
@@ -2240,13 +2177,18 @@ mod tests {
         b.on_message(t, &digest, &mut rsp);
         assert_eq!(sync_count(&b, "sync_digest_skips"), 1);
         assert_eq!(rsp.len(), 1);
-        let SwimMsg::SyncRsp { updates, .. } = &rsp[0].1 else {
+        let SwimMsg {
+            kind: SwimKind::SyncRsp,
+            updates,
+            ..
+        } = &rsp[0]
+        else {
             panic!("converged digest must be answered with an empty SyncRsp");
         };
         assert!(updates.is_empty());
         // The initiator closes the round; no full push follows.
         let mut follow = Vec::new();
-        a.on_message(t + 0.1, &rsp[0].1, &mut follow);
+        a.on_message(t + 0.1, &rsp[0], &mut follow);
         assert!(follow.is_empty());
         assert_eq!(sync_count(&a, "sync_full_pushes"), 0);
         assert!(sync_count(&a, "sync_digest_rounds") >= 1);
@@ -2268,11 +2210,11 @@ mod tests {
         );
         assert_ne!(a.ledger(), b.ledger());
         // a opens a digest round towards b (the only partner).
-        let mut out = Vec::new();
+        let mut out: Vec<SwimMsg> = Vec::new();
         let mut t = 0.0;
         while !out
             .iter()
-            .any(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }))
+            .any(|m| matches!(m.kind, SwimKind::SyncDigest { .. }))
         {
             assert!(t < 20.0);
             a.on_tick(t, &mut out);
@@ -2280,32 +2222,31 @@ mod tests {
         }
         let digest = out
             .iter()
-            .find(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }))
+            .find(|m| matches!(m.kind, SwimKind::SyncDigest { .. }))
             .cloned()
-            .unwrap()
-            .1;
+            .unwrap();
         // b mismatches: echoes its own digest with its first ledger
         // chunk piggybacked, no pull transfer yet.
         let mut echo = Vec::new();
         b.on_message(t, &digest, &mut echo);
         assert_eq!(echo.len(), 1);
-        assert!(matches!(echo[0].1, SwimMsg::SyncDigestPush { .. }));
+        assert!(matches!(echo[0].kind, SwimKind::SyncDigestPush { .. }));
         assert_eq!(sync_count(&b, "sync_digest_skips"), 0);
         // The echo triggers a's full push; the normal push-pull then
         // converges the pair.
         let mut push = Vec::new();
-        a.on_message(t + 0.1, &echo[0].1, &mut push);
+        a.on_message(t + 0.1, &echo[0], &mut push);
         assert!(!push.is_empty());
         assert!(push
             .iter()
-            .all(|(_, m)| matches!(m, SwimMsg::SyncReq { .. })));
+            .all(|m| matches!(m.kind, SwimKind::SyncReq { .. })));
         assert_eq!(sync_count(&a, "sync_full_pushes"), 1);
         assert_eq!(sync_count(&a, "sync_piggyback_rtt_saved"), 1);
         let mut delta = Vec::new();
-        for (_, m) in &push {
+        for m in &push {
             b.on_message(t + 0.2, m, &mut delta);
         }
-        for (_, m) in &delta {
+        for m in &delta {
             a.on_message(t + 0.3, m, &mut Vec::new());
         }
         assert_eq!(a.ledger(), b.ledger(), "push-pull must converge the pair");
@@ -2325,11 +2266,11 @@ mod tests {
                 status: SwimStatus::Alive,
             }],
         );
-        let mut out = Vec::new();
+        let mut out: Vec<SwimMsg> = Vec::new();
         let mut t = 0.0;
         while !out
             .iter()
-            .any(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }))
+            .any(|m| matches!(m.kind, SwimKind::SyncDigest { .. }))
         {
             assert!(t < 20.0);
             a.on_tick(t, &mut out);
@@ -2337,21 +2278,20 @@ mod tests {
         }
         let digest = out
             .iter()
-            .find(|(_, m)| matches!(m, SwimMsg::SyncDigest { .. }))
+            .find(|m| matches!(m.kind, SwimKind::SyncDigest { .. }))
             .cloned()
-            .unwrap()
-            .1;
+            .unwrap();
         let mut echo = Vec::new();
         b.on_message(t, &digest, &mut echo);
         assert_eq!(echo.len(), 1);
         // The echo alone — before b's SyncRsp pull would ever arrive —
         // already hands a the record it was missing.
-        a.on_message(t + 0.1, &echo[0].1, &mut Vec::new());
+        a.on_message(t + 0.1, &echo[0], &mut Vec::new());
         assert!(a.ledger().is_live(NodeId(9)), "piggyback must merge");
         assert_eq!(sync_count(&a, "sync_piggyback_rtt_saved"), 1);
         // A replayed echo is dropped: the round is closed.
         let mut replay = Vec::new();
-        a.on_message(t + 0.2, &echo[0].1, &mut replay);
+        a.on_message(t + 0.2, &echo[0], &mut replay);
         assert!(replay.is_empty());
         assert_eq!(sync_count(&a, "sync_piggyback_rtt_saved"), 1);
     }
@@ -2369,8 +2309,8 @@ mod tests {
             assert!(t < 20.0, "digest round must open");
             a.on_tick(t, &mut out);
             t += 0.25;
-            let opened = out.iter().find_map(|(_, m)| match m {
-                SwimMsg::SyncDigest { seq, .. } => Some(*seq),
+            let opened = out.iter().find_map(|m| match m.kind {
+                SwimKind::SyncDigest { .. } => Some(m.seq),
                 _ => None,
             });
             if let Some(seq) = opened {
@@ -2378,19 +2318,22 @@ mod tests {
             }
         };
         let (mine, known) = a.digest_fingerprint();
-        let echo = SwimMsg::SyncDigest {
+        let echo = SwimMsg {
             from: NodeId(1),
             to: NodeId(0),
             seq,
-            fingerprint: !mine,
-            known,
+            kind: SwimKind::SyncDigest {
+                fingerprint: !mine,
+                known,
+            },
+            updates: Vec::new(),
         };
         let mut push = Vec::new();
         a.on_message(t, &echo, &mut push);
         assert!(!push.is_empty());
         assert!(push
             .iter()
-            .all(|(to, m)| *to == NodeId(1) && matches!(m, SwimMsg::SyncReq { .. })));
+            .all(|m| m.to == NodeId(1) && matches!(m.kind, SwimKind::SyncReq { .. })));
         assert_eq!(sync_count(&a, "sync_full_pushes"), 1);
         assert_eq!(sync_count(&a, "sync_piggyback_rtt_saved"), 0);
     }
@@ -2437,8 +2380,11 @@ mod tests {
             t += 0.25;
         }
         assert!(
-            early.iter().any(|(to, m)| *to == NodeId(1)
-                && matches!(m, SwimMsg::SyncDigest { .. } | SwimMsg::SyncReq { .. })),
+            early.iter().any(|m| m.to == NodeId(1)
+                && matches!(
+                    m.kind,
+                    SwimKind::SyncDigest { .. } | SwimKind::SyncReq { .. }
+                )),
             "dead member must stay a partner inside the tombstone window"
         );
         // …after it, the pool is empty (node 1 was the only partner) and
@@ -2456,8 +2402,11 @@ mod tests {
             t += 0.25;
         }
         assert!(
-            !late.iter().any(|(to, m)| *to == NodeId(1)
-                && matches!(m, SwimMsg::SyncDigest { .. } | SwimMsg::SyncReq { .. })),
+            !late.iter().any(|m| m.to == NodeId(1)
+                && matches!(
+                    m.kind,
+                    SwimKind::SyncDigest { .. } | SwimKind::SyncReq { .. }
+                )),
             "expired tombstones must not be chosen as sync partners"
         );
     }
@@ -2503,25 +2452,27 @@ mod tests {
         );
         let mut zombie = Swim::bootstrap(NodeId(1), sync_cfg(2, 2.0), &members);
         // The zombie syncs with us: our delta carries its death verdict.
-        let req = SwimMsg::SyncReq {
+        let req = SwimMsg {
             from: NodeId(1),
             to: NodeId(0),
             seq: 4,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: zombie.ledger_entries(),
         };
         let mut rsp = Vec::new();
         alive.on_message(1.0, &req, &mut rsp);
         let verdict = rsp
             .iter()
-            .flat_map(|(_, m)| m.updates())
+            .flat_map(|m| &m.updates)
             .find(|u| u.id == NodeId(1));
         assert!(
             verdict.is_some_and(|u| u.status == SwimStatus::Faulty),
             "delta must carry the death verdict"
         );
-        for (_, m) in &rsp {
+        for m in &rsp {
             zombie.on_message(1.1, m, &mut Vec::new());
         }
         assert_eq!(zombie.incarnation(), 1, "zombie must refute");
@@ -2539,7 +2490,7 @@ mod tests {
         }
         assert!(
             !out.iter()
-                .any(|(_, m)| matches!(m, SwimMsg::SyncReq { .. })),
+                .any(|m| matches!(m.kind, SwimKind::SyncReq { .. })),
             "departed nodes must not initiate syncs"
         );
     }
@@ -2551,9 +2502,9 @@ mod tests {
         let mut out = Vec::new();
         s.leave(&mut out);
         assert!(!out.is_empty());
-        for (_, msg) in &out {
+        for msg in &out {
             assert!(msg
-                .updates()
+                .updates
                 .iter()
                 .any(|u| u.id == NodeId(2) && u.status == SwimStatus::Left));
         }
@@ -2569,12 +2520,11 @@ mod tests {
         let a = Swim::bootstrap(NodeId(0), sync_cfg(1, 2.0), &members);
         let entries = a.ledger_entries();
         let (first, rest) = entries.split_at(1);
-        let chunk = |from: u16, chunk: u8, updates: &[SwimUpdate]| SwimMsg::SyncReq {
+        let chunk = |from: u16, chunk: u8, updates: &[SwimUpdate]| SwimMsg {
             from: NodeId(from),
             to: NodeId(1),
             seq: 5,
-            chunk,
-            chunks: 2,
+            kind: SwimKind::SyncReq { chunk, chunks: 2 },
             updates: updates.to_vec(),
         };
         // 300 distinct senders (the `from` of a frame is whatever the
@@ -2594,7 +2544,7 @@ mod tests {
         b.on_message(11.1, &chunk(0, 1, rest), &mut rsp);
         let answers = rsp
             .iter()
-            .filter(|(to, m)| *to == NodeId(0) && matches!(m, SwimMsg::SyncRsp { .. }))
+            .filter(|m| m.to == NodeId(0) && matches!(m.kind, SwimKind::SyncRsp))
             .count();
         assert_eq!((rsp.len(), answers), (1, 1));
         assert!(telemetry
@@ -2634,20 +2584,22 @@ mod tests {
 
     /// The delta `responder` returns for a single-frame push of `claims`.
     fn pushed_delta(responder: &mut Swim, seq: u32, claims: &[SwimUpdate]) -> Vec<SwimUpdate> {
-        let req = SwimMsg::SyncReq {
+        let req = SwimMsg {
             from: NodeId(0),
             to: responder.me(),
             seq,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: claims.to_vec(),
         };
         let mut rsp = Vec::new();
         responder.on_message(1.0, &req, &mut rsp);
         assert!(rsp
             .iter()
-            .all(|(to, m)| *to == NodeId(0) && matches!(m, SwimMsg::SyncRsp { .. })));
-        rsp.iter().flat_map(|(_, m)| m.updates().to_vec()).collect()
+            .all(|m| m.to == NodeId(0) && matches!(m.kind, SwimKind::SyncRsp)));
+        rsp.iter().flat_map(|m| m.updates.to_vec()).collect()
     }
 
     #[test]
@@ -2775,7 +2727,7 @@ mod tests {
             let want = candidates.choose(&mut model_rng).copied();
             let mut out = Vec::new();
             s.start_sync(now, &mut out);
-            let got: Vec<NodeId> = out.iter().map(|(to, _)| *to).collect();
+            let got: Vec<NodeId> = out.iter().map(|m| m.to).collect();
             prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
             prop_assert_eq!(s.rng.gen::<u64>(), model_rng.gen::<u64>(), "same draws");
         }

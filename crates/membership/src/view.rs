@@ -67,15 +67,6 @@ pub struct MemberState {
 }
 
 impl MemberState {
-    /// A fresh, live member at incarnation 0.
-    #[must_use]
-    pub fn joined() -> Self {
-        MemberState {
-            incarnation: 0,
-            dead: false,
-        }
-    }
-
     /// Does `(incarnation, dead)` supersede `self` in the lattice?
     #[must_use]
     pub fn superseded_by(self, incarnation: u32, dead: bool) -> bool {
@@ -278,6 +269,66 @@ impl ViewLedger {
     /// Iterate over all records, ascending by id.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, MemberState)> + '_ {
         self.records.iter().copied()
+    }
+}
+
+/// An installed membership view: version + sorted members. The SWIM
+/// plane publishes one from its ledger, the overlay's centralized
+/// coordinator builds one from its member set, and the overlay installs
+/// either as it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MembershipView {
+    /// Monotonic version.
+    pub version: u32,
+    /// Members sorted ascending by id; grid index = position here.
+    pub members: Vec<NodeId>,
+}
+
+impl MembershipView {
+    /// Build a view (sorts and deduplicates the member list).
+    #[must_use]
+    pub fn new(version: u32, mut members: Vec<NodeId>) -> Self {
+        members.sort_unstable();
+        members.dedup();
+        MembershipView { version, members }
+    }
+
+    /// Number of members.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// True when the view has no members.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// The grid index of `id` in this view.
+    ///
+    /// While no member below `id` has ever departed, `id` sits at
+    /// position `id` — every id of a `0..n` view, and the prefix under
+    /// the first gap afterwards — so that slot is tried before the
+    /// binary search.
+    #[must_use]
+    pub fn index_of(&self, id: NodeId) -> Option<usize> {
+        if self.members.get(id.index()) == Some(&id) {
+            return Some(id.index());
+        }
+        self.members.binary_search(&id).ok()
+    }
+
+    /// The member at grid index `idx`.
+    #[must_use]
+    pub fn id_of(&self, idx: usize) -> Option<NodeId> {
+        self.members.get(idx).copied()
+    }
+
+    /// Does the view contain `id`?
+    #[must_use]
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.index_of(id).is_some()
     }
 }
 

@@ -3,34 +3,38 @@
 //! Same style as `apor_linkstate::wire`: hand-rolled big-endian over
 //! `bytes`, sized for the bandwidth accounting. The tag space starts at
 //! [`SWIM_TAG_BASE`] = 16, disjoint from the overlay's routing tags
-//! (1–7), so a driver can dispatch on the first byte of a datagram
+//! (1–9), so a driver can dispatch on the first byte of a datagram
 //! without trial decoding.
 //!
-//! Sizes: ping/ack are `10 + 7·u` bytes for `u` piggybacked updates;
-//! ping-req/proxy-ack add 2 bytes of target. With one ping round per
-//! [`PERIOD_S`](crate::swim::PERIOD_S) = 2 s and ≤ 10 piggybacked
-//! updates, a worst-case ping+ack exchange is
-//! 2 · (80 + 28) bytes per 2 s ≈ 900 bps per node, independent of
-//! `n` — the property that removes the coordinator's `Θ(n)` broadcast
-//! hot spot.
+//! Every frame is one [`SwimMsg`] laid out in three parts:
+//!
+//! | part | bytes | contents |
+//! |---|---|---|
+//! | header | 9 | tag, `from`, `to`, `seq` |
+//! | kind fields | 0 | `Ping`, `Ack`, `SyncRsp` |
+//! | | 2 | `target` (`PingReq`, `ProxyAck`); `chunk`, `chunks` (`SyncReq`) |
+//! | | 6 | `fingerprint`, `known` (`SyncDigest`, `SyncDigestPush`) |
+//! | update list | 1 + 7·u | a count byte, then `u` updates of id, incarnation and status; a `SyncDigest` has none, not even the count |
+//!
+//! So a ping or ack is `10 + 7·u` bytes for `u` piggybacked updates.
+//! With one ping round per [`PERIOD_S`](crate::swim::PERIOD_S) = 2 s and
+//! ≤ 10 piggybacked updates, a worst-case ping+ack exchange is
+//! 2 · (80 + 28) bytes per 2 s ≈ 900 bps per node, independent of `n` —
+//! the property that removes the coordinator's `Θ(n)` broadcast hot spot.
 //!
 //! The anti-entropy frames carry full-ledger records instead of a
-//! bounded piggyback: a `SyncReq` is `12 + 7·k` bytes for `k` members
-//! (two extra header bytes index the chunk), a `SyncRsp` `10 + 7·k`.
-//! Ledgers are chunked at [`SWIM_MTU_FRAME_ENTRIES`] records per frame
-//! to stay under a 1500-byte MTU — hard wire cap
-//! [`SWIM_MAX_FRAME_ENTRIES`] (the count field is one byte) — and the
-//! responder answers a sync
-//! `seq` once, with one delta over the reassembled claim set, so one
-//! push-pull round per `AntiEntropyConfig::sync_period_s` costs `O(n)`
-//! bytes — amortized well below the probing budget at the paper's
-//! scales, and the price of healing partitions that piggybacked gossip
-//! alone cannot.
+//! bounded piggyback (a `SyncReq` is `12 + 7·k` bytes for `k` members),
+//! chunked at [`SWIM_MTU_FRAME_ENTRIES`] records per frame to stay under
+//! a 1500-byte MTU — hard wire cap [`SWIM_MAX_FRAME_ENTRIES`] — and the
+//! responder answers a sync `seq` once, with one delta over the
+//! reassembled claim set, so one push-pull round per
+//! `AntiEntropyConfig::sync_period_s` costs `O(n)` bytes — amortized
+//! well below the probing budget at the paper's scales, and the price of
+//! healing partitions that piggybacked gossip alone cannot.
 
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{TraceCtx, TRACE_CTX_SIZE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// First message-type tag used by the SWIM plane.
@@ -58,8 +62,8 @@ const T_SYNC_DIGEST_PUSH: u8 = SWIM_TAG_BASE + 7;
 
 /// Bytes of the fixed ping/ack header (tag, from, to, seq, count).
 pub const SWIM_HEADER_SIZE: usize = 10;
-/// Bytes of a digest frame (tag, from, to, seq, version, known) — the
-/// whole message; a digest carries no updates.
+/// Bytes of a digest frame (tag, from, to, seq, fingerprint, known) —
+/// the whole message; a digest carries no updates.
 pub const SWIM_DIGEST_SIZE: usize = 15;
 /// Bytes each piggybacked update adds.
 pub const SWIM_UPDATE_SIZE: usize = 7;
@@ -81,6 +85,17 @@ pub const SWIM_MTU_FRAME_ENTRIES: usize = 208;
 #[must_use]
 pub fn is_swim_tag(tag: u8) -> bool {
     (T_PING..=T_SYNC_DIGEST_PUSH).contains(&(tag & !SWIM_TRACE_FLAG))
+}
+
+/// The layout a plain tag implies after the header: the bytes of its
+/// kind fields, and whether a counted update list follows.
+fn layout(tag: u8) -> (usize, bool) {
+    match tag {
+        T_PING | T_ACK | T_SYNC_RSP => (0, true),
+        T_PING_REQ | T_PROXY_ACK | T_SYNC_REQ => (2, true),
+        T_SYNC_DIGEST => (6, false),
+        _ => (6, true),
+    }
 }
 
 /// Decode errors (mirrors `apor_linkstate::wire::WireError`).
@@ -110,7 +125,7 @@ impl fmt::Display for SwimWireError {
 impl std::error::Error for SwimWireError {}
 
 /// A member's disseminated lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwimStatus {
     /// Live (join or suspicion refutation).
     Alive,
@@ -151,7 +166,7 @@ impl SwimStatus {
 }
 
 /// One piggybacked membership event. 7 bytes on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwimUpdate {
     /// The member the event is about.
     pub id: NodeId,
@@ -161,109 +176,73 @@ pub struct SwimUpdate {
     pub status: SwimStatus,
 }
 
-/// A SWIM-plane message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SwimMsg {
-    /// Direct probe; the receiver must [`SwimMsg::Ack`] with the same
-    /// `seq`.
-    Ping {
-        /// Prober.
-        from: NodeId,
-        /// Probed member.
-        to: NodeId,
-        /// Correlates the ack (per-sender sequence).
-        seq: u32,
-        /// Piggybacked gossip.
-        updates: Vec<SwimUpdate>,
-    },
-    /// Reply to a [`SwimMsg::Ping`].
-    Ack {
-        /// The probed member (replier).
-        from: NodeId,
-        /// The original prober (or ping-req helper).
-        to: NodeId,
-        /// Echoed sequence.
-        seq: u32,
-        /// Piggybacked gossip.
-        updates: Vec<SwimUpdate>,
-    },
-    /// Indirect-probe request: "please ping `target` for me".
+/// A SWIM-plane frame: the header every kind shares, the kind, and the
+/// piggybacked updates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SwimMsg {
+    /// The sender.
+    pub from: NodeId,
+    /// The addressee.
+    pub to: NodeId,
+    /// Correlates a request with its answer: the sender's own sequence
+    /// on a request, echoed verbatim on the answer.
+    pub seq: u32,
+    /// What the frame is, with the fields only that kind carries.
+    pub kind: SwimKind,
+    /// Piggybacked gossip, or ledger records on the sync kinds. Always
+    /// empty on a [`SwimKind::SyncDigest`].
+    pub updates: Vec<SwimUpdate>,
+}
+
+/// What a [`SwimMsg`] is, carrying only the fields its kind adds to the
+/// shared header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwimKind {
+    /// Direct probe from the prober to the probed member; the receiver
+    /// must [`SwimKind::Ack`] with the same `seq`.
+    Ping,
+    /// Reply to a [`SwimKind::Ping`], from the probed member to the
+    /// original prober (or ping-req helper).
+    Ack,
+    /// Indirect-probe request from the suspicious origin to a helper:
+    /// "please ping `target` for me", `seq` the origin's sequence for
+    /// this probe round.
     PingReq {
-        /// The suspicious origin.
-        from: NodeId,
-        /// The helper being asked.
-        to: NodeId,
         /// The silent member to probe.
         target: NodeId,
-        /// The origin's sequence for this probe round.
-        seq: u32,
-        /// Piggybacked gossip.
-        updates: Vec<SwimUpdate>,
     },
-    /// Helper → origin: `target` answered the indirect probe.
+    /// Helper → origin: `target` answered the indirect probe; `seq` is
+    /// the origin's, echoed back.
     ProxyAck {
-        /// The helper.
-        from: NodeId,
-        /// The origin of the ping-req.
-        to: NodeId,
         /// The member that proved alive.
         target: NodeId,
-        /// The origin's sequence echoed back.
-        seq: u32,
-        /// Piggybacked gossip.
-        updates: Vec<SwimUpdate>,
     },
     /// Anti-entropy push: one chunk of the initiator's full ledger
     /// (every member ever heard of, dead or alive, at its converged
     /// `(incarnation, dead)` state encoded as `Alive` / `Faulty`). The
     /// receiver merges each chunk on arrival and, once all `chunks`
-    /// frames of a `seq` are in, answers with the [`SwimMsg::SyncRsp`]
+    /// frames of a `seq` are in, answers with the [`SwimKind::SyncRsp`]
     /// delta computed over the whole claim set.
     SyncReq {
-        /// The sync initiator.
-        from: NodeId,
-        /// The randomly chosen sync partner.
-        to: NodeId,
-        /// Correlates the chunks and the response (per-sender
-        /// sequence).
-        seq: u32,
         /// This frame's 0-based chunk index.
         chunk: u8,
         /// Total chunks in this sync round (≥ 1).
         chunks: u8,
-        /// Full-ledger records (this chunk).
-        updates: Vec<SwimUpdate>,
     },
     /// Anti-entropy pull: the responder's delta — every record where it
     /// holds strictly newer state than the request claimed, plus
     /// members the request did not mention.
-    SyncRsp {
-        /// The sync responder.
-        from: NodeId,
-        /// The sync initiator.
-        to: NodeId,
-        /// Echoed sequence.
-        seq: u32,
-        /// Delta records.
-        updates: Vec<SwimUpdate>,
-    },
+    SyncRsp,
     /// Anti-entropy version digest: a 15-byte first frame carrying only
     /// the sender's ledger fingerprint. The initiator opens a sync
     /// round with this instead of the `O(n)` full-ledger push; a
     /// receiver whose fingerprint matches answers with an empty
-    /// [`SwimMsg::SyncRsp`] (transfer skipped — the steady-state case),
-    /// while a mismatching receiver echoes its *own* digest back, which
-    /// tells the initiator to proceed with the full [`SwimMsg::SyncReq`]
-    /// push. One extra RTT when ledgers diverge; `O(1)` instead of
-    /// `O(n)` bytes when they already agree.
+    /// [`SwimKind::SyncRsp`] (transfer skipped — the steady-state case),
+    /// while a mismatching receiver echoes its *own* digest back (with
+    /// the initiator's `seq`), which tells the initiator to proceed with
+    /// the full [`SwimKind::SyncReq`] push. One extra RTT when ledgers
+    /// diverge; `O(1)` instead of `O(n)` bytes when they already agree.
     SyncDigest {
-        /// The digest sender.
-        from: NodeId,
-        /// The sync partner (or, when echoing, the round's initiator).
-        to: NodeId,
-        /// Correlates the round (the initiator's per-sender sequence;
-        /// echoed verbatim in the mismatch reply).
-        seq: u32,
         /// The sender's ledger *content fingerprint*
         /// (`ViewLedger::fingerprint`, an FNV-1a fold) — deliberately
         /// NOT the salted version sum, whose small-integer weights let
@@ -276,207 +255,94 @@ pub enum SwimMsg {
         known: u16,
     },
     /// Mismatch echo with the responder's data piggybacked: a
-    /// [`SwimMsg::SyncDigest`] whose fingerprint disagreed, answered
+    /// [`SwimKind::SyncDigest`] whose fingerprint disagreed, answered
     /// with the responder's own digest *plus* the first chunk of its
-    /// ledger. Without the piggyback the initiator learns the
-    /// responder's records only from the [`SwimMsg::SyncRsp`] pull
-    /// after its own full push — one RTT later. With it, a diverged
-    /// pair whose ledgers fit one frame (the common case) completes the
-    /// responder→initiator transfer inside the digest exchange itself.
+    /// ledger (up to the sender's per-frame entry cap). Without the
+    /// piggyback the initiator learns the responder's records only from
+    /// the [`SwimKind::SyncRsp`] pull after its own full push — one RTT
+    /// later. With it, a diverged pair whose ledgers fit one frame (the
+    /// common case) completes the responder→initiator transfer inside
+    /// the digest exchange itself.
     SyncDigestPush {
-        /// The echoing responder.
-        from: NodeId,
-        /// The round's initiator.
-        to: NodeId,
-        /// The initiator's round sequence, echoed verbatim.
-        seq: u32,
         /// The responder's ledger fingerprint (mismatching by
         /// construction).
         fingerprint: u32,
         /// The responder's known-member count.
         known: u16,
-        /// The first chunk of the responder's full ledger (up to the
-        /// sender's per-frame entry cap).
-        updates: Vec<SwimUpdate>,
     },
 }
 
+impl SwimKind {
+    /// The kind's (unflagged) tag byte.
+    fn tag(self) -> u8 {
+        match self {
+            SwimKind::Ping => T_PING,
+            SwimKind::Ack => T_ACK,
+            SwimKind::PingReq { .. } => T_PING_REQ,
+            SwimKind::ProxyAck { .. } => T_PROXY_ACK,
+            SwimKind::SyncReq { .. } => T_SYNC_REQ,
+            SwimKind::SyncRsp => T_SYNC_RSP,
+            SwimKind::SyncDigest { .. } => T_SYNC_DIGEST,
+            SwimKind::SyncDigestPush { .. } => T_SYNC_DIGEST_PUSH,
+        }
+    }
+
+    /// Is this an anti-entropy frame (a sync request, response or
+    /// digest — the tags from `SyncReq` on) rather than
+    /// failure-detection traffic?
+    #[must_use]
+    pub fn is_sync(self) -> bool {
+        self.tag() >= T_SYNC_REQ
+    }
+}
+
 impl SwimMsg {
-    /// The sender.
-    #[must_use]
-    pub fn from(&self) -> NodeId {
-        match self {
-            SwimMsg::Ping { from, .. }
-            | SwimMsg::Ack { from, .. }
-            | SwimMsg::PingReq { from, .. }
-            | SwimMsg::ProxyAck { from, .. }
-            | SwimMsg::SyncReq { from, .. }
-            | SwimMsg::SyncRsp { from, .. }
-            | SwimMsg::SyncDigest { from, .. }
-            | SwimMsg::SyncDigestPush { from, .. } => *from,
-        }
-    }
-
-    /// The addressee.
-    #[must_use]
-    pub fn to(&self) -> NodeId {
-        match self {
-            SwimMsg::Ping { to, .. }
-            | SwimMsg::Ack { to, .. }
-            | SwimMsg::PingReq { to, .. }
-            | SwimMsg::ProxyAck { to, .. }
-            | SwimMsg::SyncReq { to, .. }
-            | SwimMsg::SyncRsp { to, .. }
-            | SwimMsg::SyncDigest { to, .. }
-            | SwimMsg::SyncDigestPush { to, .. } => *to,
-        }
-    }
-
-    /// The piggybacked gossip (digests carry none).
-    #[must_use]
-    pub fn updates(&self) -> &[SwimUpdate] {
-        match self {
-            SwimMsg::Ping { updates, .. }
-            | SwimMsg::Ack { updates, .. }
-            | SwimMsg::PingReq { updates, .. }
-            | SwimMsg::ProxyAck { updates, .. }
-            | SwimMsg::SyncReq { updates, .. }
-            | SwimMsg::SyncRsp { updates, .. }
-            | SwimMsg::SyncDigestPush { updates, .. } => updates,
-            SwimMsg::SyncDigest { .. } => &[],
-        }
-    }
-
     /// Serialized size in bytes (no IP/UDP framing).
     #[must_use]
     pub fn wire_size(&self) -> usize {
-        let target = match self {
-            SwimMsg::Ping { .. } | SwimMsg::Ack { .. } | SwimMsg::SyncRsp { .. } => 0,
-            SwimMsg::PingReq { .. } | SwimMsg::ProxyAck { .. } | SwimMsg::SyncReq { .. } => 2,
-            SwimMsg::SyncDigest { .. } => return SWIM_DIGEST_SIZE,
-            // Digest layout plus a count byte and the piggybacked chunk.
-            SwimMsg::SyncDigestPush { updates, .. } => {
-                return SWIM_DIGEST_SIZE + 1 + SWIM_UPDATE_SIZE * updates.len()
-            }
-        };
-        SWIM_HEADER_SIZE + target + SWIM_UPDATE_SIZE * self.updates().len()
+        // A digest has no count byte and, as `encode` asserts, no updates.
+        let (fields, counted) = layout(self.kind.tag());
+        SWIM_HEADER_SIZE - 1 + fields + usize::from(counted) + SWIM_UPDATE_SIZE * self.updates.len()
     }
 
     /// Serialize to bytes.
     ///
     /// # Panics
     /// Panics if more than 255 updates are piggybacked (the protocol
-    /// caps piggybacking far below that).
+    /// caps piggybacking far below that), or if a
+    /// [`SwimKind::SyncDigest`] carries any.
     #[must_use]
     pub fn encode(&self) -> Bytes {
+        let tag = self.kind.tag();
         let mut b = BytesMut::with_capacity(self.wire_size());
-        // The digest frame has its own fixed layout (no update list).
-        if let SwimMsg::SyncDigest {
-            from,
-            to,
-            seq,
-            fingerprint,
-            known,
-        } = self
-        {
-            b.put_u8(T_SYNC_DIGEST);
-            b.put_u16(from.0);
-            b.put_u16(to.0);
-            b.put_u32(*seq);
-            b.put_u32(*fingerprint);
-            b.put_u16(*known);
-            return b.freeze();
-        }
-        // So does the piggybacked mismatch echo: the digest header
-        // followed by a counted update list.
-        if let SwimMsg::SyncDigestPush {
-            from,
-            to,
-            seq,
-            fingerprint,
-            known,
-            updates,
-        } = self
-        {
-            assert!(updates.len() <= usize::from(u8::MAX), "piggyback overflow");
-            b.put_u8(T_SYNC_DIGEST_PUSH);
-            b.put_u16(from.0);
-            b.put_u16(to.0);
-            b.put_u32(*seq);
-            b.put_u32(*fingerprint);
-            b.put_u16(*known);
-            b.put_u8(updates.len() as u8);
-            for u in updates {
-                b.put_u16(u.id.0);
-                b.put_u32(u.incarnation);
-                b.put_u8(u.status.code());
-            }
-            return b.freeze();
-        }
-        // The two optional header bytes: a probe target for
-        // ping-req/proxy-ack, `(chunk, chunks)` for sync requests.
-        let (tag, from, to, seq, extra, updates) = match self {
-            SwimMsg::Ping {
-                from,
-                to,
-                seq,
-                updates,
-            } => (T_PING, from, to, seq, None, updates),
-            SwimMsg::Ack {
-                from,
-                to,
-                seq,
-                updates,
-            } => (T_ACK, from, to, seq, None, updates),
-            SwimMsg::PingReq {
-                from,
-                to,
-                target,
-                seq,
-                updates,
-            } => (T_PING_REQ, from, to, seq, Some(target.0), updates),
-            SwimMsg::ProxyAck {
-                from,
-                to,
-                target,
-                seq,
-                updates,
-            } => (T_PROXY_ACK, from, to, seq, Some(target.0), updates),
-            SwimMsg::SyncReq {
-                from,
-                to,
-                seq,
-                chunk,
-                chunks,
-                updates,
-            } => (
-                T_SYNC_REQ,
-                from,
-                to,
-                seq,
-                Some(u16::from_be_bytes([*chunk, *chunks])),
-                updates,
-            ),
-            SwimMsg::SyncRsp {
-                from,
-                to,
-                seq,
-                updates,
-            } => (T_SYNC_RSP, from, to, seq, None, updates),
-            SwimMsg::SyncDigest { .. } | SwimMsg::SyncDigestPush { .. } => {
-                unreachable!("encoded above")
-            }
-        };
-        assert!(updates.len() <= usize::from(u8::MAX), "piggyback overflow");
         b.put_u8(tag);
-        b.put_u16(from.0);
-        b.put_u16(to.0);
-        b.put_u32(*seq);
-        if let Some(x) = extra {
-            b.put_u16(x);
+        b.put_u16(self.from.0);
+        b.put_u16(self.to.0);
+        b.put_u32(self.seq);
+        match self.kind {
+            SwimKind::Ping | SwimKind::Ack | SwimKind::SyncRsp => {}
+            SwimKind::PingReq { target } | SwimKind::ProxyAck { target } => b.put_u16(target.0),
+            SwimKind::SyncReq { chunk, chunks } => {
+                b.put_u8(chunk);
+                b.put_u8(chunks);
+            }
+            SwimKind::SyncDigest { fingerprint, known }
+            | SwimKind::SyncDigestPush { fingerprint, known } => {
+                b.put_u32(fingerprint);
+                b.put_u16(known);
+            }
         }
-        b.put_u8(updates.len() as u8);
-        for u in updates {
+        let (_, counted) = layout(tag);
+        if !counted {
+            assert!(self.updates.is_empty(), "a digest carries no updates");
+            return b.freeze();
+        }
+        assert!(
+            self.updates.len() <= usize::from(u8::MAX),
+            "piggyback overflow"
+        );
+        b.put_u8(self.updates.len() as u8);
+        for u in &self.updates {
             b.put_u16(u.id.0);
             b.put_u32(u.incarnation);
             b.put_u8(u.status.code());
@@ -491,8 +357,7 @@ impl SwimMsg {
     /// frame grows by [`TRACE_CTX_SIZE`] bytes.
     ///
     /// # Panics
-    /// Panics if more than 255 updates are piggybacked (as
-    /// [`SwimMsg::encode`]).
+    /// Panics where [`SwimMsg::encode`] does.
     #[must_use]
     pub fn encode_traced(&self, ctx: Option<&TraceCtx>) -> Bytes {
         let Some(ctx) = ctx else {
@@ -541,8 +406,8 @@ impl SwimMsg {
         Ok((msg, Some(ctx)))
     }
 
-    /// Decode everything after the tag byte. `tag` is the plain
-    /// (unflagged) message type.
+    /// Decode everything after the tag byte, in [`SwimMsg::encode`]'s
+    /// order. `tag` is the plain (unflagged) message type.
     fn decode_body(tag: u8, rest: &[u8]) -> Result<SwimMsg, SwimWireError> {
         let mut b = rest;
         if b.remaining() < SWIM_HEADER_SIZE - 1 {
@@ -554,65 +419,34 @@ impl SwimMsg {
         let from = NodeId(b.get_u16());
         let to = NodeId(b.get_u16());
         let seq = b.get_u32();
-        if tag == T_SYNC_DIGEST {
-            // Fixed 15-byte layout: no update list, no count byte.
-            if b.remaining() != 6 {
-                return Err(if b.remaining() < 6 {
-                    SwimWireError::Truncated
-                } else {
-                    SwimWireError::BadLength
-                });
-            }
-            let fingerprint = b.get_u32();
-            let known = b.get_u16();
-            return Ok(SwimMsg::SyncDigest {
-                from,
-                to,
-                seq,
-                fingerprint,
-                known,
-            });
+        let (fields, counted) = layout(tag);
+        if b.remaining() < fields + usize::from(counted) {
+            return Err(SwimWireError::Truncated);
         }
-        if tag == T_SYNC_DIGEST_PUSH {
-            // Digest fields, then a counted update list.
-            if b.remaining() < 7 {
-                return Err(SwimWireError::Truncated);
-            }
-            let fingerprint = b.get_u32();
-            let known = b.get_u16();
-            let count = usize::from(b.get_u8());
-            if b.remaining() != count * SWIM_UPDATE_SIZE {
-                return Err(SwimWireError::BadLength);
-            }
-            let mut updates = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = NodeId(b.get_u16());
-                let incarnation = b.get_u32();
-                let status = SwimStatus::from_code(b.get_u8())?;
-                updates.push(SwimUpdate {
-                    id,
-                    incarnation,
-                    status,
-                });
-            }
-            return Ok(SwimMsg::SyncDigestPush {
-                from,
-                to,
-                seq,
-                fingerprint,
-                known,
-                updates,
-            });
-        }
-        let extra = if tag == T_PING_REQ || tag == T_PROXY_ACK || tag == T_SYNC_REQ {
-            if b.remaining() < 3 {
-                return Err(SwimWireError::Truncated);
-            }
-            Some(b.get_u16())
-        } else {
-            None
+        let kind = match tag {
+            T_PING => SwimKind::Ping,
+            T_ACK => SwimKind::Ack,
+            T_PING_REQ => SwimKind::PingReq {
+                target: NodeId(b.get_u16()),
+            },
+            T_PROXY_ACK => SwimKind::ProxyAck {
+                target: NodeId(b.get_u16()),
+            },
+            T_SYNC_REQ => SwimKind::SyncReq {
+                chunk: b.get_u8(),
+                chunks: b.get_u8(),
+            },
+            T_SYNC_RSP => SwimKind::SyncRsp,
+            T_SYNC_DIGEST => SwimKind::SyncDigest {
+                fingerprint: b.get_u32(),
+                known: b.get_u16(),
+            },
+            _ => SwimKind::SyncDigestPush {
+                fingerprint: b.get_u32(),
+                known: b.get_u16(),
+            },
         };
-        let count = usize::from(b.get_u8());
+        let count = if counted { usize::from(b.get_u8()) } else { 0 };
         if b.remaining() != count * SWIM_UPDATE_SIZE {
             return Err(SwimWireError::BadLength);
         }
@@ -627,53 +461,17 @@ impl SwimMsg {
                 status,
             });
         }
-        Ok(match tag {
-            T_PING => SwimMsg::Ping {
-                from,
-                to,
-                seq,
-                updates,
-            },
-            T_ACK => SwimMsg::Ack {
-                from,
-                to,
-                seq,
-                updates,
-            },
-            T_PING_REQ => SwimMsg::PingReq {
-                from,
-                to,
-                target: NodeId(extra.expect("parsed above")),
-                seq,
-                updates,
-            },
-            T_SYNC_REQ => {
-                let [chunk, chunks] = extra.expect("parsed above").to_be_bytes();
-                if chunks == 0 || chunk >= chunks {
-                    return Err(SwimWireError::BadLength);
-                }
-                SwimMsg::SyncReq {
-                    from,
-                    to,
-                    seq,
-                    chunk,
-                    chunks,
-                    updates,
-                }
+        if let SwimKind::SyncReq { chunk, chunks } = kind {
+            if chunks == 0 || chunk >= chunks {
+                return Err(SwimWireError::BadLength);
             }
-            T_SYNC_RSP => SwimMsg::SyncRsp {
-                from,
-                to,
-                seq,
-                updates,
-            },
-            _ => SwimMsg::ProxyAck {
-                from,
-                to,
-                target: NodeId(extra.expect("parsed above")),
-                seq,
-                updates,
-            },
+        }
+        Ok(SwimMsg {
+            from,
+            to,
+            seq,
+            kind,
+            updates,
         })
     }
 }
@@ -712,59 +510,69 @@ mod tests {
     #[test]
     fn all_variants_roundtrip() {
         let msgs = [
-            SwimMsg::Ping {
+            SwimMsg {
                 from: NodeId(1),
                 to: NodeId(2),
                 seq: 77,
+                kind: SwimKind::Ping,
                 updates: sample_updates(),
             },
-            SwimMsg::Ack {
+            SwimMsg {
                 from: NodeId(2),
                 to: NodeId(1),
                 seq: 77,
+                kind: SwimKind::Ack,
                 updates: Vec::new(),
             },
-            SwimMsg::PingReq {
+            SwimMsg {
                 from: NodeId(1),
                 to: NodeId(5),
-                target: NodeId(2),
                 seq: 78,
+                kind: SwimKind::PingReq { target: NodeId(2) },
                 updates: sample_updates(),
             },
-            SwimMsg::ProxyAck {
+            SwimMsg {
                 from: NodeId(5),
                 to: NodeId(1),
-                target: NodeId(2),
                 seq: 78,
+                kind: SwimKind::ProxyAck { target: NodeId(2) },
                 updates: vec![],
             },
-            SwimMsg::SyncReq {
+            SwimMsg {
                 from: NodeId(3),
                 to: NodeId(9),
                 seq: 80,
-                chunk: 1,
-                chunks: 3,
+                kind: SwimKind::SyncReq {
+                    chunk: 1,
+                    chunks: 3,
+                },
                 updates: sample_updates(),
             },
-            SwimMsg::SyncRsp {
+            SwimMsg {
                 from: NodeId(9),
                 to: NodeId(3),
                 seq: 80,
+                kind: SwimKind::SyncRsp,
                 updates: vec![],
             },
-            SwimMsg::SyncDigest {
+            SwimMsg {
                 from: NodeId(3),
                 to: NodeId(9),
                 seq: 81,
-                fingerprint: 0xDEAD_BEEF,
-                known: 140,
+                kind: SwimKind::SyncDigest {
+                    fingerprint: 0xDEAD_BEEF,
+                    known: 140,
+                },
+                updates: Vec::new(),
             },
-            SwimMsg::SyncDigestPush {
+            SwimMsg {
                 from: NodeId(9),
                 to: NodeId(3),
                 seq: 81,
-                fingerprint: 0xFEED_F00D,
-                known: 141,
+                kind: SwimKind::SyncDigestPush {
+                    fingerprint: 0xFEED_F00D,
+                    known: 141,
+                },
                 updates: sample_updates(),
             },
         ];
@@ -795,50 +603,58 @@ mod tests {
         let one = [&[1u8][..], &PIN_UPDATE_BYTES].concat();
         vec![
             (
-                SwimMsg::Ping {
+                SwimMsg {
                     from: NodeId(0x0011),
                     to: NodeId(0x0022),
                     seq: 0x0102_0304,
+                    kind: SwimKind::Ping,
                     updates: vec![PIN_UPDATE],
                 },
                 frame(&[16, 0x00, 0x11, 0x00, 0x22, 0x01, 0x02, 0x03, 0x04], &one),
             ),
             (
-                SwimMsg::Ack {
+                SwimMsg {
                     from: NodeId(0x0022),
                     to: NodeId(0x0011),
                     seq: 0xFFFF_FFFE,
+                    kind: SwimKind::Ack,
                     updates: vec![],
                 },
                 vec![17, 0x00, 0x22, 0x00, 0x11, 0xFF, 0xFF, 0xFF, 0xFE, 0],
             ),
             (
-                SwimMsg::PingReq {
+                SwimMsg {
                     from: NodeId(1),
                     to: NodeId(5),
-                    target: NodeId(0x0203),
                     seq: 78,
+                    kind: SwimKind::PingReq {
+                        target: NodeId(0x0203),
+                    },
                     updates: vec![PIN_UPDATE],
                 },
                 frame(&[18, 0, 1, 0, 5, 0, 0, 0, 78, 0x02, 0x03], &one),
             ),
             (
-                SwimMsg::ProxyAck {
+                SwimMsg {
                     from: NodeId(5),
                     to: NodeId(1),
-                    target: NodeId(0x0203),
                     seq: 78,
+                    kind: SwimKind::ProxyAck {
+                        target: NodeId(0x0203),
+                    },
                     updates: vec![],
                 },
                 vec![19, 0, 5, 0, 1, 0, 0, 0, 78, 0x02, 0x03, 0],
             ),
             (
-                SwimMsg::SyncReq {
+                SwimMsg {
                     from: NodeId(3),
                     to: NodeId(9),
                     seq: 80,
-                    chunk: 1,
-                    chunks: 3,
+                    kind: SwimKind::SyncReq {
+                        chunk: 1,
+                        chunks: 3,
+                    },
                     updates: vec![PIN_UPDATE, left],
                 },
                 frame(
@@ -847,33 +663,39 @@ mod tests {
                 ),
             ),
             (
-                SwimMsg::SyncRsp {
+                SwimMsg {
                     from: NodeId(9),
                     to: NodeId(3),
                     seq: 80,
+                    kind: SwimKind::SyncRsp,
                     updates: vec![left],
                 },
                 vec![21, 0, 9, 0, 3, 0, 0, 0, 80, 1, 0xFF, 0xFE, 0, 0, 0, 7, 3],
             ),
             (
-                SwimMsg::SyncDigest {
+                SwimMsg {
                     from: NodeId(3),
                     to: NodeId(9),
                     seq: 81,
-                    fingerprint: 0xDEAD_BEEF,
-                    known: 0x018C,
+                    kind: SwimKind::SyncDigest {
+                        fingerprint: 0xDEAD_BEEF,
+                        known: 0x018C,
+                    },
+                    updates: Vec::new(),
                 },
                 vec![
                     22, 0, 3, 0, 9, 0, 0, 0, 81, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x8C,
                 ],
             ),
             (
-                SwimMsg::SyncDigestPush {
+                SwimMsg {
                     from: NodeId(9),
                     to: NodeId(3),
                     seq: 81,
-                    fingerprint: 0xFEED_F00D,
-                    known: 141,
+                    kind: SwimKind::SyncDigestPush {
+                        fingerprint: 0xFEED_F00D,
+                        known: 141,
+                    },
                     updates: vec![PIN_UPDATE],
                 },
                 frame(
@@ -893,10 +715,11 @@ mod tests {
         }
         // A traced frame: the flagged tag, the same body, then the
         // context's version, episode, origin and hop.
-        let msg = SwimMsg::Ping {
+        let msg = SwimMsg {
             from: NodeId(0x0011),
             to: NodeId(0x0022),
             seq: 0x0102_0304,
+            kind: SwimKind::Ping,
             updates: vec![PIN_UPDATE],
         };
         let ctx = TraceCtx {
@@ -916,16 +739,19 @@ mod tests {
 
     #[test]
     fn digest_frame_is_constant_size() {
-        let d = SwimMsg::SyncDigest {
+        let d = SwimMsg {
             from: NodeId(1),
             to: NodeId(2),
             seq: 7,
-            fingerprint: u32::MAX,
-            known: u16::MAX,
+            kind: SwimKind::SyncDigest {
+                fingerprint: u32::MAX,
+                known: u16::MAX,
+            },
+            updates: Vec::new(),
         };
         assert_eq!(d.wire_size(), SWIM_DIGEST_SIZE);
         assert_eq!(d.encode().len(), SWIM_DIGEST_SIZE);
-        assert!(d.updates().is_empty());
+        assert!(d.updates.is_empty());
         // Truncations and trailing garbage are rejected.
         let bytes = d.encode();
         for cut in 0..bytes.len() {
@@ -937,24 +763,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a digest carries no updates")]
+    fn a_digest_with_updates_does_not_encode() {
+        let _ = SwimMsg {
+            from: NodeId(1),
+            to: NodeId(2),
+            seq: 7,
+            kind: SwimKind::SyncDigest {
+                fingerprint: 1,
+                known: 1,
+            },
+            updates: sample_updates(),
+        }
+        .encode();
+    }
+
+    #[test]
     fn digest_push_carries_chunk_and_rejects_malformed() {
-        let m = SwimMsg::SyncDigestPush {
+        let m = SwimMsg {
             from: NodeId(9),
             to: NodeId(3),
             seq: 5,
-            fingerprint: 0x1234_5678,
-            known: 4,
+            kind: SwimKind::SyncDigestPush {
+                fingerprint: 0x1234_5678,
+                known: 4,
+            },
             updates: sample_updates(),
         };
         assert_eq!(m.wire_size(), SWIM_DIGEST_SIZE + 1 + 3 * SWIM_UPDATE_SIZE);
         assert_eq!(&roundtrip(&m), &m);
         // An empty piggyback is legal (a bare mismatch echo).
-        let empty = SwimMsg::SyncDigestPush {
+        let empty = SwimMsg {
             from: NodeId(9),
             to: NodeId(3),
             seq: 5,
-            fingerprint: 0x1234_5678,
-            known: 4,
+            kind: SwimKind::SyncDigestPush {
+                fingerprint: 0x1234_5678,
+                known: 4,
+            },
             updates: vec![],
         };
         assert_eq!(empty.wire_size(), SWIM_DIGEST_SIZE + 1);
@@ -984,12 +830,14 @@ mod tests {
                 })
                 .collect()
         };
-        let m = SwimMsg::SyncReq {
+        let m = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 1,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: entries(SWIM_MAX_FRAME_ENTRIES),
         };
         assert_eq!(
@@ -999,12 +847,14 @@ mod tests {
         assert_eq!(&roundtrip(&m), &m);
         // The default chunk size keeps the datagram inside an Ethernet
         // MTU, IP+UDP framing included.
-        let mtu_frame = SwimMsg::SyncReq {
+        let mtu_frame = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 1,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: entries(SWIM_MTU_FRAME_ENTRIES),
         };
         assert!(mtu_frame.wire_size() + 28 <= 1500);
@@ -1012,12 +862,14 @@ mod tests {
 
     #[test]
     fn sync_req_rejects_inconsistent_chunk_header() {
-        let m = SwimMsg::SyncReq {
+        let m = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 1,
-            chunk: 0,
-            chunks: 1,
+            kind: SwimKind::SyncReq {
+                chunk: 0,
+                chunks: 1,
+            },
             updates: vec![],
         };
         let mut bytes = m.encode().to_vec();
@@ -1033,18 +885,19 @@ mod tests {
 
     #[test]
     fn sizes_match_doc() {
-        let ping = SwimMsg::Ping {
+        let ping = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 1,
+            kind: SwimKind::Ping,
             updates: sample_updates(),
         };
         assert_eq!(ping.wire_size(), 10 + 3 * 7);
-        let req = SwimMsg::PingReq {
+        let req = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
-            target: NodeId(2),
             seq: 1,
+            kind: SwimKind::PingReq { target: NodeId(2) },
             updates: vec![],
         };
         assert_eq!(req.wire_size(), 12);
@@ -1052,9 +905,9 @@ mod tests {
 
     #[test]
     fn tag_space_disjoint_from_routing() {
-        // Routing tags are 1–7; SWIM must stay clear so drivers can
+        // Routing tags are 1–9; SWIM must stay clear so drivers can
         // dispatch on the first byte.
-        for t in 0..=7u8 {
+        for t in 0..=9u8 {
             assert!(!is_swim_tag(t));
         }
     }
@@ -1067,10 +920,11 @@ mod tests {
             Err(SwimWireError::BadType(200))
         );
         // Valid header, bogus status code.
-        let mut bytes = SwimMsg::Ping {
+        let mut bytes = SwimMsg {
             from: NodeId(0),
             to: NodeId(1),
             seq: 0,
+            kind: SwimKind::Ping,
             updates: vec![SwimUpdate {
                 id: NodeId(2),
                 incarnation: 0,
@@ -1086,11 +940,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncations() {
-        let m = SwimMsg::PingReq {
+        let m = SwimMsg {
             from: NodeId(1),
             to: NodeId(5),
-            target: NodeId(2),
             seq: 78,
+            kind: SwimKind::PingReq { target: NodeId(2) },
             updates: sample_updates(),
         };
         let bytes = m.encode();
@@ -1113,33 +967,41 @@ mod tests {
     #[test]
     fn traced_frames_roundtrip_with_context() {
         let msgs = [
-            SwimMsg::Ping {
+            SwimMsg {
                 from: NodeId(1),
                 to: NodeId(2),
                 seq: 77,
+                kind: SwimKind::Ping,
                 updates: sample_updates(),
             },
-            SwimMsg::SyncDigest {
+            SwimMsg {
                 from: NodeId(3),
                 to: NodeId(9),
                 seq: 81,
-                fingerprint: 0xDEAD_BEEF,
-                known: 140,
+                kind: SwimKind::SyncDigest {
+                    fingerprint: 0xDEAD_BEEF,
+                    known: 140,
+                },
+                updates: Vec::new(),
             },
-            SwimMsg::SyncDigestPush {
+            SwimMsg {
                 from: NodeId(9),
                 to: NodeId(3),
                 seq: 81,
-                fingerprint: 0xFEED_F00D,
-                known: 141,
+                kind: SwimKind::SyncDigestPush {
+                    fingerprint: 0xFEED_F00D,
+                    known: 141,
+                },
                 updates: sample_updates(),
             },
-            SwimMsg::SyncReq {
+            SwimMsg {
                 from: NodeId(3),
                 to: NodeId(9),
                 seq: 80,
-                chunk: 0,
-                chunks: 1,
+                kind: SwimKind::SyncReq {
+                    chunk: 0,
+                    chunks: 1,
+                },
                 updates: sample_updates(),
             },
         ];
@@ -1159,10 +1021,11 @@ mod tests {
 
     #[test]
     fn untraced_encode_is_bit_identical() {
-        let m = SwimMsg::Ack {
+        let m = SwimMsg {
             from: NodeId(2),
             to: NodeId(1),
             seq: 77,
+            kind: SwimKind::Ack,
             updates: sample_updates(),
         };
         assert_eq!(m.encode_traced(None).as_ref(), m.encode().as_ref());
@@ -1173,10 +1036,11 @@ mod tests {
 
     #[test]
     fn traced_frames_reject_every_truncation() {
-        let m = SwimMsg::Ping {
+        let m = SwimMsg {
             from: NodeId(1),
             to: NodeId(2),
             seq: 77,
+            kind: SwimKind::Ping,
             updates: sample_updates(),
         };
         let bytes = m.encode_traced(Some(&sample_ctx()));
@@ -1194,10 +1058,11 @@ mod tests {
 
     #[test]
     fn traced_trailer_rejects_bad_version() {
-        let m = SwimMsg::Ping {
+        let m = SwimMsg {
             from: NodeId(1),
             to: NodeId(2),
             seq: 77,
+            kind: SwimKind::Ping,
             updates: vec![],
         };
         let mut bytes = m.encode_traced(Some(&sample_ctx())).to_vec();

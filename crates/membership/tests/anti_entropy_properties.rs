@@ -13,7 +13,7 @@
 //! properties cover the wire codec, not just the in-memory state
 //! machine.
 
-use apor_membership::{Swim, SwimConfig, SwimMsg, SwimStatus, SwimUpdate};
+use apor_membership::{Swim, SwimConfig, SwimKind, SwimMsg, SwimStatus, SwimUpdate};
 use apor_quorum::NodeId;
 use proptest::prelude::*;
 
@@ -34,24 +34,26 @@ fn arb_ledger_update() -> impl Strategy<Value = SwimUpdate> {
 fn arb_sync_frame() -> impl Strategy<Value = SwimMsg> {
     let updates = || prop::collection::vec(arb_ledger_update(), 0..40);
     let req = (0u16..30, 0u16..30, any::<u32>(), 0u8..8, 1u8..9, updates()).prop_map(
-        |(f, t, seq, chunk, extra, updates)| SwimMsg::SyncReq {
+        |(f, t, seq, chunk, extra, updates)| SwimMsg {
             from: NodeId(f),
             to: NodeId(t),
             seq,
-            chunk,
-            // The wire requires chunk < chunks.
-            chunks: chunk.saturating_add(extra),
+            kind: SwimKind::SyncReq {
+                chunk,
+                // The wire requires chunk < chunks.
+                chunks: chunk.saturating_add(extra),
+            },
             updates,
         },
     );
-    let rsp = (0u16..30, 0u16..30, any::<u32>(), updates()).prop_map(|(f, t, seq, updates)| {
-        SwimMsg::SyncRsp {
+    let rsp =
+        (0u16..30, 0u16..30, any::<u32>(), updates()).prop_map(|(f, t, seq, updates)| SwimMsg {
             from: NodeId(f),
             to: NodeId(t),
             seq,
+            kind: SwimKind::SyncRsp,
             updates,
-        }
-    });
+        });
     prop_oneof![req, rsp]
 }
 
@@ -85,19 +87,21 @@ fn sync_exchange_chunked(
     let total = entries.chunks(per_frame).count().max(1) as u8;
     let mut responses = Vec::new();
     for (i, chunk) in entries.chunks(per_frame).enumerate() {
-        let req = SwimMsg::SyncReq {
+        let req = SwimMsg {
             from: initiator.me(),
             to: responder.me(),
             seq,
-            chunk: i as u8,
-            chunks: total,
+            kind: SwimKind::SyncReq {
+                chunk: i as u8,
+                chunks: total,
+            },
             updates: chunk.to_vec(),
         };
         let req = SwimMsg::decode(&req.encode()).expect("req roundtrip");
         responder.on_message(t, &req, &mut responses);
     }
-    for (to, rsp) in responses {
-        assert_eq!(to, initiator.me());
+    for rsp in responses {
+        assert_eq!(rsp.to, initiator.me());
         let rsp = SwimMsg::decode(&rsp.encode()).expect("rsp roundtrip");
         initiator.on_message(t + 0.01, &rsp, &mut Vec::new());
     }
@@ -122,10 +126,11 @@ fn diverged_node(id: u16, seed: u64, events: &[SwimUpdate]) -> Swim {
     let mut out = Vec::new();
     // Deliver as gossip on a ping so the regular merge path runs.
     for (k, chunk) in events.chunks(10).enumerate() {
-        let carrier = SwimMsg::Ping {
+        let carrier = SwimMsg {
             from: NodeId(5),
             to: NodeId(id),
             seq: k as u32,
+            kind: SwimKind::Ping,
             updates: chunk.to_vec(),
         };
         s.on_message(0.1 * k as f64, &carrier, &mut out);
@@ -249,7 +254,13 @@ proptest! {
         // SyncRsp so the carrier's identity is not itself enrolled —
         // b must stay a's *only* possible sync partner.)
         let verdict = SwimUpdate { id: NodeId(1), incarnation: 0, status: SwimStatus::Faulty };
-        let carrier = SwimMsg::SyncRsp { from: NodeId(2), to: NodeId(0), seq: 99, updates: vec![verdict] };
+        let carrier = SwimMsg {
+            from: NodeId(2),
+            to: NodeId(0),
+            seq: 99,
+            kind: SwimKind::SyncRsp,
+            updates: vec![verdict],
+        };
         a.on_message(death_at, &SwimMsg::decode(&carrier.encode()).unwrap(), &mut Vec::new());
         prop_assert!(!a.ledger().is_live(NodeId(1)));
 
@@ -260,10 +271,10 @@ proptest! {
         prop_assert!(!a.is_tombstone_expired(NodeId(1), heal_at));
         // …so b is still a legal partner: drive a's scheduler until it
         // opens the crossing round.
-        let mut frames: Vec<(NodeId, SwimMsg)> = Vec::new();
+        let mut frames: Vec<SwimMsg> = Vec::new();
         let mut t = heal_at;
         let deadline = heal_at + 4.0 * sync_period_s + 1.0;
-        while !frames.iter().any(|(to, _)| *to == NodeId(1)) {
+        while !frames.iter().any(|m| m.to == NodeId(1)) {
             prop_assert!(t < deadline, "no sync round opened towards the dead partner");
             a.on_tick(t, &mut frames);
             t += sync_period_s / 4.0;
@@ -272,11 +283,11 @@ proptest! {
         // → delta (plus slack), every frame through the wire codec.
         for _ in 0..5 {
             let mut replies = Vec::new();
-            for (to, m) in frames.drain(..) {
+            for m in frames.drain(..) {
                 let m = SwimMsg::decode(&m.encode()).unwrap();
-                if to == NodeId(1) {
+                if m.to == NodeId(1) {
                     b.on_message(t, &m, &mut replies);
-                } else if to == NodeId(0) {
+                } else if m.to == NodeId(0) {
                     a.on_message(t, &m, &mut replies);
                 }
             }

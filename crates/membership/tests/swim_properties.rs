@@ -8,7 +8,7 @@
 //!    exactly; the decoder never panics on arbitrary bytes.
 
 use apor_membership::wire::SWIM_TRACE_FLAG;
-use apor_membership::{Swim, SwimConfig, SwimMsg, SwimStatus, SwimUpdate, ViewLedger};
+use apor_membership::{Swim, SwimConfig, SwimKind, SwimMsg, SwimStatus, SwimUpdate, ViewLedger};
 use apor_quorum::NodeId;
 use apor_telemetry::TraceCtx;
 use proptest::prelude::*;
@@ -34,37 +34,41 @@ fn arb_update() -> impl Strategy<Value = SwimUpdate> {
 
 fn arb_msg() -> impl Strategy<Value = SwimMsg> {
     let updates = || prop::collection::vec(arb_update(), 0..12);
-    let ping = (0u16..40, 0u16..40, any::<u32>(), updates()).prop_map(|(f, t, seq, updates)| {
-        SwimMsg::Ping {
+    let ping =
+        (0u16..40, 0u16..40, any::<u32>(), updates()).prop_map(|(f, t, seq, updates)| SwimMsg {
             from: NodeId(f),
             to: NodeId(t),
             seq,
+            kind: SwimKind::Ping,
             updates,
-        }
-    });
-    let ack = (0u16..40, 0u16..40, any::<u32>(), updates()).prop_map(|(f, t, seq, updates)| {
-        SwimMsg::Ack {
+        });
+    let ack =
+        (0u16..40, 0u16..40, any::<u32>(), updates()).prop_map(|(f, t, seq, updates)| SwimMsg {
             from: NodeId(f),
             to: NodeId(t),
             seq,
+            kind: SwimKind::Ack,
             updates,
-        }
-    });
+        });
     let ping_req = (0u16..40, 0u16..40, 0u16..40, any::<u32>(), updates()).prop_map(
-        |(f, t, target, seq, updates)| SwimMsg::PingReq {
+        |(f, t, target, seq, updates)| SwimMsg {
             from: NodeId(f),
             to: NodeId(t),
-            target: NodeId(target),
             seq,
+            kind: SwimKind::PingReq {
+                target: NodeId(target),
+            },
             updates,
         },
     );
     let proxy = (0u16..40, 0u16..40, 0u16..40, any::<u32>(), updates()).prop_map(
-        |(f, t, target, seq, updates)| SwimMsg::ProxyAck {
+        |(f, t, target, seq, updates)| SwimMsg {
             from: NodeId(f),
             to: NodeId(t),
-            target: NodeId(target),
             seq,
+            kind: SwimKind::ProxyAck {
+                target: NodeId(target),
+            },
             updates,
         },
     );
@@ -199,10 +203,11 @@ proptest! {
         let members: Vec<NodeId> = (0..5u16).map(NodeId).collect();
         let mut s = Swim::bootstrap(NodeId(0), SwimConfig::default(), &members);
         let before = s.current_view();
-        let gossip = SwimMsg::Ping {
+        let gossip = SwimMsg {
             from: NodeId((target % 4) + 1),
             to: NodeId(0),
             seq: 1,
+            kind: SwimKind::Ping,
             updates: vec![SwimUpdate {
                 id: NodeId(target),
                 incarnation: 0,

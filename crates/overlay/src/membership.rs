@@ -11,66 +11,9 @@
 //! Membership lifetimes are long (30-minute timeout); transient failures
 //! are the failover machinery's business, not membership's.
 
+pub use apor_membership::MembershipView;
 use apor_quorum::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// An installed membership view: version + sorted members.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MembershipView {
-    /// Monotonic version.
-    pub version: u32,
-    /// Members sorted ascending by id; grid index = position here.
-    pub members: Vec<NodeId>,
-}
-
-impl MembershipView {
-    /// Build a view (sorts and deduplicates the member list).
-    #[must_use]
-    pub fn new(version: u32, mut members: Vec<NodeId>) -> Self {
-        members.sort_unstable();
-        members.dedup();
-        MembershipView { version, members }
-    }
-
-    /// Number of members.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the view has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The grid index of `id` in this view.
-    ///
-    /// While no member below `id` has ever departed, `id` sits at
-    /// position `id` — every id of a `0..n` view, and the prefix under
-    /// the first gap afterwards — so that slot is tried before the
-    /// binary search.
-    #[must_use]
-    pub fn index_of(&self, id: NodeId) -> Option<usize> {
-        if self.members.get(id.index()) == Some(&id) {
-            return Some(id.index());
-        }
-        self.members.binary_search(&id).ok()
-    }
-
-    /// The member at grid index `idx`.
-    #[must_use]
-    pub fn id_of(&self, idx: usize) -> Option<NodeId> {
-        self.members.get(idx).copied()
-    }
-
-    /// Does the view contain `id`?
-    #[must_use]
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.index_of(id).is_some()
-    }
-}
 
 /// Coordinator-side membership state.
 #[derive(Debug, Clone)]

@@ -337,8 +337,8 @@ impl OverlayNode {
         }
         .with_telemetry(self.telemetry.clone())
         .with_tracer(self.tracer.clone());
-        if let Some((version, members)) = swim.poll_view(now) {
-            self.install_view(MembershipView::new(version, members), now, out);
+        if let Some(view) = swim.poll_view(now) {
+            self.install_view(view, now, out);
         }
         self.swim = Some(swim);
         self.arm_swim(now, out);
@@ -361,8 +361,8 @@ impl OverlayNode {
                 if let Some(swim) = self.swim.as_mut() {
                     swim.leave(&mut msgs);
                 }
-                for (to, msg) in msgs {
-                    self.send_swim(now, to, &msg, out);
+                for msg in msgs {
+                    self.send_swim(now, &msg, out);
                 }
             }
             MembershipMode::Centralized => {
@@ -570,8 +570,19 @@ impl OverlayNode {
                 }
             }
             Message::View(v) => {
-                let view = MembershipView::new(v.view, v.members);
-                self.install_view(view, now, out);
+                // Only the coordinator announces views, and only to the
+                // centralized plane's other nodes. Anyone else's view
+                // would replace the installed one and, being newer,
+                // shut out every honest view after it; it is counted
+                // (registered on the first refusal) and dropped.
+                if self.cfg.membership == MembershipMode::Centralized
+                    && v.from == self.cfg.coordinator
+                    && !self.cfg.is_coordinator()
+                {
+                    self.install_view(MembershipView::new(v.view, v.members), now, out);
+                } else {
+                    self.telemetry.counter("membership", "views_rejected").inc();
+                }
             }
         }
     }
@@ -691,23 +702,17 @@ impl OverlayNode {
     /// anti-entropy traffic. While a convergence episode is hot the
     /// frame carries the trace context (hop count bumped), so receivers
     /// can reconstruct the gossip wavefront per hop.
-    fn send_swim(&self, now: f64, to: NodeId, msg: &SwimMsg, out: &mut Outbox) {
+    fn send_swim(&self, now: f64, msg: &SwimMsg, out: &mut Outbox) {
         let ctx = self
             .swim
             .as_ref()
             .and_then(|s| s.gossip_trace(now))
             .map(TraceCtx::next_hop);
         let bytes = msg.encode_traced(ctx.as_ref());
-        if matches!(
-            msg,
-            SwimMsg::SyncReq { .. }
-                | SwimMsg::SyncRsp { .. }
-                | SwimMsg::SyncDigest { .. }
-                | SwimMsg::SyncDigestPush { .. }
-        ) {
+        if msg.kind.is_sync() {
             self.sync_frame_bytes.observe(bytes.len() as u64);
         }
-        out.sends.push((to, TrafficClass::Membership, bytes));
+        out.sends.push((msg.to, TrafficClass::Membership, bytes));
     }
 
     fn install_view(&mut self, view: MembershipView, now: f64, out: &mut Outbox) {
@@ -847,11 +852,11 @@ impl OverlayNode {
             swim.on_tick(now, &mut msgs);
             (msgs, swim.poll_view(now))
         };
-        for (to, msg) in msgs {
-            self.send_swim(now, to, &msg, out);
+        for msg in msgs {
+            self.send_swim(now, &msg, out);
         }
-        if let Some((version, members)) = published {
-            self.install_view(MembershipView::new(version, members), now, out);
+        if let Some(view) = published {
+            self.install_view(view, now, out);
         }
     }
 
@@ -873,8 +878,8 @@ impl OverlayNode {
         }
         let mut replies = Vec::new();
         swim.on_message(now, &msg, &mut replies);
-        for (to, reply) in replies {
-            self.send_swim(now, to, &reply, out);
+        for reply in replies {
+            self.send_swim(now, &reply, out);
         }
         // A message can start suspicions, relays or a pending publish
         // whose deadlines undercut the currently armed wake.
@@ -1144,6 +1149,50 @@ mod tests {
             coord.view().unwrap().version,
             joiner.view().unwrap().version
         );
+    }
+
+    /// A `View` from anyone but the coordinator, or into a SWIM node or
+    /// the coordinator itself, is refused and counted: installed, its
+    /// top version would shut out every honest view after it.
+    #[test]
+    fn a_view_from_anyone_but_the_coordinator_is_refused() {
+        let members: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let forged = |from: u16, to: u16| {
+            Message::View(apor_linkstate::wire::ViewMsg {
+                from: NodeId(from),
+                to: NodeId(to),
+                view: u32::MAX,
+                members: vec![NodeId(from), NodeId(to)],
+            })
+            .encode()
+        };
+        let centralized = |id| {
+            NodeConfig::new(NodeId(id), NodeId(0), Algorithm::Quorum)
+                .with_static_members(members.clone())
+        };
+        let cases = [
+            (centralized(1), forged(3, 1)),
+            (centralized(0), forged(0, 0)),
+            (centralized(1).with_swim(), forged(3, 1)),
+            (centralized(1).with_swim(), forged(0, 1)),
+        ];
+        for (cfg, frame) in cases {
+            let mut node = OverlayNode::new(cfg);
+            node.on_start(0.0, &mut Outbox::default());
+            let before = node.view().cloned().expect("static view");
+            node.on_packet(1.0, &frame, &mut Outbox::default());
+            assert_eq!(node.view(), Some(&before), "{:?}", node.config().membership);
+            assert_eq!(node.my_index(), Some(node.id().index()));
+            let snap = node.telemetry().snapshot();
+            assert_eq!(snap.counter_total("membership", "views_rejected"), 1);
+        }
+        // The coordinator's own view still installs, uncounted.
+        let mut node = OverlayNode::new(centralized(1));
+        node.on_start(0.0, &mut Outbox::default());
+        node.on_packet(1.0, &forged(0, 1), &mut Outbox::default());
+        assert_eq!(node.view().map(|v| v.version), Some(u32::MAX));
+        let snap = node.telemetry().snapshot();
+        assert_eq!(snap.counter_total("membership", "views_rejected"), 0);
     }
 
     #[test]

@@ -88,6 +88,11 @@ fn held_rows(table: &RowStore) -> Vec<(usize, u64, LaneRow)> {
         .collect()
 }
 
+/// The coordinator every node here is configured with: outside every
+/// view, so no node under test is its own coordinator, and each one
+/// installs the views `install` hands it in the coordinator's name.
+const COORDINATOR: NodeId = NodeId(u16::MAX);
+
 /// `ids` with `me` among them, as a view.
 fn view_with(version: u32, mut ids: Vec<NodeId>, me: NodeId) -> MembershipView {
     ids.push(me);
@@ -102,7 +107,7 @@ fn view_with(version: u32, mut ids: Vec<NodeId>, me: NodeId) -> MembershipView {
 /// business.
 fn node_holding(me: NodeId, view: &MembershipView, rows: &Rows) -> OverlayNode {
     let mut node = OverlayNode::new(
-        NodeConfig::new(me, view.members[0], Algorithm::Quorum)
+        NodeConfig::new(me, COORDINATOR, Algorithm::Quorum)
             .with_static_members(view.members.clone()),
     );
     let mut out = Outbox::default();
@@ -136,7 +141,7 @@ fn node_holding(me: NodeId, view: &MembershipView, rows: &Rows) -> OverlayNode {
 /// Hand `node` the next view, as the coordinator's broadcast would.
 fn install(node: &mut OverlayNode, view: &MembershipView, at: f64) {
     let msg = Message::View(ViewMsg {
-        from: node.id(),
+        from: COORDINATOR,
         to: node.id(),
         view: view.version,
         members: view.members.clone(),
@@ -353,7 +358,7 @@ proptest! {
         let n_old = old_view.len();
 
         let mut node = OverlayNode::new(
-            NodeConfig::new(me_id, old_view.members[0], Algorithm::Quorum)
+            NodeConfig::new(me_id, COORDINATOR, Algorithm::Quorum)
                 .with_static_members(old_view.members.clone()),
         );
         let mut out = Outbox::default();
@@ -418,7 +423,7 @@ proptest! {
         }
 
         let view2 = Message::View(apor_linkstate::wire::ViewMsg {
-            from: me_id,
+            from: COORDINATOR,
             to: me_id,
             view: 2,
             members: new_view.members.clone(),
@@ -451,7 +456,7 @@ fn view_of(version: u32, ids: &[u16]) -> MembershipView {
 /// Node 0 started in `view` with `algorithm`, nothing received yet.
 fn node_zero(view: &MembershipView, algorithm: Algorithm) -> OverlayNode {
     let members = view.members.clone();
-    let cfg = NodeConfig::new(NodeId(0), NodeId(0), algorithm).with_static_members(members);
+    let cfg = NodeConfig::new(NodeId(0), COORDINATOR, algorithm).with_static_members(members);
     let mut node = OverlayNode::new(cfg);
     node.on_start(0.0, &mut Outbox::default());
     node
