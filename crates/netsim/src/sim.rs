@@ -1039,6 +1039,119 @@ mod tests {
         assert!(h.max >= 1);
     }
 
+    /// Every node sends 10 B to every other node at t = 1, 2 and 3.
+    struct Broadcaster;
+    impl NodeBehavior for Broadcaster {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(1.0, 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _from: usize, _payload: &[u8]) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            for to in 0..ctx.node_count() {
+                ctx.send(to, TrafficClass::Routing, Bytes::from(vec![0u8; 10]));
+            }
+            if ctx.now() < 2.5 {
+                ctx.set_timer(1.0, 0);
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// The whole network snapshot of a run that hits every drop cause,
+    /// key by key: four nodes, 62.5 ms one way (dyadic, so every
+    /// latency is exact), pair 0–1 always lossy, pair 0–2 unreachable,
+    /// link 1–2 down throughout, and node 3 crashed from t = 2.03 — so
+    /// the t = 2 packets to it are lost in flight and every t = 3
+    /// packet to or from it finds the link down.
+    #[test]
+    fn network_snapshot_is_pinned_key_by_key() {
+        use apor_telemetry::metrics::bucket_index;
+        use apor_telemetry::{HistogramSnapshot, MetricValue};
+        use apor_topology::failures::{LinkOutage, NodeOutage};
+        let mut m = LatencyMatrix::uniform(4, 125.0);
+        m.set_loss(0, 1, 1.0);
+        m.set_rtt(0, 2, f64::INFINITY);
+        let mut params = FailureParams::with_n(4);
+        params.max_down_fraction = 0.0;
+        params.duration_s = 1e6;
+        params.link_outages = vec![LinkOutage {
+            a: 1,
+            b: 2,
+            start_s: 0.0,
+            end_s: 1e6,
+        }];
+        params.node_outages = vec![NodeOutage {
+            node: 3,
+            start_s: 2.03,
+            end_s: 1e6,
+        }];
+        let schedule = apor_topology::FailureSchedule::generate(&params);
+        let mut sim = Simulator::new(m, schedule, no_jitter_config(5));
+        for _ in 0..4 {
+            sim.add_node(Box::new(Broadcaster), 0.0);
+        }
+        sim.run_until(10.0);
+
+        let hist = |values: &[u64]| {
+            let mut h = HistogramSnapshot::empty();
+            for &v in values {
+                h.buckets[bucket_index(v)] += 1;
+                h.count += 1;
+                h.sum += v;
+                h.max = h.max.max(v);
+            }
+            h
+        };
+        let mut want = Snapshot::default();
+        // [sent, delivered, queued, link_down, unreachable, loss,
+        // receiver_down, deliveries]
+        let per_node: [[u64; 8]; 4] = [
+            [9, 2, 2, 1, 3, 3, 0, 2],
+            [9, 2, 2, 4, 0, 3, 0, 2],
+            [9, 2, 2, 4, 3, 0, 0, 2],
+            [9, 3, 6, 3, 0, 0, 3, 3],
+        ];
+        for (node, c) in per_node.iter().enumerate() {
+            let names = [
+                "pkt_sent",
+                "pkt_delivered",
+                "pkt_queued",
+                "drop_link_down",
+                "drop_unreachable",
+                "drop_loss",
+                "drop_receiver_down",
+            ];
+            for (name, &v) in names.iter().zip(c) {
+                want.insert(node as u32, "netsim", name, MetricValue::Counter(v));
+            }
+            let latencies = vec![62_500; c[7] as usize];
+            want.insert(
+                node as u32,
+                "netsim",
+                "deliver_latency_us",
+                MetricValue::Histogram(hist(&latencies)),
+            );
+        }
+        // Four starts, four first timers, then two rounds of a delivery
+        // and a timer per node (node 3's three deliveries last); the
+        // t = 3 round arms nothing.
+        let round = [4, 5, 5, 6, 6, 7, 7, 8, 9, 10];
+        let depths: Vec<u64> = [1, 2, 3, 4, 4, 4, 4, 4]
+            .into_iter()
+            .chain(round)
+            .chain(round)
+            .collect();
+        want.insert(
+            CORE_TELEMETRY_NODE,
+            "netsim",
+            "event_queue_depth",
+            MetricValue::Histogram(hist(&depths)),
+        );
+        assert_eq!(sim.telemetry_snapshot(), want);
+    }
+
     #[test]
     fn self_send_is_ignored() {
         struct SelfSender;
