@@ -7,15 +7,19 @@
 # The parent is `git archive`d into "${TMPDIR:-/tmp}/apor-pairs-<commit>"
 # (kept, so the next workload reuses its build); the child is the working
 # tree as it is, built into that directory too. Nothing in the working tree
-# is written. Each run is `--seconds 15 --trace 0`, as BENCHMARK.json
-# has it, and the metric is read from the last line of standard output.
-# Odd pairs run the parent first, even pairs the child.
+# is written. Each run is `--seconds 15`, as BENCHMARK.json has it, and
+# the metric is read from the last line of standard output: with
+# `--trace 0` for an end-to-end metric, and with `--trace 1` for a
+# per-layer one (such as netsim.self_ns_per_event), which only a traced
+# run reports. Odd pairs run the parent first, even pairs the child.
 #
 # Verdict: a gain needs the child better in at least nine pairs in ten
 # (ties count for neither side) AND a median gap wider than the parent's
-# quartile distance. Against BENCHMARK.json's bound the child's median is
-# `within` or `worse`; `unresolved` when the parent's own quartile spread
-# exceeds the bound and not every child run beats every parent run.
+# quartile distance. Against an end-to-end metric's BENCHMARK.json bound
+# the child's median is `within` or `worse`; `unresolved` when the
+# parent's own quartile spread exceeds the bound and not every child run
+# beats every parent run. A per-layer metric has no bound, so it gets no
+# bound verdict.
 set -euo pipefail
 
 usage() {
@@ -54,11 +58,13 @@ echo "building parent ${commit:0:12} and the working tree ..." >&2
 parent_bin=$(build "$work/parent" "$work/parent-target")
 child_bin=$(build "$repo" "$work/child-target")
 
-spec=$(jq -c --arg m "$metric" '[.end_to_end[], .per_layer[]] | map(select(.name == $m)) | .[0]' \
+spec=$(jq -c --arg m "$metric" \
+    '[(.end_to_end[] | .trace = 0), (.per_layer[] | .trace = 1)] | map(select(.name == $m)) | .[0]' \
     "$repo/BENCHMARK.json")
 [ "$spec" != null ] || { echo "$0: no metric $metric in BENCHMARK.json" >&2; exit 2; }
 better=$(jq -r '.better' <<<"$spec")
-bound=$(jq -r '.bound // empty' <<<"$spec")
+bound=$(jq -r 'if .trace == 0 then .bound // empty else empty end' <<<"$spec")
+trace=$(jq -r '.trace' <<<"$spec")
 
 # `run` is called in a subshell: it reports a steal-tainted run by file.
 unresolved_log=$(mktemp)
@@ -66,7 +72,7 @@ trap 'rm -f "$unresolved_log"' EXIT
 run() { # <source root> <binary> → the metric's value
     local err line
     err=$(mktemp)
-    line=$(cd "$1" && "$2" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 2>"$err" | tail -1)
+    line=$(cd "$1" && "$2" --workload "$workload" --seed "$seed" --seconds 15 --trace "$trace" 2>"$err" | tail -1)
     if grep -q "unresolved:" "$err"; then echo >>"$unresolved_log"; fi
     rm -f "$err"
     [ "$(jq -r '.correct' <<<"$line")" = true ] || { echo "$0: a run failed its checks" >&2; exit 1; }

@@ -106,8 +106,8 @@ pub use store::{
     RowStore,
 };
 pub use wire::{
-    ls_trailer_size, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg,
-    RecEntry, RecFormat, RecommendationMsg, LINKSTATE_HEADER_SIZE, LS_FLAG_SEQNO,
-    LS_SEQNO_TRAILER_BASE, PROBE_BATCH_HEADER_SIZE, PROBE_FLAG_TRACE, PROBE_WIRE_SIZE,
-    REC_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE, UDP_IP_OVERHEAD,
+    ls_trailer_size, readdress_linkstate, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem,
+    ProbeMsg, ProbeReplyMsg, RecEntry, RecFormat, RecommendationMsg, LINKSTATE_HEADER_SIZE,
+    LS_FLAG_SEQNO, LS_SEQNO_TRAILER_BASE, PROBE_BATCH_HEADER_SIZE, PROBE_FLAG_TRACE,
+    PROBE_WIRE_SIZE, REC_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE, UDP_IP_OVERHEAD,
 };

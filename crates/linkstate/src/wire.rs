@@ -186,6 +186,31 @@ fn put_linkstate(b: &mut BytesMut, m: &LinkStateMsg, sparse: bool) {
     }
 }
 
+/// Offset of the addressee in a link-state frame, dense or sparse: after
+/// the type tag and the origin, as `put_linkstate` writes them.
+const LS_TO_OFFSET: usize = 3;
+
+/// A copy of `frame`, an encoded link-state frame (dense or sparse),
+/// addressed to `to` instead: byte for byte what [`Message::encode`]
+/// writes for the same message with that `to`, since nothing else in
+/// the frame depends on the addressee. A node that sends one row to
+/// many peers encodes it once and stamps the copies.
+///
+/// # Panics
+/// Panics unless `frame` starts with a link-state type tag and reaches
+/// past the addressee.
+#[must_use]
+pub fn readdress_linkstate(frame: &[u8], to: NodeId) -> Bytes {
+    assert!(
+        matches!(frame.first(), Some(&(T_LINKSTATE | T_LINKSTATE_SPARSE)))
+            && frame.len() >= LS_TO_OFFSET + 2,
+        "not a link-state frame"
+    );
+    let mut copy = frame.to_vec();
+    copy[LS_TO_OFFSET..LS_TO_OFFSET + 2].copy_from_slice(&to.0.to_be_bytes());
+    Bytes::from(copy)
+}
+
 /// Is the record's entry alive? The liveness byte closes the record in
 /// both frame forms.
 fn record_is_live(record: &&[u8]) -> bool {
@@ -1449,6 +1474,64 @@ mod tests {
         let mut long = bytes.to_vec();
         long.push(0);
         assert!(Message::decode(&long).is_err());
+    }
+
+    /// A readdressed link-state frame is, for every addressee, the frame
+    /// `encode` writes for it: a full row on the identity lane, a dense
+    /// row with dead slots, a sparse row and a versioned row with a
+    /// retraction lane, in both frame forms where they apply.
+    #[test]
+    fn a_readdressed_frame_is_the_frame() {
+        let live = LinkEntry::live(40, 0.01);
+        let mut holes = vec![live; 9];
+        (holes[2], holes[7]) = (LinkEntry::dead(), LinkEntry::dead());
+        let (_, full) = dense(&[live; 9], 0, &[]);
+        let (_, holey) = dense(&holes, 0, &[]);
+        let pairs = sparse(&[(1, live), (6, LinkEntry::live(300, 0.5))], 0, &[]);
+        let (_, versioned) = dense(&holes, 41, &[2, 7]);
+        let cases = [
+            (false, &full),
+            (false, &holey),
+            (true, &pairs),
+            (false, &versioned),
+            (true, &versioned),
+        ];
+        for (is_sparse, row) in cases {
+            let msg = |to: u16| {
+                let ls = LinkStateMsg {
+                    from: NodeId(4),
+                    to: NodeId(to),
+                    view: 3,
+                    round: 17,
+                    basis_ms: 123_456,
+                    width: 9,
+                    row: Arc::clone(row),
+                };
+                if is_sparse {
+                    Message::LinkStateSparse(ls)
+                } else {
+                    Message::LinkState(ls)
+                }
+            };
+            let first = msg(0).encode();
+            for to in [0, 1, 8, 0x1234, u16::MAX] {
+                assert_eq!(
+                    *readdress_linkstate(&first, NodeId(to)),
+                    *msg(to).encode(),
+                    "to {to}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a link-state frame")]
+    fn readdressing_another_frame_panics() {
+        let join = Message::Join {
+            from: NodeId(1),
+            to: NodeId(2),
+        };
+        let _ = readdress_linkstate(&join.encode(), NodeId(3));
     }
 
     #[test]

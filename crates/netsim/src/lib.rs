@@ -37,9 +37,24 @@
 //! * Because wakeups are heap-driven, the queue depth *is* the
 //!   simulator's working set. The core records it on every insertion
 //!   into the `netsim/event_queue_depth` histogram (under the
-//!   [`CORE_TELEMETRY_NODE`] sentinel id, merged into
+//!   [`CORE_TELEMETRY_NODE`] sentinel id of
 //!   [`Simulator::telemetry_snapshot`]), which is how the scale study
 //!   verifies that idle nodes really cost nothing.
+//!
+//! # What the simulator measures itself
+//!
+//! Per node, the packet fate counters `netsim/pkt_sent`,
+//! `pkt_delivered`, `pkt_queued` and one `drop_*` per [`DropCause`],
+//! and the `deliver_latency_us` histogram; for the core, the
+//! `event_queue_depth` histogram. The simulator is their only writer
+//! and touches them on every event, so they are plain fields of
+//! [`Simulator`] — no registry, atomics or shared cells — and
+//! [`Simulator::telemetry_snapshot`] builds the snapshot from them on
+//! demand, every key present, zero counters included. Byte accounting
+//! ([`TrafficStats`]) is plain data for the same reason: one row of
+//! counters per time bucket. Nodes and links that the failure schedule
+//! never takes down are marked once, at construction, and skip the
+//! outage search on every packet.
 //!
 //! The simulator transports opaque byte buffers: nodes hand it *encoded*
 //! messages, so every simulated run also exercises the real wire codec.

@@ -2,7 +2,8 @@
 
 use crate::queue::EventQueue;
 use crate::stats::{Direction, TrafficClass, TrafficStats};
-use apor_telemetry::{Counter, Histogram, Snapshot, Telemetry};
+use apor_telemetry::{HistogramSnapshot, MetricValue, Snapshot};
+use apor_topology::failures::pair_index;
 use apor_topology::{FailureSchedule, LatencyMatrix};
 use bytes::Bytes;
 use rand::{Rng, SeedableRng};
@@ -173,6 +174,14 @@ pub enum DropCause {
 }
 
 impl DropCause {
+    /// Every cause, in declaration order.
+    pub const ALL: [DropCause; 4] = [
+        DropCause::LinkDown,
+        DropCause::Unreachable,
+        DropCause::Loss,
+        DropCause::ReceiverDown,
+    ];
+
     /// Stable lowercase label (the suffix of its `netsim/drop_*`
     /// counter).
     #[must_use]
@@ -186,34 +195,46 @@ impl DropCause {
     }
 }
 
-/// Pre-registered per-node network metrics: the packet fate counters
-/// (one per [`DropCause`], so partition drops never collapse into the
-/// same cell as crashes or loss) and the delivery latency histogram.
+/// A node's network metrics: the packet fate counters (one per
+/// [`DropCause`], so partition drops never collapse into the same cell
+/// as crashes or loss) and the delivery latency histogram. The
+/// simulator is their only writer, so they are plain data;
+/// [`Simulator::telemetry_snapshot`] publishes them.
 struct NetMetrics {
-    telemetry: Telemetry,
-    sent: Counter,
-    delivered: Counter,
-    queued: Counter,
-    drops: [Counter; 4],
-    deliver_latency_us: Histogram,
+    sent: u64,
+    delivered: u64,
+    queued: u64,
+    drops: [u64; 4],
+    deliver_latency_us: HistogramSnapshot,
 }
 
 impl NetMetrics {
-    fn new(node: u32) -> Self {
-        let telemetry = Telemetry::new(node);
+    fn new() -> Self {
         NetMetrics {
-            sent: telemetry.counter("netsim", "pkt_sent"),
-            delivered: telemetry.counter("netsim", "pkt_delivered"),
-            queued: telemetry.counter("netsim", "pkt_queued"),
-            drops: [
-                telemetry.counter("netsim", "drop_link_down"),
-                telemetry.counter("netsim", "drop_unreachable"),
-                telemetry.counter("netsim", "drop_loss"),
-                telemetry.counter("netsim", "drop_receiver_down"),
-            ],
-            deliver_latency_us: telemetry.histogram("netsim", "deliver_latency_us"),
-            telemetry,
+            sent: 0,
+            delivered: 0,
+            queued: 0,
+            drops: [0; 4],
+            deliver_latency_us: HistogramSnapshot::empty(),
         }
+    }
+}
+
+/// One bit per node or per link, set where the failure schedule ever
+/// takes it down: the others never need an outage search.
+struct MayFail(Vec<u64>);
+
+impl MayFail {
+    fn new(len: usize, failing: impl Iterator<Item = usize>) -> Self {
+        let mut bits = vec![0u64; len.div_ceil(64)];
+        for i in failing {
+            bits[i / 64] |= 1 << (i % 64);
+        }
+        MayFail(bits)
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
     }
 }
 
@@ -235,11 +256,14 @@ pub struct Simulator {
     events_processed: u64,
     cmd_buf: Vec<Command>,
     net: Vec<NetMetrics>,
-    /// The core's own metrics, keyed by [`CORE_TELEMETRY_NODE`].
-    core: Telemetry,
     /// Queue depth observed on every event insertion: the working-set
-    /// metric the idle-aware scheduler is meant to shrink.
-    event_queue_depth: Histogram,
+    /// metric the idle-aware scheduler is meant to shrink. Published
+    /// under [`CORE_TELEMETRY_NODE`].
+    event_queue_depth: HistogramSnapshot,
+    /// Nodes the schedule ever takes down, by index.
+    node_may_fail: MayFail,
+    /// Links the schedule ever takes down, by [`pair_index`].
+    link_may_fail: MayFail,
 }
 
 impl Simulator {
@@ -255,8 +279,15 @@ impl Simulator {
         );
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let stats = TrafficStats::new(n, config.bucket_secs);
-        let core = Telemetry::new(CORE_TELEMETRY_NODE);
-        let event_queue_depth = core.histogram("netsim", "event_queue_depth");
+        let node_may_fail =
+            MayFail::new(n, (0..n).filter(|&i| !schedule.node_outages(i).is_empty()));
+        let link_may_fail = MayFail::new(
+            n * n.saturating_sub(1) / 2,
+            (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .filter(|&(i, j)| !schedule.link_outages(i, j).is_empty())
+                .map(|(i, j)| pair_index(n, i, j)),
+        );
         Simulator {
             nodes: Vec::with_capacity(n),
             latency,
@@ -268,9 +299,10 @@ impl Simulator {
             stats,
             events_processed: 0,
             cmd_buf: Vec::new(),
-            net: (0..n).map(|i| NetMetrics::new(i as u32)).collect(),
-            core,
-            event_queue_depth,
+            net: (0..n).map(|_| NetMetrics::new()).collect(),
+            event_queue_depth: HistogramSnapshot::empty(),
+            node_may_fail,
+            link_may_fail,
         }
     }
 
@@ -305,22 +337,38 @@ impl Simulator {
         &self.stats
     }
 
-    /// Node `i`'s network-layer telemetry handle (packet fate counters
-    /// and the delivery-latency histogram).
-    #[must_use]
-    pub fn telemetry(&self, i: usize) -> &Telemetry {
-        &self.net[i].telemetry
-    }
-
     /// Every node's network metrics, plus the simulator core's own
-    /// (under [`CORE_TELEMETRY_NODE`]), merged into one fleet snapshot.
+    /// (under [`CORE_TELEMETRY_NODE`]), as one fleet snapshot: each
+    /// node's `netsim/pkt_sent`, `pkt_delivered`, `pkt_queued` and
+    /// `drop_*` counters (zeros included) and its
+    /// `deliver_latency_us` histogram, and the core's
+    /// `event_queue_depth` histogram.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
-        for m in &self.net {
-            snap.merge(&m.telemetry.snapshot());
+        for (node, m) in (0u32..).zip(&self.net) {
+            let mut counter = |name: &str, v: u64| {
+                snap.insert(node, "netsim", name, MetricValue::Counter(v));
+            };
+            counter("pkt_sent", m.sent);
+            counter("pkt_delivered", m.delivered);
+            counter("pkt_queued", m.queued);
+            for cause in DropCause::ALL {
+                counter(&format!("drop_{}", cause.label()), m.drops[cause as usize]);
+            }
+            snap.insert(
+                node,
+                "netsim",
+                "deliver_latency_us",
+                MetricValue::Histogram(m.deliver_latency_us.clone()),
+            );
         }
-        snap.merge(&self.core.snapshot());
+        snap.insert(
+            CORE_TELEMETRY_NODE,
+            "netsim",
+            "event_queue_depth",
+            MetricValue::Histogram(self.event_queue_depth.clone()),
+        );
         snap
     }
 
@@ -354,13 +402,14 @@ impl Simulator {
             cmds: &mut self.cmd_buf,
         };
         self.nodes[i].on_shutdown(&mut ctx);
-        let cmds = std::mem::take(&mut self.cmd_buf);
-        for cmd in cmds {
+        let mut cmds = std::mem::take(&mut self.cmd_buf);
+        for cmd in cmds.drain(..) {
             match cmd {
                 Command::Send { to, class, payload } => self.transmit(i, to, class, payload),
                 Command::Timer { .. } => {} // a departing node has no future
             }
         }
+        self.cmd_buf = cmds;
     }
 
     /// The failure schedule driving this run.
@@ -421,13 +470,13 @@ impl Simulator {
             } => {
                 node_idx = to;
                 // A crashed receiver takes no delivery.
-                if !self.schedule.is_node_up(to, self.now) {
+                if self.node_may_fail.get(to) && !self.schedule.is_node_up(to, self.now) {
                     self.drop_packet(from, to, DropCause::ReceiverDown);
                     return;
                 }
-                self.net[to].delivered.inc();
-                self.net[to]
-                    .deliver_latency_us
+                let net = &mut self.net[to];
+                net.delivered += 1;
+                net.deliver_latency_us
                     .observe(((self.now - sent_at).max(0.0) * 1e6) as u64);
                 self.stats.record(
                     to,
@@ -460,9 +509,11 @@ impl Simulator {
         self.apply_commands(node_idx);
     }
 
+    /// Apply the commands a callback of node `from` buffered, keeping
+    /// the buffer's allocation for the next callback.
     fn apply_commands(&mut self, from: usize) {
-        let cmds = std::mem::take(&mut self.cmd_buf);
-        for cmd in cmds {
+        let mut cmds = std::mem::take(&mut self.cmd_buf);
+        for cmd in cmds.drain(..) {
             match cmd {
                 Command::Send { to, class, payload } => self.transmit(from, to, class, payload),
                 Command::Timer { delay_s, token } => {
@@ -470,6 +521,7 @@ impl Simulator {
                 }
             }
         }
+        self.cmd_buf = cmds;
     }
 
     /// Account a dropped packet to the node that owns the failure:
@@ -482,7 +534,7 @@ impl Simulator {
             DropCause::LinkDown | DropCause::Unreachable | DropCause::Loss => from,
             DropCause::ReceiverDown => to,
         };
-        self.net[owner].drops[cause as usize].inc();
+        self.net[owner].drops[cause as usize] += 1;
     }
 
     /// The network model: account the transmission, then decide loss and
@@ -492,10 +544,17 @@ impl Simulator {
         // The sender pays for the transmission whether or not it arrives.
         self.stats
             .record(from, class, Direction::Out, size, self.now);
-        self.net[from].sent.inc();
+        self.net[from].sent += 1;
 
-        // A down link (or endpoint) swallows the packet.
-        if !self.schedule.is_link_up(from, to, self.now) {
+        // A down link (or endpoint) swallows the packet. Only a link or
+        // endpoint the schedule ever takes down needs the outage search.
+        debug_assert_ne!(from, to, "self-sends never reach the network");
+        let may_fail = self.node_may_fail.get(from)
+            || self.node_may_fail.get(to)
+            || self
+                .link_may_fail
+                .get(pair_index(self.latency.len(), from, to));
+        if may_fail && !self.schedule.is_link_up(from, to, self.now) {
             self.drop_packet(from, to, DropCause::LinkDown);
             return;
         }
@@ -516,7 +575,7 @@ impl Simulator {
             1.0
         };
         let arrival = self.now + (base * jitter).max(0.0);
-        self.net[to].queued.inc();
+        self.net[to].queued += 1;
         self.enqueue(
             arrival,
             Event::Deliver {
@@ -890,7 +949,7 @@ mod tests {
     /// Every drop cause must land in its own counter — a partition cut
     /// and a crash are different diagnoses.
     fn drop_counts(sim: &Simulator, node: usize) -> [u64; 4] {
-        let snap = sim.telemetry(node).snapshot();
+        let snap = sim.telemetry_snapshot();
         [
             "drop_link_down",
             "drop_unreachable",

@@ -43,13 +43,17 @@ pub enum Direction {
     In,
 }
 
-/// Byte counters: `n` nodes × 3 classes × 2 directions × time buckets.
+/// Byte counters: time buckets × `n` nodes × 3 classes × 2 directions.
+///
+/// Bucket-major: each bucket is one row of `n · 3 · 2` counters,
+/// allocated when a record first reaches it, so recording is one row
+/// lookup and one add.
 #[derive(Debug, Clone)]
 pub struct TrafficStats {
     n: usize,
     bucket_secs: f64,
-    /// `buckets[node][class][dir]` -> `Vec<u64>` indexed by bucket.
-    buckets: Vec<Vec<u64>>,
+    /// `buckets[bucket][series_index(node, class, dir)]`.
+    buckets: Vec<Box<[u64]>>,
 }
 
 const CLASSES: usize = 3;
@@ -66,7 +70,7 @@ impl TrafficStats {
         TrafficStats {
             n,
             bucket_secs,
-            buckets: vec![Vec::new(); n * CLASSES * DIRS],
+            buckets: Vec::new(),
         }
     }
 
@@ -95,12 +99,33 @@ impl TrafficStats {
     ) {
         assert!(node < self.n && t >= 0.0);
         let bucket = (t / self.bucket_secs) as usize;
-        let idx = self.series_index(node, class, dir);
-        let series = &mut self.buckets[idx];
-        if series.len() <= bucket {
-            series.resize(bucket + 1, 0);
+        while self.buckets.len() <= bucket {
+            self.buckets
+                .push(vec![0; self.n * CLASSES * DIRS].into_boxed_slice());
         }
-        series[bucket] += bytes as u64;
+        let idx = self.series_index(node, class, dir);
+        self.buckets[bucket][idx] += bytes as u64;
+    }
+
+    /// Bytes of `node` in the given classes and directions in bucket
+    /// `b` (zero beyond the last recorded bucket).
+    fn bucket_bytes(
+        &self,
+        b: usize,
+        node: usize,
+        classes: &[TrafficClass],
+        dirs: &[Direction],
+    ) -> u64 {
+        let Some(row) = self.buckets.get(b) else {
+            return 0;
+        };
+        let mut total = 0;
+        for &c in classes {
+            for &d in dirs {
+                total += row[self.series_index(node, c, d)];
+            }
+        }
+        total
     }
 
     /// Total bytes for `node` in the given classes and directions over
@@ -116,16 +141,9 @@ impl TrafficStats {
     ) -> u64 {
         let first = (from_s / self.bucket_secs) as usize;
         let last = (to_s / self.bucket_secs).ceil() as usize;
-        let mut total = 0;
-        for &c in classes {
-            for &d in dirs {
-                let series = &self.buckets[self.series_index(node, c, d)];
-                for b in first..last.min(series.len()) {
-                    total += series[b];
-                }
-            }
-        }
-        total
+        (first..last.min(self.buckets.len()))
+            .map(|b| self.bucket_bytes(b, node, classes, dirs))
+            .sum()
     }
 
     /// Mean bits/s for `node` (both directions) in the given classes over
@@ -155,19 +173,10 @@ impl TrafficStats {
     ) -> f64 {
         let first = (from_s / self.bucket_secs) as usize;
         let last = (to_s / self.bucket_secs).ceil() as usize;
-        let mut worst = 0u64;
-        for b in first..last {
-            let mut in_bucket = 0u64;
-            for &c in classes {
-                for d in [Direction::In, Direction::Out] {
-                    let series = &self.buckets[self.series_index(node, c, d)];
-                    if b < series.len() {
-                        in_bucket += series[b];
-                    }
-                }
-            }
-            worst = worst.max(in_bucket);
-        }
+        let worst = (first..last)
+            .map(|b| self.bucket_bytes(b, node, classes, &[Direction::In, Direction::Out]))
+            .max()
+            .unwrap_or(0);
         worst as f64 * 8.0 / self.bucket_secs
     }
 

@@ -76,7 +76,9 @@
 
 use crate::config::{Algorithm, MembershipMode, NodeConfig};
 use crate::membership::{Coordinator, MembershipView};
-use apor_linkstate::{Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg, RecEntry};
+use apor_linkstate::{
+    readdress_linkstate, Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg, RecEntry,
+};
 use apor_membership::{wire as swim_wire, Swim, SwimConfig, SwimMsg};
 use apor_netsim::TrafficClass;
 use apor_quorum::NodeId;
@@ -114,6 +116,7 @@ impl RouterBox {
 use bytes::Bytes;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// Timer token: prober poll loop.
 pub const TOKEN_PROBE: u64 = 1;
@@ -951,18 +954,47 @@ impl OverlayNode {
         let msgs = router
             .as_dyn_mut()
             .on_routing_tick(now, &row, &mut self.rng);
-        for m in msgs {
-            self.send_index_msg(m, out);
+        self.send_index_msgs(msgs, out);
+    }
+
+    /// Queue a tick's router-produced messages, as
+    /// [`Self::send_index_msg`] does one by one, but encode a row once
+    /// per run: a message that is a link-state frame of the same row
+    /// and header as the one queued just before it, but for the
+    /// addressee, is that frame's copy with `to` stamped in. A
+    /// full-mesh broadcast is one run of `n − 1` frames; quorum round
+    /// one, a run of about `2√n`.
+    fn send_index_msgs(&self, msgs: Vec<Message>, out: &mut Outbox) {
+        let mut last: Option<Message> = None;
+        for msg in msgs {
+            let Some(msg) = self.index_to_wire(msg) else {
+                continue;
+            };
+            match (&last, out.sends.last()) {
+                (Some(prev), Some((_, _, frame))) if differs_only_in_to(prev, &msg) => {
+                    let copy = readdress_linkstate(frame, msg.to());
+                    out.sends.push((msg.to(), TrafficClass::Routing, copy));
+                }
+                _ => out.send(msg.to(), &msg),
+            }
+            last = Some(msg);
         }
     }
 
     /// Translate a router-produced (index-space) message to identity
-    /// space and queue it. The router's message is rewritten in place —
-    /// one `id_of` per index — and encoded; a message naming an index
-    /// outside the view is dropped, a recommendation entry naming one is
-    /// left out.
-    fn send_index_msg(&self, mut msg: Message, out: &mut Outbox) {
-        let Some(view) = &self.view else { return };
+    /// space and queue it (see [`Self::index_to_wire`]).
+    fn send_index_msg(&self, msg: Message, out: &mut Outbox) {
+        if let Some(msg) = self.index_to_wire(msg) {
+            out.send(msg.to(), &msg);
+        }
+    }
+
+    /// A router-produced (index-space) message in identity space,
+    /// rewritten in place — one `id_of` per index. A message naming an
+    /// index outside the view is dropped, a recommendation entry naming
+    /// one is left out; any other message passes as it is.
+    fn index_to_wire(&self, mut msg: Message) -> Option<Message> {
+        let view = self.view.as_ref()?;
         let id = |idx: NodeId| view.id_of(idx.index());
         let (from, to) = match &mut msg {
             // Entry indices are view-positional, guarded by the
@@ -972,16 +1004,10 @@ impl OverlayNode {
                 translate_recs(&mut rm.recs, id);
                 (&mut rm.from, &mut rm.to)
             }
-            other => {
-                out.send(other.to(), other);
-                return;
-            }
+            _ => return Some(msg),
         };
-        let (Some(from_id), Some(to_id)) = (id(*from), id(*to)) else {
-            return;
-        };
-        (*from, *to) = (from_id, to_id);
-        out.send(to_id, &msg);
+        (*from, *to) = (id(*from)?, id(*to)?);
+        Some(msg)
     }
 
     /// Translate an incoming identity-space routing message into index
@@ -1010,6 +1036,20 @@ impl OverlayNode {
 
 /// Rewrite each recommendation's `dst` and `hop` through `map` in one
 /// pass, dropping the entries that name an id `map` does not know.
+/// Do `a` and `b` encode to the same frame but for the addressee? They
+/// must be link-state frames of one form that share the row itself
+/// (not merely equal rows) and every other header field.
+fn differs_only_in_to(a: &Message, b: &Message) -> bool {
+    let ((Message::LinkState(a), Message::LinkState(b))
+    | (Message::LinkStateSparse(a), Message::LinkStateSparse(b))) = (a, b)
+    else {
+        return false;
+    };
+    Arc::ptr_eq(&a.row, &b.row)
+        && (a.from, a.view, a.round, a.basis_ms, a.width)
+            == (b.from, b.view, b.round, b.basis_ms, b.width)
+}
+
 fn translate_recs(recs: &mut Vec<RecEntry>, map: impl Fn(NodeId) -> Option<NodeId>) {
     recs.retain_mut(|r| match (map(r.dst), map(r.hop)) {
         (Some(dst), Some(hop)) => {
@@ -1350,6 +1390,85 @@ mod tests {
                 .collect();
             prop_assert_eq!(out.sends, want);
         }
+    }
+
+    /// A tick's frames, stamped once per run of one row, are each the
+    /// frame `Message::encode` writes for that message: runs on a full
+    /// row, a dense row with dead slots, a sparse row and a versioned
+    /// row with a retraction lane, broken by a new row, a changed
+    /// header field, the other frame form, a recommendation and an
+    /// addressee outside the view — none of which is ever stamped from
+    /// the frame before it.
+    #[test]
+    fn stamped_tick_frames_are_the_encoded_frames() {
+        let members: Vec<NodeId> = (0..9).map(|i| NodeId(100 + 7 * i)).collect();
+        let mut node = OverlayNode::new(
+            NodeConfig::new(members[0], members[0], Algorithm::Quorum)
+                .with_static_members(members.clone()),
+        );
+        node.on_start(0.0, &mut Outbox::default());
+        let view = node.view().expect("static view installed").clone();
+
+        let live = LinkEntry::live(40, 0.01);
+        let mut holes = vec![live; 9];
+        (holes[2], holes[7]) = (LinkEntry::dead(), LinkEntry::dead());
+        let full = Arc::new(LaneRow::from_dense(&[live; 9]));
+        let holey = Arc::new(LaneRow::from_dense(&holes));
+        let pairs = Arc::new(LaneRow::from_pairs(&[
+            (1, live),
+            (6, LinkEntry::live(300, 0.5)),
+        ]));
+        let versioned = Arc::new(LaneRow::from_dense(&holes).with_version(41, &[2, 7]));
+        let frame = |sparse: bool, row: &Arc<LaneRow>, round: u32, to: u16| {
+            let ls = LinkStateMsg {
+                from: NodeId(0),
+                to: NodeId(to),
+                view: view.version,
+                round,
+                basis_ms: 123_456,
+                width: 9,
+                row: Arc::clone(row),
+            };
+            if sparse {
+                Message::LinkStateSparse(ls)
+            } else {
+                Message::LinkState(ls)
+            }
+        };
+        let rec = Message::Recommendations(RecommendationMsg {
+            from: NodeId(0),
+            to: NodeId(3),
+            view: view.version,
+            round: 5,
+            basis_ms: 9,
+            format: RecFormat::Compact,
+            recs: vec![RecEntry {
+                dst: NodeId(4),
+                hop: NodeId(2),
+                cost_ms: u16::MAX,
+            }],
+        });
+        let mut msgs: Vec<Message> = (1..9).map(|to| frame(false, &full, 5, to)).collect();
+        msgs.extend((1..4).map(|to| frame(false, &holey, 5, to)));
+        msgs.push(frame(false, &holey, 6, 4));
+        msgs.push(frame(true, &holey, 6, 5));
+        msgs.extend((1..4).map(|to| frame(true, &pairs, 6, to)));
+        msgs.push(rec);
+        msgs.push(frame(true, &pairs, 6, 4));
+        msgs.push(frame(true, &pairs, 6, 42));
+        msgs.push(frame(true, &pairs, 6, 5));
+        msgs.extend((1..9).map(|to| frame(false, &versioned, 6, to)));
+        msgs.extend((1..3).map(|to| frame(true, &versioned, 6, to)));
+
+        let mut out = Outbox::default();
+        node.send_index_msgs(msgs.clone(), &mut out);
+        let want: Vec<_> = msgs
+            .iter()
+            .filter_map(|m| translate_by_definition(&view, 0, m, false))
+            .map(|m| (m.to(), class_of(&m), m.encode()))
+            .collect();
+        assert_eq!(want.len(), msgs.len() - 1, "only the outsider is dropped");
+        assert_eq!(out.sends, want);
     }
 
     #[test]

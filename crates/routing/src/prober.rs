@@ -20,6 +20,21 @@
 //! Coverage is preserved: any pair (i, j) shares a rendezvous server
 //! `s`, both legs i→s and j→s are entitled, so `s` can always recommend
 //! the route via itself or better.
+//!
+//! # The schedule lane
+//!
+//! A wake costs what is due, not what is probed. Each target's timing —
+//! its next probe instant and its outstanding probe, if any — lives in
+//! a lane of 32-byte slots beside the targets, index for index, rather
+//! than in the target with its estimator and rate controller. A slot's
+//! *deadline* is the outstanding probe's timeout, or else its next
+//! probe. [`Prober::poll`] reads the lane and visits, in ascending peer
+//! order, only the targets whose deadline has come — so sequence
+//! numbers, actions and link losses come out in the order a visit of
+//! every target would give — and [`Prober::next_wake`] is the lane's
+//! earliest deadline. Every change to a schedule (a poll, a reply, a
+//! sample rotation, a reinstall) writes the slot itself; nothing is
+//! derived from it, so nothing can go stale.
 
 use crate::adaptive::{AdaptiveProbeRate, RateSample};
 use crate::config::{ProbePolicy, ProtocolConfig};
@@ -54,7 +69,7 @@ struct Pending {
     sent_at: f64,
 }
 
-/// Per-target probing state.
+/// Per-target probing state; its timing is in the [`Schedule`] lane.
 #[derive(Debug)]
 struct TargetState {
     peer: usize,
@@ -62,8 +77,33 @@ struct TargetState {
     entitled: bool,
     estimator: LinkEstimator,
     rate: AdaptiveProbeRate,
+}
+
+/// When a target next has work: its next probe and its outstanding
+/// probe. One slot per target, at the target's index.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
     next_probe_at: f64,
     pending: Option<Pending>,
+}
+
+impl Schedule {
+    /// A schedule whose first probe is at `at`.
+    fn first(at: f64) -> Self {
+        Schedule {
+            next_probe_at: at,
+            pending: None,
+        }
+    }
+
+    /// The instant [`Prober::poll`] next has work here: the outstanding
+    /// probe's timeout, or else the next probe.
+    fn deadline(&self, probe_timeout_s: f64) -> f64 {
+        match self.pending {
+            Some(p) => p.sent_at + probe_timeout_s,
+            None => self.next_probe_at,
+        }
+    }
 }
 
 /// A reverse-path estimate adopted from a peer's `Gauge` item.
@@ -81,7 +121,10 @@ pub struct Prober {
     me: usize,
     n: usize,
     config: ProtocolConfig,
+    /// Probed peers, ascending.
     targets: Vec<TargetState>,
+    /// `schedule[i]` is `targets[i]`'s timing (module docs).
+    schedule: Vec<Schedule>,
     /// Reverse-path entries adopted from peers' gauges, sorted by peer.
     adopted: Vec<Adopted>,
     adopted_cap: usize,
@@ -114,6 +157,7 @@ impl Prober {
             n,
             config,
             targets: Vec::new(),
+            schedule: Vec::new(),
             adopted: Vec::new(),
             adopted_cap: 0,
             next_seq: 0,
@@ -182,20 +226,27 @@ impl Prober {
             let (peer, entitled) = wanted.remove(at);
             (t.peer, t.entitled) = (peer, entitled);
             t.rate = AdaptiveProbeRate::new(&self.config, self.config.probe_interval_s);
-            t.next_probe_at = self.first_probe_at(peer, entitled, now);
-            t.pending = None;
             true
         });
         let carried = targets.len();
         targets.extend(
             wanted
                 .into_iter()
-                .map(|(peer, entitled)| self.make_target(peer, entitled, now)),
+                .map(|(peer, entitled)| self.make_target(peer, entitled)),
         );
         if carried > 0 && targets.len() > carried {
             targets.sort_unstable_by_key(|t| t.peer);
         }
+        // Every target, carried or new, starts its schedule over.
+        let mut schedule = std::mem::take(&mut self.schedule);
+        schedule.clear();
+        schedule.extend(
+            targets
+                .iter()
+                .map(|t| Schedule::first(self.first_probe_at(t.peer, t.entitled, now))),
+        );
         self.targets = targets;
+        self.schedule = schedule;
         self.publish_target_gauges();
         self
     }
@@ -258,15 +309,14 @@ impl Prober {
         now + phase as f64 * 0.5
     }
 
-    /// A never-measured target at the start of its schedule.
-    fn make_target(&self, peer: usize, entitled: bool, now: f64) -> TargetState {
+    /// A never-measured target (its schedule starts at
+    /// [`Prober::first_probe_at`]).
+    fn make_target(&self, peer: usize, entitled: bool) -> TargetState {
         TargetState {
             peer,
             entitled,
             estimator: LinkEstimator::new(),
             rate: AdaptiveProbeRate::new(&self.config, self.config.probe_interval_s),
-            next_probe_at: self.first_probe_at(peer, entitled, now),
-            pending: None,
         }
     }
 
@@ -307,37 +357,51 @@ impl Prober {
     }
 
     /// Replace the sampled (non-entitled) targets with the next epoch's
-    /// draw, each starting from nothing.
+    /// draw, each starting from nothing; entitled targets keep their
+    /// schedules.
     fn rotate_sample(&mut self, now: f64) {
         self.sample_epoch += 1;
         self.sample_rotate_at = now + self.config.probe_interval_s;
+        let targets = &self.targets;
+        let mut i = 0;
+        self.schedule.retain(|_| {
+            i += 1;
+            targets[i - 1].entitled
+        });
         self.targets.retain(|t| t.entitled);
         let picked = self.draw_sample(self.targets.len(), |peer| self.target(peer).is_some());
         for peer in picked {
-            let t = self.make_target(peer, false, now);
-            self.targets.push(t);
+            let at = self.targets.partition_point(|t| t.peer < peer);
+            self.targets.insert(at, self.make_target(peer, false));
+            let first = Schedule::first(self.first_probe_at(peer, false, now));
+            self.schedule.insert(at, first);
         }
-        self.targets.sort_unstable_by_key(|t| t.peer);
         self.publish_target_gauges();
     }
 
     /// Advance to `now`: rotate the sample epoch when due, expire
     /// timed-out probes (recording losses and arming rapid re-probes)
-    /// and emit the probes now due.
+    /// and emit the probes now due. Only targets whose deadline has
+    /// come are visited, in ascending peer order.
     pub fn poll(&mut self, now: f64) -> Vec<ProbeAction> {
         if self.config.probe_policy == ProbePolicy::Entitled && now >= self.sample_rotate_at {
             self.rotate_sample(now);
         }
         let mut actions = Vec::new();
         let batch = self.config.probe_policy == ProbePolicy::Entitled;
-        for t in &mut self.targets {
+        let timeout = self.config.probe_timeout_s;
+        for (s, t) in self.schedule.iter_mut().zip(&mut self.targets) {
+            // Neither branch below can fire before the deadline.
+            if s.deadline(timeout) > now {
+                continue;
+            }
             // Expire an outstanding probe. The comparison must be the
             // exact expression `next_wake` computes the deadline with —
             // `now - sent_at >= timeout` can round *below* the timeout
             // at the woken instant, which would make a coalesced driver
             // re-arm a zero-delay timer forever.
-            if let Some(p) = t.pending {
-                if now >= p.sent_at + self.config.probe_timeout_s {
+            if let Some(p) = s.pending {
+                if now >= p.sent_at + timeout {
                     let was_alive = t.estimator.alive();
                     t.estimator.record(ProbeOutcome::Timeout);
                     if was_alive && !t.estimator.alive() {
@@ -346,21 +410,21 @@ impl Prober {
                         self.link_losses.push(t.peer);
                     }
                     t.rate.on_sample(RateSample::Loss);
-                    t.pending = None;
+                    s.pending = None;
                     // Rapid failure detection: re-probe quickly while the
                     // loss burst lasts.
                     let rapid = p.sent_at + self.config.rapid_probe_interval_s;
-                    if rapid < t.next_probe_at {
-                        t.next_probe_at = rapid.max(now);
+                    if rapid < s.next_probe_at {
+                        s.next_probe_at = rapid.max(now);
                     }
                 }
             }
             // Emit a due probe.
-            if t.pending.is_none() && now >= t.next_probe_at {
+            if s.pending.is_none() && now >= s.next_probe_at {
                 let seq = self.next_seq;
                 self.next_seq = self.next_seq.wrapping_add(1);
-                t.pending = Some(Pending { seq, sent_at: now });
-                t.next_probe_at = now + t.rate.interval_s();
+                s.pending = Some(Pending { seq, sent_at: now });
+                s.next_probe_at = now + t.rate.interval_s();
                 if batch {
                     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                     let mut items = vec![ProbeItem::Ping {
@@ -421,12 +485,13 @@ impl Prober {
             return;
         }
         let Some(i) = self.target(peer) else { return };
-        let t = &mut self.targets[i];
-        let Some(p) = t.pending else { return };
+        let s = &mut self.schedule[i];
+        let Some(p) = s.pending else { return };
         if p.seq != seq {
             return;
         }
-        t.pending = None;
+        s.pending = None;
+        let t = &mut self.targets[i];
         let rtt_ms = (now - p.sent_at) * 1000.0;
         t.estimator.record(ProbeOutcome::Reply { rtt_ms });
         t.rate.on_sample(RateSample::Reply { latency_ms: rtt_ms });
@@ -479,22 +544,20 @@ impl Prober {
         2.0 * self.config.probe_interval_max_s
     }
 
-    /// The earliest time at which [`poll`](Self::poll) could have work.
+    /// The earliest time at which [`poll`](Self::poll) could have work:
+    /// the lane's earliest deadline, or the sample rotation.
     #[must_use]
     pub fn next_wake(&self, now: f64) -> f64 {
-        let mut wake = if self.config.probe_policy == ProbePolicy::Entitled {
+        let wake = if self.config.probe_policy == ProbePolicy::Entitled {
             self.sample_rotate_at
         } else {
             f64::INFINITY
         };
-        for t in &self.targets {
-            if let Some(p) = t.pending {
-                wake = wake.min(p.sent_at + self.config.probe_timeout_s);
-            } else {
-                wake = wake.min(t.next_probe_at);
-            }
-        }
-        wake.max(now)
+        let timeout = self.config.probe_timeout_s;
+        self.schedule
+            .iter()
+            .fold(wake, |wake, s| wake.min(s.deadline(timeout)))
+            .max(now)
     }
 
     /// Is the direct link to `j` currently considered alive?
@@ -902,6 +965,148 @@ mod tests {
         let outsider = (0..p.n).find(|&j| j != p.me && p.target(j).is_none());
         if let Some(j) = outsider {
             p.adopt_gauge(j, 25, 10, until);
+        }
+    }
+
+    /// [`Prober::poll`] by definition: rotate the sample when due, then
+    /// run the per-target body on every target, due or not.
+    fn poll_by_definition(p: &mut Prober, now: f64) -> Vec<ProbeAction> {
+        if p.config.probe_policy == ProbePolicy::Entitled && now >= p.sample_rotate_at {
+            p.rotate_sample(now);
+        }
+        let mut actions = Vec::new();
+        let batch = p.config.probe_policy == ProbePolicy::Entitled;
+        for (s, t) in p.schedule.iter_mut().zip(&mut p.targets) {
+            if let Some(pending) = s.pending {
+                if now >= pending.sent_at + p.config.probe_timeout_s {
+                    let was_alive = t.estimator.alive();
+                    t.estimator.record(ProbeOutcome::Timeout);
+                    if was_alive && !t.estimator.alive() {
+                        p.link_losses.push(t.peer);
+                    }
+                    t.rate.on_sample(RateSample::Loss);
+                    s.pending = None;
+                    let rapid = pending.sent_at + p.config.rapid_probe_interval_s;
+                    if rapid < s.next_probe_at {
+                        s.next_probe_at = rapid.max(now);
+                    }
+                }
+            }
+            if s.pending.is_none() && now >= s.next_probe_at {
+                let seq = p.next_seq;
+                p.next_seq = p.next_seq.wrapping_add(1);
+                s.pending = Some(Pending { seq, sent_at: now });
+                s.next_probe_at = now + t.rate.interval_s();
+                if batch {
+                    let mut items = vec![ProbeItem::Ping {
+                        seq,
+                        sent_ms: (now * 1000.0) as u32,
+                    }];
+                    let e = t.estimator.to_entry();
+                    if e.alive {
+                        items.push(ProbeItem::Gauge {
+                            rtt_ms: e.latency_ms,
+                            loss_pm: (f64::from(e.loss) * 1000.0) as u16,
+                        });
+                    }
+                    actions.push(ProbeAction::SendBatch { to: t.peer, items });
+                } else {
+                    actions.push(ProbeAction::SendProbe { to: t.peer, seq });
+                }
+            }
+        }
+        actions
+    }
+
+    /// [`Prober::next_wake`] by definition: a scan of every target.
+    fn next_wake_by_definition(p: &Prober, now: f64) -> f64 {
+        let mut wake = if p.config.probe_policy == ProbePolicy::Entitled {
+            p.sample_rotate_at
+        } else {
+            f64::INFINITY
+        };
+        for s in &p.schedule {
+            if let Some(pending) = s.pending {
+                wake = wake.min(pending.sent_at + p.config.probe_timeout_s);
+            } else {
+                wake = wake.min(s.next_probe_at);
+            }
+        }
+        wake.max(now)
+    }
+
+    /// The lane-driven poll and wake are the full scans: the same random
+    /// life — polls at and between wakes, prompt, late, duplicated and
+    /// wrong-seq replies, silent peers timing out and dying, sample
+    /// rotations and a reinstall with a remap — gives the same actions,
+    /// sequence numbers, link losses and wake bits under both policies.
+    /// Each outstanding probe sits in the slot of the peer it went to.
+    #[test]
+    fn the_schedule_lane_matches_the_full_scan() {
+        use rand::{Rng, SeedableRng};
+        for cfg in [quorum_cfg(), entitled_cfg()] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5CED);
+            let mut lane = Prober::new(7, 48, cfg.clone(), 0.0);
+            let mut scan = Prober::new(7, 48, cfg.clone(), 0.0);
+            // Probes sent, `(peer, seq, sent_at)`, newest last.
+            let mut sent: Vec<(usize, u32, f64)> = Vec::new();
+            let (mut t, mut polls, mut replies) = (0.0, 0, 0);
+            for step in 0..6000 {
+                if step == 3000 {
+                    // Members 3 and 20..24 leave; everybody above moves down.
+                    let stays = |j: usize| j != 3 && !(20..24).contains(&j);
+                    let table: Vec<Option<u16>> = (0..48)
+                        .map(|j| stays(j).then(|| (0..j).filter(|&k| stays(k)).count() as u16))
+                        .collect();
+                    let me = usize::from(table[7].unwrap());
+                    lane = lane.reinstall(me, 43, t, &table);
+                    scan = scan.reinstall(me, 43, t, &table);
+                    sent.clear();
+                }
+                let wake = lane.next_wake(t);
+                assert_eq!(wake.to_bits(), next_wake_by_definition(&scan, t).to_bits());
+                match rng.gen_range(0..10) {
+                    // Poll at the wake, or somewhere before or past it.
+                    0..=4 => {
+                        if rng.gen_bool(0.5) {
+                            t = wake;
+                        } else {
+                            t += f64::from(rng.gen_range(0..8u8)) * 0.25;
+                        }
+                        let actions = lane.poll(t);
+                        assert_eq!(actions, poll_by_definition(&mut scan, t), "poll at {t}");
+                        assert_eq!(lane.take_link_losses(), scan.take_link_losses());
+                        for (to, seq) in send_probes(&actions) {
+                            sent.push((to, seq, t));
+                        }
+                        polls += actions.len();
+                    }
+                    // A reply to a recent probe (fresh, late or repeated),
+                    // unless its peer is one of the silent ones.
+                    5..=8 if !sent.is_empty() => {
+                        let back = rng.gen_range(0..sent.len().min(6));
+                        let (to, seq, _) = sent[sent.len() - 1 - back];
+                        let seq = if rng.gen_bool(0.1) { seq ^ 1 } else { seq };
+                        t += f64::from(rng.gen_range(0..3u8)) * 0.125;
+                        if to % 5 != 0 {
+                            lane.on_reply(to, seq, t);
+                            scan.on_reply(to, seq, t);
+                            replies += 1;
+                        }
+                    }
+                    _ => t += 0.5,
+                }
+                for (s, target) in lane.schedule.iter().zip(&lane.targets) {
+                    if let Some(p) = s.pending {
+                        let last = sent.iter().rev().find(|x| x.0 == target.peer);
+                        assert_eq!(last, Some(&(target.peer, p.seq, p.sent_at)));
+                    }
+                }
+                assert_eq!(lane.schedule.len(), lane.targets.len());
+            }
+            assert_eq!(format!("{lane:?}"), format!("{scan:?}"));
+            assert!(lane.sample_epoch > 2 || cfg.probe_policy == ProbePolicy::FullMesh);
+            assert!(lane.concurrent_failures() > 0 && polls > 500 && replies > 500);
         }
     }
 

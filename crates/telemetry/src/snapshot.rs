@@ -1,10 +1,18 @@
 //! Point-in-time metric snapshots: fleet merge and JSON/CSV export.
 
-use crate::metrics::{bucket_upper_bound, HISTOGRAM_BUCKETS};
+use crate::metrics::{bucket_index, bucket_upper_bound, HISTOGRAM_BUCKETS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A frozen histogram: counts per log₂ bucket plus exact count/sum/max.
+///
+/// It is also the plain, single-owner form of a [`Histogram`]: an
+/// owner that is the only writer of a distribution (the simulator's
+/// network metrics) records into one with
+/// [`observe`](HistogramSnapshot::observe) and publishes a copy, with
+/// no registry or atomics in between.
+///
+/// [`Histogram`]: crate::Histogram
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
@@ -14,7 +22,7 @@ pub struct HistogramSnapshot {
     /// Largest observed value.
     pub max: u64,
     /// Per-bucket observation counts (see
-    /// [`bucket_index`](crate::metrics::bucket_index)).
+    /// [`bucket_index`]).
     pub buckets: Box<[u64; HISTOGRAM_BUCKETS]>,
 }
 
@@ -28,6 +36,16 @@ impl HistogramSnapshot {
             max: 0,
             buckets: Box::new([0; HISTOGRAM_BUCKETS]),
         }
+    }
+
+    /// Record one observation, as [`Histogram::observe`] does.
+    ///
+    /// [`Histogram::observe`]: crate::Histogram::observe
+    pub fn observe(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
     }
 
     /// Estimated quantile `q` (0 ≤ q ≤ 1): the upper bound of the

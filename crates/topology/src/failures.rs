@@ -357,6 +357,12 @@ impl FailureSchedule {
         &self.link_down[pair_index(self.n, i, j)]
     }
 
+    /// The outage list of node `i`.
+    #[must_use]
+    pub fn node_outages(&self, i: usize) -> &[Outage] {
+        &self.node_down[i]
+    }
+
     /// Number of concurrent link failures observed by node `i` at `t`:
     /// destinations unreachable via the direct link (figure 8's metric).
     #[must_use]
