@@ -999,16 +999,10 @@ mod tests {
 
     #[test]
     fn drop_cause_labels_are_distinct() {
-        let all = [
-            DropCause::LinkDown,
-            DropCause::Unreachable,
-            DropCause::Loss,
-            DropCause::ReceiverDown,
-        ];
-        let mut labels: Vec<&str> = all.iter().map(|c| c.label()).collect();
+        let mut labels: Vec<&str> = DropCause::ALL.iter().map(|c| c.label()).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), all.len());
+        assert_eq!(labels.len(), DropCause::ALL.len());
     }
 
     #[test]
