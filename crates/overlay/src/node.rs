@@ -77,7 +77,8 @@
 use crate::config::{Algorithm, MembershipMode, NodeConfig};
 use crate::membership::{Coordinator, MembershipView};
 use apor_linkstate::{
-    readdress_linkstate, Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg, RecEntry,
+    readdress_linkstate, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg,
+    RecEntry,
 };
 use apor_membership::{wire as swim_wire, Swim, SwimConfig, SwimMsg};
 use apor_netsim::TrafficClass;
@@ -537,9 +538,7 @@ impl OverlayNode {
                         Some(router) => router.as_dyn_mut().on_message(now, &inner),
                         None => Vec::new(),
                     };
-                    for reply in replies {
-                        self.send_index_msg(reply, out);
-                    }
+                    self.send_index_msgs(replies, out);
                 }
             }
             Message::Join { from, .. } => {
@@ -957,11 +956,11 @@ impl OverlayNode {
         self.send_index_msgs(msgs, out);
     }
 
-    /// Queue a tick's router-produced messages, as
-    /// [`Self::send_index_msg`] does one by one, but encode a row once
-    /// per run: a message that is a link-state frame of the same row
-    /// and header as the one queued just before it, but for the
-    /// addressee, is that frame's copy with `to` stamped in. A
+    /// Translate router-produced (index-space) messages to identity
+    /// space (see [`Self::index_to_wire`]) and queue them, encoding a
+    /// row once per run: a message that is a link-state frame of the
+    /// same row and header as the one queued just before it, but for
+    /// the addressee, is that frame's copy with `to` stamped in. A
     /// full-mesh broadcast is one run of `n − 1` frames; quorum round
     /// one, a run of about `2√n`.
     fn send_index_msgs(&self, msgs: Vec<Message>, out: &mut Outbox) {
@@ -978,14 +977,6 @@ impl OverlayNode {
                 _ => out.send(msg.to(), &msg),
             }
             last = Some(msg);
-        }
-    }
-
-    /// Translate a router-produced (index-space) message to identity
-    /// space and queue it (see [`Self::index_to_wire`]).
-    fn send_index_msg(&self, msg: Message, out: &mut Outbox) {
-        if let Some(msg) = self.index_to_wire(msg) {
-            out.send(msg.to(), &msg);
         }
     }
 
@@ -1034,8 +1025,6 @@ impl OverlayNode {
     }
 }
 
-/// Rewrite each recommendation's `dst` and `hop` through `map` in one
-/// pass, dropping the entries that name an id `map` does not know.
 /// Do `a` and `b` encode to the same frame but for the addressee? They
 /// must be link-state frames of one form that share the row itself
 /// (not merely equal rows) and every other header field.
@@ -1045,11 +1034,23 @@ fn differs_only_in_to(a: &Message, b: &Message) -> bool {
     else {
         return false;
     };
-    Arc::ptr_eq(&a.row, &b.row)
-        && (a.from, a.view, a.round, a.basis_ms, a.width)
+    // Exhaustive, so that a header field added later is compared too.
+    let LinkStateMsg {
+        from,
+        to: _,
+        view,
+        round,
+        basis_ms,
+        width,
+        row,
+    } = a;
+    Arc::ptr_eq(row, &b.row)
+        && (*from, *view, *round, *basis_ms, *width)
             == (b.from, b.view, b.round, b.basis_ms, b.width)
 }
 
+/// Rewrite each recommendation's `dst` and `hop` through `map` in one
+/// pass, dropping the entries that name an id `map` does not know.
 fn translate_recs(recs: &mut Vec<RecEntry>, map: impl Fn(NodeId) -> Option<NodeId>) {
     recs.retain_mut(|r| match (map(r.dst), map(r.hop)) {
         (Some(dst), Some(hop)) => {
@@ -1383,7 +1384,7 @@ mod tests {
             // Index → wire: what lands in the outbox is the definition's
             // message, encoded, addressed to its `to`.
             let mut out = Outbox::default();
-            node.send_index_msg(msg.clone(), &mut out);
+            node.send_index_msgs(vec![msg.clone()], &mut out);
             let want: Vec<_> = translate_by_definition(&view, me, &msg, false)
                 .map(|m| (m.to(), class_of(&m), m.encode()))
                 .into_iter()
