@@ -52,9 +52,10 @@
 //! [`Simulator::telemetry_snapshot`] builds the snapshot from them on
 //! demand, every key present, zero counters included. Byte accounting
 //! ([`TrafficStats`]) is plain data for the same reason: one row of
-//! counters per time bucket. Nodes and links that the failure schedule
-//! never takes down are marked once, at construction, and skip the
-//! outage search on every packet.
+//! counters per time bucket. The
+//! [`FailureSchedule`](apor_topology::FailureSchedule) marks the nodes and
+//! links it ever takes down, so the per-packet up checks on the others
+//! skip the outage search.
 //!
 //! The simulator transports opaque byte buffers: nodes hand it *encoded*
 //! messages, so every simulated run also exercises the real wire codec.

@@ -3,7 +3,6 @@
 use crate::queue::EventQueue;
 use crate::stats::{Direction, TrafficClass, TrafficStats};
 use apor_telemetry::{HistogramSnapshot, MetricValue, Snapshot};
-use apor_topology::failures::pair_index;
 use apor_topology::{FailureSchedule, LatencyMatrix};
 use bytes::Bytes;
 use rand::{Rng, SeedableRng};
@@ -220,24 +219,6 @@ impl NetMetrics {
     }
 }
 
-/// One bit per node or per link, set where the failure schedule ever
-/// takes it down: the others never need an outage search.
-struct MayFail(Vec<u64>);
-
-impl MayFail {
-    fn new(len: usize, failing: impl Iterator<Item = usize>) -> Self {
-        let mut bits = vec![0u64; len.div_ceil(64)];
-        for i in failing {
-            bits[i / 64] |= 1 << (i % 64);
-        }
-        MayFail(bits)
-    }
-
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] & (1 << (i % 64)) != 0
-    }
-}
-
 /// Sentinel node id under which the simulator core's own metrics (the
 /// event-queue depth histogram) are recorded. Picked from the top of the
 /// id space so it can never collide with a real node index.
@@ -260,10 +241,6 @@ pub struct Simulator {
     /// metric the idle-aware scheduler is meant to shrink. Published
     /// under [`CORE_TELEMETRY_NODE`].
     event_queue_depth: HistogramSnapshot,
-    /// Nodes the schedule ever takes down, by index.
-    node_may_fail: MayFail,
-    /// Links the schedule ever takes down, by [`pair_index`].
-    link_may_fail: MayFail,
 }
 
 impl Simulator {
@@ -279,15 +256,6 @@ impl Simulator {
         );
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let stats = TrafficStats::new(n, config.bucket_secs);
-        let node_may_fail =
-            MayFail::new(n, (0..n).filter(|&i| !schedule.node_outages(i).is_empty()));
-        let link_may_fail = MayFail::new(
-            n * n.saturating_sub(1) / 2,
-            (0..n)
-                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-                .filter(|&(i, j)| !schedule.link_outages(i, j).is_empty())
-                .map(|(i, j)| pair_index(n, i, j)),
-        );
         Simulator {
             nodes: Vec::with_capacity(n),
             latency,
@@ -301,8 +269,6 @@ impl Simulator {
             cmd_buf: Vec::new(),
             net: (0..n).map(|_| NetMetrics::new()).collect(),
             event_queue_depth: HistogramSnapshot::empty(),
-            node_may_fail,
-            link_may_fail,
         }
     }
 
@@ -470,7 +436,7 @@ impl Simulator {
             } => {
                 node_idx = to;
                 // A crashed receiver takes no delivery.
-                if self.node_may_fail.get(to) && !self.schedule.is_node_up(to, self.now) {
+                if !self.schedule.is_node_up(to, self.now) {
                     self.drop_packet(from, to, DropCause::ReceiverDown);
                     return;
                 }
@@ -546,15 +512,8 @@ impl Simulator {
             .record(from, class, Direction::Out, size, self.now);
         self.net[from].sent += 1;
 
-        // A down link (or endpoint) swallows the packet. Only a link or
-        // endpoint the schedule ever takes down needs the outage search.
-        debug_assert_ne!(from, to, "self-sends never reach the network");
-        let may_fail = self.node_may_fail.get(from)
-            || self.node_may_fail.get(to)
-            || self
-                .link_may_fail
-                .get(pair_index(self.latency.len(), from, to));
-        if may_fail && !self.schedule.is_link_up(from, to, self.now) {
+        // A down link (or endpoint) swallows the packet.
+        if !self.schedule.is_link_up(from, to, self.now) {
             self.drop_packet(from, to, DropCause::LinkDown);
             return;
         }

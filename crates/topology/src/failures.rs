@@ -149,12 +149,9 @@ impl FailureParams {
     /// A schedule with no failures at all (steady-state experiments).
     #[must_use]
     pub fn none(n: usize, duration_s: f64) -> FailureSchedule {
-        FailureSchedule {
-            n,
-            duration_s,
-            link_down: vec![Vec::new(); n * (n.saturating_sub(1)) / 2],
-            node_down: vec![Vec::new(); n],
-        }
+        let link_down = vec![Vec::new(); n * (n.saturating_sub(1)) / 2];
+        let node_down = vec![Vec::new(); n];
+        FailureSchedule::from_lists(n, duration_s, link_down, node_down)
     }
 }
 
@@ -191,6 +188,32 @@ pub struct FailureSchedule {
     link_down: Vec<Vec<Outage>>,
     /// Outage lists per node.
     node_down: Vec<Vec<Outage>>,
+    /// One bit per entry of `link_down` and of `node_down`, set where
+    /// the list is not empty: a query on a link or node that is never
+    /// down skips the interval search and the list's cold header.
+    link_ever_down: Bits,
+    node_ever_down: Bits,
+}
+
+/// A fixed-length bitset.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    /// Bit `i` set where `lists[i]` is not empty.
+    fn non_empty(lists: &[Vec<Outage>]) -> Bits {
+        let mut bits = vec![0u64; lists.len().div_ceil(64)];
+        for (i, list) in lists.iter().enumerate() {
+            if !list.is_empty() {
+                bits[i / 64] |= 1 << (i % 64);
+            }
+        }
+        Bits(bits)
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
 }
 
 /// Index of the unordered pair `(i, j)`, `i ≠ j`, in a flat triangular
@@ -280,9 +303,20 @@ impl FailureSchedule {
             list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         }
 
+        FailureSchedule::from_lists(n, params.duration_s, link_down, node_down)
+    }
+
+    fn from_lists(
+        n: usize,
+        duration_s: f64,
+        link_down: Vec<Vec<Outage>>,
+        node_down: Vec<Vec<Outage>>,
+    ) -> FailureSchedule {
         FailureSchedule {
             n,
-            duration_s: params.duration_s,
+            duration_s,
+            link_ever_down: Bits::non_empty(&link_down),
+            node_ever_down: Bits::non_empty(&node_down),
             link_down,
             node_down,
         }
@@ -336,7 +370,7 @@ impl FailureSchedule {
     /// Is node `i` up at time `t`?
     #[must_use]
     pub fn is_node_up(&self, i: usize, t: f64) -> bool {
-        !covered(&self.node_down[i], t)
+        !(self.node_ever_down.get(i) && covered(&self.node_down[i], t))
     }
 
     /// Is the link `(i, j)` usable at time `t`? False when the link itself
@@ -346,21 +380,16 @@ impl FailureSchedule {
         if i == j {
             return self.is_node_up(i, t);
         }
+        let pair = pair_index(self.n, i, j);
         self.is_node_up(i, t)
             && self.is_node_up(j, t)
-            && !covered(&self.link_down[pair_index(self.n, i, j)], t)
+            && !(self.link_ever_down.get(pair) && covered(&self.link_down[pair], t))
     }
 
     /// The outage list of link `(i, j)`.
     #[must_use]
     pub fn link_outages(&self, i: usize, j: usize) -> &[Outage] {
         &self.link_down[pair_index(self.n, i, j)]
-    }
-
-    /// The outage list of node `i`.
-    #[must_use]
-    pub fn node_outages(&self, i: usize) -> &[Outage] {
-        &self.node_down[i]
     }
 
     /// Number of concurrent link failures observed by node `i` at `t`:
@@ -469,6 +498,44 @@ mod tests {
             assert!(!s.is_link_up(j, 2, 150.0));
         }
         assert!(s.concurrent_failures(0, 150.0) >= 1);
+    }
+
+    /// The ever-down bits only skip searches that would find nothing:
+    /// every query equals the interval search over the outage lists.
+    #[test]
+    fn up_queries_match_the_interval_search() {
+        let n = 70; // more than one bitset word
+        let mut p = FailureParams::with_n(n);
+        p.median_concurrent = 0.5;
+        p.node_outages = vec![NodeOutage {
+            node: 66,
+            start_s: 100.0,
+            end_s: 200.0,
+        }];
+        p.link_outages = vec![LinkOutage {
+            a: 65,
+            b: 3,
+            start_s: 300.0,
+            end_s: 400.0,
+        }];
+        let s = FailureSchedule::generate(&p);
+        let links = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+        let down = links.filter(|&(i, j)| !s.link_outages(i, j).is_empty());
+        assert!((1..n * (n - 1) / 2).contains(&down.count()));
+        let node_up = |i: usize, t: f64| !covered(&s.node_down[i], t);
+        for k in 0..200 {
+            let t = k as f64 * p.duration_s / 200.0 + 0.5;
+            for i in 0..n {
+                assert_eq!(s.is_node_up(i, t), node_up(i, t), "node {i} at {t}");
+                for j in 0..n {
+                    let want = node_up(i, t)
+                        && node_up(j, t)
+                        && (i == j || !covered(s.link_outages(i, j), t));
+                    assert_eq!(s.is_link_up(i, j, t), want, "link ({i},{j}) at {t}");
+                }
+            }
+        }
+        assert!(!s.is_node_up(66, 150.0) && !s.is_link_up(3, 65, 350.0));
     }
 
     #[test]
