@@ -33,11 +33,8 @@
 //! numbers, actions and link losses come out in the order a visit of
 //! every target would give — and [`Prober::next_wake`] is the lane's
 //! earliest deadline. Every change to a schedule (a poll, a reply, a
-//! sample rotation, a reinstall) writes the slot itself; no per-target
-//! copy is derived from it. The one derived value is the lane's
-//! minimum, which a poll leaves behind as it reads every deadline
-//! anyway: a reply or reinstall drops it, and the next wake folds the
-//! lane again.
+//! sample rotation, a reinstall) writes the slot itself; nothing is
+//! derived from it, so nothing can go stale.
 
 use crate::adaptive::{AdaptiveProbeRate, RateSample};
 use crate::config::{ProbePolicy, ProtocolConfig};
@@ -128,9 +125,6 @@ pub struct Prober {
     targets: Vec<TargetState>,
     /// `schedule[i]` is `targets[i]`'s timing (module docs).
     schedule: Vec<Schedule>,
-    /// The lane's earliest deadline as the last poll left it; `None`
-    /// once a reply or a reinstall has changed a slot since.
-    earliest: Option<f64>,
     /// Reverse-path entries adopted from peers' gauges, sorted by peer.
     adopted: Vec<Adopted>,
     adopted_cap: usize,
@@ -164,7 +158,6 @@ impl Prober {
             config,
             targets: Vec::new(),
             schedule: Vec::new(),
-            earliest: None,
             adopted: Vec::new(),
             adopted_cap: 0,
             next_seq: 0,
@@ -254,7 +247,6 @@ impl Prober {
         );
         self.targets = targets;
         self.schedule = schedule;
-        self.earliest = None;
         self.publish_target_gauges();
         self
     }
@@ -398,12 +390,9 @@ impl Prober {
         let mut actions = Vec::new();
         let batch = self.config.probe_policy == ProbePolicy::Entitled;
         let timeout = self.config.probe_timeout_s;
-        let mut earliest = f64::INFINITY;
         for (s, t) in self.schedule.iter_mut().zip(&mut self.targets) {
             // Neither branch below can fire before the deadline.
-            let deadline = s.deadline(timeout);
-            if deadline > now {
-                earliest = earliest.min(deadline);
+            if s.deadline(timeout) > now {
                 continue;
             }
             // Expire an outstanding probe. The comparison must be the
@@ -455,9 +444,7 @@ impl Prober {
                     actions.push(ProbeAction::SendProbe { to: t.peer, seq });
                 }
             }
-            earliest = earliest.min(s.deadline(timeout));
         }
-        self.earliest = Some(earliest);
         actions
     }
 
@@ -504,7 +491,6 @@ impl Prober {
             return;
         }
         s.pending = None;
-        self.earliest = None;
         let t = &mut self.targets[i];
         let rtt_ms = (now - p.sent_at) * 1000.0;
         t.estimator.record(ProbeOutcome::Reply { rtt_ms });
@@ -559,9 +545,7 @@ impl Prober {
     }
 
     /// The earliest time at which [`poll`](Self::poll) could have work:
-    /// the lane's earliest deadline, or the sample rotation. The lane is
-    /// folded only when a reply or reinstall has moved a deadline since
-    /// the last poll, which leaves its minimum behind.
+    /// the lane's earliest deadline, or the sample rotation.
     #[must_use]
     pub fn next_wake(&self, now: f64) -> f64 {
         let wake = if self.config.probe_policy == ProbePolicy::Entitled {
@@ -570,12 +554,10 @@ impl Prober {
             f64::INFINITY
         };
         let timeout = self.config.probe_timeout_s;
-        let earliest = self.earliest.unwrap_or_else(|| {
-            self.schedule
-                .iter()
-                .fold(f64::INFINITY, |min, s| min.min(s.deadline(timeout)))
-        });
-        wake.min(earliest).max(now)
+        self.schedule
+            .iter()
+            .fold(wake, |wake, s| wake.min(s.deadline(timeout)))
+            .max(now)
     }
 
     /// Is the direct link to `j` currently considered alive?
@@ -1122,8 +1104,6 @@ mod tests {
                 }
                 assert_eq!(lane.schedule.len(), lane.targets.len());
             }
-            // The minimum a poll leaves behind is the lane's own.
-            (lane.earliest, scan.earliest) = (None, None);
             assert_eq!(format!("{lane:?}"), format!("{scan:?}"));
             assert!(lane.sample_epoch > 2 || cfg.probe_policy == ProbePolicy::FullMesh);
             assert!(lane.concurrent_failures() > 0 && polls > 500 && replies > 500);
