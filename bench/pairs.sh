@@ -4,11 +4,10 @@
 #
 #   bench/pairs.sh <parent-rev> <workload> [--metric cpu_s] [--pairs 10] [--seed 1]
 #
-# The parent is `git archive`d into "${TMPDIR:-/tmp}/apor-pairs-<commit>"
-# (kept, so the next workload reuses its build); the child is the working
-# tree as it is, built into that directory too. Nothing in the working tree
-# is written. Each run is `--seconds 15`, as BENCHMARK.json has it, and
-# the metric is read from the last line of standard output: with
+# The parent and the child — the working tree as it is — are built by
+# bench/builds.sh, which keeps the parent's build for the next call.
+# Nothing in the working tree is written. Each run is `--seconds 15`,
+# as BENCHMARK.json has it, and the metric is read from the last line of standard output: with
 # `--trace 0` for an end-to-end metric, and with `--trace 1` for a
 # per-layer one (such as netsim.self_ns_per_event), which only a traced
 # run reports. Odd pairs run the parent first, even pairs the child.
@@ -40,23 +39,7 @@ while [ $# -gt 0 ]; do
 done
 command -v jq >/dev/null || { echo "$0: needs jq" >&2; exit 2; }
 
-repo=$(git rev-parse --show-toplevel)
-commit=$(git -C "$repo" rev-parse --verify "$rev^{commit}")
-work="${TMPDIR:-/tmp}/apor-pairs-$commit"
-if [ ! -d "$work/parent" ]; then
-    mkdir -p "$work/parent.partial"
-    git -C "$repo" archive "$commit" | tar -x -C "$work/parent.partial"
-    mv "$work/parent.partial" "$work/parent"
-fi
-
-build() { # <source root> <target dir> → path of the binary
-    cargo build --release --offline --locked --quiet \
-        --manifest-path "$1/bench/e2e/Cargo.toml" --target-dir "$2" >&2
-    echo "$2/release/e2e"
-}
-echo "building parent ${commit:0:12} and the working tree ..." >&2
-parent_bin=$(build "$work/parent" "$work/parent-target")
-child_bin=$(build "$repo" "$work/child-target")
+. "$(dirname "$0")/builds.sh"
 
 spec=$(jq -c --arg m "$metric" \
     '[(.end_to_end[] | .trace = 0), (.per_layer[] | .trace = 1)] | map(select(.name == $m)) | .[0]' \

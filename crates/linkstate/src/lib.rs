@@ -1,6 +1,6 @@
 //! Link-state machinery for the RON-like overlay (paper section 5).
 //!
-//! Four concerns live here, all I/O-free:
+//! Three concerns live here, all I/O-free:
 //!
 //! * [`store`] — the sparse [`RowStore`]: an indexed map `origin row →
 //!   (receipt time, lanes)` holding exactly the rows a node's role
@@ -37,8 +37,6 @@
 //!   keeps a private matrix in `apor-routing` and shares nothing with
 //!   this module).
 //! * [`entry`] — the 3-byte link-state entry and the cost sentinel.
-//! * [`estimator`] — per-neighbour latency EWMA, loss window and the
-//!   5-consecutive-failed-probes liveness rule of RON.
 //! * [`wire`] — the compact binary message formats. The paper's section 6
 //!   bandwidth formulas (probing `49.1·n` bps; RON routing
 //!   `1.6·n² + 24.5·n` bps; quorum routing
@@ -80,6 +78,16 @@
 //!    one map walk and keeps that `Arc`; the previous row is freed. When
 //!    the message is dropped the store is the row's only owner.
 //!
+//! A stored row is never edited: [`LaneRow`] has no `&mut self`
+//! method, and every row reaches the store through `put_row`. When a
+//! node's own link dies between two routing ticks, the router puts the
+//! held row again without that destination ([`LaneRow::without`]).
+//!
+//! Link *measurement* — the latency EWMA, the loss window and RON's
+//! 5-failed-probes liveness rule — is the prober's, in `apor-routing`,
+//! one record per probed link; this crate sees only the entries it
+//! yields.
+//!
 //! Ids are not this crate's business: frames carry [`NodeId`]s on the
 //! wire and grid indices inside the routers, and the overlay rewrites
 //! the envelope between the two (see `apor-overlay`). Entry
@@ -95,12 +103,10 @@
 #![warn(missing_docs)]
 
 pub mod entry;
-pub mod estimator;
 pub mod store;
 pub mod wire;
 
 pub use entry::{LinkEntry, INFINITE_COST};
-pub use estimator::{LinkEstimator, ProbeOutcome};
 pub use store::{
     seqno_newer, Detour, LaneRow, LinkStateStore, LiveEntries, RoundTwo, RowCursor, RowRef,
     RowStore,

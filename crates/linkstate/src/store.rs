@@ -745,13 +745,18 @@ impl LaneRow {
     /// entries and of the retraction lane alike — renamed through `map`
     /// (`map[old] = Some(new)`), entries and retractions whose
     /// destination has no new name (`None`, or beyond the table)
-    /// dropped. Latency and liveness bytes are copied as they are, and
-    /// the seqno with them: a wire byte reads back as the entry that
-    /// encodes to it, so there is nothing to re-quantize. `map` must
-    /// keep the order of the names it keeps (debug-asserted), as a
-    /// translation between two sorted member lists does, so the lanes
-    /// stay strictly ascending. Costs `O(entries held)`, whatever the
-    /// row width.
+    /// dropped. Latency and liveness bytes are copied as they are: a
+    /// wire byte reads back as the entry that encodes to it, so there is
+    /// nothing to re-quantize. The retraction lane stays, but the seqno
+    /// does not: the copy is unversioned (0). A seqno orders one
+    /// origin's frames within one view, and every origin numbers its
+    /// rows from 0 again in a new view, so a carried seqno would refuse
+    /// the origin's next frames until it counted past it; an old view's
+    /// frames never reach the row, as the view check refuses them.
+    /// `map` must keep the order of the names it keeps (debug-asserted),
+    /// as a translation between two sorted member lists does, so the
+    /// lanes stay strictly ascending. Costs `O(entries held)`, whatever
+    /// the row width.
     #[must_use]
     pub fn relabelled(&self, map: &[Option<u16>]) -> Self {
         let rename = |d: &u16| map.get(usize::from(*d)).copied().flatten();
@@ -767,7 +772,7 @@ impl LaneRow {
             }
         }
         let retracted = self.retracted.iter().filter_map(rename).collect();
-        Self::from_wire_lanes(dst.into(), latency_ms, liveness_loss, self.seqno, retracted)
+        Self::from_wire_lanes(dst.into(), latency_ms, liveness_loss, 0, retracted)
     }
 
     /// The origin's row sequence number (0 = unversioned).
@@ -806,46 +811,25 @@ impl LaneRow {
         }
     }
 
-    /// Insert, replace or remove the entry for `dst`: a live entry
-    /// lands in lane order (wire-quantized), a dead one removes any
-    /// stored entry. A row that gains or loses an entry lists its
-    /// destinations from then on — a full row's are written out first.
-    fn set(&mut self, dst: u16, entry: LinkEntry) {
-        match (self.dst.binary_search(&dst), entry.alive) {
-            (Ok(i), true) => {
-                let wire = entry.encode();
-                self.latency_ms[i] = u16::from_be_bytes([wire[0], wire[1]]);
-                self.liveness_loss[i] = wire[2];
-            }
-            (Ok(i), false) => {
-                self.remove_at(i);
-            }
-            (Err(i), true) => {
-                let wire = entry.encode();
-                let mut dsts = Vec::from(std::mem::take(&mut self.dst));
-                let mut lats = std::mem::take(&mut self.latency_ms).into_vec();
-                let mut livs = std::mem::take(&mut self.liveness_loss).into_vec();
-                dsts.insert(i, dst);
-                lats.insert(i, u16::from_be_bytes([wire[0], wire[1]]));
-                livs.insert(i, wire[2]);
-                self.dst = DstLane::Listed(dsts.into_boxed_slice());
-                self.latency_ms = lats.into_boxed_slice();
-                self.liveness_loss = livs.into_boxed_slice();
-            }
-            (Err(_), false) => {}
+    /// This row without its entry for `dst`, seqno and retraction lane
+    /// kept: what the row reads once the link to `dst` is dead. A row
+    /// that loses an entry lists its destinations, a full one's written
+    /// out. Without an entry for `dst`, the same row.
+    #[must_use]
+    pub fn without(&self, dst: u16) -> Self {
+        let Ok(i) = self.dst.binary_search(&dst) else {
+            return self.clone();
+        };
+        fn cut<T: Copy>(lane: &[T], i: usize) -> Box<[T]> {
+            [&lane[..i], &lane[i + 1..]].concat().into_boxed_slice()
         }
-    }
-
-    fn remove_at(&mut self, i: usize) {
-        let mut dsts = Vec::from(std::mem::take(&mut self.dst));
-        let mut lats = std::mem::take(&mut self.latency_ms).into_vec();
-        let mut livs = std::mem::take(&mut self.liveness_loss).into_vec();
-        dsts.remove(i);
-        lats.remove(i);
-        livs.remove(i);
-        self.dst = DstLane::Listed(dsts.into_boxed_slice());
-        self.latency_ms = lats.into_boxed_slice();
-        self.liveness_loss = livs.into_boxed_slice();
+        LaneRow {
+            dst: DstLane::Listed(cut(&self.dst, i)),
+            latency_ms: cut(&self.latency_ms, i),
+            liveness_loss: cut(&self.liveness_loss, i),
+            seqno: self.seqno,
+            retracted: self.retracted.clone(),
+        }
     }
 }
 
@@ -908,11 +892,6 @@ pub trait LinkStateStore {
     /// The full retraction lane of row `origin`, ascending (empty when
     /// the row is absent).
     fn row_retractions(&self, origin: usize) -> Vec<u16>;
-
-    /// Update a single entry of a row (used for the node's own row,
-    /// which its probers refresh incrementally). Creates the row (all
-    /// other entries dead) when absent.
-    fn update_entry(&mut self, origin: usize, dst: usize, entry: LinkEntry, now: f64);
 
     /// A borrowed view of row `origin`, when present.
     fn row_ref(&self, origin: usize) -> Option<RowRef<'_>>;
@@ -1280,6 +1259,13 @@ impl RowStore {
             .map(|(origin, s)| (origin, s.received_at, s.lanes))
     }
 
+    /// Row `origin` as held — lanes, seqno and retraction lane — when
+    /// present.
+    #[must_use]
+    pub fn row(&self, origin: usize) -> Option<&LaneRow> {
+        self.rows.get(&origin).map(|s| &*s.lanes)
+    }
+
     /// The configured entitlement, if any.
     #[must_use]
     pub fn entitlement(&self) -> Option<usize> {
@@ -1386,26 +1372,6 @@ impl LinkStateStore for RowStore {
             .map_or_else(Vec::new, |s| s.lanes.retracted().to_vec())
     }
 
-    fn update_entry(&mut self, origin: usize, dst: usize, entry: LinkEntry, now: f64) {
-        assert!(origin < self.n && dst < self.n);
-        if let Some(slot) = self.rows.get_mut(&origin) {
-            let before = (slot.lanes.len(), slot.lanes.held_bytes());
-            // Copies the lanes only while a frame still shares them.
-            Arc::make_mut(&mut slot.lanes).set(dst as u16, entry);
-            self.live_entries = self.live_entries - before.0 + slot.lanes.len();
-            self.held_bytes = self.held_bytes - before.1 + slot.lanes.held_bytes();
-            slot.received_at = now;
-            self.note_merge();
-        } else {
-            let lanes = if entry.alive {
-                LaneRow::from_pairs(&[(dst as u16, entry)])
-            } else {
-                LaneRow::default()
-            };
-            self.put_row(origin, Arc::new(lanes), now);
-        }
-    }
-
     fn row_ref(&self, origin: usize) -> Option<RowRef<'_>> {
         self.rows.get(&origin).map(|s| s.lanes.as_row_ref(self.n))
     }
@@ -1503,7 +1469,8 @@ mod tests {
     fn best_one_hop_skips_dead_links() {
         let mut s = detour_store();
         // Kill 0→1 (in 0's row): detour must shift to hop 2 (200+90=290).
-        s.update_entry(0, 1, LinkEntry::dead(), 10.0);
+        let held = s.row(0).expect("held").without(1);
+        s.put_row(0, Arc::new(held), 10.0);
         assert_eq!(one_pair(&s, 0, 3, 11.0, 45.0), Some((2, 290)));
     }
 
@@ -1604,7 +1571,9 @@ mod tests {
 
     /// Relabelling equals widening, moving by the table and reducing
     /// again — entries and retractions alike; a destination the table
-    /// does not name (or does not reach) leaves.
+    /// does not name (or does not reach) leaves. The seqno does not
+    /// cross: the relabelled row is unversioned, so a store holding it
+    /// takes the origin's next row whatever that row's seqno.
     #[test]
     fn relabelled_row_equals_the_widened_and_reduced_one() {
         let mut wide = vec![LinkEntry::dead(); 8];
@@ -1623,11 +1592,20 @@ mod tests {
                 want[usize::from(*new)] = row.as_row_ref(8).get(old);
             }
         }
-        assert_eq!(moved, LaneRow::from_dense(&want).with_version(9, &[1, 2]));
+        assert_eq!(moved, LaneRow::from_dense(&want).with_version(0, &[1, 2]));
         assert_eq!(moved.lanes().0, [0, 2, 3]);
-        // Nothing to rename: the same row.
+        assert_eq!(moved.seqno(), 0);
+        let mut s = RowStore::new(5);
+        assert!(s.put_row(1, Arc::new(moved), 1.0));
+        let next = LaneRow::from_dense(&want).with_version(1, &[]);
+        assert!(s.put_row(1, Arc::new(next), 2.0), "seqno 1 < 9 replaces it");
+        assert_eq!(s.row_seqno(1), 1);
+        // Nothing to rename: the same row, unversioned.
         let identity: Vec<Option<u16>> = (0..8).map(Some).collect();
-        assert_eq!(row.relabelled(&identity), row);
+        assert_eq!(
+            row.relabelled(&identity),
+            row.clone().with_version(0, &[1, 3, 7])
+        );
     }
 
     /// A full row — live to every destination `0..k` — is one row
@@ -1667,7 +1645,10 @@ mod tests {
             built.push(LaneRow::clone(&back.row));
         }
         let identity: Vec<Option<u16>> = (0..k as u16).map(Some).collect();
-        built.push(dense.relabelled(&identity));
+        let relabelled = dense.relabelled(&identity);
+        assert_eq!(relabelled.seqno(), 0, "a relabelled row is unversioned");
+        assert_eq!(relabelled.retracted(), [2, 69]);
+        built.push(relabelled.with_version(4, &[2, 69]));
         for row in &built {
             assert_eq!(*row, dense);
             assert!(matches!(row.dst, DstLane::Full(len) if len == k));
@@ -1700,54 +1681,28 @@ mod tests {
 
     /// A full row that loses an entry is the listed row it always was —
     /// the same as reducing the dense row with that entry dead — and
-    /// owns its destinations from then on: 5 bytes an entry. Getting the
-    /// entry back restores the contents, and rows compare by contents.
+    /// owns its destinations from then on: 5 bytes an entry, even when
+    /// what is left reads `0..k`. Seqno and retraction lane stay, and a
+    /// row without the entry is the row itself.
     #[test]
     fn a_full_row_that_loses_an_entry_lists_its_destinations() {
         let entries = live_row(&[7, 8, 9, 10, 11, 12]);
-        let full = LaneRow::from_dense(&entries);
+        let full = LaneRow::from_dense(&entries).with_version(3, &[9]);
         for dead_at in [0usize, 3, 5] {
-            let mut row = full.clone();
-            row.set(dead_at as u16, LinkEntry::dead());
+            let row = full.without(dead_at as u16);
             let mut want = entries.clone();
             want[dead_at] = LinkEntry::dead();
-            assert_eq!(row, LaneRow::from_dense(&want), "dead at {dead_at}");
+            assert_eq!(
+                row,
+                LaneRow::from_dense(&want).with_version(3, &[9]),
+                "dead at {dead_at}"
+            );
             assert!(matches!(row.dst, DstLane::Listed(_)));
-            assert_eq!(row.held_bytes(), 5 * 5);
+            assert_eq!(row.held_bytes(), 5 * 5 + 2);
             assert_eq!(row.as_row_ref(6).to_dense(), want);
-            row.set(dead_at as u16, entries[dead_at]);
-            assert_eq!(row, full, "equal by content, dead at {dead_at}");
-            assert_eq!(row.held_bytes(), 5 * 6, "though it owns its lane");
+            assert_eq!(row.without(dead_at as u16), row, "nothing left to lose");
         }
-        // Growing a full row by its next destination is by content too.
-        let mut grown = LaneRow::from_dense(&entries[..5]);
-        grown.set(5, entries[5]);
-        assert_eq!(grown, full);
-        assert_eq!(full.held_bytes(), 3 * 6);
-    }
-
-    #[test]
-    fn update_entry_creates_sparse_row() {
-        let mut s = RowStore::new(5);
-        s.update_entry(2, 4, LinkEntry::live(30, 0.0), 1.0);
-        assert_eq!(s.row_count(), 1);
-        assert_eq!(s.entry(2, 4).latency_ms, 30);
-        assert!(!s.entry(2, 3).alive);
-        assert_eq!(s.row_time(2), Some(1.0));
-        // Killing the entry removes it from the stored row; the row and
-        // its receipt time survive.
-        s.update_entry(2, 4, LinkEntry::dead(), 2.0);
-        assert_eq!(s.row_count(), 1);
-        assert_eq!(s.entry_count(), 0);
-        assert!(!s.entry(2, 4).alive);
-        assert_eq!(s.row_time(2), Some(2.0));
-        // Inserting out of order lands sorted.
-        s.update_entry(2, 3, LinkEntry::live(9, 0.0), 3.0);
-        s.update_entry(2, 1, LinkEntry::live(8, 0.0), 3.0);
-        assert_eq!(
-            s.row_ref(2).unwrap().iter_live().collect::<Vec<_>>(),
-            vec![(1, LinkEntry::live(8, 0.0)), (3, LinkEntry::live(9, 0.0))]
-        );
+        assert_eq!(full.held_bytes(), 3 * 6 + 2);
     }
 
     /// Partial rows: only the intersection of the two live sets can
@@ -1861,8 +1816,8 @@ mod tests {
     /// The running totals behind `entry_count` and the size gauge —
     /// live entries, and the bytes the rows own — equal a recount of the
     /// held rows after every kind of mutation: insert, whole-row replace
-    /// (growing and shrinking), single-entry set and kill, row creation
-    /// by `update_entry`, and eviction under capacity pressure. A full
+    /// (growing and shrinking), a row losing an entry and having another
+    /// repriced, row creation, and eviction under capacity pressure. A full
     /// row counts 3 bytes an entry, a listed one 5, a retraction 2.
     #[test]
     fn live_entry_total_tracks_recount() {
@@ -1894,12 +1849,14 @@ mod tests {
             LaneRow::from_dense(&live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9])).with_version(1, &[2]);
         s.put_row(0, Arc::new(versioned), 2.0);
         check(&s, "replace, growing, one retraction", 10 * 3 + 2);
-        s.update_entry(0, 4, LinkEntry::dead(), 3.0);
-        s.update_entry(0, 5, LinkEntry::live(50, 0.0), 3.0);
+        let mut nine = live_row(&[0, 1, 2, 3, 4, 50, 6, 7, 8, 9]);
+        nine[4] = LinkEntry::dead();
+        let nine = LaneRow::from_dense(&nine).with_version(1, &[2]);
+        s.put_row(0, Arc::new(nine), 3.0);
         check(&s, "entry killed: the row lists its 9", 9 * 5 + 2);
-        s.update_entry(1, 2, LinkEntry::live(9, 0.0), 4.0);
-        s.update_entry(2, 3, LinkEntry::dead(), 4.0);
-        check(&s, "rows created by update_entry", 9 * 5 + 2 + 5);
+        s.put_row(1, one(2, 9), 4.0);
+        s.put_row(2, Arc::new(LaneRow::default()), 4.0);
+        check(&s, "rows created", 9 * 5 + 2 + 5);
         assert_eq!(s.entry_count(), 10);
         // Rows 0–2 are stale at t = 100: a fourth origin arriving at the
         // entitlement boundary sheds all three.
@@ -1993,17 +1950,18 @@ mod tests {
     }
 
     /// The store keeps the row it is handed, not a copy — the frame
-    /// path's zero-copy ingest — and a single-entry update on a row
-    /// something else still holds copies it first, leaving the other
-    /// holder's row alone.
+    /// path's zero-copy ingest — and a link death, written as the held
+    /// row without that entry, lets go of the shared row and leaves the
+    /// other holder's row alone.
     #[test]
     fn put_row_shares_the_row_until_an_entry_update() {
         let mut s = RowStore::new(4);
         let row = Arc::new(LaneRow::from_dense(&live_row(&[0, 10, 20, 30])));
         assert!(s.put_row(2, Arc::clone(&row), 1.0));
         assert_eq!(Arc::strong_count(&row), 2, "stored, not copied");
-        s.update_entry(2, 3, LinkEntry::dead(), 2.0);
-        assert_eq!(Arc::strong_count(&row), 1, "the store copied on write");
+        let held = s.row(2).expect("held").without(3);
+        s.put_row(2, Arc::new(held), 2.0);
+        assert_eq!(Arc::strong_count(&row), 1, "the store let go of it");
         assert_eq!(row.len(), 4, "the frame's row is untouched");
         assert_eq!(s.entry_count(), 3);
     }

@@ -45,8 +45,8 @@
 //! things that keep state across the change:
 //!
 //! * the prober ([`Prober::reinstall`](apor_routing::Prober::reinstall))
-//!   keeps the estimator of every target that is a target again, under
-//!   its new index;
+//!   keeps the measurement of every target that is a target again, under
+//!   its new index, and starts its probe rate over;
 //! * the quorum router
 //!   ([`QuorumRouter::reinstall`](apor_routing::QuorumRouter::reinstall))
 //!   keeps the link-state rows that are fresh (the 3-routing-interval

@@ -48,15 +48,17 @@
 //! nothing else builds one. Through it cross, each moved rather than
 //! copied:
 //!
-//! * **estimators** — a probe target that is a target again keeps its
-//!   slot and its estimator under its new index, with a fresh schedule;
+//! * **link measurements** — a probe target that is a target again
+//!   keeps its slot and its measurement under its new index, with a
+//!   fresh schedule and probe rate;
 //!   only the old targets (`~2√n + 16` under entitled probing) are
 //!   walked, never the member list;
 //! * **rows** — the router drains its own store and puts back, renamed
 //!   through the table, the rows that are fresh, whose origin is still
-//!   a member and that the new grid entitles it to — receipt times,
-//!   seqnos and retraction lanes intact, and no work spent on a row it
-//!   will not keep;
+//!   a member and that the new grid entitles it to — receipt times and
+//!   retraction lanes intact, the seqnos dropped (every origin numbers
+//!   its rows from 0 again), and no work spent on a row it will not
+//!   keep;
 //! * **retractions** — routes through a departed destination or hop
 //!   are withdrawn first, so they are counted.
 //!

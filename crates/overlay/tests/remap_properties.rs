@@ -165,8 +165,10 @@ proptest! {
     /// One view change equals the identity-keyed rebuild: for every
     /// origin id in both views with a fresh row the new grid entitles
     /// the node to, the carried row holds the original entry for every
-    /// surviving destination id and dead for joiners; departed origins
-    /// and stale rows vanish, and nothing else appears.
+    /// surviving destination id and dead for joiners, and its
+    /// retraction lane but no seqno; departed origins and stale rows
+    /// vanish, and nothing else appears. A carried row takes its
+    /// origin's next new-view frame and refuses an old-view one.
     #[test]
     fn remap_matches_identity_model(
         old_ids in arb_members(20),
@@ -187,6 +189,7 @@ proptest! {
             .map(|d| d as u16)
             .collect();
         let mut expected_rows = 0;
+        let mut carried = Vec::new();
         for (&origin_id, (t, lats)) in &rows {
             let origin_id = NodeId(origin_id);
             let Some(new_origin) = new_view.index_of(origin_id) else {
@@ -204,10 +207,12 @@ proptest! {
                 continue;
             }
             expected_rows += 1;
+            carried.push((origin_id, new_origin, *t));
             prop_assert_eq!(store.row_time(new_origin), Some(*t), "receipt time must be preserved");
-            // The lane keeps the seqno, drops departed destinations and
-            // comes out strictly ascending without a sort.
-            prop_assert_eq!(store.row_seqno(new_origin), 1);
+            // The row is unversioned; its lane drops departed
+            // destinations and comes out strictly ascending without a
+            // sort.
+            prop_assert_eq!(store.row_seqno(new_origin), 0);
             prop_assert_eq!(store.row_retractions(new_origin), &surviving[..]);
             let entries = store.row_dense(new_origin).expect("held");
             for (new_dst, d) in new_view.members.iter().enumerate() {
@@ -223,6 +228,13 @@ proptest! {
             }
         }
         prop_assert_eq!(store.row_count(), expected_rows, "no fabricated origins");
+        if let Some(&(id, origin, t)) = carried.first() {
+            for (view, taken) in [(&old_view, false), (&new_view, true)] {
+                node.on_packet(now + 1.0, &frame_at(id, me, view, 1).encode(), &mut Outbox::default());
+                let at = if taken { now + 1.0 } else { t };
+                prop_assert_eq!(store_of(&node).row_time(origin), Some(at), "view {}", view.version);
+            }
+        }
     }
 
     /// A chain of view changes through an arbitrary join/leave/rejoin
@@ -330,7 +342,9 @@ proptest! {
     /// versioned with a retraction lane, fresh and stale at the install,
     /// from origins that depart, stay clients, or stop being clients in
     /// the new grid. Every row the new router holds has the model's
-    /// lanes, seqno, retractions and receipt time, and it holds no other.
+    /// lanes, retractions and receipt time, unversioned, and it holds no
+    /// other. A carried row refuses an old-view frame whatever its seqno
+    /// and takes its origin's new-view frame at seqno 1.
     #[test]
     fn view_install_carries_rows_as_the_dense_chain_did(
         old_ids in arb_members(24),
@@ -418,7 +432,7 @@ proptest! {
                 .filter_map(|&d| new_view.index_of(old_view.members[usize::from(d)]))
                 .map(|d| d as u16)
                 .collect();
-            let row = LaneRow::from_dense(&entries).with_version(held.row_seqno(origin), &retracted);
+            let row = LaneRow::from_dense(&entries).with_version(0, &retracted);
             model.put_row(new_origin, Arc::new(row), received_at);
         }
 
@@ -431,8 +445,33 @@ proptest! {
         node.on_packet(install_at, &view2.encode(), &mut out);
         prop_assert_eq!(node.my_index(), Some(me_new));
         let carried = held_rows(node.quorum_router().expect("quorum node").table());
-        prop_assert_eq!(carried, held_rows(&model));
+        prop_assert_eq!(&carried, &held_rows(&model));
+        let other = carried.iter().find(|row| row.0 != me_new);
+        if let Some(&(origin, at, _)) = other {
+            let id = new_view.members[origin];
+            for (view, seqno, taken) in [(&old_view, 3, false), (&new_view, 1, true)] {
+                let frame = frame_at(id, me_id, view, seqno);
+                node.on_packet(install_at + 1.0, &frame.encode(), &mut out);
+                let want = if taken { install_at + 1.0 } else { f64::from_bits(at) };
+                let table = node.quorum_router().expect("quorum node").table();
+                prop_assert_eq!(table.row_time(origin), Some(want), "view {}", view.version);
+            }
+        }
     }
+}
+
+/// A full row from `from` to `to` in `view`, 7 ms to everyone, at `seqno`.
+fn frame_at(from: NodeId, to: NodeId, view: &MembershipView, seqno: u16) -> Message {
+    let row = vec![LinkEntry::live(7, 0.0); view.len()];
+    Message::LinkState(LinkStateMsg {
+        from,
+        to,
+        view: view.version,
+        round: 2,
+        basis_ms: 0,
+        width: view.len() as u16,
+        row: Arc::new(LaneRow::from_dense(&row).with_version(seqno, &[])),
+    })
 }
 
 /// A full row from `from` as `view` numbers its members: 20 ms to everyone.

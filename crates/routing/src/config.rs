@@ -6,14 +6,14 @@
 //! | probing interval (p)    | 30 s | 30 s |
 //! | #probes for failure     | 5    | 5    |
 //!
-//! The probe count is the same for both, so it is a constant where the
-//! estimator counts losses: [`LinkEstimator::DEFAULT_DEATH_THRESHOLD`].
+//! The probe count is the same for both, so it is a constant:
+//! [`DEFAULT_DEATH_THRESHOLD`].
 //! The quorum system halves the routing interval because, absent
 //! rendezvous failures, it takes two routing intervals to propagate fresh
 //! probe data into optimal one-hop routes (section 4, "Comparison to n²
 //! link-state failover").
 
-use apor_linkstate::{LinkEstimator, RecFormat};
+use apor_linkstate::RecFormat;
 use serde::{Deserialize, Serialize};
 
 /// Age after which a *received* route recommendation is no longer
@@ -32,14 +32,20 @@ pub const SERVER_GRACE_INTERVALS: f64 = 2.0;
 /// on, in routing intervals: the paper uses 3 "to provide extra
 /// redundancy in case of dropped link-state messages" (section 6.2.2).
 pub const STALENESS_INTERVALS: f64 = 3.0;
+/// "#probes for failure": consecutive failed probes that mark a link dead.
+pub const DEFAULT_DEATH_THRESHOLD: u32 = 5;
+/// EWMA weight of a new latency sample.
+pub const DEFAULT_ALPHA: f64 = 0.3;
+/// Loss-window length, probes.
+pub const DEFAULT_WINDOW: u32 = 20;
+/// Probe-interval multiplier per stable reply, up to `probe_interval_max_s`.
+pub const PROBE_BACKOFF: f64 = 2.0;
+/// Relative latency swing that snaps a link back to rapid probing.
+pub const PROBE_SNAP_FRAC: f64 = 0.3;
 
 /// The protocol timing and format knobs some study, the paper's
 /// parameter table or a planned sweep varies. What none of them has
-/// ever varied is a constant: the four interval multiples above, the
-/// estimator's probes for failure and EWMA weight
-/// ([`LinkEstimator::DEFAULT_DEATH_THRESHOLD`],
-/// [`LinkEstimator::DEFAULT_ALPHA`]) and the adaptive probe rate's
-/// backoff and snap fraction ([`adaptive`](crate::adaptive)).
+/// ever varied is one of the nine constants above.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProtocolConfig {
     /// Routing interval `r`, seconds: how often link state / recommendations
@@ -51,7 +57,7 @@ pub struct ProtocolConfig {
     pub probe_timeout_s: f64,
     /// Accelerated probing interval after a first loss (RON's rapid
     /// failure detection), seconds. Must allow
-    /// [`LinkEstimator::DEFAULT_DEATH_THRESHOLD`] losses within one
+    /// [`DEFAULT_DEATH_THRESHOLD`] losses within one
     /// probing interval.
     pub rapid_probe_interval_s: f64,
     /// Recommendation entry wire format.
@@ -177,10 +183,10 @@ impl ProtocolConfig {
         assert!(self.routing_interval_s > 0.0);
         assert!(self.probe_interval_s > 0.0);
         assert!(
-            f64::from(LinkEstimator::DEFAULT_DEATH_THRESHOLD) * self.rapid_probe_interval_s
+            f64::from(DEFAULT_DEATH_THRESHOLD) * self.rapid_probe_interval_s
                 <= self.probe_interval_s,
             "rapid probing must fit {} probes inside one probing interval",
-            LinkEstimator::DEFAULT_DEATH_THRESHOLD
+            DEFAULT_DEATH_THRESHOLD
         );
         // After a timeout the prober re-probes at `sent + rapid
         // interval` or now, whichever is later: a longer timeout would
@@ -219,7 +225,7 @@ mod tests {
         let q = ProtocolConfig::quorum();
         assert_eq!(q.routing_interval_s, 15.0);
         assert_eq!(q.probe_interval_s, 30.0);
-        assert_eq!(LinkEstimator::DEFAULT_DEATH_THRESHOLD, 5);
+        assert_eq!(DEFAULT_DEATH_THRESHOLD, 5);
     }
 
     #[test]
@@ -265,7 +271,7 @@ mod tests {
         // The paper: "our implementation detects failures within 1 probing
         // period". With the defaults, 5 rapid probes take 25 s ≤ 30 s.
         let c = ProtocolConfig::quorum();
-        let detect = f64::from(LinkEstimator::DEFAULT_DEATH_THRESHOLD) * c.rapid_probe_interval_s;
+        let detect = f64::from(DEFAULT_DEATH_THRESHOLD) * c.rapid_probe_interval_s;
         assert!(detect <= c.probe_interval_s);
     }
 }

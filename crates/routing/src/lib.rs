@@ -10,9 +10,8 @@
 //! * [`config`] — the protocol constants of section 5's parameter table.
 //! * [`prober`] — RON link monitoring: 30 s probes, rapid re-probe after a
 //!   first loss, 5-failure death, EWMA latency; optionally the
-//!   sub-quadratic entitled+sampled probing plane with batched frames.
-//! * [`adaptive`] — the per-link adaptive probe-rate state machine
-//!   (exponential backoff on stable links, snap-back on change).
+//!   sub-quadratic entitled+sampled probing plane with batched frames
+//!   and per-link probe-interval backoff on stable links.
 //! * [`fullmesh`] — the baseline: broadcast link state to everyone,
 //!   `Θ(n²)` per-node communication, the whole matrix held privately
 //!   and for one membership view.
@@ -46,8 +45,8 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod config;
+mod estimator;
 pub mod feasibility;
 pub mod fullmesh;
 pub mod multihop;
@@ -55,7 +54,6 @@ pub mod onehop;
 pub mod prober;
 pub mod quorum_router;
 
-pub use adaptive::{AdaptiveProbeRate, RateSample};
 pub use apor_linkstate::Detour;
 pub use config::{ProbePolicy, ProtocolConfig};
 pub use feasibility::{select_detour, FeasEntry, Feasibility};

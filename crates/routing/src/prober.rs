@@ -6,12 +6,13 @@
 //! *computation* traffic is reduced by the quorum scheme). Probes go
 //! out every `p = 30 s` per peer, spread evenly across the interval.
 //! After a first lost probe the prober switches to rapid re-probing so
-//! that [`LinkEstimator::DEFAULT_DEATH_THRESHOLD`] consecutive losses —
-//! and hence failure detection — complete "within 1 probing period".
+//! that [`DEFAULT_DEATH_THRESHOLD`](crate::config::DEFAULT_DEATH_THRESHOLD)
+//! consecutive losses — and hence failure detection — complete "within
+//! 1 probing period".
 //!
 //! Under [`ProbePolicy::Entitled`] a node probes only its `~2√n`
 //! rendezvous servers plus a rotating constant-size sample of other
-//! peers, each at an adaptive per-link rate ([`AdaptiveProbeRate`]),
+//! peers, each at an adaptive per-link rate (backoff on stable links),
 //! and emits [`ProbeBatch`](apor_linkstate::Message::ProbeBatch) frames: a
 //! ping plus, once the link is measured, a `Gauge` item carrying this
 //! side's RTT/loss estimate, which the receiver may *adopt* as its own
@@ -26,7 +27,8 @@
 //! A wake costs what is due, not what is probed. Each target's timing —
 //! its next probe instant and its outstanding probe, if any — lives in
 //! a lane of 32-byte slots beside the targets, index for index, rather
-//! than in the target with its estimator and rate controller. A slot's
+//! than in the target with its one link record (EWMA, failure run, loss
+//! window and probe interval, all fed by one call per outcome). A slot's
 //! *deadline* is the outstanding probe's timeout, or else its next
 //! probe. [`Prober::poll`] reads the lane and visits, in ascending peer
 //! order, only the targets whose deadline has come — so sequence
@@ -36,9 +38,9 @@
 //! sample rotation, a reinstall) writes the slot itself; nothing is
 //! derived from it, so nothing can go stale.
 
-use crate::adaptive::{AdaptiveProbeRate, RateSample};
 use crate::config::{ProbePolicy, ProtocolConfig};
-use apor_linkstate::{LinkEntry, LinkEstimator, ProbeItem, ProbeOutcome};
+use crate::estimator::{Outcome, ProbedLink};
+use apor_linkstate::{LinkEntry, ProbeItem};
 use apor_quorum::Grid;
 use apor_telemetry::{Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
 
@@ -75,8 +77,7 @@ struct TargetState {
     peer: usize,
     /// Entitled targets persist; sampled ones rotate out each epoch.
     entitled: bool,
-    estimator: LinkEstimator,
-    rate: AdaptiveProbeRate,
+    link: ProbedLink,
 }
 
 /// When a target next has work: its next probe and its outstanding
@@ -184,8 +185,8 @@ impl Prober {
     /// the table: departed; order-preserving, as a translation between
     /// two sorted member lists is — the table
     /// [`QuorumRouter::reinstall`](crate::QuorumRouter::reinstall)
-    /// takes) stays where it is, estimator and all, under its new index
-    /// and a fresh schedule — so a view bump does not blind the overlay
+    /// takes) keeps its measurement under its new index, with a fresh
+    /// schedule and probe rate — so a view bump does not blind the overlay
     /// for a probing interval. Only the old targets are walked,
     /// `~2√n + 16` of them under entitled probing, and their vector is
     /// the new one's.
@@ -216,7 +217,7 @@ impl Prober {
                 wanted
             }
         };
-        // Old targets probed again keep their slot and their estimator;
+        // Old targets probed again keep their slot and their measurement;
         // the others leave. `wanted` keeps who is still missing.
         let mut targets = std::mem::take(&mut self.targets);
         targets.retain_mut(|t| {
@@ -225,7 +226,7 @@ impl Prober {
             let Some(at) = again else { return false };
             let (peer, entitled) = wanted.remove(at);
             (t.peer, t.entitled) = (peer, entitled);
-            t.rate = AdaptiveProbeRate::new(&self.config, self.config.probe_interval_s);
+            t.link.restart_rate(&self.config);
             true
         });
         let carried = targets.len();
@@ -315,8 +316,7 @@ impl Prober {
         TargetState {
             peer,
             entitled,
-            estimator: LinkEstimator::new(),
-            rate: AdaptiveProbeRate::new(&self.config, self.config.probe_interval_s),
+            link: ProbedLink::new(&self.config),
         }
     }
 
@@ -402,14 +402,11 @@ impl Prober {
             // re-arm a zero-delay timer forever.
             if let Some(p) = s.pending {
                 if now >= p.sent_at + timeout {
-                    let was_alive = t.estimator.alive();
-                    t.estimator.record(ProbeOutcome::Timeout);
-                    if was_alive && !t.estimator.alive() {
+                    if t.link.record(Outcome::Timeout, &self.config) {
                         // The 5-failure rule just declared this link
                         // dead; queue it for the route-retraction drain.
                         self.link_losses.push(t.peer);
                     }
-                    t.rate.on_sample(RateSample::Loss);
                     s.pending = None;
                     // Rapid failure detection: re-probe quickly while the
                     // loss burst lasts.
@@ -424,14 +421,14 @@ impl Prober {
                 let seq = self.next_seq;
                 self.next_seq = self.next_seq.wrapping_add(1);
                 s.pending = Some(Pending { seq, sent_at: now });
-                s.next_probe_at = now + t.rate.interval_s();
+                s.next_probe_at = now + t.link.interval_s;
                 if batch {
                     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                     let mut items = vec![ProbeItem::Ping {
                         seq,
                         sent_ms: (now * 1000.0) as u32,
                     }];
-                    let e = t.estimator.to_entry();
+                    let e = t.link.to_entry();
                     if e.alive {
                         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                         items.push(ProbeItem::Gauge {
@@ -493,8 +490,7 @@ impl Prober {
         s.pending = None;
         let t = &mut self.targets[i];
         let rtt_ms = (now - p.sent_at) * 1000.0;
-        t.estimator.record(ProbeOutcome::Reply { rtt_ms });
-        t.rate.on_sample(RateSample::Reply { latency_ms: rtt_ms });
+        t.link.record(Outcome::Reply { rtt_ms }, &self.config);
         if let Some(h) = &self.probe_rtt_us {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             h.observe(((now - p.sent_at) * 1e6).max(1.0) as u64);
@@ -563,20 +559,17 @@ impl Prober {
     /// Is the direct link to `j` currently considered alive?
     #[must_use]
     pub fn alive(&self, j: usize) -> bool {
-        j == self.me
-            || self
-                .target(j)
-                .is_some_and(|i| self.targets[i].estimator.alive())
+        j == self.me || self.target(j).is_some_and(|i| self.targets[i].link.alive())
     }
 
     /// Smoothed RTT to `j`, ms.
     #[must_use]
     pub fn latency_ms(&self, j: usize) -> Option<f64> {
-        self.targets[self.target(j)?].estimator.latency_ms()
+        self.targets[self.target(j)?].link.ewma_ms
     }
 
     /// Render the node's own link-state row at `now` (self entry:
-    /// alive, 0 ms). Probed targets contribute their estimator entries;
+    /// alive, 0 ms). Probed targets contribute their measured entries;
     /// fresh adopted gauges fill in reverse paths we do not probe.
     #[must_use]
     pub fn own_row(&self, now: f64) -> Vec<LinkEntry> {
@@ -588,7 +581,7 @@ impl Prober {
             }
         }
         for t in &self.targets {
-            row[t.peer] = t.estimator.to_entry();
+            row[t.peer] = t.link.to_entry();
         }
         row
     }
@@ -598,7 +591,7 @@ impl Prober {
     /// overlay itself).
     #[must_use]
     pub fn concurrent_failures(&self) -> usize {
-        self.targets.iter().filter(|t| !t.estimator.alive()).count()
+        self.targets.iter().filter(|t| !t.link.alive()).count()
     }
 }
 
@@ -950,7 +943,7 @@ mod tests {
     }
 
     /// Drive `p` for a while against peers of which every third falls
-    /// silent after a minute: estimators fill, links die and queue as
+    /// silent after a minute: measurements fill, links die and queue as
     /// losses, rates adapt, the sample rotates, gauges are adopted.
     fn live_a_little(p: &mut Prober, until: f64) {
         let mut t = 0.0;
@@ -979,12 +972,9 @@ mod tests {
         for (s, t) in p.schedule.iter_mut().zip(&mut p.targets) {
             if let Some(pending) = s.pending {
                 if now >= pending.sent_at + p.config.probe_timeout_s {
-                    let was_alive = t.estimator.alive();
-                    t.estimator.record(ProbeOutcome::Timeout);
-                    if was_alive && !t.estimator.alive() {
+                    if t.link.record(Outcome::Timeout, &p.config) {
                         p.link_losses.push(t.peer);
                     }
-                    t.rate.on_sample(RateSample::Loss);
                     s.pending = None;
                     let rapid = pending.sent_at + p.config.rapid_probe_interval_s;
                     if rapid < s.next_probe_at {
@@ -996,13 +986,13 @@ mod tests {
                 let seq = p.next_seq;
                 p.next_seq = p.next_seq.wrapping_add(1);
                 s.pending = Some(Pending { seq, sent_at: now });
-                s.next_probe_at = now + t.rate.interval_s();
+                s.next_probe_at = now + t.link.interval_s;
                 if batch {
                     let mut items = vec![ProbeItem::Ping {
                         seq,
                         sent_ms: (now * 1000.0) as u32,
                     }];
-                    let e = t.estimator.to_entry();
+                    let e = t.link.to_entry();
                     if e.alive {
                         items.push(ProbeItem::Gauge {
                             rtt_ms: e.latency_ms,
@@ -1144,9 +1134,10 @@ mod tests {
 
     /// History crosses a view change with the targets that are probed
     /// again, and only with those: the rebuilt prober is the fresh one
-    /// with the old estimator injected wherever the same member is a
-    /// target on both sides — what the carry did when it cloned an
-    /// estimator per member.
+    /// with the old link's measurement injected wherever the same member
+    /// is a target on both sides, its probe rate started over — what
+    /// the carry did when it cloned an estimator per member and gave it
+    /// a fresh rate controller.
     #[test]
     fn reinstall_carries_estimators_by_identity() {
         for cfg in [quorum_cfg(), entitled_cfg()] {
@@ -1161,16 +1152,17 @@ mod tests {
                 new_index(9).unwrap(),
                 (0..n_old).filter(|&j| stays(j)).count(),
             );
-            let history: Vec<(usize, LinkEstimator)> = old
+            let history: Vec<(usize, ProbedLink)> = old
                 .targets
                 .iter()
-                .filter_map(|t| Some((new_index(t.peer)?, t.estimator.clone())))
+                .filter_map(|t| Some((new_index(t.peer)?, t.link.clone())))
                 .collect();
             let mut want = Prober::new(me, n, cfg.clone(), 150.0);
             let mut carried = 0;
             for t in &mut want.targets {
-                if let Some((_, est)) = history.iter().find(|(peer, _)| *peer == t.peer) {
-                    t.estimator = est.clone();
+                if let Some((_, link)) = history.iter().find(|(peer, _)| *peer == t.peer) {
+                    t.link = link.clone();
+                    t.link.restart_rate(&cfg);
                     carried += 1;
                 }
             }

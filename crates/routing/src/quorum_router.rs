@@ -279,10 +279,10 @@ impl QuorumRouter {
     /// ([`LaneRow::relabelled`]: destinations and the retraction lane
     /// move by identity, a departed one leaves, a joined one is absent)
     /// and put back, ascending by origin, under its original receipt
-    /// time and seqno: a carry is a relabelling, not new information,
-    /// and a carried row must keep shadowing delayed replays of older
-    /// frames. Before any of it, routes to or through a departed member
-    /// are withdrawn, so they are counted in `routing/routes_retracted`.
+    /// time and retraction lane, unversioned: every origin numbers its
+    /// rows from 0 again in the new view (`docs/ROUTING.md`). Before any
+    /// of it, routes to or through a departed member are withdrawn, so
+    /// they are counted in `routing/routes_retracted`.
     ///
     /// Returns the router and how many rows were fresh and of a
     /// surviving origin — entitled or not, what the `Remap` span
@@ -535,8 +535,9 @@ impl QuorumRouter {
         }
         self.retract(dst);
         self.own_row[dst] = LinkEntry::dead();
-        self.table
-            .update_entry(self.me, dst, LinkEntry::dead(), now);
+        let held = self.table.row(self.me);
+        let row = held.map_or_else(LaneRow::default, |r| r.without(dst as u16));
+        self.table.put_row(self.me, Arc::new(row), now);
     }
 
     /// Withdraw the route to `dst`, at the seqno of the row I hold from
@@ -1751,6 +1752,24 @@ mod tests {
         assert_eq!(routing_counter(&telemetry, "routes_retracted"), 2);
     }
 
+    /// A link-state frame from node 1 to node 0 in `view`.
+    fn frame_from_one(view: u32, row: &[LinkEntry], seqno: u16, retracted: &[u16]) -> Message {
+        Message::LinkState(LinkStateMsg {
+            from: NodeId(1),
+            to: NodeId(0),
+            view,
+            round: 1,
+            basis_ms: 0,
+            width: row.len() as u16,
+            row: Arc::new(LaneRow::from_dense(row).with_version(seqno, retracted)),
+        })
+    }
+
+    /// A carried row keeps its retraction lane but is unversioned: the
+    /// origin numbers its rows from 0 again in the new view, and its
+    /// frames replace the carried row whatever their seqno. The replay
+    /// guard holds across the carry all the same: a delayed frame of the
+    /// old view is refused whatever its seqno — by the view check.
     #[test]
     fn versioned_export_import_preserves_the_replay_guard() {
         // Node 1 is in node 0's grid row, so 0 is entitled to its row in
@@ -1758,49 +1777,131 @@ mod tests {
         let n = 9;
         let mut a = QuorumRouter::new(0, n, 0, ProtocolConfig::quorum());
         let row1: Vec<LinkEntry> = (0..n)
-            .map(|j| {
-                if j == 1 {
-                    LinkEntry::live(0, 0.0)
-                } else {
-                    LinkEntry::live(10, 0.0)
-                }
-            })
+            .map(|j| LinkEntry::live(if j == 1 { 0 } else { 10 }, 0.0))
             .collect();
-        let _ = a.on_message(
-            1.0,
-            &Message::LinkState(LinkStateMsg {
-                from: NodeId(1),
-                to: NodeId(0),
-                view: 0,
-                round: 1,
-                basis_ms: 0,
-                width: 9,
-                row: Arc::new(LaneRow::from_dense(&row1).with_version(9, &[6])),
-            }),
-        );
-        // The same nine members under a new view number: the carried
-        // row keeps the guard, so a delayed older frame from 1 is still
-        // rejected after the carry.
+        let _ = a.on_message(1.0, &frame_from_one(0, &row1, 9, &[6]));
+        // The same nine members under a new view number.
         let (mut b, carried) = a.reinstall(0, n, 1, &identity(n), 1.5);
         assert_eq!(carried, 1);
-        assert_eq!(b.table().row_seqno(1), 9);
+        assert_eq!(b.table().row_seqno(1), 0, "carried unversioned");
+        assert!(b.table().row_retracts(1, 6), "with its retraction lane");
+        let mut newer = row1;
+        newer[6] = LinkEntry::live(5, 0.0);
+        let _ = b.on_message(2.0, &frame_from_one(0, &newer, 10, &[]));
+        assert_eq!(b.table().row_time(1), Some(1.0), "old-view frame refused");
         assert!(b.table().row_retracts(1, 6));
-        let mut stale = row1;
-        stale[6] = LinkEntry::live(5, 0.0);
-        let _ = b.on_message(
-            2.0,
-            &Message::LinkState(LinkStateMsg {
-                from: NodeId(1),
-                to: NodeId(0),
-                view: 1,
-                round: 1,
-                basis_ms: 0,
-                width: 9,
-                row: Arc::new(LaneRow::from_dense(&stale).with_version(8, &[])),
-            }),
+        let _ = b.on_message(3.0, &frame_from_one(1, &newer, 1, &[]));
+        assert_eq!(
+            b.table().row_time(1),
+            Some(3.0),
+            "new-view seqno 1 < 9 taken"
         );
-        assert_eq!(b.table().row_seqno(1), 9, "older frame rejected");
-        assert!(b.table().row_retracts(1, 6));
+        assert_eq!(b.table().row_seqno(1), 1);
+        assert!(b.table().entry(1, 6).alive);
+    }
+
+    /// Node 0 of the nine-node world after three link deaths, one per
+    /// tick (seqno 3), carried into view 1 with nobody moving at t = 50.
+    fn three_deaths_then_a_view_change() -> (QuorumRouter, Vec<LinkEntry>) {
+        let mut r = QuorumRouter::new(0, 9, 0, ProtocolConfig::quorum());
+        let mut own = nine_node_rows().swap_remove(0);
+        let mut g = rng();
+        let _ = r.on_routing_tick(0.0, &own, &mut g);
+        for (k, dst) in [1usize, 2, 3].into_iter().enumerate() {
+            own[dst] = LinkEntry::dead();
+            let _ = r.on_routing_tick(15.0 * (k + 1) as f64, &own, &mut g);
+        }
+        assert_eq!(r.table().row_seqno(0), 3);
+        let (r, _) = r.reinstall(0, 9, 1, &identity(9), 50.0);
+        (r, own)
+    }
+
+    /// A link lost before the first tick of a new view bumps the seqno
+    /// from 0 to 1; the node's own carried row must not shadow the rows
+    /// it puts from then on (it froze at seqno 3 and went stale when
+    /// the carried row kept its seqno).
+    #[test]
+    fn the_own_row_carried_across_a_view_change_takes_the_next_tick() {
+        let (mut r, mut own) = three_deaths_then_a_view_change();
+        r.on_link_loss(5, 55.0);
+        own[5] = LinkEntry::dead();
+        assert_eq!(r.own_seqno(), 1);
+        let mut g = rng();
+        for k in 0..4 {
+            let now = 60.0 + 15.0 * f64::from(k);
+            let _ = r.on_routing_tick(now, &own, &mut g);
+            assert_eq!(r.table().row_time(0), Some(now), "own row put at {now}");
+            assert_eq!(r.table().row_seqno(0), r.own_seqno());
+        }
+    }
+
+    /// The same freeze at the servers holding node 0's row: each one
+    /// carries it across the view change, and must take node 0's first
+    /// new-view frame, already at seqno 1.
+    #[test]
+    fn a_servers_carried_copy_takes_the_origins_next_frame() {
+        let n = 9;
+        let mut fabric = Fabric::new(n, &ProtocolConfig::quorum());
+        let mut rows = nine_node_rows();
+        fabric.tick(0.0, &rows);
+        for (k, dst) in [1usize, 2, 3].into_iter().enumerate() {
+            rows[0][dst] = LinkEntry::dead();
+            fabric.tick(15.0 * (k + 1) as f64, &rows);
+        }
+        // Node 0's rendezvous servers (a failover server's copy is not
+        // carried).
+        let servers: Vec<usize> = (1..n)
+            .filter(|&s| fabric.routers[s].grid().serves(0, s))
+            .collect();
+        assert!(!servers.is_empty());
+        for &s in &servers {
+            assert_eq!(fabric.routers[s].table().row_seqno(0), 3);
+        }
+        fabric.routers = std::mem::take(&mut fabric.routers)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.reinstall(i, n, 1, &identity(n), 50.0).0)
+            .collect();
+        fabric.routers[0].on_link_loss(5, 55.0);
+        rows[0][5] = LinkEntry::dead();
+        fabric.tick(60.0, &rows);
+        for &s in &servers {
+            let table = fabric.routers[s].table();
+            assert_eq!(table.row_time(0), Some(60.01), "server {s}");
+            assert_eq!(table.row_seqno(0), 1, "server {s}");
+            assert!(!table.entry(0, 5).alive, "server {s}");
+        }
+    }
+
+    /// A link loss puts the held own row without the link — lanes less
+    /// `dst`, the seqno and retraction lane it was put with, stamped
+    /// now — and an empty row when none is held. A link the row already
+    /// lacks puts the same row again.
+    #[test]
+    fn a_link_loss_puts_the_held_own_row_without_the_link() {
+        let mut r = QuorumRouter::new(0, 9, 0, ProtocolConfig::quorum());
+        r.on_link_loss(3, 1.0);
+        assert_eq!(r.table().row(0), Some(&LaneRow::default()));
+        assert_eq!(r.table().row_time(0), Some(1.0));
+        let mut own = nine_node_rows().swap_remove(0);
+        let mut g = rng();
+        let _ = r.on_routing_tick(10.0, &own, &mut g);
+        own[2] = LinkEntry::dead();
+        let _ = r.on_routing_tick(25.0, &own, &mut g);
+        // The loss at t = 1 and the tick's; 3 is alive again, so only 2
+        // is retracted.
+        assert_eq!(r.own_seqno(), 2);
+        let held = r.table().row(0).cloned().expect("own row");
+        assert_eq!(held, LaneRow::from_dense(&own).with_version(2, &[2]));
+        r.on_link_loss(4, 30.0);
+        assert_eq!(r.own_seqno(), 3);
+        own[4] = LinkEntry::dead();
+        let want = LaneRow::from_dense(&own).with_version(2, &[2]);
+        assert_eq!(r.table().row(0), Some(&want), "held seqno and lane");
+        assert_eq!(r.table().row_time(0), Some(30.0));
+        r.on_link_loss(2, 31.0);
+        assert_eq!(r.table().row(0), Some(&want));
+        assert_eq!(r.table().row_time(0), Some(31.0));
     }
 
     #[test]
@@ -2037,7 +2138,7 @@ mod tests {
         let rows = vec![(0, 10.0, lanes(&[0, 50, 70]).with_version(7, &[1, 2]))];
         let (r, survived) = carried(3, rows, &table, 3, 12.0);
         assert_eq!(survived, 1);
-        assert_eq!(r.table.row_seqno(0), 7, "seqno survives verbatim");
+        assert_eq!(r.table.row_seqno(0), 0, "carried unversioned");
         assert_eq!(
             r.table.row_retractions(0),
             [2],
@@ -2247,8 +2348,22 @@ mod tests {
                 f.retract(seqno);
             });
             self.own_row[dst] = LinkEntry::dead();
-            self.table
-                .update_entry(self.me, dst, LinkEntry::dead(), now);
+            // The held own row's live entries but `dst`, at its seqno
+            // and retraction lane; an empty row when none is held.
+            let me = self.me;
+            let row = match self.table.row_ref(me) {
+                Some(held) => {
+                    let pairs: Vec<(u16, LinkEntry)> = held
+                        .iter_live()
+                        .filter(|&(d, _)| d != dst)
+                        .map(|(d, e)| (d as u16, e))
+                        .collect();
+                    LaneRow::from_pairs(&pairs)
+                        .with_version(self.table.row_seqno(me), &self.table.row_retractions(me))
+                }
+                None => LaneRow::default(),
+            };
+            self.table.put_row(me, Arc::new(row), now);
         }
 
         fn row(&mut self, from: usize, row: Arc<LaneRow>, now: f64) {

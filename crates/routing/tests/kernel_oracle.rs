@@ -884,9 +884,9 @@ fn shared_lane_ties_go_to_the_lowest_relay() {
 }
 
 /// A store that mixes rows borrowing the identity lane with rows that
-/// list the very same destinations (a link died and came back, so the
-/// row wrote its lane out) answers as a store of full rows does: such
-/// a pair is told apart by content, not by address, and either way the
+/// list the very same destinations (a row that lost its last entry
+/// writes its lane out) answers as a store of full rows does: such a
+/// pair is told apart by content, not by address, and either way the
 /// reduction and the scatter-gather agree with the definition.
 #[test]
 fn listed_and_identity_lanes_with_equal_contents_route_alike() {
@@ -904,10 +904,18 @@ fn listed_and_identity_lanes_with_equal_contents_route_alike() {
     let full = world.store();
     let mut mixed = world.store();
     for spec in &specs[..2] {
-        let (o, entry) = (spec.origin, spec.row[9]);
-        mixed.update_entry(o, 9, LinkEntry::dead(), FRESH_AT);
+        let o = spec.origin;
+        let mut dead = spec.row.clone();
+        dead[9] = LinkEntry::dead();
+        mixed.put_row(o, Arc::new(LaneRow::from_dense(&dead)), FRESH_AT);
         assert_eq!(mixed.entry_count(), full.entry_count() - 1);
-        mixed.update_entry(o, 9, entry, FRESH_AT);
+        // One destination wider, less that destination: the row lists
+        // `0..n`, the very entries of the full row.
+        let mut wider = spec.row.clone();
+        wider.push(LinkEntry::live(1, 0.0));
+        let listed = LaneRow::from_dense(&wider).without(n as u16);
+        assert_eq!(listed.held_bytes(), 5 * n, "a listed lane");
+        mixed.put_row(o, Arc::new(listed), FRESH_AT);
         assert_eq!(mixed.row_dense(o), full.row_dense(o));
     }
     let (clients, me) = ([5usize, 40, 70], 99usize);

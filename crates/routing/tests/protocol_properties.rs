@@ -1,7 +1,7 @@
 //! Property-based tests on the prober (the route kernels are held to
 //! the brute-force oracle in `kernel_oracle.rs`).
 
-use apor_linkstate::LinkEstimator;
+use apor_routing::config::DEFAULT_DEATH_THRESHOLD;
 use apor_routing::prober::{ProbeAction, Prober};
 use apor_routing::ProtocolConfig;
 use proptest::prelude::*;
@@ -41,7 +41,7 @@ proptest! {
         let ever_replied = outcomes.iter().any(|&r| r);
         let trailing_failures = outcomes.iter().rev().take_while(|&&r| !r).count() as u32;
         let expected_alive =
-            ever_replied && trailing_failures < LinkEstimator::DEFAULT_DEATH_THRESHOLD;
+            ever_replied && trailing_failures < DEFAULT_DEATH_THRESHOLD;
         prop_assert_eq!(
             p.alive(1),
             expected_alive,
