@@ -12,8 +12,12 @@
 # one, a share of one, or a figure that depends on how many repetitions
 # fit the run (`peak_heap_mb` can) — and is left out; every other metric
 # is printed when the working tree's value is not the parent's to the last
-# digit. The counts of compared, wall-clock and differing metrics close
-# each block. Nothing in the working tree is written.
+# digit, with how far it moved, `(working - parent) / parent` in %. An
+# end-to-end metric also gets a verdict against its BENCHMARK.json entry:
+# `better` when it moved its `better` way, `within` when it moved the
+# other way by no more than its `bound`, `worse` beyond that. The counts
+# of compared, wall-clock and differing metrics close each block.
+# Nothing in the working tree is written.
 #
 # Exit status: 1 when any run reports `"correct": false` or failed route
 # queries, 2 on a usage error. A difference alone exits 0: this is a
@@ -45,8 +49,11 @@ run() { # <source root> <binary> <workload> <trace> → the result line
     echo "$line"
 }
 
+# name → {better, bound} of every end-to-end metric.
+e2e=$(jq -c '[.end_to_end[] | {key: .name, value: .}] | from_entries' "$repo/BENCHMARK.json")
+
 bad=0
-printf '%-15s %-5s %-36s %20s %20s\n' workload trace metric parent working
+printf '%-15s %-5s %-36s %20s %20s %9s %s\n' workload trace metric parent working change verdict
 for workload in ron-196 scale-512 swim-churn-256 fabric-1024; do
     for trace in 0 1; do
         first=$(run "$work/parent" "$parent_bin" "$workload" "$trace")
@@ -59,15 +66,25 @@ for workload in ron-196 scale-512 swim-churn-256 fabric-1024; do
                 bad=1
             fi
         done
-        jq -rn --argjson a "$first" --argjson b "$again" --argjson c "$child" --argjson d "$child_again" '
+        jq -rn --argjson a "$first" --argjson b "$again" --argjson c "$child" --argjson d "$child_again" \
+            --argjson e2e "$e2e" '
             def v($r; $k): $r.metrics[$k].value;
+            def verdict($spec; $p; $w):
+                if $spec == null then ""
+                elif (if $spec.better == "lower" then $w < $p else $w > $p end) then "better"
+                elif $p != 0 and (($w - $p) / $p | if . < 0 then -. else . end) <= $spec.bound then "within"
+                else "worse" end;
             ($a.metrics | keys_unsorted) as $keys
             | [$keys[] | select(v($a; .) != v($b; .) or v($c; .) != v($d; .))] as $wall
             | [$keys[] | select(v($a; .) == v($b; .) and v($c; .) == v($d; .) and v($a; .) != v($c; .))] as $diff
-            | ($diff[] | "diff\t\(.)\t\(v($a; .))\t\(v($c; .))"),
+            | ($diff[] | v($a; .) as $p | v($c; .) as $w
+                | "diff\t\(.)\t\($p)\t\($w)\t\(if $p != 0 then ($w - $p) / $p else "" end)\t\(verdict($e2e[.]; $p; $w))"),
               "sum\t\($keys | length - ($wall | length))\t\($wall | length)\t\($diff | length)"' |
             awk -F'\t' -v w="$workload" -v t="$trace" '
-                $1 == "diff" { printf "%-15s %-5s %-36s %20s %20s\n", w, t, $2, $3, $4 }
+                $1 == "diff" {
+                    change = $5 == "" ? "n/a" : sprintf("%+.2f%%", 100 * $5)
+                    printf "%-15s %-5s %-36s %20s %20s %9s %s\n", w, t, $2, $3, $4, change, $6
+                }
                 $1 == "sum" { printf "%s --trace %s: %d compared, %d wall-clock, %d differ\n", w, t, $2, $3, $4 }'
     done
 done

@@ -50,9 +50,11 @@ impl FullMeshRouter {
     /// A baseline router for node `me` of `n` under membership `view`.
     ///
     /// # Panics
-    /// Panics if `me ≥ n`.
+    /// Panics if `n > u16::MAX` — node indices are `u16` on every frame,
+    /// and a frame's `width` could not say `n` — or if `me ≥ n`.
     #[must_use]
     pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
+        assert!(n <= usize::from(u16::MAX), "n = {n} past u16 indices");
         assert!(me < n);
         FullMeshRouter {
             me,
@@ -184,6 +186,15 @@ mod tests {
 
     fn live_row(costs: &[u16]) -> Vec<LinkEntry> {
         costs.iter().map(|&c| LinkEntry::live(c, 0.0)).collect()
+    }
+
+    /// A frame's `width` is a `u16`: a view of 65 536 would stamp 0 and
+    /// every receiver would refuse the row. The constructor says so
+    /// before it allocates the `n²` matrix.
+    #[test]
+    #[should_panic(expected = "past u16 indices")]
+    fn a_view_past_u16_indices_is_refused() {
+        let _ = FullMeshRouter::new(0, 1 << 16, 0, ProtocolConfig::ron());
     }
 
     /// Wire three routers together by hand and check that everyone learns

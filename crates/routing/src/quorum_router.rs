@@ -87,21 +87,134 @@ impl RouteDecision {
     }
 }
 
-/// Everything this node keeps about one destination — one record, as a
-/// Babel route table keeps one per prefix (RFC 8966).
+/// Everything this node keeps about one destination in steady state —
+/// one 24 B record, as a Babel route table keeps one per prefix
+/// (RFC 8966). A failover episode, rare and short, lives beside it in
+/// [`QuorumRouter`]'s episode table.
 #[derive(Debug, Clone, Default)]
 struct Route {
     /// The latest accepted recommendation.
-    rec: Option<RouteEntry>,
+    rec: Rec,
     /// The route discipline's record for k-hop detours.
     feas: Feasibility,
-    /// Section 4.1: the active failover rendezvous, if any.
-    failover: Option<usize>,
-    /// Failover candidates already tried (and failed) in this episode.
-    tried: BTreeSet<usize>,
 }
 
-/// Sentinel for "no timestamp yet" in the dense `serving_since` vector.
+/// A recommendation at the width the wire fixes: node indices are `u16`
+/// on every frame. [`RouteEntry`] is built from it on read.
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    received_at: f64,
+    /// The first hop; [`NO_HOP`] = no recommendation held.
+    hop: u16,
+    from_server: u16,
+    cost_ms: u16,
+}
+
+/// The hop of a [`Rec`] that holds none. A view has at most `u16::MAX`
+/// members, so no member's index is this.
+const NO_HOP: u16 = u16::MAX;
+
+impl Rec {
+    const NONE: Rec = Rec {
+        received_at: 0.0,
+        hop: NO_HOP,
+        from_server: NO_HOP,
+        cost_ms: u16::MAX,
+    };
+
+    /// The recommendation held, if any.
+    fn get(self) -> Option<RouteEntry> {
+        (self.hop != NO_HOP).then(|| RouteEntry {
+            hop: usize::from(self.hop),
+            from_server: usize::from(self.from_server),
+            received_at: self.received_at,
+            cost_ms: self.cost_ms,
+        })
+    }
+}
+
+impl Default for Rec {
+    fn default() -> Self {
+        Rec::NONE
+    }
+}
+
+/// A destination's open section 4.1 failover episode: the active
+/// failover rendezvous, if any, and the candidates already tried (and
+/// failed). An episode with neither is closed and not held.
+#[derive(Debug, Default)]
+struct Episode {
+    failover: Option<u16>,
+    tried: BTreeSet<u16>,
+}
+
+/// What this node knows of one server: when I first sent it link state
+/// (the grace-period anchor; [`NEVER`] = not yet), and when it last
+/// recommended a route to each destination it has vouched for.
+#[derive(Debug)]
+struct ServerRecord {
+    since: f64,
+    /// Sorted by destination, one allocation. A frame lists its
+    /// destinations ascending, so ingest walks a cursor and a lookup is
+    /// a binary search over `≤ 2√n` contiguous entries. An entry is
+    /// never removed.
+    seen: Vec<Seen>,
+}
+
+/// One destination a server has recommended a route to, and when it
+/// last did: 10 B, packed to the `u16`'s alignment.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
+struct Seen {
+    dst: u16,
+    at: f64,
+}
+
+impl ServerRecord {
+    /// Last time this server recommended any route to `dst`.
+    fn last_rec(&self, dst: u16) -> Option<f64> {
+        self.seen
+            .binary_search_by_key(&dst, |e| e.dst)
+            .ok()
+            .map(|i| self.seen[i].at)
+    }
+
+    /// Record that this server recommended a route to `dst` at `now`;
+    /// returns whether that added an entry. `cursor` is where the
+    /// frame's previous destination landed plus one: frames list
+    /// destinations ascending, so the next one is usually right there;
+    /// anything else (a destination out of order, new, or skipped by
+    /// this frame) falls back to a binary search.
+    fn note_rec(&mut self, dst: u16, now: f64, cursor: &mut usize) -> bool {
+        let seen = &mut self.seen;
+        let mut added = false;
+        let at = if seen.get(*cursor).is_some_and(|e| e.dst == dst) {
+            *cursor
+        } else {
+            match seen.binary_search_by_key(&dst, |e| e.dst) {
+                Ok(i) => i,
+                Err(i) => {
+                    added = true;
+                    // Grow by exactly one: a server's destination set
+                    // settles within a few ticks and entries never
+                    // leave, so doubling would strand up to half of
+                    // every list, on every node, for good.
+                    seen.reserve_exact(1);
+                    seen.insert(i, Seen { dst, at: now });
+                    i
+                }
+            }
+        };
+        seen[at].at = now;
+        *cursor = at + 1;
+        added
+    }
+}
+
+/// A `server_slot` that points at no [`ServerRecord`].
+const NO_RECORD: u16 = u16::MAX;
+
+/// A [`ServerRecord`]'s "never sent link state" anchor.
 const NEVER: f64 = f64::NEG_INFINITY;
 
 /// `RowImport` spans one view install may record: enough for the carry
@@ -122,7 +235,8 @@ struct RouterCounters {
     routes_retracted: Counter,
     /// Relay count of every spliced detour admitted.
     detour_hops: Histogram,
-    /// Bytes of `rec_seen` entries held: 16 per `(dst, timestamp)`.
+    /// Bytes the server records' entries hold: 10 per
+    /// `(dst, timestamp)`.
     rec_seen_bytes: Gauge,
 }
 
@@ -154,27 +268,27 @@ pub struct QuorumRouter {
     own_row: Vec<LinkEntry>,
     /// Cached: my default rendezvous servers (grid row + column).
     my_servers: Vec<usize>,
-    /// The route table, indexed by destination: its recommendation,
-    /// feasibility record and failover episode in one [`Route`].
+    /// The route table, indexed by destination: its recommendation and
+    /// feasibility record in one [`Route`].
     routes: Vec<Route>,
-    /// `rec_seen[s]` — last time server `s` recommended any route for a
-    /// destination: `(dst, time)` entries sorted by `dst`, one flat
-    /// allocation per server that has ever recommended (absent entry =
-    /// no recommendation yet). A frame lists its destinations
-    /// ascending, so ingest walks a cursor and `last_rec` is a binary
-    /// search over `≤ 2√n` contiguous entries. Only the `~2√n` servers
-    /// that actually send recommendations hold entries, and each holds
-    /// only the destinations it has vouched for — `O(√n · √n)` entries
-    /// total versus the `n` slots per server a dense row would burn.
-    /// An entry is never removed.
-    rec_seen: Vec<Vec<(usize, f64)>>,
-    /// Entries held over all of `rec_seen`, counted where they are
+    /// The open failover episodes, by destination: an entry exactly
+    /// while the destination has an active failover server or tried
+    /// candidates.
+    episodes: BTreeMap<u16, Episode>,
+    /// `server_slot[s]` — where server `s`'s record sits in `servers`;
+    /// [`NO_RECORD`] = it has none.
+    server_slot: Vec<u16>,
+    /// One record per server I have sent link state to or heard a
+    /// recommendation from, in the order they appeared. Only the
+    /// `~2√n` rendezvous servers and any failovers have one, each
+    /// holding only the destinations it has vouched for — `O(√n · √n)`
+    /// entries total versus the `n` slots per server a dense row would
+    /// burn. Nothing leaves a record until a view change.
+    servers: Vec<ServerRecord>,
+    /// Entries held over all of `servers`, counted where they are
     /// inserted, so the byte gauge costs `O(1)` per message instead of
-    /// a walk over all `n` servers.
+    /// a walk over every record.
     rec_seen_entries: usize,
-    /// When I first sent link state to each server (grace-period
-    /// anchor); grid-indexed, [`NEVER`] = never served.
-    serving_since: Vec<f64>,
     /// My row's sequence number: 0 until the first retraction event
     /// (frames stay bit-identical to the legacy format), then bumped on
     /// every tick that withdraws at least one link, so receivers'
@@ -206,8 +320,9 @@ struct Parts {
     own_row: Vec<LinkEntry>,
     my_servers: Vec<usize>,
     routes: Vec<Route>,
-    rec_seen: Vec<Vec<(usize, f64)>>,
-    serving_since: Vec<f64>,
+    episodes: BTreeMap<u16, Episode>,
+    server_slot: Vec<u16>,
+    servers: Vec<ServerRecord>,
     retractions: BTreeMap<u16, u32>,
     counters: RouterCounters,
     tracer: Tracer,
@@ -221,7 +336,8 @@ impl QuorumRouter {
     /// registry.
     ///
     /// # Panics
-    /// Panics if `me ≥ n`.
+    /// Panics if `n > u16::MAX` — node indices are `u16` on every frame,
+    /// and a frame's `width` could not say `n` — or if `me ≥ n`.
     #[must_use]
     pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
         Self::new_with_telemetry(me, n, view, config, &Telemetry::disabled())
@@ -231,6 +347,9 @@ impl QuorumRouter {
     /// [`RowStore`] registered on `telemetry` — each cell once. Re-using
     /// a registry a previous router reported into resumes its
     /// cumulative cells.
+    ///
+    /// # Panics
+    /// As [`QuorumRouter::new`].
     #[must_use]
     pub fn new_with_telemetry(
         me: usize,
@@ -239,6 +358,7 @@ impl QuorumRouter {
         config: ProtocolConfig,
         telemetry: &Telemetry,
     ) -> Self {
+        assert!(n <= usize::from(u16::MAX), "n = {n} past u16 indices");
         // `assemble` sizes the store and sets its real entitlement.
         let table = RowStore::with_entitlement(n, 0, config.staleness_s(), telemetry.clone());
         let parts = Parts {
@@ -247,8 +367,9 @@ impl QuorumRouter {
             own_row: Vec::new(),
             my_servers: Vec::new(),
             routes: Vec::new(),
-            rec_seen: Vec::new(),
-            serving_since: Vec::new(),
+            episodes: BTreeMap::new(),
+            server_slot: Vec::new(),
+            servers: Vec::new(),
             retractions: BTreeMap::new(),
             counters: RouterCounters::new(telemetry),
             tracer: Tracer::disabled(),
@@ -292,8 +413,8 @@ impl QuorumRouter {
     /// registry, without its allocations.
     ///
     /// # Panics
-    /// Panics if `me ≥ n`, or if the table maps a member a kept row
-    /// names to an index `≥ n`.
+    /// Panics if `n > u16::MAX` or `me ≥ n`, or if the table maps a
+    /// member a kept row names to an index `≥ n`.
     #[must_use]
     pub fn reinstall(
         mut self,
@@ -313,8 +434,9 @@ impl QuorumRouter {
             own_row: self.own_row,
             my_servers: self.my_servers,
             routes: self.routes,
-            rec_seen: self.rec_seen,
-            serving_since: self.serving_since,
+            episodes: self.episodes,
+            server_slot: self.server_slot,
+            servers: self.servers,
             retractions: self.retractions,
             counters: self.counters,
             tracer: self.tracer,
@@ -367,10 +489,11 @@ impl QuorumRouter {
 
     /// A router for `(me, n, view)` with no history, over `parts`.
     /// Whatever `parts`' vectors and maps held is discarded; their
-    /// allocations are what is kept. (The per-server `rec_seen` lists
+    /// allocations are what is kept. (The server records' entry lists
     /// are freed, not kept: which indices are servers changes with the
     /// view, and capacity left at the old ones would only pile up.)
     fn assemble(me: usize, n: usize, view: u32, parts: Parts) -> Self {
+        assert!(n <= usize::from(u16::MAX), "n = {n} past u16 indices");
         assert!(me < n);
         let Parts {
             config,
@@ -378,8 +501,9 @@ impl QuorumRouter {
             mut own_row,
             mut my_servers,
             mut routes,
-            mut rec_seen,
-            mut serving_since,
+            mut episodes,
+            mut server_slot,
+            mut servers,
             mut retractions,
             counters,
             tracer,
@@ -391,10 +515,10 @@ impl QuorumRouter {
         grid.rendezvous_servers_into(me, &mut my_servers);
         routes.clear();
         routes.resize_with(n, Route::default);
-        rec_seen.clear();
-        rec_seen.resize_with(n, Vec::new);
-        serving_since.clear();
-        serving_since.resize(n, NEVER);
+        episodes.clear();
+        server_slot.clear();
+        server_slot.resize(n, NO_RECORD);
+        servers.clear();
         retractions.clear();
         QuorumRouter {
             me,
@@ -407,9 +531,10 @@ impl QuorumRouter {
             own_row,
             my_servers,
             routes,
-            rec_seen,
+            episodes,
+            server_slot,
+            servers,
             rec_seen_entries: 0,
-            serving_since,
             own_seqno: 0,
             retractions,
             counters,
@@ -468,7 +593,7 @@ impl QuorumRouter {
         // Fresh recommendation wins — but only over a live first leg: a
         // hop my own probes have since declared dead cannot forward, so
         // a stale recommendation no longer shadows the scavenge paths.
-        if let Some(r) = self.routes[dst].rec {
+        if let Some(r) = self.routes[dst].rec.get() {
             if now - r.received_at <= self.config.route_expiry_s() && self.own_row[r.hop].alive {
                 return Some(RouteDecision::Hop(r.hop));
             }
@@ -556,10 +681,10 @@ impl QuorumRouter {
     fn retract_departed_routes(&mut self, old_to_new: &[Option<u16>]) {
         let survives = |idx: usize| old_to_new.get(idx).is_some_and(Option::is_some);
         for dst in 0..self.n {
-            if let Some(r) = self.routes[dst].rec {
+            if let Some(r) = self.routes[dst].rec.get() {
                 if !survives(dst) || !survives(r.hop) {
                     self.retract(dst);
-                    self.routes[dst].rec = None;
+                    self.routes[dst].rec = Rec::NONE;
                 }
             }
         }
@@ -583,8 +708,8 @@ impl QuorumRouter {
             if dst >= self.n || dst == self.me {
                 continue;
             }
-            if self.routes[dst].rec.is_some_and(|e| e.hop == from) {
-                self.routes[dst].rec = None;
+            if self.routes[dst].rec.get().is_some_and(|e| e.hop == from) {
+                self.routes[dst].rec = Rec::NONE;
                 self.retract(dst);
             }
         }
@@ -593,49 +718,34 @@ impl QuorumRouter {
     /// The latest recommendation stored for `dst`.
     #[must_use]
     pub fn route_entry(&self, dst: usize) -> Option<RouteEntry> {
-        self.routes[dst].rec
+        self.routes[dst].rec.get()
     }
 
     /// The currently active failover server for `dst`, if any.
     #[must_use]
     pub fn active_failover(&self, dst: usize) -> Option<usize> {
-        self.routes[dst].failover
+        let dst = u16::try_from(dst).ok()?;
+        self.episodes.get(&dst)?.failover.map(usize::from)
     }
 
-    /// Last time server `s` recommended any route to `dst`.
-    fn last_rec(&self, s: usize, dst: usize) -> Option<f64> {
-        let seen = &self.rec_seen[s];
-        seen.binary_search_by_key(&dst, |e| e.0)
-            .ok()
-            .map(|i| seen[i].1)
+    /// Server `s`'s record, if it has one.
+    fn record(&self, s: usize) -> Option<&ServerRecord> {
+        let slot = self.server_slot[s];
+        (slot != NO_RECORD).then(|| &self.servers[usize::from(slot)])
     }
 
-    /// Record that `server` recommended a route to `dst` at `now`.
-    /// `cursor` is where the frame's previous destination landed plus
-    /// one: frames list destinations ascending, so the next one is
-    /// usually right there; anything else (a destination out of order,
-    /// new, or skipped by this frame) falls back to a binary search.
-    fn note_rec(&mut self, server: usize, dst: usize, now: f64, cursor: &mut usize) {
-        let seen = &mut self.rec_seen[server];
-        let at = if seen.get(*cursor).is_some_and(|e| e.0 == dst) {
-            *cursor
-        } else {
-            match seen.binary_search_by_key(&dst, |e| e.0) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.rec_seen_entries += 1;
-                    // Grow by exactly one: a server's destination set
-                    // settles within a few ticks and entries never
-                    // leave, so doubling would strand up to half of
-                    // every list, on every node, for good.
-                    seen.reserve_exact(1);
-                    seen.insert(i, (dst, now));
-                    i
-                }
-            }
-        };
-        seen[at].1 = now;
-        *cursor = at + 1;
+    /// Where server `s`'s record sits in `servers`, made (never sent
+    /// link state, no entry) if it has none yet.
+    fn record_slot(&mut self, s: usize) -> usize {
+        if self.server_slot[s] == NO_RECORD {
+            // At most n ≤ u16::MAX records: the slot is below NO_RECORD.
+            self.server_slot[s] = self.servers.len() as u16;
+            self.servers.push(ServerRecord {
+                since: NEVER,
+                seen: Vec::new(),
+            });
+        }
+        usize::from(self.server_slot[s])
     }
 
     /// Has rendezvous server `s` failed *for destination `dst`*, judged at
@@ -657,14 +767,13 @@ impl QuorumRouter {
             return true;
         }
         // Remote rendezvous failure: no recommendation for dst recently.
-        let since = self.serving_since[s];
-        if since == NEVER {
+        let Some(record) = self.record(s).filter(|r| r.since != NEVER) else {
             // Never even sent them link state yet — not failed, just young.
             return false;
-        }
-        let anchor = self
-            .last_rec(s, dst)
-            .unwrap_or(since + self.config.server_grace_s() - self.config.remote_failure_s());
+        };
+        let anchor = record.last_rec(dst as u16).unwrap_or(
+            record.since + self.config.server_grace_s() - self.config.remote_failure_s(),
+        );
         now - anchor > self.config.remote_failure_s()
     }
 
@@ -694,23 +803,26 @@ impl QuorumRouter {
             }
             // Reversion: a working default rendezvous ends the episode.
             if !self.both_defaults_failed(dst, now) {
-                let r = &mut self.routes[dst];
-                r.failover = None;
-                r.tried.clear();
+                if !self.episodes.is_empty() {
+                    self.episodes.remove(&(dst as u16));
+                }
                 continue;
             }
+            let key = dst as u16;
             // Double rendezvous failure. Is the current failover healthy?
-            if let Some(f) = self.routes[dst].failover {
-                if !self.server_failed(f, dst, now) {
+            if let Some(f) = self.episodes.get(&key).and_then(|e| e.failover) {
+                if !self.server_failed(usize::from(f), dst, now) {
                     continue;
                 }
-                self.routes[dst].tried.insert(f);
-                self.routes[dst].failover = None;
+                let episode = self.episodes.get_mut(&key).expect("an open episode");
+                episode.tried.insert(f);
+                episode.failover = None;
             }
             // Dead-destination suppression: after the first attempt, only
-            // continue while someone's table still reaches dst.
-            let attempted_before = !self.routes[dst].tried.is_empty();
-            if attempted_before {
+            // continue while someone's table still reaches dst. An open
+            // episode here has tried a candidate.
+            let tried = self.episodes.get(&key).map(|e| &e.tried);
+            if tried.is_some() {
                 let reachable = self
                     .table
                     .anyone_reaches(dst, now, self.config.staleness_s())
@@ -731,17 +843,18 @@ impl QuorumRouter {
                 c != self.me
                     && c != dst
                     && self.own_row[c].alive
-                    && !self.routes[dst].tried.contains(&c)
+                    && !tried.is_some_and(|t| t.contains(&(c as u16)))
             });
             if pool.is_empty() {
                 // Exhausted: restart the episode so candidates that have
                 // recovered become eligible again.
-                self.routes[dst].tried.clear();
+                self.episodes.remove(&key);
                 continue;
             }
             let f = *pool.choose(rng).expect("non-empty pool");
-            self.routes[dst].failover = Some(f);
-            self.routes[dst].tried.insert(f);
+            let episode = self.episodes.entry(key).or_default();
+            episode.failover = Some(f as u16);
+            episode.tried.insert(f as u16);
             self.counters.failovers_selected.inc();
             newly_selected.push(f);
         }
@@ -779,7 +892,11 @@ impl QuorumRouter {
     /// plus all active failovers.
     fn current_servers(&self) -> Vec<usize> {
         let mut servers = self.my_servers.clone();
-        servers.extend(self.routes.iter().filter_map(|r| r.failover));
+        servers.extend(
+            self.episodes
+                .values()
+                .filter_map(|e| e.failover.map(usize::from)),
+        );
         servers.sort_unstable();
         servers.dedup();
         servers.retain(|&s| s != self.me);
@@ -901,8 +1018,10 @@ impl RoutingAlgorithm for QuorumRouter {
         let mut msgs = Vec::new();
         // Round one: link state to all current servers.
         for s in self.current_servers() {
-            if self.serving_since[s] == NEVER {
-                self.serving_since[s] = now;
+            let slot = self.record_slot(s);
+            let record = &mut self.servers[slot];
+            if record.since == NEVER {
+                record.since = now;
             }
             self.counters.ls_sent.inc();
             msgs.push(self.linkstate_msg(s, now, &own_lanes));
@@ -933,8 +1052,11 @@ impl RoutingAlgorithm for QuorumRouter {
                 }
                 // Room for the whole frame in one step (a first frame
                 // would otherwise grow entry by entry).
-                let seen = &mut self.rec_seen[server];
-                seen.reserve_exact(rm.recs.len().saturating_sub(seen.len()));
+                let slot = self.record_slot(server);
+                let record = &mut self.servers[slot];
+                record
+                    .seen
+                    .reserve_exact(rm.recs.len().saturating_sub(record.seen.len()));
                 let (mut cursor, mut accepted) = (0, 0);
                 for rec in &rm.recs {
                     let dst = rec.dst.index();
@@ -942,16 +1064,18 @@ impl RoutingAlgorithm for QuorumRouter {
                     if dst >= self.n || hop >= self.n || dst == self.me {
                         continue;
                     }
-                    self.note_rec(server, dst, now, &mut cursor);
+                    if record.note_rec(rec.dst.0, now, &mut cursor) {
+                        self.rec_seen_entries += 1;
+                    }
                     accepted += 1;
                     let route = &mut self.routes[dst];
-                    if route.rec.is_none_or(|r| now >= r.received_at) {
-                        route.rec = Some(RouteEntry {
-                            hop,
-                            from_server: server,
+                    if route.rec.get().is_none_or(|r| now >= r.received_at) {
+                        route.rec = Rec {
                             received_at: now,
+                            hop: rec.hop.0,
+                            from_server: server as u16,
                             cost_ms: rec.cost_ms,
-                        });
+                        };
                         // Acting on a costed recommendation ratchets the
                         // feasibility distance (the compact format carries
                         // no cost and leaves the constraint untouched).
@@ -965,7 +1089,7 @@ impl RoutingAlgorithm for QuorumRouter {
                 self.counters.rec_entries_received.add(accepted);
                 self.counters
                     .rec_seen_bytes
-                    .set((self.rec_seen_entries * 16) as u64);
+                    .set((self.rec_seen_entries * size_of::<Seen>()) as u64);
                 Vec::new()
             }
             _ => Vec::new(),
@@ -977,7 +1101,7 @@ impl RoutingAlgorithm for QuorumRouter {
     }
 
     fn route_age(&self, dst: usize, now: f64) -> Option<f64> {
-        self.routes[dst].rec.map(|r| now - r.received_at)
+        self.routes[dst].rec.get().map(|r| now - r.received_at)
     }
 
     fn double_rendezvous_failures(&self, now: f64) -> usize {
@@ -1011,6 +1135,11 @@ mod tests {
     /// The table of a view change in which nobody moves.
     fn identity(n: usize) -> Vec<Option<u16>> {
         (0..n as u16).map(Some).collect()
+    }
+
+    /// Last time server `s` recommended any route to `dst`, as `r` holds it.
+    fn last_rec(r: &QuorumRouter, s: usize, dst: usize) -> Option<f64> {
+        r.record(s)?.last_rec(dst as u16)
     }
 
     /// A tiny synchronous fabric: run all routers' ticks, deliver all
@@ -1124,8 +1253,9 @@ mod tests {
         }
     }
 
-    /// `rec_seen` holds entries only for (server, dst) pairs that were
-    /// actually recommended, and the byte gauge reports them.
+    /// The server records hold entries only for (server, dst) pairs that
+    /// were actually recommended, and the byte gauge reports them at
+    /// 10 B an entry.
     #[test]
     fn rec_seen_is_sparse_and_gauged() {
         let telemetry = Telemetry::new(3);
@@ -1138,17 +1268,21 @@ mod tests {
         fabric.tick(15.0, &rows);
 
         let r = &fabric.routers[3];
-        let servers_with_entries = r.rec_seen.iter().filter(|m| !m.is_empty()).count();
-        let total_entries: usize = r.rec_seen.iter().map(Vec::len).sum();
+        let servers_with_entries = r.servers.iter().filter(|m| !m.seen.is_empty()).count();
+        let total_entries: usize = r.servers.iter().map(|m| m.seen.len()).sum();
         // Only my ~2√n rendezvous servers recommend to me, about n-1
         // destinations each — nowhere near the n² dense worst case.
         assert!(servers_with_entries > 0);
         assert!(servers_with_entries <= r.grid().max_rendezvous_degree() * 2 + 1);
         assert!(total_entries <= servers_with_entries * (n - 1));
-        for (s, m) in r.rec_seen.iter().enumerate() {
-            assert!(m.windows(2).all(|w| w[0].0 < w[1].0), "sorted by dst");
-            for &(dst, _) in m {
-                assert!(r.last_rec(s, dst).is_some());
+        for s in 0..n {
+            let Some(m) = r.record(s) else { continue };
+            assert!(
+                m.seen.windows(2).all(|w| w[0].dst < w[1].dst),
+                "sorted by dst"
+            );
+            for &Seen { dst, .. } in &m.seen {
+                assert!(last_rec(r, s, usize::from(dst)).is_some());
                 assert_ne!(dst, 3, "never records recs about myself");
             }
         }
@@ -1159,7 +1293,7 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(
             snap.gauge(3, "routing", "rec_seen_bytes"),
-            Some((total_entries * 16) as u64)
+            Some((total_entries * 10) as u64)
         );
         let received = snap.counter(3, "routing", "rec_entries_received");
         assert!(received.unwrap_or(0) >= total_entries as u64);
@@ -1167,7 +1301,7 @@ mod tests {
     }
 
     proptest! {
-        /// `rec_seen` against a `BTreeMap` model, frame by frame:
+        /// The server records against a `BTreeMap` model, frame by frame:
         /// several servers, destinations in any order (ascending frames
         /// ride the cursor, the rest the binary search), duplicates
         /// within a frame, destinations a server has never vouched for,
@@ -1225,7 +1359,7 @@ mod tests {
                 }
                 for (s, seen) in model.iter().enumerate() {
                     for dst in 0..n {
-                        prop_assert_eq!(me.last_rec(s, dst), seen.get(&dst).copied());
+                        prop_assert_eq!(last_rec(&me, s, dst), seen.get(&dst).copied());
                     }
                 }
                 let entries: usize = model.iter().map(BTreeMap::len).sum();
@@ -1233,7 +1367,7 @@ mod tests {
                 let snap = telemetry.snapshot();
                 prop_assert_eq!(
                     snap.gauge(1, "routing", "rec_seen_bytes"),
-                    Some((entries * 16) as u64)
+                    Some((entries * 10) as u64)
                 );
                 prop_assert_eq!(snap.counter(1, "routing", "rec_entries_received"), Some(accepted));
             }
@@ -2199,10 +2333,14 @@ mod tests {
     type FailoverEpisode = (Option<usize>, BTreeSet<usize>);
 
     fn failover_episodes(r: &QuorumRouter) -> Vec<FailoverEpisode> {
-        r.routes
-            .iter()
-            .map(|s| (s.failover, s.tried.clone()))
-            .collect()
+        let mut episodes = vec![(None, BTreeSet::new()); r.n];
+        for (&dst, e) in &r.episodes {
+            episodes[usize::from(dst)] = (
+                e.failover.map(usize::from),
+                e.tried.iter().copied().map(usize::from).collect(),
+            );
+        }
+        episodes
     }
 
     /// On an incomplete grid (250 nodes on 16×16, ten in the last row)
@@ -2246,6 +2384,18 @@ mod tests {
             let new = r.manage_failovers(now, &mut rng);
             assert_eq!(new, want_new, "sweep {sweep}");
             assert_eq!(failover_episodes(&r), want_state, "sweep {sweep}");
+            // The table holds exactly the open episodes.
+            let open: Vec<u16> = (0..n as u16)
+                .filter(|&d| {
+                    let (failover, tried) = &want_state[usize::from(d)];
+                    failover.is_some() || !tried.is_empty()
+                })
+                .collect();
+            assert_eq!(
+                r.episodes.keys().copied().collect::<Vec<_>>(),
+                open,
+                "sweep {sweep}"
+            );
             assert_eq!(
                 rng.clone().gen::<u64>(),
                 model_rng.gen::<u64>(),
@@ -2262,9 +2412,9 @@ mod tests {
         // Some destination was given up on: its episode has tried
         // candidates and no active server.
         assert!(r
-            .routes
-            .iter()
-            .any(|s| s.failover.is_none() && !s.tried.is_empty()));
+            .episodes
+            .values()
+            .any(|e| e.failover.is_none() && !e.tried.is_empty()));
     }
 
     /// The tick's route-discipline bookkeeping by definition: the
@@ -2461,12 +2611,21 @@ mod tests {
         }
     }
 
-    /// One destination's record costs what its recommendation and
-    /// failover episode cost apart.
+    /// One destination's record is its recommendation at wire width
+    /// (16 B) and its feasibility record (8 B), and one server's entry
+    /// for a destination is 10 B.
     #[test]
-    #[cfg(target_pointer_width = "64")]
-    fn a_route_slot_is_at_most_88_bytes() {
-        assert!(std::mem::size_of::<Route>() <= 88);
+    fn a_route_slot_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Route>() <= 24);
+        assert_eq!(std::mem::size_of::<Seen>(), 10);
+    }
+
+    /// A frame's `width` is a `u16`: a view of 65 536 would stamp 0 and
+    /// every receiver would refuse the row. The constructor says so.
+    #[test]
+    #[should_panic(expected = "past u16 indices")]
+    fn a_view_past_u16_indices_is_refused() {
+        let _ = QuorumRouter::new(0, 1 << 16, 0, ProtocolConfig::quorum());
     }
 
     /// A router rebuilt over the parts of one that has lived — ticks,
@@ -2510,7 +2669,8 @@ mod tests {
         });
         assert!(lived.active_failover(8).is_some(), "a failover in progress");
         assert!(lived.own_seqno() > 0 && !lived.retractions.is_empty());
-        assert!(lived.routes.iter().any(|s| s.rec.is_some()));
+        assert!(lived.routes.iter().any(|s| s.rec.get().is_some()));
+        assert!(!lived.episodes.is_empty() && !lived.servers.is_empty());
         assert!(lived.table.row_count() > 1 && lived.rec_seen_entries > 0);
         assert!(lived.routes[1].feas.0.is_some() && lived.trace_ctx.is_some());
 
