@@ -242,10 +242,7 @@ fn bench_frame_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("frame_path");
 
     // Static members 0..n: identity = index, as in every netsim study.
-    let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-    let cfg = NodeConfig::new(NodeId::from_index(me), NodeId(0), Algorithm::Quorum)
-        .with_static_members(members);
-    let mut node = OverlayNode::new(cfg);
+    let mut node = OverlayNode::new(NodeConfig::static_member(me, n, Algorithm::Quorum));
     let mut out = Outbox::default();
     node.on_start(0.0, &mut out);
     let frames: Vec<_> = clients
@@ -309,10 +306,7 @@ fn bench_frame_path(c: &mut Criterion) {
 
     let n = 196usize;
     let topo = bench_topology(n);
-    let members: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-    let cfg = NodeConfig::new(NodeId::from_index(me), NodeId(0), Algorithm::FullMesh)
-        .with_static_members(members);
-    let mut node = OverlayNode::new(cfg);
+    let mut node = OverlayNode::new(NodeConfig::static_member(me, n, Algorithm::FullMesh));
     node.on_start(0.0, &mut out);
     let from = n / 2;
     let frame = linkstate_msg(from, me, &ground_truth_row(&topo, from), true).encode();

@@ -11,9 +11,10 @@
 //!   [`apor_topology::NodeOutage`], so the event loop stays seeded and
 //!   the run is deterministic end-to-end);
 //! * **convergence latency** is the time from the crash until every
-//!   surviving node's installed [`MembershipView`] excludes the victim
-//!   *and* all surviving views are identical (same version, same
-//!   member list — the quorum-grid invariant);
+//!   surviving node's installed
+//!   [`MembershipView`](apor_overlay::membership::MembershipView)
+//!   excludes the victim *and* all surviving views are identical (same
+//!   version, same member list — the quorum-grid invariant);
 //! * four scenarios: {centralized, SWIM} × {ordinary member,
 //!   coordinator/introducer}. The coordinator-victim scenario is the
 //!   one the centralized design cannot survive: no further membership
@@ -25,22 +26,18 @@
 //! converge within [`apor_membership::detection_budget_s`] ([`check`]).
 
 use crate::trace_support::{
-    assemble_episode, first_span_at, fleet_spans, recovery_phases, richest_episode, Phase,
+    assemble_episode, first_span_at, recovery_phases, richest_episode, Phase, TRACE_CAPACITY,
 };
 use crate::ResultTable;
 use apor_analysis::write_csv;
 use apor_membership::detection_budget_s;
-use apor_netsim::{Simulator, TrafficClass};
+use apor_netsim::TrafficClass;
 use apor_overlay::config::{Algorithm, MembershipMode, NodeConfig};
-use apor_overlay::membership::MembershipView;
-use apor_overlay::simnode::{fleet_snapshot, overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{overlay_sim_config, World};
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{Span, SpanKind};
 use apor_telemetry::Snapshot;
-use apor_topology::{FailureParams, FailureSchedule, LatencyMatrix, NodeOutage};
-
-/// Flight-recorder capacity per node (see `partition::TRACE_CAPACITY`).
-const TRACE_CAPACITY: usize = 1024;
+use apor_topology::{FailureParams, FailureSchedule, LatencyMatrix};
 
 /// Parameters of the churn study.
 #[derive(Debug, Clone)]
@@ -132,94 +129,67 @@ pub struct ChurnResult {
 }
 
 fn scenario_config(params: &ChurnParams, mode: MembershipMode, i: usize) -> NodeConfig {
-    let mut cfg = NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-        .with_tracing(TRACE_CAPACITY);
-    cfg.seed ^= params.seed;
-    match mode {
+    let mut cfg = match mode {
         MembershipMode::Centralized => {
             // The paper's join dance, with timeouts scaled to the
             // experiment horizon so detection is observable at all.
+            let mut cfg = NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum);
             cfg.member_timeout_s = params.member_timeout_s;
             cfg.keepalive_s = params.keepalive_s;
             cfg.join_retry_s = 2.0;
             cfg
         }
+        // Static bootstrap: every node derives the same initial view;
+        // SWIM maintains it from there.
         MembershipMode::Swim => {
-            // Static bootstrap: every node derives the same initial
-            // view; SWIM maintains it from there.
-            let members: Vec<NodeId> = (0..params.n as u16).map(NodeId).collect();
-            cfg.with_static_members(members).with_swim()
+            NodeConfig::static_member(i, params.n, Algorithm::Quorum).with_swim()
         }
-    }
+    };
+    cfg.seed ^= params.seed;
+    cfg.with_tracing(TRACE_CAPACITY)
 }
 
-/// Do all survivors hold identical views that exclude the victim?
-fn converged(sim: &Simulator, n: usize, victim: usize) -> bool {
-    let mut reference: Option<&MembershipView> = None;
-    for i in (0..n).filter(|&i| i != victim) {
-        let Some(view) = overlay_at(sim, i).view() else {
-            return false;
-        };
-        if view.contains(NodeId(victim as u16)) {
-            return false;
-        }
-        match reference {
-            None => reference = Some(view),
-            Some(r) if r == view => {}
-            Some(_) => return false,
-        }
-    }
-    reference.is_some()
+/// Do all survivors hold one view, and does it exclude the victim?
+fn converged(world: &World, n: usize, victim: usize) -> bool {
+    world
+        .common_view((0..n).filter(|&i| i != victim))
+        .is_some_and(|view| !view.contains(NodeId(victim as u16)))
 }
 
 /// Run one scenario: crash `victim` at `kill_at_s`, sample convergence
 /// once per second afterwards.
 fn run_scenario(params: &ChurnParams, mode: MembershipMode, victim: usize) -> ChurnOutcome {
     let n = params.n;
-    let mut failure = FailureParams::with_n(n);
-    failure.seed = params.seed ^ 0xFA11;
-    failure.median_concurrent = 1e-12; // churn only, no background noise
-    failure.duration_s = params.kill_at_s + params.horizon_s + 60.0;
-    failure.node_outages = vec![NodeOutage {
-        node: victim,
-        start_s: params.kill_at_s,
-        end_s: failure.duration_s,
-    }];
-    let mut sim = Simulator::new(
+    // The crash is the only failure.
+    let failure = FailureParams::scripted(n, params.kill_at_s + params.horizon_s + 60.0)
+        .with_crashes(&[victim], params.kill_at_s);
+    let mut world = World::new(
         LatencyMatrix::uniform(n, params.rtt_ms),
         FailureSchedule::generate(&failure),
         apor_netsim::SimulatorConfig {
             seed: params.seed,
             ..overlay_sim_config()
         },
+        10.0,
+        |i| scenario_config(params, mode, i),
     );
-    populate(&mut sim, n, 10.0, {
-        let params = params.clone();
-        move |i| scenario_config(&params, mode, i)
-    });
 
-    sim.run_until(params.kill_at_s);
+    world.run_until(params.kill_at_s);
     let membership_bps =
-        sim.stats()
+        world
+            .sim()
+            .stats()
             .fleet_mean_bps(&[TrafficClass::Membership], 30.0, params.kill_at_s);
 
     // Sample once per second until convergence or the horizon.
-    let mut convergence_s = None;
-    let mut t = params.kill_at_s;
     let end = params.kill_at_s + params.horizon_s;
-    while t < end {
-        t += 1.0;
-        sim.run_until(t);
-        if converged(&sim, n, victim) {
-            convergence_s = Some(t - params.kill_at_s);
-            break;
-        }
-    }
-    sim.run_until(end);
+    let convergence_s = world
+        .first_sample(params.kill_at_s, 1.0, end, |w, _| converged(w, n, victim))
+        .map(|t| t - params.kill_at_s);
 
     // The causal record of the crash (SWIM scenarios; the centralized
     // plane raises no suspicions and records no episodes).
-    let spans = fleet_spans(&sim, n);
+    let spans = world.spans();
     let episode = richest_episode(&spans).map_or_else(Vec::new, |ep| {
         assemble_episode(
             &spans,
@@ -250,9 +220,9 @@ fn run_scenario(params: &ChurnParams, mode: MembershipMode, victim: usize) -> Ch
         },
         victim_is_coordinator: victim == 0,
         convergence_s,
-        final_views_agree: converged(&sim, n, victim),
+        final_views_agree: converged(&world, n, victim),
         membership_bps,
-        telemetry: crate::aggregate_fleet(&fleet_snapshot(&sim, n)),
+        telemetry: crate::aggregate_fleet(&world.snapshot()),
         spans,
         episode,
         phases,

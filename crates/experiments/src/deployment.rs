@@ -11,9 +11,9 @@
 //! holds the run to the paper's bandwidth and recovery claims.
 
 use apor_analysis::{theory, write_csv, Cdf, FreshnessStats, FreshnessTracker, Table};
-use apor_netsim::{Simulator, SimulatorConfig, TrafficClass};
+use apor_netsim::{SimulatorConfig, TrafficClass};
 use apor_overlay::config::{Algorithm, NodeConfig};
-use apor_overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{overlay_sim_config, World};
 use apor_quorum::NodeId;
 use apor_topology::{FailureParams, FailureSchedule, PlanetLabParams, Topology};
 
@@ -104,19 +104,16 @@ pub fn run(params: &DeploymentParams) -> DeploymentData {
         duration_s: duration_s + 600.0,
         ..FailureParams::with_n(n)
     });
-    let mut sim = Simulator::new(
+    let mut world = World::new(
         topo.latency,
         schedule,
         SimulatorConfig {
             seed: params.seed ^ 0x51,
             ..overlay_sim_config()
         },
+        10.0,
+        |i| NodeConfig::static_member(i, n, Algorithm::Quorum),
     );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 10.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-    });
 
     let mut freshness = FreshnessTracker::new(n);
     let mut conc_samples: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -129,12 +126,12 @@ pub fn run(params: &DeploymentParams) -> DeploymentData {
         let step = (next_freshness.min(next_failure))
             .min(duration_s)
             .max(t + 1.0);
-        sim.run_until(step);
+        world.run_until(step);
         t = step;
         if t + 1e-9 >= next_freshness {
             next_freshness += params.freshness_sample_s;
             for src in 0..n {
-                let node = overlay_at(&sim, src);
+                let node = world.node(src);
                 for dst in 0..n {
                     if dst == src {
                         continue;
@@ -149,14 +146,14 @@ pub fn run(params: &DeploymentParams) -> DeploymentData {
         if t + 1e-9 >= next_failure {
             next_failure += params.failure_sample_s;
             for i in 0..n {
-                let node = overlay_at(&sim, i);
+                let node = world.node(i);
                 conc_samples[i].push(node.concurrent_link_failures());
                 double_samples[i].push(node.double_rendezvous_failures(t));
             }
         }
     }
 
-    let stats = sim.stats();
+    let stats = world.sim().stats();
     let routing = [TrafficClass::Routing];
     let mean_routing_bps: Vec<f64> = (0..n)
         .map(|i| stats.mean_bps(i, &routing, params.warmup_s, duration_s))

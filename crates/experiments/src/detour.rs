@@ -43,9 +43,8 @@
 
 use apor_analysis::{write_csv, Cdf, Table};
 use apor_linkstate::RecFormat;
-use apor_netsim::Simulator;
 use apor_overlay::config::{Algorithm, NodeConfig};
-use apor_overlay::simnode::{fleet_snapshot, overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{overlay_sim_config, World};
 use apor_quorum::{Grid, NodeId};
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, FailureSchedule, LatencyMatrix};
@@ -202,19 +201,13 @@ enum Walk {
 /// steps one hop and lets the next node re-decide from its own tables.
 ///
 /// [`RouteDecision`]: apor_routing::RouteDecision
-fn walk_route(
-    sim: &Simulator,
-    schedule: &FailureSchedule,
-    n: usize,
-    src: usize,
-    dst: usize,
-    now: f64,
-) -> Walk {
+fn walk_route(world: &World, n: usize, src: usize, dst: usize, now: f64) -> Walk {
+    let schedule = world.sim().schedule();
     let mut visited = vec![false; n];
     visited[src] = true;
     let mut cur = src;
     loop {
-        let node = overlay_at(sim, cur);
+        let node = world.node(cur);
         #[allow(clippy::cast_possible_truncation)]
         if let Some(path) = node.detour_path(NodeId(dst as u16), now) {
             // Source-routed splice: the relays don't re-decide, so the
@@ -280,44 +273,39 @@ pub fn run_arm(params: &DetourParams, max_detour_hops: usize) -> DetourOutcome {
     );
     let blackout: Vec<usize> = grid.row_members(params.blackout_row).collect();
     let heal_at = params.blackout_at_s + params.blackout_s;
+    let end = heal_at + params.horizon_s;
 
-    let mut failure = FailureParams::with_n(n);
-    failure.seed = params.seed ^ 0xB1AC;
-    failure.median_concurrent = 1e-12; // the blackout is the only failure
-    failure.duration_s = heal_at + params.horizon_s + 60.0;
+    // The blackout is the only failure.
+    let failure = FailureParams::scripted(n, end + 60.0);
     let failure = failure.with_row_blackout(&blackout, params.blackout_at_s, heal_at);
-    let schedule = FailureSchedule::generate(&failure);
 
-    let mut sim = Simulator::new(
+    let mut world = World::new(
         fabric(params, &grid),
-        schedule.clone(),
+        FailureSchedule::generate(&failure),
         apor_netsim::SimulatorConfig {
             seed: params.seed,
             ..overlay_sim_config()
         },
+        5.0,
+        |i| {
+            let mut cfg = NodeConfig::static_member(i, n, Algorithm::Quorum);
+            cfg.protocol = cfg.protocol.with_detour_hops(max_detour_hops);
+            // Costed recommendations feed the feasibility distances; a
+            // tighter probe plane keeps detection (not probing cadence)
+            // the thing the CDF measures.
+            cfg.protocol.rec_format = RecFormat::WithCost;
+            cfg.protocol.probe_interval_s = 10.0;
+            cfg.protocol.probe_interval_max_s = 10.0;
+            cfg.protocol.rapid_probe_interval_s = 2.0;
+            cfg.protocol.probe_timeout_s = 1.5;
+            cfg
+        },
     );
-    populate(&mut sim, n, 5.0, move |i| {
-        #[allow(clippy::cast_possible_truncation)]
-        let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-        #[allow(clippy::cast_possible_truncation)]
-        let mut cfg = NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members);
-        cfg.protocol = cfg.protocol.with_detour_hops(max_detour_hops);
-        // Costed recommendations feed the feasibility distances; a
-        // tighter probe plane keeps detection (not probing cadence) the
-        // thing the CDF measures.
-        cfg.protocol.rec_format = RecFormat::WithCost;
-        cfg.protocol.probe_interval_s = 10.0;
-        cfg.protocol.probe_interval_max_s = 10.0;
-        cfg.protocol.rapid_probe_interval_s = 2.0;
-        cfg.protocol.probe_timeout_s = 1.5;
-        cfg
-    });
 
     // Baseline: which ordered survivor pairs route end to end just
     // before the lights go out?
     let t0 = params.blackout_at_s - 1.0;
-    sim.run_until(t0);
+    world.run_until(t0);
     let survivors: Vec<usize> = (0..n).filter(|i| !blackout.contains(i)).collect();
     let mut loops_observed = 0u64;
     let mut pairs: Vec<PairState> = Vec::new();
@@ -326,7 +314,7 @@ pub fn run_arm(params: &DetourParams, max_detour_hops: usize) -> DetourOutcome {
             if src == dst {
                 continue;
             }
-            match walk_route(&sim, &schedule, n, src, dst, t0) {
+            match walk_route(&world, n, src, dst, t0) {
                 Walk::Delivered => pairs.push(PairState {
                     src,
                     dst,
@@ -344,16 +332,15 @@ pub fn run_arm(params: &DetourParams, max_detour_hops: usize) -> DetourOutcome {
     // horizon. Each pair is tracked to its first break and the first
     // recovery after it; a walk that loops counts as down *and* as a
     // loop observation.
-    let end = heal_at + params.horizon_s;
     let mut t = t0;
     while t < end {
         t += 1.0;
-        sim.run_until(t);
+        world.run_until(t);
         for p in &mut pairs {
             if p.recovery_s.is_some() {
                 continue;
             }
-            match walk_route(&sim, &schedule, n, p.src, p.dst, t) {
+            match walk_route(&world, n, p.src, p.dst, t) {
                 Walk::Delivered => {
                     if let Some(b) = p.broken_at {
                         p.recovery_s = Some(t - b);
@@ -381,7 +368,7 @@ pub fn run_arm(params: &DetourParams, max_detour_hops: usize) -> DetourOutcome {
         for &src in &survivors {
             for &dst in &blackout {
                 #[allow(clippy::cast_possible_truncation)]
-                let _ = overlay_at(&sim, src).best_hop(NodeId(dst as u16), t);
+                let _ = world.node(src).best_hop(NodeId(dst as u16), t);
             }
         }
     }
@@ -389,7 +376,7 @@ pub fn run_arm(params: &DetourParams, max_detour_hops: usize) -> DetourOutcome {
     let broken_pairs = pairs.iter().filter(|p| p.broken_at.is_some()).count();
     let recoveries: Vec<f64> = pairs.iter().filter_map(|p| p.recovery_s).collect();
     let (median_recovery_s, p90_recovery_s) = recovery_stats(&recoveries, broken_pairs);
-    let telemetry = fleet_snapshot(&sim, n);
+    let telemetry = world.snapshot();
     DetourOutcome {
         max_detour_hops,
         baseline_pairs,

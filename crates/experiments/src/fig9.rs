@@ -10,10 +10,9 @@
 
 use crate::ResultTable;
 use apor_analysis::theory;
-use apor_netsim::{Simulator, SimulatorConfig, TrafficClass};
+use apor_netsim::{SimulatorConfig, TrafficClass};
 use apor_overlay::config::{Algorithm, NodeConfig};
-use apor_overlay::simnode::{fleet_snapshot, overlay_sim_config, populate};
-use apor_quorum::NodeId;
+use apor_overlay::simnode::{overlay_sim_config, World};
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, PlanetLabParams, Topology};
 
@@ -71,23 +70,23 @@ fn measure(n: usize, algorithm: Algorithm, params: &Fig9Params) -> (f64, Snapsho
         seed: params.seed ^ n as u64,
         ..Default::default()
     });
-    let mut sim = Simulator::new(
+    let mut world = World::new(
         topo.latency,
         FailureParams::none(n, params.duration_s + 60.0),
         SimulatorConfig {
             seed: params.seed,
             ..overlay_sim_config()
         },
+        10.0,
+        |i| NodeConfig::static_member(i, n, algorithm),
     );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 10.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), algorithm).with_static_members(members.clone())
-    });
-    sim.run_until(params.duration_s);
-    let bps =
-        sim.stats()
-            .fleet_mean_bps(&[TrafficClass::Routing], params.warmup_s, params.duration_s);
-    (bps, crate::aggregate_fleet(&fleet_snapshot(&sim, n)))
+    world.run_until(params.duration_s);
+    let bps = world.sim().stats().fleet_mean_bps(
+        &[TrafficClass::Routing],
+        params.warmup_s,
+        params.duration_s,
+    );
+    (bps, crate::aggregate_fleet(&world.snapshot()))
 }
 
 /// Run the sweep.

@@ -6,15 +6,20 @@
 //! deterministic in their seeds and write CSV series; the binary
 //! `apor-experiments` dispatches on the study name.
 //!
+//! Every simulated study runs one [`apor_overlay::simnode::World`] over
+//! failures scripted from
+//! [`FailureParams::scripted`](apor_topology::FailureParams::scripted)
+//! (`deployment` alone draws seeded background failures).
+//!
 //! A measured number has one path to its reader. A study that reports
 //! one result table (`fig9`, `multihop`, `churn`, `partition`,
 //! `scale`) builds it once, as a pure `table` function of its result,
 //! and [`report_table`] prints exactly that table and writes it as the
-//! CSV. Fleet telemetry is gathered by
-//! [`apor_overlay::simnode::fleet_snapshot`], counters are read from
-//! the snapshot (`counter_total`), and per-arm telemetry goes out
-//! through [`write_arms_json`]. `deployment` and `detour` print
-//! quantile summaries beside CSVs that hold whole CDFs.
+//! CSV. Fleet telemetry is gathered by `World::snapshot` and spans by
+//! `World::spans`, counters are read from the snapshot
+//! (`counter_total`), and per-arm telemetry goes out through
+//! [`write_arms_json`]. `deployment` and `detour` print quantile
+//! summaries beside CSVs that hold whole CDFs.
 //!
 //! | module | reproduces |
 //! |---|---|

@@ -31,24 +31,18 @@
 //! to its bounds.
 
 use crate::trace_support::{
-    assemble_episode, first_span_at, fleet_spans, recovery_phases, richest_episode, Phase,
+    assemble_episode, first_span_at, recovery_phases, richest_episode, Phase, TRACE_CAPACITY,
 };
 use crate::ResultTable;
 use apor_analysis::write_csv;
 use apor_membership::{AntiEntropyConfig, PERIOD_S};
-use apor_netsim::{Simulator, TrafficClass};
+use apor_netsim::TrafficClass;
 use apor_overlay::config::{Algorithm, NodeConfig};
-use apor_overlay::membership::MembershipView;
-use apor_overlay::simnode::{fleet_snapshot, overlay_at, overlay_sim_config, populate};
+use apor_overlay::simnode::{overlay_sim_config, World};
 use apor_quorum::NodeId;
 use apor_telemetry::trace::{Span, SpanKind};
 use apor_telemetry::Snapshot;
 use apor_topology::{FailureParams, FailureSchedule, LatencyMatrix};
-
-/// Flight-recorder capacity per node in the traced arms: deep enough
-/// to hold a whole partition incident at n=32 (suspicions, wavefront,
-/// installs, remaps) without wrapping before the heal is measured.
-const TRACE_CAPACITY: usize = 1024;
 
 /// Parameters of the partition study.
 #[derive(Debug, Clone)]
@@ -156,47 +150,20 @@ pub struct PartitionResult {
     pub period_s: f64,
 }
 
-/// Do all `n` nodes hold identical views containing all `n` members?
-fn reconverged(sim: &Simulator, n: usize) -> bool {
-    let mut reference: Option<&MembershipView> = None;
-    for i in 0..n {
-        let Some(view) = overlay_at(sim, i).view() else {
-            return false;
-        };
-        if view.len() != n {
-            return false;
-        }
-        match reference {
-            None => reference = Some(view),
-            Some(r) if r == view => {}
-            Some(_) => return false,
-        }
-    }
-    true
+/// Do all `n` nodes hold one view containing all `n` members?
+fn reconverged(world: &World, n: usize) -> bool {
+    world.common_view(0..n).is_some_and(|view| view.len() == n)
 }
 
 /// During the partition: does every majority node hold a view
 /// containing exactly the majority?
-fn split_views_installed(sim: &Simulator, n: usize, minority: usize) -> bool {
+fn split_views_installed(world: &World, n: usize, minority: usize) -> bool {
     let cut = n - minority;
     (0..cut).all(|i| {
-        let Some(view) = overlay_at(sim, i).view() else {
+        let Some(view) = world.node(i).view() else {
             return false;
         };
         (0..n).all(|j| view.contains(NodeId(j as u16)) == (j < cut))
-    })
-}
-
-/// After the heal: does every cross-boundary pair have a route again,
-/// in both directions? (The routing-plane recovery criterion — view
-/// healing alone does not move packets.)
-fn cross_routes_restored(sim: &Simulator, n: usize, minority: usize, now: f64) -> bool {
-    let cut = n - minority;
-    (0..cut).all(|i| {
-        (cut..n).all(|j| {
-            overlay_at(sim, i).best_hop(NodeId(j as u16), now).is_some()
-                && overlay_at(sim, j).best_hop(NodeId(i as u16), now).is_some()
-        })
     })
 }
 
@@ -206,74 +173,64 @@ pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome
     let n = params.n;
     let minority: Vec<usize> = (n - params.minority..n).collect();
     let heal_at = params.partition_at_s + params.partition_s;
+    let end = heal_at + params.horizon_s;
 
-    let mut failure = FailureParams::with_n(n);
-    failure.seed = params.seed ^ 0xFA11;
-    failure.median_concurrent = 1e-12; // the partition is the only failure
-    failure.duration_s = heal_at + params.horizon_s + 60.0;
+    // The partition is the only failure.
+    let failure = FailureParams::scripted(n, end + 60.0);
     let failure = failure.with_partition(&minority, params.partition_at_s, heal_at);
 
-    let mut sim = Simulator::new(
+    let mut world = World::new(
         LatencyMatrix::uniform(n, params.rtt_ms),
         FailureSchedule::generate(&failure),
         apor_netsim::SimulatorConfig {
             seed: params.seed,
             ..overlay_sim_config()
         },
-    );
-    populate(&mut sim, n, 5.0, {
-        let params = params.clone();
-        move |i| {
-            let members: Vec<NodeId> = (0..params.n as u16).map(NodeId).collect();
-            NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-                .with_static_members(members)
+        5.0,
+        |i| {
+            NodeConfig::static_member(i, n, Algorithm::Quorum)
                 .with_anti_entropy(AntiEntropyConfig {
                     enabled: anti_entropy,
                     ..params.anti_entropy.clone()
                 })
                 .with_tracing(TRACE_CAPACITY)
-        }
-    });
+        },
+    );
 
     // Let the split be confirmed, then heal.
-    sim.run_until(heal_at);
-    let split_confirmed = split_views_installed(&sim, n, params.minority);
+    world.run_until(heal_at);
+    let split_confirmed = split_views_installed(&world, n, params.minority);
 
     // Sample twice per second until both the membership plane and the
-    // routing plane have recovered, or the horizon runs out.
+    // routing plane have recovered, or the horizon runs out. The
+    // routing-plane criterion is every cross-boundary pair routing
+    // again in both directions (view healing alone does not move
+    // packets), and it can only hold once everyone holds the healed
+    // view (cross entries need matching grid indices).
+    let cut = n - params.minority;
+    let cross: Vec<(usize, usize)> = (0..cut)
+        .flat_map(|i| (cut..n).map(move |j| (i, j)))
+        .collect();
     let mut reconverge_s = None;
-    let mut routes_restored_s = None;
-    let mut t = heal_at;
-    let end = heal_at + params.horizon_s;
-    while t < end {
-        t += 0.5;
-        sim.run_until(t);
-        if reconverge_s.is_none() && reconverged(&sim, n) {
-            reconverge_s = Some(t - heal_at);
-        }
-        // Routes can only be globally restored once everyone holds the
-        // healed view (cross entries need matching grid indices).
-        if reconverge_s.is_some()
-            && routes_restored_s.is_none()
-            && cross_routes_restored(&sim, n, params.minority, t)
-        {
-            routes_restored_s = Some(t - heal_at);
-        }
-        if reconverge_s.is_some() && routes_restored_s.is_some() {
-            break;
-        }
-    }
-    sim.run_until(end);
-    let membership_bps = sim
+    let routes_restored_s = world
+        .first_sample(heal_at, 0.5, end, |w, t| {
+            if reconverge_s.is_none() && reconverged(w, n) {
+                reconverge_s = Some(t - heal_at);
+            }
+            reconverge_s.is_some() && w.routes_both_ways(&cross, t)
+        })
+        .map(|t| t - heal_at);
+    let membership_bps = world
+        .sim()
         .stats()
         .fleet_mean_bps(&[TrafficClass::Membership], 30.0, end);
-    let telemetry = fleet_snapshot(&sim, n);
+    let telemetry = world.snapshot();
 
     // The causal record: drain every flight recorder, assemble the
     // richest episode of the incident (synthesizing the ground-truth
     // failure/restoration markers), and decompose the measured
     // heal→routes-restored total into phases anchored on live spans.
-    let spans = fleet_spans(&sim, n);
+    let spans = world.spans();
     let episode = richest_episode(&spans).map_or_else(Vec::new, |ep| {
         assemble_episode(
             &spans,
@@ -302,7 +259,7 @@ pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome
         reconverge_s,
         reconverge_periods: reconverge_s.map(|s| s / PERIOD_S),
         routes_restored_s,
-        final_views_agree: reconverged(&sim, n),
+        final_views_agree: reconverged(&world, n),
         membership_bps,
         sync_skips: telemetry.counter_total("membership", "sync_digest_skips"),
         sync_full: telemetry.counter_total("membership", "sync_full_pushes"),

@@ -2,8 +2,10 @@
 //!
 //! The fleet's per-node flight recorders ([`apor_telemetry::Tracer`])
 //! hold the spans the protocol recorded live: suspicion windows,
-//! confirms, gossip hops, view installs, remaps, reprobe bursts. This
-//! module turns them into the exported artifacts:
+//! confirms, gossip hops, view installs, remaps, reprobe bursts.
+//! [`World::spans`](apor_overlay::simnode::World::spans) drains them
+//! into one list, and this module turns that list into the exported
+//! artifacts:
 //!
 //! * pick the **richest episode** — the one whose live spans cover the
 //!   most distinct convergence phases;
@@ -18,23 +20,19 @@
 //!
 //! See `docs/OBSERVABILITY.md` for the export schemas.
 
-use apor_netsim::Simulator;
-use apor_overlay::simnode::overlay_at;
 use apor_telemetry::trace::{episode_root_span, Span, SpanKind};
+
+/// Flight-recorder capacity per node in the traced studies (`churn`,
+/// `partition`): deep enough to hold a whole partition incident at
+/// n = 32 (suspicions, wavefront, installs, remaps) without wrapping
+/// before the heal is measured.
+pub const TRACE_CAPACITY: usize = 1024;
 
 /// The synthetic node id carrying experiment-synthesized spans. Real
 /// nodes are small indices; keeping the synthesized root on its own
 /// (episode, node) lane means it can never break the per-lane nesting
 /// invariant the trace validator enforces.
 pub const EXPERIMENT_NODE: u32 = u32::MAX;
-
-/// Drain every node's flight recorder into one span list.
-#[must_use]
-pub fn fleet_spans(sim: &Simulator, n: usize) -> Vec<Span> {
-    (0..n)
-        .flat_map(|i| overlay_at(sim, i).tracer().recent())
-        .collect()
-}
 
 /// The convergence phases a *live* (non-synthesized) span can witness.
 const CORE_KINDS: [SpanKind; 7] = [

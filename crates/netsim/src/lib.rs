@@ -7,10 +7,9 @@
 //! same sans-io overlay node that runs on real UDP sockets runs here
 //! against a simulated network with
 //!
-//! * per-pair latency from a [`LatencyMatrix`](apor_topology::LatencyMatrix),
+//! * per-pair latency from a [`LatencyMatrix`],
 //! * per-pair Bernoulli packet loss,
-//! * link/node failure injection from a
-//!   [`FailureSchedule`](apor_topology::FailureSchedule),
+//! * link/node failure injection from a [`FailureSchedule`],
 //! * and per-packet, per-class, time-bucketed **bandwidth accounting** —
 //!   the measurement behind figures 9 and 10.
 //!
@@ -52,10 +51,9 @@
 //! [`Simulator::telemetry_snapshot`] builds the snapshot from them on
 //! demand, every key present, zero counters included. Byte accounting
 //! ([`TrafficStats`]) is plain data for the same reason: one row of
-//! counters per time bucket. The
-//! [`FailureSchedule`](apor_topology::FailureSchedule) marks the nodes and
-//! links it ever takes down, so the per-packet up checks on the others
-//! skip the outage search.
+//! counters per time bucket. The [`FailureSchedule`] marks the nodes
+//! and links it ever takes down, so the per-packet up checks on the
+//! others skip the outage search.
 //!
 //! The simulator transports opaque byte buffers: nodes hand it *encoded*
 //! messages, so every simulated run also exercises the real wire codec.
@@ -82,6 +80,10 @@ mod queue;
 mod sim;
 mod stats;
 
+/// The network a [`Simulator`] runs over, re-exported so a driver names
+/// the two types [`Simulator::new`] takes without depending on
+/// `apor-topology` itself.
+pub use apor_topology::{FailureSchedule, LatencyMatrix};
 pub use sim::{
     Ctx, DropCause, NodeBehavior, Simulator, SimulatorConfig, CORE_TELEMETRY_NODE, MAX_EVENTS,
 };

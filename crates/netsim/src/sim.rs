@@ -730,9 +730,7 @@ mod tests {
     fn failure_schedule_blocks_link() {
         use apor_topology::failures::NodeOutage;
         let m = LatencyMatrix::uniform(2, 10.0);
-        let mut params = FailureParams::with_n(2);
-        params.median_concurrent = 1e-9;
-        params.duration_s = 1e6;
+        let mut params = FailureParams::scripted(2, 1e6);
         params.node_outages = vec![NodeOutage {
             node: 1,
             start_s: 0.0,
@@ -968,9 +966,7 @@ mod tests {
     fn partition_drop_is_counted_as_link_down() {
         use apor_topology::failures::NodeOutage;
         let m = LatencyMatrix::uniform(2, 10.0);
-        let mut params = FailureParams::with_n(2);
-        params.median_concurrent = 1e-9;
-        params.duration_s = 1e6;
+        let mut params = FailureParams::scripted(2, 1e6);
         params.node_outages = vec![NodeOutage {
             node: 1,
             start_s: 0.0,
@@ -996,9 +992,7 @@ mod tests {
     fn mid_flight_crash_is_counted_as_receiver_down() {
         use apor_topology::failures::NodeOutage;
         let m = LatencyMatrix::uniform(2, 100.0); // 50 ms one-way
-        let mut params = FailureParams::with_n(2);
-        params.median_concurrent = 1e-9;
-        params.duration_s = 1e6;
+        let mut params = FailureParams::scripted(2, 1e6);
         params.node_outages = vec![NodeOutage {
             node: 1,
             start_s: 5.0,
@@ -1081,22 +1075,15 @@ mod tests {
     fn network_snapshot_is_pinned_key_by_key() {
         use apor_telemetry::metrics::bucket_index;
         use apor_telemetry::{HistogramSnapshot, MetricValue};
-        use apor_topology::failures::{LinkOutage, NodeOutage};
+        use apor_topology::failures::LinkOutage;
         let mut m = LatencyMatrix::uniform(4, 125.0);
         m.set_loss(0, 1, 1.0);
         m.set_rtt(0, 2, f64::INFINITY);
-        let mut params = FailureParams::with_n(4);
-        params.max_down_fraction = 0.0;
-        params.duration_s = 1e6;
+        let mut params = FailureParams::scripted(4, 1e6).with_crashes(&[3], 2.03);
         params.link_outages = vec![LinkOutage {
             a: 1,
             b: 2,
             start_s: 0.0,
-            end_s: 1e6,
-        }];
-        params.node_outages = vec![NodeOutage {
-            node: 3,
-            start_s: 2.03,
             end_s: 1e6,
         }];
         let schedule = apor_topology::FailureSchedule::generate(&params);

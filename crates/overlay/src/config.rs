@@ -101,6 +101,15 @@ impl NodeConfig {
         }
     }
 
+    /// Node `i` of a static `n`-node overlay: coordinator 0 and the
+    /// view `0..n` pre-installed, the fleet every steady-state study
+    /// runs.
+    #[must_use]
+    pub fn static_member(i: usize, n: usize, algorithm: Algorithm) -> Self {
+        let members = (0..n as u16).map(NodeId).collect();
+        NodeConfig::new(NodeId(i as u16), NodeId(0), algorithm).with_static_members(members)
+    }
+
     /// Enable causal tracing with a bounded per-node flight recorder
     /// of `capacity` spans (convergence experiments use 1024).
     #[must_use]
@@ -188,6 +197,17 @@ mod tests {
         );
         assert!(on.anti_entropy.enabled);
         assert_eq!(on.anti_entropy.sync_period_s, 2.0);
+    }
+
+    #[test]
+    fn static_member_joins_the_whole_fleet_under_coordinator_0() {
+        let c = NodeConfig::static_member(2, 4, Algorithm::FullMesh);
+        assert_eq!(
+            (c.id, c.coordinator, c.algorithm),
+            (NodeId(2), NodeId(0), Algorithm::FullMesh)
+        );
+        let members: Vec<NodeId> = (0..4).map(NodeId).collect();
+        assert_eq!(c.static_members, Some(members));
     }
 
     #[test]

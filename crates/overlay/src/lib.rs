@@ -15,7 +15,7 @@
 //! out. Two drivers run it unchanged, both always compiled and both
 //! exercised by the test suite:
 //!
-//! * [`simnode::SimNode`] adapts it to the deterministic
+//! * [`simnode::World`] hosts a fleet of them in the deterministic
 //!   [`netsim`](apor_netsim) simulator (the paper's emulation), which
 //!   delivers every timer at exactly the instant it was armed for;
 //! * [`udp::UdpOverlay`] runs it on a real UDP socket and the real
@@ -97,4 +97,3 @@ pub mod udp;
 pub use config::{Algorithm, MembershipMode, NodeConfig};
 pub use membership::{Coordinator, MembershipView};
 pub use node::{Outbox, OverlayNode};
-pub use simnode::SimNode;

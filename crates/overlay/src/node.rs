@@ -4,7 +4,7 @@
 //! The node reacts to exactly three stimuli — `on_start`, `on_packet`,
 //! `on_timer` — and responds by filling an [`Outbox`] with packets to send
 //! and timers to arm. It never touches sockets or clocks, so the netsim
-//! driver ([`SimNode`](crate::simnode::SimNode)) and the real-clock UDP
+//! driver ([`World`](crate::simnode::World)) and the real-clock UDP
 //! driver ([`udp`](crate::udp)) run the identical protocol logic; this is
 //! how the paper can claim its emulation and deployment share one
 //! implementation.
@@ -1070,9 +1070,8 @@ mod tests {
     use proptest::prelude::{any, prop, prop_assert_eq, proptest};
     use std::sync::Arc;
 
-    fn static_node(id: u16, n: u16, algo: Algorithm) -> OverlayNode {
-        let members: Vec<NodeId> = (0..n).map(NodeId).collect();
-        OverlayNode::new(NodeConfig::new(NodeId(id), NodeId(0), algo).with_static_members(members))
+    fn static_node(id: usize, n: usize, algo: Algorithm) -> OverlayNode {
+        OverlayNode::new(NodeConfig::static_member(id, n, algo))
     }
 
     #[test]
@@ -1093,12 +1092,8 @@ mod tests {
     /// deduplicated against it and the plane goes silent.
     #[test]
     fn a_late_timer_still_rearms() {
-        let members: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let mut node = OverlayNode::new(
-            NodeConfig::new(NodeId(1), NodeId(0), Algorithm::Quorum)
-                .with_static_members(members)
-                .with_swim(),
-        );
+        let mut node =
+            OverlayNode::new(NodeConfig::static_member(1, 4, Algorithm::Quorum).with_swim());
         let mut out = Outbox::default();
         node.on_start(0.0, &mut out);
         for token in [TOKEN_SWIM, TOKEN_PROBE] {
@@ -1199,7 +1194,6 @@ mod tests {
     /// top version would shut out every honest view after it.
     #[test]
     fn a_view_from_anyone_but_the_coordinator_is_refused() {
-        let members: Vec<NodeId> = (0..4).map(NodeId).collect();
         let forged = |from: u16, to: u16| {
             Message::View(apor_linkstate::wire::ViewMsg {
                 from: NodeId(from),
@@ -1209,10 +1203,7 @@ mod tests {
             })
             .encode()
         };
-        let centralized = |id| {
-            NodeConfig::new(NodeId(id), NodeId(0), Algorithm::Quorum)
-                .with_static_members(members.clone())
-        };
+        let centralized = |id| NodeConfig::static_member(id, 4, Algorithm::Quorum);
         let cases = [
             (centralized(1), forged(3, 1)),
             (centralized(0), forged(0, 0)),

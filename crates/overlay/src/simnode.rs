@@ -5,8 +5,13 @@
 //! *grid* indices still come from the membership view and may differ when
 //! membership is sparse.)
 
+use crate::config::NodeConfig;
+use crate::membership::MembershipView;
 use crate::node::{Outbox, OverlayNode};
-use apor_netsim::{Ctx, NodeBehavior, SimulatorConfig};
+use apor_netsim::{Ctx, FailureSchedule, LatencyMatrix, NodeBehavior, Simulator, SimulatorConfig};
+use apor_quorum::NodeId;
+use apor_telemetry::trace::Span;
+use apor_telemetry::Snapshot;
 
 /// A [`SimulatorConfig`] whose per-packet framing comes from the
 /// overlay's real wire constant
@@ -25,24 +30,13 @@ pub fn overlay_sim_config() -> SimulatorConfig {
     SimulatorConfig::default().with_per_packet_overhead(apor_linkstate::wire::UDP_IP_OVERHEAD)
 }
 
-/// The netsim driver for one overlay node.
-pub struct SimNode {
+/// The netsim driver for one overlay node; a [`World`] hosts one per
+/// simulator slot.
+struct SimNode {
     node: OverlayNode,
 }
 
 impl SimNode {
-    /// Wrap an overlay node for simulation.
-    #[must_use]
-    pub fn new(node: OverlayNode) -> Self {
-        SimNode { node }
-    }
-
-    /// Borrow the wrapped overlay node (post-run inspection).
-    #[must_use]
-    pub fn overlay(&self) -> &OverlayNode {
-        &self.node
-    }
-
     fn flush(out: Outbox, ctx: &mut Ctx<'_>) {
         for (to, class, bytes) in out.sends {
             ctx.send(to.index(), class, bytes);
@@ -87,62 +81,146 @@ impl NodeBehavior for SimNode {
     }
 }
 
-/// Build a complete simulated overlay: one [`SimNode`] per matrix row,
-/// with staggered starts, all using `make_config` to derive their
-/// [`NodeConfig`](crate::config::NodeConfig).
-pub fn populate<F>(sim: &mut apor_netsim::Simulator, n: usize, start_spread_s: f64, make_config: F)
-where
-    F: Fn(usize) -> crate::config::NodeConfig,
-{
-    for i in 0..n {
-        let cfg = make_config(i);
-        let start = start_spread_s * (i as f64) / (n.max(1) as f64);
-        sim.add_node(Box::new(SimNode::new(OverlayNode::new(cfg))), start);
-    }
+/// One simulated run: the simulator and the overlay fleet it hosts, one
+/// netsim driver per latency-matrix row. Callers read the matrix and the
+/// schedule back through [`World::sim`] instead of keeping copies.
+pub struct World {
+    sim: Simulator,
 }
 
-/// Convenience for experiments: borrow the overlay node at simulator slot
-/// `i`.
-///
-/// # Panics
-/// Panics if slot `i` does not host a [`SimNode`].
-#[must_use]
-pub fn overlay_at(sim: &apor_netsim::Simulator, i: usize) -> &OverlayNode {
-    sim.node(i)
-        .as_any()
-        .downcast_ref::<SimNode>()
-        .expect("slot hosts a SimNode")
-        .overlay()
-}
-
-/// The whole fleet's telemetry in one snapshot: the registries of the
-/// overlay nodes at slots `0..n` merged with the simulator's per-node
-/// packet accounting.
-///
-/// # Panics
-/// Panics if a slot below `n` does not host a [`SimNode`].
-#[must_use]
-pub fn fleet_snapshot(sim: &apor_netsim::Simulator, n: usize) -> apor_telemetry::Snapshot {
-    let mut snap = sim.telemetry_snapshot();
-    for i in 0..n {
-        snap.merge(&overlay_at(sim, i).telemetry().snapshot());
+impl World {
+    /// The simulator over `latency` and `schedule`, with node `i`
+    /// (configured by `node(i)`) at slot `i` of every matrix row,
+    /// starting at `start_spread_s · i / n`.
+    #[must_use]
+    pub fn new(
+        latency: LatencyMatrix,
+        schedule: FailureSchedule,
+        config: SimulatorConfig,
+        start_spread_s: f64,
+        mut node: impl FnMut(usize) -> NodeConfig,
+    ) -> World {
+        let n = latency.len();
+        let mut sim = Simulator::new(latency, schedule, config);
+        for i in 0..n {
+            let start = start_spread_s * (i as f64) / (n.max(1) as f64);
+            let node = OverlayNode::new(node(i));
+            sim.add_node(Box::new(SimNode { node }), start);
+        }
+        World { sim }
     }
-    snap
+
+    /// The simulator: time, traffic, events and the network.
+    #[must_use]
+    pub fn sim(&self) -> &Simulator {
+        &self.sim
+    }
+
+    /// Run the simulation until `until_s` ([`Simulator::run_until`]).
+    pub fn run_until(&mut self, until_s: f64) {
+        self.sim.run_until(until_s);
+    }
+
+    /// The overlay node at slot `i`.
+    #[must_use]
+    pub fn node(&self, i: usize) -> &OverlayNode {
+        self.sim
+            .node(i)
+            .as_any()
+            .downcast_ref::<SimNode>()
+            .map(|host| &host.node)
+            .expect("a World slot hosts a SimNode")
+    }
+
+    /// The whole fleet's telemetry in one snapshot: every node's
+    /// registry merged with the simulator's per-node packet accounting.
+    #[must_use]
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = self.sim.telemetry_snapshot();
+        for i in 0..self.sim.latency().len() {
+            snap.merge(&self.node(i).telemetry().snapshot());
+        }
+        snap
+    }
+
+    /// Every span the fleet's flight recorders hold, node by node.
+    #[must_use]
+    pub fn spans(&self) -> Vec<Span> {
+        let n = self.sim.latency().len();
+        (0..n)
+            .flat_map(|i| self.node(i).tracer().recent())
+            .collect()
+    }
+
+    /// The one view all listed nodes hold; `None` when a node has none,
+    /// two views differ, or the list is empty.
+    #[must_use]
+    pub fn common_view(&self, nodes: impl IntoIterator<Item = usize>) -> Option<&MembershipView> {
+        let mut common: Option<&MembershipView> = None;
+        for i in nodes {
+            let view = self.node(i).view()?;
+            match common {
+                None => common = Some(view),
+                Some(c) if c == view => {}
+                Some(_) => return None,
+            }
+        }
+        common
+    }
+
+    /// Does every `(a, b)` in `pairs` route at `t` both ways? Pairs are
+    /// asked in order and the first miss ends the check: a lookup can
+    /// count in the node's telemetry, so which lookups run is output.
+    #[must_use]
+    pub fn routes_both_ways(&self, pairs: &[(usize, usize)], t: f64) -> bool {
+        let hop = |from: usize, to: usize| self.node(from).best_hop(NodeId(to as u16), t);
+        pairs
+            .iter()
+            .all(|&(a, b)| hop(a, b).is_some() && hop(b, a).is_some())
+    }
+
+    /// The first instant `t = from_s + step_s, + step_s, …` (summed
+    /// step by step) before `end_s` at which `done` holds, after running
+    /// to it; the run then goes on to `end_s` either way.
+    pub fn first_sample(
+        &mut self,
+        from_s: f64,
+        step_s: f64,
+        end_s: f64,
+        mut done: impl FnMut(&World, f64) -> bool,
+    ) -> Option<f64> {
+        let (mut t, mut found) = (from_s, None);
+        while found.is_none() && t < end_s {
+            t += step_s;
+            self.sim.run_until(t);
+            found = done(self, t).then_some(t);
+        }
+        self.sim.run_until(end_s);
+        found
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Algorithm, NodeConfig};
-    use apor_netsim::{Simulator, TrafficClass};
-    use apor_quorum::NodeId;
-    use apor_topology::{FailureParams, LatencyMatrix};
+    use crate::config::Algorithm;
+    use apor_netsim::TrafficClass;
+    use apor_topology::FailureParams;
 
-    fn static_cfg(n: usize, algo: Algorithm) -> impl Fn(usize) -> NodeConfig {
-        move |i| {
-            let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-            NodeConfig::new(NodeId(i as u16), NodeId(0), algo).with_static_members(members)
-        }
+    /// A uniform `n`-node world with no failures.
+    fn uniform_world(
+        n: usize,
+        rtt_ms: f64,
+        start_spread_s: f64,
+        node: impl FnMut(usize) -> NodeConfig,
+    ) -> World {
+        World::new(
+            LatencyMatrix::uniform(n, rtt_ms),
+            FailureParams::none(n, 1e9),
+            overlay_sim_config(),
+            start_spread_s,
+            node,
+        )
     }
 
     /// End-to-end: a 9-node simulated quorum overlay discovers the optimal
@@ -157,12 +235,17 @@ mod tests {
             }
         }
         m.set_rtt(0, 8, 400.0);
-        let mut sim = Simulator::new(m, FailureParams::none(n, 1e9), overlay_sim_config());
-        populate(&mut sim, n, 5.0, static_cfg(n, Algorithm::Quorum));
+        let mut world = World::new(
+            m,
+            FailureParams::none(n, 1e9),
+            overlay_sim_config(),
+            5.0,
+            |i| NodeConfig::static_member(i, n, Algorithm::Quorum),
+        );
         // Probing needs ~30 s to fill rows; two routing intervals after
         // that the optimal one-hop must be known everywhere.
-        sim.run_until(120.0);
-        let node0 = overlay_at(&sim, 0);
+        world.run_until(120.0);
+        let node0 = world.node(0);
         assert_eq!(
             node0.best_hop(NodeId(8), 120.0),
             Some(NodeId(4)),
@@ -185,12 +268,12 @@ mod tests {
     fn quorum_uses_less_routing_bandwidth_than_fullmesh() {
         let n = 81;
         let run = |algo: Algorithm| {
-            let m = LatencyMatrix::uniform(n, 50.0);
-            let mut sim = Simulator::new(m, FailureParams::none(n, 1e9), overlay_sim_config());
-            populate(&mut sim, n, 5.0, static_cfg(n, algo));
-            sim.run_until(300.0);
+            let mut world = uniform_world(n, 50.0, 5.0, |i| NodeConfig::static_member(i, n, algo));
+            world.run_until(300.0);
             // Measure steady state: minutes 2–5.
-            sim.stats()
+            world
+                .sim()
+                .stats()
                 .fleet_mean_bps(&[TrafficClass::Routing], 120.0, 300.0)
         };
         let full = run(Algorithm::FullMesh);
@@ -209,11 +292,12 @@ mod tests {
     #[test]
     fn probing_bandwidth_matches_theory() {
         let n = 25;
-        let m = LatencyMatrix::uniform(n, 50.0);
-        let mut sim = Simulator::new(m, FailureParams::none(n, 1e9), overlay_sim_config());
-        populate(&mut sim, n, 5.0, static_cfg(n, Algorithm::Quorum));
-        sim.run_until(300.0);
-        let probing = sim
+        let mut world = uniform_world(n, 50.0, 5.0, |i| {
+            NodeConfig::static_member(i, n, Algorithm::Quorum)
+        });
+        world.run_until(300.0);
+        let probing = world
+            .sim()
             .stats()
             .fleet_mean_bps(&[TrafficClass::Probing], 60.0, 300.0);
         let theory = 49.1 * n as f64;
@@ -230,24 +314,19 @@ mod tests {
     fn graceful_leave_reconfigures_survivors() {
         use apor_membership::{detection_budget_s, PUBLISH_PERIOD_S};
         let n = 8;
-        let m = LatencyMatrix::uniform(n, 40.0);
-        let mut sim = Simulator::new(m, FailureParams::none(n, 1e9), overlay_sim_config());
-        populate(&mut sim, n, 2.0, move |i| {
-            let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-            NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-                .with_static_members(members)
-                .with_swim()
+        let mut world = uniform_world(n, 40.0, 2.0, |i| {
+            NodeConfig::static_member(i, n, Algorithm::Quorum).with_swim()
         });
-        sim.run_until(30.0);
-        sim.shutdown_node(5);
-        assert!(overlay_at(&sim, 5).is_shut_down());
+        world.run_until(30.0);
+        world.sim.shutdown_node(5);
+        assert!(world.node(5).is_shut_down());
         // Far below the ~26 s failure-detection budget for n=8, every
         // survivor has installed a view that excludes the leaver.
         let budget = PUBLISH_PERIOD_S + 8.0;
         assert!(budget < detection_budget_s(n) / 2.0);
-        sim.run_until(30.0 + budget);
+        world.run_until(30.0 + budget);
         for i in (0..n).filter(|&i| i != 5) {
-            let view = overlay_at(&sim, i).view().expect("view installed");
+            let view = world.node(i).view().expect("view installed");
             assert!(
                 !view.contains(NodeId(5)),
                 "node {i} still sees the leaver after a graceful leave"
@@ -259,21 +338,86 @@ mod tests {
     #[test]
     fn dynamic_membership_converges() {
         let n = 6;
-        let m = LatencyMatrix::uniform(n, 40.0);
-        let mut sim = Simulator::new(m, FailureParams::none(n, 1e9), overlay_sim_config());
-        populate(&mut sim, n, 10.0, move |i| {
+        let mut world = uniform_world(n, 40.0, 10.0, |i| {
             NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
         });
-        sim.run_until(60.0);
+        world.run_until(60.0);
         for i in 0..n {
-            let node = overlay_at(&sim, i);
+            let node = world.node(i);
             assert!(node.is_member(), "node {i} not a member");
             assert_eq!(node.view().unwrap().len(), n, "node {i} has partial view");
         }
         // All views identical.
-        let v0 = overlay_at(&sim, 0).view().unwrap().clone();
+        let v0 = world.node(0).view().unwrap().clone();
         for i in 1..n {
-            assert_eq!(overlay_at(&sim, i).view().unwrap(), &v0);
+            assert_eq!(world.node(i).view().unwrap(), &v0);
         }
+    }
+
+    /// Before anyone has joined, no node holds a view, so there is no
+    /// common one; once the joins settle every node holds the same
+    /// view, and a node left out of the list does not count.
+    #[test]
+    fn common_view_needs_every_listed_node_to_agree() {
+        let n = 6;
+        let mut world = uniform_world(n, 40.0, 10.0, |i| {
+            NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
+        });
+        assert!(world.common_view(0..n).is_none(), "no node has started");
+        assert!(world.common_view([]).is_none(), "an empty list has no view");
+        world.run_until(60.0);
+        let common = world
+            .common_view(0..n)
+            .expect("the joins converged")
+            .clone();
+        assert_eq!(common.len(), n);
+        assert_eq!(world.common_view([3]), Some(&common));
+    }
+
+    /// Two views that differ have no common view: a node that has just
+    /// been cut off keeps its full view while the survivors shrink
+    /// theirs.
+    #[test]
+    fn common_view_is_none_when_two_views_differ() {
+        use apor_membership::detection_budget_s;
+        let n = 8;
+        let cut_at = 30.0;
+        let schedule = FailureParams::scripted(n, 1e9).with_crashes(&[7], cut_at);
+        let mut world = World::new(
+            LatencyMatrix::uniform(n, 40.0),
+            apor_topology::FailureSchedule::generate(&schedule),
+            overlay_sim_config(),
+            2.0,
+            |i| NodeConfig::static_member(i, n, Algorithm::Quorum).with_swim(),
+        );
+        world.run_until(cut_at + detection_budget_s(n) + 10.0);
+        let survivors = world.common_view(0..7).expect("survivors agree").clone();
+        assert!(!survivors.contains(NodeId(7)));
+        assert_ne!(world.node(7).view(), Some(&survivors));
+        assert!(world.common_view(0..n).is_none());
+    }
+
+    /// `first_sample` reports the first sampled instant at which the
+    /// condition holds, reached by repeated `+= step_s`, and leaves the
+    /// clock at `end_s` whether or not the condition ever held.
+    #[test]
+    fn first_sample_returns_the_first_instant_and_runs_to_the_end() {
+        let mut world = uniform_world(2, 40.0, 0.0, |i| {
+            NodeConfig::static_member(i, 2, Algorithm::Quorum)
+        });
+        let mut asked = Vec::new();
+        let found = world.first_sample(10.0, 0.1, 20.0, |w, t| {
+            assert_eq!(w.sim().now(), t, "asked at the sampled instant");
+            asked.push(t);
+            asked.len() == 5
+        });
+        let want = (0..5).fold(10.0, |t, _| t + 0.1);
+        assert_eq!(found, Some(want));
+        assert_eq!(asked.last(), Some(&want));
+        assert_eq!(world.sim().now(), 20.0);
+
+        let never = world.first_sample(20.0, 1.0, 25.0, |_, _| false);
+        assert_eq!(never, None);
+        assert_eq!(world.sim().now(), 25.0);
     }
 }

@@ -198,15 +198,15 @@ mod tests {
             .map(NodeId)
             .zip(sockets.iter().map(|s| s.local_addr().expect("addr")))
             .collect();
-        let members: Vec<NodeId> = (0..n).map(NodeId).collect();
         sockets
             .into_iter()
             .zip(0..n)
             .map(|(socket, i)| {
-                let mut cfg = configure(
-                    NodeConfig::new(NodeId(i), NodeId(0), algo)
-                        .with_static_members(members.clone()),
-                );
+                let mut cfg = configure(NodeConfig::static_member(
+                    usize::from(i),
+                    usize::from(n),
+                    algo,
+                ));
                 cfg.protocol = fast_protocol();
                 UdpOverlay::spawn(OverlayNode::new(cfg), socket, peers.clone())
             })

@@ -87,6 +87,21 @@ impl FailureParams {
         self
     }
 
+    /// No background failures over `[0, duration_s)`, only the outages
+    /// scripted onto it (`with_crashes`, `with_partition`,
+    /// `with_row_blackout`, explicit outage lists). With
+    /// `median_concurrent` at 0 no link draws a duty cycle, so the seed
+    /// does not matter.
+    #[must_use]
+    pub fn scripted(n: usize, duration_s: f64) -> Self {
+        FailureParams {
+            n,
+            duration_s,
+            median_concurrent: 0.0,
+            ..Default::default()
+        }
+    }
+
     /// Schedule a clean network partition: every link between a node in
     /// `minority` and a node outside it is down during
     /// `[start_s, end_s)`. Links *within* each side stay up (subject to
@@ -99,12 +114,7 @@ impl FailureParams {
     #[must_use]
     pub fn with_partition(mut self, minority: &[usize], start_s: f64, end_s: f64) -> Self {
         assert!(start_s < end_s, "empty partition window");
-        let mut side = vec![false; self.n];
-        for &m in minority {
-            assert!(m < self.n, "minority index {m} out of range");
-            assert!(!side[m], "duplicate minority index {m}");
-            side[m] = true;
-        }
+        let side = self.mask("minority index", minority);
         for &m in minority {
             for other in (0..self.n).filter(|&o| !side[o]) {
                 self.link_outages.push(LinkOutage {
@@ -130,28 +140,56 @@ impl FailureParams {
     /// Panics on an out-of-range or duplicated member index, or an
     /// empty window.
     #[must_use]
-    pub fn with_row_blackout(mut self, members: &[usize], start_s: f64, end_s: f64) -> Self {
-        assert!(start_s < end_s, "empty blackout window");
-        let mut seen = vec![false; self.n];
-        for &m in members {
-            assert!(m < self.n, "blackout member {m} out of range");
-            assert!(!seen[m], "duplicate blackout member {m}");
-            seen[m] = true;
-            self.node_outages.push(NodeOutage {
-                node: m,
+    pub fn with_row_blackout(self, members: &[usize], start_s: f64, end_s: f64) -> Self {
+        self.with_node_outages("blackout member", members, start_s, end_s)
+    }
+
+    /// Crash every node in `nodes` at `at_s`: each one is a whole-node
+    /// outage from `at_s` to the end of the schedule (`duration_s`), so
+    /// it never comes back — the churn the `churn` and `scale` studies
+    /// inject.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range or duplicated node index, or when
+    /// `at_s` is not before `duration_s`.
+    #[must_use]
+    pub fn with_crashes(self, nodes: &[usize], at_s: f64) -> Self {
+        let end_s = self.duration_s;
+        self.with_node_outages("crashed node", nodes, at_s, end_s)
+    }
+
+    /// One whole-node outage over `[start_s, end_s)` per listed node;
+    /// `what` names the nodes in the panic messages.
+    fn with_node_outages(mut self, what: &str, nodes: &[usize], start_s: f64, end_s: f64) -> Self {
+        assert!(start_s < end_s, "empty {what} window");
+        self.mask(what, nodes);
+        self.node_outages
+            .extend(nodes.iter().map(|&node| NodeOutage {
+                node,
                 start_s,
                 end_s,
-            });
-        }
+            }));
         self
+    }
+
+    /// `nodes` as a membership mask over `0..n`.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range or duplicated node, naming it `what`.
+    fn mask(&self, what: &str, nodes: &[usize]) -> Vec<bool> {
+        let mut mask = vec![false; self.n];
+        for &m in nodes {
+            assert!(m < self.n, "{what} {m} out of range");
+            assert!(!mask[m], "duplicate {what} {m}");
+            mask[m] = true;
+        }
+        mask
     }
 
     /// A schedule with no failures at all (steady-state experiments).
     #[must_use]
     pub fn none(n: usize, duration_s: f64) -> FailureSchedule {
-        let link_down = vec![Vec::new(); n * (n.saturating_sub(1)) / 2];
-        let node_down = vec![Vec::new(); n];
-        FailureSchedule::from_lists(n, duration_s, link_down, node_down)
+        FailureSchedule::generate(&Self::scripted(n, duration_s))
     }
 }
 
@@ -277,44 +315,19 @@ impl FailureSchedule {
             assert!(o.start_s < o.end_s, "empty link outage window");
             link_down[pair_index(n, o.a, o.b)].push((o.start_s, o.end_s));
         }
-        for list in &mut link_down {
-            if list.is_empty() {
-                continue;
-            }
-            list.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
-            // Coalesce overlaps so interval queries stay a binary search.
-            let mut merged: Vec<Outage> = Vec::with_capacity(list.len());
-            for &(s, e) in list.iter() {
-                match merged.last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => merged.push((s, e)),
-                }
-            }
-            *list = merged;
-        }
-
         let mut node_down = vec![Vec::new(); n];
         for o in &params.node_outages {
             assert!(o.node < n, "node outage index {} out of range", o.node);
             assert!(o.start_s < o.end_s, "empty node outage window");
             node_down[o.node].push((o.start_s, o.end_s));
         }
-        for list in &mut node_down {
-            list.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        for list in link_down.iter_mut().chain(&mut node_down) {
+            coalesce(list);
         }
 
-        FailureSchedule::from_lists(n, params.duration_s, link_down, node_down)
-    }
-
-    fn from_lists(
-        n: usize,
-        duration_s: f64,
-        link_down: Vec<Vec<Outage>>,
-        node_down: Vec<Vec<Outage>>,
-    ) -> FailureSchedule {
         FailureSchedule {
             n,
-            duration_s,
+            duration_s: params.duration_s,
             link_ever_down: Bits::non_empty(&link_down),
             node_ever_down: Bits::non_empty(&node_down),
             link_down,
@@ -415,7 +428,22 @@ impl FailureSchedule {
     }
 }
 
-/// Is `t` inside any of the sorted intervals?
+/// Sort `list` by start and merge overlapping or touching intervals,
+/// so [`covered`] needs to look only at the last interval that starts at
+/// or before the query.
+fn coalesce(list: &mut Vec<Outage>) {
+    list.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
+    let mut merged: Vec<Outage> = Vec::with_capacity(list.len());
+    for &(s, e) in list.iter() {
+        match merged.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => merged.push((s, e)),
+        }
+    }
+    *list = merged;
+}
+
+/// Is `t` inside any of the sorted, disjoint intervals?
 fn covered(intervals: &[Outage], t: f64) -> bool {
     // Binary search for the last interval starting at or before t.
     let idx = intervals.partition_point(|&(s, _)| s <= t);
@@ -483,8 +511,7 @@ mod tests {
 
     #[test]
     fn node_outage_blocks_all_links() {
-        let mut p = FailureParams::with_n(5);
-        p.median_concurrent = 0.0001; // effectively no link failures
+        let mut p = FailureParams::scripted(5, 1000.0);
         p.node_outages = vec![NodeOutage {
             node: 2,
             start_s: 100.0,
@@ -540,8 +567,7 @@ mod tests {
 
     #[test]
     fn row_blackout_darkens_every_member_link() {
-        let mut p = FailureParams::with_n(9).with_row_blackout(&[3, 4, 5], 100.0, 200.0);
-        p.median_concurrent = 0.0001; // effectively no background failures
+        let p = FailureParams::scripted(9, 1000.0).with_row_blackout(&[3, 4, 5], 100.0, 200.0);
         let s = FailureSchedule::generate(&p);
         for &m in &[3usize, 4, 5] {
             assert!(s.is_node_up(m, 50.0), "node {m} up before the window");
@@ -569,6 +595,76 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn row_blackout_rejects_out_of_range() {
         let _ = FailureParams::with_n(9).with_row_blackout(&[9], 100.0, 200.0);
+    }
+
+    #[test]
+    fn crashes_last_to_the_end_of_the_schedule() {
+        let s = FailureSchedule::generate(
+            &FailureParams::scripted(6, 500.0).with_crashes(&[4, 1], 120.0),
+        );
+        for node in [1, 4] {
+            assert_eq!(s.node_down[node], [(120.0, 500.0)], "node {node}");
+        }
+        for node in [0, 2, 3, 5] {
+            assert!(s.node_down[node].is_empty(), "node {node} never crashes");
+        }
+        assert!(s.is_node_up(4, 119.9) && !s.is_node_up(4, 120.0) && !s.is_node_up(4, 499.9));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate crashed node")]
+    fn crashes_reject_duplicates() {
+        let _ = FailureParams::scripted(9, 500.0).with_crashes(&[3, 3], 100.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn crashes_reject_out_of_range() {
+        let _ = FailureParams::scripted(9, 500.0).with_crashes(&[9], 100.0);
+    }
+
+    /// Scripting turns the background generator off: no link and no
+    /// node is ever down, whatever the seed.
+    #[test]
+    fn scripted_schedule_has_no_background_failures() {
+        for seed in [1, 0xFA11] {
+            let s = FailureSchedule::generate(&FailureParams::scripted(30, 8000.0).with_seed(seed));
+            for i in 0..30 {
+                assert!(s.node_down[i].is_empty(), "seed {seed}: node {i}");
+                for j in (i + 1)..30 {
+                    assert!(
+                        s.link_outages(i, j).is_empty(),
+                        "seed {seed}: link ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two outages of one node that overlap merge into one: a short
+    /// outage inside a long one must not end the long one early.
+    #[test]
+    fn overlapping_node_outages_keep_the_node_down() {
+        let mut p = FailureParams::scripted(4, 2000.0);
+        p.node_outages = vec![
+            NodeOutage {
+                node: 2,
+                start_s: 100.0,
+                end_s: 1000.0,
+            },
+            NodeOutage {
+                node: 2,
+                start_s: 200.0,
+                end_s: 300.0,
+            },
+        ];
+        let s = FailureSchedule::generate(&p);
+        assert_eq!(s.node_down[2], [(100.0, 1000.0)]);
+        for t in [100.0, 250.0, 500.0, 900.0, 999.9] {
+            assert!(!s.is_node_up(2, t), "node 2 up at {t}");
+            assert!(!s.is_link_up(0, 2, t), "link (0,2) up at {t}");
+        }
+        assert!(s.is_node_up(2, 99.9) && s.is_node_up(2, 1000.0));
     }
 
     /// Figure 8 calibration: per-node mean concurrent failures must have a
@@ -626,8 +722,7 @@ mod tests {
 
     #[test]
     fn link_outage_injection_and_merging() {
-        let mut p = FailureParams::with_n(6);
-        p.median_concurrent = 1e-9;
+        let mut p = FailureParams::scripted(6, FailureParams::default().duration_s);
         p.link_outages = vec![
             LinkOutage {
                 a: 0,
@@ -664,9 +759,7 @@ mod tests {
 
     #[test]
     fn partition_cuts_exactly_the_cross_links() {
-        let mut p = FailureParams::with_n(6);
-        p.median_concurrent = 1e-12; // isolate the partition
-        let p = p.with_partition(&[4, 5], 100.0, 200.0);
+        let p = FailureParams::scripted(6, 1000.0).with_partition(&[4, 5], 100.0, 200.0);
         let s = FailureSchedule::generate(&p);
         for i in 0..6 {
             for j in 0..6 {

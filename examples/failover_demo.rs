@@ -13,9 +13,8 @@
 //! cargo run --release --example failover_demo
 //! ```
 
-use allpairs_overlay::netsim::Simulator;
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::{Grid, NodeId};
 use allpairs_overlay::topology::{FailureParams, FailureSchedule, LatencyMatrix, LinkOutage};
 
@@ -37,9 +36,8 @@ fn main() {
     );
 
     let (kill, heal) = (300.0, 700.0);
-    let mut params = FailureParams::with_n(n);
-    params.median_concurrent = 1e-9; // no background noise, only our injection
-    params.duration_s = 1100.0;
+    // No background noise, only our injection.
+    let mut params = FailureParams::scripted(n, 1100.0);
     params.link_outages = pair
         .iter()
         .map(|&s| (src, s))
@@ -53,16 +51,13 @@ fn main() {
         .collect();
     let schedule = FailureSchedule::generate(&params);
 
-    let mut sim = Simulator::new(
+    let mut world = World::new(
         LatencyMatrix::uniform(n, 60.0),
         schedule,
         overlay_sim_config(),
+        5.0,
+        |i| NodeConfig::static_member(i, n, Algorithm::Quorum),
     );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-    });
 
     println!(
         "{:>6} {:>10} {:>9} {:>9} {:>16} {:>10}",
@@ -70,8 +65,8 @@ fn main() {
     );
     for step in 1..=22 {
         let t = step as f64 * 50.0;
-        sim.run_until(t);
-        let node = overlay_at(&sim, src);
+        world.run_until(t);
+        let node = world.node(src);
         let age = node.route_age(NodeId(dst as u16), t);
         let hop = node.best_hop(NodeId(dst as u16), t);
         let dbl = node.double_rendezvous_failures(t);
@@ -97,8 +92,8 @@ fn main() {
         );
     }
 
-    let node = overlay_at(&sim, src);
-    let final_age = node.route_age(NodeId(dst as u16), sim.now());
+    let node = world.node(src);
+    let final_age = node.route_age(NodeId(dst as u16), world.sim().now());
     println!(
         "\nfinal route age to dst {dst}: {:.0}s; failovers selected during the run: {}",
         final_age.unwrap_or(f64::NAN),

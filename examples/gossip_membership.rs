@@ -13,11 +13,11 @@
 //! ```
 
 use allpairs_overlay::membership::detection_budget_s;
-use allpairs_overlay::netsim::{Simulator, SimulatorConfig};
+use allpairs_overlay::netsim::SimulatorConfig;
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::NodeId;
-use allpairs_overlay::topology::{FailureParams, FailureSchedule, LatencyMatrix, NodeOutage};
+use allpairs_overlay::topology::{FailureParams, FailureSchedule, LatencyMatrix};
 
 const N: usize = 16;
 const KILL_AT: f64 = 60.0;
@@ -25,60 +25,26 @@ const KILL_AT: f64 = 60.0;
 /// Crash `victim` at [`KILL_AT`]; return the seconds until every
 /// survivor's installed view excludes it and all views are identical.
 fn convergence_after_killing(victim: usize) -> Option<f64> {
-    let mut failure = FailureParams::with_n(N);
-    failure.median_concurrent = 1e-12; // a clean crash, no link noise
-    failure.duration_s = 1e6;
-    failure.node_outages = vec![NodeOutage {
-        node: victim,
-        start_s: KILL_AT,
-        end_s: 1e6,
-    }];
-    let mut sim = Simulator::new(
+    // A clean crash, no link noise.
+    let failure = FailureParams::scripted(N, 1e6).with_crashes(&[victim], KILL_AT);
+    let mut world = World::new(
         LatencyMatrix::uniform(N, 40.0),
         FailureSchedule::generate(&failure),
         SimulatorConfig {
             seed: 0x6055 + victim as u64,
             ..overlay_sim_config()
         },
+        5.0,
+        |i| NodeConfig::static_member(i, N, Algorithm::Quorum).with_swim(),
     );
-    let members: Vec<NodeId> = (0..N as u16).map(NodeId).collect();
-    populate(&mut sim, N, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-            .with_swim()
-    });
 
     let budget = detection_budget_s(N);
-    let mut t = KILL_AT;
-    while t < KILL_AT + budget + 30.0 {
-        t += 1.0;
-        sim.run_until(t);
-        let mut reference = None;
-        let mut agreed = true;
-        for i in (0..N).filter(|&i| i != victim) {
-            let Some(view) = overlay_at(&sim, i).view() else {
-                agreed = false;
-                break;
-            };
-            if view.contains(NodeId(victim as u16)) || view.len() != N - 1 {
-                agreed = false;
-                break;
-            }
-            match &reference {
-                None => reference = Some(view.clone()),
-                Some(r) => {
-                    if r != view {
-                        agreed = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if agreed {
-            return Some(t - KILL_AT);
-        }
-    }
-    None
+    world
+        .first_sample(KILL_AT, 1.0, KILL_AT + budget + 30.0, |w, _| {
+            w.common_view((0..N).filter(|&i| i != victim))
+                .is_some_and(|view| !view.contains(NodeId(victim as u16)) && view.len() == N - 1)
+        })
+        .map(|t| t - KILL_AT)
 }
 
 fn main() {

@@ -8,9 +8,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use allpairs_overlay::netsim::{Simulator, TrafficClass};
+use allpairs_overlay::netsim::TrafficClass;
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::{Grid, NodeId};
 use allpairs_overlay::topology::{FailureParams, PlanetLabParams, Topology};
 
@@ -38,36 +38,35 @@ fn main() {
     );
 
     // 3. Run the overlay in the simulator.
-    let mut sim = Simulator::new(
-        topo.latency.clone(),
+    let mut world = World::new(
+        topo.latency,
         FailureParams::none(n, 1e9),
         overlay_sim_config(),
+        5.0,
+        |i| NodeConfig::static_member(i, n, Algorithm::Quorum),
     );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-    });
-    sim.run_until(240.0);
+    world.run_until(240.0);
+    let sim = world.sim();
+    let latency = sim.latency();
 
     // 4. Inspect node 0's routing table against the ground truth.
-    let node0 = overlay_at(&sim, 0);
+    let node0 = world.node(0);
     println!("\nnode 0 routing table (vs ground-truth optimum):");
     println!(
         "{:>4} {:>10} {:>12} {:>12} {:>10}",
         "dst", "direct ms", "chosen hop", "chosen ms", "optimal ms"
     );
     for dst in 1..n {
-        let direct = topo.latency.rtt(0, dst);
+        let direct = latency.rtt(0, dst);
         let hop = node0.best_hop(NodeId(dst as u16), sim.now());
         let chosen_ms = hop.map_or(f64::NAN, |h| {
             if h.index() == dst {
                 direct
             } else {
-                topo.latency.rtt(0, h.index()) + topo.latency.rtt(h.index(), dst)
+                latency.rtt(0, h.index()) + latency.rtt(h.index(), dst)
             }
         });
-        let optimal = topo.latency.best_path_with_one_hop(0, dst);
+        let optimal = latency.best_path_with_one_hop(0, dst);
         println!(
             "{:>4} {:>10.0} {:>12} {:>12.0} {:>10.0}",
             dst,

@@ -13,9 +13,8 @@
 //! cargo run --release --example replay_trace pings.csv   # your data
 //! ```
 
-use allpairs_overlay::netsim::Simulator;
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::NodeId;
 use allpairs_overlay::topology::{FailureParams, LatencyMatrix, PlanetLabParams, Topology};
 
@@ -42,17 +41,16 @@ fn main() {
     let n = matrix.len();
     println!("== replaying trace {source} ({n} nodes) ==\n");
 
-    let mut sim = Simulator::new(
-        matrix.clone(),
+    let mut world = World::new(
+        matrix,
         FailureParams::none(n, 1e9),
         overlay_sim_config(),
+        5.0,
+        |i| NodeConfig::static_member(i, n, Algorithm::Quorum),
     );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-    });
-    sim.run_until(200.0);
+    world.run_until(200.0);
+    let sim = world.sim();
+    let matrix = sim.latency();
 
     // Score every pair: how close is the overlay's route to the trace's
     // one-hop optimum?
@@ -61,7 +59,7 @@ fn main() {
     let mut total_direct = 0.0;
     let mut total_chosen = 0.0;
     for src in 0..n {
-        let node = overlay_at(&sim, src);
+        let node = world.node(src);
         for dst in 0..n {
             if src == dst || !matrix.reachable(src, dst) {
                 continue;

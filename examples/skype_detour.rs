@@ -11,9 +11,8 @@
 //! cargo run --release --example skype_detour
 //! ```
 
-use allpairs_overlay::netsim::Simulator;
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::NodeId;
 use allpairs_overlay::routing::onehop;
 use allpairs_overlay::topology::{FailureParams, PlanetLabParams, Topology};
@@ -23,27 +22,22 @@ fn main() {
     println!("== Skype-style detour service on a {n}-node overlay ==\n");
 
     let topo = Topology::generate(&PlanetLabParams::with_n(n).with_seed(0x5C19E));
-    let mut sim = Simulator::new(
-        topo.latency.clone(),
+    let mut world = World::new(
+        topo.latency,
         FailureParams::none(n, 1e9),
         overlay_sim_config(),
+        10.0,
+        |i| NodeConfig::static_member(i, n, Algorithm::Quorum),
     );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 10.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-    });
     println!("running the overlay for 4 simulated minutes…");
-    sim.run_until(240.0);
+    world.run_until(240.0);
+    let sim = world.sim();
+    let latency = sim.latency();
 
     // Place "calls" on the ten worst direct paths.
-    let mut bad_pairs = onehop::high_latency_pairs(&topo.latency, 400.0);
-    bad_pairs.sort_by(|&(a, b), &(c, d)| {
-        topo.latency
-            .rtt(c, d)
-            .partial_cmp(&topo.latency.rtt(a, b))
-            .unwrap()
-    });
+    let mut bad_pairs = onehop::high_latency_pairs(latency, 400.0);
+    bad_pairs
+        .sort_by(|&(a, b), &(c, d)| latency.rtt(c, d).partial_cmp(&latency.rtt(a, b)).unwrap());
     bad_pairs.dedup_by_key(|&mut (a, b)| if a < b { (a, b) } else { (b, a) });
 
     println!("\nten worst call paths and what the overlay does for them:");
@@ -55,17 +49,17 @@ fn main() {
     let mut optimal_hits = 0;
     let calls: Vec<(usize, usize)> = bad_pairs.into_iter().take(10).collect();
     for &(src, dst) in &calls {
-        let node = overlay_at(&sim, src);
-        let direct = topo.latency.rtt(src, dst);
+        let node = world.node(src);
+        let direct = latency.rtt(src, dst);
         let hop = node.best_hop(NodeId(dst as u16), sim.now());
         let overlay_ms = hop.map_or(direct, |h| {
             if h.index() == dst {
                 direct
             } else {
-                topo.latency.rtt(src, h.index()) + topo.latency.rtt(h.index(), dst)
+                latency.rtt(src, h.index()) + latency.rtt(h.index(), dst)
             }
         });
-        let optimal = topo.latency.best_path_with_one_hop(src, dst);
+        let optimal = latency.best_path_with_one_hop(src, dst);
         if overlay_ms < direct {
             improved += 1;
         }

@@ -57,11 +57,9 @@ fn main() -> std::io::Result<ExitCode> {
         sockets.push(s);
     }
 
-    let members: Vec<NodeId> = (0..n).map(NodeId).collect();
     let mut fleet = Vec::new();
     for (i, socket) in (0..n).zip(sockets) {
-        let mut cfg = NodeConfig::new(NodeId(i), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone());
+        let mut cfg = NodeConfig::static_member(usize::from(i), usize::from(n), Algorithm::Quorum);
         cfg.protocol = fast_protocol();
         fleet.push(UdpOverlay::spawn(
             OverlayNode::new(cfg),

@@ -12,9 +12,8 @@
 //! notice. We assert end-to-end bounds of `p + k·r` with one interval of
 //! slack for message-loss jitter.
 
-use allpairs_overlay::netsim::Simulator;
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::{Grid, NodeId};
 use allpairs_overlay::topology::{
     FailureParams, FailureSchedule, LatencyMatrix, LinkOutage, NodeOutage,
@@ -25,30 +24,23 @@ const KILL: f64 = 400.0; // failures begin (probing is settled by then)
 const P: f64 = 30.0; // probing interval
 const R: f64 = 15.0; // quorum routing interval
 
-/// Run a 25-node uniform overlay with the given injected outages; return
-/// the simulator plus the ground-truth matrix.
+/// A 25-node uniform overlay whose only failures are the injected
+/// outages.
 fn run_with_outages(
     link_outages: Vec<LinkOutage>,
     node_outages: Vec<NodeOutage>,
     until_s: f64,
-) -> Simulator {
-    let mut params = FailureParams::with_n(N);
-    params.median_concurrent = 1e-9;
-    params.duration_s = until_s + 100.0;
+) -> World {
+    let mut params = FailureParams::scripted(N, until_s + 100.0);
     params.link_outages = link_outages;
     params.node_outages = node_outages;
-    let schedule = FailureSchedule::generate(&params);
-    let mut sim = Simulator::new(
+    World::new(
         LatencyMatrix::uniform(N, 60.0),
-        schedule,
+        FailureSchedule::generate(&params),
         overlay_sim_config(),
-    );
-    let members: Vec<NodeId> = (0..N as u16).map(NodeId).collect();
-    populate(&mut sim, N, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-    });
-    sim
+        5.0,
+        |i| NodeConfig::static_member(i, N, Algorithm::Quorum),
+    )
 }
 
 fn outage(a: usize, b: usize, until_s: f64) -> LinkOutage {
@@ -63,7 +55,7 @@ fn outage(a: usize, b: usize, until_s: f64) -> LinkOutage {
 /// Earliest time ≥ `from` at which `src` holds a *usable, live* route to
 /// `dst`: a fresh recommendation whose hop avoids every dead link.
 fn recovery_time(
-    sim: &mut Simulator,
+    world: &mut World,
     src: usize,
     dst: usize,
     dead: &[(usize, usize)],
@@ -73,8 +65,8 @@ fn recovery_time(
     let is_dead = |a: usize, b: usize| dead.contains(&(a, b)) || dead.contains(&(b, a));
     let mut t = from;
     while t <= until {
-        sim.run_until(t);
-        let node = overlay_at(sim, src);
+        world.run_until(t);
+        let node = world.node(src);
         if let Some(hop) = node.best_hop(NodeId(dst as u16), t) {
             let h = hop.index();
             let usable = if h == dst {
@@ -107,9 +99,9 @@ fn scenario_1_direct_and_best_hop_failure() {
     // recommendation refresh, not which relay dies.
     let dead = vec![(src, dst), (src, 1)];
     let outages = dead.iter().map(|&(a, b)| outage(a, b, 2000.0)).collect();
-    let mut sim = run_with_outages(outages, vec![], 2000.0);
+    let mut world = run_with_outages(outages, vec![], 2000.0);
     let recovered =
-        recovery_time(&mut sim, src, dst, &dead, KILL, KILL + 200.0).expect("must recover");
+        recovery_time(&mut world, src, dst, &dead, KILL, KILL + 200.0).expect("must recover");
     let bound = P + 2.0 * R + R; // detection + 2r, plus one interval slack
     assert!(
         recovered - KILL <= bound,
@@ -131,9 +123,9 @@ fn scenario_2_proximal_rendezvous_failures() {
     let mut dead: Vec<(usize, usize)> = pair.iter().map(|&s| (src, s)).collect();
     dead.push((src, dst));
     let outages = dead.iter().map(|&(a, b)| outage(a, b, 2000.0)).collect();
-    let mut sim = run_with_outages(outages, vec![], 2000.0);
+    let mut world = run_with_outages(outages, vec![], 2000.0);
     let recovered =
-        recovery_time(&mut sim, src, dst, &dead, KILL, KILL + 300.0).expect("must recover");
+        recovery_time(&mut world, src, dst, &dead, KILL, KILL + 300.0).expect("must recover");
     let bound = P + 2.0 * R + 2.0 * R; // detection + 2r + slack
     assert!(
         recovered - KILL <= bound,
@@ -156,9 +148,9 @@ fn scenario_3_remote_rendezvous_failure() {
     // dst (so r2 stops recommending dst, but src still reaches r2).
     let dead = vec![(src, r1), (r2, dst), (src, dst)];
     let outages = dead.iter().map(|&(a, b)| outage(a, b, 2000.0)).collect();
-    let mut sim = run_with_outages(outages, vec![], 2000.0);
+    let mut world = run_with_outages(outages, vec![], 2000.0);
     let recovered =
-        recovery_time(&mut sim, src, dst, &dead, KILL, KILL + 300.0).expect("must recover");
+        recovery_time(&mut world, src, dst, &dead, KILL, KILL + 300.0).expect("must recover");
     // Remote detection adds up to REMOTE_FAILURE_INTERVALS (2.5r) on top
     // of scenario 2's bound.
     let bound = P + 3.0 * R + 2.5 * R + R;
@@ -180,12 +172,12 @@ fn dead_destination_converges_to_no_route() {
         start_s: KILL,
         end_s: 4000.0,
     }];
-    let mut sim = run_with_outages(vec![], node_outages, 4000.0);
-    sim.run_until(KILL + 400.0);
-    let node = overlay_at(&sim, src);
+    let mut world = run_with_outages(vec![], node_outages, 4000.0);
+    world.run_until(KILL + 400.0);
+    let node = world.node(src);
     // All information about dst has expired: no route is claimed.
     assert_eq!(
-        node.best_hop(NodeId(dst as u16), sim.now()),
+        node.best_hop(NodeId(dst as u16), world.sim().now()),
         None,
         "route to a dead node must eventually disappear"
     );
@@ -224,12 +216,12 @@ fn full_recovery_after_healing() {
             end_s: heal,
         })
         .collect();
-    let mut sim = run_with_outages(outages, vec![], heal + 400.0);
-    sim.run_until(heal + 300.0);
-    let node = overlay_at(&sim, src);
+    let mut world = run_with_outages(outages, vec![], heal + 400.0);
+    world.run_until(heal + 300.0);
+    let node = world.node(src);
     // Direct link is best again in a uniform world.
     assert_eq!(
-        node.best_hop(NodeId(dst as u16), sim.now()),
+        node.best_hop(NodeId(dst as u16), world.sim().now()),
         Some(NodeId(dst as u16)),
         "should revert to the direct route"
     );
@@ -238,5 +230,5 @@ fn full_recovery_after_healing() {
         None,
         "failover rendezvous must be dropped after reversion"
     );
-    assert_eq!(node.double_rendezvous_failures(sim.now()), 0);
+    assert_eq!(node.double_rendezvous_failures(world.sim().now()), 0);
 }

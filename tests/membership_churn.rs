@@ -3,11 +3,28 @@
 //! ([`MembershipMode::Centralized`] and [`MembershipMode::Swim`]).
 
 use allpairs_overlay::membership::detection_budget_s;
-use allpairs_overlay::netsim::Simulator;
 use allpairs_overlay::overlay::config::{Algorithm, MembershipMode, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::NodeId;
 use allpairs_overlay::topology::{FailureParams, FailureSchedule, LatencyMatrix, NodeOutage};
+
+/// A uniform `n`-node overlay over `schedule`, starts staggered over
+/// `start_spread_s`.
+fn uniform_world(
+    n: usize,
+    rtt_ms: f64,
+    schedule: FailureSchedule,
+    start_spread_s: f64,
+    node: impl FnMut(usize) -> NodeConfig,
+) -> World {
+    World::new(
+        LatencyMatrix::uniform(n, rtt_ms),
+        schedule,
+        overlay_sim_config(),
+        start_spread_s,
+        node,
+    )
+}
 
 /// A node config in the requested membership mode (node 0 acts as
 /// coordinator / introducer).
@@ -24,32 +41,26 @@ fn mode_config(i: usize, mode: MembershipMode) -> NodeConfig {
 /// working routes.
 fn staggered_joins_converge_in(mode: MembershipMode) {
     let n = 12;
-    let mut sim = Simulator::new(
-        LatencyMatrix::uniform(n, 40.0),
-        FailureParams::none(n, 1e9),
-        overlay_sim_config(),
-    );
     // No static membership: everyone joins via node 0.
-    populate(&mut sim, n, 60.0, move |i| mode_config(i, mode));
-    sim.run_until(300.0);
-    let v0 = overlay_at(&sim, 0)
-        .view()
-        .expect("node 0 has a view")
-        .clone();
+    let mut world = uniform_world(n, 40.0, FailureParams::none(n, 1e9), 60.0, |i| {
+        mode_config(i, mode)
+    });
+    world.run_until(300.0);
+    let v0 = world.node(0).view().expect("node 0 has a view").clone();
     assert_eq!(v0.len(), n, "node 0 misses members in {mode:?}");
     for i in 0..n {
-        let node = overlay_at(&sim, i);
+        let node = world.node(i);
         assert!(node.is_member(), "node {i} not a member in {mode:?}");
         assert_eq!(node.view().unwrap(), &v0, "node {i} diverges in {mode:?}");
     }
     // Routing works across the final view.
-    let node3 = overlay_at(&sim, 3);
+    let node3 = world.node(3);
     for dst in 0..n as u16 {
         if dst == 3 {
             continue;
         }
         assert!(
-            node3.best_hop(NodeId(dst), sim.now()).is_some(),
+            node3.best_hop(NodeId(dst), world.sim().now()).is_some(),
             "no route 3→{dst} after convergence in {mode:?}"
         );
     }
@@ -75,39 +86,25 @@ fn swim_removes_crashed_node_within_budget() {
     let dead = 3usize;
     let kill_at = 60.0;
     let budget = detection_budget_s(n);
-    let mut params = FailureParams::with_n(n);
-    params.median_concurrent = 1e-12; // no background link failures
-    params.duration_s = 1e9;
-    params.node_outages = vec![NodeOutage {
-        node: dead,
-        start_s: kill_at,
-        end_s: 1e9,
-    }];
-    let mut sim = Simulator::new(
-        LatencyMatrix::uniform(n, 40.0),
-        FailureSchedule::generate(&params),
-        overlay_sim_config(),
-    );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 2.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-            .with_swim()
+    // No background link failures: the crash is the only one.
+    let params = FailureParams::scripted(n, 1e9).with_crashes(&[dead], kill_at);
+    let mut world = uniform_world(n, 40.0, FailureSchedule::generate(&params), 2.0, |i| {
+        NodeConfig::static_member(i, n, Algorithm::Quorum).with_swim()
     });
     // Sanity: before the crash everyone holds the full bootstrap view.
-    sim.run_until(kill_at);
+    world.run_until(kill_at);
     for i in 0..n {
-        assert_eq!(overlay_at(&sim, i).view().unwrap().len(), n);
+        assert_eq!(world.node(i).view().unwrap().len(), n);
     }
-    sim.run_until(kill_at + budget);
-    let reference = overlay_at(&sim, 0).view().unwrap().clone();
+    world.run_until(kill_at + budget);
+    let reference = world.node(0).view().unwrap().clone();
     assert_eq!(reference.len(), n - 1, "dead node still in view");
     assert!(!reference.contains(NodeId(dead as u16)));
     for i in 0..n {
         if i == dead {
             continue;
         }
-        let view = overlay_at(&sim, i).view().unwrap();
+        let view = world.node(i).view().unwrap();
         assert_eq!(
             view, &reference,
             "survivor {i} disagrees: {view:?} vs {reference:?}"
@@ -124,39 +121,24 @@ fn swim_survives_introducer_loss() {
     let n = 9;
     let kill_at = 50.0;
     let budget = detection_budget_s(n);
-    let mut params = FailureParams::with_n(n);
-    params.median_concurrent = 1e-12;
-    params.duration_s = 1e9;
-    params.node_outages = vec![NodeOutage {
-        node: 0,
-        start_s: kill_at,
-        end_s: 1e9,
-    }];
-    let mut sim = Simulator::new(
-        LatencyMatrix::uniform(n, 30.0),
-        FailureSchedule::generate(&params),
-        overlay_sim_config(),
-    );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 2.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
-            .with_swim()
+    let params = FailureParams::scripted(n, 1e9).with_crashes(&[0], kill_at);
+    let mut world = uniform_world(n, 30.0, FailureSchedule::generate(&params), 2.0, |i| {
+        NodeConfig::static_member(i, n, Algorithm::Quorum).with_swim()
     });
-    sim.run_until(kill_at + budget + 60.0);
-    let reference = overlay_at(&sim, 1).view().unwrap().clone();
+    world.run_until(kill_at + budget + 60.0);
+    let reference = world.node(1).view().unwrap().clone();
     assert_eq!(reference.len(), n - 1);
     assert!(!reference.contains(NodeId(0)));
     for i in 1..n {
-        let node = overlay_at(&sim, i);
+        let node = world.node(i);
         assert_eq!(node.view().unwrap(), &reference, "survivor {i} diverges");
         assert!(node.is_member());
     }
     // Routing still functions across the survivors' agreed view.
-    let node1 = overlay_at(&sim, 1);
+    let node1 = world.node(1);
     for dst in 2..n as u16 {
         assert!(
-            node1.best_hop(NodeId(dst), sim.now()).is_some(),
+            node1.best_hop(NodeId(dst), world.sim().now()).is_some(),
             "no route 1→{dst} after introducer loss"
         );
     }
@@ -167,31 +149,31 @@ fn swim_survives_introducer_loss() {
 #[test]
 fn late_join_preserves_measurements() {
     let n = 10;
-    let mut sim = Simulator::new(
-        LatencyMatrix::uniform(n, 80.0),
-        FailureParams::none(n, 1e9),
-        overlay_sim_config(),
-    );
-    // Nodes 0..9 join immediately; node 9 joins two minutes in.
-    for i in 0..n {
-        let cfg = NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum);
-        let start = if i == n - 1 { 120.0 } else { 1.0 };
-        sim.add_node(
-            Box::new(allpairs_overlay::overlay::simnode::SimNode::new(
-                allpairs_overlay::overlay::node::OverlayNode::new(cfg),
-            )),
-            start,
-        );
-    }
-    sim.run_until(110.0);
-    // Before the join: node 1 has measured node 2.
-    let before = overlay_at(&sim, 1)
+    let joiner = n - 1;
+    // Nodes 0..8 join within the first second; node 9 is cut off from
+    // the network until two minutes in, so its join retries reach the
+    // coordinator only then.
+    let mut params = FailureParams::scripted(n, 1e9);
+    params.node_outages = vec![NodeOutage {
+        node: joiner,
+        start_s: 0.0,
+        end_s: 120.0,
+    }];
+    let mut world = uniform_world(n, 80.0, FailureSchedule::generate(&params), 1.0, |i| {
+        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
+    });
+    world.run_until(110.0);
+    // Before the join: node 1 has measured node 2, and the joiner is
+    // not yet a member.
+    let before = world
+        .node(1)
         .measured_latency_ms(NodeId(2))
         .expect("measured before join");
-    sim.run_until(140.0);
+    assert_eq!(world.node(1).view().unwrap().len(), n - 1);
+    world.run_until(140.0);
     // Just after the view change: the estimate survives (carry-over), it
     // is not reset to None.
-    let node1 = overlay_at(&sim, 1);
+    let node1 = world.node(1);
     assert_eq!(
         node1.view().unwrap().len(),
         n,
@@ -202,10 +184,11 @@ fn late_join_preserves_measurements() {
         .expect("estimator state must survive the view change");
     assert!((after - before).abs() < 10.0, "{before} vs {after}");
     // And the newcomer becomes routable soon after.
-    sim.run_until(260.0);
+    world.run_until(260.0);
     assert!(
-        overlay_at(&sim, 1)
-            .best_hop(NodeId((n - 1) as u16), sim.now())
+        world
+            .node(1)
+            .best_hop(NodeId(joiner as u16), world.sim().now())
             .is_some(),
         "no route to the late joiner"
     );
@@ -216,16 +199,11 @@ fn late_join_preserves_measurements() {
 fn leave_shrinks_view() {
     use allpairs_overlay::linkstate::Message;
     let n = 6;
-    let mut sim = Simulator::new(
-        LatencyMatrix::uniform(n, 30.0),
-        FailureParams::none(n, 1e9),
-        overlay_sim_config(),
-    );
-    populate(&mut sim, n, 5.0, move |i| {
+    let mut world = uniform_world(n, 30.0, FailureParams::none(n, 1e9), 5.0, |i| {
         NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
     });
-    sim.run_until(120.0);
-    assert_eq!(overlay_at(&sim, 0).view().unwrap().len(), n);
+    world.run_until(120.0);
+    assert_eq!(world.node(0).view().unwrap().len(), n);
 
     // Node 5 announces a leave by sending the coordinator a Leave message
     // through the overlay's own wire format. We inject it as a behavior

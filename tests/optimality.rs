@@ -6,35 +6,35 @@
 //! full-mesh baseline, which trivially computes the same optimum from
 //! complete information.
 
-use allpairs_overlay::netsim::{Simulator, SimulatorConfig};
+use allpairs_overlay::netsim::SimulatorConfig;
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::NodeId;
 use allpairs_overlay::topology::{FailureParams, LatencyMatrix, PlanetLabParams, Topology};
 
-fn run_overlay(matrix: LatencyMatrix, algorithm: Algorithm, until_s: f64, seed: u64) -> Simulator {
+fn run_overlay(matrix: LatencyMatrix, algorithm: Algorithm, until_s: f64, seed: u64) -> World {
     let n = matrix.len();
-    let mut sim = Simulator::new(
+    let mut world = World::new(
         matrix,
         FailureParams::none(n, until_s + 100.0),
         SimulatorConfig {
             seed,
             ..overlay_sim_config()
         },
+        5.0,
+        |i| NodeConfig::static_member(i, n, algorithm),
     );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), algorithm).with_static_members(members.clone())
-    });
-    sim.run_until(until_s);
-    sim
+    world.run_until(until_s);
+    world
 }
 
 /// The cost of routing `src → dst` through the overlay's chosen first hop,
-/// under ground truth.
-fn chosen_cost(sim: &Simulator, truth: &LatencyMatrix, src: usize, dst: usize) -> Option<f64> {
-    let node = overlay_at(sim, src);
-    let hop = node.best_hop(NodeId(dst as u16), sim.now())?;
+/// under ground truth (the matrix the run used).
+fn chosen_cost(world: &World, src: usize, dst: usize) -> Option<f64> {
+    let truth = world.sim().latency();
+    let hop = world
+        .node(src)
+        .best_hop(NodeId(dst as u16), world.sim().now())?;
     Some(if hop.index() == dst {
         truth.rtt(src, dst)
     } else {
@@ -60,8 +60,8 @@ fn quorum_overlay_converges_to_optimal_one_hops() {
             topo.latency.set_loss(i, j, 0.0);
         }
     }
-    let truth = topo.latency.clone();
-    let sim = run_overlay(topo.latency, Algorithm::Quorum, 150.0, 1);
+    let world = run_overlay(topo.latency, Algorithm::Quorum, 150.0, 1);
+    let truth = world.sim().latency();
 
     let mut suboptimal = 0;
     let mut worst_excess: f64 = 0.0;
@@ -71,8 +71,8 @@ fn quorum_overlay_converges_to_optimal_one_hops() {
                 continue;
             }
             let optimal = truth.best_path_with_one_hop(src, dst);
-            let chosen = chosen_cost(&sim, &truth, src, dst)
-                .unwrap_or_else(|| panic!("{src}→{dst} unrouted"));
+            let chosen =
+                chosen_cost(&world, src, dst).unwrap_or_else(|| panic!("{src}→{dst} unrouted"));
             // Tolerance: wire quantization (1 ms per leg) plus EWMA jitter
             // (±3 % per leg).
             let tolerance = 0.08 * optimal + 3.0;
@@ -97,10 +97,9 @@ fn quorum_and_fullmesh_agree_on_routes() {
         loss_sigma: 0.01,
         ..Default::default()
     });
-    let truth = topo.latency.clone();
-    let n = truth.len();
-    let quorum = run_overlay(truth.clone(), Algorithm::Quorum, 150.0, 2);
-    let fullmesh = run_overlay(truth.clone(), Algorithm::FullMesh, 150.0, 2);
+    let n = topo.len();
+    let quorum = run_overlay(topo.latency.clone(), Algorithm::Quorum, 150.0, 2);
+    let fullmesh = run_overlay(topo.latency, Algorithm::FullMesh, 150.0, 2);
 
     let mut disagreements = 0;
     for src in 0..n {
@@ -108,8 +107,8 @@ fn quorum_and_fullmesh_agree_on_routes() {
             if src == dst {
                 continue;
             }
-            let a = chosen_cost(&quorum, &truth, src, dst).expect("quorum routed");
-            let b = chosen_cost(&fullmesh, &truth, src, dst).expect("fullmesh routed");
+            let a = chosen_cost(&quorum, src, dst).expect("quorum routed");
+            let b = chosen_cost(&fullmesh, src, dst).expect("fullmesh routed");
             // The chosen hops may differ on near-ties; the achieved costs
             // must agree within measurement tolerance.
             if (a - b).abs() > 0.08 * b.min(a) + 3.0 {
@@ -132,11 +131,11 @@ fn every_node_learns_every_destination() {
         seed: 5,
         ..Default::default()
     });
-    let sim = run_overlay(topo.latency, Algorithm::Quorum, 200.0, 3);
-    let now = sim.now();
+    let world = run_overlay(topo.latency, Algorithm::Quorum, 200.0, 3);
+    let now = world.sim().now();
     let mut worst = 0.0f64;
     for src in 0..49 {
-        let node = overlay_at(&sim, src);
+        let node = world.node(src);
         for dst in 0..49 {
             if src == dst {
                 continue;
@@ -160,12 +159,12 @@ fn deterministic_end_to_end() {
         ..Default::default()
     });
     let routes = |seed: u64| -> Vec<Option<NodeId>> {
-        let sim = run_overlay(topo.latency.clone(), Algorithm::Quorum, 120.0, seed);
+        let world = run_overlay(topo.latency.clone(), Algorithm::Quorum, 120.0, seed);
         let mut out = Vec::new();
         for src in 0..16 {
             for dst in 0..16 {
                 if src != dst {
-                    out.push(overlay_at(&sim, src).best_hop(NodeId(dst as u16), 120.0));
+                    out.push(world.node(src).best_hop(NodeId(dst as u16), 120.0));
                 }
             }
         }

@@ -7,10 +7,10 @@
 //! owns ([`PollingNode`]): the node itself has one timer discipline.
 
 use allpairs_overlay::linkstate::{LinkEntry, LinkStateStore, RowStore};
-use allpairs_overlay::netsim::{Ctx, NodeBehavior, Simulator};
+use allpairs_overlay::netsim::{Ctx, NodeBehavior, Simulator, SimulatorConfig};
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
 use allpairs_overlay::overlay::node::{Outbox, OverlayNode, TOKEN_PROBE};
-use allpairs_overlay::overlay::simnode::{overlay_at, overlay_sim_config, populate};
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::quorum::NodeId;
 use allpairs_overlay::topology::{FailureParams, LatencyMatrix};
 
@@ -87,25 +87,37 @@ impl NodeBehavior for PollingNode {
 }
 
 fn node_config(i: usize) -> NodeConfig {
-    let members: Vec<NodeId> = (0..N as u16).map(NodeId).collect();
-    NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum).with_static_members(members)
+    NodeConfig::static_member(i, N, Algorithm::Quorum)
 }
 
-fn run(polling: bool) -> Simulator {
-    let cfg = allpairs_overlay::netsim::SimulatorConfig {
+fn sim_config() -> SimulatorConfig {
+    SimulatorConfig {
         seed: 42,
         jitter_frac: 0.0,
         ..overlay_sim_config()
-    };
-    let mut sim = Simulator::new(varied_matrix(), FailureParams::none(N, 1e6), cfg);
-    if polling {
-        // Same staggered starts as `populate`.
-        for i in 0..N {
-            let node = OverlayNode::new(node_config(i));
-            sim.add_node(Box::new(PollingNode { node }), 5.0 * i as f64 / N as f64);
-        }
-    } else {
-        populate(&mut sim, N, 5.0, node_config);
+    }
+}
+
+/// The overlay under its own coalesced timers.
+fn run_coalesced() -> World {
+    let mut world = World::new(
+        varied_matrix(),
+        FailureParams::none(N, 1e6),
+        sim_config(),
+        5.0,
+        node_config,
+    );
+    world.run_until(HORIZON_S);
+    world
+}
+
+/// The same overlay behind [`PollingNode`].
+fn run_fixed_tick() -> Simulator {
+    let mut sim = Simulator::new(varied_matrix(), FailureParams::none(N, 1e6), sim_config());
+    // Same staggered starts as `World::new`.
+    for i in 0..N {
+        let node = OverlayNode::new(node_config(i));
+        sim.add_node(Box::new(PollingNode { node }), 5.0 * i as f64 / N as f64);
     }
     sim.run_until(HORIZON_S);
     sim
@@ -130,21 +142,19 @@ fn held(table: &RowStore) -> Vec<HeldRow> {
         .collect()
 }
 
-/// The overlay node at simulator slot `i`, whichever driver hosts it.
-fn node_at(sim: &Simulator, i: usize) -> &OverlayNode {
-    match sim.node(i).as_any().downcast_ref::<PollingNode>() {
-        Some(host) => &host.node,
-        None => overlay_at(sim, i),
-    }
+/// The overlay node [`PollingNode`] hosts at simulator slot `i`.
+fn polled(sim: &Simulator, i: usize) -> &OverlayNode {
+    let host = sim.node(i).as_any().downcast_ref::<PollingNode>();
+    &host.expect("slot hosts a PollingNode").node
 }
 
 #[test]
 fn coalesced_replays_fixed_tick_bit_identically() {
-    let (fixed, coalesced) = (run(true), run(false));
+    let (fixed, coalesced) = (run_fixed_tick(), run_coalesced());
 
     for i in 0..N {
-        let f = node_at(&fixed, i);
-        let c = node_at(&coalesced, i);
+        let f = polled(&fixed, i);
+        let c = coalesced.node(i);
 
         // Identical link-state tables, down to the f64 bits of the row
         // timestamps and every wire-quantized entry.
@@ -199,7 +209,8 @@ fn coalesced_replays_fixed_tick_bit_identically() {
     // mesh probing), so the saving shows up as a solid margin rather
     // than an order of magnitude — the 0.5 s polling ticks are what
     // disappears.
-    let (fixed_events, coalesced_events) = (fixed.events_processed(), coalesced.events_processed());
+    let (fixed_events, coalesced_events) =
+        (fixed.events_processed(), coalesced.sim().events_processed());
     assert!(
         coalesced_events * 10 < fixed_events * 9,
         "coalesced {coalesced_events} vs fixed {fixed_events}: \

@@ -2,10 +2,9 @@
 //! claims, measured end-to-end through the simulator.
 
 use allpairs_overlay::analysis::theory;
-use allpairs_overlay::netsim::{Simulator, SimulatorConfig, TrafficClass};
+use allpairs_overlay::netsim::{SimulatorConfig, TrafficClass};
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
-use allpairs_overlay::overlay::simnode::{overlay_sim_config, populate};
-use allpairs_overlay::quorum::NodeId;
+use allpairs_overlay::overlay::simnode::{overlay_sim_config, World};
 use allpairs_overlay::topology::{FailureParams, PlanetLabParams, Topology};
 
 fn routing_bps(n: usize, algorithm: Algorithm, seed: u64) -> f64 {
@@ -14,20 +13,20 @@ fn routing_bps(n: usize, algorithm: Algorithm, seed: u64) -> f64 {
         seed,
         ..Default::default()
     });
-    let mut sim = Simulator::new(
+    let mut world = World::new(
         topo.latency,
         FailureParams::none(n, 400.0),
         SimulatorConfig {
             seed,
             ..overlay_sim_config()
         },
+        5.0,
+        |i| NodeConfig::static_member(i, n, algorithm),
     );
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), algorithm).with_static_members(members.clone())
-    });
-    sim.run_until(300.0);
-    sim.stats()
+    world.run_until(300.0);
+    world
+        .sim()
+        .stats()
         .fleet_mean_bps(&[TrafficClass::Routing], 60.0, 300.0)
 }
 
@@ -94,14 +93,11 @@ fn failure_load_stays_balanced() {
     let schedule = allpairs_overlay::topology::FailureSchedule::generate(
         &FailureParams::with_n(n).with_seed(0xBAD),
     );
-    let mut sim = Simulator::new(topo.latency, schedule, overlay_sim_config());
-    let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-    populate(&mut sim, n, 5.0, move |i| {
-        NodeConfig::new(NodeId(i as u16), NodeId(0), Algorithm::Quorum)
-            .with_static_members(members.clone())
+    let mut world = World::new(topo.latency, schedule, overlay_sim_config(), 5.0, |i| {
+        NodeConfig::static_member(i, n, Algorithm::Quorum)
     });
-    sim.run_until(900.0);
-    let stats = sim.stats();
+    world.run_until(900.0);
+    let stats = world.sim().stats();
     let routing = [TrafficClass::Routing];
     let fleet_mean = stats.fleet_mean_bps(&routing, 120.0, 900.0);
     let worst_window = (0..n)
@@ -128,17 +124,17 @@ fn probing_is_linear_and_algorithm_independent() {
         })
     };
     let probe_bps = |n: usize, algo: Algorithm| {
-        let mut sim = Simulator::new(
+        let mut world = World::new(
             topo(n).latency,
             FailureParams::none(n, 400.0),
             overlay_sim_config(),
+            5.0,
+            |i| NodeConfig::static_member(i, n, algo),
         );
-        let members: Vec<NodeId> = (0..n as u16).map(NodeId).collect();
-        populate(&mut sim, n, 5.0, move |i| {
-            NodeConfig::new(NodeId(i as u16), NodeId(0), algo).with_static_members(members.clone())
-        });
-        sim.run_until(300.0);
-        sim.stats()
+        world.run_until(300.0);
+        world
+            .sim()
+            .stats()
             .fleet_mean_bps(&[TrafficClass::Probing], 60.0, 300.0)
     };
     let q = probe_bps(49, Algorithm::Quorum);
