@@ -634,13 +634,20 @@ pub fn table(points: &[ScalePoint], netsim: &[NetsimScalePoint]) -> ResultTable 
 }
 
 /// Run both arms, print and write `scale.csv` plus the netsim arm's
-/// aggregated fleet telemetry (`scale_telemetry.json`).
+/// aggregated fleet telemetry (`scale_telemetry.json`). After the
+/// netsim arm, print the process's peak resident set (`peak_rss_mb`)
+/// on stdout only.
 ///
 /// # Errors
 /// Propagates CSV/JSON I/O errors.
 pub fn run_and_report(params: &ScaleParams) -> std::io::Result<Vec<ScalePoint>> {
     let points = run(params);
     let netsim_points = run_netsim(&params.netsim);
+    // Stdout only: the exports stay byte-reproducible from the seed.
+    println!(
+        "peak_rss_mb: {}",
+        peak_rss_mb().map_or("n/a".to_string(), |mb| format!("{mb:.1}"))
+    );
     let title = format!(
         "Scale study — sparse row store over the two-round fabric ({} sampled pairs), \
          and the full stack under churn ({} kills) + {}-node partition",
@@ -664,6 +671,21 @@ pub fn run_and_report(params: &ScaleParams) -> std::io::Result<Vec<ScalePoint>> 
         }),
     )?;
     Ok(points)
+}
+
+/// This process's peak resident set so far, in MB of 10⁶ B (`VmHWM`
+/// in `/proc/self/status`, which counts KiB); `None` where that cannot
+/// be read.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line["VmHWM:".len()..]
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb * 1024.0 / 1e6)
 }
 
 #[cfg(test)]

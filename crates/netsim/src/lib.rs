@@ -51,9 +51,11 @@
 //! [`Simulator::telemetry_snapshot`] builds the snapshot from them on
 //! demand, every key present, zero counters included. Byte accounting
 //! ([`TrafficStats`]) is plain data for the same reason: one row of
-//! counters per time bucket. The [`FailureSchedule`] marks the nodes
-//! and links it ever takes down, so the per-packet up checks on the
-//! others skip the outage search.
+//! counters per time bucket. The [`FailureSchedule`] holds only the
+//! faults it has: an outage list for each node and each link that has
+//! one, behind one ever-down bit per node and per link, and one record
+//! per partition. So it keeps no list per pair, and the per-packet up
+//! checks on a link that is never down skip the outage search.
 //!
 //! The simulator transports opaque byte buffers: nodes hand it *encoded*
 //! messages, so every simulated run also exercises the real wire codec.

@@ -14,6 +14,16 @@
 //! failures act on the paper's system — probes and routing messages are
 //! simply lost, and all detection happens through the overlay's own
 //! probing, exactly as in section 5.
+//!
+//! A schedule holds the faults, not the pairs. Past one bit per link, a
+//! scripted schedule costs memory in `n` plus its faults:
+//! * a link has an outage list only when it has an outage, in a table
+//!   sorted by [`pair_index`], behind one ever-down bit per link that
+//!   lets a query on any other link skip the search;
+//! * a partition is one [`Partition`] record — its window and the side
+//!   each node is on — not one outage per cut link; a link is cut
+//!   while the window is open and its endpoints are on different
+//!   sides.
 
 use crate::sampling;
 use rand::{Rng, SeedableRng};
@@ -51,6 +61,8 @@ pub struct FailureParams {
     /// Explicit single-link outages, merged into the generated schedule
     /// (targeted failure injection for tests and demos).
     pub link_outages: Vec<LinkOutage>,
+    /// Clean network partitions ([`FailureParams::with_partition`]).
+    pub partitions: Vec<Partition>,
 }
 
 impl Default for FailureParams {
@@ -66,6 +78,7 @@ impl Default for FailureParams {
             max_down_fraction: 0.85,
             node_outages: Vec::new(),
             link_outages: Vec::new(),
+            partitions: Vec::new(),
         }
     }
 }
@@ -108,23 +121,23 @@ impl FailureParams {
     /// the generated background failures), so both sides keep operating
     /// as overlays — the scenario `experiments::partition` measures.
     ///
+    /// The cut is recorded as one [`Partition`] in
+    /// [`FailureParams::partitions`] — its window and which side each
+    /// node is on — not as an outage per cut link, so it costs `n`
+    /// bytes however many links it cuts.
+    ///
     /// # Panics
     /// Panics on an out-of-range or duplicated minority index, or an
     /// empty window.
     #[must_use]
     pub fn with_partition(mut self, minority: &[usize], start_s: f64, end_s: f64) -> Self {
         assert!(start_s < end_s, "empty partition window");
-        let side = self.mask("minority index", minority);
-        for &m in minority {
-            for other in (0..self.n).filter(|&o| !side[o]) {
-                self.link_outages.push(LinkOutage {
-                    a: m,
-                    b: other,
-                    start_s,
-                    end_s,
-                });
-            }
-        }
+        let minority = self.mask("minority index", minority);
+        self.partitions.push(Partition {
+            start_s,
+            end_s,
+            minority,
+        });
         self
     }
 
@@ -217,20 +230,47 @@ pub struct LinkOutage {
     pub end_s: f64,
 }
 
+/// A clean network partition: during `[start_s, end_s)` every link
+/// between a node in the minority and a node outside it is down.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Partition {
+    /// Window start, seconds.
+    pub start_s: f64,
+    /// Window end, seconds.
+    pub end_s: f64,
+    /// The side each node is on: `minority[i]` when node `i` is cut
+    /// off with the minority. One entry per node.
+    pub minority: Vec<bool>,
+}
+
+impl Partition {
+    /// Does this partition cut the link `(i, j)` at time `t`?
+    fn cuts(&self, i: usize, j: usize, t: f64) -> bool {
+        self.start_s <= t && t < self.end_s && self.minority[i] != self.minority[j]
+    }
+}
+
 /// A pre-generated, queryable failure schedule.
+///
+/// It holds the faults, not the pairs: an outage list for each node and
+/// for each link that has one, and the partitions as their own records.
+/// [`FailureSchedule::is_link_up`] answers for a link from its own list,
+/// both endpoints' lists and every partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FailureSchedule {
     n: usize,
     duration_s: f64,
-    /// Outage lists per unordered pair, indexed by [`pair_index`].
-    link_down: Vec<Vec<Outage>>,
+    /// The outage lists of the links that have one, as
+    /// `(pair_index, list)` sorted by pair index.
+    link_down: Vec<(usize, Vec<Outage>)>,
     /// Outage lists per node.
     node_down: Vec<Vec<Outage>>,
-    /// One bit per entry of `link_down` and of `node_down`, set where
-    /// the list is not empty: a query on a link or node that is never
-    /// down skips the interval search and the list's cold header.
+    /// One bit per unordered pair and per node, set where it has an
+    /// outage list: a query on a link or node that is never down skips
+    /// the search.
     link_ever_down: Bits,
     node_ever_down: Bits,
+    partitions: Vec<Partition>,
 }
 
 /// A fixed-length bitset.
@@ -238,13 +278,11 @@ pub struct FailureSchedule {
 struct Bits(Vec<u64>);
 
 impl Bits {
-    /// Bit `i` set where `lists[i]` is not empty.
-    fn non_empty(lists: &[Vec<Outage>]) -> Bits {
-        let mut bits = vec![0u64; lists.len().div_ceil(64)];
-        for (i, list) in lists.iter().enumerate() {
-            if !list.is_empty() {
-                bits[i / 64] |= 1 << (i % 64);
-            }
+    /// `len` bits, set at each of `ones`.
+    fn ones(len: usize, ones: impl IntoIterator<Item = usize>) -> Bits {
+        let mut bits = vec![0u64; len.div_ceil(64)];
+        for i in ones {
+            bits[i / 64] |= 1 << (i % 64);
         }
         Bits(bits)
     }
@@ -282,7 +320,8 @@ impl FailureSchedule {
             })
             .collect();
 
-        let mut link_down = vec![Vec::new(); n * n.saturating_sub(1) / 2];
+        let pairs = n * n.saturating_sub(1) / 2;
+        let mut link_down: Vec<(usize, Vec<Outage>)> = Vec::new();
         if n >= 2 {
             for i in 0..n {
                 for j in (i + 1)..n {
@@ -301,37 +340,57 @@ impl FailureSchedule {
                         params.mean_outage_s,
                         params.min_outage_s,
                     );
-                    link_down[pair_index(n, i, j)] = outages;
+                    if !outages.is_empty() {
+                        link_down.push((pair_index(n, i, j), outages));
+                    }
                 }
             }
         }
 
-        // Merge in explicit link outages.
+        // Merge in explicit link outages: one more list per outage, then
+        // sort by pair and join the lists of each pair.
         for o in &params.link_outages {
             assert!(
                 o.a < n && o.b < n && o.a != o.b,
                 "bad link outage endpoints"
             );
             assert!(o.start_s < o.end_s, "empty link outage window");
-            link_down[pair_index(n, o.a, o.b)].push((o.start_s, o.end_s));
+            link_down.push((pair_index(n, o.a, o.b), vec![(o.start_s, o.end_s)]));
         }
+        link_down.sort_by_key(|&(pair, _)| pair);
+        link_down.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1.append(&mut later.1);
+            }
+            same
+        });
         let mut node_down = vec![Vec::new(); n];
         for o in &params.node_outages {
             assert!(o.node < n, "node outage index {} out of range", o.node);
             assert!(o.start_s < o.end_s, "empty node outage window");
             node_down[o.node].push((o.start_s, o.end_s));
         }
-        for list in link_down.iter_mut().chain(&mut node_down) {
+        for list in link_down
+            .iter_mut()
+            .map(|(_, list)| list)
+            .chain(&mut node_down)
+        {
             coalesce(list);
+        }
+        for p in &params.partitions {
+            assert_eq!(p.minority.len(), n, "partition sides must cover every node");
+            assert!(p.start_s < p.end_s, "empty partition window");
         }
 
         FailureSchedule {
             n,
             duration_s: params.duration_s,
-            link_ever_down: Bits::non_empty(&link_down),
-            node_ever_down: Bits::non_empty(&node_down),
+            link_ever_down: Bits::ones(pairs, link_down.iter().map(|&(pair, _)| pair)),
+            node_ever_down: Bits::ones(n, (0..n).filter(|&i| !node_down[i].is_empty())),
             link_down,
             node_down,
+            partitions: params.partitions.clone(),
         }
     }
 
@@ -387,7 +446,8 @@ impl FailureSchedule {
     }
 
     /// Is the link `(i, j)` usable at time `t`? False when the link itself
-    /// is scheduled down or either endpoint is down.
+    /// is scheduled down, either endpoint is down, or a partition cuts
+    /// it.
     #[must_use]
     pub fn is_link_up(&self, i: usize, j: usize, t: f64) -> bool {
         if i == j {
@@ -396,13 +456,16 @@ impl FailureSchedule {
         let pair = pair_index(self.n, i, j);
         self.is_node_up(i, t)
             && self.is_node_up(j, t)
-            && !(self.link_ever_down.get(pair) && covered(&self.link_down[pair], t))
+            && !(self.link_ever_down.get(pair) && covered(self.link_list(pair), t))
+            && !self.partitions.iter().any(|p| p.cuts(i, j, t))
     }
 
-    /// The outage list of link `(i, j)`.
-    #[must_use]
-    pub fn link_outages(&self, i: usize, j: usize) -> &[Outage] {
-        &self.link_down[pair_index(self.n, i, j)]
+    /// The link's own outage list (partitions not included), by pair
+    /// index; empty for a link that is never down by itself.
+    fn link_list(&self, pair: usize) -> &[Outage] {
+        self.link_down
+            .binary_search_by_key(&pair, |&(p, _)| p)
+            .map_or(&[], |k| &self.link_down[k].1)
     }
 
     /// Number of concurrent link failures observed by node `i` at `t`:
@@ -454,6 +517,11 @@ fn covered(intervals: &[Outage], t: f64) -> bool {
 mod tests {
     use super::*;
 
+    /// The own outage list of link `(i, j)`.
+    fn outages(s: &FailureSchedule, i: usize, j: usize) -> &[Outage] {
+        s.link_list(pair_index(s.n, i, j))
+    }
+
     #[test]
     fn pair_index_bijective() {
         let n = 17;
@@ -476,7 +544,7 @@ mod tests {
         let b = FailureSchedule::generate(&p);
         for i in 0..30 {
             for j in (i + 1)..30 {
-                assert_eq!(a.link_outages(i, j), b.link_outages(i, j));
+                assert_eq!(outages(&a, i, j), outages(&b, i, j));
             }
         }
     }
@@ -486,7 +554,7 @@ mod tests {
         let s = FailureSchedule::generate(&FailureParams::with_n(40));
         for i in 0..40 {
             for j in (i + 1)..40 {
-                let os = s.link_outages(i, j);
+                let os = outages(&s, i, j);
                 for w in os.windows(2) {
                     assert!(w[0].1 <= w[1].0, "overlap {w:?}");
                 }
@@ -527,8 +595,10 @@ mod tests {
         assert!(s.concurrent_failures(0, 150.0) >= 1);
     }
 
-    /// The ever-down bits only skip searches that would find nothing:
-    /// every query equals the interval search over the outage lists.
+    /// The ever-down bits only skip searches that would find nothing,
+    /// and a partition record cuts exactly the links it used to expand
+    /// into: every query equals the interval search over a schedule
+    /// whose partitions are spelled out as one outage per cut link.
     #[test]
     fn up_queries_match_the_interval_search() {
         let n = 70; // more than one bitset word
@@ -545,24 +615,46 @@ mod tests {
             start_s: 300.0,
             end_s: 400.0,
         }];
+        // The first cut overlaps the explicit outage of (3, 65), a cut
+        // link; the second opens inside the first's window, on other
+        // sides.
+        let p = p
+            .with_partition(&(60..70).collect::<Vec<_>>(), 350.0, 700.0)
+            .with_partition(&[0, 1, 2, 30, 64, 65], 500.0, 1200.0);
+        let mut spelled = p.clone();
+        for cut in std::mem::take(&mut spelled.partitions) {
+            for a in (0..n).filter(|&a| cut.minority[a]) {
+                for b in (0..n).filter(|&b| !cut.minority[b]) {
+                    spelled.link_outages.push(LinkOutage {
+                        a,
+                        b,
+                        start_s: cut.start_s,
+                        end_s: cut.end_s,
+                    });
+                }
+            }
+        }
         let s = FailureSchedule::generate(&p);
+        let r = FailureSchedule::generate(&spelled);
         let links = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
-        let down = links.filter(|&(i, j)| !s.link_outages(i, j).is_empty());
+        let down = links.filter(|&(i, j)| !outages(&s, i, j).is_empty());
         assert!((1..n * (n - 1) / 2).contains(&down.count()));
-        let node_up = |i: usize, t: f64| !covered(&s.node_down[i], t);
-        for k in 0..200 {
-            let t = k as f64 * p.duration_s / 200.0 + 0.5;
+        let node_up = |i: usize, t: f64| !covered(&r.node_down[i], t);
+        let instants = (0..200).map(|k| k as f64 * p.duration_s / 200.0 + 0.5);
+        let edges = [350.0, 400.0, 500.0, 699.9, 700.0, 1199.9, 1200.0];
+        for t in instants.chain(edges) {
             for i in 0..n {
                 assert_eq!(s.is_node_up(i, t), node_up(i, t), "node {i} at {t}");
                 for j in 0..n {
                     let want = node_up(i, t)
                         && node_up(j, t)
-                        && (i == j || !covered(s.link_outages(i, j), t));
+                        && (i == j || !covered(outages(&r, i, j), t));
                     assert_eq!(s.is_link_up(i, j, t), want, "link ({i},{j}) at {t}");
                 }
             }
         }
         assert!(!s.is_node_up(66, 150.0) && !s.is_link_up(3, 65, 350.0));
+        assert!(!s.is_link_up(3, 65, 650.0) && !s.is_link_up(30, 31, 1000.0));
     }
 
     #[test]
@@ -632,10 +724,7 @@ mod tests {
             for i in 0..30 {
                 assert!(s.node_down[i].is_empty(), "seed {seed}: node {i}");
                 for j in (i + 1)..30 {
-                    assert!(
-                        s.link_outages(i, j).is_empty(),
-                        "seed {seed}: link ({i},{j})"
-                    );
+                    assert!(outages(&s, i, j).is_empty(), "seed {seed}: link ({i},{j})");
                 }
             }
         }
@@ -745,7 +834,7 @@ mod tests {
         ];
         let s = FailureSchedule::generate(&p);
         // Merged into one interval [100, 250).
-        assert_eq!(s.link_outages(0, 5), &[(100.0, 250.0)]);
+        assert_eq!(outages(&s, 0, 5), &[(100.0, 250.0)]);
         assert!(s.is_link_up(0, 5, 99.0));
         assert!(!s.is_link_up(0, 5, 175.0));
         assert!(!s.is_link_up(5, 0, 225.0));

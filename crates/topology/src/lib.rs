@@ -14,7 +14,9 @@
 //! * [`failures`] — renewal-process link-failure schedules whose per-node
 //!   concurrent-failure distribution is calibrated to figure 8 (most nodes
 //!   average < 10 concurrent link failures; a heavy tail reaches the
-//!   40–120 range).
+//!   40–120 range), plus the scripted crashes, blackouts and partitions
+//!   the studies inject. A schedule holds only its faults: its one
+//!   per-pair cost is an ever-down bit.
 //!
 //! Everything is seeded and deterministic: the same parameters and seed
 //! produce bit-identical environments on every run (we use `rand_chacha`
@@ -29,7 +31,7 @@ pub mod matrix;
 pub mod planetlab;
 pub(crate) mod sampling;
 
-pub use failures::{FailureParams, FailureSchedule, LinkOutage, NodeOutage};
+pub use failures::{FailureParams, FailureSchedule, LinkOutage, NodeOutage, Partition};
 pub use geo::{GeoPoint, Region};
 pub use matrix::LatencyMatrix;
 pub use planetlab::{PlanetLabParams, Topology};
