@@ -151,63 +151,158 @@ struct Episode {
 /// What this node knows of one server: when I first sent it link state
 /// (the grace-period anchor; [`NEVER`] = not yet), and when it last
 /// recommended a route to each destination it has vouched for.
+///
+/// A frame stamps every destination it names with the one time it
+/// arrived, so a time is held once per frame, not once per destination:
+/// an entry names its time by a `u16` handle. The latest frame's time
+/// sits in the record itself, so a server whose frames keep naming the
+/// same destinations needs nothing beside its entries. An earlier
+/// frame's time moves into a slot of `earlier` only while some entry
+/// still holds it, and a slot no entry holds is reused, so `earlier`
+/// never has more slots than the record has entries.
 #[derive(Debug)]
 struct ServerRecord {
     since: f64,
+    /// When the latest frame that stamped an entry arrived.
+    latest: f64,
     /// Sorted by destination, one allocation. A frame lists its
     /// destinations ascending, so ingest walks a cursor and a lookup is
     /// a binary search over `≤ 2√n` contiguous entries. An entry is
     /// never removed.
     seen: Vec<Seen>,
+    /// The times of earlier frames that entries still hold.
+    earlier: Vec<Slot>,
+    /// How many entries hold `latest`.
+    at_latest: u16,
+    /// The handle that stands for `latest`: [`LATEST`] or `LATEST ^ 1`.
+    /// A frame at a new time stamps its entries with the other one, so
+    /// the entries it skips still tell the old latest time apart.
+    fresh: u16,
 }
 
-/// One destination a server has recommended a route to, and when it
-/// last did: 10 B, packed to the `u16`'s alignment.
+/// One destination a server has recommended a route to, and which
+/// time it last did: 4 B.
 #[derive(Debug, Clone, Copy)]
-#[repr(C, packed(2))]
 struct Seen {
     dst: u16,
-    at: f64,
+    /// A slot of [`ServerRecord::earlier`], or [`ServerRecord::fresh`].
+    at: u16,
 }
 
+/// An earlier frame's time and how many entries hold it (none = free):
+/// 10 B, packed to the `u16`'s alignment.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
+struct Slot {
+    at: f64,
+    holders: u16,
+}
+
+/// One of the two handles that stand for a record's latest time. A
+/// record has at most `n − 1 < u16::MAX` entries, so its slots, each
+/// held by one, are numbered below both.
+const LATEST: u16 = u16::MAX;
+
 impl ServerRecord {
-    /// Last time this server recommended any route to `dst`.
-    fn last_rec(&self, dst: u16) -> Option<f64> {
-        self.seen
-            .binary_search_by_key(&dst, |e| e.dst)
-            .ok()
-            .map(|i| self.seen[i].at)
+    fn new() -> Self {
+        ServerRecord {
+            since: NEVER,
+            latest: NEVER,
+            seen: Vec::new(),
+            earlier: Vec::new(),
+            at_latest: 0,
+            fresh: LATEST,
+        }
     }
 
-    /// Record that this server recommended a route to `dst` at `now`;
-    /// returns whether that added an entry. `cursor` is where the
-    /// frame's previous destination landed plus one: frames list
-    /// destinations ascending, so the next one is usually right there;
-    /// anything else (a destination out of order, new, or skipped by
-    /// this frame) falls back to a binary search.
-    fn note_rec(&mut self, dst: u16, now: f64, cursor: &mut usize) -> bool {
-        let seen = &mut self.seen;
-        let mut added = false;
-        let at = if seen.get(*cursor).is_some_and(|e| e.dst == dst) {
-            *cursor
+    /// Last time this server recommended any route to `dst`.
+    fn last_rec(&self, dst: u16) -> Option<f64> {
+        let i = self.seen.binary_search_by_key(&dst, |e| e.dst).ok()?;
+        let at = self.seen[i].at;
+        Some(if at == self.fresh {
+            self.latest
         } else {
-            match seen.binary_search_by_key(&dst, |e| e.dst) {
-                Ok(i) => i,
-                Err(i) => {
-                    added = true;
-                    // Grow by exactly one: a server's destination set
-                    // settles within a few ticks and entries never
-                    // leave, so doubling would strand up to half of
-                    // every list, on every node, for good.
-                    seen.reserve_exact(1);
-                    seen.insert(i, Seen { dst, at: now });
-                    i
+            self.earlier[usize::from(at)].at
+        })
+    }
+
+    /// Record one frame from this server, arrived at `now`, naming
+    /// `dsts`; returns the bytes that added to the entries and slots.
+    /// Frames list destinations ascending, so the next one is usually
+    /// just past where the previous one landed; anything else (a
+    /// destination out of order, new, or skipped by this frame) falls
+    /// back to a binary search.
+    fn note_frame(&mut self, now: f64, dsts: impl Iterator<Item = u16>) -> usize {
+        let stamp = if now.to_bits() == self.latest.to_bits() {
+            self.fresh
+        } else {
+            self.fresh ^ 1
+        };
+        let (mut cursor, mut stamped, mut from_latest, mut added) = (0, 0u16, 0u16, 0);
+        for dst in dsts {
+            let i = if self.seen.get(cursor).is_some_and(|e| e.dst == dst) {
+                cursor
+            } else {
+                match self.seen.binary_search_by_key(&dst, |e| e.dst) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        // Grow by exactly one: a server's destination
+                        // set settles within a few ticks and entries
+                        // never leave, so doubling would strand up to
+                        // half of every list, on every node, for good.
+                        self.seen.reserve_exact(1);
+                        self.seen.insert(i, Seen { dst, at: stamp });
+                        cursor = i + 1;
+                        stamped += 1;
+                        added += size_of::<Seen>();
+                        continue;
+                    }
+                }
+            };
+            cursor = i + 1;
+            let held = self.seen[i].at;
+            if held == stamp {
+                continue;
+            }
+            if held == self.fresh {
+                from_latest += 1;
+            } else {
+                self.earlier[usize::from(held)].holders -= 1;
+            }
+            self.seen[i].at = stamp;
+            stamped += 1;
+        }
+        if stamp == self.fresh {
+            self.at_latest += stamped;
+        } else if stamped > 0 {
+            let left = self.at_latest - from_latest;
+            if left > 0 {
+                let (slot, grown) = self.keep(self.latest, left);
+                added += grown;
+                for e in &mut self.seen {
+                    if e.at == self.fresh {
+                        e.at = slot;
+                    }
                 }
             }
-        };
-        seen[at].at = now;
-        *cursor = at + 1;
+            (self.latest, self.at_latest, self.fresh) = (now, stamped, stamp);
+        }
         added
+    }
+
+    /// A slot holding `at` for `holders` entries — a free one if there
+    /// is one — and the bytes a new slot added.
+    fn keep(&mut self, at: f64, holders: u16) -> (u16, usize) {
+        let slot = Slot { at, holders };
+        // Every slot is held by an entry other than the latest frame's,
+        // so there are fewer than u16::MAX − 1 of them.
+        if let Some(i) = self.earlier.iter().position(|s| s.holders == 0) {
+            self.earlier[i] = slot;
+            (i as u16, 0)
+        } else {
+            self.earlier.push(slot);
+            ((self.earlier.len() - 1) as u16, size_of::<Slot>())
+        }
     }
 }
 
@@ -235,8 +330,8 @@ struct RouterCounters {
     routes_retracted: Counter,
     /// Relay count of every spliced detour admitted.
     detour_hops: Histogram,
-    /// Bytes the server records' entries hold: 10 per
-    /// `(dst, timestamp)`.
+    /// Bytes the server records' entries and slots hold: 4 per
+    /// `(dst, time handle)` and 10 per earlier frame's time.
     rec_seen_bytes: Gauge,
 }
 
@@ -285,10 +380,10 @@ pub struct QuorumRouter {
     /// entries total versus the `n` slots per server a dense row would
     /// burn. Nothing leaves a record until a view change.
     servers: Vec<ServerRecord>,
-    /// Entries held over all of `servers`, counted where they are
-    /// inserted, so the byte gauge costs `O(1)` per message instead of
-    /// a walk over every record.
-    rec_seen_entries: usize,
+    /// Bytes the entries and slots of all of `servers` hold, counted
+    /// where they are added, so the byte gauge costs `O(1)` per message
+    /// instead of a walk over every record.
+    seen_bytes: usize,
     /// My row's sequence number: 0 until the first retraction event
     /// (frames stay bit-identical to the legacy format), then bumped on
     /// every tick that withdraws at least one link, so receivers'
@@ -534,7 +629,7 @@ impl QuorumRouter {
             episodes,
             server_slot,
             servers,
-            rec_seen_entries: 0,
+            seen_bytes: 0,
             own_seqno: 0,
             retractions,
             counters,
@@ -740,10 +835,7 @@ impl QuorumRouter {
         if self.server_slot[s] == NO_RECORD {
             // At most n ≤ u16::MAX records: the slot is below NO_RECORD.
             self.server_slot[s] = self.servers.len() as u16;
-            self.servers.push(ServerRecord {
-                since: NEVER,
-                seen: Vec::new(),
-            });
+            self.servers.push(ServerRecord::new());
         }
         usize::from(self.server_slot[s])
     }
@@ -1057,17 +1149,17 @@ impl RoutingAlgorithm for QuorumRouter {
                 record
                     .seen
                     .reserve_exact(rm.recs.len().saturating_sub(record.seen.len()));
-                let (mut cursor, mut accepted) = (0, 0);
-                for rec in &rm.recs {
+                let (n, me) = (self.n, self.me);
+                let accepted = |rec: &&RecEntry| {
                     let dst = rec.dst.index();
-                    let hop = rec.hop.index();
-                    if dst >= self.n || hop >= self.n || dst == self.me {
-                        continue;
-                    }
-                    if record.note_rec(rec.dst.0, now, &mut cursor) {
-                        self.rec_seen_entries += 1;
-                    }
-                    accepted += 1;
+                    dst < n && rec.hop.index() < n && dst != me
+                };
+                self.seen_bytes +=
+                    record.note_frame(now, rm.recs.iter().filter(accepted).map(|r| r.dst.0));
+                let mut count = 0;
+                for rec in rm.recs.iter().filter(accepted) {
+                    count += 1;
+                    let dst = rec.dst.index();
                     let route = &mut self.routes[dst];
                     if route.rec.get().is_none_or(|r| now >= r.received_at) {
                         route.rec = Rec {
@@ -1086,10 +1178,8 @@ impl RoutingAlgorithm for QuorumRouter {
                         }
                     }
                 }
-                self.counters.rec_entries_received.add(accepted);
-                self.counters
-                    .rec_seen_bytes
-                    .set((self.rec_seen_entries * size_of::<Seen>()) as u64);
+                self.counters.rec_entries_received.add(count);
+                self.counters.rec_seen_bytes.set(self.seen_bytes as u64);
                 Vec::new()
             }
             _ => Vec::new(),
@@ -1253,9 +1343,33 @@ mod tests {
         }
     }
 
+    /// Bytes `r`'s server records hold — entries and slots — after
+    /// checking that each record's bookkeeping agrees with its entries:
+    /// sorted by destination, `at_latest` and every slot's `holders`
+    /// counting the entries that name them, no entry on the handle a
+    /// frame in flight would use, and no more slots than entries.
+    fn held_bytes(r: &QuorumRouter) -> usize {
+        let mut bytes = 0;
+        for m in &r.servers {
+            assert!(
+                m.seen.windows(2).all(|w| w[0].dst < w[1].dst),
+                "sorted by dst"
+            );
+            let holding = |at: u16| m.seen.iter().filter(|e| e.at == at).count();
+            assert_eq!(usize::from(m.at_latest), holding(m.fresh));
+            assert_eq!(holding(m.fresh ^ 1), 0);
+            for (i, slot) in m.earlier.iter().enumerate() {
+                assert_eq!(usize::from(slot.holders), holding(i as u16));
+            }
+            assert!(m.earlier.len() <= m.seen.len());
+            bytes += m.seen.len() * size_of::<Seen>() + m.earlier.len() * size_of::<Slot>();
+        }
+        bytes
+    }
+
     /// The server records hold entries only for (server, dst) pairs that
-    /// were actually recommended, and the byte gauge reports them at
-    /// 10 B an entry.
+    /// were actually recommended, and the byte gauge reports what they
+    /// hold: 4 B an entry and 10 B a slot.
     #[test]
     fn rec_seen_is_sparse_and_gauged() {
         let telemetry = Telemetry::new(3);
@@ -1277,23 +1391,19 @@ mod tests {
         assert!(total_entries <= servers_with_entries * (n - 1));
         for s in 0..n {
             let Some(m) = r.record(s) else { continue };
-            assert!(
-                m.seen.windows(2).all(|w| w[0].dst < w[1].dst),
-                "sorted by dst"
-            );
             for &Seen { dst, .. } in &m.seen {
                 assert!(last_rec(r, s, usize::from(dst)).is_some());
                 assert_ne!(dst, 3, "never records recs about myself");
             }
         }
 
-        // The gauge's running total equals a recount of the entries,
-        // and every entry held was received at least once.
+        // The gauge's running total equals a recount of the entries and
+        // slots, and every entry held was received at least once.
         assert!(total_entries > 0);
         let snap = telemetry.snapshot();
         assert_eq!(
             snap.gauge(3, "routing", "rec_seen_bytes"),
-            Some((total_entries * 10) as u64)
+            Some(held_bytes(r) as u64)
         );
         let received = snap.counter(3, "routing", "rec_entries_received");
         assert!(received.unwrap_or(0) >= total_entries as u64);
@@ -1303,20 +1413,24 @@ mod tests {
     proptest! {
         /// The server records against a `BTreeMap` model, frame by frame:
         /// several servers, destinations in any order (ascending frames
-        /// ride the cursor, the rest the binary search), duplicates
-        /// within a frame, destinations a server has never vouched for,
-        /// and entries the router refuses (out of range, about itself).
-        /// `last_rec`, the running total, the byte gauge and the
-        /// per-frame `rec_entries_received` count all agree.
+        /// ride the cursor, the rest the binary search), the honest
+        /// shape `clients ascending ++ [server]`, duplicates within a
+        /// frame, destinations a server has never vouched for, entries
+        /// the router refuses (out of range, about itself), and two
+        /// frames to a time, so consecutive frames of one server share
+        /// it or not. Up to ~200 frames, so earlier times are kept,
+        /// released and their slots reused many times over. `last_rec`,
+        /// the running total, the byte gauge and the per-frame
+        /// `rec_entries_received` count all agree.
         #[test]
         fn rec_seen_matches_a_map_model(
             frames in prop::collection::vec(
                 (
                     0usize..9,
-                    any::<bool>(),
+                    0u8..3,
                     prop::collection::vec((0u16..12, 0u16..12), 0..14),
                 ),
-                1..24,
+                1..200,
             ),
         ) {
             let n = 9;
@@ -1324,12 +1438,18 @@ mod tests {
             let mut me =
                 QuorumRouter::new_with_telemetry(0, n, 0, ProtocolConfig::quorum(), &telemetry);
             let mut model: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); n];
+            // The most earlier times each server's entries have held at
+            // once: its slot count, as slots are reused, never dropped.
+            let mut slots = vec![0usize; n];
             let mut accepted = 0u64;
-            for (k, (server, ascending, picks)) in frames.into_iter().enumerate() {
-                let now = k as f64;
+            for (k, (server, order, picks)) in frames.into_iter().enumerate() {
+                let now = (k / 2) as f64;
                 let mut picks = picks;
-                if ascending {
+                if order > 0 {
                     picks.sort_unstable();
+                }
+                if order == 2 {
+                    picks.push((server as u16, server as u16));
                 }
                 let _ = me.on_message(
                     now,
@@ -1357,18 +1477,19 @@ mod tests {
                         accepted += 1;
                     }
                 }
+                let times: BTreeSet<u64> = model[server].values().map(|t| t.to_bits()).collect();
+                slots[server] = slots[server].max(times.len().saturating_sub(1));
                 for (s, seen) in model.iter().enumerate() {
                     for dst in 0..n {
                         prop_assert_eq!(last_rec(&me, s, dst), seen.get(&dst).copied());
                     }
                 }
                 let entries: usize = model.iter().map(BTreeMap::len).sum();
-                prop_assert_eq!(me.rec_seen_entries, entries);
+                let bytes = entries * 4 + slots.iter().sum::<usize>() * 10;
+                prop_assert_eq!(me.seen_bytes, bytes);
+                prop_assert_eq!(held_bytes(&me), bytes);
                 let snap = telemetry.snapshot();
-                prop_assert_eq!(
-                    snap.gauge(1, "routing", "rec_seen_bytes"),
-                    Some((entries * 10) as u64)
-                );
+                prop_assert_eq!(snap.gauge(1, "routing", "rec_seen_bytes"), Some(bytes as u64));
                 prop_assert_eq!(snap.counter(1, "routing", "rec_entries_received"), Some(accepted));
             }
         }
@@ -2612,12 +2733,15 @@ mod tests {
     }
 
     /// One destination's record is its recommendation at wire width
-    /// (16 B) and its feasibility record (8 B), and one server's entry
-    /// for a destination is 10 B.
+    /// (16 B) and its feasibility record (8 B); one server's entry for a
+    /// destination is 4 B, an earlier frame's time 10 B, and a server's
+    /// record 72 B (`tests/router_heap.rs` budgets with these).
     #[test]
     fn a_route_slot_is_at_most_24_bytes() {
         assert!(std::mem::size_of::<Route>() <= 24);
-        assert_eq!(std::mem::size_of::<Seen>(), 10);
+        assert_eq!(std::mem::size_of::<Seen>(), 4);
+        assert_eq!(std::mem::size_of::<Slot>(), 10);
+        assert_eq!(std::mem::size_of::<ServerRecord>(), 72);
     }
 
     /// A frame's `width` is a `u16`: a view of 65 536 would stamp 0 and
@@ -2671,7 +2795,7 @@ mod tests {
         assert!(lived.own_seqno() > 0 && !lived.retractions.is_empty());
         assert!(lived.routes.iter().any(|s| s.rec.get().is_some()));
         assert!(!lived.episodes.is_empty() && !lived.servers.is_empty());
-        assert!(lived.table.row_count() > 1 && lived.rec_seen_entries > 0);
+        assert!(lived.table.row_count() > 1 && lived.seen_bytes > 0);
         assert!(lived.routes[1].feas.0.is_some() && lived.trace_ctx.is_some());
 
         for (me, n, view) in [(3, 7, 2), (11, 30, 3), (0, 1, 4)] {

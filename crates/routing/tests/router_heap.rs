@@ -5,13 +5,20 @@
 //! route slot and a server index entry per destination, and one record
 //! per server with an entry per destination it has vouched for — and at
 //! `n` in the thousands that bookkeeping is what a node's heap is made
-//! of. This test pins it to its layout: a router at n = 1024 that has
+//! of. An entry is 4 B: the destination and a `u16` handle of the time
+//! it was last named, because a frame stamps all it names with one
+//! time, which the record holds once — inline for the latest frame, in a
+//! 10 B slot for an earlier one some entry still holds.
+//!
+//! These tests pin it to its layout: a router at n = 1024 that has
 //! heard one round-two frame from each of its rendezvous servers holds
 //! no more live bytes than that layout accounts for, plus a small slack
-//! that is written down.
+//! that is written down; and one that has heard 256 frames from each,
+//! most of them skipping destinations, holds no more time slots than
+//! entries.
 
 use apor_linkstate::{LinkEntry, Message, RecEntry, RecFormat, RecommendationMsg};
-use apor_quorum::NodeId;
+use apor_quorum::{Grid, NodeId};
 use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,77 +82,151 @@ fn live_after<T>(f: impl FnOnce() -> T) -> (T, isize) {
 /// A route slot (16 B recommendation + 8 B feasibility record) and a
 /// `u16` index into the server records, per destination.
 const PER_DESTINATION: usize = 24 + 2;
-/// One `(u16 destination, f64 time)` entry of a server record.
-const PER_ENTRY: usize = 10;
-/// One server record: its first-sent time and its entry list's pointer,
-/// capacity and length (32 B), counted twice because the records sit in
-/// a vector grown by doubling; plus the one entry of room a frame
+/// One `(u16 destination, u16 time handle)` entry of a server record.
+const PER_ENTRY: usize = 4;
+/// One earlier frame's time in a server record's table: the `f64` and
+/// the `u16` count of entries that hold it.
+const PER_SLOT: usize = 10;
+/// One server record: its first-sent time, its latest frame's time,
+/// its entry list's and its time table's pointer, capacity and length,
+/// and two `u16` handles (72 B), counted twice because the records sit
+/// in a vector grown by doubling; plus the one entry of room a frame
 /// reserves for the destination it names that the router refuses (me).
-const PER_RECORD: usize = 2 * 32 + PER_ENTRY;
+const PER_RECORD: usize = 2 * 72 + PER_ENTRY;
 /// Everything else the router allocates, whatever its history: the
 /// disabled telemetry and tracer handles, the row store's header and
 /// the rendezvous list — 3.2 kB measured at n = 1024 (2.8 kB at
 /// n = 1), so the slack is under 1 kB.
 const FIXED: usize = 4096;
 
-#[test]
-fn a_recommending_router_holds_its_layout_and_no_more() {
-    let (n, me) = (1024, 517);
-    let probe = QuorumRouter::new(me, n, 0, ProtocolConfig::quorum());
-    let grid = probe.grid();
-    // Round two as each of my servers runs it: one frame to me listing
-    // its clients ascending, then itself.
-    let frames: Vec<Message> = grid
-        .rendezvous_servers(me)
+const N: usize = 1024;
+const ME: usize = 517;
+
+/// Round two as server `s` runs it, naming `dsts` to me.
+fn frame(s: usize, dsts: &[usize]) -> Message {
+    Message::Recommendations(RecommendationMsg {
+        from: NodeId::from_index(s),
+        to: NodeId::from_index(ME),
+        view: 0,
+        round: 1,
+        basis_ms: 0,
+        format: RecFormat::WithCost,
+        recs: dsts
+            .iter()
+            .map(|&d| RecEntry {
+                dst: NodeId::from_index(d),
+                hop: NodeId::from_index(d),
+                cost_ms: 40,
+            })
+            .collect(),
+    })
+}
+
+/// My rendezvous servers, each with the destinations of its honest
+/// frame to me: its clients ascending, then itself.
+fn servers() -> Vec<(usize, Vec<usize>)> {
+    let grid = Grid::new(N);
+    grid.rendezvous_servers(ME)
         .into_iter()
         .map(|s| {
             let mut dsts = grid.rendezvous_servers(s);
             dsts.push(s);
-            Message::Recommendations(RecommendationMsg {
-                from: NodeId::from_index(s),
-                to: NodeId::from_index(me),
-                view: 0,
-                round: 1,
-                basis_ms: 0,
-                format: RecFormat::WithCost,
-                recs: dsts
-                    .into_iter()
-                    .map(|d| RecEntry {
-                        dst: NodeId::from_index(d),
-                        hop: NodeId::from_index(d),
-                        cost_ms: 40,
-                    })
-                    .collect(),
-            })
+            (s, dsts)
         })
-        .collect();
+        .collect()
+}
+
+/// The bytes a router's bookkeeping may hold beside `entries` server
+/// entries in `records` records and their time tables, `slots` bytes.
+fn budget(entries: usize, records: usize, slots: usize) -> usize {
+    // My own row, which is not bookkeeping: one entry per destination.
+    let own_row = N * std::mem::size_of::<LinkEntry>();
+    N * PER_DESTINATION + own_row + entries * PER_ENTRY + records * PER_RECORD + slots + FIXED
+}
+
+#[test]
+fn a_recommending_router_holds_its_layout_and_no_more() {
+    let servers = servers();
+    let frames: Vec<Message> = servers.iter().map(|(s, dsts)| frame(*s, dsts)).collect();
     let records = frames.len();
     // Every destination a frame names but me.
-    let entries: usize = frames
+    let entries: usize = servers
         .iter()
-        .map(|m| match m {
-            Message::Recommendations(rm) => rm.recs.iter().filter(|r| r.dst.index() != me).count(),
-            _ => 0,
-        })
+        .map(|(_, dsts)| dsts.iter().filter(|&&d| d != ME).count())
         .sum();
     assert_eq!(records, 62, "a 32 × 32 grid: 31 in my row, 31 in my column");
     assert_eq!(entries, records * 62);
 
     let (router, live) = live_after(|| {
-        let mut router = QuorumRouter::new(me, n, 0, ProtocolConfig::quorum());
+        let mut router = QuorumRouter::new(ME, N, 0, ProtocolConfig::quorum());
         for frame in &frames {
             assert!(router.on_message(1.0, frame).is_empty());
         }
         router
     });
-    assert_eq!(router.route_entry(me + 1).map(|r| r.cost_ms), Some(40));
+    assert_eq!(router.route_entry(ME + 1).map(|r| r.cost_ms), Some(40));
 
-    // My own row, which is not bookkeeping: one entry per destination.
-    let own_row = n * std::mem::size_of::<LinkEntry>();
-    let budget = n * PER_DESTINATION + own_row + entries * PER_ENTRY + records * PER_RECORD + FIXED;
+    // One frame per server: every entry holds that frame's time, which
+    // the record keeps inline, so there is no time table.
+    let budget = budget(entries, records, 0);
     let live = usize::try_from(live).expect("the router holds memory");
     assert!(
         live <= budget,
         "{live} B live after {records} frames ({entries} entries), over the {budget} B budget"
+    );
+}
+
+/// Frames that keep skipping destinations leave entries holding older
+/// times. A record keeps an earlier time only while an entry holds it
+/// and reuses the slot after, so its table has at most one slot per
+/// entry, in a vector grown by doubling: room for the next power of two
+/// at most, however many frames arrive. Each server here sends its
+/// honest frame and then 255 more: first alternately a rotating four
+/// fifths of its destinations and a single one, then single ones only,
+/// one per time, which leave every entry holding a time of its own — the
+/// most a table can hold. A table with a slot per frame would need
+/// 256 × 10 B per record, past this budget.
+#[test]
+fn skipping_frames_keep_a_time_table_no_larger_than_the_entries() {
+    const FRAMES: usize = 256;
+    let servers = servers();
+    let records = servers.len();
+    let per_record: Vec<usize> = servers
+        .iter()
+        .map(|(_, dsts)| dsts.iter().filter(|&&d| d != ME).count())
+        .collect();
+    let entries: usize = per_record.iter().sum();
+    let (router, live) = live_after(|| {
+        let mut router = QuorumRouter::new(ME, N, 0, ProtocolConfig::quorum());
+        for k in 0..FRAMES {
+            for (s, dsts) in &servers {
+                let named: Vec<usize> = match k {
+                    0 => dsts.clone(),
+                    k if k < FRAMES / 2 && k % 2 == 0 => dsts
+                        .iter()
+                        .enumerate()
+                        .filter(|(p, _)| p % 5 != k / 2 % 5)
+                        .map(|(_, &d)| d)
+                        .collect(),
+                    k => vec![dsts[k % dsts.len()]],
+                };
+                assert!(router.on_message(k as f64, &frame(*s, &named)).is_empty());
+            }
+        }
+        router
+    });
+    assert!(router.route_entry(ME + 1).is_some());
+
+    let slots: usize = per_record
+        .iter()
+        .map(|e| e.next_power_of_two() * PER_SLOT)
+        .sum();
+    assert!(slots < records * FRAMES * PER_SLOT);
+    let budget = budget(entries, records, slots);
+    let live = usize::try_from(live).expect("the router holds memory");
+    assert!(
+        live <= budget,
+        "{live} B live after {FRAMES} frames from each of {records} servers \
+         ({entries} entries), over the {budget} B budget"
     );
 }
