@@ -7,8 +7,9 @@
 //! same sans-io overlay node that runs on real UDP sockets runs here
 //! against a simulated network with
 //!
-//! * per-pair latency from a [`LatencyMatrix`],
-//! * per-pair Bernoulli packet loss,
+//! * per-pair latency and Bernoulli packet loss from a
+//!   [`LatencyMatrix`] (one record per unordered pair, read once per
+//!   send),
 //! * link/node failure injection from a [`FailureSchedule`],
 //! * and per-packet, per-class, time-bucketed **bandwidth accounting** —
 //!   the measurement behind figures 9 and 10.

@@ -517,17 +517,17 @@ impl Simulator {
             self.drop_packet(from, to, DropCause::LinkDown);
             return;
         }
-        if !self.latency.reachable(from, to) {
+        let link = self.latency.link(from, to);
+        if !link.rtt_ms.is_finite() {
             self.drop_packet(from, to, DropCause::Unreachable);
             return;
         }
         // Bernoulli loss.
-        if self.latency.loss(from, to) > 0.0 && self.rng.gen::<f64>() < self.latency.loss(from, to)
-        {
+        if link.loss > 0.0 && self.rng.gen::<f64>() < link.loss {
             self.drop_packet(from, to, DropCause::Loss);
             return;
         }
-        let base = self.latency.one_way(from, to) / 1000.0; // ms → s
+        let base = link.rtt_ms / 2.0 / 1000.0; // one way, ms → s
         let jitter = if self.config.jitter_frac > 0.0 {
             1.0 + self.config.jitter_frac * self.rng.gen_range(-1.0..1.0)
         } else {

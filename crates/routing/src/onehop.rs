@@ -24,10 +24,8 @@ pub fn ground_truth_row(m: &LatencyMatrix, i: usize) -> Vec<LinkEntry> {
             if i == j {
                 LinkEntry::live(0, 0.0)
             } else {
-                LinkEntry::live(
-                    LinkEntry::quantize_latency(m.rtt(i, j)),
-                    m.loss(i, j) as f32,
-                )
+                let link = m.link(i, j);
+                LinkEntry::live(LinkEntry::quantize_latency(link.rtt_ms), link.loss as f32)
             }
         })
         .collect()

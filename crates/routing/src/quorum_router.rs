@@ -33,7 +33,7 @@
 //!   the best of the `2√n` neighbour tables the node already holds.
 
 use crate::config::ProtocolConfig;
-use crate::feasibility::{select_detour, Feasibility};
+use crate::feasibility::{select_detour, FeasEntry, Feasibility};
 use crate::RoutingAlgorithm;
 use apor_linkstate::{
     Detour, LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
@@ -89,41 +89,65 @@ impl RouteDecision {
 
 /// Everything this node keeps about one destination in steady state —
 /// one 24 B record, as a Babel route table keeps one per prefix
-/// (RFC 8966). A failover episode, rare and short, lives beside it in
-/// [`QuorumRouter`]'s episode table.
-#[derive(Debug, Clone, Default)]
-struct Route {
-    /// The latest accepted recommendation.
-    rec: Rec,
-    /// The route discipline's record for k-hop detours.
-    feas: Feasibility,
-}
-
-/// A recommendation at the width the wire fixes: node indices are `u16`
-/// on every frame. [`RouteEntry`] is built from it on read.
+/// (RFC 8966): the latest accepted recommendation at the width the wire
+/// fixes (node indices are `u16` on every frame; [`RouteEntry`] is built
+/// from it on read), the route discipline's [`Feasibility`] record for
+/// k-hop detours, and my own link to the destination as my last tick's
+/// row — or a link loss since — left it. A failover episode, rare and
+/// short, lives beside it in [`QuorumRouter`]'s episode table.
+///
+/// The fields are flat so the three share the record's padding; the
+/// default is no recommendation, no feasibility record and a dead link.
 #[derive(Debug, Clone, Copy)]
-struct Rec {
+struct Route {
+    /// When the recommendation arrived.
     received_at: f64,
-    /// The first hop; [`NO_HOP`] = no recommendation held.
+    /// Its first hop; [`NO_HOP`] = no recommendation held.
     hop: u16,
     from_server: u16,
     cost_ms: u16,
+    /// My link's latency, as my row reported it.
+    link_ms: u16,
+    /// Whether my row reported the link alive.
+    link_alive: bool,
+    /// The feasibility record, unpacked (see [`Route::feas`]).
+    feas: FeasState,
+    seqno: u16,
+    fd: u32,
 }
 
-/// The hop of a [`Rec`] that holds none. A view has at most `u16::MAX`
-/// members, so no member's index is this.
+/// Whether a [`Route`] holds a feasibility record, and if so whether
+/// it is retracted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FeasState {
+    None,
+    Held,
+    Retracted,
+}
+
+/// The hop of a [`Route`] that holds no recommendation. A view has at
+/// most `u16::MAX` members, so no member's index is this.
 const NO_HOP: u16 = u16::MAX;
 
-impl Rec {
-    const NONE: Rec = Rec {
-        received_at: 0.0,
-        hop: NO_HOP,
-        from_server: NO_HOP,
-        cost_ms: u16::MAX,
-    };
+impl Default for Route {
+    fn default() -> Self {
+        Route {
+            received_at: 0.0,
+            hop: NO_HOP,
+            from_server: NO_HOP,
+            cost_ms: u16::MAX,
+            link_ms: LinkEntry::DEAD_LATENCY,
+            link_alive: false,
+            feas: FeasState::None,
+            seqno: 0,
+            fd: 0,
+        }
+    }
+}
 
+impl Route {
     /// The recommendation held, if any.
-    fn get(self) -> Option<RouteEntry> {
+    fn rec(&self) -> Option<RouteEntry> {
         (self.hop != NO_HOP).then(|| RouteEntry {
             hop: usize::from(self.hop),
             from_server: usize::from(self.from_server),
@@ -131,11 +155,56 @@ impl Rec {
             cost_ms: self.cost_ms,
         })
     }
-}
 
-impl Default for Rec {
-    fn default() -> Self {
-        Rec::NONE
+    /// Hold `hop` (recommended by `from_server` at `cost_ms`) from
+    /// `received_at` on.
+    fn set_rec(&mut self, received_at: f64, hop: u16, from_server: u16, cost_ms: u16) {
+        (self.received_at, self.hop, self.from_server, self.cost_ms) =
+            (received_at, hop, from_server, cost_ms);
+    }
+
+    /// Hold no recommendation.
+    fn drop_rec(&mut self) {
+        let none = Route::default();
+        self.set_rec(none.received_at, none.hop, none.from_server, none.cost_ms);
+    }
+
+    /// The feasibility record.
+    fn feas(&self) -> Feasibility {
+        Feasibility((self.feas != FeasState::None).then_some(FeasEntry {
+            seqno: self.seqno,
+            fd: self.fd,
+            retracted: self.feas == FeasState::Retracted,
+        }))
+    }
+
+    /// Apply one of [`Feasibility`]'s rules to the record.
+    fn feas_with<R>(&mut self, rule: impl FnOnce(&mut Feasibility) -> R) -> R {
+        let mut f = self.feas();
+        let out = rule(&mut f);
+        self.feas = match f.0 {
+            None => FeasState::None,
+            Some(e) if e.retracted => FeasState::Retracted,
+            Some(_) => FeasState::Held,
+        };
+        if let Some(e) = f.0 {
+            (self.seqno, self.fd) = (e.seqno, e.fd);
+        }
+        out
+    }
+
+    /// My link's routing cost: [`LinkEntry::cost`] of what my row said.
+    fn link_cost(&self) -> u32 {
+        if self.link_alive {
+            u32::from(self.link_ms)
+        } else {
+            INFINITE_COST
+        }
+    }
+
+    /// Take my link's latency and liveness from `entry`.
+    fn set_link(&mut self, entry: &LinkEntry) {
+        (self.link_ms, self.link_alive) = (entry.latency_ms, entry.alive);
     }
 }
 
@@ -360,11 +429,10 @@ pub struct QuorumRouter {
     round: u32,
     config: ProtocolConfig,
     table: RowStore,
-    own_row: Vec<LinkEntry>,
     /// Cached: my default rendezvous servers (grid row + column).
     my_servers: Vec<usize>,
-    /// The route table, indexed by destination: its recommendation and
-    /// feasibility record in one [`Route`].
+    /// The route table, indexed by destination: its recommendation,
+    /// feasibility record and my own link to it in one [`Route`].
     routes: Vec<Route>,
     /// The open failover episodes, by destination: an entry exactly
     /// while the destination has an active failover server or tried
@@ -412,7 +480,6 @@ pub struct QuorumRouter {
 struct Parts {
     config: ProtocolConfig,
     table: RowStore,
-    own_row: Vec<LinkEntry>,
     my_servers: Vec<usize>,
     routes: Vec<Route>,
     episodes: BTreeMap<u16, Episode>,
@@ -459,7 +526,6 @@ impl QuorumRouter {
         let parts = Parts {
             config,
             table,
-            own_row: Vec::new(),
             my_servers: Vec::new(),
             routes: Vec::new(),
             episodes: BTreeMap::new(),
@@ -526,7 +592,6 @@ impl QuorumRouter {
         let parts = Parts {
             config: self.config,
             table: self.table,
-            own_row: self.own_row,
             my_servers: self.my_servers,
             routes: self.routes,
             episodes: self.episodes,
@@ -593,7 +658,6 @@ impl QuorumRouter {
         let Parts {
             config,
             mut table,
-            mut own_row,
             mut my_servers,
             mut routes,
             mut episodes,
@@ -605,8 +669,6 @@ impl QuorumRouter {
         } = parts;
         let grid = Grid::new(n);
         table.reset(n, Self::entitlement_in(&grid));
-        own_row.clear();
-        own_row.resize(n, LinkEntry::dead());
         grid.rendezvous_servers_into(me, &mut my_servers);
         routes.clear();
         routes.resize_with(n, Route::default);
@@ -614,6 +676,9 @@ impl QuorumRouter {
         server_slot.clear();
         server_slot.resize(n, NO_RECORD);
         servers.clear();
+        // Round one makes a record for each default server, so room for
+        // them from the start; only failovers grow the vector past it.
+        servers.reserve_exact(my_servers.len());
         retractions.clear();
         QuorumRouter {
             me,
@@ -623,7 +688,6 @@ impl QuorumRouter {
             round: 0,
             config,
             table,
-            own_row,
             my_servers,
             routes,
             episodes,
@@ -688,14 +752,15 @@ impl QuorumRouter {
         // Fresh recommendation wins — but only over a live first leg: a
         // hop my own probes have since declared dead cannot forward, so
         // a stale recommendation no longer shadows the scavenge paths.
-        if let Some(r) = self.routes[dst].rec.get() {
-            if now - r.received_at <= self.config.route_expiry_s() && self.own_row[r.hop].alive {
+        if let Some(r) = self.routes[dst].rec() {
+            let fresh = now - r.received_at <= self.config.route_expiry_s();
+            if fresh && self.routes[r.hop].link_alive {
                 return Some(RouteDecision::Hop(r.hop));
             }
         }
         // §4.2: scavenge from the neighbour tables we already hold.
         let max_age = self.config.staleness_s();
-        let mut best = (dst, self.own_row[dst].cost());
+        let mut best = (dst, self.routes[dst].link_cost());
         for (h, c) in self.table.one_hop_options(self.me, dst, now, max_age) {
             if c < best.1 {
                 best = (h, c);
@@ -712,7 +777,7 @@ impl QuorumRouter {
         if self.config.max_detour_hops > 1 {
             match select_detour(
                 &self.table,
-                &self.routes[dst].feas,
+                &self.routes[dst].feas(),
                 self.me,
                 dst,
                 self.config.max_detour_hops,
@@ -754,7 +819,7 @@ impl QuorumRouter {
             self.own_seqno = Self::next_seqno(self.own_seqno);
         }
         self.retract(dst);
-        self.own_row[dst] = LinkEntry::dead();
+        self.routes[dst].set_link(&LinkEntry::dead());
         let held = self.table.row(self.me);
         let row = held.map_or_else(LaneRow::default, |r| r.without(dst as u16));
         self.table.put_row(self.me, Arc::new(row), now);
@@ -765,7 +830,7 @@ impl QuorumRouter {
     /// `routing/routes_retracted`. Every withdrawal goes through here.
     fn retract(&mut self, dst: usize) {
         let seqno = self.table.row_seqno(dst);
-        if self.routes[dst].feas.retract(seqno) {
+        if self.routes[dst].feas_with(|f| f.retract(seqno)) {
             self.counters.routes_retracted.inc();
         }
     }
@@ -776,10 +841,10 @@ impl QuorumRouter {
     fn retract_departed_routes(&mut self, old_to_new: &[Option<u16>]) {
         let survives = |idx: usize| old_to_new.get(idx).is_some_and(Option::is_some);
         for dst in 0..self.n {
-            if let Some(r) = self.routes[dst].rec.get() {
+            if let Some(r) = self.routes[dst].rec() {
                 if !survives(dst) || !survives(r.hop) {
                     self.retract(dst);
-                    self.routes[dst].rec = Rec::NONE;
+                    self.routes[dst].drop_rec();
                 }
             }
         }
@@ -796,15 +861,15 @@ impl QuorumRouter {
     /// was routing to it *through* `from` (the first leg just vanished).
     fn note_row_version(&mut self, from: usize, seqno: u16, retractions: &[u16]) {
         if seqno != 0 {
-            self.routes[from].feas.note_seqno(seqno);
+            self.routes[from].feas_with(|f| f.note_seqno(seqno));
         }
         for &r in retractions {
             let dst = usize::from(r);
             if dst >= self.n || dst == self.me {
                 continue;
             }
-            if self.routes[dst].rec.get().is_some_and(|e| e.hop == from) {
-                self.routes[dst].rec = Rec::NONE;
+            if self.routes[dst].rec().is_some_and(|e| e.hop == from) {
+                self.routes[dst].drop_rec();
                 self.retract(dst);
             }
         }
@@ -813,7 +878,7 @@ impl QuorumRouter {
     /// The latest recommendation stored for `dst`.
     #[must_use]
     pub fn route_entry(&self, dst: usize) -> Option<RouteEntry> {
-        self.routes[dst].rec.get()
+        self.routes[dst].rec()
     }
 
     /// The currently active failover server for `dst`, if any.
@@ -835,6 +900,14 @@ impl QuorumRouter {
         if self.server_slot[s] == NO_RECORD {
             // At most n ≤ u16::MAX records: the slot is below NO_RECORD.
             self.server_slot[s] = self.servers.len() as u16;
+            if self.servers.len() == self.servers.capacity() {
+                // Past the default servers `assemble` made room for:
+                // failovers, which come a few per double failure and
+                // never leave. Half as many again at a time strands at
+                // most a third of the vector, where doubling would
+                // strand up to half.
+                self.servers.reserve_exact(self.servers.len() / 2 + 1);
+            }
             self.servers.push(ServerRecord::new());
         }
         usize::from(self.server_slot[s])
@@ -852,10 +925,10 @@ impl QuorumRouter {
         }
         if s == dst {
             // The destination can only vouch for itself over a live link.
-            return !self.own_row[s].alive;
+            return !self.routes[s].link_alive;
         }
         // Proximal rendezvous failure.
-        if !self.own_row[s].alive {
+        if !self.routes[s].link_alive {
             return true;
         }
         // Remote rendezvous failure: no recommendation for dst recently.
@@ -918,7 +991,7 @@ impl QuorumRouter {
                 let reachable = self
                     .table
                     .anyone_reaches(dst, now, self.config.staleness_s())
-                    || self.own_row[dst].alive;
+                    || self.routes[dst].link_alive;
                 if !reachable {
                     continue;
                 }
@@ -934,7 +1007,7 @@ impl QuorumRouter {
             pool.retain(|&c| {
                 c != self.me
                     && c != dst
-                    && self.own_row[c].alive
+                    && self.routes[c].link_alive
                     && !tried.is_some_and(|t| t.contains(&(c as u16)))
             });
             if pool.is_empty() {
@@ -1072,30 +1145,26 @@ impl RoutingAlgorithm for QuorumRouter {
         // destination's feasibility distance: a detour must strictly
         // beat what this node can already do on its own.
         let mut new_deaths = false;
-        for dst in 0..self.n {
-            if dst == self.me {
-                continue;
-            }
-            if own_row[dst].alive {
+        for (dst, entry) in own_row.iter().enumerate() {
+            let route = &mut self.routes[dst];
+            if dst != self.me && entry.alive {
                 self.retractions.remove(&(dst as u16));
                 let seqno = if sheds && !self.table.row_fresh(dst, now, max_age) {
                     0
                 } else {
                     self.table.row_seqno(dst)
                 };
-                self.routes[dst].feas.advance(seqno, own_row[dst].cost());
-            } else if self.own_row[dst].alive
-                && self.retractions.insert(dst as u16, self.round).is_none()
-            {
-                new_deaths = true;
+                route.feas_with(|f| f.advance(seqno, entry.cost()));
+            } else if dst != self.me && route.link_alive {
+                new_deaths |= self.retractions.insert(dst as u16, self.round).is_none();
             }
+            route.set_link(entry);
         }
         if new_deaths {
             self.own_seqno = Self::next_seqno(self.own_seqno);
         }
         let round = self.round;
         self.retractions.retain(|_, r| round - *r < 3);
-        self.own_row.copy_from_slice(own_row);
         // My row as lanes, built once: the store keeps it and every
         // round-one frame of this tick shares it.
         let own_lanes = Arc::new(
@@ -1161,20 +1230,14 @@ impl RoutingAlgorithm for QuorumRouter {
                     count += 1;
                     let dst = rec.dst.index();
                     let route = &mut self.routes[dst];
-                    if route.rec.get().is_none_or(|r| now >= r.received_at) {
-                        route.rec = Rec {
-                            received_at: now,
-                            hop: rec.hop.0,
-                            from_server: server as u16,
-                            cost_ms: rec.cost_ms,
-                        };
+                    if route.rec().is_none_or(|r| now >= r.received_at) {
+                        route.set_rec(now, rec.hop.0, server as u16, rec.cost_ms);
                         // Acting on a costed recommendation ratchets the
                         // feasibility distance (the compact format carries
                         // no cost and leaves the constraint untouched).
                         if rec.cost_ms != u16::MAX {
-                            route
-                                .feas
-                                .advance(self.table.row_seqno(dst), u32::from(rec.cost_ms));
+                            let seqno = self.table.row_seqno(dst);
+                            route.feas_with(|f| f.advance(seqno, u32::from(rec.cost_ms)));
                         }
                     }
                 }
@@ -1191,7 +1254,7 @@ impl RoutingAlgorithm for QuorumRouter {
     }
 
     fn route_age(&self, dst: usize, now: f64) -> Option<f64> {
-        self.routes[dst].rec.get().map(|r| now - r.received_at)
+        self.routes[dst].rec().map(|r| now - r.received_at)
     }
 
     fn double_rendezvous_failures(&self, now: f64) -> usize {
@@ -1205,7 +1268,6 @@ impl RoutingAlgorithm for QuorumRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feasibility::FeasEntry;
     use proptest::prelude::{any, prop, prop_assert_eq, proptest};
     use rand::{Rng, SeedableRng};
 
@@ -2429,13 +2491,15 @@ mod tests {
             }
             if !tried.is_empty() {
                 let reachable = r.table.anyone_reaches(dst, now, r.config.staleness_s())
-                    || r.own_row[dst].alive;
+                    || r.routes[dst].link_alive;
                 if !reachable {
                     continue;
                 }
             }
             let mut pool = r.grid.rendezvous_servers(dst);
-            pool.retain(|&c| c != r.me && c != dst && r.own_row[c].alive && !tried.contains(&c));
+            pool.retain(|&c| {
+                c != r.me && c != dst && r.routes[c].link_alive && !tried.contains(&c)
+            });
             let Some(&f) = pool.choose(rng) else {
                 tried.clear();
                 continue;
@@ -2491,7 +2555,9 @@ mod tests {
             }
             own[row * 16 + 3] = LinkEntry::dead();
         }
-        r.own_row.copy_from_slice(&own);
+        for (route, entry) in r.routes.iter_mut().zip(&own) {
+            route.set_link(entry);
+        }
         let mut rng = rng();
         let mut selected_total = 0;
         for sweep in 0..12 {
@@ -2526,7 +2592,7 @@ mod tests {
             // Whoever was just selected dies too, so the next sweep has
             // tried candidates to exclude and, in time, pools to exhaust.
             for f in new {
-                r.own_row[f] = LinkEntry::dead();
+                r.routes[f].set_link(&LinkEntry::dead());
             }
         }
         assert!(selected_total > 100, "{selected_total} selections");
@@ -2725,15 +2791,86 @@ mod tests {
                 let lane: Vec<u16> = model.retractions.keys().copied().collect();
                 prop_assert_eq!(router.retraction_lane(), lane);
                 for d in 0..n {
-                    prop_assert_eq!(router.routes[d].feas.0, model.feas.get(&d).copied(), "dst {}", d);
+                    prop_assert_eq!(router.routes[d].feas().0, model.feas.get(&d).copied(), "dst {}", d);
                 }
                 prop_assert_eq!(router.table.present_rows(), model.table.present_rows());
             }
         }
     }
 
-    /// One destination's record is its recommendation at wire width
-    /// (16 B) and its feasibility record (8 B); one server's entry for a
+    /// My own link to every destination, as `r`'s route slots hold it,
+    /// equals `model`, the dense row it was last given: latency and
+    /// liveness, and the cost the route decision reads.
+    fn assert_own_links(r: &QuorumRouter, model: &[LinkEntry], step: &str) {
+        assert_eq!(r.routes.len(), model.len(), "{step}");
+        for (dst, (route, entry)) in r.routes.iter().zip(model).enumerate() {
+            assert_eq!(
+                (route.link_ms, route.link_alive, route.link_cost()),
+                (entry.latency_ms, entry.alive, entry.cost()),
+                "{step}: dst {dst}"
+            );
+        }
+    }
+
+    /// The own link lives in the route slot, not in a dense row beside
+    /// it, and reads exactly what a dense row would: through ticks whose
+    /// rows hold a live link at `u16::MAX − 1` ms and an adopted gauge
+    /// at `u16::MAX` ms (live, though its latency is the dead sentinel),
+    /// a link loss between ticks, and a view change, after which every
+    /// link reads dead until the next tick.
+    #[test]
+    fn own_links_in_the_route_slots_read_as_a_dense_row() {
+        let (n, me) = (100, 7);
+        // Entitled probing leaves most peers unprobed, so their gauges
+        // are adopted.
+        let probing = ProtocolConfig::quorum().with_subquadratic_probing(120.0);
+        let mut prober = crate::prober::Prober::new(me, n, probing, 0.0);
+        for peer in (0..n).filter(|&p| p != me) {
+            prober.adopt_gauge(peer, u16::MAX - (peer % 3) as u16, 10, 5.0);
+        }
+        let mut row = prober.own_row(6.0);
+        let gauge = (0..n)
+            .find(|&d| row[d].alive && row[d].latency_ms == u16::MAX)
+            .expect("an adopted gauge at u16::MAX ms");
+        let others: Vec<usize> = (0..n).filter(|&d| d != me && d != gauge).collect();
+        row[others[0]] = LinkEntry::live(u16::MAX - 1, 0.25);
+        row[others[1]] = LinkEntry::live(0, 0.0);
+        row[others[2]] = LinkEntry::dead();
+        let mut r = QuorumRouter::new(me, n, 0, ProtocolConfig::quorum());
+        let mut model = vec![LinkEntry::dead(); n];
+        assert_own_links(&r, &model, "built");
+        let mut g = rng();
+        let mut now = 10.0;
+        for tick in 0..6 {
+            // Links die and come back from tick to tick.
+            let toggled = others[3..].iter().filter(|&&d| (d + tick) % 5 == 0);
+            for &d in toggled {
+                row[d] = if row[d].alive {
+                    LinkEntry::dead()
+                } else {
+                    LinkEntry::live(30 + d as u16, 0.0)
+                };
+            }
+            let _ = r.on_routing_tick(now, &row, &mut g);
+            model.clone_from(&row);
+            assert_own_links(&r, &model, &format!("tick {tick}"));
+            let lost = others[3 + tick];
+            r.on_link_loss(lost, now + 1.0);
+            model[lost] = LinkEntry::dead();
+            assert_own_links(&r, &model, &format!("loss after tick {tick}"));
+            now += 15.0;
+        }
+        assert!(model[gauge].alive && model[gauge].latency_ms == u16::MAX);
+        assert_eq!(model[others[0]].cost(), u32::from(u16::MAX - 1));
+        let (mut r, _) = r.reinstall(me, n, 1, &identity(n), now);
+        model.fill(LinkEntry::dead());
+        assert_own_links(&r, &model, "reinstalled");
+        let _ = r.on_routing_tick(now, &row, &mut g);
+        assert_own_links(&r, &row, "first tick in the new view");
+    }
+
+    /// One destination's record is its recommendation at wire width,
+    /// its feasibility record and my own link to it (24 B); one server's entry for a
     /// destination is 4 B, an earlier frame's time 10 B, and a server's
     /// record 72 B (`tests/router_heap.rs` budgets with these).
     #[test]
@@ -2793,10 +2930,10 @@ mod tests {
         });
         assert!(lived.active_failover(8).is_some(), "a failover in progress");
         assert!(lived.own_seqno() > 0 && !lived.retractions.is_empty());
-        assert!(lived.routes.iter().any(|s| s.rec.get().is_some()));
+        assert!(lived.routes.iter().any(|s| s.rec().is_some()));
         assert!(!lived.episodes.is_empty() && !lived.servers.is_empty());
         assert!(lived.table.row_count() > 1 && lived.seen_bytes > 0);
-        assert!(lived.routes[1].feas.0.is_some() && lived.trace_ctx.is_some());
+        assert!(lived.routes[1].feas().0.is_some() && lived.trace_ctx.is_some());
 
         for (me, n, view) in [(3, 7, 2), (11, 30, 3), (0, 1, 4)] {
             let (reinstalled, carried) = lived.reinstall(me, n, view, &[], 100.0);

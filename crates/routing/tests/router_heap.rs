@@ -5,7 +5,8 @@
 //! route slot and a server index entry per destination, and one record
 //! per server with an entry per destination it has vouched for — and at
 //! `n` in the thousands that bookkeeping is what a node's heap is made
-//! of. An entry is 4 B: the destination and a `u16` handle of the time
+//! of. The route slot also holds the node's own link to the destination,
+//! so no row of `n` link entries sits beside it. An entry is 4 B: the destination and a `u16` handle of the time
 //! it was last named, because a frame stamps all it names with one
 //! time, which the record holds once — inline for the latest frame, in a
 //! 10 B slot for an earlier one some entry still holds.
@@ -17,7 +18,7 @@
 //! most of them skipping destinations, holds no more time slots than
 //! entries.
 
-use apor_linkstate::{LinkEntry, Message, RecEntry, RecFormat, RecommendationMsg};
+use apor_linkstate::{Message, RecEntry, RecFormat, RecommendationMsg};
 use apor_quorum::{Grid, NodeId};
 use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -79,8 +80,9 @@ fn live_after<T>(f: impl FnOnce() -> T) -> (T, isize) {
     (out, LIVE.with(Cell::get))
 }
 
-/// A route slot (16 B recommendation + 8 B feasibility record) and a
-/// `u16` index into the server records, per destination.
+/// A route slot (a recommendation at wire width, a feasibility record
+/// and my own link's latency and liveness, 24 B) and a `u16` index into
+/// the server records, per destination.
 const PER_DESTINATION: usize = 24 + 2;
 /// One `(u16 destination, u16 time handle)` entry of a server record.
 const PER_ENTRY: usize = 4;
@@ -89,10 +91,11 @@ const PER_ENTRY: usize = 4;
 const PER_SLOT: usize = 10;
 /// One server record: its first-sent time, its latest frame's time,
 /// its entry list's and its time table's pointer, capacity and length,
-/// and two `u16` handles (72 B), counted twice because the records sit
-/// in a vector grown by doubling; plus the one entry of room a frame
-/// reserves for the destination it names that the router refuses (me).
-const PER_RECORD: usize = 2 * 72 + PER_ENTRY;
+/// and two `u16` handles (72 B), counted once because the router makes
+/// room for a record per default server when it is built; plus the one
+/// entry of room a frame reserves for the destination it names that the
+/// router refuses (me).
+const PER_RECORD: usize = 72 + PER_ENTRY;
 /// Everything else the router allocates, whatever its history: the
 /// disabled telemetry and tracer handles, the row store's header and
 /// the rendezvous list — 3.2 kB measured at n = 1024 (2.8 kB at
@@ -139,9 +142,7 @@ fn servers() -> Vec<(usize, Vec<usize>)> {
 /// The bytes a router's bookkeeping may hold beside `entries` server
 /// entries in `records` records and their time tables, `slots` bytes.
 fn budget(entries: usize, records: usize, slots: usize) -> usize {
-    // My own row, which is not bookkeeping: one entry per destination.
-    let own_row = N * std::mem::size_of::<LinkEntry>();
-    N * PER_DESTINATION + own_row + entries * PER_ENTRY + records * PER_RECORD + slots + FIXED
+    N * PER_DESTINATION + entries * PER_ENTRY + records * PER_RECORD + slots + FIXED
 }
 
 #[test]

@@ -5,7 +5,10 @@
 //! real Internet failures (figures 8–14). Neither is available here, so
 //! this crate builds the closest synthetic equivalents:
 //!
-//! * [`LatencyMatrix`] — an all-pairs RTT and loss-rate matrix.
+//! * [`LatencyMatrix`] — an all-pairs RTT and loss-rate matrix that keeps
+//!   one [`Link`] record per unordered pair (links are symmetric, as the
+//!   paper assumes) plus a record for each direction set apart from its
+//!   reverse.
 //! * [`planetlab`] — a geography-plus-inflation latency model that
 //!   reproduces the *distributional* facts figure 1 depends on: a small
 //!   fraction of badly inflated long paths, most of which have a
@@ -33,5 +36,5 @@ pub(crate) mod sampling;
 
 pub use failures::{FailureParams, FailureSchedule, LinkOutage, NodeOutage, Partition};
 pub use geo::{GeoPoint, Region};
-pub use matrix::LatencyMatrix;
+pub use matrix::{LatencyMatrix, Link};
 pub use planetlab::{PlanetLabParams, Topology};

@@ -1,55 +1,103 @@
 //! All-pairs latency and loss matrices.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+
+/// One direction of a link: its RTT in milliseconds (`INFINITY` =
+/// unreachable) and its packet loss probability in `[0, 1]`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Link {
+    /// Round-trip time, ms.
+    pub rtt_ms: f64,
+    /// Packet loss probability.
+    pub loss: f64,
+}
+
+impl Link {
+    /// A link nothing crosses.
+    const UNREACHABLE: Link = Link {
+        rtt_ms: f64::INFINITY,
+        loss: 0.0,
+    };
+
+    /// A node's link to itself.
+    const SELF: Link = Link {
+        rtt_ms: 0.0,
+        loss: 0.0,
+    };
+
+    /// Bit for bit the same (so `NaN` equals itself and `-0.0` does not
+    /// equal `0.0`): the test for whether a direction needs a record of
+    /// its own.
+    fn same(self, other: Link) -> bool {
+        self.rtt_ms.to_bits() == other.rtt_ms.to_bits()
+            && self.loss.to_bits() == other.loss.to_bits()
+    }
+}
 
 /// An all-pairs RTT (ms) and loss-rate matrix over `n` nodes.
 ///
 /// This is the "ground truth" the simulator delivers packets with, and the
 /// reference that effectiveness experiments compare routing output against.
-/// The matrix is stored dense (`n²` entries) — the paper's regime is
-/// hundreds to a few thousands of nodes, where dense storage is both faster
-/// and simpler than anything sparse.
 ///
 /// RTTs are symmetric unless explicitly set otherwise; the paper assumes
 /// bidirectional links with identical cost (section 3) and notes that
-/// asymmetric costs only change what round one transmits. Unreachable
-/// pairs carry `f64::INFINITY`.
+/// asymmetric costs only change what round one transmits. So the matrix
+/// keeps one 16 B [`Link`] record per unordered pair (and one per node
+/// for its self-link), `n(n + 1)/2` in all: half of what two dense
+/// `n²` arrays of `f64` would hold. A direction set apart from its
+/// reverse ([`set_rtt_directed`](Self::set_rtt_directed),
+/// [`set_loss_directed`](Self::set_loss_directed), an asymmetric
+/// [`from_csv`](Self::from_csv)) keeps its own record in a sorted table
+/// of exceptions, which a lookup consults only when it is non-empty.
+/// Unreachable pairs carry `f64::INFINITY`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencyMatrix {
     n: usize,
-    /// Row-major RTT in milliseconds; `INFINITY` = unreachable.
-    rtt_ms: Vec<f64>,
-    /// Row-major packet loss probability in `[0, 1]`.
-    loss: Vec<f64>,
+    /// The record of each pair `{i, j}`, `i ≤ j`, row-major over the
+    /// upper triangle (see [`pair_index`](Self::pair_index)), so a loop
+    /// over `j > i` inside a loop over `i` walks it in order.
+    links: Vec<Link>,
+    /// The directions that differ from their pair's record, by
+    /// `(from, to)`. At most one direction of a pair is here.
+    directed: BTreeMap<(usize, usize), Link>,
 }
 
 impl LatencyMatrix {
     /// A matrix with every distinct pair unreachable and zero loss.
     #[must_use]
     pub fn unreachable(n: usize) -> Self {
-        let mut m = LatencyMatrix {
-            n,
-            rtt_ms: vec![f64::INFINITY; n * n],
-            loss: vec![0.0; n * n],
-        };
-        for i in 0..n {
-            m.rtt_ms[i * n + i] = 0.0;
-        }
-        m
+        Self::filled(n, Link::UNREACHABLE)
     }
 
     /// A fully connected matrix with a constant RTT on every pair.
     #[must_use]
     pub fn uniform(n: usize, rtt_ms: f64) -> Self {
-        let mut m = Self::unreachable(n);
+        Self::filled(n, Link { rtt_ms, loss: 0.0 })
+    }
+
+    /// Every distinct pair at `link`, every node at 0 ms from itself.
+    fn filled(n: usize, link: Link) -> Self {
+        let mut m = LatencyMatrix {
+            n,
+            links: vec![link; n * (n + 1) / 2],
+            directed: BTreeMap::new(),
+        };
         for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    m.rtt_ms[i * n + j] = rtt_ms;
-                }
-            }
+            let p = m.pair_index(i, i);
+            m.links[p] = Link::SELF;
         }
         m
+    }
+
+    /// Where pair `{i, j}`'s record sits: row `a = min(i, j)` of the
+    /// upper triangle starts after the `n + (n − 1) + … + (n − a + 1)`
+    /// records of the rows above it, and `b = max(i, j)` is `b − a` into
+    /// it.
+    fn pair_index(&self, i: usize, j: usize) -> usize {
+        debug_assert!(i.max(j) < self.n, "({i}, {j}) past n = {}", self.n);
+        let (a, b) = if i <= j { (i, j) } else { (j, i) };
+        a * (2 * self.n - a + 1) / 2 + (b - a)
     }
 
     /// Number of nodes.
@@ -64,11 +112,22 @@ impl LatencyMatrix {
         self.n == 0
     }
 
+    /// The direction `i → j`: its RTT and loss in one read.
+    #[must_use]
+    pub fn link(&self, i: usize, j: usize) -> Link {
+        if !self.directed.is_empty() {
+            if let Some(&l) = self.directed.get(&(i, j)) {
+                return l;
+            }
+        }
+        self.links[self.pair_index(i, j)]
+    }
+
     /// RTT between `i` and `j` in milliseconds (0 for `i == j`,
     /// `INFINITY` when unreachable).
     #[must_use]
     pub fn rtt(&self, i: usize, j: usize) -> f64 {
-        self.rtt_ms[i * self.n + j]
+        self.link(i, j).rtt_ms
     }
 
     /// One-way delay `i → j` (half the RTT), used by the simulator.
@@ -86,18 +145,49 @@ impl LatencyMatrix {
     /// Packet loss probability on `i → j`.
     #[must_use]
     pub fn loss(&self, i: usize, j: usize) -> f64 {
-        self.loss[i * self.n + j]
+        self.link(i, j).loss
+    }
+
+    /// Make `i → j` read `fwd` and `j → i` read `rev`: one record when
+    /// they agree (or `i == j`, where they are one direction), else the
+    /// pair's record holds `rev` and `fwd` is an exception.
+    fn put(&mut self, i: usize, j: usize, fwd: Link, rev: Link) {
+        let p = self.pair_index(i, j);
+        if i == j || fwd.same(rev) {
+            self.links[p] = fwd;
+            if !self.directed.is_empty() {
+                self.directed.remove(&(i, j));
+                self.directed.remove(&(j, i));
+            }
+        } else {
+            self.links[p] = rev;
+            self.directed.remove(&(j, i));
+            self.directed.insert((i, j), fwd);
+        }
+    }
+
+    /// Set the RTT and loss for both directions of a pair.
+    ///
+    /// # Panics
+    /// Panics unless `link.loss ∈ [0, 1]`.
+    pub fn set_link(&mut self, i: usize, j: usize, link: Link) {
+        assert!(
+            (0.0..=1.0).contains(&link.loss),
+            "loss must be a probability"
+        );
+        self.put(i, j, link, link);
     }
 
     /// Set the RTT for both directions of a pair.
     pub fn set_rtt(&mut self, i: usize, j: usize, rtt_ms: f64) {
-        self.rtt_ms[i * self.n + j] = rtt_ms;
-        self.rtt_ms[j * self.n + i] = rtt_ms;
+        let (fwd, rev) = (self.link(i, j), self.link(j, i));
+        self.put(i, j, Link { rtt_ms, ..fwd }, Link { rtt_ms, ..rev });
     }
 
     /// Set an asymmetric one-direction RTT (used by asymmetry ablations).
     pub fn set_rtt_directed(&mut self, i: usize, j: usize, rtt_ms: f64) {
-        self.rtt_ms[i * self.n + j] = rtt_ms;
+        let (fwd, rev) = (self.link(i, j), self.link(j, i));
+        self.put(i, j, Link { rtt_ms, ..fwd }, rev);
     }
 
     /// Set the loss probability for both directions of a pair.
@@ -106,8 +196,8 @@ impl LatencyMatrix {
     /// Panics unless `loss ∈ [0, 1]`.
     pub fn set_loss(&mut self, i: usize, j: usize, loss: f64) {
         assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        self.loss[i * self.n + j] = loss;
-        self.loss[j * self.n + i] = loss;
+        let (fwd, rev) = (self.link(i, j), self.link(j, i));
+        self.put(i, j, Link { loss, ..fwd }, Link { loss, ..rev });
     }
 
     /// Set an asymmetric one-direction loss probability (lossy-WAN and
@@ -117,7 +207,8 @@ impl LatencyMatrix {
     /// Panics unless `loss ∈ [0, 1]`.
     pub fn set_loss_directed(&mut self, i: usize, j: usize, loss: f64) {
         assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        self.loss[i * self.n + j] = loss;
+        let (fwd, rev) = (self.link(i, j), self.link(j, i));
+        self.put(i, j, Link { loss, ..fwd }, rev);
     }
 
     /// Iterate over all ordered pairs `(i, j, rtt)` with `i != j`.
@@ -166,7 +257,7 @@ impl LatencyMatrix {
     #[must_use]
     pub fn all_pairs_shortest(&self) -> Vec<f64> {
         let n = self.n;
-        let mut d = self.rtt_ms.clone();
+        let mut d: Vec<f64> = (0..n * n).map(|x| self.rtt(x / n, x % n)).collect();
         for k in 0..n {
             for i in 0..n {
                 let dik = d[i * n + k];
@@ -210,7 +301,9 @@ impl LatencyMatrix {
     /// # Errors
     /// Returns a message describing the first malformed line.
     pub fn from_csv(csv: &str) -> Result<LatencyMatrix, String> {
-        let mut triples: Vec<(usize, usize, f64, f64)> = Vec::new();
+        // By direction; a later line for a direction overrides an
+        // earlier one.
+        let mut listed: BTreeMap<(usize, usize), Link> = BTreeMap::new();
         let mut max_idx = 0usize;
         for (lineno, line) in csv.lines().enumerate() {
             let line = line.trim();
@@ -246,13 +339,15 @@ impl LatencyMatrix {
                 return Err(format!("line {}: bad rtt {rtt}", lineno + 1));
             }
             max_idx = max_idx.max(src).max(dst);
-            triples.push((src, dst, rtt, loss));
+            listed.insert((src, dst), Link { rtt_ms: rtt, loss });
         }
-        let n = max_idx + 1;
-        let mut m = LatencyMatrix::unreachable(n);
-        for (src, dst, rtt, loss) in triples {
-            m.set_rtt_directed(src, dst, rtt);
-            m.loss[src * n + dst] = loss;
+        // Each pair once: from its lower-to-higher line when it has one.
+        let mut m = LatencyMatrix::unreachable(max_idx + 1);
+        for (&(src, dst), &fwd) in &listed {
+            let rev = listed.get(&(dst, src));
+            if src < dst || rev.is_none() {
+                m.put(src, dst, fwd, rev.copied().unwrap_or(Link::UNREACHABLE));
+            }
         }
         Ok(m)
     }
@@ -412,7 +507,14 @@ mod tests {
         let back = LatencyMatrix::from_csv(&m.to_csv()).unwrap();
         assert_eq!(back.rtt(0, 1), 40.0);
         assert!(!back.reachable(1, 0));
-        assert!(!back.reachable(0, 2));
+        assert_eq!(back.len(), 2, "node 2 is named on no line");
+        // Once a line names node 2, its pairs no line lists stay
+        // unreachable both ways.
+        m.set_rtt_directed(2, 1, 7.0);
+        let back = LatencyMatrix::from_csv(&m.to_csv()).unwrap();
+        assert_eq!((back.len(), back.rtt(2, 1)), (3, 7.0));
+        assert!(!back.reachable(1, 2));
+        assert!(!back.reachable(0, 2) && !back.reachable(2, 0));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   concentration figure 1's "excluding top n %" curves demonstrate.
 
 use crate::geo::{GeoPoint, Region};
-use crate::matrix::LatencyMatrix;
+use crate::matrix::{LatencyMatrix, Link};
 use crate::sampling;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -192,13 +192,11 @@ impl Topology {
                 }
                 // No path can beat light-in-fibre propagation.
                 multiplier = multiplier.max(1.0);
-                let rtt = prop * multiplier + access_ms[i] + access_ms[j] + params.processing_ms;
-                latency.set_rtt(i, j, rtt);
-
+                let rtt_ms = prop * multiplier + access_ms[i] + access_ms[j] + params.processing_ms;
                 let loss =
                     sampling::log_normal(&mut rng, params.loss_median.ln(), params.loss_sigma)
                         .min(0.5);
-                latency.set_loss(i, j, loss);
+                latency.set_link(i, j, Link { rtt_ms, loss });
             }
         }
 
