@@ -19,6 +19,7 @@ fn linkstate_msg(from: usize, to: usize, entries: &[LinkEntry], dense: bool) -> 
         basis_ms: 250,
         width: entries.len() as u16,
         row: Arc::new(LaneRow::from_dense(entries)),
+        liveness_loss: LinkStateMsg::liveness_lane(entries),
     };
     if dense {
         Message::LinkState(ls)

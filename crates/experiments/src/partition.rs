@@ -146,8 +146,6 @@ pub struct PartitionOutcome {
 pub struct PartitionResult {
     /// One outcome per arm, anti-entropy on first.
     pub outcomes: Vec<PartitionOutcome>,
-    /// Protocol period used (for reading the period columns).
-    pub period_s: f64,
 }
 
 /// Do all `n` nodes hold one view containing all `n` members?
@@ -276,7 +274,6 @@ pub fn run_arm(params: &PartitionParams, anti_entropy: bool) -> PartitionOutcome
 pub fn run(params: &PartitionParams) -> PartitionResult {
     PartitionResult {
         outcomes: vec![run_arm(params, true), run_arm(params, false)],
-        period_s: PERIOD_S,
     }
 }
 

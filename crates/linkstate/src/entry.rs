@@ -68,30 +68,13 @@ impl LinkEntry {
     /// The wire liveness byte: the alive flag in bit 7 and the loss
     /// rate in half-percent units in bits 0–6 (saturating at 63.5 %) —
     /// the third byte [`LinkEntry::encode`] emits, and the byte a
-    /// [`LaneRow`](crate::store::LaneRow) liveness lane stores verbatim.
+    /// frame's liveness lane
+    /// ([`LinkStateMsg::liveness_loss`](crate::LinkStateMsg::liveness_loss))
+    /// carries verbatim.
     #[must_use]
     pub fn liveness_byte(&self) -> u8 {
         let loss_half_pct = ((self.loss * 200.0).round() as u32).min(127) as u8;
         (u8::from(self.alive) << 7) | loss_half_pct
-    }
-
-    /// Reassemble an entry from its wire lanes: the big-endian latency
-    /// field as a `u16` plus the liveness byte. A dead link decodes
-    /// with `loss = 1.0` regardless of the quantized field (a dead link
-    /// loses everything), keeping encode/decode a semantic round trip.
-    #[must_use]
-    pub fn from_wire_parts(latency_ms: u16, liveness: u8) -> Self {
-        let alive = liveness & 0x80 != 0;
-        let loss = if alive {
-            f32::from(liveness & 0x7F) / 200.0
-        } else {
-            1.0
-        };
-        LinkEntry {
-            latency_ms,
-            alive,
-            loss,
-        }
     }
 
     /// Pack into the 3-byte wire form.
@@ -106,11 +89,23 @@ impl LinkEntry {
         [lat_b[0], lat_b[1], self.liveness_byte()]
     }
 
-    /// Unpack from the 3-byte wire form (see
-    /// [`LinkEntry::from_wire_parts`]).
+    /// Unpack from the 3-byte wire form: the big-endian latency field
+    /// plus the liveness byte. A dead link decodes with `loss = 1.0`
+    /// regardless of the quantized field (a dead link loses
+    /// everything), keeping encode/decode a semantic round trip.
     #[must_use]
     pub fn decode(bytes: [u8; 3]) -> Self {
-        Self::from_wire_parts(u16::from_be_bytes([bytes[0], bytes[1]]), bytes[2])
+        let alive = bytes[2] & 0x80 != 0;
+        let loss = if alive {
+            f32::from(bytes[2] & 0x7F) / 200.0
+        } else {
+            1.0
+        };
+        LinkEntry {
+            latency_ms: u16::from_be_bytes([bytes[0], bytes[1]]),
+            alive,
+            loss,
+        }
     }
 
     /// Quantize an RTT measured in (possibly fractional) milliseconds to
@@ -199,12 +194,12 @@ mod tests {
         assert_eq!(LinkEntry::live(1, 0.0).encode().len(), LinkEntry::WIRE_SIZE);
     }
 
-    /// What lets a stored row be relabelled by copying its latency and
-    /// liveness bytes instead of decoding and re-encoding them: every
-    /// wire entry a lane can hold — a live liveness byte over a latency
-    /// below the dead sentinel — reads back as the entry that encodes
-    /// to the same three bytes. Exhaustive over the liveness byte at
-    /// the latency edges. What a lane cannot hold is canonicalized, not
+    /// What lets a row be relabelled, and a frame re-encoded, by copying
+    /// its latency and liveness bytes instead of decoding and
+    /// re-encoding them: every wire entry the lanes can hold — a live
+    /// liveness byte over a latency below the dead sentinel — reads back
+    /// as the entry that encodes to the same three bytes. Exhaustive
+    /// over the liveness byte at the latency edges. What a lane cannot hold is canonicalized, not
     /// preserved: a live byte over the sentinel latency clamps one
     /// below it, and every dead byte reads as the one dead entry.
     #[test]

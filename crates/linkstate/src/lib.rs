@@ -7,10 +7,13 @@
 //!   entitles it to — its own row plus its `~2√n` rendezvous clients'
 //!   rows — so per-node state is the paper's `O(n√n)` bound instead of
 //!   `O(n²)`. There is one row layout: a row is stored struct-of-arrays
-//!   ([`LaneRow`]), parallel `dst`/`latency_ms`/liveness lanes holding
-//!   the exact wire bytes — 5 B per live entry, or 3 B when the row is
-//!   live to every destination and borrows the shared identity lane
-//!   instead of holding a `dst` lane — and borrowed as a [`RowRef`]. There is one cost domain: the wire format is already
+//!   ([`LaneRow`]), parallel `dst`/`latency_ms` lanes holding the exact
+//!   wire latencies of the live entries — 4 B per entry, or 2 B when the
+//!   row is live to every destination and borrows the shared identity
+//!   lane instead of holding a `dst` lane — and borrowed as a
+//!   [`RowRef`]. A row holds what routing reads and nothing more: the
+//!   entries' liveness/loss bytes travel in the frame
+//!   ([`LinkStateMsg::liveness_loss`]) and no store keeps them. There is one cost domain: the wire format is already
 //!   fixed-point — latencies are integer milliseconds in a `u16`, loss
 //!   is quantized to half-percent units — so every cost in the routing
 //!   path, from the round-two kernel to the feasibility distances, is
@@ -50,12 +53,16 @@
 //!
 //! A row is one thing from the sender's tick to the receiver's kernel:
 //! a [`LaneRow`] behind an `Arc`, and it is never converted on the way.
+//! Beside it each message carries the entries' liveness/loss bytes
+//! ([`LinkStateMsg::liveness_loss`]), the one part of the wire entry no
+//! route reads, which lives exactly as long as the message.
 //!
 //! 1. **Sender.** The routing tick reduces the freshly measured row to
-//!    lanes once ([`LaneRow::from_dense`], the only place entries are
-//!    quantized), hands one `Arc` to its own store and clones the same
-//!    `Arc` into each of the `~2√n` [`LinkStateMsg`]s of the tick. The
-//!    frames own nothing but their envelope.
+//!    lanes once ([`LaneRow::from_dense`]) and its liveness bytes to
+//!    one lane ([`LinkStateMsg::liveness_lane`]) — the only places
+//!    entries are quantized — hands the row's `Arc` to its own store
+//!    and clones both `Arc`s into each of the `~2√n` [`LinkStateMsg`]s
+//!    of the tick. The frames own nothing but their envelope.
 //! 2. **Encode.** [`Message::encode`] writes the lanes as they are —
 //!    `dst`, latency, liveness byte per live entry (sparse), or every
 //!    slot with dead filler between them (dense) — then the seqno
@@ -65,18 +72,20 @@
 //!    is dropped; the bytes belong to the driver.
 //! 3. **Decode.** [`Message::decode_traced`] validates the frame
 //!    (lengths, strictly ascending in-range destinations, trailer
-//!    rules) and fills exact-capacity lanes straight from the bytes,
-//!    one exact-size `extend` per lane — two lanes, not three, when a
-//!    dense frame has every entry live: a full row borrows its
-//!    destinations. Lanes are the message body *because* they are the wire's
+//!    rules) and fills each lane at its exact size straight from the
+//!    bytes, one allocation a lane: the row's latency lane, its
+//!    destination lane unless a dense frame has every entry live (a
+//!    full row borrows its destinations), and the message's liveness
+//!    lane. Lanes are the message body *because* they are the wire's
 //!    own layout and the kernel's input at once: no `LinkEntry`, no
 //!    `f32`, nothing to re-quantize. The new `Arc<LaneRow>` is owned by
 //!    the decoded message.
 //! 4. **Ingest.** The router borrows the message and calls
-//!    [`LinkStateStore::put_row`] with a clone of the `Arc` — a count
-//!    bump. [`RowStore`] does the stale-replay check and the replace in
-//!    one map walk and keeps that `Arc`; the previous row is freed. When
-//!    the message is dropped the store is the row's only owner.
+//!    [`LinkStateStore::put_row`] with a clone of the row's `Arc` — a
+//!    count bump. [`RowStore`] does the stale-replay check and the
+//!    replace in one map walk and keeps that `Arc`; the previous row is
+//!    freed. When the message is dropped the store is the row's only
+//!    owner, and the liveness lane is freed with it.
 //!
 //! A stored row is never edited: [`LaneRow`] has no `&mut self`
 //! method, and every row reaches the store through `put_row`. When a
@@ -108,8 +117,7 @@ pub mod wire;
 
 pub use entry::{LinkEntry, INFINITE_COST};
 pub use store::{
-    seqno_newer, Detour, LaneRow, LinkStateStore, LiveEntries, RoundTwo, RowCursor, RowRef,
-    RowStore,
+    seqno_newer, Detour, LaneRow, LinkStateStore, RoundTwo, RowCursor, RowRef, RowStore,
 };
 pub use wire::{
     ls_trailer_size, readdress_linkstate, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem,

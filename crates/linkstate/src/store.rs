@@ -9,11 +9,14 @@
 //! * [`RowStore`] — a sparse indexed map `origin → (receipt time, row)`
 //!   holding exactly the rows a node's role entitles it to: its own
 //!   row plus its rendezvous clients' rows. Each held row is a
-//!   [`LaneRow`]: three parallel contiguous lanes (`dst`, `latency_ms`,
-//!   liveness/loss) holding only the *live* entries, ascending by
-//!   destination, in the wire's own fixed-point quantization — 5 bytes
-//!   per entry, or 3 when the row is live to every destination and its
-//!   `dst` lane is the shared identity lane. A node probing `O(√n)`
+//!   [`LaneRow`]: two parallel contiguous lanes (`dst`, `latency_ms`)
+//!   holding only the *live* entries, ascending by destination, in the
+//!   wire's own fixed-point quantization — 4 bytes per entry, or 2 when
+//!   the row is live to every destination and its `dst` lane is the
+//!   shared identity lane. The entry's liveness/loss byte is not held:
+//!   no route reads it, so it rides the frame
+//!   ([`LinkStateMsg::liveness_loss`](crate::LinkStateMsg::liveness_loss))
+//!   and is dropped with it. A node probing `O(√n)`
 //!   targets therefore stores `O(√n)` entries per row and `O(n)`
 //!   overall, far below even the paper's `O(n√n)` wire bound. An optional row *entitlement* is enforced
 //!   on insert: a fresh row beyond it is refused and counted, so
@@ -53,16 +56,15 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A borrowed view of one link-state row: the three index-aligned lanes
+/// A borrowed view of one link-state row: the two index-aligned lanes
 /// of a [`LaneRow`] over a row of `width` destinations.
 ///
 /// The lanes hold **live entries only**, strictly ascending by
-/// destination, in the exact wire quantization ([`LinkEntry::encode`]):
-/// `liveness_loss[i]` is the wire liveness byte (bit 7 always set),
-/// `latency_ms[i]` the wire latency. Destinations not listed read as
-/// [`LinkEntry::dead`]. Random access is `O(log k)`; repeated ascending
-/// probes should go through [`RowRef::cursor`] instead of
-/// [`RowRef::get`].
+/// destination: `latency_ms[i]` is the wire latency of `dst[i]`
+/// ([`LinkEntry::encode`]). Destinations not listed cost
+/// [`INFINITE_COST`]. Random access is `O(log k)` (none on a full row);
+/// repeated ascending probes should go through [`RowRef::cursor`]
+/// instead of [`RowRef::cost`].
 #[derive(Debug, Clone, Copy)]
 pub struct RowRef<'a> {
     /// Full row width (`n`); destinations ≥ `width` are out of range.
@@ -71,8 +73,6 @@ pub struct RowRef<'a> {
     dst: &'a [u16],
     /// Latency lane (integer milliseconds, wire-clamped).
     latency_ms: &'a [u16],
-    /// Liveness/loss lane (the exact wire byte).
-    liveness_loss: &'a [u8],
 }
 
 impl<'a> RowRef<'a> {
@@ -80,11 +80,6 @@ impl<'a> RowRef<'a> {
     #[must_use]
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// The stored entry at lane position `i`.
-    fn entry_at(&self, i: usize) -> LinkEntry {
-        LinkEntry::from_wire_parts(self.latency_ms[i], self.liveness_loss[i])
     }
 
     /// Lane position of `dst`, when stored. Slot `dst` is tried first:
@@ -98,17 +93,6 @@ impl<'a> RowRef<'a> {
             return Some(dst);
         }
         self.dst.binary_search(&target).ok()
-    }
-
-    /// The entry for `dst` (dead when not stored).
-    ///
-    /// # Panics
-    /// Panics if `dst ≥ width()`.
-    #[must_use]
-    pub fn get(&self, dst: usize) -> LinkEntry {
-        assert!(dst < self.width, "dst {dst} out of range");
-        self.position(dst)
-            .map_or_else(LinkEntry::dead, |i| self.entry_at(i))
     }
 
     /// Routing cost of the `dst` entry: the latency lane when alive,
@@ -126,59 +110,19 @@ impl<'a> RowRef<'a> {
     /// A resumable lookup cursor over this row. Probing destinations in
     /// ascending order costs amortized `O(1)` per probe (the cursor
     /// only ever walks forward); a backwards probe falls back to one
-    /// binary search to re-position. [`RowRef::get`] by contrast pays a
-    /// fresh `O(log k)` search on every call.
+    /// binary search to re-position. [`RowRef::cost`] by contrast pays a
+    /// fresh `O(log k)` search on every call off a full row.
     #[must_use]
     pub fn cursor(&self) -> RowCursor<'a> {
         RowCursor { row: *self, pos: 0 }
     }
 
-    /// Iterate the live entries as `(dst, entry)`, ascending by `dst`.
-    #[must_use]
-    pub fn iter_live(&self) -> LiveEntries<'a> {
-        LiveEntries {
-            row: *self,
-            next: 0,
-        }
-    }
-
-    /// Iterate the live entries as `(dst, cost)`, ascending by `dst` —
-    /// the kernel-facing view: no `LinkEntry` (and no `f32` loss
-    /// reconstruction) is materialised.
+    /// Iterate the live entries as `(dst, cost)`, ascending by `dst`.
     fn iter_costs(&self) -> impl Iterator<Item = (usize, u32)> + 'a {
         let (dst, latency_ms) = (self.dst, self.latency_ms);
         dst.iter()
             .zip(latency_ms)
             .map(|(&d, &l)| (usize::from(d), u32::from(l)))
-    }
-
-    /// Materialise a full-width row (absent entries dead).
-    #[must_use]
-    pub fn to_dense(&self) -> Vec<LinkEntry> {
-        let mut out = vec![LinkEntry::dead(); self.width];
-        for (dst, e) in self.iter_live() {
-            out[dst] = e;
-        }
-        out
-    }
-}
-
-/// Ascending iterator over the live entries of a [`RowRef`].
-#[derive(Debug)]
-pub struct LiveEntries<'a> {
-    row: RowRef<'a>,
-    /// Next lane index to yield.
-    next: usize,
-}
-
-impl Iterator for LiveEntries<'_> {
-    type Item = (usize, LinkEntry);
-
-    fn next(&mut self) -> Option<(usize, LinkEntry)> {
-        let i = self.next;
-        let &d = self.row.dst.get(i)?;
-        self.next += 1;
-        Some((usize::from(d), self.row.entry_at(i)))
     }
 }
 
@@ -215,16 +159,6 @@ impl RowCursor<'_> {
             self.pos = keys.partition_point(|&k| k < target);
         }
         (keys.get(self.pos) == Some(&target)).then_some(self.pos)
-    }
-
-    /// The entry for `dst` (dead when not stored), like [`RowRef::get`]
-    /// but amortized `O(1)` across ascending probes.
-    ///
-    /// # Panics
-    /// Panics if `dst ≥ width()`.
-    pub fn get(&mut self, dst: usize) -> LinkEntry {
-        self.seek(dst)
-            .map_or_else(LinkEntry::dead, |i| self.row.entry_at(i))
     }
 
     /// Routing cost of the `dst` entry ([`INFINITE_COST`] when dead or
@@ -604,21 +538,21 @@ impl std::fmt::Debug for DstLane {
     }
 }
 
-/// One owned link-state row in struct-of-arrays form: three parallel
+/// One owned link-state row in struct-of-arrays form: two parallel
 /// lanes holding the **live** entries only, strictly ascending by
-/// destination, in the exact wire quantization — `latency_ms` is the
-/// wire's integer-millisecond latency (clamped below the dead
-/// sentinel, as [`LinkEntry::encode`] would emit it) and
-/// `liveness_loss` the wire's liveness byte. A row that arrived from
-/// the wire therefore round-trips bit-identically: re-encoding the
-/// lanes reproduces the frame bytes.
+/// destination — `dst`, and `latency_ms`, the wire's
+/// integer-millisecond latency (clamped below the dead sentinel, as
+/// [`LinkEntry::encode`] would emit it). That is everything routing
+/// reads: a route's cost is its latency. The entry's third wire byte,
+/// liveness and loss, is not held: it rides the frame beside the row
+/// ([`LinkStateMsg::liveness_loss`](crate::LinkStateMsg::liveness_loss)),
+/// and a frame's row plus that lane re-encode to the frame's bytes.
 ///
-/// A row costs what its wire form costs. One that lists its
-/// destinations holds 5 bytes per entry, as a sparse frame spends; a
-/// **full row** — live to every destination `0..k`, which is every row
-/// under full-mesh probing — holds the 3
-/// bytes per entry of a dense frame, because its destination lane is
-/// the shared identity lane ([`LaneRow::held_bytes`] counts either).
+/// A row that lists its destinations holds 4 bytes per entry; a **full
+/// row** — live to every destination `0..k`, which is every row under
+/// full-mesh probing — holds 2, its latency alone, because its
+/// destination lane is the shared identity lane
+/// ([`LaneRow::held_bytes`] counts either).
 /// There is still one row type and one set of lanes: [`LaneRow::lanes`]
 /// and [`RowRef`] hand out `&[u16]` destinations whichever they are,
 /// and the latency lane is directly consumable by the integer kernel
@@ -627,7 +561,6 @@ impl std::fmt::Debug for DstLane {
 pub struct LaneRow {
     dst: DstLane,
     latency_ms: Box<[u16]>,
-    liveness_loss: Box<[u8]>,
     /// The origin's row sequence number (0 = unversioned legacy row).
     /// Bumped by the origin on retraction events; the store refuses to
     /// replace a versioned row with a strictly older one, so delayed or
@@ -651,13 +584,13 @@ pub fn seqno_newer(a: u16, b: u16) -> bool {
 impl LaneRow {
     /// Bytes this row holds: the lanes it owns — a full row's
     /// destinations are borrowed, not owned — plus the retraction lane.
-    /// A listed entry is 2 (dst) + 2 (latency) + 1 (liveness/loss)
-    /// bytes; a full row's entry is its [`LinkEntry::WIRE_SIZE`] alone.
+    /// A listed entry is 2 (dst) + 2 (latency) bytes; a full row's entry
+    /// is its latency alone.
     #[must_use]
     pub fn held_bytes(&self) -> usize {
         let per_entry = match self.dst {
-            DstLane::Full(_) => LinkEntry::WIRE_SIZE,
-            DstLane::Listed(_) => 2 + LinkEntry::WIRE_SIZE,
+            DstLane::Full(_) => 2,
+            DstLane::Listed(_) => 4,
         };
         self.len() * per_entry + 2 * self.retracted.len()
     }
@@ -690,14 +623,12 @@ impl LaneRow {
     fn collect(count: usize, live: impl Iterator<Item = (u16, LinkEntry)>) -> Self {
         let mut dst = Vec::with_capacity(count);
         let mut latency_ms = Vec::with_capacity(count);
-        let mut liveness_loss = Vec::with_capacity(count);
         for (d, e) in live {
             let wire = e.encode();
             dst.push(d);
             latency_ms.push(u16::from_be_bytes([wire[0], wire[1]]));
-            liveness_loss.push(wire[2]);
         }
-        Self::from_wire_lanes(dst.into(), latency_ms, liveness_loss, 0, Vec::new())
+        Self::from_wire_lanes(dst.into(), latency_ms, 0, Vec::new())
     }
 
     /// Assemble a row from lanes that already hold wire-exact values —
@@ -708,27 +639,24 @@ impl LaneRow {
     pub(crate) fn from_wire_lanes(
         dst: DstLane,
         latency_ms: Vec<u16>,
-        liveness_loss: Vec<u8>,
         seqno: u16,
         retracted: Vec<u16>,
     ) -> Self {
-        debug_assert!(dst.len() == latency_ms.len() && dst.len() == liveness_loss.len());
+        debug_assert!(dst.len() == latency_ms.len());
         debug_assert!(retracted.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(liveness_loss.iter().all(|l| l & 0x80 != 0));
         LaneRow {
             dst,
             latency_ms: latency_ms.into_boxed_slice(),
-            liveness_loss: liveness_loss.into_boxed_slice(),
             seqno,
             retracted: retracted.into_boxed_slice(),
         }
     }
 
-    /// The three index-aligned lanes — destination, latency, liveness —
-    /// exactly as a frame carries them.
+    /// The two index-aligned lanes — destination and latency — of the
+    /// live entries, ascending by destination.
     #[must_use]
-    pub fn lanes(&self) -> (&[u16], &[u16], &[u8]) {
-        (&self.dst, &self.latency_ms, &self.liveness_loss)
+    pub fn lanes(&self) -> (&[u16], &[u16]) {
+        (&self.dst, &self.latency_ms)
     }
 
     /// Stamp the row with the origin's seqno and retraction lane
@@ -745,9 +673,9 @@ impl LaneRow {
     /// entries and of the retraction lane alike — renamed through `map`
     /// (`map[old] = Some(new)`), entries and retractions whose
     /// destination has no new name (`None`, or beyond the table)
-    /// dropped. Latency and liveness bytes are copied as they are: a
-    /// wire byte reads back as the entry that encodes to it, so there is
-    /// nothing to re-quantize. The retraction lane stays, but the seqno
+    /// dropped. Latencies are copied as they are: a wire latency reads
+    /// back as the entry that encodes to it, so there is nothing to
+    /// re-quantize. The retraction lane stays, but the seqno
     /// does not: the copy is unversioned (0). A seqno orders one
     /// origin's frames within one view, and every origin numbers its
     /// rows from 0 again in a new view, so a carried seqno would refuse
@@ -763,16 +691,14 @@ impl LaneRow {
         let kept = self.dst.iter().filter(|d| rename(d).is_some()).count();
         let mut dst = Vec::with_capacity(kept);
         let mut latency_ms = Vec::with_capacity(kept);
-        let mut liveness_loss = Vec::with_capacity(kept);
         for (i, new) in self.dst.iter().map(rename).enumerate() {
             if let Some(new) = new {
                 dst.push(new);
                 latency_ms.push(self.latency_ms[i]);
-                liveness_loss.push(self.liveness_loss[i]);
             }
         }
         let retracted = self.retracted.iter().filter_map(rename).collect();
-        Self::from_wire_lanes(dst.into(), latency_ms, liveness_loss, 0, retracted)
+        Self::from_wire_lanes(dst.into(), latency_ms, 0, retracted)
     }
 
     /// The origin's row sequence number (0 = unversioned).
@@ -807,7 +733,6 @@ impl LaneRow {
             width,
             dst: &self.dst,
             latency_ms: &self.latency_ms,
-            liveness_loss: &self.liveness_loss,
         }
     }
 
@@ -826,7 +751,6 @@ impl LaneRow {
         LaneRow {
             dst: DstLane::Listed(cut(&self.dst, i)),
             latency_ms: cut(&self.latency_ms, i),
-            liveness_loss: cut(&self.liveness_loss, i),
             seqno: self.seqno,
             retracted: self.retracted.clone(),
         }
@@ -928,19 +852,6 @@ pub trait LinkStateStore {
     /// Is row `origin` present and no older than `max_age` at `now`?
     fn row_fresh(&self, origin: usize, now: f64, max_age: f64) -> bool {
         self.row_age(origin, now).is_some_and(|a| a <= max_age)
-    }
-
-    /// Row `origin` materialised full-width, when present (absent
-    /// entries dead). For tests to read a row by destination; neither
-    /// the kernel nor the carry across a view change widens a row.
-    fn row_dense(&self, origin: usize) -> Option<Vec<LinkEntry>> {
-        self.row_ref(origin).map(|r| r.to_dense())
-    }
-
-    /// The entry `origin → dst` (dead when the row is absent).
-    fn entry(&self, origin: usize, dst: usize) -> LinkEntry {
-        self.row_ref(origin)
-            .map_or_else(LinkEntry::dead, |r| r.get(dst))
     }
 
     /// Routing cost of `origin → dst` in integer milliseconds
@@ -1127,7 +1038,7 @@ struct StoredRow {
 ///
 /// A quorum node holds its own row plus its `~2√n` rendezvous clients'
 /// rows, and each row stores only its live entries, in struct-of-arrays
-/// lanes at 5 B/entry (3 B/entry for a full row, see [`LaneRow`]) —
+/// lanes at 4 B/entry (2 B/entry for a full row, see [`LaneRow`]) —
 /// which under entitled + sampled probing is `O(√n)` per row, so
 /// per-node state is `O(n)` where a full matrix needs `O(n²)`. Lookups
 /// are `O(log √n)` map + `O(log k)` row binary search (none on a full
@@ -1149,8 +1060,6 @@ pub struct RowStore {
     /// rows forever; a stale row is useless to the kernel, so shedding
     /// it is free.
     stale_after: Option<f64>,
-    /// High-water mark of `row_count` over the store's lifetime.
-    peak_rows: usize,
     /// Live entries held across all rows — what
     /// [`entry_count`](LinkStateStore::entry_count) returns — kept
     /// current by every path that adds, replaces or evicts a row, so the
@@ -1185,7 +1094,6 @@ impl RowStore {
             rows: BTreeMap::new(),
             entitlement: None,
             stale_after: None,
-            peak_rows: 0,
             live_entries: 0,
             held_bytes: 0,
             telemetry,
@@ -1233,15 +1141,14 @@ impl RowStore {
     }
 
     /// Empty the store for a new index space of `n` nodes entitled to
-    /// `max_rows` rows, as a membership change calls for: no row, no
-    /// high-water mark. What it reports into and the staleness window
+    /// `max_rows` rows, as a membership change calls for: no row. What
+    /// it reports into and the staleness window
     /// stay. Indistinguishable afterwards from
     /// [`RowStore::with_entitlement`] on the same registry.
     pub fn reset(&mut self, n: usize, max_rows: usize) {
         self.n = n;
         self.rows.clear();
         self.entitlement = Some(max_rows);
-        self.peak_rows = 0;
         self.live_entries = 0;
         self.held_bytes = 0;
     }
@@ -1270,13 +1177,6 @@ impl RowStore {
     #[must_use]
     pub fn entitlement(&self) -> Option<usize> {
         self.entitlement
-    }
-
-    /// The most rows ever held simultaneously — the state-accounting
-    /// high-water mark the scale experiment reports.
-    #[must_use]
-    pub fn peak_rows(&self) -> usize {
-        self.peak_rows
     }
 
     /// Make room for an insert at `now`: at the entitlement boundary,
@@ -1349,7 +1249,6 @@ impl LinkStateStore for RowStore {
                         lanes: row,
                     },
                 );
-                self.peak_rows = self.peak_rows.max(self.rows.len());
             }
         }
         self.note_merge();
@@ -1544,7 +1443,6 @@ mod tests {
         put(&mut s, 7, &vec![LinkEntry::dead(); 100], 3.0);
         assert_eq!(s.row_count(), 2);
         assert_eq!(s.row_time(7), Some(3.0));
-        assert_eq!(s.peak_rows(), 2);
     }
 
     #[test]
@@ -1555,9 +1453,9 @@ mod tests {
         row[64] = LinkEntry::live(20, 0.01);
         put(&mut s, 7, &row, 1.0);
         assert_eq!(s.entry_count(), 2, "dense input reduced to live entries");
-        assert_eq!(s.entry(7, 64).latency_ms, 20);
-        assert!(!s.entry(7, 4).alive);
-        assert_eq!(s.row_dense(7).unwrap(), row);
+        assert_eq!(s.row(7).unwrap().lanes(), (&[3, 64][..], &[10, 20][..]));
+        assert_eq!(s.cost(7, 64), 20);
+        assert_eq!(s.cost(7, 4), INFINITE_COST);
         // A row built from its live pairs stores the same thing.
         let mut t = RowStore::new(100);
         let pairs = [
@@ -1565,7 +1463,7 @@ mod tests {
             (64, LinkEntry::live(20, 0.01)),
         ];
         t.put_row(7, Arc::new(LaneRow::from_pairs(&pairs)), 1.0);
-        assert_eq!(t.row_dense(7).unwrap(), row);
+        assert_eq!(t.row(7), s.row(7));
         assert_eq!(t.entry_count(), 2);
     }
 
@@ -1589,7 +1487,7 @@ mod tests {
         let mut want = vec![LinkEntry::dead(); 5];
         for (old, new) in map.iter().enumerate() {
             if let Some(new) = new {
-                want[usize::from(*new)] = row.as_row_ref(8).get(old);
+                want[usize::from(*new)] = wide[old];
             }
         }
         assert_eq!(moved, LaneRow::from_dense(&want).with_version(0, &[1, 2]));
@@ -1612,7 +1510,7 @@ mod tests {
     /// however it was built: reduced from a dense row, collected from
     /// pairs, decoded from either frame form, or relabelled through a
     /// table that renames nothing. Each borrows the identity lane (the
-    /// very same slice), holds 3 bytes an entry, and equals the others.
+    /// very same slice), holds 2 bytes an entry, and equals the others.
     #[test]
     fn a_full_row_borrows_the_identity_lane_however_it_was_built() {
         use crate::wire::{LinkStateMsg, Message};
@@ -1632,6 +1530,7 @@ mod tests {
             basis_ms: 0,
             width: k as u16,
             row: Arc::new(dense.clone()),
+            liveness_loss: LinkStateMsg::liveness_lane(&entries),
         };
         for msg in [
             Message::LinkState(frame.clone()),
@@ -1653,7 +1552,7 @@ mod tests {
             assert_eq!(*row, dense);
             assert!(matches!(row.dst, DstLane::Full(len) if len == k));
             assert!(std::ptr::eq(row.lanes().0, dense.lanes().0));
-            assert_eq!(row.held_bytes(), 3 * k + 2 * 2);
+            assert_eq!(row.held_bytes(), 2 * k + 2 * 2);
         }
         assert_eq!(dense.lanes().0, (0..k as u16).collect::<Vec<_>>());
         // What the serde attributes name: out as a list, back in as the
@@ -1681,7 +1580,7 @@ mod tests {
 
     /// A full row that loses an entry is the listed row it always was —
     /// the same as reducing the dense row with that entry dead — and
-    /// owns its destinations from then on: 5 bytes an entry, even when
+    /// owns its destinations from then on: 4 bytes an entry, even when
     /// what is left reads `0..k`. Seqno and retraction lane stay, and a
     /// row without the entry is the row itself.
     #[test]
@@ -1698,11 +1597,12 @@ mod tests {
                 "dead at {dead_at}"
             );
             assert!(matches!(row.dst, DstLane::Listed(_)));
-            assert_eq!(row.held_bytes(), 5 * 5 + 2);
-            assert_eq!(row.as_row_ref(6).to_dense(), want);
+            assert_eq!(row.held_bytes(), 4 * 5 + 2);
+            let costs: Vec<u32> = (0..6).map(|d| row.as_row_ref(6).cost(d)).collect();
+            assert_eq!(costs, want.iter().map(LinkEntry::cost).collect::<Vec<_>>());
             assert_eq!(row.without(dead_at as u16), row, "nothing left to lose");
         }
-        assert_eq!(full.held_bytes(), 3 * 6 + 2);
+        assert_eq!(full.held_bytes(), 2 * 6 + 2);
     }
 
     /// Partial rows: only the intersection of the two live sets can
@@ -1744,18 +1644,9 @@ mod tests {
     }
 
     #[test]
-    fn entitlement_tracks_peak() {
-        let mut s = RowStore::with_entitlement(10, 4, 45.0, Telemetry::disabled());
-        assert_eq!(s.entitlement(), Some(4));
-        for i in 0..4 {
-            put(&mut s, i, &[LinkEntry::dead(); 10], 0.0);
-        }
-        assert_eq!(s.peak_rows(), 4);
-    }
-
-    #[test]
     fn capacity_pressure_evicts_stale_rows_first() {
         let mut s = RowStore::with_entitlement(10, 2, 45.0, Telemetry::disabled());
+        assert_eq!(s.entitlement(), Some(2));
         put(&mut s, 0, &[LinkEntry::dead(); 10], 0.0);
         put(&mut s, 1, &[LinkEntry::dead(); 10], 50.0);
         // At t=100, row 0 (age 100) and row 1 (age 50) are both stale:
@@ -1786,9 +1677,8 @@ mod tests {
         );
         assert_eq!(s.present_rows(), vec![0, 1]);
         assert_eq!((s.entry_count(), s.held_bytes), before);
-        assert_eq!(s.peak_rows(), 2);
         assert!(s.put_row(1, row(4), 3.0), "a held origin still refreshes");
-        assert_eq!(s.entry(1, 5).latency_ms, 4);
+        assert_eq!(s.cost(1, 5), 4);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter(3, "linkstate", "rows_rejected"), Some(1));
         assert_eq!(snap.counter(3, "linkstate", "rows_merged"), Some(3));
@@ -1818,16 +1708,13 @@ mod tests {
     /// held rows after every kind of mutation: insert, whole-row replace
     /// (growing and shrinking), a row losing an entry and having another
     /// repriced, row creation, and eviction under capacity pressure. A full
-    /// row counts 3 bytes an entry, a listed one 5, a retraction 2.
+    /// row counts 2 bytes an entry, a listed one 4, a retraction 2.
     #[test]
     fn live_entry_total_tracks_recount() {
         let telemetry = Telemetry::new(1);
         let mut s = RowStore::with_entitlement(10, 3, 45.0, telemetry.clone());
         let check = |s: &RowStore, step: &str, bytes: usize| {
-            let recount: usize = s
-                .held_rows()
-                .map(|(_, _, row)| row.iter_live().count())
-                .sum();
+            let recount: usize = s.rows.values().map(|r| r.lanes.lanes().0.len()).sum();
             assert_eq!(s.entry_count(), recount, "{step}");
             let held: usize = s.rows.values().map(|r| r.lanes.held_bytes()).sum();
             assert_eq!(held, bytes, "{step}");
@@ -1839,36 +1726,36 @@ mod tests {
             );
         };
         put(&mut s, 0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 0.0);
-        check(&s, "insert, a full row", 10 * 3);
+        check(&s, "insert, a full row", 10 * 2);
         let one = |dst: u16, cost: u16| {
             Arc::new(LaneRow::from_pairs(&[(dst, LinkEntry::live(cost, 0.0))]))
         };
         s.put_row(0, one(3, 7), 1.0);
-        check(&s, "replace, shrinking to a listed row", 5);
+        check(&s, "replace, shrinking to a listed row", 4);
         let versioned =
             LaneRow::from_dense(&live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9])).with_version(1, &[2]);
         s.put_row(0, Arc::new(versioned), 2.0);
-        check(&s, "replace, growing, one retraction", 10 * 3 + 2);
+        check(&s, "replace, growing, one retraction", 10 * 2 + 2);
         let mut nine = live_row(&[0, 1, 2, 3, 4, 50, 6, 7, 8, 9]);
         nine[4] = LinkEntry::dead();
         let nine = LaneRow::from_dense(&nine).with_version(1, &[2]);
         s.put_row(0, Arc::new(nine), 3.0);
-        check(&s, "entry killed: the row lists its 9", 9 * 5 + 2);
+        check(&s, "entry killed: the row lists its 9", 9 * 4 + 2);
         s.put_row(1, one(2, 9), 4.0);
         s.put_row(2, Arc::new(LaneRow::default()), 4.0);
-        check(&s, "rows created", 9 * 5 + 2 + 5);
+        check(&s, "rows created", 9 * 4 + 2 + 4);
         assert_eq!(s.entry_count(), 10);
         // Rows 0–2 are stale at t = 100: a fourth origin arriving at the
         // entitlement boundary sheds all three.
         s.put_row(7, one(1, 5), 100.0);
         assert_eq!(s.present_rows(), vec![7]);
-        check(&s, "evict", 5);
+        check(&s, "evict", 4);
         assert_eq!(s.entry_count(), 1);
     }
 
-    /// The cursor agrees with fresh `get`/`cost` lookups under any
-    /// probe order — ascending (the fast path), backwards (the binary
-    /// search fallback), repeats, and misses.
+    /// The cursor agrees with fresh `cost` lookups, and both with the
+    /// dense row, under any probe order — ascending (the fast path),
+    /// backwards (the binary search fallback), repeats, and misses.
     #[test]
     fn cursor_matches_fresh_lookups_in_any_order() {
         let n = 12;
@@ -1881,19 +1768,15 @@ mod tests {
         let probes = [0usize, 1, 4, 4, 9, 11, 2, 5, 10, 0, 11, 3];
         let mut cur = view.cursor();
         for &d in &probes {
-            assert_eq!(cur.get(d), view.get(d), "get({d}) via cursor");
-            assert_eq!(view.get(d), row[d], "get({d}) against the dense row");
-        }
-        let mut cur = view.cursor();
-        for &d in &probes {
             assert_eq!(cur.cost(d), view.cost(d), "cost({d}) via cursor");
             assert_eq!(view.cost(d), row[d].cost());
         }
     }
 
-    /// Lane rows store the exact wire bytes: building from entries that
-    /// need wire clamping (latency 65535, off-grid loss) equals
-    /// building from their decoded wire forms.
+    /// Lane rows store the exact wire latencies: building from entries
+    /// that need wire clamping (latency 65535, off-grid loss) equals
+    /// building from their decoded wire forms, and a dead entry is not
+    /// held at all.
     #[test]
     fn lane_rows_are_wire_exact() {
         let row = vec![
@@ -1904,10 +1787,10 @@ mod tests {
         let wired: Vec<LinkEntry> = row.iter().map(|e| LinkEntry::decode(e.encode())).collect();
         assert_eq!(LaneRow::from_dense(&row), LaneRow::from_dense(&wired));
         let lanes = LaneRow::from_dense(&row);
+        assert_eq!(lanes.lanes(), (&[0, 2][..], &[u16::MAX - 1, 0][..]));
         let view = lanes.as_row_ref(3);
-        assert_eq!(view.get(0), LinkEntry::decode(row[0].encode()));
-        assert_eq!(view.get(0).latency_ms, u16::MAX - 1);
-        assert_eq!(view.get(1), LinkEntry::dead());
+        assert_eq!(view.cost(0), LinkEntry::decode(row[0].encode()).cost());
+        assert_eq!(view.cost(1), INFINITE_COST);
     }
 
     #[test]
@@ -1941,7 +1824,7 @@ mod tests {
         assert!(!s.put_row(0, full(&[0, 10, 20, 30], 5), 4.0));
         assert_eq!(s.row_seqno(0), 6);
         assert_eq!(s.row_time(0), Some(3.0), "rejected replay leaves the row");
-        assert!(!s.entry(0, 2).alive);
+        assert_eq!(s.cost(0, 2), INFINITE_COST);
         assert_eq!(s.entry_count(), 1, "and the running total");
         // Unversioned rows (seqno 0) always pass — no flag day.
         assert!(s.put_row(0, full(&[0, 10, 20, 30], 0), 5.0));

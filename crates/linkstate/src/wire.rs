@@ -23,11 +23,17 @@
 //! moves at copy speed in both directions: the writer stages 64 records
 //! at a time in a stack buffer (`put_records`) instead of appending
 //! field by field, and the reader validates and counts in one pass and
-//! then fills each lane with one exact-size `extend` (`decode_lane`).
-//! A dense frame whose entries are all live — every frame under the
-//! paper's full-mesh probing — decodes to a full row, whose destination
-//! lane is never built (see [`LaneRow`]). Only a dense frame of a row
-//! that skips destinations is still written slot by slot.
+//! then fills each lane at its exact size, one allocation a lane
+//! (`decode_lane`). A dense frame whose entries are all live — every
+//! frame under the paper's full-mesh probing — decodes to a full row,
+//! whose destination lane is never built (see [`LaneRow`]). Only a dense
+//! frame of a row that skips destinations is still written slot by slot.
+//!
+//! An entry's three bytes part on the way in: its latency joins the
+//! row ([`LinkStateMsg::row`]), which a store keeps, and its
+//! liveness/loss byte joins the frame's own lane
+//! ([`LinkStateMsg::liveness_loss`]), which no store keeps — no route
+//! reads it — and which is dropped with the message.
 
 use crate::entry::LinkEntry;
 use crate::store::{DstLane, LaneRow};
@@ -138,13 +144,23 @@ fn put_records<const STRIDE: usize>(
 }
 
 /// Write a link-state frame after its type tag: header, entry list
-/// straight from the row's lanes, and the route-discipline trailer when
-/// the row is versioned. `sparse` lists the live entries as `(dst,
-/// entry)`; dense writes all `width` slots, dead where the lanes skip a
-/// destination.
+/// straight from the row's lanes and the message's liveness lane, and
+/// the route-discipline trailer when the row is versioned. `sparse`
+/// lists the live entries as `(dst, entry)`; dense writes all `width`
+/// slots, dead where the lanes skip a destination.
+///
+/// # Panics
+/// Panics if the liveness lane and the row differ in length: the frame
+/// would not say what the row says.
 fn put_linkstate(b: &mut BytesMut, m: &LinkStateMsg, sparse: bool) {
-    let (dst, latency_ms, liveness_loss) = m.row.lanes();
+    let (dst, latency_ms) = m.row.lanes();
+    let liveness_loss = &*m.liveness_loss;
     let retracted = m.row.retracted();
+    assert_eq!(
+        liveness_loss.len(),
+        dst.len(),
+        "one liveness byte per live entry"
+    );
     debug_assert!(
         dst.last().is_none_or(|&d| d < m.width),
         "row wider than width"
@@ -217,25 +233,39 @@ fn record_is_live(record: &&[u8]) -> bool {
     record[record.len() - 1] & 0x80 != 0
 }
 
-/// One lane of a decoded row: `read` over the live records of `body`,
-/// in exactly the `live` slots it needs. When every record is live —
-/// every frame under full-mesh probing — the lane is filled by one
-/// exact-size `extend`; otherwise dead records are filtered out on the
-/// way.
-fn decode_lane<T>(body: &[u8], stride: usize, live: usize, read: impl Fn(&[u8]) -> T) -> Vec<T> {
+/// The `len` items of `items`, collected at their exact size: a source
+/// that says its length up front lets a `Vec` or an `Arc<[T]>` allocate
+/// once, where a filtered one would grow the `Vec` or copy it into the
+/// `Arc`.
+fn exactly<T, C: FromIterator<T>>(len: usize, mut items: impl Iterator<Item = T>) -> C {
+    (0..len)
+        .map(|_| items.next().expect("as many items as counted"))
+        .collect()
+}
+
+/// One lane of a decoded frame: `read` over the live records of `body`,
+/// in exactly the `live` slots it needs — one allocation, whether the
+/// lane is a `Vec` or a shared `Arc<[T]>`. When every record is live —
+/// every frame under full-mesh probing — the records are read straight
+/// through; otherwise dead records are filtered out on the way.
+fn decode_lane<T, C: FromIterator<T>>(
+    body: &[u8],
+    stride: usize,
+    live: usize,
+    read: impl Fn(&[u8]) -> T,
+) -> C {
     let records = body.chunks_exact(stride);
-    let mut lane = Vec::with_capacity(live);
     if live == records.len() {
-        lane.extend(records.map(read));
+        records.map(read).collect()
     } else {
-        lane.extend(records.filter(record_is_live).map(read));
+        exactly(live, records.filter(record_is_live).map(read))
     }
-    lane
 }
 
 /// Read a link-state frame after the common `(type, from, to)` prefix,
-/// filling exact-capacity lanes straight from the entry bytes — no
-/// [`LinkEntry`] and no `f32` is materialised. An entry whose liveness
+/// filling exact-capacity lanes straight from the entry bytes — the
+/// row's and the message's liveness lane; no [`LinkEntry`] and no `f32`
+/// is materialised. An entry whose liveness
 /// bit is clear is dropped (absence *is* death in a lane row); a live
 /// entry's latency is clamped below the dead sentinel, as
 /// [`LinkEntry::encode`] would emit it. One pass validates and counts,
@@ -290,7 +320,7 @@ fn get_linkstate(
         live += usize::from(record_is_live(&e));
     }
     let dst = if sparse {
-        decode_lane(body, stride, live, record_dst).into()
+        decode_lane::<_, Vec<_>>(body, stride, live, record_dst).into()
     } else if live == usize::from(count) {
         DstLane::Full(live)
     } else {
@@ -318,13 +348,8 @@ fn get_linkstate(
         round,
         basis_ms,
         width,
-        row: Arc::new(LaneRow::from_wire_lanes(
-            dst,
-            latency_ms,
-            liveness_loss,
-            seqno,
-            retracted,
-        )),
+        row: Arc::new(LaneRow::from_wire_lanes(dst, latency_ms, seqno, retracted)),
+        liveness_loss,
     })
 }
 
@@ -470,14 +495,17 @@ pub struct ProbeBatchMsg {
 
 /// A round-one link-state message: the origin's measured row.
 ///
-/// The body *is* the row as the stores hold it — a [`LaneRow`]: the live
-/// entries as wire-exact parallel lanes, plus the origin's sequence
-/// number and retraction lane ([`LS_FLAG_SEQNO`] trailer). Decoding
-/// fills the lanes straight from the frame bytes and encoding writes
-/// them back, so a row crosses the codec without ever becoming a
-/// `LinkEntry` array; the `Arc` lets a tick's `~2√n` frames and the
-/// sender's own store share one row, and lets the receiver's store keep
-/// the decoded row by bumping a count instead of copying lanes.
+/// The body is the row as the stores hold it — a [`LaneRow`]: the live
+/// entries' destinations and wire-exact latencies, plus the origin's
+/// sequence number and retraction lane ([`LS_FLAG_SEQNO`] trailer) —
+/// and beside it the entries' liveness/loss bytes, which only the wire
+/// carries ([`liveness_loss`](Self::liveness_loss)). Decoding fills the
+/// lanes straight from the frame bytes and encoding writes them back,
+/// so a row crosses the codec without ever becoming a `LinkEntry`
+/// array; the `Arc`s let a tick's `~2√n` frames and the sender's own
+/// store share one row and one liveness lane, and let the receiver's
+/// store keep the decoded row by bumping a count instead of copying
+/// lanes.
 ///
 /// One struct serves both encodings; the [`Message`] variant picks one:
 ///
@@ -511,6 +539,28 @@ pub struct LinkStateMsg {
     pub width: u16,
     /// The row: live entries, seqno and retraction lane.
     pub row: Arc<LaneRow>,
+    /// The wire liveness/loss byte of each of `row`'s live entries,
+    /// index-aligned with its lanes (bit 7, alive, always set; the loss
+    /// in half-percent units below it). No route reads it — a route's
+    /// cost is its latency — so no store holds it: the sender builds it
+    /// once a tick ([`LinkStateMsg::liveness_lane`]) and every frame of
+    /// the tick shares it, the decoder fills it from the frame, and it
+    /// is dropped with the message. Encoding a message whose lane and
+    /// row differ in length panics.
+    pub liveness_loss: Arc<[u8]>,
+}
+
+impl LinkStateMsg {
+    /// The liveness lane of the row reduced from `entries`
+    /// ([`LaneRow::from_dense`], or [`LaneRow::from_pairs`] of the same
+    /// entries in order): the wire liveness byte
+    /// ([`LinkEntry::liveness_byte`]) of each live entry, in order, in
+    /// one allocation.
+    #[must_use]
+    pub fn liveness_lane(entries: &[LinkEntry]) -> Arc<[u8]> {
+        let live = entries.iter().filter(|e| e.alive);
+        exactly(live.clone().count(), live.map(LinkEntry::liveness_byte))
+    }
 }
 
 /// One best-hop recommendation: "to reach `dst`, forward via `hop`"
@@ -977,15 +1027,21 @@ impl Message {
 mod tests {
     use super::*;
 
-    /// A dense frame's body for `entries`.
-    fn dense(entries: &[LinkEntry], seqno: u16, retractions: &[u16]) -> (u16, Arc<LaneRow>) {
+    /// A link-state frame's body: the row and its liveness lane.
+    type Body = (Arc<LaneRow>, Arc<[u8]>);
+
+    /// A dense frame's width and body for `entries`.
+    fn dense(entries: &[LinkEntry], seqno: u16, retractions: &[u16]) -> (u16, Body) {
         let row = LaneRow::from_dense(entries).with_version(seqno, retractions);
-        (entries.len() as u16, Arc::new(row))
+        let lane = LinkStateMsg::liveness_lane(entries);
+        (entries.len() as u16, (Arc::new(row), lane))
     }
 
     /// A sparse frame's body for ascending `(dst, entry)` pairs.
-    fn sparse(entries: &[(u16, LinkEntry)], seqno: u16, retractions: &[u16]) -> Arc<LaneRow> {
-        Arc::new(LaneRow::from_pairs(entries).with_version(seqno, retractions))
+    fn sparse(entries: &[(u16, LinkEntry)], seqno: u16, retractions: &[u16]) -> Body {
+        let row = LaneRow::from_pairs(entries).with_version(seqno, retractions);
+        let listed: Vec<LinkEntry> = entries.iter().map(|&(_, e)| e).collect();
+        (Arc::new(row), LinkStateMsg::liveness_lane(&listed))
     }
 
     fn roundtrip(m: &Message) -> Message {
@@ -1033,7 +1089,7 @@ mod tests {
                 }
             })
             .collect();
-        let (width, row) = dense(&entries, 0, &[]);
+        let (width, (row, liveness_loss)) = dense(&entries, 0, &[]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(5),
             to: NodeId(17),
@@ -1042,6 +1098,7 @@ mod tests {
             basis_ms: 1_000_000,
             width,
             row,
+            liveness_loss,
         });
         // 21 + 3·140 = 441 bytes: the paper's "at most 3·n bytes" payload.
         assert_eq!(m.wire_size(), 21 + 3 * n);
@@ -1256,6 +1313,15 @@ mod tests {
 
     #[test]
     fn sparse_linkstate_roundtrip_and_size() {
+        let (row, liveness_loss) = sparse(
+            &[
+                (3, LinkEntry::live(40, 0.01)),
+                (64, LinkEntry::live(120, 0.0)),
+                (4095, LinkEntry::live(7, 0.635)),
+            ],
+            0,
+            &[],
+        );
         let m = Message::LinkStateSparse(LinkStateMsg {
             from: NodeId(5),
             to: NodeId(17),
@@ -1263,15 +1329,8 @@ mod tests {
             round: 99,
             basis_ms: 1_000_000,
             width: 4096,
-            row: sparse(
-                &[
-                    (3, LinkEntry::live(40, 0.01)),
-                    (64, LinkEntry::live(120, 0.0)),
-                    (4095, LinkEntry::live(7, 0.0)),
-                ],
-                0,
-                &[],
-            ),
+            row,
+            liveness_loss,
         });
         // 23 + 5·k: at n = 4096 a 130-live-entry row costs 673 B sparse
         // vs 12 309 B dense.
@@ -1283,6 +1342,11 @@ mod tests {
     fn sparse_linkstate_rejects_disorder_and_out_of_range() {
         // A valid two-entry frame with its destination fields patched:
         // no constructor produces a disordered row, the wire can.
+        let (row, liveness_loss) = sparse(
+            &[(3, LinkEntry::live(1, 0.0)), (9, LinkEntry::live(2, 0.0))],
+            0,
+            &[],
+        );
         let valid = Message::LinkStateSparse(LinkStateMsg {
             from: NodeId(0),
             to: NodeId(1),
@@ -1290,11 +1354,8 @@ mod tests {
             round: 0,
             basis_ms: 0,
             width: 100,
-            row: sparse(
-                &[(3, LinkEntry::live(1, 0.0)), (9, LinkEntry::live(2, 0.0))],
-                0,
-                &[],
-            ),
+            row,
+            liveness_loss,
         })
         .encode();
         let mk = |dsts: [u16; 2]| {
@@ -1327,7 +1388,7 @@ mod tests {
             LinkEntry::dead(),
             LinkEntry::live(30, 0.05),
         ];
-        let (width, row) = dense(&entries, 0, &[]);
+        let (width, (row, liveness_loss)) = dense(&entries, 0, &[]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(1),
             to: NodeId(2),
@@ -1336,6 +1397,7 @@ mod tests {
             basis_ms: 0,
             width,
             row,
+            liveness_loss,
         });
         let bytes = m.encode();
         assert_eq!(&bytes[LINKSTATE_HEADER_SIZE + 3..][..3], &DEAD_ENTRY_WIRE);
@@ -1344,8 +1406,18 @@ mod tests {
             panic!("dense frame");
         };
         assert_eq!(back.row.len(), 2);
+        assert_eq!(*back.liveness_loss, [0x80, 0x80 | 10]);
         // The same three entries as a sparse frame, the middle one
         // marked dead on the wire: decode keeps the two live ones.
+        let (row, liveness_loss) = sparse(
+            &[
+                (0, entries[0]),
+                (1, LinkEntry::live(20, 0.0)),
+                (2, entries[2]),
+            ],
+            0,
+            &[],
+        );
         let mut sparse_bytes = Message::LinkStateSparse(LinkStateMsg {
             from: NodeId(1),
             to: NodeId(2),
@@ -1353,15 +1425,8 @@ mod tests {
             round: 0,
             basis_ms: 0,
             width,
-            row: sparse(
-                &[
-                    (0, entries[0]),
-                    (1, LinkEntry::live(20, 0.0)),
-                    (2, entries[2]),
-                ],
-                0,
-                &[],
-            ),
+            row,
+            liveness_loss,
         })
         .encode()
         .to_vec();
@@ -1370,6 +1435,7 @@ mod tests {
             panic!("sparse frame with a dead entry decodes");
         };
         assert_eq!(kept.row, back.row);
+        assert_eq!(kept.liveness_loss, back.liveness_loss);
     }
 
     /// A live entry carrying the dead-latency sentinel (no encoder of
@@ -1377,6 +1443,7 @@ mod tests {
     /// to the largest live latency, so re-encoding is stable.
     #[test]
     fn live_entry_with_sentinel_latency_is_clamped_on_decode() {
+        let (row, liveness_loss) = sparse(&[(5, LinkEntry::live(20, 0.0))], 0, &[]);
         let m = Message::LinkStateSparse(LinkStateMsg {
             from: NodeId(1),
             to: NodeId(2),
@@ -1384,7 +1451,8 @@ mod tests {
             round: 0,
             basis_ms: 0,
             width: 8,
-            row: sparse(&[(5, LinkEntry::live(20, 0.0))], 0, &[]),
+            row,
+            liveness_loss,
         });
         let mut bytes = m.encode().to_vec();
         bytes[SPARSE_LINKSTATE_HEADER_SIZE + 2..][..3].copy_from_slice(&[0xFF, 0xFF, 0x80]);
@@ -1394,6 +1462,7 @@ mod tests {
         let as_entry = LinkEntry::decode([0xFF, 0xFF, 0x80]);
         assert_eq!(*got.row, LaneRow::from_pairs(&[(5, as_entry)]));
         assert_eq!(got.row.lanes().1, &[LinkEntry::DEAD_LATENCY - 1]);
+        assert_eq!(*got.liveness_loss, [0x80]);
     }
 
     #[test]
@@ -1408,7 +1477,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated_bodies() {
-        let (width, row) = dense(&[LinkEntry::live(5, 0.0); 10], 0, &[]);
+        let (width, (row, liveness_loss)) = dense(&[LinkEntry::live(5, 0.0); 10], 0, &[]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(1),
             to: NodeId(2),
@@ -1417,6 +1486,7 @@ mod tests {
             basis_ms: 0,
             width,
             row,
+            liveness_loss,
         });
         let bytes = m.encode();
         for cut in 1..bytes.len() {
@@ -1447,7 +1517,7 @@ mod tests {
 
     #[test]
     fn versioned_linkstate_roundtrips_and_rejects_truncation() {
-        let (width, row) = dense(&[LinkEntry::live(40, 0.0); 12], 7, &[2, 5, 11]);
+        let (width, (row, liveness_loss)) = dense(&[LinkEntry::live(40, 0.0); 12], 7, &[2, 5, 11]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(5),
             to: NodeId(17),
@@ -1456,6 +1526,7 @@ mod tests {
             basis_ms: 1_000_000,
             width,
             row,
+            liveness_loss,
         });
         // Legacy body plus the 4-byte trailer base and 2 bytes/retraction.
         assert_eq!(m.wire_size(), 21 + 3 * 12 + 4 + 2 * 3);
@@ -1496,7 +1567,7 @@ mod tests {
             (false, &versioned),
             (true, &versioned),
         ];
-        for (is_sparse, row) in cases {
+        for (is_sparse, (row, liveness_loss)) in cases {
             let msg = |to: u16| {
                 let ls = LinkStateMsg {
                     from: NodeId(4),
@@ -1506,6 +1577,7 @@ mod tests {
                     basis_ms: 123_456,
                     width: 9,
                     row: Arc::clone(row),
+                    liveness_loss: Arc::clone(liveness_loss),
                 };
                 if is_sparse {
                     Message::LinkStateSparse(ls)
@@ -1537,6 +1609,11 @@ mod tests {
     #[test]
     fn versioned_sparse_linkstate_roundtrips_and_validates_retractions() {
         let mk = |seqno: u16, retractions: &[u16]| {
+            let (row, liveness_loss) = sparse(
+                &[(4, LinkEntry::live(9, 0.25)), (40, LinkEntry::live(2, 0.0))],
+                seqno,
+                retractions,
+            );
             Message::LinkStateSparse(LinkStateMsg {
                 from: NodeId(0),
                 to: NodeId(1),
@@ -1544,11 +1621,8 @@ mod tests {
                 round: 3,
                 basis_ms: 0,
                 width: 100,
-                row: sparse(
-                    &[(4, LinkEntry::live(9, 0.0)), (40, LinkEntry::live(2, 0.0))],
-                    seqno,
-                    retractions,
-                ),
+                row,
+                liveness_loss,
             })
         };
         let m = mk(1, &[7, 90]);
@@ -1577,7 +1651,8 @@ mod tests {
     fn unversioned_linkstate_is_bit_identical_to_legacy() {
         // seqno 0 + no retractions must encode the pre-seqno format
         // byte for byte: flags word zero, no trailer, old sizes.
-        let (width, row) = dense(&[LinkEntry::live(10, 0.0), LinkEntry::dead()], 0, &[]);
+        let (width, (row, liveness_loss)) =
+            dense(&[LinkEntry::live(10, 0.0), LinkEntry::dead()], 0, &[]);
         let m = Message::LinkState(LinkStateMsg {
             from: NodeId(1),
             to: NodeId(2),
@@ -1586,6 +1661,7 @@ mod tests {
             basis_ms: 77,
             width,
             row,
+            liveness_loss,
         });
         assert_eq!(m.wire_size(), LINKSTATE_HEADER_SIZE + 2 * 3);
         let bytes = m.encode();

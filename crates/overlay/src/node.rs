@@ -1028,8 +1028,9 @@ impl OverlayNode {
 }
 
 /// Do `a` and `b` encode to the same frame but for the addressee? They
-/// must be link-state frames of one form that share the row itself
-/// (not merely equal rows) and every other header field.
+/// must be link-state frames of one form that share the row and the
+/// liveness lane themselves (not merely equal ones) and every other
+/// header field.
 fn differs_only_in_to(a: &Message, b: &Message) -> bool {
     let ((Message::LinkState(a), Message::LinkState(b))
     | (Message::LinkStateSparse(a), Message::LinkStateSparse(b))) = (a, b)
@@ -1045,8 +1046,10 @@ fn differs_only_in_to(a: &Message, b: &Message) -> bool {
         basis_ms,
         width,
         row,
+        liveness_loss,
     } = a;
     Arc::ptr_eq(row, &b.row)
+        && Arc::ptr_eq(liveness_loss, &b.liveness_loss)
         && (*from, *view, *round, *basis_ms, *width)
             == (b.from, b.view, b.round, b.basis_ms, b.width)
 }
@@ -1339,6 +1342,7 @@ mod tests {
             let view = node.view().expect("static view installed").clone();
             prop_assert_eq!(node.my_index(), Some(me));
 
+            let entries = vec![LinkEntry::live(7, 0.0); view.len()];
             let ls = LinkStateMsg {
                 from: NodeId(from),
                 to: NodeId(to),
@@ -1346,7 +1350,8 @@ mod tests {
                 round: 2,
                 basis_ms: 9,
                 width: view.len() as u16,
-                row: Arc::new(LaneRow::from_dense(&vec![LinkEntry::live(7, 0.0); view.len()])),
+                row: Arc::new(LaneRow::from_dense(&entries)),
+                liveness_loss: LinkStateMsg::liveness_lane(&entries),
             };
             let msg = match variant {
                 0 => Message::LinkState(ls),
@@ -1406,14 +1411,22 @@ mod tests {
         let live = LinkEntry::live(40, 0.01);
         let mut holes = vec![live; 9];
         (holes[2], holes[7]) = (LinkEntry::dead(), LinkEntry::dead());
-        let full = Arc::new(LaneRow::from_dense(&[live; 9]));
-        let holey = Arc::new(LaneRow::from_dense(&holes));
-        let pairs = Arc::new(LaneRow::from_pairs(&[
-            (1, live),
-            (6, LinkEntry::live(300, 0.5)),
-        ]));
-        let versioned = Arc::new(LaneRow::from_dense(&holes).with_version(41, &[2, 7]));
-        let frame = |sparse: bool, row: &Arc<LaneRow>, round: u32, to: u16| {
+        // Each row with its liveness lane, shared by every frame of it.
+        let body = |row: LaneRow, entries: &[LinkEntry]| {
+            (Arc::new(row), LinkStateMsg::liveness_lane(entries))
+        };
+        let full = body(LaneRow::from_dense(&[live; 9]), &[live; 9]);
+        let holey = body(LaneRow::from_dense(&holes), &holes);
+        let listed = [(1, live), (6, LinkEntry::live(300, 0.5))];
+        let pairs = body(LaneRow::from_pairs(&listed), &[listed[0].1, listed[1].1]);
+        let versioned = body(
+            LaneRow::from_dense(&holes).with_version(41, &[2, 7]),
+            &holes,
+        );
+        let frame = |sparse: bool,
+                     (row, liveness_loss): &(Arc<LaneRow>, Arc<[u8]>),
+                     round: u32,
+                     to: u16| {
             let ls = LinkStateMsg {
                 from: NodeId(0),
                 to: NodeId(to),
@@ -1422,6 +1435,7 @@ mod tests {
                 basis_ms: 123_456,
                 width: 9,
                 row: Arc::clone(row),
+                liveness_loss: Arc::clone(liveness_loss),
             };
             if sparse {
                 Message::LinkStateSparse(ls)
@@ -1491,6 +1505,7 @@ mod tests {
             basis_ms: 0,
             width: 4,
             row: Arc::default(),
+            liveness_loss: Arc::default(),
         });
         let mut out = Outbox::default();
         node.on_packet(1.0, &bogus.encode(), &mut out);

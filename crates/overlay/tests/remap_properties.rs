@@ -28,6 +28,7 @@
 use apor_linkstate::wire::ViewMsg;
 use apor_linkstate::{
     LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, ProbeReplyMsg, RowStore,
+    INFINITE_COST,
 };
 use apor_overlay::config::{Algorithm, NodeConfig};
 use apor_overlay::membership::MembershipView;
@@ -72,18 +73,17 @@ fn arb_rows(universe: u16) -> impl Strategy<Value = Rows> {
     })
 }
 
-/// Every held row as `(origin, receipt time bits, the row's lanes)`,
-/// rebuilt from what the store hands out: live entries, seqno and
-/// retraction lane.
+/// Every held row as `(origin, receipt time bits, the row)`: its
+/// lanes, seqno and retraction lane, as the store holds them.
 fn held_rows(table: &RowStore) -> Vec<(usize, u64, LaneRow)> {
     table
         .held_rows()
-        .map(|(origin, at, row)| {
-            let pairs: Vec<(u16, LinkEntry)> =
-                row.iter_live().map(|(d, e)| (d as u16, e)).collect();
-            let lanes = LaneRow::from_pairs(&pairs)
-                .with_version(table.row_seqno(origin), &table.row_retractions(origin));
-            (origin, at.to_bits(), lanes)
+        .map(|(origin, at, _)| {
+            (
+                origin,
+                at.to_bits(),
+                table.row(origin).expect("held").clone(),
+            )
         })
         .collect()
 }
@@ -132,6 +132,7 @@ fn node_holding(me: NodeId, view: &MembershipView, rows: &Rows) -> OverlayNode {
             basis_ms: 0,
             width: view.len() as u16,
             row: Arc::new(LaneRow::from_dense(&entries).with_version(1, &every_dst)),
+            liveness_loss: LinkStateMsg::liveness_lane(&entries),
         });
         node.on_packet(*at, &frame.encode(), &mut out);
     }
@@ -214,16 +215,15 @@ proptest! {
             // sort.
             prop_assert_eq!(store.row_seqno(new_origin), 0);
             prop_assert_eq!(store.row_retractions(new_origin), &surviving[..]);
-            let entries = store.row_dense(new_origin).expect("held");
+            let row = store.row_ref(new_origin).expect("held");
             for (new_dst, d) in new_view.members.iter().enumerate() {
                 if old_view.contains(*d) {
                     prop_assert_eq!(
-                        entries[new_dst].latency_ms, lats[usize::from(d.0)],
+                        row.cost(new_dst), u32::from(lats[usize::from(d.0)]),
                         "entry {}→{} must move by identity", origin_id.0, d.0
                     );
-                    prop_assert!(entries[new_dst].alive);
                 } else {
-                    prop_assert!(!entries[new_dst].alive, "joined dst must read as dead");
+                    prop_assert_eq!(row.cost(new_dst), INFINITE_COST, "joined dst must read as dead");
                 }
             }
         }
@@ -281,14 +281,14 @@ proptest! {
                 );
                 continue;
             }
-            let row = store.row_dense(origin).expect("continuous member's row survives");
+            let row = store.row_ref(origin).expect("continuous member's row survives");
             for (new_dst, d) in last.members.iter().enumerate() {
                 if views.iter().all(|v| v.contains(*d)) {
-                    prop_assert_eq!(row[new_dst].latency_ms, lats[usize::from(d.0)]);
-                    prop_assert!(row[new_dst].alive);
+                    prop_assert_eq!(row.cost(new_dst), u32::from(lats[usize::from(d.0)]));
                 } else {
-                    prop_assert!(
-                        !row[new_dst].alive,
+                    prop_assert_eq!(
+                        row.cost(new_dst),
+                        INFINITE_COST,
                         "dst {} left mid-chain: entry must stay dead even after rejoin",
                         d.0
                     );
@@ -399,6 +399,9 @@ proptest! {
                 basis_ms: 0,
                 width: n_old as u16,
                 row: Arc::new(LaneRow::from_pairs(&pairs).with_version(seqno, &retracted)),
+                liveness_loss: LinkStateMsg::liveness_lane(
+                    &pairs.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
+                ),
             };
             let frame = if full { Message::LinkState(ls) } else { Message::LinkStateSparse(ls) };
             node.on_packet(at, &frame.encode(), &mut out);
@@ -420,11 +423,13 @@ proptest! {
             if new_origin != me_new && !grid.serves(new_origin, me_new) {
                 continue;
             }
-            let dense = row.to_dense();
             let entries: Vec<LinkEntry> = new_view
                 .members
                 .iter()
-                .map(|&id| old_view.index_of(id).map_or_else(LinkEntry::dead, |d| dense[d]))
+                .map(|&id| match old_view.index_of(id).map(|d| row.cost(d)) {
+                    Some(c) if c != INFINITE_COST => LinkEntry::live(c as u16, 0.0),
+                    _ => LinkEntry::dead(),
+                })
                 .collect();
             let retracted: Vec<u16> = held
                 .row_retractions(origin)
@@ -471,12 +476,13 @@ fn frame_at(from: NodeId, to: NodeId, view: &MembershipView, seqno: u16) -> Mess
         basis_ms: 0,
         width: view.len() as u16,
         row: Arc::new(LaneRow::from_dense(&row).with_version(seqno, &[])),
+        liveness_loss: LinkStateMsg::liveness_lane(&row),
     })
 }
 
 /// A full row from `from` as `view` numbers its members: 20 ms to everyone.
 fn full_row(from: NodeId, to: NodeId, view: &MembershipView) -> Message {
-    let row = LaneRow::from_dense(&vec![LinkEntry::live(20, 0.0); view.len()]);
+    let entries = vec![LinkEntry::live(20, 0.0); view.len()];
     Message::LinkState(LinkStateMsg {
         from,
         to,
@@ -484,7 +490,8 @@ fn full_row(from: NodeId, to: NodeId, view: &MembershipView) -> Message {
         round: 1,
         basis_ms: 0,
         width: view.len() as u16,
-        row: Arc::new(row),
+        row: Arc::new(LaneRow::from_dense(&entries)),
+        liveness_loss: LinkStateMsg::liveness_lane(&entries),
     })
 }
 
@@ -523,6 +530,7 @@ fn view_change_preserves_routes_end_to_end() {
         basis_ms: 0,
         width: 4,
         row: Arc::new(LaneRow::from_dense(&row1)),
+        liveness_loss: LinkStateMsg::liveness_lane(&row1),
     });
     node.on_packet(5.0, &ls.encode(), &mut Outbox::default());
     assert!(
@@ -537,10 +545,10 @@ fn view_change_preserves_routes_end_to_end() {
         Some(5.0),
         "node 1's row must survive the view change with its original receipt time"
     );
-    let row = store.row_dense(1).expect("carried row present");
-    assert_eq!(row.len(), 3, "row width follows the new view");
-    assert_eq!(row[0].latency_ms, 40, "1→0 carried");
-    assert_eq!(row[2].latency_ms, 25, "1→2 carried");
+    let row = store.row_ref(1).expect("carried row present");
+    assert_eq!(row.width(), 3, "row width follows the new view");
+    assert_eq!(row.cost(0), 40, "1→0 carried");
+    assert_eq!(row.cost(2), 25, "1→2 carried");
 
     // A control node that really is rebuilt from scratch (started
     // directly in view 2, no messages) knows nothing — the difference

@@ -5,9 +5,11 @@
 //! optimal one-hop routes locally. Correct and simple, but `Θ(n²)`
 //! per-node communication — the cost the paper's quorum scheme removes.
 //!
-//! The router *is* the matrix: two flat `n × n` arrays holding the wire
-//! bytes of every entry, one receipt time per row, and a route lookup
-//! that is one integer loop over them. It takes no store parameter and
+//! The router *is* the matrix: one flat `n × n` array holding the wire
+//! latency of every entry — a route's cost is its latency, so an
+//! entry's liveness/loss byte is read off the frame and not kept — one
+//! receipt time per row, and a route lookup that is one integer loop
+//! over them. It takes no store parameter and
 //! shares no logic with the quorum node's
 //! [`RowStore`](apor_linkstate::RowStore) — a node that legitimately
 //! holds all `n` rows wants `O(1)` entry access and rows overwritten in
@@ -40,8 +42,6 @@ pub struct FullMeshRouter {
     config: ProtocolConfig,
     /// `latency[origin · n + dst]`: wire latency, ms; [`DEAD`] = dead.
     latency: Vec<u16>,
-    /// `liveness[origin · n + dst]`: wire liveness/loss byte; 0 = dead.
-    liveness: Vec<u8>,
     /// Receipt time (seconds) of each row; `None` = never received.
     row_time: Vec<Option<f64>>,
 }
@@ -63,7 +63,6 @@ impl FullMeshRouter {
             round: 0,
             config,
             latency: vec![DEAD; n * n],
-            liveness: vec![0; n * n],
             row_time: vec![None; n],
         }
     }
@@ -73,18 +72,14 @@ impl FullMeshRouter {
     /// matrix alone, when `origin` or a listed destination is out of
     /// range.
     fn store_row(&mut self, origin: usize, row: &LaneRow, now: f64) -> bool {
-        let (dst, latency_ms, liveness_loss) = row.lanes();
+        let (dst, latency_ms) = row.lanes();
         if origin >= self.n || dst.last().is_some_and(|&d| usize::from(d) >= self.n) {
             return false;
         }
-        let slots = origin * self.n..(origin + 1) * self.n;
-        let latency = &mut self.latency[slots.clone()];
-        let liveness = &mut self.liveness[slots];
+        let latency = &mut self.latency[origin * self.n..(origin + 1) * self.n];
         latency.fill(DEAD);
-        liveness.fill(0);
-        for i in 0..dst.len() {
-            latency[usize::from(dst[i])] = latency_ms[i];
-            liveness[usize::from(dst[i])] = liveness_loss[i];
+        for (&d, &l) in dst.iter().zip(latency_ms) {
+            latency[usize::from(d)] = l;
         }
         self.row_time[origin] = Some(now);
         true
@@ -105,9 +100,11 @@ impl RoutingAlgorithm for FullMeshRouter {
     ) -> Vec<Message> {
         assert_eq!(own_row.len(), self.n, "row must have n entries");
         self.round += 1;
-        // One row for the whole broadcast: every frame shares it, and my
-        // own matrix row holds what the others will decode.
+        // One row and one liveness lane for the whole broadcast: every
+        // frame shares them, and my own matrix row holds what the others
+        // will keep of them.
         let row = Arc::new(LaneRow::from_dense(own_row));
+        let liveness_loss = LinkStateMsg::liveness_lane(own_row);
         self.store_row(self.me, &row, now);
         (0..self.n)
             .filter(|&j| j != self.me)
@@ -121,6 +118,7 @@ impl RoutingAlgorithm for FullMeshRouter {
                     basis_ms: (now * 1000.0) as u32,
                     width: self.n as u16,
                     row: Arc::clone(&row),
+                    liveness_loss: Arc::clone(&liveness_loss),
                 })
             })
             .collect()
@@ -281,12 +279,12 @@ mod tests {
         assert_eq!(msgs.len(), n - 1);
     }
 
-    /// A dense frame lands in the matrix as the wire reads: dead filler
-    /// (`FF FF 7F`) as a dead entry, a live entry with the all-ones
-    /// latency as `LinkEntry::decode` reads it once clamped below the
-    /// dead sentinel (what `encode` would have sent), loss at its wire
-    /// quantum. An out-of-range origin or destination leaves the matrix
-    /// alone.
+    /// A dense frame lands in the matrix as routing reads the wire: dead
+    /// filler (`FF FF 7F`) as a dead slot, a live entry with the
+    /// all-ones latency at the cost `LinkEntry::decode` gives it once
+    /// clamped below the dead sentinel (what `encode` would have sent),
+    /// whatever its loss. An out-of-range origin or destination leaves
+    /// the matrix alone.
     #[test]
     fn dense_frame_lands_as_decoded() {
         let wire: [[u8; 3]; 4] = [
@@ -310,16 +308,22 @@ mod tests {
 
         let mut router = FullMeshRouter::new(0, 4, 7, ProtocolConfig::ron());
         router.on_message(2.5, &msg);
-        let want: Vec<LinkEntry> = wire
+        let want: Vec<u32> = wire
             .iter()
-            .map(|&bytes| LinkEntry::decode(LinkEntry::decode(bytes).encode()))
+            .map(|&bytes| LinkEntry::decode(LinkEntry::decode(bytes).encode()).cost())
             .collect();
-        assert_eq!(want[1], LinkEntry::dead());
-        assert_eq!((want[2].alive, want[2].latency_ms), (true, u16::MAX - 1));
-        // Row 3 of the matrix, read back entry by entry; no other row.
-        let row = |r: &FullMeshRouter, origin: usize| -> Vec<LinkEntry> {
-            (origin * 4..(origin + 1) * 4)
-                .map(|i| LinkEntry::from_wire_parts(r.latency[i], r.liveness[i]))
+        assert_eq!(want, [40, INFINITE_COST, u32::from(u16::MAX - 1), 0]);
+        // Row 3 of the matrix, read back slot by slot; no other row.
+        let row = |r: &FullMeshRouter, origin: usize| -> Vec<u32> {
+            r.latency[origin * 4..(origin + 1) * 4]
+                .iter()
+                .map(|&l| {
+                    if l == DEAD {
+                        INFINITE_COST
+                    } else {
+                        u32::from(l)
+                    }
+                })
                 .collect()
         };
         assert_eq!(row(&router, 3), want);

@@ -1028,9 +1028,16 @@ impl QuorumRouter {
         newly_selected
     }
 
-    /// The round-one frame carrying `row` (my own, built once per tick
-    /// and shared by every frame of the tick) to server `to`.
-    fn linkstate_msg(&self, to: usize, now: f64, row: &Arc<LaneRow>) -> Message {
+    /// The round-one frame carrying `row` and its `liveness_loss` lane
+    /// (my own, built once per tick and shared by every frame of the
+    /// tick) to server `to`.
+    fn linkstate_msg(
+        &self,
+        to: usize,
+        now: f64,
+        row: &Arc<LaneRow>,
+        liveness_loss: &Arc<[u8]>,
+    ) -> Message {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let ls = LinkStateMsg {
             from: NodeId::from_index(self.me),
@@ -1040,6 +1047,7 @@ impl QuorumRouter {
             basis_ms: (now * 1000.0) as u32,
             width: self.n as u16,
             row: Arc::clone(row),
+            liveness_loss: Arc::clone(liveness_loss),
         };
         // Sparse encoding pays off once the live-entry count k satisfies
         // 23 + 5k < 21 + 3n, i.e. k < (3n − 2)/5. Under entitled probing
@@ -1165,11 +1173,13 @@ impl RoutingAlgorithm for QuorumRouter {
         }
         let round = self.round;
         self.retractions.retain(|_, r| round - *r < 3);
-        // My row as lanes, built once: the store keeps it and every
-        // round-one frame of this tick shares it.
+        // My row as lanes and its liveness lane, each built once: the
+        // store keeps the row, and every round-one frame of this tick
+        // shares both.
         let own_lanes = Arc::new(
             LaneRow::from_dense(own_row).with_version(self.own_seqno, &self.retraction_lane()),
         );
+        let own_liveness = LinkStateMsg::liveness_lane(own_row);
         self.table.put_row(self.me, Arc::clone(&own_lanes), now);
 
         // Section 4.1 failover management happens before round one so a
@@ -1185,7 +1195,7 @@ impl RoutingAlgorithm for QuorumRouter {
                 record.since = now;
             }
             self.counters.ls_sent.inc();
-            msgs.push(self.linkstate_msg(s, now, &own_lanes));
+            msgs.push(self.linkstate_msg(s, now, &own_lanes, &own_liveness));
         }
         // Round two: recommendations to all fresh clients.
         msgs.extend(self.compute_recommendations(now));
@@ -1593,8 +1603,8 @@ mod tests {
         }
         assert!(saw_sparse, "round one emits sparse link state");
         assert_eq!(
-            receiver.table().row_dense(3).expect("row stored"),
-            own,
+            receiver.table().row(3),
+            Some(&LaneRow::from_dense(&own)),
             "receiver reconstructs the identical row"
         );
 
@@ -1823,6 +1833,7 @@ mod tests {
                 basis_ms: 0,
                 width: 9,
                 row: Arc::new(LaneRow::from_dense(&row1)),
+                liveness_loss: LinkStateMsg::liveness_lane(&row1),
             }),
         );
         assert_eq!(me.best_hop(8, 2.0), Some(1), "scavenged route via 1");
@@ -1859,6 +1870,7 @@ mod tests {
                     basis_ms: 0,
                     width: 9,
                     row: Arc::new(LaneRow::from_dense(&row)),
+                    liveness_loss: LinkStateMsg::liveness_lane(&row),
                 }),
             );
         }
@@ -1952,6 +1964,7 @@ mod tests {
                 basis_ms: 0,
                 width: 9,
                 row: Arc::new(LaneRow::from_dense(&row4).with_version(2, &[8])),
+                liveness_loss: LinkStateMsg::liveness_lane(&row4),
             }),
         );
         assert!(
@@ -1974,6 +1987,7 @@ mod tests {
                 basis_ms: 0,
                 width: 9,
                 row: Arc::new(LaneRow::from_dense(&stale).with_version(1, &[])),
+                liveness_loss: LinkStateMsg::liveness_lane(&stale),
             }),
         );
         assert_eq!(me.table().row_seqno(4), 2, "stale replay rejected");
@@ -2059,7 +2073,7 @@ mod tests {
         // Prober-declared loss of the link to 4: seqno bumps out of band.
         me.on_link_loss(4, 2.0);
         assert_eq!(me.own_seqno(), 1);
-        assert!(!me.table().entry(0, 4).alive);
+        assert_eq!(me.table().cost(0, 4), INFINITE_COST);
         assert_eq!(routing_counter(&telemetry, "routes_retracted"), 1);
         // View change: node 5 does not survive → its route is retracted.
         let table: Vec<Option<u16>> = (0..9).map(|i| (i != 5).then_some(i)).collect();
@@ -2079,6 +2093,7 @@ mod tests {
             basis_ms: 0,
             width: row.len() as u16,
             row: Arc::new(LaneRow::from_dense(row).with_version(seqno, retracted)),
+            liveness_loss: LinkStateMsg::liveness_lane(row),
         })
     }
 
@@ -2114,7 +2129,7 @@ mod tests {
             "new-view seqno 1 < 9 taken"
         );
         assert_eq!(b.table().row_seqno(1), 1);
-        assert!(b.table().entry(1, 6).alive);
+        assert_ne!(b.table().cost(1, 6), INFINITE_COST);
     }
 
     /// Node 0 of the nine-node world after three link deaths, one per
@@ -2186,7 +2201,7 @@ mod tests {
             let table = fabric.routers[s].table();
             assert_eq!(table.row_time(0), Some(60.01), "server {s}");
             assert_eq!(table.row_seqno(0), 1, "server {s}");
-            assert!(!table.entry(0, 5).alive, "server {s}");
+            assert_eq!(table.cost(0, 5), INFINITE_COST, "server {s}");
         }
     }
 
@@ -2344,6 +2359,7 @@ mod tests {
                 .collect()
         };
         for from in [1usize, 4] {
+            let entries = row(from as u16 * 10);
             let _ = a.on_message(
                 2.0,
                 &Message::LinkState(LinkStateMsg {
@@ -2353,7 +2369,8 @@ mod tests {
                     round: 1,
                     basis_ms: 0,
                     width: 9,
-                    row: Arc::new(LaneRow::from_dense(&row(from as u16 * 10))),
+                    row: Arc::new(LaneRow::from_dense(&entries)),
+                    liveness_loss: LinkStateMsg::liveness_lane(&entries),
                 }),
             );
         }
@@ -2410,16 +2427,12 @@ mod tests {
             Some(10.0),
             "receipt time preserved, not refreshed"
         );
-        let (_, _, row) = r.table.held_rows().next().expect("node 1 keeps index 0");
-        let listed: Vec<usize> = row.iter_live().map(|(dst, _)| dst).collect();
+        let (listed, _) = r.table.row(0).expect("node 1 keeps index 0").lanes();
         assert_eq!(listed, [0, 2], "joiner 3 is absent, not listed dead");
-        assert_eq!(r.table.entry(0, 0).latency_ms, 0, "1→1 self entry");
-        assert!(!r.table.entry(0, 1).alive, "joiner 3 reads as dead");
-        assert_eq!(
-            r.table.entry(0, 2).latency_ms,
-            70,
-            "1→9 carried by identity"
-        );
+        let row = r.table.row_ref(0).expect("held");
+        assert_eq!(row.cost(0), 0, "1→1 self entry");
+        assert_eq!(row.cost(1), INFINITE_COST, "joiner 3 reads as dead");
+        assert_eq!(row.cost(2), 70, "1→9 carried by identity");
     }
 
     #[test]
@@ -2434,7 +2447,7 @@ mod tests {
         assert_eq!(survived, 1);
         assert_eq!(r.table.present_rows(), [1], "node 9 is index 1 now");
         assert_eq!(r.table.row_ref(1).expect("held").width(), 2);
-        assert_eq!(r.table.entry(1, 0).latency_ms, 70, "9→1 survives");
+        assert_eq!(r.table.cost(1, 0), 70, "9→1 survives");
     }
 
     #[test]
@@ -2688,15 +2701,16 @@ mod tests {
             // The held own row's live entries but `dst`, at its seqno
             // and retraction lane; an empty row when none is held.
             let me = self.me;
-            let row = match self.table.row_ref(me) {
+            let row = match self.table.row(me) {
                 Some(held) => {
-                    let pairs: Vec<(u16, LinkEntry)> = held
-                        .iter_live()
-                        .filter(|&(d, _)| d != dst)
-                        .map(|(d, e)| (d as u16, e))
+                    let (dsts, latency_ms) = held.lanes();
+                    let pairs: Vec<(u16, LinkEntry)> = dsts
+                        .iter()
+                        .zip(latency_ms)
+                        .filter(|&(&d, _)| usize::from(d) != dst)
+                        .map(|(&d, &l)| (d, LinkEntry::live(l, 0.0)))
                         .collect();
-                    LaneRow::from_pairs(&pairs)
-                        .with_version(self.table.row_seqno(me), &self.table.row_retractions(me))
+                    LaneRow::from_pairs(&pairs).with_version(held.seqno(), held.retracted())
                 }
                 None => LaneRow::default(),
             };
@@ -2722,6 +2736,7 @@ mod tests {
             basis_ms: 0,
             width: n as u16,
             row: Arc::clone(&row),
+            liveness_loss: LinkStateMsg::liveness_lane(&[]),
         });
         (row, frame)
     }
@@ -2941,7 +2956,6 @@ mod tests {
             let fresh = QuorumRouter::new_with_telemetry(me, n, view, cfg.clone(), &telemetry)
                 .with_tracer(tracer.clone());
             assert_eq!(format!("{reinstalled:?}"), format!("{fresh:?}"));
-            assert_eq!(reinstalled.table.peak_rows(), 0);
             lived = reinstalled;
             // Live a little in this view before the next one.
             let mut own = vec![LinkEntry::live(20, 0.0); n];

@@ -359,13 +359,15 @@ proptest! {
         assert_pairs_match_oracle(&world, held_pairs.into_iter().chain(pairs));
     }
 
-    /// Lane rows hold the exact wire bytes: the row a receiver decodes
-    /// from either frame form is bit-identical to the same row reduced
-    /// to lanes directly, for arbitrary latency/liveness/loss —
-    /// including off-grid loss rates and the latency-65535 clamp.
+    /// Lanes hold the exact wire bytes: the row and the liveness lane a
+    /// receiver decodes from either frame form are bit-identical to the
+    /// same row and lane built directly, for arbitrary
+    /// latency/liveness/loss — including off-grid loss rates and the
+    /// latency-65535 clamp.
     #[test]
     fn lanes_wire_roundtrip_bit_identical(row in arb_row(64)) {
         let lanes = Arc::new(LaneRow::from_dense(&row));
+        let liveness = LinkStateMsg::liveness_lane(&row);
         let ls = LinkStateMsg {
             from: NodeId::from_index(1),
             to: NodeId::from_index(2),
@@ -374,6 +376,7 @@ proptest! {
             basis_ms: 250,
             width: 64,
             row: Arc::clone(&lanes),
+            liveness_loss: Arc::clone(&liveness),
         };
         for msg in [Message::LinkState(ls.clone()), Message::LinkStateSparse(ls)] {
             let Ok(Message::LinkState(decoded) | Message::LinkStateSparse(decoded)) =
@@ -382,6 +385,7 @@ proptest! {
                 panic!("wire round trip failed");
             };
             prop_assert_eq!(&decoded.row, &lanes, "wire path not bit-identical");
+            prop_assert_eq!(&decoded.liveness_loss, &liveness, "liveness lane moved");
         }
     }
 }
@@ -469,6 +473,7 @@ proptest! {
                 basis_ms: 0,
                 width: n as u16,
                 row: Arc::new(LaneRow::from_dense(&spec.row)),
+                liveness_loss: LinkStateMsg::liveness_lane(&spec.row),
             });
             let _ = router.on_message(at, &msg);
         }
@@ -551,6 +556,7 @@ proptest! {
                     basis_ms: 0,
                     width: n as u16,
                     row: Arc::new(LaneRow::from_dense(&spec.row)),
+                    liveness_loss: LinkStateMsg::liveness_lane(&spec.row),
                 });
                 let _ = router.on_message(at, &msg);
             }
@@ -562,7 +568,7 @@ proptest! {
             prop_assert_eq!(got, world.full_mesh_hop(me, dst), "dst={}", dst);
             let mut best = (dst, INFINITE_COST);
             if dst != me && store.row_fresh(me, TICK_AT, MAX_AGE) {
-                best.1 = store.entry(me, dst).cost();
+                best.1 = store.cost(me, dst);
             }
             for (h, c) in store.one_hop_options(me, dst, TICK_AT, MAX_AGE) {
                 if c < best.1 {
@@ -577,8 +583,9 @@ proptest! {
     /// sparse, flagless or versioned, dead entries among the live ones,
     /// a retraction lane or none — decodes to exactly the row the old
     /// ingest stored (`from_dense` / `from_pairs` of the decoded
-    /// entries, stamped with the version), a store fed that row holds
-    /// it, and re-encoding gives the frame back byte for byte whenever
+    /// entries, stamped with the version) beside the liveness bytes of
+    /// its live entries, a store fed that row holds it, and re-encoding
+    /// gives the frame back byte for byte whenever
     /// the frame is one `encode` writes (a sparse frame listing a dead
     /// entry is not: the row drops it).
     #[test]
@@ -608,25 +615,33 @@ proptest! {
             .map(|d| (d, LinkEntry::decode(row[usize::from(d)].encode())))
             .collect();
         let wired: Vec<LinkEntry> = row.iter().map(|e| LinkEntry::decode(e.encode())).collect();
+        let listed: Vec<LinkEntry> = pairs.iter().map(|&(_, e)| e).collect();
         let cases = [
-            (old.dense(&row), LaneRow::from_dense(&wired), true),
+            (
+                old.dense(&row),
+                LaneRow::from_dense(&wired),
+                LinkStateMsg::liveness_lane(&wired),
+                true,
+            ),
             (
                 old.sparse(&pairs),
                 LaneRow::from_pairs(&pairs),
+                LinkStateMsg::liveness_lane(&listed),
                 pairs.iter().all(|(_, e)| e.alive),
             ),
         ];
-        for (bytes, want, canonical) in cases {
+        for (bytes, want, want_liveness, canonical) in cases {
             let want = want.with_version(seqno, &retractions);
             let msg = Message::decode(&bytes).expect("an old frame decodes");
             let (Message::LinkState(ls) | Message::LinkStateSparse(ls)) = &msg else {
                 panic!("a link-state frame");
             };
             prop_assert_eq!(&*ls.row, &want);
+            prop_assert_eq!(&ls.liveness_loss, &want_liveness);
             prop_assert_eq!(ls.width, width);
             let mut store = RowStore::new(usize::from(width));
             prop_assert!(store.put_row(7, Arc::clone(&ls.row), 1.0));
-            prop_assert_eq!(store.row_dense(7).unwrap(), want.as_row_ref(row.len()).to_dense());
+            prop_assert_eq!(store.row(7), Some(&want));
             prop_assert_eq!(store.row_seqno(7), seqno);
             prop_assert_eq!(store.row_retractions(7), retractions.clone());
             if canonical {
@@ -739,6 +754,7 @@ fn linkstate_codec_matches_the_per_slot_reference_at_every_width() {
                     basis_ms: 250,
                     width: width as u16,
                     row: Arc::new(LaneRow::from_dense(row).with_version(seqno, &retractions)),
+                    liveness_loss: LinkStateMsg::liveness_lane(row),
                 };
                 let cases = [
                     (Message::LinkState(ls.clone()), old.dense(row)),
@@ -914,9 +930,9 @@ fn listed_and_identity_lanes_with_equal_contents_route_alike() {
         let mut wider = spec.row.clone();
         wider.push(LinkEntry::live(1, 0.0));
         let listed = LaneRow::from_dense(&wider).without(n as u16);
-        assert_eq!(listed.held_bytes(), 5 * n, "a listed lane");
+        assert_eq!(listed.held_bytes(), 4 * n, "a listed lane");
         mixed.put_row(o, Arc::new(listed), FRESH_AT);
-        assert_eq!(mixed.row_dense(o), full.row_dense(o));
+        assert_eq!(mixed.row(o), full.row(o));
     }
     let (clients, me) = ([5usize, 40, 70], 99usize);
     let got = mixed.round_two(&clients, me, TICK_AT, MAX_AGE);

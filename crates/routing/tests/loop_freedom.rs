@@ -18,7 +18,7 @@
 //! from its live direct links every epoch and retract on link loss,
 //! exactly as the router does.
 
-use apor_linkstate::{Detour, LaneRow, LinkEntry, LinkStateStore, RowStore};
+use apor_linkstate::{Detour, LaneRow, LinkEntry, LinkStateStore, RowStore, INFINITE_COST};
 use apor_routing::feasibility::{select_detour, Feasibility};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -152,9 +152,9 @@ fn replay(n: usize, raw_epochs: &[RawEpoch], partition_epoch: usize) -> Replay {
                 if died[i].contains(&(d as u16)) {
                     f.retract(store.row_seqno(d));
                 }
-                let entry = store.entry(i, d);
-                if entry.alive {
-                    f.advance(store.row_seqno(d), entry.cost());
+                let cost = store.cost(i, d);
+                if cost != INFINITE_COST {
+                    f.advance(store.row_seqno(d), cost);
                 }
             }
         }
@@ -196,7 +196,7 @@ proptest! {
                         break; // delivered
                     }
                     let direct = r.store.row_fresh(cur, r.now, MAX_AGE)
-                        && r.store.entry(cur, dst).alive;
+                        && r.store.cost(cur, dst) != INFINITE_COST;
                     let next = if direct {
                         dst
                     } else if let Some(Ok(d)) = select_detour(

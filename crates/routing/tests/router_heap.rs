@@ -1,4 +1,4 @@
-//! What one quorum router holds on the heap once it is recommending.
+//! What one router holds on the heap once it is routing.
 //!
 //! The paper's scaling argument is about per-node state: `O(√n)`
 //! link-state rows. Beside them a router keeps its own bookkeeping — a
@@ -17,12 +17,25 @@
 //! that is written down; and one that has heard 256 frames from each,
 //! most of them skipping destinations, holds no more time slots than
 //! entries.
+//!
+//! A row a router keeps holds what routing reads — destinations and
+//! latencies — and not the liveness/loss byte each wire entry also
+//! carries, which stays with the frame. Two more tests pin that: a row
+//! decoded from a full-width dense frame and put in a row store holds 2
+//! B an entry, and a full-mesh router that has heard every row holds one
+//! `u16` latency per ordered pair and a receipt time per row.
 
-use apor_linkstate::{Message, RecEntry, RecFormat, RecommendationMsg};
+use apor_linkstate::{
+    LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecFormat,
+    RecommendationMsg, RowStore,
+};
 use apor_quorum::{Grid, NodeId};
-use apor_routing::{ProtocolConfig, QuorumRouter, RoutingAlgorithm};
+use apor_routing::{FullMeshRouter, ProtocolConfig, QuorumRouter, RoutingAlgorithm};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// The system allocator, plus a running count of the bytes live on a
 /// thread — allocated minus freed — while that thread has counting
@@ -229,5 +242,83 @@ fn skipping_frames_keep_a_time_table_no_larger_than_the_entries() {
         live <= budget,
         "{live} B live after {FRAMES} frames from each of {records} servers \
          ({entries} entries), over the {budget} B budget"
+    );
+}
+
+/// A dense link-state frame of `width` live entries from `from` to 0,
+/// encoded: latencies and losses that vary from slot to slot.
+fn dense_frame(from: usize, width: usize) -> Vec<u8> {
+    let entries: Vec<LinkEntry> = (0..width)
+        .map(|d| LinkEntry::live((d * 37 % 400) as u16 + 1, (d % 7) as f32 * 0.03))
+        .collect();
+    Message::LinkState(LinkStateMsg {
+        from: NodeId::from_index(from),
+        to: NodeId::from_index(0),
+        view: 0,
+        round: 1,
+        basis_ms: 0,
+        width: width as u16,
+        row: Arc::new(LaneRow::from_dense(&entries)),
+        liveness_loss: LinkStateMsg::liveness_lane(&entries),
+    })
+    .encode()
+    .to_vec()
+}
+
+/// A row decoded from a width-1024 dense frame with every entry live —
+/// every frame under full-mesh probing — and put in a store holds its
+/// latency lane, 2 B an entry, beside the row's and the map's headers:
+/// its destinations are the shared identity lane, and the frame's
+/// liveness lane goes with the message. A row that kept the liveness
+/// byte would hold 3 B an entry, 1 kB past this budget.
+#[test]
+fn a_decoded_full_row_holds_two_bytes_an_entry() {
+    const WIDTH: usize = 1024;
+    /// The row's `Arc` and header and the store's one map node.
+    const HEADERS: usize = 512;
+    let frame = dense_frame(3, WIDTH);
+    let mut store = RowStore::new(WIDTH);
+    let ((), live) = live_after(|| {
+        let Ok(Message::LinkState(ls)) = Message::decode(&frame) else {
+            panic!("a dense link-state frame");
+        };
+        assert_eq!(ls.liveness_loss.len(), WIDTH, "the frame carries the loss");
+        assert!(store.put_row(3, Arc::clone(&ls.row), 1.0));
+    });
+    let row = store.row(3).expect("held");
+    assert_eq!(row.held_bytes(), 2 * WIDTH);
+    let live = usize::try_from(live).expect("the store holds the row");
+    assert!(
+        (2 * WIDTH..=2 * WIDTH + HEADERS).contains(&live),
+        "{live} B live for a {WIDTH}-entry row, not 2 B an entry plus {HEADERS} B"
+    );
+}
+
+/// A full-mesh router at the paper's n = 196 that has heard its own
+/// tick and every other node's dense frame holds its latency matrix —
+/// one `u16` per ordered pair, 2·n² B — and one receipt time per row,
+/// within 64 B a node. A second `n × n` array of liveness bytes would
+/// add n² B, past this budget.
+#[test]
+fn a_full_mesh_router_holds_one_latency_per_pair() {
+    const N: usize = 196;
+    let frames: Vec<Vec<u8>> = (1..N).map(|from| dense_frame(from, N)).collect();
+    let own: Vec<LinkEntry> = (0..N).map(|d| LinkEntry::live(d as u16, 0.0)).collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let (router, live) = live_after(|| {
+        let mut router = FullMeshRouter::new(0, N, 0, ProtocolConfig::ron());
+        assert_eq!(router.on_routing_tick(1.0, &own, &mut rng).len(), N - 1);
+        for frame in &frames {
+            let msg = Message::decode(frame).expect("a dense frame");
+            assert!(router.on_message(1.5, &msg).is_empty());
+        }
+        router
+    });
+    assert!((1..N).all(|dst| router.route_age(dst, 2.0) == Some(0.5)));
+    let budget = 2 * N * N + 64 * N;
+    let live = usize::try_from(live).expect("the router holds memory");
+    assert!(
+        live <= budget,
+        "{live} B live for n = {N}, over the {budget} B budget (2·n² + 64·n)"
     );
 }

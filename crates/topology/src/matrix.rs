@@ -50,7 +50,9 @@ impl Link {
 /// [`set_loss_directed`](Self::set_loss_directed), an asymmetric
 /// [`from_csv`](Self::from_csv)) keeps its own record in a sorted table
 /// of exceptions, which a lookup consults only when it is non-empty.
-/// Unreachable pairs carry `f64::INFINITY`.
+/// Unreachable pairs carry `f64::INFINITY`. A node index `≥ len()`
+/// panics, in release builds too: packed pairs would otherwise read
+/// another pair's record.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencyMatrix {
     n: usize,
@@ -94,8 +96,13 @@ impl LatencyMatrix {
     /// upper triangle starts after the `n + (n − 1) + … + (n − a + 1)`
     /// records of the rows above it, and `b = max(i, j)` is `b − a` into
     /// it.
+    ///
+    /// # Panics
+    /// Panics if `i` or `j` is `≥ n`: index `n` of row 0 is node 1's
+    /// self-link, so an unchecked `(0, n)` would read a record that is
+    /// not the pair's.
     fn pair_index(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i.max(j) < self.n, "({i}, {j}) past n = {}", self.n);
+        assert!(i.max(j) < self.n, "({i}, {j}) past n = {}", self.n);
         let (a, b) = if i <= j { (i, j) } else { (j, i) };
         a * (2 * self.n - a + 1) / 2 + (b - a)
     }
@@ -387,6 +394,15 @@ mod tests {
     fn directed_loss_rejects_non_probability() {
         let mut m = sample();
         m.set_loss_directed(0, 1, 1.5);
+    }
+
+    /// A node past the matrix is refused, not read off a neighbouring
+    /// record — `(0, 4)` packs to node 1's self-link — in the release
+    /// profile as in the debug one.
+    #[test]
+    #[should_panic(expected = "(0, 4) past n = 4")]
+    fn a_node_past_the_matrix_panics() {
+        let _ = sample().rtt(0, 4);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! fewer simulator events. The fixed-tick side is a driver this test
 //! owns ([`PollingNode`]): the node itself has one timer discipline.
 
-use allpairs_overlay::linkstate::{LinkEntry, LinkStateStore, RowStore};
+use allpairs_overlay::linkstate::{LaneRow, LinkStateStore, RowStore};
 use allpairs_overlay::netsim::{Ctx, NodeBehavior, Simulator, SimulatorConfig};
 use allpairs_overlay::overlay::config::{Algorithm, NodeConfig};
 use allpairs_overlay::overlay::node::{Outbox, OverlayNode, TOKEN_PROBE};
@@ -123,20 +123,17 @@ fn run_fixed_tick() -> Simulator {
     sim
 }
 
-/// Every held row as `(origin, receipt time bits, live entries, seqno,
-/// retractions)`: what two runs must agree on, down to the f64 bits.
-type HeldRow = (usize, u64, Vec<(usize, LinkEntry)>, u16, Vec<u16>);
-
-fn held(table: &RowStore) -> Vec<HeldRow> {
+/// Every held row as `(origin, receipt time bits, row)` — the row's
+/// lanes, seqno and retractions: what two runs must agree on, down to
+/// the f64 bits.
+fn held(table: &RowStore) -> Vec<(usize, u64, LaneRow)> {
     table
         .held_rows()
-        .map(|(origin, at, row)| {
+        .map(|(origin, at, _)| {
             (
                 origin,
                 at.to_bits(),
-                row.iter_live().collect(),
-                table.row_seqno(origin),
-                table.row_retractions(origin),
+                table.row(origin).expect("held").clone(),
             )
         })
         .collect()

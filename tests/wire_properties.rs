@@ -92,6 +92,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 basis_ms: b,
                 width: entries.len() as u16,
                 row: Arc::new(LaneRow::from_dense(&entries).with_version(seqno, &retractions)),
+                liveness_loss: LinkStateMsg::liveness_lane(&entries),
             })
         });
     let sparse = (
@@ -121,6 +122,9 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 basis_ms: b,
                 width,
                 row: Arc::new(LaneRow::from_pairs(&entries).with_version(seqno, &retractions)),
+                liveness_loss: LinkStateMsg::liveness_lane(
+                    &entries.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
+                ),
             })
         });
     let recs = (
