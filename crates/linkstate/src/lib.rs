@@ -52,10 +52,13 @@
 //! ## The message path of a link-state row
 //!
 //! A row is one thing from the sender's tick to the receiver's kernel:
-//! a [`LaneRow`] behind an `Arc`, and it is never converted on the way.
-//! Beside it each message carries the entries' liveness/loss bytes
-//! ([`LinkStateMsg::liveness_loss`]), the one part of the wire entry no
-//! route reads, which lives exactly as long as the message.
+//! a [`LaneRow`] — at the sender behind an `Arc` its frames share, at
+//! the receiver filled straight from the frame bytes — and it is never
+//! converted to entries on the way. Beside it each message carries the
+//! entries' liveness/loss bytes ([`LinkStateMsg::liveness_loss`]), the
+//! one part of the wire entry no route reads, which lives exactly as
+//! long as the message; a receiver that reads the frame where it lies
+//! never copies them out.
 //!
 //! 1. **Sender.** The routing tick reduces the freshly measured row to
 //!    lanes once ([`LaneRow::from_dense`]) and its liveness bytes to
@@ -70,22 +73,27 @@
 //!    one are written 64 records at a time, so a frame costs a copy
 //!    loop and each of a tick's frames is simply encoded. The message
 //!    is dropped; the bytes belong to the driver.
-//! 3. **Decode.** [`Message::decode_traced`] validates the frame
-//!    (lengths, strictly ascending in-range destinations, trailer
-//!    rules) and fills each lane at its exact size straight from the
-//!    bytes, one allocation a lane: the row's latency lane, its
-//!    destination lane unless a dense frame has every entry live (a
-//!    full row borrows its destinations), and the message's liveness
-//!    lane. Lanes are the message body *because* they are the wire's
-//!    own layout and the kernel's input at once: no `LinkEntry`, no
-//!    `f32`, nothing to re-quantize. The new `Arc<LaneRow>` is owned by
-//!    the decoded message.
-//! 4. **Ingest.** The router borrows the message and calls
-//!    [`LinkStateStore::put_row`] with a clone of the row's `Arc` — a
-//!    count bump. [`RowStore`] does the stale-replay check and the
-//!    replace in one map walk and keeps that `Arc`; the previous row is
-//!    freed. When the message is dropped the store is the row's only
-//!    owner, and the liveness lane is freed with it.
+//! 3. **Check.** The receiving node reads the frame where it lies
+//!    ([`LinkStateFrame::parse`]): lengths, strictly ascending in-range
+//!    destinations, trailer rules — one pass, no allocation. The
+//!    entries stay in the payload, and a router reads them there
+//!    ([`LinkStateRow`]).
+//! 4. **Ingest.** The full-mesh baseline writes the live latencies
+//!    straight into its matrix row. The quorum router, once the frame
+//!    has passed its view, width and origin checks, builds the row it
+//!    will keep ([`LinkStateFrame::row`]: each lane filled at its exact
+//!    size straight from the bytes, one allocation a lane — the latency
+//!    lane, the destination lane unless a dense frame has every entry
+//!    live, since a full row borrows its destinations) and calls
+//!    [`LinkStateStore::put_row`]; [`RowStore`] does the stale-replay
+//!    check and the replace in one map walk and keeps the `Arc`, and the
+//!    previous row is freed. No liveness lane is built: its bytes never
+//!    leave the payload.
+//!
+//! [`Message::decode_traced`] is step 3 followed by the owned build —
+//! the row behind a new `Arc` and the liveness lane beside it — for the
+//! callers that want a [`Message`]; a router takes that message's row
+//! by bumping a count, through the same ingest.
 //!
 //! A stored row is never edited: [`LaneRow`] has no `&mut self`
 //! method, and every row reaches the store through `put_row`. When a
@@ -120,8 +128,9 @@ pub use store::{
     seqno_newer, Detour, LaneRow, LinkStateStore, RoundTwo, RowCursor, RowRef, RowStore,
 };
 pub use wire::{
-    ls_trailer_size, readdress_linkstate, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem,
-    ProbeMsg, ProbeReplyMsg, RecEntry, RecFormat, RecommendationMsg, LINKSTATE_HEADER_SIZE,
-    LS_FLAG_SEQNO, LS_SEQNO_TRAILER_BASE, PROBE_BATCH_HEADER_SIZE, PROBE_FLAG_TRACE,
-    PROBE_WIRE_SIZE, REC_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE, UDP_IP_OVERHEAD,
+    ls_trailer_size, readdress_linkstate, LinkStateFrame, LinkStateMsg, LinkStateRow, Message,
+    ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg, RecEntry, RecFormat, RecFrame,
+    RecommendationMsg, WireError, LINKSTATE_HEADER_SIZE, LS_FLAG_SEQNO, LS_SEQNO_TRAILER_BASE,
+    PROBE_BATCH_HEADER_SIZE, PROBE_FLAG_TRACE, PROBE_WIRE_SIZE, REC_HEADER_SIZE,
+    SPARSE_LINKSTATE_HEADER_SIZE, UDP_IP_OVERHEAD,
 };

@@ -813,10 +813,6 @@ pub trait LinkStateStore {
     /// Did row `origin` explicitly retract `dst` at its current seqno?
     fn row_retracts(&self, origin: usize, dst: usize) -> bool;
 
-    /// The full retraction lane of row `origin`, ascending (empty when
-    /// the row is absent).
-    fn row_retractions(&self, origin: usize) -> Vec<u16>;
-
     /// A borrowed view of row `origin`, when present.
     fn row_ref(&self, origin: usize) -> Option<RowRef<'_>>;
 
@@ -1263,12 +1259,6 @@ impl LinkStateStore for RowStore {
         self.rows
             .get(&origin)
             .is_some_and(|s| s.lanes.retracted().binary_search(&(dst as u16)).is_ok())
-    }
-
-    fn row_retractions(&self, origin: usize) -> Vec<u16> {
-        self.rows
-            .get(&origin)
-            .map_or_else(Vec::new, |s| s.lanes.retracted().to_vec())
     }
 
     fn row_ref(&self, origin: usize) -> Option<RowRef<'_>> {

@@ -20,20 +20,25 @@
 //! envelope but are rare, so their size is not calibrated.
 //!
 //! A link-state frame is most of the control plane's bytes, so its body
-//! moves at copy speed in both directions: the writer stages 64 records
+//! moves at copy speed in both directions. The writer stages 64 records
 //! at a time in a stack buffer (`put_records`) instead of appending
-//! field by field, and the reader validates and counts in one pass and
-//! then fills each lane at its exact size, one allocation a lane
-//! (`decode_lane`). A dense frame whose entries are all live — every
+//! field by field; only a dense frame of a row that skips destinations
+//! is still written slot by slot. The reader checks a routing frame in
+//! one pass where it lies — [`LinkStateFrame`], and [`RecFrame`] for
+//! recommendations — and allocates nothing: a router reads the entries
+//! off the bytes ([`LinkStateRow`]), and what it keeps is all a frame
+//! costs. [`Message::decode`] is that check followed by the owned build,
+//! each lane filled at its exact size, one allocation a lane
+//! (`decode_lane`); a dense frame whose entries are all live — every
 //! frame under the paper's full-mesh probing — decodes to a full row,
-//! whose destination lane is never built (see [`LaneRow`]). Only a dense
-//! frame of a row that skips destinations is still written slot by slot.
+//! whose destination lane is never built (see [`LaneRow`]).
 //!
-//! An entry's three bytes part on the way in: its latency joins the
-//! row ([`LinkStateMsg::row`]), which a store keeps, and its
-//! liveness/loss byte joins the frame's own lane
-//! ([`LinkStateMsg::liveness_loss`]), which no store keeps — no route
-//! reads it — and which is dropped with the message.
+//! An entry's three bytes part on the way in: its latency is what a
+//! router keeps — in the full-mesh matrix, or in the row
+//! ([`LinkStateMsg::row`]) a store holds — and its liveness/loss byte,
+//! which no route reads, stays in the payload. Only the owned decode
+//! copies it out, into the message's own lane
+//! ([`LinkStateMsg::liveness_loss`]), which is dropped with the message.
 
 use crate::entry::LinkEntry;
 use crate::store::{DstLane, LaneRow};
@@ -233,6 +238,24 @@ fn record_is_live(record: &&[u8]) -> bool {
     record[record.len() - 1] & 0x80 != 0
 }
 
+/// The destination a sparse record opens with.
+fn record_dst(record: &[u8]) -> u16 {
+    u16::from_be_bytes([record[0], record[1]])
+}
+
+/// The latency of the entry at `entry_at` in a record, clamped below
+/// the dead sentinel, as [`LinkEntry::encode`] would emit a live one.
+fn record_latency(record: &[u8], entry_at: usize) -> u16 {
+    u16::from_be_bytes([record[entry_at], record[entry_at + 1]]).min(LinkEntry::DEAD_LATENCY - 1)
+}
+
+/// Big-endian `u16`s, read two bytes at a time.
+fn be_u16s(bytes: &[u8]) -> impl Iterator<Item = u16> + '_ {
+    bytes
+        .chunks_exact(2)
+        .map(|pair| u16::from_be_bytes([pair[0], pair[1]]))
+}
+
 /// The `len` items of `items`, collected at their exact size: a source
 /// that says its length up front lets a `Vec` or an `Arc<[T]>` allocate
 /// once, where a filtered one would grow the `Vec` or copy it into the
@@ -262,102 +285,215 @@ fn decode_lane<T, C: FromIterator<T>>(
     }
 }
 
-/// Read a link-state frame after the common `(type, from, to)` prefix,
-/// filling exact-capacity lanes straight from the entry bytes — the
-/// row's and the message's liveness lane; no [`LinkEntry`] and no `f32`
-/// is materialised. An entry whose liveness
-/// bit is clear is dropped (absence *is* death in a lane row); a live
-/// entry's latency is clamped below the dead sentinel, as
-/// [`LinkEntry::encode`] would emit it. One pass validates and counts,
-/// then each lane is filled on its own ([`decode_lane`]); a dense frame
-/// with every entry live builds no destination lane at all — its row is
-/// a full row.
-fn get_linkstate(
-    b: &mut &[u8],
-    from: NodeId,
-    to: NodeId,
-    sparse: bool,
-) -> Result<LinkStateMsg, WireError> {
-    let header = if sparse {
-        SPARSE_LINKSTATE_HEADER_SIZE
-    } else {
-        LINKSTATE_HEADER_SIZE
-    };
-    if b.remaining() < header - 5 {
+/// Read the `(type, from, to)` prefix every frame opens with.
+fn get_prefix(b: &mut &[u8]) -> Result<(u8, NodeId, NodeId), WireError> {
+    if b.remaining() < 5 {
         return Err(WireError::Truncated);
     }
-    let view = b.get_u32();
-    let round = b.get_u32();
-    let count = b.get_u16();
-    let basis_ms = b.get_u32();
-    let width = if sparse { b.get_u16() } else { count };
-    let versioned = b.get_u16() & LS_FLAG_SEQNO != 0;
-    // A sparse slot is a 2-byte destination ahead of the 3-byte entry.
-    let entry_at = if sparse { 2 } else { 0 };
-    let stride = entry_at + LinkEntry::WIRE_SIZE;
-    let body_len = usize::from(count) * stride;
-    if versioned {
-        if b.remaining() < body_len {
-            return Err(WireError::Truncated);
-        }
-    } else if b.remaining() != body_len {
-        return Err(WireError::BadLength);
-    }
-    let body = b.take_bytes(body_len);
-    let record_dst = |e: &[u8]| u16::from_be_bytes([e[0], e[1]]);
-    let mut live = 0;
-    let mut prev: Option<u16> = None;
-    for e in body.chunks_exact(stride) {
-        if sparse {
-            // Entries must be strictly ascending and in range, dead
-            // ones included — the row kernels rely on it.
-            let d = record_dst(e);
-            if d >= width || prev.is_some_and(|p| d <= p) {
-                return Err(WireError::BadLength);
-            }
-            prev = Some(d);
-        }
-        live += usize::from(record_is_live(&e));
-    }
-    let dst = if sparse {
-        decode_lane::<_, Vec<_>>(body, stride, live, record_dst).into()
-    } else if live == usize::from(count) {
-        DstLane::Full(live)
-    } else {
-        let live_slots = (0..count)
-            .zip(body.chunks_exact(stride))
-            .filter(|(_, e)| record_is_live(e))
-            .map(|(slot, _)| slot);
-        let mut dst = Vec::with_capacity(live);
-        dst.extend(live_slots);
-        dst.into()
-    };
-    let latency_ms = decode_lane(body, stride, live, |e| {
-        u16::from_be_bytes([e[entry_at], e[entry_at + 1]]).min(LinkEntry::DEAD_LATENCY - 1)
-    });
-    let liveness_loss = decode_lane(body, stride, live, |e| e[entry_at + 2]);
-    let (seqno, retracted) = if versioned {
-        get_ls_trailer(b, width)?
-    } else {
-        (0, Vec::new())
-    };
-    Ok(LinkStateMsg {
-        from,
-        to,
-        view,
-        round,
-        basis_ms,
-        width,
-        row: Arc::new(LaneRow::from_wire_lanes(dst, latency_ms, seqno, retracted)),
-        liveness_loss,
-    })
+    Ok((b.get_u8(), NodeId(b.get_u16()), NodeId(b.get_u16())))
 }
 
-/// Decode the route-discipline trailer: consumes the rest of `b`, which
-/// must contain exactly the trailer. Retractions must be strictly
-/// ascending and `< width`; a canonical frame never carries an empty
-/// trailer (that form encodes flagless).
-fn get_ls_trailer(b: &mut &[u8], width: u16) -> Result<(u16, Vec<u16>), WireError> {
+/// A link-state frame, dense or sparse, checked and still in its
+/// payload: the header, and the entry records and the retraction list
+/// as slices of the bytes. [`parse`](Self::parse) makes every check the
+/// owned decode makes — [`Message::decode`] is `parse` and then
+/// [`to_message`](Self::to_message) — so a frame parses exactly when it
+/// decodes.
+///
+/// A router reads a frame where it lies ([`LinkStateRow`]): the
+/// full-mesh baseline writes the live `(dst, latency)` pairs straight
+/// into its matrix, and the quorum router builds the row it keeps
+/// ([`row`](Self::row)) once the frame has passed its view and width
+/// checks. Nothing builds the liveness lane but the owned decode.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkStateFrame<'a> {
+    /// Origin (the measuring node), as the wire names it.
+    pub from: NodeId,
+    /// Addressed rendezvous server, as the wire names it.
+    pub to: NodeId,
+    /// Origin's membership view version.
+    pub view: u32,
+    /// Routing round counter at the origin.
+    pub round: u32,
+    /// Origin clock (ms) when the row was snapshotted.
+    pub basis_ms: u32,
+    /// Row width: every destination the frame names is below it.
+    pub width: u16,
+    sparse: bool,
+    /// How many of the records are live.
+    live: usize,
+    /// The entry records: 3 bytes each (dense, one per slot) or 5
+    /// (sparse, each led by its destination), destinations checked
+    /// strictly ascending and in range.
+    body: &'a [u8],
+    seqno: u16,
+    /// The retraction list: big-endian `u16`s, checked strictly
+    /// ascending and in range.
+    retracted: &'a [u8],
+}
+
+impl<'a> LinkStateFrame<'a> {
+    /// Check `bytes` as a whole link-state frame, type tag first.
+    /// Entries must be strictly ascending and in range in a sparse
+    /// frame, dead ones included — the row kernels rely on it; the
+    /// route-discipline trailer must be present exactly when the header
+    /// flags it, its retractions strictly ascending and `< width`, and
+    /// it must not be the empty `(0, [])` trailer, which encodes
+    /// flagless.
+    ///
+    /// # Errors
+    /// [`WireError::BadType`] when `bytes` is another kind of frame, and
+    /// the error [`Message::decode`] returns for it when it is a
+    /// malformed link-state frame. Never panics.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let mut b = bytes;
+        let (typ, from, to) = get_prefix(&mut b)?;
+        let sparse = match typ {
+            T_LINKSTATE => false,
+            T_LINKSTATE_SPARSE => true,
+            other => return Err(WireError::BadType(other)),
+        };
+        let header = if sparse {
+            SPARSE_LINKSTATE_HEADER_SIZE
+        } else {
+            LINKSTATE_HEADER_SIZE
+        };
+        if b.remaining() < header - 5 {
+            return Err(WireError::Truncated);
+        }
+        let view = b.get_u32();
+        let round = b.get_u32();
+        let count = b.get_u16();
+        let basis_ms = b.get_u32();
+        let width = if sparse { b.get_u16() } else { count };
+        let versioned = b.get_u16() & LS_FLAG_SEQNO != 0;
+        let stride = Self::stride_of(sparse);
+        let body_len = usize::from(count) * stride;
+        if versioned {
+            if b.remaining() < body_len {
+                return Err(WireError::Truncated);
+            }
+        } else if b.remaining() != body_len {
+            return Err(WireError::BadLength);
+        }
+        let (body, mut b) = b.split_at(body_len);
+        let mut live = 0;
+        let mut prev: Option<u16> = None;
+        for e in body.chunks_exact(stride) {
+            if sparse {
+                let d = record_dst(e);
+                if d >= width || prev.is_some_and(|p| d <= p) {
+                    return Err(WireError::BadLength);
+                }
+                prev = Some(d);
+            }
+            live += usize::from(record_is_live(&e));
+        }
+        let (seqno, retracted) = if versioned {
+            get_ls_trailer(&mut b, width)?
+        } else {
+            (0, &[][..])
+        };
+        Ok(LinkStateFrame {
+            from,
+            to,
+            view,
+            round,
+            basis_ms,
+            width,
+            sparse,
+            live,
+            body,
+            seqno,
+            retracted,
+        })
+    }
+
+    /// Bytes per record: a sparse record is a 2-byte destination ahead
+    /// of the 3-byte entry.
+    fn stride_of(sparse: bool) -> usize {
+        if sparse {
+            2 + LinkEntry::WIRE_SIZE
+        } else {
+            LinkEntry::WIRE_SIZE
+        }
+    }
+
+    /// Where the entry starts in a record.
+    fn entry_at(&self) -> usize {
+        Self::stride_of(self.sparse) - LinkEntry::WIRE_SIZE
+    }
+
+    /// The entry records.
+    fn records(&self) -> std::slice::ChunksExact<'a, u8> {
+        self.body.chunks_exact(Self::stride_of(self.sparse))
+    }
+
+    /// The retraction list, strictly ascending.
+    fn retracted(&self) -> impl Iterator<Item = u16> + 'a {
+        be_u16s(self.retracted)
+    }
+
+    /// The row as a store holds it, each lane filled at its exact size
+    /// straight from the bytes, one allocation a lane
+    /// (`decode_lane`): the latency lane, the destination lane unless
+    /// a dense frame has every entry live (a full row borrows its
+    /// destinations), and the retraction lane when there is one. No
+    /// [`LinkEntry`] and no `f32` is materialised.
+    #[must_use]
+    pub fn row(&self) -> LaneRow {
+        let (stride, entry_at, live) = (Self::stride_of(self.sparse), self.entry_at(), self.live);
+        let records = self.records();
+        let dst = if self.sparse {
+            decode_lane::<_, Vec<_>>(self.body, stride, live, record_dst).into()
+        } else if live == records.len() {
+            DstLane::Full(live)
+        } else {
+            let mut dst = Vec::with_capacity(live);
+            dst.extend(self.live_entries().map(|(slot, _)| slot));
+            dst.into()
+        };
+        let latency_ms = decode_lane(self.body, stride, live, |e| record_latency(e, entry_at));
+        LaneRow::from_wire_lanes(dst, latency_ms, self.seqno, self.retracted().collect())
+    }
+
+    /// The wire liveness/loss byte of each live entry, in one
+    /// allocation ([`LinkStateMsg::liveness_loss`]).
+    fn liveness_lane(&self) -> Arc<[u8]> {
+        let at = self.entry_at() + 2;
+        decode_lane(self.body, Self::stride_of(self.sparse), self.live, |e| {
+            e[at]
+        })
+    }
+
+    /// The owned message: [`row`](Self::row) behind an `Arc` and the
+    /// liveness lane beside it, in the variant of the frame's form.
+    #[must_use]
+    pub fn to_message(&self) -> Message {
+        let ls = LinkStateMsg {
+            from: self.from,
+            to: self.to,
+            view: self.view,
+            round: self.round,
+            basis_ms: self.basis_ms,
+            width: self.width,
+            row: Arc::new(self.row()),
+            liveness_loss: self.liveness_lane(),
+        };
+        if self.sparse {
+            Message::LinkStateSparse(ls)
+        } else {
+            Message::LinkState(ls)
+        }
+    }
+}
+
+/// Check the route-discipline trailer: the rest of `b`, which must
+/// contain exactly the trailer. Retractions must be strictly ascending
+/// and `< width`; a canonical frame never carries an empty trailer
+/// (that form encodes flagless). Returns the seqno and the retraction
+/// list's bytes.
+fn get_ls_trailer<'a>(b: &mut &'a [u8], width: u16) -> Result<(u16, &'a [u8]), WireError> {
     if b.remaining() < LS_SEQNO_TRAILER_BASE {
         return Err(WireError::Truncated);
     }
@@ -366,21 +502,183 @@ fn get_ls_trailer(b: &mut &[u8], width: u16) -> Result<(u16, Vec<u16>), WireErro
     if b.remaining() != count * 2 {
         return Err(WireError::BadLength);
     }
-    let mut retractions = Vec::with_capacity(count);
+    let lane = std::mem::take(b);
     let mut prev: Option<u16> = None;
-    for _ in 0..count {
-        let dst = b.get_u16();
+    for dst in be_u16s(lane) {
         if dst >= width || prev.is_some_and(|p| dst <= p) {
             return Err(WireError::BadLength);
         }
         prev = Some(dst);
-        retractions.push(dst);
     }
-    if seqno == 0 && retractions.is_empty() {
+    if seqno == 0 && count == 0 {
         // Non-canonical: the legacy-identical form must be flagless.
         return Err(WireError::BadLength);
     }
-    Ok((seqno, retractions))
+    Ok((seqno, lane))
+}
+
+/// A link-state row as a router takes it in — from an owned
+/// [`LinkStateMsg`], or from a [`LinkStateFrame`] still in its payload —
+/// so each router has one ingest for both. Every destination is below
+/// [`width`](Self::width), as decoding guarantees and encoding requires.
+pub trait LinkStateRow {
+    /// The origin's membership view version.
+    fn view(&self) -> u32;
+
+    /// The row width.
+    fn width(&self) -> u16;
+
+    /// The live entries as `(dst, latency_ms)`, ascending by
+    /// destination.
+    fn live_entries(&self) -> impl Iterator<Item = (u16, u16)> + '_;
+
+    /// The row as a store holds it: the message's own `Arc`, or one
+    /// built from the frame — the only allocations a frame's row costs.
+    fn shared_row(&self) -> Arc<LaneRow>;
+}
+
+impl LinkStateRow for LinkStateMsg {
+    fn view(&self) -> u32 {
+        self.view
+    }
+
+    fn width(&self) -> u16 {
+        self.width
+    }
+
+    fn live_entries(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
+        let (dst, latency_ms) = self.row.lanes();
+        dst.iter().copied().zip(latency_ms.iter().copied())
+    }
+
+    fn shared_row(&self) -> Arc<LaneRow> {
+        Arc::clone(&self.row)
+    }
+}
+
+impl LinkStateRow for LinkStateFrame<'_> {
+    fn view(&self) -> u32 {
+        self.view
+    }
+
+    fn width(&self) -> u16 {
+        self.width
+    }
+
+    /// Read off the bytes; a dead entry is skipped — absence *is*
+    /// death in a row.
+    fn live_entries(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
+        let (sparse, entry_at) = (self.sparse, self.entry_at());
+        self.records()
+            .enumerate()
+            .filter(|(_, e)| record_is_live(e))
+            .map(move |(slot, e)| {
+                // A dense frame's slots are its destinations, and there
+                // are at most `u16::MAX` of them.
+                #[allow(clippy::cast_possible_truncation)]
+                let dst = if sparse { record_dst(e) } else { slot as u16 };
+                (dst, record_latency(e, entry_at))
+            })
+    }
+
+    fn shared_row(&self) -> Arc<LaneRow> {
+        Arc::new(self.row())
+    }
+}
+
+/// A recommendation frame, checked and still in its payload: the header
+/// and the entries as a slice of the bytes. [`Message::decode`] is
+/// [`parse`](Self::parse) and then [`to_message`](Self::to_message); a
+/// node hands [`entries`](Self::entries) to its router one by one, each
+/// translated as it passes, and builds no `Vec<RecEntry>`.
+#[derive(Debug, Clone, Copy)]
+pub struct RecFrame<'a> {
+    /// The rendezvous server, as the wire names it.
+    pub from: NodeId,
+    /// The client, as the wire names it.
+    pub to: NodeId,
+    /// Server's membership view version.
+    pub view: u32,
+    /// Server's routing round counter.
+    pub round: u32,
+    /// Server clock (ms) when the recommendations were computed.
+    pub basis_ms: u32,
+    /// Entry encoding.
+    pub format: RecFormat,
+    /// The entries, [`RecFormat::entry_size`] bytes each.
+    body: &'a [u8],
+}
+
+impl<'a> RecFrame<'a> {
+    /// Check `bytes` as a whole recommendation frame, type tag first:
+    /// the entry count must account for every byte after the header.
+    ///
+    /// # Errors
+    /// [`WireError::BadType`] when `bytes` is another kind of frame, and
+    /// the error [`Message::decode`] returns for it when it is a
+    /// malformed recommendation frame. Never panics.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let mut b = bytes;
+        let (typ, from, to) = get_prefix(&mut b)?;
+        if typ != T_RECOMMENDATIONS {
+            return Err(WireError::BadType(typ));
+        }
+        if b.remaining() < REC_HEADER_SIZE - 5 {
+            return Err(WireError::Truncated);
+        }
+        let view = b.get_u32();
+        let round = b.get_u32();
+        let count = b.get_u16() as usize;
+        let basis_ms = b.get_u32();
+        let format = if b.get_u32() & 1 == 1 {
+            RecFormat::WithCost
+        } else {
+            RecFormat::Compact
+        };
+        if b.remaining() != count * format.entry_size() {
+            return Err(WireError::BadLength);
+        }
+        Ok(RecFrame {
+            from,
+            to,
+            view,
+            round,
+            basis_ms,
+            format,
+            body: b,
+        })
+    }
+
+    /// The entries in frame order, ids as the wire names them; `cost_ms`
+    /// is `u16::MAX` in the compact format.
+    pub fn entries(&self) -> impl Iterator<Item = RecEntry> + 'a {
+        let format = self.format;
+        self.body
+            .chunks_exact(format.entry_size())
+            .map(move |e| RecEntry {
+                dst: NodeId(u16::from_be_bytes([e[0], e[1]])),
+                hop: NodeId(u16::from_be_bytes([e[2], e[3]])),
+                cost_ms: if format == RecFormat::WithCost {
+                    u16::from_be_bytes([e[4], e[5]])
+                } else {
+                    u16::MAX
+                },
+            })
+    }
+
+    /// The owned message, its entries in one exact-size `Vec`.
+    #[must_use]
+    pub fn to_message(&self) -> Message {
+        Message::Recommendations(RecommendationMsg {
+            from: self.from,
+            to: self.to,
+            view: self.view,
+            round: self.round,
+            basis_ms: self.basis_ms,
+            format: self.format,
+            recs: self.entries().collect(),
+        })
+    }
 }
 
 /// Errors from [`Message::decode`].
@@ -544,9 +842,11 @@ pub struct LinkStateMsg {
     /// in half-percent units below it). No route reads it — a route's
     /// cost is its latency — so no store holds it: the sender builds it
     /// once a tick ([`LinkStateMsg::liveness_lane`]) and every frame of
-    /// the tick shares it, the decoder fills it from the frame, and it
-    /// is dropped with the message. Encoding a message whose lane and
-    /// row differ in length panics.
+    /// the tick shares it, and it is dropped with the message. On the
+    /// way in only the owned decode builds it
+    /// ([`LinkStateFrame::to_message`]); a node reads frames where they
+    /// lie and never does. Encoding a message whose lane and row differ
+    /// in length panics.
     pub liveness_loss: Arc<[u8]>,
 }
 
@@ -837,12 +1137,7 @@ impl Message {
     pub fn decode_traced(bytes: &[u8]) -> Result<(Message, Option<TraceCtx>), WireError> {
         let mut ctx = None;
         let mut b = bytes;
-        if b.remaining() < 5 {
-            return Err(WireError::Truncated);
-        }
-        let typ = b.get_u8();
-        let from = NodeId(b.get_u16());
-        let to = NodeId(b.get_u16());
+        let (typ, from, to) = get_prefix(&mut b)?;
         let msg = match typ {
             T_PROBE | T_PROBE_REPLY => {
                 if b.remaining() < PROBE_WIRE_SIZE - 5 {
@@ -923,48 +1218,10 @@ impl Message {
                     items,
                 }))
             }
-            T_LINKSTATE_SPARSE => {
-                get_linkstate(&mut b, from, to, true).map(Message::LinkStateSparse)
+            T_LINKSTATE | T_LINKSTATE_SPARSE => {
+                LinkStateFrame::parse(bytes).map(|frame| frame.to_message())
             }
-            T_LINKSTATE => get_linkstate(&mut b, from, to, false).map(Message::LinkState),
-            T_RECOMMENDATIONS => {
-                if b.remaining() < REC_HEADER_SIZE - 5 {
-                    return Err(WireError::Truncated);
-                }
-                let view = b.get_u32();
-                let round = b.get_u32();
-                let count = b.get_u16() as usize;
-                let basis_ms = b.get_u32();
-                let flags = b.get_u32();
-                let format = if flags & 1 == 1 {
-                    RecFormat::WithCost
-                } else {
-                    RecFormat::Compact
-                };
-                if b.remaining() != count * format.entry_size() {
-                    return Err(WireError::BadLength);
-                }
-                let mut recs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let dst = NodeId(b.get_u16());
-                    let hop = NodeId(b.get_u16());
-                    let cost_ms = if format == RecFormat::WithCost {
-                        b.get_u16()
-                    } else {
-                        u16::MAX
-                    };
-                    recs.push(RecEntry { dst, hop, cost_ms });
-                }
-                Ok(Message::Recommendations(RecommendationMsg {
-                    from,
-                    to,
-                    view,
-                    round,
-                    basis_ms,
-                    format,
-                    recs,
-                }))
-            }
+            T_RECOMMENDATIONS => RecFrame::parse(bytes).map(|frame| frame.to_message()),
             T_JOIN => Ok(Message::Join { from, to }),
             T_LEAVE => Ok(Message::Leave { from, to }),
             T_VIEW => {

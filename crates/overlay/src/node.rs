@@ -75,12 +75,20 @@
 //! ([`NodeId`]). This module owns the translation at the boundary, in
 //! both directions, including the `dst`/`hop` fields inside
 //! recommendation messages.
+//!
+//! An incoming routing frame is never decoded into a message. It is
+//! checked where it lies ([`LinkStateFrame`], [`RecFrame`]), its sender
+//! is translated, and the router reads the frame itself — a
+//! recommendation's entries translated one by one as the router walks
+//! them — so a frame allocates only what the router keeps: nothing for
+//! the full-mesh baseline, which writes the row into its matrix, and
+//! the held row for the quorum router.
 
 use crate::config::{Algorithm, MembershipMode, NodeConfig};
 use crate::membership::{Coordinator, MembershipView};
 use apor_linkstate::{
-    readdress_linkstate, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem, ProbeMsg, ProbeReplyMsg,
-    RecEntry,
+    readdress_linkstate, LinkStateFrame, LinkStateMsg, Message, ProbeBatchMsg, ProbeItem, ProbeMsg,
+    ProbeReplyMsg, RecEntry, RecFrame, WireError,
 };
 use apor_membership::{wire as swim_wire, Swim, SwimConfig, SwimMsg};
 use apor_netsim::TrafficClass;
@@ -463,8 +471,21 @@ impl OverlayNode {
             self.on_swim_packet(now, payload, out);
             return;
         }
+        // Routing frames are read where they lie; every other frame is
+        // decoded into a message. Malformed datagrams are dropped
+        // silently.
+        match LinkStateFrame::parse(payload) {
+            Ok(frame) => return self.on_linkstate_frame(now, &frame),
+            Err(WireError::BadType(_)) => {}
+            Err(_) => return,
+        }
+        match RecFrame::parse(payload) {
+            Ok(frame) => return self.on_rec_frame(now, &frame),
+            Err(WireError::BadType(_)) => {}
+            Err(_) => return,
+        }
         let Ok((msg, probe_ctx)) = Message::decode_traced(payload) else {
-            return; // malformed datagrams are dropped silently
+            return;
         };
         if let Some(ctx) = probe_ctx {
             // A traced probe batch: the sender is reprobing as part of
@@ -532,17 +553,8 @@ impl OverlayNode {
                     );
                 }
             }
-            msg @ (Message::LinkState(_)
-            | Message::LinkStateSparse(_)
-            | Message::Recommendations(_)) => {
-                if let Some(inner) = self.wire_to_index(msg) {
-                    let replies = match &mut self.router {
-                        Some(router) => router.as_dyn_mut().on_message(now, &inner),
-                        None => Vec::new(),
-                    };
-                    self.send_index_msgs(replies, out);
-                }
-            }
+            // Read above, where they lie.
+            Message::LinkState(_) | Message::LinkStateSparse(_) | Message::Recommendations(_) => {}
             Message::Join { from, .. } => {
                 if let Some(c) = &mut self.coordinator {
                     let changed = c.on_join(from, now);
@@ -1003,28 +1015,53 @@ impl OverlayNode {
         Some(msg)
     }
 
-    /// Translate an incoming identity-space routing message into index
-    /// space, in place — one `index_of` per id; `None` when the sender
-    /// is not in the current view. Recommendation entries naming an
-    /// unknown `dst` or `hop` are dropped; `to` becomes this node.
-    fn wire_to_index(&self, mut msg: Message) -> Option<Message> {
-        let view = self.view.as_ref()?;
-        let me = NodeId::from_index(self.my_index?);
-        let map = |id: NodeId| view.index_of(id).map(NodeId::from_index);
-        match &mut msg {
-            Message::LinkState(ls) | Message::LinkStateSparse(ls) => {
-                ls.from = map(ls.from)?;
-                ls.to = me;
-            }
-            Message::Recommendations(rm) => {
-                rm.from = map(rm.from)?;
-                rm.to = me;
-                translate_recs(&mut rm.recs, map);
-            }
-            _ => return None,
-        }
-        Some(msg)
+    /// Where `from` sits in my view, when I am a member and it is one:
+    /// an incoming routing frame's sender in the routers' index space.
+    fn sender_index(&self, from: NodeId) -> Option<usize> {
+        self.my_index?;
+        self.view.as_ref()?.index_of(from)
     }
+
+    /// Hand a link-state frame, still in its payload, to the router. Only
+    /// the sender is translated: entry destinations are view-positional
+    /// on both sides, guarded by the router's view and width checks. No
+    /// message is built, so neither is the frame's liveness lane; what
+    /// the router keeps of the row is all the frame allocates.
+    fn on_linkstate_frame(&mut self, now: f64, frame: &LinkStateFrame<'_>) {
+        let Some(from) = self.sender_index(frame.from) else {
+            return;
+        };
+        match &mut self.router {
+            Some(RouterBox::FullMesh(router)) => router.on_linkstate(now, from, frame),
+            Some(RouterBox::Quorum(router)) => router.on_linkstate(now, from, frame),
+            None => {}
+        }
+    }
+
+    /// Hand a recommendation frame, still in its payload, to the quorum
+    /// router, each entry translated into index space as the router
+    /// walks it ([`rec_to_index`]); the full-mesh baseline takes none.
+    fn on_rec_frame(&mut self, now: f64, frame: &RecFrame<'_>) {
+        let server = self.sender_index(frame.from);
+        let (Some(server), Some(view), Some(RouterBox::Quorum(router))) =
+            (server, &self.view, &mut self.router)
+        else {
+            return;
+        };
+        let recs = frame.entries().filter_map(|r| rec_to_index(view, r));
+        router.on_recommendations(now, server, frame.view, recs);
+    }
+}
+
+/// An incoming recommendation in index space: its `dst` and `hop`
+/// translated through `view`; `None` when the view lacks either.
+fn rec_to_index(view: &MembershipView, r: RecEntry) -> Option<RecEntry> {
+    let index = |id: NodeId| view.index_of(id).map(NodeId::from_index);
+    Some(RecEntry {
+        dst: index(r.dst)?,
+        hop: index(r.hop)?,
+        ..r
+    })
 }
 
 /// Do `a` and `b` encode to the same frame but for the addressee? They
@@ -1259,7 +1296,7 @@ mod tests {
 
     /// The clone-and-`retain` translation this module used before ids
     /// were rewritten in place, kept as the definition the in-place
-    /// versions are held to. `to_index` maps identity → index and forces
+    /// and per-entry versions are held to. `to_index` maps identity → index and forces
     /// `to` to `me`; `!to_index` maps index → identity.
     fn translate_by_definition(
         view: &MembershipView,
@@ -1309,8 +1346,9 @@ mod tests {
     }
 
     proptest! {
-        /// In-place translation equals the clone-and-`retain`
-        /// definition in both directions, for all three routing
+        /// Translation equals the clone-and-`retain` definition in both
+        /// directions — what a router is handed of an incoming frame,
+        /// and what an outgoing message becomes — for all three routing
         /// variants, on views where identity ≠ index: a `0..k` prefix
         /// (where the identity slot answers), then gaps. Ids are drawn
         /// from a range wider than the view, so `from` is sometimes
@@ -1374,11 +1412,34 @@ mod tests {
                 }),
             };
 
-            // Wire → index.
-            prop_assert_eq!(
-                node.wire_to_index(msg.clone()),
-                translate_by_definition(&view, me, &msg, true)
-            );
+            // Wire → index: the sender and entries a router is handed.
+            let me_index = NodeId::from_index(me);
+            let handed = match &msg {
+                Message::LinkState(ls) | Message::LinkStateSparse(ls) => {
+                    node.sender_index(ls.from).map(|from| {
+                        let inner = LinkStateMsg {
+                            from: NodeId::from_index(from),
+                            to: me_index,
+                            ..ls.clone()
+                        };
+                        if variant == 0 {
+                            Message::LinkState(inner)
+                        } else {
+                            Message::LinkStateSparse(inner)
+                        }
+                    })
+                }
+                Message::Recommendations(rm) => node.sender_index(rm.from).map(|from| {
+                    Message::Recommendations(RecommendationMsg {
+                        from: NodeId::from_index(from),
+                        to: me_index,
+                        recs: rm.recs.iter().filter_map(|&r| rec_to_index(&view, r)).collect(),
+                        ..rm.clone()
+                    })
+                }),
+                _ => unreachable!("a routing message"),
+            };
+            prop_assert_eq!(handed, translate_by_definition(&view, me, &msg, true));
             // Index → wire: what lands in the outbox is the definition's
             // message, encoded, addressed to its `to`.
             let mut out = Outbox::default();

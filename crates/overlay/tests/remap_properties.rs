@@ -214,7 +214,10 @@ proptest! {
             // destinations and comes out strictly ascending without a
             // sort.
             prop_assert_eq!(store.row_seqno(new_origin), 0);
-            prop_assert_eq!(store.row_retractions(new_origin), &surviving[..]);
+            prop_assert_eq!(
+                store.row(new_origin).map_or(&[][..], LaneRow::retracted),
+                &surviving[..]
+            );
             let row = store.row_ref(new_origin).expect("held");
             for (new_dst, d) in new_view.members.iter().enumerate() {
                 if old_view.contains(*d) {
@@ -432,7 +435,8 @@ proptest! {
                 })
                 .collect();
             let retracted: Vec<u16> = held
-                .row_retractions(origin)
+                .row(origin)
+                .map_or(&[][..], LaneRow::retracted)
                 .iter()
                 .filter_map(|&d| new_view.index_of(old_view.members[usize::from(d)]))
                 .map(|d| d as u16)

@@ -14,7 +14,9 @@
 //! [`RowStore`](apor_linkstate::RowStore) — a node that legitimately
 //! holds all `n` rows wants `O(1)` entry access and rows overwritten in
 //! place, not a map of shared row buffers that every broadcast swaps
-//! through the allocator.
+//! through the allocator. A row is written into the matrix from
+//! wherever it lies ([`FullMeshRouter::on_linkstate`]): a frame still
+//! in its payload costs no allocation at all.
 //!
 //! A router lives for one membership view. Nothing crosses a view
 //! change: a node that is handed a second view builds a new router,
@@ -24,7 +26,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::RoutingAlgorithm;
-use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, Message, INFINITE_COST};
+use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateRow, Message, INFINITE_COST};
 use apor_quorum::NodeId;
 use std::sync::Arc;
 
@@ -67,22 +69,31 @@ impl FullMeshRouter {
         }
     }
 
-    /// Overwrite row `origin` with `row`'s live entries (every other
-    /// slot dead), stamped at `now`. Returns `false`, leaving the
-    /// matrix alone, when `origin` or a listed destination is out of
-    /// range.
-    fn store_row(&mut self, origin: usize, row: &LaneRow, now: f64) -> bool {
-        let (dst, latency_ms) = row.lanes();
-        if origin >= self.n || dst.last().is_some_and(|&d| usize::from(d) >= self.n) {
-            return false;
+    /// Take in a link-state row from node `from` — an owned message or a
+    /// frame still in its payload, dense or sparse — by writing its live
+    /// entries straight into matrix row `from`, every other slot dead.
+    /// A row from another view, of another width, from outside the view
+    /// or from me is ignored.
+    pub fn on_linkstate(&mut self, now: f64, from: usize, ls: &impl LinkStateRow) {
+        if ls.view() == self.view
+            && usize::from(ls.width()) == self.n
+            && from < self.n
+            && from != self.me
+        {
+            self.store_row(from, ls.live_entries(), now);
         }
+    }
+
+    /// Overwrite row `origin` with the live `(dst, latency)` `entries`
+    /// (every other slot dead), stamped at `now`. The caller has checked
+    /// `origin` and the entries' width against `n`.
+    fn store_row(&mut self, origin: usize, entries: impl Iterator<Item = (u16, u16)>, now: f64) {
         let latency = &mut self.latency[origin * self.n..(origin + 1) * self.n];
         latency.fill(DEAD);
-        for (&d, &l) in dst.iter().zip(latency_ms) {
+        for (d, l) in entries {
             latency[usize::from(d)] = l;
         }
         self.row_time[origin] = Some(now);
-        true
     }
 
     /// Is row `origin` present and within the staleness window at `now`?
@@ -105,7 +116,12 @@ impl RoutingAlgorithm for FullMeshRouter {
         // will keep of them.
         let row = Arc::new(LaneRow::from_dense(own_row));
         let liveness_loss = LinkStateMsg::liveness_lane(own_row);
-        self.store_row(self.me, &row, now);
+        let (dst, latency_ms) = row.lanes();
+        self.store_row(
+            self.me,
+            dst.iter().copied().zip(latency_ms.iter().copied()),
+            now,
+        );
         (0..self.n)
             .filter(|&j| j != self.me)
             .map(|j| {
@@ -125,11 +141,8 @@ impl RoutingAlgorithm for FullMeshRouter {
     }
 
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
-        if let Message::LinkState(ls) = msg {
-            if ls.view == self.view && usize::from(ls.width) == self.n && ls.from.index() != self.me
-            {
-                self.store_row(ls.from.index(), &ls.row, now);
-            }
+        if let Message::LinkState(ls) | Message::LinkStateSparse(ls) = msg {
+            self.on_linkstate(now, ls.from.index(), ls);
         }
         Vec::new()
     }
@@ -175,6 +188,7 @@ impl RoutingAlgorithm for FullMeshRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apor_linkstate::LinkStateFrame;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -283,8 +297,9 @@ mod tests {
     /// filler (`FF FF 7F`) as a dead slot, a live entry with the
     /// all-ones latency at the cost `LinkEntry::decode` gives it once
     /// clamped below the dead sentinel (what `encode` would have sent),
-    /// whatever its loss. An out-of-range origin or destination leaves
-    /// the matrix alone.
+    /// whatever its loss — the same whether the router reads the frame
+    /// where it lies or the message decoded from it. An origin outside
+    /// the view or a row of another width leaves the matrix alone.
     #[test]
     fn dense_frame_lands_as_decoded() {
         let wire: [[u8; 3]; 4] = [
@@ -308,6 +323,11 @@ mod tests {
 
         let mut router = FullMeshRouter::new(0, 4, 7, ProtocolConfig::ron());
         router.on_message(2.5, &msg);
+        let mut in_place = FullMeshRouter::new(0, 4, 7, ProtocolConfig::ron());
+        let view = LinkStateFrame::parse(&frame).expect("the same frame, in place");
+        in_place.on_linkstate(2.5, 3, &view);
+        assert_eq!(in_place.latency, router.latency);
+        assert_eq!(in_place.row_time, router.row_time);
         let want: Vec<u32> = wire
             .iter()
             .map(|&bytes| LinkEntry::decode(LinkEntry::decode(bytes).encode()).cost())
@@ -339,8 +359,15 @@ mod tests {
             ..ls.clone()
         });
         router.on_message(3.0, &stray);
-        let wide = LaneRow::from_dense(&live_row(&[1, 2, 3, 4, 5]));
-        assert!(!router.store_row(2, &wide, 3.0));
+        let wide = live_row(&[1, 2, 3, 4, 5]);
+        let wide = Message::LinkState(LinkStateMsg {
+            from: NodeId(2),
+            width: 5,
+            row: Arc::new(LaneRow::from_dense(&wide)),
+            liveness_loss: LinkStateMsg::liveness_lane(&wide),
+            ..ls.clone()
+        });
+        router.on_message(3.0, &wide);
         assert_eq!(row(&router, 3), want);
         assert_eq!(router.row_time, [None, None, None, Some(2.5)]);
     }

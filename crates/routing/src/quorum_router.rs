@@ -36,8 +36,8 @@ use crate::config::ProtocolConfig;
 use crate::feasibility::{select_detour, FeasEntry, Feasibility};
 use crate::RoutingAlgorithm;
 use apor_linkstate::{
-    Detour, LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecommendationMsg,
-    RowStore, INFINITE_COST,
+    Detour, LaneRow, LinkEntry, LinkStateMsg, LinkStateRow, LinkStateStore, Message, RecEntry,
+    RecommendationMsg, RowStore, INFINITE_COST,
 };
 use apor_quorum::{Grid, NodeId};
 use apor_telemetry::{Counter, Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
@@ -1076,6 +1076,83 @@ impl QuorumRouter {
         servers
     }
 
+    /// Take in a link-state row from client `from` — an owned message or
+    /// a frame still in its payload, dense or sparse. A row from another
+    /// view, of another width, from outside the view or from me is
+    /// ignored, and costs nothing: only a row that passes those checks
+    /// is built ([`LinkStateRow::shared_row`]) and offered to the store.
+    /// An accepted versioned row releases feasibility constraints and
+    /// withdraws the routes through `from` that it retracts.
+    pub fn on_linkstate(&mut self, now: f64, from: usize, ls: &impl LinkStateRow) {
+        if ls.view() != self.view
+            || usize::from(ls.width()) != self.n
+            || from >= self.n
+            || from == self.me
+        {
+            return;
+        }
+        let row = ls.shared_row();
+        if self.table.put_row(from, Arc::clone(&row), now) {
+            self.note_row_version(from, row.seqno(), row.retracted());
+        }
+    }
+
+    /// Take in server `server`'s round-two frame of view `view`: `recs`,
+    /// in frame order and in index space, each held as the route to its
+    /// destination and stamped in the server's record. `recs` is walked
+    /// once and never collected, so a node can hand over a frame's
+    /// entries as it translates them. Entries naming an index outside
+    /// the view, or me as the destination, are ignored.
+    pub fn on_recommendations(
+        &mut self,
+        now: f64,
+        server: usize,
+        view: u32,
+        recs: impl Iterator<Item = RecEntry>,
+    ) {
+        if view != self.view || server >= self.n {
+            return;
+        }
+        // Room for the whole frame in one step (a first frame would
+        // otherwise grow entry by entry): as many entries as the frame
+        // names, before any is refused.
+        let slot = self.record_slot(server);
+        let record = &mut self.servers[slot];
+        if let Some(most) = recs.size_hint().1 {
+            record
+                .seen
+                .reserve_exact(most.saturating_sub(record.seen.len()));
+        }
+        let (n, me) = (self.n, self.me);
+        let (routes, table) = (&mut self.routes, &self.table);
+        let mut count = 0;
+        // One walk: each accepted entry is held as the route to its
+        // destination as the record stamps it.
+        let accepted = recs
+            .filter(|rec| {
+                let dst = rec.dst.index();
+                dst < n && rec.hop.index() < n && dst != me
+            })
+            .inspect(|rec| {
+                count += 1;
+                let dst = rec.dst.index();
+                let route = &mut routes[dst];
+                if route.rec().is_none_or(|r| now >= r.received_at) {
+                    route.set_rec(now, rec.hop.0, server as u16, rec.cost_ms);
+                    // Acting on a costed recommendation ratchets the
+                    // feasibility distance (the compact format carries
+                    // no cost and leaves the constraint untouched).
+                    if rec.cost_ms != u16::MAX {
+                        let seqno = table.row_seqno(dst);
+                        route.feas_with(|f| f.advance(seqno, u32::from(rec.cost_ms)));
+                    }
+                }
+            });
+        self.seen_bytes += record.note_frame(now, accepted.map(|r| r.dst.0));
+        self.counters.rec_entries_received.add(count);
+        self.counters.rec_seen_bytes.set(self.seen_bytes as u64);
+    }
+
     /// Round two, as a rendezvous server: recommendations for each fresh
     /// client about every other fresh client (and about me). With the
     /// sparse store, enumerating clients scans the `O(√n)` held rows
@@ -1205,58 +1282,14 @@ impl RoutingAlgorithm for QuorumRouter {
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
         match msg {
             Message::LinkState(ls) | Message::LinkStateSparse(ls) => {
-                let from = ls.from.index();
-                if ls.view == self.view
-                    && usize::from(ls.width) == self.n
-                    && from < self.n
-                    && from != self.me
-                    && self.table.put_row(from, Arc::clone(&ls.row), now)
-                {
-                    self.note_row_version(from, ls.row.seqno(), ls.row.retracted());
-                }
-                Vec::new()
+                self.on_linkstate(now, ls.from.index(), ls);
             }
             Message::Recommendations(rm) => {
-                let server = rm.from.index();
-                if rm.view != self.view || server >= self.n {
-                    return Vec::new();
-                }
-                // Room for the whole frame in one step (a first frame
-                // would otherwise grow entry by entry).
-                let slot = self.record_slot(server);
-                let record = &mut self.servers[slot];
-                record
-                    .seen
-                    .reserve_exact(rm.recs.len().saturating_sub(record.seen.len()));
-                let (n, me) = (self.n, self.me);
-                let accepted = |rec: &&RecEntry| {
-                    let dst = rec.dst.index();
-                    dst < n && rec.hop.index() < n && dst != me
-                };
-                self.seen_bytes +=
-                    record.note_frame(now, rm.recs.iter().filter(accepted).map(|r| r.dst.0));
-                let mut count = 0;
-                for rec in rm.recs.iter().filter(accepted) {
-                    count += 1;
-                    let dst = rec.dst.index();
-                    let route = &mut self.routes[dst];
-                    if route.rec().is_none_or(|r| now >= r.received_at) {
-                        route.set_rec(now, rec.hop.0, server as u16, rec.cost_ms);
-                        // Acting on a costed recommendation ratchets the
-                        // feasibility distance (the compact format carries
-                        // no cost and leaves the constraint untouched).
-                        if rec.cost_ms != u16::MAX {
-                            let seqno = self.table.row_seqno(dst);
-                            route.feas_with(|f| f.advance(seqno, u32::from(rec.cost_ms)));
-                        }
-                    }
-                }
-                self.counters.rec_entries_received.add(count);
-                self.counters.rec_seen_bytes.set(self.seen_bytes as u64);
-                Vec::new()
+                self.on_recommendations(now, rm.from.index(), rm.view, rm.recs.iter().copied());
             }
-            _ => Vec::new(),
+            _ => {}
         }
+        Vec::new()
     }
 
     fn best_hop(&self, dst: usize, now: f64) -> Option<usize> {
@@ -2470,7 +2503,7 @@ mod tests {
         assert_eq!(survived, 1);
         assert_eq!(r.table.row_seqno(0), 0, "carried unversioned");
         assert_eq!(
-            r.table.row_retractions(0),
+            r.table.row(0).map_or(&[][..], LaneRow::retracted),
             [2],
             "retraction against departed 5 dropped; 9 stays at index 2"
         );

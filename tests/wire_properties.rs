@@ -1,11 +1,14 @@
 //! Property-based tests on the wire format: arbitrary messages round-trip
-//! exactly; arbitrary bytes never panic the decoder; the seqno +
-//! retraction trailer is strictly additive (flagless frames stay
-//! bit-identical to the pre-versioning format).
+//! exactly; arbitrary bytes never panic the decoder; the two in-place
+//! frame views accept exactly what the decoder accepts of their kind and
+//! read it as the decoded message; the seqno + retraction trailer is
+//! strictly additive (flagless frames stay bit-identical to the
+//! pre-versioning format).
 
 use allpairs_overlay::linkstate::{
-    ls_trailer_size, LaneRow, LinkEntry, LinkStateMsg, Message, ProbeMsg, ProbeReplyMsg, RecEntry,
-    RecFormat, RecommendationMsg, LINKSTATE_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE,
+    ls_trailer_size, LaneRow, LinkEntry, LinkStateFrame, LinkStateMsg, LinkStateRow, Message,
+    ProbeMsg, ProbeReplyMsg, RecEntry, RecFormat, RecFrame, RecommendationMsg,
+    LINKSTATE_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE,
 };
 use allpairs_overlay::quorum::NodeId;
 use proptest::prelude::*;
@@ -201,6 +204,52 @@ fn flagless_twin(msg: &Message) -> Option<(Message, usize)> {
     }
 }
 
+/// Type tags of the frames the views read: dense and sparse link state,
+/// and recommendations.
+const LINKSTATE_TAGS: [u8; 2] = [3, 9];
+const REC_TAG: u8 = 4;
+
+/// The views agree with [`Message::decode`] on `bytes`: a link-state or
+/// recommendation frame parses in its view exactly when it decodes —
+/// with the decoder's error when it does not — and the view reads what
+/// the decoded message holds; the other view, and both on any other
+/// kind of frame, refuse it. Neither panics.
+fn views_agree(bytes: &[u8]) {
+    let decoded = Message::decode(bytes);
+    let linkstate = LinkStateFrame::parse(bytes);
+    let rec = RecFrame::parse(bytes);
+    match bytes.first() {
+        Some(tag) if LINKSTATE_TAGS.contains(tag) => {
+            prop_assert_eq!(linkstate.clone().map(|f| f.to_message()), decoded.clone());
+            prop_assert!(rec.is_err());
+        }
+        Some(&REC_TAG) => {
+            prop_assert_eq!(rec.clone().map(|f| f.to_message()), decoded.clone());
+            prop_assert!(linkstate.is_err());
+        }
+        _ => prop_assert!(linkstate.is_err() && rec.is_err()),
+    }
+    if let Ok(frame) = linkstate {
+        let Ok(Message::LinkState(m) | Message::LinkStateSparse(m)) = &decoded else {
+            unreachable!("checked above")
+        };
+        let (dst, latency_ms) = m.row.lanes();
+        let listed: Vec<(u16, u16)> = dst
+            .iter()
+            .copied()
+            .zip(latency_ms.iter().copied())
+            .collect();
+        prop_assert_eq!(frame.live_entries().collect::<Vec<_>>(), listed);
+        prop_assert_eq!(frame.row(), LaneRow::clone(&m.row));
+    }
+    if let Ok(frame) = rec {
+        let Ok(Message::Recommendations(m)) = &decoded else {
+            unreachable!("checked above")
+        };
+        prop_assert_eq!(frame.entries().collect::<Vec<_>>(), m.recs.clone());
+    }
+}
+
 proptest! {
     /// encode → decode is the identity on every representable message.
     #[test]
@@ -211,10 +260,22 @@ proptest! {
         prop_assert_eq!(decoded, msg);
     }
 
-    /// The decoder never panics on arbitrary input, and any accepted
-    /// message re-encodes to semantically identical bytes.
+    /// The decoder and the frame views never panic on arbitrary input
+    /// and agree on it ([`views_agree`]), and any accepted message
+    /// re-encodes to semantically identical bytes. Three cases in eight
+    /// carry a routing frame's type tag, so the views see garbage of
+    /// their own kind.
     #[test]
-    fn decoder_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
+    fn decoder_total_on_garbage(
+        bytes in prop::collection::vec(any::<u8>(), 0..600),
+        retag in 0usize..8,
+    ) {
+        let mut bytes = bytes;
+        let routing_tags = [LINKSTATE_TAGS[0], LINKSTATE_TAGS[1], REC_TAG];
+        if let (Some(first), Some(&tag)) = (bytes.first_mut(), routing_tags.get(retag)) {
+            *first = tag;
+        }
+        views_agree(&bytes);
         if let Ok(msg) = Message::decode(&bytes) {
             // Whatever was accepted must round-trip stably from its own
             // canonical encoding (not necessarily the original bytes:
@@ -224,14 +285,19 @@ proptest! {
         }
     }
 
-    /// Truncating any valid message always fails cleanly.
+    /// Truncating any valid message always fails cleanly, in the
+    /// decoder and in both frame views, which read the whole message
+    /// as the decoder does.
     #[test]
     fn truncation_always_detected(msg in arb_message(), cut_frac in 0.0f64..1.0) {
         let bytes = msg.encode();
+        views_agree(&bytes);
         if bytes.len() > 1 {
             let cut = ((bytes.len() as f64) * cut_frac) as usize;
             let cut = cut.clamp(0, bytes.len() - 1);
             prop_assert!(Message::decode(&bytes[..cut]).is_err());
+            prop_assert!(LinkStateFrame::parse(&bytes[..cut]).is_err());
+            prop_assert!(RecFrame::parse(&bytes[..cut]).is_err());
         }
     }
 
