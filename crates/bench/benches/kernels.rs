@@ -3,7 +3,7 @@
 
 use apor_bench::{bench_topology, full_table, ground_truth_row};
 use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RowStore};
-use apor_quorum::{Grid, NodeId};
+use apor_quorum::{Grid, NodeId, NodeIdx};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -26,6 +26,13 @@ fn linkstate_msg(from: usize, to: usize, entries: &[LinkEntry], dense: bool) -> 
     } else {
         Message::LinkStateSparse(ls)
     }
+}
+
+/// The rendezvous clients of node `me` of `n`, and `me`, as view indices.
+fn clients_of(grid: &Grid, n: usize, me: usize) -> (Vec<NodeIdx>, NodeIdx) {
+    let ix = |i| NodeIdx::new(i, n).expect("an index of the view");
+    let clients = grid.rendezvous_servers(me).into_iter().map(ix).collect();
+    (clients, ix(me))
 }
 
 /// The perf-trajectory calibration workload: a fixed pure-integer spin
@@ -55,8 +62,7 @@ fn bench_round_two(c: &mut Criterion) {
     for n in [100usize, 196, 400] {
         let topo = bench_topology(n);
         let table = full_table(&topo);
-        let me = 0usize;
-        let clients = Grid::new(n).rendezvous_servers(me);
+        let (clients, me) = clients_of(&Grid::new(n), n, 0);
         g.bench_with_input(BenchmarkId::new("server_tick", n), &n, |b, _| {
             b.iter(|| table.round_two(black_box(&clients), me, 0.0, 45.0));
         });
@@ -72,13 +78,11 @@ fn bench_row_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("row_store");
     for n in [100usize, 400, 1024] {
         let topo = bench_topology(n);
-        let grid = Grid::new(n);
-        let me = 0usize;
-        let clients = grid.rendezvous_servers(me);
-        let rows: Vec<(usize, Vec<LinkEntry>)> = clients
+        let (clients, me) = clients_of(&Grid::new(n), n, 0);
+        let rows: Vec<(NodeIdx, Vec<LinkEntry>)> = clients
             .iter()
             .chain([&me])
-            .map(|&i| (i, ground_truth_row(&topo, i)))
+            .map(|&i| (i, ground_truth_row(&topo, i.get())))
             .collect();
         let mut store = RowStore::new(n);
         for (i, row) in &rows {

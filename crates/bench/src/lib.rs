@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 
 use apor_linkstate::{LaneRow, LinkEntry, LinkStateStore, RowStore};
+use apor_quorum::NodeIdx;
 use apor_routing::onehop;
 use apor_topology::{PlanetLabParams, Topology};
 use std::sync::Arc;
@@ -42,8 +43,8 @@ pub fn ground_truth_row(topo: &Topology, i: usize) -> Vec<LinkEntry> {
 pub fn full_table(topo: &Topology) -> RowStore {
     let n = topo.len();
     let mut table = RowStore::new(n);
-    for i in 0..n {
-        let row = LaneRow::from_dense(&ground_truth_row(topo, i));
+    for i in NodeIdx::all(n) {
+        let row = LaneRow::from_dense(&ground_truth_row(topo, i.get()));
         table.put_row(i, Arc::new(row), 0.0);
     }
     table
@@ -58,6 +59,10 @@ mod tests {
         let t = bench_topology(49);
         let table = full_table(&t);
         assert_eq!(table.len(), 49);
-        assert!(table.round_two(&[0], 48, 0.0, 45.0).get(0, 1).is_some());
+        let ix = |i| NodeIdx::new(i, 49).unwrap();
+        assert!(table
+            .round_two(&[ix(0)], ix(48), 0.0, 45.0)
+            .get(0, 1)
+            .is_some());
     }
 }

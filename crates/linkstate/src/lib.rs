@@ -105,13 +105,17 @@
 //! one record per probed link; this crate sees only the entries it
 //! yields.
 //!
-//! Ids are not this crate's business: frames carry [`NodeId`]s on the
-//! wire and grid indices inside the routers, and the overlay rewrites
-//! the envelope between the two (see `apor-overlay`). Entry
-//! destinations are view-positional on both sides, guarded by the
-//! view/width check at ingest.
+//! Ids are not this crate's business — the overlay rewrites a frame's
+//! [`NodeId`] envelope between the wire and index space — but indices
+//! are: every node index here (row lanes, store origins, kernel nodes
+//! and hops, a frame's entries) is a [`NodeIdx`], made by the decoder
+//! with [`NodeIdx::from_wire`] against the frame's width, so a
+//! destination past the width fails the parse; a router's view/width
+//! check ties the width to its view.
 //!
 //! [`NodeId`]: apor_quorum::NodeId
+//! [`NodeIdx`]: apor_quorum::NodeIdx
+//! [`NodeIdx::from_wire`]: apor_quorum::NodeIdx::from_wire
 
 #![forbid(unsafe_code)]
 // The numeric kernels index several arrays with one loop counter;

@@ -51,8 +51,8 @@
 //!   pair is a tick with one client.
 
 use crate::entry::{LinkEntry, INFINITE_COST};
+use apor_quorum::NodeIdx;
 use apor_telemetry::{Counter, Gauge, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -70,7 +70,7 @@ pub struct RowRef<'a> {
     /// Full row width (`n`); destinations ≥ `width` are out of range.
     width: usize,
     /// Destination lane, strictly ascending.
-    dst: &'a [u16],
+    dst: &'a [NodeIdx],
     /// Latency lane (integer milliseconds, wire-clamped).
     latency_ms: &'a [u16],
 }
@@ -87,12 +87,11 @@ impl<'a> RowRef<'a> {
     /// everything before it is its own index, which is every slot of a
     /// full row — so on one the position is the destination itself and
     /// nothing is searched.
-    fn position(&self, dst: usize) -> Option<usize> {
-        let target = dst as u16;
-        if self.dst.get(dst) == Some(&target) {
-            return Some(dst);
+    fn position(&self, dst: NodeIdx) -> Option<usize> {
+        if self.dst.get(dst.get()) == Some(&dst) {
+            return Some(dst.get());
         }
-        self.dst.binary_search(&target).ok()
+        self.dst.binary_search(&dst).ok()
     }
 
     /// Routing cost of the `dst` entry: the latency lane when alive,
@@ -101,8 +100,8 @@ impl<'a> RowRef<'a> {
     /// # Panics
     /// Panics if `dst ≥ width()`.
     #[must_use]
-    pub fn cost(&self, dst: usize) -> u32 {
-        assert!(dst < self.width, "dst {dst} out of range");
+    pub fn cost(&self, dst: NodeIdx) -> u32 {
+        assert!(dst.get() < self.width, "dst {dst:?} out of range");
         self.position(dst)
             .map_or(INFINITE_COST, |i| u32::from(self.latency_ms[i]))
     }
@@ -118,11 +117,11 @@ impl<'a> RowRef<'a> {
     }
 
     /// Iterate the live entries as `(dst, cost)`, ascending by `dst`.
-    fn iter_costs(&self) -> impl Iterator<Item = (usize, u32)> + 'a {
+    fn iter_costs(&self) -> impl Iterator<Item = (NodeIdx, u32)> + 'a {
         let (dst, latency_ms) = (self.dst, self.latency_ms);
         dst.iter()
-            .zip(latency_ms)
-            .map(|(&d, &l)| (usize::from(d), u32::from(l)))
+            .copied()
+            .zip(latency_ms.iter().map(|&l| u32::from(l)))
     }
 }
 
@@ -146,9 +145,9 @@ impl RowCursor<'_> {
     ///
     /// # Panics
     /// Panics if `dst ≥ width()`.
-    fn seek(&mut self, dst: usize) -> Option<usize> {
-        assert!(dst < self.row.width, "dst {dst} out of range");
-        let (keys, target) = (self.row.dst, dst as u16);
+    fn seek(&mut self, target: NodeIdx) -> Option<usize> {
+        assert!(target.get() < self.row.width, "dst {target:?} out of range");
+        let keys = self.row.dst;
         if keys.get(self.pos).is_some_and(|&k| k <= target) {
             // Ascending (or repeated) probe: walk forward.
             while keys.get(self.pos).is_some_and(|&k| k < target) {
@@ -167,7 +166,7 @@ impl RowCursor<'_> {
     ///
     /// # Panics
     /// Panics if `dst ≥ width()`.
-    pub fn cost(&mut self, dst: usize) -> u32 {
+    pub fn cost(&mut self, dst: NodeIdx) -> u32 {
         self.seek(dst)
             .map_or(INFINITE_COST, |i| u32::from(self.row.latency_ms[i]))
     }
@@ -249,7 +248,12 @@ fn find_lane_pair(la: &[u16], lb: &[u16], hit: impl Fn(u16, u16) -> bool) -> Opt
 /// as the gather's packed `min` picks it. Only when the reduction
 /// saturates (the best sum is 65 535 or more, or nothing is left to
 /// relay through) are both passes redone on exact `u32` sums.
-fn lanes_shared_best(row_a: &RowRef, row_b: &RowRef, a: usize, b: usize) -> Option<(usize, u32)> {
+fn lanes_shared_best(
+    row_a: &RowRef,
+    row_b: &RowRef,
+    a: NodeIdx,
+    b: NodeIdx,
+) -> Option<(NodeIdx, u32)> {
     let (dsts, la, lb) = (row_a.dst, row_a.latency_ms, row_b.latency_ms);
     let ranges = excluded_ranges(dsts.len(), row_a.position(a), row_a.position(b));
     let lanes = |r: &std::ops::Range<usize>| (&la[r.clone()], &lb[r.clone()]);
@@ -275,7 +279,7 @@ fn lanes_shared_best(row_a: &RowRef, row_b: &RowRef, a: usize, b: usize) -> Opti
         } else {
             find_lane_pair(la, lb, |x, y| u32::from(x) + u32::from(y) == best)
         };
-        p.map(|p| (usize::from(dsts[r.start + p]), best))
+        p.map(|p| (dsts[r.start + p], best))
     })
 }
 
@@ -290,8 +294,8 @@ const NO_PATH: u64 = u64::MAX;
 
 /// Pack a candidate so that `min` orders by cost, then by hop index.
 #[inline]
-fn pack(cost: u32, hop: usize) -> u64 {
-    (u64::from(cost) << 16) | hop as u64
+fn pack(cost: u32, hop: NodeIdx) -> u64 {
+    (u64::from(cost) << 16) | u64::from(u16::from(hop))
 }
 
 /// The cheapest relay towards the origin of `row_b`, given the other
@@ -302,7 +306,7 @@ fn pack(cost: u32, hop: usize) -> u64 {
 fn gather_best_relay(row_b: &RowRef, lane: &[u32]) -> u64 {
     row_b
         .iter_costs()
-        .fold(NO_PATH, |m, (h, c)| m.min(pack(lane[h] + c, h)))
+        .fold(NO_PATH, |m, (h, c)| m.min(pack(lane[h.get()] + c, h)))
 }
 
 /// **The round-two kernel**: every recommendation of one tick. For each
@@ -362,7 +366,9 @@ fn gather_best_relay(row_b: &RowRef, lane: &[u32]) -> u64 {
 ///   router would sit idle between ticks and add `O(n)` bytes to each.
 #[derive(Debug, Clone)]
 pub struct RoundTwo {
-    nodes: Vec<usize>,
+    /// The row width, which every hop index is below.
+    n: usize,
+    nodes: Vec<NodeIdx>,
     /// `packed[i * nodes.len() + j]`: the path `nodes[i] → nodes[j]`.
     packed: Vec<u64>,
 }
@@ -370,8 +376,7 @@ pub struct RoundTwo {
 impl RoundTwo {
     /// Run the kernel over `rows[i]`, the resolved fresh row of
     /// `nodes[i]` (`None` = missing or stale), at row width `n`.
-    fn compute(n: usize, nodes: Vec<usize>, rows: &[Option<RowRef>]) -> Self {
-        assert!(n <= 1 << 16, "hop indices are packed into 16 bits");
+    fn compute(n: usize, nodes: Vec<NodeIdx>, rows: &[Option<RowRef>]) -> Self {
         let k = nodes.len();
         let mut packed = vec![NO_PATH; k * k];
         let mut lane = vec![LANE_DEAD; n];
@@ -379,7 +384,7 @@ impl RoundTwo {
             let Some(row_a) = rows[i] else { continue };
             let a = nodes[i];
             for (h, c) in row_a.iter_costs() {
-                lane[h] = c;
+                lane[h.get()] = c;
             }
             for j in i + 1..k {
                 let Some(row_b) = rows[j] else { continue };
@@ -387,7 +392,7 @@ impl RoundTwo {
                 if a == b {
                     continue;
                 }
-                let direct = lane[b].min(row_b.cost(a));
+                let direct = lane[b.get()].min(row_b.cost(a));
                 // Two full rows of one width borrow the very same lane:
                 // address and length settle it before any content is read.
                 let shared = std::ptr::eq(row_a.dst, row_b.dst) || row_a.dst == row_b.dst;
@@ -408,16 +413,16 @@ impl RoundTwo {
                 packed[j * k + i] = ba;
             }
             for (h, _) in row_a.iter_costs() {
-                lane[h] = LANE_DEAD;
+                lane[h.get()] = LANE_DEAD;
             }
         }
-        RoundTwo { nodes, packed }
+        RoundTwo { n, nodes, packed }
     }
 
     /// The nodes the tick covers: the clients in the order given, then
     /// the server itself.
     #[must_use]
-    pub fn nodes(&self) -> &[usize] {
+    pub fn nodes(&self) -> &[NodeIdx] {
         &self.nodes
     }
 
@@ -429,18 +434,20 @@ impl RoundTwo {
     /// # Panics
     /// Panics if `i` or `j` is not an index into [`nodes`](Self::nodes).
     #[must_use]
-    pub fn get(&self, i: usize, j: usize) -> Option<(usize, u32)> {
+    pub fn get(&self, i: usize, j: usize) -> Option<(NodeIdx, u32)> {
         let k = self.nodes.len();
         assert!(i < k && j < k, "pair ({i},{j}) outside the {k} nodes");
         let p = self.packed[i * k + j];
         #[allow(clippy::cast_possible_truncation)]
-        (p != NO_PATH).then_some(((p & 0xFFFF) as usize, (p >> 16) as u32))
+        let hop = NodeIdx::new((p & 0xFFFF) as usize, self.n);
+        hop.filter(|_| p != NO_PATH)
+            .map(|hop| (hop, (p >> 16) as u32))
     }
 
     /// What the server recommends to `nodes()[i]`: `(dst, hop, cost)`
     /// for every destination with a finite path, in [`nodes`](Self::nodes)
     /// order.
-    pub fn recommendations(&self, i: usize) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
+    pub fn recommendations(&self, i: usize) -> impl Iterator<Item = (NodeIdx, NodeIdx, u32)> + '_ {
         self.nodes
             .iter()
             .enumerate()
@@ -448,43 +455,51 @@ impl RoundTwo {
     }
 }
 
-/// The identity lane `0, 1, …, 65 535`. The destination lane of every
+/// Slots of the identity lane: every index a view can have.
+const MAX_WIDTH: usize = u16::MAX as usize;
+
+/// The identity lane `0, 1, …, 65 534`. The destination lane of every
 /// full row is a prefix of it, so no full row holds one of its own.
 /// `const`-initialised: it sits in read-only data — no allocation, no
 /// lock, no first-use check — and is the same slice for every row that
 /// borrows it, which is what lets the kernel tell two full rows apart
 /// from two listed ones by address.
-static IDENTITY: [u16; 1 << 16] = {
-    let mut lane = [0; 1 << 16];
-    let mut i = 0;
-    while i < lane.len() {
-        lane[i] = i as u16;
+static IDENTITY: [NodeIdx; MAX_WIDTH] = {
+    const fn idx(i: usize) -> NodeIdx {
+        match NodeIdx::new(i, MAX_WIDTH) {
+            Some(i) => i,
+            None => panic!("below the widest view"),
+        }
+    }
+    let mut lane = [idx(0); MAX_WIDTH];
+    let mut i = 1;
+    while i < MAX_WIDTH {
+        lane[i] = idx(i);
         i += 1;
     }
     lane
 };
 
-/// A destination lane: strictly ascending `u16`s, read through `Deref`
-/// as the `[u16]` every consumer sees. A lane that reads `0..len` — a
+/// A destination lane: strictly ascending indices, read through `Deref`
+/// as the `[NodeIdx]` every consumer sees. A lane that reads `0..len` — a
 /// **full row**, which is every row under full-mesh probing — owns
 /// nothing and borrows a prefix of [`IDENTITY`]; any other lane owns
-/// its destinations. Which of the two a lane is never shows: equality,
-/// `Debug` and serde go by content, and `From<Vec<u16>>` — the one
-/// way in for destinations that were listed somewhere — picks the
-/// shared form itself.
-#[derive(Clone, Serialize, Deserialize)]
-#[serde(from = "Vec<u16>", into = "Vec<u16>")]
+/// its destinations. Which of the two a lane is never shows: equality
+/// and `Debug` go by content, and `From<Vec<NodeIdx>>` — the one way in
+/// for destinations that were listed somewhere — picks the shared form
+/// itself.
+#[derive(Clone)]
 pub(crate) enum DstLane {
     /// `0..len`.
     Full(usize),
     /// Anything else, as listed.
-    Listed(Box<[u16]>),
+    Listed(Box<[NodeIdx]>),
 }
 
 impl std::ops::Deref for DstLane {
-    type Target = [u16];
+    type Target = [NodeIdx];
 
-    fn deref(&self) -> &[u16] {
+    fn deref(&self) -> &[NodeIdx] {
         match self {
             DstLane::Full(len) => &IDENTITY[..*len],
             DstLane::Listed(dst) => dst,
@@ -492,28 +507,17 @@ impl std::ops::Deref for DstLane {
     }
 }
 
-impl From<Vec<u16>> for DstLane {
+impl From<Vec<NodeIdx>> for DstLane {
     /// `dst` must be strictly ascending (debug-asserted). Such a lane
     /// starts at 0 or above and climbs by at least one a step, so its
     /// last entry is `len − 1` exactly when every entry is its own
     /// index: an `O(1)` test for "is a full row".
-    fn from(dst: Vec<u16>) -> Self {
+    fn from(dst: Vec<NodeIdx>) -> Self {
         debug_assert!(dst.windows(2).all(|w| w[0] < w[1]));
-        if dst.last().is_none_or(|&d| usize::from(d) + 1 == dst.len()) {
+        if dst.last().is_none_or(|&d| d.get() + 1 == dst.len()) {
             DstLane::Full(dst.len())
         } else {
             DstLane::Listed(dst.into_boxed_slice())
-        }
-    }
-}
-
-impl From<DstLane> for Vec<u16> {
-    /// The destinations as an owned list: a listed lane gives up its
-    /// own, a full row's are written out.
-    fn from(lane: DstLane) -> Self {
-        match lane {
-            DstLane::Full(len) => IDENTITY[..len].to_vec(),
-            DstLane::Listed(dst) => dst.into_vec(),
         }
     }
 }
@@ -554,10 +558,10 @@ impl std::fmt::Debug for DstLane {
 /// destination lane is the shared identity lane
 /// ([`LaneRow::held_bytes`] counts either).
 /// There is still one row type and one set of lanes: [`LaneRow::lanes`]
-/// and [`RowRef`] hand out `&[u16]` destinations whichever they are,
+/// and [`RowRef`] hand out `&[NodeIdx]` destinations whichever they are,
 /// and the latency lane is directly consumable by the integer kernel
 /// with no decode step.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaneRow {
     dst: DstLane,
     latency_ms: Box<[u16]>,
@@ -570,7 +574,7 @@ pub struct LaneRow {
     /// strictly ascending — a fourth lane alongside the live-entry
     /// lanes. Retraction is stronger than mere absence: receivers
     /// propagate it into their feasibility tables.
-    retracted: Box<[u16]>,
+    retracted: Box<[NodeIdx]>,
 }
 
 /// Is `b` strictly newer than `a` under the RFC 8966 circular 16-bit
@@ -596,22 +600,23 @@ impl LaneRow {
     }
 
     /// Reduce a dense row to its live entries.
+    ///
+    /// # Panics
+    /// Panics if `entries` is wider than a view can be (`u16::MAX`).
     #[must_use]
     pub fn from_dense(entries: &[LinkEntry]) -> Self {
-        Self::collect(
-            entries.iter().filter(|e| e.alive).count(),
-            entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.alive)
-                .map(|(d, &e)| (d as u16, e)),
-        )
+        assert!(entries.len() <= MAX_WIDTH, "a row wider than a view");
+        let live = NodeIdx::all(entries.len())
+            .zip(entries)
+            .filter(|(_, e)| e.alive)
+            .map(|(d, &e)| (d, e));
+        Self::collect(entries.iter().filter(|e| e.alive).count(), live)
     }
 
     /// Reduce `(dst, entry)` pairs (strictly ascending by `dst`) to
     /// their live entries.
     #[must_use]
-    pub fn from_pairs(pairs: &[(u16, LinkEntry)]) -> Self {
+    pub fn from_pairs(pairs: &[(NodeIdx, LinkEntry)]) -> Self {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
         Self::collect(
             pairs.iter().filter(|(_, e)| e.alive).count(),
@@ -620,7 +625,7 @@ impl LaneRow {
     }
 
     /// Quantize the `count` entries of `live` into exact-capacity lanes.
-    fn collect(count: usize, live: impl Iterator<Item = (u16, LinkEntry)>) -> Self {
+    fn collect(count: usize, live: impl Iterator<Item = (NodeIdx, LinkEntry)>) -> Self {
         let mut dst = Vec::with_capacity(count);
         let mut latency_ms = Vec::with_capacity(count);
         for (d, e) in live {
@@ -640,7 +645,7 @@ impl LaneRow {
         dst: DstLane,
         latency_ms: Vec<u16>,
         seqno: u16,
-        retracted: Vec<u16>,
+        retracted: Vec<NodeIdx>,
     ) -> Self {
         debug_assert!(dst.len() == latency_ms.len());
         debug_assert!(retracted.windows(2).all(|w| w[0] < w[1]));
@@ -655,14 +660,14 @@ impl LaneRow {
     /// The two index-aligned lanes — destination and latency — of the
     /// live entries, ascending by destination.
     #[must_use]
-    pub fn lanes(&self) -> (&[u16], &[u16]) {
+    pub fn lanes(&self) -> (&[NodeIdx], &[u16]) {
         (&self.dst, &self.latency_ms)
     }
 
     /// Stamp the row with the origin's seqno and retraction lane
     /// (strictly ascending destinations, debug-asserted).
     #[must_use]
-    pub fn with_version(mut self, seqno: u16, retracted: &[u16]) -> Self {
+    pub fn with_version(mut self, seqno: u16, retracted: &[NodeIdx]) -> Self {
         debug_assert!(retracted.windows(2).all(|w| w[0] < w[1]));
         self.seqno = seqno;
         self.retracted = retracted.into();
@@ -686,8 +691,8 @@ impl LaneRow {
     /// lanes stay strictly ascending. Costs `O(entries held)`, whatever
     /// the row width.
     #[must_use]
-    pub fn relabelled(&self, map: &[Option<u16>]) -> Self {
-        let rename = |d: &u16| map.get(usize::from(*d)).copied().flatten();
+    pub fn relabelled(&self, map: &[Option<NodeIdx>]) -> Self {
+        let rename = |d: &NodeIdx| map.get(d.get()).copied().flatten();
         let kept = self.dst.iter().filter(|d| rename(d).is_some()).count();
         let mut dst = Vec::with_capacity(kept);
         let mut latency_ms = Vec::with_capacity(kept);
@@ -710,7 +715,7 @@ impl LaneRow {
     /// The retraction lane: destinations the origin explicitly
     /// withdrew, strictly ascending.
     #[must_use]
-    pub fn retracted(&self) -> &[u16] {
+    pub fn retracted(&self) -> &[NodeIdx] {
         &self.retracted
     }
 
@@ -741,7 +746,7 @@ impl LaneRow {
     /// that loses an entry lists its destinations, a full one's written
     /// out. Without an entry for `dst`, the same row.
     #[must_use]
-    pub fn without(&self, dst: u16) -> Self {
+    pub fn without(&self, dst: NodeIdx) -> Self {
         let Ok(i) = self.dst.binary_search(&dst) else {
             return self.clone();
         };
@@ -763,7 +768,7 @@ impl LaneRow {
 pub struct Detour {
     /// The full path: `path[0]` is the source, `path[1]` the first
     /// relay, the last element the destination.
-    pub path: Vec<usize>,
+    pub path: Vec<NodeIdx>,
     /// Total path cost, ms.
     pub cost: u32,
     /// The *remaining* cost after the first leg — what the first relay
@@ -805,26 +810,26 @@ pub trait LinkStateStore {
     /// # Panics
     /// Panics if `origin ≥ len()` or the row lists a destination
     /// `≥ len()`.
-    fn put_row(&mut self, origin: usize, row: Arc<LaneRow>, now: f64) -> bool;
+    fn put_row(&mut self, origin: NodeIdx, row: Arc<LaneRow>, now: f64) -> bool;
 
     /// The held seqno of row `origin` (0 = absent or unversioned).
-    fn row_seqno(&self, origin: usize) -> u16;
+    fn row_seqno(&self, origin: NodeIdx) -> u16;
 
     /// Did row `origin` explicitly retract `dst` at its current seqno?
-    fn row_retracts(&self, origin: usize, dst: usize) -> bool;
+    fn row_retracts(&self, origin: NodeIdx, dst: NodeIdx) -> bool;
 
     /// A borrowed view of row `origin`, when present.
-    fn row_ref(&self, origin: usize) -> Option<RowRef<'_>>;
+    fn row_ref(&self, origin: NodeIdx) -> Option<RowRef<'_>>;
 
     /// Receipt time of row `origin`; `None` = never received.
-    fn row_time(&self, origin: usize) -> Option<f64>;
+    fn row_time(&self, origin: NodeIdx) -> Option<f64>;
 
     /// Every held row as `(origin, receipt time, row)`, ascending by
     /// origin — one walk over the store instead of a lookup per origin.
-    fn held_rows(&self) -> impl Iterator<Item = (usize, f64, RowRef<'_>)>;
+    fn held_rows(&self) -> impl Iterator<Item = (NodeIdx, f64, RowRef<'_>)>;
 
     /// The origins that currently have a row, ascending.
-    fn present_rows(&self) -> Vec<usize> {
+    fn present_rows(&self) -> Vec<NodeIdx> {
         self.held_rows().map(|(origin, _, _)| origin).collect()
     }
 
@@ -841,18 +846,18 @@ pub trait LinkStateStore {
     // ------------------------------------------------------------------
 
     /// Age of row `origin` at time `now`, if ever received.
-    fn row_age(&self, origin: usize, now: f64) -> Option<f64> {
+    fn row_age(&self, origin: NodeIdx, now: f64) -> Option<f64> {
         self.row_time(origin).map(|t| now - t)
     }
 
     /// Is row `origin` present and no older than `max_age` at `now`?
-    fn row_fresh(&self, origin: usize, now: f64, max_age: f64) -> bool {
+    fn row_fresh(&self, origin: NodeIdx, now: f64, max_age: f64) -> bool {
         self.row_age(origin, now).is_some_and(|a| a <= max_age)
     }
 
     /// Routing cost of `origin → dst` in integer milliseconds
     /// ([`INFINITE_COST`] when dead/unknown).
-    fn cost(&self, origin: usize, dst: usize) -> u32 {
+    fn cost(&self, origin: NodeIdx, dst: NodeIdx) -> u32 {
         if origin == dst {
             return 0;
         }
@@ -871,7 +876,7 @@ pub trait LinkStateStore {
     /// or stale row yields no recommendation as source or as
     /// destination. One pair is a tick with one client:
     /// `round_two(&[a], b, now, max_age).get(0, 1)`.
-    fn round_two(&self, clients: &[usize], me: usize, now: f64, max_age: f64) -> RoundTwo {
+    fn round_two(&self, clients: &[NodeIdx], me: NodeIdx, now: f64, max_age: f64) -> RoundTwo {
         let mut nodes = Vec::with_capacity(clients.len() + 1);
         nodes.extend_from_slice(clients);
         nodes.push(me);
@@ -894,7 +899,13 @@ pub trait LinkStateStore {
     /// row `a` ascend with `present_rows`, so they ride a [`RowCursor`]
     /// (amortized `O(1)` per candidate) rather than a fresh binary
     /// search each.
-    fn one_hop_options(&self, a: usize, b: usize, now: f64, max_age: f64) -> Vec<(usize, u32)> {
+    fn one_hop_options(
+        &self,
+        a: NodeIdx,
+        b: NodeIdx,
+        now: f64,
+        max_age: f64,
+    ) -> Vec<(NodeIdx, u32)> {
         if a == b || !self.row_fresh(a, now, max_age) {
             return Vec::new();
         }
@@ -935,8 +946,8 @@ pub trait LinkStateStore {
     /// per-tick round-two kernel is untouched.
     fn k_hop_options(
         &self,
-        a: usize,
-        b: usize,
+        a: NodeIdx,
+        b: NodeIdx,
         max_hops: usize,
         now: f64,
         max_age: f64,
@@ -944,14 +955,14 @@ pub trait LinkStateStore {
         if a == b || max_hops == 0 || !self.row_fresh(a, now, max_age) {
             return Vec::new();
         }
-        let relays: Vec<usize> = self
+        let relays: Vec<NodeIdx> = self
             .present_rows()
             .into_iter()
             .filter(|&r| r != a && r != b && self.row_fresh(r, now, max_age))
             .collect();
         // best[i]: cheapest known tail `relays[i] → … → b` and its cost,
         // grown one relay per layer (classic hop-bounded relaxation).
-        let mut best: Vec<Option<(u32, Vec<usize>)>> = relays
+        let mut best: Vec<Option<(u32, Vec<NodeIdx>)>> = relays
             .iter()
             .map(|&r| {
                 let c = self.cost(r, b);
@@ -1013,7 +1024,7 @@ pub trait LinkStateStore {
     /// whether a destination has failed outright — section 4.1's "check
     /// if any of its rendezvous clients' link-state tables show that
     /// Dst is reachable".)
-    fn anyone_reaches(&self, dst: usize, now: f64, max_age: f64) -> bool {
+    fn anyone_reaches(&self, dst: NodeIdx, now: f64, max_age: f64) -> bool {
         self.held_rows().any(|(origin, received_at, row)| {
             origin != dst && now - received_at <= max_age && row.cost(dst) != INFINITE_COST
         })
@@ -1046,7 +1057,7 @@ struct StoredRow {
 #[derive(Debug, Clone)]
 pub struct RowStore {
     n: usize,
-    rows: BTreeMap<usize, StoredRow>,
+    rows: BTreeMap<NodeIdx, StoredRow>,
     /// Maximum rows this node's role entitles it to: a row that would
     /// be one more is refused. `None` = unbounded.
     entitlement: Option<usize>,
@@ -1154,7 +1165,7 @@ impl RowStore {
     /// nothing afterwards. The owner of a store
     /// calls this on a membership change, [`reset`](Self::reset)s it
     /// for the new index space and puts back what it keeps.
-    pub fn drain(&mut self) -> impl Iterator<Item = (usize, f64, Arc<LaneRow>)> {
+    pub fn drain(&mut self) -> impl Iterator<Item = (NodeIdx, f64, Arc<LaneRow>)> {
         self.live_entries = 0;
         self.held_bytes = 0;
         std::mem::take(&mut self.rows)
@@ -1165,7 +1176,7 @@ impl RowStore {
     /// Row `origin` as held — lanes, seqno and retraction lane — when
     /// present.
     #[must_use]
-    pub fn row(&self, origin: usize) -> Option<&LaneRow> {
+    pub fn row(&self, origin: NodeIdx) -> Option<&LaneRow> {
         self.rows.get(&origin).map(|s| &*s.lanes)
     }
 
@@ -1180,7 +1191,7 @@ impl RowStore {
     fn evict_stale(&mut self, now: f64) {
         if let (Some(limit), Some(window)) = (self.entitlement, self.stale_after) {
             if self.rows.len() >= limit {
-                let stale: Vec<usize> = self
+                let stale: Vec<NodeIdx> = self
                     .rows
                     .iter()
                     .filter(|(_, r)| now - r.received_at > window)
@@ -1204,10 +1215,10 @@ impl LinkStateStore for RowStore {
         self.n
     }
 
-    fn put_row(&mut self, origin: usize, row: Arc<LaneRow>, now: f64) -> bool {
-        assert!(origin < self.n, "row {origin} out of range");
+    fn put_row(&mut self, origin: NodeIdx, row: Arc<LaneRow>, now: f64) -> bool {
+        assert!(origin.get() < self.n, "row {origin:?} out of range");
         assert!(
-            row.dst.last().is_none_or(|&d| usize::from(d) < self.n),
+            row.dst.last().is_none_or(|&d| d.get() < self.n),
             "row destination out of range"
         );
         // One map walk serves the replay check and the replace.
@@ -1251,25 +1262,25 @@ impl LinkStateStore for RowStore {
         true
     }
 
-    fn row_seqno(&self, origin: usize) -> u16 {
+    fn row_seqno(&self, origin: NodeIdx) -> u16 {
         self.rows.get(&origin).map_or(0, |s| s.lanes.seqno())
     }
 
-    fn row_retracts(&self, origin: usize, dst: usize) -> bool {
+    fn row_retracts(&self, origin: NodeIdx, dst: NodeIdx) -> bool {
         self.rows
             .get(&origin)
-            .is_some_and(|s| s.lanes.retracted().binary_search(&(dst as u16)).is_ok())
+            .is_some_and(|s| s.lanes.retracted().binary_search(&dst).is_ok())
     }
 
-    fn row_ref(&self, origin: usize) -> Option<RowRef<'_>> {
+    fn row_ref(&self, origin: NodeIdx) -> Option<RowRef<'_>> {
         self.rows.get(&origin).map(|s| s.lanes.as_row_ref(self.n))
     }
 
-    fn row_time(&self, origin: usize) -> Option<f64> {
+    fn row_time(&self, origin: NodeIdx) -> Option<f64> {
         self.rows.get(&origin).map(|s| s.received_at)
     }
 
-    fn held_rows(&self) -> impl Iterator<Item = (usize, f64, RowRef<'_>)> {
+    fn held_rows(&self) -> impl Iterator<Item = (NodeIdx, f64, RowRef<'_>)> {
         self.rows
             .iter()
             .map(|(&origin, s)| (origin, s.received_at, s.lanes.as_row_ref(self.n)))
@@ -1288,6 +1299,15 @@ impl LinkStateStore for RowStore {
 mod tests {
     use super::*;
 
+    /// Index `i` of the widest view.
+    fn ix(i: usize) -> NodeIdx {
+        NodeIdx::new(i, MAX_WIDTH).expect("an index")
+    }
+
+    fn ixs(indices: &[usize]) -> Vec<NodeIdx> {
+        indices.iter().map(|&i| ix(i)).collect()
+    }
+
     fn live_row(costs: &[u16]) -> Vec<LinkEntry> {
         costs.iter().map(|&c| LinkEntry::live(c, 0.0)).collect()
     }
@@ -1295,13 +1315,14 @@ mod tests {
     /// Ingest a full-width row the way every caller does: reduce to
     /// lanes, then `put_row`.
     fn put(s: &mut RowStore, origin: usize, entries: &[LinkEntry], now: f64) {
-        s.put_row(origin, Arc::new(LaneRow::from_dense(entries)), now);
+        s.put_row(ix(origin), Arc::new(LaneRow::from_dense(entries)), now);
     }
 
     /// One pair through the round-two kernel: a tick whose only client
     /// is `a`, at server `b`.
     fn one_pair(s: &RowStore, a: usize, b: usize, now: f64, max_age: f64) -> Option<(usize, u32)> {
-        s.round_two(&[a], b, now, max_age).get(0, 1)
+        let pair = s.round_two(&[ix(a)], ix(b), now, max_age).get(0, 1);
+        pair.map(|(hop, cost)| (hop.get(), cost))
     }
 
     fn store_of(rows: &[&[u16]], now: f64) -> RowStore {
@@ -1358,8 +1379,8 @@ mod tests {
     fn best_one_hop_skips_dead_links() {
         let mut s = detour_store();
         // Kill 0→1 (in 0's row): detour must shift to hop 2 (200+90=290).
-        let held = s.row(0).expect("held").without(1);
-        s.put_row(0, Arc::new(held), 10.0);
+        let held = s.row(ix(0)).expect("held").without(ix(1));
+        s.put_row(ix(0), Arc::new(held), 10.0);
         assert_eq!(one_pair(&s, 0, 3, 11.0, 45.0), Some((2, 290)));
     }
 
@@ -1381,34 +1402,34 @@ mod tests {
     fn one_hop_options_sorted() {
         let s = detour_store();
         assert_eq!(
-            s.one_hop_options(0, 3, 11.0, 45.0),
-            vec![(1, 150), (2, 290)]
+            s.one_hop_options(ix(0), ix(3), 11.0, 45.0),
+            vec![(ix(1), 150), (ix(2), 290)]
         );
     }
 
     #[test]
     fn anyone_reaches_sees_live_entries() {
         let mut s = RowStore::new(3);
-        assert!(!s.anyone_reaches(2, 0.0, 45.0));
+        assert!(!s.anyone_reaches(ix(2), 0.0, 45.0));
         put(&mut s, 1, &live_row(&[10, 0, 10]), 0.0);
-        assert!(s.anyone_reaches(2, 1.0, 45.0));
+        assert!(s.anyone_reaches(ix(2), 1.0, 45.0));
         // Staleness disqualifies.
-        assert!(!s.anyone_reaches(2, 100.0, 45.0));
+        assert!(!s.anyone_reaches(ix(2), 100.0, 45.0));
         // A dead entry doesn't count.
         let mut dead_row = live_row(&[10, 0, 10]);
         dead_row[2] = LinkEntry::dead();
         put(&mut s, 1, &dead_row, 200.0);
-        assert!(!s.anyone_reaches(2, 201.0, 45.0));
+        assert!(!s.anyone_reaches(ix(2), 201.0, 45.0));
     }
 
     #[test]
     fn row_age_tracking() {
         let mut s = RowStore::new(2);
-        assert_eq!(s.row_age(0, 5.0), None);
+        assert_eq!(s.row_age(ix(0), 5.0), None);
         put(&mut s, 0, &live_row(&[0, 5]), 3.0);
-        assert_eq!(s.row_age(0, 5.0), Some(2.0));
-        assert!(s.row_fresh(0, 5.0, 2.0));
-        assert!(!s.row_fresh(0, 5.1, 2.0));
+        assert_eq!(s.row_age(ix(0), 5.0), Some(2.0));
+        assert!(s.row_fresh(ix(0), 5.0, 2.0));
+        assert!(!s.row_fresh(ix(0), 5.1, 2.0));
     }
 
     #[test]
@@ -1422,17 +1443,17 @@ mod tests {
         // All-dead rows are present (they have a receipt time) but
         // materialise zero entries — absent reads as dead.
         assert_eq!(s.entry_count(), 0);
-        assert_eq!(s.present_rows(), vec![7, 42]);
-        assert_eq!(s.row_time(7), Some(1.0));
-        assert_eq!(s.row_time(8), None);
-        assert!(s.row_ref(8).is_none());
+        assert_eq!(s.present_rows(), ixs(&[7, 42]));
+        assert_eq!(s.row_time(ix(7)), Some(1.0));
+        assert_eq!(s.row_time(ix(8)), None);
+        assert!(s.row_ref(ix(8)).is_none());
         // Absent rows read as dead.
-        assert_eq!(s.cost(8, 9), INFINITE_COST);
-        assert_eq!(s.cost(8, 8), 0);
+        assert_eq!(s.cost(ix(8), ix(9)), INFINITE_COST);
+        assert_eq!(s.cost(ix(8), ix(8)), 0);
         // Refreshing a row does not grow the store.
         put(&mut s, 7, &vec![LinkEntry::dead(); 100], 3.0);
         assert_eq!(s.row_count(), 2);
-        assert_eq!(s.row_time(7), Some(3.0));
+        assert_eq!(s.row_time(ix(7)), Some(3.0));
     }
 
     #[test]
@@ -1443,17 +1464,20 @@ mod tests {
         row[64] = LinkEntry::live(20, 0.01);
         put(&mut s, 7, &row, 1.0);
         assert_eq!(s.entry_count(), 2, "dense input reduced to live entries");
-        assert_eq!(s.row(7).unwrap().lanes(), (&[3, 64][..], &[10, 20][..]));
-        assert_eq!(s.cost(7, 64), 20);
-        assert_eq!(s.cost(7, 4), INFINITE_COST);
+        assert_eq!(
+            s.row(ix(7)).unwrap().lanes(),
+            (&ixs(&[3, 64])[..], &[10, 20][..])
+        );
+        assert_eq!(s.cost(ix(7), ix(64)), 20);
+        assert_eq!(s.cost(ix(7), ix(4)), INFINITE_COST);
         // A row built from its live pairs stores the same thing.
         let mut t = RowStore::new(100);
         let pairs = [
-            (3, LinkEntry::live(10, 0.0)),
-            (64, LinkEntry::live(20, 0.01)),
+            (ix(3), LinkEntry::live(10, 0.0)),
+            (ix(64), LinkEntry::live(20, 0.01)),
         ];
-        t.put_row(7, Arc::new(LaneRow::from_pairs(&pairs)), 1.0);
-        assert_eq!(t.row(7), s.row(7));
+        t.put_row(ix(7), Arc::new(LaneRow::from_pairs(&pairs)), 1.0);
+        assert_eq!(t.row(ix(7)), s.row(ix(7)));
         assert_eq!(t.entry_count(), 2);
     }
 
@@ -1469,30 +1493,36 @@ mod tests {
         wide[3] = LinkEntry::live(33, 0.125);
         wide[4] = LinkEntry::live(u16::MAX, 0.635);
         wide[7] = LinkEntry::live(77, 0.01);
-        let row = LaneRow::from_dense(&wide).with_version(9, &[1, 3, 7]);
+        let row = LaneRow::from_dense(&wide).with_version(9, &ixs(&[1, 3, 7]));
         // Old 0→0, 1→1, 2 leaves, 3→2, 4→3, 5→4, 6 leaves; 7 is beyond
         // the table.
-        let map = [Some(0), Some(1), None, Some(2), Some(3), Some(4), None];
+        let map = [Some(0), Some(1), None, Some(2), Some(3), Some(4), None].map(|i| i.map(ix));
         let moved = row.relabelled(&map);
         let mut want = vec![LinkEntry::dead(); 5];
         for (old, new) in map.iter().enumerate() {
             if let Some(new) = new {
-                want[usize::from(*new)] = wide[old];
+                want[new.get()] = wide[old];
             }
         }
-        assert_eq!(moved, LaneRow::from_dense(&want).with_version(0, &[1, 2]));
-        assert_eq!(moved.lanes().0, [0, 2, 3]);
+        assert_eq!(
+            moved,
+            LaneRow::from_dense(&want).with_version(0, &ixs(&[1, 2]))
+        );
+        assert_eq!(moved.lanes().0, ixs(&[0, 2, 3]));
         assert_eq!(moved.seqno(), 0);
         let mut s = RowStore::new(5);
-        assert!(s.put_row(1, Arc::new(moved), 1.0));
+        assert!(s.put_row(ix(1), Arc::new(moved), 1.0));
         let next = LaneRow::from_dense(&want).with_version(1, &[]);
-        assert!(s.put_row(1, Arc::new(next), 2.0), "seqno 1 < 9 replaces it");
-        assert_eq!(s.row_seqno(1), 1);
+        assert!(
+            s.put_row(ix(1), Arc::new(next), 2.0),
+            "seqno 1 < 9 replaces it"
+        );
+        assert_eq!(s.row_seqno(ix(1)), 1);
         // Nothing to rename: the same row, unversioned.
-        let identity: Vec<Option<u16>> = (0..8).map(Some).collect();
+        let identity: Vec<Option<NodeIdx>> = (0..8).map(|i| Some(ix(i))).collect();
         assert_eq!(
             row.relabelled(&identity),
-            row.clone().with_version(0, &[1, 3, 7])
+            row.clone().with_version(0, &ixs(&[1, 3, 7]))
         );
     }
 
@@ -1509,9 +1539,10 @@ mod tests {
         let entries: Vec<LinkEntry> = (0..k)
             .map(|d| LinkEntry::live(d as u16 * 3, 0.01))
             .collect();
-        let pairs: Vec<(u16, LinkEntry)> = (0..k as u16).zip(entries.iter().copied()).collect();
-        let dense = LaneRow::from_dense(&entries).with_version(4, &[2, 69]);
-        let mut built = vec![LaneRow::from_pairs(&pairs).with_version(4, &[2, 69])];
+        let pairs: Vec<(NodeIdx, LinkEntry)> =
+            (0..k).map(ix).zip(entries.iter().copied()).collect();
+        let dense = LaneRow::from_dense(&entries).with_version(4, &ixs(&[2, 69]));
+        let mut built = vec![LaneRow::from_pairs(&pairs).with_version(4, &ixs(&[2, 69]))];
         let frame = LinkStateMsg {
             from: NodeId(1),
             to: NodeId(2),
@@ -1533,22 +1564,20 @@ mod tests {
             };
             built.push(LaneRow::clone(&back.row));
         }
-        let identity: Vec<Option<u16>> = (0..k as u16).map(Some).collect();
+        let identity: Vec<Option<NodeIdx>> = (0..k).map(|i| Some(ix(i))).collect();
         let relabelled = dense.relabelled(&identity);
         assert_eq!(relabelled.seqno(), 0, "a relabelled row is unversioned");
-        assert_eq!(relabelled.retracted(), [2, 69]);
-        built.push(relabelled.with_version(4, &[2, 69]));
+        assert_eq!(relabelled.retracted(), ixs(&[2, 69]));
+        built.push(relabelled.with_version(4, &ixs(&[2, 69])));
         for row in &built {
             assert_eq!(*row, dense);
             assert!(matches!(row.dst, DstLane::Full(len) if len == k));
             assert!(std::ptr::eq(row.lanes().0, dense.lanes().0));
             assert_eq!(row.held_bytes(), 2 * k + 2 * 2);
         }
-        assert_eq!(dense.lanes().0, (0..k as u16).collect::<Vec<_>>());
-        // What the serde attributes name: out as a list, back in as the
-        // shared form.
-        let listed = Vec::from(dense.dst.clone());
-        assert_eq!(listed.len(), k);
+        assert_eq!(dense.lanes().0, (0..k).map(ix).collect::<Vec<_>>());
+        // Listed anew, the lane is the shared form again.
+        let listed = dense.lanes().0.to_vec();
         assert!(matches!(DstLane::from(listed), DstLane::Full(len) if len == k));
         // Dropping the tail keeps a (shorter) full row; dropping from
         // the middle does not.
@@ -1559,8 +1588,8 @@ mod tests {
         holed[5] = None;
         assert!(matches!(dense.relabelled(&holed).dst, DstLane::Listed(_)));
         // Not every lane that starts at 0 is full, and an empty one is.
-        assert!(matches!(DstLane::from(vec![0, 1, 3]), DstLane::Listed(_)));
-        assert!(matches!(DstLane::from(vec![1]), DstLane::Listed(_)));
+        assert!(matches!(DstLane::from(ixs(&[0, 1, 3])), DstLane::Listed(_)));
+        assert!(matches!(DstLane::from(ixs(&[1])), DstLane::Listed(_)));
         assert!(matches!(DstLane::from(vec![]), DstLane::Full(0)));
         assert_eq!(
             LaneRow::from_dense(&[LinkEntry::dead(); 3]),
@@ -1576,21 +1605,21 @@ mod tests {
     #[test]
     fn a_full_row_that_loses_an_entry_lists_its_destinations() {
         let entries = live_row(&[7, 8, 9, 10, 11, 12]);
-        let full = LaneRow::from_dense(&entries).with_version(3, &[9]);
+        let full = LaneRow::from_dense(&entries).with_version(3, &ixs(&[9]));
         for dead_at in [0usize, 3, 5] {
-            let row = full.without(dead_at as u16);
+            let row = full.without(ix(dead_at));
             let mut want = entries.clone();
             want[dead_at] = LinkEntry::dead();
             assert_eq!(
                 row,
-                LaneRow::from_dense(&want).with_version(3, &[9]),
+                LaneRow::from_dense(&want).with_version(3, &ixs(&[9])),
                 "dead at {dead_at}"
             );
             assert!(matches!(row.dst, DstLane::Listed(_)));
             assert_eq!(row.held_bytes(), 4 * 5 + 2);
-            let costs: Vec<u32> = (0..6).map(|d| row.as_row_ref(6).cost(d)).collect();
+            let costs: Vec<u32> = (0..6).map(|d| row.as_row_ref(6).cost(ix(d))).collect();
             assert_eq!(costs, want.iter().map(LinkEntry::cost).collect::<Vec<_>>());
-            assert_eq!(row.without(dead_at as u16), row, "nothing left to lose");
+            assert_eq!(row.without(ix(dead_at)), row, "nothing left to lose");
         }
         assert_eq!(full.held_bytes(), 2 * 6 + 2);
     }
@@ -1601,22 +1630,25 @@ mod tests {
     fn kernel_on_partial_rows() {
         let mut s = RowStore::new(12);
         // Row 0: live to {1, 3, 5, 7}; row 9: live to {3, 4, 7, 11}.
-        let row = |pairs: &[(u16, u16)]| -> Arc<LaneRow> {
-            let pairs: Vec<(u16, LinkEntry)> = pairs
+        let row = |pairs: &[(usize, u16)]| -> Arc<LaneRow> {
+            let pairs: Vec<(NodeIdx, LinkEntry)> = pairs
                 .iter()
-                .map(|&(d, c)| (d, LinkEntry::live(c, 0.0)))
+                .map(|&(d, c)| (ix(d), LinkEntry::live(c, 0.0)))
                 .collect();
             Arc::new(LaneRow::from_pairs(&pairs))
         };
-        s.put_row(0, row(&[(1, 10), (3, 40), (5, 25), (7, 60)]), 1.0);
-        s.put_row(9, row(&[(3, 15), (4, 5), (7, 30), (11, 80)]), 1.0);
+        s.put_row(ix(0), row(&[(1, 10), (3, 40), (5, 25), (7, 60)]), 1.0);
+        s.put_row(ix(9), row(&[(3, 15), (4, 5), (7, 30), (11, 80)]), 1.0);
         // Best hop is the live-intersection minimum: h=3 (40+15=55)
         // beats h=7 (60+30=90); no direct link exists.
         assert_eq!(one_pair(&s, 0, 9, 2.0, 45.0), Some((3, 55)));
-        assert!(s.one_hop_options(0, 9, 2.0, 45.0).is_empty());
+        assert!(s.one_hop_options(ix(0), ix(9), 2.0, 45.0).is_empty());
         // Once relay 3's own row arrives, scavenging sees it.
-        s.put_row(3, row(&[(0, 40), (9, 20)]), 1.0);
-        assert_eq!(s.one_hop_options(0, 9, 2.0, 45.0), vec![(3, 60)]);
+        s.put_row(ix(3), row(&[(0, 40), (9, 20)]), 1.0);
+        assert_eq!(
+            s.one_hop_options(ix(0), ix(9), 2.0, 45.0),
+            vec![(ix(3), 60)]
+        );
     }
 
     #[test]
@@ -1626,11 +1658,11 @@ mod tests {
         put(&mut s, 0, &live_row(&[0, 50, 200, 500]), 10.0);
         put(&mut s, 2, &live_row(&[200, 80, 0, 90]), 10.0);
         put(&mut s, 3, &live_row(&[500, 100, 90, 0]), 10.0);
-        let opts = s.one_hop_options(0, 3, 11.0, 45.0);
-        assert_eq!(opts, vec![(2, 290)]);
+        let opts = s.one_hop_options(ix(0), ix(3), 11.0, 45.0);
+        assert_eq!(opts, vec![(ix(2), 290)]);
         // A stale relay row disqualifies too.
         put(&mut s, 2, &live_row(&[200, 80, 0, 90]), -100.0);
-        assert!(s.one_hop_options(0, 3, 11.0, 45.0).is_empty());
+        assert!(s.one_hop_options(ix(0), ix(3), 11.0, 45.0).is_empty());
     }
 
     #[test]
@@ -1643,10 +1675,10 @@ mod tests {
         // a new arrival at the boundary sheds them instead of tripping
         // the entitlement assertion.
         put(&mut s, 2, &[LinkEntry::dead(); 10], 100.0);
-        assert_eq!(s.present_rows(), vec![2]);
+        assert_eq!(s.present_rows(), ixs(&[2]));
         // A fresh row is never evicted by pressure.
         put(&mut s, 3, &[LinkEntry::dead(); 10], 101.0);
-        assert_eq!(s.present_rows(), vec![2, 3]);
+        assert_eq!(s.present_rows(), ixs(&[2, 3]));
     }
 
     /// All rows fresh: eviction frees nothing, so a third origin is
@@ -1658,24 +1690,27 @@ mod tests {
         let telemetry = Telemetry::new(3);
         let mut s = RowStore::with_entitlement(10, 2, 45.0, telemetry.clone());
         let row = |cost: u16| Arc::new(LaneRow::from_dense(&live_row(&[cost; 10])));
-        assert!(s.put_row(0, row(1), 1.0));
-        assert!(s.put_row(1, row(2), 1.0));
+        assert!(s.put_row(ix(0), row(1), 1.0));
+        assert!(s.put_row(ix(1), row(2), 1.0));
         let before = (s.entry_count(), s.held_bytes);
         assert!(
-            !s.put_row(2, row(3), 2.0),
+            !s.put_row(ix(2), row(3), 2.0),
             "a third fresh origin is refused"
         );
-        assert_eq!(s.present_rows(), vec![0, 1]);
+        assert_eq!(s.present_rows(), ixs(&[0, 1]));
         assert_eq!((s.entry_count(), s.held_bytes), before);
-        assert!(s.put_row(1, row(4), 3.0), "a held origin still refreshes");
-        assert_eq!(s.cost(1, 5), 4);
+        assert!(
+            s.put_row(ix(1), row(4), 3.0),
+            "a held origin still refreshes"
+        );
+        assert_eq!(s.cost(ix(1), ix(5)), 4);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter(3, "linkstate", "rows_rejected"), Some(1));
         assert_eq!(snap.counter(3, "linkstate", "rows_merged"), Some(3));
         assert_eq!(snap.gauge(3, "linkstate", "rows_held"), Some(2));
         // Row 0 (t = 1) is stale at t = 47, row 1 (t = 3) is not.
-        assert!(s.put_row(2, row(3), 47.0));
-        assert_eq!(s.present_rows(), vec![1, 2]);
+        assert!(s.put_row(ix(2), row(3), 47.0));
+        assert_eq!(s.present_rows(), ixs(&[1, 2]));
     }
 
     #[test]
@@ -1717,28 +1752,31 @@ mod tests {
         };
         put(&mut s, 0, &live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]), 0.0);
         check(&s, "insert, a full row", 10 * 2);
-        let one = |dst: u16, cost: u16| {
-            Arc::new(LaneRow::from_pairs(&[(dst, LinkEntry::live(cost, 0.0))]))
+        let one = |dst: usize, cost: u16| {
+            Arc::new(LaneRow::from_pairs(&[(
+                ix(dst),
+                LinkEntry::live(cost, 0.0),
+            )]))
         };
-        s.put_row(0, one(3, 7), 1.0);
+        s.put_row(ix(0), one(3, 7), 1.0);
         check(&s, "replace, shrinking to a listed row", 4);
-        let versioned =
-            LaneRow::from_dense(&live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9])).with_version(1, &[2]);
-        s.put_row(0, Arc::new(versioned), 2.0);
+        let versioned = LaneRow::from_dense(&live_row(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]))
+            .with_version(1, &ixs(&[2]));
+        s.put_row(ix(0), Arc::new(versioned), 2.0);
         check(&s, "replace, growing, one retraction", 10 * 2 + 2);
         let mut nine = live_row(&[0, 1, 2, 3, 4, 50, 6, 7, 8, 9]);
         nine[4] = LinkEntry::dead();
-        let nine = LaneRow::from_dense(&nine).with_version(1, &[2]);
-        s.put_row(0, Arc::new(nine), 3.0);
+        let nine = LaneRow::from_dense(&nine).with_version(1, &ixs(&[2]));
+        s.put_row(ix(0), Arc::new(nine), 3.0);
         check(&s, "entry killed: the row lists its 9", 9 * 4 + 2);
-        s.put_row(1, one(2, 9), 4.0);
-        s.put_row(2, Arc::new(LaneRow::default()), 4.0);
+        s.put_row(ix(1), one(2, 9), 4.0);
+        s.put_row(ix(2), Arc::new(LaneRow::default()), 4.0);
         check(&s, "rows created", 9 * 4 + 2 + 4);
         assert_eq!(s.entry_count(), 10);
         // Rows 0–2 are stale at t = 100: a fourth origin arriving at the
         // entitlement boundary sheds all three.
-        s.put_row(7, one(1, 5), 100.0);
-        assert_eq!(s.present_rows(), vec![7]);
+        s.put_row(ix(7), one(1, 5), 100.0);
+        assert_eq!(s.present_rows(), ixs(&[7]));
         check(&s, "evict", 4);
         assert_eq!(s.entry_count(), 1);
     }
@@ -1758,8 +1796,8 @@ mod tests {
         let probes = [0usize, 1, 4, 4, 9, 11, 2, 5, 10, 0, 11, 3];
         let mut cur = view.cursor();
         for &d in &probes {
-            assert_eq!(cur.cost(d), view.cost(d), "cost({d}) via cursor");
-            assert_eq!(view.cost(d), row[d].cost());
+            assert_eq!(cur.cost(ix(d)), view.cost(ix(d)), "cost({d}) via cursor");
+            assert_eq!(view.cost(ix(d)), row[d].cost());
         }
     }
 
@@ -1777,10 +1815,10 @@ mod tests {
         let wired: Vec<LinkEntry> = row.iter().map(|e| LinkEntry::decode(e.encode())).collect();
         assert_eq!(LaneRow::from_dense(&row), LaneRow::from_dense(&wired));
         let lanes = LaneRow::from_dense(&row);
-        assert_eq!(lanes.lanes(), (&[0, 2][..], &[u16::MAX - 1, 0][..]));
+        assert_eq!(lanes.lanes(), (&ixs(&[0, 2])[..], &[u16::MAX - 1, 0][..]));
         let view = lanes.as_row_ref(3);
-        assert_eq!(view.cost(0), LinkEntry::decode(row[0].encode()).cost());
-        assert_eq!(view.cost(1), INFINITE_COST);
+        assert_eq!(view.cost(ix(0)), LinkEntry::decode(row[0].encode()).cost());
+        assert_eq!(view.cost(ix(1)), INFINITE_COST);
     }
 
     #[test]
@@ -1800,26 +1838,31 @@ mod tests {
         let full = |costs: &[u16], seqno: u16| {
             Arc::new(LaneRow::from_dense(&live_row(costs)).with_version(seqno, &[]))
         };
-        assert!(s.put_row(0, full(&[0, 10, 20, 30], 5), 1.0));
-        assert_eq!(s.row_seqno(0), 5);
+        assert!(s.put_row(ix(0), full(&[0, 10, 20, 30], 5), 1.0));
+        assert_eq!(s.row_seqno(ix(0)), 5);
         // Same seqno refreshes (periodic re-announcement), newer advances.
-        assert!(s.put_row(0, full(&[0, 11, 20, 30], 5), 2.0));
-        assert_eq!(s.row_time(0), Some(2.0));
-        let retracting = LaneRow::from_pairs(&[(1, LinkEntry::live(9, 0.0))]).with_version(6, &[2]);
-        assert!(s.put_row(0, Arc::new(retracting), 3.0));
-        assert_eq!(s.row_seqno(0), 6);
-        assert!(s.row_retracts(0, 2));
-        assert!(!s.row_retracts(0, 1));
+        assert!(s.put_row(ix(0), full(&[0, 11, 20, 30], 5), 2.0));
+        assert_eq!(s.row_time(ix(0)), Some(2.0));
+        let retracting =
+            LaneRow::from_pairs(&[(ix(1), LinkEntry::live(9, 0.0))]).with_version(6, &ixs(&[2]));
+        assert!(s.put_row(ix(0), Arc::new(retracting), 3.0));
+        assert_eq!(s.row_seqno(ix(0)), 6);
+        assert!(s.row_retracts(ix(0), ix(2)));
+        assert!(!s.row_retracts(ix(0), ix(1)));
         // A delayed replay of the older row must not resurrect dst 2.
-        assert!(!s.put_row(0, full(&[0, 10, 20, 30], 5), 4.0));
-        assert_eq!(s.row_seqno(0), 6);
-        assert_eq!(s.row_time(0), Some(3.0), "rejected replay leaves the row");
-        assert_eq!(s.cost(0, 2), INFINITE_COST);
+        assert!(!s.put_row(ix(0), full(&[0, 10, 20, 30], 5), 4.0));
+        assert_eq!(s.row_seqno(ix(0)), 6);
+        assert_eq!(
+            s.row_time(ix(0)),
+            Some(3.0),
+            "rejected replay leaves the row"
+        );
+        assert_eq!(s.cost(ix(0), ix(2)), INFINITE_COST);
         assert_eq!(s.entry_count(), 1, "and the running total");
         // Unversioned rows (seqno 0) always pass — no flag day.
-        assert!(s.put_row(0, full(&[0, 10, 20, 30], 0), 5.0));
-        assert_eq!(s.row_seqno(0), 0);
-        assert!(!s.row_retracts(0, 2));
+        assert!(s.put_row(ix(0), full(&[0, 10, 20, 30], 0), 5.0));
+        assert_eq!(s.row_seqno(ix(0)), 0);
+        assert!(!s.row_retracts(ix(0), ix(2)));
     }
 
     /// The store keeps the row it is handed, not a copy — the frame
@@ -1830,10 +1873,10 @@ mod tests {
     fn put_row_shares_the_row_until_an_entry_update() {
         let mut s = RowStore::new(4);
         let row = Arc::new(LaneRow::from_dense(&live_row(&[0, 10, 20, 30])));
-        assert!(s.put_row(2, Arc::clone(&row), 1.0));
+        assert!(s.put_row(ix(2), Arc::clone(&row), 1.0));
         assert_eq!(Arc::strong_count(&row), 2, "stored, not copied");
-        let held = s.row(2).expect("held").without(3);
-        s.put_row(2, Arc::new(held), 2.0);
+        let held = s.row(ix(2)).expect("held").without(ix(3));
+        s.put_row(ix(2), Arc::new(held), 2.0);
         assert_eq!(Arc::strong_count(&row), 1, "the store let go of it");
         assert_eq!(row.len(), 4, "the frame's row is untouched");
         assert_eq!(s.entry_count(), 3);
@@ -1842,8 +1885,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "destination out of range")]
     fn put_row_destination_bounds_checked() {
-        let wide = LaneRow::from_pairs(&[(7, LinkEntry::live(1, 0.0))]);
-        RowStore::new(4).put_row(0, Arc::new(wide), 0.0);
+        let wide = LaneRow::from_pairs(&[(ix(7), LinkEntry::live(1, 0.0))]);
+        RowStore::new(4).put_row(ix(0), Arc::new(wide), 0.0);
     }
 
     /// `k_hop_options` with one hop is `one_hop_options`, option for
@@ -1876,13 +1919,13 @@ mod tests {
         }
         // k = 1 parity with the scavenging kernel.
         for (a, b) in [(0, 2), (0, 4), (1, 3), (2, 0)] {
-            let one = s.one_hop_options(a, b, 10.5, 45.0);
-            let k: Vec<(usize, u32)> = s
-                .k_hop_options(a, b, 1, 10.5, 45.0)
+            let one = s.one_hop_options(ix(a), ix(b), 10.5, 45.0);
+            let k: Vec<(NodeIdx, u32)> = s
+                .k_hop_options(ix(a), ix(b), 1, 10.5, 45.0)
                 .into_iter()
                 .map(|d| {
                     assert_eq!(d.path.len(), 3);
-                    assert_eq!((d.path[0], d.path[2]), (a, b));
+                    assert_eq!((d.path[0], d.path[2]), (ix(a), ix(b)));
                     (d.path[1], d.cost)
                 })
                 .collect();
@@ -1891,20 +1934,23 @@ mod tests {
         // 0 → 4 needs at least two intermediate relays; 1-hop scavenging
         // finds nothing, 2-hop pays the expensive 0 → 2 link, 3-hop
         // routes around it.
-        assert!(s.k_hop_options(0, 4, 1, 10.5, 45.0).is_empty());
-        let two = s.k_hop_options(0, 4, 2, 10.5, 45.0);
-        assert_eq!((&two[0].path[..], two[0].cost), (&[0, 2, 3, 4][..], 70));
-        let opts = s.k_hop_options(0, 4, 3, 10.5, 45.0);
-        assert_eq!(opts[0].path, [0, 1, 2, 3, 4]);
+        assert!(s.k_hop_options(ix(0), ix(4), 1, 10.5, 45.0).is_empty());
+        let two = s.k_hop_options(ix(0), ix(4), 2, 10.5, 45.0);
+        assert_eq!(
+            (&two[0].path[..], two[0].cost),
+            (&ixs(&[0, 2, 3, 4])[..], 70)
+        );
+        let opts = s.k_hop_options(ix(0), ix(4), 3, 10.5, 45.0);
+        assert_eq!(opts[0].path, ixs(&[0, 1, 2, 3, 4]));
         assert_eq!(opts[0].cost, 40);
         assert_eq!(opts[0].advertised, 30, "cost the first relay advertises");
         // Wider budgets don't invent longer paths when shorter ones win.
         assert_eq!(
-            s.k_hop_options(0, 4, 8, 10.5, 45.0)[0].path,
-            [0, 1, 2, 3, 4]
+            s.k_hop_options(ix(0), ix(4), 8, 10.5, 45.0)[0].path,
+            ixs(&[0, 1, 2, 3, 4])
         );
         // Paths are simple: no candidate revisits a node.
-        for Detour { path, .. } in s.k_hop_options(0, 4, 8, 10.5, 45.0) {
+        for Detour { path, .. } in s.k_hop_options(ix(0), ix(4), 8, 10.5, 45.0) {
             let mut seen = path.clone();
             seen.sort_unstable();
             seen.dedup();

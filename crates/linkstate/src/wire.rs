@@ -42,7 +42,7 @@
 
 use crate::entry::LinkEntry;
 use crate::store::{DstLane, LaneRow};
-use apor_quorum::NodeId;
+use apor_quorum::{NodeId, NodeIdx};
 use apor_telemetry::trace::{TraceCtx, TRACE_CTX_SIZE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -104,7 +104,7 @@ pub const LS_SEQNO_TRAILER_BASE: usize = 4;
 /// sequence number `seqno` and `retractions` withdrawn destinations:
 /// zero for the legacy flagless form (seqno 0, nothing retracted).
 #[must_use]
-pub fn ls_trailer_size(seqno: u16, retractions: &[u16]) -> usize {
+pub fn ls_trailer_size(seqno: u16, retractions: &[NodeIdx]) -> usize {
     if seqno == 0 && retractions.is_empty() {
         0
     } else {
@@ -126,7 +126,7 @@ const DEAD_ENTRY_WIRE: [u8; LinkEntry::WIRE_SIZE] = [0xFF, 0xFF, 0x7F];
 /// two or three buffer appends per entry.
 fn put_records<const STRIDE: usize>(
     b: &mut BytesMut,
-    dst: &[u16],
+    dst: &[NodeIdx],
     latency_ms: &[u16],
     liveness_loss: &[u8],
 ) {
@@ -140,12 +140,18 @@ fn put_records<const STRIDE: usize>(
         .zip(liveness_loss.chunks(PUT_CHUNK));
     for ((dst, latency_ms), liveness_loss) in lanes {
         for (((record, d), l), v) in buf.iter_mut().zip(dst).zip(latency_ms).zip(liveness_loss) {
-            record[..entry_at].copy_from_slice(&d.to_be_bytes()[..entry_at]);
+            record[..entry_at].copy_from_slice(&u16::from(*d).to_be_bytes()[..entry_at]);
             record[entry_at..entry_at + 2].copy_from_slice(&l.to_be_bytes());
             record[entry_at + 2] = *v;
         }
         b.put_slice(buf[..dst.len()].as_flattened());
     }
+}
+
+/// A count field: entries, retractions, recommendations, probe items or
+/// members, each bounded by a view's `u16::MAX` members.
+fn count(len: usize) -> u16 {
+    u16::try_from(len).expect("a count a 16-bit field can carry")
 }
 
 /// Write a link-state frame after its type tag: header, entry list
@@ -167,14 +173,14 @@ fn put_linkstate(b: &mut BytesMut, m: &LinkStateMsg, sparse: bool) {
         "one liveness byte per live entry"
     );
     debug_assert!(
-        dst.last().is_none_or(|&d| d < m.width),
+        dst.last().is_none_or(|&d| u16::from(d) < m.width),
         "row wider than width"
     );
     b.put_u16(m.from.0);
     b.put_u16(m.to.0);
     b.put_u32(m.view);
     b.put_u32(m.round);
-    b.put_u16(if sparse { dst.len() as u16 } else { m.width });
+    b.put_u16(if sparse { count(dst.len()) } else { m.width });
     b.put_u32(m.basis_ms);
     if sparse {
         b.put_u16(m.width);
@@ -189,7 +195,7 @@ fn put_linkstate(b: &mut BytesMut, m: &LinkStateMsg, sparse: bool) {
     } else {
         let mut next = 0;
         for slot in 0..m.width {
-            if dst.get(next) == Some(&slot) {
+            if dst.get(next).is_some_and(|&d| u16::from(d) == slot) {
                 b.put_u16(latency_ms[next]);
                 b.put_u8(liveness_loss[next]);
                 next += 1;
@@ -200,9 +206,9 @@ fn put_linkstate(b: &mut BytesMut, m: &LinkStateMsg, sparse: bool) {
     }
     if versioned {
         b.put_u16(m.row.seqno());
-        b.put_u16(retracted.len() as u16);
+        b.put_u16(count(retracted.len()));
         for &d in retracted {
-            b.put_u16(d);
+            b.put_u16(d.into());
         }
     }
 }
@@ -232,15 +238,20 @@ pub fn readdress_linkstate(frame: &[u8], to: NodeId) -> Bytes {
     Bytes::from(copy)
 }
 
+/// What a frame's destinations are once [`LinkStateFrame::parse`] has
+/// passed them: each below the width.
+const CHECKED: &str = "parse checked every destination against the width";
+
 /// Is the record's entry alive? The liveness byte closes the record in
 /// both frame forms.
 fn record_is_live(record: &&[u8]) -> bool {
     record[record.len() - 1] & 0x80 != 0
 }
 
-/// The destination a sparse record opens with.
-fn record_dst(record: &[u8]) -> u16 {
-    u16::from_be_bytes([record[0], record[1]])
+/// The destination a sparse record of a row `width` wide opens with;
+/// `None` when it is not below `width`.
+fn record_dst(record: &[u8], width: u16) -> Option<NodeIdx> {
+    NodeIdx::from_wire(u16::from_be_bytes([record[0], record[1]]), width)
 }
 
 /// The latency of the entry at `entry_at` in a record, clamped below
@@ -378,11 +389,11 @@ impl<'a> LinkStateFrame<'a> {
         }
         let (body, mut b) = b.split_at(body_len);
         let mut live = 0;
-        let mut prev: Option<u16> = None;
+        let mut prev = None;
         for e in body.chunks_exact(stride) {
             if sparse {
-                let d = record_dst(e);
-                if d >= width || prev.is_some_and(|p| d <= p) {
+                let d = record_dst(e, width).ok_or(WireError::BadLength)?;
+                if prev.is_some_and(|p| d <= p) {
                     return Err(WireError::BadLength);
                 }
                 prev = Some(d);
@@ -430,8 +441,9 @@ impl<'a> LinkStateFrame<'a> {
     }
 
     /// The retraction list, strictly ascending.
-    fn retracted(&self) -> impl Iterator<Item = u16> + 'a {
-        be_u16s(self.retracted)
+    fn retracted(&self) -> impl Iterator<Item = NodeIdx> + 'a {
+        let width = self.width;
+        be_u16s(self.retracted).map(move |d| NodeIdx::from_wire(d, width).expect(CHECKED))
     }
 
     /// The row as a store holds it, each lane filled at its exact size
@@ -444,8 +456,12 @@ impl<'a> LinkStateFrame<'a> {
     pub fn row(&self) -> LaneRow {
         let (stride, entry_at, live) = (Self::stride_of(self.sparse), self.entry_at(), self.live);
         let records = self.records();
+        let width = self.width;
         let dst = if self.sparse {
-            decode_lane::<_, Vec<_>>(self.body, stride, live, record_dst).into()
+            decode_lane::<_, Vec<_>>(self.body, stride, live, |e| {
+                record_dst(e, width).expect(CHECKED)
+            })
+            .into()
         } else if live == records.len() {
             DstLane::Full(live)
         } else {
@@ -503,9 +519,10 @@ fn get_ls_trailer<'a>(b: &mut &'a [u8], width: u16) -> Result<(u16, &'a [u8]), W
         return Err(WireError::BadLength);
     }
     let lane = std::mem::take(b);
-    let mut prev: Option<u16> = None;
+    let mut prev = None;
     for dst in be_u16s(lane) {
-        if dst >= width || prev.is_some_and(|p| dst <= p) {
+        let dst = NodeIdx::from_wire(dst, width).ok_or(WireError::BadLength)?;
+        if prev.is_some_and(|p| dst <= p) {
             return Err(WireError::BadLength);
         }
         prev = Some(dst);
@@ -530,7 +547,7 @@ pub trait LinkStateRow {
 
     /// The live entries as `(dst, latency_ms)`, ascending by
     /// destination.
-    fn live_entries(&self) -> impl Iterator<Item = (u16, u16)> + '_;
+    fn live_entries(&self) -> impl Iterator<Item = (NodeIdx, u16)> + '_;
 
     /// The row as a store holds it: the message's own `Arc`, or one
     /// built from the frame — the only allocations a frame's row costs.
@@ -546,7 +563,7 @@ impl LinkStateRow for LinkStateMsg {
         self.width
     }
 
-    fn live_entries(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
+    fn live_entries(&self) -> impl Iterator<Item = (NodeIdx, u16)> + '_ {
         let (dst, latency_ms) = self.row.lanes();
         dst.iter().copied().zip(latency_ms.iter().copied())
     }
@@ -567,16 +584,19 @@ impl LinkStateRow for LinkStateFrame<'_> {
 
     /// Read off the bytes; a dead entry is skipped — absence *is*
     /// death in a row.
-    fn live_entries(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
-        let (sparse, entry_at) = (self.sparse, self.entry_at());
+    fn live_entries(&self) -> impl Iterator<Item = (NodeIdx, u16)> + '_ {
+        let (sparse, entry_at, width) = (self.sparse, self.entry_at(), self.width);
+        // A dense frame's slots are its destinations.
+        let slots = NodeIdx::all(self.records().len());
         self.records()
-            .enumerate()
-            .filter(|(_, e)| record_is_live(e))
-            .map(move |(slot, e)| {
-                // A dense frame's slots are its destinations, and there
-                // are at most `u16::MAX` of them.
-                #[allow(clippy::cast_possible_truncation)]
-                let dst = if sparse { record_dst(e) } else { slot as u16 };
+            .zip(slots)
+            .filter(|(e, _)| record_is_live(e))
+            .map(move |(e, slot)| {
+                let dst = if sparse {
+                    record_dst(e, width).expect(CHECKED)
+                } else {
+                    slot
+                };
                 (dst, record_latency(e, entry_at))
             })
     }
@@ -817,7 +837,7 @@ pub struct ProbeBatchMsg {
 ///
 /// A versioned row (nonzero seqno or any retraction) adds the trailer;
 /// an unversioned one is bit-identical to the legacy flagless format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkStateMsg {
     /// Origin (the measuring node).
     pub from: NodeId,
@@ -933,7 +953,7 @@ pub struct ViewMsg {
 }
 
 /// Any overlay message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Link probe.
     Probe(ProbeMsg),
@@ -1039,7 +1059,7 @@ impl Message {
                 b.put_u16(m.from.0);
                 b.put_u16(m.to.0);
                 b.put_u32(m.view);
-                b.put_u16(m.items.len() as u16);
+                b.put_u16(count(m.items.len()));
                 b.put_u8(if ctx.is_some() { PROBE_FLAG_TRACE } else { 0 });
                 for item in &m.items {
                     match *item {
@@ -1075,7 +1095,7 @@ impl Message {
                 b.put_u16(m.to.0);
                 b.put_u32(m.view);
                 b.put_u32(m.round);
-                b.put_u16(m.recs.len() as u16);
+                b.put_u16(count(m.recs.len()));
                 b.put_u32(m.basis_ms);
                 let flags: u32 = match m.format {
                     RecFormat::Compact => 0,
@@ -1105,7 +1125,7 @@ impl Message {
                 b.put_u16(m.from.0);
                 b.put_u16(m.to.0);
                 b.put_u32(m.view);
-                b.put_u16(m.members.len() as u16);
+                b.put_u16(count(m.members.len()));
                 for id in &m.members {
                     b.put_u16(id.0);
                 }
@@ -1287,16 +1307,26 @@ mod tests {
     /// A link-state frame's body: the row and its liveness lane.
     type Body = (Arc<LaneRow>, Arc<[u8]>);
 
+    /// Index `d` of the widest view.
+    fn ix(d: u16) -> NodeIdx {
+        NodeIdx::from_wire(d, u16::MAX).expect("an index")
+    }
+
+    fn ixs(indices: &[u16]) -> Vec<NodeIdx> {
+        indices.iter().map(|&d| ix(d)).collect()
+    }
+
     /// A dense frame's width and body for `entries`.
     fn dense(entries: &[LinkEntry], seqno: u16, retractions: &[u16]) -> (u16, Body) {
-        let row = LaneRow::from_dense(entries).with_version(seqno, retractions);
+        let row = LaneRow::from_dense(entries).with_version(seqno, &ixs(retractions));
         let lane = LinkStateMsg::liveness_lane(entries);
         (entries.len() as u16, (Arc::new(row), lane))
     }
 
     /// A sparse frame's body for ascending `(dst, entry)` pairs.
     fn sparse(entries: &[(u16, LinkEntry)], seqno: u16, retractions: &[u16]) -> Body {
-        let row = LaneRow::from_pairs(entries).with_version(seqno, retractions);
+        let pairs: Vec<(NodeIdx, LinkEntry)> = entries.iter().map(|&(d, e)| (ix(d), e)).collect();
+        let row = LaneRow::from_pairs(&pairs).with_version(seqno, &ixs(retractions));
         let listed: Vec<LinkEntry> = entries.iter().map(|&(_, e)| e).collect();
         (Arc::new(row), LinkStateMsg::liveness_lane(&listed))
     }
@@ -1717,7 +1747,7 @@ mod tests {
             panic!("frame decodes");
         };
         let as_entry = LinkEntry::decode([0xFF, 0xFF, 0x80]);
-        assert_eq!(*got.row, LaneRow::from_pairs(&[(5, as_entry)]));
+        assert_eq!(*got.row, LaneRow::from_pairs(&[(ix(5), as_entry)]));
         assert_eq!(got.row.lanes().1, &[LinkEntry::DEAD_LATENCY - 1]);
         assert_eq!(*got.liveness_loss, [0x80]);
     }

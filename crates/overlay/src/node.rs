@@ -44,9 +44,10 @@
 //!
 //! The node's part of an install is one table and two calls. The table
 //! says where each member of the old view sits in the new one
-//! (`Vec<Option<u16>>`, `None` = departed); it is built here, once, and
-//! nothing else builds one. Through it cross, each moved rather than
-//! copied:
+//! (`Vec<Option<NodeIdx>>`, indexed by the old index, `None` =
+//! departed); it is built here, once, each new index checked against
+//! the new view by [`NodeIdx::new`], and nothing else builds one.
+//! Through it cross, each moved rather than copied:
 //!
 //! * **link measurements** — a probe target that is a target again
 //!   keeps its slot and its measurement under its new index, with a
@@ -74,7 +75,10 @@
 //! current sorted membership view). The wire carries *identities*
 //! ([`NodeId`]). This module owns the translation at the boundary, in
 //! both directions, including the `dst`/`hop` fields inside
-//! recommendation messages.
+//! recommendation messages. An incoming frame's sender becomes a
+//! [`NodeIdx`] here, checked against the view, and the routers take it
+//! as one; the prober and the membership view keep plain `usize`
+//! positions.
 //!
 //! An incoming routing frame is never decoded into a message. It is
 //! checked where it lies ([`LinkStateFrame`], [`RecFrame`]), its sender
@@ -92,7 +96,7 @@ use apor_linkstate::{
 };
 use apor_membership::{wire as swim_wire, Swim, SwimConfig, SwimMsg};
 use apor_netsim::TrafficClass;
-use apor_quorum::NodeId;
+use apor_quorum::{NodeId, NodeIdx};
 use apor_routing::{
     FullMeshRouter, ProbeAction, Prober, QuorumRouter, RouteDecision, RoutingAlgorithm,
 };
@@ -634,7 +638,7 @@ impl OverlayNode {
             RouteDecision::Spliced(d) => d
                 .path
                 .iter()
-                .map(|&i| view.id_of(i))
+                .map(|&i| view.id_of(i.get()))
                 .collect::<Option<Vec<_>>>(),
             RouteDecision::Hop(_) => None,
         }
@@ -755,10 +759,9 @@ impl OverlayNode {
             let n = view.len();
             // Where each member of the old view sits in the new one:
             // the one translation the prober and the router both carry
-            // their state through. Indices fit the wire's 16 bits.
-            #[allow(clippy::cast_possible_truncation)]
-            let old_to_new: Vec<Option<u16>> = old.as_ref().map_or_else(Vec::new, |old_view| {
-                let moved = |&id| view.index_of(id).map(|i| i as u16);
+            // their state through.
+            let old_to_new: Vec<Option<NodeIdx>> = old.as_ref().map_or_else(Vec::new, |old_view| {
+                let moved = |&id| NodeIdx::new(view.index_of(id)?, n);
                 old_view.members.iter().map(moved).collect()
             });
             let mut prober = match old_prober {
@@ -1017,9 +1020,10 @@ impl OverlayNode {
 
     /// Where `from` sits in my view, when I am a member and it is one:
     /// an incoming routing frame's sender in the routers' index space.
-    fn sender_index(&self, from: NodeId) -> Option<usize> {
+    fn sender_index(&self, from: NodeId) -> Option<NodeIdx> {
         self.my_index?;
-        self.view.as_ref()?.index_of(from)
+        let view = self.view.as_ref()?;
+        NodeIdx::new(view.index_of(from)?, view.len())
     }
 
     /// Hand a link-state frame, still in its payload, to the router. Only
@@ -1418,7 +1422,7 @@ mod tests {
                 Message::LinkState(ls) | Message::LinkStateSparse(ls) => {
                     node.sender_index(ls.from).map(|from| {
                         let inner = LinkStateMsg {
-                            from: NodeId::from_index(from),
+                            from: from.into(),
                             to: me_index,
                             ..ls.clone()
                         };
@@ -1431,7 +1435,7 @@ mod tests {
                 }
                 Message::Recommendations(rm) => node.sender_index(rm.from).map(|from| {
                     Message::Recommendations(RecommendationMsg {
-                        from: NodeId::from_index(from),
+                        from: from.into(),
                         to: me_index,
                         recs: rm.recs.iter().filter_map(|&r| rec_to_index(&view, r)).collect(),
                         ..rm.clone()
@@ -1478,10 +1482,11 @@ mod tests {
         };
         let full = body(LaneRow::from_dense(&[live; 9]), &[live; 9]);
         let holey = body(LaneRow::from_dense(&holes), &holes);
-        let listed = [(1, live), (6, LinkEntry::live(300, 0.5))];
+        let ix = |i| NodeIdx::new(i, 9).unwrap();
+        let listed = [(ix(1), live), (ix(6), LinkEntry::live(300, 0.5))];
         let pairs = body(LaneRow::from_pairs(&listed), &[listed[0].1, listed[1].1]);
         let versioned = body(
-            LaneRow::from_dense(&holes).with_version(41, &[2, 7]),
+            LaneRow::from_dense(&holes).with_version(41, &[ix(2), ix(7)]),
             &holes,
         );
         let frame = |sparse: bool,

@@ -22,7 +22,7 @@ use apor_linkstate::{
 use apor_overlay::config::{Algorithm, NodeConfig};
 use apor_overlay::node::Outbox;
 use apor_overlay::OverlayNode;
-use apor_quorum::{Grid, NodeId};
+use apor_quorum::{Grid, NodeId, NodeIdx};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -102,8 +102,13 @@ fn linkstate(
     from: u16,
     entries: &[LinkEntry],
     seqno: u16,
-    retracted: &[u16],
+    retracted: &[usize],
 ) -> Vec<u8> {
+    let width = entries.len();
+    let retracted: Vec<NodeIdx> = retracted
+        .iter()
+        .map(|&d| NodeIdx::new(d, width).expect("below the width"))
+        .collect();
     Message::LinkState(LinkStateMsg {
         from: NodeId(from),
         to: NodeId::from_index(ME),
@@ -111,7 +116,7 @@ fn linkstate(
         round: 1,
         basis_ms: 0,
         width: entries.len() as u16,
-        row: Arc::new(LaneRow::from_dense(entries).with_version(seqno, retracted)),
+        row: Arc::new(LaneRow::from_dense(entries).with_version(seqno, &retracted)),
         liveness_loss: LinkStateMsg::liveness_lane(entries),
     })
     .encode()
@@ -150,7 +155,8 @@ fn a_quorum_node_allocates_the_held_row_and_nothing_else() {
     holes[40] = LinkEntry::dead();
     let held = |node: &OverlayNode| {
         let store = node.quorum_router().expect("a quorum router").table();
-        (store.row(5).cloned(), store.row_time(5))
+        let five = NodeIdx::new(5, N).unwrap();
+        (store.row(five).cloned(), store.row_time(five))
     };
     // The first row from an origin also makes the store's map node.
     let frame = linkstate(&node, 5, &full, 0, &[]);
@@ -166,7 +172,8 @@ fn a_quorum_node_allocates_the_held_row_and_nothing_else() {
     // A versioned row also holds its retraction lane.
     let frame = linkstate(&node, 5, &holes, 4, &[40, 41]);
     assert_eq!(blocks_to_ingest(&mut node, 4.0, &frame), 4);
-    let want = LaneRow::from_dense(&holes).with_version(4, &[40, 41]);
+    let retracted = [40, 41].map(|d| NodeIdx::new(d, N).unwrap());
+    let want = LaneRow::from_dense(&holes).with_version(4, &retracted);
     assert_eq!(held(&node), (Some(want), Some(4.0)));
 
     // Refused frames allocate nothing and change nothing: another view,
@@ -229,7 +236,95 @@ fn a_recommendation_frame_allocates_nothing_once_its_record_has_room() {
         let router = node.quorum_router().expect("a quorum router");
         for &d in &dsts {
             let route = router.route_entry(d).expect("recommended");
-            assert_eq!((route.hop, route.received_at), (server, t));
+            assert_eq!((route.hop.get(), route.received_at), (server, t));
         }
+    }
+}
+
+/// What a quorum node holds that a frame could change: every held row
+/// with its receipt time, and the route it keeps to every destination.
+fn routing_state(node: &OverlayNode) -> String {
+    let router = node.quorum_router().expect("a quorum router");
+    let rows: Vec<_> = router
+        .table()
+        .held_rows()
+        .map(|(origin, at, _)| (origin, at, router.table().row(origin).cloned()))
+        .collect();
+    let routes: Vec<_> = (0..N).map(|d| router.route_entry(d)).collect();
+    format!("{rows:?} {routes:?}")
+}
+
+/// Frames that decode but name an index outside the view are refused
+/// where the index is checked — the row's width against the view, the
+/// sender and each recommendation entry against the member list — and
+/// the router never sees the index: on a warm quorum node they change
+/// no held row and no route, allocate nothing and panic nowhere.
+#[test]
+fn hostile_indices_are_refused_without_a_trace() {
+    let mut node = node(Algorithm::Quorum);
+    let view = node.view().expect("a static view").version;
+    let server = Grid::new(N).rendezvous_servers(ME)[0];
+    let recs = |entries: &[(u16, u16)]| {
+        Message::Recommendations(RecommendationMsg {
+            from: NodeId::from_index(server),
+            to: NodeId::from_index(ME),
+            view,
+            round: 1,
+            basis_ms: 0,
+            format: RecFormat::WithCost,
+            recs: entries
+                .iter()
+                .map(|&(dst, hop)| RecEntry {
+                    dst: NodeId(dst),
+                    hop: NodeId(hop),
+                    cost_ms: 60,
+                })
+                .collect(),
+        })
+        .encode()
+        .to_vec()
+    };
+    // Warm: a held row, and routes from the server's record.
+    let warm = [
+        linkstate(&node, 5, &full_row(N), 0, &[]),
+        recs(&[(3, 3), (9, 5), (40, 5)]),
+    ];
+    for frame in &warm {
+        let _ = blocks_to_ingest(&mut node, 1.0, frame);
+    }
+    let before = routing_state(&node);
+    assert!(before.contains("Some(RouteEntry"), "routes held: {before}");
+
+    // A sparse row one wider than the view, its last destination `N` —
+    // an index the view does not have, below the frame's own width.
+    let n = NodeIdx::new(N, N + 1).expect("inside the frame's width");
+    let wide = LaneRow::from_pairs(&[(n, LinkEntry::live(7, 0.0))]);
+    let wide = Message::LinkStateSparse(LinkStateMsg {
+        from: NodeId(5),
+        to: NodeId::from_index(ME),
+        view,
+        round: 2,
+        basis_ms: 0,
+        width: (N + 1) as u16,
+        row: Arc::new(wide),
+        liveness_loss: LinkStateMsg::liveness_lane(&[LinkEntry::live(7, 0.0)]),
+    })
+    .encode()
+    .to_vec();
+    let outsider = N as u16;
+    let hostile = [
+        ("a row of width n + 1 naming n", wide),
+        (
+            "a row from a non-member",
+            linkstate(&node, outsider, &full_row(N), 0, &[]),
+        ),
+        (
+            "recommendations naming a non-member",
+            recs(&[(outsider, 3), (3, outsider), (outsider, outsider)]),
+        ),
+    ];
+    for (what, frame) in &hostile {
+        assert_eq!(blocks_to_ingest(&mut node, 2.0, frame), 0, "{what}");
+        assert_eq!(routing_state(&node), before, "{what}");
     }
 }

@@ -34,7 +34,7 @@ use apor_overlay::config::{Algorithm, NodeConfig};
 use apor_overlay::membership::MembershipView;
 use apor_overlay::node::{Outbox, TOKEN_PROBE, TOKEN_ROUTING};
 use apor_overlay::OverlayNode;
-use apor_quorum::{Grid, NodeId};
+use apor_quorum::{Grid, NodeId, NodeIdx};
 use apor_routing::QuorumRouter;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -73,6 +73,11 @@ fn arb_rows(universe: u16) -> impl Strategy<Value = Rows> {
     })
 }
 
+/// Index `i` of the widest view.
+fn ix(i: usize) -> NodeIdx {
+    NodeIdx::new(i, usize::from(u16::MAX)).expect("an index")
+}
+
 /// Every held row as `(origin, receipt time bits, the row)`: its
 /// lanes, seqno and retraction lane, as the store holds them.
 fn held_rows(table: &RowStore) -> Vec<(usize, u64, LaneRow)> {
@@ -80,7 +85,7 @@ fn held_rows(table: &RowStore) -> Vec<(usize, u64, LaneRow)> {
         .held_rows()
         .map(|(origin, at, _)| {
             (
-                origin,
+                origin.get(),
                 at.to_bits(),
                 table.row(origin).expect("held").clone(),
             )
@@ -112,7 +117,7 @@ fn node_holding(me: NodeId, view: &MembershipView, rows: &Rows) -> OverlayNode {
     );
     let mut out = Outbox::default();
     node.on_start(0.0, &mut out);
-    let every_dst: Vec<u16> = (0..view.len() as u16).collect();
+    let every_dst: Vec<NodeIdx> = NodeIdx::all(view.len()).collect();
     let mut by_time: Vec<(&u16, &(f64, Vec<u16>))> = rows.iter().collect();
     by_time.sort_by(|a, b| a.1 .0.total_cmp(&b.1 .0));
     for (&origin, (at, lats)) in by_time {
@@ -185,9 +190,9 @@ proptest! {
         install(&mut node, &new_view, now);
         let store = store_of(&node);
 
-        let surviving: Vec<u16> = (0..new_view.len())
+        let surviving: Vec<NodeIdx> = (0..new_view.len())
             .filter(|&d| old_view.contains(new_view.members[d]))
-            .map(|d| d as u16)
+            .map(ix)
             .collect();
         let mut expected_rows = 0;
         let mut carried = Vec::new();
@@ -202,31 +207,31 @@ proptest! {
                 && entitled(&new_view, origin_id, me);
             if !expected_carried {
                 prop_assert!(
-                    store.row_time(new_origin).is_none(),
+                    store.row_time(ix(new_origin)).is_none(),
                     "row for {} should have been dropped", origin_id.0
                 );
                 continue;
             }
             expected_rows += 1;
             carried.push((origin_id, new_origin, *t));
-            prop_assert_eq!(store.row_time(new_origin), Some(*t), "receipt time must be preserved");
+            prop_assert_eq!(store.row_time(ix(new_origin)), Some(*t), "receipt time must be preserved");
             // The row is unversioned; its lane drops departed
             // destinations and comes out strictly ascending without a
             // sort.
-            prop_assert_eq!(store.row_seqno(new_origin), 0);
+            prop_assert_eq!(store.row_seqno(ix(new_origin)), 0);
             prop_assert_eq!(
-                store.row(new_origin).map_or(&[][..], LaneRow::retracted),
+                store.row(ix(new_origin)).map_or(&[][..], LaneRow::retracted),
                 &surviving[..]
             );
-            let row = store.row_ref(new_origin).expect("held");
+            let row = store.row_ref(ix(new_origin)).expect("held");
             for (new_dst, d) in new_view.members.iter().enumerate() {
                 if old_view.contains(*d) {
                     prop_assert_eq!(
-                        row.cost(new_dst), u32::from(lats[usize::from(d.0)]),
+                        row.cost(ix(new_dst)), u32::from(lats[usize::from(d.0)]),
                         "entry {}→{} must move by identity", origin_id.0, d.0
                     );
                 } else {
-                    prop_assert_eq!(row.cost(new_dst), INFINITE_COST, "joined dst must read as dead");
+                    prop_assert_eq!(row.cost(ix(new_dst)), INFINITE_COST, "joined dst must read as dead");
                 }
             }
         }
@@ -235,7 +240,7 @@ proptest! {
             for (view, taken) in [(&old_view, false), (&new_view, true)] {
                 node.on_packet(now + 1.0, &frame_at(id, me, view, 1).encode(), &mut Outbox::default());
                 let at = if taken { now + 1.0 } else { t };
-                prop_assert_eq!(store_of(&node).row_time(origin), Some(at), "view {}", view.version);
+                prop_assert_eq!(store_of(&node).row_time(ix(origin)), Some(at), "view {}", view.version);
             }
         }
     }
@@ -277,20 +282,20 @@ proptest! {
                 && views[1..].iter().all(|v| entitled(v, origin_id, me));
             if !kept {
                 prop_assert!(
-                    store.row_ref(origin).is_none(),
+                    store.row_ref(ix(origin)).is_none(),
                     "origin {} left mid-chain (or stopped being a client): \
                      its row must not be resurrected",
                     origin_id.0
                 );
                 continue;
             }
-            let row = store.row_ref(origin).expect("continuous member's row survives");
+            let row = store.row_ref(ix(origin)).expect("continuous member's row survives");
             for (new_dst, d) in last.members.iter().enumerate() {
                 if views.iter().all(|v| v.contains(*d)) {
-                    prop_assert_eq!(row.cost(new_dst), u32::from(lats[usize::from(d.0)]));
+                    prop_assert_eq!(row.cost(ix(new_dst)), u32::from(lats[usize::from(d.0)]));
                 } else {
                     prop_assert_eq!(
-                        row.cost(new_dst),
+                        row.cost(ix(new_dst)),
                         INFINITE_COST,
                         "dst {} left mid-chain: entry must stay dead even after rejoin",
                         d.0
@@ -322,17 +327,17 @@ proptest! {
 
         let store = store_of(&node);
         for origin in held_before {
-            let origin_id = old_view.members[origin];
+            let origin_id = old_view.members[origin.get()];
             let Some(new_origin) = new_view.index_of(origin_id) else {
                 continue;
             };
             prop_assert_eq!(
-                store.row_time(new_origin).is_some(),
+                store.row_time(ix(new_origin)).is_some(),
                 entitled(&new_view, origin_id, me),
                 "origin {}", origin_id.0
             );
         }
-        prop_assert!(store.row_time(new_view.index_of(me).unwrap()).is_some(), "own row kept");
+        prop_assert!(store.row_time(ix(new_view.index_of(me).unwrap())).is_some(), "own row kept");
         prop_assert!(
             store.row_count() <= QuorumRouter::row_entitlement(new_view.len()),
             "a view change must never exceed the O(√n) entitlement"
@@ -387,12 +392,13 @@ proptest! {
             if old_view.members[origin] == me_id {
                 continue;
             }
-            let pairs: Vec<(u16, LinkEntry)> = (0..n_old)
+            let pairs: Vec<(NodeIdx, LinkEntry)> = (0..n_old)
                 .filter(|&d| full || cells[d].0)
-                .map(|d| (d as u16, LinkEntry::live(cells[d].1, f32::from(cells[d].2) / 200.0)))
+                .map(|d| (ix(d), LinkEntry::live(cells[d].1, f32::from(cells[d].2) / 200.0)))
                 .collect();
-            let retracted: Vec<u16> = (0..n_old as u16)
-                .filter(|&d| seqno != 0 && retracts[usize::from(d)])
+            let retracted: Vec<NodeIdx> = (0..n_old)
+                .filter(|&d| seqno != 0 && retracts[d])
+                .map(ix)
                 .collect();
             let ls = LinkStateMsg {
                 from: old_view.members[origin],
@@ -419,7 +425,7 @@ proptest! {
         let mut model = RowStore::new(new_view.len());
         let held = node.quorum_router().expect("quorum node").table();
         for (origin, received_at, row) in held.held_rows() {
-            let new_origin = new_view.index_of(old_view.members[origin]);
+            let new_origin = new_view.index_of(old_view.members[origin.get()]);
             let Some(new_origin) = new_origin.filter(|_| install_at - received_at <= max_age) else {
                 continue;
             };
@@ -429,20 +435,20 @@ proptest! {
             let entries: Vec<LinkEntry> = new_view
                 .members
                 .iter()
-                .map(|&id| match old_view.index_of(id).map(|d| row.cost(d)) {
+                .map(|&id| match old_view.index_of(id).map(|d| row.cost(ix(d))) {
                     Some(c) if c != INFINITE_COST => LinkEntry::live(c as u16, 0.0),
                     _ => LinkEntry::dead(),
                 })
                 .collect();
-            let retracted: Vec<u16> = held
+            let retracted: Vec<NodeIdx> = held
                 .row(origin)
                 .map_or(&[][..], LaneRow::retracted)
                 .iter()
-                .filter_map(|&d| new_view.index_of(old_view.members[usize::from(d)]))
-                .map(|d| d as u16)
+                .filter_map(|&d| new_view.index_of(old_view.members[d.get()]))
+                .map(ix)
                 .collect();
             let row = LaneRow::from_dense(&entries).with_version(0, &retracted);
-            model.put_row(new_origin, Arc::new(row), received_at);
+            model.put_row(ix(new_origin), Arc::new(row), received_at);
         }
 
         let view2 = Message::View(apor_linkstate::wire::ViewMsg {
@@ -463,7 +469,7 @@ proptest! {
                 node.on_packet(install_at + 1.0, &frame.encode(), &mut out);
                 let want = if taken { install_at + 1.0 } else { f64::from_bits(at) };
                 let table = node.quorum_router().expect("quorum node").table();
-                prop_assert_eq!(table.row_time(origin), Some(want), "view {}", view.version);
+                prop_assert_eq!(table.row_time(ix(origin)), Some(want), "view {}", view.version);
             }
         }
     }
@@ -538,28 +544,28 @@ fn view_change_preserves_routes_end_to_end() {
     });
     node.on_packet(5.0, &ls.encode(), &mut Outbox::default());
     assert!(
-        store_of(&node).row_time(1).is_some(),
+        store_of(&node).row_time(ix(1)).is_some(),
         "row received in view 1"
     );
 
     install(&mut node, &view_of(2, &[0, 1, 2]), 10.0);
     let store = store_of(&node);
     assert_eq!(
-        store.row_time(1),
+        store.row_time(ix(1)),
         Some(5.0),
         "node 1's row must survive the view change with its original receipt time"
     );
-    let row = store.row_ref(1).expect("carried row present");
+    let row = store.row_ref(ix(1)).expect("carried row present");
     assert_eq!(row.width(), 3, "row width follows the new view");
-    assert_eq!(row.cost(0), 40, "1→0 carried");
-    assert_eq!(row.cost(2), 25, "1→2 carried");
+    assert_eq!(row.cost(ix(0)), 40, "1→0 carried");
+    assert_eq!(row.cost(ix(2)), 25, "1→2 carried");
 
     // A control node that really is rebuilt from scratch (started
     // directly in view 2, no messages) knows nothing — the difference
     // the carry makes.
     let control = node_zero(&view_of(2, &[0, 1, 2]), Algorithm::Quorum);
     assert!(
-        store_of(&control).row_time(1).is_none(),
+        store_of(&control).row_time(ix(1)).is_none(),
         "rebuild-from-empty holds nothing"
     );
 }
@@ -573,12 +579,12 @@ fn view_change_drops_stale_rows() {
     let mut node = node_zero(&view1, Algorithm::Quorum);
     let ls = full_row(NodeId(1), NodeId(0), &view1);
     node.on_packet(5.0, &ls.encode(), &mut Outbox::default());
-    assert_eq!(store_of(&node).row_time(1), Some(5.0));
+    assert_eq!(store_of(&node).row_time(ix(1)), Some(5.0));
 
     // The quorum staleness window is 3 × 15 s = 45 s; install at t = 100.
     install(&mut node, &view_of(2, &[0, 1, 2]), 100.0);
     assert_eq!(
-        store_of(&node).row_time(1),
+        store_of(&node).row_time(ix(1)),
         None,
         "a stale row must not survive the view change"
     );
@@ -623,21 +629,21 @@ fn prober_and_router_move_a_member_to_the_same_index() {
         &full_row(mover, me, &view1).encode(),
         &mut Outbox::default(),
     );
-    assert_eq!(store_of(&node).row_time(2), Some(36.0), "5 is index 2");
+    assert_eq!(store_of(&node).row_time(ix(2)), Some(36.0), "5 is index 2");
 
     // Member 2 leaves: 5 moves from index 2 to 1, 9 from 3 to 2.
     let view2 = view_of(2, &[0, 5, 9]);
     install(&mut node, &view2, 40.0);
     assert_eq!(node.measured_latency_ms(mover), Some(measured), "estimator");
-    assert_eq!(store_of(&node).row_time(1), Some(36.0), "row");
-    assert_eq!(store_of(&node).present_rows(), [1], "and nowhere else");
+    assert_eq!(store_of(&node).row_time(ix(1)), Some(36.0), "row");
+    assert_eq!(store_of(&node).present_rows(), [ix(1)], "and nowhere else");
 
     // Member 3 joins at index 1, pushing 5 to 2: never measured, no row.
     let view3 = view_of(3, &[0, 3, 5, 9]);
     install(&mut node, &view3, 41.0);
     assert_eq!(node.measured_latency_ms(NodeId(3)), None);
     assert_eq!(node.measured_latency_ms(mover), Some(measured));
-    assert_eq!(store_of(&node).present_rows(), [2]);
+    assert_eq!(store_of(&node).present_rows(), [ix(2)]);
 }
 
 /// The full-mesh baseline carries nothing: handed a second view it

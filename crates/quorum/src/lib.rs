@@ -50,4 +50,4 @@ mod grid;
 mod id;
 
 pub use grid::{Grid, GridShape, RendezvousPair};
-pub use id::NodeId;
+pub use id::{NodeId, NodeIdx};

@@ -42,6 +42,7 @@
 //! `routing/detour_hops` histogram.
 
 use apor_linkstate::{seqno_newer, Detour, LinkStateStore, RowStore, INFINITE_COST};
+use apor_quorum::NodeIdx;
 
 /// Per-destination feasibility state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,8 +181,8 @@ impl Feasibility {
 pub fn select_detour(
     store: &RowStore,
     feas: &Feasibility,
-    me: usize,
-    dst: usize,
+    me: NodeIdx,
+    dst: NodeIdx,
     max_hops: usize,
     now: f64,
     max_age: f64,
@@ -272,25 +273,26 @@ mod tests {
             LinkEntry::live(10, 0.0),
             LinkEntry::dead(),
         ];
-        s.put_row(0, Arc::new(LaneRow::from_dense(&own_row)), 1.0);
-        s.put_row(1, Arc::new(LaneRow::from_dense(&relay_row)), 1.0);
+        let ix = |i| NodeIdx::new(i, n).unwrap();
+        s.put_row(ix(0), Arc::new(LaneRow::from_dense(&own_row)), 1.0);
+        s.put_row(ix(1), Arc::new(LaneRow::from_dense(&relay_row)), 1.0);
         let mut f = Feasibility::default();
-        let d = select_detour(&s, &f, 0, 2, 4, 1.5, 45.0)
+        let d = select_detour(&s, &f, ix(0), ix(2), 4, 1.5, 45.0)
             .expect("a candidate")
             .expect("unconstrained detour");
-        assert_eq!(d.path, vec![0, 1, 2]);
+        assert_eq!(d.path, vec![ix(0), ix(1), ix(2)]);
         assert_eq!((d.cost, d.advertised), (20, 10));
         // Once our own fd to 2 is at or below the advertised cost, the
         // same candidate is a potential loop and must be refused.
         f.advance(0, 10);
-        let refused = select_detour(&s, &f, 0, 2, 4, 1.5, 45.0).expect("a candidate");
+        let refused = select_detour(&s, &f, ix(0), ix(2), 4, 1.5, 45.0).expect("a candidate");
         assert_eq!(refused.expect_err("infeasible").path, d.path);
         // An explicit retraction by the relay also kills the splice.
         let f = Feasibility::default();
-        let retracting = LaneRow::from_dense(&relay_row).with_version(2, &[2]);
-        assert!(s.put_row(1, Arc::new(retracting), 2.0));
+        let retracting = LaneRow::from_dense(&relay_row).with_version(2, &[ix(2)]);
+        assert!(s.put_row(ix(1), Arc::new(retracting), 2.0));
         assert!(matches!(
-            select_detour(&s, &f, 0, 2, 4, 2.5, 45.0),
+            select_detour(&s, &f, ix(0), ix(2), 4, 2.5, 45.0),
             Some(Err(_))
         ));
     }

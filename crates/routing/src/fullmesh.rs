@@ -27,7 +27,7 @@
 use crate::config::ProtocolConfig;
 use crate::RoutingAlgorithm;
 use apor_linkstate::{LaneRow, LinkEntry, LinkStateMsg, LinkStateRow, Message, INFINITE_COST};
-use apor_quorum::NodeId;
+use apor_quorum::NodeIdx;
 use std::sync::Arc;
 
 /// Latency slot of a dead or never-measured link. A live entry never
@@ -37,7 +37,7 @@ const DEAD: u16 = LinkEntry::DEAD_LATENCY;
 /// The baseline router.
 #[derive(Debug)]
 pub struct FullMeshRouter {
-    me: usize,
+    me: NodeIdx,
     n: usize,
     view: u32,
     round: u32,
@@ -52,12 +52,11 @@ impl FullMeshRouter {
     /// A baseline router for node `me` of `n` under membership `view`.
     ///
     /// # Panics
-    /// Panics if `n > u16::MAX` — node indices are `u16` on every frame,
-    /// and a frame's `width` could not say `n` — or if `me ≥ n`.
+    /// Panics unless `me` is an index of a view of `n` members
+    /// ([`NodeIdx::new`]): `me < n ≤ u16::MAX`.
     #[must_use]
     pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
-        assert!(n <= usize::from(u16::MAX), "n = {n} past u16 indices");
-        assert!(me < n);
+        let me = NodeIdx::new(me, n).expect("me is past the view, or the view past u16 indices");
         FullMeshRouter {
             me,
             n,
@@ -74,10 +73,10 @@ impl FullMeshRouter {
     /// entries straight into matrix row `from`, every other slot dead.
     /// A row from another view, of another width, from outside the view
     /// or from me is ignored.
-    pub fn on_linkstate(&mut self, now: f64, from: usize, ls: &impl LinkStateRow) {
+    pub fn on_linkstate(&mut self, now: f64, from: NodeIdx, ls: &impl LinkStateRow) {
         if ls.view() == self.view
             && usize::from(ls.width()) == self.n
-            && from < self.n
+            && from.get() < self.n
             && from != self.me
         {
             self.store_row(from, ls.live_entries(), now);
@@ -87,11 +86,17 @@ impl FullMeshRouter {
     /// Overwrite row `origin` with the live `(dst, latency)` `entries`
     /// (every other slot dead), stamped at `now`. The caller has checked
     /// `origin` and the entries' width against `n`.
-    fn store_row(&mut self, origin: usize, entries: impl Iterator<Item = (u16, u16)>, now: f64) {
-        let latency = &mut self.latency[origin * self.n..(origin + 1) * self.n];
+    fn store_row(
+        &mut self,
+        origin: NodeIdx,
+        entries: impl Iterator<Item = (NodeIdx, u16)>,
+        now: f64,
+    ) {
+        let (n, origin) = (self.n, origin.get());
+        let latency = &mut self.latency[origin * n..(origin + 1) * n];
         latency.fill(DEAD);
         for (d, l) in entries {
-            latency[usize::from(d)] = l;
+            latency[d.get()] = l;
         }
         self.row_time[origin] = Some(now);
     }
@@ -122,13 +127,13 @@ impl RoutingAlgorithm for FullMeshRouter {
             dst.iter().copied().zip(latency_ms.iter().copied()),
             now,
         );
-        (0..self.n)
+        NodeIdx::all(self.n)
             .filter(|&j| j != self.me)
             .map(|j| {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 Message::LinkState(LinkStateMsg {
-                    from: NodeId::from_index(self.me),
-                    to: NodeId::from_index(j),
+                    from: self.me.into(),
+                    to: j.into(),
                     view: self.view,
                     round: self.round,
                     basis_ms: (now * 1000.0) as u32,
@@ -142,7 +147,9 @@ impl RoutingAlgorithm for FullMeshRouter {
 
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
         if let Message::LinkState(ls) | Message::LinkStateSparse(ls) = msg {
-            self.on_linkstate(now, ls.from.index(), ls);
+            if let Some(from) = NodeIdx::new(ls.from.index(), self.n) {
+                self.on_linkstate(now, from, ls);
+            }
         }
         Vec::new()
     }
@@ -151,10 +158,11 @@ impl RoutingAlgorithm for FullMeshRouter {
     /// `mine[h] + latency[h][dst]` — taken only when strictly cheaper,
     /// lowest `h` on ties. Nothing routes while my own row is stale.
     fn best_hop(&self, dst: usize, now: f64) -> Option<usize> {
-        if dst == self.me || dst >= self.n || !self.row_fresh(self.me, now) {
+        let me = self.me.get();
+        if dst == me || dst >= self.n || !self.row_fresh(me, now) {
             return None;
         }
-        let mine = &self.latency[self.me * self.n..(self.me + 1) * self.n];
+        let mine = &self.latency[me * self.n..(me + 1) * self.n];
         let direct = if mine[dst] == DEAD {
             INFINITE_COST
         } else {
@@ -163,7 +171,7 @@ impl RoutingAlgorithm for FullMeshRouter {
         let mut best = (dst, direct);
         for h in 0..self.n {
             let (leg1, leg2) = (mine[h], self.latency[h * self.n + dst]);
-            if h == self.me || h == dst || leg1 == DEAD || leg2 == DEAD || !self.row_fresh(h, now) {
+            if h == me || h == dst || leg1 == DEAD || leg2 == DEAD || !self.row_fresh(h, now) {
                 continue;
             }
             let cost = u32::from(leg1) + u32::from(leg2);
@@ -177,7 +185,7 @@ impl RoutingAlgorithm for FullMeshRouter {
     fn route_age(&self, dst: usize, now: f64) -> Option<f64> {
         // The full-mesh analogue of "time since last recommendation" is
         // the age of the destination's link-state broadcast.
-        self.row_time[dst].map(|t| now - t)
+        self.row_time.get(dst).copied().flatten().map(|t| now - t)
     }
 
     fn double_rendezvous_failures(&self, _now: f64) -> usize {
@@ -189,6 +197,7 @@ impl RoutingAlgorithm for FullMeshRouter {
 mod tests {
     use super::*;
     use apor_linkstate::LinkStateFrame;
+    use apor_quorum::NodeId;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -325,7 +334,7 @@ mod tests {
         router.on_message(2.5, &msg);
         let mut in_place = FullMeshRouter::new(0, 4, 7, ProtocolConfig::ron());
         let view = LinkStateFrame::parse(&frame).expect("the same frame, in place");
-        in_place.on_linkstate(2.5, 3, &view);
+        in_place.on_linkstate(2.5, NodeIdx::new(3, 4).unwrap(), &view);
         assert_eq!(in_place.latency, router.latency);
         assert_eq!(in_place.row_time, router.row_time);
         let want: Vec<u32> = wire
@@ -370,5 +379,21 @@ mod tests {
         router.on_message(3.0, &wide);
         assert_eq!(row(&router, 3), want);
         assert_eq!(router.row_time, [None, None, None, Some(2.5)]);
+    }
+
+    /// A query about an index outside the view answers `None`, as
+    /// `best_hop` always did, where the row times would have been
+    /// indexed past their end.
+    #[test]
+    fn out_of_range_queries_answer_none() {
+        let mut r = FullMeshRouter::new(0, 4, 0, ProtocolConfig::ron());
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let _ = r.on_routing_tick(1.0, &live_row(&[0, 10, 20, 30]), &mut rng);
+        assert_eq!(r.route_age(0, 3.0), Some(2.0));
+        assert_eq!(r.best_hop(2, 3.0), Some(2));
+        for dst in [4, 5, usize::from(u16::MAX), usize::MAX] {
+            assert_eq!(r.route_age(dst, 3.0), None, "route_age({dst})");
+            assert_eq!(r.best_hop(dst, 3.0), None, "best_hop({dst})");
+        }
     }
 }

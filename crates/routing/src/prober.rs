@@ -41,7 +41,7 @@
 use crate::config::{ProbePolicy, ProtocolConfig};
 use crate::estimator::{Outcome, ProbedLink};
 use apor_linkstate::{LinkEntry, ProbeItem};
-use apor_quorum::Grid;
+use apor_quorum::{Grid, NodeIdx};
 use apor_telemetry::{Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
 
 /// An instruction from the prober to the node runtime.
@@ -191,7 +191,13 @@ impl Prober {
     /// `~2√n + 16` of them under entitled probing, and their vector is
     /// the new one's.
     #[must_use]
-    pub fn reinstall(mut self, me: usize, n: usize, now: f64, old_to_new: &[Option<u16>]) -> Self {
+    pub fn reinstall(
+        mut self,
+        me: usize,
+        n: usize,
+        now: f64,
+        old_to_new: &[Option<NodeIdx>],
+    ) -> Self {
         self.me = me;
         self.n = n;
         self.adopted.clear();
@@ -221,7 +227,7 @@ impl Prober {
         // the others leave. `wanted` keeps who is still missing.
         let mut targets = std::mem::take(&mut self.targets);
         targets.retain_mut(|t| {
-            let moved = old_to_new.get(t.peer).copied().flatten().map(usize::from);
+            let moved = old_to_new.get(t.peer).copied().flatten().map(NodeIdx::get);
             let again = moved.and_then(|peer| wanted.binary_search_by_key(&peer, |w| w.0).ok());
             let Some(at) = again else { return false };
             let (peer, entitled) = wanted.remove(at);
@@ -1045,10 +1051,12 @@ mod tests {
                 if step == 3000 {
                     // Members 3 and 20..24 leave; everybody above moves down.
                     let stays = |j: usize| j != 3 && !(20..24).contains(&j);
-                    let table: Vec<Option<u16>> = (0..48)
-                        .map(|j| stays(j).then(|| (0..j).filter(|&k| stays(k)).count() as u16))
+                    let table: Vec<Option<NodeIdx>> = (0..48)
+                        .map(|j| NodeIdx::new((0..j).filter(|&k| stays(k)).count(), 43))
+                        .zip(0..48)
+                        .map(|(new, j)| new.filter(|_| stays(j)))
                         .collect();
-                    let me = usize::from(table[7].unwrap());
+                    let me = table[7].unwrap().get();
                     lane = lane.reinstall(me, 43, t, &table);
                     scan = scan.reinstall(me, 43, t, &table);
                     sent.clear();
@@ -1170,8 +1178,8 @@ mod tests {
             if cfg.probe_policy == ProbePolicy::Entitled {
                 assert!(carried < want.targets.len(), "some targets are new");
             }
-            let table: Vec<Option<u16>> =
-                (0..n_old).map(|j| new_index(j).map(|k| k as u16)).collect();
+            let table: Vec<Option<NodeIdx>> =
+                (0..n_old).map(|j| NodeIdx::new(new_index(j)?, n)).collect();
             let got = old.reinstall(me, n, 150.0, &table);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
             assert!(got.targets.windows(2).all(|w| w[0].peer < w[1].peer));

@@ -39,7 +39,7 @@ use apor_linkstate::{
     Detour, LaneRow, LinkEntry, LinkStateMsg, LinkStateRow, LinkStateStore, Message, RecEntry,
     RecommendationMsg, RowStore, INFINITE_COST,
 };
-use apor_quorum::{Grid, NodeId};
+use apor_quorum::{Grid, NodeIdx};
 use apor_telemetry::{Counter, Gauge, Histogram, SpanKind, Telemetry, TraceCtx, Tracer};
 use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
@@ -50,9 +50,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct RouteEntry {
     /// Recommended first hop (`hop == dst` ⇒ direct link).
-    pub hop: usize,
+    pub hop: NodeIdx,
     /// The rendezvous server that sent it.
-    pub from_server: usize,
+    pub from_server: NodeIdx,
     /// When it arrived, seconds.
     pub received_at: f64,
     /// Path cost as computed by the server, ms (`u16::MAX` = not on wire).
@@ -71,7 +71,7 @@ pub struct RouteEntry {
 #[derive(Debug, Clone)]
 pub enum RouteDecision {
     /// Forward to this first hop; downstream nodes re-decide.
-    Hop(usize),
+    Hop(NodeIdx),
     /// Source-route along the spliced detour's full path.
     Spliced(Detour),
 }
@@ -79,7 +79,7 @@ pub enum RouteDecision {
 impl RouteDecision {
     /// The first hop either way — what the wire forwards to next.
     #[must_use]
-    pub fn first_hop(&self) -> usize {
+    pub fn first_hop(&self) -> NodeIdx {
         match self {
             Self::Hop(h) => *h,
             Self::Spliced(d) => d.path[1],
@@ -90,8 +90,8 @@ impl RouteDecision {
 /// Everything this node keeps about one destination in steady state —
 /// one 24 B record, as a Babel route table keeps one per prefix
 /// (RFC 8966): the latest accepted recommendation at the width the wire
-/// fixes (node indices are `u16` on every frame; [`RouteEntry`] is built
-/// from it on read), the route discipline's [`Feasibility`] record for
+/// fixes (a [`NodeIdx`] is 2 B, and so is an absent one; [`RouteEntry`]
+/// is built from it on read), the route discipline's [`Feasibility`] record for
 /// k-hop detours, and my own link to the destination as my last tick's
 /// row — or a link loss since — left it. A failover episode, rare and
 /// short, lives beside it in [`QuorumRouter`]'s episode table.
@@ -102,9 +102,9 @@ impl RouteDecision {
 struct Route {
     /// When the recommendation arrived.
     received_at: f64,
-    /// Its first hop; [`NO_HOP`] = no recommendation held.
-    hop: u16,
-    from_server: u16,
+    /// Its first hop and its server; `None` = no recommendation held.
+    hop: Option<NodeIdx>,
+    from_server: Option<NodeIdx>,
     cost_ms: u16,
     /// My link's latency, as my row reported it.
     link_ms: u16,
@@ -125,16 +125,12 @@ enum FeasState {
     Retracted,
 }
 
-/// The hop of a [`Route`] that holds no recommendation. A view has at
-/// most `u16::MAX` members, so no member's index is this.
-const NO_HOP: u16 = u16::MAX;
-
 impl Default for Route {
     fn default() -> Self {
         Route {
             received_at: 0.0,
-            hop: NO_HOP,
-            from_server: NO_HOP,
+            hop: None,
+            from_server: None,
             cost_ms: u16::MAX,
             link_ms: LinkEntry::DEAD_LATENCY,
             link_alive: false,
@@ -148,9 +144,9 @@ impl Default for Route {
 impl Route {
     /// The recommendation held, if any.
     fn rec(&self) -> Option<RouteEntry> {
-        (self.hop != NO_HOP).then(|| RouteEntry {
-            hop: usize::from(self.hop),
-            from_server: usize::from(self.from_server),
+        Some(RouteEntry {
+            hop: self.hop?,
+            from_server: self.from_server?,
             received_at: self.received_at,
             cost_ms: self.cost_ms,
         })
@@ -158,15 +154,16 @@ impl Route {
 
     /// Hold `hop` (recommended by `from_server` at `cost_ms`) from
     /// `received_at` on.
-    fn set_rec(&mut self, received_at: f64, hop: u16, from_server: u16, cost_ms: u16) {
+    fn set_rec(&mut self, received_at: f64, hop: NodeIdx, from_server: NodeIdx, cost_ms: u16) {
         (self.received_at, self.hop, self.from_server, self.cost_ms) =
-            (received_at, hop, from_server, cost_ms);
+            (received_at, Some(hop), Some(from_server), cost_ms);
     }
 
     /// Hold no recommendation.
     fn drop_rec(&mut self) {
         let none = Route::default();
-        self.set_rec(none.received_at, none.hop, none.from_server, none.cost_ms);
+        (self.received_at, self.hop, self.from_server, self.cost_ms) =
+            (none.received_at, none.hop, none.from_server, none.cost_ms);
     }
 
     /// The feasibility record.
@@ -213,8 +210,8 @@ impl Route {
 /// failed). An episode with neither is closed and not held.
 #[derive(Debug, Default)]
 struct Episode {
-    failover: Option<u16>,
-    tried: BTreeSet<u16>,
+    failover: Option<NodeIdx>,
+    tried: BTreeSet<NodeIdx>,
 }
 
 /// What this node knows of one server: when I first sent it link state
@@ -253,7 +250,7 @@ struct ServerRecord {
 /// time it last did: 4 B.
 #[derive(Debug, Clone, Copy)]
 struct Seen {
-    dst: u16,
+    dst: NodeIdx,
     /// A slot of [`ServerRecord::earlier`], or [`ServerRecord::fresh`].
     at: u16,
 }
@@ -285,7 +282,7 @@ impl ServerRecord {
     }
 
     /// Last time this server recommended any route to `dst`.
-    fn last_rec(&self, dst: u16) -> Option<f64> {
+    fn last_rec(&self, dst: NodeIdx) -> Option<f64> {
         let i = self.seen.binary_search_by_key(&dst, |e| e.dst).ok()?;
         let at = self.seen[i].at;
         Some(if at == self.fresh {
@@ -301,7 +298,7 @@ impl ServerRecord {
     /// just past where the previous one landed; anything else (a
     /// destination out of order, new, or skipped by this frame) falls
     /// back to a binary search.
-    fn note_frame(&mut self, now: f64, dsts: impl Iterator<Item = u16>) -> usize {
+    fn note_frame(&mut self, now: f64, dsts: impl Iterator<Item = NodeIdx>) -> usize {
         let stamp = if now.to_bits() == self.latest.to_bits() {
             self.fresh
         } else {
@@ -422,7 +419,7 @@ impl RouterCounters {
 /// The per-node quorum routing state machine.
 #[derive(Debug)]
 pub struct QuorumRouter {
-    me: usize,
+    me: NodeIdx,
     n: usize,
     grid: Grid,
     view: u32,
@@ -437,7 +434,7 @@ pub struct QuorumRouter {
     /// The open failover episodes, by destination: an entry exactly
     /// while the destination has an active failover server or tried
     /// candidates.
-    episodes: BTreeMap<u16, Episode>,
+    episodes: BTreeMap<NodeIdx, Episode>,
     /// `server_slot[s]` — where server `s`'s record sits in `servers`;
     /// [`NO_RECORD`] = it has none.
     server_slot: Vec<u16>,
@@ -460,7 +457,7 @@ pub struct QuorumRouter {
     /// Links withdrawn recently: destination → round of withdrawal.
     /// Advertised in the link-state retraction lane for a few rounds,
     /// dropped as soon as the link recovers.
-    retractions: BTreeMap<u16, u32>,
+    retractions: BTreeMap<NodeIdx, u32>,
     /// Registry-backed event counters.
     counters: RouterCounters,
     tracer: Tracer,
@@ -482,10 +479,10 @@ struct Parts {
     table: RowStore,
     my_servers: Vec<usize>,
     routes: Vec<Route>,
-    episodes: BTreeMap<u16, Episode>,
+    episodes: BTreeMap<NodeIdx, Episode>,
     server_slot: Vec<u16>,
     servers: Vec<ServerRecord>,
-    retractions: BTreeMap<u16, u32>,
+    retractions: BTreeMap<NodeIdx, u32>,
     counters: RouterCounters,
     tracer: Tracer,
 }
@@ -498,8 +495,9 @@ impl QuorumRouter {
     /// registry.
     ///
     /// # Panics
-    /// Panics if `n > u16::MAX` — node indices are `u16` on every frame,
-    /// and a frame's `width` could not say `n` — or if `me ≥ n`.
+    /// Panics unless `me` is an index of a view of `n` members
+    /// ([`NodeIdx::new`]): `me < n ≤ u16::MAX`, so every index fits a
+    /// frame's `u16` fields and its `width` can say `n`.
     #[must_use]
     pub fn new(me: usize, n: usize, view: u32, config: ProtocolConfig) -> Self {
         Self::new_with_telemetry(me, n, view, config, &Telemetry::disabled())
@@ -520,7 +518,6 @@ impl QuorumRouter {
         config: ProtocolConfig,
         telemetry: &Telemetry,
     ) -> Self {
-        assert!(n <= usize::from(u16::MAX), "n = {n} past u16 indices");
         // `assemble` sizes the store and sets its real entitlement.
         let table = RowStore::with_entitlement(n, 0, config.staleness_s(), telemetry.clone());
         let parts = Parts {
@@ -574,15 +571,15 @@ impl QuorumRouter {
     /// registry, without its allocations.
     ///
     /// # Panics
-    /// Panics if `n > u16::MAX` or `me ≥ n`, or if the table maps a
-    /// member a kept row names to an index `≥ n`.
+    /// As [`QuorumRouter::new`], or if the table maps a member a kept row
+    /// names to an index `≥ n`.
     #[must_use]
     pub fn reinstall(
         mut self,
         me: usize,
         n: usize,
         view: u32,
-        old_to_new: &[Option<u16>],
+        old_to_new: &[Option<NodeIdx>],
         now: f64,
     ) -> (Self, usize) {
         self.retract_departed_routes(old_to_new);
@@ -604,15 +601,14 @@ impl QuorumRouter {
         let mut router = Self::assemble(me, n, view, parts);
         let (mut survived, mut kept) = (0, 0);
         for (origin, received_at, row) in held {
-            let Some(origin) = old_to_new.get(origin).copied().flatten() else {
+            let Some(origin) = old_to_new.get(origin.get()).copied().flatten() else {
                 continue; // the origin departed
             };
             if now - received_at > max_age {
                 continue;
             }
-            let origin = usize::from(origin);
             survived += 1;
-            if origin != me && !router.grid.serves(origin, me) {
+            if origin != router.me && !router.grid.serves(origin.get(), me) {
                 continue;
             }
             let row = Arc::new(row.relabelled(old_to_new));
@@ -623,7 +619,7 @@ impl QuorumRouter {
                     SpanKind::RowImport,
                     ctx.episode,
                     0,
-                    origin as u32,
+                    origin.get() as u32,
                     received_at,
                 );
             }
@@ -653,8 +649,8 @@ impl QuorumRouter {
     /// are freed, not kept: which indices are servers changes with the
     /// view, and capacity left at the old ones would only pile up.)
     fn assemble(me: usize, n: usize, view: u32, parts: Parts) -> Self {
-        assert!(n <= usize::from(u16::MAX), "n = {n} past u16 indices");
-        assert!(me < n);
+        let me_idx =
+            NodeIdx::new(me, n).expect("me is past the view, or the view past u16 indices");
         let Parts {
             config,
             mut table,
@@ -681,7 +677,7 @@ impl QuorumRouter {
         servers.reserve_exact(my_servers.len());
         retractions.clear();
         QuorumRouter {
-            me,
+            me: me_idx,
             n,
             grid,
             view,
@@ -737,7 +733,18 @@ impl QuorumRouter {
         self.own_seqno
     }
 
-    /// Decide how to forward towards `dst` right now.
+    /// `i` as an index of this view: how an index from a caller is checked.
+    fn idx(&self, i: usize) -> Option<NodeIdx> {
+        NodeIdx::new(i, self.n)
+    }
+
+    /// An index the grid gave out for this view.
+    fn grid_idx(&self, i: usize) -> NodeIdx {
+        self.idx(i).expect("the grid's indices are the view's")
+    }
+
+    /// Decide how to forward towards `dst` right now; `None` also when
+    /// `dst` is me or not an index of the view.
     ///
     /// Preference order: a fresh recommendation over a live first leg,
     /// then the §4.2 1-hop scavenge (direct link included), then — only
@@ -746,21 +753,20 @@ impl QuorumRouter {
     /// source-routed (see [`RouteDecision`]).
     #[must_use]
     pub fn route_decision(&self, dst: usize, now: f64) -> Option<RouteDecision> {
-        if dst == self.me || dst >= self.n {
-            return None;
-        }
+        let dst = self.idx(dst).filter(|&d| d != self.me)?;
+        let route = &self.routes[dst.get()];
         // Fresh recommendation wins — but only over a live first leg: a
         // hop my own probes have since declared dead cannot forward, so
         // a stale recommendation no longer shadows the scavenge paths.
-        if let Some(r) = self.routes[dst].rec() {
+        if let Some(r) = route.rec() {
             let fresh = now - r.received_at <= self.config.route_expiry_s();
-            if fresh && self.routes[r.hop].link_alive {
+            if fresh && self.routes[r.hop.get()].link_alive {
                 return Some(RouteDecision::Hop(r.hop));
             }
         }
         // §4.2: scavenge from the neighbour tables we already hold.
         let max_age = self.config.staleness_s();
-        let mut best = (dst, self.routes[dst].link_cost());
+        let mut best = (dst, route.link_cost());
         for (h, c) in self.table.one_hop_options(self.me, dst, now, max_age) {
             if c < best.1 {
                 best = (h, c);
@@ -777,7 +783,7 @@ impl QuorumRouter {
         if self.config.max_detour_hops > 1 {
             match select_detour(
                 &self.table,
-                &self.routes[dst].feas(),
+                &route.feas(),
                 self.me,
                 dst,
                 self.config.max_detour_hops,
@@ -812,25 +818,25 @@ impl QuorumRouter {
     /// propagates a routing tick earlier than the own-row refresh
     /// would.
     pub fn on_link_loss(&mut self, dst: usize, now: f64) {
-        if dst >= self.n || dst == self.me {
+        let Some(dst) = self.idx(dst).filter(|&d| d != self.me) else {
             return;
-        }
-        if self.retractions.insert(dst as u16, self.round).is_none() {
+        };
+        if self.retractions.insert(dst, self.round).is_none() {
             self.own_seqno = Self::next_seqno(self.own_seqno);
         }
         self.retract(dst);
-        self.routes[dst].set_link(&LinkEntry::dead());
+        self.routes[dst.get()].set_link(&LinkEntry::dead());
         let held = self.table.row(self.me);
-        let row = held.map_or_else(LaneRow::default, |r| r.without(dst as u16));
+        let row = held.map_or_else(LaneRow::default, |r| r.without(dst));
         self.table.put_row(self.me, Arc::new(row), now);
     }
 
     /// Withdraw the route to `dst`, at the seqno of the row I hold from
     /// it (0 if none), counting a transition into the retracted state in
     /// `routing/routes_retracted`. Every withdrawal goes through here.
-    fn retract(&mut self, dst: usize) {
+    fn retract(&mut self, dst: NodeIdx) {
         let seqno = self.table.row_seqno(dst);
-        if self.routes[dst].feas_with(|f| f.retract(seqno)) {
+        if self.routes[dst.get()].feas_with(|f| f.retract(seqno)) {
             self.counters.routes_retracted.inc();
         }
     }
@@ -838,20 +844,20 @@ impl QuorumRouter {
     /// Retract (rather than silently drop) every established route that
     /// cannot carry into a new membership view: those whose destination
     /// or recommended hop `old_to_new` maps nowhere.
-    fn retract_departed_routes(&mut self, old_to_new: &[Option<u16>]) {
-        let survives = |idx: usize| old_to_new.get(idx).is_some_and(Option::is_some);
-        for dst in 0..self.n {
-            if let Some(r) = self.routes[dst].rec() {
+    fn retract_departed_routes(&mut self, old_to_new: &[Option<NodeIdx>]) {
+        let survives = |i: NodeIdx| old_to_new.get(i.get()).is_some_and(Option::is_some);
+        for dst in NodeIdx::all(self.n) {
+            if let Some(r) = self.routes[dst.get()].rec() {
                 if !survives(dst) || !survives(r.hop) {
                     self.retract(dst);
-                    self.routes[dst].drop_rec();
+                    self.routes[dst.get()].drop_rec();
                 }
             }
         }
     }
 
     /// The retraction lane advertised this round, ascending.
-    fn retraction_lane(&self) -> Vec<u16> {
+    fn retraction_lane(&self) -> Vec<NodeIdx> {
         self.retractions.keys().copied().collect()
     }
 
@@ -859,33 +865,30 @@ impl QuorumRouter {
     /// releases feasibility constraints keyed to older ones, and every
     /// destination the row explicitly retracts is withdrawn if this node
     /// was routing to it *through* `from` (the first leg just vanished).
-    fn note_row_version(&mut self, from: usize, seqno: u16, retractions: &[u16]) {
+    fn note_row_version(&mut self, from: NodeIdx, seqno: u16, retractions: &[NodeIdx]) {
         if seqno != 0 {
-            self.routes[from].feas_with(|f| f.note_seqno(seqno));
+            self.routes[from.get()].feas_with(|f| f.note_seqno(seqno));
         }
-        for &r in retractions {
-            let dst = usize::from(r);
-            if dst >= self.n || dst == self.me {
-                continue;
-            }
-            if self.routes[dst].rec().is_some_and(|e| e.hop == from) {
-                self.routes[dst].drop_rec();
+        for &dst in retractions {
+            if dst != self.me && self.routes[dst.get()].rec().is_some_and(|e| e.hop == from) {
+                self.routes[dst.get()].drop_rec();
                 self.retract(dst);
             }
         }
     }
 
-    /// The latest recommendation stored for `dst`.
+    /// The latest recommendation stored for `dst`; `None` also when
+    /// `dst` is not an index of the view.
     #[must_use]
     pub fn route_entry(&self, dst: usize) -> Option<RouteEntry> {
-        self.routes[dst].rec()
+        self.routes.get(self.idx(dst)?.get())?.rec()
     }
 
     /// The currently active failover server for `dst`, if any.
     #[must_use]
     pub fn active_failover(&self, dst: usize) -> Option<usize> {
-        let dst = u16::try_from(dst).ok()?;
-        self.episodes.get(&dst)?.failover.map(usize::from)
+        let failover = self.episodes.get(&self.idx(dst)?)?.failover;
+        failover.map(NodeIdx::get)
     }
 
     /// Server `s`'s record, if it has one.
@@ -917,13 +920,13 @@ impl QuorumRouter {
     /// `now`? Covers proximal failures (my link to `s` is dead), remote
     /// failures (`s` stopped recommending `dst`), and the degenerate cases
     /// where `s` is me or the destination itself.
-    fn server_failed(&self, s: usize, dst: usize, now: f64) -> bool {
-        if s == self.me {
+    fn server_failed(&self, s: usize, dst: NodeIdx, now: f64) -> bool {
+        if s == self.me.get() {
             // I am my own rendezvous for same-row/column destinations; I
             // have "failed" when I no longer hold fresh link state for dst.
             return !self.table.row_fresh(dst, now, self.config.staleness_s());
         }
-        if s == dst {
+        if s == dst.get() {
             // The destination can only vouch for itself over a live link.
             return !self.routes[s].link_alive;
         }
@@ -936,20 +939,20 @@ impl QuorumRouter {
             // Never even sent them link state yet — not failed, just young.
             return false;
         };
-        let anchor = record.last_rec(dst as u16).unwrap_or(
+        let anchor = record.last_rec(dst).unwrap_or(
             record.since + self.config.server_grace_s() - self.config.remote_failure_s(),
         );
         now - anchor > self.config.remote_failure_s()
     }
 
-    fn both_defaults_failed(&self, dst: usize, now: f64) -> bool {
+    fn both_defaults_failed(&self, dst: NodeIdx, now: f64) -> bool {
         if dst == self.me {
             return false;
         }
         // Derived from the grid on demand: caching the pair per
         // destination costs O(n) Vecs per node — measurable at n = 4096 —
         // for an O(1) position computation.
-        let pair = self.grid.default_rendezvous_pair(self.me, dst);
+        let pair = self.grid.default_rendezvous_pair(self.me.get(), dst.get());
         !pair.is_empty() && pair.iter().all(|&s| self.server_failed(s, dst, now))
     }
 
@@ -962,36 +965,35 @@ impl QuorumRouter {
         // destination; like the round-two lanes it lives for the tick,
         // not in the router.
         let mut pool = Vec::new();
-        for dst in 0..self.n {
+        for dst in NodeIdx::all(self.n) {
             if dst == self.me {
                 continue;
             }
             // Reversion: a working default rendezvous ends the episode.
             if !self.both_defaults_failed(dst, now) {
                 if !self.episodes.is_empty() {
-                    self.episodes.remove(&(dst as u16));
+                    self.episodes.remove(&dst);
                 }
                 continue;
             }
-            let key = dst as u16;
             // Double rendezvous failure. Is the current failover healthy?
-            if let Some(f) = self.episodes.get(&key).and_then(|e| e.failover) {
-                if !self.server_failed(usize::from(f), dst, now) {
+            if let Some(f) = self.episodes.get(&dst).and_then(|e| e.failover) {
+                if !self.server_failed(f.get(), dst, now) {
                     continue;
                 }
-                let episode = self.episodes.get_mut(&key).expect("an open episode");
+                let episode = self.episodes.get_mut(&dst).expect("an open episode");
                 episode.tried.insert(f);
                 episode.failover = None;
             }
             // Dead-destination suppression: after the first attempt, only
             // continue while someone's table still reaches dst. An open
             // episode here has tried a candidate.
-            let tried = self.episodes.get(&key).map(|e| &e.tried);
+            let tried = self.episodes.get(&dst).map(|e| &e.tried);
             if tried.is_some() {
                 let reachable = self
                     .table
                     .anyone_reaches(dst, now, self.config.staleness_s())
-                    || self.routes[dst].link_alive;
+                    || self.routes[dst.get()].link_alive;
                 if !reachable {
                     continue;
                 }
@@ -1003,23 +1005,24 @@ impl QuorumRouter {
             // grid on demand — caching them per destination would be
             // O(n√n) aux state per node for a path that only runs under
             // double failures.
-            self.grid.rendezvous_servers_into(dst, &mut pool);
+            self.grid.rendezvous_servers_into(dst.get(), &mut pool);
             pool.retain(|&c| {
-                c != self.me
-                    && c != dst
+                c != self.me.get()
+                    && c != dst.get()
                     && self.routes[c].link_alive
-                    && !tried.is_some_and(|t| t.contains(&(c as u16)))
+                    && !tried.is_some_and(|t| t.contains(&self.grid_idx(c)))
             });
             if pool.is_empty() {
                 // Exhausted: restart the episode so candidates that have
                 // recovered become eligible again.
-                self.episodes.remove(&key);
+                self.episodes.remove(&dst);
                 continue;
             }
             let f = *pool.choose(rng).expect("non-empty pool");
-            let episode = self.episodes.entry(key).or_default();
-            episode.failover = Some(f as u16);
-            episode.tried.insert(f as u16);
+            let failover = self.grid_idx(f);
+            let episode = self.episodes.entry(dst).or_default();
+            episode.failover = Some(failover);
+            episode.tried.insert(failover);
             self.counters.failovers_selected.inc();
             newly_selected.push(f);
         }
@@ -1040,8 +1043,8 @@ impl QuorumRouter {
     ) -> Message {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let ls = LinkStateMsg {
-            from: NodeId::from_index(self.me),
-            to: NodeId::from_index(to),
+            from: self.me.into(),
+            to: self.grid_idx(to).into(),
             view: self.view,
             round: self.round,
             basis_ms: (now * 1000.0) as u32,
@@ -1068,11 +1071,11 @@ impl QuorumRouter {
         servers.extend(
             self.episodes
                 .values()
-                .filter_map(|e| e.failover.map(usize::from)),
+                .filter_map(|e| e.failover.map(NodeIdx::get)),
         );
         servers.sort_unstable();
         servers.dedup();
-        servers.retain(|&s| s != self.me);
+        servers.retain(|&s| s != self.me.get());
         servers
     }
 
@@ -1083,10 +1086,10 @@ impl QuorumRouter {
     /// is built ([`LinkStateRow::shared_row`]) and offered to the store.
     /// An accepted versioned row releases feasibility constraints and
     /// withdraws the routes through `from` that it retracts.
-    pub fn on_linkstate(&mut self, now: f64, from: usize, ls: &impl LinkStateRow) {
+    pub fn on_linkstate(&mut self, now: f64, from: NodeIdx, ls: &impl LinkStateRow) {
         if ls.view() != self.view
             || usize::from(ls.width()) != self.n
-            || from >= self.n
+            || from.get() >= self.n
             || from == self.me
         {
             return;
@@ -1106,17 +1109,17 @@ impl QuorumRouter {
     pub fn on_recommendations(
         &mut self,
         now: f64,
-        server: usize,
+        server: NodeIdx,
         view: u32,
         recs: impl Iterator<Item = RecEntry>,
     ) {
-        if view != self.view || server >= self.n {
+        if view != self.view || server.get() >= self.n {
             return;
         }
         // Room for the whole frame in one step (a first frame would
         // otherwise grow entry by entry): as many entries as the frame
         // names, before any is refused.
-        let slot = self.record_slot(server);
+        let slot = self.record_slot(server.get());
         let record = &mut self.servers[slot];
         if let Some(most) = recs.size_hint().1 {
             record
@@ -1129,26 +1132,25 @@ impl QuorumRouter {
         // One walk: each accepted entry is held as the route to its
         // destination as the record stamps it.
         let accepted = recs
-            .filter(|rec| {
-                let dst = rec.dst.index();
-                dst < n && rec.hop.index() < n && dst != me
+            .filter_map(|rec| {
+                let dst = NodeIdx::new(rec.dst.index(), n).filter(|&d| d != me)?;
+                Some((dst, NodeIdx::new(rec.hop.index(), n)?, rec.cost_ms))
             })
-            .inspect(|rec| {
+            .inspect(|&(dst, hop, cost_ms)| {
                 count += 1;
-                let dst = rec.dst.index();
-                let route = &mut routes[dst];
+                let route = &mut routes[dst.get()];
                 if route.rec().is_none_or(|r| now >= r.received_at) {
-                    route.set_rec(now, rec.hop.0, server as u16, rec.cost_ms);
+                    route.set_rec(now, hop, server, cost_ms);
                     // Acting on a costed recommendation ratchets the
                     // feasibility distance (the compact format carries
                     // no cost and leaves the constraint untouched).
-                    if rec.cost_ms != u16::MAX {
+                    if cost_ms != u16::MAX {
                         let seqno = table.row_seqno(dst);
-                        route.feas_with(|f| f.advance(seqno, u32::from(rec.cost_ms)));
+                        route.feas_with(|f| f.advance(seqno, u32::from(cost_ms)));
                     }
                 }
             });
-        self.seen_bytes += record.note_frame(now, accepted.map(|r| r.dst.0));
+        self.seen_bytes += record.note_frame(now, accepted.map(|(dst, _, _)| dst));
         self.counters.rec_entries_received.add(count);
         self.counters.rec_seen_bytes.set(self.seen_bytes as u64);
     }
@@ -1164,7 +1166,7 @@ impl QuorumRouter {
         // [me]`: I count as a destination for my clients. The kernel
         // applies the freshness rule, once per row — a stale client gets
         // no frame and appears in nobody else's.
-        let clients: Vec<usize> = self
+        let clients: Vec<NodeIdx> = self
             .table
             .present_rows()
             .into_iter()
@@ -1176,8 +1178,8 @@ impl QuorumRouter {
             let mut recs = Vec::with_capacity(clients.len() + 1);
             for (d, hop, cost) in round_two.recommendations(i) {
                 recs.push(RecEntry {
-                    dst: NodeId::from_index(d),
-                    hop: NodeId::from_index(hop),
+                    dst: d.into(),
+                    hop: hop.into(),
                     // Saturates below the dead sentinel, as the wire does.
                     cost_ms: u16::try_from(cost)
                         .unwrap_or(u16::MAX)
@@ -1189,8 +1191,8 @@ impl QuorumRouter {
             }
             self.counters.recs_sent.inc();
             msgs.push(Message::Recommendations(RecommendationMsg {
-                from: NodeId::from_index(self.me),
-                to: NodeId::from_index(c),
+                from: self.me.into(),
+                to: c.into(),
                 view: self.view,
                 round: self.round,
                 basis_ms: (now * 1000.0) as u32,
@@ -1230,10 +1232,10 @@ impl RoutingAlgorithm for QuorumRouter {
         // destination's feasibility distance: a detour must strictly
         // beat what this node can already do on its own.
         let mut new_deaths = false;
-        for (dst, entry) in own_row.iter().enumerate() {
-            let route = &mut self.routes[dst];
+        for (dst, entry) in NodeIdx::all(self.n).zip(own_row) {
+            let route = &mut self.routes[dst.get()];
             if dst != self.me && entry.alive {
-                self.retractions.remove(&(dst as u16));
+                self.retractions.remove(&dst);
                 let seqno = if sheds && !self.table.row_fresh(dst, now, max_age) {
                     0
                 } else {
@@ -1241,7 +1243,7 @@ impl RoutingAlgorithm for QuorumRouter {
                 };
                 route.feas_with(|f| f.advance(seqno, entry.cost()));
             } else if dst != self.me && route.link_alive {
-                new_deaths |= self.retractions.insert(dst as u16, self.round).is_none();
+                new_deaths |= self.retractions.insert(dst, self.round).is_none();
             }
             route.set_link(entry);
         }
@@ -1282,10 +1284,15 @@ impl RoutingAlgorithm for QuorumRouter {
     fn on_message(&mut self, now: f64, msg: &Message) -> Vec<Message> {
         match msg {
             Message::LinkState(ls) | Message::LinkStateSparse(ls) => {
-                self.on_linkstate(now, ls.from.index(), ls);
+                if let Some(from) = self.idx(ls.from.index()) {
+                    self.on_linkstate(now, from, ls);
+                }
             }
             Message::Recommendations(rm) => {
-                self.on_recommendations(now, rm.from.index(), rm.view, rm.recs.iter().copied());
+                if let Some(server) = self.idx(rm.from.index()) {
+                    let recs = rm.recs.iter().copied();
+                    self.on_recommendations(now, server, rm.view, recs);
+                }
             }
             _ => {}
         }
@@ -1293,15 +1300,15 @@ impl RoutingAlgorithm for QuorumRouter {
     }
 
     fn best_hop(&self, dst: usize, now: f64) -> Option<usize> {
-        self.route_decision(dst, now).map(|d| d.first_hop())
+        self.route_decision(dst, now).map(|d| d.first_hop().get())
     }
 
     fn route_age(&self, dst: usize, now: f64) -> Option<f64> {
-        self.routes[dst].rec().map(|r| now - r.received_at)
+        self.route_entry(dst).map(|r| now - r.received_at)
     }
 
     fn double_rendezvous_failures(&self, now: f64) -> usize {
-        (0..self.n)
+        NodeIdx::all(self.n)
             .filter(|&dst| dst != self.me)
             .filter(|&dst| self.both_defaults_failed(dst, now))
             .count()
@@ -1311,8 +1318,18 @@ impl RoutingAlgorithm for QuorumRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apor_quorum::NodeId;
     use proptest::prelude::{any, prop, prop_assert_eq, proptest};
     use rand::{Rng, SeedableRng};
+
+    /// Index `i` of the widest view.
+    fn ix(i: usize) -> NodeIdx {
+        NodeIdx::new(i, usize::from(u16::MAX)).expect("an index")
+    }
+
+    fn ixs(indices: &[usize]) -> Vec<NodeIdx> {
+        indices.iter().map(|&i| ix(i)).collect()
+    }
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(12345)
@@ -1328,13 +1345,13 @@ mod tests {
     }
 
     /// The table of a view change in which nobody moves.
-    fn identity(n: usize) -> Vec<Option<u16>> {
-        (0..n as u16).map(Some).collect()
+    fn identity(n: usize) -> Vec<Option<NodeIdx>> {
+        NodeIdx::all(n).map(Some).collect()
     }
 
     /// Last time server `s` recommended any route to `dst`, as `r` holds it.
     fn last_rec(r: &QuorumRouter, s: usize, dst: usize) -> Option<f64> {
-        r.record(s)?.last_rec(dst as u16)
+        r.record(s)?.last_rec(ix(dst))
     }
 
     /// A tiny synchronous fabric: run all routers' ticks, deliver all
@@ -1497,8 +1514,8 @@ mod tests {
         for s in 0..n {
             let Some(m) = r.record(s) else { continue };
             for &Seen { dst, .. } in &m.seen {
-                assert!(last_rec(r, s, usize::from(dst)).is_some());
-                assert_ne!(dst, 3, "never records recs about myself");
+                assert!(last_rec(r, s, dst.get()).is_some());
+                assert_ne!(dst.get(), 3, "never records recs about myself");
             }
         }
 
@@ -1636,7 +1653,7 @@ mod tests {
         }
         assert!(saw_sparse, "round one emits sparse link state");
         assert_eq!(
-            receiver.table().row(3),
+            receiver.table().row(ix(3)),
             Some(&LaneRow::from_dense(&own)),
             "receiver reconstructs the identical row"
         );
@@ -1749,7 +1766,7 @@ mod tests {
         }
         let now = 80.0;
         // Double failure must have been detected…
-        assert!(fabric.routers[0].both_defaults_failed(8, now));
+        assert!(fabric.routers[0].both_defaults_failed(ix(8), now));
         // …a failover selected from 8's row/column…
         let f = fabric.routers[0]
             .active_failover(8)
@@ -1930,15 +1947,15 @@ mod tests {
         );
         // A live direct link is a plain hop: relays re-decide.
         match me.route_decision(1, 2.0) {
-            Some(RouteDecision::Hop(1)) => {}
+            Some(RouteDecision::Hop(h)) if h == ix(1) => {}
             other => panic!("direct link must be Hop(1), got {other:?}"),
         }
         // The chain to 8 needs a splice: the full committed path rides
         // with the decision so the packet can be source-routed.
         match me.route_decision(8, 2.0) {
             Some(RouteDecision::Spliced(d)) => {
-                assert_eq!(d.path, vec![0, 1, 2, 8]);
-                assert_eq!(d.path[1], me.best_hop(8, 2.0).unwrap());
+                assert_eq!(d.path, ixs(&[0, 1, 2, 8]));
+                assert_eq!(d.path[1].get(), me.best_hop(8, 2.0).unwrap());
             }
             other => panic!("chain must be Spliced, got {other:?}"),
         }
@@ -1996,7 +2013,7 @@ mod tests {
                 round: 2,
                 basis_ms: 0,
                 width: 9,
-                row: Arc::new(LaneRow::from_dense(&row4).with_version(2, &[8])),
+                row: Arc::new(LaneRow::from_dense(&row4).with_version(2, &ixs(&[8]))),
                 liveness_loss: LinkStateMsg::liveness_lane(&row4),
             }),
         );
@@ -2023,8 +2040,8 @@ mod tests {
                 liveness_loss: LinkStateMsg::liveness_lane(&stale),
             }),
         );
-        assert_eq!(me.table().row_seqno(4), 2, "stale replay rejected");
-        assert!(me.table().row_retracts(4, 8));
+        assert_eq!(me.table().row_seqno(ix(4)), 2, "stale replay rejected");
+        assert!(me.table().row_retracts(ix(4), ix(8)));
         assert_eq!(me.best_hop(8, 3.5), None);
     }
 
@@ -2050,7 +2067,7 @@ mod tests {
         else {
             panic!("expected dense link state");
         };
-        assert_eq!((ls.row.seqno(), ls.row.retracted()), (1, &[3u16][..]));
+        assert_eq!((ls.row.seqno(), ls.row.retracted()), (1, &[ix(3)][..]));
         // The lane ages out after three rounds of advertisement…
         let _ = me.on_routing_tick(30.0, &own, &mut g);
         let _ = me.on_routing_tick(45.0, &own, &mut g);
@@ -2106,10 +2123,10 @@ mod tests {
         // Prober-declared loss of the link to 4: seqno bumps out of band.
         me.on_link_loss(4, 2.0);
         assert_eq!(me.own_seqno(), 1);
-        assert_eq!(me.table().cost(0, 4), INFINITE_COST);
+        assert_eq!(me.table().cost(ix(0), ix(4)), INFINITE_COST);
         assert_eq!(routing_counter(&telemetry, "routes_retracted"), 1);
         // View change: node 5 does not survive → its route is retracted.
-        let table: Vec<Option<u16>> = (0..9).map(|i| (i != 5).then_some(i)).collect();
+        let table: Vec<Option<NodeIdx>> = (0..9).map(|i| (i != 5).then_some(ix(i))).collect();
         me.retract_departed_routes(&table);
         assert!(me.route_entry(8).is_none());
         assert!(me.route_entry(7).is_some(), "surviving route kept");
@@ -2117,7 +2134,7 @@ mod tests {
     }
 
     /// A link-state frame from node 1 to node 0 in `view`.
-    fn frame_from_one(view: u32, row: &[LinkEntry], seqno: u16, retracted: &[u16]) -> Message {
+    fn frame_from_one(view: u32, row: &[LinkEntry], seqno: u16, retracted: &[usize]) -> Message {
         Message::LinkState(LinkStateMsg {
             from: NodeId(1),
             to: NodeId(0),
@@ -2125,7 +2142,7 @@ mod tests {
             round: 1,
             basis_ms: 0,
             width: row.len() as u16,
-            row: Arc::new(LaneRow::from_dense(row).with_version(seqno, retracted)),
+            row: Arc::new(LaneRow::from_dense(row).with_version(seqno, &ixs(retracted))),
             liveness_loss: LinkStateMsg::liveness_lane(row),
         })
     }
@@ -2148,21 +2165,28 @@ mod tests {
         // The same nine members under a new view number.
         let (mut b, carried) = a.reinstall(0, n, 1, &identity(n), 1.5);
         assert_eq!(carried, 1);
-        assert_eq!(b.table().row_seqno(1), 0, "carried unversioned");
-        assert!(b.table().row_retracts(1, 6), "with its retraction lane");
+        assert_eq!(b.table().row_seqno(ix(1)), 0, "carried unversioned");
+        assert!(
+            b.table().row_retracts(ix(1), ix(6)),
+            "with its retraction lane"
+        );
         let mut newer = row1;
         newer[6] = LinkEntry::live(5, 0.0);
         let _ = b.on_message(2.0, &frame_from_one(0, &newer, 10, &[]));
-        assert_eq!(b.table().row_time(1), Some(1.0), "old-view frame refused");
-        assert!(b.table().row_retracts(1, 6));
+        assert_eq!(
+            b.table().row_time(ix(1)),
+            Some(1.0),
+            "old-view frame refused"
+        );
+        assert!(b.table().row_retracts(ix(1), ix(6)));
         let _ = b.on_message(3.0, &frame_from_one(1, &newer, 1, &[]));
         assert_eq!(
-            b.table().row_time(1),
+            b.table().row_time(ix(1)),
             Some(3.0),
             "new-view seqno 1 < 9 taken"
         );
-        assert_eq!(b.table().row_seqno(1), 1);
-        assert_ne!(b.table().cost(1, 6), INFINITE_COST);
+        assert_eq!(b.table().row_seqno(ix(1)), 1);
+        assert_ne!(b.table().cost(ix(1), ix(6)), INFINITE_COST);
     }
 
     /// Node 0 of the nine-node world after three link deaths, one per
@@ -2176,7 +2200,7 @@ mod tests {
             own[dst] = LinkEntry::dead();
             let _ = r.on_routing_tick(15.0 * (k + 1) as f64, &own, &mut g);
         }
-        assert_eq!(r.table().row_seqno(0), 3);
+        assert_eq!(r.table().row_seqno(ix(0)), 3);
         let (r, _) = r.reinstall(0, 9, 1, &identity(9), 50.0);
         (r, own)
     }
@@ -2195,8 +2219,8 @@ mod tests {
         for k in 0..4 {
             let now = 60.0 + 15.0 * f64::from(k);
             let _ = r.on_routing_tick(now, &own, &mut g);
-            assert_eq!(r.table().row_time(0), Some(now), "own row put at {now}");
-            assert_eq!(r.table().row_seqno(0), r.own_seqno());
+            assert_eq!(r.table().row_time(ix(0)), Some(now), "own row put at {now}");
+            assert_eq!(r.table().row_seqno(ix(0)), r.own_seqno());
         }
     }
 
@@ -2220,7 +2244,7 @@ mod tests {
             .collect();
         assert!(!servers.is_empty());
         for &s in &servers {
-            assert_eq!(fabric.routers[s].table().row_seqno(0), 3);
+            assert_eq!(fabric.routers[s].table().row_seqno(ix(0)), 3);
         }
         fabric.routers = std::mem::take(&mut fabric.routers)
             .into_iter()
@@ -2232,9 +2256,9 @@ mod tests {
         fabric.tick(60.0, &rows);
         for &s in &servers {
             let table = fabric.routers[s].table();
-            assert_eq!(table.row_time(0), Some(60.01), "server {s}");
-            assert_eq!(table.row_seqno(0), 1, "server {s}");
-            assert_eq!(table.cost(0, 5), INFINITE_COST, "server {s}");
+            assert_eq!(table.row_time(ix(0)), Some(60.01), "server {s}");
+            assert_eq!(table.row_seqno(ix(0)), 1, "server {s}");
+            assert_eq!(table.cost(ix(0), ix(5)), INFINITE_COST, "server {s}");
         }
     }
 
@@ -2246,8 +2270,8 @@ mod tests {
     fn a_link_loss_puts_the_held_own_row_without_the_link() {
         let mut r = QuorumRouter::new(0, 9, 0, ProtocolConfig::quorum());
         r.on_link_loss(3, 1.0);
-        assert_eq!(r.table().row(0), Some(&LaneRow::default()));
-        assert_eq!(r.table().row_time(0), Some(1.0));
+        assert_eq!(r.table().row(ix(0)), Some(&LaneRow::default()));
+        assert_eq!(r.table().row_time(ix(0)), Some(1.0));
         let mut own = nine_node_rows().swap_remove(0);
         let mut g = rng();
         let _ = r.on_routing_tick(10.0, &own, &mut g);
@@ -2256,17 +2280,17 @@ mod tests {
         // The loss at t = 1 and the tick's; 3 is alive again, so only 2
         // is retracted.
         assert_eq!(r.own_seqno(), 2);
-        let held = r.table().row(0).cloned().expect("own row");
-        assert_eq!(held, LaneRow::from_dense(&own).with_version(2, &[2]));
+        let held = r.table().row(ix(0)).cloned().expect("own row");
+        assert_eq!(held, LaneRow::from_dense(&own).with_version(2, &ixs(&[2])));
         r.on_link_loss(4, 30.0);
         assert_eq!(r.own_seqno(), 3);
         own[4] = LinkEntry::dead();
-        let want = LaneRow::from_dense(&own).with_version(2, &[2]);
-        assert_eq!(r.table().row(0), Some(&want), "held seqno and lane");
-        assert_eq!(r.table().row_time(0), Some(30.0));
+        let want = LaneRow::from_dense(&own).with_version(2, &ixs(&[2]));
+        assert_eq!(r.table().row(ix(0)), Some(&want), "held seqno and lane");
+        assert_eq!(r.table().row_time(ix(0)), Some(30.0));
         r.on_link_loss(2, 31.0);
-        assert_eq!(r.table().row(0), Some(&want));
-        assert_eq!(r.table().row_time(0), Some(31.0));
+        assert_eq!(r.table().row(ix(0)), Some(&want));
+        assert_eq!(r.table().row_time(ix(0)), Some(31.0));
     }
 
     #[test]
@@ -2369,11 +2393,11 @@ mod tests {
         let _ = me.on_routing_tick(0.0, &own, &mut g);
         let d = me.double_rendezvous_failures(0.1);
         // dst 8's default pair {2, 6} is fully dead → at least dst 8 counts.
-        assert!(me.both_defaults_failed(8, 0.1));
+        assert!(me.both_defaults_failed(ix(8), 0.1));
         assert!(d >= 1);
         // dst 1 shares my row: I am one of its default rendezvous, and my
         // own data for 1 is fresh → not a double failure.
-        assert!(!me.both_defaults_failed(1, 0.1));
+        assert!(!me.both_defaults_failed(ix(1), 0.1));
     }
 
     /// What leaves the old view comes back only if the new grid
@@ -2411,9 +2435,9 @@ mod tests {
         let before = merged.get();
         let (b, survived) = a.reinstall(0, n, 1, &identity(n), 3.0);
         assert_eq!(survived, 2, "both rows are fresh and of surviving origins");
-        assert_eq!(b.table().row_time(1), Some(2.0), "client row carried");
+        assert_eq!(b.table().row_time(ix(1)), Some(2.0), "client row carried");
         assert!(
-            b.table().row_time(4).is_none(),
+            b.table().row_time(ix(4)).is_none(),
             "non-client row must be dropped by the entitlement filter"
         );
         assert_eq!(b.table().row_count(), 1);
@@ -2432,15 +2456,16 @@ mod tests {
     fn carried(
         n: usize,
         rows: Vec<(usize, f64, LaneRow)>,
-        table: &[Option<u16>],
+        table: &[Option<usize>],
         n_new: usize,
         now: f64,
     ) -> (QuorumRouter, usize) {
         let mut r = QuorumRouter::new(0, n, 1, ProtocolConfig::quorum());
         for (origin, at, row) in rows {
-            r.table.put_row(origin, Arc::new(row), at);
+            r.table.put_row(ix(origin), Arc::new(row), at);
         }
-        let (r, survived) = r.reinstall(0, n_new, 2, table, now);
+        let table: Vec<Option<NodeIdx>> = table.iter().map(|i| i.map(ix)).collect();
+        let (r, survived) = r.reinstall(0, n_new, 2, &table, now);
         assert!((1..n_new).all(|c| r.grid.serves(c, 0)));
         (r, survived)
     }
@@ -2456,16 +2481,16 @@ mod tests {
         assert_eq!(survived, 1);
         assert_eq!(r.table.row_count(), 1);
         assert_eq!(
-            r.table.row_time(0),
+            r.table.row_time(ix(0)),
             Some(10.0),
             "receipt time preserved, not refreshed"
         );
-        let (listed, _) = r.table.row(0).expect("node 1 keeps index 0").lanes();
-        assert_eq!(listed, [0, 2], "joiner 3 is absent, not listed dead");
-        let row = r.table.row_ref(0).expect("held");
-        assert_eq!(row.cost(0), 0, "1→1 self entry");
-        assert_eq!(row.cost(1), INFINITE_COST, "joiner 3 reads as dead");
-        assert_eq!(row.cost(2), 70, "1→9 carried by identity");
+        let (listed, _) = r.table.row(ix(0)).expect("node 1 keeps index 0").lanes();
+        assert_eq!(listed, ixs(&[0, 2]), "joiner 3 is absent, not listed dead");
+        let row = r.table.row_ref(ix(0)).expect("held");
+        assert_eq!(row.cost(ix(0)), 0, "1→1 self entry");
+        assert_eq!(row.cost(ix(1)), INFINITE_COST, "joiner 3 reads as dead");
+        assert_eq!(row.cost(ix(2)), 70, "1→9 carried by identity");
     }
 
     #[test]
@@ -2478,9 +2503,9 @@ mod tests {
         ];
         let (r, survived) = carried(3, rows, &table, 2, 11.0);
         assert_eq!(survived, 1);
-        assert_eq!(r.table.present_rows(), [1], "node 9 is index 1 now");
-        assert_eq!(r.table.row_ref(1).expect("held").width(), 2);
-        assert_eq!(r.table.cost(1, 0), 70, "9→1 survives");
+        assert_eq!(r.table.present_rows(), ixs(&[1]), "node 9 is index 1 now");
+        assert_eq!(r.table.row_ref(ix(1)).expect("held").width(), 2);
+        assert_eq!(r.table.cost(ix(1), ix(0)), 70, "9→1 survives");
     }
 
     #[test]
@@ -2488,9 +2513,9 @@ mod tests {
         // At now = 70 under the 45 s window: the row stamped 10 is
         // stale, the row stamped 60 survives.
         let rows = vec![(0, 10.0, lanes(&[0, 50])), (1, 60.0, lanes(&[50, 0]))];
-        let (r, survived) = carried(2, rows, &identity(2), 2, 70.0);
+        let (r, survived) = carried(2, rows, &[Some(0), Some(1)], 2, 70.0);
         assert_eq!(survived, 1);
-        assert_eq!(r.table.present_rows(), [1]);
+        assert_eq!(r.table.present_rows(), ixs(&[1]));
     }
 
     #[test]
@@ -2498,16 +2523,16 @@ mod tests {
         // Old view {1, 5, 9}: node 1's row retracts 5 (index 1) and 9
         // (index 2) at seqno 7. Node 5 leaves, node 3 joins.
         let table = [Some(0), None, Some(2)];
-        let rows = vec![(0, 10.0, lanes(&[0, 50, 70]).with_version(7, &[1, 2]))];
+        let rows = vec![(0, 10.0, lanes(&[0, 50, 70]).with_version(7, &ixs(&[1, 2])))];
         let (r, survived) = carried(3, rows, &table, 3, 12.0);
         assert_eq!(survived, 1);
-        assert_eq!(r.table.row_seqno(0), 0, "carried unversioned");
+        assert_eq!(r.table.row_seqno(ix(0)), 0, "carried unversioned");
         assert_eq!(
-            r.table.row(0).map_or(&[][..], LaneRow::retracted),
-            [2],
+            r.table.row(ix(0)).map_or(&[][..], LaneRow::retracted),
+            ixs(&[2]),
             "retraction against departed 5 dropped; 9 stays at index 2"
         );
-        assert_eq!(r.table.row_time(0), Some(10.0));
+        assert_eq!(r.table.row_time(ix(0)), Some(10.0));
     }
 
     /// The sweep before it filled one buffer per tick: candidates from
@@ -2522,21 +2547,21 @@ mod tests {
     ) -> (Vec<FailoverEpisode>, Vec<usize>) {
         let mut failover = failover_episodes(r);
         let mut newly = Vec::new();
-        for dst in (0..r.n).filter(|&d| d != r.me) {
+        for dst in (0..r.n).filter(|&d| d != r.me.get()) {
             let (current, tried) = &mut failover[dst];
-            if !r.both_defaults_failed(dst, now) {
+            if !r.both_defaults_failed(ix(dst), now) {
                 (*current, *tried) = (None, BTreeSet::new());
                 continue;
             }
             if let Some(f) = *current {
-                if !r.server_failed(f, dst, now) {
+                if !r.server_failed(f, ix(dst), now) {
                     continue;
                 }
                 tried.insert(f);
                 *current = None;
             }
             if !tried.is_empty() {
-                let reachable = r.table.anyone_reaches(dst, now, r.config.staleness_s())
+                let reachable = r.table.anyone_reaches(ix(dst), now, r.config.staleness_s())
                     || r.routes[dst].link_alive;
                 if !reachable {
                     continue;
@@ -2544,7 +2569,7 @@ mod tests {
             }
             let mut pool = r.grid.rendezvous_servers(dst);
             pool.retain(|&c| {
-                c != r.me && c != dst && r.routes[c].link_alive && !tried.contains(&c)
+                c != r.me.get() && c != dst && r.routes[c].link_alive && !tried.contains(&c)
             });
             let Some(&f) = pool.choose(rng) else {
                 tried.clear();
@@ -2566,9 +2591,9 @@ mod tests {
     fn failover_episodes(r: &QuorumRouter) -> Vec<FailoverEpisode> {
         let mut episodes = vec![(None, BTreeSet::new()); r.n];
         for (&dst, e) in &r.episodes {
-            episodes[usize::from(dst)] = (
-                e.failover.map(usize::from),
-                e.tried.iter().copied().map(usize::from).collect(),
+            episodes[dst.get()] = (
+                e.failover.map(NodeIdx::get),
+                e.tried.iter().copied().map(NodeIdx::get).collect(),
             );
         }
         episodes
@@ -2609,7 +2634,7 @@ mod tests {
         for sweep in 0..12 {
             let now = f64::from(sweep) * 15.0;
             let in_branch = (0..n)
-                .filter(|&d| d != me && r.both_defaults_failed(d, now))
+                .filter(|&d| d != me && r.both_defaults_failed(ix(d), now))
                 .count();
             assert!(in_branch >= 60, "{in_branch} destinations");
             let mut model_rng = rng.clone();
@@ -2618,9 +2643,9 @@ mod tests {
             assert_eq!(new, want_new, "sweep {sweep}");
             assert_eq!(failover_episodes(&r), want_state, "sweep {sweep}");
             // The table holds exactly the open episodes.
-            let open: Vec<u16> = (0..n as u16)
+            let open: Vec<NodeIdx> = NodeIdx::all(n)
                 .filter(|&d| {
-                    let (failover, tried) = &want_state[usize::from(d)];
+                    let (failover, tried) = &want_state[d.get()];
                     failover.is_some() || !tried.is_empty()
                 })
                 .collect();
@@ -2659,7 +2684,7 @@ mod tests {
         round: u32,
         own_seqno: u16,
         own_row: Vec<LinkEntry>,
-        retractions: BTreeMap<u16, u32>,
+        retractions: BTreeMap<NodeIdx, u32>,
         feas: BTreeMap<usize, FeasEntry>,
         table: RowStore,
     }
@@ -2698,9 +2723,9 @@ mod tests {
             let mut new_deaths = false;
             for dst in (0..own_row.len()).filter(|&d| d != me) {
                 if own_row[dst].alive {
-                    self.retractions.remove(&(dst as u16));
+                    self.retractions.remove(&ix(dst));
                 } else if self.own_row[dst].alive
-                    && self.retractions.insert(dst as u16, self.round).is_none()
+                    && self.retractions.insert(ix(dst), self.round).is_none()
                 {
                     new_deaths = true;
                 }
@@ -2711,22 +2736,22 @@ mod tests {
             let round = self.round;
             self.retractions.retain(|_, r| round - *r < 3);
             self.own_row.copy_from_slice(own_row);
-            let lane: Vec<u16> = self.retractions.keys().copied().collect();
+            let lane: Vec<NodeIdx> = self.retractions.keys().copied().collect();
             let row = LaneRow::from_dense(own_row).with_version(self.own_seqno, &lane);
-            self.table.put_row(self.me, Arc::new(row), now);
+            self.table.put_row(ix(self.me), Arc::new(row), now);
             for dst in (0..own_row.len()).filter(|&d| d != me) {
                 if own_row[dst].alive {
-                    let seqno = self.table.row_seqno(dst);
+                    let seqno = self.table.row_seqno(ix(dst));
                     self.feas(dst, |f| f.advance(seqno, own_row[dst].cost()));
                 }
             }
         }
 
         fn link_loss(&mut self, dst: usize, now: f64) {
-            if self.retractions.insert(dst as u16, self.round).is_none() {
+            if self.retractions.insert(ix(dst), self.round).is_none() {
                 self.own_seqno = QuorumRouter::next_seqno(self.own_seqno);
             }
-            let seqno = self.table.row_seqno(dst);
+            let seqno = self.table.row_seqno(ix(dst));
             self.feas(dst, |f| {
                 f.retract(seqno);
             });
@@ -2734,25 +2759,25 @@ mod tests {
             // The held own row's live entries but `dst`, at its seqno
             // and retraction lane; an empty row when none is held.
             let me = self.me;
-            let row = match self.table.row(me) {
+            let row = match self.table.row(ix(me)) {
                 Some(held) => {
                     let (dsts, latency_ms) = held.lanes();
-                    let pairs: Vec<(u16, LinkEntry)> = dsts
+                    let pairs: Vec<(NodeIdx, LinkEntry)> = dsts
                         .iter()
                         .zip(latency_ms)
-                        .filter(|&(&d, _)| usize::from(d) != dst)
+                        .filter(|&(&d, _)| d.get() != dst)
                         .map(|(&d, &l)| (d, LinkEntry::live(l, 0.0)))
                         .collect();
                     LaneRow::from_pairs(&pairs).with_version(held.seqno(), held.retracted())
                 }
                 None => LaneRow::default(),
             };
-            self.table.put_row(me, Arc::new(row), now);
+            self.table.put_row(ix(me), Arc::new(row), now);
         }
 
         fn row(&mut self, from: usize, row: Arc<LaneRow>, now: f64) {
             let seqno = row.seqno();
-            if self.table.put_row(from, row, now) && seqno != 0 {
+            if self.table.put_row(ix(from), row, now) && seqno != 0 {
                 self.feas(from, |f| f.note_seqno(seqno));
             }
         }
@@ -2836,7 +2861,7 @@ mod tests {
                     _ => now += 50.0,
                 }
                 prop_assert_eq!(router.own_seqno(), model.own_seqno);
-                let lane: Vec<u16> = model.retractions.keys().copied().collect();
+                let lane: Vec<NodeIdx> = model.retractions.keys().copied().collect();
                 prop_assert_eq!(router.retraction_lane(), lane);
                 for d in 0..n {
                     prop_assert_eq!(router.routes[d].feas().0, model.feas.get(&d).copied(), "dst {}", d);
@@ -2994,6 +3019,32 @@ mod tests {
             let mut own = vec![LinkEntry::live(20, 0.0); n];
             own[me] = LinkEntry::live(0, 0.0);
             let _ = lived.on_routing_tick(100.0, &own, &mut rng());
+        }
+    }
+
+    /// A query about an index outside the view answers `None`, as
+    /// `best_hop`, `route_decision` and `active_failover` always did,
+    /// where the route table would have been indexed past its end.
+    #[test]
+    fn out_of_range_queries_answer_none() {
+        let mut r = QuorumRouter::new(0, 9, 0, ProtocolConfig::quorum());
+        let rec = RecEntry {
+            dst: NodeId(8),
+            hop: NodeId(8),
+            cost_ms: 5,
+        };
+        r.on_recommendations(1.0, ix(4), 0, [rec].into_iter());
+        assert_eq!(r.route_entry(8).map(|e| e.hop), Some(ix(8)));
+        assert_eq!(r.route_age(8, 3.0), Some(2.0));
+        for dst in [9, 10, usize::from(u16::MAX), usize::MAX] {
+            assert!(r.route_entry(dst).is_none(), "route_entry({dst})");
+            assert_eq!(r.route_age(dst, 3.0), None, "route_age({dst})");
+            assert_eq!(r.best_hop(dst, 3.0), None, "best_hop({dst})");
+            assert!(
+                r.route_decision(dst, 3.0).is_none(),
+                "route_decision({dst})"
+            );
+            assert_eq!(r.active_failover(dst), None, "active_failover({dst})");
         }
     }
 }

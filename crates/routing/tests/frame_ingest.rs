@@ -18,7 +18,7 @@ use apor_linkstate::{
     LaneRow, LinkEntry, LinkStateFrame, LinkStateMsg, LinkStateStore, Message, RecEntry, RecFormat,
     RecFrame, RecommendationMsg, LINKSTATE_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE,
 };
-use apor_quorum::NodeId;
+use apor_quorum::{NodeId, NodeIdx};
 use apor_routing::{FullMeshRouter, ProtocolConfig, QuorumRouter, RoutingAlgorithm};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -45,8 +45,8 @@ fn entries(rng: &mut ChaCha8Rng, width: usize, p_live: f64) -> Vec<LinkEntry> {
 }
 
 /// An ascending subset of `0..width`, each member with probability `p`.
-fn subset(rng: &mut ChaCha8Rng, width: usize, p: f64) -> Vec<u16> {
-    (0..width as u16).filter(|_| rng.gen_bool(p)).collect()
+fn subset(rng: &mut ChaCha8Rng, width: usize, p: f64) -> Vec<NodeIdx> {
+    NodeIdx::all(width).filter(|_| rng.gen_bool(p)).collect()
 }
 
 /// One seeded link-state frame to router `to`: dense or sparse, all live
@@ -77,11 +77,9 @@ fn linkstate_frame(rng: &mut ChaCha8Rng, to: usize) -> Vec<u8> {
     };
     let sparse = rng.gen_bool(0.4);
     let (row, liveness_loss) = if sparse {
-        let pairs: Vec<(u16, LinkEntry)> = row_entries
-            .iter()
-            .enumerate()
+        let pairs: Vec<(NodeIdx, LinkEntry)> = NodeIdx::all(width)
+            .zip(row_entries.iter().copied())
             .filter(|(_, e)| e.alive)
-            .map(|(d, &e)| (d as u16, e))
             .collect();
         let listed: Vec<LinkEntry> = pairs.iter().map(|&(_, e)| e).collect();
         (
@@ -268,9 +266,13 @@ fn a_frame_read_in_place_is_the_decoded_message_to_a_quorum_router() {
             |i| QuorumRouter::new(i, N, VIEW, ProtocolConfig::quorum()),
             |router: &mut QuorumRouter, now, bytes| {
                 if let Ok(frame) = LinkStateFrame::parse(bytes) {
-                    router.on_linkstate(now, frame.from.index(), &frame);
+                    if let Some(from) = NodeIdx::new(frame.from.index(), N) {
+                        router.on_linkstate(now, from, &frame);
+                    }
                 } else if let Ok(frame) = RecFrame::parse(bytes) {
-                    router.on_recommendations(now, frame.from.index(), frame.view, frame.entries());
+                    if let Some(server) = NodeIdx::new(frame.from.index(), N) {
+                        router.on_recommendations(now, server, frame.view, frame.entries());
+                    }
                 }
             },
         );
@@ -281,7 +283,7 @@ fn a_frame_read_in_place_is_the_decoded_message_to_a_quorum_router() {
         );
         for (a, b) in twins.decoded.iter().zip(&twins.in_place) {
             assert_eq!(a.own_seqno(), b.own_seqno());
-            for origin in 0..N {
+            for origin in NodeIdx::all(N) {
                 assert_eq!(a.table().row(origin), b.table().row(origin));
                 assert_eq!(a.table().row_seqno(origin), b.table().row_seqno(origin));
                 held_rows += usize::from(a.table().row(origin).is_some());
@@ -298,7 +300,9 @@ fn a_frame_read_in_place_is_the_decoded_message_to_a_full_mesh_router() {
             |i| FullMeshRouter::new(i, N, VIEW, ProtocolConfig::ron()),
             |router: &mut FullMeshRouter, now, bytes| {
                 if let Ok(frame) = LinkStateFrame::parse(bytes) {
-                    router.on_linkstate(now, frame.from.index(), &frame);
+                    if let Some(from) = NodeIdx::new(frame.from.index(), N) {
+                        router.on_linkstate(now, from, &frame);
+                    }
                 }
             },
         );

@@ -30,7 +30,7 @@ use apor_linkstate::{
     LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecFormat,
     RecommendationMsg, RowStore, INFINITE_COST, LS_FLAG_SEQNO,
 };
-use apor_quorum::NodeId;
+use apor_quorum::{NodeId, NodeIdx};
 use apor_routing::{FullMeshRouter, ProtocolConfig, QuorumRouter, RoutingAlgorithm};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -161,7 +161,7 @@ impl World {
         let mut store = RowStore::new(self.rows.len());
         for (origin, held) in self.rows.iter().enumerate() {
             if let Some((at, row)) = held {
-                store.put_row(origin, Arc::new(LaneRow::from_dense(row)), *at);
+                store.put_row(ix(origin), Arc::new(LaneRow::from_dense(row)), *at);
             }
         }
         store
@@ -245,13 +245,28 @@ impl World {
     }
 }
 
+/// Index `i` of the widest view.
+fn ix(i: usize) -> NodeIdx {
+    NodeIdx::new(i, usize::from(u16::MAX)).expect("an index")
+}
+
+/// Wire node fields `raw` as indices of the widest view.
+fn ixs(raw: &[u16]) -> Vec<NodeIdx> {
+    raw.iter().map(|&d| ix(d.into())).collect()
+}
+
+/// `(hop, cost)` with the hop as a slice index.
+fn unix(pair: Option<(NodeIdx, u32)>) -> Option<(usize, u32)> {
+    pair.map(|(hop, cost)| (hop.get(), cost))
+}
+
 /// Round two on each of `pairs` alone — a tick whose only client is
 /// `a`, at server `b` — equals the oracle.
 fn assert_pairs_match_oracle(world: &World, pairs: impl Iterator<Item = (usize, usize)>) {
     let store = world.store();
     for (a, b) in pairs {
         assert_eq!(
-            store.round_two(&[a], b, TICK_AT, MAX_AGE).get(0, 1),
+            unix(store.round_two(&[ix(a)], ix(b), TICK_AT, MAX_AGE).get(0, 1)),
             world.best_one_hop(a, b),
             "a={a} b={b}"
         );
@@ -408,8 +423,13 @@ proptest! {
         let store = world.store();
         for a in 0..16 {
             for b in 0..16 {
+                let got: Vec<(usize, u32)> = store
+                    .one_hop_options(ix(a), ix(b), TICK_AT, MAX_AGE)
+                    .into_iter()
+                    .filter_map(|h| unix(Some(h)))
+                    .collect();
                 prop_assert_eq!(
-                    store.one_hop_options(a, b, TICK_AT, MAX_AGE),
+                    got,
                     world.scavenge_options(a, b),
                     "a={} b={}", a, b
                 );
@@ -431,17 +451,22 @@ proptest! {
         clients.insert(0, 0);
         clients.dedup();
         clients.retain(|&c| c != me);
-        let all = world.store().round_two(&clients, me, TICK_AT, MAX_AGE);
+        let client_idx: Vec<NodeIdx> = clients.iter().map(|&c| ix(c)).collect();
+        let all = world.store().round_two(&client_idx, ix(me), TICK_AT, MAX_AGE);
         let nodes: Vec<usize> = clients.iter().copied().chain([me]).collect();
-        prop_assert_eq!(all.nodes(), &nodes[..]);
+        prop_assert_eq!(all.nodes().iter().map(|i| i.get()).collect::<Vec<_>>(), nodes.clone());
         for (i, &a) in nodes.iter().enumerate() {
             let mut want_recs = Vec::new();
             for (j, &b) in nodes.iter().enumerate() {
                 let want = world.best_one_hop(a, b);
-                prop_assert_eq!(all.get(i, j), want, "a={} b={}", a, b);
+                prop_assert_eq!(unix(all.get(i, j)), want, "a={} b={}", a, b);
                 want_recs.extend(want.map(|(h, c)| (b, h, c)));
             }
-            prop_assert_eq!(all.recommendations(i).collect::<Vec<_>>(), want_recs);
+            let got: Vec<(usize, usize, u32)> = all
+                .recommendations(i)
+                .map(|(d, h, c)| (d.get(), h.get(), c))
+                .collect();
+            prop_assert_eq!(got, want_recs);
         }
     }
 
@@ -567,12 +592,12 @@ proptest! {
             let got = router.best_hop(dst, TICK_AT);
             prop_assert_eq!(got, world.full_mesh_hop(me, dst), "dst={}", dst);
             let mut best = (dst, INFINITE_COST);
-            if dst != me && store.row_fresh(me, TICK_AT, MAX_AGE) {
-                best.1 = store.cost(me, dst);
+            if dst != me && store.row_fresh(ix(me), TICK_AT, MAX_AGE) {
+                best.1 = store.cost(ix(me), ix(dst));
             }
-            for (h, c) in store.one_hop_options(me, dst, TICK_AT, MAX_AGE) {
+            for (h, c) in store.one_hop_options(ix(me), ix(dst), TICK_AT, MAX_AGE) {
                 if c < best.1 {
-                    best = (h, c);
+                    best = (h.get(), c);
                 }
             }
             prop_assert_eq!(got, (best.1 != INFINITE_COST).then_some(best.0), "dst={}", dst);
@@ -625,13 +650,13 @@ proptest! {
             ),
             (
                 old.sparse(&pairs),
-                LaneRow::from_pairs(&pairs),
+                LaneRow::from_pairs(&pairs.iter().map(|&(d, e)| (ix(d.into()), e)).collect::<Vec<_>>()),
                 LinkStateMsg::liveness_lane(&listed),
                 pairs.iter().all(|(_, e)| e.alive),
             ),
         ];
         for (bytes, want, want_liveness, canonical) in cases {
-            let want = want.with_version(seqno, &retractions);
+            let want = want.with_version(seqno, &ixs(&retractions));
             let msg = Message::decode(&bytes).expect("an old frame decodes");
             let (Message::LinkState(ls) | Message::LinkStateSparse(ls)) = &msg else {
                 panic!("a link-state frame");
@@ -640,12 +665,12 @@ proptest! {
             prop_assert_eq!(&ls.liveness_loss, &want_liveness);
             prop_assert_eq!(ls.width, width);
             let mut store = RowStore::new(usize::from(width));
-            prop_assert!(store.put_row(7, Arc::clone(&ls.row), 1.0));
-            prop_assert_eq!(store.row(7), Some(&want));
-            prop_assert_eq!(store.row_seqno(7), seqno);
+            prop_assert!(store.put_row(ix(7), Arc::clone(&ls.row), 1.0));
+            prop_assert_eq!(store.row(ix(7)), Some(&want));
+            prop_assert_eq!(store.row_seqno(ix(7)), seqno);
             prop_assert_eq!(
-                store.row(7).map_or(&[][..], LaneRow::retracted),
-                &retractions[..]
+                store.row(ix(7)).map_or(&[][..], LaneRow::retracted),
+                &ixs(&retractions)[..]
             );
             if canonical {
                 prop_assert_eq!(msg.encode().to_vec(), bytes.clone());
@@ -756,7 +781,7 @@ fn linkstate_codec_matches_the_per_slot_reference_at_every_width() {
                     round: 5,
                     basis_ms: 250,
                     width: width as u16,
-                    row: Arc::new(LaneRow::from_dense(row).with_version(seqno, &retractions)),
+                    row: Arc::new(LaneRow::from_dense(row).with_version(seqno, &ixs(&retractions))),
                     liveness_loss: LinkStateMsg::liveness_lane(row),
                 };
                 let cases = [
@@ -798,7 +823,12 @@ fn full_row_spec(origin: usize, n: usize, fill: u16, set: &[(usize, u16)]) -> Ro
 /// One pair of the world, through the kernel and by definition.
 fn kernel_and_oracle(world: &World, a: usize, b: usize) -> [Option<(usize, u32)>; 2] {
     [
-        world.store().round_two(&[a], b, TICK_AT, MAX_AGE).get(0, 1),
+        unix(
+            world
+                .store()
+                .round_two(&[ix(a)], ix(b), TICK_AT, MAX_AGE)
+                .get(0, 1),
+        ),
         world.best_one_hop(a, b),
     ]
 }
@@ -926,25 +956,25 @@ fn listed_and_identity_lanes_with_equal_contents_route_alike() {
         let o = spec.origin;
         let mut dead = spec.row.clone();
         dead[9] = LinkEntry::dead();
-        mixed.put_row(o, Arc::new(LaneRow::from_dense(&dead)), FRESH_AT);
+        mixed.put_row(ix(o), Arc::new(LaneRow::from_dense(&dead)), FRESH_AT);
         assert_eq!(mixed.entry_count(), full.entry_count() - 1);
         // One destination wider, less that destination: the row lists
         // `0..n`, the very entries of the full row.
         let mut wider = spec.row.clone();
         wider.push(LinkEntry::live(1, 0.0));
-        let listed = LaneRow::from_dense(&wider).without(n as u16);
+        let listed = LaneRow::from_dense(&wider).without(ix(n));
         assert_eq!(listed.held_bytes(), 4 * n, "a listed lane");
-        mixed.put_row(o, Arc::new(listed), FRESH_AT);
-        assert_eq!(mixed.row(o), full.row(o));
+        mixed.put_row(ix(o), Arc::new(listed), FRESH_AT);
+        assert_eq!(mixed.row(ix(o)), full.row(ix(o)));
     }
-    let (clients, me) = ([5usize, 40, 70], 99usize);
+    let (clients, me) = ([5, 40, 70].map(ix), ix(99));
     let got = mixed.round_two(&clients, me, TICK_AT, MAX_AGE);
     let want = full.round_two(&clients, me, TICK_AT, MAX_AGE);
     let nodes = [5usize, 40, 70, 99];
     for (i, &a) in nodes.iter().enumerate() {
         for (j, &b) in nodes.iter().enumerate() {
             assert_eq!(got.get(i, j), want.get(i, j), "a={a} b={b}");
-            assert_eq!(got.get(i, j), world.best_one_hop(a, b), "a={a} b={b}");
+            assert_eq!(unix(got.get(i, j)), world.best_one_hop(a, b), "a={a} b={b}");
         }
     }
 }

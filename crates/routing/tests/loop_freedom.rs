@@ -19,12 +19,18 @@
 //! exactly as the router does.
 
 use apor_linkstate::{Detour, LaneRow, LinkEntry, LinkStateStore, RowStore, INFINITE_COST};
+use apor_quorum::NodeIdx;
 use apor_routing::feasibility::{select_detour, Feasibility};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const MAX_AGE: f64 = 45.0;
 const EPOCH_S: f64 = 15.0;
+
+/// Index `i` of the widest view.
+fn ix(i: usize) -> NodeIdx {
+    NodeIdx::new(i, usize::from(u16::MAX)).expect("an index")
+}
 
 /// Raw per-epoch event material; indices are reduced modulo `n` inside
 /// the test body (the stub proptest has no dependent generation).
@@ -86,14 +92,14 @@ fn replay(n: usize, raw_epochs: &[RawEpoch], partition_epoch: usize) -> Replay {
 
     for (e, (kills, heals, silent)) in raw_epochs.iter().enumerate() {
         now = EPOCH_S * (e + 1) as f64;
-        let mut died: Vec<Vec<u16>> = vec![Vec::new(); n];
+        let mut died: Vec<Vec<NodeIdx>> = vec![Vec::new(); n];
         #[allow(clippy::cast_possible_truncation)]
-        let kill = |truth: &mut Vec<Vec<u16>>, died: &mut Vec<Vec<u16>>, a: usize, b: usize| {
+        let kill = |truth: &mut Vec<Vec<u16>>, died: &mut Vec<Vec<NodeIdx>>, a: usize, b: usize| {
             if a != b && truth[a][b] != u16::MAX {
                 truth[a][b] = u16::MAX;
                 truth[b][a] = u16::MAX;
-                died[a].push(b as u16);
-                died[b].push(a as u16);
+                died[a].push(ix(b));
+                died[b].push(ix(a));
             }
         };
         for &(a, b) in kills {
@@ -139,7 +145,7 @@ fn replay(n: usize, raw_epochs: &[RawEpoch], partition_epoch: usize) -> Replay {
             lane.sort_unstable();
             lane.dedup();
             let row = LaneRow::from_dense(&truth_row(&truth, o)).with_version(seqno[o], &lane);
-            store.put_row(o, Arc::new(row), now);
+            store.put_row(ix(o), Arc::new(row), now);
         }
         // Receiver-side discipline, per node: note seqnos, retract lost
         // direct links, advance fd over the live ones.
@@ -148,13 +154,13 @@ fn replay(n: usize, raw_epochs: &[RawEpoch], partition_epoch: usize) -> Replay {
                 if d == i {
                     continue;
                 }
-                f.note_seqno(store.row_seqno(d));
-                if died[i].contains(&(d as u16)) {
-                    f.retract(store.row_seqno(d));
+                f.note_seqno(store.row_seqno(ix(d)));
+                if died[i].contains(&ix(d)) {
+                    f.retract(store.row_seqno(ix(d)));
                 }
-                let cost = store.cost(i, d);
+                let cost = store.cost(ix(i), ix(d));
                 if cost != INFINITE_COST {
-                    f.advance(store.row_seqno(d), cost);
+                    f.advance(store.row_seqno(ix(d)), cost);
                 }
             }
         }
@@ -195,14 +201,14 @@ proptest! {
                     if cur == dst {
                         break; // delivered
                     }
-                    let direct = r.store.row_fresh(cur, r.now, MAX_AGE)
-                        && r.store.cost(cur, dst) != INFINITE_COST;
+                    let direct = r.store.row_fresh(ix(cur), r.now, MAX_AGE)
+                        && r.store.cost(ix(cur), ix(dst)) != INFINITE_COST;
                     let next = if direct {
                         dst
                     } else if let Some(Ok(d)) = select_detour(
-                        &r.store, &r.feas[cur][dst], cur, dst, max_hops, r.now, MAX_AGE,
+                        &r.store, &r.feas[cur][dst], ix(cur), ix(dst), max_hops, r.now, MAX_AGE,
                     ) {
-                        d.path[1]
+                        d.path[1].get()
                     } else {
                         break; // dropped: feasibility refused every candidate
                     };
@@ -244,18 +250,18 @@ proptest! {
                     }
                 })
                 .collect();
-            store.put_row(o, Arc::new(LaneRow::from_dense(&row).with_version(1, &[])), 1.0);
+            store.put_row(ix(o), Arc::new(LaneRow::from_dense(&row).with_version(1, &[])), 1.0);
         }
         for Detour { path, cost: total, advertised } in
-            store.k_hop_options(src, dst, max_hops, 2.0, MAX_AGE)
+            store.k_hop_options(ix(src), ix(dst), max_hops, 2.0, MAX_AGE)
         {
-            prop_assert_eq!(path[0], src);
-            prop_assert_eq!(*path.last().unwrap(), dst);
+            prop_assert_eq!(path[0], ix(src));
+            prop_assert_eq!(*path.last().unwrap(), ix(dst));
             prop_assert!(path.len() <= max_hops + 2, "path {path:?} too long");
             let mut seen = vec![false; n];
             for &p in &path {
-                prop_assert!(!seen[p], "candidate revisits {p}: {path:?}");
-                seen[p] = true;
+                prop_assert!(!seen[p.get()], "candidate revisits {p:?}: {path:?}");
+                seen[p.get()] = true;
             }
             prop_assert!(advertised <= total, "remaining exceeds total");
         }

@@ -29,7 +29,7 @@ use apor_linkstate::{
     LaneRow, LinkEntry, LinkStateMsg, LinkStateStore, Message, RecEntry, RecFormat,
     RecommendationMsg, RowStore,
 };
-use apor_quorum::{Grid, NodeId};
+use apor_quorum::{Grid, NodeId, NodeIdx};
 use apor_routing::{FullMeshRouter, ProtocolConfig, QuorumRouter, RoutingAlgorithm};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -283,9 +283,9 @@ fn a_decoded_full_row_holds_two_bytes_an_entry() {
             panic!("a dense link-state frame");
         };
         assert_eq!(ls.liveness_loss.len(), WIDTH, "the frame carries the loss");
-        assert!(store.put_row(3, Arc::clone(&ls.row), 1.0));
+        assert!(store.put_row(NodeIdx::new(3, WIDTH).unwrap(), Arc::clone(&ls.row), 1.0));
     });
-    let row = store.row(3).expect("held");
+    let row = store.row(NodeIdx::new(3, WIDTH).unwrap()).expect("held");
     assert_eq!(row.held_bytes(), 2 * WIDTH);
     let live = usize::try_from(live).expect("the store holds the row");
     assert!(

@@ -131,7 +131,7 @@ fn held(table: &RowStore) -> Vec<(usize, u64, LaneRow)> {
         .held_rows()
         .map(|(origin, at, _)| {
             (
-                origin,
+                origin.get(),
                 at.to_bits(),
                 table.row(origin).expect("held").clone(),
             )

@@ -10,7 +10,7 @@ use allpairs_overlay::linkstate::{
     ProbeMsg, ProbeReplyMsg, RecEntry, RecFormat, RecFrame, RecommendationMsg,
     LINKSTATE_HEADER_SIZE, SPARSE_LINKSTATE_HEADER_SIZE,
 };
-use allpairs_overlay::quorum::NodeId;
+use allpairs_overlay::quorum::{NodeId, NodeIdx};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -26,12 +26,11 @@ fn arb_entry() -> impl Strategy<Value = LinkEntry> {
 
 /// Reduce raw picks to a canonical retraction lane: strictly ascending,
 /// every destination `< width`. An empty width forces an empty lane.
-fn canonical_retractions(raw: &[u16], width: usize) -> Vec<u16> {
-    if width == 0 {
-        return Vec::new();
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    let mut lane: Vec<u16> = raw.iter().map(|&r| r % width as u16).collect();
+fn canonical_retractions(raw: &[u16], width: usize) -> Vec<NodeIdx> {
+    let mut lane: Vec<NodeIdx> = raw
+        .iter()
+        .filter_map(|&r| NodeIdx::new(usize::from(r) % width.max(1), width))
+        .collect();
     lane.sort_unstable();
     lane.dedup();
     lane
@@ -124,7 +123,15 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 round: r,
                 basis_ms: b,
                 width,
-                row: Arc::new(LaneRow::from_pairs(&entries).with_version(seqno, &retractions)),
+                row: Arc::new(
+                    LaneRow::from_pairs(
+                        &entries
+                            .iter()
+                            .map(|&(d, e)| (NodeIdx::from_wire(d, width).expect("below width"), e))
+                            .collect::<Vec<_>>(),
+                    )
+                    .with_version(seqno, &retractions),
+                ),
                 liveness_loss: LinkStateMsg::liveness_lane(
                     &entries.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
                 ),
@@ -234,7 +241,7 @@ fn views_agree(bytes: &[u8]) {
             unreachable!("checked above")
         };
         let (dst, latency_ms) = m.row.lanes();
-        let listed: Vec<(u16, u16)> = dst
+        let listed: Vec<(NodeIdx, u16)> = dst
             .iter()
             .copied()
             .zip(latency_ms.iter().copied())
